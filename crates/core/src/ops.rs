@@ -4,6 +4,12 @@
 //! procedure calls: create, delete, read, write, and setparam. … Write
 //! modifies a segment by replacing, appending, or truncating data in the
 //! segment."
+//!
+//! A [`WriteOp`] carries its payload as refcounted [`Bytes`]: cloning an
+//! op or an [`UpdateRecord`] — into an outbound stream, a sequenced
+//! message, a deferred apply — shares the payload, and a
+//! [`WriteOp::Replace`] is *adopted* as the new segment buffer by every
+//! replica that applies it, the token holder's and the remote ones alike.
 
 use bytes::Bytes;
 
@@ -17,16 +23,16 @@ use crate::version::VersionPair;
 pub enum WriteOp {
     /// Replace the entire contents ("files tend to be written … in their
     /// entirety", §2.3 — the common case).
-    Replace(Vec<u8>),
+    Replace(Bytes),
     /// Replace bytes starting at an offset, extending as needed.
     WriteAt {
         /// Byte offset of the first written byte.
         offset: usize,
         /// The bytes to write.
-        data: Vec<u8>,
+        data: Bytes,
     },
     /// Append at the current end of segment.
-    Append(Vec<u8>),
+    Append(Bytes),
     /// Truncate (or zero-extend) to an exact length.
     Truncate(usize),
     /// Replace the semantic parameters (the `setparam` call; distributed
@@ -36,25 +42,25 @@ pub enum WriteOp {
 }
 
 impl WriteOp {
-    /// Convenience constructor for [`WriteOp::Replace`].
+    /// [`WriteOp::Replace`] holding a copy of `data`.
     pub fn replace(data: &[u8]) -> Self {
-        WriteOp::Replace(data.to_vec())
+        WriteOp::Replace(Bytes::copy_from_slice(data))
     }
 
-    /// Convenience constructor for [`WriteOp::Append`].
+    /// [`WriteOp::Append`] holding a copy of `data`.
     pub fn append(data: &[u8]) -> Self {
-        WriteOp::Append(data.to_vec())
+        WriteOp::Append(Bytes::copy_from_slice(data))
     }
 
-    /// Convenience constructor for [`WriteOp::WriteAt`].
+    /// [`WriteOp::WriteAt`] holding a copy of `data`.
     pub fn write_at(offset: usize, data: &[u8]) -> Self {
-        WriteOp::WriteAt { offset, data: data.to_vec() }
+        WriteOp::WriteAt { offset, data: Bytes::copy_from_slice(data) }
     }
 
     /// Applies the mutation to a replica's contents and parameters.
     pub fn apply(&self, data: &mut SegmentData, params: &mut FileParams) {
         match self {
-            WriteOp::Replace(bytes) => data.replace(bytes),
+            WriteOp::Replace(bytes) => data.replace(bytes.clone()),
             WriteOp::WriteAt { offset, data: bytes } => data.write(*offset, bytes),
             WriteOp::Append(bytes) => data.append(bytes),
             WriteOp::Truncate(len) => data.truncate(*len),

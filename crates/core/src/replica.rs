@@ -55,7 +55,8 @@ impl Replica {
     }
 
     /// A copy of an existing replica (replica generation, §3.1: "File data
-    /// is drawn from the existing available replica").
+    /// is drawn from the existing available replica"). The two share the
+    /// segment buffer until either is next written.
     pub fn cloned_from(other: &Replica, now: SimTime) -> Self {
         Replica { last_access: now, ..other.clone() }
     }

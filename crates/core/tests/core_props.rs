@@ -46,12 +46,12 @@ proptest! {
         for o in &ops {
             match o {
                 Op::Write { via, data } => {
-                    c.write(NodeId(*via as u32), seg, WriteOp::Replace(data.clone()), None)
+                    c.write(NodeId(*via as u32), seg, WriteOp::Replace(data.clone().into()), None)
                         .unwrap();
                     model = data.clone();
                 }
                 Op::Append { via, data } => {
-                    c.write(NodeId(*via as u32), seg, WriteOp::Append(data.clone()), None)
+                    c.write(NodeId(*via as u32), seg, WriteOp::Append(data.clone().into()), None)
                         .unwrap();
                     model.extend_from_slice(data);
                 }
@@ -95,12 +95,12 @@ proptest! {
         for o in &ops {
             match o {
                 Op::Write { via, data } => {
-                    c.write(NodeId(*via as u32), seg, WriteOp::Replace(data.clone()), None)
+                    c.write(NodeId(*via as u32), seg, WriteOp::Replace(data.clone().into()), None)
                         .unwrap();
                     model = data.clone();
                 }
                 Op::Append { via, data } => {
-                    c.write(NodeId(*via as u32), seg, WriteOp::Append(data.clone()), None)
+                    c.write(NodeId(*via as u32), seg, WriteOp::Append(data.clone().into()), None)
                         .unwrap();
                     model.extend_from_slice(data);
                 }
@@ -154,7 +154,7 @@ proptest! {
             // Crash one non-token replica holder, write, recover it.
             let victim = NodeId(1 + *crash_choice as u32);
             c.crash_server(victim);
-            c.write(NodeId(0), seg, WriteOp::Replace(data.clone()), None).unwrap();
+            c.write(NodeId(0), seg, WriteOp::Replace(data.clone().into()), None).unwrap();
             last = data.clone();
             c.run_until_quiet();
             c.recover_server(victim);

@@ -70,7 +70,7 @@ fn forward_small_ignores_large_updates() {
     let (mut c, seg) = fixture(cfg);
     // A large write moves the token as usual.
     let big = vec![0u8; 4096];
-    c.write(n(1), seg, WriteOp::Replace(big), None).unwrap();
+    c.write(n(1), seg, WriteOp::Replace(big.into()), None).unwrap();
     assert!(c.server(n(1)).holds_token((seg, 0)), "large update moved the token");
     assert_eq!(c.stats.counter("core/token/updates_forwarded"), 0);
 }

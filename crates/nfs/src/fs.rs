@@ -105,6 +105,9 @@ pub enum NfsError {
     Stale,
     /// EACCES — the caller's credentials do not permit the operation.
     Access,
+    /// EFBIG — the write or size would grow the file past what one
+    /// segment holds.
+    TooBig,
     /// Invalid component name.
     Name(NameError),
     /// The directory update kept conflicting (heavy write sharing —
@@ -126,6 +129,7 @@ impl std::fmt::Display for NfsError {
             NfsError::NotEmpty => write!(f, "directory not empty"),
             NfsError::Stale => write!(f, "stale file handle"),
             NfsError::Access => write!(f, "permission denied"),
+            NfsError::TooBig => write!(f, "file too large"),
             NfsError::Name(e) => write!(f, "{e}"),
             NfsError::Busy => write!(f, "directory update conflicted repeatedly"),
             NfsError::Io(e) => write!(f, "segment server: {e}"),
@@ -196,8 +200,55 @@ pub struct DeceitFs {
 }
 
 /// The fixed size used when reading a whole segment ("most files are
-/// small", §2.3; this bound is far above any segment the tests create).
+/// small", §2.3) — and therefore the largest segment image a mutation
+/// may build: anything longer would be cut off by the next load.
 pub(crate) const WHOLE_SEGMENT: usize = 64 * 1024 * 1024;
+
+/// What a mutation makes of a segment's payload.
+pub(crate) enum Edit<'a> {
+    /// Used as it is (a mutation that changed only the inode keeps the
+    /// payload it loaded).
+    Keep,
+    /// Replaced by a fresh encoding.
+    Set(Vec<u8>),
+    /// Truncated or zero-extended to this length.
+    Resize(usize),
+    /// Overwritten from this offset, zero-filling any gap before it.
+    WriteAt(usize, &'a [u8]),
+}
+
+/// Assembles a segment image — `inode`'s header, then `old` as changed
+/// by `edit` — in one exactly-sized buffer: the only copy a mutation
+/// makes of the payload. Refuses images longer than [`WHOLE_SEGMENT`]
+/// before allocating anything.
+pub(crate) fn segment_image(inode: &Inode, old: &[u8], edit: &Edit<'_>) -> Result<Bytes, NfsError> {
+    let payload_len = match edit {
+        Edit::Keep => Some(old.len()),
+        Edit::Set(new) => Some(new.len()),
+        Edit::Resize(len) => Some(*len),
+        Edit::WriteAt(offset, data) => offset.checked_add(data.len()).map(|e| e.max(old.len())),
+    };
+    let hdr_len = inode.encoded_len();
+    let len = payload_len
+        .and_then(|p| p.checked_add(hdr_len))
+        .filter(|&len| len <= WHOLE_SEGMENT)
+        .ok_or(NfsError::TooBig)?;
+    let mut buf = Vec::with_capacity(len);
+    inode.encode_into(&mut buf);
+    match edit {
+        Edit::Keep => buf.extend_from_slice(old),
+        Edit::Set(new) => buf.extend_from_slice(new),
+        Edit::Resize(_) => buf.extend_from_slice(&old[..old.len().min(len - hdr_len)]),
+        Edit::WriteAt(offset, data) => {
+            buf.extend_from_slice(&old[..old.len().min(*offset)]);
+            buf.resize(hdr_len + offset, 0);
+            buf.extend_from_slice(data);
+            buf.extend_from_slice(old.get(offset + data.len()..).unwrap_or_default());
+        }
+    }
+    buf.resize(len, 0);
+    Ok(Bytes::from(buf))
+}
 
 impl DeceitFs {
     /// Builds a file service over `servers` Deceit servers and creates the
@@ -212,10 +263,10 @@ impl DeceitFs {
         let now = cluster.now().as_micros();
         let mut inode = Inode::new(FileType::Directory.to_byte(), 0o755, now);
         inode.nlink = 1;
-        let mut payload = inode.encode();
-        payload.extend_from_slice(&Directory::new().encode());
+        let image = segment_image(&inode, &Directory::new().encode(), &Edit::Keep)
+            .expect("an empty directory fits a segment");
         cluster
-            .write(via, root_seg, WriteOp::Replace(payload), None)
+            .write(via, root_seg, WriteOp::Replace(image), None)
             .expect("root format cannot fail");
         cluster.run_until_quiet();
         DeceitFs { cluster, cfg, root: FileHandle::new(root_seg) }
@@ -252,39 +303,37 @@ impl DeceitFs {
         Ok((inode, payload, read.value.version, read.latency))
     }
 
-    /// Writes a segment's inode + payload conditionally on `expected`.
+    /// Writes a whole segment image (see [`segment_image`]) conditionally
+    /// on `expected`; every replica adopts the buffer as it is.
     pub(crate) fn store(
         &mut self,
         via: NodeId,
         fh: FileHandle,
-        inode: &Inode,
-        payload: &[u8],
+        image: Bytes,
         expected: Option<VersionPair>,
     ) -> Result<(VersionPair, SimDuration), NfsError> {
-        let mut buf = inode.encode();
-        buf.extend_from_slice(payload);
-        let w = self.cluster.write(via, fh.seg, WriteOp::Replace(buf), expected)?;
+        let w = self.cluster.write(via, fh.seg, WriteOp::Replace(image), expected)?;
         Ok((w.value, w.latency))
     }
 
     /// Runs a read-modify-write on a segment with the §5.1 restart loop.
-    /// `mutate` returns `Ok(Some(payload))` to write, `Ok(None)` to leave
-    /// the segment untouched.
-    pub(crate) fn update_segment(
+    /// `mutate` returns `Ok(Some(edit))` to write the inode and the
+    /// payload so edited, `Ok(None)` to leave the segment untouched.
+    pub(crate) fn update_segment<'a>(
         &mut self,
         via: NodeId,
         fh: FileHandle,
-        mut mutate: impl FnMut(&mut Inode, &Bytes) -> Result<Option<Vec<u8>>, NfsError>,
+        mut mutate: impl FnMut(&mut Inode, &Bytes) -> Result<Option<Edit<'a>>, NfsError>,
     ) -> Result<SimDuration, NfsError> {
         let mut latency = SimDuration::ZERO;
         for attempt in 0..self.cfg.occ_retries.max(1) {
             let (mut inode, payload, version, l1) = self.load(via, fh)?;
             latency += l1;
-            let new_payload = match mutate(&mut inode, &payload)? {
-                Some(p) => p,
+            let image = match mutate(&mut inode, &payload)? {
+                Some(edit) => segment_image(&inode, &payload, &edit)?,
                 None => return Ok(latency),
             };
-            match self.store(via, fh, &inode, &new_payload, Some(version)) {
+            match self.store(via, fh, image, Some(version)) {
                 Ok((_, l2)) => return Ok(latency + l2),
                 Err(NfsError::Io(DeceitError::VersionConflict { .. })) => {
                     self.cluster.stats.incr("nfs/occ_restarts");
@@ -357,13 +406,11 @@ impl DeceitFs {
         slots: &[usize],
         via: NodeId,
         fh: FileHandle,
-        inode: &Inode,
-        payload: &[u8],
+        image: Bytes,
         expected: Option<VersionPair>,
     ) -> Result<(VersionPair, SimDuration), NfsError> {
-        let mut buf = inode.encode();
-        buf.extend_from_slice(payload);
-        let w = self.cluster.write_sharded(slots, via, fh.seg, WriteOp::Replace(buf), expected)?;
+        let w =
+            self.cluster.write_sharded(slots, via, fh.seg, WriteOp::Replace(image), expected)?;
         Ok((w.value, w.latency))
     }
 
@@ -376,25 +423,24 @@ impl DeceitFs {
     /// can assemble the post-op attributes without re-reading the whole
     /// segment. Under the caller's ring locks nothing else can mutate
     /// the file in between, so this *is* what a re-read would see.
-    pub(crate) fn update_segment_sharded(
+    pub(crate) fn update_segment_sharded<'a>(
         &self,
         slots: &[usize],
         via: NodeId,
         fh: FileHandle,
-        mut mutate: impl FnMut(&mut Inode, &Bytes) -> Result<Option<Vec<u8>>, NfsError>,
+        mut mutate: impl FnMut(&mut Inode, &Bytes) -> Result<Option<Edit<'a>>, NfsError>,
     ) -> Result<(Inode, usize, VersionPair, SimDuration), NfsError> {
         let mut latency = SimDuration::ZERO;
         for attempt in 0..self.cfg.occ_retries.max(1) {
             let (mut inode, payload, version, l1) = self.load_sharded(slots, via, fh)?;
             latency += l1;
-            let new_payload = match mutate(&mut inode, &payload)? {
-                Some(p) => p,
+            let image = match mutate(&mut inode, &payload)? {
+                Some(edit) => segment_image(&inode, &payload, &edit)?,
                 None => return Ok((inode, payload.len(), version, latency)),
             };
-            match self.store_sharded(slots, via, fh, &inode, &new_payload, Some(version)) {
-                Ok((new_version, l2)) => {
-                    return Ok((inode, new_payload.len(), new_version, latency + l2))
-                }
+            let new_len = image.len() - inode.encoded_len();
+            match self.store_sharded(slots, via, fh, image, Some(version)) {
+                Ok((new_version, l2)) => return Ok((inode, new_len, new_version, latency + l2)),
                 Err(NfsError::Io(DeceitError::VersionConflict { .. })) => {
                     self.cluster.stats.incr("nfs/occ_restarts");
                     // §5.1: "the whole operation is restarted." Restarting
@@ -476,11 +522,11 @@ impl DeceitFs {
         f: impl FnOnce(&mut Inode),
     ) -> Result<SimDuration, NfsError> {
         let mut f = Some(f);
-        self.update_segment(via, fh, |inode, payload| {
+        self.update_segment(via, fh, |inode, _| {
             if let Some(f) = f.take() {
                 f(inode);
             }
-            Ok(Some(payload.to_vec()))
+            Ok(Some(Edit::Keep))
         })
     }
 }

@@ -12,7 +12,7 @@ use deceit_net::NodeId;
 use deceit_sim::SimDuration;
 
 use crate::dir::Directory;
-use crate::fs::{DeceitFs, NfsError};
+use crate::fs::{DeceitFs, Edit, NfsError};
 use crate::handle::FileHandle;
 use crate::inode::Inode;
 
@@ -63,9 +63,9 @@ pub fn collect_if_unlinked(
     } else {
         // The hint was wrong: correct it (§5.2 "the link count is
         // corrected").
-        latency += fs.update_segment(via, target, |inode, payload| {
+        latency += fs.update_segment(via, target, |inode, _| {
             inode.nlink = true_links;
-            Ok(Some(payload.to_vec()))
+            Ok(Some(Edit::Keep))
         })?;
         fs.cluster.stats.incr("nfs/gc/corrected");
     }

@@ -85,6 +85,12 @@ impl Inode {
     /// Encodes the header.
     pub fn encode(&self) -> Vec<u8> {
         let mut buf = Vec::with_capacity(self.encoded_len());
+        self.encode_into(&mut buf);
+        buf
+    }
+
+    /// Appends the encoded header to `buf`.
+    pub fn encode_into(&self, buf: &mut Vec<u8>) {
         buf.put_u16(INODE_MAGIC);
         buf.put_u8(self.ftype);
         buf.put_u32(self.mode);
@@ -98,7 +104,6 @@ impl Inode {
         for up in &self.uplinks {
             buf.put_u64(up.0);
         }
-        buf
     }
 
     /// Decodes a header from the start of a segment, returning the inode

@@ -20,7 +20,7 @@ use deceit_net::NodeId;
 use deceit_sim::SimDuration;
 
 use crate::dir::{DirEntry, Directory};
-use crate::fs::{DeceitFs, FileAttr, FileType, NfsError, NfsResult};
+use crate::fs::{segment_image, DeceitFs, Edit, FileAttr, FileType, NfsError, NfsResult};
 use crate::gc;
 use crate::handle::FileHandle;
 use crate::inode::Inode;
@@ -97,7 +97,7 @@ impl DeceitFs {
         let mut inode = Inode::new(ftype.to_byte(), mode, now);
         inode.nlink = 1;
         inode.add_uplink(dir.seg);
-        let (_, l1) = self.store(via, fh, &inode, payload, None)?;
+        let (_, l1) = self.store(via, fh, segment_image(&inode, payload, &Edit::Keep)?, None)?;
         latency += l1;
 
         // Add the directory entry under the §5.1 restart loop.
@@ -111,7 +111,7 @@ impl DeceitFs {
                 return Err(NfsError::Exists);
             }
             dnode.mtime = now;
-            Ok(Some(table.encode()))
+            Ok(Some(Edit::Set(table.encode())))
         });
         match insert_res {
             Ok(l2) => latency += l2,
@@ -183,11 +183,11 @@ impl DeceitFs {
         }
         let dir_seg = dir.seg;
         latency += self
-            .update_segment_sharded(slots, via, target, |inode, payload| {
+            .update_segment_sharded(slots, via, target, |inode, _| {
                 inode.nlink += 1;
                 inode.add_uplink(dir_seg);
                 inode.ctime = now;
-                Ok(Some(payload.to_vec()))
+                Ok(Some(Edit::Keep))
             })?
             .3;
         let entry =
@@ -202,7 +202,7 @@ impl DeceitFs {
                     return Err(NfsError::Exists);
                 }
                 dnode.mtime = now;
-                Ok(Some(t.encode()))
+                Ok(Some(Edit::Set(t.encode())))
             })?
             .3;
         Ok(OpResult { value: (), latency })
@@ -237,14 +237,14 @@ impl DeceitFs {
                 return Err(NfsError::NotFound);
             }
             dnode.mtime = now;
-            Ok(Some(t.encode()))
+            Ok(Some(Edit::Set(t.encode())))
         })?;
 
         // Decrement the link-count hint; on zero run the uplink check.
         let target = entry.handle;
         let dir_seg = dir.seg;
         let mut went_zero = false;
-        latency += self.update_segment(via, target, |inode, payload| {
+        latency += self.update_segment(via, target, |inode, _| {
             inode.nlink = inode.nlink.saturating_sub(1);
             inode.ctime = now;
             // The uplink stays if other links from this directory remain;
@@ -254,7 +254,7 @@ impl DeceitFs {
             } else {
                 inode.remove_uplink(dir_seg);
             }
-            Ok(Some(payload.to_vec()))
+            Ok(Some(Edit::Keep))
         })?;
         if went_zero {
             latency += gc::collect_if_unlinked(self, via, target)?;
@@ -284,7 +284,7 @@ impl DeceitFs {
                 return Err(NfsError::NotFound);
             }
             dnode.mtime = now;
-            Ok(Some(t.encode()))
+            Ok(Some(Edit::Set(t.encode())))
         })?;
         let del = self.cluster.delete(via, entry.handle.seg)?;
         latency += del.latency;
@@ -318,10 +318,10 @@ impl DeceitFs {
 
         // 1. Uplink to the destination directory.
         let to_seg = to_dir.seg;
-        latency += self.update_segment(via, target, |inode, payload| {
+        latency += self.update_segment(via, target, |inode, _| {
             inode.add_uplink(to_seg);
             inode.ctime = now;
-            Ok(Some(payload.to_vec()))
+            Ok(Some(Edit::Keep))
         })?;
 
         // 2. Entry in the destination (replacing any existing target
@@ -335,7 +335,7 @@ impl DeceitFs {
             t.remove(&qt.base);
             t.insert(new_entry.clone());
             dnode.mtime = now;
-            Ok(Some(t.encode()))
+            Ok(Some(Edit::Set(t.encode())))
         })?;
 
         // 3. Remove the source entry.
@@ -345,15 +345,15 @@ impl DeceitFs {
                 return Err(NfsError::NotFound);
             }
             dnode.mtime = now;
-            Ok(Some(t.encode()))
+            Ok(Some(Edit::Set(t.encode())))
         })?;
 
         // 4. Drop the stale uplink (unless it was a same-directory rename).
         if from_dir.seg != to_dir.seg {
             let from_seg = from_dir.seg;
-            latency += self.update_segment(via, target, |inode, payload| {
+            latency += self.update_segment(via, target, |inode, _| {
                 inode.remove_uplink(from_seg);
-                Ok(Some(payload.to_vec()))
+                Ok(Some(Edit::Keep))
             })?;
         }
         Ok(OpResult { value: (), latency })
@@ -384,11 +384,11 @@ impl DeceitFs {
         // to the uplink list of all versions of f which can be updated at
         // that time" — updates flow to the current version.
         let dir_seg = dir.seg;
-        latency += self.update_segment(via, target, |inode, payload| {
+        latency += self.update_segment(via, target, |inode, _| {
             inode.nlink += 1;
             inode.add_uplink(dir_seg);
             inode.ctime = now;
-            Ok(Some(payload.to_vec()))
+            Ok(Some(Edit::Keep))
         })?;
         let entry =
             DirEntry { name: q.base.clone(), handle: target.unpinned(), ftype: tnode.ftype };
@@ -401,7 +401,7 @@ impl DeceitFs {
                 return Err(NfsError::Exists);
             }
             dnode.mtime = now;
-            Ok(Some(t.encode()))
+            Ok(Some(Edit::Set(t.encode())))
         })?;
         Ok(OpResult { value: (), latency })
     }

@@ -10,7 +10,7 @@
 use deceit_core::{FileParams, OpResult};
 use deceit_net::NodeId;
 
-use crate::fs::{DeceitFs, FileAttr, FileType, NfsError, NfsResult};
+use crate::fs::{DeceitFs, Edit, FileAttr, FileType, NfsError, NfsResult};
 use crate::handle::FileHandle;
 
 impl DeceitFs {
@@ -25,7 +25,7 @@ impl DeceitFs {
         size: Option<usize>,
     ) -> NfsResult<FileAttr> {
         let now = self.cluster.now().as_micros();
-        let latency = self.update_segment(via, fh, |inode, payload| {
+        let latency = self.update_segment(via, fh, |inode, _| {
             if size.is_some() && inode.ftype == FileType::Directory.to_byte() {
                 return Err(NfsError::IsDir);
             }
@@ -39,12 +39,10 @@ impl DeceitFs {
                 inode.gid = g;
             }
             inode.ctime = now;
-            let mut data = payload.to_vec();
-            if let Some(s) = size {
-                data.resize(s, 0);
+            if size.is_some() {
                 inode.mtime = now;
             }
-            Ok(Some(data))
+            Ok(Some(size.map_or(Edit::Keep, Edit::Resize)))
         })?;
         let mut out = self.getattr(via, fh)?;
         out.latency += latency;
@@ -60,18 +58,12 @@ impl DeceitFs {
         data: &[u8],
     ) -> NfsResult<FileAttr> {
         let now = self.cluster.now().as_micros();
-        let latency = self.update_segment(via, fh, |inode, payload| {
+        let latency = self.update_segment(via, fh, |inode, _| {
             if inode.ftype == FileType::Directory.to_byte() {
                 return Err(NfsError::IsDir);
             }
             inode.mtime = now;
-            let mut contents = payload.to_vec();
-            let end = offset + data.len();
-            if end > contents.len() {
-                contents.resize(end, 0);
-            }
-            contents[offset..end].copy_from_slice(data);
-            Ok(Some(contents))
+            Ok(Some(Edit::WriteAt(offset, data)))
         })?;
         let mut out = self.getattr(via, fh)?;
         out.latency += latency;
@@ -126,7 +118,7 @@ impl DeceitFs {
     ) -> NfsResult<FileAttr> {
         let now = self.cluster.now().as_micros();
         let (inode, len, version, latency) =
-            self.update_segment_sharded(slots, via, fh, |inode, payload| {
+            self.update_segment_sharded(slots, via, fh, |inode, _| {
                 if size.is_some() && inode.ftype == FileType::Directory.to_byte() {
                     return Err(NfsError::IsDir);
                 }
@@ -140,12 +132,10 @@ impl DeceitFs {
                     inode.gid = g;
                 }
                 inode.ctime = now;
-                let mut data = payload.to_vec();
-                if let Some(s) = size {
-                    data.resize(s, 0);
+                if size.is_some() {
                     inode.mtime = now;
                 }
-                Ok(Some(data))
+                Ok(Some(size.map_or(Edit::Keep, Edit::Resize)))
             })?;
         Ok(OpResult { value: self.attr_from(fh, &inode, len, version), latency })
     }
@@ -171,18 +161,12 @@ impl DeceitFs {
     ) -> NfsResult<FileAttr> {
         let now = self.cluster.now().as_micros();
         let (inode, len, version, latency) =
-            self.update_segment_sharded(slots, via, fh, |inode, payload| {
+            self.update_segment_sharded(slots, via, fh, |inode, _| {
                 if inode.ftype == FileType::Directory.to_byte() {
                     return Err(NfsError::IsDir);
                 }
                 inode.mtime = now;
-                let mut contents = payload.to_vec();
-                let end = offset + data.len();
-                if end > contents.len() {
-                    contents.resize(end, 0);
-                }
-                contents[offset..end].copy_from_slice(data);
-                Ok(Some(contents))
+                Ok(Some(Edit::WriteAt(offset, data)))
             })?;
         Ok(OpResult { value: self.attr_from(fh, &inode, len, version), latency })
     }

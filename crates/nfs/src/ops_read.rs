@@ -30,6 +30,16 @@ use crate::handle::FileHandle;
 use crate::inode::Inode;
 use crate::name::QualifiedName;
 
+/// The `READ` reply: up to `count` bytes of `payload` from `offset`, as a
+/// view of the same buffer. Both ends are clamped to the payload, so no
+/// client-chosen `offset`/`count` (not even ones whose sum overflows) can
+/// ask for an out-of-bounds slice.
+fn payload_range(payload: &Bytes, offset: usize, count: usize) -> Bytes {
+    let start = offset.min(payload.len());
+    let end = offset.saturating_add(count).min(payload.len());
+    payload.slice(start..end)
+}
+
 impl DeceitFs {
     /// `GETATTR`.
     pub fn getattr(&mut self, via: NodeId, fh: FileHandle) -> NfsResult<FileAttr> {
@@ -65,9 +75,7 @@ impl DeceitFs {
         if inode.ftype == FileType::Directory.to_byte() {
             return Err(NfsError::IsDir);
         }
-        let end = (offset + count).min(payload.len());
-        let data = if offset >= payload.len() { Bytes::new() } else { payload.slice(offset..end) };
-        Ok(OpResult { value: data, latency })
+        Ok(OpResult { value: payload_range(&payload, offset, count), latency })
     }
 
     /// `READLINK`.
@@ -193,9 +201,7 @@ impl DeceitFs {
         if inode.ftype == FileType::Directory.to_byte() {
             return Err(NfsError::IsDir);
         }
-        let end = (offset + count).min(payload.len());
-        let data = if offset >= payload.len() { Bytes::new() } else { payload.slice(offset..end) };
-        Ok(OpResult { value: data, latency })
+        Ok(OpResult { value: payload_range(&payload, offset, count), latency })
     }
 
     /// Sharded-path `LOOKUP`. The directory runs under its held ring
@@ -365,9 +371,7 @@ impl DeceitFs {
         if inode.ftype == FileType::Directory.to_byte() {
             return Some(Err(NfsError::IsDir));
         }
-        let end = (offset + count).min(payload.len());
-        let data = if offset >= payload.len() { Bytes::new() } else { payload.slice(offset..end) };
-        Some(Ok(OpResult { value: data, latency }))
+        Some(Ok(OpResult { value: payload_range(&payload, offset, count), latency }))
     }
 
     /// Shared-access `READLINK`.

@@ -14,7 +14,7 @@ use deceit_net::NodeId;
 use deceit_sim::SimDuration;
 
 use crate::dir::Directory;
-use crate::fs::{DeceitFs, FileType, NfsError, NfsResult};
+use crate::fs::{segment_image, DeceitFs, Edit, FileType, NfsError, NfsResult};
 use crate::handle::FileHandle;
 use crate::inode::Inode;
 
@@ -103,9 +103,8 @@ pub fn reconcile_directory(
 
     // Write the merged table into the newest version and delete the rest.
     inode.mtime = fs.cluster.now().as_micros();
-    let mut payload = inode.encode();
-    payload.extend_from_slice(&table.encode());
-    let w = fs.cluster.write(via, dir.seg, WriteOp::Replace(payload), None)?;
+    let image = segment_image(&inode, &table.encode(), &Edit::Keep)?;
+    let w = fs.cluster.write(via, dir.seg, WriteOp::Replace(image), None)?;
     latency += w.latency;
     for major in majors.iter().filter(|&&m| m != newest) {
         // The merged survivor embeds the other versions' entries; their

@@ -274,14 +274,16 @@ impl RuntimeClient {
         }
     }
 
-    /// Writes `data` at `offset` (copies the slice once, into the
-    /// refcounted request payload).
+    /// Writes `data` at `offset`. Copies the slice once, into the
+    /// refcounted request payload; the serving thread copies it once
+    /// more, into the new segment image every replica then shares.
     pub fn write(&mut self, fh: FileHandle, offset: usize, data: &[u8]) -> RuntimeResult<FileAttr> {
         self.write_bytes(fh, offset, Bytes::copy_from_slice(data))
     }
 
-    /// Writes an already-refcounted payload at `offset` — zero-copy all
-    /// the way to the serving thread.
+    /// Writes an already-refcounted payload at `offset`: retries and
+    /// queueing hand the same buffer to the serving thread, whose build
+    /// of the new segment image is then the only copy made of it.
     pub fn write_bytes(
         &mut self,
         fh: FileHandle,

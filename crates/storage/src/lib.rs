@@ -16,7 +16,11 @@
 //!
 //! [`SegmentData`] is the byte-array-with-offset representation of a
 //! segment's contents (§5.1: "A segment contains an array of bytes that can
-//! be indexed by an offset").
+//! be indexed by an offset"). It is an immutable refcounted buffer with
+//! copy-on-write mutators, so the clones a [`Disk`] makes to mirror a value
+//! into its durable side (`put_sync`, `flush_key`) and back (`crash`) share
+//! the bytes instead of copying them — and stay isolated from each other,
+//! because a later mutation of either side builds its own buffer.
 
 pub mod disk;
 pub mod segdata;

@@ -4,15 +4,26 @@
 //! offset. … Write modifies a segment by replacing, appending, or
 //! truncating data in the segment." NFS reads and writes map directly onto
 //! these operations.
+//!
+//! The array is an immutable, refcounted [`Bytes`]. Reading and cloning
+//! share it; every mutator builds the one new buffer its result needs
+//! and swaps it in, so a buffer that has been handed out — to a reader,
+//! to another replica, to the durable side of a [`crate::Disk`] — never
+//! changes underneath its holder.
 
 use bytes::Bytes;
 
 use crate::disk::StoredSize;
 
-/// The mutable contents of one segment replica.
+/// The contents of one segment replica.
+///
+/// `clone`, [`SegmentData::contents`] and [`SegmentData::read`] are
+/// pointer bumps onto the same backing buffer; it is freed when the last
+/// of them is dropped (a short `read` of a large segment pins the whole
+/// buffer until then).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SegmentData {
-    buf: Vec<u8>,
+    buf: Bytes,
 }
 
 impl SegmentData {
@@ -22,9 +33,9 @@ impl SegmentData {
         SegmentData::default()
     }
 
-    /// Builds a segment holding `data`.
+    /// Builds a segment holding a copy of `data`.
     pub fn from_bytes(data: &[u8]) -> Self {
-        SegmentData { buf: data.to_vec() }
+        SegmentData { buf: Bytes::copy_from_slice(data) }
     }
 
     /// Current length in bytes.
@@ -37,48 +48,58 @@ impl SegmentData {
         self.buf.is_empty()
     }
 
-    /// Reads up to `count` bytes starting at `offset`.
+    /// Reads up to `count` bytes starting at `offset`, as a view of the
+    /// segment's buffer.
     ///
     /// Reads past end-of-segment return the available prefix (possibly
     /// empty), matching NFS read semantics.
     pub fn read(&self, offset: usize, count: usize) -> Bytes {
-        if offset >= self.buf.len() {
-            return Bytes::new();
-        }
-        let end = (offset + count).min(self.buf.len());
-        Bytes::copy_from_slice(&self.buf[offset..end])
+        let start = offset.min(self.buf.len());
+        let end = offset.saturating_add(count).min(self.buf.len());
+        self.buf.slice(start..end)
     }
 
-    /// The full contents.
+    /// The full contents, shared with the segment.
     pub fn contents(&self) -> Bytes {
-        Bytes::copy_from_slice(&self.buf)
+        self.buf.clone()
     }
 
     /// Writes `data` at `offset`, replacing existing bytes and extending
     /// the segment as needed. Writing past end-of-segment zero-fills the
     /// gap (UNIX sparse-write semantics).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `offset + data.len()` overflows `usize`.
     pub fn write(&mut self, offset: usize, data: &[u8]) {
-        let end = offset + data.len();
-        if end > self.buf.len() {
-            self.buf.resize(end, 0);
-        }
-        self.buf[offset..end].copy_from_slice(data);
+        let end = offset.checked_add(data.len()).expect("segment end overflows usize");
+        let old = &self.buf[..];
+        let mut new = Vec::with_capacity(old.len().max(end));
+        new.extend_from_slice(&old[..offset.min(old.len())]);
+        new.resize(offset, 0);
+        new.extend_from_slice(data);
+        new.extend_from_slice(old.get(end..).unwrap_or_default());
+        self.buf = Bytes::from(new);
     }
 
     /// Appends `data` at the current end.
     pub fn append(&mut self, data: &[u8]) {
-        self.buf.extend_from_slice(data);
+        self.write(self.buf.len(), data);
     }
 
     /// Truncates (or zero-extends) the segment to exactly `len` bytes.
+    /// Shrinking keeps a view of the old buffer.
     pub fn truncate(&mut self, len: usize) {
-        self.buf.resize(len, 0);
+        if len <= self.buf.len() {
+            self.buf = self.buf.slice(..len);
+        } else {
+            self.write(len, &[]);
+        }
     }
 
-    /// Replaces the entire contents.
-    pub fn replace(&mut self, data: &[u8]) {
-        self.buf.clear();
-        self.buf.extend_from_slice(data);
+    /// Replaces the entire contents, adopting `data` without a copy.
+    pub fn replace(&mut self, data: Bytes) {
+        self.buf = data;
     }
 }
 
@@ -156,7 +177,7 @@ mod tests {
     #[test]
     fn replace_swaps_contents() {
         let mut s = SegmentData::from_bytes(b"old contents");
-        s.replace(b"new");
+        s.replace(Bytes::from(b"new"));
         assert_eq!(&s.contents()[..], b"new");
         assert_eq!(s.stored_size(), 3);
     }
