@@ -450,6 +450,7 @@ const DECL_ALLOWLIST: &[&str] = &[
     "BusInner::delivered",
     "BusInner::rejected",
     "BusInner::dropped_stale",
+    "BusInner::wakes",
     "NEXT_INCARNATION",
 ];
 

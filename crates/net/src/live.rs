@@ -4,17 +4,46 @@
 //! runs on, but a distributed file system ultimately exchanges messages
 //! between concurrently executing machines. [`LiveBus`] provides exactly
 //! the same connectivity semantics (crashes, partitions, symmetric
-//! reachability) over real threads and channels, so the examples can show
-//! the message layer running "live". It is intentionally unordered across
+//! reachability) over real threads, so the live runtime can run the
+//! message layer off the simulator. It is intentionally unordered across
 //! senders — ordering is ISIS's job, one layer up.
+//!
+//! # The hand-off
+//!
+//! Every request in the live cell is two hand-offs (client → server
+//! thread → client), so the bus owns the primitive instead of borrowing
+//! a general-purpose channel. Each endpoint has one mailbox: a mutex
+//! over the frame deque and a count of parked receivers, plus a condvar.
+//!
+//! * **send** takes the topology read lock once (liveness, partition,
+//!   destination look-up and the destination's crash epoch all come out
+//!   of that one critical section), pushes under the mailbox lock, and
+//!   issues a wake-up *only if a receiver is actually parked* — a send to
+//!   a busy receiver is two uncontended lock round trips and no syscall.
+//! * **receive** takes only the mailbox lock and parks at once when the
+//!   deque is empty. There is no spin-before-park: while the receiver
+//!   spins the sender cannot run on the same CPU, and on separate CPUs
+//!   the frame it would catch is one the parked-count check delivers with
+//!   a single wake-up anyway. The node's crash flag and epoch are
+//!   mirrored into atomics on its mailbox, so neither the receive side
+//!   nor a server's "am I crashed?" check touches a shared lock.
+//!
+//! # Delivery invariants
+//!
+//! 1. A frame accepted before [`LiveBus::crash`]`(n)` returns is never
+//!    delivered by `n`: frames carry the destination's crash epoch, read
+//!    under the same lock as the liveness check, and a crash bumps it.
+//! 2. Crash state and epoch belong to the node and outlive its endpoint.
+//! 3. A send to a crashed, partitioned-away or unregistered peer returns
+//!    `false` and counts in [`LiveBus::rejected`].
+//! 4. [`LiveBus::delivered`] counts at enqueue, and `delivered −
+//!    dropped_stale` is the number of frames handed to receivers.
 
-use std::collections::BTreeSet;
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
-use std::time::Duration;
+use std::collections::{BTreeMap, VecDeque};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::time::{Duration, Instant};
 
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use parking_lot::RwLock;
 
 use crate::node::NodeId;
@@ -29,7 +58,7 @@ pub struct Envelope<M> {
     pub msg: M,
 }
 
-/// The channel frame: an envelope stamped with the destination's crash
+/// The queued frame: an envelope stamped with the destination's crash
 /// epoch at send time, so traffic queued before a crash can be told
 /// apart from traffic sent after the recovery.
 #[derive(Debug)]
@@ -39,15 +68,52 @@ struct Sealed<M> {
 }
 
 #[derive(Debug)]
+struct Queue<M> {
+    frames: VecDeque<Sealed<M>>,
+    /// Receivers blocked in [`Mailbox::ready`]; a send wakes one only
+    /// when this is non-zero.
+    parked: usize,
+    /// Set by [`LiveBus::close`]: an empty queue stops blocking.
+    closed: bool,
+}
+
+/// One endpoint's receive queue and the lock-free mirror of its node's
+/// crash state. The mirror is written only under the topology write
+/// lock; senders read it under the topology read lock, the owning
+/// endpoint reads it with no lock at all.
+#[derive(Debug)]
+struct Mailbox<M> {
+    queue: Mutex<Queue<M>>,
+    ready: Condvar,
+    crashed: AtomicBool,
+    epoch: AtomicU64,
+}
+
+impl<M> Mailbox<M> {
+    /// The queue guard. Every update under it (push, pop, the parked
+    /// count) leaves the queue valid, so a poisoned lock is recovered.
+    fn lock(&self) -> MutexGuard<'_, Queue<M>> {
+        self.queue.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
+/// Everything a send must agree on, behind one lock.
+#[derive(Debug)]
+struct Topology<M> {
+    mailboxes: BTreeMap<NodeId, Arc<Mailbox<M>>>,
+    partition: Partition,
+    /// `(crashed, crash count)` of every node that ever crashed. Kept
+    /// apart from the mailboxes because it outlives them.
+    faults: BTreeMap<NodeId, (bool, u64)>,
+}
+
+#[derive(Debug)]
 struct BusInner<M> {
-    endpoints: RwLock<HashMap<NodeId, Sender<Sealed<M>>>>,
-    partition: RwLock<Partition>,
-    crashed: RwLock<BTreeSet<NodeId>>,
-    /// Per-node crash count; bumping it invalidates queued traffic.
-    epochs: RwLock<HashMap<NodeId, u64>>,
+    topology: RwLock<Topology<M>>,
     delivered: AtomicU64,
     rejected: AtomicU64,
     dropped_stale: AtomicU64,
+    wakes: AtomicU64,
 }
 
 /// A shared in-memory message bus connecting live endpoints.
@@ -62,42 +128,60 @@ impl<M> Clone for LiveBus<M> {
     }
 }
 
+/// When a wait that starts now and lasts `timeout` gives up; `None` —
+/// never — if the sum overflows (`Duration::MAX` means "no deadline").
+pub fn deadline_after(timeout: Duration) -> Option<Instant> {
+    Instant::now().checked_add(timeout)
+}
+
 impl<M: Send + 'static> LiveBus<M> {
     /// Creates an empty bus.
     pub fn new() -> Self {
         LiveBus {
             inner: Arc::new(BusInner {
-                endpoints: RwLock::new(HashMap::new()),
-                partition: RwLock::new(Partition::connected()),
-                crashed: RwLock::new(BTreeSet::new()),
-                epochs: RwLock::new(HashMap::new()),
+                topology: RwLock::new(Topology {
+                    mailboxes: BTreeMap::new(),
+                    partition: Partition::connected(),
+                    faults: BTreeMap::new(),
+                }),
                 delivered: AtomicU64::new(0),
                 rejected: AtomicU64::new(0),
                 dropped_stale: AtomicU64::new(0),
+                wakes: AtomicU64::new(0),
             }),
         }
     }
 
-    /// Registers a machine and returns its endpoint.
+    /// Registers a machine and returns its endpoint. The endpoint takes
+    /// up the node's crash state and epoch where a previous endpoint of
+    /// the same node left them.
     ///
     /// # Panics
     ///
     /// Panics if the node is already registered.
     pub fn register(&self, node: NodeId) -> LiveEndpoint<M> {
-        let (tx, rx) = unbounded();
-        let prev = self.inner.endpoints.write().insert(node, tx);
+        let mut topo = self.inner.topology.write();
+        let (crashed, epoch) = topo.faults.get(&node).copied().unwrap_or((false, 0));
+        let mailbox = Arc::new(Mailbox {
+            queue: Mutex::new(Queue { frames: VecDeque::new(), parked: 0, closed: false }),
+            ready: Condvar::new(),
+            crashed: AtomicBool::new(crashed),
+            epoch: AtomicU64::new(epoch),
+        });
+        let prev = topo.mailboxes.insert(node, Arc::clone(&mailbox));
         assert!(prev.is_none(), "node {node} registered twice");
-        LiveEndpoint { node, rx, bus: self.clone() }
+        drop(topo);
+        LiveEndpoint { node, mailbox, bus: self.clone() }
     }
 
     /// Imposes a partition on the bus.
     pub fn split(&self, groups: &[&[NodeId]]) {
-        *self.inner.partition.write() = Partition::split(groups);
+        self.inner.topology.write().partition = Partition::split(groups);
     }
 
     /// Heals any partition.
     pub fn heal(&self) {
-        self.inner.partition.write().heal();
+        self.inner.topology.write().partition.heal();
     }
 
     /// Marks a machine as crashed: its traffic is rejected in both
@@ -107,32 +191,41 @@ impl<M: Send + 'static> LiveBus<M> {
     /// node's crash epoch; the endpoint discards stale frames on
     /// receive.)
     pub fn crash(&self, node: NodeId) {
-        if self.inner.crashed.write().insert(node) {
-            *self.inner.epochs.write().entry(node).or_insert(0) += 1;
+        let mut topo = self.inner.topology.write();
+        let fault = topo.faults.entry(node).or_insert((false, 0));
+        if fault.0 {
+            return;
+        }
+        *fault = (true, fault.1 + 1);
+        let epoch = fault.1;
+        if let Some(mailbox) = topo.mailboxes.get(&node) {
+            // Release: pairs with the owner's lock-free Acquire loads.
+            mailbox.crashed.store(true, Ordering::Release);
+            mailbox.epoch.store(epoch, Ordering::Release);
         }
     }
 
     /// Recovers a crashed machine.
     pub fn recover(&self, node: NodeId) {
-        self.inner.crashed.write().remove(&node);
+        let mut topo = self.inner.topology.write();
+        if let Some(fault) = topo.faults.get_mut(&node) {
+            fault.0 = false;
+        }
+        if let Some(mailbox) = topo.mailboxes.get(&node) {
+            mailbox.crashed.store(false, Ordering::Release);
+        }
     }
 
-    /// Whether `node` is currently marked crashed.
-    ///
-    /// A live server's message loop cannot know it has been "crashed" by
-    /// failure injection — the whole point is that crashes arrive without
-    /// notification — so the loop consults the bus and discards any
-    /// traffic that was already queued when the crash hit, exactly as a
-    /// dead machine's kernel buffers would evaporate.
+    /// Whether `node` is currently marked crashed — by node id, for
+    /// tests and failure injection. A server's message loop asks its own
+    /// endpoint instead ([`LiveEndpoint::is_crashed`], no lock).
     pub fn is_crashed(&self, node: NodeId) -> bool {
-        self.inner.crashed.read().contains(&node)
+        self.inner.topology.read().faults.get(&node).is_some_and(|f| f.0)
     }
 
     /// All registered node ids, in ascending order.
     pub fn nodes(&self) -> Vec<NodeId> {
-        let mut ids: Vec<NodeId> = self.inner.endpoints.read().keys().copied().collect();
-        ids.sort_unstable();
-        ids
+        self.inner.topology.read().mailboxes.keys().copied().collect()
     }
 
     /// Whether `a` and `b` can currently exchange messages (crash and
@@ -140,7 +233,20 @@ impl<M: Send + 'static> LiveBus<M> {
     /// enforces, exposed for differential testing against the simulator's
     /// topology rules.
     pub fn can_exchange(&self, a: NodeId, b: NodeId) -> bool {
-        self.reachable(a, b)
+        let topo = self.inner.topology.read();
+        let crashed = |n| topo.faults.get(&n).is_some_and(|f| f.0);
+        !crashed(a) && !crashed(b) && topo.partition.can_reach(a, b)
+    }
+
+    /// Closes every registered mailbox: its receiver, parked now or
+    /// receiving later, gets `None` as soon as the queue is empty,
+    /// whatever its timeout. Sends are unaffected. This is how a cell
+    /// wakes its server threads to stop.
+    pub fn close(&self) {
+        for mailbox in self.inner.topology.read().mailboxes.values() {
+            mailbox.lock().closed = true;
+            mailbox.ready.notify_all();
+        }
     }
 
     /// Sends accepted by the bus so far. Counted at enqueue time: a
@@ -163,46 +269,43 @@ impl<M: Send + 'static> LiveBus<M> {
         self.inner.dropped_stale.load(Ordering::Relaxed)
     }
 
-    /// The crash epoch of `node` (number of crashes so far).
-    fn epoch(&self, node: NodeId) -> u64 {
-        self.inner.epochs.read().get(&node).copied().unwrap_or(0)
+    /// Wake-ups issued: sends that found a receiver parked. A send to a
+    /// receiver that is running costs no wake-up.
+    pub fn wakes(&self) -> u64 {
+        self.inner.wakes.load(Ordering::Relaxed)
     }
 
-    fn reachable(&self, a: NodeId, b: NodeId) -> bool {
-        let crashed = self.inner.crashed.read();
-        if crashed.contains(&a) || crashed.contains(&b) {
-            return false;
-        }
-        self.inner.partition.read().can_reach(a, b)
-    }
-
-    fn send(&self, from: NodeId, to: NodeId, msg: M) -> bool {
-        // The epoch must be read under the same crashed-set lock as the
-        // liveness check: read after releasing it, and a crash() racing
-        // in between would stamp this frame with the *post*-crash epoch,
-        // letting pre-crash traffic survive the reboot.
-        let epoch = {
-            let crashed = self.inner.crashed.read();
-            if crashed.contains(&from)
-                || crashed.contains(&to)
-                || !self.inner.partition.read().can_reach(from, to)
-            {
-                drop(crashed);
-                self.inner.rejected.fetch_add(1, Ordering::Relaxed);
-                return false;
-            }
-            self.inner.epochs.read().get(&to).copied().unwrap_or(0)
-        };
-        let ok = match self.inner.endpoints.read().get(&to) {
-            Some(tx) => tx.send(Sealed { env: Envelope { from, msg }, epoch }).is_ok(),
-            None => false,
-        };
-        if ok {
-            self.inner.delivered.fetch_add(1, Ordering::Relaxed);
-        } else {
+    fn send(&self, from: &LiveEndpoint<M>, to: NodeId, msg: M) -> bool {
+        // One critical section: liveness, partition, destination and the
+        // destination's epoch. A crash() cannot land between the liveness
+        // check and the epoch read, so pre-crash traffic can never carry
+        // the post-crash epoch and survive the reboot.
+        let topo = self.inner.topology.read();
+        let dest = topo.mailboxes.get(&to).filter(|dest| {
+            !from.mailbox.crashed.load(Ordering::Acquire)
+                && !dest.crashed.load(Ordering::Acquire)
+                && topo.partition.can_reach(from.node, to)
+        });
+        let Some(dest) = dest else {
+            drop(topo);
             self.inner.rejected.fetch_add(1, Ordering::Relaxed);
+            return false;
+        };
+        let sealed = Sealed {
+            env: Envelope { from: from.node, msg },
+            epoch: dest.epoch.load(Ordering::Acquire),
+        };
+        let mut queue = dest.lock();
+        queue.frames.push_back(sealed);
+        let wake = queue.parked > 0;
+        drop(queue);
+        if wake {
+            dest.ready.notify_one();
+            self.inner.wakes.fetch_add(1, Ordering::Relaxed);
         }
-        ok
+        drop(topo);
+        self.inner.delivered.fetch_add(1, Ordering::Relaxed);
+        true
     }
 }
 
@@ -216,17 +319,17 @@ impl<M: Send + 'static> Default for LiveBus<M> {
 #[derive(Debug)]
 pub struct LiveEndpoint<M> {
     node: NodeId,
-    rx: Receiver<Sealed<M>>,
+    mailbox: Arc<Mailbox<M>>,
     bus: LiveBus<M>,
 }
 
 impl<M> Drop for LiveEndpoint<M> {
-    /// Unplugs the machine: its entry leaves the bus, so sends to it
-    /// fail fast instead of queueing into a channel nobody will drain.
-    /// Without this, every short-lived endpoint (client sessions, most
-    /// of all) would leak a sender entry for the bus's lifetime.
+    /// Unplugs the machine: its mailbox leaves the bus, so sends to it
+    /// fail fast instead of queueing where nobody will drain. Without
+    /// this, every short-lived endpoint (client sessions, most of all)
+    /// would leak a table entry for the bus's lifetime.
     fn drop(&mut self) {
-        self.bus.inner.endpoints.write().remove(&self.node);
+        self.bus.inner.topology.write().mailboxes.remove(&self.node);
     }
 }
 
@@ -236,9 +339,16 @@ impl<M: Send + 'static> LiveEndpoint<M> {
         self.node
     }
 
+    /// Whether this machine is currently marked crashed. Lock-free: a
+    /// server loop asks on every request whether what it just received
+    /// was in a dead machine's buffers.
+    pub fn is_crashed(&self) -> bool {
+        self.mailbox.crashed.load(Ordering::Acquire)
+    }
+
     /// Sends a message; returns false if the peer is unreachable.
     pub fn send(&self, to: NodeId, msg: M) -> bool {
-        self.bus.send(self.node, to, msg)
+        self.bus.send(self, to, msg)
     }
 
     /// Blocks until a message arrives or the timeout elapses.
@@ -246,41 +356,55 @@ impl<M: Send + 'static> LiveEndpoint<M> {
     /// Frames queued before this machine's most recent crash are
     /// silently discarded — they were in a dead machine's buffers.
     pub fn recv_timeout(&self, timeout: Duration) -> Option<Envelope<M>> {
-        let deadline = std::time::Instant::now() + timeout;
+        self.recv_deadline(deadline_after(timeout))
+    }
+
+    /// [`LiveEndpoint::recv_timeout`] against an absolute deadline
+    /// (`None`: wait until a frame arrives or the bus closes), so a
+    /// caller that receives in a loop computes its deadline once.
+    pub fn recv_deadline(&self, deadline: Option<Instant>) -> Option<Envelope<M>> {
+        let mut queue = self.mailbox.lock();
         loop {
-            let remaining = deadline.saturating_duration_since(std::time::Instant::now());
-            match self.rx.recv_timeout(remaining) {
-                Ok(sealed) => {
-                    if let Some(env) = self.unseal(sealed) {
-                        return Some(env);
-                    }
-                }
-                Err(RecvTimeoutError::Timeout) | Err(RecvTimeoutError::Disconnected) => {
-                    return None;
-                }
+            if let Some(env) = self.pop_live(&mut queue) {
+                return Some(env);
             }
+            if queue.closed {
+                return None;
+            }
+            // Park at once; the sender sees the count and wakes us.
+            queue.parked += 1;
+            queue = match deadline {
+                None => self.mailbox.ready.wait(queue).unwrap_or_else(PoisonError::into_inner),
+                Some(deadline) => {
+                    let left = deadline.saturating_duration_since(Instant::now());
+                    if left.is_zero() {
+                        queue.parked -= 1;
+                        return None;
+                    }
+                    let woken = self.mailbox.ready.wait_timeout(queue, left);
+                    woken.unwrap_or_else(PoisonError::into_inner).0
+                }
+            };
+            queue.parked -= 1;
         }
     }
 
     /// Returns an already-queued message without blocking, discarding
     /// any frames that predate this machine's most recent crash.
     pub fn try_recv(&self) -> Option<Envelope<M>> {
-        while let Ok(sealed) = self.rx.try_recv() {
-            if let Some(env) = self.unseal(sealed) {
-                return Some(env);
-            }
-        }
-        None
+        self.pop_live(&mut self.mailbox.lock())
     }
 
-    /// Drops frames from before the latest crash of this node.
-    fn unseal(&self, sealed: Sealed<M>) -> Option<Envelope<M>> {
-        if sealed.epoch < self.bus.epoch(self.node) {
+    /// Pops the first frame that is not from before the latest crash of
+    /// this node, counting the ones that are.
+    fn pop_live(&self, queue: &mut Queue<M>) -> Option<Envelope<M>> {
+        while let Some(sealed) = queue.frames.pop_front() {
+            if sealed.epoch >= self.mailbox.epoch.load(Ordering::Acquire) {
+                return Some(sealed.env);
+            }
             self.bus.inner.dropped_stale.fetch_add(1, Ordering::Relaxed);
-            None
-        } else {
-            Some(sealed.env)
         }
+        None
     }
 }
 

@@ -10,7 +10,10 @@
 //! * replies are correlated by id, with out-of-order arrivals buffered
 //!   until their caller asks;
 //! * waiting is deadline-based, so an unreachable or crashed peer turns
-//!   into [`RpcError::Timeout`] instead of a hung thread;
+//!   into [`RpcError::Timeout`] instead of a hung thread; the deadline
+//!   is computed once per wait ([`deadline_after`]) and handed down to
+//!   the mailbox, and a timeout too large to add to the clock
+//!   (`Duration::MAX`) means "no deadline", not a panic;
 //! * a send the bus rejects outright (crash or partition already known)
 //!   fails fast with [`RpcError::Unreachable`].
 //!
@@ -22,9 +25,9 @@
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use crate::live::{LiveBus, LiveEndpoint};
+use crate::live::{deadline_after, LiveBus, LiveEndpoint};
 use crate::node::NodeId;
 
 /// Correlates one request with its reply.
@@ -137,6 +140,12 @@ impl<Q: Send + 'static, P: Send + 'static> RpcEndpoint<Q, P> {
         self.outstanding.len()
     }
 
+    /// Whether this machine is currently marked crashed on the bus —
+    /// endpoint-local and lock-free, for a server's per-request check.
+    pub fn is_crashed(&self) -> bool {
+        self.ep.is_crashed()
+    }
+
     /// Sends a request without waiting — the pipelining primitive.
     ///
     /// Fails fast with [`RpcError::Unreachable`] if the bus refuses the
@@ -166,18 +175,13 @@ impl<Q: Send + 'static, P: Send + 'static> RpcEndpoint<Q, P> {
         if !self.outstanding.contains_key(&call) && !self.ready.contains_key(&call) {
             return Err(RpcError::UnknownCall(call));
         }
-        let deadline = Instant::now() + timeout;
+        let deadline = deadline_after(timeout);
         loop {
             if let Some(rep) = self.ready.remove(&call) {
                 self.outstanding.remove(&call);
                 return Ok(rep);
             }
-            let remaining = deadline.saturating_duration_since(Instant::now());
-            if remaining.is_zero() {
-                let to = self.outstanding.remove(&call);
-                return Err(RpcError::Timeout(to.unwrap_or(self.node())));
-            }
-            match self.ep.recv_timeout(remaining) {
+            match self.ep.recv_deadline(deadline) {
                 Some(env) => self.sort_incoming(env.from, env.msg),
                 None => {
                     let to = self.outstanding.remove(&call);
@@ -200,18 +204,15 @@ impl<Q: Send + 'static, P: Send + 'static> RpcEndpoint<Q, P> {
         self.ready.remove(&call);
     }
 
-    /// Returns the next incoming request, waiting up to `timeout`.
+    /// Returns the next incoming request, waiting up to `timeout`
+    /// (`Duration::MAX`: until one arrives or the bus closes).
     pub fn next_request(&mut self, timeout: Duration) -> Option<IncomingRequest<Q>> {
-        let deadline = Instant::now() + timeout;
+        let deadline = deadline_after(timeout);
         loop {
             if let Some(r) = self.inbox.pop_front() {
                 return Some(r);
             }
-            let remaining = deadline.saturating_duration_since(Instant::now());
-            if remaining.is_zero() {
-                return None;
-            }
-            match self.ep.recv_timeout(remaining) {
+            match self.ep.recv_deadline(deadline) {
                 Some(env) => self.sort_incoming(env.from, env.msg),
                 None => return None,
             }
@@ -258,6 +259,7 @@ impl<Q: Send + 'static, P: Send + 'static> RpcEndpoint<Q, P> {
 mod tests {
     use super::*;
     use std::thread;
+    use std::time::Instant;
 
     fn n(v: u32) -> NodeId {
         NodeId(v)

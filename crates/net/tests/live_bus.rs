@@ -2,10 +2,11 @@
 //! unreachable semantics, including a differential test pinning the live
 //! bus's connectivity rules to the simulator's `topology::Partition`.
 
+use std::sync::{Arc, Barrier};
 use std::thread;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
-use deceit_net::live::LiveBus;
+use deceit_net::live::{LiveBus, LiveEndpoint};
 use deceit_net::topology::Partition;
 use deceit_net::NodeId;
 
@@ -186,4 +187,285 @@ fn split_and_heal_race_with_live_traffic() {
     assert_eq!(received, accepted, "every accepted send must be delivered exactly once");
     assert_eq!(bus.delivered(), accepted);
     assert_eq!(bus.rejected(), 10_000 - accepted);
+}
+
+// ---------------------------------------------------------------------
+// The hand-off contract: what any implementation of the bus must keep.
+// ---------------------------------------------------------------------
+
+/// Frames from one sender arrive in the order that sender sent them,
+/// whatever the other senders are doing (cross-sender order is ISIS's
+/// job, not the bus's).
+#[test]
+fn per_sender_fifo_under_four_concurrent_senders() {
+    const SENDERS: u32 = 4;
+    const FRAMES: u64 = 20_000;
+    let bus: LiveBus<u64> = LiveBus::new();
+    let rx = bus.register(n(100));
+    let start = Arc::new(Barrier::new(SENDERS as usize));
+    let senders: Vec<_> = (0..SENDERS)
+        .map(|s| {
+            let tx = bus.register(n(s));
+            let start = Arc::clone(&start);
+            thread::spawn(move || {
+                start.wait();
+                for i in 0..FRAMES {
+                    assert!(tx.send(n(100), i));
+                }
+                // The endpoint stays plugged in until the receiver is done.
+                tx
+            })
+        })
+        .collect();
+    let mut next = [0u64; SENDERS as usize];
+    for _ in 0..u64::from(SENDERS) * FRAMES {
+        let env = rx.recv_timeout(Duration::from_secs(5)).expect("a frame went missing");
+        let seen = &mut next[env.from.index()];
+        assert_eq!(env.msg, *seen, "sender {} delivered out of order", env.from);
+        *seen += 1;
+    }
+    assert!(rx.try_recv().is_none());
+    for s in senders {
+        s.join().unwrap();
+    }
+}
+
+/// Delivery invariant 1: a frame accepted before `crash(n)` returns is
+/// never delivered by `n`. Senders blast `n` while another thread
+/// crashes it; once everyone has quiesced and `n` has recovered, its
+/// queue must hold nothing deliverable — every accepted frame was
+/// stamped with the pre-crash epoch (the epoch is read in the same
+/// critical section as the liveness check) and evaporates on receive.
+#[test]
+fn crash_race_evaporates_every_frame_accepted_before_the_crash() {
+    const SENDERS: u32 = 3;
+    for round in 0..20u32 {
+        let bus: LiveBus<u64> = LiveBus::new();
+        let victim = bus.register(n(9));
+        // Senders + the crasher leave the gate together and meet the
+        // main thread again at `quiesced`.
+        let gate = Arc::new(Barrier::new(SENDERS as usize + 1));
+        let quiesced = Arc::new(Barrier::new(SENDERS as usize + 2));
+        let senders: Vec<_> = (0..SENDERS)
+            .map(|s| {
+                let tx = bus.register(n(s));
+                let (gate, quiesced) = (Arc::clone(&gate), Arc::clone(&quiesced));
+                thread::spawn(move || {
+                    gate.wait();
+                    let mut accepted = 0u64;
+                    // Send until the crash shows, then a little longer.
+                    let mut refused = 0;
+                    while refused < 64 {
+                        if tx.send(n(9), accepted) {
+                            accepted += 1;
+                        } else {
+                            refused += 1;
+                        }
+                    }
+                    quiesced.wait();
+                    accepted
+                })
+            })
+            .collect();
+        let crasher = {
+            let (bus, gate, quiesced) = (bus.clone(), Arc::clone(&gate), Arc::clone(&quiesced));
+            thread::spawn(move || {
+                gate.wait();
+                for _ in 0..round {
+                    thread::yield_now();
+                }
+                bus.crash(n(9));
+                quiesced.wait();
+            })
+        };
+        quiesced.wait();
+        bus.recover(n(9));
+        assert!(
+            victim.try_recv().is_none(),
+            "round {round}: a pre-crash frame survived the reboot"
+        );
+        crasher.join().unwrap();
+        let accepted: u64 = senders.into_iter().map(|s| s.join().unwrap()).sum();
+        assert_eq!(bus.delivered(), accepted);
+        assert_eq!(bus.dropped_stale(), accepted, "round {round}: evaporated frames are counted");
+        assert_eq!(bus.rejected(), u64::from(SENDERS) * 64);
+    }
+}
+
+/// Delivery invariant 2: crash state and crash epoch belong to the
+/// *node*, not to the endpoint that happens to be plugged in.
+#[test]
+fn crash_state_and_epoch_survive_endpoint_reregistration() {
+    let bus: LiveBus<u32> = LiveBus::new();
+    let a = bus.register(n(0));
+    let b = bus.register(n(1));
+    bus.crash(n(1));
+    drop(b);
+    // Still crashed with nobody plugged in, and after plugging back in.
+    assert!(bus.is_crashed(n(1)));
+    let b = bus.register(n(1));
+    assert!(bus.is_crashed(n(1)));
+    assert!(!a.send(n(1), 1), "a re-registered endpoint of a crashed node stays dead");
+    assert!(!b.send(n(0), 2));
+    bus.recover(n(1));
+    assert!(a.send(n(1), 3));
+    // A second crash must invalidate that frame: the new endpoint
+    // carries the node's epoch on, it does not restart from zero.
+    bus.crash(n(1));
+    bus.recover(n(1));
+    assert!(b.try_recv().is_none());
+    assert_eq!(bus.dropped_stale(), 1);
+    assert!(a.send(n(1), 4));
+    assert_eq!(b.try_recv().map(|e| e.msg), Some(4));
+}
+
+/// Delivery invariant 4: `delivered` counts at enqueue, and
+/// `delivered − dropped_stale` is what receivers were actually handed.
+#[test]
+fn delivered_minus_dropped_stale_is_what_receivers_got() {
+    let bus: LiveBus<u32> = LiveBus::new();
+    let a = bus.register(n(0));
+    let b = bus.register(n(1));
+    let mut handed = 0u64;
+    for i in 0..10 {
+        assert!(a.send(n(1), i));
+    }
+    for _ in 0..4 {
+        assert!(b.try_recv().is_some());
+        handed += 1;
+    }
+    bus.crash(n(1)); // six frames die in the queue
+    assert!(!a.send(n(1), 99));
+    bus.recover(n(1));
+    for i in 0..5 {
+        assert!(a.send(n(1), i));
+        assert!(b.send(n(0), i));
+    }
+    while b.try_recv().is_some() {
+        handed += 1;
+    }
+    while a.try_recv().is_some() {
+        handed += 1;
+    }
+    assert_eq!(bus.delivered(), 20);
+    assert_eq!(bus.dropped_stale(), 6);
+    assert_eq!(bus.rejected(), 1);
+    assert_eq!(bus.delivered() - bus.dropped_stale(), handed);
+}
+
+/// No lost wake-up: 10^5 single-frame ping-pongs, each side blocking
+/// for its one frame. A hand-off that can miss a wake-up (frame queued,
+/// receiver parked anyway) shows here as a five-second stall.
+#[test]
+fn lost_wakeup_stress_ping_pong_never_times_out() {
+    const ROUNDS: u64 = 100_000;
+    let bus: LiveBus<u64> = LiveBus::new();
+    let a = bus.register(n(0));
+    let b = bus.register(n(1));
+    let echo = thread::spawn(move || {
+        for _ in 0..ROUNDS {
+            let env = b.recv_timeout(Duration::from_secs(5)).expect("ping never arrived");
+            assert!(b.send(env.from, env.msg));
+        }
+    });
+    for i in 0..ROUNDS {
+        assert!(a.send(n(1), i));
+        let env = a.recv_timeout(Duration::from_secs(5)).expect("pong never arrived");
+        assert_eq!(env.msg, i);
+    }
+    echo.join().unwrap();
+    assert_eq!(bus.delivered(), 2 * ROUNDS);
+    assert_eq!(bus.dropped_stale(), 0);
+}
+
+/// A frame the receiving test thread ignores.
+const PROBE: u64 = u64::MAX;
+
+/// Sends probes to `node` until one finds its owner parked — that is,
+/// costs a wake-up. A receiver parks only on an empty mailbox, so when
+/// this returns (and `tx` is the only sender) the owner holds exactly
+/// that one probe and will park again once it has taken it.
+fn send_until_woken(bus: &LiveBus<u64>, tx: &LiveEndpoint<u64>, node: NodeId) {
+    loop {
+        let before = bus.wakes();
+        assert!(tx.send(node, PROBE));
+        match bus.wakes() - before {
+            0 => thread::yield_now(),
+            1 => return,
+            more => panic!("one send issued {more} wake-ups"),
+        }
+    }
+}
+
+/// What a send costs: a wake-up only when the owner is actually parked.
+/// N sends to an owner that is not receiving issue none; a send to a
+/// parked owner issues exactly one, and the frame is not lost.
+#[test]
+fn wake_accounting_notifies_only_a_parked_receiver() {
+    let bus: LiveBus<u64> = LiveBus::new();
+    let tx = bus.register(n(0));
+    let rx = bus.register(n(1));
+    for i in 0..1_000 {
+        assert!(tx.send(n(1), i));
+    }
+    assert_eq!(bus.wakes(), 0, "nobody was parked");
+    let mut got = 0u64;
+    while rx.try_recv().is_some() {
+        got += 1;
+    }
+    assert_eq!(got, 1_000);
+    assert!(rx.recv_timeout(Duration::ZERO).is_none(), "an expired deadline never parks");
+    assert_eq!(bus.wakes(), 0);
+
+    // An owner that blocks on its empty mailbox, over and over.
+    const ROUNDS: u64 = 200;
+    let owner = thread::spawn(move || {
+        let mut probes = 0u64;
+        loop {
+            match rx.recv_timeout(Duration::from_secs(60)).expect("a wake-up was lost").msg {
+                PROBE => probes += 1,
+                _ => return probes,
+            }
+        }
+    });
+    for _ in 0..ROUNDS {
+        send_until_woken(&bus, &tx, n(1));
+    }
+    assert_eq!(bus.wakes(), ROUNDS, "each parked hand-off is exactly one wake-up");
+    assert!(tx.send(n(1), 0));
+    let probes = owner.join().unwrap();
+    assert_eq!(bus.delivered(), 1_000 + probes + 1, "every probe sent was received");
+}
+
+/// `close()` is how a cell stops: a receiver parked with a long timeout
+/// comes back at once, and a closed, empty mailbox never blocks again —
+/// though what is already queued is still handed over.
+#[test]
+fn close_wakes_parked_receivers_and_stops_blocking() {
+    let bus: LiveBus<u64> = LiveBus::new();
+    let tx = bus.register(n(0));
+    let rx = bus.register(n(1));
+    let (done_tx, done_rx) = std::sync::mpsc::channel();
+    let parked = thread::spawn(move || {
+        while rx.recv_timeout(Duration::from_secs(60)).is_some() {}
+        done_tx.send(()).unwrap();
+        rx
+    });
+    // The owner was parked when the last probe went out; it takes that
+    // one frame and parks again for its 60 s.
+    send_until_woken(&bus, &tx, n(1));
+    bus.close();
+    done_rx
+        .recv_timeout(Duration::from_secs(2))
+        .expect("a parked receiver must return within the watchdog of close()");
+    let rx = parked.join().unwrap();
+
+    // Closed and empty: returns at once, whatever the timeout.
+    let t0 = Instant::now();
+    assert!(rx.recv_timeout(Duration::from_secs(60)).is_none());
+    assert!(rx.recv_timeout(Duration::MAX).is_none());
+    // Sends still flow, and queued frames are still handed over.
+    assert!(tx.send(n(1), 7));
+    assert_eq!(rx.recv_timeout(Duration::from_secs(60)).map(|e| e.msg), Some(7));
+    assert!(t0.elapsed() < Duration::from_secs(2));
 }

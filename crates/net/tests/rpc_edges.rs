@@ -91,3 +91,27 @@ fn reply_correlation_survives_endpoint_reregistration() {
     assert_eq!(second.wait(new_call, Duration::from_secs(2)), Ok(2220));
     assert_eq!(second.in_flight(), 0);
 }
+
+/// "Never give up" is a legal timeout: `Duration::MAX` cannot be added
+/// to the clock, and must mean "no deadline" rather than a panic on the
+/// calling thread — for the caller's `wait` and the callee's
+/// `next_request` alike.
+#[test]
+fn duration_max_timeout_means_no_deadline() {
+    let bus: LiveBus<Frame> = LiveBus::new();
+    let mut server: RpcEndpoint<u64, u64> = RpcEndpoint::register(&bus, n(1));
+    let mut client: RpcEndpoint<u64, u64> = RpcEndpoint::register(&bus, n(0));
+    let echo = std::thread::spawn(move || {
+        let req = server.next_request(Duration::MAX).expect("request");
+        assert!(server.reply(req.from, req.call, req.req + 1));
+    });
+    assert_eq!(client.call(n(1), 41, Duration::MAX), Ok(42));
+    echo.join().unwrap();
+    // The raw endpoint takes the same value without blocking forever
+    // when a frame is already there.
+    let a = bus.register(n(2));
+    let mut b: RpcEndpoint<u64, u64> = RpcEndpoint::register(&bus, n(3));
+    let call = b.submit(n(2), 5).unwrap();
+    let env = a.recv_timeout(Duration::MAX).expect("queued request");
+    assert_eq!(env.msg, Rpc::Request { call, req: 5 });
+}

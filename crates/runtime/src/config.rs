@@ -56,8 +56,6 @@ pub struct RuntimeConfig {
     pub request_timeout: Duration,
     /// Read-only failover shaping (see [`RetryPolicy`]).
     pub retry: RetryPolicy,
-    /// Server message-loop poll granularity; bounds shutdown latency.
-    pub poll_interval: Duration,
     /// Pump-thread sleep when no deferred work is pending.
     pub pump_interval: Duration,
     /// Deferred-work events advanced per pump slice.
@@ -120,7 +118,6 @@ impl RuntimeConfig {
             fs: FsConfig::default(),
             request_timeout: Duration::from_secs(3),
             retry: RetryPolicy::for_cell(servers),
-            poll_interval: Duration::from_millis(10),
             pump_interval: Duration::from_millis(1),
             pump_batch: 128,
             shards: 16,
@@ -178,7 +175,6 @@ mod tests {
         assert!(cfg.cluster.opt_read_repair, "live hosting repairs lagging replicas on read");
         assert!(cfg.cluster.opt_placement, "live hosting migrates replicas toward readers");
         assert!(!cfg.cluster.stats, "placement must not depend on the stats registry");
-        assert!(cfg.request_timeout > cfg.poll_interval);
     }
 
     #[test]

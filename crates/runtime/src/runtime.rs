@@ -306,10 +306,9 @@ impl<S: NfsService + ProtocolHost + Send + Sync + 'static> ClusterRuntime<S> {
         for &id in &server_ids {
             let ep: RpcEndpoint<NfsRequest, NfsReply> = RpcEndpoint::register(&bus, id);
             let shared = Arc::clone(&shared);
-            let poll = cfg.poll_interval;
             let handle = thread::Builder::new()
                 .name(format!("deceit-server-{}", id.0))
-                .spawn(move || serve_loop(&shared, ep, poll))
+                .spawn(move || serve_loop(&shared, ep))
                 .expect("spawn server thread");
             server_threads.push(handle);
         }
@@ -530,6 +529,9 @@ impl<S: NfsService + ProtocolHost + Send + Sync + 'static> ClusterRuntime<S> {
 
     fn stop_and_join(&mut self) {
         self.shared.stop.store(true, Ordering::Release);
+        // Server threads block on their mailboxes; closing the bus is
+        // what wakes the idle ones to see `stop`.
+        self.shared.bus.close();
         for h in self.server_threads.drain(..) {
             let _ = h.join();
         }
@@ -569,18 +571,19 @@ impl<S: NfsService + ProtocolHost + Send + Sync + 'static> Drop for ClusterRunti
 fn serve_loop<S: NfsService + ProtocolHost>(
     shared: &Shared<S>,
     mut ep: RpcEndpoint<NfsRequest, NfsReply>,
-    poll: Duration,
 ) {
     let id = ep.node();
     // A request pulled off the queue during read batching that cannot be
     // served under the shared lock; handled first on the next turn.
     let mut carry: Option<IncomingRequest<NfsRequest>> = None;
     while !shared.stop.load(Ordering::Acquire) {
-        let Some(incoming) = carry.take().or_else(|| ep.next_request(poll)) else { continue };
+        // No deadline: an idle server sleeps until a request arrives,
+        // and only a closed bus (shutdown) hands back `None`.
+        let Some(incoming) = carry.take().or_else(|| ep.next_request(Duration::MAX)) else { break };
         // A machine crashed by failure injection loses whatever was
         // queued in its buffers; the thread itself cannot know — it just
         // finds the traffic gone.
-        if shared.bus.is_crashed(id) {
+        if ep.is_crashed() {
             shared.tallies[id.index()].dropped_while_crashed.fetch_add(1, Ordering::Relaxed);
             continue;
         }
@@ -729,7 +732,7 @@ fn next_batched_read<S>(
     *budget -= 1;
     match ep.poll_request() {
         Some(next) => {
-            if shared.bus.is_crashed(id) {
+            if ep.is_crashed() {
                 // Mirror the main loop: queued traffic at a crashed
                 // machine evaporates.
                 shared.tallies[id.index()].dropped_while_crashed.fetch_add(1, Ordering::Relaxed);

@@ -176,3 +176,48 @@ fn partition_blocks_minority_and_heals() {
     minority.null().expect("healed network serves everyone");
     rt.shutdown();
 }
+
+/// `with_request_timeout(Duration::MAX)` — "never give up" — must not
+/// kill the session thread on its first call: the deadline arithmetic
+/// treats overflow as "no deadline".
+#[test]
+fn never_give_up_request_timeout_serves_calls() {
+    let rt = ClusterRuntime::start(RuntimeConfig::new(3).with_request_timeout(Duration::MAX));
+    let mut client = rt.client();
+    let root = client.root();
+    let attr = client.getattr(root).expect("getattr under an unbounded timeout");
+    assert_eq!(attr.handle, root);
+    rt.shutdown();
+}
+
+/// Server threads block on their mailboxes with no poll tick; shutdown
+/// wakes them by closing the bus. An idle cell still comes down
+/// promptly, hands back its engine, and reports exactly what happened.
+#[test]
+fn idle_cell_shuts_down_promptly_with_an_exact_report() {
+    let rt = ClusterRuntime::start(RuntimeConfig::new(3));
+    let mut client = rt.client_homed(NodeId(1));
+    for _ in 0..5 {
+        client.null().expect("ping");
+    }
+    drop(client);
+    let (done_tx, done_rx) = std::sync::mpsc::channel();
+    let stopper = thread::spawn(move || {
+        let out = rt.shutdown();
+        done_tx.send(()).unwrap();
+        out
+    });
+    done_rx.recv_timeout(Duration::from_secs(10)).expect("shutdown of an idle cell hung");
+    let (engine, report) = stopper.join().unwrap();
+    assert_eq!(engine.pending_work(), 0);
+    assert_eq!(
+        report,
+        deceit_runtime::RuntimeReport {
+            served: vec![(NodeId(0), 0), (NodeId(1), 5), (NodeId(2), 0)],
+            bus_dropped_stale: 0,
+            dropped_while_crashed: 0,
+            bus_delivered: 10,
+            bus_rejected: 0,
+        }
+    );
+}
