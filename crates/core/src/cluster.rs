@@ -571,7 +571,7 @@ mod tests {
 
         c.advance(SimDuration::from_millis(500));
         let read = c.try_read_local(NodeId(0), seg, None, 0, 16).expect("local stable replica");
-        assert_eq!(&read.value.data[..], b"touch me");
+        assert_eq!(&read.value.data()[..], b"touch me");
         // The shared path records the access without mutating the
         // replica; the next engine entry covering the slot applies it.
         assert_eq!(c.server(NodeId(0)).replicas.get(&key).unwrap().last_access, before);

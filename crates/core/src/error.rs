@@ -36,6 +36,9 @@ pub enum DeceitError {
         /// What the segment actually carried.
         actual: VersionPair,
     },
+    /// The write would grow the segment past `storage::MAX_SEGMENT`;
+    /// refused before any token, version or replica changed.
+    SegmentTooBig(SegmentId),
     /// The operation addressed a server outside the cluster.
     NoSuchServer(NodeId),
     /// A point-to-point exchange with a peer failed mid-operation (crash
@@ -60,6 +63,9 @@ impl fmt::Display for DeceitError {
                 f,
                 "conditional write conflict on {segment}: expected {expected}, found {actual}"
             ),
+            DeceitError::SegmentTooBig(s) => {
+                write!(f, "write would grow segment {s} past the segment size limit")
+            }
             DeceitError::NoSuchServer(n) => write!(f, "no such server {n}"),
             DeceitError::PeerUnreachable(n) => write!(f, "peer {n} became unreachable"),
             DeceitError::InvalidCommand(m) => write!(f, "invalid command: {m}"),

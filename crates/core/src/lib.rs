@@ -44,7 +44,7 @@
 //! cluster.run_until_quiet();
 //!
 //! let read = cluster.read(s0, seg, None, 0, 100).unwrap();
-//! assert_eq!(&read.value.data[..], b"hello");
+//! assert_eq!(&read.value.data()[..], b"hello");
 //! assert_eq!(cluster.locate_replicas(s0, seg).unwrap().value.len(), 2);
 //! ```
 
@@ -72,6 +72,7 @@ pub use audit::{
 };
 pub use cluster::{Cluster, OpResult};
 pub use config::ClusterConfig;
+pub use deceit_storage::{SegmentData, MAX_SEGMENT};
 pub use error::{DeceitError, DeceitResult};
 pub use host::{shard_slot, OpClass, ProtocolHost, ShardKey};
 pub use obs::{AtomicHistogram, FlightRecorder, HistCounts, HistSummary, ObsCore};

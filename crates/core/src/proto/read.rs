@@ -23,8 +23,8 @@ use crate::trace_events::ProtocolEvent;
 use crate::version::VersionRelation;
 
 /// Materializes one served read from a replica borrow — the single
-/// copy-out every local read path shares, so the shape of a served read
-/// (range copy, version, total length, serving node) cannot drift
+/// hand-out every local read path shares, so the shape of a served read
+/// (shared image, requested range, version, serving node) cannot drift
 /// between the fast paths and the full path.
 fn copy_out(
     r: &crate::replica::Replica,
@@ -32,12 +32,7 @@ fn copy_out(
     offset: usize,
     count: usize,
 ) -> ReadData {
-    ReadData {
-        data: r.data.read(offset, count),
-        version: r.version,
-        segment_len: r.data.len(),
-        served_by,
-    }
+    ReadData { image: r.data.clone(), offset, count, version: r.version, served_by }
 }
 
 impl Cluster {

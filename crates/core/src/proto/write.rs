@@ -65,6 +65,13 @@ impl Cluster {
         op: WriteOp,
         expected: Option<VersionPair>,
     ) -> DeceitResult<(VersionPair, SimDuration)> {
+        // An op too big for even an empty segment is refused before the
+        // token is looked for; an append, whose size depends on the
+        // segment's, once more below.
+        if op.resulting_len(0).is_none() {
+            return Err(DeceitError::SegmentTooBig(seg));
+        }
+
         // §3.3 optimization 2: for a small one-shot update, pass the
         // update to the current token holder instead of moving the token.
         if self.cfg.opt_forward_small && op.wire_size() <= self.cfg.forward_small_threshold {
@@ -107,6 +114,17 @@ impl Cluster {
                     expected: exp,
                     actual: token_version,
                 });
+            }
+        }
+
+        // Only an append's size depends on what is already there: judged
+        // against the primary copy, like the version check above — nothing
+        // but the token's place has changed so far.
+        if matches!(op, WriteOp::Append(_)) {
+            let current =
+                self.server(via).replicas.with_ref(&key, |r| r.map_or(0, |r| r.data.len()));
+            if op.resulting_len(current).is_none() {
+                return Err(DeceitError::SegmentTooBig(seg));
             }
         }
 

@@ -107,7 +107,7 @@ proptest! {
                 Op::Read { via } => {
                     let r = c.read(NodeId(*via as u32), seg, None, 0, 1 << 16).unwrap().value;
                     prop_assert_eq!(
-                        &r.data[..], &model[..],
+                        &r.data()[..], &model[..],
                         "stale read via {} despite stability notification", via
                     );
                 }
@@ -160,7 +160,7 @@ proptest! {
             c.recover_server(victim);
             c.run_until_quiet();
             let r = c.read(victim, seg, None, 0, 1 << 16).unwrap().value;
-            prop_assert_eq!(&r.data[..], &last[..]);
+            prop_assert_eq!(&r.data()[..], &last[..]);
         }
         // Full quiescence: all three replicas restored and identical.
         c.run_until_quiet();

@@ -52,7 +52,7 @@ fn non_token_replica_crash_destroys_obsolete_copy_on_recovery() {
     c.run_until_quiet();
     assert_eq!(c.locate_replicas(n(0), seg).unwrap().value.len(), 3);
     let r = c.read(n(2), seg, None, 0, 100).unwrap().value;
-    assert_eq!(&r.data[..], b"updated while 2 down");
+    assert_eq!(&r.data()[..], b"updated while 2 down");
 }
 
 #[test]
@@ -63,7 +63,7 @@ fn up_to_date_replica_rejoins_after_crash() {
     c.recover_server(n(2));
     assert!(c.server(n(2)).replicas.contains(&(seg, 0)), "current replica kept");
     let r = c.read(n(2), seg, None, 0, 100).unwrap().value;
-    assert_eq!(&r.data[..], b"initial");
+    assert_eq!(&r.data()[..], b"initial");
     assert_eq!(r.served_by, n(2));
 }
 
@@ -89,7 +89,7 @@ fn token_crash_generates_new_version_and_recovery_destroys_old() {
     assert!(!c.server(n(0)).replicas.contains(&(seg, 0)), "old replica destroyed");
     c.run_until_quiet();
     let r = c.read(n(0), seg, None, 0, 100).unwrap().value;
-    assert_eq!(&r.data[..], b"post-crash");
+    assert_eq!(&r.data()[..], b"post-crash");
     assert_eq!(r.version.major, v.major);
     assert!(c.conflicts.is_empty(), "a clean succession is not a conflict");
 }
@@ -105,7 +105,7 @@ fn availability_low_refuses_new_tokens() {
     assert!(matches!(err, DeceitError::WriteUnavailable(_)));
     // Reads still work.
     let r = c.read(n(1), seg, None, 0, 100).unwrap().value;
-    assert_eq!(&r.data[..], b"initial");
+    assert_eq!(&r.data()[..], b"initial");
     // When the holder recovers, writes resume with no divergence.
     c.recover_server(n(0));
     c.write(n(1), seg, WriteOp::replace(b"resumed"), None).unwrap();
@@ -132,7 +132,7 @@ fn availability_medium_blocks_minority_side_holder() {
     c.run_until_quiet();
     assert!(c.conflicts.is_empty(), "no concurrent updates, no conflict");
     let r = c.read(n(0), seg, None, 0, 100).unwrap().value;
-    assert_eq!(&r.data[..], b"majority");
+    assert_eq!(&r.data()[..], b"majority");
 }
 
 #[test]
@@ -174,8 +174,8 @@ fn partition_with_updates_on_both_sides_logs_conflict_and_keeps_both() {
     // Both versions are independently readable by qualified name.
     let a = c.read(n(1), seg, Some(va.major), 0, 100).unwrap().value;
     let b = c.read(n(1), seg, Some(vb.major), 0, 100).unwrap().value;
-    assert_eq!(&a.data[..], b"side A");
-    assert_eq!(&b.data[..], b"side B");
+    assert_eq!(&a.data()[..], b"side A");
+    assert_eq!(&b.data()[..], b"side B");
     // The user resolves by deleting one version; the conflict clears.
     c.delete_version(n(0), seg, va.major).unwrap();
     assert!(c.conflicts.is_empty());
@@ -188,14 +188,14 @@ fn partition_without_remote_updates_resolves_silently() {
     c.split(&[&[n(0), n(1)], &[n(2), n(3)]]);
     // Reads continue on the token side.
     let r = c.read(n(0), seg, None, 0, 100).unwrap().value;
-    assert_eq!(&r.data[..], b"initial");
+    assert_eq!(&r.data()[..], b"initial");
     // Token side writes; the other side stays quiet.
     c.write(n(0), seg, WriteOp::replace(b"token side"), None).unwrap();
     c.heal();
     c.run_until_quiet();
     assert!(c.conflicts.is_empty());
     let r = c.read(n(3), seg, None, 0, 100).unwrap().value;
-    assert_eq!(&r.data[..], b"token side");
+    assert_eq!(&r.data()[..], b"token side");
 }
 
 // ---------------------------------------------------------------------
@@ -217,7 +217,7 @@ fn stable_replica_search_after_holder_failure() {
     // up-to-date replica stable, and destroys obsolete ones (§3.6).
     c.advance(SimDuration::from_millis(200));
     let r = c.read(n(2), seg, None, 0, 100).unwrap().value;
-    assert_eq!(&r.data[..], b"newer", "read served from the most up-to-date replica");
+    assert_eq!(&r.data()[..], b"newer", "read served from the most up-to-date replica");
     assert!(c.stats.counter("core/reads/stable_search") >= 1);
     assert!(
         !c.server(n(2)).replicas.contains(&(seg, 0)),
@@ -244,7 +244,7 @@ fn disastrous_failure_file_goes_back_in_time() {
     // The paper: "if an obsolete file replica recovers and all other
     // replicas simultaneously crash, the file will appear to go back in
     // time." We reproduce the admitted weakness faithfully.
-    assert_eq!(&r.data[..], b"initial");
+    assert_eq!(&r.data()[..], b"initial");
 }
 
 // ---------------------------------------------------------------------
@@ -268,7 +268,7 @@ fn write_safety_zero_loses_update_on_immediate_crash() {
     c.crash_server(n(0)); // before the write-behind flush fires
     c.recover_server(n(0));
     let r = c.read(n(0), seg, None, 0, 100).unwrap().value;
-    assert_eq!(&r.data[..], b"durable base", "asynchronous unsafe write lost");
+    assert_eq!(&r.data()[..], b"durable base", "asynchronous unsafe write lost");
 }
 
 #[test]
@@ -279,7 +279,7 @@ fn write_safety_one_survives_immediate_crash() {
     c.crash_server(n(0));
     c.recover_server(n(0));
     let r = c.read(n(0), seg, None, 0, 100).unwrap().value;
-    assert_eq!(&r.data[..], b"safe", "safety 1 is durable at the primary on return");
+    assert_eq!(&r.data()[..], b"safe", "safety 1 is durable at the primary on return");
 }
 
 #[test]
@@ -298,7 +298,7 @@ fn reads_fail_over_when_no_replica_reachable() {
     // One replica holder recovers: service resumes.
     c.recover_server(holders[0]);
     let r = c.read(outside, seg, None, 0, 100).unwrap().value;
-    assert_eq!(&r.data[..], b"initial");
+    assert_eq!(&r.data()[..], b"initial");
 }
 
 #[test]

@@ -52,7 +52,7 @@ fn repeated_forwarded_reads_migrate_a_replica_to_the_reader() {
     assert_eq!(snap.migrations_proposed, 1);
     assert_eq!(snap.migrations_executed, 1);
     let fast = c.try_read_local(n(2), seg, None, 0, 64).expect("local stable path serves now");
-    assert_eq!(&fast.value.data[..], b"placement seed");
+    assert_eq!(&fast.value.data()[..], b"placement seed");
 }
 
 /// Satellite regression: live hosting disables the stats registry, and

@@ -49,7 +49,7 @@ fn lease_serves_holders_unstable_file_lock_free() {
     assert_eq!(c.read_lease_version(n(0), key), Some(holder.version));
 
     let fast = c.try_read_local(n(0), seg, None, 0, 64).expect("lease must serve the holder");
-    assert_eq!(&fast.value.data[..], b"mid-stream state");
+    assert_eq!(&fast.value.data()[..], b"mid-stream state");
     assert_eq!(fast.value.version, holder.version);
 
     // Non-holders have no lease and an unstable replica: decline.
@@ -58,7 +58,7 @@ fn lease_serves_holders_unstable_file_lock_free() {
 
     // The full (exclusive) path agrees byte for byte.
     let slow = c.read(n(0), seg, None, 0, 64).unwrap();
-    assert_eq!(fast.value.data, slow.value.data);
+    assert_eq!(fast.value.data(), slow.value.data());
 }
 
 /// The lease is strictly opt-in: with the paper-faithful default, the
@@ -87,7 +87,7 @@ fn reads_during_stream_return_only_acked_prefixes() {
         expect.extend_from_slice(&chunk);
         let read = c.try_read_local(n(0), seg, None, 0, 4096).expect("lease serves the stream");
         assert_eq!(
-            read.value.data.to_vec(),
+            read.value.data().to_vec(),
             expect,
             "read after write {i} is not the acked prefix"
         );
@@ -109,7 +109,7 @@ fn lease_invalidated_on_stabilize() {
     for s in [n(0), n(1), n(2)] {
         assert_eq!(c.server(s).replicas.get(&key).unwrap().state, ReplicaState::Stable);
         let read = c.try_read_local(s, seg, None, 0, 64).expect("stable path serves");
-        assert_eq!(&read.value.data[..], b"quiet soon");
+        assert_eq!(&read.value.data()[..], b"quiet soon");
     }
 }
 
@@ -129,7 +129,7 @@ fn lease_invalidated_on_token_movement() {
     assert_eq!(c.read_lease_version(n(0), key), None, "old holder's lease must be revoked");
     assert!(c.try_read_local(n(0), seg, None, 0, 64).is_none(), "old holder must decline");
     let read = c.try_read_local(n(1), seg, None, 0, 64).expect("new holder's lease serves");
-    assert_eq!(&read.value.data[..], b"holder one");
+    assert_eq!(&read.value.data()[..], b"holder one");
 }
 
 /// The lease is volatile: a holder crash erases it with the rest of the
@@ -150,7 +150,7 @@ fn lease_dies_with_the_holder() {
     c.run_until_quiet();
     assert_eq!(c.read_lease_version(n(0), key), None);
     let read = c.try_read_local(n(0), seg, None, 0, 64).expect("stable after recovery");
-    assert_eq!(&read.value.data[..], b"acked then crashed");
+    assert_eq!(&read.value.data()[..], b"acked then crashed");
 }
 
 // ---------------------------------------------------------------------
@@ -195,10 +195,10 @@ fn read_repair_catches_up_laggard_after_missed_stabilize() {
     // Reads at the laggard forward to the holder — right bytes, wrong
     // path — and arm one single-flighted repair.
     let r = c.read(n(2), seg, None, 0, 64).unwrap();
-    assert_eq!(&r.value.data[..], b"stream v1 + v2");
+    assert_eq!(&r.value.data()[..], b"stream v1 + v2");
     assert_eq!(c.stats.counter("core/reads/repairs_scheduled"), 1);
     let r = c.read(n(2), seg, None, 0, 64).unwrap();
-    assert_eq!(&r.value.data[..], b"stream v1 + v2");
+    assert_eq!(&r.value.data()[..], b"stream v1 + v2");
     assert_eq!(c.stats.counter("core/reads/repairs_scheduled"), 1, "repairs are single-flighted");
 
     // The deferred repair state-transfers the laggard from the durable
@@ -211,7 +211,7 @@ fn read_repair_catches_up_laggard_after_missed_stabilize() {
 
     // The lock-free path is recovered: no more forwarding.
     let fast = c.try_read_local(n(2), seg, None, 0, 64).expect("repaired replica serves locally");
-    assert_eq!(&fast.value.data[..], b"stream v1 + v2");
+    assert_eq!(&fast.value.data()[..], b"stream v1 + v2");
     let forwarded_before = c.stats.counter("core/reads/forwarded_unstable");
     let _ = c.read(n(2), seg, None, 0, 64).unwrap();
     assert_eq!(c.stats.counter("core/reads/forwarded_unstable"), forwarded_before);
@@ -234,7 +234,7 @@ fn without_read_repair_laggard_forwards_forever() {
 
     for _ in 0..3 {
         let r = c.read(n(2), seg, None, 0, 64).unwrap();
-        assert_eq!(&r.value.data[..], b"stream v1 + v2");
+        assert_eq!(&r.value.data()[..], b"stream v1 + v2");
     }
     c.run_until_quiet();
     assert_eq!(c.stats.counter("core/reads/repairs_scheduled"), 0);
@@ -257,7 +257,7 @@ fn read_repair_defers_while_stream_active() {
     // A read via a (current-stream, unstable) member forwards and arms
     // a repair.
     let r = c.read(n(1), seg, None, 0, 64).unwrap();
-    assert_eq!(&r.value.data[..], b"still streaming");
+    assert_eq!(&r.value.data()[..], b"still streaming");
     assert_eq!(c.stats.counter("core/reads/repairs_scheduled"), 1);
 
     // Advance just past the repair's damping window — well short of the
@@ -309,7 +309,7 @@ fn forced_stabilize_prefers_descendant_over_high_sub_ancestor() {
     c.crash_server(n(0));
     let r = c.read(n(1), seg, Some(0), 0, 64).unwrap();
     assert_eq!(
-        &r.value.data[..],
+        &r.value.data()[..],
         b"descendant history",
         "the descendant must win the forced stabilize, whatever the subversion counters say"
     );
@@ -346,7 +346,7 @@ fn forced_stabilize_marks_equal_version_survivors_stable() {
     c.crash_server(n(0));
 
     let r = c.read(n(1), seg, Some(0), 0, 64).unwrap();
-    assert_eq!(&r.value.data[..], b"settled");
+    assert_eq!(&r.value.data()[..], b"settled");
     assert_eq!(c.stats.counter("core/reads/stable_search"), 1);
     for s in [n(1), n(2)] {
         assert_eq!(
@@ -358,6 +358,6 @@ fn forced_stabilize_marks_equal_version_survivors_stable() {
 
     // The next read — via either survivor — is local, no second search.
     let r = c.read(n(2), seg, Some(0), 0, 64).unwrap();
-    assert_eq!(&r.value.data[..], b"settled");
+    assert_eq!(&r.value.data()[..], b"settled");
     assert_eq!(c.stats.counter("core/reads/stable_search"), 1, "one forcing round, not two");
 }

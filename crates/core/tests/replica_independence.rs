@@ -52,7 +52,7 @@ fn write_behind_a_partition_leaves_adopted_replicas_untouched() {
     for cfg in configs() {
         let (mut c, seg) = cell(cfg, 3, 1);
         let image = Bytes::from(b"one image, adopted by every replica".to_vec());
-        c.write(n(0), seg, WriteOp::Replace(image.clone()), None).unwrap();
+        c.write(n(0), seg, WriteOp::Replace(image.clone().into()), None).unwrap();
         c.run_until_quiet();
         let (_, adopted_at) = replica(&c, 0, seg);
         for at in 0..3 {
@@ -122,7 +122,7 @@ fn holder_crash_recovers_exactly_the_last_synced_image() {
         // Safety 0: the holder's own apply is write-behind.
         let (mut c, seg) = cell(cfg, 3, 0);
         let image = Bytes::from(b"flushed before the crash".to_vec());
-        c.write(n(0), seg, WriteOp::Replace(image.clone()), None).unwrap();
+        c.write(n(0), seg, WriteOp::Replace(image.clone().into()), None).unwrap();
         c.run_until_quiet(); // fires the deferred flushes
         let (_, synced_at) = replica(&c, 0, seg);
 

@@ -23,7 +23,7 @@ fn create_write_read_roundtrip() {
     let v1 = c.write(n(0), seg, WriteOp::replace(b"contents"), None).unwrap().value;
     assert_eq!(v1, VersionPair { major: 0, sub: 1 });
     let r = c.read(n(0), seg, None, 0, 100).unwrap().value;
-    assert_eq!(&r.data[..], b"contents");
+    assert_eq!(&r.data()[..], b"contents");
     assert_eq!(r.version, v1);
     assert_eq!(r.served_by, n(0));
 }
@@ -47,7 +47,7 @@ fn read_via_other_server_forwards() {
     c.run_until_quiet();
     // Server 2 holds no replica; the read is forwarded transparently.
     let r = c.read(n(2), seg, None, 0, 100).unwrap();
-    assert_eq!(&r.value.data[..], b"remote data");
+    assert_eq!(&r.value.data()[..], b"remote data");
     assert_eq!(r.value.served_by, n(0));
     assert!(c.stats.counter("core/reads/forwarded") >= 1);
     // Forwarding costs more than a local read.
@@ -167,14 +167,14 @@ fn stability_off_allows_stale_read_stability_on_prevents_it() {
         let r = c.read(n(1), seg, None, 0, 100).unwrap().value;
         if stability {
             assert_eq!(
-                &r.data[..],
+                &r.data()[..],
                 b"new",
                 "stability notification forwards the read to the token holder"
             );
             assert_eq!(r.served_by, n(0));
         } else {
             assert_eq!(
-                &r.data[..],
+                &r.data()[..],
                 b"old",
                 "without stability notification the stale local replica answers"
             );
@@ -183,7 +183,7 @@ fn stability_off_allows_stale_read_stability_on_prevents_it() {
         // Either way, replicas converge once propagation completes.
         c.run_until_quiet();
         let settled = c.read(n(1), seg, None, 0, 100).unwrap().value;
-        assert_eq!(&settled.data[..], b"new");
+        assert_eq!(&settled.data()[..], b"new");
     }
 }
 
@@ -323,11 +323,11 @@ fn explicit_version_creation_and_access() {
     c.write(n(0), seg, WriteOp::replace(b"version one"), None).unwrap();
     // Unqualified access resolves to the most recent version.
     let latest = c.read(n(0), seg, None, 0, 100).unwrap().value;
-    assert_eq!(&latest.data[..], b"version one");
+    assert_eq!(&latest.data()[..], b"version one");
     assert_eq!(latest.version.major, new_major);
     // Qualified access still reaches the old version.
     let old = c.read(n(0), seg, Some(0), 0, 100).unwrap().value;
-    assert_eq!(&old.data[..], b"version zero");
+    assert_eq!(&old.data()[..], b"version zero");
     // Both are listed; deleting the old version removes it.
     assert_eq!(c.list_versions(n(0), seg).unwrap().value.len(), 2);
     c.delete_version(n(0), seg, 0).unwrap();
@@ -381,4 +381,66 @@ fn update_cost_scales_with_file_group_not_cell_size() {
         msgs.push(c.net.stats().tag_count("update") - before);
     }
     assert_eq!(msgs[0], msgs[1], "update traffic independent of cell size");
+}
+
+/// The segment server enforces the segment size cap itself (`nfs` has its
+/// own guard in front, but `Cluster::write` is public): an op whose
+/// result would pass `MAX_SEGMENT` — even one whose end overflows `usize`
+/// — is refused with an error, through both entry points, and leaves
+/// token, versions, stability and contents exactly as they were.
+#[test]
+fn oversized_writes_are_refused_before_anything_changes() {
+    use deceit_storage::MAX_SEGMENT;
+    let mut c = cluster(3);
+    let seg = c.create(n(0)).unwrap().value;
+    let params = FileParams { min_replicas: 3, ..FileParams::default() };
+    c.set_params(n(0), seg, params).unwrap();
+    c.write(n(0), seg, WriteOp::replace(b"kept"), None).unwrap();
+    c.run_until_quiet();
+    let key = (seg, 0);
+    let snapshot = |c: &Cluster| {
+        let replicas: Vec<_> = (0..3).map(|s| c.server(n(s)).replicas.get(&key)).collect();
+        let tokens: Vec<_> = (0..3).map(|s| c.server(n(s)).tokens.get(&key)).collect();
+        (replicas, tokens)
+    };
+    let before = snapshot(&c);
+    assert!(c.server(n(0)).holds_token(key));
+
+    let oversized = [
+        WriteOp::write_at(usize::MAX, b"x"),
+        WriteOp::write_at(1 << 40, b"x"),
+        WriteOp::write_at(MAX_SEGMENT, b"x"),
+        WriteOp::append(&vec![0u8; MAX_SEGMENT + 1]),
+        WriteOp::Truncate(MAX_SEGMENT + 1),
+        WriteOp::Truncate(usize::MAX),
+    ];
+    let slot = c.slot_of(seg);
+    for op in oversized {
+        // Through a server that does not hold the token: it must not even
+        // ask for it.
+        for via in [n(0), n(1)] {
+            let err = c.write(via, seg, op.clone(), None).unwrap_err();
+            assert_eq!(err, DeceitError::SegmentTooBig(seg), "{op:?} via {via}");
+            let err = c.write_sharded(&[slot], via, seg, op.clone(), None).unwrap_err();
+            assert_eq!(err, DeceitError::SegmentTooBig(seg), "{op:?} via {via}, sharded");
+        }
+    }
+    c.run_until_quiet();
+    assert_eq!(snapshot(&c), before);
+
+    // The cap itself is reachable; what only passes it from there (an
+    // append, judged against the primary copy's length) is refused too.
+    c.write(n(0), seg, WriteOp::Truncate(MAX_SEGMENT), None).unwrap();
+    c.run_until_quiet();
+    let full = snapshot(&c);
+    for via in [n(0), n(1)] {
+        let err = c.write(via, seg, WriteOp::append(b"x"), None).unwrap_err();
+        assert_eq!(err, DeceitError::SegmentTooBig(seg));
+        let err = c.write_sharded(&[slot], via, seg, WriteOp::append(b"x"), None).unwrap_err();
+        assert_eq!(err, DeceitError::SegmentTooBig(seg));
+    }
+    let (replicas, _) = snapshot(&c);
+    assert_eq!(replicas, full.0, "versions, stability and contents unchanged");
+    let r = c.read(n(2), seg, None, 0, 8).unwrap().value;
+    assert_eq!((&r.data()[..], r.segment_len()), (&b"kept\0\0\0\0"[..], MAX_SEGMENT));
 }

@@ -38,7 +38,7 @@ fn piggyback_acquisition_saves_request_round() {
         // Correctness identical: contents converge.
         c.run_until_quiet();
         let r = c.read(n(2), seg, None, 0, 16).unwrap().value;
-        assert_eq!(&r.data[..], b"move");
+        assert_eq!(&r.data()[..], b"move");
     }
     assert!(msgs[0] > 0, "plain acquisition uses a request round");
     assert_eq!(msgs[1], 0, "piggybacked acquisition sends no request messages");
@@ -59,7 +59,7 @@ fn forward_small_keeps_token_parked() {
     assert!(c.stats.counter("core/token/updates_forwarded") >= 4);
     c.run_until_quiet();
     let r = c.read(n(2), seg, None, 0, 16).unwrap().value;
-    assert_eq!(&r.data[..], b"w5");
+    assert_eq!(&r.data()[..], b"w5");
 }
 
 #[test]

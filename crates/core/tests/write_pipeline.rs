@@ -128,10 +128,10 @@ fn reads_never_observe_pre_ack_state_with_stability() {
     );
     // A read via the lagging replica forwards to the holder (§3.4).
     let r = c.read(n(1), seg, None, 0, 64).unwrap().value;
-    assert_eq!(&r.data[..], b"acked");
+    assert_eq!(&r.data()[..], b"acked");
     c.run_until_quiet();
     let r = c.read(n(1), seg, None, 0, 64).unwrap().value;
-    assert_eq!(&r.data[..], b"acked");
+    assert_eq!(&r.data()[..], b"acked");
 }
 
 /// Crash of the token holder mid-stream: the buffered (acked but
@@ -168,7 +168,7 @@ fn holder_crash_mid_stream_recovers_via_regeneration() {
     c.write(n(0), seg, WriteOp::append(b", and alive"), None).unwrap();
     c.run_until_quiet();
     let r = c.read(n(2), seg, None, 0, 128).unwrap().value;
-    assert_eq!(&r.data[..], b"acked-then-crashed twice, and alive");
+    assert_eq!(&r.data()[..], b"acked-then-crashed twice, and alive");
 }
 
 /// Crash of a *replica* mid-stream: it misses the batch, recovers behind

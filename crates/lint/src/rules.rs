@@ -204,8 +204,12 @@ fn rule_lock_order(fi: usize, facts: &Facts, out: &mut Vec<Finding>) {
 // ---------------------------------------------------------------------------
 // Rule 2: no-bare-panic.
 
-const PANIC_SCOPES: &[&str] =
-    &["crates/core/src/proto/", "crates/core/src/server.rs", "crates/nfs/src/ops_"];
+const PANIC_SCOPES: &[&str] = &[
+    "crates/core/src/proto/",
+    "crates/core/src/server.rs",
+    "crates/nfs/src/ops_",
+    "crates/storage/src/",
+];
 
 fn rule_no_bare_panic(fi: usize, facts: &Facts, out: &mut Vec<Finding>) {
     let f = &facts.files[fi];

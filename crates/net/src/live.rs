@@ -129,8 +129,12 @@ impl<M> Clone for LiveBus<M> {
 }
 
 /// When a wait that starts now and lasts `timeout` gives up; `None` —
-/// never — if the sum overflows (`Duration::MAX` means "no deadline").
+/// never — if the sum overflows. `Duration::MAX` means "no deadline"
+/// and does not read the clock to find that out.
 pub fn deadline_after(timeout: Duration) -> Option<Instant> {
+    if timeout == Duration::MAX {
+        return None;
+    }
     Instant::now().checked_add(timeout)
 }
 

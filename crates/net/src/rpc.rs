@@ -22,7 +22,7 @@
 //! answered with [`RpcEndpoint::reply`], so symmetric peers need only one
 //! endpoint each.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
@@ -101,10 +101,11 @@ pub struct IncomingRequest<Q> {
 pub struct RpcEndpoint<Q, P> {
     ep: LiveEndpoint<Rpc<Q, P>>,
     next_call: u64,
-    /// Destination of each in-flight call, for error attribution.
-    outstanding: HashMap<CallId, NodeId>,
-    /// Replies that arrived while waiting for a different call.
-    ready: HashMap<CallId, P>,
+    /// Every call submitted and not yet claimed, timed out or forgotten:
+    /// its destination (for error attribution) and its reply, once that
+    /// has arrived while waiting for a different call. Scanned linearly —
+    /// it holds one entry under `call`, a batch under pipelining.
+    in_flight: Vec<(CallId, NodeId, Option<P>)>,
     /// Requests received while acting as a caller.
     inbox: VecDeque<IncomingRequest<Q>>,
 }
@@ -124,8 +125,7 @@ impl<Q: Send + 'static, P: Send + 'static> RpcEndpoint<Q, P> {
         RpcEndpoint {
             ep: bus.register(node),
             next_call: NEXT_INCARNATION.fetch_add(1, Ordering::Relaxed) << 32,
-            outstanding: HashMap::new(),
-            ready: HashMap::new(),
+            in_flight: Vec::new(),
             inbox: VecDeque::new(),
         }
     }
@@ -135,9 +135,15 @@ impl<Q: Send + 'static, P: Send + 'static> RpcEndpoint<Q, P> {
         self.ep.node()
     }
 
-    /// Calls in flight (submitted, reply neither received nor claimed).
+    /// Calls in flight: submitted and not yet claimed by a `wait`, timed
+    /// out or forgotten. A reply that has arrived but was not waited for
+    /// yet still counts.
     pub fn in_flight(&self) -> usize {
-        self.outstanding.len()
+        self.in_flight.len()
+    }
+
+    fn position(&self, call: CallId) -> Option<usize> {
+        self.in_flight.iter().position(|(c, _, _)| *c == call)
     }
 
     /// Whether this machine is currently marked crashed on the bus —
@@ -162,7 +168,7 @@ impl<Q: Send + 'static, P: Send + 'static> RpcEndpoint<Q, P> {
         if !self.ep.send(to, Rpc::Request { call, req }) {
             return Err(RpcError::Unreachable(to));
         }
-        self.outstanding.insert(call, to);
+        self.in_flight.push((call, to, None));
         Ok(call)
     }
 
@@ -172,21 +178,16 @@ impl<Q: Send + 'static, P: Send + 'static> RpcEndpoint<Q, P> {
     /// pipelined calls may be awaited in any order. Incoming requests are
     /// queued for [`RpcEndpoint::next_request`].
     pub fn wait(&mut self, call: CallId, timeout: Duration) -> Result<P, RpcError> {
-        if !self.outstanding.contains_key(&call) && !self.ready.contains_key(&call) {
-            return Err(RpcError::UnknownCall(call));
-        }
         let deadline = deadline_after(timeout);
         loop {
-            if let Some(rep) = self.ready.remove(&call) {
-                self.outstanding.remove(&call);
+            let at = self.position(call).ok_or(RpcError::UnknownCall(call))?;
+            if let Some(rep) = self.in_flight[at].2.take() {
+                self.in_flight.swap_remove(at);
                 return Ok(rep);
             }
             match self.ep.recv_deadline(deadline) {
                 Some(env) => self.sort_incoming(env.from, env.msg),
-                None => {
-                    let to = self.outstanding.remove(&call);
-                    return Err(RpcError::Timeout(to.unwrap_or(self.node())));
-                }
+                None => return Err(RpcError::Timeout(self.in_flight.swap_remove(at).1)),
             }
         }
     }
@@ -200,8 +201,9 @@ impl<Q: Send + 'static, P: Send + 'static> RpcEndpoint<Q, P> {
     /// Abandons an in-flight call; a late reply will be dropped on the
     /// next drain rather than buffered forever.
     pub fn forget(&mut self, call: CallId) {
-        self.outstanding.remove(&call);
-        self.ready.remove(&call);
+        if let Some(at) = self.position(call) {
+            self.in_flight.swap_remove(at);
+        }
     }
 
     /// Returns the next incoming request, waiting up to `timeout`
@@ -247,8 +249,8 @@ impl<Q: Send + 'static, P: Send + 'static> RpcEndpoint<Q, P> {
             }
             Rpc::Reply { call, rep } => {
                 // Replies to forgotten (timed-out) calls are dropped.
-                if self.outstanding.contains_key(&call) {
-                    self.ready.insert(call, rep);
+                if let Some(at) = self.position(call) {
+                    self.in_flight[at].2 = Some(rep);
                 }
             }
         }
@@ -301,8 +303,10 @@ mod tests {
         let b = client.submit(n(1), 2).unwrap();
         let c = client.submit(n(1), 3).unwrap();
         assert_eq!(client.in_flight(), 3);
-        // Await newest-first: earlier replies must buffer.
+        // Await newest-first: earlier replies must buffer — and count as
+        // in flight until they are claimed.
         assert_eq!(client.wait(c, Duration::from_secs(2)), Ok(30));
+        assert_eq!(client.in_flight(), 2);
         assert_eq!(client.wait(a, Duration::from_secs(2)), Ok(10));
         assert_eq!(client.wait(b, Duration::from_secs(2)), Ok(20));
         assert_eq!(client.in_flight(), 0);

@@ -8,6 +8,18 @@
 //! original read. If a version pair conflict occurs, the whole operation
 //! is restarted."
 //!
+//! A segment's *image* is an inode header followed by the payload clients
+//! see, held as the segment server holds it: a [`SegmentData`] extent
+//! list. The plumbing here never flattens it. A load takes the image by
+//! reference and decodes the inode from its first extent; `READ` answers
+//! with a view of the extent its range lies in; and a mutation builds its
+//! successor ([`segment_image`]) as one fresh header extent plus the old
+//! payload's extents, sharing every one the edit does not touch and
+//! adopting a `WRITE`'s buffer as the one it does. One whole-image
+//! `Replace` per mutation still goes to the segment server — the same
+//! update record, the same (full-length) wire and disk accounting — but
+//! building it costs what the mutation writes, not what the file holds.
+//!
 //! This module holds the envelope's shared types and segment plumbing.
 //! The operations themselves are grouped by how they interact with
 //! engine state — the classification a concurrent host dispatches on
@@ -21,7 +33,8 @@
 use bytes::Bytes;
 
 use deceit_core::{
-    Cluster, ClusterConfig, DeceitError, FileParams, OpResult, VersionPair, WriteOp,
+    Cluster, ClusterConfig, DeceitError, FileParams, OpResult, SegmentData, VersionPair, WriteOp,
+    MAX_SEGMENT,
 };
 use deceit_net::NodeId;
 use deceit_sim::SimDuration;
@@ -144,6 +157,7 @@ impl From<DeceitError> for NfsError {
     fn from(e: DeceitError) -> Self {
         match e {
             DeceitError::NoSuchSegment(_) | DeceitError::NoSuchVersion(_, _) => NfsError::Stale,
+            DeceitError::SegmentTooBig(_) => NfsError::TooBig,
             other => NfsError::Io(other),
         }
     }
@@ -199,13 +213,57 @@ pub struct DeceitFs {
     root: FileHandle,
 }
 
-/// The fixed size used when reading a whole segment ("most files are
-/// small", §2.3) — and therefore the largest segment image a mutation
-/// may build: anything longer would be cut off by the next load.
-pub(crate) const WHOLE_SEGMENT: usize = 64 * 1024 * 1024;
+/// The count the envelope reads a segment with — all of it ("most files
+/// are small", §2.3): the longest a segment can be.
+pub(crate) const WHOLE_SEGMENT: usize = MAX_SEGMENT;
+
+/// The client-visible part of a loaded segment image — everything after
+/// the inode header — still cut into the image's extents.
+#[derive(Debug, Default)]
+pub(crate) struct Payload {
+    image: SegmentData,
+    hdr_len: usize,
+}
+
+impl Payload {
+    /// Payload length: the file size clients see.
+    pub(crate) fn len(&self) -> usize {
+        self.image.len() - self.hdr_len
+    }
+
+    /// The `READ` reply: up to `count` bytes from `offset` — a view of the
+    /// stored extent the range lies in, a gather of just the range when
+    /// it spans several. Both ends are clamped to the payload, so no
+    /// client-chosen `offset`/`count` (not even ones whose sum overflows)
+    /// can reach outside it.
+    pub(crate) fn read(&self, offset: usize, count: usize) -> Bytes {
+        self.image.read(self.hdr_len + offset.min(self.len()), count)
+    }
+
+    /// The whole payload as one buffer, for the codecs that need it flat
+    /// (directory tables, link targets): a view when it lies in one
+    /// extent.
+    pub(crate) fn bytes(&self) -> Bytes {
+        self.read(0, usize::MAX)
+    }
+}
+
+/// Splits a segment image at its inode header, decoded in place from the
+/// image's first extent (every image [`segment_image`] builds starts
+/// with its header as one piece).
+pub(crate) fn split_image(image: SegmentData) -> Result<(Inode, Payload), CodecError> {
+    let decoded = match Inode::decode(image.head()) {
+        // Not one of ours, then: a header cut across extents.
+        Err(CodecError::Truncated) if image.head().len() < image.len() => {
+            Inode::decode(&image.contents())
+        }
+        decoded => decoded,
+    };
+    decoded.map(|(inode, hdr_len)| (inode, Payload { image, hdr_len }))
+}
 
 /// What a mutation makes of a segment's payload.
-pub(crate) enum Edit<'a> {
+pub(crate) enum Edit {
     /// Used as it is (a mutation that changed only the inode keeps the
     /// payload it loaded).
     Keep,
@@ -213,41 +271,36 @@ pub(crate) enum Edit<'a> {
     Set(Vec<u8>),
     /// Truncated or zero-extended to this length.
     Resize(usize),
-    /// Overwritten from this offset, zero-filling any gap before it.
-    WriteAt(usize, &'a [u8]),
+    /// Overwritten from this offset by these bytes — adopted, not copied
+    /// — zero-filling any gap before them.
+    WriteAt(usize, Bytes),
 }
 
-/// Assembles a segment image — `inode`'s header, then `old` as changed
-/// by `edit` — in one exactly-sized buffer: the only copy a mutation
-/// makes of the payload. Refuses images longer than [`WHOLE_SEGMENT`]
-/// before allocating anything.
-pub(crate) fn segment_image(inode: &Inode, old: &[u8], edit: &Edit<'_>) -> Result<Bytes, NfsError> {
-    let payload_len = match edit {
-        Edit::Keep => Some(old.len()),
-        Edit::Set(new) => Some(new.len()),
-        Edit::Resize(len) => Some(*len),
-        Edit::WriteAt(offset, data) => offset.checked_add(data.len()).map(|e| e.max(old.len())),
-    };
-    let hdr_len = inode.encoded_len();
-    let len = payload_len
-        .and_then(|p| p.checked_add(hdr_len))
-        .filter(|&len| len <= WHOLE_SEGMENT)
-        .ok_or(NfsError::TooBig)?;
-    let mut buf = Vec::with_capacity(len);
-    inode.encode_into(&mut buf);
+/// Assembles a segment image: a fresh extent for `inode`'s header, then
+/// the extents of `old` as changed by `edit` — shared wherever the edit
+/// does not reach, so a mutation costs what it writes, not the file.
+/// Refuses images longer than [`MAX_SEGMENT`] before allocating anything
+/// for them.
+pub(crate) fn segment_image(
+    inode: &Inode,
+    old: &Payload,
+    edit: Edit,
+) -> Result<SegmentData, NfsError> {
+    let mut image = old.image.rewrite();
+    image.skip(old.hdr_len);
+    image.push_copy(&inode.encode());
     match edit {
-        Edit::Keep => buf.extend_from_slice(old),
-        Edit::Set(new) => buf.extend_from_slice(new),
-        Edit::Resize(_) => buf.extend_from_slice(&old[..old.len().min(len - hdr_len)]),
+        Edit::Keep => image.keep(usize::MAX),
+        Edit::Set(new) => image.push(new.into()),
+        Edit::Resize(len) => image.keep_padded(len),
         Edit::WriteAt(offset, data) => {
-            buf.extend_from_slice(&old[..old.len().min(*offset)]);
-            buf.resize(hdr_len + offset, 0);
-            buf.extend_from_slice(data);
-            buf.extend_from_slice(old.get(offset + data.len()..).unwrap_or_default());
+            image.keep_padded(offset);
+            image.skip(data.len());
+            image.push(data);
+            image.keep(usize::MAX);
         }
     }
-    buf.resize(len, 0);
-    Ok(Bytes::from(buf))
+    image.finish().ok_or(NfsError::TooBig)
 }
 
 impl DeceitFs {
@@ -263,8 +316,9 @@ impl DeceitFs {
         let now = cluster.now().as_micros();
         let mut inode = Inode::new(FileType::Directory.to_byte(), 0o755, now);
         inode.nlink = 1;
-        let image = segment_image(&inode, &Directory::new().encode(), &Edit::Keep)
-            .expect("an empty directory fits a segment");
+        let image =
+            segment_image(&inode, &Payload::default(), Edit::Set(Directory::new().encode()))
+                .expect("an empty directory fits a segment");
         cluster
             .write(via, root_seg, WriteOp::Replace(image), None)
             .expect("root format cannot fail");
@@ -291,25 +345,25 @@ impl DeceitFs {
     // Segment plumbing
     // ------------------------------------------------------------------
 
-    /// Reads a whole segment and splits it into (inode, payload, version).
+    /// Reads a whole segment — its image, by reference — and splits it
+    /// into (inode, payload, version).
     pub(crate) fn load(
         &mut self,
         via: NodeId,
         fh: FileHandle,
-    ) -> Result<(Inode, Bytes, VersionPair, SimDuration), NfsError> {
+    ) -> Result<(Inode, Payload, VersionPair, SimDuration), NfsError> {
         let read = self.cluster.read(via, fh.seg, fh.version, 0, WHOLE_SEGMENT)?;
-        let (inode, hdr_len) = Inode::decode(&read.value.data)?;
-        let payload = read.value.data.slice(hdr_len..);
+        let (inode, payload) = split_image(read.value.image)?;
         Ok((inode, payload, read.value.version, read.latency))
     }
 
     /// Writes a whole segment image (see [`segment_image`]) conditionally
-    /// on `expected`; every replica adopts the buffer as it is.
+    /// on `expected`; every replica adopts its extents as they are.
     pub(crate) fn store(
         &mut self,
         via: NodeId,
         fh: FileHandle,
-        image: Bytes,
+        image: SegmentData,
         expected: Option<VersionPair>,
     ) -> Result<(VersionPair, SimDuration), NfsError> {
         let w = self.cluster.write(via, fh.seg, WriteOp::Replace(image), expected)?;
@@ -319,18 +373,18 @@ impl DeceitFs {
     /// Runs a read-modify-write on a segment with the §5.1 restart loop.
     /// `mutate` returns `Ok(Some(edit))` to write the inode and the
     /// payload so edited, `Ok(None)` to leave the segment untouched.
-    pub(crate) fn update_segment<'a>(
+    pub(crate) fn update_segment(
         &mut self,
         via: NodeId,
         fh: FileHandle,
-        mut mutate: impl FnMut(&mut Inode, &Bytes) -> Result<Option<Edit<'a>>, NfsError>,
+        mut mutate: impl FnMut(&mut Inode, &Payload) -> Result<Option<Edit>, NfsError>,
     ) -> Result<SimDuration, NfsError> {
         let mut latency = SimDuration::ZERO;
         for attempt in 0..self.cfg.occ_retries.max(1) {
             let (mut inode, payload, version, l1) = self.load(via, fh)?;
             latency += l1;
             let image = match mutate(&mut inode, &payload)? {
-                Some(edit) => segment_image(&inode, &payload, &edit)?,
+                Some(edit) => segment_image(&inode, &payload, edit)?,
                 None => return Ok(latency),
             };
             match self.store(via, fh, image, Some(version)) {
@@ -363,7 +417,7 @@ impl DeceitFs {
         if inode.ftype != FileType::Directory.to_byte() {
             return Err(NfsError::NotDir);
         }
-        let dir = Directory::decode(&payload)?;
+        let dir = Directory::decode(&payload.bytes())?;
         Ok((inode, dir, version, latency))
     }
 
@@ -386,7 +440,7 @@ impl DeceitFs {
         slots: &[usize],
         via: NodeId,
         fh: FileHandle,
-    ) -> Result<(Inode, Bytes, VersionPair, SimDuration), NfsError> {
+    ) -> Result<(Inode, Payload, VersionPair, SimDuration), NfsError> {
         let read = match self
             .cluster
             .try_read_local(via, fh.seg, fh.version, 0, WHOLE_SEGMENT)
@@ -395,8 +449,7 @@ impl DeceitFs {
             Some(r) => r,
             None => self.cluster.read_sharded(slots, via, fh.seg, fh.version, 0, WHOLE_SEGMENT)?,
         };
-        let (inode, hdr_len) = Inode::decode(&read.value.data)?;
-        let payload = read.value.data.slice(hdr_len..);
+        let (inode, payload) = split_image(read.value.image)?;
         Ok((inode, payload, read.value.version, read.latency))
     }
 
@@ -406,7 +459,7 @@ impl DeceitFs {
         slots: &[usize],
         via: NodeId,
         fh: FileHandle,
-        image: Bytes,
+        image: SegmentData,
         expected: Option<VersionPair>,
     ) -> Result<(VersionPair, SimDuration), NfsError> {
         let w =
@@ -423,19 +476,19 @@ impl DeceitFs {
     /// can assemble the post-op attributes without re-reading the whole
     /// segment. Under the caller's ring locks nothing else can mutate
     /// the file in between, so this *is* what a re-read would see.
-    pub(crate) fn update_segment_sharded<'a>(
+    pub(crate) fn update_segment_sharded(
         &self,
         slots: &[usize],
         via: NodeId,
         fh: FileHandle,
-        mut mutate: impl FnMut(&mut Inode, &Bytes) -> Result<Option<Edit<'a>>, NfsError>,
+        mut mutate: impl FnMut(&mut Inode, &Payload) -> Result<Option<Edit>, NfsError>,
     ) -> Result<(Inode, usize, VersionPair, SimDuration), NfsError> {
         let mut latency = SimDuration::ZERO;
         for attempt in 0..self.cfg.occ_retries.max(1) {
             let (mut inode, payload, version, l1) = self.load_sharded(slots, via, fh)?;
             latency += l1;
             let image = match mutate(&mut inode, &payload)? {
-                Some(edit) => segment_image(&inode, &payload, &edit)?,
+                Some(edit) => segment_image(&inode, &payload, edit)?,
                 None => return Ok((inode, payload.len(), version, latency)),
             };
             let new_len = image.len() - inode.encoded_len();
@@ -471,7 +524,7 @@ impl DeceitFs {
         if inode.ftype != FileType::Directory.to_byte() {
             return Err(NfsError::NotDir);
         }
-        let dir = Directory::decode(&payload)?;
+        let dir = Directory::decode(&payload.bytes())?;
         Ok((inode, dir, version, latency))
     }
 

@@ -12,9 +12,8 @@ use deceit_net::NodeId;
 use deceit_sim::SimDuration;
 
 use crate::dir::Directory;
-use crate::fs::{DeceitFs, Edit, NfsError};
+use crate::fs::{split_image, DeceitFs, Edit, NfsError, WHOLE_SEGMENT};
 use crate::handle::FileHandle;
-use crate::inode::Inode;
 
 /// Runs the zero-link-count check on `target`: deallocate if truly
 /// unlinked, otherwise correct the hint. Returns the time spent.
@@ -38,14 +37,14 @@ pub fn collect_if_unlinked(
             Err(_) => continue, // directory gone entirely
         };
         for v in versions {
-            let Ok(read) = fs.cluster.read(via, dir_seg, Some(v.major), 0, 64 * 1024 * 1024) else {
+            let Ok(read) = fs.cluster.read(via, dir_seg, Some(v.major), 0, WHOLE_SEGMENT) else {
                 continue;
             };
             latency += read.latency;
-            let Ok((_, hdr_len)) = Inode::decode(&read.value.data) else {
+            let Ok((_, payload)) = split_image(read.value.image) else {
                 continue;
             };
-            let Ok(table) = Directory::decode(&read.value.data[hdr_len..]) else {
+            let Ok(table) = Directory::decode(&payload.bytes()) else {
                 continue;
             };
             // Count entries, not directories: two hard links from the
@@ -89,13 +88,13 @@ pub fn total_link_copies(
         };
         for v in versions {
             // Does this version of the directory link to the file?
-            let Ok(read) = fs.cluster.read(via, dir_seg, Some(v.major), 0, 64 * 1024 * 1024) else {
+            let Ok(read) = fs.cluster.read(via, dir_seg, Some(v.major), 0, WHOLE_SEGMENT) else {
                 continue;
             };
-            let Ok((_, hdr_len)) = Inode::decode(&read.value.data) else {
+            let Ok((_, payload)) = split_image(read.value.image) else {
                 continue;
             };
-            let Ok(table) = Directory::decode(&read.value.data[hdr_len..]) else {
+            let Ok(table) = Directory::decode(&payload.bytes()) else {
                 continue;
             };
             if table.links_to(target.seg) {

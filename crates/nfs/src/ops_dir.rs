@@ -20,7 +20,7 @@ use deceit_net::NodeId;
 use deceit_sim::SimDuration;
 
 use crate::dir::{DirEntry, Directory};
-use crate::fs::{segment_image, DeceitFs, Edit, FileAttr, FileType, NfsError, NfsResult};
+use crate::fs::{segment_image, DeceitFs, Edit, FileAttr, FileType, NfsError, NfsResult, Payload};
 use crate::gc;
 use crate::handle::FileHandle;
 use crate::inode::Inode;
@@ -36,7 +36,7 @@ impl DeceitFs {
         mode: u32,
     ) -> NfsResult<FileAttr> {
         let params = self.config().file_params;
-        self.create_node(via, dir, name, mode, FileType::Regular, &[], params)
+        self.create_node(via, dir, name, mode, FileType::Regular, Vec::new(), params)
     }
 
     /// `MKDIR`.
@@ -49,7 +49,7 @@ impl DeceitFs {
     ) -> NfsResult<FileAttr> {
         let payload = Directory::new().encode();
         let params = self.config().dir_params;
-        self.create_node(via, dir, name, mode, FileType::Directory, &payload, params)
+        self.create_node(via, dir, name, mode, FileType::Directory, payload, params)
     }
 
     /// `SYMLINK`.
@@ -61,7 +61,7 @@ impl DeceitFs {
         target: &str,
     ) -> NfsResult<FileAttr> {
         let params = self.config().file_params;
-        self.create_node(via, dir, name, 0o777, FileType::Symlink, target.as_bytes(), params)
+        self.create_node(via, dir, name, 0o777, FileType::Symlink, target.into(), params)
     }
 
     #[allow(clippy::too_many_arguments)] // mirrors the NFS CREATE surface
@@ -72,7 +72,7 @@ impl DeceitFs {
         name: &str,
         mode: u32,
         ftype: FileType,
-        payload: &[u8],
+        payload: Vec<u8>,
         params: deceit_core::FileParams,
     ) -> NfsResult<FileAttr> {
         let q = QualifiedName::parse(name)?;
@@ -97,7 +97,8 @@ impl DeceitFs {
         let mut inode = Inode::new(ftype.to_byte(), mode, now);
         inode.nlink = 1;
         inode.add_uplink(dir.seg);
-        let (_, l1) = self.store(via, fh, segment_image(&inode, payload, &Edit::Keep)?, None)?;
+        let image = segment_image(&inode, &Payload::default(), Edit::Set(payload))?;
+        let (_, l1) = self.store(via, fh, image, None)?;
         latency += l1;
 
         // Add the directory entry under the §5.1 restart loop.
@@ -106,7 +107,7 @@ impl DeceitFs {
             if dnode.ftype != FileType::Directory.to_byte() {
                 return Err(NfsError::NotDir);
             }
-            let mut table = Directory::decode(dpayload)?;
+            let mut table = Directory::decode(&dpayload.bytes())?;
             if !table.insert(entry.clone()) {
                 return Err(NfsError::Exists);
             }
@@ -197,7 +198,7 @@ impl DeceitFs {
                 if dnode.ftype != FileType::Directory.to_byte() {
                     return Err(NfsError::NotDir);
                 }
-                let mut t = Directory::decode(dpayload)?;
+                let mut t = Directory::decode(&dpayload.bytes())?;
                 if !t.insert(entry.clone()) {
                     return Err(NfsError::Exists);
                 }
@@ -232,7 +233,7 @@ impl DeceitFs {
 
         // Drop the directory entry (restart loop).
         latency += self.update_segment(via, dir, |dnode, dpayload| {
-            let mut t = Directory::decode(dpayload)?;
+            let mut t = Directory::decode(&dpayload.bytes())?;
             if t.remove(&q.base).is_none() {
                 return Err(NfsError::NotFound);
             }
@@ -279,7 +280,7 @@ impl DeceitFs {
         }
         let now = self.cluster.now().as_micros();
         latency += self.update_segment(via, dir, |dnode, dpayload| {
-            let mut t = Directory::decode(dpayload)?;
+            let mut t = Directory::decode(&dpayload.bytes())?;
             if t.remove(&q.base).is_none() {
                 return Err(NfsError::NotFound);
             }
@@ -331,7 +332,7 @@ impl DeceitFs {
             if dnode.ftype != FileType::Directory.to_byte() {
                 return Err(NfsError::NotDir);
             }
-            let mut t = Directory::decode(dpayload)?;
+            let mut t = Directory::decode(&dpayload.bytes())?;
             t.remove(&qt.base);
             t.insert(new_entry.clone());
             dnode.mtime = now;
@@ -340,7 +341,7 @@ impl DeceitFs {
 
         // 3. Remove the source entry.
         latency += self.update_segment(via, from_dir, |dnode, dpayload| {
-            let mut t = Directory::decode(dpayload)?;
+            let mut t = Directory::decode(&dpayload.bytes())?;
             if t.remove(&qf.base).is_none() {
                 return Err(NfsError::NotFound);
             }
@@ -396,7 +397,7 @@ impl DeceitFs {
             if dnode.ftype != FileType::Directory.to_byte() {
                 return Err(NfsError::NotDir);
             }
-            let mut t = Directory::decode(dpayload)?;
+            let mut t = Directory::decode(&dpayload.bytes())?;
             if !t.insert(entry.clone()) {
                 return Err(NfsError::Exists);
             }

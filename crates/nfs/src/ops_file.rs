@@ -7,6 +7,8 @@
 //! lock plus the file's shard ring lock, concurrently with reads and
 //! with mutations of files in other shards.
 
+use bytes::Bytes;
+
 use deceit_core::{FileParams, OpResult};
 use deceit_net::NodeId;
 
@@ -49,7 +51,7 @@ impl DeceitFs {
         Ok(out)
     }
 
-    /// `WRITE`: writes `data` at `offset`, extending the file as needed.
+    /// `WRITE` of a copy of `data`; see [`DeceitFs::write_bytes`].
     pub fn write(
         &mut self,
         via: NodeId,
@@ -57,13 +59,25 @@ impl DeceitFs {
         offset: usize,
         data: &[u8],
     ) -> NfsResult<FileAttr> {
+        self.write_bytes(via, fh, offset, &Bytes::copy_from_slice(data))
+    }
+
+    /// `WRITE`: writes `data` at `offset`, extending the file as needed.
+    /// The buffer itself becomes part of the file's segment image.
+    pub fn write_bytes(
+        &mut self,
+        via: NodeId,
+        fh: FileHandle,
+        offset: usize,
+        data: &Bytes,
+    ) -> NfsResult<FileAttr> {
         let now = self.cluster.now().as_micros();
         let latency = self.update_segment(via, fh, |inode, _| {
             if inode.ftype == FileType::Directory.to_byte() {
                 return Err(NfsError::IsDir);
             }
             inode.mtime = now;
-            Ok(Some(Edit::WriteAt(offset, data)))
+            Ok(Some(Edit::WriteAt(offset, data.clone())))
         })?;
         let mut out = self.getattr(via, fh)?;
         out.latency += latency;
@@ -157,7 +171,7 @@ impl DeceitFs {
         via: NodeId,
         fh: FileHandle,
         offset: usize,
-        data: &[u8],
+        data: &Bytes,
     ) -> NfsResult<FileAttr> {
         let now = self.cluster.now().as_micros();
         let (inode, len, version, latency) =
@@ -166,7 +180,7 @@ impl DeceitFs {
                     return Err(NfsError::IsDir);
                 }
                 inode.mtime = now;
-                Ok(Some(Edit::WriteAt(offset, data)))
+                Ok(Some(Edit::WriteAt(offset, data.clone())))
             })?;
         Ok(OpResult { value: self.attr_from(fh, &inode, len, version), latency })
     }

@@ -25,20 +25,12 @@ use deceit_net::NodeId;
 use deceit_sim::SimDuration;
 
 use crate::dir::{DirEntry, Directory};
-use crate::fs::{DeceitFs, FileAttr, FileType, NfsError, NfsResult, WHOLE_SEGMENT};
+use crate::fs::{
+    split_image, DeceitFs, FileAttr, FileType, NfsError, NfsResult, Payload, WHOLE_SEGMENT,
+};
 use crate::handle::FileHandle;
 use crate::inode::Inode;
 use crate::name::QualifiedName;
-
-/// The `READ` reply: up to `count` bytes of `payload` from `offset`, as a
-/// view of the same buffer. Both ends are clamped to the payload, so no
-/// client-chosen `offset`/`count` (not even ones whose sum overflows) can
-/// ask for an out-of-bounds slice.
-fn payload_range(payload: &Bytes, offset: usize, count: usize) -> Bytes {
-    let start = offset.min(payload.len());
-    let end = offset.saturating_add(count).min(payload.len());
-    payload.slice(start..end)
-}
 
 impl DeceitFs {
     /// `GETATTR`.
@@ -75,7 +67,7 @@ impl DeceitFs {
         if inode.ftype == FileType::Directory.to_byte() {
             return Err(NfsError::IsDir);
         }
-        Ok(OpResult { value: payload_range(&payload, offset, count), latency })
+        Ok(OpResult { value: payload.read(offset, count), latency })
     }
 
     /// `READLINK`.
@@ -86,7 +78,7 @@ impl DeceitFs {
                 "readlink on non-symlink".to_string(),
             )));
         }
-        Ok(OpResult { value: String::from_utf8_lossy(&payload).into_owned(), latency })
+        Ok(OpResult { value: String::from_utf8_lossy(&payload.bytes()).into_owned(), latency })
     }
 
     /// `READDIR`: lists a directory.
@@ -201,7 +193,7 @@ impl DeceitFs {
         if inode.ftype == FileType::Directory.to_byte() {
             return Err(NfsError::IsDir);
         }
-        Ok(OpResult { value: payload_range(&payload, offset, count), latency })
+        Ok(OpResult { value: payload.read(offset, count), latency })
     }
 
     /// Sharded-path `LOOKUP`. The directory runs under its held ring
@@ -236,9 +228,8 @@ impl DeceitFs {
             .try_read_local(via, fh.seg, fh.version, 0, WHOLE_SEGMENT)
             .or_else(|| self.cluster.try_read_primary(via, fh.seg, fh.version, 0, WHOLE_SEGMENT))?;
         Some((|| {
-            let (inode, hdr_len) = Inode::decode(&read.value.data)?;
-            let payload_len = read.value.data.len() - hdr_len;
-            let attr = self.attr_from(fh, &inode, payload_len, read.value.version);
+            let (inode, payload) = split_image(read.value.image)?;
+            let attr = self.attr_from(fh, &inode, payload.len(), read.value.version);
             Ok(OpResult { value: attr, latency: latency + read.latency })
         })())
     }
@@ -251,7 +242,7 @@ impl DeceitFs {
                 "readlink on non-symlink".to_string(),
             )));
         }
-        Ok(OpResult { value: String::from_utf8_lossy(&payload).into_owned(), latency })
+        Ok(OpResult { value: String::from_utf8_lossy(&payload.bytes()).into_owned(), latency })
     }
 
     /// Sharded-path `READDIR`.
@@ -286,12 +277,10 @@ impl DeceitFs {
         &self,
         via: NodeId,
         fh: FileHandle,
-    ) -> Option<Result<(Inode, Bytes, VersionPair, SimDuration), NfsError>> {
+    ) -> Option<Result<(Inode, Payload, VersionPair, SimDuration), NfsError>> {
         let read = self.cluster.try_read_local(via, fh.seg, fh.version, 0, WHOLE_SEGMENT)?;
-        Some(match Inode::decode(&read.value.data) {
-            Ok((inode, hdr_len)) => {
-                Ok((inode, read.value.data.slice(hdr_len..), read.value.version, read.latency))
-            }
+        Some(match split_image(read.value.image) {
+            Ok((inode, payload)) => Ok((inode, payload, read.value.version, read.latency)),
             // A present-but-undecodable segment is deterministic state:
             // the exclusive path would report the same corruption.
             Err(e) => Err(NfsError::Corrupt(e)),
@@ -312,7 +301,7 @@ impl DeceitFs {
         if inode.ftype != FileType::Directory.to_byte() {
             return Some(Err(NfsError::NotDir));
         }
-        Some(match Directory::decode(&payload) {
+        Some(match Directory::decode(&payload.bytes()) {
             Ok(dir) => Ok((inode, dir, version, latency)),
             Err(e) => Err(NfsError::Corrupt(e)),
         })
@@ -371,7 +360,7 @@ impl DeceitFs {
         if inode.ftype == FileType::Directory.to_byte() {
             return Some(Err(NfsError::IsDir));
         }
-        Some(Ok(OpResult { value: payload_range(&payload, offset, count), latency }))
+        Some(Ok(OpResult { value: payload.read(offset, count), latency }))
     }
 
     /// Shared-access `READLINK`.
@@ -385,7 +374,10 @@ impl DeceitFs {
                 "readlink on non-symlink".to_string(),
             ))));
         }
-        Some(Ok(OpResult { value: String::from_utf8_lossy(&payload).into_owned(), latency }))
+        Some(Ok(OpResult {
+            value: String::from_utf8_lossy(&payload.bytes()).into_owned(),
+            latency,
+        }))
     }
 
     /// Shared-access `READDIR`.

@@ -14,7 +14,10 @@ use deceit_net::NodeId;
 use deceit_sim::SimDuration;
 
 use crate::dir::Directory;
-use crate::fs::{segment_image, DeceitFs, Edit, FileType, NfsError, NfsResult};
+use crate::fs::{
+    segment_image, split_image, DeceitFs, Edit, FileType, NfsError, NfsResult, Payload,
+    WHOLE_SEGMENT,
+};
 use crate::handle::FileHandle;
 use crate::inode::Inode;
 
@@ -70,13 +73,13 @@ pub fn reconcile_directory(
     ordered.sort_unstable_by(|a, b| b.cmp(a)); // newest first
 
     for major in &ordered {
-        let read = fs.cluster.read(via, dir.seg, Some(*major), 0, 64 * 1024 * 1024)?;
+        let read = fs.cluster.read(via, dir.seg, Some(*major), 0, WHOLE_SEGMENT)?;
         latency += read.latency;
-        let (inode, hdr_len) = Inode::decode(&read.value.data)?;
+        let (inode, payload) = split_image(read.value.image)?;
         if inode.ftype != FileType::Directory.to_byte() {
             return Err(NfsError::NotDir);
         }
-        let table = Directory::decode(&read.value.data[hdr_len..])?;
+        let table = Directory::decode(&payload.bytes())?;
         match &mut merged {
             None => merged = Some((inode, table)),
             Some((_, base)) => {
@@ -103,7 +106,7 @@ pub fn reconcile_directory(
 
     // Write the merged table into the newest version and delete the rest.
     inode.mtime = fs.cluster.now().as_micros();
-    let image = segment_image(&inode, &table.encode(), &Edit::Keep)?;
+    let image = segment_image(&inode, &Payload::default(), Edit::Set(table.encode()))?;
     let w = fs.cluster.write(via, dir.seg, WriteOp::Replace(image), None)?;
     latency += w.latency;
     for major in majors.iter().filter(|&&m| m != newest) {

@@ -392,7 +392,7 @@ impl NfsServer {
                 wrap(self.fs.setattr(via, fh, mode, uid, gid, size), NfsReply::Attr)
             }
             NfsRequest::Write { fh, offset, data } => {
-                wrap(self.fs.write(via, fh, offset, &data), NfsReply::Attr)
+                wrap(self.fs.write_bytes(via, fh, offset, &data), NfsReply::Attr)
             }
             NfsRequest::DeceitSetParams { fh, params } => {
                 wrap(self.fs.set_file_params(via, fh, params), |()| NfsReply::Void)

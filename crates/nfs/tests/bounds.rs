@@ -94,8 +94,13 @@ fn growth_past_the_segment_window_is_refused() {
     }
     // Just inside the window still works: the largest payload is the
     // window less the inode header.
-    let segment_len =
-        srv.fs.cluster.try_read_local(NodeId(0), fh.seg, None, 0, WINDOW).unwrap().value.data.len();
+    let segment_len = srv
+        .fs
+        .cluster
+        .try_read_local(NodeId(0), fh.seg, None, 0, WINDOW)
+        .unwrap()
+        .value
+        .segment_len();
     let limit = WINDOW - (segment_len - b"keep".len());
     let (rep, _) = srv.serve_sharded(NodeId(0), &resize(limit)).unwrap();
     let NfsReply::Attr(attr) = rep else { panic!("resize to the limit failed: {rep:?}") };

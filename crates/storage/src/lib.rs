@@ -16,14 +16,16 @@
 //!
 //! [`SegmentData`] is the byte-array-with-offset representation of a
 //! segment's contents (§5.1: "A segment contains an array of bytes that can
-//! be indexed by an offset"). It is an immutable refcounted buffer with
-//! copy-on-write mutators, so the clones a [`Disk`] makes to mirror a value
-//! into its durable side (`put_sync`, `flush_key`) and back (`crash`) share
-//! the bytes instead of copying them — and stay isolated from each other,
-//! because a later mutation of either side builds its own buffer.
+//! be indexed by an offset"), capped at [`MAX_SEGMENT`]. It is a persistent
+//! list of immutable refcounted extents with copy-on-write mutators, so a
+//! mutation costs what it writes rather than what the segment holds, and
+//! the clones a [`Disk`] makes to mirror a value into its durable side
+//! (`put_sync`, `flush_key`) and back (`crash`) share the bytes instead of
+//! copying them — and stay isolated from each other, because a later
+//! mutation of either side builds its own list.
 
 pub mod disk;
 pub mod segdata;
 
 pub use disk::{Disk, DiskConfig, StoredSize};
-pub use segdata::SegmentData;
+pub use segdata::{Rewrite, SegmentData, MAX_SEGMENT};

@@ -5,25 +5,76 @@
 //! truncating data in the segment." NFS reads and writes map directly onto
 //! these operations.
 //!
-//! The array is an immutable, refcounted [`Bytes`]. Reading and cloning
-//! share it; every mutator builds the one new buffer its result needs
-//! and swaps it in, so a buffer that has been handed out — to a reader,
-//! to another replica, to the durable side of a [`crate::Disk`] — never
-//! changes underneath its holder.
+//! The array is a persistent list of *extents*: windows onto immutable,
+//! refcounted [`Bytes`] buffers, in segment order, each carrying its
+//! cumulative end offset. The list sits behind one refcount, so `clone`
+//! is a pointer bump, and every mutator is one left-to-right
+//! [`Rewrite`] of the list that shares each extent the edit does not
+//! touch: a write costs what it writes plus the list, not the segment.
+//! Nothing handed out — to a reader, to another replica, to the durable
+//! side of a [`crate::Disk`] — ever changes underneath its holder.
+//!
+//! Two rules keep the list bounded, both applied by every rewrite:
+//!
+//! * **merge** — neighbours are copied into one buffer when the shorter
+//!   is under one 8 KiB NFS block and the two together are under two
+//!   blocks. Any two neighbours therefore span at least 16 KiB: a
+//!   segment has at most `len / 8 KiB + 1` extents, and a segment
+//!   shorter than 16 KiB is exactly one flat buffer.
+//! * **compact** — when an edit leaves a buffer less than half
+//!   referenced by the segment, what the segment still uses of it is
+//!   copied out and the buffer let go. The buffers a segment pins
+//!   therefore add up to at most twice its length. (A buffer is known
+//!   by the `Bytes` it arrived as: adopting a *slice* of a larger
+//!   allocation pins that allocation, uncounted.)
+//!
+//! Merges copy less than 16 KiB per seam; a compaction copies less than
+//! half a buffer, and only after more than half of it was overwritten.
+
+use std::fmt;
+use std::sync::Arc;
 
 use bytes::Bytes;
 
 use crate::disk::StoredSize;
 
+/// The longest a segment may grow: every mutator refuses an edit whose
+/// result would be longer, before allocating anything for it.
+pub const MAX_SEGMENT: usize = 64 * 1024 * 1024;
+
+/// The merge size: one 8 KiB NFS block.
+const MERGE: usize = 8 * 1024;
+
+/// Whether neighbouring extents of these lengths are merged by copying.
+fn mergeable(a: usize, b: usize) -> bool {
+    a.min(b) < MERGE && a + b < 2 * MERGE
+}
+
+/// The address that identifies a backing buffer among the live ones.
+fn buffer_id(backing: &Bytes) -> usize {
+    backing.as_ptr() as usize
+}
+
+/// One window of a segment onto a shared buffer.
+#[derive(Clone)]
+struct Extent {
+    /// The whole buffer, exactly as it was built or adopted.
+    backing: Bytes,
+    /// Where the window begins in `backing`.
+    start: usize,
+    /// Segment offset one past the window's last byte; its first byte
+    /// sits at the previous extent's `end`.
+    end: usize,
+}
+
 /// The contents of one segment replica.
 ///
-/// `clone`, [`SegmentData::contents`] and [`SegmentData::read`] are
-/// pointer bumps onto the same backing buffer; it is freed when the last
-/// of them is dropped (a short `read` of a large segment pins the whole
-/// buffer until then).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+/// `clone` shares the extent list; [`SegmentData::read`] of a range
+/// inside one extent is a view of that extent's buffer, which stays
+/// allocated while the view lives — the extent, not the whole segment.
+#[derive(Clone, Default)]
 pub struct SegmentData {
-    buf: Bytes,
+    extents: Arc<Vec<Extent>>,
 }
 
 impl SegmentData {
@@ -35,83 +86,430 @@ impl SegmentData {
 
     /// Builds a segment holding a copy of `data`.
     pub fn from_bytes(data: &[u8]) -> Self {
-        SegmentData { buf: Bytes::copy_from_slice(data) }
+        SegmentData::from(Bytes::copy_from_slice(data))
     }
 
     /// Current length in bytes.
     pub fn len(&self) -> usize {
-        self.buf.len()
+        self.extents.last().map_or(0, |e| e.end)
     }
 
     /// Whether the segment holds no bytes.
     pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
+        self.extents.is_empty()
     }
 
-    /// Reads up to `count` bytes starting at `offset`, as a view of the
-    /// segment's buffer.
+    /// The extents' bytes, in segment order.
+    fn chunks(&self) -> impl Iterator<Item = &[u8]> {
+        let mut begin = 0;
+        self.extents.iter().map(move |e| {
+            let len = e.end - begin;
+            begin = e.end;
+            &e.backing[e.start..e.start + len]
+        })
+    }
+
+    /// The first extent's bytes (empty for an empty segment): the prefix
+    /// of the segment that can be inspected in place. Whatever was last
+    /// written as one piece at offset 0 lies wholly inside it.
+    pub fn head(&self) -> &[u8] {
+        self.chunks().next().unwrap_or_default()
+    }
+
+    /// Reads up to `count` bytes starting at `offset`: a view when the
+    /// range lies inside one extent, otherwise a gather of exactly the
+    /// bytes returned.
     ///
     /// Reads past end-of-segment return the available prefix (possibly
     /// empty), matching NFS read semantics.
     pub fn read(&self, offset: usize, count: usize) -> Bytes {
-        let start = offset.min(self.buf.len());
-        let end = offset.saturating_add(count).min(self.buf.len());
-        self.buf.slice(start..end)
+        let len = self.len();
+        let from = offset.min(len);
+        let to = offset.saturating_add(count).min(len);
+        let first = self.extents.partition_point(|e| e.end <= from);
+        let Some(e) = self.extents.get(first).filter(|_| from < to) else {
+            return Bytes::new();
+        };
+        let begin = first.checked_sub(1).map_or(0, |p| self.extents[p].end);
+        if to <= e.end {
+            let at = e.start + (from - begin);
+            return e.backing.slice(at..at + (to - from));
+        }
+        let mut out = Vec::with_capacity(to - from);
+        let mut skip = from - begin;
+        for chunk in self.chunks().skip(first) {
+            let take = (chunk.len() - skip).min(to - from - out.len());
+            out.extend_from_slice(&chunk[skip..skip + take]);
+            skip = 0;
+            if out.len() == to - from {
+                break;
+            }
+        }
+        Bytes::from(out)
     }
 
-    /// The full contents, shared with the segment.
+    /// The full contents: shared when the segment is one extent, gathered
+    /// otherwise.
     pub fn contents(&self) -> Bytes {
-        self.buf.clone()
+        self.read(0, usize::MAX)
     }
 
-    /// Writes `data` at `offset`, replacing existing bytes and extending
-    /// the segment as needed. Writing past end-of-segment zero-fills the
-    /// gap (UNIX sparse-write semantics).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `offset + data.len()` overflows `usize`.
-    pub fn write(&mut self, offset: usize, data: &[u8]) {
-        let end = offset.checked_add(data.len()).expect("segment end overflows usize");
-        let old = &self.buf[..];
-        let mut new = Vec::with_capacity(old.len().max(end));
-        new.extend_from_slice(&old[..offset.min(old.len())]);
-        new.resize(offset, 0);
-        new.extend_from_slice(data);
-        new.extend_from_slice(old.get(end..).unwrap_or_default());
-        self.buf = Bytes::from(new);
-    }
-
-    /// Appends `data` at the current end.
-    pub fn append(&mut self, data: &[u8]) {
-        self.write(self.buf.len(), data);
-    }
-
-    /// Truncates (or zero-extends) the segment to exactly `len` bytes.
-    /// Shrinking keeps a view of the old buffer.
-    pub fn truncate(&mut self, len: usize) {
-        if len <= self.buf.len() {
-            self.buf = self.buf.slice(..len);
-        } else {
-            self.write(len, &[]);
+    /// Starts a left-to-right rewrite of this segment; see [`Rewrite`].
+    pub fn rewrite(&self) -> Rewrite<'_> {
+        let len = self.len();
+        Rewrite {
+            src: &self.extents,
+            // A segment short enough to be one buffer usually stays its
+            // length under an edit: new buffers are sized for that.
+            hint: if len < 2 * MERGE { len } else { 0 },
+            next: 0,
+            used: 0,
+            out: Vec::with_capacity(self.extents.len() + 3),
+            tail: Tail::Empty,
+            len: 0,
+            retired: Vec::new(),
+            too_big: false,
         }
     }
 
-    /// Replaces the entire contents, adopting `data` without a copy.
-    pub fn replace(&mut self, data: Bytes) {
-        self.buf = data;
+    /// Replaces the segment by `edit`'s rewrite of it; `false` (and no
+    /// change) if that was refused.
+    fn edit(&mut self, edit: impl FnOnce(&mut Rewrite<'_>)) -> bool {
+        let mut r = self.rewrite();
+        edit(&mut r);
+        match r.finish() {
+            Some(new) => {
+                *self = new;
+                true
+            }
+            None => false,
+        }
+    }
+
+    /// Replaces the `len` bytes at `offset` by what `push` pushes, first
+    /// zero-filling up to `offset` if the segment ends before it.
+    fn overwrite(
+        &mut self,
+        offset: usize,
+        len: usize,
+        push: impl FnOnce(&mut Rewrite<'_>),
+    ) -> bool {
+        self.edit(|r| {
+            r.keep_padded(offset);
+            r.skip(len);
+            push(r);
+            r.keep(usize::MAX);
+        })
+    }
+
+    /// Writes `data` at `offset`, *adopting* it as an extent: replaces
+    /// existing bytes and extends the segment as needed. Writing past
+    /// end-of-segment zero-fills the gap (UNIX sparse-write semantics).
+    ///
+    /// Returns whether the write was applied: one that would end past
+    /// [`MAX_SEGMENT`] is refused and leaves the segment as it was.
+    pub fn write_bytes(&mut self, offset: usize, data: Bytes) -> bool {
+        self.overwrite(offset, data.len(), |r| r.push(data))
+    }
+
+    /// [`SegmentData::write_bytes`] of a copy of `data`.
+    pub fn write(&mut self, offset: usize, data: &[u8]) -> bool {
+        self.overwrite(offset, data.len(), |r| r.push_copy(data))
+    }
+
+    /// Appends a copy of `data` at the current end; refused like
+    /// [`SegmentData::write_bytes`].
+    pub fn append(&mut self, data: &[u8]) -> bool {
+        self.write(self.len(), data)
+    }
+
+    /// Truncates (or zero-extends) the segment to exactly `len` bytes;
+    /// refused like [`SegmentData::write_bytes`].
+    pub fn truncate(&mut self, len: usize) -> bool {
+        self.edit(|r| r.keep_padded(len))
+    }
+
+    /// Replaces the entire contents, adopting `data` without a copy;
+    /// refused if `data` is longer than [`MAX_SEGMENT`].
+    pub fn replace(&mut self, data: Bytes) -> bool {
+        let fits = data.len() <= MAX_SEGMENT;
+        if fits {
+            *self = SegmentData::from(data);
+        }
+        fits
+    }
+
+    /// Number of extents (at most `len / 8 KiB + 1`).
+    pub fn extent_count(&self) -> usize {
+        self.extents.len()
+    }
+
+    /// Total size of the distinct buffers the extents are windows of (at
+    /// most `2 × len`): what this segment alone keeps allocated.
+    pub fn pinned_bytes(&self) -> usize {
+        let mut buffers: Vec<_> =
+            self.extents.iter().map(|e| (buffer_id(&e.backing), e.backing.len())).collect();
+        buffers.sort_unstable();
+        buffers.dedup();
+        buffers.iter().map(|&(_, size)| size).sum()
+    }
+}
+
+/// The extent still open at the end of a [`Rewrite`]'s output: it may
+/// yet be merged with what is pushed next.
+enum Tail {
+    Empty,
+    /// A window onto a shared buffer.
+    Shared {
+        backing: Bytes,
+        start: usize,
+        len: usize,
+    },
+    /// Copied bytes: a merge in progress, or a pushed copy.
+    Owned(Vec<u8>),
+}
+
+/// One pass over a segment, front to back, producing its successor: each
+/// step keeps the next bytes of the source (sharing their extents), skips
+/// them, or pushes new bytes in between; [`Rewrite::finish`] drops
+/// whatever of the source is left. The merge and compaction rules of the
+/// [module](self) are applied on the way, and a result longer than
+/// [`MAX_SEGMENT`] is refused before anything is allocated for the part
+/// that does not fit.
+pub struct Rewrite<'a> {
+    src: &'a [Extent],
+    /// Least capacity to give a buffer built for the result.
+    hint: usize,
+    /// The next source extent, and how much of it is already consumed.
+    next: usize,
+    used: usize,
+    out: Vec<Extent>,
+    tail: Tail,
+    /// Result length so far, `tail` included.
+    len: usize,
+    /// `(buffer, size, bytes of it in the result)` for every buffer that
+    /// lost bytes it may also hold elsewhere in the segment.
+    retired: Vec<(usize, usize, usize)>,
+    too_big: bool,
+}
+
+impl Rewrite<'_> {
+    /// Keeps the next `count` bytes of the source (or what is left of it).
+    pub fn keep(&mut self, count: usize) {
+        self.advance(count, true);
+    }
+
+    /// Keeps the next `count` bytes of the source, making up with zeros
+    /// what the source is short of them.
+    pub fn keep_padded(&mut self, count: usize) {
+        let missing = count - self.advance(count, true);
+        if missing > 0 && self.room_for(missing) {
+            self.push(Bytes::from(vec![0; missing]));
+        }
+    }
+
+    /// Skips the next `count` bytes of the source (or what is left of it).
+    pub fn skip(&mut self, count: usize) {
+        self.advance(count, false);
+    }
+
+    /// Pushes `data`, adopted as an extent.
+    pub fn push(&mut self, data: Bytes) {
+        self.emit(&data, Some((&data, 0)));
+    }
+
+    /// Pushes a copy of `data`.
+    pub fn push_copy(&mut self, data: &[u8]) {
+        self.emit(data, None);
+    }
+
+    /// The rewritten segment, or `None` if it would be longer than
+    /// [`MAX_SEGMENT`].
+    pub fn finish(mut self) -> Option<SegmentData> {
+        self.skip(usize::MAX);
+        if self.too_big {
+            return None;
+        }
+        self.flush();
+        self.compact();
+        Some(SegmentData { extents: Arc::new(self.out) })
+    }
+
+    /// Consumes up to `count` source bytes, keeping or dropping them;
+    /// returns how many there were.
+    fn advance(&mut self, count: usize, keep: bool) -> usize {
+        let src = self.src;
+        let mut todo = count;
+        while let Some(e) = src.get(self.next).filter(|_| todo > 0) {
+            let begin = self.next.checked_sub(1).map_or(0, |p| src[p].end);
+            let left = e.end - begin - self.used;
+            let take = left.min(todo);
+            if keep {
+                let at = e.start + self.used;
+                self.emit(&e.backing[at..at + take], Some((&e.backing, at)));
+            } else {
+                self.retire(&e.backing, take);
+            }
+            todo -= take;
+            if take == left {
+                self.next += 1;
+                self.used = 0;
+            } else {
+                self.used += take;
+            }
+        }
+        count - todo
+    }
+
+    /// Whether the result can take `more` bytes; once it cannot, the
+    /// rewrite is refused.
+    fn room_for(&mut self, more: usize) -> bool {
+        self.too_big |= self.len.checked_add(more).is_none_or(|len| len > MAX_SEGMENT);
+        !self.too_big
+    }
+
+    /// Appends `bytes` to the result — the window of `from.0` starting at
+    /// `from.1`, or else bytes to be copied — merging them into the tail
+    /// when the merge rule says so.
+    fn emit(&mut self, bytes: &[u8], from: Option<(&Bytes, usize)>) {
+        let len = bytes.len();
+        if len == 0 || !self.room_for(len) {
+            return;
+        }
+        self.len += len;
+        let hint = self.hint;
+        let tail_len = match &self.tail {
+            Tail::Empty => 0,
+            Tail::Shared { len, .. } => *len,
+            Tail::Owned(buf) => buf.len(),
+        };
+        if tail_len > 0 && mergeable(tail_len, len) {
+            let mut buf = match std::mem::replace(&mut self.tail, Tail::Empty) {
+                Tail::Owned(buf) => buf,
+                Tail::Shared { backing, start, len: first } => {
+                    let mut buf = Vec::with_capacity(hint.max(first + len));
+                    buf.extend_from_slice(&backing[start..start + first]);
+                    self.retire(&backing, first);
+                    buf
+                }
+                Tail::Empty => Vec::new(),
+            };
+            buf.extend_from_slice(bytes);
+            if let Some((backing, _)) = from {
+                self.retire(backing, len);
+            }
+            self.tail = Tail::Owned(buf);
+        } else {
+            self.flush();
+            self.tail = match from {
+                Some((backing, start)) => Tail::Shared { backing: backing.clone(), start, len },
+                None => {
+                    let mut buf = Vec::with_capacity(hint.max(len));
+                    buf.extend_from_slice(bytes);
+                    Tail::Owned(buf)
+                }
+            };
+        }
+    }
+
+    /// Closes the open extent.
+    fn flush(&mut self) {
+        let (backing, start, len) = match std::mem::replace(&mut self.tail, Tail::Empty) {
+            Tail::Empty => return,
+            Tail::Shared { backing, start, len } => (backing, start, len),
+            Tail::Owned(buf) => {
+                let len = buf.len();
+                (Bytes::from(buf), 0, len)
+            }
+        };
+        let end = self.out.last().map_or(0, |e| e.end) + len;
+        self.out.push(Extent { backing, start, end });
+    }
+
+    /// Notes that `dropped` bytes of `backing` did not make it into the
+    /// result as a window. A buffer dropped whole has no other window.
+    fn retire(&mut self, backing: &Bytes, dropped: usize) {
+        if dropped < backing.len() {
+            self.retired.push((buffer_id(backing), backing.len(), 0));
+        }
+    }
+
+    /// The compaction rule: copies out the windows of every retired
+    /// buffer the result references less than half of.
+    fn compact(&mut self) {
+        if self.retired.is_empty() {
+            return;
+        }
+        self.retired.sort_unstable();
+        self.retired.dedup();
+        let find = |retired: &[(usize, usize, usize)], e: &Extent| {
+            retired.binary_search_by_key(&buffer_id(&e.backing), |r| r.0).ok()
+        };
+        let mut begin = 0;
+        for e in &self.out {
+            if let Some(i) = find(&self.retired, e) {
+                self.retired[i].2 += e.end - begin;
+            }
+            begin = e.end;
+        }
+        begin = 0;
+        for e in &mut self.out {
+            let len = e.end - begin;
+            begin = e.end;
+            if let Some(i) = find(&self.retired, e) {
+                let (_, size, referenced) = self.retired[i];
+                if referenced * 2 < size {
+                    e.backing = Bytes::copy_from_slice(&e.backing[e.start..e.start + len]);
+                    e.start = 0;
+                }
+            }
+        }
     }
 }
 
 impl StoredSize for SegmentData {
     fn stored_size(&self) -> usize {
-        self.buf.len()
+        self.len()
+    }
+}
+
+impl From<Bytes> for SegmentData {
+    /// A one-extent segment adopting `data`.
+    fn from(data: Bytes) -> Self {
+        let end = data.len();
+        let extents =
+            if end == 0 { Vec::new() } else { vec![Extent { backing: data, start: 0, end }] };
+        SegmentData { extents: Arc::new(extents) }
+    }
+}
+
+impl From<Vec<u8>> for SegmentData {
+    fn from(data: Vec<u8>) -> Self {
+        SegmentData::from(Bytes::from(data))
     }
 }
 
 impl From<&[u8]> for SegmentData {
     fn from(data: &[u8]) -> Self {
         SegmentData::from_bytes(data)
+    }
+}
+
+impl PartialEq for SegmentData {
+    /// Segments are equal when their bytes are, however they are cut
+    /// into extents.
+    fn eq(&self, other: &Self) -> bool {
+        self.len() == other.len()
+            && (Arc::ptr_eq(&self.extents, &other.extents)
+                || self.chunks().flatten().eq(other.chunks().flatten()))
+    }
+}
+
+impl Eq for SegmentData {}
+
+impl fmt::Debug for SegmentData {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_tuple("SegmentData").field(&self.contents()).finish()
     }
 }
 

@@ -2,32 +2,41 @@
 //! obvious reference models under arbitrary operation sequences.
 
 use bytes::Bytes;
-use deceit_storage::{Disk, DiskConfig, SegmentData};
+use deceit_storage::{Disk, DiskConfig, SegmentData, MAX_SEGMENT};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 
 #[derive(Debug, Clone)]
 enum SegOp {
     Write { offset: usize, data: Vec<u8> },
+    WriteBytes { offset: usize, data: Vec<u8> },
     Append { data: Vec<u8> },
     Truncate { len: usize },
     Replace { data: Vec<u8> },
 }
 
+/// Payloads from a few bytes to several extents, clustered around the
+/// 8 KiB merge size where the extent rules change their answer.
+fn payload() -> impl Strategy<Value = Vec<u8>> {
+    (prop_oneof![0usize..64, 8_000usize..8_400, 0usize..40_000], any::<u8>())
+        .prop_map(|(len, seed)| (0..len).map(|i| seed.wrapping_add((i % 253) as u8)).collect())
+}
+
 fn seg_op() -> impl Strategy<Value = SegOp> {
     prop_oneof![
-        (0usize..64, proptest::collection::vec(any::<u8>(), 0..32))
-            .prop_map(|(offset, data)| SegOp::Write { offset, data }),
-        proptest::collection::vec(any::<u8>(), 0..32).prop_map(|data| SegOp::Append { data }),
-        (0usize..128).prop_map(|len| SegOp::Truncate { len }),
-        proptest::collection::vec(any::<u8>(), 0..32).prop_map(|data| SegOp::Replace { data }),
+        (0usize..96_000, payload()).prop_map(|(offset, data)| SegOp::Write { offset, data }),
+        (0usize..96_000, payload()).prop_map(|(offset, data)| SegOp::WriteBytes { offset, data }),
+        (0usize..96_000, payload()).prop_map(|(offset, data)| SegOp::WriteBytes { offset, data }),
+        payload().prop_map(|data| SegOp::Append { data }),
+        (0usize..128_000).prop_map(|len| SegOp::Truncate { len }),
+        payload().prop_map(|data| SegOp::Replace { data }),
     ]
 }
 
 /// Reference model: a plain Vec<u8> with the same semantics.
 fn apply_model(model: &mut Vec<u8>, op: &SegOp) {
     match op {
-        SegOp::Write { offset, data } => {
+        SegOp::Write { offset, data } | SegOp::WriteBytes { offset, data } => {
             let end = offset + data.len();
             if end > model.len() {
                 model.resize(end, 0);
@@ -41,21 +50,52 @@ fn apply_model(model: &mut Vec<u8>, op: &SegOp) {
 }
 
 fn apply_seg(seg: &mut SegmentData, op: &SegOp) {
-    match op {
+    let applied = match op {
         SegOp::Write { offset, data } => seg.write(*offset, data),
+        SegOp::WriteBytes { offset, data } => seg.write_bytes(*offset, Bytes::from(data.clone())),
         SegOp::Append { data } => seg.append(data),
         SegOp::Truncate { len } => seg.truncate(*len),
         SegOp::Replace { data } => seg.replace(Bytes::from(data.clone())),
+    };
+    assert!(applied, "{op:?} is far below the cap");
+}
+
+const BLOCK: usize = 8 * 1024;
+
+/// Every mutator refuses an edit whose result would pass `MAX_SEGMENT`
+/// — without panicking, without allocating for it, and without touching
+/// the segment.
+#[test]
+fn mutators_refuse_results_past_the_cap() {
+    let mut seg = SegmentData::from_bytes(b"kept");
+    for offset in [usize::MAX, usize::MAX - 1, 1 << 40, MAX_SEGMENT] {
+        assert!(!seg.write(offset, b"xy"), "write at {offset}");
+        assert!(!seg.write_bytes(offset, Bytes::from(b"xy")), "write_bytes at {offset}");
     }
+    assert!(!seg.truncate(MAX_SEGMENT + 1));
+    assert!(!seg.truncate(usize::MAX));
+    assert!(!seg.replace(Bytes::from(vec![0; MAX_SEGMENT + 1])));
+    assert_eq!(&seg.contents()[..], b"kept");
+
+    // The cap itself is reachable, and an append from there is not.
+    assert!(seg.truncate(MAX_SEGMENT));
+    assert!(seg.write(MAX_SEGMENT - 2, b"xy"));
+    assert!(!seg.append(b"z"));
+    assert!(!seg.write(MAX_SEGMENT - 1, b"xy"));
+    assert_eq!(seg.len(), MAX_SEGMENT);
+    assert_eq!(&seg.read(MAX_SEGMENT - 3, 8)[..], b"\0xy");
+    assert_eq!(&seg.read(0, 4)[..], b"kept");
 }
 
 proptest! {
-    /// SegmentData matches the Vec<u8> reference model op-for-op — and,
-    /// because its buffer is shared rather than copied, everything handed
-    /// out earlier (a `contents()`, a `read`, a `clone()`) keeps equalling
-    /// the model *as of when it was taken* through every later mutation.
+    /// The extent list matches the Vec<u8> reference model op-for-op —
+    /// and its sharing stays invisible and bounded: everything handed
+    /// out earlier (a `read`, a `clone()`) keeps equalling the model *as
+    /// of when it was taken* through every later mutation, the extent
+    /// count stays within `len / 8 KiB + 2`, and the distinct buffers the
+    /// segment holds on to stay within `2 × len + 16 KiB`.
     #[test]
-    fn segment_matches_model(ops in proptest::collection::vec(seg_op(), 0..60)) {
+    fn segment_matches_model(ops in proptest::collection::vec(seg_op(), 0..30)) {
         let mut seg = SegmentData::new();
         let mut model: Vec<u8> = Vec::new();
         // (what was handed out, what the model said at that moment)
@@ -65,27 +105,41 @@ proptest! {
             apply_seg(&mut seg, op);
             apply_model(&mut model, op);
             prop_assert_eq!(seg.len(), model.len());
+            prop_assert!(seg.contents()[..] == model[..], "contents differ after {:?}", op);
             for (view, then) in &views {
-                prop_assert_eq!(&view[..], &then[..], "a handed-out view changed after {:?}", op);
+                prop_assert!(view[..] == then[..], "a handed-out view changed after {:?}", op);
             }
             for (clone, then) in &clones {
-                prop_assert_eq!(&clone.contents()[..], &then[..], "a clone changed after {:?}", op);
+                prop_assert!(clone.contents()[..] == then[..], "a clone changed after {:?}", op);
             }
+            prop_assert!(
+                seg.extent_count() <= seg.len() / BLOCK + 2,
+                "{} extents for {} bytes after {:?}", seg.extent_count(), seg.len(), op
+            );
+            prop_assert!(
+                seg.pinned_bytes() <= 2 * seg.len() + 2 * BLOCK,
+                "{} bytes pinned for {} after {:?}", seg.pinned_bytes(), seg.len(), op
+            );
+            // A short read (usually a view of one extent) and one long
+            // enough to be gathered across several.
             let mid = model.len() / 2;
-            views.push((seg.contents(), model.clone()));
-            views.push((seg.read(mid, 16), model[mid..(mid + 16).min(model.len())].to_vec()));
+            for count in [16, 3 * BLOCK] {
+                let expect = model[mid..(mid + count).min(model.len())].to_vec();
+                views.push((seg.read(mid, count), expect));
+            }
             clones.push((seg.clone(), model.clone()));
         }
-        prop_assert_eq!(&seg.contents()[..], &model[..]);
         // Random-access reads agree too, whatever the count.
         for off in [0usize, 1, model.len() / 2, model.len(), usize::MAX] {
-            for count in [16usize, usize::MAX] {
+            for count in [16usize, BLOCK + 1, usize::MAX] {
                 prop_assert_eq!(
                     &seg.read(off, count)[..],
                     &model[off.min(model.len())..off.saturating_add(count).min(model.len())]
                 );
             }
         }
+        // Equality is by content, not by how the bytes are cut up.
+        prop_assert_eq!(&seg, &SegmentData::from_bytes(&model));
     }
 
     /// A `Disk`'s durable and volatile sides share a value's buffer, yet a
