@@ -233,8 +233,11 @@ impl Cluster {
     /// it: the flight recorder keeps it in `actor`'s ring (bounded,
     /// always on) and the trace log records it when enabled.
     pub(crate) fn emit_from(&self, actor: NodeId, ev: ProtocolEvent) {
-        self.obs.flight.record(actor, self.now(), ev.clone());
-        self.trace.emit(self.now(), ev);
+        let now = self.now();
+        if self.trace.is_enabled() {
+            self.trace.emit(now, ev.clone());
+        }
+        self.obs.flight.record(actor, now, ev);
     }
 
     // ------------------------------------------------------------------

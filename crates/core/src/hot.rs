@@ -18,6 +18,23 @@
 //!   container operation, never while taking another lock — so they can
 //!   never participate in a deadlock cycle.
 //!
+//! **Closures under a slot lock are leaves.** Several operations here
+//! take a closure and run it with the slot locked — [`ShardedDisk::update`],
+//! [`ShardedDisk::with_ref`], [`ShardedMap::with`] — because the
+//! protocol's common step is "find this file's record and change two
+//! fields of it", and doing that where the record lies is one lock round
+//! and no copy, where get → change → put is two rounds and a clone of the
+//! record (a replica's extent list, a token's holder set) each way. The
+//! price is a rule the type system does not enforce: such a closure takes
+//! no lock of its own — no other container of this module, no network
+//! send, no event push, no group-table call. Whatever it needs from
+//! elsewhere (the clock, reachability, a majority) is computed before the
+//! call; whatever follows from the change (a flush to schedule, an event
+//! to emit) is returned from the closure and done after it.
+//! [`deceit_net::Network::reachable`] and [`crate::Cluster::now`] read
+//! plain fields and an atomic, and are the only outside calls such
+//! closures make.
+//!
 //! Exclusion between two protocol executions touching the *same* file is
 //! not this module's job: the hosting layer serializes them on the shard
 //! ring lock their [`crate::OpClass`] declares (or on the exclusive cell
@@ -29,7 +46,7 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard};
 
 use deceit_sim::{EventQueue, SimDuration, SimTime};
-use deceit_storage::{Disk, DiskConfig, StoredSize};
+use deceit_storage::{Disk, DiskConfig, Durability, StoredSize};
 
 use crate::event::Pending;
 use crate::host::{shard_slot, ShardKey};
@@ -276,20 +293,30 @@ impl<V: Clone + StoredSize> ShardedDisk<V> {
         lock(self.slot(k)).disk.delete_sync(k)
     }
 
-    /// Atomic read-modify-write-behind: if the key is present, `f` may
-    /// mutate it in place; a change is written back asynchronously.
-    /// Returns whether `f` reported a change.
-    pub fn update_async(&self, k: &ReplicaKey, f: impl FnOnce(&mut V) -> bool) -> bool {
-        let mut slot = lock(self.slot(k));
-        let Some(mut v) = slot.disk.get(k).cloned() else {
-            return false;
-        };
-        if f(&mut v) {
-            slot.disk.put_async(*k, v);
-            true
-        } else {
-            false
-        }
+    /// Read-modify-write in place: one slot lock, one lookup, `f` changes
+    /// the value where it lies, and the change is written through or
+    /// behind as `reach` says — observationally [`ShardedDisk::get`], the
+    /// change, and the `put_*` of that durability, without the two clones.
+    /// `None` (and nothing written) when the key is absent. `f` runs under
+    /// the slot lock: it is a leaf (see the [module](self) doc).
+    pub fn update<R>(
+        &self,
+        k: &ReplicaKey,
+        reach: Durability,
+        f: impl FnOnce(&mut V) -> R,
+    ) -> Option<R> {
+        self.update_with(k, |v| (f(v), Some(reach)))
+    }
+
+    /// [`ShardedDisk::update`] where `f` itself decides how far the change
+    /// reaches — or, with `None`, that it changed nothing, and nothing is
+    /// written or counted (see [`Disk::update_with`]).
+    pub fn update_with<R>(
+        &self,
+        k: &ReplicaKey,
+        f: impl FnOnce(&mut V) -> (R, Option<Durability>),
+    ) -> Option<R> {
+        lock(self.slot(k)).disk.update_with(k, f).map(|(out, _)| out)
     }
 
     /// Makes every pending write in every slot durable. Returns total
@@ -402,10 +429,8 @@ impl<V: Clone + StoredSize> ShardedDisk<V> {
         let touches = std::mem::take(&mut guard.touches);
         self.sub_pending(touches.len());
         for (k, at) in touches {
-            let Some(mut v) = guard.disk.get(&k).cloned() else { continue };
-            if apply(&mut v, at) {
-                guard.disk.put_async(k, v);
-            }
+            // The touch is metadata: written behind, and only if it moved.
+            guard.disk.update_with(&k, |v| ((), apply(v, at).then_some(Durability::Async)));
         }
     }
 
@@ -435,11 +460,49 @@ impl<V: Clone + StoredSize> ShardedDisk<V> {
 /// simulator's drain) observes the exact `(time, seq)` order a single
 /// queue would have produced, while a per-slot pop (the live pump, the
 /// sharded mutation path) never needs any other slot's lock.
+///
+/// Each slot also publishes the due time of its earliest event, so the
+/// question every client operation asks twice — "is anything of mine
+/// due?" — is answered without a lock when the answer is no.
 #[derive(Debug)]
 pub(crate) struct ShardedEvents {
-    slots: Box<[Mutex<EventQueue<Pending>>]>,
+    slots: Box<[EventSlot]>,
     seq: AtomicU64,
     len: AtomicUsize,
+}
+
+#[derive(Debug)]
+struct EventSlot {
+    queue: Mutex<EventQueue<Pending>>,
+    /// Due time (µs) of the queue's earliest event; `u64::MAX` when it
+    /// is empty. Written only under the queue lock, after every change
+    /// to the queue, so it is exact whenever the lock is free; a reader
+    /// racing a push sees the queue as it was before the push.
+    earliest: AtomicU64,
+}
+
+impl EventSlot {
+    fn new() -> Self {
+        EventSlot { queue: Mutex::new(EventQueue::new()), earliest: AtomicU64::new(u64::MAX) }
+    }
+
+    /// Runs `f` on the locked queue and republishes the earliest due
+    /// time before the lock is released — the only way the queue is
+    /// ever changed.
+    fn change<R>(&self, f: impl FnOnce(&mut EventQueue<Pending>) -> R) -> R {
+        let mut q = lock(&self.queue);
+        let out = f(&mut q);
+        let earliest = q.peek_time().map_or(u64::MAX, |t| t.as_micros());
+        self.earliest.store(earliest, Ordering::Release);
+        out
+    }
+
+    /// Whether the slot holds nothing due by `deadline` (nothing at all,
+    /// for `None`) — lock-free.
+    fn nothing_due(&self, deadline: Option<SimTime>) -> bool {
+        let earliest = self.earliest.load(Ordering::Acquire);
+        deadline.map_or(earliest == u64::MAX, |d| earliest > d.as_micros())
+    }
 }
 
 impl ShardedEvents {
@@ -448,7 +511,7 @@ impl ShardedEvents {
     pub(crate) fn new(shards: usize) -> Self {
         let shards = shards.clamp(1, 64);
         ShardedEvents {
-            slots: (0..shards).map(|_| Mutex::new(EventQueue::new())).collect(),
+            slots: (0..shards).map(|_| EventSlot::new()).collect(),
             seq: AtomicU64::new(0),
             len: AtomicUsize::new(0),
         }
@@ -467,7 +530,7 @@ impl ShardedEvents {
     pub(crate) fn push(&self, at: SimTime, ev: Pending) {
         let seq = self.seq.fetch_add(1, Ordering::Relaxed);
         let slot = self.slot_of(&ev);
-        lock(&self.slots[slot]).push_with_seq(at, seq, ev);
+        self.slots[slot].change(|q| q.push_with_seq(at, seq, ev));
         self.len.fetch_add(1, Ordering::Relaxed);
     }
 
@@ -497,7 +560,7 @@ impl ShardedEvents {
     /// advances deferred work eagerly without declaring time conditions
     /// satisfied early.
     pub(crate) fn pop_slot_ready(&self, slot: usize, now: SimTime) -> Option<(SimTime, Pending)> {
-        let out = lock(&self.slots[slot]).pop_ready(|at, ev| at <= now || !ev.due_gated());
+        let out = self.slots[slot].change(|q| q.pop_ready(|at, ev| at <= now || !ev.due_gated()));
         if out.is_some() {
             self.len.fetch_sub(1, Ordering::Relaxed);
         }
@@ -513,9 +576,14 @@ impl ShardedEvents {
         // then pop from it. Single-threaded callers (the simulator, the
         // exclusive path) see the exact order one queue would produce;
         // concurrent scoped callers only race with pushes, and popping a
-        // newly earlier event instead is equally valid.
+        // newly earlier event instead is equally valid. A slot whose
+        // published earliest due time rules it out is not locked at all.
         let candidate = |i: usize| {
-            let key = lock(&self.slots[i]).peek_key()?;
+            let slot = &self.slots[i];
+            if slot.nothing_due(deadline) {
+                return None;
+            }
+            let key = lock(&slot.queue).peek_key()?;
             match deadline {
                 Some(d) if key.0 > d => None,
                 _ => Some((key, i)),
@@ -526,10 +594,10 @@ impl ShardedEvents {
             None => (0..self.slots.len()).filter_map(candidate).min(),
         };
         let (_, slot) = best?;
-        let out = match deadline {
-            Some(d) => lock(&self.slots[slot]).pop_due(d),
-            None => lock(&self.slots[slot]).pop(),
-        };
+        let out = self.slots[slot].change(|q| match deadline {
+            Some(d) => q.pop_due(d),
+            None => q.pop(),
+        });
         if out.is_some() {
             self.len.fetch_sub(1, Ordering::Relaxed);
         }
@@ -538,13 +606,13 @@ impl ShardedEvents {
 
     /// Pending events in one slot.
     pub(crate) fn slot_len(&self, slot: usize) -> usize {
-        lock(&self.slots[slot]).len()
+        lock(&self.slots[slot].queue).len()
     }
 
     /// Pending events that are time-gated (diagnostics and tests).
     #[cfg(test)]
     pub(crate) fn gated_len(&self) -> usize {
-        self.slots.iter().map(|s| lock(s).iter().filter(|e| e.due_gated()).count()).sum()
+        self.slots.iter().map(|s| lock(&s.queue).iter().filter(|e| e.due_gated()).count()).sum()
     }
 
     /// Total pending events. Lock-free.
@@ -559,7 +627,7 @@ impl ShardedEvents {
     pub(crate) fn pending_mask(&self) -> u64 {
         let mut mask = 0u64;
         for (i, slot) in self.slots.iter().enumerate() {
-            if !lock(slot).is_empty() {
+            if !lock(&slot.queue).is_empty() {
                 mask |= 1 << i;
             }
         }
@@ -573,7 +641,10 @@ impl ShardedEvents {
     pub(crate) fn ready_mask(&self, now: SimTime) -> u64 {
         let mut mask = 0u64;
         for (i, slot) in self.slots.iter().enumerate() {
-            if lock(slot).any_entry(|at, ev| at <= now || !ev.due_gated()) {
+            if slot.nothing_due(None) {
+                continue;
+            }
+            if lock(&slot.queue).any_entry(|at, ev| at <= now || !ev.due_gated()) {
                 mask |= 1 << i;
             }
         }
@@ -584,10 +655,11 @@ impl ShardedEvents {
     pub(crate) fn retain(&self, mut pred: impl FnMut(&Pending) -> bool) {
         let mut removed = 0usize;
         for slot in self.slots.iter() {
-            let mut q = lock(slot);
-            let before = q.len();
-            q.retain(&mut pred);
-            removed += before - q.len();
+            removed += slot.change(|q| {
+                let before = q.len();
+                q.retain(&mut pred);
+                before - q.len()
+            });
         }
         self.len.fetch_sub(removed, Ordering::Relaxed);
     }
@@ -601,8 +673,7 @@ impl ShardedEvents {
         mut pred: impl FnMut(&Pending) -> bool,
     ) -> Vec<Pending> {
         let mut drained = Vec::new();
-        {
-            let mut q = lock(&self.slots[key_slot]);
+        self.slots[key_slot].change(|q| {
             q.retain(|ev| {
                 if pred(ev) {
                     drained.push(ev.clone());
@@ -611,7 +682,7 @@ impl ShardedEvents {
                     true
                 }
             });
-        }
+        });
         self.len.fetch_sub(drained.len(), Ordering::Relaxed);
         drained
     }
@@ -657,6 +728,46 @@ mod tests {
         assert!(q.pop_due_slots(&[0], SimTime::from_micros(100)).is_none());
         assert_eq!(q.len(), 2);
         assert_eq!(q.pending_mask(), 0b0110);
+    }
+
+    /// The earliest-due hint is what lets a scoped pop skip a slot's
+    /// lock: it must follow every way the queue changes.
+    #[test]
+    fn earliest_due_hint_tracks_the_queue() {
+        let q = ShardedEvents::new(4);
+        let at = SimTime::from_micros;
+        assert!(q.slots[1].nothing_due(None));
+        for (seg, due) in [(1, 30), (5, 10), (9, 20)] {
+            let (t, ev) = apply_ev(seg, due);
+            q.push(t, ev);
+        }
+        assert!(q.slots[1].nothing_due(Some(at(9))) && !q.slots[1].nothing_due(Some(at(10))));
+        assert!(q.pop_due_slots(&[1], at(9)).is_none());
+        assert_eq!(q.pop_due_slots(&[1], at(10)).map(|(t, _)| t), Some(at(10)));
+        assert!(q.slots[1].nothing_due(Some(at(19))), "a pop republishes the next due time");
+        // Removal by predicate republishes too.
+        let drained = q.drain_matching(1, |ev| ev.shard_hint() == 9);
+        assert_eq!(drained.len(), 1);
+        assert!(q.slots[1].nothing_due(Some(at(29))) && !q.slots[1].nothing_due(Some(at(30))));
+        q.retain(|_| false);
+        assert!(q.slots[1].nothing_due(None));
+        assert_eq!((q.len(), q.ready_mask(at(1_000))), (0, 0));
+    }
+
+    #[test]
+    fn sharded_disk_updates_in_place() {
+        let d: ShardedDisk<Vec<u8>> = ShardedDisk::new(DiskConfig::workstation(), 4);
+        let key = (SegmentId(2), 0u64);
+        assert_eq!(d.update(&key, Durability::Sync, |v| v.push(1)), None, "absent: no write");
+        assert_eq!((d.sync_writes(), d.async_writes()), (0, 0));
+        d.put_sync(key, vec![1]);
+        assert_eq!(d.update(&key, Durability::Sync, |v| (v.push(2), v.len()).1), Some(2));
+        assert_eq!(d.update(&key, Durability::Async, |v| v.push(3)), Some(()));
+        // "Changed nothing" writes nothing.
+        assert_eq!(d.update_with(&key, |v| (v.len(), None)), Some(3));
+        assert_eq!((d.sync_writes(), d.async_writes()), (2, 1));
+        d.crash();
+        assert_eq!(d.get(&key), Some(vec![1, 2]), "the write-behind change is the one lost");
     }
 
     #[test]

@@ -272,11 +272,7 @@ impl Cluster {
             }
             let token_holder = c.find_reachable_token_holder(via, key).unwrap_or(holder);
             c.destroy_replica(target, key);
-            if let Some(mut token) = c.server(token_holder).tokens.get(&key) {
-                token.holders.remove(&target);
-                c.server(token_holder).tokens.put_async(key, token);
-                c.schedule_flush(token_holder, key.0);
-            }
+            c.update_holder_set(token_holder, key, |holders| holders.remove(&target));
             c.stats.incr("core/replicas/command_deleted");
             Ok(((), latency))
         })

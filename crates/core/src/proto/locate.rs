@@ -121,6 +121,13 @@ impl Cluster {
         let local = self.servers[via.index()].latest_major(seg);
         let (gid, search_latency) = self.locate_group(via, seg);
         latency += search_latency;
+        // With a local copy of the file's only major (see
+        // `Cluster::single_major`) the member scan below can find nothing
+        // newer: it reads, sends nothing and charges nothing, so skipping
+        // it changes no message and no latency.
+        if let Some(m) = local.filter(|_| self.single_major(seg)) {
+            return Ok(((seg, m), latency));
+        }
         let mut best = local;
         if let Some(members) = gid.and_then(|g| self.groups.members_vec(g)) {
             for m in members {

@@ -188,16 +188,22 @@ impl Cluster {
     /// set the §3.2 location search would cover (via the per-server
     /// group cache when warm); without group knowledge it conservatively
     /// scans every reachable server.
+    /// Whether `seg` has only ever had one major version. A second major
+    /// can only come from §3.5 token generation, which records the new
+    /// major's branch point *before* installing any replica of it — so an
+    /// empty branch table proves no server anywhere holds a newer major
+    /// than whichever one a server has.
+    pub(crate) fn single_major(&self, seg: SegmentId) -> bool {
+        self.branches.with(&seg, |t| t.is_none_or(|t| t.branch_count() == 0))
+    }
+
     fn local_current_major(&self, via: NodeId, seg: SegmentId) -> Option<u64> {
         let srv = self.server(via);
         let local = srv.latest_major(seg)?;
-        // Single-major fast path: a second major for `seg` can only come
-        // from §3.5 token generation, which records the new major's
-        // branch point *before* installing any replica of it — so an
-        // empty branch table proves no server anywhere holds a newer
-        // major, and the membership scan below (a handful of lock
-        // rounds per read on the lock-free path) is provably redundant.
-        if self.branches.with(&seg, |t| t.map_or(0, |t| t.branch_count())) == 0 {
+        // Single-major fast path: the membership scan below (a handful
+        // of lock rounds per read on the lock-free path) is provably
+        // redundant.
+        if self.single_major(seg) {
             return Some(local);
         }
         let newer_than_local = |s: NodeId| {
@@ -226,10 +232,11 @@ impl Cluster {
     /// The token holder's lean read: if `via` holds the write token for
     /// the current version of `seg`, its replica is the primary copy and
     /// serves reads even while unstable (§3.4 forwards *other* servers'
-    /// reads to the holder — the holder answers directly). Used by the
-    /// sharded mutation path's read-modify-write loop, under the file's
-    /// ring lock, where the holder-reads-own-file case is the steady
-    /// state of a write stream. `None` falls back to the full path.
+    /// reads to the holder — the holder answers directly). For client
+    /// reads the lock-free path declined, under the file's ring lock or,
+    /// for a lookup's child, as one single-acquisition snapshot; the
+    /// access is recorded for the LRU like any other read. `None` falls
+    /// back to the full path.
     pub fn try_read_primary(
         &self,
         via: NodeId,
@@ -237,6 +244,35 @@ impl Cluster {
         major: Option<u64>,
         offset: usize,
         count: usize,
+    ) -> Option<OpResult<ReadData>> {
+        self.read_primary(via, seg, major, offset, count, true)
+    }
+
+    /// The load half of a mutation's own read-modify-write, at the token
+    /// holder under the file's ring lock: the whole primary copy, by
+    /// reference. Unlike a client's read it records no access — the write
+    /// it belongs to stamps `last_access` itself a moment later, and a
+    /// recorded touch would only make that write's entry fold it first
+    /// (a slot lock and a write-behind put on every server, per write, to
+    /// store a time the apply then overwrites). `None` — `via` is not the
+    /// holder — leaves the load to the read paths.
+    pub fn load_primary(
+        &self,
+        via: NodeId,
+        seg: SegmentId,
+        major: Option<u64>,
+    ) -> Option<OpResult<ReadData>> {
+        self.read_primary(via, seg, major, 0, crate::MAX_SEGMENT, false)
+    }
+
+    fn read_primary(
+        &self,
+        via: NodeId,
+        seg: SegmentId,
+        major: Option<u64>,
+        offset: usize,
+        count: usize,
+        touch: bool,
     ) -> Option<OpResult<ReadData>> {
         if via.index() >= self.servers.len() || !self.net.is_up(via) {
             return None;
@@ -250,9 +286,12 @@ impl Cluster {
         if !srv.holds_token(key) {
             return None;
         }
-        let served = srv
-            .replicas
-            .with_ref_served(&key, self.now(), |r| Some(copy_out(r?, via, offset, count)))?;
+        let copy = |r: Option<&crate::replica::Replica>| Some(copy_out(r?, via, offset, count));
+        let served = if touch {
+            srv.replicas.with_ref_served(&key, self.now(), copy)
+        } else {
+            srv.replicas.with_ref(&key, copy)
+        }?;
         Some(OpResult { value: served, latency: self.cfg.local_read })
     }
 
@@ -555,9 +594,7 @@ impl Cluster {
         if streaming {
             return;
         }
-        let Some(token_version) =
-            self.server(holder).tokens.with_ref(&key, |t| t.map(|t| t.version))
-        else {
+        let Some(token_version) = self.token_version(holder, key) else {
             return; // token destroyed between the scan and the read
         };
         if lag_version == token_version {
@@ -636,16 +673,9 @@ impl Cluster {
         req_bytes: usize,
         resp_bytes: usize,
     ) -> DeceitResult<SimDuration> {
-        let out = self
-            .net
-            .send(from, to, req_bytes, "forward")
+        self.net
+            .exchange(from, to, req_bytes, resp_bytes, "forward")
             .latency()
-            .ok_or(DeceitError::PeerUnreachable(to))?;
-        let back = self
-            .net
-            .send(to, from, resp_bytes, "forward")
-            .latency()
-            .ok_or(DeceitError::PeerUnreachable(from))?;
-        Ok(out + back)
+            .ok_or(DeceitError::PeerUnreachable(to))
     }
 }

@@ -5,7 +5,7 @@ use deceit_net::NodeId;
 use crate::cluster::{Cluster, ConflictRecord};
 use crate::server::{ReplicaKey, SegmentId};
 use crate::trace_events::ProtocolEvent;
-use crate::version::VersionRelation;
+use crate::version::{VersionPair, VersionRelation};
 
 impl Cluster {
     /// Brings a crashed server back and runs its recovery protocol.
@@ -52,9 +52,9 @@ impl Cluster {
 
     /// Recovery for a replica without a local token.
     fn recover_plain_replica(&mut self, id: NodeId, key: ReplicaKey) {
-        let my_version = match self.server(id).replicas.get(&key) {
-            Some(r) => r.version,
-            None => return,
+        let Some(my_version) = self.server(id).replicas.with_ref(&key, |r| r.map(|r| r.version))
+        else {
+            return;
         };
         let (seg, _) = key;
 
@@ -65,7 +65,7 @@ impl Cluster {
         // is a token-loss case, not a protocol invariant, so it falls
         // through to the no-holder path below instead of panicking.
         if let Some(holder) = self.find_reachable_token_holder(id, key) {
-            if let Some(token_version) = self.server(holder).tokens.get(&key).map(|t| t.version) {
+            if let Some(token_version) = self.token_version(holder, key) {
                 let table = self.branch_table_snapshot(seg);
                 match table.relation(my_version, token_version) {
                     VersionRelation::Equal => {
@@ -78,7 +78,7 @@ impl Cluster {
                         // Obsolete: destroy; "no update will be lost" since
                         // our history is a prefix of the token's.
                         self.destroy_replica(id, key);
-                        self.remove_from_holders(holder, key, id);
+                        self.update_holder_set(holder, key, |holders| holders.remove(&id));
                         // The holder may now be under-replicated.
                         self.schedule_min_replica_fill(holder, key);
                     }
@@ -119,9 +119,8 @@ impl Cluster {
 
     /// Recovery for a version whose token this server holds.
     fn recover_held_token(&mut self, id: NodeId, key: ReplicaKey) {
-        let my_version = match self.server(id).tokens.get(&key) {
-            Some(t) => t.version,
-            None => return,
+        let Some(my_version) = self.token_version(id, key) else {
+            return;
         };
         let others = self.newer_version_tokens(id, key.0, key.1);
         for (other_major, relation) in others {
@@ -188,14 +187,9 @@ impl Cluster {
                 if seg_a != seg_b || major_a == major_b {
                     continue;
                 }
-                let va = match self.server(server_a).tokens.get(&(seg_a, major_a)) {
-                    Some(t) => t.version,
-                    None => continue, // destroyed earlier in this pass
-                };
-                let vb = match self.server(server_b).tokens.get(&(seg_b, major_b)) {
-                    Some(t) => t.version,
-                    None => continue,
-                };
+                // (`None`: destroyed earlier in this pass.)
+                let Some(va) = self.token_version(server_a, (seg_a, major_a)) else { continue };
+                let Some(vb) = self.token_version(server_b, (seg_b, major_b)) else { continue };
                 let table = self.branch_table_snapshot(seg_a);
                 match table.relation(va, vb) {
                     VersionRelation::Ancestor => {
@@ -238,7 +232,7 @@ impl Cluster {
                 // and a crash can leave a scan hit with no stored token.
                 let holder_and_version = self
                     .find_reachable_token_holder(s, key)
-                    .and_then(|h| self.server(h).tokens.get(&key).map(|t| (h, t.version)));
+                    .and_then(|h| self.token_version(h, key).map(|v| (h, v)));
                 match holder_and_version {
                     Some((h, tv)) => {
                         let table = self.branch_table_snapshot(key.0);
@@ -298,13 +292,9 @@ impl Cluster {
         self.stats.incr("core/recovery/replicas_destroyed");
     }
 
-    /// Drops `gone` from a token's holder set.
-    fn remove_from_holders(&self, holder: NodeId, key: ReplicaKey, gone: NodeId) {
-        if let Some(mut token) = self.server(holder).tokens.get(&key) {
-            token.holders.remove(&gone);
-            self.server(holder).tokens.put_async(key, token);
-            self.schedule_flush(holder, key.0);
-        }
+    /// The version pair of the token `server` stores for `key`, if any.
+    pub(crate) fn token_version(&self, server: NodeId, key: ReplicaKey) -> Option<VersionPair> {
+        self.server(server).tokens.with_ref(&key, |t| t.map(|t| t.version))
     }
 
     /// Finds a reachable server holding the token for exactly `key`.
@@ -327,12 +317,9 @@ impl Cluster {
         seg: SegmentId,
         my_major: u64,
     ) -> Vec<(u64, VersionRelation)> {
-        let my_version = self
-            .server(from)
-            .tokens
-            .get(&(seg, my_major))
-            .map(|t| t.version)
-            .or_else(|| self.server(from).replicas.get(&(seg, my_major)).map(|r| r.version));
+        let my_version = self.token_version(from, (seg, my_major)).or_else(|| {
+            self.server(from).replicas.with_ref(&(seg, my_major), |r| r.map(|r| r.version))
+        });
         let Some(my_version) = my_version else {
             return Vec::new();
         };

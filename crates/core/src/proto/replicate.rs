@@ -17,6 +17,7 @@
 
 use deceit_net::NodeId;
 use deceit_sim::SimDuration;
+use deceit_storage::Durability;
 use std::sync::atomic::Ordering;
 
 use crate::cluster::Cluster;
@@ -127,11 +128,7 @@ impl Cluster {
         // token holder, so that the token holder always has an upper bound
         // on the total number of replicas").
         if let Some(th) = self.find_reachable_token_holder(holder, key) {
-            if let Some(mut token) = self.server(th).tokens.get(&key) {
-                token.holders.insert(target);
-                self.server(th).tokens.put_async(key, token);
-                self.schedule_flush(th, key.0);
-            }
+            self.update_holder_set(th, key, |holders| holders.insert(target));
         }
         if let Some((gid, _)) = self.group_members(key.0) {
             self.ensure_member(gid, target);
@@ -139,6 +136,24 @@ impl Cluster {
         }
         self.stats.incr("core/replicas/generated");
         self.emit_from(target, ProtocolEvent::ReplicaGenerated { seg: key.0, on: target });
+    }
+
+    /// Rewrites the holder set of the token `holder` stores for `key` —
+    /// the §3.1 upper bound on the replica count — in place and
+    /// write-behind (it is an upper bound: a crash that loses the rewrite
+    /// leaves it an upper bound still, or a holder recovery re-adds).
+    pub(crate) fn update_holder_set(
+        &self,
+        holder: NodeId,
+        key: ReplicaKey,
+        change: impl FnOnce(&mut std::collections::BTreeSet<NodeId>) -> bool,
+    ) {
+        let stored = self.server(holder).tokens.update(&key, Durability::Async, |token| {
+            change(&mut token.holders);
+        });
+        if stored.is_some() {
+            self.schedule_flush(holder, key.0);
+        }
     }
 
     /// Deletes extra replicas in least-recently-used order at update time
@@ -174,11 +189,7 @@ impl Cluster {
         for (_, victim) in idle.into_iter().take(deletable) {
             self.server(victim).replicas.delete_sync(&key);
             self.server(victim).drop_receiver(&key);
-            if let Some(mut token) = self.server(holder).tokens.get(&key) {
-                token.holders.remove(&victim);
-                self.server(holder).tokens.put_async(key, token);
-                self.schedule_flush(holder, key.0);
-            }
+            self.update_holder_set(holder, key, |holders| holders.remove(&victim));
             self.obs.placement.replicas_retired.fetch_add(1, Ordering::Relaxed);
             self.stats.incr("core/replicas/lru_deleted");
             self.emit_from(victim, ProtocolEvent::ReplicaDeleted { seg: key.0, on: victim });

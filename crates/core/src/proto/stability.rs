@@ -12,6 +12,7 @@
 use deceit_isis::broadcast_round;
 use deceit_net::NodeId;
 use deceit_sim::SimDuration;
+use deceit_storage::Durability;
 
 use crate::cluster::Cluster;
 use crate::event::Pending;
@@ -87,9 +88,8 @@ impl Cluster {
     /// Marks every reachable, caught-up replica stable; laggards are
     /// caught up with a state transfer first.
     pub(crate) fn mark_stable_round(&self, holder: NodeId, key: ReplicaKey) {
-        let token_version = match self.server(holder).tokens.get(&key) {
-            Some(t) => t.version,
-            None => return,
+        let Some(token_version) = self.token_version(holder, key) else {
+            return;
         };
         let members: Vec<NodeId> =
             self.group_members(key.0).map(|(_, m)| m).unwrap_or_else(|| vec![holder]);
@@ -144,28 +144,23 @@ impl Cluster {
     }
 
     /// Sets a replica's stability marker (asynchronously durable — the
-    /// marker is metadata written behind, §3.5). Returns whether the
-    /// server held a replica. One atomic read-modify-write under the slot
-    /// lock.
+    /// marker is metadata written behind, §3.5, and only when it moves).
+    /// Returns whether the server held a replica. One read-modify-write
+    /// in place under the slot lock.
     pub(crate) fn set_replica_state(
         &self,
         server: NodeId,
         key: ReplicaKey,
         state: ReplicaState,
     ) -> bool {
-        let mut held = false;
-        let changed = self.server(server).replicas.update_async(&key, |replica| {
-            held = true;
-            if replica.state != state {
-                replica.state = state;
-                true
-            } else {
-                false
-            }
+        let changed = self.server(server).replicas.update_with(&key, |replica| {
+            let changed = replica.state != state;
+            replica.state = state;
+            (changed, changed.then_some(Durability::Async))
         });
-        if changed {
+        if changed == Some(true) {
             self.schedule_flush(server, key.0);
         }
-        held
+        changed.is_some()
     }
 }

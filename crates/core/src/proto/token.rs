@@ -18,10 +18,12 @@
 use deceit_isis::broadcast_round;
 use deceit_net::NodeId;
 use deceit_sim::SimDuration;
+use deceit_storage::Durability;
 
 use crate::cluster::Cluster;
 use crate::error::{DeceitError, DeceitResult};
 use crate::params::{FileParams, WriteAvailability};
+use crate::proto::write::WriteCtx;
 use crate::replica::Replica;
 use crate::server::{ReplicaKey, SegmentId};
 use crate::token::WriteToken;
@@ -39,26 +41,65 @@ impl Cluster {
         via: NodeId,
         seg: SegmentId,
     ) -> DeceitResult<(ReplicaKey, SimDuration)> {
-        self.ensure_token_for_write(via, seg, false)
+        self.ensure_token_for_write(via, seg, false).map(|(ctx, latency)| (ctx.key, latency))
+    }
+
+    /// What a write via `via` finds of the file `key`: the token `via`
+    /// holds — `None` if it holds none — and its primary replica, each
+    /// read once under its slot lock. Reachability is read inside the
+    /// token's lock; [`deceit_net::Network::reachable`] takes none.
+    pub(crate) fn write_context(&self, via: NodeId, key: ReplicaKey) -> Option<WriteCtx> {
+        let srv = self.server(via);
+        let mut ctx = srv.tokens.with_ref(&key, |t| {
+            let t = t?;
+            let mut ctx = WriteCtx {
+                key,
+                version: t.version,
+                enabled: t.enabled,
+                holders: t.holders.len(),
+                remote_reachable: 0,
+                all_reachable: true,
+                params: FileParams::default(),
+                len: 0,
+            };
+            for &h in &t.holders {
+                let reachable = self.net.reachable(via, h);
+                ctx.all_reachable &= reachable;
+                ctx.remote_reachable += usize::from(reachable && h != via);
+            }
+            Some(ctx)
+        })?;
+        // (Defaults stand if `via` holds no copy — callers only get here
+        // when a local replica exists.)
+        srv.replicas.with_ref(&key, |r| {
+            if let Some(r) = r {
+                (ctx.params, ctx.len) = (r.params, r.data.len());
+            }
+        });
+        Some(ctx)
     }
 
     /// [`Cluster::ensure_token`] with the §3.3 piggyback option: when
     /// `piggyback` is set and this acquisition precedes an update, the
     /// token request rides in the same message as the update broadcast,
     /// so the request round costs nothing extra here.
+    ///
+    /// Returns what the write then finds of the file (see [`WriteCtx`]):
+    /// read once, here, for the held-token fast path and the write that
+    /// follows it alike.
     pub(crate) fn ensure_token_for_write(
         &self,
         via: NodeId,
         seg: SegmentId,
         piggyback: bool,
-    ) -> DeceitResult<(ReplicaKey, SimDuration)> {
+    ) -> DeceitResult<(WriteCtx, SimDuration)> {
         let (key, mut latency) = self.resolve_key(via, seg, None)?;
 
         // Fast path: token already held (the stream-of-updates case the
         // protocol is optimized for).
-        if self.server(via).holds_token(key) {
-            latency += self.check_token_enabled(via, key)?;
-            return Ok((key, latency));
+        if let Some(ctx) = self.write_context(via, key) {
+            let (ctx, checked) = self.check_token_enabled(via, ctx)?;
+            return Ok((ctx, latency + checked));
         }
 
         // One token-request round to the file group (free when the request
@@ -83,18 +124,22 @@ impl Cluster {
                 .find(|&m| outcome.heard_from(m) && self.server(m).holds_token(key))
         };
 
+        // "Just acquired" is not "held" if the acquisition failed to
+        // leave a token here: the write is refused, the server lives.
+        let acquired = |key: ReplicaKey| {
+            self.write_context(via, key).ok_or(DeceitError::WriteUnavailable(seg))
+        };
         match holder {
             Some(h) => {
                 latency += self.pass_token(h, via, key)?;
-                latency += self.check_token_enabled(via, key)?;
-                Ok((key, latency))
+                let (ctx, checked) = self.check_token_enabled(via, acquired(key)?)?;
+                Ok((ctx, latency + checked))
             }
             None => {
                 // Token loss (§3.6 "Token Crash" / "Partition"): generate a
                 // new token, policy permitting.
                 let (new_key, gen_latency) = self.generate_token(via, key)?;
-                latency += gen_latency;
-                Ok((new_key, latency))
+                Ok((acquired(new_key)?, latency + gen_latency))
             }
         }
     }
@@ -126,8 +171,10 @@ impl Cluster {
         // new updates are stamped on top. A lagging local copy (updates
         // still in flight) is replaced by state transfer from the old
         // primary.
-        let lagging =
-            self.server(to).replicas.get(&key).map(|r| r.version != token.version).unwrap_or(false);
+        let lagging = self
+            .server(to)
+            .replicas
+            .with_ref(&key, |r| r.is_some_and(|r| r.version != token.version));
         if lagging {
             self.server(to).replicas.delete_sync(&key);
             self.server(to).drop_receiver(&key);
@@ -176,69 +223,54 @@ impl Cluster {
     /// Verifies (and if possible restores) the enabled state of a held
     /// token under the file's availability policy (§4: at "medium" a token
     /// is disabled whenever fewer than a majority of replicas are
-    /// available).
+    /// available), from the reading `ctx` of it. Returns the reading the
+    /// write goes on with — `ctx` itself unless the token had to be
+    /// rewritten.
     pub(crate) fn check_token_enabled(
         &self,
         via: NodeId,
-        key: ReplicaKey,
-    ) -> DeceitResult<SimDuration> {
-        let params = self.params_of(via, key);
+        ctx: WriteCtx,
+    ) -> DeceitResult<(WriteCtx, SimDuration)> {
+        let (key, params) = (ctx.key, ctx.params);
         if params.availability != WriteAvailability::Medium {
-            return Ok(SimDuration::ZERO);
+            return Ok((ctx, SimDuration::ZERO));
         }
-        // Steady-state fast path, one clone-free probe under the slot
-        // lock: every known holder reachable, the level satisfied, the
-        // token enabled — nothing to rewrite, nothing to verify further
-        // (the holder set is the §3.1 upper bound; when all of it
-        // answers, the majority condition cannot fail).
-        let steady = self.server(via).tokens.with_ref(&key, |t| {
-            t.map(|t| {
-                t.enabled
-                    && t.holders.len() >= params.min_replicas
-                    && t.holders.iter().all(|&h| self.net.reachable(via, h))
-            })
-        });
-        if steady == Some(true) {
-            return Ok(SimDuration::ZERO);
+        // Steady state: every known holder reachable, the level
+        // satisfied, the token enabled — nothing to rewrite, nothing to
+        // verify further (the holder set is the §3.1 upper bound; when
+        // all of it answers, the majority condition cannot fail).
+        if ctx.enabled && ctx.holders >= params.min_replicas && ctx.all_reachable {
+            return Ok((ctx, SimDuration::ZERO));
         }
-        let Some(mut token) = self.server(via).tokens.get(&key) else {
-            // The token vanished between the steady probe and here (a
-            // concurrent crash wiped the holder's volatile state):
-            // writes are unavailable at this replica, not a panic.
+        let unavailable = || {
             self.stats.incr("core/token/disabled");
-            return Err(DeceitError::WriteUnavailable(key.0));
+            DeceitError::WriteUnavailable(key.0)
         };
         // If every known holder is reachable (no failure in sight) but the
         // minimum replica level outruns the holder set — the raised-level
         // case of §3.1 method 2 — the holder generates replicas now rather
-        // than refusing writes.
-        let all_known_reachable = token.holders.iter().all(|&h| self.net.reachable(via, h));
-        if all_known_reachable && token.holders.len() < params.min_replicas {
+        // than refusing writes. The fill updates the holder set on the
+        // stored token, so the majority is taken from the token as it is
+        // afterwards; a token gone by then (a crash wiped the holder's
+        // volatile state) means writes are unavailable here, not a panic.
+        if ctx.all_reachable && ctx.holders < params.min_replicas {
             self.fill_min_replicas_now(via, key);
-            // The fill updates the holder set on the stored token; if
-            // it is gone the same concurrent-crash reasoning applies.
-            token = match self.server(via).tokens.get(&key) {
-                Some(t) => t,
-                None => {
-                    self.stats.incr("core/token/disabled");
-                    return Err(DeceitError::WriteUnavailable(key.0));
-                }
-            };
         }
         let reachable = self.reachable_replica_holders(via, key).len();
-        let majority = token.majority(params.min_replicas);
+        let (majority, enabled) = self
+            .server(via)
+            .tokens
+            .with_ref(&key, |t| t.map(|t| (t.majority(params.min_replicas), t.enabled)))
+            .ok_or_else(unavailable)?;
         let ok = reachable >= majority;
-        if ok != token.enabled {
-            token.enabled = ok;
-            self.server(via).tokens.put_async(key, token);
+        if ok != enabled {
+            self.server(via).tokens.update(&key, Durability::Async, |t| t.enabled = ok);
             self.schedule_flush(via, key.0);
         }
-        if ok {
-            Ok(SimDuration::ZERO)
-        } else {
-            self.stats.incr("core/token/disabled");
-            Err(DeceitError::WriteUnavailable(key.0))
+        if !ok {
+            return Err(unavailable());
         }
+        Ok((self.write_context(via, key).ok_or_else(unavailable)?, SimDuration::ZERO))
     }
 
     /// Generates a brand-new token for a new major version branched off

@@ -12,18 +12,97 @@
 //! event queue — lives behind the ShardKey-indexed seam of
 //! [`crate::hot`], so a concurrent host runs it under the shared cell
 //! lock plus the file's shard ring lock ([`Cluster::write_sharded`]).
+//!
+//! # The held-token write is one pass
+//!
+//! That one-round case — a stream of updates to a file whose token the
+//! server already holds — is what the path is shaped around. A write
+//! looks at the two records it owns, the token and the primary replica
+//! at `via`, *once* ([`WriteCtx`], read by
+//! `Cluster::ensure_token_for_write`), and every decision before the
+//! distribution — enabled, the §5.1 version check, the append cap, the
+//! extra-replica test, the reply count — is taken from that reading.
+//! Every record it then changes is changed where it lies
+//! ([`crate::hot::ShardedDisk::update`]): the holder's replica, each
+//! safety replica, the token's version pair. Delivery to a replica —
+//! safety lane and drained batch alike — is one visit
+//! (`Cluster::apply_in_sequence`): an update that continues the
+//! replica's history is applied in place; one that is already embedded
+//! is dropped; only a gap — or an earlier gap's held-back arrival —
+//! goes through the [`deceit_isis::OrderedReceiver`], whose sequence the
+//! visit otherwise just advances. What is sent, in what order, with what
+//! sizes, and which writes reach the disk synchronously are what they
+//! were when each step cloned the record out and put it back.
 
 use deceit_isis::broadcast_round;
 use deceit_net::NodeId;
 use deceit_sim::SimDuration;
+use deceit_storage::Durability;
 
 use crate::cluster::{Cluster, OpResult, OpScope};
 use crate::error::{DeceitError, DeceitResult};
 use crate::event::Pending;
 use crate::ops::{UpdateRecord, WriteOp};
-use crate::server::SegmentId;
+use crate::params::FileParams;
+use crate::server::{ReplicaKey, SegmentId};
 use crate::trace_events::ProtocolEvent;
 use crate::version::VersionPair;
+
+/// What a write needs to know about the file it is about to update: the
+/// token record and the primary replica at the writing server, each read
+/// once, under its own slot lock, before anything is changed.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct WriteCtx {
+    /// The replica key the token governs.
+    pub key: ReplicaKey,
+    /// The token's version pair — the authoritative one (§3.5).
+    pub version: VersionPair,
+    /// Whether the token is enabled (§4, availability "medium").
+    pub enabled: bool,
+    /// Size of the token's holder set: the §3.1 upper bound on replicas.
+    pub holders: usize,
+    /// Holders other than the writing server it can reach.
+    pub remote_reachable: usize,
+    /// Whether it can reach every holder.
+    pub all_reachable: bool,
+    /// The file's parameters, as stored with the primary replica.
+    pub params: FileParams,
+    /// Length of the primary replica's contents.
+    pub len: usize,
+}
+
+/// What distributing one update yielded.
+struct Distributed {
+    /// When the last of the safety-path remote replies is in hand: the
+    /// `write_safety - 1`-th correct one, or the last there was.
+    safety_wait: SimDuration,
+    /// The §3.1 reply count: the holder plus the remote replica holders
+    /// heard from (pipelined: reachable).
+    replies: usize,
+    /// Remote members of the file group.
+    group_size: usize,
+}
+
+/// What one visit to a replica did with a run of updates.
+#[derive(Debug, Default)]
+pub(crate) struct InSequence {
+    /// Updates applied.
+    landed: usize,
+    /// Leading updates dealt with — applied, or dropped as already
+    /// embedded; the rest are out of sequence.
+    consumed: usize,
+    /// The replica's version pair after the visit; `None` if the visit
+    /// was left to the ordered receiver.
+    version: Option<VersionPair>,
+}
+
+fn reach(sync: bool) -> Durability {
+    if sync {
+        Durability::Sync
+    } else {
+        Durability::Async
+    }
+}
 
 impl Cluster {
     /// Writes to a segment via server `via`.
@@ -90,29 +169,21 @@ impl Cluster {
         }
 
         // Table 1 row 1: precondition "token is not held" → acquire token.
+        // What comes back is the one reading of the token and the primary
+        // replica everything below decides from.
         let piggyback = self.cfg.opt_piggyback_acquire;
-        let (key, mut latency) = self.ensure_token_for_write(via, seg, piggyback)?;
+        let (mut ctx, mut latency) = self.ensure_token_for_write(via, seg, piggyback)?;
+        let (key, params) = (ctx.key, ctx.params);
 
         // Conditional write check against the authoritative (token)
-        // version pair — a clone-free probe; the full token is read only
-        // *after* extra-replica deletion below, so the write-back at the
-        // end of this function can never resurrect a just-deleted victim
-        // into the stored holder set.
-        // "Just ensured" is best-effort under concurrency: a crash on
-        // the ensure/write seam can drop the token, in which case the
-        // write is refused rather than the server killed.
-        let token_version = self
-            .server(via)
-            .tokens
-            .with_ref(&key, |t| t.map(|t| t.version))
-            .ok_or(DeceitError::WriteUnavailable(seg))?;
+        // version pair.
         if let Some(exp) = expected {
-            if token_version != exp {
+            if ctx.version != exp {
                 self.stats.incr("core/occ/conflicts");
                 return Err(DeceitError::VersionConflict {
                     segment: seg,
                     expected: exp,
-                    actual: token_version,
+                    actual: ctx.version,
                 });
             }
         }
@@ -120,21 +191,15 @@ impl Cluster {
         // Only an append's size depends on what is already there: judged
         // against the primary copy, like the version check above — nothing
         // but the token's place has changed so far.
-        if matches!(op, WriteOp::Append(_)) {
-            let current =
-                self.server(via).replicas.with_ref(&key, |r| r.map_or(0, |r| r.data.len()));
-            if op.resulting_len(current).is_none() {
-                return Err(DeceitError::SegmentTooBig(seg));
-            }
+        if matches!(op, WriteOp::Append(_)) && op.resulting_len(ctx.len).is_none() {
+            return Err(DeceitError::SegmentTooBig(seg));
         }
-
-        let params = self.params_of(via, key);
 
         // Table 1 row 2: "replicas are not marked as unstable" → mark
         // replicas as unstable (§3.4), once per write stream.
         if params.stability {
             let unstable_done =
-                self.server(via).streams.get(&key).map(|s| s.group_unstable).unwrap_or(false);
+                self.server(via).streams.with(&key, |s| s.is_some_and(|s| s.group_unstable));
             if !unstable_done {
                 latency += self.mark_unstable_round(via, key);
             }
@@ -144,55 +209,34 @@ impl Cluster {
         // an update occurs instead of updating them." The token's holder
         // set is the §3.1 upper bound on the replica count; when it does
         // not exceed the minimum level there is nothing extra to find,
-        // and the reachability scan is skipped.
-        let holder_bound =
-            self.server(via).tokens.with_ref(&key, |t| t.map(|t| t.holders.len())).unwrap_or(0);
-        if holder_bound > params.min_replicas {
+        // and the reachability scan is skipped. A deletion rewrites the
+        // holder set, so the token is read again after one — the advance
+        // at the end of this function can then never resurrect a
+        // just-deleted victim, and the reply count sees the set as it is.
+        if ctx.holders > params.min_replicas {
             self.delete_extra_replicas(via, key);
+            ctx = self.write_context(via, key).ok_or(DeceitError::WriteUnavailable(seg))?;
         }
 
-        // The authoritative token, read after any holder-set update the
-        // deletion above stored. Same seam as above: refuse, don't panic.
-        let token = self.server(via).tokens.get(&key).ok_or(DeceitError::WriteUnavailable(seg))?;
-
         // Table 1 row 3: the distributed update itself.
-        let new_version = token.version.bump();
+        let new_version = ctx.version.bump();
         let wire_size = op.wire_size();
         let disk_cost = self.cfg.disk.write_cost(op.disk_size());
         let update = UpdateRecord { new_version, op };
         let now = self.now();
         let needed_remote = params.write_safety.saturating_sub(1);
-        let (remote_replica_rtts, replies_from_replicas, group_size) =
-            if self.cfg.opt_write_pipeline {
-                self.distribute_pipelined(
-                    via,
-                    key,
-                    &update,
-                    &token,
-                    needed_remote,
-                    wire_size,
-                    disk_cost,
-                )
-            } else {
-                let members: Vec<NodeId> =
-                    self.group_members(seg).map(|(_, m)| m).unwrap_or_else(|| vec![via]);
-                let remote: Vec<NodeId> = members.iter().copied().filter(|&m| m != via).collect();
-                let group_size = remote.len();
-                let (rtts, replies) = self.distribute_eager(
-                    via,
-                    key,
-                    &update,
-                    &remote,
-                    needed_remote,
-                    wire_size,
-                    disk_cost,
-                    now,
-                );
-                (rtts, replies, group_size)
-            };
+        let sent = if self.cfg.opt_write_pipeline {
+            self.distribute_pipelined(via, &ctx, &update, needed_remote, wire_size, disk_cost)
+        } else {
+            self.distribute_eager(via, key, &update, needed_remote, wire_size, disk_cost, now)
+        };
         self.emit_from(
             via,
-            ProtocolEvent::UpdateDistributed { seg, sub: new_version.sub, group_size },
+            ProtocolEvent::UpdateDistributed {
+                seg,
+                sub: new_version.sub,
+                group_size: sent.group_size,
+            },
         );
         self.stats.incr("core/updates");
 
@@ -224,28 +268,32 @@ impl Cluster {
             }
         }
 
-        // Advance the token's version pair — folding in the availability
-        // check so the token hits storage once. §3.5: "Some of a server's
-        // non-volatile storage is updated immediately when values change,
-        // and some of it is written asynchronously, depending on safety"
-        // — at safety ≥ 1 the token must hit disk with the data, or a
-        // crash would leave recovery believing stale replicas current.
-        // Availability "medium": disable the token if the majority was
-        // lost mid-stream (§4: "write availability may be lost in the
-        // middle of a stream of updates").
-        let mut t = token;
-        t.version = new_version;
-        if params.availability == crate::params::WriteAvailability::Medium
-            && replies_from_replicas < t.majority(params.min_replicas)
-            && t.enabled
-        {
-            t.enabled = false;
+        // Advance the token's version pair, in place — folding in the
+        // availability check so the token hits storage once. §3.5: "Some
+        // of a server's non-volatile storage is updated immediately when
+        // values change, and some of it is written asynchronously,
+        // depending on safety" — at safety ≥ 1 the token must hit disk
+        // with the data, or a crash would leave recovery believing stale
+        // replicas current. Availability "medium": disable the token if
+        // the majority was lost mid-stream (§4: "write availability may
+        // be lost in the middle of a stream of updates"). A token gone
+        // since it was read (it cannot be, under the file's ring lock)
+        // refuses the write rather than killing the server.
+        let medium = params.availability == crate::params::WriteAvailability::Medium;
+        let disabled = self
+            .server(via)
+            .tokens
+            .update(&key, reach(sync_local), |t| {
+                t.version = new_version;
+                let lost = medium && t.enabled && sent.replies < t.majority(params.min_replicas);
+                t.enabled &= !lost;
+                lost
+            })
+            .ok_or(DeceitError::WriteUnavailable(seg))?;
+        if disabled {
             self.stats.incr("core/token/disabled");
         }
-        if sync_local {
-            self.server(via).tokens.put_sync(key, t);
-        } else {
-            self.server(via).tokens.put_async(key, t);
+        if !sync_local {
             self.schedule_flush(via, key.0);
         }
 
@@ -256,11 +304,11 @@ impl Cluster {
             via,
             ProtocolEvent::RepliesCounted {
                 seg,
-                replies: replies_from_replicas,
+                replies: sent.replies,
                 needed: params.min_replicas,
             },
         );
-        if replies_from_replicas < params.min_replicas {
+        if sent.replies < params.min_replicas {
             // Table 1 row 5: insufficient replicas → generate new replicas.
             self.schedule_min_replica_fill(via, key);
         }
@@ -271,13 +319,7 @@ impl Cluster {
         let net_wait = match params.write_safety {
             0 => SimDuration::ZERO,
             1 => disk_cost,
-            s => {
-                let needed_remote = s - 1;
-                let idx = needed_remote.min(remote_replica_rtts.len());
-                let remote_wait =
-                    if idx == 0 { SimDuration::ZERO } else { remote_replica_rtts[idx - 1] };
-                disk_cost.max(remote_wait)
-            }
+            _ => disk_cost.max(sent.safety_wait),
         };
         latency += net_wait;
 
@@ -308,34 +350,37 @@ impl Cluster {
     /// The paper prototype's eager distribution: one broadcast round to
     /// the whole file group per update, with write-through application at
     /// the safety-path replicas and a deferred `ApplyUpdate` per
-    /// write-behind replica. Returns the safety-relevant remote reply
-    /// times and the §3.1 reply count (self + remote repliers holding
-    /// replicas).
+    /// write-behind replica. The §3.1 reply count is self + remote
+    /// repliers holding replicas.
     #[allow(clippy::too_many_arguments)]
     fn distribute_eager(
         &self,
         via: NodeId,
-        key: (SegmentId, u64),
+        key: ReplicaKey,
         update: &UpdateRecord,
-        remote: &[NodeId],
         needed_remote: usize,
         wire_size: usize,
         remote_disk: SimDuration,
         now: deceit_sim::SimTime,
-    ) -> (Vec<SimDuration>, usize) {
-        let outcome = broadcast_round(&self.net, via, remote.to_vec(), wire_size, 16, "update");
+    ) -> Distributed {
+        let members: Vec<NodeId> =
+            self.group_members(key.0).map(|(_, m)| m).unwrap_or_else(|| vec![via]);
+        let remote: Vec<NodeId> = members.into_iter().filter(|&m| m != via).collect();
+        let group_size = remote.len();
+        let outcome = broadcast_round(&self.net, via, remote, wire_size, 16, "update");
         self.server(via).observe_round(&outcome);
 
         // Schedule write-behind application at every replica holder that
         // acknowledged receipt. Their acks are receipt, not application
         // (§1: an update can be visible before it reaches all replicas) —
         // application lands after the lazy-apply delay.
-        let mut remote_replica_rtts: Vec<SimDuration> = Vec::new();
+        let mut sent = Distributed { safety_wait: SimDuration::ZERO, replies: 1, group_size };
+        let mut correct = 0;
         for (m, rtt) in &outcome.replies {
             if !self.server(*m).replicas.contains(&key) {
                 continue;
             }
-            if remote_replica_rtts.len() < needed_remote {
+            if correct < needed_remote {
                 // Safety-path replica: its reply means "applied durably",
                 // so it writes through before answering (reply time
                 // includes its disk write), after catching up on any
@@ -345,22 +390,23 @@ impl Cluster {
                 // replier takes its safety slot — §3.3 collects the
                 // first s *correct* replies.
                 self.drain_pending_applies(*m, key);
-                if self.deliver_safety_copy(via, *m, key, update) {
-                    remote_replica_rtts.push(*rtt + remote_disk);
+                if !self.deliver_safety_copy(via, *m, key, update) {
+                    continue;
                 }
+                sent.safety_wait = *rtt + remote_disk;
             } else {
                 // Write-behind replica: acked receipt, applies after the
                 // lazy delay (§1's asynchronous update propagation).
-                remote_replica_rtts.push(*rtt + remote_disk);
                 let apply_at = now + *rtt / 2 + self.cfg.lazy_apply_delay;
                 self.events.push(
                     apply_at,
                     Pending::ApplyUpdate { server: *m, key, update: update.clone() },
                 );
             }
+            correct += 1;
         }
-        let replies = 1 + remote_replica_rtts.len(); // self + remote
-        (remote_replica_rtts, replies)
+        sent.replies += correct;
+        sent
     }
 
     /// The asynchronous write pipeline's distribution
@@ -371,48 +417,51 @@ impl Cluster {
     /// since the last drain in a single group broadcast — consecutive
     /// updates to the same replica ride one message.
     ///
-    /// Returns the safety-lane reply times, the §3.1 reply count, and
-    /// the remote group size. Unlike the eager path, no round runs on
-    /// the common (safety ≤ 1) path, so the reply count substitutes
-    /// reachability over the token's holder set — the §3.1 upper bound
+    /// Unlike the eager path, no round runs on the common (safety ≤ 1)
+    /// path, so the reply count substitutes reachability over the token's
+    /// holder set (read with the token, in `ctx`) — the §3.1 upper bound
     /// the holder maintains; those are exactly the servers the eager
     /// broadcast would have heard from.
-    #[allow(clippy::too_many_arguments)]
     fn distribute_pipelined(
         &self,
         via: NodeId,
-        key: (SegmentId, u64),
+        ctx: &WriteCtx,
         update: &UpdateRecord,
-        token: &crate::token::WriteToken,
         needed_remote: usize,
         wire_size: usize,
         remote_disk: SimDuration,
-    ) -> (Vec<SimDuration>, usize, usize) {
-        // Group size through the location cache — no name formatting,
-        // no member-list allocation on the common path.
-        let gid = self.cached_group(via, key.0);
-        let group_size = gid.map(|g| self.groups.member_count(g).saturating_sub(1)).unwrap_or(0);
-
+    ) -> Distributed {
+        let key = ctx.key;
+        // The group through the location cache — no name formatting, no
+        // member-list allocation: its size, and the safety lane's round,
+        // are taken off the member set in place.
+        //
         // Safety lane (§3.3: "the token holder synchronously collects
-        // only the first s correct replies"): each chosen replica first
-        // catches up on any still-buffered earlier updates, so the
+        // only the first s correct replies"): one round to the first
+        // `needed_remote` reachable replica holders of the group; each
+        // then catches up on any still-buffered earlier updates, so the
         // identical-order guarantee holds on the safety path.
-        let mut remote_replica_rtts: Vec<SimDuration> = Vec::new();
-        if needed_remote > 0 {
-            let targets: Vec<NodeId> = gid
-                .and_then(|g| self.groups.members_vec(g))
-                .unwrap_or_default()
-                .into_iter()
-                .filter(|&m| {
-                    m != via && self.net.reachable(via, m) && self.server(m).replicas.contains(&key)
+        let on_lane = |m: &NodeId| {
+            *m != via && self.net.reachable(via, *m) && self.server(*m).replicas.contains(&key)
+        };
+        let (group_size, round) = self
+            .cached_group(via, key.0)
+            .and_then(|g| {
+                self.groups.with_members(g, |members| {
+                    let round = (needed_remote > 0).then(|| {
+                        let targets = members.iter().copied().filter(on_lane).take(needed_remote);
+                        broadcast_round(&self.net, via, targets, wire_size, 16, "update")
+                    });
+                    (members.len().saturating_sub(1), round)
                 })
-                .take(needed_remote)
-                .collect();
-            let outcome = broadcast_round(&self.net, via, targets, wire_size, 16, "update");
+            })
+            .unwrap_or((0, None));
+        let mut safety_wait = SimDuration::ZERO;
+        if let Some(outcome) = round {
             self.server(via).observe_round(&outcome);
             for (m, rtt) in &outcome.replies {
                 if self.deliver_safety_copy(via, *m, key, update) {
-                    remote_replica_rtts.push(*rtt + remote_disk);
+                    safety_wait = *rtt + remote_disk;
                 }
             }
         }
@@ -432,16 +481,16 @@ impl Cluster {
             }
         }
 
-        let replies =
-            1 + token.holders.iter().filter(|&&h| h != via && self.net.reachable(via, h)).count();
-        (remote_replica_rtts, replies, group_size)
+        Distributed { safety_wait, replies: 1 + ctx.remote_reachable, group_size }
     }
 
-    /// Write-through delivery for the safety lane: catches `target` up
-    /// from the holder's outbound backlog, applies `update`, and — if a
-    /// sequence gap left the replica behind (it missed a drain whose
-    /// updates no longer exist as messages) — regenerates it from the
-    /// holder's replica by state transfer (§3.1) and re-delivers.
+    /// Write-through delivery for the safety lane. A target exactly one
+    /// update behind and holding nothing back — what a healthy stream
+    /// finds — takes `update` in one visit. Otherwise the target is
+    /// caught up from the holder's outbound backlog first, and — if a
+    /// sequence gap left it behind (it missed a drain whose updates no
+    /// longer exist as messages) — regenerated from the holder's replica
+    /// by state transfer (§3.1), and `update` re-delivered.
     ///
     /// Returns whether the replica is durably current through `update`;
     /// only then may it be counted as one of §3.3's "first s correct
@@ -451,26 +500,33 @@ impl Cluster {
         &self,
         holder: NodeId,
         target: NodeId,
-        key: (SegmentId, u64),
+        key: ReplicaKey,
         update: &UpdateRecord,
     ) -> bool {
-        let current = |c: &Self| {
-            c.server(target)
-                .replicas
-                .with_ref(&key, |r| r.map(|r| r.version == update.new_version))
-                .unwrap_or(false)
-        };
+        let new_version = update.new_version;
+        let update = std::slice::from_ref(update);
         if self.cfg.danger_skip_safety_currency {
             // Auditor mutation knob: count the reply blindly. A target
             // that rejoined with a sequence gap holds `update` in its
             // ordered receiver forever, so the "durable" copy is stale —
             // the exact defect `core::audit` exists to catch.
-            self.apply_updates_ordered(target, key, std::slice::from_ref(update), true);
+            self.apply_updates_ordered(target, key, update, true);
             return true;
         }
+        let seen = self.apply_in_sequence(target, key, update, true);
+        if seen.is_some_and(|seen| seen.version == Some(new_version)) {
+            return true;
+        }
+        // Behind by more than this update, or holding something back
+        // (neither visit above changed anything, then).
         self.catch_up_from_outbound(holder, target, key);
-        self.apply_updates_ordered(target, key, std::slice::from_ref(update), true);
-        if current(self) {
+        self.apply_updates_ordered(target, key, update, true);
+        let stored = |c: &Self| {
+            c.server(target)
+                .replicas
+                .with_ref(&key, |r| r.is_some_and(|r| r.version == new_version))
+        };
+        if stored(self) {
             return true;
         }
         // Sequence gap: the missing prefix of the stream no longer
@@ -498,14 +554,14 @@ impl Cluster {
         let now = self.now();
         self.server(target).replicas.put_sync(key, crate::replica::Replica::cloned_from(&src, now));
         self.server(target).drop_receiver(&key);
-        self.apply_updates_ordered(target, key, std::slice::from_ref(update), true);
+        self.apply_updates_ordered(target, key, update, true);
         self.stats.incr("core/pipeline/safety_transfers");
-        current(self)
+        stored(self)
     }
 
     /// Delivers the still-buffered outbound updates `target` has not yet
     /// embedded, write-through — the safety lane's backlog catch-up.
-    fn catch_up_from_outbound(&self, holder: NodeId, target: NodeId, key: (SegmentId, u64)) {
+    fn catch_up_from_outbound(&self, holder: NodeId, target: NodeId, key: ReplicaKey) {
         let target_sub = self.server(target).replicas.with_ref(&key, |r| r.map(|r| r.version.sub));
         let Some(target_sub) = target_sub else { return };
         let backlog: Vec<UpdateRecord> = self.server(holder).outbound.with(&key, |s| match s {
@@ -526,7 +582,7 @@ impl Cluster {
     /// read-modify-write. Members that cannot be reached miss the batch —
     /// exactly like a missed eager broadcast — and are caught up later by
     /// the §3.4 stabilize round or §3.1 regeneration.
-    pub(crate) fn propagate_stream(&self, holder: NodeId, key: (SegmentId, u64)) {
+    pub(crate) fn propagate_stream(&self, holder: NodeId, key: ReplicaKey) {
         if !self.net.is_up(holder) {
             return;
         }
@@ -540,21 +596,21 @@ impl Cluster {
         if batch.is_empty() {
             return;
         }
-        let members: Vec<NodeId> = self
-            .cached_group(holder, key.0)
-            .and_then(|g| self.groups.members_vec(g))
-            .unwrap_or_default();
-        let remote: Vec<NodeId> = members.into_iter().filter(|&m| m != holder).collect();
-        if remote.is_empty() {
-            return;
-        }
         let wire: usize = batch.iter().map(|u| u.op.wire_size()).sum();
-        let outcome = broadcast_round(&self.net, holder, remote, wire, 16, "update");
+        // One round to the rest of the group, addressed off the member
+        // set in place (`None`: no group, or nobody else in it).
+        let outcome = self.cached_group(holder, key.0).and_then(|g| {
+            self.groups.with_members(g, |members| {
+                let remote = members.iter().copied().filter(|&m| m != holder);
+                (members.len() > usize::from(members.contains(&holder)))
+                    .then(|| broadcast_round(&self.net, holder, remote, wire, 16, "update"))
+            })
+        });
+        let Some(outcome) = outcome.flatten() else {
+            return;
+        };
         self.server(holder).observe_round(&outcome);
         for (m, _) in &outcome.replies {
-            if !self.server(*m).replicas.contains(&key) {
-                continue;
-            }
             if self.apply_updates_ordered(*m, key, &batch, false) > 0 {
                 self.schedule_flush(*m, key.0);
             }
@@ -574,73 +630,130 @@ impl Cluster {
         );
     }
 
-    /// Routes a batch of sequenced updates through one replica's ordered
-    /// delivery buffer and folds everything deliverable into the stored
-    /// replica under a single read-modify-write — one clone, one put —
-    /// regardless of batch size. Returns how many updates landed. Stale
-    /// redeliveries (already embedded in the replica) are dropped by the
-    /// receiver, so feeding the same update twice is harmless.
+    /// One visit to the replica of `key` at `server`, under its slot
+    /// lock: the leading updates of `updates` that are next in the
+    /// replica's delivery sequence are applied where the replica lies and
+    /// written once; those the sequence is already past (a redelivery)
+    /// are dropped; the visit stops at the first gap. `None` if there is
+    /// no replica here. The sequence is the ordered receiver's: the visit
+    /// is made only while that holds nothing back — otherwise every
+    /// arrival is its to judge, and nothing is done here — and whatever
+    /// the visit delivers, the receiver is advanced past (a replica
+    /// without a receiver gets the one its first arrival always gave it,
+    /// expecting the update after its stored subversion).
+    fn apply_in_sequence(
+        &self,
+        server: NodeId,
+        key: ReplicaKey,
+        updates: &[UpdateRecord],
+        sync: bool,
+    ) -> Option<InSequence> {
+        let srv = self.server(server);
+        // `Some(next)`: a receiver expecting `next`; `None`: none yet.
+        let expecting =
+            match srv.receivers.with(&key, |r| r.map(|r| (r.held_count(), r.next_expected()))) {
+                Some((0, next)) => Some(next),
+                Some(_) => return srv.replicas.contains(&key).then(InSequence::default),
+                None => None,
+            };
+        let now = self.now();
+        let (seen, start) = srv.replicas.update_with(&key, |replica| {
+            let start = replica.version.sub + 1;
+            let mut next = expecting.unwrap_or(start);
+            let mut seen = InSequence::default();
+            for u in updates {
+                if u.new_version.sub > next {
+                    break;
+                }
+                seen.consumed += 1;
+                if u.new_version.sub == next {
+                    u.op.apply(&mut replica.data, &mut replica.params);
+                    replica.version = u.new_version;
+                    seen.landed += 1;
+                    next += 1;
+                }
+            }
+            seen.version = Some(replica.version);
+            let written = seen.landed > 0;
+            if written {
+                replica.last_access = now;
+            }
+            ((seen, start), written.then(|| reach(sync)))
+        })?;
+        if seen.landed > 0 || expecting.is_none() {
+            srv.receivers.with_or_insert(
+                key,
+                || deceit_isis::OrderedReceiver::starting_at(start),
+                |r| r.delivered_directly(seen.landed as u64),
+            );
+        }
+        Some(seen)
+    }
+
+    /// Delivers a batch of sequenced updates to one replica and folds
+    /// everything deliverable into the stored replica under a single
+    /// read-modify-write — one put — regardless of batch size. In
+    /// sequence, that is one visit ([`Cluster::apply_in_sequence`]); what
+    /// is left after a gap goes through the replica's ordered-delivery
+    /// buffer. Returns how many updates landed. Stale redeliveries
+    /// (already embedded in the replica) are dropped, so feeding the same
+    /// update twice is harmless.
     pub(crate) fn apply_updates_ordered(
         &self,
         server: NodeId,
-        key: (SegmentId, u64),
+        key: ReplicaKey,
         updates: &[UpdateRecord],
         sync: bool,
     ) -> usize {
-        let srv = self.server(server);
-        if !srv.replicas.contains(&key) {
+        let Some(seen) = self.apply_in_sequence(server, key, updates, sync) else {
             return 0;
+        };
+        let rest = &updates[seen.consumed..];
+        if rest.is_empty() {
+            return seen.landed;
         }
+        let srv = self.server(server);
         let mut deliverable: Vec<UpdateRecord> = Vec::new();
-        for u in updates {
+        for u in rest {
             let msg = deceit_isis::SequencedMsg { seq: u.new_version.sub, payload: u.clone() };
             deliverable.extend(srv.receive_ordered(key, msg).into_iter().map(|(_, d)| d));
         }
         if deliverable.is_empty() {
-            return 0;
+            return seen.landed;
         }
-        let Some(mut replica) = srv.replicas.get(&key) else {
-            return 0;
-        };
-        for u in &deliverable {
-            u.op.apply(&mut replica.data, &mut replica.params);
-            replica.version = u.new_version;
-        }
-        replica.last_access = self.now();
-        if sync {
-            srv.replicas.put_sync(key, replica);
-        } else {
-            srv.replicas.put_async(key, replica);
-        }
-        deliverable.len()
+        let now = self.now();
+        let landed = srv.replicas.update(&key, reach(sync), |replica| {
+            for u in &deliverable {
+                u.op.apply(&mut replica.data, &mut replica.params);
+                replica.version = u.new_version;
+            }
+            replica.last_access = now;
+            deliverable.len()
+        });
+        seen.landed + landed.unwrap_or(0)
     }
 
-    /// Applies an update to a local replica, either write-through
-    /// (durable, charged to the caller) or write-behind.
+    /// Applies an update to a local replica, in place, either
+    /// write-through (durable, charged to the caller) or write-behind.
     pub(crate) fn apply_update_at(
         &self,
         server: NodeId,
-        key: (SegmentId, u64),
+        key: ReplicaKey,
         update: &UpdateRecord,
         sync: bool,
     ) {
-        let Some(mut replica) = self.server(server).replicas.get(&key) else {
-            return;
-        };
-        update.op.apply(&mut replica.data, &mut replica.params);
-        replica.version = update.new_version;
-        replica.last_access = self.now();
-        if sync {
-            self.server(server).replicas.put_sync(key, replica);
-        } else {
-            self.server(server).replicas.put_async(key, replica);
-        }
+        let now = self.now();
+        self.server(server).replicas.update(&key, reach(sync), |replica| {
+            update.op.apply(&mut replica.data, &mut replica.params);
+            replica.version = update.new_version;
+            replica.last_access = now;
+        });
     }
 
     /// Applies, synchronously and in order, every still-pending lazy
     /// update for one replica (used before a write-through apply so the
     /// identical-order guarantee of §3.3 holds on the safety path).
-    pub(crate) fn drain_pending_applies(&self, server: NodeId, key: (SegmentId, u64)) {
+    pub(crate) fn drain_pending_applies(&self, server: NodeId, key: ReplicaKey) {
         let slot = self.slot_of(key.0);
         let mut drained: Vec<UpdateRecord> = Vec::new();
         for ev in self.events.drain_matching(slot, |e| {
@@ -651,13 +764,7 @@ impl Cluster {
             }
         }
         drained.sort_by_key(|u| u.new_version.sub);
-        for upd in drained {
-            let msg = deceit_isis::SequencedMsg { seq: upd.new_version.sub, payload: upd };
-            let deliverable = self.server(server).receive_ordered(key, msg);
-            for (_, u) in deliverable {
-                self.apply_update_at(server, key, &u, true);
-            }
-        }
+        self.apply_updates_ordered(server, key, &drained, true);
     }
 
     /// Schedules a disk write-back for a server's asynchronous writes.

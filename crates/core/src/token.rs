@@ -17,7 +17,7 @@ use crate::version::VersionPair;
 ///
 /// Stored in non-volatile memory at the holding server (§3.5: "each server
 /// stores all state information relating to each token that is held").
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, PartialEq, Eq)]
 pub struct WriteToken {
     /// "The token version pair can be compared to a replica version pair
     /// to quickly decide if a replica has received every update through
@@ -31,6 +31,23 @@ pub struct WriteToken {
     /// holder's upper bound on the replica count, used in the majority
     /// computation of §3.5.
     pub holders: BTreeSet<NodeId>,
+}
+
+impl Clone for WriteToken {
+    fn clone(&self) -> Self {
+        WriteToken { version: self.version, enabled: self.enabled, holders: self.holders.clone() }
+    }
+
+    /// Mirroring a token whose holder set did not change — every update's
+    /// version advance into the durable side of its store — copies two
+    /// words and leaves the set's allocation alone.
+    fn clone_from(&mut self, source: &Self) {
+        self.version = source.version;
+        self.enabled = source.enabled;
+        if self.holders != source.holders {
+            self.holders.clone_from(&source.holders);
+        }
+    }
 }
 
 impl WriteToken {
@@ -91,6 +108,19 @@ mod tests {
         // Min level 5 dominates the bound → total 5 → majority 3.
         assert_eq!(t.majority(5), 3);
         assert_eq!(t.assumed_total(5), 5);
+    }
+
+    #[test]
+    fn clone_from_copies_every_field() {
+        let mut src = WriteToken::new(VersionPair { major: 2, sub: 9 }, n(0));
+        src.holders.insert(n(4));
+        src.enabled = false;
+        let mut dst = WriteToken::new(VersionPair::initial(0), n(1));
+        dst.clone_from(&src);
+        assert_eq!(dst, src);
+        src.version = src.version.bump();
+        dst.clone_from(&src);
+        assert_eq!(dst, src);
     }
 
     #[test]

@@ -88,6 +88,17 @@ impl<T> OrderedReceiver<T> {
         out
     }
 
+    /// Records that the receiver's owner took the next `count` messages
+    /// of the sequence itself, in order, without passing them through
+    /// [`OrderedReceiver::receive`] — which it may do only while nothing
+    /// is held back ([`OrderedReceiver::held_count`] is 0), when
+    /// receiving them one by one would have delivered each at once.
+    pub fn delivered_directly(&mut self, count: u64) {
+        debug_assert!(self.held.is_empty(), "direct delivery past held-back messages");
+        self.next_expected += count;
+        self.delivered += count;
+    }
+
     /// The sequence number this receiver will deliver next.
     pub fn next_expected(&self) -> u64 {
         self.next_expected
@@ -125,6 +136,23 @@ mod tests {
             assert_eq!(out, vec![(i as u64, i)]);
         }
         assert_eq!(r.delivered_count(), 5);
+    }
+
+    #[test]
+    fn direct_delivery_is_in_order_receipt() {
+        let (mut a, mut b) = (OrderedReceiver::starting_at(4), OrderedReceiver::starting_at(4));
+        for seq in 4..7 {
+            assert_eq!(a.receive(SequencedMsg { seq, payload: seq }), vec![(seq, seq)]);
+        }
+        b.delivered_directly(3);
+        assert_eq!((a.next_expected(), a.delivered_count()), (7, 3));
+        assert_eq!((b.next_expected(), b.delivered_count()), (7, 3));
+        // Both now drop the same redelivery and hold the same gap.
+        for r in [&mut a, &mut b] {
+            assert!(r.receive(SequencedMsg { seq: 5, payload: 5 }).is_empty());
+            assert!(r.receive(SequencedMsg { seq: 8, payload: 8 }).is_empty());
+            assert_eq!(r.held_count(), 1);
+        }
     }
 
     #[test]

@@ -86,11 +86,8 @@ pub fn broadcast_round(
             replies.push((to, SimDuration::from_micros(10)));
             continue;
         }
-        match net.send(from, to, bytes, tag) {
-            deceit_net::Delivery::Delivered(out) => match net.send(to, from, reply_bytes, tag) {
-                deceit_net::Delivery::Delivered(back) => replies.push((to, out + back)),
-                deceit_net::Delivery::Unreachable => unreachable.push(to),
-            },
+        match net.exchange(from, to, bytes, reply_bytes, tag) {
+            deceit_net::Delivery::Delivered(rtt) => replies.push((to, rtt)),
             deceit_net::Delivery::Unreachable => unreachable.push(to),
         }
     }

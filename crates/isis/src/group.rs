@@ -195,6 +195,19 @@ impl GroupTable {
         self.read().groups.get(&id).map(|g| g.view.members.iter().any(|&m| pred(m)))
     }
 
+    /// Runs `f` on the current member set of `id`, or returns `None` if
+    /// the group is gone — the allocation-free way to size the group and
+    /// address a round to (a filtered prefix of) its members in one
+    /// acquisition. `f` runs under the table's read lock, so it must not
+    /// call back into this table.
+    pub fn with_members<R>(
+        &self,
+        id: GroupId,
+        f: impl FnOnce(&BTreeSet<NodeId>) -> R,
+    ) -> Option<R> {
+        self.read().groups.get(&id).map(|g| f(&g.view.members))
+    }
+
     /// Looks a group up by name and returns its members in one lock
     /// acquisition — the common "who needs this broadcast" query.
     pub fn members_by_name(&self, name: &str) -> Option<(GroupId, Vec<NodeId>)> {

@@ -35,7 +35,7 @@ pub struct Rule {
 pub const RULES: &[Rule] = &[
     Rule {
         id: "lock-order",
-        summary: "cell lock before ring locks, anywhere in the transitive call tree; ring batches only via lock_ring; leaf locks stay behind the hot.rs/shard.rs seams",
+        summary: "cell lock before ring locks, anywhere in the transitive call tree; ring batches only via lock_ring; leaf locks stay behind the hot.rs/shard.rs seams, and closures run under one are leaves",
         motivation: "PRs 2-3 sharded the engine; the module-doc lock order is the only thing between us and deadlock",
         check: rule_lock_order,
     },
@@ -150,7 +150,11 @@ fn functions(code: &[Tok]) -> Vec<FnSpan> {
 ///   (a) in `shard.rs`, no raw `shards[…].lock()` indexing outside
 ///       `lock_ring` (ascending order is only proven there);
 ///   (b) in `crates/core` outside `hot.rs`, no raw `.lock()` calls —
-///       leaf locks belong behind the hot.rs/shard.rs seams.
+///       leaf locks belong behind the hot.rs/shard.rs seams;
+///   (c) in `crates/core` outside `hot.rs`, a closure handed to a
+///       container's `update` / `update_with` runs under that slot's
+///       leaf lock and must be a leaf itself: it may not mention `self`,
+///       through which every other lock of the engine is reached.
 fn rule_lock_order(fi: usize, facts: &Facts, out: &mut Vec<Finding>) {
     let f = &facts.files[fi];
     // Interprocedural cell/ring order violations anchored in this file.
@@ -197,8 +201,43 @@ fn rule_lock_order(fi: usize, facts: &Facts, out: &mut Vec<Finding>) {
                     "raw leaf-lock acquisition outside the hot.rs/shard.rs seams",
                 ));
             }
+            if seq(code, i, &[".", "update", "("]) || seq(code, i, &[".", "update_with", "("]) {
+                if let Some(line) = self_in_closure_arg(code, i + 2) {
+                    out.push(Finding::new(
+                        "lock-order",
+                        &f.path,
+                        line,
+                        format!(
+                            "`self` inside the closure handed to `{}` — it runs under a slot's leaf lock and must take no other: compute before the call, act on the result after it",
+                            code[i + 1].text
+                        ),
+                    ));
+                }
+            }
         }
     }
+}
+
+/// The line of the first `self` inside a closure literal among the
+/// arguments of the call whose `(` is at `open`.
+fn self_in_closure_arg(code: &[Tok], open: usize) -> Option<u32> {
+    let mut depth = 0i32;
+    let mut in_closure = false;
+    for t in &code[open..] {
+        match t.text.as_str() {
+            "(" | "[" | "{" => depth += 1,
+            ")" | "]" | "}" => {
+                depth -= 1;
+                if depth == 0 {
+                    return None;
+                }
+            }
+            "|" | "||" if depth == 1 => in_closure = true,
+            "self" if in_closure => return Some(t.line),
+            _ => {}
+        }
+    }
+    None
 }
 
 // ---------------------------------------------------------------------------
@@ -347,8 +386,17 @@ const INVALIDATORS: &[(&str, &str)] = &[
 ];
 
 const MUTATION_RECEIVERS: &[&str] = &["replicas", "tokens", "streams", "outbound", "receivers"];
-const MUTATION_METHODS: &[&str] =
-    &["put_sync", "put_async", "delete_sync", "update_async", "crash", "clear", "remove", "insert"];
+const MUTATION_METHODS: &[&str] = &[
+    "put_sync",
+    "put_async",
+    "delete_sync",
+    "update",
+    "update_with",
+    "crash",
+    "clear",
+    "remove",
+    "insert",
+];
 
 fn rule_lease_discipline(fi: usize, facts: &Facts, out: &mut Vec<Finding>) {
     let f = &facts.files[fi];

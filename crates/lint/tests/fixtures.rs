@@ -66,6 +66,21 @@ fn lock_order_flags_leaf_locks_outside_the_seam() {
 }
 
 #[test]
+fn lock_order_flags_a_closure_that_is_not_a_leaf() {
+    let src = "impl C {\n    fn f(&self, k: K) {\n        let now = self.now();\n        self.server(k.0).replicas.update(&k, reach(self.sync), |r| {\n            r.at = now;\n            self.schedule_flush(k);\n        });\n        self.tokens.update_with(&k, |t| (t.bump(), None));\n    }\n}\n";
+    let report = lint_fixture("crates/core/src/proto/fixture.rs", src);
+    let hits = rule_findings(&report, "lock-order");
+    // `self` before the closure (the receiver, a plain argument) is fine;
+    // inside it, it is the way to every other lock.
+    assert_eq!(hits.len(), 1, "findings: {:?}", report.findings);
+    assert_eq!(hits[0].line, 6);
+    assert!(hits[0].message.contains("leaf lock"));
+    // hot.rs implements `update` over its own slots.
+    let report = lint_fixture("crates/core/src/hot.rs", src);
+    assert!(rule_findings(&report, "lock-order").is_empty());
+}
+
+#[test]
 fn due_gating_fixture_fails_the_lint() {
     let report =
         lint_fixture("crates/core/src/event.rs", include_str!("../fixtures/due_gating.rs"));

@@ -181,6 +181,40 @@ impl Network {
     /// delay and, for inter-cell traffic, WAN costs.
     pub fn send(&self, from: NodeId, to: NodeId, bytes: usize, tag: &'static str) -> Delivery {
         let mut hot = self.hot.lock().unwrap_or_else(|e| e.into_inner());
+        let sent = self.deliver(&mut hot, from, to, bytes);
+        if sent.is_delivered() {
+            *hot.stats.by_tag.entry(tag).or_insert(0) += 1;
+        }
+        sent
+    }
+
+    /// One request/reply exchange: a message of `bytes` from `from` to
+    /// `to` and, if it arrives, one of `reply_bytes` back — exactly two
+    /// [`Network::send`]s (same accounting, same latency draws in the
+    /// same order) under one acquisition of the accounting lock. Returns
+    /// the round-trip latency.
+    pub fn exchange(
+        &self,
+        from: NodeId,
+        to: NodeId,
+        bytes: usize,
+        reply_bytes: usize,
+        tag: &'static str,
+    ) -> Delivery {
+        let mut hot = self.hot.lock().unwrap_or_else(|e| e.into_inner());
+        let Delivery::Delivered(out) = self.deliver(&mut hot, from, to, bytes) else {
+            return Delivery::Unreachable;
+        };
+        let back = self.deliver(&mut hot, to, from, reply_bytes);
+        *hot.stats.by_tag.entry(tag).or_insert(0) += 1 + u64::from(back.is_delivered());
+        match back {
+            Delivery::Delivered(back) => Delivery::Delivered(out + back),
+            Delivery::Unreachable => Delivery::Unreachable,
+        }
+    }
+
+    /// One message's latency draw and accounting, all but its tag count.
+    fn deliver(&self, hot: &mut NetHot, from: NodeId, to: NodeId, bytes: usize) -> Delivery {
         if !self.reachable(from, to) {
             hot.stats.unreachable += 1;
             return Delivery::Unreachable;
@@ -198,7 +232,6 @@ impl Network {
         }
         hot.stats.messages += 1;
         hot.stats.bytes += bytes as u64;
-        *hot.stats.by_tag.entry(tag).or_insert(0) += 1;
         Delivery::Delivered(latency)
     }
 
@@ -236,6 +269,25 @@ mod tests {
         assert_eq!(net.stats().bytes, 128);
         assert_eq!(net.stats().tag_count("test"), 1);
         assert_eq!(net.stats().tag_count("other"), 0);
+    }
+
+    #[test]
+    fn exchange_is_two_sends_under_one_lock() {
+        let lan = LatencyModel::lan();
+        let (a, b) = (Network::new(lan.clone(), 9), Network::new(lan, 9));
+        for bytes in [0, 512, 70_000] {
+            let out = a.send(n(0), n(1), bytes, "t").latency().unwrap();
+            let back = a.send(n(1), n(0), 16, "t").latency().unwrap();
+            assert_eq!(b.exchange(n(0), n(1), bytes, 16, "t"), Delivery::Delivered(out + back));
+        }
+        let (sa, sb) = (a.stats(), b.stats());
+        assert_eq!((sa.messages, sa.bytes, sa.tag_count("t")), (6, 70_560, 6));
+        assert_eq!((sb.messages, sb.bytes, sb.tag_count("t")), (6, 70_560, 6));
+
+        let mut c = net();
+        c.crash(n(1));
+        assert_eq!(c.exchange(n(0), n(1), 1, 1, "t"), Delivery::Unreachable);
+        assert_eq!((c.stats().unreachable, c.stats().tag_count("t")), (1, 0));
     }
 
     #[test]

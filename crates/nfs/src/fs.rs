@@ -288,7 +288,7 @@ pub(crate) fn segment_image(
 ) -> Result<SegmentData, NfsError> {
     let mut image = old.image.rewrite();
     image.skip(old.hdr_len);
-    image.push_copy(&inode.encode());
+    image.push_with(inode.encoded_len(), |buf| inode.encode_into(buf));
     match edit {
         Edit::Keep => image.keep(usize::MAX),
         Edit::Set(new) => image.push(new.into()),
@@ -301,6 +301,15 @@ pub(crate) fn segment_image(
         }
     }
     image.finish().ok_or(NfsError::TooBig)
+}
+
+/// A whole-segment read as the envelope uses it: (inode, payload, version,
+/// latency).
+fn loaded(
+    read: OpResult<deceit_core::ReadData>,
+) -> Result<(Inode, Payload, VersionPair, SimDuration), NfsError> {
+    let (inode, payload) = split_image(read.value.image)?;
+    Ok((inode, payload, read.value.version, read.latency))
 }
 
 impl DeceitFs {
@@ -352,9 +361,7 @@ impl DeceitFs {
         via: NodeId,
         fh: FileHandle,
     ) -> Result<(Inode, Payload, VersionPair, SimDuration), NfsError> {
-        let read = self.cluster.read(via, fh.seg, fh.version, 0, WHOLE_SEGMENT)?;
-        let (inode, payload) = split_image(read.value.image)?;
-        Ok((inode, payload, read.value.version, read.latency))
+        loaded(self.cluster.read(via, fh.seg, fh.version, 0, WHOLE_SEGMENT)?)
     }
 
     /// Writes a whole segment image (see [`segment_image`]) conditionally
@@ -449,8 +456,7 @@ impl DeceitFs {
             Some(r) => r,
             None => self.cluster.read_sharded(slots, via, fh.seg, fh.version, 0, WHOLE_SEGMENT)?,
         };
-        let (inode, payload) = split_image(read.value.image)?;
-        Ok((inode, payload, read.value.version, read.latency))
+        loaded(read)
     }
 
     /// Sharded-path [`DeceitFs::store`].
@@ -485,7 +491,14 @@ impl DeceitFs {
     ) -> Result<(Inode, usize, VersionPair, SimDuration), NfsError> {
         let mut latency = SimDuration::ZERO;
         for attempt in 0..self.cfg.occ_retries.max(1) {
-            let (mut inode, payload, version, l1) = self.load_sharded(slots, via, fh)?;
+            // At the token holder — the stream-of-updates case — the load
+            // is the primary copy itself, read as the write's own: no LRU
+            // touch for the store below to fold and then overwrite.
+            let (mut inode, payload, version, l1) =
+                match self.cluster.load_primary(via, fh.seg, fh.version) {
+                    Some(read) => loaded(read)?,
+                    None => self.load_sharded(slots, via, fh)?,
+                };
             latency += l1;
             let image = match mutate(&mut inode, &payload)? {
                 Some(edit) => segment_image(&inode, &payload, edit)?,

@@ -1,5 +1,5 @@
 //! The copy budget of the segment data path, counted in allocated bytes
-//! so it does not depend on timing.
+//! and allocator calls so it does not depend on timing.
 //!
 //! Segment contents are a list of immutable refcounted extents from the
 //! envelope down to every replica store (README § "Data path: who owns
@@ -12,7 +12,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use deceit_core::{ClusterConfig, FileParams, ProtocolHost};
+use deceit_core::{ClusterConfig, FileParams, ProtocolHost, WriteAvailability};
 use deceit_net::NodeId;
 use deceit_nfs::{DeceitFs, FileHandle, FsConfig, NfsReply, NfsRequest, NfsServer, NfsService};
 
@@ -20,15 +20,19 @@ thread_local! {
     /// Bytes this thread has asked the allocator for. The engine under
     /// test runs entirely on the calling thread.
     static ALLOCATED: Cell<usize> = const { Cell::new(0) };
+    /// Calls (`alloc` + `realloc`) this thread has made to the allocator.
+    static CALLS: Cell<usize> = const { Cell::new(0) };
 }
 
 struct Counting;
 
 // SAFETY: defers every call to `System` unchanged; the only addition is a
-// thread-local counter bump, which has no destructor and does not allocate.
+// pair of thread-local counter bumps, which have no destructor and do not
+// allocate.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCATED.with(|a| a.set(a.get() + layout.size()));
+        CALLS.with(|c| c.set(c.get() + 1));
         System.alloc(layout)
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
@@ -36,6 +40,7 @@ unsafe impl GlobalAlloc for Counting {
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOCATED.with(|a| a.set(a.get() + new_size.saturating_sub(layout.size())));
+        CALLS.with(|c| c.set(c.get() + 1));
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -45,20 +50,30 @@ static GLOBAL: Counting = Counting;
 
 /// Bytes allocated on this thread while `f` runs.
 fn allocated_during<R>(f: impl FnOnce() -> R) -> (usize, R) {
-    let before = ALLOCATED.with(Cell::get);
+    let (_, bytes, out) = allocations_during(f);
+    (bytes, out)
+}
+
+/// Allocator calls made, and bytes allocated, on this thread while `f`
+/// runs.
+fn allocations_during<R>(f: impl FnOnce() -> R) -> (usize, usize, R) {
+    let before = (CALLS.with(Cell::get), ALLOCATED.with(Cell::get));
     let out = f();
-    (ALLOCATED.with(Cell::get) - before, out)
+    (CALLS.with(Cell::get) - before.0, ALLOCATED.with(Cell::get) - before.1, out)
 }
 
 /// A cell configured like the live runtime's (write pipeline, read
 /// leases, no trace or stats accumulation).
 fn live_like_server() -> NfsServer {
-    let cfg = ClusterConfig::default()
+    NfsServer::new(DeceitFs::new(3, live_like_config(), FsConfig::default()))
+}
+
+fn live_like_config() -> ClusterConfig {
+    ClusterConfig::default()
         .without_trace()
         .without_stats()
         .with_write_pipeline()
-        .with_read_leases();
-    NfsServer::new(DeceitFs::new(3, cfg, FsConfig::default()))
+        .with_read_leases()
 }
 
 /// Creates `name` with `params` and fills it with `len` bytes, settled.
@@ -202,4 +217,90 @@ fn setattr_shares_the_payload() {
         srv.settle();
     });
     assert!(bytes < 4 << 10, "chmod of a 4 MiB 3-replica file allocated {bytes} B server-side");
+}
+
+/// The fixed cost of the common case (§3.3: "an update requires only one
+/// communication round if the token is held"): a 512 B write into a
+/// 1 KiB file kept on three servers at write safety 2, token already
+/// local, pumped the way the runtime pumps. Counted per write, amortised
+/// over the drains: the segment image, the update record's trip to three
+/// stores and the events that carry it — not a clone of every record the
+/// write looks at, and no write-behind put that only its own load caused.
+#[test]
+fn small_replicated_write_budget() {
+    const FILES: usize = 64;
+    const WRITES: usize = 2_000;
+    // The runtime's horizons (`RuntimeConfig::new`): at ~20 ms of protocol
+    // time a write, the simulator's would declare each of 64 interleaved
+    // streams quiet between two of its writes.
+    let mut cfg = live_like_config().with_read_repair().with_placement();
+    cfg.stability_timeout = deceit_sim::SimDuration::from_secs(30);
+    cfg.lazy_apply_delay = deceit_sim::SimDuration::from_secs(5);
+    let mut srv = NfsServer::new(DeceitFs::new(3, cfg, FsConfig::default()));
+    let params = FileParams {
+        min_replicas: 3,
+        write_safety: 2,
+        stability: true,
+        migration: false,
+        availability: WriteAvailability::Medium,
+        read_optimized: false,
+    };
+    let files: Vec<FileHandle> =
+        (0..FILES).map(|i| filled_file(&mut srv, &format!("f{i}"), params, 1 << 10)).collect();
+    let via = NodeId(0);
+    let shards = srv.shard_count();
+    // The client's buffers are the client's: built outside the count.
+    let writes: Vec<NfsRequest> = (0..FILES + WRITES)
+        .map(|i| NfsRequest::Write {
+            fh: files[i % FILES],
+            offset: (i / FILES % 2) * 512,
+            data: vec![(i % 251) as u8; 512].into(),
+        })
+        .collect();
+    let run = |srv: &NfsServer, writes: &[NfsRequest]| {
+        for (i, write) in writes.iter().enumerate() {
+            let (rep, _) = srv.serve_sharded(via, write).expect("single-file mutation");
+            assert!(rep.as_error().is_none(), "{rep:?}");
+            if i % 9 == 8 {
+                let mask = srv.pending_shard_mask();
+                for slot in (0..shards).filter(|s| mask & (1 << s) != 0) {
+                    srv.try_pump_shard(slot, 64);
+                }
+            }
+        }
+    };
+    // Open every stream (mark-unstable round, lease, stream state) first.
+    run(&srv, &writes[..FILES]);
+    let holder = &srv.fs.cluster.server(via).replicas;
+    let async_before = holder.async_writes();
+    let (calls, bytes, ()) = allocations_during(|| run(&srv, &writes[FILES..]));
+    let (calls, bytes) = (calls as f64 / WRITES as f64, bytes as f64 / WRITES as f64);
+    assert_eq!(
+        holder.async_writes(),
+        async_before,
+        "a held-token write at safety >= 1 puts nothing behind at the holder"
+    );
+    assert!(
+        calls <= 12.0 && bytes <= 2_560.0,
+        "a 512 B write into a 1 KiB (3, 2) file costs {calls:.1} allocations, {bytes:.0} B"
+    );
+
+    // The budget was not met by skipping work: after the drains every
+    // server's own replica holds the same bytes, the last two writes to
+    // each half of each file.
+    srv.settle();
+    for (f, fh) in files.iter().enumerate() {
+        let read = NfsRequest::Read { fh: *fh, offset: 0, count: 1 << 10 };
+        let (rep, _) = srv.serve_shared(via, &read).expect("stable replica everywhere");
+        let NfsReply::Data(want) = rep else { panic!("read failed: {rep:?}") };
+        let last = |half: usize| {
+            (FILES..FILES + WRITES).rev().find(|i| i % FILES == f && i / FILES % 2 == half).unwrap()
+        };
+        assert_eq!(want[0], (last(0) % 251) as u8);
+        assert_eq!(want[1023], (last(1) % 251) as u8);
+        for other in 1..3 {
+            let (rep, _) = srv.serve_shared(NodeId(other), &read).expect("stable replica");
+            assert_eq!(rep, NfsReply::Data(want.clone()), "file {f} at server {other}");
+        }
+    }
 }

@@ -140,6 +140,11 @@ impl<E> EventQueue<E> {
     /// time, so a caller can pop "anything due, plus anything whose
     /// firing needn't wait for its due time" in one primitive.
     pub fn pop_ready(&mut self, mut pred: impl FnMut(SimTime, &E) -> bool) -> Option<(SimTime, E)> {
+        // Nothing ready — how every drain ends — is settled by a look,
+        // not by popping the whole heap and pushing it back.
+        if !self.any_entry(&mut pred) {
+            return None;
+        }
         let mut skipped = Vec::new();
         let mut found = None;
         while let Some(Reverse(e)) = self.heap.pop() {

@@ -54,6 +54,12 @@ impl<E: TraceEvent> TraceLog<E> {
         TraceLog { entries: Mutex::new(Vec::new()), enabled: false }
     }
 
+    /// Whether [`TraceLog::emit`] records anything — lets a caller that
+    /// would have to clone an event for the log skip the clone.
+    pub fn is_enabled(&self) -> bool {
+        self.enabled
+    }
+
     /// Appends an event at the given simulated time.
     pub fn emit(&self, at: SimTime, event: E) {
         if self.enabled {

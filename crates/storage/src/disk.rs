@@ -1,4 +1,17 @@
 //! The durable/volatile two-level store.
+//!
+//! Every key has a *volatile* value (what reads see) and a *durable* one
+//! (what a crash reverts to); a write names which of the two it reaches.
+//! Three ways to write: replace the value ([`Disk::put_sync`] /
+//! [`Disk::put_async`]), remove it ([`Disk::delete_sync`] /
+//! [`Disk::delete_async`]), or change it where it lies
+//! ([`Disk::update_sync`] / [`Disk::update_async`], or [`Disk::update_with`]
+//! when the change itself decides whether anything is written) — one lookup, no copy
+//! of the value out and back. An update is observationally a `get`, a
+//! change to the copy, and the `put_*` of the same durability: same
+//! values, same dirty set, same counters, same cost. It exists because
+//! the values here (a replica record, a token and its holder set) are
+//! large next to the two fields a protocol step changes in them.
 
 use std::collections::BTreeMap;
 use std::collections::BTreeSet;
@@ -59,6 +72,16 @@ impl Default for DiskConfig {
     fn default() -> Self {
         DiskConfig::workstation()
     }
+}
+
+/// How far a write reaches before the call returns.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Durability {
+    /// Write-through: durable on return (counted in `sync_writes`).
+    Sync,
+    /// Write-behind: visible at once, durable after a flush (counted in
+    /// `async_writes`, key marked dirty).
+    Async,
 }
 
 /// A keyed store with explicit durable/volatile separation.
@@ -147,6 +170,56 @@ impl<K: Ord + Clone, V: Clone + StoredSize> Disk<K, V> {
         self.async_writes += 1;
     }
 
+    /// Changes the value of `k` where it lies: `f` sees the volatile
+    /// value and says how far the change reaches — or `None` for "left
+    /// as it was", in which case nothing is written or counted (so `f`
+    /// must not have changed anything). Returns `f`'s result and the
+    /// disk time consumed, or `None` when `k` is absent.
+    pub fn update_with<R>(
+        &mut self,
+        k: &K,
+        f: impl FnOnce(&mut V) -> (R, Option<Durability>),
+    ) -> Option<(R, SimDuration)> {
+        let v = self.volatile.get_mut(k)?;
+        let (out, reach) = f(v);
+        let cost = match reach {
+            Some(Durability::Sync) => {
+                if let Some(d) = self.durable.get_mut(k) {
+                    d.clone_from(v);
+                } else {
+                    self.durable.insert(k.clone(), v.clone());
+                }
+                self.dirty.remove(k);
+                self.sync_writes += 1;
+                self.cfg.write_cost(v.stored_size())
+            }
+            Some(Durability::Async) => {
+                self.dirty.insert(k.clone());
+                self.async_writes += 1;
+                SimDuration::ZERO
+            }
+            None => SimDuration::ZERO,
+        };
+        Some((out, cost))
+    }
+
+    /// [`Disk::get`], change, [`Disk::put_sync`] — in place. Returns
+    /// `f`'s result and the disk time consumed; `None` (and no write)
+    /// when `k` is absent.
+    pub fn update_sync<R>(
+        &mut self,
+        k: &K,
+        f: impl FnOnce(&mut V) -> R,
+    ) -> Option<(R, SimDuration)> {
+        self.update_with(k, |v| (f(v), Some(Durability::Sync)))
+    }
+
+    /// [`Disk::get`], change, [`Disk::put_async`] — in place. `None` (and
+    /// no write) when `k` is absent.
+    pub fn update_async<R>(&mut self, k: &K, f: impl FnOnce(&mut V) -> R) -> Option<R> {
+        self.update_with(k, |v| (f(v), Some(Durability::Async))).map(|(out, _)| out)
+    }
+
     /// Durable removal. Returns the disk time consumed.
     pub fn delete_sync(&mut self, k: &K) -> SimDuration {
         self.durable.remove(k);
@@ -184,9 +257,8 @@ impl<K: Ord + Clone, V: Clone + StoredSize> Disk<K, V> {
 
     /// Makes every pending write durable. Returns total disk time.
     pub fn flush_all(&mut self) -> SimDuration {
-        let keys: Vec<K> = self.dirty.iter().cloned().collect();
         let mut total = SimDuration::ZERO;
-        for k in keys {
+        while let Some(k) = self.dirty.first().cloned() {
             total += self.flush_key(&k);
         }
         total
@@ -316,6 +388,28 @@ mod tests {
         assert_eq!(d.durable_bytes(), 100);
         d.flush_all();
         assert_eq!(d.durable_bytes(), 1000);
+    }
+
+    #[test]
+    fn update_changes_in_place_with_put_accounting() {
+        let mut d = disk();
+        assert_eq!(d.update_sync(&1, |v| v.push(9)), None, "absent key: nothing written");
+        assert_eq!((d.sync_writes, d.async_writes), (0, 0));
+        d.put_sync(1, vec![1]);
+        let (len, cost) = d.update_sync(&1, |v| (v.push(2), v.len()).1).unwrap();
+        assert_eq!((len, cost), (2, DiskConfig::workstation().write_cost(2)));
+        assert_eq!(d.update_async(&1, |v| v.push(3)), Some(()));
+        assert_eq!(d.get(&1), Some(&vec![1, 2, 3]));
+        assert!(d.has_dirty());
+        assert_eq!((d.sync_writes, d.async_writes), (2, 1));
+        // "Left as it was": no write, no count, not dirty.
+        d.flush_all();
+        assert_eq!(d.update_with(&1, |v| (v.len(), None)), Some((3, SimDuration::ZERO)));
+        assert!(!d.has_dirty());
+        assert_eq!((d.sync_writes, d.async_writes), (2, 1));
+        d.update_async(&1, |v| v.push(4));
+        d.crash();
+        assert_eq!(d.get(&1), Some(&vec![1, 2, 3]), "write-behind update lost, write-through kept");
     }
 
     #[test]

@@ -27,5 +27,5 @@
 pub mod disk;
 pub mod segdata;
 
-pub use disk::{Disk, DiskConfig, StoredSize};
+pub use disk::{Disk, DiskConfig, Durability, StoredSize};
 pub use segdata::{Rewrite, SegmentData, MAX_SEGMENT};

@@ -315,12 +315,19 @@ impl Rewrite<'_> {
 
     /// Pushes `data`, adopted as an extent.
     pub fn push(&mut self, data: Bytes) {
-        self.emit(&data, Some((&data, 0)));
+        self.emit(data.len(), Some((&data, 0)), |buf| buf.extend_from_slice(&data));
     }
 
     /// Pushes a copy of `data`.
     pub fn push_copy(&mut self, data: &[u8]) {
-        self.emit(data, None);
+        self.emit(data.len(), None, |buf| buf.extend_from_slice(data));
+    }
+
+    /// Pushes the `len` bytes `write` appends to the buffer it is given —
+    /// an encoder's output, written straight into the result's buffer
+    /// instead of into one of its own first.
+    pub fn push_with(&mut self, len: usize, write: impl FnOnce(&mut Vec<u8>)) {
+        self.emit(len, None, write);
     }
 
     /// The rewritten segment, or `None` if it would be longer than
@@ -346,7 +353,8 @@ impl Rewrite<'_> {
             let take = left.min(todo);
             if keep {
                 let at = e.start + self.used;
-                self.emit(&e.backing[at..at + take], Some((&e.backing, at)));
+                let window = &e.backing[at..at + take];
+                self.emit(take, Some((&e.backing, at)), |buf| buf.extend_from_slice(window));
             } else {
                 self.retire(&e.backing, take);
             }
@@ -368,11 +376,11 @@ impl Rewrite<'_> {
         !self.too_big
     }
 
-    /// Appends `bytes` to the result — the window of `from.0` starting at
-    /// `from.1`, or else bytes to be copied — merging them into the tail
-    /// when the merge rule says so.
-    fn emit(&mut self, bytes: &[u8], from: Option<(&Bytes, usize)>) {
-        let len = bytes.len();
+    /// Appends `len` bytes to the result — the window of `from.0`
+    /// starting at `from.1`, or else bytes to be copied — merging them
+    /// into the tail when the merge rule says so. `copy` appends exactly
+    /// those bytes to a buffer, and is called only if they are copied.
+    fn emit(&mut self, len: usize, from: Option<(&Bytes, usize)>, copy: impl FnOnce(&mut Vec<u8>)) {
         if len == 0 || !self.room_for(len) {
             return;
         }
@@ -394,7 +402,7 @@ impl Rewrite<'_> {
                 }
                 Tail::Empty => Vec::new(),
             };
-            buf.extend_from_slice(bytes);
+            Self::copied(&mut buf, len, copy);
             if let Some((backing, _)) = from {
                 self.retire(backing, len);
             }
@@ -405,11 +413,18 @@ impl Rewrite<'_> {
                 Some((backing, start)) => Tail::Shared { backing: backing.clone(), start, len },
                 None => {
                     let mut buf = Vec::with_capacity(hint.max(len));
-                    buf.extend_from_slice(bytes);
+                    Self::copied(&mut buf, len, copy);
                     Tail::Owned(buf)
                 }
             };
         }
+    }
+
+    /// Runs `copy`, holding it to the length the result was sized by.
+    fn copied(buf: &mut Vec<u8>, len: usize, copy: impl FnOnce(&mut Vec<u8>)) {
+        let before = buf.len();
+        copy(buf);
+        assert_eq!(buf.len() - before, len, "a pushed encoder wrote another length than it said");
     }
 
     /// Closes the open extent.

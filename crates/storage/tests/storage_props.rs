@@ -62,6 +62,106 @@ fn apply_seg(seg: &mut SegmentData, op: &SegOp) {
 
 const BLOCK: usize = 8 * 1024;
 
+#[derive(Debug, Clone)]
+enum DiskOp {
+    PutSync(u32, Vec<u8>),
+    PutAsync(u32, Vec<u8>),
+    UpdateSync(u32, u8),
+    UpdateAsync(u32, u8),
+    DeleteSync(u32),
+    DeleteAsync(u32),
+    FlushKey(u32),
+    Crash,
+}
+
+fn disk_op() -> impl Strategy<Value = DiskOp> {
+    let key = || 0u32..6;
+    let value = || proptest::collection::vec(any::<u8>(), 0..24);
+    prop_oneof![
+        (key(), value()).prop_map(|(k, v)| DiskOp::PutSync(k, v)),
+        (key(), value()).prop_map(|(k, v)| DiskOp::PutAsync(k, v)),
+        (key(), any::<u8>()).prop_map(|(k, b)| DiskOp::UpdateSync(k, b)),
+        (key(), any::<u8>()).prop_map(|(k, b)| DiskOp::UpdateSync(k, b)),
+        (key(), any::<u8>()).prop_map(|(k, b)| DiskOp::UpdateAsync(k, b)),
+        (key(), any::<u8>()).prop_map(|(k, b)| DiskOp::UpdateAsync(k, b)),
+        key().prop_map(DiskOp::DeleteSync),
+        key().prop_map(DiskOp::DeleteAsync),
+        key().prop_map(DiskOp::FlushKey),
+        Just(DiskOp::Crash),
+    ]
+}
+
+/// The two-map reference model of a [`Disk`]: what a crash keeps, what a
+/// read sees, which keys differ, and the three counters.
+#[derive(Debug, Default)]
+struct DiskModel {
+    durable: BTreeMap<u32, Vec<u8>>,
+    volatile: BTreeMap<u32, Vec<u8>>,
+    dirty: std::collections::BTreeSet<u32>,
+    sync_writes: u64,
+    async_writes: u64,
+    lost_writes: u64,
+}
+
+impl DiskModel {
+    fn put_sync(&mut self, k: u32, v: Vec<u8>) {
+        self.durable.insert(k, v.clone());
+        self.volatile.insert(k, v);
+        self.dirty.remove(&k);
+        self.sync_writes += 1;
+    }
+
+    fn put_async(&mut self, k: u32, v: Vec<u8>) {
+        self.volatile.insert(k, v);
+        self.dirty.insert(k);
+        self.async_writes += 1;
+    }
+
+    fn apply(&mut self, op: &DiskOp) {
+        match op {
+            DiskOp::PutSync(k, v) => self.put_sync(*k, v.clone()),
+            DiskOp::PutAsync(k, v) => self.put_async(*k, v.clone()),
+            // An update is a get, a change to the copy, and a put.
+            DiskOp::UpdateSync(k, b) => {
+                if let Some(mut v) = self.volatile.get(k).cloned() {
+                    v.push(*b);
+                    self.put_sync(*k, v);
+                }
+            }
+            DiskOp::UpdateAsync(k, b) => {
+                if let Some(mut v) = self.volatile.get(k).cloned() {
+                    v.push(*b);
+                    self.put_async(*k, v);
+                }
+            }
+            DiskOp::DeleteSync(k) => {
+                self.durable.remove(k);
+                self.volatile.remove(k);
+                self.dirty.remove(k);
+                self.sync_writes += 1;
+            }
+            DiskOp::DeleteAsync(k) => {
+                self.volatile.remove(k);
+                self.dirty.insert(*k);
+                self.async_writes += 1;
+            }
+            DiskOp::FlushKey(k) => {
+                if self.dirty.remove(k) {
+                    match self.volatile.get(k) {
+                        Some(v) => self.durable.insert(*k, v.clone()),
+                        None => self.durable.remove(k),
+                    };
+                }
+            }
+            DiskOp::Crash => {
+                self.lost_writes += self.dirty.len() as u64;
+                self.volatile = self.durable.clone();
+                self.dirty.clear();
+            }
+        }
+    }
+}
+
 /// Every mutator refuses an edit whose result would pass `MAX_SEGMENT`
 /// — without panicking, without allocating for it, and without touching
 /// the segment.
@@ -165,6 +265,66 @@ proptest! {
         prop_assert_eq!(disk.get(&7), Some(&synced));
         prop_assert_eq!(&disk.get(&7).unwrap().contents()[..], &first[..]);
         prop_assert_eq!(disk.lost_writes, 1);
+    }
+
+    /// `update_sync` / `update_async` are observationally `get` + change +
+    /// `put_sync` / `put_async`: mixed with every other operation, the
+    /// values read, the dirty set, the three counters and `durable_bytes`
+    /// match the two-map model after each step, and the costs and results
+    /// an update returns are the ones the put would have.
+    #[test]
+    fn disk_update_is_get_then_put(ops in proptest::collection::vec(disk_op(), 0..60)) {
+        let cfg = DiskConfig::workstation();
+        let mut disk: Disk<u32, Vec<u8>> = Disk::new(cfg);
+        let mut model = DiskModel::default();
+        for op in &ops {
+            let had = model.volatile.get(match op {
+                DiskOp::UpdateSync(k, _) | DiskOp::UpdateAsync(k, _) => k,
+                _ => &u32::MAX,
+            }).map(Vec::len);
+            match op {
+                DiskOp::PutSync(k, v) => drop(disk.put_sync(*k, v.clone())),
+                DiskOp::PutAsync(k, v) => disk.put_async(*k, v.clone()),
+                DiskOp::UpdateSync(k, b) => {
+                    let got = disk.update_sync(k, |v| { v.push(*b); v.len() });
+                    prop_assert_eq!(got, had.map(|len| (len + 1, cfg.write_cost(len + 1))));
+                }
+                DiskOp::UpdateAsync(k, b) => {
+                    let got = disk.update_async(k, |v| { v.push(*b); v.len() });
+                    prop_assert_eq!(got, had.map(|len| len + 1));
+                }
+                DiskOp::DeleteSync(k) => drop(disk.delete_sync(k)),
+                DiskOp::DeleteAsync(k) => disk.delete_async(k),
+                DiskOp::FlushKey(k) => drop(disk.flush_key(k)),
+                DiskOp::Crash => disk.crash(),
+            }
+            model.apply(op);
+            for k in 0..6 {
+                prop_assert_eq!(disk.get(&k), model.volatile.get(&k), "key {} after {:?}", k, op);
+            }
+            prop_assert_eq!(disk.len(), model.volatile.len());
+            prop_assert_eq!(
+                disk.dirty_keys().copied().collect::<Vec<_>>(),
+                model.dirty.iter().copied().collect::<Vec<_>>(),
+                "dirty set after {:?}", op
+            );
+            prop_assert_eq!(
+                (disk.sync_writes, disk.async_writes, disk.lost_writes),
+                (model.sync_writes, model.async_writes, model.lost_writes),
+                "counters after {:?}", op
+            );
+            prop_assert_eq!(
+                disk.durable_bytes(),
+                model.durable.values().map(Vec::len).sum::<usize>(),
+                "durable bytes after {:?}", op
+            );
+        }
+        // The durable side itself: what a crash brings back.
+        disk.crash();
+        model.apply(&DiskOp::Crash);
+        for k in 0..6 {
+            prop_assert_eq!(disk.get(&k), model.volatile.get(&k));
+        }
     }
 
     /// Disk invariant: after a crash, exactly the sync-or-flushed state is
