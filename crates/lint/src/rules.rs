@@ -503,6 +503,7 @@ const DECL_ALLOWLIST: &[&str] = &[
     "BusInner::rejected",
     "BusInner::dropped_stale",
     "BusInner::wakes",
+    "BusInner::yields",
     "NEXT_INCARNATION",
 ];
 

@@ -20,13 +20,25 @@
 //!   of that one critical section), pushes under the mailbox lock, and
 //!   issues a wake-up *only if a receiver is actually parked* — a send to
 //!   a busy receiver is two uncontended lock round trips and no syscall.
-//! * **receive** takes only the mailbox lock and parks at once when the
-//!   deque is empty. There is no spin-before-park: while the receiver
-//!   spins the sender cannot run on the same CPU, and on separate CPUs
-//!   the frame it would catch is one the parked-count check delivers with
-//!   a single wake-up anyway. The node's crash flag and epoch are
-//!   mirrored into atomics on its mailbox, so neither the receive side
-//!   nor a server's "am I crashed?" check touches a shared lock.
+//! * **receive** takes only the mailbox lock. Finding the deque empty,
+//!   an endpoint that has sent since it last yielded or parked *owes a
+//!   turn*: it drops the lock, calls `yield_now` exactly once, and looks
+//!   again; then — or at once, if no turn was owed — it parks. The
+//!   node's crash flag and epoch are mirrored into atomics on its
+//!   mailbox, so neither the receive side nor a server's "am I crashed?"
+//!   check touches a shared lock.
+//!
+//! There is no spin-before-park, and the one yield is its complement:
+//! while the receiver *spins* the sender cannot run on the same CPU;
+//! while it *yields*, the peer it has just handed work to is what runs.
+//! In a closed loop on a shared CPU that peer answers a mailbox whose
+//! owner is not parked (no wake-up), finds its own empty and gives the
+//! turn back: a request costs two `sched_yield`s where it cost two
+//! wake-ups and two parks. An endpoint that only receives owes nothing;
+//! a yield that finds nothing costs one system call and then the same
+//! park. Correctness never depends on what the yield does — the re-check
+//! and the park run under the mailbox lock as without it — and the turn
+//! is a flag outside any loop: [`LiveBus::yields`] ≤ accepted sends.
 //!
 //! # Delivery invariants
 //!
@@ -42,6 +54,7 @@
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::thread;
 use std::time::{Duration, Instant};
 
 use parking_lot::RwLock;
@@ -114,6 +127,7 @@ struct BusInner<M> {
     rejected: AtomicU64,
     dropped_stale: AtomicU64,
     wakes: AtomicU64,
+    yields: AtomicU64,
 }
 
 /// A shared in-memory message bus connecting live endpoints.
@@ -152,6 +166,7 @@ impl<M: Send + 'static> LiveBus<M> {
                 rejected: AtomicU64::new(0),
                 dropped_stale: AtomicU64::new(0),
                 wakes: AtomicU64::new(0),
+                yields: AtomicU64::new(0),
             }),
         }
     }
@@ -175,7 +190,7 @@ impl<M: Send + 'static> LiveBus<M> {
         let prev = topo.mailboxes.insert(node, Arc::clone(&mailbox));
         assert!(prev.is_none(), "node {node} registered twice");
         drop(topo);
-        LiveEndpoint { node, mailbox, bus: self.clone() }
+        LiveEndpoint { node, mailbox, bus: self.clone(), owes_turn: AtomicBool::new(false) }
     }
 
     /// Imposes a partition on the bus.
@@ -279,6 +294,12 @@ impl<M: Send + 'static> LiveBus<M> {
         self.inner.wakes.load(Ordering::Relaxed)
     }
 
+    /// Turns given: receives that yielded once before parking. Never
+    /// more than the accepted sends.
+    pub fn yields(&self) -> u64 {
+        self.inner.yields.load(Ordering::Relaxed)
+    }
+
     fn send(&self, from: &LiveEndpoint<M>, to: NodeId, msg: M) -> bool {
         // One critical section: liveness, partition, destination and the
         // destination's epoch. A crash() cannot land between the liveness
@@ -309,6 +330,7 @@ impl<M: Send + 'static> LiveBus<M> {
         }
         drop(topo);
         self.inner.delivered.fetch_add(1, Ordering::Relaxed);
+        from.owes_turn.store(true, Ordering::Release);
         true
     }
 }
@@ -325,6 +347,10 @@ pub struct LiveEndpoint<M> {
     node: NodeId,
     mailbox: Arc<Mailbox<M>>,
     bus: LiveBus<M>,
+    /// Set by an accepted send (`Release`), read and cleared by the
+    /// owner's next yield or park (`Acquire`): a peer has work this
+    /// endpoint gave it and has not been let run.
+    owes_turn: AtomicBool,
 }
 
 impl<M> Drop for LiveEndpoint<M> {
@@ -368,6 +394,15 @@ impl<M: Send + 'static> LiveEndpoint<M> {
     /// caller that receives in a loop computes its deadline once.
     pub fn recv_deadline(&self, deadline: Option<Instant>) -> Option<Envelope<M>> {
         let mut queue = self.mailbox.lock();
+        if queue.frames.is_empty() && !queue.closed && self.owes_turn.load(Ordering::Acquire) {
+            // Give the turn: once, outside the lock, then look again.
+            // Nothing below depends on what the scheduler made of it.
+            self.owes_turn.store(false, Ordering::Release);
+            drop(queue);
+            self.bus.inner.yields.fetch_add(1, Ordering::Relaxed);
+            thread::yield_now();
+            queue = self.mailbox.lock();
+        }
         loop {
             if let Some(env) = self.pop_live(&mut queue) {
                 return Some(env);
@@ -375,7 +410,8 @@ impl<M: Send + 'static> LiveEndpoint<M> {
             if queue.closed {
                 return None;
             }
-            // Park at once; the sender sees the count and wakes us.
+            // Park; the sender sees the count and wakes us.
+            self.owes_turn.store(false, Ordering::Release);
             queue.parked += 1;
             queue = match deadline {
                 None => self.mailbox.ready.wait(queue).unwrap_or_else(PoisonError::into_inner),
@@ -415,7 +451,6 @@ impl<M: Send + 'static> LiveEndpoint<M> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::thread;
 
     fn n(v: u32) -> NodeId {
         NodeId(v)

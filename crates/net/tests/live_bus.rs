@@ -418,7 +418,20 @@ fn wake_accounting_notifies_only_a_parked_receiver() {
     assert_eq!(bus.wakes(), 0);
 
     // An owner that blocks on its empty mailbox, over and over.
-    const ROUNDS: u64 = 200;
+    let probes = parked_handoffs(&bus, &tx, rx, 200);
+    assert_eq!(bus.delivered(), 1_000 + probes + 1, "every probe sent was received");
+}
+
+/// `rounds` hand-offs to an owner that blocks on its empty mailbox over
+/// and over: each one must find it parked and cost exactly one wake-up.
+/// Returns how many probes the owner received.
+fn parked_handoffs(
+    bus: &LiveBus<u64>,
+    tx: &LiveEndpoint<u64>,
+    rx: LiveEndpoint<u64>,
+    rounds: u64,
+) -> u64 {
+    let node = rx.node();
     let owner = thread::spawn(move || {
         let mut probes = 0u64;
         loop {
@@ -428,13 +441,159 @@ fn wake_accounting_notifies_only_a_parked_receiver() {
             }
         }
     });
-    for _ in 0..ROUNDS {
-        send_until_woken(&bus, &tx, n(1));
+    let before = bus.wakes();
+    for _ in 0..rounds {
+        send_until_woken(bus, tx, node);
     }
-    assert_eq!(bus.wakes(), ROUNDS, "each parked hand-off is exactly one wake-up");
-    assert!(tx.send(n(1), 0));
-    let probes = owner.join().unwrap();
-    assert_eq!(bus.delivered(), 1_000 + probes + 1, "every probe sent was received");
+    assert_eq!(bus.wakes() - before, rounds, "each parked hand-off is exactly one wake-up");
+    assert!(tx.send(node, 0));
+    owner.join().unwrap()
+}
+
+// ---------------------------------------------------------------------
+// The turn: an accepted send buys the sender one yield before it parks.
+// ---------------------------------------------------------------------
+
+/// An endpoint that only receives has no turn to give: it makes no
+/// system call but its park, and every hand-off to it costs the one
+/// wake-up it always did.
+#[test]
+fn a_receiver_that_never_sent_never_yields() {
+    let bus: LiveBus<u64> = LiveBus::new();
+    let tx = bus.register(n(0));
+    let rx = bus.register(n(1));
+    let probes = parked_handoffs(&bus, &tx, rx, 200);
+    assert_eq!(bus.yields(), 0, "the receiver never sent, the sender never received");
+    assert_eq!(bus.delivered(), probes + 1);
+}
+
+/// The turn is a flag, not a count, and only an *accepted* send sets
+/// it: `yields()` ≤ accepted sends, per endpoint and under load.
+#[test]
+fn an_accepted_send_buys_at_most_one_yield() {
+    const BRIEFLY: Duration = Duration::from_millis(1);
+    let bus: LiveBus<u64> = LiveBus::new();
+    let a = bus.register(n(0));
+    let b = bus.register(n(1));
+    let c = bus.register(n(2));
+
+    // Rejected sends — crashed, partitioned, unregistered peer — buy none.
+    bus.crash(n(1));
+    bus.split(&[&[n(0)], &[n(2)]]);
+    assert!(!a.send(n(1), 1) && !a.send(n(2), 2) && !a.send(n(9), 3));
+    assert!(a.recv_timeout(BRIEFLY).is_none());
+    assert_eq!((bus.rejected(), bus.yields()), (3, 0));
+    bus.recover(n(1));
+    bus.heal();
+
+    // Three accepted sends, three empty receives: one yield.
+    for i in 0..3 {
+        assert!(a.send(n(1), i));
+    }
+    for _ in 0..3 {
+        assert!(a.recv_timeout(BRIEFLY).is_none());
+    }
+    assert_eq!(bus.yields(), 1, "the first empty receive spends the turn, the next two park");
+    drop((a, b, c));
+
+    // Four concurrent ping-pong pairs on the one bus.
+    const ROUNDS: u64 = 5_000;
+    let (yields_before, sends_before) = (bus.yields(), bus.delivered());
+    let threads: Vec<_> = (0..4u32)
+        .flat_map(|pair| {
+            let (ping, pong) = (bus.register(n(10 + pair)), bus.register(n(20 + pair)));
+            let echo = thread::spawn(move || {
+                for _ in 0..ROUNDS {
+                    let env = pong.recv_timeout(Duration::from_secs(5)).expect("ping");
+                    assert!(pong.send(env.from, env.msg));
+                }
+            });
+            let caller = thread::spawn(move || {
+                for i in 0..ROUNDS {
+                    assert!(ping.send(n(20 + pair), i));
+                    let env = ping.recv_timeout(Duration::from_secs(5)).expect("pong");
+                    assert_eq!(env.msg, i);
+                }
+            });
+            [echo, caller]
+        })
+        .collect();
+    for t in threads {
+        t.join().unwrap();
+    }
+    let sends = bus.delivered() - sends_before;
+    assert_eq!(sends, 8 * ROUNDS);
+    assert!(bus.yields() - yields_before <= sends, "more yields than accepted sends");
+}
+
+/// A yield that finds nothing changes nothing: the receiver parks as it
+/// always did and the late reply costs the one wake-up. The peer
+/// answers only once the receiver is parked (`send_until_woken`), so
+/// the turn was spent before the first park whichever frame came first.
+#[test]
+fn a_fruitless_yield_still_parks_and_is_woken() {
+    let bus: LiveBus<u64> = LiveBus::new();
+    let caller = bus.register(n(0));
+    let peer = bus.register(n(1));
+    let waiting = thread::spawn(move || {
+        assert!(caller.send(n(1), 7));
+        loop {
+            match caller.recv_timeout(Duration::from_secs(60)).expect("a wake-up was lost").msg {
+                PROBE => continue,
+                reply => return reply,
+            }
+        }
+    });
+    // The peer polls, so it is never parked itself: the one wake-up
+    // counted below is the caller's.
+    let request = loop {
+        match peer.try_recv() {
+            Some(env) => break env.msg,
+            None => thread::yield_now(),
+        }
+    };
+    assert_eq!(request, 7);
+    send_until_woken(&bus, &peer, n(0));
+    assert_eq!(bus.wakes(), 1);
+    assert_eq!(bus.yields(), 1, "one accepted send, one yield, then parks only");
+    assert!(peer.send(n(0), 8));
+    assert_eq!(waiting.join().unwrap(), 8, "the late reply is delivered");
+    assert_eq!(bus.yields(), 1);
+}
+
+/// A receiver that owes a turn when `close()` lands — before its
+/// receive, inside its yield, or after it parked — gets `None`: the
+/// mailbox is looked at again after the yield, under the lock `close()`
+/// sets the flag under. A receive with no deadline that missed the
+/// close would hang here for good.
+#[test]
+fn close_reaches_a_receiver_inside_its_yield() {
+    for round in 0..200u32 {
+        let bus: LiveBus<u64> = LiveBus::new();
+        let rx = bus.register(n(0));
+        let _sink = bus.register(n(1));
+        let gate = Arc::new(Barrier::new(2));
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        let receiver = {
+            let gate = Arc::clone(&gate);
+            thread::spawn(move || {
+                gate.wait();
+                assert!(rx.send(n(1), 1));
+                done_tx.send(rx.recv_deadline(None)).unwrap();
+            })
+        };
+        gate.wait();
+        for _ in 0..round % 8 {
+            thread::yield_now();
+        }
+        bus.close();
+        let got = done_rx
+            .recv_timeout(Duration::from_secs(5))
+            .unwrap_or_else(|_| panic!("round {round}: close() missed a yielding receiver"));
+        assert!(got.is_none());
+        receiver.join().unwrap();
+        assert!(bus.yields() <= 1);
+    }
 }
 
 /// `close()` is how a cell stops: a receiver parked with a long timeout

@@ -6,7 +6,7 @@
 //! request-boundary histograms — recorded by [`crate::RuntimeClient`] at
 //! the request/reply boundary, classified by the request's
 //! [`OpClass`] — plus the pump's idle/busy transition counters and the
-//! shared-fast-path serve timings. Everything is lock-free atomics
+//! sessions' failover counters. Everything is lock-free atomics
 //! ([`AtomicHistogram`] buckets and relaxed counters), always on, and
 //! shared by `Arc` between the runtime handle, every server thread, and
 //! every client session.
@@ -47,9 +47,6 @@ pub struct RuntimeObs {
     /// End-to-end request latency (microseconds), client submit to reply
     /// receipt, one histogram per op class — see [`OP_CLASS_NAMES`].
     pub op_latency: [AtomicHistogram; OP_CLASSES],
-    /// Shared-fast-path serve time (microseconds): how long a read
-    /// answered under the shared cell lock spent in the engine.
-    pub shared_serve: AtomicHistogram,
     /// Pump transitions into the idle loop (no deferred work pending).
     pub pump_to_idle: AtomicU64,
     /// Pump transitions back to draining (work appeared after idling).
@@ -73,7 +70,6 @@ impl RuntimeObs {
     pub fn new() -> Self {
         RuntimeObs {
             op_latency: std::array::from_fn(|_| AtomicHistogram::new()),
-            shared_serve: AtomicHistogram::new(),
             pump_to_idle: AtomicU64::new(0),
             pump_to_busy: AtomicU64::new(0),
             failover_retries: AtomicU64::new(0),
@@ -133,8 +129,6 @@ pub struct ObsReport {
     /// Request latency summaries, one per op class, named per
     /// [`OP_CLASS_NAMES`].
     pub op_latency: Vec<(&'static str, HistSummary)>,
-    /// Shared-fast-path serve time.
-    pub shared_serve: HistSummary,
     /// Pump busy→idle transitions.
     pub pump_to_idle: u64,
     /// Pump idle→busy transitions.
@@ -167,7 +161,6 @@ impl ObsReport {
             let _ = write!(out, "{sep}\n    \"{name}\": {}", summary_json(s));
         }
         out.push_str("\n  },\n");
-        let _ = writeln!(out, "  \"shared_serve\": {},", summary_json(&self.shared_serve));
         let _ = writeln!(
             out,
             "  \"pump\": {{\"to_idle\": {}, \"to_busy\": {}}},",
@@ -235,13 +228,15 @@ impl ObsReport {
         let r = &self.runtime;
         let _ = write!(
             out,
-            "  \"runtime\": {{\"requests_served\": {}, \"requests_served_shared\": {}, \"requests_served_sharded\": {}, \"bus_delivered\": {}, \"bus_rejected\": {}, \"bus_dropped_stale\": {}, \"pending_work\": {}}}\n}}",
+            "  \"runtime\": {{\"requests_served\": {}, \"requests_served_shared\": {}, \"requests_served_sharded\": {}, \"bus_delivered\": {}, \"bus_rejected\": {}, \"bus_dropped_stale\": {}, \"bus_wakes\": {}, \"bus_yields\": {}, \"pending_work\": {}}}\n}}",
             r.requests_served,
             r.requests_served_shared,
             r.requests_served_sharded,
             r.bus_delivered,
             r.bus_rejected,
             r.bus_dropped_stale,
+            r.bus_wakes,
+            r.bus_yields,
             r.pending_work,
         );
         out
@@ -290,7 +285,6 @@ mod tests {
     fn report_serializes_as_json_with_percentile_fields() {
         let report = ObsReport {
             op_latency: vec![("read_only", summary_of(&[10, 20, 30]))],
-            shared_serve: summary_of(&[5]),
             pump_to_idle: 2,
             pump_to_busy: 1,
             failover_retries: 5,
@@ -320,6 +314,8 @@ mod tests {
                 bus_delivered: 100,
                 bus_rejected: 0,
                 bus_dropped_stale: 0,
+                bus_wakes: 3,
+                bus_yields: 97,
                 requests_served: 50,
                 requests_served_shared: 40,
                 requests_served_sharded: 8,
@@ -341,6 +337,7 @@ mod tests {
             "\"placement\": {\"migrations_proposed\": 4, \"migrations_executed\": 3, \"migrations_vetoed_floor\": 1, \"replicas_retired\": 2, \"decay_epochs\": 6}",
             "\"disabled\": true",
             "\"requests_served\": 50",
+            "\"bus_wakes\": 3, \"bus_yields\": 97",
         ] {
             assert!(json.contains(needle), "missing {needle} in:\n{json}");
         }

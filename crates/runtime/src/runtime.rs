@@ -61,6 +61,10 @@ pub struct RuntimeStats {
     /// Frames that evaporated because they were queued at a machine
     /// when it crashed.
     pub bus_dropped_stale: u64,
+    /// Wake-ups the bus issued: sends that found their receiver parked.
+    pub bus_wakes: u64,
+    /// Turns the bus gave: receives that yielded once before parking.
+    pub bus_yields: u64,
     /// Requests served across all server threads.
     pub requests_served: u64,
     /// Of those, requests served on the concurrent read fast path
@@ -436,6 +440,8 @@ impl<S: NfsService + ProtocolHost + Send + Sync + 'static> ClusterRuntime<S> {
             bus_delivered: self.shared.bus.delivered(),
             bus_rejected: self.shared.bus.rejected(),
             bus_dropped_stale: self.shared.bus.dropped_stale(),
+            bus_wakes: self.shared.bus.wakes(),
+            bus_yields: self.shared.bus.yields(),
             requests_served: self.shared.served_total.load(Ordering::Relaxed),
             requests_served_shared: self.shared.served_shared.load(Ordering::Relaxed),
             requests_served_sharded: self.shared.served_sharded.load(Ordering::Relaxed),
@@ -488,7 +494,6 @@ impl<S: NfsService + ProtocolHost + Send + Sync + 'static> ClusterRuntime<S> {
                 .zip(&obs.op_latency)
                 .map(|(&name, h)| (name, h.summary()))
                 .collect(),
-            shared_serve: obs.shared_serve.summary(),
             pump_to_idle: obs.pump_to_idle.load(Ordering::Relaxed),
             pump_to_busy: obs.pump_to_busy.load(Ordering::Relaxed),
             failover_retries: obs.failover_retries.load(Ordering::Relaxed),
@@ -656,12 +661,8 @@ fn serve_read_batch<S: NfsService + ProtocolHost>(
             let engine = shared.engine.read_guard();
             let mut cur = cur;
             loop {
-                let t = std::time::Instant::now();
                 match engine.serve_shared(id, &cur.req) {
-                    Some((rep, _latency)) => {
-                        shared.obs.shared_serve.record_micros(t.elapsed());
-                        tally(ep.reply(cur.from, cur.call, rep), true)
-                    }
+                    Some((rep, _latency)) => tally(ep.reply(cur.from, cur.call, rep), true),
                     None => break Some(cur),
                 }
                 match next_batched_read(shared, ep, id, &mut budget) {

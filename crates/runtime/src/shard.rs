@@ -40,7 +40,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
-use parking_lot::{Mutex, MutexGuard, RwLock, RwLockReadGuard};
+use parking_lot::{Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 use deceit_core::{AtomicHistogram, OpClass};
 
@@ -86,6 +86,20 @@ impl EngineObs {
         }
     }
 
+    /// One `cell_wait` sample per cell-lock acquisition: zero, without
+    /// reading the clock, when the lock was free (`uncontended`), the
+    /// time `block` took otherwise.
+    fn waited<G>(&self, uncontended: Option<G>, block: impl FnOnce() -> G) -> G {
+        if let Some(guard) = uncontended {
+            self.cell_wait.record(0);
+            return guard;
+        }
+        let start = Instant::now();
+        let guard = block();
+        self.cell_wait.record_micros(start.elapsed());
+        guard
+    }
+
     fn count_slots(&self, class: OpClass, fallback: bool) {
         for slot in class.slots(self.slots.len()) {
             let c = &self.slots[slot];
@@ -123,10 +137,15 @@ impl<S> ShardedEngine<S> {
 
     /// Shared access to the engine, concurrent with other readers.
     pub(crate) fn read_guard(&self) -> RwLockReadGuard<'_, S> {
-        let start = Instant::now();
-        let guard = self.cell.read();
-        self.obs.cell_wait.record_micros(start.elapsed());
+        let guard = self.obs.waited(self.cell.try_read(), || self.cell.read());
         self.obs.shared_acquisitions.fetch_add(1, Ordering::Relaxed);
+        guard
+    }
+
+    /// Exclusive access to the engine.
+    fn write_guard(&self) -> RwLockWriteGuard<'_, S> {
+        let guard = self.obs.waited(self.cell.try_write(), || self.cell.write());
+        self.obs.exclusive_acquisitions.fetch_add(1, Ordering::Relaxed);
         guard
     }
 
@@ -168,10 +187,7 @@ impl<S> ShardedEngine<S> {
         class: OpClass,
         f: impl FnOnce(&S) -> Option<T>,
     ) -> Option<T> {
-        let start = Instant::now();
-        let cell = self.cell.read();
-        self.obs.cell_wait.record_micros(start.elapsed());
-        self.obs.shared_acquisitions.fetch_add(1, Ordering::Relaxed);
+        let cell = self.read_guard();
         let held = Instant::now();
         let _ring = self.lock_ring(class);
         let out = f(&cell);
@@ -187,10 +203,7 @@ impl<S> ShardedEngine<S> {
     /// (The ring locks are redundant under the exclusive cell lock but
     /// kept so the declared footprint is exercised on every path.)
     pub(crate) fn execute<T>(&self, class: OpClass, f: impl FnOnce(&mut S) -> T) -> T {
-        let start = Instant::now();
-        let mut cell = self.cell.write();
-        self.obs.cell_wait.record_micros(start.elapsed());
-        self.obs.exclusive_acquisitions.fetch_add(1, Ordering::Relaxed);
+        let mut cell = self.write_guard();
         let held = Instant::now();
         let _ring = self.lock_ring(class);
         let out = f(&mut cell);
@@ -202,10 +215,7 @@ impl<S> ShardedEngine<S> {
     /// Runs `f` with shared cell access and one ring slot held — the
     /// pump's per-shard drain.
     pub(crate) fn with_slot_shared<T>(&self, slot: usize, f: impl FnOnce(&S) -> T) -> T {
-        let start = Instant::now();
-        let cell = self.cell.read();
-        self.obs.cell_wait.record_micros(start.elapsed());
-        self.obs.shared_acquisitions.fetch_add(1, Ordering::Relaxed);
+        let cell = self.read_guard();
         let held = Instant::now();
         // lint: allow(lock-order): single-slot acquisition — a one-element ring batch is trivially ascending, and the cell lock is already held above
         let _shard = self.shards[slot].lock();
@@ -218,10 +228,7 @@ impl<S> ShardedEngine<S> {
     /// pump's fallback for engines that cannot pump a shard through
     /// `&self`.
     pub(crate) fn with_slot<T>(&self, slot: usize, f: impl FnOnce(&mut S) -> T) -> T {
-        let start = Instant::now();
-        let mut cell = self.cell.write();
-        self.obs.cell_wait.record_micros(start.elapsed());
-        self.obs.exclusive_acquisitions.fetch_add(1, Ordering::Relaxed);
+        let mut cell = self.write_guard();
         let held = Instant::now();
         // lint: allow(lock-order): single-slot acquisition — a one-element ring batch is trivially ascending, and the exclusive cell lock already serializes this pump
         let _shard = self.shards[slot].lock();
@@ -233,10 +240,7 @@ impl<S> ShardedEngine<S> {
     /// Runs `f` with exclusive access and no shard locks (cell-wide
     /// operations, inspection hatches, read-path fallbacks).
     pub(crate) fn exclusive<T>(&self, f: impl FnOnce(&mut S) -> T) -> T {
-        let start = Instant::now();
-        let mut cell = self.cell.write();
-        self.obs.cell_wait.record_micros(start.elapsed());
-        self.obs.exclusive_acquisitions.fetch_add(1, Ordering::Relaxed);
+        let mut cell = self.write_guard();
         f(&mut cell)
     }
 
