@@ -16,14 +16,17 @@
 //! simulator's API and the concurrent host's fallback path; they may
 //! touch anything and fire any due deferred work.
 //!
-//! The *sharded* entry points (`&self` with an explicit slot list:
-//! [`Cluster::write_sharded`] and friends) are the concurrent host's
-//! mutation fast path. The caller declares — and must hold the ring
-//! locks for — the shard slots the operation's [`crate::OpClass`]
-//! names; the operation then only touches hot state in those slots
-//! (plus cold cell state behind its own leaf locks) and only fires
-//! deferred work belonging to them. See [`crate::hot`] for the data-lock
-//! discipline that makes the interleaving sound.
+//! The *scoped* entry points (`&self` plus a [`Held`]:
+//! [`Cluster::write_scoped`] and friends) are the same bodies with what
+//! the caller holds named explicitly. Given ring locks
+//! ([`Held::slots`], the concurrent host's mutation path) the caller
+//! declares — and must hold the ring locks for — the shard slots the
+//! operation's [`crate::OpClass`] names; the operation then only touches
+//! hot state in those slots (plus cold cell state behind its own leaf
+//! locks) and only fires deferred work belonging to them. Given the
+//! whole cell ([`Cluster::whole`]) they are the exclusive entry points.
+//! See [`crate::hot`] for the data-lock discipline that makes the
+//! interleaving sound.
 
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -73,6 +76,28 @@ pub(crate) enum OpScope<'a> {
     /// The sharded path: only the named slots' hot state and due events.
     /// The caller holds these slots' ring locks.
     Slots(&'a [usize]),
+}
+
+/// What the caller of a `*_scoped` entry point holds: the whole cell, or
+/// the ring locks of some shard slots. Opaque, so the whole cell can only
+/// be claimed through [`Cluster::whole`] — which takes `&mut`, the same
+/// proof of exclusivity the `&mut self` entry points demand.
+#[derive(Debug, Clone, Copy)]
+pub struct Held<'a>(pub(crate) OpScope<'a>);
+
+impl<'a> Held<'a> {
+    /// The ring locks of `slots`.
+    pub fn slots(slots: &'a [usize]) -> Self {
+        Held(OpScope::Slots(slots))
+    }
+
+    /// Whether what is held covers shard slot `slot`.
+    pub fn covers(&self, slot: usize) -> bool {
+        match self.0 {
+            OpScope::Global => true,
+            OpScope::Slots(slots) => slots.contains(&slot),
+        }
+    }
 }
 
 /// One Deceit cell: the paper's unit of deployment (§2.2).
@@ -147,6 +172,13 @@ impl Cluster {
             next_major: AtomicU64::new(0),
             cfg,
         }
+    }
+
+    /// The cell seen through `&self`, with the proof that the caller
+    /// holds all of it: what the `*_scoped` entry points take to run
+    /// exactly as their `&mut self` forms do.
+    pub fn whole(&mut self) -> (&Cluster, Held<'_>) {
+        (self, Held(OpScope::Global))
     }
 
     /// Current simulated time.
@@ -264,21 +296,17 @@ impl Cluster {
 
     /// Advances the clock by `d`, firing events as they come due.
     pub fn advance(&mut self, d: SimDuration) {
-        self.advance_scope(OpScope::Global, d);
+        self.advance_scoped(Held(OpScope::Global), d);
     }
 
-    /// The sharded path's clock advance: fires only the named slots' due
-    /// events (the §5.1 restart backoff needs *this file's* lazy applies
-    /// to land before the re-read; other files' work belongs to whoever
-    /// holds their locks).
-    pub fn advance_sharded(&self, slots: &[usize], d: SimDuration) {
-        self.advance_scope(OpScope::Slots(slots), d);
-    }
-
-    fn advance_scope(&self, scope: OpScope<'_>, d: SimDuration) {
+    /// [`Cluster::advance`] within what the caller holds: under ring locks
+    /// only the held slots' due events fire (the §5.1 restart backoff
+    /// needs *this file's* lazy applies to land before the re-read; other
+    /// files' work belongs to whoever holds their locks).
+    pub fn advance_scoped(&self, held: Held<'_>, d: SimDuration) {
         let deadline = self.now() + d;
         loop {
-            let due = match scope {
+            let due = match held.0 {
                 OpScope::Global => self.events.pop_due(deadline),
                 OpScope::Slots(slots) => self.events.pop_due_slots(slots, deadline),
             };
@@ -608,7 +636,7 @@ mod tests {
         assert!(c.pending_events() > 0);
         // Advancing within slot A's scope must not fire slot B's work.
         let b_before = c.events.slot_len(slot_b);
-        c.advance_sharded(&[slot_a], SimDuration::from_secs(10));
+        c.advance_scoped(Held::slots(&[slot_a]), SimDuration::from_secs(10));
         assert_eq!(c.events.slot_len(slot_a), 0, "own slot drains");
         assert_eq!(c.events.slot_len(slot_b), b_before, "foreign slot untouched");
         c.run_until_quiet();

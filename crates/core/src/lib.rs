@@ -70,7 +70,7 @@ pub use audit::{
     audit, fnv1a, AuditReport, Contract, Event, EventBody, FaultEvent, History, OpCall, OpOutcome,
     Violation,
 };
-pub use cluster::{Cluster, OpResult};
+pub use cluster::{Cluster, Held, OpResult};
 pub use config::ClusterConfig;
 pub use deceit_storage::{SegmentData, MAX_SEGMENT};
 pub use error::{DeceitError, DeceitResult};

@@ -7,7 +7,7 @@
 use deceit_net::NodeId;
 use deceit_sim::SimDuration;
 
-use crate::cluster::{Cluster, OpResult, OpScope};
+use crate::cluster::{Cluster, Held, OpResult, OpScope};
 use crate::error::{DeceitError, DeceitResult};
 use crate::ops::WriteOp;
 use crate::params::FileParams;
@@ -39,24 +39,21 @@ impl Cluster {
         seg: SegmentId,
         params: FileParams,
     ) -> DeceitResult<OpResult<()>> {
-        let before = self.peek_params(via, seg);
-        let res = self.write(via, seg, WriteOp::SetParams(params), None)?;
-        self.after_set_params(via, seg, params, before);
-        Ok(OpResult { value: (), latency: res.latency })
+        self.set_params_scoped(Held(OpScope::Global), via, seg, params)
     }
 
-    /// The sharded-path twin of [`Cluster::set_params`]: parameter
+    /// [`Cluster::set_params`] within what the caller holds: parameter
     /// changes ride the same per-file update machinery as writes, so the
-    /// same ring locks suffice.
-    pub fn set_params_sharded(
+    /// file's ring lock suffices.
+    pub fn set_params_scoped(
         &self,
-        slots: &[usize],
+        held: Held<'_>,
         via: NodeId,
         seg: SegmentId,
         params: FileParams,
     ) -> DeceitResult<OpResult<()>> {
         let before = self.peek_params(via, seg);
-        let res = self.write_sharded(slots, via, seg, WriteOp::SetParams(params), None)?;
+        let res = self.write_scoped(held, via, seg, WriteOp::SetParams(params), None)?;
         self.after_set_params(via, seg, params, before);
         Ok(OpResult { value: (), latency: res.latency })
     }
@@ -95,17 +92,17 @@ impl Cluster {
         via: NodeId,
         seg: SegmentId,
     ) -> DeceitResult<OpResult<FileParams>> {
-        self.client_op_scoped(via, OpScope::Global, |c| c.do_get_params(via, seg))
+        self.get_params_scoped(Held(OpScope::Global), via, seg)
     }
 
-    /// The sharded-path twin of [`Cluster::get_params`].
-    pub fn get_params_sharded(
+    /// [`Cluster::get_params`] within what the caller holds.
+    pub fn get_params_scoped(
         &self,
-        slots: &[usize],
+        held: Held<'_>,
         via: NodeId,
         seg: SegmentId,
     ) -> DeceitResult<OpResult<FileParams>> {
-        self.client_op_scoped(via, OpScope::Slots(slots), |c| c.do_get_params(via, seg))
+        self.client_op_scoped(via, held.0, |c| c.do_get_params(via, seg))
     }
 
     fn do_get_params(

@@ -13,7 +13,7 @@ use deceit_isis::broadcast_round;
 use deceit_net::NodeId;
 use deceit_sim::SimDuration;
 
-use crate::cluster::{Cluster, OpResult, OpScope};
+use crate::cluster::{Cluster, Held, OpResult, OpScope};
 use crate::error::{DeceitError, DeceitResult};
 use crate::event::Pending;
 use crate::ops::ReadData;
@@ -48,27 +48,24 @@ impl Cluster {
         offset: usize,
         count: usize,
     ) -> DeceitResult<OpResult<ReadData>> {
-        self.client_op_scoped(via, OpScope::Global, |c| c.do_read(via, seg, major, offset, count))
+        self.read_scoped(Held(OpScope::Global), via, seg, major, offset, count)
     }
 
-    /// The sharded-path twin of [`Cluster::read`]: the full read protocol
-    /// (forwarding, group joins, clock accounting included) under the
-    /// caller's ring locks, which must cover `seg`'s slot. Used by the
-    /// sharded mutation twins' read-modify-write loops and the sharded
-    /// read path; the lock-free fast path is [`Cluster::try_read_local`].
-    pub fn read_sharded(
+    /// [`Cluster::read`] within what the caller holds, which must cover
+    /// `seg`'s slot: the full read protocol (forwarding, group joins,
+    /// clock accounting included). The lock-free fast path is
+    /// [`Cluster::try_read_local`].
+    pub fn read_scoped(
         &self,
-        slots: &[usize],
+        held: Held<'_>,
         via: NodeId,
         seg: SegmentId,
         major: Option<u64>,
         offset: usize,
         count: usize,
     ) -> DeceitResult<OpResult<ReadData>> {
-        debug_assert!(slots.contains(&self.slot_of(seg)), "ring locks must cover the read file");
-        self.client_op_scoped(via, OpScope::Slots(slots), |c| {
-            c.do_read(via, seg, major, offset, count)
-        })
+        debug_assert!(held.covers(self.slot_of(seg)), "ring locks must cover the read file");
+        self.client_op_scoped(via, held.0, |c| c.do_read(via, seg, major, offset, count))
     }
 
     /// Attempts to serve a read with *shared* access only — the hot path

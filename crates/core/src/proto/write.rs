@@ -39,7 +39,7 @@ use deceit_net::NodeId;
 use deceit_sim::SimDuration;
 use deceit_storage::Durability;
 
-use crate::cluster::{Cluster, OpResult, OpScope};
+use crate::cluster::{Cluster, Held, OpResult, OpScope};
 use crate::error::{DeceitError, DeceitResult};
 use crate::event::Pending;
 use crate::ops::{UpdateRecord, WriteOp};
@@ -120,11 +120,10 @@ impl Cluster {
         op: WriteOp,
         expected: Option<VersionPair>,
     ) -> DeceitResult<OpResult<VersionPair>> {
-        self.client_op_scoped(via, OpScope::Global, |c| c.do_write(via, seg, op, expected))
+        self.write_scoped(Held(OpScope::Global), via, seg, op, expected)
     }
 
-    /// The sharded-path twin of [`Cluster::write`]: the caller holds the
-    /// ring locks for `slots`, which must cover `seg`'s slot.
+    /// [`Cluster::write`] under the ring locks of `slots`.
     pub fn write_sharded(
         &self,
         slots: &[usize],
@@ -133,8 +132,21 @@ impl Cluster {
         op: WriteOp,
         expected: Option<VersionPair>,
     ) -> DeceitResult<OpResult<VersionPair>> {
-        debug_assert!(slots.contains(&self.slot_of(seg)), "ring locks must cover the written file");
-        self.client_op_scoped(via, OpScope::Slots(slots), |c| c.do_write(via, seg, op, expected))
+        self.write_scoped(Held::slots(slots), via, seg, op, expected)
+    }
+
+    /// [`Cluster::write`] within what the caller holds, which must cover
+    /// `seg`'s slot.
+    pub fn write_scoped(
+        &self,
+        held: Held<'_>,
+        via: NodeId,
+        seg: SegmentId,
+        op: WriteOp,
+        expected: Option<VersionPair>,
+    ) -> DeceitResult<OpResult<VersionPair>> {
+        debug_assert!(held.covers(self.slot_of(seg)), "ring locks must cover the written file");
+        self.client_op_scoped(via, held.0, |c| c.do_write(via, seg, op, expected))
     }
 
     fn do_write(

@@ -3,7 +3,7 @@
 //! batching, safety-path synchrony, and holder-crash recovery.
 
 use deceit_core::{
-    Cluster, ClusterConfig, FileParams, ProtocolHost, ReplicaState, SegmentId, WriteOp,
+    Cluster, ClusterConfig, FileParams, Held, ProtocolHost, ReplicaState, SegmentId, WriteOp,
 };
 use deceit_net::NodeId;
 
@@ -211,7 +211,7 @@ fn pump_drains_buffered_propagation_per_shard() {
     // The rest of the cell's traffic advances the shared clock past the
     // window (scoped to no slots, so nothing fires on the way); the pump
     // then ships the batch under the slot's own locks.
-    c.advance_sharded(&[], c.cfg.lazy_apply_delay + c.cfg.lazy_apply_delay);
+    c.advance_scoped(Held::slots(&[]), c.cfg.lazy_apply_delay + c.cfg.lazy_apply_delay);
     assert!(c.pending_shard_mask() & (1 << slot) != 0, "due drain must surface in the mask");
     let mut fired = 0;
     loop {

@@ -1,6 +1,6 @@
 //! Planted violations for `no-bare-panic`, linted as if this file were
-//! `crates/core/src/proto/fixture.rs`. Never compiled — read as text
-//! by `tests/fixtures.rs`. The negative cases double as lexer checks.
+//! `crates/core/src/proto/fixture.rs` or `crates/nfs/src/fixture.rs`.
+//! Never compiled — read as text by `tests/fixtures.rs`. The negative cases double as lexer checks.
 
 fn planted_unwrap(v: Option<u32>) -> u32 {
     v.unwrap() // VIOLATION

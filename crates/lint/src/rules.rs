@@ -246,7 +246,7 @@ fn self_in_closure_arg(code: &[Tok], open: usize) -> Option<u32> {
 const PANIC_SCOPES: &[&str] = &[
     "crates/core/src/proto/",
     "crates/core/src/server.rs",
-    "crates/nfs/src/ops_",
+    "crates/nfs/src/",
     "crates/storage/src/",
 ];
 

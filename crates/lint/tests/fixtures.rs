@@ -19,22 +19,23 @@ fn rule_findings<'a>(r: &'a lint::report::LintReport, rule: &str) -> Vec<&'a Fin
 
 #[test]
 fn no_bare_panic_fixture_fails_the_lint() {
-    let report = lint_fixture(
-        "crates/core/src/proto/fixture.rs",
-        include_str!("../fixtures/no_bare_panic.rs"),
-    );
-    let hits = rule_findings(&report, "no-bare-panic");
-    // Exactly the four planted violations: unwrap, expect, panic!,
-    // unreachable!. Strings, raw strings, comments, unwrap_or*, test
-    // code, and the waived call must all stay silent.
-    assert_eq!(hits.len(), 4, "findings: {:?}", report.findings);
-    let lines: Vec<u32> = hits.iter().map(|f| f.line).collect();
-    for (line, what) in [(6, "unwrap"), (10, "expect"), (16, "panic"), (23, "unreachable")] {
-        assert!(lines.contains(&line), "missing planted {what} at line {line}: {lines:?}");
+    // A protocol module, and an NFS envelope module outside `ops_*`: the
+    // whole of `crates/nfs/src/` is in scope.
+    for path in ["crates/core/src/proto/fixture.rs", "crates/nfs/src/fixture.rs"] {
+        let report = lint_fixture(path, include_str!("../fixtures/no_bare_panic.rs"));
+        let hits = rule_findings(&report, "no-bare-panic");
+        // Exactly the four planted violations: unwrap, expect, panic!,
+        // unreachable!. Strings, raw strings, comments, unwrap_or*, test
+        // code, and the waived call must all stay silent.
+        assert_eq!(hits.len(), 4, "{path} findings: {:?}", report.findings);
+        let lines: Vec<u32> = hits.iter().map(|f| f.line).collect();
+        for (line, what) in [(6, "unwrap"), (10, "expect"), (16, "panic"), (23, "unreachable")] {
+            assert!(lines.contains(&line), "missing planted {what} at line {line}: {lines:?}");
+        }
+        // The fixture's waiver suppressed the waived unwrap and is counted.
+        assert_eq!(report.waivers_honored, 1);
+        assert!(rule_findings(&report, "unused-waiver").is_empty());
     }
-    // The fixture's waiver suppressed the waived unwrap and is counted.
-    assert_eq!(report.waivers_honored, 1);
-    assert!(rule_findings(&report, "unused-waiver").is_empty());
 }
 
 #[test]

@@ -20,13 +20,13 @@
 //! update record, the same (full-length) wire and disk accounting — but
 //! building it costs what the mutation writes, not what the file holds.
 //!
-//! This module holds the envelope's shared types and segment plumbing.
-//! The operations themselves are grouped by how they interact with
-//! engine state — the classification a concurrent host dispatches on
-//! (see [`deceit_core::OpClass`]):
+//! This module holds the envelope's shared types and the segment image
+//! codec. Every operation is written once against what its caller holds
+//! — see [`crate::scope`], which also has the segment plumbing — and
+//! grouped by how it interacts with engine state, the classification a
+//! concurrent host dispatches on (see [`deceit_core::OpClass`]):
 //!
-//! * [`crate::ops_read`] — read-only entry points, plus the shared
-//!   (`&self`) fast path;
+//! * [`crate::ops_read`] — operations that only inspect segments;
 //! * [`crate::ops_file`] — single-file mutations;
 //! * [`crate::ops_dir`] — namespace (directory / cross-file) mutations.
 
@@ -303,13 +303,36 @@ pub(crate) fn segment_image(
     image.finish().ok_or(NfsError::TooBig)
 }
 
-/// A whole-segment read as the envelope uses it: (inode, payload, version,
-/// latency).
-fn loaded(
-    read: OpResult<deceit_core::ReadData>,
-) -> Result<(Inode, Payload, VersionPair, SimDuration), NfsError> {
-    let (inode, payload) = split_image(read.value.image)?;
-    Ok((inode, payload, read.value.version, read.latency))
+/// Creates and formats the root directory of a fresh cell.
+fn format_root(cluster: &mut Cluster, cfg: &FsConfig) -> Result<FileHandle, NfsError> {
+    let via = NodeId(0);
+    let root_seg = cluster.create_with_params(via, cfg.root_params)?.value;
+    let mut inode = Inode::new(FileType::Directory.to_byte(), 0o755, cluster.now().as_micros());
+    inode.nlink = 1;
+    let image = segment_image(&inode, &Payload::default(), Edit::Set(Directory::new().encode()))?;
+    cluster.write(via, root_seg, WriteOp::Replace(image), None)?;
+    Ok(FileHandle::new(root_seg))
+}
+
+/// Assembles the NFS-visible attributes of a loaded segment.
+pub(crate) fn attr_from(
+    fh: FileHandle,
+    inode: &Inode,
+    payload_len: usize,
+    version: VersionPair,
+) -> FileAttr {
+    FileAttr {
+        handle: fh,
+        ftype: FileType::from_byte(inode.ftype).unwrap_or(FileType::Regular),
+        mode: inode.mode,
+        nlink: inode.nlink,
+        uid: inode.uid,
+        gid: inode.gid,
+        size: payload_len,
+        version,
+        mtime: inode.mtime,
+        ctime: inode.ctime,
+    }
 }
 
 impl DeceitFs {
@@ -317,22 +340,11 @@ impl DeceitFs {
     /// root directory (via server 0).
     pub fn new(servers: usize, cluster_cfg: ClusterConfig, cfg: FsConfig) -> Self {
         let mut cluster = Cluster::new(servers, cluster_cfg);
-        let via = NodeId(0);
-        let root_seg = cluster
-            .create_with_params(via, cfg.root_params)
-            .expect("root creation cannot fail on a fresh cell")
-            .value;
-        let now = cluster.now().as_micros();
-        let mut inode = Inode::new(FileType::Directory.to_byte(), 0o755, now);
-        inode.nlink = 1;
-        let image =
-            segment_image(&inode, &Payload::default(), Edit::Set(Directory::new().encode()))
-                .expect("an empty directory fits a segment");
-        cluster
-            .write(via, root_seg, WriteOp::Replace(image), None)
-            .expect("root format cannot fail");
+        let root = format_root(&mut cluster, &cfg)
+            // lint: allow(no-bare-panic): a fresh cell has every server up and nothing stored, so creating and formatting one empty directory cannot fail; `new` has no error channel
+            .expect("root creation cannot fail on a fresh cell");
         cluster.run_until_quiet();
-        DeceitFs { cluster, cfg, root: FileHandle::new(root_seg) }
+        DeceitFs { cluster, cfg, root }
     }
 
     /// A file service with default configs — the common test fixture.
@@ -348,232 +360,6 @@ impl DeceitFs {
     /// The envelope configuration.
     pub fn config(&self) -> &FsConfig {
         &self.cfg
-    }
-
-    // ------------------------------------------------------------------
-    // Segment plumbing
-    // ------------------------------------------------------------------
-
-    /// Reads a whole segment — its image, by reference — and splits it
-    /// into (inode, payload, version).
-    pub(crate) fn load(
-        &mut self,
-        via: NodeId,
-        fh: FileHandle,
-    ) -> Result<(Inode, Payload, VersionPair, SimDuration), NfsError> {
-        loaded(self.cluster.read(via, fh.seg, fh.version, 0, WHOLE_SEGMENT)?)
-    }
-
-    /// Writes a whole segment image (see [`segment_image`]) conditionally
-    /// on `expected`; every replica adopts its extents as they are.
-    pub(crate) fn store(
-        &mut self,
-        via: NodeId,
-        fh: FileHandle,
-        image: SegmentData,
-        expected: Option<VersionPair>,
-    ) -> Result<(VersionPair, SimDuration), NfsError> {
-        let w = self.cluster.write(via, fh.seg, WriteOp::Replace(image), expected)?;
-        Ok((w.value, w.latency))
-    }
-
-    /// Runs a read-modify-write on a segment with the §5.1 restart loop.
-    /// `mutate` returns `Ok(Some(edit))` to write the inode and the
-    /// payload so edited, `Ok(None)` to leave the segment untouched.
-    pub(crate) fn update_segment(
-        &mut self,
-        via: NodeId,
-        fh: FileHandle,
-        mut mutate: impl FnMut(&mut Inode, &Payload) -> Result<Option<Edit>, NfsError>,
-    ) -> Result<SimDuration, NfsError> {
-        let mut latency = SimDuration::ZERO;
-        for attempt in 0..self.cfg.occ_retries.max(1) {
-            let (mut inode, payload, version, l1) = self.load(via, fh)?;
-            latency += l1;
-            let image = match mutate(&mut inode, &payload)? {
-                Some(edit) => segment_image(&inode, &payload, edit)?,
-                None => return Ok(latency),
-            };
-            match self.store(via, fh, image, Some(version)) {
-                Ok((_, l2)) => return Ok(latency + l2),
-                Err(NfsError::Io(DeceitError::VersionConflict { .. })) => {
-                    self.cluster.stats.incr("nfs/occ_restarts");
-                    // §5.1: "the whole operation is restarted." Restarting
-                    // takes real time — back off so asynchronously
-                    // propagating updates can land before the re-read (a
-                    // zero-time retry against a write-behind replica would
-                    // spin on the same stale version).
-                    let backoff = SimDuration::from_millis(10 * (attempt as u64 + 1));
-                    self.cluster.advance(backoff);
-                    latency += backoff;
-                    continue;
-                }
-                Err(e) => return Err(e),
-            }
-        }
-        Err(NfsError::Busy)
-    }
-
-    /// Loads a directory segment's entry table.
-    pub(crate) fn load_dir(
-        &mut self,
-        via: NodeId,
-        fh: FileHandle,
-    ) -> Result<(Inode, Directory, VersionPair, SimDuration), NfsError> {
-        let (inode, payload, version, latency) = self.load(via, fh)?;
-        if inode.ftype != FileType::Directory.to_byte() {
-            return Err(NfsError::NotDir);
-        }
-        let dir = Directory::decode(&payload.bytes())?;
-        Ok((inode, dir, version, latency))
-    }
-
-    // ------------------------------------------------------------------
-    // Sharded-path segment plumbing (`&self`)
-    //
-    // Twins of the plumbing above for the concurrent host's mutation
-    // fast path: the caller holds the ring locks for `slots` (the slots
-    // of the request's `OpClass`), and every cluster call below fires
-    // deferred work only within them. See `crate::ops_file` /
-    // `crate::ops_dir` for the entry points.
-    // ------------------------------------------------------------------
-
-    /// Sharded-path [`DeceitFs::load`]. Tries the lean local paths
-    /// first — a stable local replica, then the token holder's primary
-    /// copy (the steady state of a write stream) — before the full
-    /// forwarding read.
-    pub(crate) fn load_sharded(
-        &self,
-        slots: &[usize],
-        via: NodeId,
-        fh: FileHandle,
-    ) -> Result<(Inode, Payload, VersionPair, SimDuration), NfsError> {
-        let read = match self
-            .cluster
-            .try_read_local(via, fh.seg, fh.version, 0, WHOLE_SEGMENT)
-            .or_else(|| self.cluster.try_read_primary(via, fh.seg, fh.version, 0, WHOLE_SEGMENT))
-        {
-            Some(r) => r,
-            None => self.cluster.read_sharded(slots, via, fh.seg, fh.version, 0, WHOLE_SEGMENT)?,
-        };
-        loaded(read)
-    }
-
-    /// Sharded-path [`DeceitFs::store`].
-    pub(crate) fn store_sharded(
-        &self,
-        slots: &[usize],
-        via: NodeId,
-        fh: FileHandle,
-        image: SegmentData,
-        expected: Option<VersionPair>,
-    ) -> Result<(VersionPair, SimDuration), NfsError> {
-        let w =
-            self.cluster.write_sharded(slots, via, fh.seg, WriteOp::Replace(image), expected)?;
-        Ok((w.value, w.latency))
-    }
-
-    /// Sharded-path [`DeceitFs::update_segment`]: the §5.1 restart loop
-    /// with the backoff's clock advance scoped to the held slots.
-    ///
-    /// Returns the segment's final state alongside the latency — the
-    /// inode and payload length just written (or just loaded, when
-    /// `mutate` declined) and the resulting version pair — so callers
-    /// can assemble the post-op attributes without re-reading the whole
-    /// segment. Under the caller's ring locks nothing else can mutate
-    /// the file in between, so this *is* what a re-read would see.
-    pub(crate) fn update_segment_sharded(
-        &self,
-        slots: &[usize],
-        via: NodeId,
-        fh: FileHandle,
-        mut mutate: impl FnMut(&mut Inode, &Payload) -> Result<Option<Edit>, NfsError>,
-    ) -> Result<(Inode, usize, VersionPair, SimDuration), NfsError> {
-        let mut latency = SimDuration::ZERO;
-        for attempt in 0..self.cfg.occ_retries.max(1) {
-            // At the token holder — the stream-of-updates case — the load
-            // is the primary copy itself, read as the write's own: no LRU
-            // touch for the store below to fold and then overwrite.
-            let (mut inode, payload, version, l1) =
-                match self.cluster.load_primary(via, fh.seg, fh.version) {
-                    Some(read) => loaded(read)?,
-                    None => self.load_sharded(slots, via, fh)?,
-                };
-            latency += l1;
-            let image = match mutate(&mut inode, &payload)? {
-                Some(edit) => segment_image(&inode, &payload, edit)?,
-                None => return Ok((inode, payload.len(), version, latency)),
-            };
-            let new_len = image.len() - inode.encoded_len();
-            match self.store_sharded(slots, via, fh, image, Some(version)) {
-                Ok((new_version, l2)) => return Ok((inode, new_len, new_version, latency + l2)),
-                Err(NfsError::Io(DeceitError::VersionConflict { .. })) => {
-                    self.cluster.stats.incr("nfs/occ_restarts");
-                    // §5.1: "the whole operation is restarted." Restarting
-                    // takes real time — back off so asynchronously
-                    // propagating updates can land before the re-read (a
-                    // zero-time retry against a write-behind replica would
-                    // spin on the same stale version). Only the held
-                    // slots' deferred work fires during the backoff.
-                    let backoff = SimDuration::from_millis(10 * (attempt as u64 + 1));
-                    self.cluster.advance_sharded(slots, backoff);
-                    latency += backoff;
-                    continue;
-                }
-                Err(e) => return Err(e),
-            }
-        }
-        Err(NfsError::Busy)
-    }
-
-    /// Sharded-path directory load.
-    pub(crate) fn load_dir_sharded(
-        &self,
-        slots: &[usize],
-        via: NodeId,
-        fh: FileHandle,
-    ) -> Result<(Inode, Directory, VersionPair, SimDuration), NfsError> {
-        let (inode, payload, version, latency) = self.load_sharded(slots, via, fh)?;
-        if inode.ftype != FileType::Directory.to_byte() {
-            return Err(NfsError::NotDir);
-        }
-        let dir = Directory::decode(&payload.bytes())?;
-        Ok((inode, dir, version, latency))
-    }
-
-    /// Sharded-path `GETATTR` (the attribute reply every mutation ends
-    /// with).
-    pub(crate) fn getattr_sharded(
-        &self,
-        slots: &[usize],
-        via: NodeId,
-        fh: FileHandle,
-    ) -> NfsResult<FileAttr> {
-        let (inode, payload, version, latency) = self.load_sharded(slots, via, fh)?;
-        let attr = self.attr_from(fh, &inode, payload.len(), version);
-        Ok(OpResult { value: attr, latency })
-    }
-
-    /// Attribute assembly shared by the exclusive and shared read paths.
-    pub(crate) fn attr_from(
-        &self,
-        fh: FileHandle,
-        inode: &Inode,
-        payload_len: usize,
-        version: VersionPair,
-    ) -> FileAttr {
-        FileAttr {
-            handle: fh,
-            ftype: FileType::from_byte(inode.ftype).unwrap_or(FileType::Regular),
-            mode: inode.mode,
-            nlink: inode.nlink,
-            uid: inode.uid,
-            gid: inode.gid,
-            size: payload_len,
-            version,
-            mtime: inode.mtime,
-            ctime: inode.ctime,
-        }
     }
 
     /// Fault-injection support: applies `f` to a segment's inode header in

@@ -11,9 +11,9 @@
 use deceit_net::NodeId;
 use deceit_sim::SimDuration;
 
-use crate::dir::Directory;
-use crate::fs::{split_image, DeceitFs, Edit, NfsError, WHOLE_SEGMENT};
+use crate::fs::{DeceitFs, Edit, NfsError};
 use crate::handle::FileHandle;
+use crate::scope::{at_cell, Scope};
 
 /// Runs the zero-link-count check on `target`: deallocate if truly
 /// unlinked, otherwise correct the hint. Returns the time spent.
@@ -23,7 +23,7 @@ pub fn collect_if_unlinked(
     target: FileHandle,
 ) -> Result<SimDuration, NfsError> {
     let mut latency = SimDuration::ZERO;
-    let (inode, _, _, l0) = fs.load(via, target)?;
+    let (inode, _, _, l0) = at_cell(Scope::Cell(fs).load(via, target))?;
     latency += l0;
 
     // Scan every available version of every uplink directory.
@@ -37,16 +37,11 @@ pub fn collect_if_unlinked(
             Err(_) => continue, // directory gone entirely
         };
         for v in versions {
-            let Ok(read) = fs.cluster.read(via, dir_seg, Some(v.major), 0, WHOLE_SEGMENT) else {
+            let Ok((_, table, _, l)) = fs.load_dir(via, FileHandle::versioned(dir_seg, v.major))
+            else {
                 continue;
             };
-            latency += read.latency;
-            let Ok((_, payload)) = split_image(read.value.image) else {
-                continue;
-            };
-            let Ok(table) = Directory::decode(&payload.bytes()) else {
-                continue;
-            };
+            latency += l;
             // Count entries, not directories: two hard links from the
             // same directory are two links.
             true_links +=
@@ -79,7 +74,7 @@ pub fn total_link_copies(
     via: NodeId,
     target: FileHandle,
 ) -> Result<u64, NfsError> {
-    let (inode, _, _, _) = fs.load(via, target)?;
+    let (inode, ..) = at_cell(Scope::Cell(fs).load(via, target))?;
     let mut total = 0u64;
     for dir_seg in inode.uplinks.clone() {
         let versions = match fs.cluster.list_versions(via, dir_seg) {
@@ -88,13 +83,8 @@ pub fn total_link_copies(
         };
         for v in versions {
             // Does this version of the directory link to the file?
-            let Ok(read) = fs.cluster.read(via, dir_seg, Some(v.major), 0, WHOLE_SEGMENT) else {
-                continue;
-            };
-            let Ok((_, payload)) = split_image(read.value.image) else {
-                continue;
-            };
-            let Ok(table) = Directory::decode(&payload.bytes()) else {
+            let Ok((_, table, ..)) = fs.load_dir(via, FileHandle::versioned(dir_seg, v.major))
+            else {
                 continue;
             };
             if table.links_to(target.seg) {

@@ -1,70 +1,67 @@
-//! Hosting seam implementations for the envelope.
+//! The hosting seam of the envelope.
 //!
 //! §5.2: "Although the NFS envelope implementation is a large piece of
 //! software, it is totally independent of the underlying implementation
 //! of the segment service." The same independence holds upward: the
-//! envelope does not care *who* delivers requests to it. [`NfsService`]
-//! captures the request-serving surface a transport needs, and the
-//! [`deceit_core::ProtocolHost`] implementations below forward failure
-//! injection and deferred-work pumping to the segment-server cluster
-//! underneath, so the whole stack can be hosted by the deterministic
-//! simulator and the live threaded runtime alike.
+//! envelope does not care *who* delivers requests to it, only what the
+//! deliverer holds while it runs. [`NfsService`] is the request-serving
+//! surface a transport needs — one entry per level a host can hold (see
+//! [`Scope`]), each a one-line choice of scope over the single request
+//! table [`NfsServer::dispatch`] — and the [`deceit_core::ProtocolHost`]
+//! implementation forwards failure injection and deferred-work pumping to
+//! the segment-server cluster underneath, so the whole stack can be
+//! hosted by the deterministic simulator and the live threaded runtime
+//! alike.
 
-use deceit_core::ProtocolHost;
+use std::time::Instant;
+
+use deceit_core::{OpClass, ProtocolHost};
 use deceit_net::NodeId;
 use deceit_sim::{SimDuration, SimTime};
 
-use crate::fs::DeceitFs;
 use crate::handle::FileHandle;
-use crate::rpc::{NfsReply, NfsRequest, NfsServer};
+use crate::rpc::{escaped_cell_reply, NfsReply, NfsRequest, NfsServer};
+use crate::scope::Scope;
 
 /// A transport-agnostic NFS request service.
+///
+/// The `&self` entries each serve a request holding less than the whole
+/// cell. `None` means the request's footprint escapes what that entry's
+/// caller holds: nothing was changed, and the host retries with a wider
+/// entry, ending at [`NfsService::serve`]. When a narrower entry does
+/// answer, it answers what `serve` would have. The defaults decline
+/// everything, which is always correct.
 pub trait NfsService {
     /// The root handle returned by the mount protocol.
     fn mount_root(&self) -> FileHandle;
 
-    /// Handles one request arriving at server `via`, returning the reply
-    /// and the server-side latency charged to the protocol clock.
+    /// Handles one request arriving at server `via` holding the whole
+    /// cell, returning the reply and the server-side latency charged to
+    /// the protocol clock.
     fn serve(&mut self, via: NodeId, req: NfsRequest) -> (NfsReply, SimDuration);
 
-    /// Attempts to serve a read-only request with *shared* access — the
-    /// concurrent host's fast path, run under its shared cell lock in
-    /// parallel with other readers.
-    ///
-    /// `None` means "not answerable without mutating": the host must
-    /// fall back to the exclusive [`NfsService::serve`]. The default
-    /// declines everything, which is always correct.
+    /// Serves a request holding the shared cell lock only, in parallel
+    /// with every other request: answers from what `via` holds locally.
     fn serve_shared(&self, via: NodeId, req: &NfsRequest) -> Option<(NfsReply, SimDuration)> {
         let _ = (via, req);
         None
     }
 
-    /// Attempts to serve a read-only request with shared cell access
-    /// plus the ring lock of its primary file — for reads the lock-free
-    /// [`NfsService::serve_shared`] path declined. The caller must hold
-    /// the ring lock of the request's shard key. `None` falls back to
-    /// the exclusive [`NfsService::serve`]. The default declines
-    /// everything, which is always correct.
+    /// Serves a read-only request holding the shared cell lock plus the
+    /// ring lock of its shard key — for reads [`NfsService::serve_shared`]
+    /// declined because they must forward. Declines everything else.
     fn serve_read_sharded(&self, via: NodeId, req: &NfsRequest) -> Option<(NfsReply, SimDuration)> {
         let _ = (via, req);
         None
     }
 
-    /// Attempts to serve a mutating request with shared cell access plus
-    /// the shard locks its class declares — the sharded mutation path.
-    /// Under the asynchronous write pipeline this is also where a write
-    /// acknowledges: the engine returns once the mutation is durable at
-    /// the token holder (plus its safety-level replicas), leaving group
-    /// propagation to [`ProtocolHost::try_pump_shard`] as slot-attributed
-    /// deferred work.
-    ///
-    /// The caller must hold the ring locks for every slot of
-    /// `req.class().slots(shard_count)` before calling. `None` means the
-    /// request's footprint escapes those locks (qualified-version names,
-    /// removals that resolve their victim by name, renames that touch a
-    /// third segment, cell-wide commands): the host must fall back to
-    /// the exclusive [`NfsService::serve`]. The default declines
-    /// everything, which is always correct.
+    /// Serves a mutating request holding the shared cell lock plus the
+    /// ring locks of every slot of `req.class().slots(shard_count)`.
+    /// Declines read-only requests. Under the asynchronous write pipeline
+    /// this is also where a write acknowledges: the engine returns once
+    /// the mutation is durable at the token holder (plus its safety-level
+    /// replicas), leaving group propagation to
+    /// [`ProtocolHost::try_pump_shard`] as slot-attributed deferred work.
     fn serve_sharded(&self, via: NodeId, req: &NfsRequest) -> Option<(NfsReply, SimDuration)> {
         let _ = (via, req);
         None
@@ -77,161 +74,121 @@ impl NfsService for NfsServer {
     }
 
     fn serve(&mut self, via: NodeId, req: NfsRequest) -> (NfsReply, SimDuration) {
-        let start = std::time::Instant::now();
-        let served = self.handle(via, req);
-        self.fs.cluster.obs.serve_exec.record_micros(start.elapsed());
-        served
+        serve_at(Scope::Cell(&mut self.fs), via, &req).unwrap_or_else(escaped_cell_reply)
     }
 
     fn serve_shared(&self, via: NodeId, req: &NfsRequest) -> Option<(NfsReply, SimDuration)> {
-        let start = std::time::Instant::now();
-        let served = self.handle_shared(via, req)?;
-        self.fs.cluster.obs.serve_exec.record_micros(start.elapsed());
-        Some(served)
-    }
-
-    fn serve_sharded(&self, via: NodeId, req: &NfsRequest) -> Option<(NfsReply, SimDuration)> {
-        let start = std::time::Instant::now();
-        let served = self.handle_sharded(via, req)?;
-        self.fs.cluster.obs.serve_exec.record_micros(start.elapsed());
-        Some(served)
+        serve_at(Scope::Snapshot(&self.fs), via, req)
     }
 
     fn serve_read_sharded(&self, via: NodeId, req: &NfsRequest) -> Option<(NfsReply, SimDuration)> {
-        let start = std::time::Instant::now();
-        let served = self.handle_read_sharded(via, req)?;
-        self.fs.cluster.obs.serve_exec.record_micros(start.elapsed());
-        Some(served)
+        match req.class() {
+            OpClass::ReadOnly => self.serve_under(OpClass::Mutate(req.shard_key()?), via, req),
+            _ => None,
+        }
+    }
+
+    fn serve_sharded(&self, via: NodeId, req: &NfsRequest) -> Option<(NfsReply, SimDuration)> {
+        match req.class() {
+            OpClass::ReadOnly => None,
+            class => self.serve_under(class, via, req),
+        }
     }
 }
 
-impl ProtocolHost for DeceitFs {
-    fn pump(&mut self, max_events: usize) -> usize {
-        self.cluster.pump(max_events)
+impl NfsServer {
+    /// Serves `req` holding the ring locks `class` declares.
+    fn serve_under(
+        &self,
+        class: OpClass,
+        via: NodeId,
+        req: &NfsRequest,
+    ) -> Option<(NfsReply, SimDuration)> {
+        let mut slots = [0usize; 2];
+        let n = class.slots_into(self.fs.cluster.shard_count(), &mut slots);
+        serve_at(Scope::Ring(&self.fs, &slots[..n]), via, req)
     }
+}
 
-    fn shard_count(&self) -> usize {
-        self.cluster.shard_count()
-    }
-
-    fn try_pump_shard(&self, slot: usize, max_events: usize) -> Option<usize> {
-        Some(self.cluster.pump_shard(slot, max_events))
-    }
-
-    fn pending_shard_mask(&self) -> u64 {
-        self.cluster.pending_shard_mask()
-    }
-
-    fn advance_idle_clock(&self, d: SimDuration) {
-        ProtocolHost::advance_idle_clock(&self.cluster, d);
-    }
-
-    fn settle(&mut self) {
-        self.cluster.run_until_quiet();
-    }
-
-    fn pending_work(&self) -> usize {
-        self.cluster.pending_events()
-    }
-
-    fn crash_node(&mut self, node: NodeId) {
-        self.cluster.crash_server(node);
-    }
-
-    fn restart_node(&mut self, node: NodeId) {
-        self.cluster.recover_server(node);
-    }
-
-    fn split_nodes(&mut self, groups: &[&[NodeId]]) {
-        self.cluster.split(groups);
-    }
-
-    fn heal_nodes(&mut self) {
-        self.cluster.heal();
-    }
-
-    fn node_is_up(&self, node: NodeId) -> bool {
-        self.cluster.check_up(node).is_ok()
-    }
-
-    fn protocol_now(&self) -> SimTime {
-        self.cluster.now()
-    }
-
-    fn obs_core(&self) -> Option<&deceit_core::ObsCore> {
-        ProtocolHost::obs_core(&self.cluster)
-    }
-
-    fn stats_snapshot(&self) -> Option<deceit_sim::StatsSnapshot> {
-        ProtocolHost::stats_snapshot(&self.cluster)
-    }
+/// Serves `req` holding `scope`, stamping its execution time if it
+/// answered.
+fn serve_at(
+    mut scope: Scope<'_>,
+    via: NodeId,
+    req: &NfsRequest,
+) -> Option<(NfsReply, SimDuration)> {
+    let start = Instant::now();
+    let served = NfsServer::dispatch(&mut scope, via, req)?;
+    scope.fs().cluster.obs.serve_exec.record_micros(start.elapsed());
+    Some(served)
 }
 
 impl ProtocolHost for NfsServer {
     fn pump(&mut self, max_events: usize) -> usize {
-        self.fs.pump(max_events)
+        self.fs.cluster.pump(max_events)
     }
 
     fn shard_count(&self) -> usize {
-        self.fs.shard_count()
+        self.fs.cluster.shard_count()
     }
 
     fn try_pump_shard(&self, slot: usize, max_events: usize) -> Option<usize> {
-        self.fs.try_pump_shard(slot, max_events)
+        self.fs.cluster.try_pump_shard(slot, max_events)
     }
 
     fn pending_shard_mask(&self) -> u64 {
-        self.fs.pending_shard_mask()
+        self.fs.cluster.pending_shard_mask()
     }
 
     fn advance_idle_clock(&self, d: SimDuration) {
-        self.fs.advance_idle_clock(d);
+        self.fs.cluster.advance_idle_clock(d);
     }
 
     fn settle(&mut self) {
-        self.fs.settle();
+        self.fs.cluster.settle();
     }
 
     fn pending_work(&self) -> usize {
-        self.fs.pending_work()
+        self.fs.cluster.pending_work()
     }
 
     fn crash_node(&mut self, node: NodeId) {
-        self.fs.crash_node(node);
+        self.fs.cluster.crash_node(node);
     }
 
     fn restart_node(&mut self, node: NodeId) {
-        self.fs.restart_node(node);
+        self.fs.cluster.restart_node(node);
     }
 
     fn split_nodes(&mut self, groups: &[&[NodeId]]) {
-        self.fs.split_nodes(groups);
+        self.fs.cluster.split_nodes(groups);
     }
 
     fn heal_nodes(&mut self) {
-        self.fs.heal_nodes();
+        self.fs.cluster.heal_nodes();
     }
 
     fn node_is_up(&self, node: NodeId) -> bool {
-        self.fs.node_is_up(node)
+        self.fs.cluster.node_is_up(node)
     }
 
     fn protocol_now(&self) -> SimTime {
-        self.fs.protocol_now()
+        self.fs.cluster.protocol_now()
     }
 
     fn obs_core(&self) -> Option<&deceit_core::ObsCore> {
-        self.fs.obs_core()
+        self.fs.cluster.obs_core()
     }
 
     fn stats_snapshot(&self) -> Option<deceit_sim::StatsSnapshot> {
-        self.fs.stats_snapshot()
+        self.fs.cluster.stats_snapshot()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fs::DeceitFs;
 
     #[test]
     fn nfs_server_hosts_the_stack() {

@@ -15,11 +15,15 @@
 //!   hint, uplink list, timestamps).
 //! * [`dir`] — the directory-entry encoding stored in directory segments.
 //! * [`name`] — version-qualified file names (`foo;3`, §3.5).
-//! * [`fs`] — the envelope's shared types and segment plumbing.
+//! * [`fs`] — the envelope's shared types and the segment image codec.
+//! * [`scope`] — what the caller of an operation holds (the shared cell
+//!   lock, some ring locks, the whole cell), and the segment plumbing
+//!   written once against it.
 //! * [`ops_read`] / [`ops_file`] / [`ops_dir`] — the NFS operations and
-//!   Deceit special commands, grouped by how they interact with engine
-//!   state (read-only, single-file mutation, namespace mutation) — the
-//!   classification a concurrent host dispatches on.
+//!   Deceit special commands, each written once, grouped by how they
+//!   interact with engine state (read-only, single-file mutation,
+//!   namespace mutation) — the classification a concurrent host
+//!   dispatches on.
 //! * [`auth`] — credentials, mode-bit access checks, and the modeled
 //!   DES session authentication (§5).
 //! * [`gc`] — link counting and uplink-list garbage collection (§5.2).
@@ -45,6 +49,7 @@ pub mod ops_file;
 pub mod ops_read;
 pub mod reconcile;
 pub mod rpc;
+pub mod scope;
 
 pub use auth::{permits, AccessMode, Credentials, SessionAuth};
 pub use cell::{CellId, Federation};
@@ -56,3 +61,4 @@ pub use inode::Inode;
 pub use name::QualifiedName;
 pub use reconcile::{reconcile_directory, ReconcileReport};
 pub use rpc::{NfsReply, NfsRequest, NfsServer};
+pub use scope::Scope;

@@ -1,19 +1,20 @@
-//! Namespace entry points (`OpClass::Mutate` on the directory, or
-//! `OpClass::CrossShard` when two statically-known files are touched).
+//! Namespace operations (`OpClass::Mutate` on the directory, or
+//! `OpClass::CrossShard` when two statically-known files are touched):
+//! they rewrite directory segments and the link metadata of the files
+//! they name. What each one touches decides what its caller must hold.
 //!
-//! These operations rewrite directory segments and the link metadata of
-//! the files they name. What each one touches:
+//! `link` names both files it rewrites in the request, so their two ring
+//! locks cover its footprint: it is written against a [`Scope`] like the
+//! single-file mutations. The rest reach a segment the request does not
+//! declare, so they take `&mut DeceitFs` — the whole cell:
 //!
-//! * `create` / `mkdir` / `symlink` — the parent directory plus a
-//!   *newborn* segment nobody else can address yet: classified
-//!   `Mutate(dir)`.
-//! * `remove` / `rmdir` — the parent directory plus the victim resolved
-//!   *by name* during execution; the victim is not statically known, so
-//!   the class declares the directory and the host's exclusive cell
-//!   lock covers the resolved segment.
-//! * `rename` — both directories are in the request: `CrossShard`.
-//! * `link` — the target handle and the directory are both in the
-//!   request: `CrossShard`.
+//! * `create` / `mkdir` / `symlink` — a *newborn* segment. No other
+//!   request can address it yet, but its deferred protocol work lands in
+//!   its own slot's queue, which a concurrent host's pump drains under a
+//!   ring lock the creator does not hold.
+//! * `remove` / `rmdir` — a victim resolved *by name* during execution.
+//! * `rename` — the moved file's inode, a third segment.
+//! * `name;N` forms — another file's versions.
 
 use deceit_core::OpResult;
 use deceit_net::NodeId;
@@ -24,7 +25,74 @@ use crate::fs::{segment_image, DeceitFs, Edit, FileAttr, FileType, NfsError, Nfs
 use crate::gc;
 use crate::handle::FileHandle;
 use crate::inode::Inode;
-use crate::name::QualifiedName;
+use crate::name::{NameError, QualifiedName};
+use crate::scope::{at_cell, Scope, Scoped};
+
+impl Scope<'_> {
+    /// The body of [`DeceitFs::link`].
+    pub(crate) fn link(
+        &mut self,
+        via: NodeId,
+        target: FileHandle,
+        dir: FileHandle,
+        name: &str,
+    ) -> Scoped<()> {
+        let q = QualifiedName::parse(name)?;
+        if q.version.is_some() {
+            let why = "hard links cannot be version-qualified".to_string();
+            return Err(NameError::BadVersion(why).into());
+        }
+        let now = self.fs().cluster.now().as_micros();
+        let (tnode, _, _, mut latency) = self.load(via, target)?;
+        if tnode.ftype == FileType::Directory.to_byte() {
+            return Err(NfsError::IsDir.into());
+        }
+        // §5.2: "When a hard link is made to f in directory d, d is added
+        // to the uplink list of all versions of f which can be updated at
+        // that time" — updates flow to the current version. Count first,
+        // insert second: in between the count and the uplink list
+        // over-approximate, the direction the uplink check tolerates.
+        let dir_seg = dir.seg;
+        let mut new_uplink = false;
+        let bumped = self.update_segment(via, target, |inode, _| {
+            new_uplink = !inode.uplinks.contains(&dir_seg);
+            inode.nlink += 1;
+            inode.add_uplink(dir_seg);
+            inode.ctime = now;
+            Ok(Some(Edit::Keep))
+        })?;
+        latency += bumped.latency;
+        let entry =
+            DirEntry { name: q.base.clone(), handle: target.unpinned(), ftype: tnode.ftype };
+        let inserted = self.update_segment(via, dir, |dnode, dpayload| {
+            if dnode.ftype != FileType::Directory.to_byte() {
+                return Err(NfsError::NotDir);
+            }
+            let mut t = Directory::decode(&dpayload.bytes())?;
+            if !t.insert(entry.clone()) {
+                return Err(NfsError::Exists);
+            }
+            dnode.mtime = now;
+            Ok(Some(Edit::Set(t.encode())))
+        });
+        match inserted {
+            Ok(done) => Ok(OpResult { value: (), latency: latency + done.latency }),
+            Err(refused) => {
+                // The directory took no entry: take the count back, so a
+                // later `REMOVE` still reaches zero (as `create` rolls
+                // back its orphan segment).
+                let _ = self.update_segment(via, target, |inode, _| {
+                    inode.nlink = inode.nlink.saturating_sub(1);
+                    if new_uplink {
+                        inode.remove_uplink(dir_seg);
+                    }
+                    Ok(Some(Edit::Keep))
+                });
+                Err(refused)
+            }
+        }
+    }
+}
 
 impl DeceitFs {
     /// `CREATE`: a new regular file.
@@ -98,7 +166,7 @@ impl DeceitFs {
         inode.nlink = 1;
         inode.add_uplink(dir.seg);
         let image = segment_image(&inode, &Payload::default(), Edit::Set(payload))?;
-        let (_, l1) = self.store(via, fh, image, None)?;
+        let (_, l1) = at_cell(Scope::Cell(self).store(via, fh, image, None))?;
         latency += l1;
 
         // Add the directory entry under the §5.1 restart loop.
@@ -143,70 +211,6 @@ impl DeceitFs {
         let mut out = self.getattr(via, FileHandle::versioned(seg, created.value))?;
         out.latency += latency;
         Ok(out)
-    }
-
-    // ------------------------------------------------------------------
-    // Sharded-path twins (`&self` + held ring locks)
-    //
-    // Only `link` qualifies: both files it rewrites are named in the
-    // request, so the class's ring locks cover the whole footprint.
-    // Creations do NOT — the newborn segment is unaddressable to other
-    // *requests* until published, but its deferred protocol work
-    // (stabilize checks, flushes, replica fills) lands in the newborn's
-    // own slot queue, which the pump drains under that slot's ring lock
-    // — a lock the creator does not hold. Creations therefore run on
-    // the exclusive path, where the pump is excluded by the cell lock.
-    // ------------------------------------------------------------------
-
-    /// Sharded-path `LINK`: both the target and the directory are named
-    /// in the request, so the class's two ring locks cover the whole
-    /// footprint.
-    pub fn link_sharded(
-        &self,
-        slots: &[usize],
-        via: NodeId,
-        target: FileHandle,
-        dir: FileHandle,
-        name: &str,
-    ) -> NfsResult<()> {
-        let q = QualifiedName::parse(name)?;
-        if q.version.is_some() {
-            return Err(NfsError::Name(crate::name::NameError::BadVersion(
-                "hard links cannot be version-qualified".to_string(),
-            )));
-        }
-        let mut latency = SimDuration::ZERO;
-        let now = self.cluster.now().as_micros();
-        let (tnode, _, _, l0) = self.load_sharded(slots, via, target)?;
-        latency += l0;
-        if tnode.ftype == FileType::Directory.to_byte() {
-            return Err(NfsError::IsDir);
-        }
-        let dir_seg = dir.seg;
-        latency += self
-            .update_segment_sharded(slots, via, target, |inode, _| {
-                inode.nlink += 1;
-                inode.add_uplink(dir_seg);
-                inode.ctime = now;
-                Ok(Some(Edit::Keep))
-            })?
-            .3;
-        let entry =
-            DirEntry { name: q.base.clone(), handle: target.unpinned(), ftype: tnode.ftype };
-        latency += self
-            .update_segment_sharded(slots, via, dir, |dnode, dpayload| {
-                if dnode.ftype != FileType::Directory.to_byte() {
-                    return Err(NfsError::NotDir);
-                }
-                let mut t = Directory::decode(&dpayload.bytes())?;
-                if !t.insert(entry.clone()) {
-                    return Err(NfsError::Exists);
-                }
-                dnode.mtime = now;
-                Ok(Some(Edit::Set(t.encode())))
-            })?
-            .3;
-        Ok(OpResult { value: (), latency })
     }
 
     /// `REMOVE`: unlinks a file or symlink from a directory.
@@ -368,42 +372,6 @@ impl DeceitFs {
         dir: FileHandle,
         name: &str,
     ) -> NfsResult<()> {
-        let q = QualifiedName::parse(name)?;
-        if q.version.is_some() {
-            return Err(NfsError::Name(crate::name::NameError::BadVersion(
-                "hard links cannot be version-qualified".to_string(),
-            )));
-        }
-        let mut latency = SimDuration::ZERO;
-        let now = self.cluster.now().as_micros();
-        let (tnode, _, _, l0) = self.load(via, target)?;
-        latency += l0;
-        if tnode.ftype == FileType::Directory.to_byte() {
-            return Err(NfsError::IsDir);
-        }
-        // §5.2: "When a hard link is made to f in directory d, d is added
-        // to the uplink list of all versions of f which can be updated at
-        // that time" — updates flow to the current version.
-        let dir_seg = dir.seg;
-        latency += self.update_segment(via, target, |inode, _| {
-            inode.nlink += 1;
-            inode.add_uplink(dir_seg);
-            inode.ctime = now;
-            Ok(Some(Edit::Keep))
-        })?;
-        let entry =
-            DirEntry { name: q.base.clone(), handle: target.unpinned(), ftype: tnode.ftype };
-        latency += self.update_segment(via, dir, |dnode, dpayload| {
-            if dnode.ftype != FileType::Directory.to_byte() {
-                return Err(NfsError::NotDir);
-            }
-            let mut t = Directory::decode(&dpayload.bytes())?;
-            if !t.insert(entry.clone()) {
-                return Err(NfsError::Exists);
-            }
-            dnode.mtime = now;
-            Ok(Some(Edit::Set(t.encode())))
-        })?;
-        Ok(OpResult { value: (), latency })
+        at_cell(Scope::Cell(self).link(via, target, dir, name))
     }
 }

@@ -9,17 +9,14 @@
 //! entries, with name collisions on *different* files surfaced by
 //! suffixing the losing entry.
 
-use deceit_core::WriteOp;
 use deceit_net::NodeId;
 use deceit_sim::SimDuration;
 
 use crate::dir::Directory;
-use crate::fs::{
-    segment_image, split_image, DeceitFs, Edit, FileType, NfsError, NfsResult, Payload,
-    WHOLE_SEGMENT,
-};
+use crate::fs::{segment_image, DeceitFs, Edit, NfsError, NfsResult, Payload};
 use crate::handle::FileHandle;
 use crate::inode::Inode;
+use crate::scope::{at_cell, Scope};
 
 /// The outcome of one reconciliation.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -46,10 +43,11 @@ pub fn reconcile_directory(
         latency += r.latency;
         r.value
     };
-    if versions.is_empty() {
-        return Err(NfsError::Stale);
-    }
     let majors: Vec<u64> = versions.iter().map(|v| v.major).collect();
+    // The merge target is the newest version (highest major — the branch
+    // the unqualified name already resolves to); none at all is a stale
+    // handle.
+    let Some(&newest) = majors.iter().max() else { return Err(NfsError::Stale) };
     if majors.len() == 1 {
         // Nothing to reconcile.
         let (_, table, _, l) = fs.load_dir(via, dir)?;
@@ -64,22 +62,15 @@ pub fn reconcile_directory(
         });
     }
 
-    // Read every version's entry table; merge into the newest (highest
-    // major — the branch the unqualified name already resolves to).
-    let newest = *majors.iter().max().unwrap();
+    // Read every version's entry table, newest first, merging into it.
     let mut merged: Option<(Inode, Directory)> = None;
     let mut collisions = Vec::new();
     let mut ordered = majors.clone();
     ordered.sort_unstable_by(|a, b| b.cmp(a)); // newest first
 
     for major in &ordered {
-        let read = fs.cluster.read(via, dir.seg, Some(*major), 0, WHOLE_SEGMENT)?;
-        latency += read.latency;
-        let (inode, payload) = split_image(read.value.image)?;
-        if inode.ftype != FileType::Directory.to_byte() {
-            return Err(NfsError::NotDir);
-        }
-        let table = Directory::decode(&payload.bytes())?;
+        let (inode, table, _, l) = fs.load_dir(via, FileHandle::versioned(dir.seg, *major))?;
+        latency += l;
         match &mut merged {
             None => merged = Some((inode, table)),
             Some((_, base)) => {
@@ -102,13 +93,13 @@ pub fn reconcile_directory(
             }
         }
     }
-    let (mut inode, table) = merged.expect("at least one version read");
+    let Some((mut inode, table)) = merged else { return Err(NfsError::Stale) };
 
     // Write the merged table into the newest version and delete the rest.
     inode.mtime = fs.cluster.now().as_micros();
     let image = segment_image(&inode, &Payload::default(), Edit::Set(table.encode()))?;
-    let w = fs.cluster.write(via, dir.seg, WriteOp::Replace(image), None)?;
-    latency += w.latency;
+    let (_, l) = at_cell(Scope::Cell(fs).store(via, dir, image, None))?;
+    latency += l;
     for major in majors.iter().filter(|&&m| m != newest) {
         // The merged survivor embeds the other versions' entries; their
         // histories are now redundant.

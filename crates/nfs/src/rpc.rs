@@ -16,6 +16,7 @@ use deceit_sim::SimDuration;
 use crate::dir::DirEntry;
 use crate::fs::{DeceitFs, FileAttr, NfsError, NfsResult};
 use crate::handle::FileHandle;
+use crate::scope::{Scope, Scoped, Stop};
 
 /// One NFS (or Deceit-extension) request.
 #[derive(Debug, Clone, PartialEq)]
@@ -226,245 +227,104 @@ impl NfsServer {
         self.fs.root()
     }
 
-    /// Handles one request arriving at server `via`, returning the reply
-    /// and the server-side latency.
-    ///
-    /// This is a pure dispatcher: each request class has its own entry
-    /// point below, declaring what it touches, and a concurrent host may
-    /// call those entry points directly after classifying with
-    /// [`NfsRequest::class`].
+    /// Handles one request arriving at server `via` holding the whole
+    /// cell, returning the reply and the server-side latency.
     pub fn handle(&mut self, via: NodeId, req: NfsRequest) -> (NfsReply, SimDuration) {
-        match req.class() {
-            OpClass::ReadOnly => self.handle_read(via, req),
-            OpClass::Mutate(_) => self.handle_file_mutation(via, req),
-            OpClass::CrossShard(_, _) => self.handle_cross_file(via, req),
-            OpClass::CellWide => self.handle_cell_wide(via, req),
-        }
+        Self::dispatch(&mut Scope::Cell(&mut self.fs), via, &req).unwrap_or_else(escaped_cell_reply)
     }
 
-    /// Serves a read-only request with shared access, if the engine can
-    /// answer it from `via`'s local stable state; `None` defers to the
-    /// exclusive [`NfsServer::handle`]. See
-    /// [`crate::ops_read`] for the exact coverage.
-    pub fn handle_shared(&self, via: NodeId, req: &NfsRequest) -> Option<(NfsReply, SimDuration)> {
-        Some(match req {
-            NfsRequest::Null => (NfsReply::Void, SimDuration::from_micros(50)),
-            NfsRequest::Getattr { fh } => wrap(self.fs.getattr_shared(via, *fh)?, NfsReply::Attr),
-            NfsRequest::Lookup { dir, name } => {
-                wrap(self.fs.lookup_shared(via, *dir, name)?, NfsReply::Attr)
-            }
-            NfsRequest::Readlink { fh } => wrap(self.fs.readlink_shared(via, *fh)?, NfsReply::Path),
-            NfsRequest::Read { fh, offset, count } => {
-                wrap(self.fs.read_shared(via, *fh, *offset, *count)?, NfsReply::Data)
-            }
-            NfsRequest::Readdir { dir } => {
-                wrap(self.fs.readdir_shared(via, *dir)?, NfsReply::Entries)
-            }
-            NfsRequest::Statfs => wrap(self.fs.statfs_shared(via)?, |(files, bytes)| {
-                NfsReply::Fsstat { files, bytes }
-            }),
-            // The Deceit inquiries involve cell-wide searches; always
-            // defer them.
-            _ => return None,
-        })
-    }
-
-    /// Serves a mutating request with shared cell access plus the ring
-    /// locks its class declares — the sharded mutation fast path.
-    ///
-    /// The caller must hold the ring locks for every slot of
-    /// `req.class().slots(shard_count)`. `None` defers to the exclusive
-    /// [`NfsServer::handle`]: version-qualified names (they address a
-    /// different file's versions), `Remove`/`Rmdir` (the victim resolves
-    /// by name during execution), `Rename` (rewrites the moved file, a
-    /// third segment), and everything cell-wide.
-    pub fn handle_sharded(&self, via: NodeId, req: &NfsRequest) -> Option<(NfsReply, SimDuration)> {
-        let mut buf = [0usize; 2];
-        let n = req.class().slots_into(self.fs.cluster.shard_count(), &mut buf);
-        let slots = &buf[..n];
-        Some(match req {
-            NfsRequest::Setattr { fh, mode, uid, gid, size } => wrap(
-                self.fs.setattr_sharded(slots, via, *fh, *mode, *uid, *gid, *size),
-                NfsReply::Attr,
-            ),
-            NfsRequest::Write { fh, offset, data } => {
-                wrap(self.fs.write_sharded(slots, via, *fh, *offset, data), NfsReply::Attr)
-            }
-            NfsRequest::DeceitSetParams { fh, params } => {
-                wrap(self.fs.set_file_params_sharded(slots, via, *fh, *params), |()| NfsReply::Void)
-            }
-            NfsRequest::Link { target, dir, name } => {
-                wrap(self.fs.link_sharded(slots, via, *target, *dir, name), |()| NfsReply::Void)
-            }
-            // Create/Mkdir/Symlink schedule the newborn segment's
-            // deferred work into a slot the declared class does not
-            // lock (the pump would race the creator there);
-            // Remove/Rmdir rewrite a victim resolved by name; Rename
-            // rewrites the moved file's inode — footprints the declared
-            // class does not cover. Everything else mutating is
-            // cell-wide. All defer to the exclusive path.
-            _ => return None,
-        })
-    }
-
-    /// Serves a read-only request with shared cell access plus the ring
-    /// lock of its primary file — the sharded read path, for requests
-    /// the lock-free [`NfsServer::handle_shared`] fast path declined
-    /// (no local stable replica: forwarding, unstable files).
-    ///
-    /// The caller must hold the ring lock of the request's
-    /// [`NfsRequest::shard_key`]. `None` defers to the exclusive
-    /// [`NfsServer::handle`]: requests without a shard key, and the
-    /// Deceit inquiries whose searches span the cell.
-    pub fn handle_read_sharded(
-        &self,
+    /// The request table: runs `req`, arriving at server `via`, against
+    /// what the caller holds. `None` means its footprint escapes that —
+    /// nothing was changed, and the caller retries holding more. The rows
+    /// that go through `whole` need the whole cell (see
+    /// [`crate::ops_dir`]); every other row escapes only if a segment it
+    /// needs does.
+    pub fn dispatch(
+        scope: &mut Scope<'_>,
         via: NodeId,
         req: &NfsRequest,
     ) -> Option<(NfsReply, SimDuration)> {
-        let key = req.shard_key()?;
-        let mut buf = [0usize; 2];
-        let n = OpClass::Mutate(key).slots_into(self.fs.cluster.shard_count(), &mut buf);
-        let slots = &buf[..n];
-        Some(match req {
-            NfsRequest::Getattr { fh } => {
-                wrap(self.fs.getattr_sharded(slots, via, *fh), NfsReply::Attr)
-            }
-            NfsRequest::Lookup { dir, name } => {
-                wrap(self.fs.lookup_ring(slots, via, *dir, name)?, NfsReply::Attr)
-            }
-            NfsRequest::Readlink { fh } => {
-                wrap(self.fs.readlink_ring(slots, via, *fh), NfsReply::Path)
-            }
-            NfsRequest::Read { fh, offset, count } => {
-                wrap(self.fs.read_ring(slots, via, *fh, *offset, *count), NfsReply::Data)
-            }
-            NfsRequest::Readdir { dir } => {
-                wrap(self.fs.readdir_ring(slots, via, *dir), NfsReply::Entries)
-            }
-            NfsRequest::DeceitGetParams { fh } => {
-                wrap(self.fs.file_params_ring(slots, via, *fh), NfsReply::Params)
-            }
-            // Version/replica listings search the cell; defer.
-            _ => return None,
-        })
-    }
-
-    /// `OpClass::ReadOnly` entry point: touches no state beyond caches
-    /// and accounting (forwarded reads may join file groups).
-    pub fn handle_read(&mut self, via: NodeId, req: NfsRequest) -> (NfsReply, SimDuration) {
         match req {
-            NfsRequest::Null => (NfsReply::Void, SimDuration::from_micros(50)),
-            NfsRequest::Getattr { fh } => wrap(self.fs.getattr(via, fh), NfsReply::Attr),
-            NfsRequest::Lookup { dir, name } => {
-                wrap(self.fs.lookup(via, dir, &name), NfsReply::Attr)
-            }
-            NfsRequest::Readlink { fh } => wrap(self.fs.readlink(via, fh), NfsReply::Path),
-            NfsRequest::Read { fh, offset, count } => {
-                wrap(self.fs.read(via, fh, offset, count), NfsReply::Data)
-            }
-            NfsRequest::Readdir { dir } => wrap(self.fs.readdir(via, dir), NfsReply::Entries),
-            NfsRequest::Statfs => {
-                wrap(self.fs.statfs(via), |(files, bytes)| NfsReply::Fsstat { files, bytes })
-            }
-            NfsRequest::DeceitGetParams { fh } => {
-                wrap(self.fs.file_params(via, fh), NfsReply::Params)
-            }
-            NfsRequest::DeceitListVersions { fh } => {
-                wrap(self.fs.file_versions(via, fh), NfsReply::Versions)
-            }
-            NfsRequest::DeceitLocateReplicas { fh } => {
-                wrap(self.fs.file_replicas(via, fh), NfsReply::Replicas)
-            }
-            other => misclassified(other),
-        }
-    }
-
-    /// `OpClass::Mutate` entry point: rewrites the shard its key names
-    /// (for namespace creations/removals, the directory plus the newborn
-    /// or name-resolved member segment).
-    pub fn handle_file_mutation(
-        &mut self,
-        via: NodeId,
-        req: NfsRequest,
-    ) -> (NfsReply, SimDuration) {
-        match req {
+            NfsRequest::Null => Some((NfsReply::Void, SimDuration::from_micros(50))),
+            NfsRequest::Getattr { fh } => reply(scope.getattr(via, *fh), NfsReply::Attr),
             NfsRequest::Setattr { fh, mode, uid, gid, size } => {
-                wrap(self.fs.setattr(via, fh, mode, uid, gid, size), NfsReply::Attr)
+                reply(scope.setattr(via, *fh, *mode, *uid, *gid, *size), NfsReply::Attr)
+            }
+            NfsRequest::Lookup { dir, name } => {
+                reply(scope.lookup(via, *dir, name), NfsReply::Attr)
+            }
+            NfsRequest::Readlink { fh } => reply(scope.readlink(via, *fh), NfsReply::Path),
+            NfsRequest::Read { fh, offset, count } => {
+                reply(scope.read(via, *fh, *offset, *count), NfsReply::Data)
             }
             NfsRequest::Write { fh, offset, data } => {
-                wrap(self.fs.write_bytes(via, fh, offset, &data), NfsReply::Attr)
-            }
-            NfsRequest::DeceitSetParams { fh, params } => {
-                wrap(self.fs.set_file_params(via, fh, params), |()| NfsReply::Void)
+                reply(scope.write_bytes(via, *fh, *offset, data), NfsReply::Attr)
             }
             NfsRequest::Create { dir, name, mode } => {
-                wrap(self.fs.create(via, dir, &name, mode), NfsReply::Attr)
+                reply(whole(scope, |fs| fs.create(via, *dir, name, *mode)), NfsReply::Attr)
             }
             NfsRequest::Remove { dir, name } => {
-                wrap(self.fs.remove(via, dir, &name), |()| NfsReply::Void)
+                reply(whole(scope, |fs| fs.remove(via, *dir, name)), |()| NfsReply::Void)
+            }
+            NfsRequest::Rename { from_dir, from_name, to_dir, to_name } => reply(
+                whole(scope, |fs| fs.rename(via, *from_dir, from_name, *to_dir, to_name)),
+                |()| NfsReply::Void,
+            ),
+            NfsRequest::Link { target, dir, name } => {
+                reply(scope.link(via, *target, *dir, name), |()| NfsReply::Void)
             }
             NfsRequest::Symlink { dir, name, target } => {
-                wrap(self.fs.symlink(via, dir, &name, &target), NfsReply::Attr)
+                reply(whole(scope, |fs| fs.symlink(via, *dir, name, target)), NfsReply::Attr)
             }
             NfsRequest::Mkdir { dir, name, mode } => {
-                wrap(self.fs.mkdir(via, dir, &name, mode), NfsReply::Attr)
+                reply(whole(scope, |fs| fs.mkdir(via, *dir, name, *mode)), NfsReply::Attr)
             }
             NfsRequest::Rmdir { dir, name } => {
-                wrap(self.fs.rmdir(via, dir, &name), |()| NfsReply::Void)
+                reply(whole(scope, |fs| fs.rmdir(via, *dir, name)), |()| NfsReply::Void)
             }
-            other => misclassified(other),
-        }
-    }
-
-    /// `OpClass::CrossShard` entry point: rewrites the two shards named
-    /// in the request.
-    pub fn handle_cross_file(&mut self, via: NodeId, req: NfsRequest) -> (NfsReply, SimDuration) {
-        match req {
-            NfsRequest::Rename { from_dir, from_name, to_dir, to_name } => {
-                wrap(self.fs.rename(via, from_dir, &from_name, to_dir, &to_name), |()| {
-                    NfsReply::Void
-                })
+            NfsRequest::Readdir { dir } => reply(scope.readdir(via, *dir), NfsReply::Entries),
+            NfsRequest::Statfs => {
+                reply(scope.statfs(via), |(files, bytes)| NfsReply::Fsstat { files, bytes })
             }
-            NfsRequest::Link { target, dir, name } => {
-                wrap(self.fs.link(via, target, dir, &name), |()| NfsReply::Void)
+            NfsRequest::DeceitSetParams { fh, params } => {
+                reply(scope.set_file_params(via, *fh, *params), |()| NfsReply::Void)
             }
-            other => misclassified(other),
-        }
-    }
-
-    /// `OpClass::CellWide` entry point: touches an unbounded set of
-    /// files.
-    pub fn handle_cell_wide(&mut self, via: NodeId, req: NfsRequest) -> (NfsReply, SimDuration) {
-        match req {
-            NfsRequest::DeceitReconcile { dir } => wrap(
-                crate::reconcile::reconcile_directory(&mut self.fs, via, dir),
+            NfsRequest::DeceitGetParams { fh } => {
+                reply(scope.file_params(via, *fh), NfsReply::Params)
+            }
+            NfsRequest::DeceitListVersions { fh } => {
+                reply(whole(scope, |fs| fs.file_versions(via, *fh)), NfsReply::Versions)
+            }
+            NfsRequest::DeceitLocateReplicas { fh } => {
+                reply(whole(scope, |fs| fs.file_replicas(via, *fh)), NfsReply::Replicas)
+            }
+            NfsRequest::DeceitReconcile { dir } => reply(
+                whole(scope, |fs| crate::reconcile::reconcile_directory(fs, via, *dir)),
                 NfsReply::Reconciled,
             ),
-            other => misclassified(other),
         }
     }
 }
 
-/// A request routed to an entry point its class does not belong to —
-/// unreachable through [`NfsServer::handle`], kept as a loud error for
-/// hosts calling entry points directly.
-fn misclassified(req: NfsRequest) -> (NfsReply, SimDuration) {
-    debug_assert!(false, "request {req:?} reached the wrong entry point for {:?}", req.class());
-    (
-        NfsReply::Error(NfsError::Io(deceit_core::DeceitError::InvalidCommand(format!(
-            "misclassified request: {req:?}"
-        )))),
-        SimDuration::from_micros(50),
-    )
+/// The reply to a request that escaped the whole cell.
+pub(crate) fn escaped_cell_reply() -> (NfsReply, SimDuration) {
+    (NfsReply::Error(crate::scope::escaped_cell()), SimDuration::from_micros(50))
 }
 
-/// Converts an envelope result into a reply + latency pair.
-fn wrap<T>(res: NfsResult<T>, into: impl FnOnce(T) -> NfsReply) -> (NfsReply, SimDuration) {
+/// Runs an operation that needs the whole cell, if `scope` holds it.
+fn whole<T>(scope: &mut Scope<'_>, op: impl FnOnce(&mut DeceitFs) -> NfsResult<T>) -> Scoped<T> {
+    Ok(op(scope.cell()?)?)
+}
+
+/// Converts an operation's outcome into a reply + latency pair; an
+/// escape into `None`.
+fn reply<T>(res: Scoped<T>, into: impl FnOnce(T) -> NfsReply) -> Option<(NfsReply, SimDuration)> {
     match res {
-        Ok(OpResult { value, latency }) => (into(value), latency),
+        Ok(OpResult { value, latency }) => Some((into(value), latency)),
         // Failures still consumed some server time; a small constant is
         // close enough for the error path.
-        Err(e) => (NfsReply::Error(e), SimDuration::from_micros(500)),
+        Err(Stop::Err(e)) => Some((NfsReply::Error(e), SimDuration::from_micros(500))),
+        Err(Stop::Escape) => None,
     }
 }
 

@@ -3,7 +3,7 @@
 
 use deceit_core::{DeceitError, FileParams};
 use deceit_net::NodeId;
-use deceit_nfs::{DeceitFs, FileType, NfsError};
+use deceit_nfs::{DeceitFs, FileType, NfsError, NfsReply, NfsRequest, NfsServer, NfsService};
 
 fn n(v: u32) -> NodeId {
     NodeId(v)
@@ -149,6 +149,48 @@ fn hard_links_keep_file_alive() {
     // Removing the last name deallocates.
     fs.remove(n(0), d.handle, "alias").unwrap();
     assert!(matches!(fs.getattr(n(0), f.handle), Err(NfsError::Stale)));
+}
+
+/// A LINK the directory refuses (name taken, or not a directory) leaves
+/// the target's link count and uplink list as it found them — whether the
+/// host held the whole cell or only the two files' ring locks. An
+/// over-count would keep REMOVE from ever reaching zero, leaving the file
+/// to a GC scan.
+#[test]
+fn refused_link_leaves_link_count_alone() {
+    let mut srv = NfsServer::new(DeceitFs::with_defaults(2));
+    let root = srv.mount_root();
+    let f = srv.fs.create(n(0), root, "f", 0o644).unwrap().value;
+    let other = srv.fs.create(n(0), root, "other", 0o644).unwrap().value;
+    let d = srv.fs.mkdir(n(0), root, "d", 0o755).unwrap().value;
+    srv.fs.link(n(0), f.handle, d.handle, "alias").unwrap();
+    let refused = [
+        (NfsRequest::Link { target: f.handle, dir: root, name: "other".into() }, NfsError::Exists),
+        (
+            NfsRequest::Link { target: f.handle, dir: other.handle, name: "x".into() },
+            NfsError::NotDir,
+        ),
+        // The uplink to `d` predates this attempt and must survive it.
+        (
+            NfsRequest::Link { target: f.handle, dir: d.handle, name: "alias".into() },
+            NfsError::Exists,
+        ),
+    ];
+    for (req, err) in &refused {
+        let (rep, _) = srv.serve(n(0), req.clone());
+        assert_eq!(rep, NfsReply::Error(err.clone()), "{req:?} holding the cell");
+        let (rep, _) = srv.serve_sharded(n(0), req).expect("a link names both files it touches");
+        assert_eq!(rep, NfsReply::Error(err.clone()), "{req:?} holding the ring locks");
+    }
+    assert_eq!(srv.fs.getattr(n(0), f.handle).unwrap().value.nlink, 2);
+
+    // Both real names go; the second REMOVE reaches zero and deallocates
+    // without the uplink scan having anything to correct.
+    srv.fs.remove(n(0), root, "f").unwrap();
+    srv.fs.remove(n(0), d.handle, "alias").unwrap();
+    assert!(matches!(srv.fs.getattr(n(0), f.handle), Err(NfsError::Stale)));
+    assert_eq!(srv.fs.cluster.stats.counter("nfs/gc/corrected"), 0);
+    assert_eq!(srv.fs.cluster.stats.counter("nfs/gc/deallocated"), 1);
 }
 
 #[test]

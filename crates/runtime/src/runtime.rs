@@ -595,34 +595,52 @@ fn serve_loop<S: NfsService + ProtocolHost>(
         match incoming.req.class() {
             OpClass::ReadOnly => carry = serve_read_batch(shared, &mut ep, id, incoming),
             class => {
-                // Sharded fast path: shared cell lock + the class's ring
-                // locks. The engine answers unless the request's
-                // footprint escapes those locks, in which case it runs
-                // on the exclusive fallback.
-                let sharded = shared.engine.try_execute_sharded(class, |e| {
-                    let out = e.serve_sharded(id, &incoming.req);
-                    if out.is_some() {
-                        shared.pending_cache.store(e.pending_work(), Ordering::Release);
-                    }
-                    out
-                });
-                let fast = sharded.is_some();
-                let (rep, _latency) = match sharded {
-                    Some(out) => out,
-                    None => shared.engine.execute(class, |e| {
-                        let out = e.serve(id, incoming.req);
-                        shared.pending_cache.store(e.pending_work(), Ordering::Release);
-                        out
-                    }),
-                };
+                // Shared cell lock + the class's ring locks; the whole
+                // cell if the request's footprint escapes those.
+                let (rep, ringed) = serve_ring_then_cell(shared, id, class, incoming.req);
                 if ep.reply(incoming.from, incoming.call, rep) {
                     shared.tallies[id.index()].served.fetch_add(1, Ordering::Relaxed);
                     shared.served_total.fetch_add(1, Ordering::Relaxed);
-                    if fast {
+                    if ringed {
                         shared.served_sharded.fetch_add(1, Ordering::Relaxed);
                     }
                 }
             }
+        }
+    }
+}
+
+/// The rung both serve ladders end on: the request runs under the shared
+/// cell lock plus its ring locks — those its class declares, or for a
+/// read that of its shard key (skipped when it has none) — and, if its
+/// footprint escapes them, holding the whole cell. Returns the reply and
+/// whether the ring locks sufficed.
+fn serve_ring_then_cell<S: NfsService + ProtocolHost>(
+    shared: &Shared<S>,
+    id: NodeId,
+    class: OpClass,
+    req: NfsRequest,
+) -> (NfsReply, bool) {
+    let note_pending = |e: &S| shared.pending_cache.store(e.pending_work(), Ordering::Release);
+    let ringed = match class {
+        OpClass::ReadOnly => req.shard_key().and_then(|key| {
+            shared
+                .engine
+                .try_execute_sharded(OpClass::Mutate(key), |e| e.serve_read_sharded(id, &req))
+        }),
+        _ => shared
+            .engine
+            .try_execute_sharded(class, |e| e.serve_sharded(id, &req).inspect(|_| note_pending(e))),
+    };
+    match ringed {
+        Some((rep, _latency)) => (rep, true),
+        None => {
+            let (rep, _latency) = shared.engine.execute(class, |e| {
+                let out = e.serve(id, req);
+                note_pending(e);
+                out
+            });
+            (rep, false)
         }
     }
 }
@@ -676,26 +694,13 @@ fn serve_read_batch<S: NfsService + ProtocolHost>(
         // groups, and accounts the clock. It still runs under the
         // shared cell lock when the request names a primary file —
         // serialized only against that file's mutations on its ring
-        // lock — and takes the exclusive lock only for keyless requests
-        // and cell-spanning inquiries.
+        // lock — and takes the whole cell only for keyless requests,
+        // cell-spanning inquiries, and lookups whose child must forward.
         let cur = fallback?;
-        let ring_read = cur.req.shard_key().and_then(|key| {
-            shared
-                .engine
-                .try_execute_sharded(OpClass::Mutate(key), |e| e.serve_read_sharded(id, &cur.req))
-        });
-        let fast = ring_read.is_some();
-        let (rep, _latency) = match ring_read {
-            Some(out) => out,
-            None => shared.engine.execute(OpClass::ReadOnly, |e| {
-                let out = e.serve(id, cur.req);
-                shared.pending_cache.store(e.pending_work(), Ordering::Release);
-                out
-            }),
-        };
+        let (rep, ringed) = serve_ring_then_cell(shared, id, OpClass::ReadOnly, cur.req);
         let served = ep.reply(cur.from, cur.call, rep);
         tally(served, false);
-        if served && fast {
+        if served && ringed {
             shared.served_sharded.fetch_add(1, Ordering::Relaxed);
         }
         match next_batched_read(shared, ep, id, &mut budget) {
