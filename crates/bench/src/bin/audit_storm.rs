@@ -3,81 +3,105 @@
 //!
 //! This is the repro binary named by every storm failure report — the
 //! printed replay line is a literal invocation of this tool. It is also
-//! the CI entry point: a quick smoke (`--quick`) and a seeded loop
-//! (`--seed N --count K`) keep randomized storms in every build.
+//! the CI entry point: a seeded loop (`--seed N`) in each world keeps
+//! randomized storms in every build.
 //!
 //! ```text
-//! audit_storm [--quick] [--seed N] [--count K] [--mode sim|live]
+//! audit_storm [--seed N] [--count K] [--mode sim|live]
 //!             [--servers N] [--files N] [--readers N] [--writes N]
 //!             [--faults N] [--safety N] [--floor N]
 //!             [--mutate] [--out PATH]
 //! ```
 //!
-//! `--mode sim` (default) replays deterministically per seed; `--mode
-//! live` races real threads. `--count K` audits seeds `N..N+K`,
-//! stopping at the first failure. `--mutate` flips the
+//! Every run starts from `StormConfig::quick(seed)`; the shape flags
+//! override its fields. `--mode sim` (default) replays deterministically
+//! per seed; `--mode live` races real threads. `--count K` audits seeds
+//! `N..N+K`, stopping at the first failure. `--mutate` flips the
 //! `danger_skip_safety_currency` knob — the planted protocol bug the
 //! auditor must catch (expect a red exit). On failure the merged
 //! history is written to `--out` (default `audit_history.json`) for
-//! artifact upload.
+//! artifact upload. Any other argument, or a flag without a well-formed
+//! value, prints the usage and exits 2.
 
 use std::process::ExitCode;
+use std::str::FromStr;
 
 use deceit::runtime::nemesis::{audit_live_storm, audit_sim_storm};
 use deceit::runtime::{RuntimeConfig, StormConfig};
 
-fn parse_flag(args: &[String], name: &str) -> Option<u64> {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .map(|v| v.parse().unwrap_or_else(|_| panic!("{name} wants a number, got {v:?}")))
+const USAGE: &str = "usage: audit_storm [--seed N] [--count K] [--mode sim|live] [--servers N] \
+                     [--files N] [--readers N] [--writes N] [--faults N] [--safety N] \
+                     [--floor N] [--mutate] [--out PATH]";
+
+/// One invocation, as parsed from the command line.
+struct Run {
+    cfg: StormConfig,
+    count: u64,
+    live: bool,
+    mutate: bool,
+    out: String,
 }
 
-fn parse_str<'a>(args: &'a [String], name: &str) -> Option<&'a str> {
-    args.iter().position(|a| a == name).and_then(|i| args.get(i + 1)).map(String::as_str)
+fn value(flag: &str, args: &mut impl Iterator<Item = String>) -> Result<String, String> {
+    args.next().ok_or_else(|| format!("{flag} needs a value"))
+}
+
+fn number<T: FromStr>(flag: &str, args: &mut impl Iterator<Item = String>) -> Result<T, String> {
+    let v = value(flag, args)?;
+    v.parse().map_err(|_| format!("{flag} wants a number, got {v:?}"))
+}
+
+fn parse(mut args: impl Iterator<Item = String>) -> Result<Run, String> {
+    let mut run = Run {
+        cfg: StormConfig::quick(1),
+        count: 1,
+        live: false,
+        mutate: false,
+        out: "audit_history.json".to_string(),
+    };
+    while let Some(flag) = args.next() {
+        match flag.as_str() {
+            "--seed" => run.cfg.seed = number(&flag, &mut args)?,
+            "--count" => run.count = number(&flag, &mut args)?,
+            "--servers" => run.cfg.servers = number(&flag, &mut args)?,
+            "--files" => run.cfg.files = number(&flag, &mut args)?,
+            "--readers" => run.cfg.readers = number(&flag, &mut args)?,
+            "--writes" => run.cfg.writes_per_file = number(&flag, &mut args)?,
+            "--faults" => run.cfg.faults = number(&flag, &mut args)?,
+            "--safety" => run.cfg.write_safety = number(&flag, &mut args)?,
+            "--floor" => run.cfg.min_replicas = number(&flag, &mut args)?,
+            "--mode" => {
+                run.live = match value(&flag, &mut args)?.as_str() {
+                    "sim" => false,
+                    "live" => true,
+                    other => return Err(format!("--mode wants sim|live, got {other:?}")),
+                }
+            }
+            "--mutate" => run.mutate = true,
+            "--out" => run.out = value(&flag, &mut args)?,
+            other => return Err(format!("unknown argument `{other}`")),
+        }
+    }
+    Ok(run)
 }
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let seed = parse_flag(&args, "--seed").unwrap_or(1);
-    let count = parse_flag(&args, "--count").unwrap_or(1);
-    let live = match parse_str(&args, "--mode").unwrap_or("sim") {
-        "sim" => false,
-        "live" => true,
-        other => panic!("--mode wants sim|live, got {other:?}"),
+    let Run { mut cfg, count, live, mutate, out } = match parse(std::env::args().skip(1)) {
+        Ok(run) => run,
+        Err(msg) => {
+            eprintln!("audit_storm: {msg}\n{USAGE}");
+            return ExitCode::from(2);
+        }
     };
-    let out = parse_str(&args, "--out").unwrap_or("audit_history.json");
-
-    let mut cfg = StormConfig::quick(seed);
-    if let Some(v) = parse_flag(&args, "--servers") {
-        cfg.servers = v as usize;
-    }
-    if let Some(v) = parse_flag(&args, "--files") {
-        cfg.files = v as usize;
-    }
-    if let Some(v) = parse_flag(&args, "--readers") {
-        cfg.readers = v as usize;
-    }
-    if let Some(v) = parse_flag(&args, "--writes") {
-        cfg.writes_per_file = v as usize;
-    }
-    if let Some(v) = parse_flag(&args, "--faults") {
-        cfg.faults = v as usize;
-    }
-    if let Some(v) = parse_flag(&args, "--safety") {
-        cfg.write_safety = v as usize;
-    }
-    if let Some(v) = parse_flag(&args, "--floor") {
-        cfg.min_replicas = v as usize;
-    }
 
     let mut rcfg = RuntimeConfig::new(cfg.servers);
-    if args.iter().any(|a| a == "--mutate") {
+    if mutate {
         eprintln!("audit_storm: MUTATION ON — safety-lane currency check disabled");
         rcfg.cluster.danger_skip_safety_currency = true;
     }
 
-    for s in seed..seed + count {
+    let first = cfg.seed;
+    for s in first..first.saturating_add(count) {
         cfg.seed = s;
         let mode = if live { "live" } else { "sim" };
         let result =
@@ -91,7 +115,7 @@ fn main() -> ExitCode {
             }
             Err(failure) => {
                 eprintln!("seed {s} ({mode}): RED\n{}", failure.render());
-                if let Err(e) = std::fs::write(out, failure.history.to_json()) {
+                if let Err(e) = std::fs::write(&out, failure.history.to_json()) {
                     eprintln!("audit_storm: could not write {out}: {e}");
                 } else {
                     eprintln!("audit_storm: failing history written to {out}");

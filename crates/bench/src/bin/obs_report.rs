@@ -1,7 +1,7 @@
 //! Structured observability export: run a short live workload, print
 //! the cluster's unified [`ObsReport`] as JSON.
 //!
-//! Where `runtime_throughput` measures *how fast*, this reports *where
+//! Where `benchmark/` measures *how fast*, this reports *where
 //! the time went*: per-op-class latency histograms, the engine's
 //! lock-level telemetry (cell-lock waits, ring-lock holds, per-slot
 //! sharded-vs-fallback counts), the protocol core's serve/drain

@@ -4,12 +4,10 @@
 
 use deceit::prelude::*;
 
-use serde::Serialize;
-
 use crate::table::Table;
 
 /// One measured sweep point.
-#[derive(Debug, Clone, Copy, Serialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct SweepPoint {
     /// File-group size (replica count).
     pub group: usize,

@@ -1,10 +1,11 @@
-//! One module per paper artifact. See DESIGN.md §4 for the index.
+//! One module per paper artifact; the module name is the section name
+//! the `experiments` binary takes.
 //!
 //! Naming: `figN` regenerates Figure N, `table1` regenerates Table 1,
 //! `pN` reproduces a quantitative prose claim (P1 = one-round updates,
 //! P2 = write safety trade-off, P3 = replica level trade-off, P4 =
 //! stability overhead, P5 = availability policies under partition, P6 =
-//! migration).
+//! migration, P7 = the §3.3 token optimizations, P8 = hot files).
 
 pub mod fig1;
 pub mod fig2;

@@ -4,12 +4,10 @@
 
 use deceit::prelude::*;
 
-use serde::Serialize;
-
 use crate::table::Table;
 
 /// Measured amortization point.
-#[derive(Debug, Clone, Copy, Serialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct Amortization {
     /// Updates in the stream.
     pub stream_len: usize,

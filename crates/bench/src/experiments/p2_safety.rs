@@ -6,12 +6,10 @@
 
 use deceit::prelude::*;
 
-use serde::Serialize;
-
 use crate::table::Table;
 
 /// Measured safety point.
-#[derive(Debug, Clone, Copy, Serialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct SafetyPoint {
     /// The write safety level s.
     pub safety: usize,

@@ -5,12 +5,10 @@
 use deceit::prelude::*;
 use deceit_sim::SimRng;
 
-use serde::Serialize;
-
 use crate::table::Table;
 
 /// Measured replication point.
-#[derive(Debug, Clone, Copy, Serialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct ReplicaPoint {
     /// Minimum replica level r.
     pub replicas: usize,

@@ -5,12 +5,10 @@
 
 use deceit::prelude::*;
 
-use serde::Serialize;
-
 use crate::table::Table;
 
 /// Measured stability point.
-#[derive(Debug, Clone, Copy, Serialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct StabilityPoint {
     /// Whether stability notification was on.
     pub stability: bool,

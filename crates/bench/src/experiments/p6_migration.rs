@@ -5,13 +5,11 @@
 use deceit::prelude::*;
 use deceit_sim::SimRng;
 
-use serde::Serialize;
-
 use crate::table::Table;
 use crate::workload;
 
 /// One epoch of the migration curve.
-#[derive(Debug, Clone, Copy, Serialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct MigrationEpoch {
     /// Epoch index.
     pub epoch: usize,

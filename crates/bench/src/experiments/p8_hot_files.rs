@@ -11,12 +11,10 @@
 
 use deceit::prelude::*;
 
-use serde::Serialize;
-
 use crate::table::Table;
 
 /// Measured hot-file point.
-#[derive(Debug, Clone, Copy, Serialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct HotPoint {
     /// Whether the §7 read-optimized mode was on.
     pub optimized: bool,

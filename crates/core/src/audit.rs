@@ -133,8 +133,8 @@ impl History {
     }
 
     /// Serializes the history as a JSON array — the artifact CI uploads
-    /// when a storm fails. Hand-rolled (the vendored serde stand-in has
-    /// no serializer), mirroring `ObsReport::to_json`.
+    /// when a storm fails. Hand-rolled (the workspace has no JSON
+    /// dependency), mirroring `ObsReport::to_json`.
     pub fn to_json(&self) -> String {
         let mut out = String::with_capacity(self.events.len() * 96 + 64);
         out.push_str("{\n  \"events\": [\n");

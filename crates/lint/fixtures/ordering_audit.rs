@@ -15,12 +15,12 @@ pub struct Tally {
 
 impl Flags {
     fn publish(&self) {
-        self.ready.store(true, Ordering::Relaxed); // VIOLATION: published flag (--fix: Release)
+        self.ready.store(true, Ordering::Relaxed); // VIOLATION: published flag (needs Release)
         self.done.store(true, Ordering::Release); // fine: Release publication
     }
 
     fn spin(&self) -> bool {
-        self.ready.load(Ordering::Relaxed) // VIOLATION: flag read (--fix: Acquire)
+        self.ready.load(Ordering::Relaxed) // VIOLATION: flag read (needs Acquire)
     }
 
     fn sneak(&self) {

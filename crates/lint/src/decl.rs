@@ -72,8 +72,6 @@ impl Decls {
 #[derive(Debug)]
 pub struct RelaxedSite {
     pub line: u32,
-    /// Code-token index of the `Relaxed` token (span-exact fix target).
-    pub relaxed_idx: usize,
     /// The atomic method the ordering is an argument of, when the
     /// enclosing call could be identified.
     pub method: Option<String>,
@@ -186,7 +184,6 @@ pub fn relaxed_sites(
         };
         out.push(RelaxedSite {
             line: code[i].line,
-            relaxed_idx: i,
             method: method.map(|(_, m)| m),
             decl,
             receiver_desc,

@@ -45,8 +45,7 @@ pub struct Tok {
     /// 1-based line of the token's first character.
     pub line: u32,
     /// Byte offset of the token's first character in the source —
-    /// `text.len()` bytes from here is the token's exact span, which is
-    /// what `--fix` edits.
+    /// `text.len()` bytes from here is the token's exact span.
     pub off: usize,
     /// True when the token is inside a test-gated item.
     pub test: bool,
@@ -69,7 +68,7 @@ fn raw_lex(src: &str) -> Vec<Tok> {
     let b: Vec<char> = src.chars().collect();
     let n = b.len();
     // Byte offset of each char index (plus the end), so token spans can
-    // be reported in byte terms for span-exact `--fix` edits.
+    // be reported in byte terms.
     let mut byte_at = Vec::with_capacity(n + 1);
     let mut bpos = 0usize;
     for &c in &b {

@@ -12,7 +12,6 @@
 
 pub mod callgraph;
 pub mod decl;
-pub mod fix;
 pub mod items;
 pub mod lexer;
 pub mod lockset;

@@ -1,17 +1,13 @@
 //! CLI for `deceit-lint`. Report-only by default; `--deny` makes
-//! findings fatal (exit 1) for CI and the tier-1 verify line; `--fix`
-//! applies the mechanical repairs findings carry.
+//! findings fatal (exit 1) for CI and the tier-1 verify line.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-const USAGE: &str = "usage: deceit-lint [--deny] [--fix [--check]] [--json <path>] [--facts <path>] [--root <dir>] [--list-rules]
+const USAGE: &str =
+    "usage: deceit-lint [--deny] [--json <path>] [--facts <path>] [--root <dir>] [--list-rules]
 
   --deny         exit nonzero when any finding survives waivers
-  --fix          apply mechanical repairs in place (Relaxed store -> Release,
-                 Relaxed load -> Acquire, waiver templates on RMWs), iterated
-                 until the tree re-lints without fixable findings
-  --check        with --fix: dry-run — change nothing, exit 1 if --fix would
   --json <path>  write the machine-readable report (CI artifact)
   --facts <path> write the call-graph + lock-set facts (CI artifact)
   --root <dir>   workspace root (default: walk up from the cwd)
@@ -19,8 +15,6 @@ const USAGE: &str = "usage: deceit-lint [--deny] [--fix [--check]] [--json <path
 
 fn main() -> ExitCode {
     let mut deny = false;
-    let mut fix = false;
-    let mut check = false;
     let mut json: Option<PathBuf> = None;
     let mut facts_path: Option<PathBuf> = None;
     let mut root: Option<PathBuf> = None;
@@ -28,8 +22,6 @@ fn main() -> ExitCode {
     while let Some(a) = args.next() {
         match a.as_str() {
             "--deny" => deny = true,
-            "--fix" => fix = true,
-            "--check" => check = true,
             "--json" => match args.next() {
                 Some(p) => json = Some(PathBuf::from(p)),
                 None => return usage_error("--json needs a path"),
@@ -58,9 +50,6 @@ fn main() -> ExitCode {
             other => return usage_error(&format!("unknown argument `{other}`")),
         }
     }
-    if check && !fix {
-        return usage_error("--check only makes sense with --fix");
-    }
 
     let root =
         match root.or_else(|| std::env::current_dir().ok().and_then(|cwd| lint::find_root(&cwd))) {
@@ -71,48 +60,13 @@ fn main() -> ExitCode {
             }
         };
 
-    let mut sources = match lint::collect_sources(&root) {
+    let sources = match lint::collect_sources(&root) {
         Ok(s) => s,
         Err(e) => {
             eprintln!("deceit-lint: failed to read sources under {}: {e}", root.display());
             return ExitCode::FAILURE;
         }
     };
-
-    if fix {
-        let outcome = lint::fix::run_fix(&mut sources);
-        if check {
-            // Dry-run: report what --fix would do, touch nothing.
-            for path in &outcome.changed {
-                println!("would fix: {path}");
-            }
-            println!(
-                "deceit-lint: --fix --check: {} file{} would change ({} edit{}, {} pass{})",
-                outcome.changed.len(),
-                if outcome.changed.len() == 1 { "" } else { "s" },
-                outcome.edits,
-                if outcome.edits == 1 { "" } else { "s" },
-                outcome.passes,
-                if outcome.passes == 1 { "" } else { "es" },
-            );
-            return if outcome.changed.is_empty() { ExitCode::SUCCESS } else { ExitCode::FAILURE };
-        }
-        for path in &outcome.changed {
-            let content = &sources.iter().find(|(p, _)| p == path).unwrap().1;
-            if let Err(e) = std::fs::write(root.join(path), content) {
-                eprintln!("deceit-lint: failed to write {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-            println!("fixed: {path}");
-        }
-        println!(
-            "deceit-lint: --fix: {} file{} changed ({} edit{})",
-            outcome.changed.len(),
-            if outcome.changed.len() == 1 { "" } else { "s" },
-            outcome.edits,
-            if outcome.edits == 1 { "" } else { "s" },
-        );
-    }
 
     let (facts, report) = lint::analyze(&sources);
 

@@ -1,14 +1,5 @@
-//! Findings and the hand-rolled JSON report (no vendored `serde`
-//! serializer exists — same idiom as `ObsReport::to_json`).
-
-/// A mechanical repair `--fix` can apply. `Replace` edits are
-/// span-exact (byte offset + length from the lexer); `InsertAbove`
-/// adds a line of text above the given line, copying its indentation.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
-pub enum Fix {
-    Replace { off: usize, len: usize, with: String },
-    InsertAbove { line: u32, text: String },
-}
+//! Findings and the hand-rolled JSON report (same idiom as
+//! `ObsReport::to_json`).
 
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
 pub struct Finding {
@@ -16,24 +7,11 @@ pub struct Finding {
     pub file: String,
     pub line: u32,
     pub message: String,
-    /// Mechanical repair, when one exists (`--fix` applies these).
-    pub fix: Option<Fix>,
 }
 
 impl Finding {
     pub fn new(rule: &str, file: &str, line: u32, message: impl Into<String>) -> Self {
-        Finding {
-            rule: rule.to_string(),
-            file: file.to_string(),
-            line,
-            message: message.into(),
-            fix: None,
-        }
-    }
-
-    pub fn with_fix(mut self, fix: Fix) -> Self {
-        self.fix = Some(fix);
-        self
+        Finding { rule: rule.to_string(), file: file.to_string(), line, message: message.into() }
     }
 }
 
@@ -63,18 +41,12 @@ impl LintReport {
             if i > 0 {
                 s.push(',');
             }
-            let fixable = match &f.fix {
-                Some(Fix::Replace { .. }) => ",\"fix\":\"replace\"",
-                Some(Fix::InsertAbove { .. }) => ",\"fix\":\"insert-waiver\"",
-                None => "",
-            };
             s.push_str(&format!(
-                "{{\"rule\":\"{}\",\"file\":\"{}\",\"line\":{},\"message\":\"{}\"{}}}",
+                "{{\"rule\":\"{}\",\"file\":\"{}\",\"line\":{},\"message\":\"{}\"}}",
                 esc(&f.rule),
                 esc(&f.file),
                 f.line,
-                esc(&f.message),
-                fixable
+                esc(&f.message)
             ));
         }
         s.push_str("]}");

@@ -5,7 +5,7 @@
 //! synthetic content under the real path.
 
 use crate::lexer::{Tok, TokKind};
-use crate::report::{Finding, Fix};
+use crate::report::Finding;
 use crate::Facts;
 
 /// One file, pre-lexed. `code` is the token stream with comments
@@ -59,7 +59,7 @@ pub const RULES: &[Rule] = &[
     },
     Rule {
         id: "ordering-audit",
-        summary: "Ordering::Relaxed only on allowlisted atomic declarations; published flags need Acquire/Release or a waiver (--fix rewrites flagged stores/loads)",
+        summary: "Ordering::Relaxed only on allowlisted atomic declarations; published flags need Acquire/Release or a waiver",
         motivation: "PR 5/PR 6 spread atomics through the hot path; Relaxed is correct for tallies, silent corruption for flags",
         check: rule_ordering_audit,
     },
@@ -515,9 +515,6 @@ const ORDERING_SCOPES: &[&str] = &[
     "crates/isis/src/",
 ];
 
-const WAIVER_TEMPLATE: &str =
-    "// lint: allow(ordering-audit): TODO(--fix): justify why Relaxed is safe for this RMW, or strengthen it";
-
 fn rule_ordering_audit(fi: usize, facts: &Facts, out: &mut Vec<Finding>) {
     let f = &facts.files[fi];
     if !ORDERING_SCOPES.iter().any(|p| f.path.starts_with(p)) {
@@ -545,30 +542,14 @@ fn rule_ordering_audit(fi: usize, facts: &Facts, out: &mut Vec<Finding>) {
             continue;
         }
         let method = site.method.as_deref().unwrap_or("?");
-        let fix = match method {
-            "store" => Fix::Replace {
-                off: facts.files[fi].code[site.relaxed_idx].off,
-                len: "Relaxed".len(),
-                with: "Release".to_string(),
-            },
-            "load" => Fix::Replace {
-                off: facts.files[fi].code[site.relaxed_idx].off,
-                len: "Relaxed".len(),
-                with: "Acquire".to_string(),
-            },
-            _ => Fix::InsertAbove { line: site.line, text: WAIVER_TEMPLATE.to_string() },
-        };
-        out.push(
-            Finding::new(
-                "ordering-audit",
-                &f.path,
-                site.line,
-                format!(
-                    "`Ordering::Relaxed` on `{}.{}` of {} — not an allowlisted counter declaration; use Acquire/Release for published flags or waive with the staleness argument",
-                    site.receiver_desc, method, what
-                ),
-            )
-            .with_fix(fix),
-        );
+        out.push(Finding::new(
+            "ordering-audit",
+            &f.path,
+            site.line,
+            format!(
+                "`Ordering::Relaxed` on `{}.{}` of {} — not an allowlisted counter declaration; use Acquire/Release for published flags or waive with the staleness argument",
+                site.receiver_desc, method, what
+            ),
+        ));
     }
 }

@@ -124,15 +124,12 @@ fn ordering_audit_fixture_fails_the_lint() {
         lint_fixture("crates/core/src/cluster.rs", include_str!("../fixtures/ordering_audit.rs"));
     let hits = rule_findings(&report, "ordering-audit");
     assert_eq!(hits.len(), 3, "findings: {:?}", report.findings);
-    // The direct store and load on the non-allowlisted flag, each
-    // carrying a span-exact strengthening fix…
+    // The direct store and load on the non-allowlisted flag…
     let store = hits.iter().find(|f| f.line == 18).expect("store finding");
     assert!(store.message.contains("ready.store"), "{}", store.message);
     assert!(store.message.contains("Flags::ready"), "{}", store.message);
-    assert!(matches!(store.fix, Some(lint::report::Fix::Replace { .. })));
     let load = hits.iter().find(|f| f.line == 23).expect("load finding");
     assert!(load.message.contains("ready.load"), "{}", load.message);
-    assert!(matches!(load.fix, Some(lint::report::Fix::Replace { .. })));
     // …and the renamed binding, which still resolves to the declaring
     // field — a rename cannot dodge a declaration-keyed audit.
     let renamed = hits.iter().find(|f| f.line == 28).expect("renamed finding");
@@ -140,29 +137,6 @@ fn ordering_audit_fixture_fails_the_lint() {
     // Allowlisted counter declaration and the waived flag stay silent.
     assert_eq!(report.waivers_honored, 1);
     assert!(rule_findings(&report, "unused-waiver").is_empty());
-}
-
-#[test]
-fn ordering_audit_fix_relints_clean_and_byte_stable() {
-    let mut sources = vec![(
-        "crates/core/src/cluster.rs".to_string(),
-        include_str!("../fixtures/ordering_audit.rs").to_string(),
-    )];
-    let outcome = lint::fix::run_fix(&mut sources);
-    assert_eq!(outcome.changed.len(), 1);
-    // Stores strengthened to Release, loads to Acquire; the waived
-    // site keeps its justified Relaxed.
-    assert!(sources[0].1.contains("self.ready.store(true, Ordering::Release)"));
-    assert!(sources[0].1.contains("self.ready.load(Ordering::Acquire)"));
-    assert!(sources[0].1.contains("renamed.store(true, Ordering::Release)"));
-    assert!(sources[0].1.contains("self.done.store(false, Ordering::Relaxed)"));
-    let report = lint_sources(&sources);
-    assert!(report.findings.is_empty(), "findings after fix: {:?}", report.findings);
-    // A second run is byte-stable.
-    let before = sources[0].1.clone();
-    let second = lint::fix::run_fix(&mut sources);
-    assert!(second.changed.is_empty());
-    assert_eq!(sources[0].1, before);
 }
 
 #[test]

@@ -92,12 +92,14 @@ impl StormConfig {
         }
     }
 
-    /// The one-command repro line printed by failure reports.
-    pub fn replay_command(&self, live: bool) -> String {
+    /// The one-command repro line printed by failure reports. `mutated`
+    /// adds `--mutate`: a failure found with the safety-currency check
+    /// disabled only replays with it disabled.
+    pub fn replay_command(&self, live: bool, mutated: bool) -> String {
         format!(
             "cargo run --release -p deceit_bench --bin audit_storm -- \
              --seed {} --servers {} --files {} --readers {} --writes {} \
-             --faults {} --safety {} --floor {} --mode {}",
+             --faults {} --safety {} --floor {} --mode {}{}",
             self.seed,
             self.servers,
             self.files,
@@ -107,6 +109,7 @@ impl StormConfig {
             self.write_safety,
             self.min_replicas,
             if live { "live" } else { "sim" },
+            if mutated { " --mutate" } else { "" },
         )
     }
 
@@ -153,6 +156,9 @@ pub struct StormFailure {
     pub flight: String,
     /// Whether the failing run was live or simulated.
     pub live: bool,
+    /// Whether the run had `danger_skip_safety_currency` on (the
+    /// planted bug `audit_storm --mutate` enables).
+    pub mutated: bool,
 }
 
 impl StormFailure {
@@ -163,7 +169,7 @@ impl StormFailure {
             "{}shrunk config: {:?}\nreplay: {}",
             self.report.render(),
             self.config,
-            self.config.replay_command(self.live),
+            self.config.replay_command(self.live, self.mutated),
         );
         failure_report("consistency audit failure", &detail, &self.flight)
     }
@@ -600,7 +606,8 @@ pub fn audit_sim_storm(
     };
     let (config, (history, report, flight)) =
         shrink(*cfg, (history, report, String::new()), &mut runner);
-    Err(Box::new(StormFailure { config, report, history, flight, live: false }))
+    let mutated = rcfg.cluster.danger_skip_safety_currency;
+    Err(Box::new(StormFailure { config, report, history, flight, live: false, mutated }))
 }
 
 /// Runs a live storm and audits it; on violation, shrinks with up to two
@@ -627,7 +634,8 @@ pub fn audit_live_storm(
     };
     let (config, (history, report, flight)) =
         shrink(*cfg, (outcome.history, report, outcome.flight), &mut runner);
-    Err(Box::new(StormFailure { config, report, history, flight, live: true }))
+    let mutated = rcfg.cluster.danger_skip_safety_currency;
+    Err(Box::new(StormFailure { config, report, history, flight, live: true, mutated }))
 }
 
 /// Greedy minimizer: repeatedly tries the candidate reductions and keeps
@@ -731,11 +739,14 @@ mod tests {
 
     #[test]
     fn replay_command_names_every_knob() {
-        let cmd = StormConfig::quick(99).replay_command(true);
+        let cmd = StormConfig::quick(99).replay_command(true, false);
         for needle in
             ["--seed 99", "--servers 3", "--writes 20", "--faults 6", "--safety 2", "--mode live"]
         {
             assert!(cmd.contains(needle), "missing {needle} in {cmd}");
         }
+        assert!(!cmd.contains("--mutate"), "unmutated run replays unmutated: {cmd}");
+        let mutated = StormConfig::quick(99).replay_command(false, true);
+        assert!(mutated.ends_with("--mode sim --mutate"), "mutated run replays mutated: {mutated}");
     }
 }

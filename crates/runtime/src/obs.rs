@@ -150,8 +150,8 @@ pub struct ObsReport {
 }
 
 impl ObsReport {
-    /// Serializes the report as a JSON object (hand-rolled: the vendored
-    /// serde has no serializer).
+    /// Serializes the report as a JSON object (hand-rolled: the
+    /// workspace has no JSON dependency).
     pub fn to_json(&self) -> String {
         use std::fmt::Write as _;
         let mut out = String::with_capacity(4096);

@@ -107,6 +107,10 @@ fn auditor_detects_disabled_safety_currency_check() {
         rendered.contains("audit_storm"),
         "replay command must name the repro binary: {rendered}"
     );
+    assert!(
+        rendered.contains("--mutate"),
+        "a failure found with the check disabled must replay with it disabled: {rendered}"
+    );
     assert!(!failure.report.violations.is_empty());
     // The shrunk config must still fail when replayed directly — that is
     // what makes the printed seed a genuine repro.

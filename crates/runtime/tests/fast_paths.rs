@@ -1,0 +1,192 @@
+//! Fast-path canaries: live traffic that must keep riding the lock-free
+//! shared read path, each run under a watchdog.
+//!
+//! * **stream** — one session streams writes to a file while three
+//!   others read it, all homed on the file's token holder: the §3.4
+//!   worst case for the read fast path (the file is unstable the whole
+//!   time), recovered by holder-local read leases.
+//! * **skew** — sixteen cross-homed sessions read sixteen round-robin-
+//!   homed files under Zipf(1) popularity: access-driven placement must
+//!   migrate the hot files toward their readers during warm-up, so the
+//!   timed reads are served locally.
+//!
+//! Workers are joined under [`WATCHDOG`], so a lock-order bug fails the
+//! test with the workload's name instead of hanging the suite.
+
+use std::sync::{Arc, Barrier};
+use std::thread::{self, JoinHandle};
+use std::time::{Duration, Instant};
+
+use deceit_core::FileParams;
+use deceit_nfs::FileHandle;
+use deceit_runtime::{ClusterRuntime, RuntimeClient, RuntimeConfig};
+
+/// How long a workload's workers may run before the test calls it a
+/// deadlock.
+const WATCHDOG: Duration = Duration::from_secs(60);
+
+/// Files in the skew workload's file set.
+const SKEW_FILES: usize = 16;
+
+/// Joins every worker, failing with `workload`'s name if any is still
+/// running when the watchdog expires (a hung worker is left behind; the
+/// test binary exits without it).
+fn join_within<T>(workload: &str, workers: Vec<JoinHandle<T>>) -> Vec<T> {
+    let deadline = Instant::now() + WATCHDOG;
+    workers
+        .into_iter()
+        .map(|w| {
+            while !w.is_finished() {
+                assert!(
+                    Instant::now() < deadline,
+                    "{workload}: workers still running after {WATCHDOG:?} — deadlock?"
+                );
+                thread::sleep(Duration::from_millis(5));
+            }
+            w.join().unwrap_or_else(|p| std::panic::resume_unwind(p))
+        })
+        .collect()
+}
+
+#[test]
+fn stream_readers_stay_on_the_lease_path() {
+    const READERS: usize = 3;
+    const OPS: usize = 100;
+
+    let rt = ClusterRuntime::start(RuntimeConfig::new(3));
+    // The file is created via this server, so it holds the token; every
+    // session sits on it, measuring the holder's own read path under
+    // its own write stream rather than forwarding.
+    let holder = rt.server_ids()[0];
+    let mut writer = rt.client_homed(holder);
+    let attr = writer.create(writer.root(), "stream", 0o644).expect("create");
+    let fh = attr.handle;
+    writer.set_file_params(fh, FileParams::important(3)).expect("set replicas");
+    writer.write(fh, 0, b"warmup payload").expect("warmup write");
+    let readers: Vec<RuntimeClient> = (0..READERS).map(|_| rt.client_homed(holder)).collect();
+
+    // All four sessions start together, so the reads race the stream.
+    let start = Arc::new(Barrier::new(READERS + 1));
+    let before = rt.stats();
+    let go = Arc::clone(&start);
+    let mut workers = vec![thread::spawn(move || {
+        go.wait();
+        for i in 0..OPS {
+            writer.write(fh, 0, format!("stream write {i:04}").as_bytes()).expect("stream write");
+        }
+    })];
+    workers.extend(readers.into_iter().map(|mut reader| {
+        let go = Arc::clone(&start);
+        thread::spawn(move || {
+            go.wait();
+            for _ in 0..OPS {
+                reader.read(fh, 0, 128).expect("stream read");
+            }
+        })
+    }));
+    join_within("stream", workers);
+    let after = rt.stats();
+    rt.shutdown();
+
+    // The writer's requests are mutations, never shared, so the share is
+    // taken over the readers' requests alone.
+    let shared = after.requests_served_shared - before.requests_served_shared;
+    let share = shared as f64 / (READERS * OPS) as f64;
+    assert!(
+        share >= 0.9,
+        "stream: only {:.0}% of reader requests were served on the shared path (needs >= 90%) — the read-lease path has regressed",
+        share * 100.0
+    );
+}
+
+#[test]
+fn skew_reads_go_local_after_placement_warmup() {
+    const CLIENTS: usize = 16;
+    const WARMUP: usize = 50;
+    const OPS: usize = 50;
+
+    let rt = ClusterRuntime::start(RuntimeConfig::new(3));
+    let servers = rt.server_ids().to_vec();
+    let files: Vec<FileHandle> = (0..SKEW_FILES)
+        .map(|f| {
+            let mut client = rt.client_homed(servers[f % servers.len()]);
+            let attr = client.create(client.root(), &format!("skew{f}"), 0o644).expect("create");
+            client.set_file_params(attr.handle, FileParams::important(1)).expect("set replicas");
+            client.write(attr.handle, 0, b"placement warmup payload").expect("warmup write");
+            attr.handle
+        })
+        .collect();
+
+    // Cross-homed reads under the timed section's access pattern, so
+    // placement arms migrations of the hot files toward their readers;
+    // `settle` then executes them before anything is counted.
+    let files = &files;
+    let reads = |from: usize, to: usize| {
+        move |(c, mut client): (usize, RuntimeClient)| {
+            let files = files.clone();
+            thread::spawn(move || {
+                for i in from..to {
+                    client.read(files[zipf16(c, i)], 0, 128).expect("skew read");
+                }
+                (c, client)
+            })
+        }
+    };
+    let sessions = (0..CLIENTS).map(|c| (c, rt.client()));
+    let sessions = join_within("skew warm-up", sessions.map(reads(0, WARMUP)).collect());
+    rt.settle();
+
+    let before = rt.stats();
+    join_within("skew", sessions.into_iter().map(reads(WARMUP, WARMUP + OPS)).collect());
+    let after = rt.stats();
+    rt.shutdown();
+
+    let served = after.requests_served - before.requests_served;
+    let shared = after.requests_served_shared - before.requests_served_shared;
+    let share = shared as f64 / served.max(1) as f64;
+    assert!(
+        share >= 0.6,
+        "skew: only {:.0}% of reads were served on the shared path after placement warm-up (needs >= 60%) — replica placement has regressed",
+        share * 100.0
+    );
+}
+
+/// Deterministic Zipf(s=1) rank over [`SKEW_FILES`] files, file 0 most
+/// popular: splitmix64 of `(client, i)` drives an inverse-CDF walk over
+/// the harmonic weights — no RNG state, identical across runs.
+fn zipf16(client: usize, i: usize) -> usize {
+    let mut x = (client as u64)
+        .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+        .wrapping_add((i as u64).wrapping_mul(0xD1B5_4A32_D192_ED03));
+    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    x ^= x >> 31;
+    let u = (x >> 11) as f64 / (1u64 << 53) as f64;
+    let h16: f64 = (1..=SKEW_FILES).map(|r| 1.0 / r as f64).sum();
+    let target = u * h16;
+    let mut acc = 0.0;
+    for r in 0..SKEW_FILES {
+        acc += 1.0 / (r + 1) as f64;
+        if acc >= target {
+            return r;
+        }
+    }
+    SKEW_FILES - 1
+}
+
+#[test]
+fn zipf_is_deterministic_and_skewed() {
+    let mut counts = [0usize; SKEW_FILES];
+    for client in 0..16 {
+        for i in 0..200 {
+            let r = zipf16(client, i);
+            assert_eq!(r, zipf16(client, i), "deterministic");
+            counts[r] += 1;
+        }
+    }
+    assert!(counts[0] > counts[4], "rank 0 beats rank 4: {counts:?}");
+    assert!(counts[0] > counts[15] * 4, "heavy head: {counts:?}");
+    let head: usize = counts[..4].iter().sum();
+    let total: usize = counts.iter().sum();
+    assert!(head * 2 > total, "top 4 of 16 files carry over half the traffic: {counts:?}");
+}
