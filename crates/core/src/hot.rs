@@ -257,6 +257,25 @@ impl<V: Clone + StoredSize> ShardedDisk<V> {
         Some(out)
     }
 
+    /// The newest major of `seg` stored here and what `f` serves from it,
+    /// recording a read touch when `f` serves — [`ShardedDisk::latest_major`]
+    /// and [`ShardedDisk::with_ref_served`] in one slot visit. `None` when
+    /// no major of `seg` is stored.
+    pub fn latest_served<R>(
+        &self,
+        seg: SegmentId,
+        at: SimTime,
+        f: impl FnOnce(&V) -> Option<R>,
+    ) -> Option<(ReplicaKey, Option<R>)> {
+        let mut slot = lock(self.seg_slot(seg));
+        let key = *slot.disk.keys_in_range(&(seg, 0), &(seg, u64::MAX)).last()?;
+        let out = slot.disk.get(&key).and_then(f);
+        if out.is_some() {
+            self.record_touch(&mut slot, key, at);
+        }
+        Some((key, out))
+    }
+
     /// Buffers one read touch in a locked slot, maintaining the
     /// pending-touch fast flag — the single copy of the touch/counter
     /// protocol [`ShardedDisk::note_read`] and

@@ -8,8 +8,11 @@
 //! Everything in this module is built to stay on in production:
 //!
 //! * [`AtomicHistogram`] — a fixed-footprint, log-bucketed (HDR-style)
-//!   histogram of `u64` samples. Recording is a handful of relaxed
-//!   atomic adds: no locks, no allocation, safe from any thread.
+//!   histogram of `u64` samples. Recording a sample costs at most two
+//!   relaxed atomic read-modify-writes, and a zero one: no locks, no
+//!   allocation, safe from any thread. A histogram never reads a clock:
+//!   durations come from the caller's stamps, taken through the one
+//!   counted clock (`deceit_sim::wall`).
 //! * [`FlightRecorder`] — a bounded per-server ring of timestamped
 //!   [`ProtocolEvent`]s. Unlike the unbounded trace log it never grows,
 //!   so the live runtime keeps it on and dumps the last N protocol
@@ -67,17 +70,20 @@ fn bucket_value(idx: usize) -> u64 {
 
 /// A lock-free, fixed-footprint, log-bucketed histogram.
 ///
-/// The record path is wait-free: one relaxed `fetch_add` into the
-/// value's bucket plus count/sum/max tallies — the same discipline as
-/// the runtime's atomic counters, cheap enough to sit on every request.
+/// The record path is wait-free and pays for what a sample changes: one
+/// relaxed `fetch_add` into the value's bucket, a second into the sum
+/// only when the value is non-zero, and a `fetch_max` only when a plain
+/// load shows the value raises the maximum. A zero — the uncontended
+/// lock wait every request records — is one RMW; a typical sample two.
+/// There is no count to keep: the buckets are the count.
 /// Reads ([`AtomicHistogram::counts`]) copy the buckets out and compute
-/// percentiles from the copy, so a snapshot taken mid-traffic is
-/// internally consistent per bucket (the totals race by at most the
-/// in-flight samples, which interval arithmetic tolerates).
+/// count and percentiles from the copy, so a snapshot taken mid-traffic
+/// agrees with itself on how many samples it holds (only the sum races,
+/// by at most the in-flight samples, which interval arithmetic
+/// tolerates).
 #[derive(Debug)]
 pub struct AtomicHistogram {
     buckets: Box<[AtomicU64]>,
-    count: AtomicU64,
     sum: AtomicU64,
     max: AtomicU64,
 }
@@ -93,7 +99,6 @@ impl AtomicHistogram {
     pub fn new() -> Self {
         AtomicHistogram {
             buckets: (0..BUCKETS).map(|_| AtomicU64::new(0)).collect(),
-            count: AtomicU64::new(0),
             sum: AtomicU64::new(0),
             max: AtomicU64::new(0),
         }
@@ -102,9 +107,13 @@ impl AtomicHistogram {
     /// Records one sample. Wait-free; callable from any thread.
     pub fn record(&self, v: u64) {
         self.buckets[bucket_index(v)].fetch_add(1, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
+        if v == 0 {
+            return;
+        }
         self.sum.fetch_add(v, Ordering::Relaxed);
-        self.max.fetch_max(v, Ordering::Relaxed);
+        if v > self.max.load(Ordering::Relaxed) {
+            self.max.fetch_max(v, Ordering::Relaxed);
+        }
     }
 
     /// Records a wall-clock duration in microseconds.
@@ -112,16 +121,15 @@ impl AtomicHistogram {
         self.record(d.as_micros().min(u64::MAX as u128) as u64);
     }
 
-    /// Number of samples recorded so far.
+    /// Number of samples recorded so far: the buckets' total.
     pub fn count(&self) -> u64 {
-        self.count.load(Ordering::Relaxed)
+        self.buckets.iter().map(|b| b.load(Ordering::Relaxed)).sum()
     }
 
     /// An owned copy of the current bucket counts.
     pub fn counts(&self) -> HistCounts {
         HistCounts {
             buckets: self.buckets.iter().map(|b| b.load(Ordering::Relaxed)).collect(),
-            count: self.count.load(Ordering::Relaxed),
             sum: self.sum.load(Ordering::Relaxed),
             max_hint: self.max.load(Ordering::Relaxed),
         }
@@ -138,7 +146,6 @@ impl AtomicHistogram {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HistCounts {
     buckets: Vec<u64>,
-    count: u64,
     sum: u64,
     /// Exact max for a from-zero snapshot; 0 after [`HistCounts::since`]
     /// (an interval max cannot be recovered, so the summary falls back
@@ -149,12 +156,12 @@ pub struct HistCounts {
 impl HistCounts {
     /// An all-zero snapshot.
     pub fn zero() -> Self {
-        HistCounts { buckets: vec![0; BUCKETS], count: 0, sum: 0, max_hint: 0 }
+        HistCounts { buckets: vec![0; BUCKETS], sum: 0, max_hint: 0 }
     }
 
-    /// Samples in this snapshot.
+    /// Samples in this snapshot: its buckets' total.
     pub fn count(&self) -> u64 {
-        self.count
+        self.buckets.iter().sum()
     }
 
     /// The delta since an earlier snapshot of the same histogram:
@@ -168,7 +175,6 @@ impl HistCounts {
                 .zip(&earlier.buckets)
                 .map(|(a, b)| a.saturating_sub(*b))
                 .collect(),
-            count: self.count.saturating_sub(earlier.count),
             sum: self.sum.saturating_sub(earlier.sum),
             max_hint: 0,
         }
@@ -179,7 +185,6 @@ impl HistCounts {
         for (a, b) in self.buckets.iter_mut().zip(&other.buckets) {
             *a += *b;
         }
-        self.count += other.count;
         self.sum += other.sum;
         self.max_hint = self.max_hint.max(other.max_hint);
     }
@@ -187,7 +192,7 @@ impl HistCounts {
     /// The value at percentile `p` in `[0, 100]` (bucket representative;
     /// ≤ ~3% relative error), or 0 when empty.
     pub fn percentile(&self, p: f64) -> u64 {
-        let total: u64 = self.buckets.iter().sum();
+        let total = self.count();
         if total == 0 {
             return 0;
         }
@@ -204,7 +209,7 @@ impl HistCounts {
 
     /// Summary of this snapshot.
     pub fn summary(&self) -> HistSummary {
-        let total: u64 = self.buckets.iter().sum();
+        let total = self.count();
         let top = self.buckets.iter().rposition(|&n| n > 0).map_or(0, bucket_value);
         HistSummary {
             count: total,
@@ -355,9 +360,6 @@ pub struct ObsCore {
     /// `PropagateStream` firing) — the pipeline's batching-window
     /// effectiveness in one distribution.
     pub drain_batch: AtomicHistogram,
-    /// Serve-path execution time (microseconds) stamped by the NFS
-    /// envelope around each handled request.
-    pub serve_exec: AtomicHistogram,
     /// Read-lease validations that failed (version moved or lease
     /// revoked mid-copy) and pushed the read off the lock-free path.
     pub lease_validation_failures: AtomicU64,
@@ -374,7 +376,6 @@ impl ObsCore {
         ObsCore {
             flight: FlightRecorder::new(n_servers),
             drain_batch: AtomicHistogram::new(),
-            serve_exec: AtomicHistogram::new(),
             lease_validation_failures: AtomicU64::new(0),
             placement: crate::placement::PlacementCore::new(n_servers),
         }
@@ -472,6 +473,61 @@ mod tests {
         assert_eq!(merged, shared.counts());
         assert_eq!(merged.count(), 40_000);
         assert_eq!(merged.summary(), shared.counts().summary());
+    }
+
+    #[test]
+    fn zero_samples_count_toward_count_median_and_mean() {
+        let h = AtomicHistogram::new();
+        for _ in 0..3 {
+            h.record(0);
+        }
+        h.record(10);
+        assert_eq!(h.count(), 4);
+        let s = h.summary();
+        assert_eq!((s.count, s.p50, s.max), (4, 0, 10));
+        assert!((s.mean - 2.5).abs() < 1e-9, "mean {}", s.mean);
+        // A histogram of zeros alone is not an empty one.
+        let zeros = AtomicHistogram::new();
+        zeros.record(0);
+        let s = zeros.summary();
+        assert_eq!((s.count, s.p99, s.max, s.mean), (1, 0, 0, 0.0));
+    }
+
+    #[test]
+    fn snapshots_mid_storm_agree_with_themselves_and_totals_are_exact() {
+        let h = std::sync::Arc::new(AtomicHistogram::new());
+        let done = std::sync::Arc::new(std::sync::atomic::AtomicUsize::new(0));
+        let writers: Vec<_> = (0..4u64)
+            .map(|t| {
+                let (h, done) = (std::sync::Arc::clone(&h), std::sync::Arc::clone(&done));
+                std::thread::spawn(move || {
+                    for i in 0..20_000u64 {
+                        h.record(if i % 3 == 0 { 0 } else { t * 100 + i % 97 });
+                    }
+                    done.fetch_add(1, Ordering::Release);
+                })
+            })
+            .collect();
+        // One snapshot holds one count, whatever is recording meanwhile.
+        while done.load(Ordering::Acquire) < 4 {
+            let c = h.counts();
+            assert_eq!(c.count(), c.summary().count);
+        }
+        for w in writers {
+            w.join().expect("recorder thread");
+        }
+        let (mut sum, mut max) = (0u64, 0u64);
+        for t in 0..4u64 {
+            for i in 0..20_000u64 {
+                let v = if i % 3 == 0 { 0 } else { t * 100 + i % 97 };
+                sum += v;
+                max = max.max(v);
+            }
+        }
+        let s = h.summary();
+        assert_eq!((s.count, s.max), (80_000, max));
+        assert_eq!(h.counts().sum, sum);
+        assert!((s.mean - sum as f64 / 80_000.0).abs() < 1e-9, "mean {}", s.mean);
     }
 
     #[test]

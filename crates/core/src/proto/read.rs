@@ -92,11 +92,6 @@ impl Cluster {
             return None;
         }
         let srv = self.server(via);
-        let major = match major {
-            Some(m) => m,
-            None => self.local_current_major(via, seg)?,
-        };
-        let key = (seg, major);
         // One slot-lock acquisition covers the stability check, the
         // copy-out, *and* the LRU touch together: a concurrent mutation
         // is seen either entirely or not at all — never a torn replica —
@@ -104,13 +99,20 @@ impl Cluster {
         // `last_access` at the next engine entry covering this slot, so
         // a hot, concurrently-read replica does not look idle to §3.1
         // extra-replica deletion) without a second lock round.
-        let served = srv.replicas.with_ref_served(&key, self.now(), |r| {
-            let r = r?;
-            if !r.is_stable() {
-                return None;
+        let stable =
+            |r: &crate::replica::Replica| r.is_stable().then(|| copy_out(r, via, offset, count));
+        let (key, served) = match major {
+            // A file that has only ever had one major: the newest one
+            // stored here is current, and finding it is part of the
+            // same slot visit.
+            None if self.single_major(seg) => {
+                srv.replicas.latest_served(seg, self.now(), stable)?
             }
-            Some(copy_out(r, via, offset, count))
-        });
+            major => {
+                let key = (seg, major.or_else(|| self.local_current_major(via, seg))?);
+                (key, srv.replicas.with_ref_served(&key, self.now(), |r| stable(r?)))
+            }
+        };
         let served = match served {
             Some(d) => d,
             // Unstable (or no) local replica: the holder-local read lease

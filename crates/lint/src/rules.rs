@@ -58,6 +58,12 @@ pub const RULES: &[Rule] = &[
         check: rule_lease_discipline,
     },
     Rule {
+        id: "one-clock",
+        summary: "no Instant::now / SystemTime::now / .elapsed() in core, isis, net, nfs, runtime or storage outside tests: the wall clock is read through deceit_sim::wall, which counts",
+        motivation: "clock reads per request are pinned by test; a read outside the one clock is one the count cannot see",
+        check: rule_one_clock,
+    },
+    Rule {
         id: "ordering-audit",
         summary: "Ordering::Relaxed only on allowlisted atomic declarations; published flags need Acquire/Release or a waiver",
         motivation: "PR 5/PR 6 spread atomics through the hot path; Relaxed is correct for tallies, silent corruption for flags",
@@ -246,7 +252,9 @@ fn self_in_closure_arg(code: &[Tok], open: usize) -> Option<u32> {
 const PANIC_SCOPES: &[&str] = &[
     "crates/core/src/proto/",
     "crates/core/src/server.rs",
+    "crates/net/src/",
     "crates/nfs/src/",
+    "crates/sim/src/",
     "crates/storage/src/",
 ];
 
@@ -455,7 +463,40 @@ fn rule_lease_discipline(fi: usize, facts: &Facts, out: &mut Vec<Finding>) {
 }
 
 // ---------------------------------------------------------------------------
-// Rule 5: ordering-audit (declaration-tracked).
+// Rule 5: one-clock.
+
+const CLOCK_SCOPES: &[&str] = &[
+    "crates/core/src/",
+    "crates/isis/src/",
+    "crates/net/src/",
+    "crates/nfs/src/",
+    "crates/runtime/src/",
+    "crates/storage/src/",
+];
+
+const CLOCK_READS: &[(&[&str], &str)] = &[
+    (&["Instant", ":", ":", "now"], "Instant::now"),
+    (&["SystemTime", ":", ":", "now"], "SystemTime::now"),
+    (&[".", "elapsed", "("], ".elapsed()"),
+];
+
+/// Product code reads the wall clock through `deceit_sim::wall`, which
+/// counts every read; a direct read is invisible to the count.
+fn rule_one_clock(fi: usize, facts: &Facts, out: &mut Vec<Finding>) {
+    let f = &facts.files[fi];
+    if !CLOCK_SCOPES.iter().any(|p| f.path.starts_with(p)) {
+        return;
+    }
+    for (i, t) in f.code.iter().enumerate().filter(|(_, t)| !t.test) {
+        if let Some((_, read)) = CLOCK_READS.iter().find(|(pat, _)| seq(&f.code, i, pat)) {
+            let msg = format!("`{read}` reads the wall clock uncounted — use `deceit_sim::wall`");
+            out.push(Finding::new("one-clock", &f.path, t.line, msg));
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Rule 6: ordering-audit (declaration-tracked).
 
 /// Files that are counter/histogram modules wholesale: every atomic
 /// *declared* in them is a monotone tally or epoch-decayed gauge, and

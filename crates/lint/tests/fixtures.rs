@@ -47,6 +47,32 @@ fn no_bare_panic_is_scoped_to_protocol_paths() {
 }
 
 #[test]
+fn one_clock_fixture_fails_the_lint() {
+    for path in ["crates/runtime/src/fixture.rs", "crates/net/src/fixture.rs"] {
+        let report = lint_fixture(path, include_str!("../fixtures/one_clock.rs"));
+        let hits = rule_findings(&report, "one-clock");
+        // The three planted reads; comments, strings, `wall`, test code
+        // and the waived read stay silent.
+        let lines: Vec<u32> = hits.iter().map(|f| f.line).collect();
+        assert_eq!(lines, [8, 12, 16], "{path} findings: {:?}", report.findings);
+        assert!(hits[1].message.contains("SystemTime::now"), "{}", hits[1].message);
+        assert_eq!(report.waivers_honored, 1);
+        assert!(rule_findings(&report, "unused-waiver").is_empty());
+    }
+    // The one clock itself lives outside the scoped crates.
+    let report = lint_fixture("crates/sim/src/wall.rs", include_str!("../fixtures/one_clock.rs"));
+    assert!(rule_findings(&report, "one-clock").is_empty());
+}
+
+#[test]
+fn no_bare_panic_covers_net_and_sim() {
+    for path in ["crates/net/src/fixture.rs", "crates/sim/src/fixture.rs"] {
+        let report = lint_fixture(path, include_str!("../fixtures/no_bare_panic.rs"));
+        assert_eq!(rule_findings(&report, "no-bare-panic").len(), 4, "{path}");
+    }
+}
+
+#[test]
 fn lock_order_fixture_fails_the_lint() {
     let report =
         lint_fixture("crates/runtime/src/shard.rs", include_str!("../fixtures/lock_order.rs"));

@@ -57,6 +57,7 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread;
 use std::time::{Duration, Instant};
 
+use deceit_sim::wall;
 use parking_lot::RwLock;
 
 use crate::node::NodeId;
@@ -149,7 +150,7 @@ pub fn deadline_after(timeout: Duration) -> Option<Instant> {
     if timeout == Duration::MAX {
         return None;
     }
-    Instant::now().checked_add(timeout)
+    wall::now().checked_add(timeout)
 }
 
 impl<M: Send + 'static> LiveBus<M> {
@@ -410,17 +411,20 @@ impl<M: Send + 'static> LiveEndpoint<M> {
             if queue.closed {
                 return None;
             }
-            // Park; the sender sees the count and wakes us.
+            // Park; the sender sees the count and wakes us. A deadline
+            // already past returns before the count goes up.
             self.owes_turn.store(false, Ordering::Release);
+            let left = match deadline {
+                None => None,
+                Some(deadline) => match deadline.saturating_duration_since(wall::now()) {
+                    left if left.is_zero() => return None,
+                    left => Some(left),
+                },
+            };
             queue.parked += 1;
-            queue = match deadline {
+            queue = match left {
                 None => self.mailbox.ready.wait(queue).unwrap_or_else(PoisonError::into_inner),
-                Some(deadline) => {
-                    let left = deadline.saturating_duration_since(Instant::now());
-                    if left.is_zero() {
-                        queue.parked -= 1;
-                        return None;
-                    }
+                Some(left) => {
                     let woken = self.mailbox.ready.wait_timeout(queue, left);
                     woken.unwrap_or_else(PoisonError::into_inner).0
                 }

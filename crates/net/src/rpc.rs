@@ -10,10 +10,12 @@
 //! * replies are correlated by id, with out-of-order arrivals buffered
 //!   until their caller asks;
 //! * waiting is deadline-based, so an unreachable or crashed peer turns
-//!   into [`RpcError::Timeout`] instead of a hung thread; the deadline
-//!   is computed once per wait ([`deadline_after`]) and handed down to
-//!   the mailbox, and a timeout too large to add to the clock
-//!   (`Duration::MAX`) means "no deadline", not a panic;
+//!   into [`RpcError::Timeout`] instead of a hung thread. The caller's
+//!   stamp owns the deadline: [`RpcEndpoint::wait_until`] takes it as an
+//!   instant (a caller that stamps its start passes start + timeout),
+//!   [`RpcEndpoint::wait`] reads the clock once to make one
+//!   ([`deadline_after`]; `Duration::MAX` means "no deadline", not a
+//!   panic), and the mailbox reads it again only to park;
 //! * a send the bus rejects outright (crash or partition already known)
 //!   fails fast with [`RpcError::Unreachable`].
 //!
@@ -25,7 +27,7 @@
 use std::collections::VecDeque;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use crate::live::{deadline_after, LiveBus, LiveEndpoint};
 use crate::node::NodeId;
@@ -172,13 +174,19 @@ impl<Q: Send + 'static, P: Send + 'static> RpcEndpoint<Q, P> {
         Ok(call)
     }
 
-    /// Waits for the reply to one submitted call.
+    /// Waits up to `timeout` for the reply to one submitted call.
+    pub fn wait(&mut self, call: CallId, timeout: Duration) -> Result<P, RpcError> {
+        self.wait_until(call, deadline_after(timeout))
+    }
+
+    /// Waits for the reply to one submitted call until `deadline`
+    /// (`None`: until it arrives or the bus closes). A deadline already
+    /// past times out without parking.
     ///
     /// Replies to *other* calls arriving in the meantime are buffered, so
     /// pipelined calls may be awaited in any order. Incoming requests are
     /// queued for [`RpcEndpoint::next_request`].
-    pub fn wait(&mut self, call: CallId, timeout: Duration) -> Result<P, RpcError> {
-        let deadline = deadline_after(timeout);
+    pub fn wait_until(&mut self, call: CallId, deadline: Option<Instant>) -> Result<P, RpcError> {
         loop {
             let at = self.position(call).ok_or(RpcError::UnknownCall(call))?;
             if let Some(rep) = self.in_flight[at].2.take() {
@@ -192,10 +200,20 @@ impl<Q: Send + 'static, P: Send + 'static> RpcEndpoint<Q, P> {
         }
     }
 
-    /// Submits a request and waits for its reply.
+    /// Submits a request and waits up to `timeout` for its reply.
     pub fn call(&mut self, to: NodeId, req: Q, timeout: Duration) -> Result<P, RpcError> {
+        self.call_until(to, req, deadline_after(timeout))
+    }
+
+    /// Submits a request and waits for its reply until `deadline`.
+    pub fn call_until(
+        &mut self,
+        to: NodeId,
+        req: Q,
+        deadline: Option<Instant>,
+    ) -> Result<P, RpcError> {
         let call = self.submit(to, req)?;
-        self.wait(call, timeout)
+        self.wait_until(call, deadline)
     }
 
     /// Abandons an in-flight call; a late reply will be dropped on the
@@ -325,6 +343,19 @@ mod tests {
             client.call(n(2), 1, Duration::from_millis(50)),
             Err(RpcError::Unreachable(n(2)))
         );
+    }
+
+    #[test]
+    fn past_deadline_times_out_without_parking() {
+        let bus: LiveBus<Rpc<u64, u64>> = LiveBus::new();
+        let mut client: RpcEndpoint<u64, u64> = RpcEndpoint::register(&bus, n(0));
+        let _silent = bus.register(n(1));
+        let call = client.submit(n(1), 5).unwrap();
+        let t0 = Instant::now();
+        assert_eq!(client.wait_until(call, Some(t0)), Err(RpcError::Timeout(n(1))));
+        assert!(t0.elapsed() < Duration::from_secs(1), "a past deadline must not wait");
+        // The timed-out call is forgotten, as after any timeout.
+        assert_eq!(client.in_flight(), 0);
     }
 
     #[test]

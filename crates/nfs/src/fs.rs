@@ -252,11 +252,10 @@ impl Payload {
 /// image's first extent (every image [`segment_image`] builds starts
 /// with its header as one piece).
 pub(crate) fn split_image(image: SegmentData) -> Result<(Inode, Payload), CodecError> {
-    let decoded = match Inode::decode(image.head()) {
+    let head = image.read(0, image.head().len());
+    let decoded = match Inode::decode(&head) {
         // Not one of ours, then: a header cut across extents.
-        Err(CodecError::Truncated) if image.head().len() < image.len() => {
-            Inode::decode(&image.contents())
-        }
+        Err(CodecError::Truncated) if head.len() < image.len() => Inode::decode(&image.contents()),
         decoded => decoded,
     };
     decoded.map(|(inode, hdr_len)| (inode, Payload { image, hdr_len }))

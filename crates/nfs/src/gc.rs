@@ -28,7 +28,7 @@ pub fn collect_if_unlinked(
 
     // Scan every available version of every uplink directory.
     let mut true_links = 0u32;
-    for dir_seg in inode.uplinks.clone() {
+    for dir_seg in inode.uplinks() {
         let versions = match fs.cluster.list_versions(via, dir_seg) {
             Ok(r) => {
                 latency += r.latency;
@@ -76,7 +76,7 @@ pub fn total_link_copies(
 ) -> Result<u64, NfsError> {
     let (inode, ..) = at_cell(Scope::Cell(fs).load(via, target))?;
     let mut total = 0u64;
-    for dir_seg in inode.uplinks.clone() {
+    for dir_seg in inode.uplinks() {
         let versions = match fs.cluster.list_versions(via, dir_seg) {
             Ok(r) => r.value,
             Err(_) => continue,

@@ -13,14 +13,12 @@
 //! hosted by the deterministic simulator and the live threaded runtime
 //! alike.
 
-use std::time::Instant;
-
 use deceit_core::{OpClass, ProtocolHost};
 use deceit_net::NodeId;
 use deceit_sim::{SimDuration, SimTime};
 
 use crate::handle::FileHandle;
-use crate::rpc::{escaped_cell_reply, NfsReply, NfsRequest, NfsServer};
+use crate::rpc::{NfsReply, NfsRequest, NfsServer};
 use crate::scope::Scope;
 
 /// A transport-agnostic NFS request service.
@@ -74,11 +72,11 @@ impl NfsService for NfsServer {
     }
 
     fn serve(&mut self, via: NodeId, req: NfsRequest) -> (NfsReply, SimDuration) {
-        serve_at(Scope::Cell(&mut self.fs), via, &req).unwrap_or_else(escaped_cell_reply)
+        self.handle(via, req)
     }
 
     fn serve_shared(&self, via: NodeId, req: &NfsRequest) -> Option<(NfsReply, SimDuration)> {
-        serve_at(Scope::Snapshot(&self.fs), via, req)
+        NfsServer::dispatch(&mut Scope::Snapshot(&self.fs), via, req)
     }
 
     fn serve_read_sharded(&self, via: NodeId, req: &NfsRequest) -> Option<(NfsReply, SimDuration)> {
@@ -106,21 +104,8 @@ impl NfsServer {
     ) -> Option<(NfsReply, SimDuration)> {
         let mut slots = [0usize; 2];
         let n = class.slots_into(self.fs.cluster.shard_count(), &mut slots);
-        serve_at(Scope::Ring(&self.fs, &slots[..n]), via, req)
+        NfsServer::dispatch(&mut Scope::Ring(&self.fs, &slots[..n]), via, req)
     }
-}
-
-/// Serves `req` holding `scope`, stamping its execution time if it
-/// answered.
-fn serve_at(
-    mut scope: Scope<'_>,
-    via: NodeId,
-    req: &NfsRequest,
-) -> Option<(NfsReply, SimDuration)> {
-    let start = Instant::now();
-    let served = NfsServer::dispatch(&mut scope, via, req)?;
-    scope.fs().cluster.obs.serve_exec.record_micros(start.elapsed());
-    Some(served)
 }
 
 impl ProtocolHost for NfsServer {

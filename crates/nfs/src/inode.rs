@@ -6,8 +6,14 @@
 //! stored with each file. … Deceit also keeps a standard hard link count
 //! with f, but it is only considered to be a hint."). The client-visible
 //! file contents start after the header.
+//!
+//! Every load decodes a header, but only links, removals, renames and the
+//! garbage collector look at the uplink list. An inode therefore keeps
+//! the list as the header encodes it — after a decode, a view of the
+//! segment image — and parses an entry only when asked: a read or a
+//! write never allocates for the list.
 
-use bytes::{Buf, BufMut};
+use bytes::{Buf, BufMut, Bytes};
 
 use deceit_core::SegmentId;
 
@@ -57,8 +63,9 @@ pub struct Inode {
     pub mtime: u64,
     /// Last attribute change.
     pub ctime: u64,
-    /// Directories that (may) contain a link to this file (§5.2).
-    pub uplinks: Vec<SegmentId>,
+    /// Directories that (may) contain a link to this file (§5.2), as
+    /// the header encodes them: 8 big-endian bytes each.
+    uplinks: Bytes,
 }
 
 impl Inode {
@@ -73,13 +80,13 @@ impl Inode {
             atime: now_us,
             mtime: now_us,
             ctime: now_us,
-            uplinks: Vec::new(),
+            uplinks: Bytes::new(),
         }
     }
 
     /// Serialized length of this header.
     pub fn encoded_len(&self) -> usize {
-        2 + 1 + 4 * 4 + 8 * 3 + 4 + 8 * self.uplinks.len()
+        FIXED_LEN + self.uplinks.len()
     }
 
     /// Encodes the header.
@@ -100,17 +107,16 @@ impl Inode {
         buf.put_u64(self.atime);
         buf.put_u64(self.mtime);
         buf.put_u64(self.ctime);
-        buf.put_u32(self.uplinks.len() as u32);
-        for up in &self.uplinks {
-            buf.put_u64(up.0);
-        }
+        buf.put_u32((self.uplinks.len() / 8) as u32);
+        buf.put_slice(&self.uplinks);
     }
 
     /// Decodes a header from the start of a segment, returning the inode
-    /// and the header length (the offset where file contents begin).
-    pub fn decode(mut buf: &[u8]) -> Result<(Inode, usize), CodecError> {
-        let total = buf.len();
-        if buf.len() < 2 + 1 + 16 + 24 + 4 {
+    /// and the header length (the offset where file contents begin). The
+    /// uplink list stays a view of `image`.
+    pub fn decode(image: &Bytes) -> Result<(Inode, usize), CodecError> {
+        let mut buf: &[u8] = image;
+        if buf.len() < FIXED_LEN {
             return Err(CodecError::Truncated);
         }
         let magic = buf.get_u16();
@@ -132,27 +138,37 @@ impl Inode {
         if buf.len() < 8 * n_up {
             return Err(CodecError::Truncated);
         }
-        let mut uplinks = Vec::with_capacity(n_up);
-        for _ in 0..n_up {
-            uplinks.push(SegmentId(buf.get_u64()));
-        }
+        let uplinks = image.slice(FIXED_LEN..FIXED_LEN + 8 * n_up);
         let inode = Inode { ftype, mode, uid, gid, nlink, atime, mtime, ctime, uplinks };
-        let used = total - buf.len();
-        Ok((inode, used))
+        Ok((inode, FIXED_LEN + 8 * n_up))
     }
 
-    /// Adds a directory to the uplink list if absent.
-    pub fn add_uplink(&mut self, dir: SegmentId) {
-        if !self.uplinks.contains(&dir) {
-            self.uplinks.push(dir);
+    /// The uplink list, in the order the directories were added.
+    pub fn uplinks(&self) -> impl Iterator<Item = SegmentId> + '_ {
+        self.uplinks.chunks_exact(8).map(|mut id| SegmentId(id.get_u64()))
+    }
+
+    /// Adds a directory to the uplink list if absent; whether it was.
+    pub fn add_uplink(&mut self, dir: SegmentId) -> bool {
+        let absent = !self.uplinks().any(|d| d == dir);
+        if absent {
+            let mut raw = self.uplinks.to_vec();
+            raw.put_u64(dir.0);
+            self.uplinks = raw.into();
         }
+        absent
     }
 
     /// Removes a directory from the uplink list.
     pub fn remove_uplink(&mut self, dir: SegmentId) {
-        self.uplinks.retain(|&d| d != dir);
+        let kept = self.uplinks().filter(|&d| d != dir);
+        self.uplinks = kept.flat_map(|d| d.0.to_be_bytes()).collect();
     }
 }
+
+/// Header length without the uplink list: magic, type, four `u32`s,
+/// three timestamps and the uplink count.
+const FIXED_LEN: usize = 2 + 1 + 4 * 4 + 8 * 3 + 4;
 
 #[cfg(test)]
 mod tests {
@@ -161,7 +177,7 @@ mod tests {
     #[test]
     fn roundtrip_plain() {
         let inode = Inode::new(0, 0o644, 42);
-        let enc = inode.encode();
+        let enc = Bytes::from(inode.encode());
         let (dec, used) = Inode::decode(&enc).unwrap();
         assert_eq!(dec, inode);
         assert_eq!(used, enc.len());
@@ -172,16 +188,23 @@ mod tests {
     fn roundtrip_with_uplinks() {
         let mut inode = Inode::new(1, 0o755, 7);
         inode.nlink = 3;
-        inode.add_uplink(SegmentId(9));
-        inode.add_uplink(SegmentId(12));
-        inode.add_uplink(SegmentId(9)); // dedup
-        assert_eq!(inode.uplinks.len(), 2);
-        let enc = inode.encode();
-        let mut padded = enc.clone();
+        assert!(inode.add_uplink(SegmentId(9)));
+        assert!(inode.add_uplink(SegmentId(12)));
+        assert!(!inode.add_uplink(SegmentId(9)), "dedup");
+        assert_eq!(inode.uplinks().count(), 2);
+        let mut padded = inode.encode();
         padded.extend_from_slice(b"file contents here");
+        let padded = Bytes::from(padded);
         let (dec, used) = Inode::decode(&padded).unwrap();
         assert_eq!(dec, inode);
         assert_eq!(&padded[used..], b"file contents here");
+        // Decoded, the list reads, re-encodes and edits the same.
+        assert_eq!(dec.uplinks().collect::<Vec<_>>(), [SegmentId(9), SegmentId(12)]);
+        assert_eq!(dec.encode(), inode.encode());
+        let mut edited = dec.clone();
+        assert!(!edited.add_uplink(SegmentId(12)));
+        edited.remove_uplink(SegmentId(9));
+        assert_eq!(edited.uplinks().collect::<Vec<_>>(), [SegmentId(12)]);
     }
 
     #[test]
@@ -190,22 +213,23 @@ mod tests {
         inode.add_uplink(SegmentId(1));
         inode.add_uplink(SegmentId(2));
         inode.remove_uplink(SegmentId(1));
-        assert_eq!(inode.uplinks, vec![SegmentId(2)]);
+        assert_eq!(inode.uplinks().collect::<Vec<_>>(), [SegmentId(2)]);
     }
 
     #[test]
     fn decode_errors() {
-        assert_eq!(Inode::decode(&[]), Err(CodecError::Truncated));
+        let decode = |b: &[u8]| Inode::decode(&Bytes::copy_from_slice(b));
+        assert_eq!(decode(&[]), Err(CodecError::Truncated));
         let mut enc = Inode::new(0, 0, 0).encode();
         enc[0] = 0;
-        assert!(matches!(Inode::decode(&enc), Err(CodecError::BadMagic(_))));
+        assert!(matches!(decode(&enc), Err(CodecError::BadMagic(_))));
         let mut enc2 = Inode::new(0, 0, 0).encode();
         enc2[2] = 9;
-        assert_eq!(Inode::decode(&enc2), Err(CodecError::BadType(9)));
+        assert_eq!(decode(&enc2), Err(CodecError::BadType(9)));
         // Truncated uplink table.
         let mut inode = Inode::new(0, 0, 0);
         inode.add_uplink(SegmentId(1));
         let enc3 = inode.encode();
-        assert_eq!(Inode::decode(&enc3[..enc3.len() - 4]), Err(CodecError::Truncated));
+        assert_eq!(decode(&enc3[..enc3.len() - 4]), Err(CodecError::Truncated));
     }
 }

@@ -55,9 +55,8 @@ impl Scope<'_> {
         let dir_seg = dir.seg;
         let mut new_uplink = false;
         let bumped = self.update_segment(via, target, |inode, _| {
-            new_uplink = !inode.uplinks.contains(&dir_seg);
             inode.nlink += 1;
-            inode.add_uplink(dir_seg);
+            new_uplink = inode.add_uplink(dir_seg);
             inode.ctime = now;
             Ok(Some(Edit::Keep))
         })?;

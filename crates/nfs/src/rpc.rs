@@ -307,7 +307,7 @@ impl NfsServer {
 }
 
 /// The reply to a request that escaped the whole cell.
-pub(crate) fn escaped_cell_reply() -> (NfsReply, SimDuration) {
+fn escaped_cell_reply() -> (NfsReply, SimDuration) {
     (NfsReply::Error(crate::scope::escaped_cell()), SimDuration::from_micros(50))
 }
 

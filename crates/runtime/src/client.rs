@@ -23,6 +23,7 @@ use deceit_net::live::LiveBus;
 use deceit_net::rpc::{CallId, RpcEndpoint};
 use deceit_net::NodeId;
 use deceit_nfs::{DirEntry, FileAttr, FileHandle, NfsReply, NfsRequest};
+use deceit_sim::wall;
 
 use crate::config::RetryPolicy;
 use crate::error::{RuntimeError, RuntimeResult};
@@ -140,14 +141,15 @@ impl RuntimeClient {
     /// The deterministic primitive the scenario runner uses.
     pub fn call_via(&mut self, server: NodeId, req: NfsRequest) -> RuntimeResult<NfsReply> {
         let class = req.class();
-        let start = std::time::Instant::now();
+        let start = wall::now();
         let op = self.journal.as_ref().map(|j| j.invoke(&req));
-        let result = self.rpc.call(server, req, self.timeout).map_err(RuntimeError::from);
+        let deadline = start.checked_add(self.timeout);
+        let result = self.rpc.call_until(server, req, deadline).map_err(RuntimeError::from);
         if let (Some(j), Some(op)) = (self.journal.as_ref(), op) {
             j.ack(op, &result);
         }
         let rep = result?;
-        self.obs.record_op(class, start.elapsed());
+        self.obs.record_op(class, wall::since(start));
         Ok(rep)
     }
 
@@ -171,19 +173,23 @@ impl RuntimeClient {
 
     fn call_failover(&mut self, req: NfsRequest) -> RuntimeResult<NfsReply> {
         // Latency is recorded per op class on success, failover legs
-        // included — the client-visible request/reply boundary.
+        // included — the client-visible request/reply boundary. The
+        // first of its two stamps also fixes the home server's deadline
+        // (`None` if the sum overflows: no deadline); between them only
+        // a park reads the clock.
         let class = req.class();
-        let start = std::time::Instant::now();
+        let start = wall::now();
+        let deadline = start.checked_add(self.timeout);
         if !req.is_read_only() {
             // Never retried, so never cloned: write payloads move
             // straight to the wire.
-            let rep = self.rpc.call(self.home, req, self.timeout)?;
-            self.obs.record_op(class, start.elapsed());
+            let rep = self.rpc.call_until(self.home, req, deadline)?;
+            self.obs.record_op(class, wall::since(start));
             return Ok(rep);
         }
-        match self.rpc.call(self.home, req.clone(), self.timeout) {
+        match self.rpc.call_until(self.home, req.clone(), deadline) {
             Ok(rep) => {
-                self.obs.record_op(class, start.elapsed());
+                self.obs.record_op(class, wall::since(start));
                 Ok(rep)
             }
             // UnknownCall cannot come out of a fresh call(); treat any
@@ -211,7 +217,7 @@ impl RuntimeClient {
                         if let Ok(rep) = self.rpc.call(server, req.clone(), self.timeout) {
                             self.failovers += 1;
                             self.set_home(server);
-                            self.obs.record_op(class, start.elapsed());
+                            self.obs.record_op(class, wall::since(start));
                             return Ok(rep);
                         }
                     }

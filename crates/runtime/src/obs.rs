@@ -109,8 +109,6 @@ pub struct EngineReport {
 /// Protocol-core telemetry ([`deceit_core::ObsCore`]), exported.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CoreReport {
-    /// Serve-path execution time stamped by the NFS envelope.
-    pub serve_exec: HistSummary,
     /// Outbound-stream drain batch sizes.
     pub drain_batch: HistSummary,
     /// Read-lease validations that failed and left the lock-free path.
@@ -190,8 +188,7 @@ impl ObsReport {
                 let p = &c.placement;
                 let _ = write!(
                     out,
-                    "  \"core\": {{\n    \"serve_exec\": {},\n    \"drain_batch\": {},\n    \"lease_validation_failures\": {},\n    \"flight_events\": {:?},\n    \"placement\": {{\"migrations_proposed\": {}, \"migrations_executed\": {}, \"migrations_vetoed_floor\": {}, \"replicas_retired\": {}, \"decay_epochs\": {}}}\n  }},\n",
-                    summary_json(&c.serve_exec),
+                    "  \"core\": {{\n    \"drain_batch\": {},\n    \"lease_validation_failures\": {},\n    \"flight_events\": {:?},\n    \"placement\": {{\"migrations_proposed\": {}, \"migrations_executed\": {}, \"migrations_vetoed_floor\": {}, \"replicas_retired\": {}, \"decay_epochs\": {}}}\n  }},\n",
                     summary_json(&c.drain_batch),
                     c.lease_validation_failures,
                     c.flight_events,
@@ -228,7 +225,7 @@ impl ObsReport {
         let r = &self.runtime;
         let _ = write!(
             out,
-            "  \"runtime\": {{\"requests_served\": {}, \"requests_served_shared\": {}, \"requests_served_sharded\": {}, \"bus_delivered\": {}, \"bus_rejected\": {}, \"bus_dropped_stale\": {}, \"bus_wakes\": {}, \"bus_yields\": {}, \"pending_work\": {}}}\n}}",
+            "  \"runtime\": {{\"requests_served\": {}, \"requests_served_shared\": {}, \"requests_served_sharded\": {}, \"bus_delivered\": {}, \"bus_rejected\": {}, \"bus_dropped_stale\": {}, \"bus_wakes\": {}, \"bus_yields\": {}, \"clock_reads\": {}, \"pending_work\": {}}}\n}}",
             r.requests_served,
             r.requests_served_shared,
             r.requests_served_sharded,
@@ -237,6 +234,7 @@ impl ObsReport {
             r.bus_dropped_stale,
             r.bus_wakes,
             r.bus_yields,
+            r.clock_reads,
             r.pending_work,
         );
         out
@@ -297,7 +295,6 @@ mod tests {
                 slots: vec![(4, 1), (0, 0)],
             },
             core: Some(CoreReport {
-                serve_exec: summary_of(&[9]),
                 drain_batch: summary_of(&[3, 3]),
                 lease_validation_failures: 1,
                 flight_events: vec![12, 0, 5],
@@ -316,6 +313,7 @@ mod tests {
                 bus_dropped_stale: 0,
                 bus_wakes: 3,
                 bus_yields: 97,
+                clock_reads: 200,
                 requests_served: 50,
                 requests_served_shared: 40,
                 requests_served_sharded: 8,
@@ -337,7 +335,7 @@ mod tests {
             "\"placement\": {\"migrations_proposed\": 4, \"migrations_executed\": 3, \"migrations_vetoed_floor\": 1, \"replicas_retired\": 2, \"decay_epochs\": 6}",
             "\"disabled\": true",
             "\"requests_served\": 50",
-            "\"bus_wakes\": 3, \"bus_yields\": 97",
+            "\"bus_wakes\": 3, \"bus_yields\": 97, \"clock_reads\": 200",
         ] {
             assert!(json.contains(needle), "missing {needle} in:\n{json}");
         }

@@ -65,6 +65,10 @@ pub struct RuntimeStats {
     pub bus_wakes: u64,
     /// Turns the bus gave: receives that yielded once before parking.
     pub bus_yields: u64,
+    /// Wall-clock reads so far ([`deceit_sim::wall::reads`]) —
+    /// process-wide: every thread of the process counts, this cell's or
+    /// not.
+    pub clock_reads: u64,
     /// Requests served across all server threads.
     pub requests_served: u64,
     /// Of those, requests served on the concurrent read fast path
@@ -433,8 +437,9 @@ impl<S: NfsService + ProtocolHost + Send + Sync + 'static> ClusterRuntime<S> {
         });
     }
 
-    /// Point-in-time traffic counters. Lock-free: every field is read
-    /// from atomics, so observing a busy cluster never slows it down.
+    /// Point-in-time traffic counters, read from atomics (the clock
+    /// count behind a registry lock that only a thread's first clock
+    /// read also takes), so observing a busy cluster never slows it down.
     pub fn stats(&self) -> RuntimeStats {
         RuntimeStats {
             bus_delivered: self.shared.bus.delivered(),
@@ -442,6 +447,7 @@ impl<S: NfsService + ProtocolHost + Send + Sync + 'static> ClusterRuntime<S> {
             bus_dropped_stale: self.shared.bus.dropped_stale(),
             bus_wakes: self.shared.bus.wakes(),
             bus_yields: self.shared.bus.yields(),
+            clock_reads: deceit_sim::wall::reads(),
             requests_served: self.shared.served_total.load(Ordering::Relaxed),
             requests_served_shared: self.shared.served_shared.load(Ordering::Relaxed),
             requests_served_sharded: self.shared.served_sharded.load(Ordering::Relaxed),
@@ -477,7 +483,6 @@ impl<S: NfsService + ProtocolHost + Send + Sync + 'static> ClusterRuntime<S> {
         let (core, stats) = {
             let guard = self.shared.engine.read_guard();
             let core = guard.obs_core().map(|o| CoreReport {
-                serve_exec: o.serve_exec.summary(),
                 drain_batch: o.drain_batch.summary(),
                 lease_validation_failures: o.lease_validation_failures.load(Ordering::Relaxed),
                 flight_events: (0..o.flight.servers())

@@ -38,11 +38,11 @@
 //! operations, never across another lock acquisition.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Instant;
 
 use parking_lot::{Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 use deceit_core::{AtomicHistogram, OpClass};
+use deceit_sim::wall;
 
 /// Contention telemetry for one ring slot.
 #[derive(Debug, Default)]
@@ -94,9 +94,9 @@ impl EngineObs {
             self.cell_wait.record(0);
             return guard;
         }
-        let start = Instant::now();
+        let start = wall::now();
         let guard = block();
-        self.cell_wait.record_micros(start.elapsed());
+        self.cell_wait.record_micros(wall::since(start));
         guard
     }
 
@@ -188,10 +188,10 @@ impl<S> ShardedEngine<S> {
         f: impl FnOnce(&S) -> Option<T>,
     ) -> Option<T> {
         let cell = self.read_guard();
-        let held = Instant::now();
+        let held = wall::now();
         let _ring = self.lock_ring(class);
         let out = f(&cell);
-        self.obs.ring_hold.record_micros(held.elapsed());
+        self.obs.ring_hold.record_micros(wall::since(held));
         if out.is_some() {
             self.obs.count_slots(class, false);
         }
@@ -204,10 +204,10 @@ impl<S> ShardedEngine<S> {
     /// kept so the declared footprint is exercised on every path.)
     pub(crate) fn execute<T>(&self, class: OpClass, f: impl FnOnce(&mut S) -> T) -> T {
         let mut cell = self.write_guard();
-        let held = Instant::now();
+        let held = wall::now();
         let _ring = self.lock_ring(class);
         let out = f(&mut cell);
-        self.obs.ring_hold.record_micros(held.elapsed());
+        self.obs.ring_hold.record_micros(wall::since(held));
         self.obs.count_slots(class, true);
         out
     }
@@ -216,11 +216,11 @@ impl<S> ShardedEngine<S> {
     /// pump's per-shard drain.
     pub(crate) fn with_slot_shared<T>(&self, slot: usize, f: impl FnOnce(&S) -> T) -> T {
         let cell = self.read_guard();
-        let held = Instant::now();
+        let held = wall::now();
         // lint: allow(lock-order): single-slot acquisition — a one-element ring batch is trivially ascending, and the cell lock is already held above
         let _shard = self.shards[slot].lock();
         let out = f(&cell);
-        self.obs.ring_hold.record_micros(held.elapsed());
+        self.obs.ring_hold.record_micros(wall::since(held));
         out
     }
 
@@ -229,11 +229,11 @@ impl<S> ShardedEngine<S> {
     /// `&self`.
     pub(crate) fn with_slot<T>(&self, slot: usize, f: impl FnOnce(&mut S) -> T) -> T {
         let mut cell = self.write_guard();
-        let held = Instant::now();
+        let held = wall::now();
         // lint: allow(lock-order): single-slot acquisition — a one-element ring batch is trivially ascending, and the exclusive cell lock already serializes this pump
         let _shard = self.shards[slot].lock();
         let out = f(&mut cell);
-        self.obs.ring_hold.record_micros(held.elapsed());
+        self.obs.ring_hold.record_micros(wall::since(held));
         out
     }
 

@@ -1,0 +1,148 @@
+//! What one request costs besides its hand-off, counted rather than
+//! timed: wall-clock reads ([`deceit_sim::wall::reads`]) and allocator
+//! calls (the counting allocator below), per request, on a live 3-server
+//! cell with one session homed on server 0.
+//!
+//! * **read** — 512 B reads of a stable 1 KiB file replicated on every
+//!   server (`min_replicas` 3): the paper's cheapest operation (§2.1,
+//!   §3.4), served on the lock-free shared path. The client stamps the
+//!   call twice and nothing else reads the clock; nothing allocates.
+//! * **write** — 512 B overwrites of a (3, 2) file from one reused
+//!   payload: the client's two stamps, the ring-lock hold's two, and the
+//!   pump's passes. Its allocation bound is a guard, not a target.
+//!
+//! Only a park with a deadline reads the clock beyond those stamps, and
+//! every park a request pays ends in a wake-up the bus counts, so the
+//! clock bounds add the `bus_wakes` delta. Counts are process-wide, so
+//! the two shapes never run at once.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Mutex;
+
+use bytes::Bytes;
+use deceit_core::{FileParams, WriteAvailability};
+use deceit_nfs::FileHandle;
+use deceit_runtime::{ClusterRuntime, RuntimeClient, RuntimeConfig};
+use deceit_sim::wall;
+
+/// Allocator calls (`alloc` + `realloc`) by every thread.
+static TOTAL: AtomicU64 = AtomicU64::new(0);
+
+thread_local! {
+    /// Allocator calls by this thread: the session's, on the test thread.
+    static MINE: Cell<u64> = const { Cell::new(0) };
+}
+
+struct Counting;
+
+// SAFETY: defers every call to `System` unchanged; the only additions
+// are a relaxed atomic increment and a thread-local counter bump, which
+// has no destructor and does not allocate.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        TOTAL.fetch_add(1, Ordering::Relaxed);
+        MINE.with(|c| c.set(c.get() + 1));
+        System.alloc(layout)
+    }
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        TOTAL.fetch_add(1, Ordering::Relaxed);
+        MINE.with(|c| c.set(c.get() + 1));
+        System.realloc(ptr, layout, new_size)
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// The shapes count process-wide, so they take turns.
+static SERIAL: Mutex<()> = Mutex::new(());
+
+const WARMUP: usize = 2_000;
+const TIMED: usize = 20_000;
+const IO: usize = 512;
+
+/// What `TIMED` requests cost, per request.
+#[derive(Debug)]
+struct Cost {
+    clock_reads: f64,
+    wakes: f64,
+    allocs_client: f64,
+    allocs_elsewhere: f64,
+    served_shared: u64,
+}
+
+/// A cell with one session homed on server 0, and a settled 1 KiB file
+/// with `params` written through it.
+fn cell(params: FileParams) -> (ClusterRuntime, RuntimeClient, FileHandle) {
+    let rt = ClusterRuntime::start(RuntimeConfig::new(3));
+    let mut c = rt.client_homed(rt.server_ids()[0]);
+    let fh = c.create(c.root(), "f", 0o644).expect("create").handle;
+    c.set_file_params(fh, params).expect("params");
+    c.write(fh, 0, &[7u8; 2 * IO]).expect("fill");
+    rt.settle();
+    (rt, c, fh)
+}
+
+fn params(min_replicas: usize, write_safety: usize) -> FileParams {
+    FileParams {
+        min_replicas,
+        write_safety,
+        stability: true,
+        migration: false,
+        availability: WriteAvailability::Medium,
+        read_optimized: false,
+    }
+}
+
+/// Runs `op` for the warm-up, then counts `TIMED` more.
+fn cost(rt: &ClusterRuntime, mut op: impl FnMut(usize)) -> Cost {
+    (0..WARMUP).for_each(&mut op);
+    let (s0, mine0, total0) = (rt.stats(), MINE.with(Cell::get), TOTAL.load(Ordering::Relaxed));
+    let reads0 = wall::reads();
+    (WARMUP..WARMUP + TIMED).for_each(&mut op);
+    let reads1 = wall::reads();
+    let (s1, mine1, total1) = (rt.stats(), MINE.with(Cell::get), TOTAL.load(Ordering::Relaxed));
+    let per = |n: u64| n as f64 / TIMED as f64;
+    let client = mine1 - mine0;
+    Cost {
+        clock_reads: per(reads1 - reads0),
+        wakes: per(s1.bus_wakes - s0.bus_wakes),
+        allocs_client: per(client),
+        allocs_elsewhere: per(total1 - total0 - client),
+        served_shared: s1.requests_served_shared - s0.requests_served_shared,
+    }
+}
+
+#[test]
+fn a_local_read_costs_two_stamps_and_no_allocation() {
+    let _turn = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let (rt, mut c, fh) = cell(params(3, 1));
+    let got = cost(&rt, |i| {
+        let data = c.read(fh, (i % 2) * IO, IO).expect("read");
+        assert_eq!(data.len(), IO);
+    });
+    println!("read: {got:?}");
+    assert_eq!(got.served_shared, TIMED as u64, "every read served on the shared path: {got:?}");
+    assert!(got.clock_reads <= 2.0 + got.wakes, "clock reads per read: {got:?}");
+    assert_eq!(got.allocs_client, 0.0, "the session allocates per read: {got:?}");
+    assert!(got.allocs_elsewhere <= 0.01, "the servers allocate per read: {got:?}");
+}
+
+#[test]
+fn a_replicated_write_stays_within_its_budget() {
+    let _turn = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let (rt, mut c, fh) = cell(params(3, 2));
+    let payload = Bytes::from(vec![9u8; IO]);
+    let got = cost(&rt, |i| {
+        c.write_bytes(fh, (i % 2) * IO, payload.clone()).expect("write");
+    });
+    println!("write: {got:?}");
+    assert!(got.clock_reads <= 4.5 + got.wakes, "clock reads per write: {got:?}");
+    let allocs = got.allocs_client + got.allocs_elsewhere;
+    assert!(allocs <= 8.0, "allocations per write: {got:?}");
+}

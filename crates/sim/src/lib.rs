@@ -12,12 +12,14 @@
 //! * [`stats`] — counters and histograms used by every layer above.
 //! * [`trace`] — a structured protocol trace, used to regenerate Table 1 of
 //!   the paper (the "typical sequence of events in an update").
+//! * [`wall`] — the one counted wall clock the live runtime reads.
 
 pub mod events;
 pub mod rng;
 pub mod stats;
 pub mod time;
 pub mod trace;
+pub mod wall;
 
 pub use events::EventQueue;
 pub use rng::SimRng;
