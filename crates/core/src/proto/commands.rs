@@ -62,7 +62,7 @@ impl Cluster {
     fn peek_params(&self, via: NodeId, seg: SegmentId) -> FileParams {
         self.resolve_key(via, seg, None)
             .ok()
-            .and_then(|(key, _)| {
+            .and_then(|(key, ..)| {
                 self.all_replica_holders(key)
                     .first()
                     .and_then(|&h| self.server(h).replicas.with_ref(&key, |r| r.map(|r| r.params)))
@@ -78,7 +78,7 @@ impl Cluster {
         before: FileParams,
     ) {
         if params.min_replicas > before.min_replicas {
-            if let Ok((key, _)) = self.resolve_key(via, seg, None) {
+            if let Ok((key, ..)) = self.resolve_key(via, seg, None) {
                 if let Some(holder) = self.find_reachable_token_holder(via, key) {
                     self.schedule_min_replica_fill(holder, key);
                 }
@@ -110,7 +110,7 @@ impl Cluster {
         via: NodeId,
         seg: SegmentId,
     ) -> DeceitResult<(FileParams, SimDuration)> {
-        let (key, latency) = self.resolve_key(via, seg, None)?;
+        let (key, _, latency) = self.resolve_key(via, seg, None)?;
         let holders = self.reachable_replica_holders(via, key);
         let h = holders.first().copied().ok_or(DeceitError::Unavailable(seg))?;
         let params =
@@ -126,7 +126,7 @@ impl Cluster {
         seg: SegmentId,
     ) -> DeceitResult<OpResult<Vec<NodeId>>> {
         self.client_op_scoped(via, OpScope::Global, |c| {
-            let (key, mut latency) = c.resolve_key(via, seg, None)?;
+            let (key, _, mut latency) = c.resolve_key(via, seg, None)?;
             let mut scratch = SimDuration::ZERO;
             let _ = c.count_available_replicas(via, key, &mut scratch);
             latency += scratch;
@@ -141,7 +141,7 @@ impl Cluster {
         seg: SegmentId,
     ) -> DeceitResult<OpResult<Vec<VersionInfo>>> {
         self.client_op_scoped(via, OpScope::Global, |c| {
-            let (_, mut latency) = c.resolve_key(via, seg, None)?;
+            let (_, _, mut latency) = c.resolve_key(via, seg, None)?;
             let mut scratch = SimDuration::ZERO;
             let _ = c.count_available_replicas(via, (seg, 0), &mut scratch);
             latency += scratch;
@@ -185,7 +185,7 @@ impl Cluster {
         seg: SegmentId,
     ) -> DeceitResult<OpResult<VersionPair>> {
         self.client_op_scoped(via, OpScope::Global, |c| {
-            let (key, latency) = c.resolve_key(via, seg, None)?;
+            let (key, _, latency) = c.resolve_key(via, seg, None)?;
             let holders = c.reachable_replica_holders(via, key);
             let h = holders.first().copied().ok_or(DeceitError::Unavailable(seg))?;
             // The holder list is advisory — the replica can vanish
@@ -211,7 +211,7 @@ impl Cluster {
             c.check_up(target).map_err(|_| {
                 DeceitError::InvalidCommand(format!("target {target} is not a live server"))
             })?;
-            let (key, mut latency) = c.resolve_key(via, seg, None)?;
+            let (key, _, mut latency) = c.resolve_key(via, seg, None)?;
             let holder = c
                 .find_reachable_token_holder(via, key)
                 .ok_or(DeceitError::WriteUnavailable(seg))?;
@@ -238,7 +238,7 @@ impl Cluster {
         target: NodeId,
     ) -> DeceitResult<OpResult<()>> {
         self.client_op_scoped(via, OpScope::Global, |c| {
-            let (key, mut latency) = c.resolve_key(via, seg, None)?;
+            let (key, _, mut latency) = c.resolve_key(via, seg, None)?;
             if !c.server(target).replicas.contains(&key) {
                 return Err(DeceitError::InvalidCommand(format!(
                     "{target} holds no replica of {seg}"
@@ -280,7 +280,7 @@ impl Cluster {
     /// new major version number.
     pub fn create_version(&mut self, via: NodeId, seg: SegmentId) -> DeceitResult<OpResult<u64>> {
         self.client_op_scoped(via, OpScope::Global, |c| {
-            let (key, mut latency) = c.resolve_key(via, seg, None)?;
+            let (key, _, mut latency) = c.resolve_key(via, seg, None)?;
             let (new_key, gen) = c.generate_token(via, key)?;
             latency += gen;
             Ok((new_key.1, latency))

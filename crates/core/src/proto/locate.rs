@@ -100,20 +100,21 @@ impl Cluster {
     /// Resolves which replica key (segment, major) an operation on `seg`
     /// addresses: an explicit major, or the most recent version visible
     /// from `via` (§3.5: "By using an unqualified filename, the user
-    /// automatically requests the most recent available version").
+    /// automatically requests the most recent available version"), and
+    /// the file group found on the way (`None` if a major skips the search).
     pub(crate) fn resolve_key(
         &self,
         via: NodeId,
         seg: SegmentId,
         major: Option<u64>,
-    ) -> DeceitResult<(ReplicaKey, SimDuration)> {
+    ) -> DeceitResult<(ReplicaKey, Option<GroupId>, SimDuration)> {
         let mut latency = SimDuration::ZERO;
         if let Some(m) = major {
             let key = (seg, m);
             if self.servers[via.index()].replicas.contains(&key)
                 || !self.reachable_replica_holders(via, key).is_empty()
             {
-                return Ok(((seg, m), latency));
+                return Ok(((seg, m), None, latency));
             }
             return Err(DeceitError::NoSuchVersion(seg, m));
         }
@@ -126,7 +127,7 @@ impl Cluster {
         // newer: it reads, sends nothing and charges nothing, so skipping
         // it changes no message and no latency.
         if let Some(m) = local.filter(|_| self.single_major(seg)) {
-            return Ok(((seg, m), latency));
+            return Ok(((seg, m), gid, latency));
         }
         let mut best = local;
         if let Some(members) = gid.and_then(|g| self.groups.members_vec(g)) {
@@ -140,7 +141,7 @@ impl Cluster {
             }
         }
         match best {
-            Some(m) => Ok(((seg, m), latency)),
+            Some(m) => Ok(((seg, m), gid, latency)),
             None => Err(DeceitError::NoSuchSegment(seg)),
         }
     }

@@ -302,7 +302,7 @@ impl Cluster {
         offset: usize,
         count: usize,
     ) -> DeceitResult<(ReadData, SimDuration)> {
-        let (key, mut latency) = self.resolve_key(via, seg, major)?;
+        let (key, _, mut latency) = self.resolve_key(via, seg, major)?;
 
         // One probe decides the local case: a `contains` check followed by
         // a separate state read would race a concurrent replica deletion
@@ -457,7 +457,7 @@ impl Cluster {
         latency += outcome.full_latency();
 
         let mut available: Vec<(NodeId, crate::version::VersionPair, ReplicaState)> = Vec::new();
-        for (m, _) in &outcome.replies {
+        for (m, _) in outcome.replies.iter() {
             if let Some((v, st)) =
                 self.server(*m).replicas.with_ref(&key, |r| r.map(|r| (r.version, r.state)))
             {

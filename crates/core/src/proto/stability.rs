@@ -32,7 +32,7 @@ impl Cluster {
         let remote: Vec<NodeId> = members.into_iter().filter(|&m| m != holder).collect();
         let outcome = broadcast_round(&self.net, holder, remote, 40, 16, "mark-unstable");
         let mut acks = 1; // the holder itself
-        for (m, _) in &outcome.replies {
+        for (m, _) in outcome.replies.iter() {
             if self.set_replica_state(*m, key, ReplicaState::Unstable) {
                 acks += 1;
             }
@@ -95,7 +95,7 @@ impl Cluster {
             self.group_members(key.0).map(|(_, m)| m).unwrap_or_else(|| vec![holder]);
         let remote: Vec<NodeId> = members.into_iter().filter(|&m| m != holder).collect();
         let outcome = broadcast_round(&self.net, holder, remote, 40, 16, "mark-stable");
-        for (m, _) in outcome.replies.clone() {
+        for &(m, _) in outcome.replies.iter() {
             let Some(replica_version) =
                 self.server(m).replicas.with_ref(&key, |r| r.map(|r| r.version))
             else {

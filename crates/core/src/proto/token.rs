@@ -15,7 +15,7 @@
 //! travels between servers it never leaves its file's shard: the whole
 //! module runs through `&self` under the file's shard ring lock.
 
-use deceit_isis::broadcast_round;
+use deceit_isis::{broadcast_round, GroupId};
 use deceit_net::NodeId;
 use deceit_sim::SimDuration;
 use deceit_storage::Durability;
@@ -44,16 +44,22 @@ impl Cluster {
         self.ensure_token_for_write(via, seg, false).map(|(ctx, latency)| (ctx.key, latency))
     }
 
-    /// What a write via `via` finds of the file `key`: the token `via`
-    /// holds — `None` if it holds none — and its primary replica, each
-    /// read once under its slot lock. Reachability is read inside the
-    /// token's lock; [`deceit_net::Network::reachable`] takes none.
-    pub(crate) fn write_context(&self, via: NodeId, key: ReplicaKey) -> Option<WriteCtx> {
+    /// What a write via `via` finds of the file `key` in the located
+    /// `group`: the token `via` holds — `None` if it holds none — and its
+    /// primary replica, each read once under its slot lock. Reachability
+    /// is read inside the token's lock; [`deceit_net::Network::reachable`] takes none.
+    pub(crate) fn write_context(
+        &self,
+        via: NodeId,
+        key: ReplicaKey,
+        group: Option<GroupId>,
+    ) -> Option<WriteCtx> {
         let srv = self.server(via);
         let mut ctx = srv.tokens.with_ref(&key, |t| {
             let t = t?;
             let mut ctx = WriteCtx {
                 key,
+                group,
                 version: t.version,
                 enabled: t.enabled,
                 holders: t.holders.len(),
@@ -93,11 +99,11 @@ impl Cluster {
         seg: SegmentId,
         piggyback: bool,
     ) -> DeceitResult<(WriteCtx, SimDuration)> {
-        let (key, mut latency) = self.resolve_key(via, seg, None)?;
+        let (key, group, mut latency) = self.resolve_key(via, seg, None)?;
 
         // Fast path: token already held (the stream-of-updates case the
         // protocol is optimized for).
-        if let Some(ctx) = self.write_context(via, key) {
+        if let Some(ctx) = self.write_context(via, key, group) {
             let (ctx, checked) = self.check_token_enabled(via, ctx)?;
             return Ok((ctx, latency + checked));
         }
@@ -127,7 +133,7 @@ impl Cluster {
         // "Just acquired" is not "held" if the acquisition failed to
         // leave a token here: the write is refused, the server lives.
         let acquired = |key: ReplicaKey| {
-            self.write_context(via, key).ok_or(DeceitError::WriteUnavailable(seg))
+            self.write_context(via, key, gid).ok_or(DeceitError::WriteUnavailable(seg))
         };
         match holder {
             Some(h) => {
@@ -231,7 +237,7 @@ impl Cluster {
         via: NodeId,
         ctx: WriteCtx,
     ) -> DeceitResult<(WriteCtx, SimDuration)> {
-        let (key, params) = (ctx.key, ctx.params);
+        let (key, params, group) = (ctx.key, ctx.params, ctx.group);
         if params.availability != WriteAvailability::Medium {
             return Ok((ctx, SimDuration::ZERO));
         }
@@ -270,7 +276,7 @@ impl Cluster {
         if !ok {
             return Err(unavailable());
         }
-        Ok((self.write_context(via, key).ok_or_else(unavailable)?, SimDuration::ZERO))
+        Ok((self.write_context(via, key, group).ok_or_else(unavailable)?, SimDuration::ZERO))
     }
 
     /// Generates a brand-new token for a new major version branched off
@@ -393,7 +399,7 @@ impl Cluster {
         let outcome = broadcast_round(&self.net, via, members, 32, 24, "replica-inquiry");
         *latency += outcome.full_latency();
         let mut count = 0;
-        for (m, _) in &outcome.replies {
+        for (m, _) in outcome.replies.iter() {
             if self.server(*m).replicas.contains(&key) {
                 count += 1;
             }

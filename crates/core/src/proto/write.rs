@@ -34,7 +34,7 @@
 //! sizes, and which writes reach the disk synchronously are what they
 //! were when each step cloned the record out and put it back.
 
-use deceit_isis::broadcast_round;
+use deceit_isis::{broadcast_round, GroupId};
 use deceit_net::NodeId;
 use deceit_sim::SimDuration;
 use deceit_storage::Durability;
@@ -55,6 +55,8 @@ use crate::version::VersionPair;
 pub(crate) struct WriteCtx {
     /// The replica key the token governs.
     pub key: ReplicaKey,
+    /// The file group as the write located it, if it did.
+    pub group: Option<GroupId>,
     /// The token's version pair — the authoritative one (§3.5).
     pub version: VersionPair,
     /// Whether the token is enabled (§4, availability "medium").
@@ -166,7 +168,7 @@ impl Cluster {
         // §3.3 optimization 2: for a small one-shot update, pass the
         // update to the current token holder instead of moving the token.
         if self.cfg.opt_forward_small && op.wire_size() <= self.cfg.forward_small_threshold {
-            if let Ok((key, _)) = self.resolve_key(via, seg, None) {
+            if let Ok((key, ..)) = self.resolve_key(via, seg, None) {
                 if !self.server(via).holds_token(key) {
                     if let Some(holder) = self.find_reachable_token_holder(via, key) {
                         if holder != via {
@@ -227,7 +229,9 @@ impl Cluster {
         // just-deleted victim, and the reply count sees the set as it is.
         if ctx.holders > params.min_replicas {
             self.delete_extra_replicas(via, key);
-            ctx = self.write_context(via, key).ok_or(DeceitError::WriteUnavailable(seg))?;
+            ctx = self
+                .write_context(via, key, ctx.group)
+                .ok_or(DeceitError::WriteUnavailable(seg))?;
         }
 
         // Table 1 row 3: the distributed update itself.
@@ -388,7 +392,7 @@ impl Cluster {
         // application lands after the lazy-apply delay.
         let mut sent = Distributed { safety_wait: SimDuration::ZERO, replies: 1, group_size };
         let mut correct = 0;
-        for (m, rtt) in &outcome.replies {
+        for (m, rtt) in outcome.replies.iter() {
             if !self.server(*m).replicas.contains(&key) {
                 continue;
             }
@@ -444,9 +448,9 @@ impl Cluster {
         remote_disk: SimDuration,
     ) -> Distributed {
         let key = ctx.key;
-        // The group through the location cache — no name formatting, no
-        // member-list allocation: its size, and the safety lane's round,
-        // are taken off the member set in place.
+        // The group as the write located it (else the location cache) —
+        // no name formatting, no member-list allocation: its size, and the
+        // safety lane's round, are taken off the member set in place.
         //
         // Safety lane (§3.3: "the token holder synchronously collects
         // only the first s correct replies"): one round to the first
@@ -456,8 +460,9 @@ impl Cluster {
         let on_lane = |m: &NodeId| {
             *m != via && self.net.reachable(via, *m) && self.server(*m).replicas.contains(&key)
         };
-        let (group_size, round) = self
-            .cached_group(via, key.0)
+        let (group_size, round) = ctx
+            .group
+            .or_else(|| self.cached_group(via, key.0))
             .and_then(|g| {
                 self.groups.with_members(g, |members| {
                     let round = (needed_remote > 0).then(|| {
@@ -471,7 +476,7 @@ impl Cluster {
         let mut safety_wait = SimDuration::ZERO;
         if let Some(outcome) = round {
             self.server(via).observe_round(&outcome);
-            for (m, rtt) in &outcome.replies {
+            for (m, rtt) in outcome.replies.iter() {
                 if self.deliver_safety_copy(via, *m, key, update) {
                     safety_wait = *rtt + remote_disk;
                 }
@@ -622,7 +627,7 @@ impl Cluster {
             return;
         };
         self.server(holder).observe_round(&outcome);
-        for (m, _) in &outcome.replies {
+        for (m, _) in outcome.replies.iter() {
             if self.apply_updates_ordered(*m, key, &batch, false) > 0 {
                 self.schedule_flush(*m, key.0);
             }

@@ -12,14 +12,14 @@
 //! [`BcastOutcome::latency_first_k`]`(s)`.
 
 use deceit_net::{Network, NodeId};
-use deceit_sim::SimDuration;
+use deceit_sim::{InlineVec, SimDuration};
 
 /// The result of one communication round.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone)]
 pub struct BcastOutcome {
     /// Members that received the message and replied, with the round-trip
-    /// time of each reply, sorted by arrival (ascending round-trip).
-    pub replies: Vec<(NodeId, SimDuration)>,
+    /// time of each reply, sorted by arrival (ascending round-trip, then node).
+    pub replies: InlineVec<(NodeId, SimDuration), 4>,
     /// Members that could not be reached (crashed or partitioned away).
     /// Per §2.4, this *is* the failure detection signal.
     pub unreachable: Vec<NodeId>,
@@ -78,7 +78,7 @@ pub fn broadcast_round(
     reply_bytes: usize,
     tag: &'static str,
 ) -> BcastOutcome {
-    let mut replies = Vec::new();
+    let mut replies = InlineVec::default();
     let mut unreachable = Vec::new();
     for to in targets {
         if to == from {
@@ -163,6 +163,29 @@ mod tests {
         assert_eq!(out.reply_count(), 0);
         assert_eq!(out.latency_first_k(1), SimDuration::ZERO);
         assert_eq!(out.full_latency(), SimDuration::ZERO);
+    }
+
+    #[test]
+    fn a_large_round_spills_in_the_same_order() {
+        // Past the inline capacity, a round holds what a collected `Vec`
+        // of the same exchanges, sorted by (rtt, node), holds.
+        let lan = || Network::new(deceit_net::LatencyModel::lan(), 11);
+        let members: Vec<NodeId> = (0..6).map(n).collect();
+        let out = broadcast_round(&lan(), n(0), members.clone(), 10, 10, "t");
+        let twin = lan();
+        let mut want: Vec<(NodeId, SimDuration)> = vec![(n(0), SimDuration::from_micros(10))];
+        for &m in &members[1..] {
+            let deceit_net::Delivery::Delivered(rtt) = twin.exchange(n(0), m, 10, 10, "t") else {
+                panic!("{m:?} unreachable on a healthy LAN");
+            };
+            want.push((m, rtt));
+        }
+        want.sort_by_key(|&(n, d)| (d, n));
+        assert_eq!(&out.replies[..], &want[..]);
+        assert_eq!(out.reply_count(), 6);
+        assert!(members.iter().all(|&m| out.heard_from(m)));
+        assert_eq!(out.full_latency(), want[5].1);
+        assert_eq!(out.latency_first_k(5), want[4].1);
     }
 
     #[test]

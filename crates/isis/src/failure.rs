@@ -40,7 +40,7 @@ impl FailureDetector {
 
     /// Folds a whole broadcast round into the suspicion state.
     pub fn observe_round(&mut self, outcome: &BcastOutcome) {
-        for (n, _) in &outcome.replies {
+        for (n, _) in outcome.replies.iter() {
             self.observe(*n, true);
         }
         for n in &outcome.unreachable {
@@ -67,7 +67,7 @@ impl FailureDetector {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use deceit_sim::SimDuration;
+    use deceit_sim::{InlineVec, SimDuration};
 
     fn n(v: u32) -> NodeId {
         NodeId(v)
@@ -95,10 +95,9 @@ mod tests {
     #[test]
     fn observe_round_folds_outcome() {
         let mut fd = FailureDetector::new();
-        let outcome = BcastOutcome {
-            replies: vec![(n(1), SimDuration::from_micros(5))],
-            unreachable: vec![n(2), n(3)],
-        };
+        let mut replies = InlineVec::default();
+        replies.push((n(1), SimDuration::from_micros(5)));
+        let outcome = BcastOutcome { replies, unreachable: vec![n(2), n(3)] };
         fd.observe_round(&outcome);
         assert!(!fd.is_suspected(n(1)));
         assert!(fd.is_suspected(n(2)));

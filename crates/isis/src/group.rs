@@ -180,12 +180,6 @@ impl GroupTable {
         self.read().groups.get(&id).map(|g| g.view.members.iter().copied().collect())
     }
 
-    /// The current member count of `id` (0 if the group is gone) —
-    /// clone-free, allocation-free.
-    pub fn member_count(&self, id: GroupId) -> usize {
-        self.read().groups.get(&id).map(|g| g.view.members.len()).unwrap_or(0)
-    }
-
     /// Whether any current member of `id` satisfies `pred`, or `None`
     /// if the group is gone — the allocation-free membership scan for
     /// read hot paths that would otherwise pay a

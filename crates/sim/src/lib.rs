@@ -13,8 +13,10 @@
 //! * [`trace`] — a structured protocol trace, used to regenerate Table 1 of
 //!   the paper (the "typical sequence of events in an update").
 //! * [`wall`] — the one counted wall clock the live runtime reads.
+//! * [`InlineVec`] — a short list held in place, for per-request lists.
 
 pub mod events;
+pub mod inline;
 pub mod rng;
 pub mod stats;
 pub mod time;
@@ -22,6 +24,7 @@ pub mod trace;
 pub mod wall;
 
 pub use events::EventQueue;
+pub use inline::InlineVec;
 pub use rng::SimRng;
 pub use stats::{Counter, Histogram, StatsRegistry, StatsSnapshot, Summary};
 pub use time::{SimDuration, SimTime};

@@ -7,8 +7,10 @@
 //!
 //! The array is a persistent list of *extents*: windows onto immutable,
 //! refcounted [`Bytes`] buffers, in segment order, each carrying its
-//! cumulative end offset. The list sits behind one refcount, so `clone`
-//! is a pointer bump, and every mutator is one left-to-right
+//! cumulative end offset. A one-extent segment (any under 16 KiB, by the
+//! merge rule below) holds it in place: two heap blocks, the buffer and
+//! its refcount. A longer list sits behind one refcount of its own, so
+//! `clone` is a refcount bump, and every mutator is one left-to-right
 //! [`Rewrite`] of the list that shares each extent the edit does not
 //! touch: a write costs what it writes plus the list, not the segment.
 //! Nothing handed out — to a reader, to another replica, to the durable
@@ -35,6 +37,7 @@ use std::fmt;
 use std::sync::Arc;
 
 use bytes::Bytes;
+use deceit_sim::InlineVec;
 
 use crate::disk::StoredSize;
 
@@ -67,14 +70,24 @@ struct Extent {
     end: usize,
 }
 
+/// A segment's extents: none, one held in place, or a longer list
+/// shared behind one refcount.
+#[derive(Clone, Default)]
+enum Extents {
+    #[default]
+    None,
+    One(Extent),
+    Many(Arc<Vec<Extent>>),
+}
+
 /// The contents of one segment replica.
 ///
-/// `clone` shares the extent list; [`SegmentData::read`] of a range
-/// inside one extent is a view of that extent's buffer, which stays
-/// allocated while the view lives — the extent, not the whole segment.
+/// `clone` shares the extents; [`SegmentData::read`] of a range inside
+/// one extent is a view of that extent's buffer, which stays allocated
+/// while the view lives — the extent, not the whole segment.
 #[derive(Clone, Default)]
 pub struct SegmentData {
-    extents: Arc<Vec<Extent>>,
+    extents: Extents,
 }
 
 impl SegmentData {
@@ -89,20 +102,29 @@ impl SegmentData {
         SegmentData::from(Bytes::copy_from_slice(data))
     }
 
+    /// The extents, in segment order.
+    fn extents(&self) -> &[Extent] {
+        match &self.extents {
+            Extents::None => &[],
+            Extents::One(e) => std::slice::from_ref(e),
+            Extents::Many(list) => list,
+        }
+    }
+
     /// Current length in bytes.
     pub fn len(&self) -> usize {
-        self.extents.last().map_or(0, |e| e.end)
+        self.extents().last().map_or(0, |e| e.end)
     }
 
     /// Whether the segment holds no bytes.
     pub fn is_empty(&self) -> bool {
-        self.extents.is_empty()
+        self.extents().is_empty()
     }
 
     /// The extents' bytes, in segment order.
     fn chunks(&self) -> impl Iterator<Item = &[u8]> {
         let mut begin = 0;
-        self.extents.iter().map(move |e| {
+        self.extents().iter().map(move |e| {
             let len = e.end - begin;
             begin = e.end;
             &e.backing[e.start..e.start + len]
@@ -126,11 +148,12 @@ impl SegmentData {
         let len = self.len();
         let from = offset.min(len);
         let to = offset.saturating_add(count).min(len);
-        let first = self.extents.partition_point(|e| e.end <= from);
-        let Some(e) = self.extents.get(first).filter(|_| from < to) else {
+        let extents = self.extents();
+        let first = extents.partition_point(|e| e.end <= from);
+        let Some(e) = extents.get(first).filter(|_| from < to) else {
             return Bytes::new();
         };
-        let begin = first.checked_sub(1).map_or(0, |p| self.extents[p].end);
+        let begin = first.checked_sub(1).map_or(0, |p| extents[p].end);
         if to <= e.end {
             let at = e.start + (from - begin);
             return e.backing.slice(at..at + (to - from));
@@ -158,16 +181,17 @@ impl SegmentData {
     pub fn rewrite(&self) -> Rewrite<'_> {
         let len = self.len();
         Rewrite {
-            src: &self.extents,
+            src: self.extents(),
             // A segment short enough to be one buffer usually stays its
             // length under an edit: new buffers are sized for that.
             hint: if len < 2 * MERGE { len } else { 0 },
             next: 0,
             used: 0,
-            out: Vec::with_capacity(self.extents.len() + 3),
+            out: Vec::new(),
             tail: Tail::Empty,
             len: 0,
-            retired: Vec::new(),
+            shares: false,
+            retired: InlineVec::default(),
             too_big: false,
         }
     }
@@ -241,14 +265,14 @@ impl SegmentData {
 
     /// Number of extents (at most `len / 8 KiB + 1`).
     pub fn extent_count(&self) -> usize {
-        self.extents.len()
+        self.extents().len()
     }
 
     /// Total size of the distinct buffers the extents are windows of (at
     /// most `2 × len`): what this segment alone keeps allocated.
     pub fn pinned_bytes(&self) -> usize {
         let mut buffers: Vec<_> =
-            self.extents.iter().map(|e| (buffer_id(&e.backing), e.backing.len())).collect();
+            self.extents().iter().map(|e| (buffer_id(&e.backing), e.backing.len())).collect();
         buffers.sort_unstable();
         buffers.dedup();
         buffers.iter().map(|&(_, size)| size).sum()
@@ -283,13 +307,17 @@ pub struct Rewrite<'a> {
     /// The next source extent, and how much of it is already consumed.
     next: usize,
     used: usize,
+    /// The result's extents before `tail`: none for a one-extent result.
     out: Vec<Extent>,
     tail: Tail,
     /// Result length so far, `tail` included.
     len: usize,
+    /// Whether the result windows a buffer it did not build (if not,
+    /// there is nothing to compact).
+    shares: bool,
     /// `(buffer, size, bytes of it in the result)` for every buffer that
     /// lost bytes it may also hold elsewhere in the segment.
-    retired: Vec<(usize, usize, usize)>,
+    retired: InlineVec<(usize, usize, usize), 4>,
     too_big: bool,
 }
 
@@ -337,9 +365,19 @@ impl Rewrite<'_> {
         if self.too_big {
             return None;
         }
-        self.flush();
-        self.compact();
-        Some(SegmentData { extents: Arc::new(self.out) })
+        let Some(mut last) = self.close() else {
+            return Some(SegmentData::new());
+        };
+        let extents = if self.out.is_empty() {
+            self.compact(std::slice::from_mut(&mut last));
+            Extents::One(last)
+        } else {
+            let mut out = std::mem::take(&mut self.out);
+            out.push(last);
+            self.compact(&mut out);
+            Extents::Many(Arc::new(out))
+        };
+        Some(SegmentData { extents })
     }
 
     /// Consumes up to `count` source bytes, keeping or dropping them;
@@ -408,7 +446,10 @@ impl Rewrite<'_> {
             }
             self.tail = Tail::Owned(buf);
         } else {
-            self.flush();
+            if let Some(e) = self.close() {
+                self.out.reserve((self.src.len() + 3).saturating_sub(self.out.len()));
+                self.out.push(e);
+            }
             self.tail = match from {
                 Some((backing, start)) => Tail::Shared { backing: backing.clone(), start, len },
                 None => {
@@ -427,48 +468,51 @@ impl Rewrite<'_> {
         assert_eq!(buf.len() - before, len, "a pushed encoder wrote another length than it said");
     }
 
-    /// Closes the open extent.
-    fn flush(&mut self) {
+    /// Closes the open extent, if any, and returns it.
+    fn close(&mut self) -> Option<Extent> {
         let (backing, start, len) = match std::mem::replace(&mut self.tail, Tail::Empty) {
-            Tail::Empty => return,
-            Tail::Shared { backing, start, len } => (backing, start, len),
+            Tail::Empty => return None,
+            Tail::Shared { backing, start, len } => {
+                self.shares = true;
+                (backing, start, len)
+            }
             Tail::Owned(buf) => {
                 let len = buf.len();
                 (Bytes::from(buf), 0, len)
             }
         };
         let end = self.out.last().map_or(0, |e| e.end) + len;
-        self.out.push(Extent { backing, start, end });
+        Some(Extent { backing, start, end })
     }
 
     /// Notes that `dropped` bytes of `backing` did not make it into the
     /// result as a window. A buffer dropped whole has no other window.
     fn retire(&mut self, backing: &Bytes, dropped: usize) {
-        if dropped < backing.len() {
-            self.retired.push((buffer_id(backing), backing.len(), 0));
+        let id = buffer_id(backing);
+        if dropped < backing.len() && !self.retired.iter().any(|r| r.0 == id) {
+            self.retired.push((id, backing.len(), 0));
         }
     }
 
-    /// The compaction rule: copies out the windows of every retired
-    /// buffer the result references less than half of.
-    fn compact(&mut self) {
-        if self.retired.is_empty() {
+    /// The compaction rule: copies out the windows in `out` of every
+    /// retired buffer the result references less than half of.
+    fn compact(&mut self, out: &mut [Extent]) {
+        if !self.shares || self.retired.is_empty() {
             return;
         }
         self.retired.sort_unstable();
-        self.retired.dedup();
         let find = |retired: &[(usize, usize, usize)], e: &Extent| {
             retired.binary_search_by_key(&buffer_id(&e.backing), |r| r.0).ok()
         };
         let mut begin = 0;
-        for e in &self.out {
+        for e in out.iter() {
             if let Some(i) = find(&self.retired, e) {
                 self.retired[i].2 += e.end - begin;
             }
             begin = e.end;
         }
         begin = 0;
-        for e in &mut self.out {
+        for e in out {
             let len = e.end - begin;
             begin = e.end;
             if let Some(i) = find(&self.retired, e) {
@@ -492,9 +536,8 @@ impl From<Bytes> for SegmentData {
     /// A one-extent segment adopting `data`.
     fn from(data: Bytes) -> Self {
         let end = data.len();
-        let extents =
-            if end == 0 { Vec::new() } else { vec![Extent { backing: data, start: 0, end }] };
-        SegmentData { extents: Arc::new(extents) }
+        let one = Extents::One(Extent { backing: data, start: 0, end });
+        SegmentData { extents: if end == 0 { Extents::None } else { one } }
     }
 }
 
@@ -514,9 +557,10 @@ impl PartialEq for SegmentData {
     /// Segments are equal when their bytes are, however they are cut
     /// into extents.
     fn eq(&self, other: &Self) -> bool {
+        let shared = matches!((&self.extents, &other.extents),
+            (Extents::Many(a), Extents::Many(b)) if Arc::ptr_eq(a, b));
         self.len() == other.len()
-            && (Arc::ptr_eq(&self.extents, &other.extents)
-                || self.chunks().flatten().eq(other.chunks().flatten()))
+            && (shared || self.chunks().flatten().eq(other.chunks().flatten()))
     }
 }
 
@@ -585,6 +629,39 @@ mod tests {
         assert_eq!(&s.read(1, 100)[..], b"bc");
         assert_eq!(s.read(3, 1), Bytes::new());
         assert_eq!(s.read(99, 1), Bytes::new());
+    }
+
+    #[test]
+    fn a_small_segment_is_one_extent_pinning_one_buffer() {
+        let mut s = SegmentData::from_bytes(&[1; 1024]);
+        assert!(s.write(256, &[2; 512]));
+        assert_eq!((s.extent_count(), s.pinned_bytes()), (1, 1024));
+        assert_eq!(&s.read(255, 3)[..], &[1, 2, 2]);
+        // A clone shares the buffer, not a copy of it.
+        let c = s.clone();
+        assert_eq!(c.read(0, 1024).as_ptr(), s.read(0, 1024).as_ptr());
+        assert_eq!(c, s);
+    }
+
+    #[test]
+    fn an_adopted_slice_is_compacted_only_past_half() {
+        let big = Bytes::from(vec![7u8; 64 << 10]);
+        let inside = |s: &SegmentData, at: usize| {
+            let (p, b) = (s.read(at, 1).as_ptr() as usize, big.as_ptr() as usize);
+            (b..b + big.len()).contains(&p)
+        };
+        let mut s = SegmentData::new();
+        assert!(s.write_bytes(0, big.slice(..32 << 10)));
+        // 24 of the slice's 32 KiB still referenced: kept.
+        assert!(s.write(8 << 10, &[1; 8 << 10]));
+        assert!(inside(&s, 0) && inside(&s, 31 << 10));
+        assert_eq!((s.extent_count(), s.pinned_bytes()), (3, (32 << 10) + (8 << 10)));
+        // 12 of 32 KiB referenced: both windows copied out.
+        assert!(s.write(4 << 10, &[2; 20 << 10]));
+        assert!(!inside(&s, 0) && !inside(&s, 31 << 10));
+        assert_eq!((s.extent_count(), s.pinned_bytes()), (3, 32 << 10));
+        assert_eq!(&s.read((4 << 10) - 1, 2)[..], &[7, 2]);
+        assert_eq!(&s.read((24 << 10) - 1, 2)[..], &[2, 7]);
     }
 
     #[test]
