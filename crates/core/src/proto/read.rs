@@ -72,14 +72,19 @@ impl Cluster {
     /// a concurrent host runs under its shared cell lock, in parallel
     /// with other readers.
     ///
-    /// Succeeds exactly when `via` is up and locally holds a stable
-    /// replica of the requested version that no reachable server
-    /// supersedes; every other case (forwarding, unstable replicas, the
-    /// §3.6 stable-replica search) returns `None` so the caller falls
-    /// back to the exclusive [`Cluster::read`], which remains the
-    /// canonical path. The fast path deliberately skips the bookkeeping
-    /// the full path performs — clock advance, stats, the replica's LRU
-    /// access-time touch — none of which affect the served bytes.
+    /// Succeeds when `via` is up, its replica of the requested version is
+    /// current (no reachable server supersedes it), and one of three
+    /// things answers: the replica itself, stable; `via`'s own read lease
+    /// as the token holder mid-stream; or — `via`'s replica unstable, so
+    /// §3.4 forwards the read to the token holder — the first reachable
+    /// holder's read lease. A local answer skips the full path's
+    /// bookkeeping (clock advance, stats), none of which affects the
+    /// served bytes; the forward is charged as the full path charges it,
+    /// bar the deferred work that path fires (see `try_read_leased`).
+    /// Every other case — the §2.1 forward from a server with no replica,
+    /// which joins the file group, and the §3.6 stable-replica search —
+    /// returns `None`, having charged nothing, so the caller falls back
+    /// to the canonical [`Cluster::read`].
     pub fn try_read_local(
         &self,
         via: NodeId,
@@ -113,23 +118,32 @@ impl Cluster {
                 (key, srv.replicas.with_ref_served(&key, self.now(), |r| stable(r?)))
             }
         };
-        let served = match served {
-            Some(d) => d,
-            // Unstable (or no) local replica: the holder-local read lease
-            // may still answer — the §3.4 "reads are forwarded to the
-            // token holder" case where `via` *is* the holder.
-            None => self.try_read_leased(via, key, offset, count)?,
-        };
-        Some(OpResult { value: served, latency: self.cfg.local_read })
+        if let Some(served) = served {
+            return Some(OpResult { value: served, latency: self.cfg.local_read });
+        }
+        // Unstable (or no) local replica: §3.4 forwards the read to the
+        // token holder, whose read lease may answer — `via`'s own when it
+        // is the holder, else the one its unstable replica forwards to.
+        if !self.cfg.opt_read_leases {
+            return None;
+        }
+        self.try_read_leased(via, via, key, offset, count).or_else(|| {
+            if !srv.replicas.with_ref(&key, |r| r.is_some_and(|r| !r.is_stable())) {
+                return None; // no replica here: §2.1's forward, on the full path
+            }
+            let holder = self.find_reachable_token_holder(via, key).filter(|&h| h != via)?;
+            self.try_read_leased(via, holder, key, offset, count)
+        })
     }
 
     /// The lease half of the lock-free fast path
-    /// (`ClusterConfig::opt_read_leases`): serves `via`'s own *unstable*
-    /// replica when `via` is the token holder mid-stream, at exactly the
+    /// (`ClusterConfig::opt_read_leases`): answers `reader`'s read from
+    /// the token `holder`'s *unstable* replica mid-stream, at exactly the
     /// acked durable prefix named by the published [`crate::ReadLease`].
-    /// §3.4 forwards every other server's reads to the token holder while
-    /// a file is unstable; the holder answers directly — this is that
-    /// answer, without ring locks.
+    /// §3.4 forwards every server's reads to the token holder while a
+    /// file is unstable, and the holder answers directly — this is that
+    /// answer, without ring locks: the holder's own read, or a forwarded
+    /// one.
     ///
     /// Correctness rests on a seqlock-style sandwich. The lease is read
     /// before and after the replica copy-out, the copied replica must
@@ -140,18 +154,27 @@ impl Cluster {
     /// So if the second read still observes the identical lease, the
     /// token had not begun moving when the bytes were copied — the copy
     /// is the primary's acked prefix. Any change, and the caller falls
-    /// back to the locked path.
+    /// back to the locked path. Nothing in the argument is the reader's
+    /// own: it holds for another server's lease just as for `reader`'s,
+    /// and the holder `reader` chose stays reachable throughout, since
+    /// partitions and crashes take the exclusive cell lock a shared-lock
+    /// caller excludes.
+    ///
+    /// A forwarded read is charged only once it is served, so a decline
+    /// leaves nothing for the fallback to charge twice. The charge is the
+    /// full path's ([`Cluster::forward_to_token_holder`]) but for the
+    /// deferred work that path fires on entry and exit: one `forward`
+    /// exchange, the read repair, the `ReadForwarded` event, the served
+    /// count placement reads, and the clock advance.
     fn try_read_leased(
         &self,
-        via: NodeId,
+        reader: NodeId,
+        holder: NodeId,
         key: ReplicaKey,
         offset: usize,
         count: usize,
-    ) -> Option<ReadData> {
-        if !self.cfg.opt_read_leases {
-            return None;
-        }
-        let srv = self.server(via);
+    ) -> Option<OpResult<ReadData>> {
+        let srv = self.server(holder);
         let lease = srv.leases.get(&key)?;
         let served = srv.replicas.with_ref_served(&key, self.now(), |r| {
             let r = r?;
@@ -161,13 +184,22 @@ impl Cluster {
                 self.obs.lease_validation_failures.fetch_add(1, atomic::Ordering::Relaxed);
                 return None;
             }
-            Some(copy_out(r, via, offset, count))
+            Some(copy_out(r, holder, offset, count))
         })?;
         if srv.leases.get(&key) != Some(lease) {
             self.obs.lease_validation_failures.fetch_add(1, atomic::Ordering::Relaxed);
             return None;
         }
-        Some(served)
+        let mut latency = self.cfg.local_read;
+        if reader != holder {
+            latency += self.round_trip(reader, holder, 32, count.min(8 * 1024)).ok()?;
+            self.schedule_read_repair(reader, key);
+            let ev = ProtocolEvent::ReadForwarded { seg: key.0, from: reader, to: holder };
+            self.emit_from(reader, ev);
+            self.server(reader).ops_served.fetch_add(1, atomic::Ordering::Relaxed);
+            self.clock_add(latency);
+        }
+        Some(OpResult { value: served, latency })
     }
 
     /// The read lease `server` currently publishes for `key`, if any
@@ -405,12 +437,7 @@ impl Cluster {
         count: usize,
         mut latency: SimDuration,
     ) -> DeceitResult<(ReadData, SimDuration)> {
-        let holder = self
-            .servers
-            .iter()
-            .find(|s| s.holds_token(key) && self.net.reachable(via, s.id))
-            .map(|s| s.id);
-        match holder {
+        match self.find_reachable_token_holder(via, key) {
             Some(h) if h == via => {
                 latency += self.cfg.local_read;
                 let data = self

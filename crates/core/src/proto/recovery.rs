@@ -297,7 +297,9 @@ impl Cluster {
         self.server(server).tokens.with_ref(&key, |t| t.map(|t| t.version))
     }
 
-    /// Finds a reachable server holding the token for exactly `key`.
+    /// Finds a reachable server holding the token for exactly `key`: the
+    /// first in server order, the one choice every forward to the token
+    /// holder makes, on the full read path and the lease fast path alike.
     pub(crate) fn find_reachable_token_holder(
         &self,
         from: NodeId,

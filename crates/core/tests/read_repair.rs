@@ -32,10 +32,22 @@ fn leased_cell() -> (Cluster, SegmentId) {
 // Holder-local read leases
 // ---------------------------------------------------------------------
 
+/// What a forwarded read charges, read off the cell: `forward` messages,
+/// read repairs armed, the protocol clock, and the reader's served count.
+fn charges(c: &Cluster, reader: NodeId) -> (u64, u64, SimTime, u64) {
+    (
+        c.net.stats().tag_count("forward"),
+        c.stats.counter("core/reads/repairs_scheduled"),
+        c.now(),
+        c.server(reader).ops_served.load(std::sync::atomic::Ordering::Relaxed),
+    )
+}
+
 /// During a write stream the token holder's replica is unstable, yet the
 /// lock-free fast path serves it — against the published lease, at the
 /// acked durable prefix, byte-for-byte what the full read path returns.
-/// Non-holders still decline (their reads must forward, §3.4).
+/// A non-holder's read still forwards to the holder (§3.4) and pays for
+/// it, but the holder's lease answers it without ring locks.
 #[test]
 fn lease_serves_holders_unstable_file_lock_free() {
     let (mut c, seg) = leased_cell();
@@ -52,13 +64,67 @@ fn lease_serves_holders_unstable_file_lock_free() {
     assert_eq!(&fast.value.data()[..], b"mid-stream state");
     assert_eq!(fast.value.version, holder.version);
 
-    // Non-holders have no lease and an unstable replica: decline.
-    assert!(c.try_read_local(n(1), seg, None, 0, 64).is_none());
-    assert!(c.try_read_local(n(2), seg, None, 0, 64).is_none());
+    // Non-holders' replicas are unstable and they have no lease: each
+    // read forwards to the holder's lease — one charged exchange, one
+    // armed repair, the clock advanced by what the read reports.
+    for s in [n(1), n(2)] {
+        assert_eq!(c.server(s).replicas.get(&key).unwrap().state, ReplicaState::Unstable);
+        let (msgs, repairs, clock, served) = charges(&c, s);
+        let fwd = c.try_read_local(s, seg, None, 0, 64).expect("the holder's lease answers");
+        assert_eq!(&fwd.value.data()[..], b"mid-stream state");
+        assert_eq!(fwd.value.version, holder.version);
+        assert_eq!(fwd.value.served_by, n(0));
+        assert!(fwd.latency > c.cfg.local_read, "a forward costs a round trip");
+        assert_eq!(charges(&c, s), (msgs + 2, repairs + 1, clock + fwd.latency, served + 1));
+    }
 
     // The full (exclusive) path agrees byte for byte.
     let slow = c.read(n(0), seg, None, 0, 64).unwrap();
     assert_eq!(fast.value.data(), slow.value.data());
+    let slow = c.read(n(1), seg, None, 0, 64).unwrap();
+    assert_eq!(fast.value.data(), slow.value.data());
+}
+
+/// A forward the lease cannot answer declines having charged nothing, so
+/// the full path that follows charges it exactly once: the holder split
+/// away from the reader, leases off, and the §2.1 forward from a server
+/// with no replica (a group join, which stays on the full path).
+#[test]
+fn declined_forwards_charge_nothing() {
+    let declines = |c: &Cluster, via: NodeId, seg: SegmentId| {
+        let before = charges(c, via);
+        assert!(c.try_read_local(via, seg, None, 0, 64).is_none(), "via server {via:?}");
+        assert_eq!(charges(c, via), before, "a declined read must charge nothing");
+    };
+
+    // The holder unreachable from the reader.
+    let (mut c, seg) = leased_cell();
+    c.write(n(0), seg, WriteOp::replace(b"split away"), None).unwrap();
+    c.split(&[&[n(0)], &[n(1), n(2)]]);
+    declines(&c, n(1), seg);
+
+    // Leases off: the holder publishes none to forward to.
+    let cfg = ClusterConfig::deterministic().with_write_pipeline().with_read_repair();
+    let mut c = Cluster::new(3, cfg);
+    let seg = c.create(n(0)).unwrap().value;
+    c.set_params(n(0), seg, FileParams { min_replicas: 3, ..FileParams::default() }).unwrap();
+    c.run_until_quiet();
+    c.write(n(0), seg, WriteOp::replace(b"no lease"), None).unwrap();
+    assert_eq!(c.server(n(1)).replicas.get(&(seg, 0)).unwrap().state, ReplicaState::Unstable);
+    declines(&c, n(1), seg);
+
+    // No replica at the reader, though the holder's lease would answer.
+    let (mut c, _) = leased_cell();
+    let pair = c.create(n(0)).unwrap().value;
+    c.set_params(n(0), pair, FileParams { min_replicas: 2, ..FileParams::default() }).unwrap();
+    c.run_until_quiet();
+    c.write(n(0), pair, WriteOp::replace(b"settled"), None).unwrap();
+    c.run_until_quiet();
+    c.write(n(0), pair, WriteOp::replace(b"two copies"), None).unwrap();
+    let key = (pair, c.server(n(0)).latest_major(pair).unwrap());
+    assert!(c.read_lease_version(n(0), key).is_some());
+    let bare = [n(1), n(2)].into_iter().find(|&s| c.server(s).replicas.get(&key).is_none());
+    declines(&c, bare.expect("one server without a replica"), pair);
 }
 
 /// The lease is strictly opt-in: with the paper-faithful default, the
@@ -114,7 +180,8 @@ fn lease_invalidated_on_stabilize() {
 }
 
 /// Token movement revokes the lease at the old holder before the token
-/// leaves, and the new holder publishes its own on its next write.
+/// leaves, and the new holder publishes its own on its next write — which
+/// is where the old holder's reads now forward.
 #[test]
 fn lease_invalidated_on_token_movement() {
     let (mut c, seg) = leased_cell();
@@ -127,9 +194,11 @@ fn lease_invalidated_on_token_movement() {
     assert!(c.server(n(1)).holds_token(key));
 
     assert_eq!(c.read_lease_version(n(0), key), None, "old holder's lease must be revoked");
-    assert!(c.try_read_local(n(0), seg, None, 0, 64).is_none(), "old holder must decline");
     let read = c.try_read_local(n(1), seg, None, 0, 64).expect("new holder's lease serves");
     assert_eq!(&read.value.data()[..], b"holder one");
+    let old = c.try_read_local(n(0), seg, None, 0, 64).expect("old holder forwards to the new");
+    assert_eq!(&old.value.data()[..], b"holder one");
+    assert_eq!(old.value.served_by, n(1));
 }
 
 /// The lease is volatile: a holder crash erases it with the rest of the

@@ -40,10 +40,16 @@ fn no_bare_panic_fixture_fails_the_lint() {
 
 #[test]
 fn no_bare_panic_is_scoped_to_protocol_paths() {
-    // The same content outside the scoped paths produces nothing.
-    let report =
-        lint_fixture("crates/runtime/src/fixture.rs", include_str!("../fixtures/no_bare_panic.rs"));
-    assert!(rule_findings(&report, "no-bare-panic").is_empty());
+    // The same content outside the scoped paths produces nothing: the
+    // runtime's fault-injection drivers, and any runtime file not named.
+    for path in [
+        "crates/runtime/src/fixture.rs",
+        "crates/runtime/src/nemesis.rs",
+        "crates/runtime/src/scenario.rs",
+    ] {
+        let report = lint_fixture(path, include_str!("../fixtures/no_bare_panic.rs"));
+        assert!(rule_findings(&report, "no-bare-panic").is_empty(), "{path}");
+    }
 }
 
 #[test]
@@ -67,6 +73,18 @@ fn one_clock_fixture_fails_the_lint() {
 #[test]
 fn no_bare_panic_covers_net_and_sim() {
     for path in ["crates/net/src/fixture.rs", "crates/sim/src/fixture.rs"] {
+        let report = lint_fixture(path, include_str!("../fixtures/no_bare_panic.rs"));
+        assert_eq!(rule_findings(&report, "no-bare-panic").len(), 4, "{path}");
+    }
+}
+
+#[test]
+fn no_bare_panic_covers_core_and_the_runtimes_serving_files() {
+    for path in [
+        "crates/core/src/fixture.rs",
+        "crates/runtime/src/runtime.rs",
+        "crates/runtime/src/history.rs",
+    ] {
         let report = lint_fixture(path, include_str!("../fixtures/no_bare_panic.rs"));
         assert_eq!(rule_findings(&report, "no-bare-panic").len(), 4, "{path}");
     }

@@ -43,7 +43,8 @@ use crate::inode::Inode;
 pub enum Scope<'a> {
     /// The shared cell lock only: segments are answered from
     /// single-acquisition snapshots of what the serving server holds
-    /// locally, or not at all.
+    /// locally or, mid-stream, of the token holder's leased replica, or
+    /// not at all.
     Snapshot(&'a DeceitFs),
     /// The shared cell lock plus the ring locks of these shard slots: the
     /// full protocol may run on segments in them, firing only their
@@ -146,8 +147,9 @@ impl Scope<'_> {
         let cluster = &self.fs().cluster;
         let local = || cluster.try_read_local(via, seg, major, 0, WHOLE_SEGMENT);
         let lean = match self {
-            // A stable local replica (or the holder's read lease), as one
-            // single-acquisition snapshot.
+            // A stable local replica (or the token holder's read lease,
+            // read here or forwarded to), as one single-acquisition
+            // snapshot.
             Scope::Snapshot(_) => local(),
             // The same — then the token holder's primary copy, the steady
             // state of a write stream. A mutation at the holder reads it
@@ -158,8 +160,9 @@ impl Scope<'_> {
                 .flatten()
                 .or_else(local)
                 .or_else(|| cluster.try_read_primary(via, seg, major, 0, WHOLE_SEGMENT)),
-            // Not tried: the lean paths skip the forwarding, clock and
-            // statistics accounting of the full protocol, and holding the
+            // Not tried: the lean paths skip part of the full protocol's
+            // accounting (its deferred work, statistics, and for a local
+            // answer the clock), and holding the
             // whole cell is how the simulator runs — every count and
             // latency it reports stays what the paper's protocol charges.
             Scope::Cell(_) => None,

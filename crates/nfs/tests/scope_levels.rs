@@ -168,6 +168,11 @@ struct Fixture {
     /// Kept on server 0 alone, and in the middle of a write stream there.
     streaming: FileHandle,
     link: FileHandle,
+    /// A directory replicated on every server, settled.
+    shelf: FileHandle,
+    /// In `shelf`, replicated on every server, and in the middle of a
+    /// write stream at server 0.
+    mirrored: FileHandle,
 }
 
 fn fixture() -> Fixture {
@@ -185,15 +190,21 @@ fn fixture() -> Fixture {
     let stable = made(Create { dir: root, name: name("stable"), mode: 0o644 });
     let streaming = made(Create { dir: root, name: name("streaming"), mode: 0o644 });
     let link = made(Symlink { dir: root, name: name("link"), target: name("stable") });
-    done(DeceitSetParams { fh: stable, params: FileParams::important(3) });
+    let shelf = made(Mkdir { dir: root, name: name("shelf"), mode: 0o755 });
+    let mirrored = made(Create { dir: shelf, name: name("mirrored"), mode: 0o644 });
+    for fh in [shelf, mirrored, stable] {
+        done(DeceitSetParams { fh, params: FileParams::important(3) });
+    }
     done(Write { fh: stable, offset: 0, data: b"settled".into() });
     let NfsReply::Versions(versions) = done(DeceitListVersions { fh: stable }) else {
         panic!("no version listing")
     };
     srv.settle();
-    let (rep, _) = srv.serve(NodeId(0), Write { fh: streaming, offset: 0, data: b"stream".into() });
-    assert!(rep.as_error().is_none(), "{rep:?}");
-    Fixture { srv, root, stable, major: versions[0].major, streaming, link }
+    for fh in [streaming, mirrored] {
+        let (rep, _) = srv.serve(NodeId(0), Write { fh, offset: 0, data: b"stream".into() });
+        assert!(rep.as_error().is_none(), "{rep:?}");
+    }
+    Fixture { srv, root, stable, major: versions[0].major, streaming, link, shelf, mirrored }
 }
 
 /// The narrowest level that answers `req` at server `via` on a fresh
@@ -205,9 +216,10 @@ fn narrowest(via: u32, req: &NfsRequest) -> (Level, bool) {
     (level, rep.as_error().is_some())
 }
 
-/// Server 0 holds a replica of everything in the fixture and the token
-/// of the streaming file; server 1 holds a replica of the stable file
-/// only, so its reads of anything else forward.
+/// Server 0 holds a replica of everything in the fixture and the tokens
+/// of the streaming files; server 1 holds replicas of the stable file,
+/// the shelf and the mirrored file only, so its reads of anything else
+/// forward.
 const HOME: u32 = 0;
 const AWAY: u32 = 1;
 
@@ -217,7 +229,7 @@ const AWAY: u32 = 1;
 fn escape_table() {
     use Level::{Cell, Ring, Snapshot};
     use NfsRequest::*;
-    let Fixture { root, stable, major, streaming, link, .. } = fixture();
+    let Fixture { root, stable, major, streaming, link, shelf, mirrored, .. } = fixture();
     let table = [
         // Requests without a file never need more than the shared lock.
         (AWAY, Null, Snapshot),
@@ -229,10 +241,15 @@ fn escape_table() {
         (HOME, Readdir { dir: root }, Snapshot),
         (HOME, Lookup { dir: root, name: name("stable") }, Snapshot),
         (HOME, Lookup { dir: root, name: format!("stable;{major}") }, Snapshot),
-        // …as does the token holder's read lease mid-stream…
+        // …as does the token holder's read lease mid-stream, for the
+        // holder and for a server whose unstable replica forwards to it…
         (HOME, Read { fh: streaming, offset: 0, count: 8 }, Snapshot),
         (HOME, Lookup { dir: root, name: name("streaming") }, Snapshot),
-        // …and a read that must forward takes the file's ring lock.
+        (AWAY, Read { fh: mirrored, offset: 0, count: 8 }, Snapshot),
+        (AWAY, Getattr { fh: mirrored }, Snapshot),
+        (AWAY, Lookup { dir: shelf, name: name("mirrored") }, Snapshot),
+        // …and a read from a server with no replica takes the file's ring
+        // lock: the §2.1 forward joins the file group.
         (AWAY, Read { fh: streaming, offset: 0, count: 8 }, Ring),
         (AWAY, Getattr { fh: streaming }, Ring),
         (AWAY, Readlink { fh: link }, Ring),

@@ -14,13 +14,22 @@
 //! the artifact to [`deceit_core::audit::audit`].
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use bytes::Bytes;
 use deceit_core::{Event, EventBody, FaultEvent, History, OpCall, OpOutcome};
 use deceit_nfs::{NfsReply, NfsRequest};
 
 use crate::error::{RuntimeError, RuntimeResult};
+
+/// Locks a journal table or journal, poison-tolerant like
+/// `deceit_core`'s slot locks: every critical section is a single push
+/// or a read, so a session that panicked mid-request left the vector
+/// whole, and the history of the sessions that did not is still worth
+/// auditing.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 /// The journal id faults and final states are recorded under.
 pub const NEMESIS_CLIENT: u32 = u32::MAX;
@@ -46,7 +55,7 @@ impl HistoryRecorder {
     /// Opens a journal for one client session (or the nemesis itself).
     pub fn journal(self: &Arc<Self>, client: u32) -> JournalHandle {
         let journal = Arc::new(Journal { client, events: Mutex::new(Vec::new()) });
-        self.journals.lock().unwrap().push(Arc::clone(&journal));
+        lock(&self.journals).push(Arc::clone(&journal));
         JournalHandle { recorder: Arc::clone(self), journal }
     }
 
@@ -60,10 +69,10 @@ impl HistoryRecorder {
     /// Merges every journal into one seq-ordered history. Call after the
     /// participating threads have been joined.
     pub fn merge(&self) -> History {
-        let journals = self.journals.lock().unwrap();
+        let journals = lock(&self.journals);
         let mut events = Vec::new();
         for j in journals.iter() {
-            events.extend(j.events.lock().unwrap().iter().cloned());
+            events.extend(lock(&j.events).iter().cloned());
         }
         History::from_events(events)
     }
@@ -78,7 +87,7 @@ pub struct JournalHandle {
 impl JournalHandle {
     fn push(&self, body: EventBody) -> u64 {
         let seq = self.recorder.stamp();
-        self.journal.events.lock().unwrap().push(Event { seq, client: self.journal.client, body });
+        lock(&self.journal.events).push(Event { seq, client: self.journal.client, body });
         seq
     }
 
@@ -102,7 +111,7 @@ impl JournalHandle {
             _ => OpCall::Other { what: "request" },
         };
         let seq = self.recorder.stamp();
-        self.journal.events.lock().unwrap().push(Event {
+        lock(&self.journal.events).push(Event {
             seq,
             client: self.journal.client,
             body: EventBody::Invoke { op: seq, call },

@@ -317,6 +317,7 @@ impl<S: NfsService + ProtocolHost + Send + Sync + 'static> ClusterRuntime<S> {
             let handle = thread::Builder::new()
                 .name(format!("deceit-server-{}", id.0))
                 .spawn(move || serve_loop(&shared, ep))
+                // lint: allow(no-bare-panic): `spawn` fails only when the OS refuses a thread, at start-up before any request exists; `start` has no error channel, and a runtime short of a server thread could serve nothing sent to that server
                 .expect("spawn server thread");
             server_threads.push(handle);
         }
@@ -329,6 +330,7 @@ impl<S: NfsService + ProtocolHost + Send + Sync + 'static> ClusterRuntime<S> {
                 thread::Builder::new()
                     .name("deceit-pump".into())
                     .spawn(move || pump_loop(&shared, interval, batch))
+                    // lint: allow(no-bare-panic): as for the server threads above — the OS refusing a thread at start-up, before any request exists, and `start` has no error channel
                     .expect("spawn pump thread"),
             )
         };
@@ -530,6 +532,7 @@ impl<S: NfsService + ProtocolHost + Send + Sync + 'static> ClusterRuntime<S> {
         drop(self); // Drop sees joined threads and does nothing further.
         let shared = match Arc::try_unwrap(shared) {
             Ok(s) => s,
+            // lint: allow(no-bare-panic): the server and pump threads hold the only other clones of `shared`, `stop_and_join` has joined them all, and `self` was dropped above, so this is the last reference
             Err(_) => unreachable!("all thread handles joined, no engine refs can remain"),
         };
         let mut engine = shared.engine.into_inner();

@@ -4,7 +4,9 @@
 //! * **stream** — one session streams writes to a file while three
 //!   others read it, all homed on the file's token holder: the §3.4
 //!   worst case for the read fast path (the file is unstable the whole
-//!   time), recovered by holder-local read leases.
+//!   time), recovered by holder-local read leases. **remote stream** is
+//!   the same with the readers on another server, whose reads forward
+//!   to the holder and are answered from its lease.
 //! * **skew** — sixteen cross-homed sessions read sixteen round-robin-
 //!   homed files under Zipf(1) popularity: access-driven placement must
 //!   migrate the hot files toward their readers during warm-up, so the
@@ -48,22 +50,23 @@ fn join_within<T>(workload: &str, workers: Vec<JoinHandle<T>>) -> Vec<T> {
         .collect()
 }
 
-#[test]
-fn stream_readers_stay_on_the_lease_path() {
+/// One session streams writes to a file replicated on every server while
+/// three others read it through the server `reader_home` picks; fails
+/// unless at least 90 % of the reads were served on the shared path.
+fn stream_readers_ride_the_lease(workload: &str, reader_home: usize) {
     const READERS: usize = 3;
     const OPS: usize = 100;
 
     let rt = ClusterRuntime::start(RuntimeConfig::new(3));
-    // The file is created via this server, so it holds the token; every
-    // session sits on it, measuring the holder's own read path under
-    // its own write stream rather than forwarding.
+    // The file is created via this server, so it holds the token.
     let holder = rt.server_ids()[0];
     let mut writer = rt.client_homed(holder);
     let attr = writer.create(writer.root(), "stream", 0o644).expect("create");
     let fh = attr.handle;
     writer.set_file_params(fh, FileParams::important(3)).expect("set replicas");
     writer.write(fh, 0, b"warmup payload").expect("warmup write");
-    let readers: Vec<RuntimeClient> = (0..READERS).map(|_| rt.client_homed(holder)).collect();
+    let home = rt.server_ids()[reader_home];
+    let readers: Vec<RuntimeClient> = (0..READERS).map(|_| rt.client_homed(home)).collect();
 
     // All four sessions start together, so the reads race the stream.
     let start = Arc::new(Barrier::new(READERS + 1));
@@ -84,7 +87,7 @@ fn stream_readers_stay_on_the_lease_path() {
             }
         })
     }));
-    join_within("stream", workers);
+    join_within(workload, workers);
     let after = rt.stats();
     rt.shutdown();
 
@@ -94,9 +97,23 @@ fn stream_readers_stay_on_the_lease_path() {
     let share = shared as f64 / (READERS * OPS) as f64;
     assert!(
         share >= 0.9,
-        "stream: only {:.0}% of reader requests were served on the shared path (needs >= 90%) — the read-lease path has regressed",
+        "{workload}: only {:.0}% of reader requests were served on the shared path (needs >= 90%) — the read-lease path has regressed",
         share * 100.0
     );
+}
+
+/// Every session sits on the token holder: the holder's own read path
+/// under its own write stream.
+#[test]
+fn stream_readers_stay_on_the_lease_path() {
+    stream_readers_ride_the_lease("stream", 0);
+}
+
+/// The readers sit on a server whose replica the stream keeps unstable:
+/// each read forwards to the holder (§3.4), answered from its lease.
+#[test]
+fn remote_stream_readers_ride_the_holders_lease() {
+    stream_readers_ride_the_lease("remote stream", 1);
 }
 
 #[test]
