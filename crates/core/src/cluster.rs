@@ -29,12 +29,12 @@
 //! interleaving sound.
 
 use std::collections::BTreeSet;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 use deceit_isis::GroupTable;
 use deceit_net::{Network, NodeId};
-use deceit_sim::{SimDuration, SimTime, StatsRegistry, TraceLog};
+use deceit_sim::{leaf, SimDuration, SimTime, StatsRegistry, TraceLog};
 
 use crate::config::ClusterConfig;
 use crate::error::{DeceitError, DeceitResult};
@@ -134,6 +134,9 @@ pub struct Cluster {
     /// can communicate — exactly when the paper's records would be
     /// exchangeable — and it makes reconciliation auditable in one place.
     pub(crate) branches: ShardedMap<SegmentId, BranchTable>,
+    /// Per shard slot, how many segments' branch tables record a branch
+    /// (see [`Cluster::single_major`]).
+    branched: Box<[AtomicUsize]>,
     /// The "well known file" of version conflicts awaiting the user.
     /// Only written on the exclusive path (recovery, reconciliation,
     /// version deletion), so it needs no interior lock.
@@ -166,6 +169,7 @@ impl Cluster {
             trace,
             obs: ObsCore::new(n_servers),
             branches: ShardedMap::new(shards),
+            branched: (0..shards).map(|_| AtomicUsize::new(0)).collect(),
             conflicts: Vec::new(),
             deleted: Mutex::new(BTreeSet::new()),
             next_segment: AtomicU64::new(0),
@@ -245,9 +249,40 @@ impl Cluster {
     }
 
     /// Runs `f` on the branch table of one segment (created empty on
-    /// first use), under its shard's data lock.
+    /// first use), under its shard's data lock — keeping the slot's count
+    /// of branched segments, which [`Cluster::single_major`] reads
+    /// without the lock, in step with the table.
     pub fn with_branch_table<R>(&self, seg: SegmentId, f: impl FnOnce(&mut BranchTable) -> R) -> R {
-        self.branches.with_or_insert(seg, BranchTable::default, f)
+        let branched = &self.branched[self.slot_of(seg)];
+        self.branches.with_or_insert(seg, BranchTable::default, |t| {
+            let before = t.branch_count() > 0;
+            let out = f(t);
+            match (before, t.branch_count() > 0) {
+                (false, true) => branched.fetch_add(1, Ordering::Release),
+                (true, false) => branched.fetch_sub(1, Ordering::Release),
+                _ => 0,
+            };
+            out
+        })
+    }
+
+    /// Whether `seg` has only ever had one major version. A second major
+    /// can only come from §3.5 token generation, which records the new
+    /// major's branch point *before* installing any replica of it — so an
+    /// empty branch table proves no server anywhere holds a newer major
+    /// than whichever one a server has.
+    ///
+    /// On a slot with no branched segment this is one `Acquire` load, no
+    /// lock. [`Cluster::with_branch_table`] moves the slot's count inside
+    /// the table's lock, before that lock is released and so before any
+    /// replica of the new major is installed; the `Release` increment and
+    /// this load are one location's modification order. A load that
+    /// reads zero is ordered before the first branch was recorded —
+    /// exactly where the locked read that finds no branch linearises —
+    /// and a nonzero count falls back to that locked read, per segment.
+    pub(crate) fn single_major(&self, seg: SegmentId) -> bool {
+        self.branched[self.slot_of(seg)].load(Ordering::Acquire) == 0
+            || self.branches.with(&seg, |t| t.is_none_or(|t| t.branch_count() == 0))
     }
 
     /// An owned snapshot of one segment's branch table (empty if never
@@ -519,14 +554,12 @@ impl Cluster {
 
     /// Whether `seg` is recorded as deleted.
     pub(crate) fn is_deleted(&self, seg: SegmentId) -> bool {
-        // lint: allow(lock-order): the deleted-segment set is a cell-wide leaf mutex held for one set probe; nothing is acquired under it
-        self.deleted.lock().unwrap_or_else(|e| e.into_inner()).contains(&seg)
+        leaf::lock(&self.deleted).contains(&seg)
     }
 
     /// Records `seg` as deleted (recovering servers GC stale replicas).
     pub(crate) fn mark_deleted(&self, seg: SegmentId) {
-        // lint: allow(lock-order): same leaf mutex as is_deleted; held for one insert
-        self.deleted.lock().unwrap_or_else(|e| e.into_inner()).insert(seg);
+        leaf::lock(&self.deleted).insert(seg);
     }
 }
 
@@ -609,6 +642,27 @@ mod tests {
         c.apply_read_touches();
         let after = c.server(NodeId(0)).replicas.get(&key).unwrap().last_access;
         assert!(after > before, "LRU input must advance: {before:?} -> {after:?}");
+    }
+
+    /// An unbranched slot answers `single_major` without a lock; a
+    /// branch anywhere in the slot sends its files to the locked read,
+    /// which still answers per file.
+    #[test]
+    fn single_major_is_lock_free_on_an_unbranched_slot() {
+        let c = Cluster::new(1, ClusterConfig::deterministic());
+        let shards = c.shard_count() as u64;
+        let (branched, neighbour, elsewhere) = (SegmentId(1), SegmentId(1 + shards), SegmentId(2));
+        let rounds = |f: &dyn Fn() -> bool| {
+            let before = leaf::rounds_here();
+            (f(), leaf::rounds_here() - before)
+        };
+        assert_eq!(rounds(&|| c.single_major(branched)), (true, 0));
+        c.with_branch_table(branched, |t| {
+            t.record_branch(7, crate::version::VersionPair { major: 0, sub: 3 })
+        });
+        assert_eq!(rounds(&|| c.single_major(branched)), (false, 1));
+        assert_eq!(rounds(&|| c.single_major(neighbour)), (true, 1), "same slot: locked read");
+        assert_eq!(rounds(&|| c.single_major(elsewhere)), (true, 0));
     }
 
     #[test]

@@ -7,33 +7,46 @@
 //! module holds the containers the hot state lives in.
 //!
 //! Every container is physically partitioned by shard slot
-//! ([`crate::shard_slot`] of the segment id) and internally locked per
-//! slot, so:
+//! ([`crate::shard_slot`] of the segment id), with **one leaf lock per
+//! slot** ([`Slots`]). A server keeps its whole slice of a slot — replica
+//! and token stores, delivery buffers, location cache, stream, pipeline
+//! and lease state, single-flight flags ([`crate::server::ServerSlot`]) —
+//! behind one lock, so a protocol step that reads or changes several of
+//! them is one lock round ([`crate::server::ServerState::visit`]). The
+//! per-map containers ([`ShardedMap`], [`ShardedDisk`]) are views that
+//! project one part of every slot, for steps that need only that part;
+//! the cell-wide branch tables are a [`ShardedMap`] over slots of their
+//! own. So:
 //!
 //! * all access works through `&self` — protocol code can mutate one
 //!   file's hot state while holding only the host's *shared* cell lock;
 //! * operations on files in different slots touch disjoint lock sets and
 //!   proceed concurrently;
-//! * the per-slot data locks are *leaf* locks, held only across one
-//!   container operation, never while taking another lock — so they can
-//!   never participate in a deadlock cycle.
+//! * the slot locks are *leaf* locks, held only across one visit or one
+//!   view operation, never while taking another lock — so they can never
+//!   participate in a deadlock cycle.
 //!
-//! **Closures under a slot lock are leaves.** Several operations here
-//! take a closure and run it with the slot locked — [`ShardedDisk::update`],
-//! [`ShardedDisk::with_ref`], [`ShardedMap::with`] — because the
-//! protocol's common step is "find this file's record and change two
-//! fields of it", and doing that where the record lies is one lock round
-//! and no copy, where get → change → put is two rounds and a clone of the
-//! record (a replica's extent list, a token's holder set) each way. The
-//! price is a rule the type system does not enforce: such a closure takes
-//! no lock of its own — no other container of this module, no network
-//! send, no event push, no group-table call. Whatever it needs from
-//! elsewhere (the clock, reachability, a majority) is computed before the
-//! call; whatever follows from the change (a flush to schedule, an event
-//! to emit) is returned from the closure and done after it.
+//! **Closures under a slot lock are leaves.** A visit, and several view
+//! operations — [`ShardedDisk::update`], [`ShardedDisk::with_ref`],
+//! [`ShardedMap::with`] — run a closure with the slot locked, because
+//! the protocol's common step is "find this file's records and change
+//! a few fields of them", and doing that where the records lie is one
+//! lock round and no copy, where get → change → put is two rounds per
+//! record and a clone of it (a replica's extent list, a token's holder
+//! set) each way. The price is a rule the type system does not enforce:
+//! such a closure takes no lock of its own — not another visit, not
+//! another view of the same server (one lock guards all of a server's
+//! slot, so that deadlocks on itself), no network send, no event push, no
+//! group-table call. Whatever it needs from elsewhere (the clock,
+//! reachability, a majority) is computed before the call; whatever
+//! follows from the change (a flush to schedule, an event to emit) is
+//! returned from the closure and done after it.
 //! [`deceit_net::Network::reachable`] and [`crate::Cluster::now`] read
 //! plain fields and an atomic, and are the only outside calls such
-//! closures make.
+//! closures make. Debug builds assert that no thread takes a slot lock
+//! while holding one ([`deceit_sim::leaf::lock_slot`]); `deceit-lint`
+//! rejects `self` inside a closure handed to `visit`, `update` or
+//! `update_with`.
 //!
 //! Exclusion between two protocol executions touching the *same* file is
 //! not this module's job: the hosting layer serializes them on the shard
@@ -43,8 +56,9 @@
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Mutex, MutexGuard};
+use std::sync::{Arc, Mutex};
 
+use deceit_sim::leaf::{self, SlotGuard};
 use deceit_sim::{EventQueue, SimDuration, SimTime};
 use deceit_storage::{Disk, DiskConfig, Durability, StoredSize};
 
@@ -70,136 +84,60 @@ impl HotKey for SegmentId {
     }
 }
 
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|e| e.into_inner())
+fn lock<T>(m: &Mutex<T>) -> SlotGuard<'_, T> {
+    leaf::lock_slot(m)
 }
 
-/// A `BTreeMap` partitioned by shard slot, with per-slot interior locks.
+/// State partitioned by shard slot, one leaf lock per slot, shared by the
+/// views ([`ShardedMap`], [`ShardedDisk`]) that each project one part of
+/// a slot.
 #[derive(Debug)]
-pub struct ShardedMap<K: HotKey, V> {
-    slots: Box<[Mutex<BTreeMap<K, V>>]>,
-}
-
-impl<K: HotKey, V> ShardedMap<K, V> {
-    /// An empty map over `shards` slots (at least one).
-    pub fn new(shards: usize) -> Self {
-        ShardedMap { slots: (0..shards.max(1)).map(|_| Mutex::new(BTreeMap::new())).collect() }
-    }
-
-    fn slot(&self, k: &K) -> &Mutex<BTreeMap<K, V>> {
-        &self.slots[shard_slot(k.shard_key(), self.slots.len())]
-    }
-
-    /// Inserts, returning the previous value.
-    pub fn insert(&self, k: K, v: V) -> Option<V> {
-        lock(self.slot(&k)).insert(k, v)
-    }
-
-    /// Removes, returning the previous value.
-    pub fn remove(&self, k: &K) -> Option<V> {
-        lock(self.slot(k)).remove(k)
-    }
-
-    /// Whether the key is present.
-    pub fn contains(&self, k: &K) -> bool {
-        lock(self.slot(k)).contains_key(k)
-    }
-
-    /// An owned copy of the value.
-    pub fn get(&self, k: &K) -> Option<V>
-    where
-        V: Clone,
-    {
-        lock(self.slot(k)).get(k).cloned()
-    }
-
-    /// Runs `f` on the value (present or not) under the slot lock — one
-    /// atomic read-modify-write.
-    pub fn with<R>(&self, k: &K, f: impl FnOnce(Option<&mut V>) -> R) -> R {
-        f(lock(self.slot(k)).get_mut(k))
-    }
-
-    /// Runs `f` on the value, inserting `mk()` first if absent.
-    pub fn with_or_insert<R>(
-        &self,
-        k: K,
-        mk: impl FnOnce() -> V,
-        f: impl FnOnce(&mut V) -> R,
-    ) -> R {
-        let slot = self.slot(&k);
-        let mut map = lock(slot);
-        f(map.entry(k).or_insert_with(mk))
-    }
-
-    /// Every key, ascending within and across slots.
-    pub fn keys(&self) -> Vec<K> {
-        let mut out = Vec::new();
-        for slot in self.slots.iter() {
-            out.extend(lock(slot).keys().cloned());
-        }
-        out.sort();
-        out
-    }
-
-    /// Empties the map.
-    pub fn clear(&self) {
-        for slot in self.slots.iter() {
-            lock(slot).clear();
-        }
-    }
-
-    /// Total entries.
-    pub fn len(&self) -> usize {
-        self.slots.iter().map(|s| lock(s).len()).sum()
-    }
-
-    /// Whether no entries exist.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
-/// A durable/volatile [`Disk`] partitioned by shard slot, with per-slot
-/// interior locks and an integrated read-touch buffer.
-///
-/// The touch buffer is how the lock-free read fast path feeds the LRU:
-/// [`ShardedDisk::note_read`] records an access without mutating the
-/// value; [`ShardedDisk::apply_touches_slot`] folds the recorded accesses
-/// into the values *atomically under the slot lock*, so a concurrent
-/// mutation can never be clobbered by a stale clone.
-#[derive(Debug)]
-pub struct ShardedDisk<V: Clone + StoredSize> {
-    slots: Box<[Mutex<DiskSlot<V>>]>,
-    /// Pending recorded read touches across all slots — lets the
-    /// apply paths skip every slot lock when nothing is buffered,
-    /// which is the common case on mutation entry.
+pub struct Slots<S> {
+    slots: Box<[Mutex<S>]>,
+    /// Pending recorded read touches across all slots — lets the apply
+    /// paths skip every slot lock when nothing is buffered, which is the
+    /// common case on mutation entry (see [`ShardedDisk::note_read`]).
     pending_touches: AtomicUsize,
 }
 
-#[derive(Debug)]
-struct DiskSlot<V: Clone + StoredSize> {
-    disk: Disk<ReplicaKey, V>,
-    touches: BTreeMap<ReplicaKey, SimTime>,
-}
-
-impl<V: Clone + StoredSize> ShardedDisk<V> {
-    /// An empty store over `shards` slots with the given disk timing.
-    pub fn new(cfg: DiskConfig, shards: usize) -> Self {
-        ShardedDisk {
-            slots: (0..shards.max(1))
-                .map(|_| Mutex::new(DiskSlot { disk: Disk::new(cfg), touches: BTreeMap::new() }))
-                .collect(),
+impl<S> Slots<S> {
+    /// `shards` slots (at least one), each made by `mk`.
+    pub fn new(shards: usize, mut mk: impl FnMut() -> S) -> Self {
+        Slots {
+            slots: (0..shards.max(1)).map(|_| Mutex::new(mk())).collect(),
             pending_touches: AtomicUsize::new(0),
         }
     }
 
     /// Number of shard slots.
-    pub fn shard_count(&self) -> usize {
+    pub fn count(&self) -> usize {
         self.slots.len()
     }
 
-    fn slot(&self, k: &ReplicaKey) -> &Mutex<DiskSlot<V>> {
-        &self.slots[shard_slot(k.0 .0, self.slots.len())]
+    /// Locks slot `i`: one leaf-lock round.
+    pub(crate) fn lock(&self, i: usize) -> SlotGuard<'_, S> {
+        lock(&self.slots[i])
+    }
+
+    /// Runs `f` on every slot in turn, one lock at a time.
+    pub(crate) fn each(&self, mut f: impl FnMut(&mut S)) {
+        for slot in self.slots.iter() {
+            f(&mut lock(slot));
+        }
+    }
+
+    /// Locks the slot `key` routes to.
+    pub(crate) fn lock_key(&self, key: ShardKey) -> SlotGuard<'_, S> {
+        self.lock(shard_slot(key, self.slots.len()))
+    }
+
+    /// Counts `n` newly buffered read touches into the fast flag. Called
+    /// under the slot lock the touches were buffered under.
+    pub(crate) fn add_pending(&self, n: usize) {
+        if n > 0 {
+            // lint: allow(ordering-audit): fast-flag increment published under the slot mutex the touch itself lives behind; readers tolerate a stale count by design
+            self.pending_touches.fetch_add(n, Ordering::Relaxed);
+        }
     }
 
     /// Decrements the pending-touch fast flag without ever wrapping.
@@ -215,7 +153,7 @@ impl<V: Clone + StoredSize> ShardedDisk<V> {
     /// permanently. Saturating keeps the flag self-healing: it can
     /// transiently over-report (harmless — one extra slot probe) but can
     /// never wedge below the true count.
-    fn sub_pending(&self, n: usize) {
+    pub(crate) fn sub_pending(&self, n: usize) {
         if n == 0 {
             return;
         }
@@ -225,19 +163,211 @@ impl<V: Clone + StoredSize> ShardedDisk<V> {
             .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |v| Some(v.saturating_sub(n)));
     }
 
-    fn seg_slot(&self, seg: SegmentId) -> &Mutex<DiskSlot<V>> {
-        &self.slots[shard_slot(seg.0, self.slots.len())]
+    fn pending(&self) -> usize {
+        // lint: allow(ordering-audit): skip hint only — a stale zero is impossible (the flag saturates, never under-reports) and a stale nonzero costs one slot-lock probe
+        self.pending_touches.load(Ordering::Relaxed)
+    }
+}
+
+fn own<T>(t: &mut T) -> &mut T {
+    t
+}
+
+/// A `BTreeMap` partitioned by shard slot: over slots of its own
+/// ([`ShardedMap::new`]), or a view of one map in every slot of shared
+/// [`Slots`] ([`ShardedMap::view`]).
+#[derive(Debug)]
+pub struct ShardedMap<K: HotKey, V, S = BTreeMap<K, V>> {
+    slots: Arc<Slots<S>>,
+    part: fn(&mut S) -> &mut BTreeMap<K, V>,
+}
+
+impl<K: HotKey, V> ShardedMap<K, V> {
+    /// An empty map over `shards` slots (at least one).
+    pub fn new(shards: usize) -> Self {
+        ShardedMap::view(Arc::new(Slots::new(shards, BTreeMap::new)), own)
+    }
+}
+
+impl<K: HotKey, V, S> ShardedMap<K, V, S> {
+    /// The map `part` projects out of every slot of `slots`.
+    pub fn view(slots: Arc<Slots<S>>, part: fn(&mut S) -> &mut BTreeMap<K, V>) -> Self {
+        ShardedMap { slots, part }
+    }
+
+    /// Runs `f` on `k`'s slot of the map, under the slot lock.
+    fn map<R>(&self, k: &K, f: impl FnOnce(&mut BTreeMap<K, V>) -> R) -> R {
+        f((self.part)(&mut self.slots.lock_key(k.shard_key())))
+    }
+
+    /// Runs `f` on every slot of the map in turn, one lock at a time.
+    fn each(&self, mut f: impl FnMut(&mut BTreeMap<K, V>)) {
+        self.slots.each(|s| f((self.part)(s)));
+    }
+
+    /// Inserts, returning the previous value.
+    pub fn insert(&self, k: K, v: V) -> Option<V> {
+        self.map(&k.clone(), |m| m.insert(k, v))
+    }
+
+    /// Removes, returning the previous value.
+    pub fn remove(&self, k: &K) -> Option<V> {
+        self.map(k, |m| m.remove(k))
+    }
+
+    /// Whether the key is present.
+    pub fn contains(&self, k: &K) -> bool {
+        self.map(k, |m| m.contains_key(k))
+    }
+
+    /// An owned copy of the value.
+    pub fn get(&self, k: &K) -> Option<V>
+    where
+        V: Clone,
+    {
+        self.map(k, |m| m.get(k).cloned())
+    }
+
+    /// Runs `f` on the value (present or not) under the slot lock — one
+    /// atomic read-modify-write.
+    pub fn with<R>(&self, k: &K, f: impl FnOnce(Option<&mut V>) -> R) -> R {
+        self.map(k, |m| f(m.get_mut(k)))
+    }
+
+    /// Runs `f` on the value, inserting `mk()` first if absent.
+    pub fn with_or_insert<R>(
+        &self,
+        k: K,
+        mk: impl FnOnce() -> V,
+        f: impl FnOnce(&mut V) -> R,
+    ) -> R {
+        self.map(&k.clone(), |m| f(m.entry(k).or_insert_with(mk)))
+    }
+
+    /// Every key, ascending within and across slots.
+    pub fn keys(&self) -> Vec<K> {
+        let mut out = Vec::new();
+        self.each(|m| out.extend(m.keys().cloned()));
+        out.sort();
+        out
+    }
+
+    /// Empties the map.
+    pub fn clear(&self) {
+        self.each(BTreeMap::clear);
+    }
+
+    /// Total entries.
+    pub fn len(&self) -> usize {
+        let mut n = 0;
+        self.each(|m| n += m.len());
+        n
+    }
+
+    /// Whether no entries exist.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+}
+
+/// One slot of a [`ShardedDisk`]: that slot's store, and the read touches
+/// recorded against it but not yet folded in.
+#[derive(Debug)]
+pub struct DiskSlot<V: Clone + StoredSize> {
+    pub(crate) disk: Disk<ReplicaKey, V>,
+    pub(crate) touches: BTreeMap<ReplicaKey, SimTime>,
+}
+
+impl<V: Clone + StoredSize> DiskSlot<V> {
+    /// An empty slot with the given disk timing.
+    pub fn new(cfg: DiskConfig) -> Self {
+        DiskSlot { disk: Disk::new(cfg), touches: BTreeMap::new() }
+    }
+
+    /// The key of the newest (highest-numbered) major of `seg` stored
+    /// here.
+    pub(crate) fn latest(&self, seg: SegmentId) -> Option<ReplicaKey> {
+        self.disk.keys_in_range(&(seg, 0), &(seg, u64::MAX)).last().copied()
+    }
+
+    /// Buffers one read touch of `k` at `at`, deduplicated by key (so the
+    /// buffer is bounded by the entry count). Whoever holds the slot lock
+    /// counts a grown buffer into the fast flag before releasing it
+    /// ([`Slots::add_pending`]).
+    pub(crate) fn record_touch(&mut self, k: ReplicaKey, at: SimTime) {
+        let entry = self.touches.entry(k).or_insert(at);
+        *entry = (*entry).max(at);
+    }
+
+    /// Reverts the store to its durable contents and drops the buffered
+    /// touches, returning how many were dropped.
+    pub(crate) fn crash(&mut self) -> usize {
+        self.disk.crash();
+        std::mem::take(&mut self.touches).len()
+    }
+}
+
+/// A durable/volatile [`Disk`] partitioned by shard slot, with an
+/// integrated read-touch buffer: over slots of its own
+/// ([`ShardedDisk::new`]), or a view of one store in every slot of shared
+/// [`Slots`] ([`ShardedDisk::view`]).
+///
+/// The touch buffer is how the lock-free read fast path feeds the LRU:
+/// [`ShardedDisk::note_read`] records an access without mutating the
+/// value; [`ShardedDisk::apply_touches_slot`] folds the recorded accesses
+/// into the values *atomically under the slot lock*, so a concurrent
+/// mutation can never be clobbered by a stale clone.
+#[derive(Debug)]
+pub struct ShardedDisk<V: Clone + StoredSize, S = DiskSlot<V>> {
+    slots: Arc<Slots<S>>,
+    part: fn(&mut S) -> &mut DiskSlot<V>,
+}
+
+impl<V: Clone + StoredSize> ShardedDisk<V> {
+    /// An empty store over `shards` slots with the given disk timing.
+    pub fn new(cfg: DiskConfig, shards: usize) -> Self {
+        ShardedDisk::view(Arc::new(Slots::new(shards, || DiskSlot::new(cfg))), own)
+    }
+}
+
+impl<V: Clone + StoredSize, S> ShardedDisk<V, S> {
+    /// The store `part` projects out of every slot of `slots`.
+    pub fn view(slots: Arc<Slots<S>>, part: fn(&mut S) -> &mut DiskSlot<V>) -> Self {
+        ShardedDisk { slots, part }
+    }
+
+    /// Runs `f` on the slot `key` routes to, under its lock, counting any
+    /// touch `f` buffers into the fast flag.
+    fn at<R>(&self, key: ShardKey, f: impl FnOnce(&mut DiskSlot<V>) -> R) -> R {
+        let mut guard = self.slots.lock_key(key);
+        let slot = (self.part)(&mut guard);
+        let before = slot.touches.len();
+        let out = f(slot);
+        self.slots.add_pending(slot.touches.len().saturating_sub(before));
+        out
+    }
+
+    /// Runs `f` on every slot of the store in turn, one lock at a time.
+    fn each(&self, mut f: impl FnMut(&mut DiskSlot<V>)) {
+        self.slots.each(|s| f((self.part)(s)));
+    }
+
+    /// Sums `f` over every slot, one lock at a time.
+    fn sum<T: std::ops::AddAssign + Default>(&self, f: impl Fn(&DiskSlot<V>) -> T) -> T {
+        let mut total = T::default();
+        self.each(|d| total += f(d));
+        total
     }
 
     /// An owned copy of the newest value (volatile view).
     pub fn get(&self, k: &ReplicaKey) -> Option<V> {
-        lock(self.slot(k)).disk.get(k).cloned()
+        self.at(k.shard_key(), |d| d.disk.get(k).cloned())
     }
 
     /// Runs `f` on a borrow of the newest value under the slot lock —
     /// the clone-free read path.
     pub fn with_ref<R>(&self, k: &ReplicaKey, f: impl FnOnce(Option<&V>) -> R) -> R {
-        f(lock(self.slot(k)).disk.get(k))
+        self.at(k.shard_key(), |d| f(d.disk.get(k)))
     }
 
     /// Runs `f` on a borrow of the newest value and — when `f` serves
@@ -251,10 +381,11 @@ impl<V: Clone + StoredSize> ShardedDisk<V> {
         at: SimTime,
         f: impl FnOnce(Option<&V>) -> Option<R>,
     ) -> Option<R> {
-        let mut slot = lock(self.slot(k));
-        let out = f(slot.disk.get(k))?;
-        self.record_touch(&mut slot, *k, at);
-        Some(out)
+        self.at(k.shard_key(), |d| {
+            let out = f(d.disk.get(k))?;
+            d.record_touch(*k, at);
+            Some(out)
+        })
     }
 
     /// The newest major of `seg` stored here and what `f` serves from it,
@@ -267,49 +398,34 @@ impl<V: Clone + StoredSize> ShardedDisk<V> {
         at: SimTime,
         f: impl FnOnce(&V) -> Option<R>,
     ) -> Option<(ReplicaKey, Option<R>)> {
-        let mut slot = lock(self.seg_slot(seg));
-        let key = *slot.disk.keys_in_range(&(seg, 0), &(seg, u64::MAX)).last()?;
-        let out = slot.disk.get(&key).and_then(f);
-        if out.is_some() {
-            self.record_touch(&mut slot, key, at);
-        }
-        Some((key, out))
-    }
-
-    /// Buffers one read touch in a locked slot, maintaining the
-    /// pending-touch fast flag — the single copy of the touch/counter
-    /// protocol [`ShardedDisk::note_read`] and
-    /// [`ShardedDisk::with_ref_served`] share (the len-delta drives the
-    /// atomic flag; see [`ShardedDisk::sub_pending`] for why the two
-    /// must never drift apart).
-    fn record_touch(&self, slot: &mut DiskSlot<V>, k: ReplicaKey, at: SimTime) {
-        let before = slot.touches.len();
-        let entry = slot.touches.entry(k).or_insert(at);
-        *entry = (*entry).max(at);
-        if slot.touches.len() > before {
-            // lint: allow(ordering-audit): fast-flag increment published under the slot mutex the touch itself lives behind; readers tolerate a stale count by design
-            self.pending_touches.fetch_add(1, Ordering::Relaxed);
-        }
+        self.at(seg.0, |d| {
+            let key = d.latest(seg)?;
+            let out = d.disk.get(&key).and_then(f);
+            if out.is_some() {
+                d.record_touch(key, at);
+            }
+            Some((key, out))
+        })
     }
 
     /// Whether the key currently exists (volatile view).
     pub fn contains(&self, k: &ReplicaKey) -> bool {
-        lock(self.slot(k)).disk.contains(k)
+        self.at(k.shard_key(), |d| d.disk.contains(k))
     }
 
     /// Write-through; durable on return. Returns the disk time consumed.
     pub fn put_sync(&self, k: ReplicaKey, v: V) -> SimDuration {
-        lock(self.slot(&k)).disk.put_sync(k, v)
+        self.at(k.shard_key(), |d| d.disk.put_sync(k, v))
     }
 
     /// Write-behind; visible immediately, durable after a flush.
     pub fn put_async(&self, k: ReplicaKey, v: V) {
-        lock(self.slot(&k)).disk.put_async(k, v)
+        self.at(k.shard_key(), |d| d.disk.put_async(k, v))
     }
 
     /// Durable removal. Returns the disk time consumed.
     pub fn delete_sync(&self, k: &ReplicaKey) -> SimDuration {
-        lock(self.slot(k)).disk.delete_sync(k)
+        self.at(k.shard_key(), |d| d.disk.delete_sync(k))
     }
 
     /// Read-modify-write in place: one slot lock, one lookup, `f` changes
@@ -335,42 +451,27 @@ impl<V: Clone + StoredSize> ShardedDisk<V> {
         k: &ReplicaKey,
         f: impl FnOnce(&mut V) -> (R, Option<Durability>),
     ) -> Option<R> {
-        lock(self.slot(k)).disk.update_with(k, f).map(|(out, _)| out)
+        self.at(k.shard_key(), |d| d.disk.update_with(k, f).map(|(out, _)| out))
     }
 
     /// Makes every pending write in every slot durable. Returns total
     /// disk time.
     pub fn flush_all(&self) -> SimDuration {
         let mut total = SimDuration::ZERO;
-        for slot in self.slots.iter() {
-            total += lock(slot).disk.flush_all();
-        }
+        self.each(|d| total += d.disk.flush_all());
         total
-    }
-
-    /// Makes every pending write in `seg`'s slot durable — the slice a
-    /// per-file flush event covers. Returns the disk time consumed.
-    pub fn flush_slot_of(&self, seg: SegmentId) -> SimDuration {
-        lock(self.seg_slot(seg)).disk.flush_all()
     }
 
     /// Simulates a machine crash: every slot reverts to durable contents
     /// and pending read touches are dropped.
     pub fn crash(&self) {
-        for slot in self.slots.iter() {
-            let mut slot = lock(slot);
-            slot.disk.crash();
-            self.sub_pending(slot.touches.len());
-            slot.touches.clear();
-        }
+        self.each(|d| self.slots.sub_pending(d.crash()));
     }
 
     /// Every current key, ascending.
     pub fn keys(&self) -> Vec<ReplicaKey> {
         let mut out = Vec::new();
-        for slot in self.slots.iter() {
-            out.extend(lock(slot).disk.keys().cloned());
-        }
+        self.each(|d| out.extend(d.disk.keys().cloned()));
         out.sort();
         out
     }
@@ -378,20 +479,14 @@ impl<V: Clone + StoredSize> ShardedDisk<V> {
     /// All major versions of `seg` stored here, ascending — a range scan
     /// within the one slot the segment lives in.
     pub fn majors_of(&self, seg: SegmentId) -> Vec<u64> {
-        lock(self.seg_slot(seg))
-            .disk
-            .keys_in_range(&(seg, 0), &(seg, u64::MAX))
-            .map(|(_, major)| *major)
-            .collect()
+        self.at(seg.0, |d| {
+            d.disk.keys_in_range(&(seg, 0), &(seg, u64::MAX)).map(|(_, major)| *major).collect()
+        })
     }
 
     /// The highest-numbered (most recent) major of `seg` stored here.
     pub fn latest_major(&self, seg: SegmentId) -> Option<u64> {
-        lock(self.seg_slot(seg))
-            .disk
-            .keys_in_range(&(seg, 0), &(seg, u64::MAX))
-            .map(|(_, major)| *major)
-            .last()
+        self.at(seg.0, |d| d.latest(seg)).map(|(_, major)| major)
     }
 
     /// Whether no entries exist (volatile view).
@@ -401,35 +496,34 @@ impl<V: Clone + StoredSize> ShardedDisk<V> {
 
     /// Number of live entries (volatile view).
     pub fn len(&self) -> usize {
-        self.slots.iter().map(|s| lock(s).disk.len()).sum()
+        self.sum(|d| d.disk.len())
     }
 
     /// Total durable bytes (capacity accounting).
     pub fn durable_bytes(&self) -> usize {
-        self.slots.iter().map(|s| lock(s).disk.durable_bytes()).sum()
+        self.sum(|d| d.disk.durable_bytes())
     }
 
     /// Total synchronous writes performed.
     pub fn sync_writes(&self) -> u64 {
-        self.slots.iter().map(|s| lock(s).disk.sync_writes).sum()
+        self.sum(|d| d.disk.sync_writes)
     }
 
     /// Total asynchronous writes performed.
     pub fn async_writes(&self) -> u64 {
-        self.slots.iter().map(|s| lock(s).disk.async_writes).sum()
+        self.sum(|d| d.disk.async_writes)
     }
 
     /// Writes lost to crashes (unflushed at crash time).
     pub fn lost_writes(&self) -> u64 {
-        self.slots.iter().map(|s| lock(s).disk.lost_writes).sum()
+        self.sum(|d| d.disk.lost_writes)
     }
 
     /// Records a read of `k` at `at` without touching the value; applied
     /// by the next [`ShardedDisk::apply_touches_slot`] covering the key.
     /// Deduplicated by key, so the buffer is bounded by the entry count.
     pub fn note_read(&self, k: ReplicaKey, at: SimTime) {
-        let mut slot = lock(self.slot(&k));
-        self.record_touch(&mut slot, k, at);
+        self.at(k.shard_key(), |d| d.record_touch(k, at));
     }
 
     /// Folds the recorded read touches of one slot into the stored
@@ -437,36 +531,36 @@ impl<V: Clone + StoredSize> ShardedDisk<V> {
     /// anything changed; changes are written back asynchronously (the
     /// touch is metadata, not worth a durable write).
     pub fn apply_touches_slot(&self, slot: usize, apply: &impl Fn(&mut V, SimTime) -> bool) {
-        // lint: allow(ordering-audit): skip hint only — a stale zero is impossible (the flag saturates, never under-reports) and a stale nonzero costs one slot-lock probe
-        if self.pending_touches.load(Ordering::Relaxed) == 0 {
+        if self.slots.pending() == 0 {
             return;
         }
-        let mut guard = lock(&self.slots[slot]);
-        if guard.touches.is_empty() {
+        let mut guard = self.slots.lock(slot);
+        let d = (self.part)(&mut guard);
+        if d.touches.is_empty() {
             return;
         }
-        let touches = std::mem::take(&mut guard.touches);
-        self.sub_pending(touches.len());
+        let touches = std::mem::take(&mut d.touches);
+        self.slots.sub_pending(touches.len());
         for (k, at) in touches {
             // The touch is metadata: written behind, and only if it moved.
-            guard.disk.update_with(&k, |v| ((), apply(v, at).then_some(Durability::Async)));
+            d.disk.update_with(&k, |v| ((), apply(v, at).then_some(Durability::Async)));
         }
     }
 
     /// The pending-touch fast flag's current reading (diagnostics; may
     /// transiently over-report under concurrency, never under-report).
     pub fn pending_touch_count(&self) -> usize {
-        // lint: allow(ordering-audit): diagnostics read of the fast flag; advisory by contract
-        self.pending_touches.load(Ordering::Relaxed)
+        self.slots.pending()
     }
 
     /// Folds the recorded read touches of every slot.
     pub fn apply_touches_all(&self, apply: &impl Fn(&mut V, SimTime) -> bool) {
-        // lint: allow(ordering-audit): same skip hint as apply_touches_slot — never a stale zero, worst case one wasted sweep
-        if self.pending_touches.load(Ordering::Relaxed) == 0 {
+        // Same skip hint as `apply_touches_slot`: never a stale zero,
+        // worst case one wasted sweep.
+        if self.slots.pending() == 0 {
             return;
         }
-        for slot in 0..self.slots.len() {
+        for slot in 0..self.slots.count() {
             self.apply_touches_slot(slot, apply);
         }
     }

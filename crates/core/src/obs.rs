@@ -283,8 +283,7 @@ impl FlightRecorder {
     }
 
     fn ring(&self, server: NodeId) -> std::sync::MutexGuard<'_, EventRing> {
-        // lint: allow(lock-order): per-server flight-recorder ring, a telemetry leaf mutex held only to append/drain one ring
-        self.rings[server.index()].lock().unwrap_or_else(|e| e.into_inner())
+        deceit_sim::leaf::lock(&self.rings[server.index()])
     }
 
     /// Records one event against the server that performed it.

@@ -32,9 +32,9 @@ impl Cluster {
                 if !self.net.is_up(server) {
                     return;
                 }
-                let s = self.server(server);
-                let mut cost = s.replicas.flush_slot_of(seg);
-                cost += s.tokens.flush_slot_of(seg);
+                let cost = self
+                    .server(server)
+                    .visit(seg, |s| s.replicas.disk.flush_all() + s.tokens.disk.flush_all());
                 self.stats.record_duration("disk/flush_cost", cost);
             }
             Pending::PropagateStream { holder, key } => {

@@ -145,20 +145,21 @@ impl Cluster {
     /// answer, without ring locks: the holder's own read, or a forwarded
     /// one.
     ///
-    /// Correctness rests on a seqlock-style sandwich. The lease is read
-    /// before and after the replica copy-out, the copied replica must
-    /// carry exactly the leased version, and every invalidation site
-    /// removes the lease *before* the fact it asserts stops holding
+    /// Correctness rests on one visit to the holder's slot: the lease
+    /// and the replica are read under the same slot lock, the replica
+    /// must carry exactly the leased version, and every invalidation
+    /// site removes the lease *before* the fact it asserts stops holding
     /// (token movement removes it before the token leaves, stabilize
-    /// when the stream ends, a crash clears it with the volatile state).
-    /// So if the second read still observes the identical lease, the
-    /// token had not begun moving when the bytes were copied — the copy
-    /// is the primary's acked prefix. Any change, and the caller falls
-    /// back to the locked path. Nothing in the argument is the reader's
-    /// own: it holds for another server's lease just as for `reader`'s,
-    /// and the holder `reader` chose stays reachable throughout, since
-    /// partitions and crashes take the exclusive cell lock a shared-lock
-    /// caller excludes.
+    /// when the stream ends, a crash clears it with the rest of the
+    /// slot's volatile state), while the write that advances the replica
+    /// advances the lease in the same visit. So a lease seen beside a
+    /// replica at its version means the token had not begun moving when
+    /// the bytes were copied — the copy is the primary's acked prefix.
+    /// Otherwise the caller falls back to the locked path. Nothing in
+    /// the argument is the reader's own: it holds for another server's
+    /// lease just as for `reader`'s, and the holder `reader` chose stays
+    /// reachable throughout, since partitions and crashes take the
+    /// exclusive cell lock a shared-lock caller excludes.
     ///
     /// A forwarded read is charged only once it is served, so a decline
     /// leaves nothing for the fallback to charge twice. The charge is the
@@ -174,22 +175,23 @@ impl Cluster {
         offset: usize,
         count: usize,
     ) -> Option<OpResult<ReadData>> {
-        let srv = self.server(holder);
-        let lease = srv.leases.get(&key)?;
-        let served = srv.replicas.with_ref_served(&key, self.now(), |r| {
-            let r = r?;
+        let now = self.now();
+        let served = self.server(holder).visit(key.0, |s| {
+            let lease = s.leases.get(&key)?;
+            let r = s.replicas.disk.get(&key)?;
+            // A stale lease the replica has moved past (a write advances
+            // both in one visit, so nothing else): decline.
             if r.version != lease.version {
-                // Mid-write window (applied but not yet re-leased), or a
-                // stale lease a new stream has not refreshed: decline.
-                self.obs.lease_validation_failures.fetch_add(1, atomic::Ordering::Relaxed);
-                return None;
+                return Some(None);
             }
-            Some(copy_out(r, holder, offset, count))
+            let served = copy_out(r, holder, offset, count);
+            s.replicas.record_touch(key, now);
+            Some(Some(served))
         })?;
-        if srv.leases.get(&key) != Some(lease) {
+        let Some(served) = served else {
             self.obs.lease_validation_failures.fetch_add(1, atomic::Ordering::Relaxed);
             return None;
-        }
+        };
         let mut latency = self.cfg.local_read;
         if reader != holder {
             latency += self.round_trip(reader, holder, 32, count.min(8 * 1024)).ok()?;
@@ -219,15 +221,6 @@ impl Cluster {
     /// set the §3.2 location search would cover (via the per-server
     /// group cache when warm); without group knowledge it conservatively
     /// scans every reachable server.
-    /// Whether `seg` has only ever had one major version. A second major
-    /// can only come from §3.5 token generation, which records the new
-    /// major's branch point *before* installing any replica of it — so an
-    /// empty branch table proves no server anywhere holds a newer major
-    /// than whichever one a server has.
-    pub(crate) fn single_major(&self, seg: SegmentId) -> bool {
-        self.branches.with(&seg, |t| t.is_none_or(|t| t.branch_count() == 0))
-    }
-
     fn local_current_major(&self, via: NodeId, seg: SegmentId) -> Option<u64> {
         let srv = self.server(via);
         let local = srv.latest_major(seg)?;
@@ -308,21 +301,29 @@ impl Cluster {
         if via.index() >= self.servers.len() || !self.net.is_up(via) {
             return None;
         }
+        // A file that has only ever had one major: the newest one stored
+        // here is current, and finding it is part of the visit.
         let major = match major {
-            Some(m) => m,
-            None => self.local_current_major(via, seg)?,
+            None if self.single_major(seg) => None,
+            None => Some(self.local_current_major(via, seg)?),
+            major => major,
         };
-        let key = (seg, major);
-        let srv = self.server(via);
-        if !srv.holds_token(key) {
-            return None;
-        }
-        let copy = |r: Option<&crate::replica::Replica>| Some(copy_out(r?, via, offset, count));
-        let served = if touch {
-            srv.replicas.with_ref_served(&key, self.now(), copy)
-        } else {
-            srv.replicas.with_ref(&key, copy)
-        }?;
+        // The major, the token and the copy-out: one visit.
+        let now = self.now();
+        let served = self.server(via).visit(seg, |s| {
+            let key = match major {
+                Some(m) => (seg, m),
+                None => s.replicas.latest(seg)?,
+            };
+            if !s.tokens.disk.contains(&key) {
+                return None;
+            }
+            let served = copy_out(s.replicas.disk.get(&key)?, via, offset, count);
+            if touch {
+                s.replicas.record_touch(key, now);
+            }
+            Some(served)
+        })?;
         Some(OpResult { value: served, latency: self.cfg.local_read })
     }
 

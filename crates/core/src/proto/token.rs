@@ -45,44 +45,16 @@ impl Cluster {
     }
 
     /// What a write via `via` finds of the file `key` in the located
-    /// `group`: the token `via` holds — `None` if it holds none — and its
-    /// primary replica, each read once under its slot lock. Reachability
-    /// is read inside the token's lock; [`deceit_net::Network::reachable`] takes none.
+    /// `group` ([`WriteCtx::read`]), in one visit to `via`'s slot: `None`
+    /// if `via` holds no token for it.
     pub(crate) fn write_context(
         &self,
         via: NodeId,
         key: ReplicaKey,
         group: Option<GroupId>,
     ) -> Option<WriteCtx> {
-        let srv = self.server(via);
-        let mut ctx = srv.tokens.with_ref(&key, |t| {
-            let t = t?;
-            let mut ctx = WriteCtx {
-                key,
-                group,
-                version: t.version,
-                enabled: t.enabled,
-                holders: t.holders.len(),
-                remote_reachable: 0,
-                all_reachable: true,
-                params: FileParams::default(),
-                len: 0,
-            };
-            for &h in &t.holders {
-                let reachable = self.net.reachable(via, h);
-                ctx.all_reachable &= reachable;
-                ctx.remote_reachable += usize::from(reachable && h != via);
-            }
-            Some(ctx)
-        })?;
-        // (Defaults stand if `via` holds no copy — callers only get here
-        // when a local replica exists.)
-        srv.replicas.with_ref(&key, |r| {
-            if let Some(r) = r {
-                (ctx.params, ctx.len) = (r.params, r.data.len());
-            }
-        });
-        Some(ctx)
+        let net = &self.net;
+        self.server(via).visit(key.0, |s| WriteCtx::read(s, net, via, key, group))
     }
 
     /// [`Cluster::ensure_token`] with the §3.3 piggyback option: when
@@ -99,10 +71,27 @@ impl Cluster {
         seg: SegmentId,
         piggyback: bool,
     ) -> DeceitResult<(WriteCtx, SimDuration)> {
-        let (key, group, mut latency) = self.resolve_key(via, seg, None)?;
-
         // Fast path: token already held (the stream-of-updates case the
-        // protocol is optimized for).
+        // protocol is optimized for). For a file that has only ever had
+        // one major, with its group in `via`'s location cache, what
+        // `resolve_key` finds — the newest local major, the cached group —
+        // and what `write_context` reads are one visit to `via`'s slot,
+        // and the cached group's existence is one group-table read.
+        // Anything else takes the general path below, which reads it all
+        // again: the visit changed nothing.
+        if self.single_major(seg) {
+            let net = &self.net;
+            let held = self.server(via).visit(seg, |s| {
+                let key = s.replicas.latest(seg)?;
+                let group = s.group_cache.get(&seg).copied()?;
+                WriteCtx::read(s, net, via, key, Some(group))
+            });
+            if let Some(ctx) = held.filter(|ctx| ctx.group.is_some_and(|g| self.groups.exists(g))) {
+                self.stats.incr("locate/cache_hits");
+                return self.check_token_enabled(via, ctx);
+            }
+        }
+        let (key, group, mut latency) = self.resolve_key(via, seg, None)?;
         if let Some(ctx) = self.write_context(via, key, group) {
             let (ctx, checked) = self.check_token_enabled(via, ctx)?;
             return Ok((ctx, latency + checked));

@@ -16,15 +16,19 @@
 //! # The held-token write is one pass
 //!
 //! That one-round case — a stream of updates to a file whose token the
-//! server already holds — is what the path is shaped around. A write
-//! looks at the two records it owns, the token and the primary replica
-//! at `via`, *once* ([`WriteCtx`], read by
-//! `Cluster::ensure_token_for_write`), and every decision before the
+//! server already holds — is what the path is shaped around, and each of
+//! its steps at one server is one visit to that server's slot
+//! ([`crate::server::ServerState::visit`]), one lock round. A write
+//! looks at the records it owns at `via` — the token, the primary
+//! replica, the stream state — *once*, in one visit ([`WriteCtx`], read
+//! by `Cluster::ensure_token_for_write`), and every decision before the
 //! distribution — enabled, the §5.1 version check, the append cap, the
 //! extra-replica test, the reply count — is taken from that reading.
-//! Every record it then changes is changed where it lies
-//! ([`crate::hot::ShardedDisk::update`]): the holder's replica, each
-//! safety replica, the token's version pair. Delivery to a replica —
+//! Every record it then changes is changed where it lies: each safety
+//! replica in its delivery visit, and at the holder the outbound buffer,
+//! the primary replica, the read lease, the token's version pair and
+//! the stream state in one visit, whose follow-up (drain, flushes,
+//! events, the stability check) is done after it. Delivery to a replica —
 //! safety lane and drained batch alike — is one visit
 //! (`Cluster::apply_in_sequence`): an update that continues the
 //! replica's history is applied in place; one that is already embedded
@@ -35,7 +39,7 @@
 //! were when each step cloned the record out and put it back.
 
 use deceit_isis::{broadcast_round, GroupId};
-use deceit_net::NodeId;
+use deceit_net::{Network, NodeId};
 use deceit_sim::SimDuration;
 use deceit_storage::Durability;
 
@@ -44,13 +48,14 @@ use crate::error::{DeceitError, DeceitResult};
 use crate::event::Pending;
 use crate::ops::{UpdateRecord, WriteOp};
 use crate::params::FileParams;
-use crate::server::{ReplicaKey, SegmentId};
+use crate::server::{ReadLease, ReplicaKey, SegmentId, ServerSlot};
 use crate::trace_events::ProtocolEvent;
 use crate::version::VersionPair;
 
 /// What a write needs to know about the file it is about to update: the
-/// token record and the primary replica at the writing server, each read
-/// once, under its own slot lock, before anything is changed.
+/// token record, the primary replica and the stream state at the writing
+/// server, read once, in one visit to its slot, before anything is
+/// changed.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct WriteCtx {
     /// The replica key the token governs.
@@ -71,6 +76,62 @@ pub(crate) struct WriteCtx {
     pub params: FileParams,
     /// Length of the primary replica's contents.
     pub len: usize,
+    /// Whether the group is already marked unstable for the current
+    /// write stream (§3.4).
+    pub marked_unstable: bool,
+}
+
+impl WriteCtx {
+    /// What a write via `via` finds of `key` in `via`'s slot: the token
+    /// `via` holds — `None` if it holds none — its primary replica (the
+    /// defaults stand if it holds no copy; callers only get here when a
+    /// local replica exists) and its stream state. Reachability is read
+    /// here, under the slot lock: [`Network::reachable`] takes none.
+    pub(crate) fn read(
+        s: &ServerSlot,
+        net: &Network,
+        via: NodeId,
+        key: ReplicaKey,
+        group: Option<GroupId>,
+    ) -> Option<Self> {
+        let t = s.tokens.disk.get(&key)?;
+        let mut ctx = WriteCtx {
+            key,
+            group,
+            version: t.version,
+            enabled: t.enabled,
+            holders: t.holders.len(),
+            remote_reachable: 0,
+            all_reachable: true,
+            params: FileParams::default(),
+            len: 0,
+            marked_unstable: s.streams.get(&key).is_some_and(|st| st.group_unstable),
+        };
+        for &h in &t.holders {
+            let reachable = net.reachable(via, h);
+            ctx.all_reachable &= reachable;
+            ctx.remote_reachable += usize::from(reachable && h != via);
+        }
+        if let Some(r) = s.replicas.disk.get(&key) {
+            (ctx.params, ctx.len) = (r.params, r.data.len());
+        }
+        Some(ctx)
+    }
+}
+
+/// What the holder's end of a write did, for the caller to follow up on
+/// after the visit, in the order the steps would have taken one by one.
+struct HolderEnd {
+    /// The update opened the stream's outbound buffer: a drain is due.
+    propagate: bool,
+    /// The update opened the read lease (rather than advancing it).
+    lease_opened: bool,
+    /// Whether the token was disabled for lost availability; `None` if
+    /// the token was gone.
+    disabled: Option<bool>,
+    /// The stream's epoch after the write, and whether its stabilize
+    /// check is to be armed; `None` without §3.4 stability or a token.
+    stabilize: Option<(u64, bool)>,
 }
 
 /// What distributing one update yielded.
@@ -83,6 +144,9 @@ struct Distributed {
     replies: usize,
     /// Remote members of the file group.
     group_size: usize,
+    /// Whether the update is to be buffered for the batch lane (the
+    /// pipeline, with a group to ship it to).
+    buffer: bool,
 }
 
 /// What one visit to a replica did with a run of updates.
@@ -211,12 +275,8 @@ impl Cluster {
 
         // Table 1 row 2: "replicas are not marked as unstable" → mark
         // replicas as unstable (§3.4), once per write stream.
-        if params.stability {
-            let unstable_done =
-                self.server(via).streams.with(&key, |s| s.is_some_and(|s| s.group_unstable));
-            if !unstable_done {
-                latency += self.mark_unstable_round(via, key);
-            }
+        if params.stability && !ctx.marked_unstable {
+            latency += self.mark_unstable_round(via, key);
         }
 
         // §3.1: "The token holder t will delete these extra replicas when
@@ -246,6 +306,76 @@ impl Cluster {
         } else {
             self.distribute_eager(via, key, &update, needed_remote, wire_size, disk_cost, now)
         };
+        // The holder's end of the write, in one visit to its slot: buffer
+        // the update for the batch lane, apply it to the primary replica,
+        // publish the read lease, advance the token and note the write in
+        // the stream state. What follows from each step — the drain and
+        // flushes to schedule, the events to emit, the stability check
+        // to arm — is done after the visit, in the order the steps would
+        // have done it one by one.
+        let sync_local = params.write_safety >= 1;
+        let lease = self.cfg.opt_read_leases && params.stability;
+        let medium = params.availability == crate::params::WriteAvailability::Medium;
+        let end = self.server(via).visit(seg, |s| {
+            let propagate = sent.buffer && {
+                let stream = s.outbound.entry(key).or_default();
+                stream.updates.push(update.clone());
+                !std::mem::replace(&mut stream.scheduled, true)
+            };
+            // Apply locally at the token holder (the primary replica).
+            s.replicas.disk.update_with(&key, |replica| {
+                update.op.apply(&mut replica.data, &mut replica.params);
+                replica.version = new_version;
+                replica.last_access = now;
+                ((), Some(reach(sync_local)))
+            });
+            // Publish (or advance) the holder-local read lease: the
+            // replica now embeds everything through `new_version`, which
+            // is exactly the acked durable prefix once this write
+            // returns. Granted in the apply's visit, so a leased reader
+            // sees both or neither. Only streams under §3.4 stability
+            // need it: without stability the holder's replica stays
+            // stable and the ordinary fast path serves it.
+            let lease_opened =
+                lease && s.leases.insert(key, ReadLease { version: new_version }).is_none();
+            // Advance the token's version pair, in place — folding in
+            // the availability check so the token hits storage once.
+            // §3.5: "Some of a server's non-volatile storage is updated
+            // immediately when values change, and some of it is written
+            // asynchronously, depending on safety" — at safety ≥ 1 the
+            // token must hit disk with the data, or a crash would leave
+            // recovery believing stale replicas current. Availability
+            // "medium": disable the token if the majority was lost
+            // mid-stream (§4: "write availability may be lost in the
+            // middle of a stream of updates").
+            let disabled = s
+                .tokens
+                .disk
+                .update_with(&key, |t| {
+                    t.version = new_version;
+                    let lost =
+                        medium && t.enabled && sent.replies < t.majority(params.min_replicas);
+                    t.enabled &= !lost;
+                    (lost, Some(reach(sync_local)))
+                })
+                .map(|(lost, _)| lost);
+            // Table 1 row 6 setup: note the write for the
+            // period-of-no-write-activity check that will mark replicas
+            // stable again (§3.4). One check stays pending per stream; a
+            // stale firing re-arms itself to the newest quiet horizon, so
+            // a stream of N writes queues O(1) checks, not N.
+            let stabilize = (disabled.is_some() && params.stability).then(|| {
+                let stream = s.streams.entry(key).or_default();
+                stream.last_write = now;
+                stream.epoch += 1;
+                (stream.epoch, !std::mem::replace(&mut stream.check_scheduled, true))
+            });
+            HolderEnd { propagate, lease_opened, disabled, stabilize }
+        });
+        if end.propagate {
+            let at = self.now() + self.cfg.lazy_apply_delay;
+            self.events.push(at, Pending::PropagateStream { holder: via, key });
+        }
         self.emit_from(
             via,
             ProtocolEvent::UpdateDistributed {
@@ -255,58 +385,18 @@ impl Cluster {
             },
         );
         self.stats.incr("core/updates");
-
-        // Apply locally at the token holder (the primary replica).
-        let sync_local = params.write_safety >= 1;
-        self.apply_update_at(via, key, &update, sync_local);
         if !sync_local {
             self.schedule_flush(via, key.0);
         }
-
-        // Publish (or advance) the holder-local read lease: the replica
-        // now embeds everything through `new_version`, which is exactly
-        // the acked durable prefix once this write returns. Granted
-        // *after* the apply, so a lock-free reader in the window between
-        // them sees a version/lease mismatch and falls back — never a
-        // prefix ahead of the lease. Only streams under §3.4 stability
-        // need it: without stability the holder's replica stays stable
-        // and the ordinary fast path serves it.
-        if self.cfg.opt_read_leases && params.stability {
-            let prior = self
-                .server(via)
-                .leases
-                .insert(key, crate::server::ReadLease { version: new_version });
-            // Flight-record the opening of the lock-free window, not
-            // every per-write refresh — a stream would otherwise flood
-            // the ring with one grant per update.
-            if prior.is_none() {
-                self.emit_from(via, ProtocolEvent::LeaseGranted { seg, on: via });
-            }
+        // Flight-record the opening of the lock-free window, not every
+        // per-write refresh — a stream would otherwise flood the ring
+        // with one grant per update.
+        if end.lease_opened {
+            self.emit_from(via, ProtocolEvent::LeaseGranted { seg, on: via });
         }
-
-        // Advance the token's version pair, in place — folding in the
-        // availability check so the token hits storage once. §3.5: "Some
-        // of a server's non-volatile storage is updated immediately when
-        // values change, and some of it is written asynchronously,
-        // depending on safety" — at safety ≥ 1 the token must hit disk
-        // with the data, or a crash would leave recovery believing stale
-        // replicas current. Availability "medium": disable the token if
-        // the majority was lost mid-stream (§4: "write availability may
-        // be lost in the middle of a stream of updates"). A token gone
-        // since it was read (it cannot be, under the file's ring lock)
-        // refuses the write rather than killing the server.
-        let medium = params.availability == crate::params::WriteAvailability::Medium;
-        let disabled = self
-            .server(via)
-            .tokens
-            .update(&key, reach(sync_local), |t| {
-                t.version = new_version;
-                let lost = medium && t.enabled && sent.replies < t.majority(params.min_replicas);
-                t.enabled &= !lost;
-                lost
-            })
-            .ok_or(DeceitError::WriteUnavailable(seg))?;
-        if disabled {
+        // A token gone since it was read (it cannot be, under the file's
+        // ring lock) refuses the write rather than killing the server.
+        if end.disabled.ok_or(DeceitError::WriteUnavailable(seg))? {
             self.stats.incr("core/token/disabled");
         }
         if !sync_local {
@@ -339,24 +429,11 @@ impl Cluster {
         };
         latency += net_wait;
 
-        // Table 1 row 6 setup: schedule the period-of-no-write-activity
-        // check that will mark replicas stable again (§3.4). One check
-        // stays pending per stream; a stale firing re-arms itself to the
-        // newest quiet horizon, so a stream of N writes queues O(1)
-        // checks, not N.
-        if params.stability {
-            let (epoch, arm) =
-                self.server(via).streams.with_or_insert(key, Default::default, |stream| {
-                    stream.last_write = now;
-                    stream.epoch += 1;
-                    (stream.epoch, !std::mem::replace(&mut stream.check_scheduled, true))
-                });
-            if arm {
-                self.events.push(
-                    now + self.cfg.stability_timeout,
-                    Pending::StabilizeCheck { server: via, key, epoch },
-                );
-            }
+        if let Some((epoch, true)) = end.stabilize {
+            self.events.push(
+                now + self.cfg.stability_timeout,
+                Pending::StabilizeCheck { server: via, key, epoch },
+            );
         }
 
         self.stats.record_duration("core/write_latency", latency);
@@ -390,7 +467,8 @@ impl Cluster {
         // acknowledged receipt. Their acks are receipt, not application
         // (§1: an update can be visible before it reaches all replicas) —
         // application lands after the lazy-apply delay.
-        let mut sent = Distributed { safety_wait: SimDuration::ZERO, replies: 1, group_size };
+        let mut sent =
+            Distributed { safety_wait: SimDuration::ZERO, replies: 1, group_size, buffer: false };
         let mut correct = 0;
         for (m, rtt) in outcome.replies.iter() {
             if !self.server(*m).replicas.contains(&key) {
@@ -483,22 +561,17 @@ impl Cluster {
             }
         }
 
-        // Batch lane: buffer for the rest of the group. Members already
-        // served by the safety lane drop the redelivery in their ordered
-        // receivers, so the stream stays one linear history.
-        if group_size > 0 {
-            let schedule =
-                self.server(via).outbound.with_or_insert(key, Default::default, |stream| {
-                    stream.updates.push(update.clone());
-                    !std::mem::replace(&mut stream.scheduled, true)
-                });
-            if schedule {
-                let at = self.now() + self.cfg.lazy_apply_delay;
-                self.events.push(at, Pending::PropagateStream { holder: via, key });
-            }
+        // Batch lane: the rest of the group gets the update from the
+        // holder's outbound buffer (filled in the holder's end of the
+        // write). Members already served by the safety lane drop the
+        // redelivery in their ordered receivers, so the stream stays one
+        // linear history.
+        Distributed {
+            safety_wait,
+            replies: 1 + ctx.remote_reachable,
+            group_size,
+            buffer: group_size > 0,
         }
-
-        Distributed { safety_wait, replies: 1 + ctx.remote_reachable, group_size }
     }
 
     /// Write-through delivery for the safety lane. A target exactly one
@@ -603,20 +676,25 @@ impl Cluster {
         if !self.net.is_up(holder) {
             return;
         }
-        let batch: Vec<UpdateRecord> = self.server(holder).outbound.with(&key, |s| match s {
-            Some(s) => {
-                s.scheduled = false;
-                std::mem::take(&mut s.updates)
-            }
-            None => Vec::new(),
+        // The holder's side is one visit: take the batch, and read the
+        // cached file group it goes to.
+        let (batch, cached) = self.server(holder).visit(key.0, |s| {
+            let batch = s.outbound.get_mut(&key).map_or_else(Vec::new, |st| {
+                st.scheduled = false;
+                std::mem::take(&mut st.updates)
+            });
+            (batch, s.group_cache.get(&key.0).copied())
         });
         if batch.is_empty() {
             return;
         }
         let wire: usize = batch.iter().map(|u| u.op.wire_size()).sum();
+        // A cached group that is gone is repaired as `cached_group` does.
+        let group =
+            cached.filter(|&g| self.groups.exists(g)).or_else(|| self.cached_group(holder, key.0));
         // One round to the rest of the group, addressed off the member
         // set in place (`None`: no group, or nobody else in it).
-        let outcome = self.cached_group(holder, key.0).and_then(|g| {
+        let outcome = group.and_then(|g| {
             self.groups.with_members(g, |members| {
                 let remote = members.iter().copied().filter(|&m| m != holder);
                 (members.len() > usize::from(members.contains(&holder)))
@@ -665,46 +743,46 @@ impl Cluster {
         updates: &[UpdateRecord],
         sync: bool,
     ) -> Option<InSequence> {
-        let srv = self.server(server);
-        // `Some(next)`: a receiver expecting `next`; `None`: none yet.
-        let expecting =
-            match srv.receivers.with(&key, |r| r.map(|r| (r.held_count(), r.next_expected()))) {
+        let now = self.now();
+        self.server(server).visit(key.0, |s| {
+            // `Some(next)`: a receiver expecting `next`; `None`: none yet.
+            let expecting = match s.receivers.get(&key).map(|r| (r.held_count(), r.next_expected()))
+            {
                 Some((0, next)) => Some(next),
-                Some(_) => return srv.replicas.contains(&key).then(InSequence::default),
+                Some(_) => return s.replicas.disk.contains(&key).then(InSequence::default),
                 None => None,
             };
-        let now = self.now();
-        let (seen, start) = srv.replicas.update_with(&key, |replica| {
-            let start = replica.version.sub + 1;
-            let mut next = expecting.unwrap_or(start);
-            let mut seen = InSequence::default();
-            for u in updates {
-                if u.new_version.sub > next {
-                    break;
+            let ((seen, start), _) = s.replicas.disk.update_with(&key, |replica| {
+                let start = replica.version.sub + 1;
+                let mut next = expecting.unwrap_or(start);
+                let mut seen = InSequence::default();
+                for u in updates {
+                    if u.new_version.sub > next {
+                        break;
+                    }
+                    seen.consumed += 1;
+                    if u.new_version.sub == next {
+                        u.op.apply(&mut replica.data, &mut replica.params);
+                        replica.version = u.new_version;
+                        seen.landed += 1;
+                        next += 1;
+                    }
                 }
-                seen.consumed += 1;
-                if u.new_version.sub == next {
-                    u.op.apply(&mut replica.data, &mut replica.params);
-                    replica.version = u.new_version;
-                    seen.landed += 1;
-                    next += 1;
+                seen.version = Some(replica.version);
+                let written = seen.landed > 0;
+                if written {
+                    replica.last_access = now;
                 }
+                ((seen, start), written.then(|| reach(sync)))
+            })?;
+            if seen.landed > 0 || expecting.is_none() {
+                s.receivers
+                    .entry(key)
+                    .or_insert_with(|| deceit_isis::OrderedReceiver::starting_at(start))
+                    .delivered_directly(seen.landed as u64);
             }
-            seen.version = Some(replica.version);
-            let written = seen.landed > 0;
-            if written {
-                replica.last_access = now;
-            }
-            ((seen, start), written.then(|| reach(sync)))
-        })?;
-        if seen.landed > 0 || expecting.is_none() {
-            srv.receivers.with_or_insert(
-                key,
-                || deceit_isis::OrderedReceiver::starting_at(start),
-                |r| r.delivered_directly(seen.landed as u64),
-            );
-        }
-        Some(seen)
+            Some(seen)
+        })
     }
 
     /// Delivers a batch of sequenced updates to one replica and folds
@@ -748,23 +826,6 @@ impl Cluster {
             deliverable.len()
         });
         seen.landed + landed.unwrap_or(0)
-    }
-
-    /// Applies an update to a local replica, in place, either
-    /// write-through (durable, charged to the caller) or write-behind.
-    pub(crate) fn apply_update_at(
-        &self,
-        server: NodeId,
-        key: ReplicaKey,
-        update: &UpdateRecord,
-        sync: bool,
-    ) {
-        let now = self.now();
-        self.server(server).replicas.update(&key, reach(sync), |replica| {
-            update.op.apply(&mut replica.data, &mut replica.params);
-            replica.version = update.new_version;
-            replica.last_access = now;
-        });
     }
 
     /// Applies, synchronously and in order, every still-pending lazy

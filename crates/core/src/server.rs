@@ -5,22 +5,31 @@
 //! queues, location caches, the failure detector, write-stream state — is
 //! volatile and lost on a crash.
 //!
-//! All hot state (everything keyed by segment or replica key) lives in
-//! the ShardKey-indexed containers of [`crate::hot`], so protocol code
-//! reaches it through `&self`: a mutation holding its shard's ring lock
-//! rewrites exactly its file's slice of every server without exclusive
-//! access to the cell (see the module doc of [`crate::hot`] for the lock
-//! discipline).
+//! All hot state (everything keyed by segment or replica key) is
+//! partitioned by shard slot, and a server keeps its whole slice of one
+//! slot — both stores and every volatile map ([`ServerSlot`]) — behind
+//! **one leaf lock**. A protocol step that reads or changes several of a
+//! file's records at one server is one lock round
+//! ([`ServerState::visit`]); the per-map fields (`replicas`, `tokens`,
+//! `leases`, …) are views over the same slots for the steps that need one
+//! map. A mutation holding its shard's ring lock rewrites exactly its
+//! file's slice of every server without exclusive access to the cell.
+//! A closure run under the slot lock is a leaf: it takes no lock, visits
+//! nothing else — not even another map of the same server through a view,
+//! which would deadlock on the lock it already holds — and returns what
+//! follows from it to be done after (see the module doc of [`crate::hot`]).
 
+use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::atomic::AtomicU64;
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 use deceit_isis::{BcastOutcome, FailureDetector, GroupId, OrderedReceiver, SequencedMsg};
 use deceit_net::NodeId;
+use deceit_sim::leaf;
 use deceit_storage::DiskConfig;
 
-use crate::hot::{ShardedDisk, ShardedMap};
+use crate::hot::{DiskSlot, ShardedDisk, ShardedMap, Slots};
 use crate::ops::UpdateRecord;
 use crate::replica::Replica;
 use crate::token::WriteToken;
@@ -68,12 +77,12 @@ pub(crate) struct OutboundStream {
 /// lease is the holder's published promise that its local replica is
 /// exactly the acked durable prefix of the stream, so the lock-free read
 /// fast path ([`crate::Cluster::try_read_local`]) can serve it without
-/// ring locks. The fast path re-reads the lease after copying the data
-/// out and declines on any change (a seqlock-style sandwich), so the
-/// invalidation discipline is simply *remove before the fact it asserts
-/// stops holding*: [token movement](crate::Cluster) removes the lease
-/// before the token leaves, stabilize removes it when the stream ends,
-/// and a crash clears it with the rest of the volatile state.
+/// ring locks. The fast path reads the lease and copies the replica out
+/// in one visit to the holder's slot, so the invalidation discipline is
+/// simply *remove before the fact it asserts stops holding*, under the
+/// slot lock: [token movement](crate::Cluster) removes the lease before
+/// the token leaves, stabilize removes it when the stream ends, and a
+/// crash clears it with the rest of the slot's volatile state.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ReadLease {
     /// The version pair of the stream's acked durable prefix: the fast
@@ -99,42 +108,89 @@ pub struct StreamState {
     pub check_scheduled: bool,
 }
 
+/// One server's slice of one shard slot: every piece of its hot state for
+/// the files in the slot, behind one lock ([`ServerState::visit`]).
+#[derive(Debug)]
+pub struct ServerSlot {
+    /// Non-volatile replica storage, and the read touches recorded
+    /// against it.
+    pub(crate) replicas: DiskSlot<Replica>,
+    /// Non-volatile token storage.
+    pub(crate) tokens: DiskSlot<WriteToken>,
+    /// Volatile: per-replica ordered-delivery buffers for in-flight
+    /// updates (ABCAST reordering; §3.3 identical-order requirement).
+    pub(crate) receivers: BTreeMap<ReplicaKey, OrderedReceiver<UpdateRecord>>,
+    /// Volatile: cached segment → file-group mapping, so repeat operations
+    /// skip the global search (§3.2).
+    pub(crate) group_cache: BTreeMap<SegmentId, GroupId>,
+    /// Volatile: active write-stream state for replicas whose token this
+    /// server holds.
+    pub(crate) streams: BTreeMap<ReplicaKey, StreamState>,
+    /// Volatile: per-file outbound update buffers of the asynchronous
+    /// write pipeline (empty unless `opt_write_pipeline` is on).
+    pub(crate) outbound: BTreeMap<ReplicaKey, OutboundStream>,
+    /// Volatile: per-file read leases published while this server holds
+    /// the token of an unstable replica (empty unless `opt_read_leases`
+    /// is on).
+    pub(crate) leases: BTreeMap<ReplicaKey, ReadLease>,
+    /// Volatile: replica keys with a read-repair catch-up already queued
+    /// for this server, so a burst of reads against one laggard schedules
+    /// one repair, not one per read (`opt_read_repair` single-flighting).
+    pub(crate) repairs: BTreeMap<ReplicaKey, ()>,
+    /// Volatile: replica keys with a placement migration toward this
+    /// server already queued, so a burst of forwarded reads schedules one
+    /// move, not one per read (`opt_placement` single-flighting).
+    pub(crate) migrations: BTreeMap<ReplicaKey, ()>,
+}
+
+impl ServerSlot {
+    fn new(disk_cfg: DiskConfig) -> Self {
+        ServerSlot {
+            replicas: DiskSlot::new(disk_cfg),
+            tokens: DiskSlot::new(disk_cfg),
+            receivers: BTreeMap::new(),
+            group_cache: BTreeMap::new(),
+            streams: BTreeMap::new(),
+            outbound: BTreeMap::new(),
+            leases: BTreeMap::new(),
+            repairs: BTreeMap::new(),
+            migrations: BTreeMap::new(),
+        }
+    }
+}
+
 /// One Deceit server.
+///
+/// Its hot state lives in [`ServerSlot`]s, one per shard slot; the
+/// per-map fields are views of the same slots (see the [module](self)
+/// doc), so a view operation and a visit of the same slot exclude each
+/// other on the one slot lock.
 #[derive(Debug)]
 pub struct ServerState {
     /// This server's machine identity.
     pub id: NodeId,
+    slots: Arc<Slots<ServerSlot>>,
     /// Non-volatile replica storage, sharded by segment.
-    pub replicas: ShardedDisk<Replica>,
+    pub replicas: ShardedDisk<Replica, ServerSlot>,
     /// Non-volatile token storage, sharded by segment.
-    pub tokens: ShardedDisk<WriteToken>,
-    /// Volatile: per-replica ordered-delivery buffers for in-flight
-    /// updates (ABCAST reordering; §3.3 identical-order requirement).
-    pub(crate) receivers: ShardedMap<ReplicaKey, OrderedReceiver<UpdateRecord>>,
-    /// Volatile: cached segment → file-group mapping, so repeat operations
-    /// skip the global search (§3.2).
-    pub(crate) group_cache: ShardedMap<SegmentId, GroupId>,
+    pub tokens: ShardedDisk<WriteToken, ServerSlot>,
+    /// See [`ServerSlot::receivers`].
+    pub(crate) receivers: ShardedMap<ReplicaKey, OrderedReceiver<UpdateRecord>, ServerSlot>,
+    /// See [`ServerSlot::group_cache`].
+    pub(crate) group_cache: ShardedMap<SegmentId, GroupId, ServerSlot>,
     /// Volatile: failure suspicion derived from communication outcomes.
     /// Per-server (not per-file), so it sits behind its own leaf lock.
     pub(crate) fd: Mutex<FailureDetector>,
-    /// Volatile: active write-stream state for replicas whose token this
-    /// server holds.
-    pub(crate) streams: ShardedMap<ReplicaKey, StreamState>,
-    /// Volatile: per-file outbound update buffers of the asynchronous
-    /// write pipeline (empty unless `opt_write_pipeline` is on).
-    pub(crate) outbound: ShardedMap<ReplicaKey, OutboundStream>,
-    /// Volatile: per-file read leases published while this server holds
-    /// the token of an unstable replica (empty unless `opt_read_leases`
-    /// is on).
-    pub(crate) leases: ShardedMap<ReplicaKey, ReadLease>,
-    /// Volatile: replica keys with a read-repair catch-up already queued
-    /// for this server, so a burst of reads against one laggard schedules
-    /// one repair, not one per read (`opt_read_repair` single-flighting).
-    pub(crate) repairs: ShardedMap<ReplicaKey, ()>,
-    /// Volatile: replica keys with a placement migration toward this
-    /// server already queued, so a burst of forwarded reads schedules one
-    /// move, not one per read (`opt_placement` single-flighting).
-    pub(crate) migrations: ShardedMap<ReplicaKey, ()>,
+    /// See [`ServerSlot::streams`].
+    pub(crate) streams: ShardedMap<ReplicaKey, StreamState, ServerSlot>,
+    /// See [`ServerSlot::outbound`].
+    pub(crate) outbound: ShardedMap<ReplicaKey, OutboundStream, ServerSlot>,
+    /// See [`ServerSlot::leases`].
+    pub(crate) leases: ShardedMap<ReplicaKey, ReadLease, ServerSlot>,
+    /// See [`ServerSlot::repairs`].
+    pub(crate) repairs: ShardedMap<ReplicaKey, (), ServerSlot>,
+    /// See [`ServerSlot::migrations`].
+    pub(crate) migrations: ShardedMap<ReplicaKey, (), ServerSlot>,
     /// Count of client operations served by this server (load accounting).
     pub ops_served: AtomicU64,
 }
@@ -143,47 +199,61 @@ impl ServerState {
     /// A fresh server with empty disks, hot state sharded over `shards`
     /// slots.
     pub fn new(id: NodeId, disk_cfg: DiskConfig, shards: usize) -> Self {
+        let slots = Arc::new(Slots::new(shards, || ServerSlot::new(disk_cfg)));
         ServerState {
             id,
-            replicas: ShardedDisk::new(disk_cfg, shards),
-            tokens: ShardedDisk::new(disk_cfg, shards),
-            receivers: ShardedMap::new(shards),
-            group_cache: ShardedMap::new(shards),
+            replicas: ShardedDisk::view(slots.clone(), |s| &mut s.replicas),
+            tokens: ShardedDisk::view(slots.clone(), |s| &mut s.tokens),
+            receivers: ShardedMap::view(slots.clone(), |s| &mut s.receivers),
+            group_cache: ShardedMap::view(slots.clone(), |s| &mut s.group_cache),
             fd: Mutex::new(FailureDetector::new()),
-            streams: ShardedMap::new(shards),
-            outbound: ShardedMap::new(shards),
-            leases: ShardedMap::new(shards),
-            repairs: ShardedMap::new(shards),
-            migrations: ShardedMap::new(shards),
+            streams: ShardedMap::view(slots.clone(), |s| &mut s.streams),
+            outbound: ShardedMap::view(slots.clone(), |s| &mut s.outbound),
+            leases: ShardedMap::view(slots.clone(), |s| &mut s.leases),
+            repairs: ShardedMap::view(slots.clone(), |s| &mut s.repairs),
+            migrations: ShardedMap::view(slots.clone(), |s| &mut s.migrations),
+            slots,
             ops_served: AtomicU64::new(0),
         }
     }
 
+    /// Runs `f` on this server's slot of `seg` — every map of it — under
+    /// one lock round, counting any read touch `f` records into the
+    /// pending-touch flag. `f` is a leaf (see the [module](self) doc).
+    pub(crate) fn visit<R>(&self, seg: SegmentId, f: impl FnOnce(&mut ServerSlot) -> R) -> R {
+        let mut slot = self.slots.lock_key(seg.0);
+        let before = slot.replicas.touches.len();
+        let out = f(&mut slot);
+        self.slots.add_pending(slot.replicas.touches.len().saturating_sub(before));
+        out
+    }
+
     /// Folds a communication round's outcome into the failure detector.
     pub(crate) fn observe_round(&self, outcome: &BcastOutcome) {
-        // lint: allow(lock-order): the failure detector is a private leaf mutex held only for this fold; nothing is acquired under it
-        self.fd.lock().unwrap_or_else(|e| e.into_inner()).observe_round(outcome);
+        leaf::lock(&self.fd).observe_round(outcome);
     }
 
     /// Simulates a crash: non-volatile state reverts to its durable
     /// contents; volatile state is lost.
     ///
-    /// Leases go first: a read lease is a promise that the holder's
-    /// replica state is stable, so it must be revoked before any of
-    /// that state reverts — otherwise a racing leased read could
-    /// validate against post-crash contents.
+    /// Each slot is reverted whole under its lock, leases first: a read
+    /// lease is a promise that the holder's replica state is stable, and
+    /// a leased read sees the slot either before the crash or after it,
+    /// never a lease beside reverted contents.
     pub fn crash(&self) {
-        self.leases.clear();
-        self.replicas.crash();
-        self.tokens.crash();
-        self.receivers.clear();
-        self.group_cache.clear();
-        // lint: allow(lock-order): the failure detector is a private leaf mutex; the reset holds no other lock
-        *self.fd.lock().unwrap_or_else(|e| e.into_inner()) = FailureDetector::new();
-        self.streams.clear();
-        self.outbound.clear();
-        self.repairs.clear();
-        self.migrations.clear();
+        self.slots.each(|slot| {
+            slot.leases.clear();
+            let dropped = slot.replicas.crash();
+            self.slots.sub_pending(dropped);
+            slot.tokens.crash();
+            slot.receivers.clear();
+            slot.group_cache.clear();
+            slot.streams.clear();
+            slot.outbound.clear();
+            slot.repairs.clear();
+            slot.migrations.clear();
+        });
+        *leaf::lock(&self.fd) = FailureDetector::new();
     }
 
     /// Whether this server stores any replica of `seg` (any major).
@@ -217,12 +287,13 @@ impl ServerState {
         key: ReplicaKey,
         msg: SequencedMsg<UpdateRecord>,
     ) -> Vec<(u64, UpdateRecord)> {
-        let start = self.replicas.with_ref(&key, |r| r.map(|r| r.version.sub + 1)).unwrap_or(1);
-        self.receivers.with_or_insert(
-            key,
-            || OrderedReceiver::starting_at(start),
-            |r| r.receive(msg),
-        )
+        self.visit(key.0, |s| {
+            let start = s.replicas.disk.get(&key).map_or(1, |r| r.version.sub + 1);
+            s.receivers
+                .entry(key)
+                .or_insert_with(|| OrderedReceiver::starting_at(start))
+                .receive(msg)
+        })
     }
 
     /// Drops the ordered-delivery buffer of one replica (token movement,
@@ -254,6 +325,187 @@ mod tests {
         assert_eq!(s.majors_of(seg), vec![0, 3]);
         assert_eq!(s.latest_major(seg), Some(3));
         assert_eq!(s.latest_major(SegmentId(9)), None);
+    }
+
+    fn replica(major: u64) -> Replica {
+        Replica::new(major, FileParams::default(), SimTime::ZERO)
+    }
+
+    fn version(sub: u64) -> crate::version::VersionPair {
+        crate::version::VersionPair { major: 0, sub }
+    }
+
+    /// A visit changes several maps of one slot under one lock: a
+    /// concurrent visit sees all of the change or none of it.
+    #[test]
+    fn a_visit_changes_several_maps_of_a_slot_atomically() {
+        use std::sync::atomic::{AtomicBool, Ordering};
+        use std::thread;
+
+        let s = Arc::new(server());
+        let key = (SegmentId(3), 0);
+        s.replicas.put_sync(key, replica(0));
+        s.leases.insert(key, ReadLease { version: version(0) });
+        let stop = Arc::new(AtomicBool::new(false));
+        let reader = {
+            let (s, stop) = (Arc::clone(&s), Arc::clone(&stop));
+            thread::spawn(move || {
+                let mut seen = 0u64;
+                loop {
+                    s.visit(key.0, |slot| {
+                        let lease = slot.leases[&key].version;
+                        let epoch = slot.streams.get(&key).map_or(0, |st| st.epoch);
+                        assert_eq!(Some(lease), slot.replicas.disk.get(&key).map(|r| r.version));
+                        assert_eq!(epoch, lease.sub, "the stream moved with the lease");
+                    });
+                    seen += 1;
+                    if stop.load(Ordering::Relaxed) {
+                        return seen;
+                    }
+                }
+            })
+        };
+        for _ in 0..2_000 {
+            s.visit(key.0, |slot| {
+                let next = slot.leases[&key].version.bump();
+                slot.replicas.disk.update_sync(&key, |r| r.version = next);
+                slot.leases.insert(key, ReadLease { version: next });
+                slot.streams.entry(key).or_default().epoch = next.sub;
+            });
+        }
+        stop.store(true, Ordering::Relaxed);
+        assert!(reader.join().unwrap() > 0);
+        // The views read the slots the visits changed.
+        assert_eq!(s.leases.get(&key), Some(ReadLease { version: version(2_000) }));
+        assert_eq!(s.streams.get(&key).map(|st| st.epoch), Some(2_000));
+        assert_eq!(s.replicas.sync_writes(), 2_001);
+    }
+
+    /// The per-view disk counters report what separate stores given the
+    /// same writes report.
+    #[test]
+    fn view_counters_equal_the_separate_disks() {
+        let s = server();
+        let replicas = ShardedDisk::new(DiskConfig::workstation(), 8);
+        let tokens = ShardedDisk::new(DiskConfig::workstation(), 8);
+        for seg in 0..20u64 {
+            let key = (SegmentId(seg), seg % 3);
+            s.replicas.put_sync(key, replica(key.1));
+            replicas.put_sync(key, replica(key.1));
+            if seg % 2 == 0 {
+                s.replicas.put_async(key, replica(key.1));
+                replicas.put_async(key, replica(key.1));
+            }
+            let token = WriteToken::new(version(0), NodeId(0));
+            s.tokens.put_sync(key, token.clone());
+            tokens.put_sync(key, token);
+            if seg % 5 == 0 {
+                s.tokens.update(&key, deceit_storage::Durability::Async, |t| t.enabled = false);
+                tokens.update(&key, deceit_storage::Durability::Async, |t| t.enabled = false);
+            }
+        }
+        assert_eq!(
+            (s.replicas.sync_writes(), s.replicas.async_writes(), s.replicas.durable_bytes()),
+            (replicas.sync_writes(), replicas.async_writes(), replicas.durable_bytes())
+        );
+        assert_eq!(
+            (s.tokens.sync_writes(), s.tokens.async_writes(), s.tokens.durable_bytes()),
+            (tokens.sync_writes(), tokens.async_writes(), tokens.durable_bytes())
+        );
+        assert_eq!((s.replicas.async_writes(), s.tokens.async_writes()), (10, 4));
+    }
+
+    /// A crash reverts every map of a slot together, under its lock.
+    #[test]
+    fn crash_reverts_every_map_of_a_slot_together() {
+        let s = server();
+        let key = (SegmentId(5), 0);
+        s.replicas.put_sync(key, replica(0));
+        s.tokens.put_sync(key, WriteToken::new(version(0), NodeId(0)));
+        let behind = Some(deceit_storage::Durability::Async);
+        s.visit(key.0, |slot| {
+            slot.replicas.disk.update_with(&key, |r| (r.version = version(9), behind));
+            slot.tokens.disk.update_with(&key, |t| (t.version = version(9), behind));
+            slot.leases.insert(key, ReadLease { version: version(9) });
+            slot.streams.insert(key, StreamState { group_unstable: true, ..Default::default() });
+            slot.outbound.insert(key, OutboundStream::default());
+            slot.receivers.insert(key, OrderedReceiver::starting_at(10));
+            slot.group_cache.insert(key.0, GroupId(1));
+            slot.repairs.insert(key, ());
+            slot.migrations.insert(key, ());
+            slot.replicas.record_touch(key, SimTime::from_micros(7));
+        });
+        assert_eq!(s.replicas.pending_touch_count(), 1, "a visit's touch is counted");
+        s.crash();
+        s.visit(key.0, |slot| {
+            assert_eq!(slot.replicas.disk.get(&key).map(|r| r.version), Some(version(0)));
+            assert_eq!(slot.tokens.disk.get(&key).map(|t| t.version), Some(version(0)));
+            assert!(slot.leases.is_empty() && slot.streams.is_empty() && slot.outbound.is_empty());
+            assert!(slot.receivers.is_empty() && slot.group_cache.is_empty());
+            assert!(slot.repairs.is_empty() && slot.migrations.is_empty());
+            assert!(slot.replicas.touches.is_empty());
+        });
+        assert_eq!(s.replicas.pending_touch_count(), 0, "dropped touches leave the flag");
+        assert_eq!((s.replicas.lost_writes(), s.tokens.lost_writes()), (1, 1));
+    }
+
+    /// The touch-accounting crash race on a server: view touches, visit
+    /// touches, crashes and applies from concurrent threads. The fast
+    /// flag may over-report while they run, but it settles to the truth
+    /// and never hides a buffered touch from the apply fold.
+    #[test]
+    fn touch_flag_never_under_reports_across_visits_and_crashes() {
+        use std::sync::atomic::{AtomicBool, Ordering};
+        use std::thread;
+
+        let s = Arc::new(ServerState::new(NodeId(0), DiskConfig::workstation(), 4));
+        let seed = |s: &ServerState| {
+            for seg in 0..8u64 {
+                s.replicas.put_sync((SegmentId(seg), 0), replica(0));
+            }
+        };
+        seed(&s);
+        let stop = Arc::new(AtomicBool::new(false));
+        let readers: Vec<_> = (0..3u64)
+            .map(|t| {
+                let (s, stop) = (Arc::clone(&s), Arc::clone(&stop));
+                thread::spawn(move || {
+                    let mut i = 0u64;
+                    while !stop.load(Ordering::Relaxed) {
+                        let (key, at) = ((SegmentId((i + t) % 8), 0), SimTime::from_micros(i));
+                        if i.is_multiple_of(2) {
+                            s.replicas.note_read(key, at);
+                        } else {
+                            s.visit(key.0, |slot| slot.replicas.record_touch(key, at));
+                        }
+                        i += 1;
+                    }
+                })
+            })
+            .collect();
+        for round in 0..300 {
+            if round % 3 == 0 {
+                s.crash();
+                seed(&s);
+            }
+            for slot in 0..4 {
+                s.replicas.apply_touches_slot(slot, &|_r, _at| false);
+            }
+        }
+        stop.store(true, Ordering::Relaxed);
+        for r in readers {
+            r.join().unwrap();
+        }
+        s.replicas.apply_touches_all(&|_r, _at| false);
+        assert_eq!(s.replicas.pending_touch_count(), 0, "flag settles to the truth");
+        let key = (SegmentId(1), 0);
+        s.visit(key.0, |slot| slot.replicas.record_touch(key, SimTime::from_micros(9_999)));
+        let applied = AtomicBool::new(false);
+        s.replicas.apply_touches_slot(1, &|_r, _at| {
+            applied.store(true, Ordering::Relaxed);
+            false
+        });
+        assert!(applied.load(Ordering::Relaxed), "fast flag hid a buffered touch");
     }
 
     #[test]

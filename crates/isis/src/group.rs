@@ -12,6 +12,7 @@ use std::collections::BTreeSet;
 use std::fmt;
 
 use deceit_net::NodeId;
+use deceit_sim::leaf;
 
 /// Identity of one process group.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -120,11 +121,11 @@ impl GroupTable {
     }
 
     fn read(&self) -> std::sync::RwLockReadGuard<'_, TableInner> {
-        self.inner.read().unwrap_or_else(|e| e.into_inner())
+        leaf::read(&self.inner)
     }
 
     fn write(&self) -> std::sync::RwLockWriteGuard<'_, TableInner> {
-        self.inner.write().unwrap_or_else(|e| e.into_inner())
+        leaf::write(&self.inner)
     }
 
     /// Creates a group with a unique name and one initial member.

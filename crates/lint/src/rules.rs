@@ -158,9 +158,10 @@ fn functions(code: &[Tok]) -> Vec<FnSpan> {
 ///   (b) in `crates/core` outside `hot.rs`, no raw `.lock()` calls —
 ///       leaf locks belong behind the hot.rs/shard.rs seams;
 ///   (c) in `crates/core` outside `hot.rs`, a closure handed to a
-///       container's `update` / `update_with` runs under that slot's
-///       leaf lock and must be a leaf itself: it may not mention `self`,
-///       through which every other lock of the engine is reached.
+///       server's `visit` or a container's `update` / `update_with` runs
+///       under that slot's leaf lock and must be a leaf itself: it may
+///       not mention `self`, through which every other lock of the
+///       engine is reached.
 fn rule_lock_order(fi: usize, facts: &Facts, out: &mut Vec<Finding>) {
     let f = &facts.files[fi];
     // Interprocedural cell/ring order violations anchored in this file.
@@ -207,7 +208,7 @@ fn rule_lock_order(fi: usize, facts: &Facts, out: &mut Vec<Finding>) {
                     "raw leaf-lock acquisition outside the hot.rs/shard.rs seams",
                 ));
             }
-            if seq(code, i, &[".", "update", "("]) || seq(code, i, &[".", "update_with", "("]) {
+            if ["visit", "update", "update_with"].iter().any(|m| seq(code, i, &[".", m, "("])) {
                 if let Some(line) = self_in_closure_arg(code, i + 2) {
                     out.push(Finding::new(
                         "lock-order",

@@ -126,6 +126,22 @@ fn lock_order_flags_a_closure_that_is_not_a_leaf() {
 }
 
 #[test]
+fn lock_order_holds_a_visit_closure_to_the_leaf_rule() {
+    // Red: the closure reaches the engine through `self` — here another
+    // map of the same server, which deadlocks on the slot lock it holds.
+    let red = "impl C {\n    fn f(&self, via: N, k: K) {\n        self.server(via).visit(k.0, |s| {\n            s.leases.remove(&k);\n            self.server(via).tokens.contains(&k)\n        });\n    }\n}\n";
+    let report = lint_fixture("crates/core/src/proto/fixture.rs", red);
+    let hits = rule_findings(&report, "lock-order");
+    assert_eq!(hits.len(), 1, "findings: {:?}", report.findings);
+    assert_eq!(hits[0].line, 5);
+    assert!(hits[0].message.contains("`visit`"));
+    // Green: what the closure needs from outside is bound before it.
+    let green = "impl C {\n    fn f(&self, via: N, k: K) {\n        let net = &self.net;\n        self.server(via).visit(k.0, |s| {\n            s.leases.remove(&k);\n            net.reachable(via, k.1)\n        });\n    }\n}\n";
+    let report = lint_fixture("crates/core/src/proto/fixture.rs", green);
+    assert!(rule_findings(&report, "lock-order").is_empty(), "findings: {:?}", report.findings);
+}
+
+#[test]
 fn due_gating_fixture_fails_the_lint() {
     let report =
         lint_fixture("crates/core/src/event.rs", include_str!("../fixtures/due_gating.rs"));

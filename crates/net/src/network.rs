@@ -3,7 +3,7 @@
 use std::collections::BTreeMap;
 use std::collections::BTreeSet;
 
-use deceit_sim::{SimDuration, SimRng};
+use deceit_sim::{leaf, SimDuration, SimRng};
 
 use crate::latency::LatencyModel;
 use crate::node::NodeId;
@@ -180,7 +180,7 @@ impl Network {
     /// On success the returned latency includes any modeled retransmission
     /// delay and, for inter-cell traffic, WAN costs.
     pub fn send(&self, from: NodeId, to: NodeId, bytes: usize, tag: &'static str) -> Delivery {
-        let mut hot = self.hot.lock().unwrap_or_else(|e| e.into_inner());
+        let mut hot = leaf::lock(&self.hot);
         let sent = self.deliver(&mut hot, from, to, bytes);
         if sent.is_delivered() {
             *hot.stats.by_tag.entry(tag).or_insert(0) += 1;
@@ -201,7 +201,7 @@ impl Network {
         reply_bytes: usize,
         tag: &'static str,
     ) -> Delivery {
-        let mut hot = self.hot.lock().unwrap_or_else(|e| e.into_inner());
+        let mut hot = leaf::lock(&self.hot);
         let Delivery::Delivered(out) = self.deliver(&mut hot, from, to, bytes) else {
             return Delivery::Unreachable;
         };
@@ -237,12 +237,12 @@ impl Network {
 
     /// Traffic accounting so far (a point-in-time copy).
     pub fn stats(&self) -> NetStats {
-        self.hot.lock().unwrap_or_else(|e| e.into_inner()).stats.clone()
+        leaf::lock(&self.hot).stats.clone()
     }
 
     /// Resets the accounting (between experiment phases).
     pub fn reset_stats(&mut self) {
-        self.hot.lock().unwrap_or_else(|e| e.into_inner()).stats.reset();
+        leaf::lock(&self.hot).stats.reset();
     }
 }
 

@@ -299,17 +299,22 @@ fn small_replicated_write_budget() {
     pumped(&srv, &writes[..FILES]);
     let holder = &srv.fs.cluster.server(NodeId(0)).replicas;
     let async_before = holder.async_writes();
+    let rounds_before = deceit_sim::leaf::rounds_here();
     let (calls, bytes) = cost_per_write(&srv, &writes[FILES..]);
+    let rounds = (deceit_sim::leaf::rounds_here() - rounds_before) as f64 / WRITES as f64;
     assert_eq!(
         holder.async_writes(),
         async_before,
         "a held-token write at safety >= 1 puts nothing behind at the holder"
     );
-    println!("small write: {calls:.2} allocations, {bytes:.0} B");
+    println!("small write: {calls:.2} allocations, {bytes:.0} B, {rounds:.2} leaf-lock rounds");
     assert!(
         calls <= 3.0 && bytes <= 1_300.0,
         "a 512 B write into a 1 KiB (3, 2) file costs {calls:.2} allocations, {bytes:.0} B"
     );
+    // One visit per step at each server: 18.2 a write, the every-9th pump
+    // pass's queue probes included (33.8 when each map had its own lock).
+    assert!(rounds <= 19.0, "a 512 B write into a 1 KiB (3, 2) file takes {rounds:.2} lock rounds");
 
     // The budget was not met by skipping work: after the drains every
     // server's own replica holds the same bytes, the last two writes to

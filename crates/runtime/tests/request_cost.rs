@@ -1,16 +1,24 @@
 //! What one request costs besides its hand-off, counted rather than
-//! timed: wall-clock reads ([`deceit_sim::wall::reads`]) and allocator
-//! calls (the counting allocator below), per request, on a live 3-server
-//! cell with one session homed on server 0.
+//! timed: wall-clock reads ([`deceit_sim::wall::reads`]), leaf-lock
+//! rounds ([`deceit_sim::leaf::rounds`]) and allocator calls (the
+//! counting allocator below), per request, on a live 3-server cell with
+//! one session homed on server 0.
 //!
 //! * **read** — 512 B reads of a stable 1 KiB file replicated on every
 //!   server (`min_replicas` 3): the paper's cheapest operation (§2.1,
 //!   §3.4), served on the lock-free shared path. The client stamps the
-//!   call twice and nothing else reads the clock; nothing allocates.
+//!   call twice and nothing else reads the clock; nothing allocates; the
+//!   replica is found, copied out and its access recorded in one visit
+//!   to the server's slot — one lock round.
 //! * **write** — 512 B overwrites of a (3, 2) file from one reused
 //!   payload: the client's two stamps, the ring-lock hold's two, and the
 //!   pump's passes. It allocates the new image's buffer and that
-//!   buffer's refcount box, and nothing else.
+//!   buffer's refcount box, and nothing else. Its lock rounds are the
+//!   protocol's: the load's visit, the token check's visit and the
+//!   group's existence, the safety lane's member set, reachability
+//!   probe, exchange, failure-detector fold and delivery visit, the
+//!   holder's end visit, and two flight-recorder entries — 11, and
+//!   the pump's share of a drain.
 //!
 //! Only a park with a deadline reads the clock beyond those stamps, and
 //! every park a request pays ends in a wake-up the bus counts, so the
@@ -26,7 +34,7 @@ use bytes::Bytes;
 use deceit_core::{FileParams, WriteAvailability};
 use deceit_nfs::FileHandle;
 use deceit_runtime::{ClusterRuntime, RuntimeClient, RuntimeConfig};
-use deceit_sim::wall;
+use deceit_sim::{leaf, wall};
 
 /// Allocator calls (`alloc` + `realloc`) by every thread.
 static TOTAL: AtomicU64 = AtomicU64::new(0);
@@ -71,6 +79,7 @@ const IO: usize = 512;
 #[derive(Debug)]
 struct Cost {
     clock_reads: f64,
+    lock_rounds: f64,
     wakes: f64,
     allocs_client: f64,
     allocs_elsewhere: f64,
@@ -104,14 +113,15 @@ fn params(min_replicas: usize, write_safety: usize) -> FileParams {
 fn cost(rt: &ClusterRuntime, mut op: impl FnMut(usize)) -> Cost {
     (0..WARMUP).for_each(&mut op);
     let (s0, mine0, total0) = (rt.stats(), MINE.with(Cell::get), TOTAL.load(Ordering::Relaxed));
-    let reads0 = wall::reads();
+    let (reads0, rounds0) = (wall::reads(), leaf::rounds());
     (WARMUP..WARMUP + TIMED).for_each(&mut op);
-    let reads1 = wall::reads();
+    let (reads1, rounds1) = (wall::reads(), leaf::rounds());
     let (s1, mine1, total1) = (rt.stats(), MINE.with(Cell::get), TOTAL.load(Ordering::Relaxed));
     let per = |n: u64| n as f64 / TIMED as f64;
     let client = mine1 - mine0;
     Cost {
         clock_reads: per(reads1 - reads0),
+        lock_rounds: per(rounds1 - rounds0),
         wakes: per(s1.bus_wakes - s0.bus_wakes),
         allocs_client: per(client),
         allocs_elsewhere: per(total1 - total0 - client),
@@ -130,6 +140,7 @@ fn a_local_read_costs_two_stamps_and_no_allocation() {
     println!("read: {got:?}");
     assert_eq!(got.served_shared, TIMED as u64, "every read served on the shared path: {got:?}");
     assert!(got.clock_reads <= 2.0 + got.wakes, "clock reads per read: {got:?}");
+    assert!(got.lock_rounds <= 1.0, "leaf-lock rounds per read: {got:?}");
     assert_eq!(got.allocs_client, 0.0, "the session allocates per read: {got:?}");
     assert!(got.allocs_elsewhere <= 0.01, "the servers allocate per read: {got:?}");
 }
@@ -144,6 +155,7 @@ fn a_replicated_write_stays_within_its_budget() {
     });
     println!("write: {got:?}");
     assert!(got.clock_reads <= 4.5 + got.wakes, "clock reads per write: {got:?}");
+    assert!(got.lock_rounds <= 12.0, "leaf-lock rounds per write: {got:?}");
     let allocs = got.allocs_client + got.allocs_elsewhere;
     assert!(allocs <= 2.1, "allocations per write: {got:?}");
 }

@@ -13,12 +13,15 @@
 //! * [`trace`] — a structured protocol trace, used to regenerate Table 1 of
 //!   the paper (the "typical sequence of events in an update").
 //! * [`wall`] — the one counted wall clock the live runtime reads.
+//! * [`leaf`] — the one counted, poison-tolerant leaf-lock acquisition.
 //! * [`InlineVec`] — a short list held in place, for per-request lists.
 
 pub mod events;
 pub mod inline;
+pub mod leaf;
 pub mod rng;
 pub mod stats;
+mod tally;
 pub mod time;
 pub mod trace;
 pub mod wall;

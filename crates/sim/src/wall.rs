@@ -3,36 +3,25 @@
 //! Simulated time ([`crate::SimTime`]) never reads the wall clock; the
 //! live transport and runtime must, to stamp latencies and bound waits.
 //! Every such read goes through [`now`] (or [`since`], which is one
-//! [`now`]) and is counted, so a test can pin how many clock reads a
-//! request costs ([`reads`]). `deceit-lint`'s `one-clock` rule keeps
-//! product code from reading an `Instant` anywhere else.
-//!
-//! Counting stays off shared cache lines: each thread owns one counter,
-//! written only by that thread with a plain load and store (no atomic
-//! read-modify-write), and registered in a global list the first time
-//! the thread reads the clock. The counter is never freed (8 bytes per
-//! thread that ever read the clock), so an exited thread's reads stay
-//! counted.
+//! [`now`]) and is counted against the reading thread, so a test can pin
+//! how many clock reads a request costs ([`reads`]). `deceit-lint`'s
+//! `one-clock` rule keeps product code from reading an `Instant` anywhere
+//! else.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, PoisonError};
+use std::sync::atomic::AtomicU64;
 use std::time::{Duration, Instant};
 
-/// Every thread's counter. Pushing one leaves the list valid, so a
-/// poisoned lock is recovered.
-static COUNTERS: Mutex<Vec<&'static AtomicU64>> = Mutex::new(Vec::new());
+use crate::tally::{self, Tally};
+
+static READS: Tally = Tally::new();
 
 thread_local! {
-    static MINE: &'static AtomicU64 = {
-        let mine: &'static AtomicU64 = Box::leak(Box::new(AtomicU64::new(0)));
-        COUNTERS.lock().unwrap_or_else(PoisonError::into_inner).push(mine);
-        mine
-    };
+    static MINE: &'static AtomicU64 = READS.register();
 }
 
 /// Reads the wall clock, counting the read against this thread.
 pub fn now() -> Instant {
-    MINE.with(|mine| mine.store(mine.load(Ordering::Relaxed) + 1, Ordering::Relaxed));
+    MINE.with(|mine| tally::bump(mine));
     Instant::now()
 }
 
@@ -43,8 +32,7 @@ pub fn since(start: Instant) -> Duration {
 
 /// Clock reads so far by every thread of the process, live or exited.
 pub fn reads() -> u64 {
-    let counters = COUNTERS.lock().unwrap_or_else(PoisonError::into_inner);
-    counters.iter().map(|c| c.load(Ordering::Relaxed)).sum()
+    READS.sum()
 }
 
 #[cfg(test)]
