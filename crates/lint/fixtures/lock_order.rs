@@ -4,24 +4,24 @@
 
 impl Engine {
     fn cell_inside_ring(&self) {
-        let batch = self.lock_ring(class);
+        let batch = self.lock_slots(class);
         let cell = self.cell.read(); // VIOLATION: cell after ring
         drop((batch, cell));
     }
 
     fn raw_ring_indexing(&self) {
-        let guard = self.shards[3].lock(); // VIOLATION: only lock_ring proves ascending order
+        let guard = self.shards[3].lock(); // VIOLATION: only lock_slots proves ascending order
         drop(guard);
     }
 
-    fn lock_ring(&self, class: OpClass) -> Vec<Guard> {
+    fn lock_slots(&self, class: OpClass) -> Vec<Guard> {
         // Allowed: this *is* the seam that proves ascending order.
         class.slots().map(|s| self.shards[s].lock()).collect()
     }
 
     fn compliant(&self) {
         let cell = self.cell.read(); // cell first is the documented order
-        let batch = self.lock_ring(class);
+        let batch = self.lock_slots(class);
         drop((cell, batch));
     }
 }

@@ -7,7 +7,7 @@
 
 impl Engine {
     fn top(&self) {
-        let batch = self.lock_ring(class);
+        let batch = self.lock_slots(class);
         self.middle();
         drop(batch);
     }
@@ -21,7 +21,7 @@ impl Engine {
         drop(cell);
     }
 
-    fn lock_ring(&self, class: OpClass) -> Vec<Guard> {
+    fn lock_slots(&self, class: OpClass) -> Vec<Guard> {
         class.slots().map(|s| self.shards[s].lock()).collect()
     }
 }

@@ -3,18 +3,18 @@
 //! Two lock classes matter for the documented order (module doc of
 //! `runtime::shard`): the cell `RwLock` must be acquired before any
 //! shard ring mutex, ring mutexes are only acquired in ascending order
-//! inside `lock_ring`, and leaf locks stay a lexical rule. Each
+//! inside `lock_slots`, and leaf locks stay a lexical rule. Each
 //! function gets:
 //!
 //!  * direct acquisition *intervals* — `cell.read()/write()`,
-//!    `lock_ring(…)`, raw `shards[…].lock()` — with scope-aware
+//!    `lock_slots(…)`, raw `shards[…].lock()` — with scope-aware
 //!    release: a `let`-bound guard lives to the end of its enclosing
 //!    block, a temporary dies at the next statement-level `;` (which
 //!    also models match-scrutinee lifetime extension, since the scan
 //!    passes through the match body before finding one);
 //!  * a *guard summary*: a function whose return type names a guard
 //!    (`…Guard…`) hands its acquisitions to the caller — this is how
-//!    `read_guard()` and `lock_ring()` call sites become intervals;
+//!    `read_guard()` and `lock_slots()` call sites become intervals;
 //!  * a *closure summary*: the classes held at the points where a
 //!    function invokes its `Fn*` parameters — closure literals passed
 //!    to it run under those classes;
@@ -25,7 +25,7 @@
 //!
 //! The rule then flags any acquisition whose held-set violates
 //! cell→ring: acquiring the cell while anything is held, or a ring
-//! while a ring is held (outside `lock_ring` itself). Findings anchor
+//! while a ring is held (outside `lock_slots` itself). Findings anchor
 //! at the acquisition token so line-targeted waivers keep working, and
 //! carry the witness call chain when the pressure is interprocedural.
 
@@ -213,16 +213,16 @@ impl LockSets {
                     i += 3;
                     continue;
                 }
-                // `lock_ring(` — by name, resolved or not: the seam's
+                // `lock_slots(` — by name, resolved or not: the seam's
                 // name is part of the discipline.
-                if code[i].is("lock_ring") && seq(code, i + 1, &["("]) {
+                if code[i].is("lock_slots") && seq(code, i + 1, &["("]) {
                     let close = match_forward(code, i + 1);
                     acq.push(Acquisition {
                         idx: i,
                         line: code[i].line,
                         class: RING,
                         release: release_point(code, f.body, i, close),
-                        what: "a ring batch via `lock_ring`",
+                        what: "a ring batch via `lock_slots`",
                         via_call: false,
                     });
                     i += 1;
@@ -259,12 +259,12 @@ impl LockSets {
             }
         }
 
-        // Phase C: intervals for guard-returning call sites. `lock_ring`
+        // Phase C: intervals for guard-returning call sites. `lock_slots`
         // calls already produced a direct interval by name; skip those.
         for site in &graph.sites {
             let Some(callee) = site.callee else { continue };
             let classes = ls.fns[callee].guard_classes;
-            if classes == 0 || site.callee_name == "lock_ring" {
+            if classes == 0 || site.callee_name == "lock_slots" {
                 continue;
             }
             let caller = &items.fns[site.caller];
@@ -402,7 +402,7 @@ pub fn violations(
             let held = ls.held_for_event(fn_id, a.idx, graph);
             let bad = match a.class {
                 CELL => held & (CELL | RING),
-                RING if f.name != "lock_ring" => held & RING,
+                RING if f.name != "lock_slots" => held & RING,
                 _ => 0,
             };
             if bad == 0 {
@@ -433,7 +433,7 @@ pub fn violations(
                 )
             } else {
                 format!(
-                    "{} acquired in `{}` while {} already held{} — only `lock_ring` may batch ring acquisitions (ascending order is proven there)",
+                    "{} acquired in `{}` while {} already held{} — only `lock_slots` may batch ring acquisitions (ascending order is proven there)",
                     class_name(RING),
                     f.name,
                     held_desc(RING),
@@ -463,8 +463,8 @@ mod tests {
     #[test]
     fn direct_cell_after_ring_violates() {
         let src = "impl Engine {\n\
-            fn bad(&self) {\n        let batch = self.lock_ring(3);\n        let c = self.cell.read();\n    }\n\
-            fn lock_ring(&self, class: u32) -> Vec<Guard> { Vec::new() }\n}\n";
+            fn bad(&self) {\n        let batch = self.lock_slots(3);\n        let c = self.cell.read();\n    }\n\
+            fn lock_slots(&self, class: u32) -> Vec<Guard> { Vec::new() }\n}\n";
         let (items, files, graph, ls) = setup(src);
         let v = violations(&items, &files, &graph, &ls);
         assert_eq!(v.len(), 1, "{:?}", v.iter().map(|v| &v.message).collect::<Vec<_>>());
@@ -475,8 +475,8 @@ mod tests {
     #[test]
     fn cell_then_ring_is_the_documented_order() {
         let src = "impl Engine {\n\
-            fn good(&self) {\n        let c = self.cell.read();\n        let batch = self.lock_ring(3);\n    }\n\
-            fn lock_ring(&self, class: u32) -> Vec<Guard> { Vec::new() }\n}\n";
+            fn good(&self) {\n        let c = self.cell.read();\n        let batch = self.lock_slots(3);\n    }\n\
+            fn lock_slots(&self, class: u32) -> Vec<Guard> { Vec::new() }\n}\n";
         let (items, files, graph, ls) = setup(src);
         assert!(violations(&items, &files, &graph, &ls).is_empty());
     }
@@ -484,10 +484,10 @@ mod tests {
     #[test]
     fn helper_two_calls_deep_is_flagged_with_chain() {
         let src = "impl Engine {\n\
-            fn top(&self) {\n        let batch = self.lock_ring(3);\n        self.middle();\n    }\n\
+            fn top(&self) {\n        let batch = self.lock_slots(3);\n        self.middle();\n    }\n\
             fn middle(&self) { self.deep(); }\n\
             fn deep(&self) { let c = self.cell.read(); }\n\
-            fn lock_ring(&self, class: u32) -> Vec<Guard> { Vec::new() }\n}\n";
+            fn lock_slots(&self, class: u32) -> Vec<Guard> { Vec::new() }\n}\n";
         let (items, files, graph, ls) = setup(src);
         let v = violations(&items, &files, &graph, &ls);
         assert_eq!(v.len(), 1, "{:?}", v.iter().map(|v| &v.message).collect::<Vec<_>>());
@@ -502,8 +502,8 @@ mod tests {
         // The ring guard is a temporary: dead at the `;`, so the cell
         // acquisition on the next line is clean.
         let src = "impl Engine {\n\
-            fn ok(&self) {\n        self.lock_ring(3);\n        let c = self.cell.read();\n    }\n\
-            fn lock_ring(&self, class: u32) -> Vec<Guard> { Vec::new() }\n}\n";
+            fn ok(&self) {\n        self.lock_slots(3);\n        let c = self.cell.read();\n    }\n\
+            fn lock_slots(&self, class: u32) -> Vec<Guard> { Vec::new() }\n}\n";
         let (items, files, graph, ls) = setup(src);
         assert!(violations(&items, &files, &graph, &ls).is_empty());
     }
@@ -526,8 +526,8 @@ mod tests {
     #[test]
     fn let_guard_released_at_block_end() {
         let src = "impl Engine {\n\
-            fn ok(&self) {\n        {\n            let batch = self.lock_ring(3);\n        }\n        let c = self.cell.read();\n    }\n\
-            fn lock_ring(&self, class: u32) -> Vec<Guard> { Vec::new() }\n}\n";
+            fn ok(&self) {\n        {\n            let batch = self.lock_slots(3);\n        }\n        let c = self.cell.read();\n    }\n\
+            fn lock_slots(&self, class: u32) -> Vec<Guard> { Vec::new() }\n}\n";
         let (items, files, graph, ls) = setup(src);
         assert!(violations(&items, &files, &graph, &ls).is_empty());
     }
@@ -556,19 +556,19 @@ mod tests {
     }
 
     #[test]
-    fn ring_under_ring_outside_lock_ring_violates() {
+    fn ring_under_ring_outside_lock_slots_violates() {
         let src = "impl Engine {\n\
             fn bad(&self) {\n        let a = self.shards[1].lock();\n        let b = self.shards[0].lock();\n    }\n}\n";
         let (items, files, graph, ls) = setup(src);
         let v = violations(&items, &files, &graph, &ls);
         assert_eq!(v.len(), 1, "{:?}", v.iter().map(|v| &v.message).collect::<Vec<_>>());
-        assert!(v[0].message.contains("only `lock_ring`"));
+        assert!(v[0].message.contains("only `lock_slots`"));
     }
 
     #[test]
-    fn lock_ring_itself_may_batch() {
+    fn lock_slots_itself_may_batch() {
         let src = "impl Engine {\n\
-            fn lock_ring(&self, class: u32) -> Vec<Guard> {\n        let a = self.shards[0].lock();\n        let b = self.shards[1].lock();\n        Vec::new()\n    }\n}\n";
+            fn lock_slots(&self, class: u32) -> Vec<Guard> {\n        let a = self.shards[0].lock();\n        let b = self.shards[1].lock();\n        Vec::new()\n    }\n}\n";
         let (items, files, graph, ls) = setup(src);
         assert!(violations(&items, &files, &graph, &ls).is_empty());
     }

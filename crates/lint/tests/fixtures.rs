@@ -199,6 +199,32 @@ fn ordering_audit_fixture_fails_the_lint() {
     assert!(rule_findings(&report, "unused-waiver").is_empty());
 }
 
+/// The allowlist's own file, with `entries`, beside a runtime file that
+/// declares `Tally::served` and the static `NEXT`.
+fn lint_allowlist(entries: &str) -> lint::report::LintReport {
+    let allowlist = format!("const DECL_ALLOWLIST: &[&str] = &[\n{entries}];\n");
+    let decls = "pub struct Tally {\n    served: AtomicU64,\n}\nstatic NEXT: AtomicU64 = AtomicU64::new(0);\n";
+    lint_sources(&[
+        ("crates/lint/src/rules.rs".to_string(), allowlist),
+        ("crates/runtime/src/runtime.rs".to_string(), decls.to_string()),
+    ])
+}
+
+#[test]
+fn ordering_audit_flags_a_stale_allowlist_entry() {
+    let report = lint_allowlist("    \"Tally::served\",\n    \"Tally::gone\",\n    \"NEXT\",\n");
+    let hits = rule_findings(&report, "ordering-audit");
+    assert_eq!(hits.len(), 1, "findings: {:?}", report.findings);
+    assert_eq!((hits[0].file.as_str(), hits[0].line), ("crates/lint/src/rules.rs", 3));
+    assert!(hits[0].message.contains("`Tally::gone`"), "{}", hits[0].message);
+}
+
+#[test]
+fn ordering_audit_accepts_an_allowlist_that_resolves() {
+    let report = lint_allowlist("    \"Tally::served\",\n    \"NEXT\",\n");
+    assert!(report.findings.is_empty(), "findings: {:?}", report.findings);
+}
+
 #[test]
 fn interprocedural_lock_order_fixture_fails_with_a_witness_chain() {
     let report = lint_fixture(

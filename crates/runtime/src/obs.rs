@@ -101,9 +101,6 @@ pub struct EngineReport {
     pub cell_wait: HistSummary,
     /// Ring-lock hold time, microseconds.
     pub ring_hold: HistSummary,
-    /// Per-slot `(sharded fast-path, exclusive fallback)` execution
-    /// counts, indexed by ring slot.
-    pub slots: Vec<(u64, u64)>,
 }
 
 /// Protocol-core telemetry ([`deceit_core::ObsCore`]), exported.
@@ -172,17 +169,12 @@ impl ObsReport {
         let e = &self.engine;
         let _ = write!(
             out,
-            "  \"engine\": {{\n    \"shared_acquisitions\": {},\n    \"exclusive_acquisitions\": {},\n    \"cell_wait\": {},\n    \"ring_hold\": {},\n    \"slots\": [",
+            "  \"engine\": {{\n    \"shared_acquisitions\": {},\n    \"exclusive_acquisitions\": {},\n    \"cell_wait\": {},\n    \"ring_hold\": {}\n  }},\n",
             e.shared_acquisitions,
             e.exclusive_acquisitions,
             summary_json(&e.cell_wait),
             summary_json(&e.ring_hold),
         );
-        for (i, (sharded, fallbacks)) in e.slots.iter().enumerate() {
-            let sep = if i == 0 { "" } else { ", " };
-            let _ = write!(out, "{sep}{{\"sharded\": {sharded}, \"fallbacks\": {fallbacks}}}");
-        }
-        out.push_str("]\n  },\n");
         match &self.core {
             Some(c) => {
                 let p = &c.placement;
@@ -292,7 +284,6 @@ mod tests {
                 exclusive_acquisitions: 3,
                 cell_wait: summary_of(&[1]),
                 ring_hold: summary_of(&[2]),
-                slots: vec![(4, 1), (0, 0)],
             },
             core: Some(CoreReport {
                 drain_batch: summary_of(&[3, 3]),
@@ -329,7 +320,6 @@ mod tests {
             "\"p99_us\"",
             "\"failover\": {\"retries\": 5, \"exhausted\": 1}",
             "\"shared_acquisitions\": 7",
-            "\"slots\": [{\"sharded\": 4, \"fallbacks\": 1}",
             "\"lease_validation_failures\": 1",
             "\"flight_events\": [12, 0, 5]",
             "\"placement\": {\"migrations_proposed\": 4, \"migrations_executed\": 3, \"migrations_vetoed_floor\": 1, \"replicas_retired\": 2, \"decay_epochs\": 6}",

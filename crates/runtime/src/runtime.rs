@@ -1,34 +1,32 @@
 //! The live cluster: server threads, the pump thread, failure injection.
 //!
-//! Request execution is *sharded* (see [`crate::shard`]): read-only
-//! requests run concurrently under the shared cell lock — served by the
-//! engine's `&self` fast path when the addressed server holds a local
-//! stable replica — and mutations run under the shared cell lock plus
-//! the shard ring locks their [`OpClass`] declares, concurrently with
-//! reads and with mutations of files in other shards. Only requests
-//! whose footprint escapes their declared shards (and failure
-//! injection) take the exclusive cell lock. The deferred-work pump
-//! drains the engine's per-shard event queues under shared access, one
-//! slot at a time.
+//! Each server thread serves its mailbox one request at a time, in
+//! arrival order: it hands the request to `ShardedEngine::serve`, which
+//! picks the locks (see [`crate::shard`]) and returns the reply with the
+//! rung that answered; the thread counts that rung and replies. Nothing
+//! here names a lock level or an [`NfsService`] entry. The pump thread
+//! drains the engine's per-shard deferred work one slot at a time through
+//! `ShardedEngine::pump_slot`, and failure injection and the inspection
+//! hatches take the whole engine through `ShardedEngine::exclusive`.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::{self, JoinHandle};
 use std::time::Duration;
 
 use parking_lot::Mutex;
 
-use deceit_core::{OpClass, ProtocolHost};
+use deceit_core::ProtocolHost;
 use deceit_net::live::LiveBus;
-use deceit_net::rpc::{IncomingRequest, Rpc, RpcEndpoint};
+use deceit_net::rpc::{Rpc, RpcEndpoint};
 use deceit_net::NodeId;
 use deceit_nfs::{DeceitFs, NfsReply, NfsRequest, NfsServer, NfsService};
 
 use crate::client::RuntimeClient;
 use crate::config::RuntimeConfig;
 use crate::obs::{CoreReport, EngineReport, ObsReport, RuntimeObs, OP_CLASS_NAMES};
-use crate::shard::ShardedEngine;
+use crate::shard::{Rung, ShardedEngine};
 
 /// The wire frame between clients and servers: the NFS envelope carried
 /// over correlated RPC.
@@ -37,18 +35,24 @@ pub(crate) type NfsFrame = Rpc<NfsRequest, NfsReply>;
 /// First node id handed to client sessions; servers occupy `0..n`.
 pub(crate) const CLIENT_BASE: u32 = 1_000;
 
-/// How many additional already-queued read-only requests one server
-/// thread serves under a single shared-lock acquisition. Bounded so a
-/// deep read queue cannot starve an arriving mutation indefinitely.
-const READ_BATCH: usize = 64;
-
 /// One server's traffic counters, updated lock-free by its message loop
 /// so [`ClusterRuntime::stats`] and the final report never contend with
 /// request execution.
 #[derive(Debug, Default)]
 struct Tally {
-    served: AtomicU64,
+    /// Requests served, indexed by the `Rung` that answered them.
+    served: [AtomicU64; Rung::ALL.len()],
     dropped_while_crashed: AtomicU64,
+}
+
+impl Tally {
+    fn served(&self, rung: Rung) -> u64 {
+        self.served[rung as usize].load(Ordering::Relaxed)
+    }
+
+    fn served_total(&self) -> u64 {
+        Rung::ALL.iter().map(|&rung| self.served(rung)).sum()
+    }
 }
 
 /// Aggregate traffic counters of a running cluster.
@@ -69,13 +73,16 @@ pub struct RuntimeStats {
     /// process-wide: every thread of the process counts, this cell's or
     /// not.
     pub clock_reads: u64,
-    /// Requests served across all server threads.
+    /// Requests served across all server threads: the sum of the three
+    /// rungs' counts. A request is counted before its reply is sent.
     pub requests_served: u64,
-    /// Of those, requests served on the concurrent read fast path
-    /// (shared cell lock, no exclusive engine access).
+    /// Of those, read-only requests answered under the shared cell lock
+    /// alone.
     pub requests_served_shared: u64,
-    /// Of those, mutations served on the sharded path (shared cell lock
-    /// plus the class's shard ring locks — no exclusive engine access).
+    /// Of those, requests answered under the shared cell lock plus ring
+    /// locks: mutations within their declared files, and reads that
+    /// forward from a server with no replica. The rest took the
+    /// exclusive cell lock.
     pub requests_served_sharded: u64,
     /// Deferred protocol work pending, as of the last time a thread
     /// holding the engine refreshed the cached count. Reading it takes
@@ -86,7 +93,7 @@ pub struct RuntimeStats {
 /// Final accounting returned by [`ClusterRuntime::shutdown`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RuntimeReport {
-    /// Requests served, per server.
+    /// Requests served, per server, over all three rungs.
     pub served: Vec<(NodeId, u64)>,
     /// Frames that evaporated in the transport because they were queued
     /// at a machine when it crashed (dead kernel buffers).
@@ -122,7 +129,7 @@ struct SplitState {
 /// (record a home *and* re-impose the split; change the split *and*
 /// mutate the engine) runs under the one `active_split` lock, so a heal
 /// that lands concurrently with a session open can never leave the bus
-/// carrying a stale split — and a session opened mid-heal can never
+/// with a stale split imposed — and a session opened mid-heal can never
 /// re-impose the partition it raced with.
 #[derive(Debug, Default)]
 pub(crate) struct ClientDirectory {
@@ -226,30 +233,16 @@ struct Shared<S> {
     bus: LiveBus<NfsFrame>,
     engine: ShardedEngine<S>,
     stop: AtomicBool,
-    served_total: AtomicU64,
-    served_shared: AtomicU64,
-    served_sharded: AtomicU64,
-    /// Cached [`ProtocolHost::pending_work`], refreshed by whichever
-    /// thread last held the engine exclusively, so stats reads and the
-    /// pump's idle check never take a lock.
-    pending_cache: AtomicUsize,
     /// Per-server traffic counters, indexed by server id.
     tallies: Box<[Tally]>,
     /// Always-on runtime observability, shared with client sessions.
     obs: Arc<RuntimeObs>,
 }
 
-impl<S: ProtocolHost> Shared<S> {
-    /// Exclusive engine access that refreshes the pending-work cache on
-    /// the way out — the only mutation entry points are this, the
-    /// class-dispatched serve path, and the pump, so the cache can only
-    /// go stale by the width of one in-flight operation.
-    fn with_engine<T>(&self, f: impl FnOnce(&mut S) -> T) -> T {
-        self.engine.exclusive(|e| {
-            let out = f(e);
-            self.pending_cache.store(e.pending_work(), Ordering::Release);
-            out
-        })
+impl<S> Shared<S> {
+    /// Requests served by every server on `rung`.
+    fn served(&self, rung: Rung) -> u64 {
+        self.tallies.iter().map(|t| t.served(rung)).sum()
     }
 }
 
@@ -293,18 +286,10 @@ impl<S: NfsService + ProtocolHost + Send + Sync + 'static> ClusterRuntime<S> {
             cfg.servers
         );
         let bus: LiveBus<NfsFrame> = LiveBus::new();
-        let pending = engine.pending_work();
-        // Ring locks match the engine's own shard partitioning, so
-        // holding slot s covers exactly the engine's slot-s hot state.
-        let ring_slots = engine.shard_count();
         let shared = Arc::new(Shared {
             bus: bus.clone(),
-            engine: ShardedEngine::new(engine, ring_slots),
+            engine: ShardedEngine::new(engine),
             stop: AtomicBool::new(false),
-            served_total: AtomicU64::new(0),
-            served_shared: AtomicU64::new(0),
-            served_sharded: AtomicU64::new(0),
-            pending_cache: AtomicUsize::new(pending),
             tallies: (0..cfg.servers).map(|_| Tally::default()).collect(),
             obs: Arc::new(RuntimeObs::new()),
         });
@@ -391,7 +376,7 @@ impl<S: NfsService + ProtocolHost + Send + Sync + 'static> ClusterRuntime<S> {
     /// Runs `f` with exclusive access to the protocol engine — the
     /// inspection hatch used by tests and the scenario runner.
     pub fn with_engine<T>(&self, f: impl FnOnce(&mut S) -> T) -> T {
-        self.shared.with_engine(f)
+        self.shared.engine.exclusive(f)
     }
 
     /// Drives deferred protocol work to quiescence.
@@ -400,7 +385,7 @@ impl<S: NfsService + ProtocolHost + Send + Sync + 'static> ClusterRuntime<S> {
     /// point-in-time statement, exactly like the simulator's
     /// `run_until_quiet` between operations.
     pub fn settle(&self) {
-        self.shared.with_engine(|e| e.settle());
+        self.shared.engine.exclusive(|e| e.settle());
     }
 
     /// Crashes a server "without notification": the bus rejects its
@@ -409,12 +394,12 @@ impl<S: NfsService + ProtocolHost + Send + Sync + 'static> ClusterRuntime<S> {
     /// loop are indistinguishable to the rest of the cell.
     pub fn crash_server(&self, id: NodeId) {
         self.shared.bus.crash(id);
-        self.shared.with_engine(|e| e.crash_node(id));
+        self.shared.engine.exclusive(|e| e.crash_node(id));
     }
 
     /// Restarts a crashed server and runs its recovery protocol.
     pub fn restart_server(&self, id: NodeId) {
-        self.shared.with_engine(|e| e.restart_node(id));
+        self.shared.engine.exclusive(|e| e.restart_node(id));
         self.shared.bus.recover(id);
     }
 
@@ -427,7 +412,7 @@ impl<S: NfsService + ProtocolHost + Send + Sync + 'static> ClusterRuntime<S> {
     pub fn split(&self, groups: &[&[NodeId]]) {
         let owned: Vec<Vec<NodeId>> = groups.iter().map(|g| g.to_vec()).collect();
         self.dir.set_split_with(Some(owned), &self.shared.bus, || {
-            self.shared.with_engine(|e| e.split_nodes(groups));
+            self.shared.engine.exclusive(|e| e.split_nodes(groups));
         });
     }
 
@@ -435,7 +420,7 @@ impl<S: NfsService + ProtocolHost + Send + Sync + 'static> ClusterRuntime<S> {
     /// with the directory/bus state — see [`ClusterRuntime::split`].
     pub fn heal(&self) {
         self.dir.set_split_with(None, &self.shared.bus, || {
-            self.shared.with_engine(|e| e.heal_nodes());
+            self.shared.engine.exclusive(|e| e.heal_nodes());
         });
     }
 
@@ -450,10 +435,10 @@ impl<S: NfsService + ProtocolHost + Send + Sync + 'static> ClusterRuntime<S> {
             bus_wakes: self.shared.bus.wakes(),
             bus_yields: self.shared.bus.yields(),
             clock_reads: deceit_sim::wall::reads(),
-            requests_served: self.shared.served_total.load(Ordering::Relaxed),
-            requests_served_shared: self.shared.served_shared.load(Ordering::Relaxed),
-            requests_served_sharded: self.shared.served_sharded.load(Ordering::Relaxed),
-            pending_work: self.shared.pending_cache.load(Ordering::Acquire),
+            requests_served: self.shared.tallies.iter().map(Tally::served_total).sum(),
+            requests_served_shared: self.shared.served(Rung::Shared),
+            requests_served_sharded: self.shared.served(Rung::Ring),
+            pending_work: self.shared.engine.pending_work(),
         }
     }
 
@@ -476,11 +461,6 @@ impl<S: NfsService + ProtocolHost + Send + Sync + 'static> ClusterRuntime<S> {
             exclusive_acquisitions: eobs.exclusive_acquisitions.load(Ordering::Relaxed),
             cell_wait: eobs.cell_wait.summary(),
             ring_hold: eobs.ring_hold.summary(),
-            slots: eobs
-                .slots
-                .iter()
-                .map(|s| (s.sharded.load(Ordering::Relaxed), s.fallbacks.load(Ordering::Relaxed)))
-                .collect(),
         };
         let (core, stats) = {
             let guard = self.shared.engine.read_guard();
@@ -558,7 +538,7 @@ impl<S: NfsService + ProtocolHost + Send + Sync + 'static> ClusterRuntime<S> {
             served: self
                 .server_ids
                 .iter()
-                .map(|&id| (id, self.shared.tallies[id.index()].served.load(Ordering::Relaxed)))
+                .map(|&id| (id, self.shared.tallies[id.index()].served_total()))
                 .collect(),
             bus_dropped_stale: self.shared.bus.dropped_stale(),
             dropped_while_crashed: self
@@ -579,185 +559,32 @@ impl<S: NfsService + ProtocolHost + Send + Sync + 'static> Drop for ClusterRunti
     }
 }
 
-/// One server's message loop: receive, classify, execute under exactly
-/// the locks the request's class requires, reply.
+/// One server's message loop: receive, serve on the engine's ladder,
+/// count the rung that answered, reply — one request at a time, in
+/// arrival order.
 fn serve_loop<S: NfsService + ProtocolHost>(
     shared: &Shared<S>,
     mut ep: RpcEndpoint<NfsRequest, NfsReply>,
 ) {
     let id = ep.node();
-    // A request pulled off the queue during read batching that cannot be
-    // served under the shared lock; handled first on the next turn.
-    let mut carry: Option<IncomingRequest<NfsRequest>> = None;
+    let tally = &shared.tallies[id.index()];
     while !shared.stop.load(Ordering::Acquire) {
         // No deadline: an idle server sleeps until a request arrives,
         // and only a closed bus (shutdown) hands back `None`.
-        let Some(incoming) = carry.take().or_else(|| ep.next_request(Duration::MAX)) else { break };
+        let Some(incoming) = ep.next_request(Duration::MAX) else { break };
         // A machine crashed by failure injection loses whatever was
         // queued in its buffers; the thread itself cannot know — it just
         // finds the traffic gone.
         if ep.is_crashed() {
-            shared.tallies[id.index()].dropped_while_crashed.fetch_add(1, Ordering::Relaxed);
+            tally.dropped_while_crashed.fetch_add(1, Ordering::Relaxed);
             continue;
         }
-        match incoming.req.class() {
-            OpClass::ReadOnly => carry = serve_read_batch(shared, &mut ep, id, incoming),
-            class => {
-                // Shared cell lock + the class's ring locks; the whole
-                // cell if the request's footprint escapes those.
-                let (rep, ringed) = serve_ring_then_cell(shared, id, class, incoming.req);
-                if ep.reply(incoming.from, incoming.call, rep) {
-                    shared.tallies[id.index()].served.fetch_add(1, Ordering::Relaxed);
-                    shared.served_total.fetch_add(1, Ordering::Relaxed);
-                    if ringed {
-                        shared.served_sharded.fetch_add(1, Ordering::Relaxed);
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// The rung both serve ladders end on: the request runs under the shared
-/// cell lock plus its ring locks — those its class declares, or for a
-/// read that of its shard key (skipped when it has none) — and, if its
-/// footprint escapes them, holding the whole cell. Returns the reply and
-/// whether the ring locks sufficed.
-fn serve_ring_then_cell<S: NfsService + ProtocolHost>(
-    shared: &Shared<S>,
-    id: NodeId,
-    class: OpClass,
-    req: NfsRequest,
-) -> (NfsReply, bool) {
-    let note_pending = |e: &S| shared.pending_cache.store(e.pending_work(), Ordering::Release);
-    let ringed = match class {
-        OpClass::ReadOnly => req.shard_key().and_then(|key| {
-            shared
-                .engine
-                .try_execute_sharded(OpClass::Mutate(key), |e| e.serve_read_sharded(id, &req))
-        }),
-        _ => shared
-            .engine
-            .try_execute_sharded(class, |e| e.serve_sharded(id, &req).inspect(|_| note_pending(e))),
-    };
-    match ringed {
-        Some((rep, _latency)) => (rep, true),
-        None => {
-            let (rep, _latency) = shared.engine.execute(class, |e| {
-                let out = e.serve(id, req);
-                note_pending(e);
-                out
-            });
-            (rep, false)
-        }
-    }
-}
-
-/// Serves one read-only request — and up to [`READ_BATCH`] further
-/// already-queued read-only requests — under a single shared-lock
-/// acquisition.
-///
-/// Batching matters under load: without it, every reply forces a lock
-/// round trip even though neighboring requests in the queue are also
-/// reads. A request the fast path cannot answer (no local stable
-/// replica) falls back to the exclusive serve immediately; a non-read
-/// request ends the batch and is returned as carry for the main loop.
-fn serve_read_batch<S: NfsService + ProtocolHost>(
-    shared: &Shared<S>,
-    ep: &mut RpcEndpoint<NfsRequest, NfsReply>,
-    id: NodeId,
-    first: IncomingRequest<NfsRequest>,
-) -> Option<IncomingRequest<NfsRequest>> {
-    let tally = |served: bool, fast: bool| {
-        if served {
-            shared.tallies[id.index()].served.fetch_add(1, Ordering::Relaxed);
-            shared.served_total.fetch_add(1, Ordering::Relaxed);
-            if fast {
-                shared.served_shared.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-    };
-    let mut incoming = Some(first);
-    let mut budget = READ_BATCH;
-    while let Some(cur) = incoming.take() {
-        // The whole fast-path batch runs under one guard; the guard is
-        // released only to fall back to the exclusive path or to hand a
-        // non-read request to the main loop.
-        let fallback = {
-            let engine = shared.engine.read_guard();
-            let mut cur = cur;
-            loop {
-                match engine.serve_shared(id, &cur.req) {
-                    Some((rep, _latency)) => tally(ep.reply(cur.from, cur.call, rep), true),
-                    None => break Some(cur),
-                }
-                match next_batched_read(shared, ep, id, &mut budget) {
-                    BatchNext::Read(next) => cur = next,
-                    BatchNext::Carry(next) => return Some(next),
-                    BatchNext::Done => break None,
-                }
-            }
-        };
-        // Not locally servable: the full read path forwards, joins
-        // groups, and accounts the clock. It still runs under the
-        // shared cell lock when the request names a primary file —
-        // serialized only against that file's mutations on its ring
-        // lock — and takes the whole cell only for keyless requests,
-        // cell-spanning inquiries, and lookups whose child must forward.
-        let cur = fallback?;
-        let (rep, ringed) = serve_ring_then_cell(shared, id, OpClass::ReadOnly, cur.req);
-        let served = ep.reply(cur.from, cur.call, rep);
-        tally(served, false);
-        if served && ringed {
-            shared.served_sharded.fetch_add(1, Ordering::Relaxed);
-        }
-        match next_batched_read(shared, ep, id, &mut budget) {
-            BatchNext::Read(next) => incoming = Some(next),
-            BatchNext::Carry(next) => return Some(next),
-            BatchNext::Done => return None,
-        }
-    }
-    None
-}
-
-/// What the read batch should do next.
-enum BatchNext {
-    /// Another read-only request was already queued: keep batching.
-    Read(IncomingRequest<NfsRequest>),
-    /// A non-read request was pulled off the queue: end the batch and
-    /// hand it to the main loop.
-    Carry(IncomingRequest<NfsRequest>),
-    /// Budget exhausted, stop requested, queue empty, or crashed.
-    Done,
-}
-
-/// The batch-continuation step: budget/stop check, non-blocking poll,
-/// crash-evaporation accounting, and read-vs-carry classification — one
-/// copy, shared by the fast-path loop and the exclusive fallback.
-fn next_batched_read<S>(
-    shared: &Shared<S>,
-    ep: &mut RpcEndpoint<NfsRequest, NfsReply>,
-    id: NodeId,
-    budget: &mut usize,
-) -> BatchNext {
-    if *budget == 0 || shared.stop.load(Ordering::Acquire) {
-        return BatchNext::Done;
-    }
-    *budget -= 1;
-    match ep.poll_request() {
-        Some(next) => {
-            if ep.is_crashed() {
-                // Mirror the main loop: queued traffic at a crashed
-                // machine evaporates.
-                shared.tallies[id.index()].dropped_while_crashed.fetch_add(1, Ordering::Relaxed);
-                BatchNext::Done
-            } else if next.req.class() == OpClass::ReadOnly {
-                BatchNext::Read(next)
-            } else {
-                BatchNext::Carry(next)
-            }
-        }
-        None => BatchNext::Done,
+        let (rep, rung) = shared.engine.serve(id, incoming.req);
+        // Counted before the reply leaves, so a session that reads the
+        // stats after its reply finds its request there. A reply the bus
+        // refuses is counted in `bus_rejected` as well.
+        tally.served[rung as usize].fetch_add(1, Ordering::Relaxed);
+        ep.reply(incoming.from, incoming.call, rep);
     }
 }
 
@@ -773,7 +600,7 @@ fn pump_loop<S: ProtocolHost>(shared: &Shared<S>, interval: Duration, batch: usi
     while !shared.stop.load(Ordering::Acquire) {
         // The cached count keeps an idle pump off the cell lock
         // entirely — a read-only workload never sees the pump contend.
-        if shared.pending_cache.load(Ordering::Acquire) == 0 {
+        if shared.engine.pending_work() == 0 {
             if !idle {
                 idle = true;
                 shared.obs.pump_to_idle.fetch_add(1, Ordering::Relaxed);
@@ -795,23 +622,7 @@ fn pump_loop<S: ProtocolHost>(shared: &Shared<S>, interval: Duration, batch: usi
             if mask & (1 << slot) == 0 {
                 continue;
             }
-            let drained = shared.engine.with_slot_shared(slot, |e| {
-                let n = e.try_pump_shard(slot, batch);
-                if n.is_some() {
-                    shared.pending_cache.store(e.pending_work(), Ordering::Release);
-                }
-                n
-            });
-            fired += match drained {
-                Some(n) => n,
-                // Engine cannot pump a shard through `&self`: fall back
-                // to an exclusive slice.
-                None => shared.engine.with_slot(slot, |e| {
-                    let n = e.pump(batch);
-                    shared.pending_cache.store(e.pending_work(), Ordering::Release);
-                    n
-                }),
-            };
+            fired += shared.engine.pump_slot(slot, batch);
         }
         if fired == 0 {
             // Work is pending but none of it is ready: it is parked
