@@ -1,7 +1,7 @@
 //! Agent behavior: caching, failover, shortcuts.
 
 use deceit_agent::{Agent, AgentConfig, AgentPlacement};
-use deceit_core::FileParams;
+use deceit_core::{FileParams, Stat};
 use deceit_net::NodeId;
 use deceit_nfs::{DeceitFs, NfsReply, NfsRequest, NfsServer};
 
@@ -106,18 +106,18 @@ fn shortcut_routes_to_replica_holder() {
     let mut agent = Agent::new(n(100), n(2), cfg);
 
     // Without priming, requests go to server 2 and get forwarded.
-    let before = srv.fs.cluster.stats.counter("core/reads/forwarded");
+    let before = srv.fs.cluster.obs.count(Stat::ReadsForwarded);
     let (reply, _) = agent.rpc(&mut srv, NfsRequest::Read { fh: f.handle, offset: 0, count: 10 });
     assert!(matches!(reply, NfsReply::Data(_)));
-    let after = srv.fs.cluster.stats.counter("core/reads/forwarded");
+    let after = srv.fs.cluster.obs.count(Stat::ReadsForwarded);
     assert!(after > before, "unshortcut read was forwarded server-side");
 
     // After priming, the agent talks straight to a replica holder.
     agent.prime_shortcut(&mut srv, f.handle);
-    let fwd_before = srv.fs.cluster.stats.counter("core/reads/forwarded");
+    let fwd_before = srv.fs.cluster.obs.count(Stat::ReadsForwarded);
     let (reply, _) = agent.rpc(&mut srv, NfsRequest::Read { fh: f.handle, offset: 0, count: 10 });
     assert!(matches!(reply, NfsReply::Data(_)));
-    let fwd_after = srv.fs.cluster.stats.counter("core/reads/forwarded");
+    let fwd_after = srv.fs.cluster.obs.count(Stat::ReadsForwarded);
     assert_eq!(fwd_after, fwd_before, "shortcut read needed no forwarding");
 }
 

@@ -79,7 +79,7 @@ pub fn run() -> (Table, Fig2Result) {
         deceit_client.read_file(&mut srv, *fh).unwrap();
     }
     let client_conversations_deceit = 1;
-    let forwarded = srv.fs.cluster.stats.counter("core/reads/forwarded");
+    let forwarded = srv.fs.cluster.obs.count(Stat::ReadsForwarded);
 
     // Crash the server holding file "c" (NodeId 2).
     srv.fs.cluster.crash_server(NodeId(2));

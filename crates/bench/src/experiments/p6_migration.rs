@@ -36,9 +36,9 @@ pub fn run_with(migration: bool) -> Vec<MigrationEpoch> {
 
     let mut epochs = Vec::new();
     for epoch in 0..6 {
-        let before_local = fs.cluster.stats.counter("core/reads/local");
-        let before_remote = fs.cluster.stats.counter("core/reads/forwarded")
-            + fs.cluster.stats.counter("core/reads/forwarded_unstable");
+        let before_local = fs.cluster.obs.count(Stat::ReadsLocal);
+        let before_remote = fs.cluster.obs.count(Stat::ReadsForwarded)
+            + fs.cluster.obs.count(Stat::ReadsForwardedUnstable);
         let mut total = SimDuration::ZERO;
         let mut n = 0;
         for (fh, _) in &corpus.files {
@@ -47,9 +47,9 @@ pub fn run_with(migration: bool) -> Vec<MigrationEpoch> {
             n += 1;
         }
         fs.cluster.run_until_quiet(); // background replica generation
-        let local = fs.cluster.stats.counter("core/reads/local") - before_local;
-        let remote = fs.cluster.stats.counter("core/reads/forwarded")
-            + fs.cluster.stats.counter("core/reads/forwarded_unstable")
+        let local = fs.cluster.obs.count(Stat::ReadsLocal) - before_local;
+        let remote = fs.cluster.obs.count(Stat::ReadsForwarded)
+            + fs.cluster.obs.count(Stat::ReadsForwardedUnstable)
             - before_remote;
         epochs.push(MigrationEpoch {
             epoch,

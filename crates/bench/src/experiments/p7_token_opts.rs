@@ -57,7 +57,7 @@ pub fn measure_cfg(
     fs.cluster.run_until_quiet();
 
     let msgs_before = fs.cluster.net.stats().messages;
-    let passes_before = fs.cluster.stats.counter("core/token/passes");
+    let passes_before = fs.cluster.obs.count(Stat::TokenPasses);
     let mut total = SimDuration::ZERO;
     for i in 0..writes {
         let via = NodeId((i % 2) as u32);
@@ -67,7 +67,7 @@ pub fn measure_cfg(
         label: label.to_string(),
         latency_us: total.as_micros() as f64 / writes as f64,
         msgs_per_write: (fs.cluster.net.stats().messages - msgs_before) as f64 / writes as f64,
-        token_passes: fs.cluster.stats.counter("core/token/passes") - passes_before,
+        token_passes: fs.cluster.obs.count(Stat::TokenPasses) - passes_before,
     }
 }
 

@@ -34,13 +34,13 @@ use std::sync::Mutex;
 
 use deceit_isis::GroupTable;
 use deceit_net::{Network, NodeId};
-use deceit_sim::{leaf, SimDuration, SimTime, StatsRegistry, TraceLog};
+use deceit_sim::{leaf, SimDuration, SimTime, TraceLog};
 
 use crate::config::ClusterConfig;
 use crate::error::{DeceitError, DeceitResult};
 use crate::host::shard_slot;
 use crate::hot::{ShardedEvents, ShardedMap};
-use crate::obs::ObsCore;
+use crate::obs::{ObsCore, Stat};
 use crate::server::{SegmentId, ServerState};
 use crate::trace_events::ProtocolEvent;
 use crate::version::BranchTable;
@@ -117,14 +117,13 @@ pub struct Cluster {
     /// Protocol time, in microseconds. Monotone; advanced by operation
     /// latencies and event due times.
     clock: AtomicU64,
-    /// Experiment metrics (internally synchronized).
-    pub stats: StatsRegistry,
     /// Protocol trace (Table 1 regeneration; internally synchronized).
     pub trace: TraceLog<ProtocolEvent>,
-    /// Always-on observability: per-server flight recorder plus the
-    /// core-side histograms and counters. Unlike `trace`/`stats` this
-    /// has no off switch — it is bounded and lock-free (or nearly so)
-    /// by construction, so live hosting keeps it running.
+    /// Always-on observability: per-server flight recorder, the
+    /// protocol's event counters ([`crate::obs::Stat`]) and the core-side
+    /// histograms. Unlike `trace` this has no off switch — it is bounded
+    /// and lock-free (or nearly so) by construction, so live hosting
+    /// keeps it running.
     pub obs: ObsCore,
     /// Per-segment history-tree branch records, sharded by segment.
     ///
@@ -158,14 +157,12 @@ impl Cluster {
         let servers =
             (0..n_servers).map(|i| ServerState::new(NodeId::from(i), cfg.disk, shards)).collect();
         let trace = if cfg.trace { TraceLog::new() } else { TraceLog::disabled() };
-        let stats = if cfg.stats { StatsRegistry::new() } else { StatsRegistry::disabled() };
         Cluster {
             net,
             servers,
             groups: GroupTable::new(),
             events: ShardedEvents::new(shards),
             clock: AtomicU64::new(0),
-            stats,
             trace,
             obs: ObsCore::new(n_servers),
             branches: ShardedMap::new(shards),
@@ -289,11 +286,6 @@ impl Cluster {
     /// materialized).
     pub fn branch_table_snapshot(&self, seg: SegmentId) -> BranchTable {
         self.branches.get(&seg).unwrap_or_default()
-    }
-
-    /// Emits a protocol trace event at the current time.
-    pub(crate) fn emit(&self, ev: ProtocolEvent) {
-        self.trace.emit(self.now(), ev);
     }
 
     /// Emits a protocol event attributed to the server that performed
@@ -514,13 +506,12 @@ impl Cluster {
         self.net.crash(id);
         self.servers[id.index()].crash();
         self.events.retain(|e| e.owner() != id);
-        self.stats.incr("cluster/crashes");
+        self.obs.bump(Stat::Crashes);
     }
 
     /// Imposes a network partition between the given groups of servers.
     pub fn split(&mut self, groups: &[&[NodeId]]) {
         self.net.split(groups);
-        self.stats.incr("cluster/partitions");
     }
 
     /// Heals any partition and reconciles divergent versions (§3.6).
@@ -599,7 +590,7 @@ mod tests {
         let mut c = Cluster::new(2, ClusterConfig::deterministic());
         c.crash_server(NodeId(1));
         assert_eq!(c.check_up(NodeId(1)), Err(DeceitError::ServerDown(NodeId(1))));
-        assert_eq!(c.stats.counter("cluster/crashes"), 1);
+        assert_eq!(c.obs.count(Stat::Crashes), 1);
     }
 
     #[test]

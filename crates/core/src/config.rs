@@ -33,11 +33,11 @@ pub struct ClusterConfig {
     pub lru_keep: SimDuration,
     /// RNG seed for the run.
     pub seed: u64,
-    /// Whether to record protocol trace events (disable in benchmarks).
+    /// Whether to record protocol trace events (disable in benchmarks
+    /// and live hosting: the log is unbounded). The protocol's event
+    /// counters ([`crate::obs::Stat`]) have no switch: they are a fixed
+    /// table of atomics, always on.
     pub trace: bool,
-    /// Whether to record protocol metrics counters/histograms (disable
-    /// in live hosting: the registry sits on the request hot path).
-    pub stats: bool,
     /// §3.3 optimization 1: "broadcast an update in the same message with
     /// a token request; replica holders execute those updates upon
     /// receiving the corresponding token pass." When enabled, acquiring a
@@ -129,7 +129,6 @@ impl Default for ClusterConfig {
             lru_keep: SimDuration::from_secs(300),
             seed: 0xDECE17,
             trace: true,
-            stats: true,
             opt_piggyback_acquire: false,
             opt_forward_small: false,
             forward_small_threshold: 4096,
@@ -164,12 +163,6 @@ impl ClusterConfig {
     /// Disables tracing, builder-style (for benchmarks).
     pub fn without_trace(mut self) -> Self {
         self.trace = false;
-        self
-    }
-
-    /// Disables metrics recording, builder-style (for live hosting).
-    pub fn without_stats(mut self) -> Self {
-        self.stats = false;
         self
     }
 

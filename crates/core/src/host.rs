@@ -49,7 +49,7 @@ pub fn shard_slot(key: ShardKey, shards: usize) -> usize {
 /// seam a concurrent host dispatches on.
 ///
 /// The engine's state divides into *cold cell-wide* state (membership,
-/// groups, stats, trace, the clock and event queues) and *hot per-file*
+/// groups, trace, the clock and event queues) and *hot per-file*
 /// state (replicas, tokens, streams, directory segments). A hosting
 /// environment keeps the cell state under a read-mostly lock and the
 /// per-file state under shard locks; every operation declares up front
@@ -195,13 +195,11 @@ pub trait ProtocolHost {
         None
     }
 
-    /// A point-in-time copy of the engine's protocol stats registry, if
-    /// it keeps one. A disabled registry still answers — its snapshot
-    /// carries `disabled: true` so exporters cannot mistake "switched
-    /// off" for "nothing happened". `None` means the engine has no
-    /// registry at all.
+    /// A point-in-time copy of the engine's protocol counters, if it
+    /// keeps them: by default, the counter table of its
+    /// [`obs_core`](ProtocolHost::obs_core).
     fn stats_snapshot(&self) -> Option<deceit_sim::StatsSnapshot> {
-        None
+        self.obs_core().map(crate::obs::ObsCore::stats)
     }
 }
 
@@ -260,10 +258,6 @@ impl ProtocolHost for Cluster {
 
     fn obs_core(&self) -> Option<&crate::obs::ObsCore> {
         Some(&self.obs)
-    }
-
-    fn stats_snapshot(&self) -> Option<deceit_sim::StatsSnapshot> {
-        Some(self.stats.snapshot())
     }
 }
 

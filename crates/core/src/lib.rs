@@ -75,7 +75,7 @@ pub use config::ClusterConfig;
 pub use deceit_storage::{SegmentData, MAX_SEGMENT};
 pub use error::{DeceitError, DeceitResult};
 pub use host::{shard_slot, OpClass, ProtocolHost, ShardKey};
-pub use obs::{AtomicHistogram, FlightRecorder, HistCounts, HistSummary, ObsCore};
+pub use obs::{AtomicHistogram, FlightRecorder, HistCounts, HistSummary, ObsCore, Stat};
 pub use ops::{ReadData, WriteOp};
 pub use params::{FileParams, WriteAvailability};
 pub use placement::{PlacementCore, PlacementSnapshot};

@@ -1,11 +1,8 @@
-//! Always-on observability primitives: lock-free latency histograms,
-//! the protocol flight recorder, and the core-side counters they feed.
+//! Always-on observability: lock-free latency histograms, the protocol
+//! flight recorder, and the protocol's event counters.
 //!
-//! The live runtime disables the [`deceit_sim::StatsRegistry`] and the
-//! trace log on the request hot path (see `RuntimeConfig::new`), which
-//! until now meant the deployed system was throughput-only: no latency
-//! distribution, no protocol-event visibility, no contention signal.
-//! Everything in this module is built to stay on in production:
+//! Everything in this module stays on, in the simulator and in live
+//! hosting alike:
 //!
 //! * [`AtomicHistogram`] — a fixed-footprint, log-bucketed (HDR-style)
 //!   histogram of `u64` samples. Recording a sample costs at most two
@@ -17,15 +14,22 @@
 //!   [`ProtocolEvent`]s. Unlike the unbounded trace log it never grows,
 //!   so the live runtime keeps it on and dumps the last N protocol
 //!   events per server when a differential test or stress run fails.
+//! * [`Stat`] — the protocol's event counters (§6–7 count messages,
+//!   token passes, forwarded reads and stabilize rounds): one fixed table
+//!   of relaxed atomics, one slot per variant, so a bump is one
+//!   uncontended `fetch_add` and a misspelt counter fails to compile.
 //! * [`ObsCore`] — the cluster-owned bundle: flight recorder, pipeline
-//!   drain-batch distribution, and lease-validation-failure count.
+//!   drain-batch distribution, the counter table, and the placement
+//!   access tables.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 use deceit_net::NodeId;
-use deceit_sim::SimTime;
+use deceit_sim::{SimTime, StatsSnapshot};
 
+use crate::placement::{PlacementCore, PlacementSnapshot};
+use crate::server::SegmentId;
 use crate::trace_events::ProtocolEvent;
 
 /// Sub-bucket resolution: each power-of-two range splits into
@@ -349,8 +353,101 @@ impl FlightRecorder {
     }
 }
 
+/// Declares [`Stat`], its export names, and the list of every variant
+/// in table order, from one list.
+macro_rules! stats {
+    ($($(#[$doc:meta])* $stat:ident => $name:literal,)*) => {
+        /// One protocol event counter in [`ObsCore`]'s table.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        pub enum Stat {
+            $($(#[$doc])* $stat,)*
+        }
+
+        impl Stat {
+            /// Every counter, in table order.
+            pub const ALL: &'static [Stat] = &[$(Stat::$stat,)*];
+
+            /// The counter's export name: a `/`-separated path, so
+            /// related counters group when listed.
+            pub const fn name(self) -> &'static str {
+                match self {
+                    $(Stat::$stat => $name,)*
+                }
+            }
+        }
+    };
+}
+
+stats! {
+    /// Reads served from a stable replica at the server they entered,
+    /// or by the token holder itself, on the full read path.
+    ReadsLocal => "core/reads/local",
+    /// Reads forwarded from a server with no replica to a stable
+    /// replica holder (§2.1).
+    ReadsForwarded => "core/reads/forwarded",
+    /// Reads forwarded to the token holder because the replica they met
+    /// was unstable (§3.4).
+    ReadsForwardedUnstable => "core/reads/forwarded_unstable",
+    /// §3.6 stable-replica searches: no token holder was reachable.
+    ReadsStableSearch => "core/reads/stable_search",
+    /// Read repairs queued for a lagging unstable replica.
+    RepairsScheduled => "core/reads/repairs_scheduled",
+    /// Read repairs that caught a laggard up.
+    Repairs => "core/reads/repairs",
+    /// Read-lease validations that failed (version moved or lease
+    /// revoked mid-copy) and pushed the read off the lock-free path.
+    LeaseValidationFailures => "core/reads/lease_failures",
+    /// Write tokens moved between servers (§3.3).
+    TokenPasses => "core/token/passes",
+    /// Tokens generated for a new version after the holder was lost.
+    TokenGenerated => "core/token/generated",
+    /// Updates passed to the token holder instead of taking the token
+    /// (§3.3 optimization 2).
+    UpdatesForwarded => "core/token/updates_forwarded",
+    /// Conditional writes refused because the version moved.
+    OccConflicts => "core/occ/conflicts",
+    /// Outbound update streams drained by one group broadcast.
+    PipelineBatches => "core/pipeline/batches",
+    /// Updates those drains carried.
+    PipelineBatchedUpdates => "core/pipeline/batched_updates",
+    /// State transfers the pipeline's safety lane sent a lagging target.
+    SafetyTransfers => "core/pipeline/safety_transfers",
+    /// Stability rounds that marked a file group unstable (§3.4).
+    UnstableRounds => "core/stability/unstable_rounds",
+    /// Stability rounds that marked a file group stable again (§3.4).
+    StableRounds => "core/stability/stable_rounds",
+    /// Replicas generated to restore a file's replication level (§3.1).
+    ReplicasGenerated => "core/replicas/generated",
+    /// Obsolete replicas a stable-replica search destroyed (§3.6).
+    ReplicasDestroyedObsolete => "core/replicas/destroyed_obsolete",
+    /// Replicas destroyed by recovery or version deletion.
+    RecoveryReplicasDestroyed => "core/recovery/replicas_destroyed",
+    /// Segments created.
+    Creates => "core/creates",
+    /// Server crashes injected.
+    Crashes => "cluster/crashes",
+    /// Migrations scheduled: a remote-read counter crossed the
+    /// threshold and claimed the single-flight slot.
+    MigrationsProposed => "core/placement/migrations_scheduled",
+    /// Migrations that executed: a replica was created at the reader.
+    MigrationsExecuted => "core/placement/migrations_executed",
+    /// Retirement proposals the replication floor blocked: idle replicas
+    /// existed beyond the LRU window, but deleting any would drop the
+    /// file below its `min_replicas`.
+    MigrationsVetoedFloor => "core/placement/migrations_vetoed_floor",
+    /// Idle replicas retired by the §3.1 LRU extra-replica deletion.
+    ReplicasRetired => "core/replicas/lru_deleted",
+    /// Placement access-counter decays applied (epoch rollovers seen).
+    DecayEpochs => "core/placement/decay_epochs",
+    /// Files the NFS envelope deallocated: no uplinked directory still
+    /// links them (§5.2).
+    GcDeallocated => "nfs/gc/deallocated",
+    /// Link-count hints the NFS envelope corrected (§5.2).
+    GcCorrected => "nfs/gc/corrected",
+}
+
 /// The cluster-owned observability bundle: always on, independent of
-/// the `trace`/`stats` config switches.
+/// the `trace` config switch.
 #[derive(Debug)]
 pub struct ObsCore {
     /// Last-N protocol events per server.
@@ -359,14 +456,11 @@ pub struct ObsCore {
     /// `PropagateStream` firing) — the pipeline's batching-window
     /// effectiveness in one distribution.
     pub drain_batch: AtomicHistogram,
-    /// Read-lease validations that failed (version moved or lease
-    /// revoked mid-copy) and pushed the read off the lock-free path.
-    pub lease_validation_failures: AtomicU64,
-    /// The replica-placement signal and activity counters: per-server
-    /// forwarded-read access tables plus migration tallies. Lives here —
-    /// not behind `stats` — because live hosting disables the stats
-    /// registry and the migration signal must keep flowing.
-    pub placement: crate::placement::PlacementCore,
+    /// The counter table, one slot per [`Stat`], in [`Stat::ALL`] order.
+    stats: [AtomicU64; Stat::ALL.len()],
+    /// The replica-placement signal: per-server forwarded-read access
+    /// tables.
+    pub placement: PlacementCore,
 }
 
 impl ObsCore {
@@ -375,8 +469,46 @@ impl ObsCore {
         ObsCore {
             flight: FlightRecorder::new(n_servers),
             drain_batch: AtomicHistogram::new(),
-            lease_validation_failures: AtomicU64::new(0),
-            placement: crate::placement::PlacementCore::new(n_servers),
+            stats: std::array::from_fn(|_| AtomicU64::new(0)),
+            placement: PlacementCore::new(n_servers),
+        }
+    }
+
+    /// Adds one to a counter. Wait-free; callable from any thread.
+    pub fn bump(&self, stat: Stat) {
+        self.add(stat, 1);
+    }
+
+    /// Adds `n` to a counter.
+    pub fn add(&self, stat: Stat, n: u64) {
+        self.stats[stat as usize].fetch_add(n, Ordering::Relaxed);
+    }
+
+    /// A counter's current value.
+    pub fn count(&self, stat: Stat) -> u64 {
+        self.stats[stat as usize].load(Ordering::Relaxed)
+    }
+
+    /// Records one remote (forwarded) read of `seg` entering at
+    /// `server`, decayed to `epoch`, and returns the new count. Wait-free.
+    pub fn record_remote_read(&self, server: NodeId, seg: SegmentId, epoch: u64) -> u64 {
+        let decays = &self.stats[Stat::DecayEpochs as usize];
+        self.placement.record_remote_read(server, seg, epoch, decays)
+    }
+
+    /// Every counter's name and value, in table order.
+    pub fn stats(&self) -> StatsSnapshot {
+        StatsSnapshot { counters: Stat::ALL.iter().map(|&s| (s.name(), self.count(s))).collect() }
+    }
+
+    /// The placement activity counters, as one record.
+    pub fn placement_snapshot(&self) -> PlacementSnapshot {
+        PlacementSnapshot {
+            migrations_proposed: self.count(Stat::MigrationsProposed),
+            migrations_executed: self.count(Stat::MigrationsExecuted),
+            migrations_vetoed_floor: self.count(Stat::MigrationsVetoedFloor),
+            replicas_retired: self.count(Stat::ReplicasRetired),
+            decay_epochs: self.count(Stat::DecayEpochs),
         }
     }
 }
@@ -384,7 +516,25 @@ impl ObsCore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::server::SegmentId;
+
+    #[test]
+    fn stat_table_is_indexed_by_variant_and_names_are_unique() {
+        for (i, &s) in Stat::ALL.iter().enumerate() {
+            assert_eq!(s as usize, i, "{} sits out of table order", s.name());
+        }
+        let mut names: Vec<&str> = Stat::ALL.iter().map(|s| s.name()).collect();
+        names.sort_unstable();
+        names.dedup();
+        assert_eq!(names.len(), Stat::ALL.len(), "two counters share an export name");
+        let obs = ObsCore::new(1);
+        obs.bump(Stat::TokenPasses);
+        obs.add(Stat::PipelineBatchedUpdates, 5);
+        assert_eq!(obs.count(Stat::TokenPasses), 1);
+        let snap = obs.stats();
+        assert_eq!(snap.counters.len(), Stat::ALL.len());
+        assert_eq!(snap.get("core/pipeline/batched_updates"), Some(5));
+        assert_eq!(snap.get("core/reads/local"), Some(0));
+    }
 
     #[test]
     fn bucket_boundaries_round_trip() {

@@ -15,7 +15,10 @@
 //! nobody reads via the §3.1 LRU extra-replica deletion — never dropping
 //! below the per-file [`FileParams::min_replicas`](crate::FileParams)
 //! floor. A retirement proposal the floor blocks is counted as
-//! vetoed, not forced.
+//! vetoed, not forced. Proposals, executions, vetoes, retirements and
+//! counter decays are counted in [`ObsCore`](crate::ObsCore)'s counter
+//! table (the `Migrations*`, `ReplicasRetired` and `DecayEpochs`
+//! [`Stat`]s), like every other protocol event.
 //!
 //! # Damping windows
 //!
@@ -54,6 +57,7 @@ use deceit_net::NodeId;
 
 use crate::cluster::Cluster;
 use crate::event::Pending;
+use crate::obs::Stat;
 use crate::server::{ReplicaKey, SegmentId};
 
 /// Slots per server in the access table. Power of two; at 24 bytes a
@@ -165,7 +169,10 @@ impl AccessTable {
 }
 
 /// An owned snapshot of the placement activity counters, for export
-/// (`ObsReport` / `obs_report.json`) and assertions.
+/// (`ObsReport` / `obs_report.json`) and assertions. The counters live
+/// in [`ObsCore`](crate::ObsCore)'s table ([`crate::obs::Stat`]);
+/// [`ObsCore::placement_snapshot`](crate::ObsCore::placement_snapshot)
+/// reads them out as one record.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct PlacementSnapshot {
     /// Migrations scheduled (a counter crossed the threshold and claimed
@@ -183,44 +190,33 @@ pub struct PlacementSnapshot {
     pub decay_epochs: u64,
 }
 
-/// The always-on placement signal and activity counters: per-server
-/// access tables plus relaxed atomic tallies, independent of the
-/// `trace`/`stats` config switches exactly like the rest of the obs
-/// layer — live hosting disables the stats registry, and the migration
-/// signal must keep flowing regardless.
+/// The always-on placement signal: one fixed-footprint access table per
+/// server, recorded into lock-free. It has no off switch, like the rest
+/// of [`ObsCore`](crate::ObsCore), which owns it and keeps the
+/// placement activity counters in its counter table.
 #[derive(Debug)]
 pub struct PlacementCore {
     tables: Vec<AccessTable>,
-    /// See [`PlacementSnapshot::migrations_proposed`].
-    pub migrations_proposed: AtomicU64,
-    /// See [`PlacementSnapshot::migrations_executed`].
-    pub migrations_executed: AtomicU64,
-    /// See [`PlacementSnapshot::migrations_vetoed_floor`].
-    pub migrations_vetoed_floor: AtomicU64,
-    /// See [`PlacementSnapshot::replicas_retired`].
-    pub replicas_retired: AtomicU64,
-    /// See [`PlacementSnapshot::decay_epochs`].
-    pub decay_epochs: AtomicU64,
 }
 
 impl PlacementCore {
-    /// Tables and counters for a cell of `n_servers`.
+    /// Tables for a cell of `n_servers`.
     pub fn new(n_servers: usize) -> Self {
-        PlacementCore {
-            tables: (0..n_servers).map(|_| AccessTable::new()).collect(),
-            migrations_proposed: AtomicU64::new(0),
-            migrations_executed: AtomicU64::new(0),
-            migrations_vetoed_floor: AtomicU64::new(0),
-            replicas_retired: AtomicU64::new(0),
-            decay_epochs: AtomicU64::new(0),
-        }
+        PlacementCore { tables: (0..n_servers).map(|_| AccessTable::new()).collect() }
     }
 
     /// Records one remote (forwarded) read of `seg` entering at
-    /// `server`, decayed to `epoch`, and returns the new count. Wait-free.
-    pub fn record_remote_read(&self, server: NodeId, seg: SegmentId, epoch: u64) -> u64 {
+    /// `server`, decayed to `epoch`, and returns the new count; each
+    /// decay applied is added to `decays`. Wait-free.
+    pub fn record_remote_read(
+        &self,
+        server: NodeId,
+        seg: SegmentId,
+        epoch: u64,
+        decays: &AtomicU64,
+    ) -> u64 {
         match self.tables.get(server.index()) {
-            Some(t) => t.record(seg.0, epoch, &self.decay_epochs),
+            Some(t) => t.record(seg.0, epoch, decays),
             None => 0,
         }
     }
@@ -229,17 +225,6 @@ impl PlacementCore {
     /// `epoch`, without recording (tests and diagnostics).
     pub fn remote_reads(&self, server: NodeId, seg: SegmentId, epoch: u64) -> u64 {
         self.tables.get(server.index()).and_then(|t| t.slot_of(seg.0)).map_or(0, |s| s.peek(epoch))
-    }
-
-    /// A point-in-time copy of the activity counters.
-    pub fn snapshot(&self) -> PlacementSnapshot {
-        PlacementSnapshot {
-            migrations_proposed: self.migrations_proposed.load(Ordering::Relaxed),
-            migrations_executed: self.migrations_executed.load(Ordering::Relaxed),
-            migrations_vetoed_floor: self.migrations_vetoed_floor.load(Ordering::Relaxed),
-            replicas_retired: self.replicas_retired.load(Ordering::Relaxed),
-            decay_epochs: self.decay_epochs.load(Ordering::Relaxed),
-        }
     }
 }
 
@@ -256,7 +241,7 @@ impl Cluster {
     /// crosses the threshold — schedules one deferred migration that
     /// grows a replica at `via`.
     pub(crate) fn observe_remote_read(&self, via: NodeId, key: ReplicaKey) {
-        let n = self.obs.placement.record_remote_read(via, key.0, self.placement_epoch_now());
+        let n = self.obs.record_remote_read(via, key.0, self.placement_epoch_now());
         if self.cfg.opt_placement && n >= self.cfg.placement_threshold {
             self.schedule_migration(via, key);
         }
@@ -273,12 +258,11 @@ impl Cluster {
         if self.server(reader).migrations.insert(key, ()).is_some() {
             return; // a migration for this placement is already in flight
         }
-        self.obs.placement.migrations_proposed.fetch_add(1, Ordering::Relaxed);
+        self.obs.bump(Stat::MigrationsProposed);
         self.events.push(
             self.now() + self.cfg.lazy_apply_delay,
             Pending::MigrateReplica { server: reader, key },
         );
-        self.stats.incr("core/placement/migrations_scheduled");
     }
 
     /// The deferred migration handler: creates a replica of `key` at
@@ -328,8 +312,7 @@ impl Cluster {
         if !self.server(reader).replicas.contains(&key) {
             return; // transfer failed (unreachable, vanished source)
         }
-        self.obs.placement.migrations_executed.fetch_add(1, Ordering::Relaxed);
-        self.stats.incr("core/placement/migrations_executed");
+        self.obs.bump(Stat::MigrationsExecuted);
         // The retire half: now that the reader serves locally, drop
         // whatever nobody reads — delete_extra_replicas enforces the
         // LRU window and the min_replicas floor, and accounts the veto
@@ -347,17 +330,18 @@ mod tests {
     #[test]
     fn counters_decay_by_elapsed_epochs() {
         let p = PlacementCore::new(1);
+        let decays = AtomicU64::new(0);
         let s0 = NodeId(0);
         let seg = SegmentId(7);
         for _ in 0..10 {
-            p.record_remote_read(s0, seg, 0);
+            p.record_remote_read(s0, seg, 0, &decays);
         }
         assert_eq!(p.remote_reads(s0, seg, 0), 10);
         // One epoch later the count halves before the new sample lands.
-        assert_eq!(p.record_remote_read(s0, seg, 1), 6, "10 >> 1 = 5, plus this read");
+        assert_eq!(p.record_remote_read(s0, seg, 1, &decays), 6, "10 >> 1 = 5, plus this read");
         // Three more epochs shift the 6 away entirely.
-        assert_eq!(p.record_remote_read(s0, seg, 4), 1, "6 >> 3 = 0, plus this read");
-        assert_eq!(p.snapshot().decay_epochs, 2, "two rollovers observed");
+        assert_eq!(p.record_remote_read(s0, seg, 4, &decays), 1, "6 >> 3 = 0, plus this read");
+        assert_eq!(decays.load(Ordering::Relaxed), 2, "two rollovers observed");
         // Peeking at a future epoch decays the view without recording.
         assert_eq!(p.remote_reads(s0, seg, 5), 0);
         assert_eq!(p.remote_reads(s0, seg, 4), 1);
@@ -366,11 +350,12 @@ mod tests {
     #[test]
     fn tables_are_per_server_and_bounds_checked() {
         let p = PlacementCore::new(2);
+        let decays = AtomicU64::new(0);
         let seg = SegmentId(3);
-        assert_eq!(p.record_remote_read(NodeId(0), seg, 0), 1);
+        assert_eq!(p.record_remote_read(NodeId(0), seg, 0, &decays), 1);
         assert_eq!(p.remote_reads(NodeId(1), seg, 0), 0, "server 1's table is independent");
         // A server id past the cell neither records nor panics.
-        assert_eq!(p.record_remote_read(NodeId(9), seg, 0), 0);
+        assert_eq!(p.record_remote_read(NodeId(9), seg, 0, &decays), 0);
         assert_eq!(p.remote_reads(NodeId(9), seg, 0), 0);
     }
 
@@ -399,8 +384,9 @@ mod tests {
             .map(|_| {
                 let p = std::sync::Arc::clone(&p);
                 std::thread::spawn(move || {
+                    let decays = AtomicU64::new(0);
                     for _ in 0..1000 {
-                        p.record_remote_read(NodeId(0), seg, 0);
+                        p.record_remote_read(NodeId(0), seg, 0, &decays);
                     }
                 })
             })

@@ -26,16 +26,15 @@ impl Cluster {
                 // apply in identical order regardless of arrival (§3.3).
                 self.apply_updates_ordered(server, key, std::slice::from_ref(&update), false);
                 self.schedule_flush(server, key.0);
-                self.stats.incr("core/applies/remote");
             }
             Pending::FlushServer { server, seg } => {
                 if !self.net.is_up(server) {
                     return;
                 }
-                let cost = self
-                    .server(server)
-                    .visit(seg, |s| s.replicas.disk.flush_all() + s.tokens.disk.flush_all());
-                self.stats.record_duration("disk/flush_cost", cost);
+                self.server(server).visit(seg, |s| {
+                    s.replicas.disk.flush_all();
+                    s.tokens.disk.flush_all();
+                });
             }
             Pending::PropagateStream { holder, key } => {
                 self.propagate_stream(holder, key);

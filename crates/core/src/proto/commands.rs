@@ -270,7 +270,6 @@ impl Cluster {
             let token_holder = c.find_reachable_token_holder(via, key).unwrap_or(holder);
             c.destroy_replica(target, key);
             c.update_holder_set(token_holder, key, |holders| holders.remove(&target));
-            c.stats.incr("core/replicas/command_deleted");
             Ok(((), latency))
         })
     }
@@ -319,7 +318,6 @@ impl Cluster {
         // Clear any logged conflicts this deletion resolves.
         self.conflicts
             .retain(|rec| !(rec.seg == seg && (rec.majors.0 == major || rec.majors.1 == major)));
-        self.stats.incr("core/versions/deleted");
         self.clock_add(latency);
         self.fire_due(OpScope::Global);
         Ok(OpResult { value: (), latency })

@@ -6,6 +6,7 @@ use deceit_sim::SimDuration;
 
 use crate::cluster::{group_name, Cluster, OpResult, OpScope};
 use crate::error::{DeceitError, DeceitResult};
+use crate::obs::Stat;
 use crate::params::FileParams;
 use crate::replica::Replica;
 use crate::server::SegmentId;
@@ -54,7 +55,7 @@ impl Cluster {
         };
         self.server(via).group_cache.insert(seg, gid);
         self.with_branch_table(seg, |_| ()); // materialize an empty history tree
-        self.stats.incr("core/creates");
+        self.obs.bump(Stat::Creates);
         // Replication beyond one replica happens when the user raises
         // min_replicas (method 2) — default params need nothing more.
         if params.min_replicas > 1 {
@@ -96,7 +97,6 @@ impl Cluster {
             self.destroy_segment_at(via, seg);
         }
         self.mark_deleted(seg);
-        self.stats.incr("core/deletes");
         Ok(((), latency))
     }
 

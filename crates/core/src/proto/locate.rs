@@ -30,7 +30,6 @@ impl Cluster {
         // Cache hit: verify the group still exists.
         if let Some(gid) = self.servers[via.index()].group_cache.get(&seg) {
             if self.groups.exists(gid) {
-                self.stats.incr("locate/cache_hits");
                 return (Some(gid), SimDuration::ZERO);
             }
             self.servers[via.index()].group_cache.remove(&seg);
@@ -44,7 +43,6 @@ impl Cluster {
             }
         }
         // Global search: one round to every other server in the cell.
-        self.stats.incr("locate/global_searches");
         let others: Vec<NodeId> = self.server_ids().into_iter().filter(|&s| s != via).collect();
         let outcome = broadcast_round(&self.net, via, others, 32, 16, "locate");
         let latency = outcome.full_latency();
@@ -93,7 +91,6 @@ impl Cluster {
         };
         let outcome = broadcast_round(&self.net, node, members, 48, 16, "view-change");
         let _ = self.groups.join(gid, node);
-        self.stats.incr("groups/joins");
         outcome.full_latency()
     }
 

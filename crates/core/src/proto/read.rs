@@ -16,6 +16,7 @@ use deceit_sim::SimDuration;
 use crate::cluster::{Cluster, Held, OpResult, OpScope};
 use crate::error::{DeceitError, DeceitResult};
 use crate::event::Pending;
+use crate::obs::Stat;
 use crate::ops::ReadData;
 use crate::replica::ReplicaState;
 use crate::server::{ReplicaKey, SegmentId};
@@ -189,7 +190,7 @@ impl Cluster {
             Some(Some(served))
         })?;
         let Some(served) = served else {
-            self.obs.lease_validation_failures.fetch_add(1, atomic::Ordering::Relaxed);
+            self.obs.bump(Stat::LeaseValidationFailures);
             return None;
         };
         let mut latency = self.cfg.local_read;
@@ -349,7 +350,7 @@ impl Cluster {
                 let data = self
                     .serve_local(via, key, offset, count)
                     .ok_or(DeceitError::Unavailable(key.0))?;
-                self.stats.incr("core/reads/local");
+                self.obs.bump(Stat::ReadsLocal);
                 return Ok((data, latency));
             }
             Some(ReplicaState::Unstable) => {
@@ -422,7 +423,7 @@ impl Cluster {
         latency += rtt + self.cfg.local_read;
         let data =
             self.serve_local(target, key, offset, count).ok_or(DeceitError::Unavailable(key.0))?;
-        self.stats.incr("core/reads/forwarded");
+        self.obs.bump(Stat::ReadsForwarded);
         self.emit_from(via, ProtocolEvent::ReadForwarded { seg, from: via, to: target });
 
         Ok((data, latency))
@@ -444,7 +445,7 @@ impl Cluster {
                 let data = self
                     .serve_local(via, key, offset, count)
                     .ok_or(DeceitError::Unavailable(key.0))?;
-                self.stats.incr("core/reads/local");
+                self.obs.bump(Stat::ReadsLocal);
                 Ok((data, latency))
             }
             Some(h) => {
@@ -453,7 +454,7 @@ impl Cluster {
                 let data = self
                     .serve_local(h, key, offset, count)
                     .ok_or(DeceitError::Unavailable(key.0))?;
-                self.stats.incr("core/reads/forwarded_unstable");
+                self.obs.bump(Stat::ReadsForwardedUnstable);
                 self.emit_from(via, ProtocolEvent::ReadForwarded { seg: key.0, from: via, to: h });
                 Ok((data, latency))
             }
@@ -476,7 +477,7 @@ impl Cluster {
         count: usize,
         mut latency: SimDuration,
     ) -> DeceitResult<(ReadData, SimDuration)> {
-        self.stats.incr("core/reads/stable_search");
+        self.obs.bump(Stat::ReadsStableSearch);
         let members: Vec<NodeId> = self
             .group_members(key.0)
             .map(|(_, m)| m)
@@ -543,7 +544,7 @@ impl Cluster {
                     // miss.
                     self.destroy_replica(*m, key);
                     self.emit_from(*m, ProtocolEvent::ReplicaDeleted { seg: key.0, on: *m });
-                    self.stats.incr("core/replicas/destroyed_obsolete");
+                    self.obs.bump(Stat::ReplicasDestroyedObsolete);
                 }
             }
             best
@@ -589,7 +590,7 @@ impl Cluster {
             self.now() + self.cfg.lazy_apply_delay,
             Pending::ReadRepair { server: laggard, key },
         );
-        self.stats.incr("core/reads/repairs_scheduled");
+        self.obs.bump(Stat::RepairsScheduled);
     }
 
     /// The deferred read-repair handler: state-transfers `laggard` from
@@ -629,7 +630,7 @@ impl Cluster {
             // (a stabilize broadcast that never reached this member).
             if lag_state != ReplicaState::Stable {
                 self.set_replica_state(laggard, key, ReplicaState::Stable);
-                self.stats.incr("core/reads/repairs");
+                self.obs.bump(Stat::Repairs);
                 self.emit_from(laggard, ProtocolEvent::ReadRepaired { seg: key.0, on: laggard });
             }
             return;
@@ -667,7 +668,7 @@ impl Cluster {
         fresh.state = ReplicaState::Stable;
         self.server(laggard).replicas.put_sync(key, fresh);
         self.server(laggard).drop_receiver(&key);
-        self.stats.incr("core/reads/repairs");
+        self.obs.bump(Stat::Repairs);
         self.emit_from(laggard, ProtocolEvent::ReadRepaired { seg: key.0, on: laggard });
     }
 

@@ -3,6 +3,7 @@
 use deceit_net::NodeId;
 
 use crate::cluster::{Cluster, ConflictRecord};
+use crate::obs::Stat;
 use crate::server::{ReplicaKey, SegmentId};
 use crate::trace_events::ProtocolEvent;
 use crate::version::{VersionPair, VersionRelation};
@@ -21,7 +22,6 @@ impl Cluster {
     /// version and destroy the old version and all of its replicas."
     pub fn recover_server(&mut self, id: NodeId) {
         self.net.recover(id);
-        self.stats.incr("cluster/recoveries");
         self.emit_from(id, ProtocolEvent::RecoveryStarted { server: id });
 
         // Garbage-collect replicas of segments deleted while down (the
@@ -86,12 +86,11 @@ impl Cluster {
                         // The token holder is *behind* us or divergent —
                         // can only happen after pathological failures
                         // ("Disastrous Failure"); surface as a conflict.
-                        self.log_conflict(seg, my_version.major, token_version.major);
+                        self.log_conflict(id, seg, my_version.major, token_version.major);
                     }
                 }
                 return;
             }
-            self.stats.incr("core/recovery/holder_without_token");
         }
 
         // No token holder for our major: a new version may have been
@@ -110,7 +109,7 @@ impl Cluster {
                     return;
                 }
                 VersionRelation::Incomparable => {
-                    self.log_conflict(key.0, key.1, other_major);
+                    self.log_conflict(id, key.0, key.1, other_major);
                 }
                 _ => {}
             }
@@ -139,14 +138,13 @@ impl Cluster {
                         id,
                         ProtocolEvent::ObsoleteDestroyed { seg: key.0, on: id, major: key.1 },
                     );
-                    self.stats.incr("core/recovery/versions_destroyed");
                     return;
                 }
                 VersionRelation::Incomparable => {
                     // Concurrent updates on both sides of a partition
                     // (§3.6 "the hard case"): both versions are kept and
                     // the conflict is logged for the user.
-                    self.log_conflict(key.0, key.1, other_major);
+                    self.log_conflict(id, key.0, key.1, other_major);
                 }
                 _ => {}
             }
@@ -199,7 +197,7 @@ impl Cluster {
                         self.destroy_version_everywhere(server_b, (seg_b, major_b));
                     }
                     VersionRelation::Incomparable => {
-                        self.log_conflict(seg_a, major_a, major_b);
+                        self.log_conflict(server_a, seg_a, major_a, major_b);
                     }
                     VersionRelation::Equal => {}
                 }
@@ -259,7 +257,6 @@ impl Cluster {
                 self.mark_stable_round(holder, key);
             }
         }
-        self.stats.incr("cluster/reconciliations");
     }
 
     /// Destroys one version (token + all reachable replicas).
@@ -274,7 +271,6 @@ impl Cluster {
             token_holder,
             ProtocolEvent::ObsoleteDestroyed { seg: key.0, on: token_holder, major: key.1 },
         );
-        self.stats.incr("core/recovery/versions_destroyed");
     }
 
     /// Removes one replica locally, along with any outbound update
@@ -289,7 +285,7 @@ impl Cluster {
         self.server(server).drop_receiver(&key);
         self.server(server).outbound.remove(&key);
         self.server(server).repairs.remove(&key);
-        self.stats.incr("core/recovery/replicas_destroyed");
+        self.obs.bump(Stat::RecoveryReplicasDestroyed);
     }
 
     /// The version pair of the token `server` stores for `key`, if any.
@@ -345,15 +341,16 @@ impl Cluster {
         out
     }
 
-    /// Records an incomparable-version conflict once per (segment, pair).
-    pub(crate) fn log_conflict(&mut self, seg: SegmentId, a: u64, b: u64) {
+    /// Records an incomparable-version conflict once per (segment, pair),
+    /// found by `server` (the recovering server, or the first token
+    /// holder of the pair at heal time).
+    pub(crate) fn log_conflict(&mut self, server: NodeId, seg: SegmentId, a: u64, b: u64) {
         let majors = (a.min(b), a.max(b));
         if self.conflicts.iter().any(|c| c.seg == seg && c.majors == majors) {
             return;
         }
         let at = self.now();
         self.conflicts.push(ConflictRecord { seg, majors, at });
-        self.stats.incr("core/conflicts");
-        self.emit(ProtocolEvent::ConflictLogged { seg, majors });
+        self.emit_from(server, ProtocolEvent::ConflictLogged { seg, majors });
     }
 }

@@ -22,6 +22,7 @@ use std::sync::atomic::Ordering;
 
 use crate::cluster::Cluster;
 use crate::event::Pending;
+use crate::obs::Stat;
 use crate::replica::Replica;
 use crate::server::ReplicaKey;
 use crate::trace_events::ProtocolEvent;
@@ -96,7 +97,6 @@ impl Cluster {
     /// realizes the same exclusion against that file's updates.
     pub(crate) fn generate_replica_now(&self, holder: NodeId, key: ReplicaKey, target: NodeId) {
         if !self.net.reachable(holder, target) {
-            self.stats.incr("core/replicas/generation_failed");
             return;
         }
         let Some(src) = self.server(holder).replicas.get(&key) else {
@@ -115,7 +115,6 @@ impl Cluster {
             "replica-xfer",
         )
         .duration() else {
-            self.stats.incr("core/replicas/generation_failed");
             return;
         };
         let now = self.now();
@@ -134,7 +133,7 @@ impl Cluster {
             self.ensure_member(gid, target);
             self.server(target).group_cache.insert(key.0, gid);
         }
-        self.stats.incr("core/replicas/generated");
+        self.obs.bump(Stat::ReplicasGenerated);
         self.emit_from(target, ProtocolEvent::ReplicaGenerated { seg: key.0, on: target });
     }
 
@@ -183,15 +182,14 @@ impl Cluster {
         if deletable == 0 {
             // Idle candidates exist but retiring any would drop the file
             // below its replication floor — the floor wins, always.
-            self.obs.placement.migrations_vetoed_floor.fetch_add(1, Ordering::Relaxed);
+            self.obs.bump(Stat::MigrationsVetoedFloor);
             return;
         }
         for (_, victim) in idle.into_iter().take(deletable) {
             self.server(victim).replicas.delete_sync(&key);
             self.server(victim).drop_receiver(&key);
             self.update_holder_set(holder, key, |holders| holders.remove(&victim));
-            self.obs.placement.replicas_retired.fetch_add(1, Ordering::Relaxed);
-            self.stats.incr("core/replicas/lru_deleted");
+            self.obs.bump(Stat::ReplicasRetired);
             self.emit_from(victim, ProtocolEvent::ReplicaDeleted { seg: key.0, on: victim });
         }
     }

@@ -16,6 +16,7 @@ use deceit_storage::Durability;
 
 use crate::cluster::Cluster;
 use crate::event::Pending;
+use crate::obs::Stat;
 use crate::replica::ReplicaState;
 use crate::server::ReplicaKey;
 use crate::trace_events::ProtocolEvent;
@@ -41,7 +42,7 @@ impl Cluster {
         self.server(holder).streams.with_or_insert(key, Default::default, |stream| {
             stream.group_unstable = true;
         });
-        self.stats.incr("core/stability/unstable_rounds");
+        self.obs.bump(Stat::UnstableRounds);
         self.emit_from(holder, ProtocolEvent::MarkedUnstable { seg: key.0, acks });
         outcome.full_latency()
     }
@@ -123,7 +124,6 @@ impl Cluster {
                     // lint: allow(lease-discipline): this writes a *peer's* (`m`'s) replica to catch it up; the holder's lease — the only one this round can invalidate — guards the holder's replica, which stays untouched until the stable marker below
                     self.server(m).replicas.put_sync(key, fresh);
                     self.server(m).drop_receiver(&key);
-                    self.stats.incr("core/stability/catchups");
                 }
             }
         }
@@ -139,7 +139,7 @@ impl Cluster {
                 stream.group_unstable = false;
             }
         });
-        self.stats.incr("core/stability/stable_rounds");
+        self.obs.bump(Stat::StableRounds);
         self.emit_from(holder, ProtocolEvent::MarkedStable { seg: key.0 });
     }
 

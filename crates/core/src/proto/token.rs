@@ -22,6 +22,7 @@ use deceit_storage::Durability;
 
 use crate::cluster::Cluster;
 use crate::error::{DeceitError, DeceitResult};
+use crate::obs::Stat;
 use crate::params::{FileParams, WriteAvailability};
 use crate::proto::write::WriteCtx;
 use crate::replica::Replica;
@@ -87,7 +88,6 @@ impl Cluster {
                 WriteCtx::read(s, net, via, key, Some(group))
             });
             if let Some(ctx) = held.filter(|ctx| ctx.group.is_some_and(|g| self.groups.exists(g))) {
-                self.stats.incr("locate/cache_hits");
                 return self.check_token_enabled(via, ctx);
             }
         }
@@ -104,7 +104,6 @@ impl Cluster {
         let members: Vec<NodeId> = gid.and_then(|g| self.groups.members_vec(g)).unwrap_or_default();
         let holder = if piggyback {
             // Reachability still decides who can answer; no round charged.
-            self.stats.incr("core/token/piggybacked_acquisitions");
             members
                 .iter()
                 .copied()
@@ -210,7 +209,7 @@ impl Cluster {
         if let Some((gid, _)) = self.group_members(key.0) {
             latency += self.ensure_member(gid, to);
         }
-        self.stats.incr("core/token/passes");
+        self.obs.bump(Stat::TokenPasses);
         self.emit_from(to, ProtocolEvent::TokenAcquired { seg: key.0, server: to, from: holder });
         Ok(latency)
     }
@@ -237,10 +236,7 @@ impl Cluster {
         if ctx.enabled && ctx.holders >= params.min_replicas && ctx.all_reachable {
             return Ok((ctx, SimDuration::ZERO));
         }
-        let unavailable = || {
-            self.stats.incr("core/token/disabled");
-            DeceitError::WriteUnavailable(key.0)
-        };
+        let unavailable = || DeceitError::WriteUnavailable(key.0);
         // If every known holder is reachable (no failure in sight) but the
         // minimum replica level outruns the holder set — the raised-level
         // case of §3.1 method 2 — the holder generates replicas now rather
@@ -314,7 +310,6 @@ impl Cluster {
         // Policy gate (§3.5, §4).
         match params.availability {
             WriteAvailability::Low => {
-                self.stats.incr("core/token/generation_refused");
                 return Err(DeceitError::WriteUnavailable(seg));
             }
             WriteAvailability::Medium => {
@@ -324,7 +319,6 @@ impl Cluster {
                 let available = self.count_available_replicas(via, base_key, &mut latency);
                 let majority = FileParams::majority_of(params.min_replicas.max(1));
                 if available < majority {
-                    self.stats.incr("core/token/generation_refused");
                     return Err(DeceitError::WriteUnavailable(seg));
                 }
             }
@@ -364,7 +358,7 @@ impl Cluster {
             self.server(via).group_cache.insert(seg, gid);
         }
 
-        self.stats.incr("core/token/generated");
+        self.obs.bump(Stat::TokenGenerated);
         self.emit_from(via, ProtocolEvent::TokenGenerated { seg, server: via, major: new_major });
 
         // Satisfy the minimum replica level for the new version.

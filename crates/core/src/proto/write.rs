@@ -46,6 +46,7 @@ use deceit_storage::Durability;
 use crate::cluster::{Cluster, Held, OpResult, OpScope};
 use crate::error::{DeceitError, DeceitResult};
 use crate::event::Pending;
+use crate::obs::Stat;
 use crate::ops::{UpdateRecord, WriteOp};
 use crate::params::FileParams;
 use crate::server::{ReadLease, ReplicaKey, SegmentId, ServerSlot};
@@ -126,9 +127,8 @@ struct HolderEnd {
     propagate: bool,
     /// The update opened the read lease (rather than advancing it).
     lease_opened: bool,
-    /// Whether the token was disabled for lost availability; `None` if
-    /// the token was gone.
-    disabled: Option<bool>,
+    /// Whether the token was still there to advance.
+    has_token: bool,
     /// The stream's epoch after the write, and whether its stabilize
     /// check is to be armed; `None` without §3.4 stability or a token.
     stabilize: Option<(u64, bool)>,
@@ -237,7 +237,7 @@ impl Cluster {
                     if let Some(holder) = self.find_reachable_token_holder(via, key) {
                         if holder != via {
                             let rtt = self.round_trip(via, holder, op.wire_size(), 24)?;
-                            self.stats.incr("core/token/updates_forwarded");
+                            self.obs.bump(Stat::UpdatesForwarded);
                             let (v, inner) = self.do_write(holder, seg, op, expected)?;
                             return Ok((v, rtt + inner));
                         }
@@ -257,7 +257,7 @@ impl Cluster {
         // version pair.
         if let Some(exp) = expected {
             if ctx.version != exp {
-                self.stats.incr("core/occ/conflicts");
+                self.obs.bump(Stat::OccConflicts);
                 return Err(DeceitError::VersionConflict {
                     segment: seg,
                     expected: exp,
@@ -348,7 +348,7 @@ impl Cluster {
             // "medium": disable the token if the majority was lost
             // mid-stream (§4: "write availability may be lost in the
             // middle of a stream of updates").
-            let disabled = s
+            let has_token = s
                 .tokens
                 .disk
                 .update_with(&key, |t| {
@@ -356,21 +356,21 @@ impl Cluster {
                     let lost =
                         medium && t.enabled && sent.replies < t.majority(params.min_replicas);
                     t.enabled &= !lost;
-                    (lost, Some(reach(sync_local)))
+                    ((), Some(reach(sync_local)))
                 })
-                .map(|(lost, _)| lost);
+                .is_some();
             // Table 1 row 6 setup: note the write for the
             // period-of-no-write-activity check that will mark replicas
             // stable again (§3.4). One check stays pending per stream; a
             // stale firing re-arms itself to the newest quiet horizon, so
             // a stream of N writes queues O(1) checks, not N.
-            let stabilize = (disabled.is_some() && params.stability).then(|| {
+            let stabilize = (has_token && params.stability).then(|| {
                 let stream = s.streams.entry(key).or_default();
                 stream.last_write = now;
                 stream.epoch += 1;
                 (stream.epoch, !std::mem::replace(&mut stream.check_scheduled, true))
             });
-            HolderEnd { propagate, lease_opened, disabled, stabilize }
+            HolderEnd { propagate, lease_opened, has_token, stabilize }
         });
         if end.propagate {
             let at = self.now() + self.cfg.lazy_apply_delay;
@@ -384,7 +384,6 @@ impl Cluster {
                 group_size: sent.group_size,
             },
         );
-        self.stats.incr("core/updates");
         if !sync_local {
             self.schedule_flush(via, key.0);
         }
@@ -396,8 +395,8 @@ impl Cluster {
         }
         // A token gone since it was read (it cannot be, under the file's
         // ring lock) refuses the write rather than killing the server.
-        if end.disabled.ok_or(DeceitError::WriteUnavailable(seg))? {
-            self.stats.incr("core/token/disabled");
+        if !end.has_token {
+            return Err(DeceitError::WriteUnavailable(seg));
         }
         if !sync_local {
             self.schedule_flush(via, key.0);
@@ -436,7 +435,6 @@ impl Cluster {
             );
         }
 
-        self.stats.record_duration("core/write_latency", latency);
         Ok((new_version, latency))
     }
 
@@ -645,7 +643,7 @@ impl Cluster {
         self.server(target).replicas.put_sync(key, crate::replica::Replica::cloned_from(&src, now));
         self.server(target).drop_receiver(&key);
         self.apply_updates_ordered(target, key, update, true);
-        self.stats.incr("core/pipeline/safety_transfers");
+        self.obs.bump(Stat::SafetyTransfers);
         stored(self)
     }
 
@@ -710,10 +708,10 @@ impl Cluster {
                 self.schedule_flush(*m, key.0);
             }
         }
-        self.stats.incr("core/pipeline/batches");
-        self.stats.add("core/pipeline/batched_updates", batch.len() as u64);
+        self.obs.bump(Stat::PipelineBatches);
+        self.obs.add(Stat::PipelineBatchedUpdates, batch.len() as u64);
         // The drain-batch distribution is the batching window's
-        // effectiveness signal: always-on, unlike the stats above.
+        // effectiveness signal.
         self.obs.drain_batch.record(batch.len() as u64);
         self.emit_from(
             holder,

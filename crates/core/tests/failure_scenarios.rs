@@ -2,7 +2,8 @@
 //! matrix. Each test reproduces one of the paper's narrated failure cases.
 
 use deceit_core::{
-    Cluster, ClusterConfig, DeceitError, FileParams, ProtocolEvent, WriteAvailability, WriteOp,
+    Cluster, ClusterConfig, DeceitError, FileParams, ProtocolEvent, Stat, WriteAvailability,
+    WriteOp,
 };
 use deceit_net::NodeId;
 use deceit_sim::SimDuration;
@@ -46,7 +47,7 @@ fn non_token_replica_crash_destroys_obsolete_copy_on_recovery() {
     // obsolete (its history is a prefix of the token's) and destroys it.
     c.recover_server(n(2));
     assert!(!c.server(n(2)).replicas.contains(&(seg, 0)), "obsolete replica destroyed");
-    assert!(c.stats.counter("core/recovery/replicas_destroyed") >= 1);
+    assert!(c.obs.count(Stat::RecoveryReplicasDestroyed) >= 1);
     // The holder regenerates to restore the minimum replica level; no
     // update was lost.
     c.run_until_quiet();
@@ -169,6 +170,18 @@ fn partition_with_updates_on_both_sides_logs_conflict_and_keeps_both() {
     // notification is logged into a well known file."
     assert_eq!(c.conflicts.len(), 1);
     assert!(c.trace.events().iter().any(|e| matches!(e, ProtocolEvent::ConflictLogged { .. })));
+    // The server that found it — side A's token holder, first of the
+    // pair at heal time — flight-records it too, so the per-server dump
+    // shows the conflict where the trace log is off (live hosting).
+    assert!(
+        c.obs
+            .flight
+            .events(n(0))
+            .iter()
+            .any(|(_, e)| matches!(e, ProtocolEvent::ConflictLogged { .. })),
+        "{}",
+        c.obs.flight.dump()
+    );
     let versions = c.list_versions(n(0), seg).unwrap().value;
     assert_eq!(versions.len(), 2, "both versions available to the user");
     // Both versions are independently readable by qualified name.
@@ -218,7 +231,7 @@ fn stable_replica_search_after_holder_failure() {
     c.advance(SimDuration::from_millis(200));
     let r = c.read(n(2), seg, None, 0, 100).unwrap().value;
     assert_eq!(&r.data()[..], b"newer", "read served from the most up-to-date replica");
-    assert!(c.stats.counter("core/reads/stable_search") >= 1);
+    assert!(c.obs.count(Stat::ReadsStableSearch) >= 1);
     assert!(
         !c.server(n(2)).replicas.contains(&(seg, 0)),
         "the stale missed-update replica was destroyed"

@@ -4,7 +4,7 @@
 //! idle extras retire down to the `FileParams::min_replicas` floor —
 //! never through it, even when crashes thin the holder set.
 
-use deceit_core::{Cluster, ClusterConfig, FileParams, SegmentId, WriteOp};
+use deceit_core::{Cluster, ClusterConfig, FileParams, ProtocolHost, SegmentId, Stat, WriteOp};
 use deceit_net::NodeId;
 use deceit_sim::SimDuration;
 
@@ -48,27 +48,28 @@ fn repeated_forwarded_reads_migrate_a_replica_to_the_reader() {
     c.run_until_quiet();
 
     assert!(c.server(n(2)).replicas.contains(&key), "migration grew the reader a replica");
-    let snap = c.obs.placement.snapshot();
+    let snap = c.obs.placement_snapshot();
     assert_eq!(snap.migrations_proposed, 1);
     assert_eq!(snap.migrations_executed, 1);
     let fast = c.try_read_local(n(2), seg, None, 0, 64).expect("local stable path serves now");
     assert_eq!(&fast.value.data()[..], b"placement seed");
 }
 
-/// Satellite regression: live hosting disables the stats registry, and
-/// the migration signal must keep flowing regardless — placement rides
-/// the always-on obs atomics, not the `stats` kill-switch.
+/// Placement activity lands in the one counter table every exporter
+/// reads: the snapshot a host hands out names each placement counter
+/// with the value the placement record shows.
 #[test]
-fn placement_fires_with_stats_disabled() {
-    let (mut c, seg) = cell(ClusterConfig::deterministic().without_stats().with_placement(), 1);
-    let key = (seg, 0u64);
+fn placement_counts_reach_the_exported_table() {
+    let (mut c, seg) = cell(ClusterConfig::deterministic().with_placement(), 1);
     read_past_threshold(&mut c, seg, n(2));
     c.run_until_quiet();
-    assert!(
-        c.server(n(2)).replicas.contains(&key),
-        "placement must fire with stats: false — the signal is not behind the kill-switch"
-    );
-    assert_eq!(c.obs.placement.snapshot().migrations_executed, 1);
+    assert!(c.server(n(2)).replicas.contains(&(seg, 0u64)), "placement fired");
+    let snap = c.obs.placement_snapshot();
+    assert_eq!(snap.migrations_executed, 1);
+    let table = c.stats_snapshot().expect("a cluster exports its counters");
+    assert_eq!(table.get(Stat::MigrationsExecuted.name()), Some(snap.migrations_executed));
+    assert_eq!(table.get(Stat::MigrationsProposed.name()), Some(snap.migrations_proposed));
+    assert_eq!(table.get(Stat::ReplicasRetired.name()), Some(snap.replicas_retired));
 }
 
 /// Placement is strictly opt-in: with the paper-faithful default the
@@ -81,7 +82,7 @@ fn placement_requires_opt_in() {
     read_past_threshold(&mut c, seg, n(2));
     c.run_until_quiet();
     assert!(!c.server(n(2)).replicas.contains(&key), "no migration without opt_placement");
-    let snap = c.obs.placement.snapshot();
+    let snap = c.obs.placement_snapshot();
     assert_eq!(snap.migrations_proposed, 0);
     assert!(
         c.obs.placement.remote_reads(n(2), seg, 0) >= c.cfg.placement_threshold,
@@ -97,16 +98,16 @@ fn migration_is_single_flighted() {
     for _ in 0..40 {
         c.read(n(2), seg, None, 0, 64).unwrap();
     }
-    assert_eq!(c.obs.placement.snapshot().migrations_proposed, 1, "one claim per placement");
-    assert_eq!(c.stats.counter("core/placement/migrations_scheduled"), 1);
+    assert_eq!(c.obs.placement_snapshot().migrations_proposed, 1, "one claim per placement");
+    assert_eq!(c.obs.count(Stat::MigrationsProposed), 1);
     c.run_until_quiet();
-    let snap = c.obs.placement.snapshot();
+    let snap = c.obs.placement_snapshot();
     assert_eq!(snap.migrations_executed, 1);
     // Served locally now: further reads neither count nor re-propose.
     for _ in 0..40 {
         c.read(n(2), seg, None, 0, 64).unwrap();
     }
-    assert_eq!(c.obs.placement.snapshot().migrations_proposed, 1);
+    assert_eq!(c.obs.placement_snapshot().migrations_proposed, 1);
 }
 
 /// A migration that comes due mid-write-stream waits the stream out
@@ -119,18 +120,18 @@ fn migration_waits_out_an_active_write_stream() {
     // Open a write stream, then cross the threshold while it is active.
     c.write(n(0), seg, WriteOp::append(b" mid-stream"), None).unwrap();
     read_past_threshold(&mut c, seg, n(2));
-    assert_eq!(c.obs.placement.snapshot().migrations_proposed, 1);
+    assert_eq!(c.obs.placement_snapshot().migrations_proposed, 1);
 
     // Past the damping window but short of the stability horizon: the
     // migration has fired at least once and stood down each time.
     c.advance(c.cfg.lazy_apply_delay * 4);
     assert!(!c.server(n(2)).replicas.contains(&key), "no copy while the stream is active");
-    assert_eq!(c.obs.placement.snapshot().migrations_executed, 0);
+    assert_eq!(c.obs.placement_snapshot().migrations_executed, 0);
 
     // Quiet: the stream stabilizes, then the parked migration lands.
     c.run_until_quiet();
     assert!(c.server(n(2)).replicas.contains(&key));
-    let snap = c.obs.placement.snapshot();
+    let snap = c.obs.placement_snapshot();
     assert_eq!(snap.migrations_proposed, 1, "the parked claim was never re-proposed");
     assert_eq!(snap.migrations_executed, 1);
 }
@@ -152,7 +153,7 @@ fn migration_retires_the_idle_replica_down_to_the_floor() {
 
     assert!(c.server(n(2)).replicas.contains(&key), "migrated toward the reader");
     assert!(!c.server(n(1)).replicas.contains(&key), "the idle copy retired");
-    let snap = c.obs.placement.snapshot();
+    let snap = c.obs.placement_snapshot();
     assert_eq!(snap.migrations_executed, 1);
     assert!(snap.replicas_retired >= 1);
     let holders =
@@ -183,12 +184,12 @@ fn floor_vetoes_retirement_when_a_crash_thins_the_holders() {
 
     // The update-time LRU sweep sees an idle candidate (server 1) but
     // only the floor's worth of reachable holders: veto, not delete.
-    let vetoes_before = c.obs.placement.snapshot().migrations_vetoed_floor;
+    let vetoes_before = c.obs.placement_snapshot().migrations_vetoed_floor;
     c.write(n(0), seg, WriteOp::append(b" after crash"), None).unwrap();
     c.run_until_quiet();
     assert!(c.server(n(1)).replicas.contains(&key), "the idle copy survives at the floor");
     assert!(
-        c.obs.placement.snapshot().migrations_vetoed_floor > vetoes_before,
+        c.obs.placement_snapshot().migrations_vetoed_floor > vetoes_before,
         "the blocked retirement is accounted as a floor veto"
     );
     let holders = [n(0), n(1)].iter().filter(|&&s| c.server(s).replicas.contains(&key)).count();

@@ -5,7 +5,8 @@
 //! forced-stabilize replica selection of §3.6.
 
 use deceit_core::{
-    Cluster, ClusterConfig, FileParams, Replica, ReplicaState, SegmentId, VersionPair, WriteOp,
+    Cluster, ClusterConfig, FileParams, Replica, ReplicaState, SegmentId, Stat, VersionPair,
+    WriteOp,
 };
 use deceit_net::NodeId;
 use deceit_sim::SimTime;
@@ -37,7 +38,7 @@ fn leased_cell() -> (Cluster, SegmentId) {
 fn charges(c: &Cluster, reader: NodeId) -> (u64, u64, SimTime, u64) {
     (
         c.net.stats().tag_count("forward"),
-        c.stats.counter("core/reads/repairs_scheduled"),
+        c.obs.count(Stat::RepairsScheduled),
         c.now(),
         c.server(reader).ops_served.load(std::sync::atomic::Ordering::Relaxed),
     )
@@ -265,15 +266,15 @@ fn read_repair_catches_up_laggard_after_missed_stabilize() {
     // path — and arm one single-flighted repair.
     let r = c.read(n(2), seg, None, 0, 64).unwrap();
     assert_eq!(&r.value.data()[..], b"stream v1 + v2");
-    assert_eq!(c.stats.counter("core/reads/repairs_scheduled"), 1);
+    assert_eq!(c.obs.count(Stat::RepairsScheduled), 1);
     let r = c.read(n(2), seg, None, 0, 64).unwrap();
     assert_eq!(&r.value.data()[..], b"stream v1 + v2");
-    assert_eq!(c.stats.counter("core/reads/repairs_scheduled"), 1, "repairs are single-flighted");
+    assert_eq!(c.obs.count(Stat::RepairsScheduled), 1, "repairs are single-flighted");
 
     // The deferred repair state-transfers the laggard from the durable
     // primary and marks it stable.
     c.run_until_quiet();
-    assert_eq!(c.stats.counter("core/reads/repairs"), 1);
+    assert_eq!(c.obs.count(Stat::Repairs), 1);
     let repaired = c.server(n(2)).replicas.get(&key).unwrap();
     assert_eq!(repaired.state, ReplicaState::Stable);
     assert_eq!(&repaired.data.contents()[..], b"stream v1 + v2");
@@ -281,9 +282,9 @@ fn read_repair_catches_up_laggard_after_missed_stabilize() {
     // The lock-free path is recovered: no more forwarding.
     let fast = c.try_read_local(n(2), seg, None, 0, 64).expect("repaired replica serves locally");
     assert_eq!(&fast.value.data()[..], b"stream v1 + v2");
-    let forwarded_before = c.stats.counter("core/reads/forwarded_unstable");
+    let forwarded_before = c.obs.count(Stat::ReadsForwardedUnstable);
     let _ = c.read(n(2), seg, None, 0, 64).unwrap();
-    assert_eq!(c.stats.counter("core/reads/forwarded_unstable"), forwarded_before);
+    assert_eq!(c.obs.count(Stat::ReadsForwardedUnstable), forwarded_before);
 }
 
 /// Without the opt flag the laggard stays unstable indefinitely and
@@ -306,7 +307,7 @@ fn without_read_repair_laggard_forwards_forever() {
         assert_eq!(&r.value.data()[..], b"stream v1 + v2");
     }
     c.run_until_quiet();
-    assert_eq!(c.stats.counter("core/reads/repairs_scheduled"), 0);
+    assert_eq!(c.obs.count(Stat::RepairsScheduled), 0);
     assert_eq!(
         c.server(n(2)).replicas.get(&(seg, 0)).unwrap().state,
         ReplicaState::Unstable,
@@ -327,17 +328,17 @@ fn read_repair_defers_while_stream_active() {
     // a repair.
     let r = c.read(n(1), seg, None, 0, 64).unwrap();
     assert_eq!(&r.value.data()[..], b"still streaming");
-    assert_eq!(c.stats.counter("core/reads/repairs_scheduled"), 1);
+    assert_eq!(c.obs.count(Stat::RepairsScheduled), 1);
 
     // Advance just past the repair's damping window — well short of the
     // stability timeout, so the stream is still formally active.
     c.advance(c.cfg.lazy_apply_delay + c.cfg.lazy_apply_delay);
-    assert_eq!(c.stats.counter("core/reads/repairs"), 0, "mid-stream repair must stand down");
+    assert_eq!(c.obs.count(Stat::Repairs), 0, "mid-stream repair must stand down");
     assert_eq!(c.server(n(1)).replicas.get(&key).unwrap().state, ReplicaState::Unstable);
 
     // The stream's own stabilize round — not the repair — finishes it.
     c.run_until_quiet();
-    assert_eq!(c.stats.counter("core/reads/repairs"), 0);
+    assert_eq!(c.obs.count(Stat::Repairs), 0);
     assert_eq!(c.server(n(1)).replicas.get(&key).unwrap().state, ReplicaState::Stable);
 }
 
@@ -382,7 +383,7 @@ fn forced_stabilize_prefers_descendant_over_high_sub_ancestor() {
         b"descendant history",
         "the descendant must win the forced stabilize, whatever the subversion counters say"
     );
-    assert_eq!(c.stats.counter("core/reads/stable_search"), 1);
+    assert_eq!(c.obs.count(Stat::ReadsStableSearch), 1);
     assert_eq!(
         c.server(n(2)).replicas.get(&key).unwrap().state,
         ReplicaState::Stable,
@@ -392,7 +393,7 @@ fn forced_stabilize_prefers_descendant_over_high_sub_ancestor() {
         c.server(n(1)).replicas.get(&key).is_none(),
         "the obsolete ancestor must be destroyed, not crowned"
     );
-    assert_eq!(c.stats.counter("core/replicas/destroyed_obsolete"), 1);
+    assert_eq!(c.obs.count(Stat::ReplicasDestroyedObsolete), 1);
 }
 
 /// Survivors whose version *equals* the winner's are marked stable too:
@@ -416,7 +417,7 @@ fn forced_stabilize_marks_equal_version_survivors_stable() {
 
     let r = c.read(n(1), seg, Some(0), 0, 64).unwrap();
     assert_eq!(&r.value.data()[..], b"settled");
-    assert_eq!(c.stats.counter("core/reads/stable_search"), 1);
+    assert_eq!(c.obs.count(Stat::ReadsStableSearch), 1);
     for s in [n(1), n(2)] {
         assert_eq!(
             c.server(s).replicas.get(&key).unwrap().state,
@@ -428,5 +429,5 @@ fn forced_stabilize_marks_equal_version_survivors_stable() {
     // The next read — via either survivor — is local, no second search.
     let r = c.read(n(2), seg, Some(0), 0, 64).unwrap();
     assert_eq!(&r.value.data()[..], b"settled");
-    assert_eq!(c.stats.counter("core/reads/stable_search"), 1, "one forcing round, not two");
+    assert_eq!(c.obs.count(Stat::ReadsStableSearch), 1, "one forcing round, not two");
 }

@@ -3,7 +3,7 @@
 //! optimistic concurrency, replica management, and migration.
 
 use deceit_core::{
-    Cluster, ClusterConfig, DeceitError, FileParams, ProtocolEvent, VersionPair, WriteOp,
+    Cluster, ClusterConfig, DeceitError, FileParams, ProtocolEvent, Stat, VersionPair, WriteOp,
 };
 use deceit_net::NodeId;
 use deceit_sim::SimDuration;
@@ -49,7 +49,7 @@ fn read_via_other_server_forwards() {
     let r = c.read(n(2), seg, None, 0, 100).unwrap();
     assert_eq!(&r.value.data()[..], b"remote data");
     assert_eq!(r.value.served_by, n(0));
-    assert!(c.stats.counter("core/reads/forwarded") >= 1);
+    assert!(c.obs.count(Stat::ReadsForwarded) >= 1);
     // Forwarding costs more than a local read.
     let local = c.read(n(0), seg, None, 0, 100).unwrap();
     assert!(r.latency > local.latency, "{} <= {}", r.latency, local.latency);
@@ -123,7 +123,7 @@ fn update_stream_amortizes_token_acquisition() {
         first.as_micros() > avg_rest + 2_000,
         "first {first} should exceed steady-state {avg_rest}us by the token round"
     );
-    assert_eq!(c.stats.counter("core/token/passes"), 1);
+    assert_eq!(c.obs.count(Stat::TokenPasses), 1);
 }
 
 #[test]
@@ -147,7 +147,7 @@ fn conditional_write_conflict_and_restart() {
     // Restart with the fresh version succeeds.
     let fresh = c.read(n(0), seg, None, 0, 100).unwrap().value.version;
     c.write(n(0), seg, WriteOp::replace(b"retry"), Some(fresh)).unwrap();
-    assert_eq!(c.stats.counter("core/occ/conflicts"), 1);
+    assert_eq!(c.obs.count(Stat::OccConflicts), 1);
 }
 
 #[test]
@@ -243,7 +243,7 @@ fn lru_deletes_extra_replicas_on_update() {
     c.run_until_quiet();
     let holders = c.locate_replicas(n(0), seg).unwrap().value;
     assert_eq!(holders, vec![n(0)], "extras deleted, primary kept");
-    assert!(c.stats.counter("core/replicas/lru_deleted") >= 2);
+    assert!(c.obs.count(Stat::ReplicasRetired) >= 2);
 }
 
 #[test]

@@ -2,7 +2,7 @@
 //! and their interaction with failures.
 
 use deceit_core::{
-    Cluster, ClusterConfig, DeceitError, FileParams, SegmentId, WriteAvailability, WriteOp,
+    Cluster, ClusterConfig, DeceitError, FileParams, SegmentId, Stat, WriteAvailability, WriteOp,
 };
 use deceit_net::NodeId;
 
@@ -55,8 +55,8 @@ fn forward_small_keeps_token_parked() {
         c.write(via, seg, WriteOp::replace(format!("w{i}").as_bytes()), None).unwrap();
     }
     assert!(c.server(n(0)).holds_token((seg, 0)), "token never moved");
-    assert_eq!(c.stats.counter("core/token/passes"), 0);
-    assert!(c.stats.counter("core/token/updates_forwarded") >= 4);
+    assert_eq!(c.obs.count(Stat::TokenPasses), 0);
+    assert!(c.obs.count(Stat::UpdatesForwarded) >= 4);
     c.run_until_quiet();
     let r = c.read(n(2), seg, None, 0, 16).unwrap().value;
     assert_eq!(&r.data()[..], b"w5");
@@ -72,7 +72,7 @@ fn forward_small_ignores_large_updates() {
     let big = vec![0u8; 4096];
     c.write(n(1), seg, WriteOp::Replace(big.into()), None).unwrap();
     assert!(c.server(n(1)).holds_token((seg, 0)), "large update moved the token");
-    assert_eq!(c.stats.counter("core/token/updates_forwarded"), 0);
+    assert_eq!(c.obs.count(Stat::UpdatesForwarded), 0);
 }
 
 #[test]
@@ -139,5 +139,5 @@ fn token_survives_holder_crash_and_recovery() {
     c.run_until_quiet();
     assert!(c.server(n(0)).holds_token((seg, 0)), "token state is durable");
     c.write(n(0), seg, WriteOp::replace(b"after"), None).unwrap();
-    assert_eq!(c.stats.counter("core/token/generated"), 0);
+    assert_eq!(c.obs.count(Stat::TokenGenerated), 0);
 }

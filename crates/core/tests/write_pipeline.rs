@@ -3,7 +3,7 @@
 //! batching, safety-path synchrony, and holder-crash recovery.
 
 use deceit_core::{
-    Cluster, ClusterConfig, FileParams, Held, ProtocolHost, ReplicaState, SegmentId, WriteOp,
+    Cluster, ClusterConfig, FileParams, Held, ProtocolHost, ReplicaState, SegmentId, Stat, WriteOp,
 };
 use deceit_net::NodeId;
 
@@ -70,8 +70,8 @@ fn consecutive_updates_batch_into_one_message() {
     // fewer rounds than the eager one-per-write.
     let rounds = (c.net.stats().tag_count("update") - msgs_before) / 4;
     assert!(rounds <= 8, "16 writes must amortize into fewer update rounds, took {rounds}");
-    assert!(c.stats.counter("core/pipeline/batches") >= 1);
-    assert!(c.stats.counter("core/pipeline/batched_updates") >= 16);
+    assert!(c.obs.count(Stat::PipelineBatches) >= 1);
+    assert!(c.obs.count(Stat::PipelineBatchedUpdates) >= 16);
     // And the batch applied in order, byte for byte.
     let key = (seg, 0u64);
     let expect: Vec<u8> = b"initial"
@@ -282,7 +282,8 @@ mod delivery_contract {
     use std::collections::BTreeMap;
 
     use deceit_core::{
-        Cluster, ClusterConfig, FileParams, SegmentId, VersionPair, WriteAvailability, WriteOp,
+        Cluster, ClusterConfig, FileParams, SegmentId, Stat, VersionPair, WriteAvailability,
+        WriteOp,
     };
     use deceit_net::{LatencyModel, NodeId};
     use deceit_sim::{SimDuration, SimRng};
@@ -566,13 +567,13 @@ mod delivery_contract {
             assert!(f.subs()[lane] < f.newest.sub, "seed {seed}: cut off, so behind");
             f.c.heal();
             f.check("heal");
-            let transfers = f.c.stats.counter("core/pipeline/safety_transfers");
+            let transfers = f.c.obs.count(Stat::SafetyTransfers);
             for _ in 0..3 {
                 f.write(n(0), &mut rng);
             }
             if f.subs()[lane] == f.newest.sub {
                 assert!(
-                    f.c.stats.counter("core/pipeline/safety_transfers") > transfers,
+                    f.c.obs.count(Stat::SafetyTransfers) > transfers,
                     "seed {seed}: a gapped replica became current without a transfer"
                 );
                 gaps_closed += 1;

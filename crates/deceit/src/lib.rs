@@ -70,7 +70,7 @@ pub use deceit_storage as storage;
 pub mod prelude {
     pub use deceit_agent::{Agent, AgentConfig, AgentPlacement};
     pub use deceit_core::{
-        Cluster, ClusterConfig, DeceitError, FileParams, OpResult, ProtocolHost, SegmentId,
+        Cluster, ClusterConfig, DeceitError, FileParams, OpResult, ProtocolHost, SegmentId, Stat,
         VersionPair, WriteAvailability, WriteOp,
     };
     pub use deceit_net::{LatencyModel, NodeId};

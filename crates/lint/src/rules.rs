@@ -512,7 +512,7 @@ fn rule_one_clock(fi: usize, facts: &Facts, out: &mut Vec<Finding>) {
 /// Files that are counter/histogram modules wholesale: every atomic
 /// *declared* in them is a monotone tally or epoch-decayed gauge, and
 /// every *use* in them is reporting. Both directions are exempt.
-const COUNTER_FILES: &[&str] = &["obs.rs", "placement.rs", "stats.rs"];
+const COUNTER_FILES: &[&str] = &["obs.rs", "placement.rs"];
 
 /// Atomic declarations outside the counter files whose Relaxed use is
 /// correct by design: tallies, size gauges, and unique-id allocators.
@@ -563,13 +563,19 @@ const ORDERING_SCOPES: &[&str] = &[
     "crates/isis/src/",
 ];
 
-/// The file `DECL_ALLOWLIST` is written in.
+/// The file `DECL_ALLOWLIST` and `COUNTER_FILES` are written in.
 const ALLOWLIST_FILE: &str = "crates/lint/src/rules.rs";
 
 fn rule_ordering_audit(fi: usize, facts: &Facts, out: &mut Vec<Finding>) {
     let f = &facts.files[fi];
     if f.path == ALLOWLIST_FILE {
-        stale_allowlist_entries(f, facts, out);
+        stale_entries(f, "DECL_ALLOWLIST", out, |entry| facts.decls.by_key.contains_key(entry));
+        stale_entries(f, "COUNTER_FILES", out, |entry| {
+            facts.files.iter().any(|g| {
+                ORDERING_SCOPES.iter().any(|p| g.path.starts_with(p))
+                    && g.path.rsplit('/').next() == Some(entry)
+            })
+        });
         return;
     }
     if !ORDERING_SCOPES.iter().any(|p| f.path.starts_with(p)) {
@@ -609,22 +615,27 @@ fn rule_ordering_audit(fi: usize, facts: &Facts, out: &mut Vec<Finding>) {
     }
 }
 
-/// An allowlist entry that names no declaration excuses nothing today,
-/// and would silently excuse whatever later takes its name. The entries
-/// are read from the linted source of the allowlist's own file, so each
-/// finding lands on the stale line.
-fn stale_allowlist_entries(f: &SourceFile, facts: &Facts, out: &mut Vec<Finding>) {
+/// An exemption entry that matches nothing excuses nothing today, and
+/// would silently excuse whatever later takes its name: a
+/// `DECL_ALLOWLIST` entry naming no atomic declaration, or a
+/// `COUNTER_FILES` entry naming no file under `ORDERING_SCOPES`. The
+/// entries of list `list` are read from the linted source of the lists'
+/// own file, so each finding lands on the stale line.
+fn stale_entries(
+    f: &SourceFile,
+    list: &str,
+    out: &mut Vec<Finding>,
+    matches: impl Fn(&str) -> bool,
+) {
     let code = &f.code;
-    let Some(start) = (0..code.len()).find(|&i| seq(code, i, &["const", "DECL_ALLOWLIST"])) else {
+    let Some(start) = (0..code.len()).find(|&i| seq(code, i, &["const", list])) else {
         return;
     };
     let entries = code[start..].iter().take_while(|t| !t.is(";"));
     for t in entries.filter(|t| t.kind == TokKind::Str) {
         let entry = t.text.trim_matches('"');
-        if !facts.decls.by_key.contains_key(entry) {
-            let msg = format!(
-                "`DECL_ALLOWLIST` entry `{entry}` names no atomic declaration in the tree — delete it"
-            );
+        if !matches(entry) {
+            let msg = format!("`{list}` entry `{entry}` matches nothing in the tree — delete it");
             out.push(Finding::new("ordering-audit", &f.path, t.line, msg));
         }
     }

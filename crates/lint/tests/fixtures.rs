@@ -225,6 +225,32 @@ fn ordering_audit_accepts_an_allowlist_that_resolves() {
     assert!(report.findings.is_empty(), "findings: {:?}", report.findings);
 }
 
+/// The lists' own file, with `COUNTER_FILES` holding `entries`, beside a
+/// core `obs.rs` and a sim `stats.rs` (outside the audited scopes).
+fn lint_counter_files(entries: &str) -> lint::report::LintReport {
+    let lists = format!("const COUNTER_FILES: &[&str] = &[\n{entries}];\n");
+    lint_sources(&[
+        ("crates/lint/src/rules.rs".to_string(), lists),
+        ("crates/core/src/obs.rs".to_string(), "pub fn f() {}\n".to_string()),
+        ("crates/sim/src/stats.rs".to_string(), "pub fn g() {}\n".to_string()),
+    ])
+}
+
+#[test]
+fn ordering_audit_flags_a_stale_counter_file() {
+    let report = lint_counter_files("    \"obs.rs\",\n    \"stats.rs\",\n");
+    let hits = rule_findings(&report, "ordering-audit");
+    assert_eq!(hits.len(), 1, "findings: {:?}", report.findings);
+    assert_eq!((hits[0].file.as_str(), hits[0].line), ("crates/lint/src/rules.rs", 3));
+    assert!(hits[0].message.contains("`COUNTER_FILES` entry `stats.rs`"), "{}", hits[0].message);
+}
+
+#[test]
+fn ordering_audit_accepts_counter_files_that_resolve() {
+    let report = lint_counter_files("    \"obs.rs\",\n");
+    assert!(report.findings.is_empty(), "findings: {:?}", report.findings);
+}
+
 #[test]
 fn interprocedural_lock_order_fixture_fails_with_a_witness_chain() {
     let report = lint_fixture(

@@ -8,6 +8,7 @@
 //! uplink list. If none have a link to the file, the segment is
 //! deallocated; otherwise, the link count is corrected."
 
+use deceit_core::Stat;
 use deceit_net::NodeId;
 use deceit_sim::SimDuration;
 
@@ -53,7 +54,7 @@ pub fn collect_if_unlinked(
         // Deallocate the segment.
         let del = fs.cluster.delete(via, target.seg)?;
         latency += del.latency;
-        fs.cluster.stats.incr("nfs/gc/deallocated");
+        fs.cluster.obs.bump(Stat::GcDeallocated);
     } else {
         // The hint was wrong: correct it (§5.2 "the link count is
         // corrected").
@@ -61,7 +62,7 @@ pub fn collect_if_unlinked(
             inode.nlink = true_links;
             Ok(Some(Edit::Keep))
         })?;
-        fs.cluster.stats.incr("nfs/gc/corrected");
+        fs.cluster.obs.bump(Stat::GcCorrected);
     }
     Ok(latency)
 }

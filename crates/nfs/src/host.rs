@@ -164,10 +164,6 @@ impl ProtocolHost for NfsServer {
     fn obs_core(&self) -> Option<&deceit_core::ObsCore> {
         self.fs.cluster.obs_core()
     }
-
-    fn stats_snapshot(&self) -> Option<deceit_sim::StatsSnapshot> {
-        self.fs.cluster.stats_snapshot()
-    }
 }
 
 #[cfg(test)]

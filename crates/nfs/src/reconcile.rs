@@ -106,7 +106,6 @@ pub fn reconcile_directory(
         let del = fs.cluster.delete_version(via, dir.seg, *major)?;
         latency += del.latency;
     }
-    fs.cluster.stats.incr("nfs/reconciles");
     Ok(deceit_core::OpResult {
         value: ReconcileReport { merged_majors: majors, merged_entries: table.len(), collisions },
         latency,

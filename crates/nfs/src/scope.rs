@@ -227,7 +227,6 @@ impl Scope<'_> {
                     // within what is held fires during the backoff.
                     let backoff = SimDuration::from_millis(10 * (attempt as u64 + 1));
                     let (cluster, held) = self.held(fh.seg)?;
-                    cluster.stats.incr("nfs/occ_restarts");
                     cluster.advance_scoped(held, backoff);
                     latency += backoff;
                 }

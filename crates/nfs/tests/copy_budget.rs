@@ -63,17 +63,13 @@ fn allocations_during<R>(f: impl FnOnce() -> R) -> (usize, usize, R) {
 }
 
 /// A cell configured like the live runtime's (write pipeline, read
-/// leases, no trace or stats accumulation).
+/// leases, no trace; the counter table is always on).
 fn live_like_server() -> NfsServer {
     NfsServer::new(DeceitFs::new(3, live_like_config(), FsConfig::default()))
 }
 
 fn live_like_config() -> ClusterConfig {
-    ClusterConfig::default()
-        .without_trace()
-        .without_stats()
-        .with_write_pipeline()
-        .with_read_leases()
+    ClusterConfig::default().without_trace().with_write_pipeline().with_read_leases()
 }
 
 /// Creates `name` with `params` and fills it with `len` bytes, settled.

@@ -1,7 +1,7 @@
 //! Behavioral tests of the NFS envelope: the full operation surface,
 //! link/GC semantics, version-qualified names, and request forwarding.
 
-use deceit_core::{DeceitError, FileParams};
+use deceit_core::{DeceitError, FileParams, Stat};
 use deceit_net::NodeId;
 use deceit_nfs::{DeceitFs, FileType, NfsError, NfsReply, NfsRequest, NfsServer, NfsService};
 
@@ -125,7 +125,7 @@ fn remove_deallocates_unlinked_file() {
     assert!(matches!(fs.lookup(n(0), root, "gone"), Err(NfsError::NotFound)));
     // The segment itself was deallocated by the uplink GC.
     assert!(matches!(fs.getattr(n(0), f.handle), Err(NfsError::Stale)));
-    assert_eq!(fs.cluster.stats.counter("nfs/gc/deallocated"), 1);
+    assert_eq!(fs.cluster.obs.count(Stat::GcDeallocated), 1);
 }
 
 #[test]
@@ -189,8 +189,8 @@ fn refused_link_leaves_link_count_alone() {
     srv.fs.remove(n(0), root, "f").unwrap();
     srv.fs.remove(n(0), d.handle, "alias").unwrap();
     assert!(matches!(srv.fs.getattr(n(0), f.handle), Err(NfsError::Stale)));
-    assert_eq!(srv.fs.cluster.stats.counter("nfs/gc/corrected"), 0);
-    assert_eq!(srv.fs.cluster.stats.counter("nfs/gc/deallocated"), 1);
+    assert_eq!(srv.fs.cluster.obs.count(Stat::GcCorrected), 0);
+    assert_eq!(srv.fs.cluster.obs.count(Stat::GcDeallocated), 1);
 }
 
 #[test]
@@ -211,7 +211,7 @@ fn gc_corrects_bad_link_count_hint() {
     // count instead of deallocating.
     let alias = fs.lookup(n(0), d.handle, "alias").unwrap().value;
     assert_eq!(alias.nlink, 1, "count corrected from the uplink scan");
-    assert_eq!(fs.cluster.stats.counter("nfs/gc/corrected"), 1);
+    assert_eq!(fs.cluster.obs.count(Stat::GcCorrected), 1);
     let data_ok = fs.read(n(0), alias.handle, 0, 10);
     assert!(data_ok.is_ok(), "file not deallocated");
 }

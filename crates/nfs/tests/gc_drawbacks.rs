@@ -1,6 +1,7 @@
 //! The §5.2 garbage-collection design and its acknowledged drawbacks,
 //! reproduced faithfully.
 
+use deceit_core::Stat;
 use deceit_net::NodeId;
 use deceit_nfs::{DeceitFs, NfsError};
 
@@ -21,7 +22,7 @@ fn oversized_link_count_prevents_collection() {
     // The count went 5 → 4, never reached zero, so the scan never ran:
     // the segment leaks exactly as the paper warns.
     assert!(fs.getattr(n(0), f.handle).is_ok(), "segment not collected despite being unlinked");
-    assert_eq!(fs.cluster.stats.counter("nfs/gc/deallocated"), 0);
+    assert_eq!(fs.cluster.obs.count(Stat::GcDeallocated), 0);
 }
 
 #[test]
@@ -41,7 +42,7 @@ fn uplink_scan_rederives_truth_from_directories() {
     // Two links survive in d; the scan found both and fixed the hint.
     let alias = fs.lookup(n(1), d.handle, "alias").unwrap().value;
     assert_eq!(alias.nlink, 2, "hint corrected to the true link count");
-    assert_eq!(fs.cluster.stats.counter("nfs/gc/corrected"), 1);
+    assert_eq!(fs.cluster.obs.count(Stat::GcCorrected), 1);
 }
 
 #[test]
@@ -62,7 +63,7 @@ fn uplink_list_overapproximates_during_rename() {
     assert_eq!(moved.handle.seg, f.handle.seg);
     fs.remove(n(0), b.handle, "moved").unwrap();
     assert!(matches!(fs.getattr(n(0), f.handle), Err(NfsError::Stale)));
-    assert_eq!(fs.cluster.stats.counter("nfs/gc/deallocated"), 1);
+    assert_eq!(fs.cluster.obs.count(Stat::GcDeallocated), 1);
 }
 
 #[test]
@@ -87,5 +88,5 @@ fn gc_scans_every_version_of_every_uplink_directory() {
         fs.getattr(n(0), f.handle).is_ok(),
         "link in an old directory version keeps the file alive"
     );
-    assert_eq!(fs.cluster.stats.counter("nfs/gc/corrected"), 1);
+    assert_eq!(fs.cluster.obs.count(Stat::GcCorrected), 1);
 }

@@ -70,10 +70,9 @@ pub struct RuntimeConfig {
 impl RuntimeConfig {
     /// A deployment of `servers` servers with defaults tuned for live
     /// hosting: protocol tracing off (the trace log grows without bound
-    /// under sustained traffic), protocol metrics off (the registry
-    /// lock sits on the request hot path; the runtime keeps its own
-    /// atomic counters), and the asynchronous replicated-write pipeline
-    /// on — a write acks at local durability (plus its safety-level
+    /// under sustained traffic; the protocol's event counters stay on,
+    /// as everywhere — they are a fixed table of atomics), and the
+    /// asynchronous replicated-write pipeline on — a write acks at local durability (plus its safety-level
     /// replies) and the pump ships batched propagation, instead of the
     /// simulator's paper-faithful eager broadcast per update. The
     /// differential suite runs both worlds with this same config, so sim
@@ -96,11 +95,9 @@ impl RuntimeConfig {
         // Access-driven replica placement moves replicas toward the
         // servers that keep serving forwarded reads for them (off in the
         // paper-faithful simulator default, on here; the signal itself is
-        // always-on obs atomics, so disabling stats above does not blind
-        // it).
+        // always-on obs atomics).
         let mut cluster = ClusterConfig::default()
             .without_trace()
-            .without_stats()
             .with_write_pipeline()
             .with_read_leases()
             .with_read_repair()
@@ -174,7 +171,6 @@ mod tests {
         assert!(cfg.cluster.opt_read_leases, "live hosting serves holder-local read leases");
         assert!(cfg.cluster.opt_read_repair, "live hosting repairs lagging replicas on read");
         assert!(cfg.cluster.opt_placement, "live hosting migrates replicas toward readers");
-        assert!(!cfg.cluster.stats, "placement must not depend on the stats registry");
     }
 
     #[test]

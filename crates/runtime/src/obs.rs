@@ -13,8 +13,9 @@
 //!
 //! [`ClusterRuntime::observe`](crate::ClusterRuntime::observe) folds
 //! these together with the engine's lock-level telemetry
-//! (`crate::shard`), the protocol core's [`deceit_core::ObsCore`], and
-//! the sim-side stats registry snapshot into one [`ObsReport`], which
+//! (`crate::shard`) and the protocol core's [`deceit_core::ObsCore`] —
+//! its histograms, flight-recorder totals and event counters — into one
+//! [`ObsReport`], which
 //! [`ObsReport::to_json`] serializes without any serializer dependency.
 
 use std::sync::atomic::AtomicU64;
@@ -136,9 +137,8 @@ pub struct ObsReport {
     pub engine: EngineReport,
     /// Protocol-core telemetry, when the engine carries an `ObsCore`.
     pub core: Option<CoreReport>,
-    /// Sim-side stats registry snapshot, when the engine keeps one. Live
-    /// configs run the registry disabled; the snapshot says so
-    /// explicitly rather than reporting zeroes.
+    /// The protocol's event counters ([`deceit_core::Stat`]), when the
+    /// engine keeps them.
     pub stats: Option<StatsSnapshot>,
     /// The lock-free traffic counters.
     pub runtime: RuntimeStats,
@@ -195,22 +195,12 @@ impl ObsReport {
         }
         match &self.stats {
             Some(s) => {
-                let _ =
-                    write!(out, "  \"stats\": {{\"disabled\": {}, \"counters\": {{", s.disabled);
+                out.push_str("  \"stats\": {");
                 for (i, (name, v)) in s.counters.iter().enumerate() {
-                    let sep = if i == 0 { "" } else { ", " };
-                    let _ = write!(out, "{sep}\"{name}\": {v}");
+                    let sep = if i == 0 { "" } else { "," };
+                    let _ = write!(out, "{sep}\n    \"{name}\": {v}");
                 }
-                out.push_str("}, \"histograms\": {");
-                for (i, (name, h)) in s.histograms.iter().enumerate() {
-                    let sep = if i == 0 { "" } else { ", " };
-                    let _ = write!(
-                        out,
-                        "{sep}\"{name}\": {{\"count\": {}, \"mean\": {:.3}, \"p50\": {}, \"p95\": {}, \"p99\": {}, \"max\": {}}}",
-                        h.count, h.mean, h.p50, h.p95, h.p99, h.max
-                    );
-                }
-                out.push_str("}},\n");
+                out.push_str("\n  },\n");
             }
             None => out.push_str("  \"stats\": null,\n"),
         }
@@ -271,9 +261,9 @@ mod tests {
         assert_eq!(OP_CLASS_NAMES.len(), OP_CLASSES);
     }
 
-    #[test]
-    fn report_serializes_as_json_with_percentile_fields() {
-        let report = ObsReport {
+    /// A report with fixed figures around `stats`.
+    fn report_with(stats: StatsSnapshot) -> ObsReport {
+        ObsReport {
             op_latency: vec![("read_only", summary_of(&[10, 20, 30]))],
             pump_to_idle: 2,
             pump_to_busy: 1,
@@ -297,7 +287,7 @@ mod tests {
                     decay_epochs: 6,
                 },
             }),
-            stats: Some(StatsSnapshot { disabled: true, counters: vec![], histograms: vec![] }),
+            stats: Some(stats),
             runtime: RuntimeStats {
                 bus_delivered: 100,
                 bus_rejected: 0,
@@ -310,8 +300,14 @@ mod tests {
                 requests_served_sharded: 8,
                 pending_work: 0,
             },
-        };
-        let json = report.to_json();
+        }
+    }
+
+    #[test]
+    fn report_serializes_as_json_with_percentile_fields() {
+        let core = deceit_core::ObsCore::new(3);
+        core.bump(deceit_core::Stat::TokenPasses);
+        let json = report_with(core.stats()).to_json();
         for needle in [
             "\"op_latency\"",
             "\"read_only\"",
@@ -323,7 +319,7 @@ mod tests {
             "\"lease_validation_failures\": 1",
             "\"flight_events\": [12, 0, 5]",
             "\"placement\": {\"migrations_proposed\": 4, \"migrations_executed\": 3, \"migrations_vetoed_floor\": 1, \"replicas_retired\": 2, \"decay_epochs\": 6}",
-            "\"disabled\": true",
+            "\"core/token/passes\": 1",
             "\"requests_served\": 50",
             "\"bus_wakes\": 3, \"bus_yields\": 97, \"clock_reads\": 200",
         ] {
@@ -334,6 +330,15 @@ mod tests {
         let opens = json.matches('{').count();
         let closes = json.matches('}').count();
         assert_eq!(opens, closes, "unbalanced JSON braces:\n{json}");
+    }
+
+    #[test]
+    fn every_stat_appears_once_in_json() {
+        let json = report_with(deceit_core::ObsCore::new(3).stats()).to_json();
+        for stat in deceit_core::Stat::ALL {
+            let key = format!("\"{}\": ", stat.name());
+            assert_eq!(json.matches(&key).count(), 1, "{key} in:\n{json}");
+        }
     }
 
     #[test]

@@ -17,7 +17,7 @@ use std::time::Duration;
 
 use parking_lot::Mutex;
 
-use deceit_core::ProtocolHost;
+use deceit_core::{ProtocolHost, Stat};
 use deceit_net::live::LiveBus;
 use deceit_net::rpc::{Rpc, RpcEndpoint};
 use deceit_net::NodeId;
@@ -451,9 +451,9 @@ impl<S: NfsService + ProtocolHost + Send + Sync + 'static> ClusterRuntime<S> {
 
     /// One structured snapshot of every observability layer: op-class
     /// latency, engine lock telemetry, protocol-core histograms and
-    /// flight-recorder totals, the sim-side stats snapshot, and the
+    /// flight-recorder totals, the protocol's event counters, and the
     /// traffic counters. Takes the shared cell lock briefly (for the
-    /// core/stats reads); everything else is read from atomics.
+    /// core reads); everything else is read from atomics.
     pub fn observe(&self) -> ObsReport {
         let eobs = &self.shared.engine.obs;
         let engine = EngineReport {
@@ -466,11 +466,11 @@ impl<S: NfsService + ProtocolHost + Send + Sync + 'static> ClusterRuntime<S> {
             let guard = self.shared.engine.read_guard();
             let core = guard.obs_core().map(|o| CoreReport {
                 drain_batch: o.drain_batch.summary(),
-                lease_validation_failures: o.lease_validation_failures.load(Ordering::Relaxed),
+                lease_validation_failures: o.count(Stat::LeaseValidationFailures),
                 flight_events: (0..o.flight.servers())
                     .map(|i| o.flight.total(NodeId(i as u32)))
                     .collect(),
-                placement: o.placement.snapshot(),
+                placement: o.placement_snapshot(),
             });
             (core, guard.stats_snapshot())
         };

@@ -707,7 +707,7 @@ fn migration_storm_under_crash_keeps_floor_and_read_monotonicity() {
 #[test]
 fn same_file_mutations_never_interleave() {
     use std::sync::atomic::{AtomicBool, Ordering};
-    use std::sync::Arc;
+    use std::sync::{Arc, Barrier};
 
     const WRITERS: usize = 4;
     const WRITES_PER_CLIENT: usize = 25;
@@ -723,12 +723,15 @@ fn same_file_mutations_never_interleave() {
     let sub_before = opener.getattr(fh).expect("getattr").version.sub;
 
     let stop = Arc::new(AtomicBool::new(false));
+    // The writers start only once the reader has read once, so the
+    // reader cannot see `stop` before its first read.
+    let start = Arc::new(Barrier::new(WRITERS + 1));
     let reader = {
-        let stop = Arc::clone(&stop);
+        let (stop, start) = (Arc::clone(&stop), Arc::clone(&start));
         let mut client = rt.client();
         std::thread::spawn(move || {
             let mut observed = 0u64;
-            while !stop.load(Ordering::Relaxed) {
+            loop {
                 let data = client.read(fh, 0, LEN).expect("concurrent read");
                 assert!(!data.is_empty());
                 assert!(
@@ -737,16 +740,23 @@ fn same_file_mutations_never_interleave() {
                     &data[..8.min(data.len())]
                 );
                 observed += 1;
+                if observed == 1 {
+                    start.wait();
+                }
+                if stop.load(Ordering::Relaxed) {
+                    break observed;
+                }
             }
-            observed
         })
     };
 
     let writers: Vec<_> = (0..WRITERS)
         .map(|w| {
+            let start = Arc::clone(&start);
             let mut client = rt.client();
             std::thread::spawn(move || {
                 let pattern = [b'A' + w as u8; LEN];
+                start.wait();
                 for _ in 0..WRITES_PER_CLIENT {
                     client.write(fh, 0, &pattern).expect("contested write");
                 }

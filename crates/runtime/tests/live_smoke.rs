@@ -221,3 +221,29 @@ fn idle_cell_shuts_down_promptly_with_an_exact_report() {
         }
     );
 }
+
+/// The protocol's event counters are on in live hosting: a write stream
+/// drains through the pipeline, and a read entering at a server with no
+/// replica forwards — both show in the exported table.
+#[test]
+fn live_counters_are_on() {
+    let rt = ClusterRuntime::start(RuntimeConfig::new(3));
+    let mut writer = rt.client_homed(NodeId(0));
+    let attr = writer.create(writer.root(), "counted", 0o644).expect("create");
+    writer.set_file_params(attr.handle, FileParams::important(2)).expect("params");
+    for i in 0..16u8 {
+        writer.write(attr.handle, 0, &[i; 64]).expect("write");
+    }
+    rt.settle();
+
+    let holders = writer.locate_replicas(attr.handle).expect("locate");
+    let bare = (0..3).map(NodeId).find(|s| !holders.contains(s)).expect("a server with no replica");
+    let data = rt.client_homed(bare).read(attr.handle, 0, 64).expect("forwarded read");
+    assert_eq!(&data[..], &[15u8; 64][..]);
+
+    let stats = rt.observe().stats.expect("the engine exports its counters");
+    let count = |name: &str| stats.get(name).unwrap_or_else(|| panic!("no counter {name}"));
+    assert!(count("core/pipeline/batches") >= 1, "{stats:?}");
+    assert!(count("core/reads/forwarded") >= 1, "{stats:?}");
+    rt.shutdown();
+}

@@ -9,7 +9,7 @@
 //! * [`EventQueue`] — a stable (FIFO-within-timestamp) pending-event queue.
 //! * [`SimRng`] — a seeded RNG with the distributions the workload models
 //!   need (Zipf, truncated log-normal, exponential).
-//! * [`stats`] — counters and histograms used by every layer above.
+//! * [`StatsSnapshot`] — the owned copy of an engine's protocol counters.
 //! * [`trace`] — a structured protocol trace, used to regenerate Table 1 of
 //!   the paper (the "typical sequence of events in an update").
 //! * [`wall`] — the one counted wall clock the live runtime reads.
@@ -29,6 +29,6 @@ pub mod wall;
 pub use events::EventQueue;
 pub use inline::InlineVec;
 pub use rng::SimRng;
-pub use stats::{Counter, Histogram, StatsRegistry, StatsSnapshot, Summary};
+pub use stats::StatsSnapshot;
 pub use time::{SimDuration, SimTime};
 pub use trace::{TraceEvent, TraceLog};

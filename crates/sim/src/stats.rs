@@ -1,398 +1,21 @@
-//! Counters, histograms, and experiment summaries.
+//! The owned counter snapshot a protocol host exports.
 //!
-//! Every layer of the stack records into these types: the network counts
-//! messages and bytes, the ISIS layer counts broadcast rounds, the segment
-//! server counts token movements and stability transitions. The bench
-//! harness prints [`Summary`] rows in the shape of the paper's tables.
+//! The counters themselves live with the engine that bumps them (the
+//! protocol core keeps one fixed table of atomics); this is the copy an
+//! exporter or a test reads out of it.
 
-use std::collections::BTreeMap;
-use std::fmt;
-
-use crate::time::SimDuration;
-
-/// A monotonically increasing event counter.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Counter(u64);
-
-impl Counter {
-    /// Creates a zeroed counter.
-    pub const fn new() -> Self {
-        Counter(0)
-    }
-
-    /// Adds one.
-    pub fn incr(&mut self) {
-        self.0 += 1;
-    }
-
-    /// Adds `n`.
-    pub fn add(&mut self, n: u64) {
-        self.0 += n;
-    }
-
-    /// Current value.
-    pub const fn get(self) -> u64 {
-        self.0
-    }
-
-    /// Resets to zero, returning the prior value.
-    pub fn take(&mut self) -> u64 {
-        std::mem::take(&mut self.0)
-    }
-}
-
-/// An exact histogram of `u64` samples (latencies in microseconds, sizes in
-/// bytes, counts).
-///
-/// Stores raw samples; the data volumes in this project (≤ millions of
-/// samples per experiment) make exactness affordable and percentile queries
-/// trustworthy.
-#[derive(Debug, Clone, Default)]
-pub struct Histogram {
-    samples: Vec<u64>,
-    sorted: bool,
-}
-
-impl Histogram {
-    /// Creates an empty histogram.
-    pub fn new() -> Self {
-        Histogram::default()
-    }
-
-    /// Records one sample.
-    pub fn record(&mut self, value: u64) {
-        self.samples.push(value);
-        self.sorted = false;
-    }
-
-    /// Records a duration sample in microseconds.
-    pub fn record_duration(&mut self, d: SimDuration) {
-        self.record(d.as_micros());
-    }
-
-    /// Number of samples recorded.
-    pub fn count(&self) -> usize {
-        self.samples.len()
-    }
-
-    /// Whether no samples have been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.samples.is_empty()
-    }
-
-    /// Arithmetic mean, or 0.0 when empty.
-    pub fn mean(&self) -> f64 {
-        if self.samples.is_empty() {
-            return 0.0;
-        }
-        self.samples.iter().sum::<u64>() as f64 / self.samples.len() as f64
-    }
-
-    /// Exact percentile in `[0, 100]`, or 0 when empty.
-    pub fn percentile(&mut self, p: f64) -> u64 {
-        if self.samples.is_empty() {
-            return 0;
-        }
-        self.ensure_sorted();
-        let rank = ((p / 100.0) * (self.samples.len() - 1) as f64).round() as usize;
-        self.samples[rank.min(self.samples.len() - 1)]
-    }
-
-    /// Largest sample, or 0 when empty.
-    pub fn max(&self) -> u64 {
-        self.samples.iter().copied().max().unwrap_or(0)
-    }
-
-    /// Smallest sample, or 0 when empty.
-    pub fn min(&self) -> u64 {
-        self.samples.iter().copied().min().unwrap_or(0)
-    }
-
-    /// Sum of all samples.
-    pub fn total(&self) -> u64 {
-        self.samples.iter().sum()
-    }
-
-    /// Produces a point-in-time summary of the distribution.
-    pub fn summary(&mut self) -> Summary {
-        Summary {
-            count: self.count() as u64,
-            mean: self.mean(),
-            p50: self.percentile(50.0),
-            p95: self.percentile(95.0),
-            p99: self.percentile(99.0),
-            max: self.max(),
-        }
-    }
-
-    fn ensure_sorted(&mut self) {
-        if !self.sorted {
-            self.samples.sort_unstable();
-            self.sorted = true;
-        }
-    }
-}
-
-/// A compact distribution summary row.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Summary {
-    /// Number of samples.
-    pub count: u64,
-    /// Arithmetic mean.
-    pub mean: f64,
-    /// Median.
-    pub p50: u64,
-    /// 95th percentile.
-    pub p95: u64,
-    /// 99th percentile.
-    pub p99: u64,
-    /// Maximum.
-    pub max: u64,
-}
-
-impl fmt::Display for Summary {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "n={} mean={:.1} p50={} p95={} p99={} max={}",
-            self.count, self.mean, self.p50, self.p95, self.p99, self.max
-        )
-    }
-}
-
-/// A named registry of counters and histograms for one experiment run.
-///
-/// Keys are `/`-separated paths, e.g. `net/messages` or
-/// `core/token/acquisitions`, so related metrics group naturally when the
-/// registry is dumped.
-///
-/// Internally synchronized: recording takes `&self`, so protocol code
-/// running under a shared lock (the concurrent host's sharded mutation
-/// path) can account without exclusive access. The lock is uncontended in
-/// single-threaded simulation runs.
-#[derive(Debug)]
-pub struct StatsRegistry {
-    inner: std::sync::Mutex<StatsInner>,
-    enabled: bool,
-}
-
-impl Default for StatsRegistry {
-    fn default() -> Self {
-        StatsRegistry { inner: Default::default(), enabled: true }
-    }
-}
-
-#[derive(Debug, Default)]
-struct StatsInner {
-    // Keyed by static names: every recording site uses a literal, so
-    // the hot path never allocates a key `String`.
-    counters: BTreeMap<&'static str, Counter>,
-    histograms: BTreeMap<&'static str, Histogram>,
-}
-
-impl StatsRegistry {
-    /// Creates an empty registry.
-    pub fn new() -> Self {
-        StatsRegistry::default()
-    }
-
-    /// Creates a disabled registry: every recording call is a no-op.
-    ///
-    /// Live hosting disables protocol metrics the same way it disables
-    /// tracing — the registry lock and map lookups are measurable on the
-    /// request hot path, and the runtime keeps its own atomic counters.
-    pub fn disabled() -> Self {
-        StatsRegistry { inner: Default::default(), enabled: false }
-    }
-
-    fn lock(&self) -> std::sync::MutexGuard<'_, StatsInner> {
-        self.inner.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    /// Increments the named counter by one, creating it if needed.
-    pub fn incr(&self, name: &'static str) {
-        if !self.enabled {
-            return;
-        }
-        self.lock().counters.entry(name).or_default().incr();
-    }
-
-    /// Adds `n` to the named counter, creating it if needed.
-    pub fn add(&self, name: &'static str, n: u64) {
-        if !self.enabled {
-            return;
-        }
-        self.lock().counters.entry(name).or_default().add(n);
-    }
-
-    /// Current value of the named counter (0 if never touched).
-    pub fn counter(&self, name: &str) -> u64 {
-        self.lock().counters.get(name).map_or(0, |c| c.get())
-    }
-
-    /// Records a sample into the named histogram, creating it if needed.
-    pub fn record(&self, name: &'static str, value: u64) {
-        if !self.enabled {
-            return;
-        }
-        self.lock().histograms.entry(name).or_default().record(value);
-    }
-
-    /// Records a duration sample (microseconds) into the named histogram.
-    pub fn record_duration(&self, name: &'static str, d: SimDuration) {
-        self.record(name, d.as_micros());
-    }
-
-    /// Summary of the named histogram, or an all-zero summary if absent.
-    pub fn summary(&self, name: &'static str) -> Summary {
-        self.lock().histograms.entry(name).or_default().summary()
-    }
-
-    /// All counter names currently present, in sorted order.
-    pub fn counter_names(&self) -> Vec<&'static str> {
-        self.lock().counters.keys().copied().collect()
-    }
-
-    /// All histogram names currently present, in sorted order.
-    pub fn histogram_names(&self) -> Vec<&'static str> {
-        self.lock().histograms.keys().copied().collect()
-    }
-
-    /// Clears every counter and histogram, keeping the names out of the map.
-    pub fn reset(&self) {
-        let mut inner = self.lock();
-        inner.counters.clear();
-        inner.histograms.clear();
-    }
-
-    /// Whether recording calls take effect.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
-    /// A point-in-time copy of every counter and histogram summary.
-    ///
-    /// A disabled registry yields a snapshot with `disabled: true` and
-    /// empty maps — the marker travels with the data, so an exporter
-    /// cannot present a switched-off registry as "zero events observed".
-    pub fn snapshot(&self) -> StatsSnapshot {
-        let inner = self.lock();
-        StatsSnapshot {
-            disabled: !self.enabled,
-            counters: inner.counters.iter().map(|(n, c)| (*n, c.get())).collect(),
-            histograms: inner.histograms.iter().map(|(n, h)| (*n, h.clone().summary())).collect(),
-        }
-    }
-}
-
-/// An owned snapshot of a [`StatsRegistry`].
-#[derive(Debug, Clone, PartialEq)]
+/// A point-in-time copy of an engine's protocol counters: every
+/// counter's name and value, in the engine's table order.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct StatsSnapshot {
-    /// True when the registry was disabled: the empty maps below mean
-    /// "nothing was recorded", not "nothing happened".
-    pub disabled: bool,
-    /// Every counter's name and value, sorted by name.
+    /// Every counter's name and value.
     pub counters: Vec<(&'static str, u64)>,
-    /// Every histogram's name and summary, sorted by name.
-    pub histograms: Vec<(&'static str, Summary)>,
 }
 
-impl fmt::Display for StatsRegistry {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let inner = self.lock();
-        for (name, c) in &inner.counters {
-            writeln!(f, "{name}: {}", c.get())?;
-        }
-        for (name, h) in &inner.histograms {
-            let mut h = h.clone();
-            writeln!(f, "{name}: {}", h.summary())?;
-        }
-        Ok(())
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn counter_basics() {
-        let mut c = Counter::new();
-        c.incr();
-        c.add(4);
-        assert_eq!(c.get(), 5);
-        assert_eq!(c.take(), 5);
-        assert_eq!(c.get(), 0);
-    }
-
-    #[test]
-    fn histogram_percentiles_exact() {
-        let mut h = Histogram::new();
-        for v in 1..=100u64 {
-            h.record(v);
-        }
-        assert_eq!(h.count(), 100);
-        assert_eq!(h.min(), 1);
-        assert_eq!(h.max(), 100);
-        assert_eq!(h.percentile(0.0), 1);
-        assert_eq!(h.percentile(100.0), 100);
-        let p50 = h.percentile(50.0);
-        assert!((50..=51).contains(&p50), "p50 {p50}");
-        assert!((h.mean() - 50.5).abs() < 1e-9);
-    }
-
-    #[test]
-    fn histogram_empty_is_zeroes() {
-        let mut h = Histogram::new();
-        assert!(h.is_empty());
-        assert_eq!(h.percentile(50.0), 0);
-        assert_eq!(h.mean(), 0.0);
-        assert_eq!(h.summary().count, 0);
-    }
-
-    #[test]
-    fn registry_counters_and_histograms() {
-        let r = StatsRegistry::new();
-        r.incr("net/messages");
-        r.add("net/messages", 9);
-        r.record("lat", 5);
-        r.record("lat", 15);
-        assert_eq!(r.counter("net/messages"), 10);
-        assert_eq!(r.counter("missing"), 0);
-        let s = r.summary("lat");
-        assert_eq!(s.count, 2);
-        assert_eq!(s.max, 15);
-        assert_eq!(r.counter_names(), vec!["net/messages"]);
-        r.reset();
-        assert_eq!(r.counter("net/messages"), 0);
-    }
-
-    #[test]
-    fn snapshot_marks_disabled_registries() {
-        let live = StatsRegistry::new();
-        live.incr("a");
-        let snap = live.snapshot();
-        assert!(!snap.disabled);
-        assert!(live.is_enabled());
-        assert_eq!(snap.counters, vec![("a", 1)]);
-
-        let off = StatsRegistry::disabled();
-        off.incr("a");
-        off.record("h", 9);
-        let snap = off.snapshot();
-        assert!(snap.disabled, "a disabled registry must say so, not report zeroes");
-        assert!(!off.is_enabled());
-        assert!(snap.counters.is_empty());
-        assert!(snap.histograms.is_empty());
-    }
-
-    #[test]
-    fn registry_display_lists_everything() {
-        let r = StatsRegistry::new();
-        r.incr("a/b");
-        r.record("c/d", 3);
-        let out = r.to_string();
-        assert!(out.contains("a/b: 1"));
-        assert!(out.contains("c/d: n=1"));
+impl StatsSnapshot {
+    /// The named counter's value, or `None` if the engine keeps no
+    /// counter of that name.
+    pub fn get(&self, name: &str) -> Option<u64> {
+        self.counters.iter().find(|(n, _)| *n == name).map(|&(_, v)| v)
     }
 }

@@ -125,12 +125,12 @@ fn main() {
     let stats = fs.cluster.net.stats();
     println!("  network messages     : {}", stats.messages);
     println!("  bytes moved          : {} KB", stats.bytes / 1024);
-    println!("  token passes         : {}", fs.cluster.stats.counter("core/token/passes"));
-    println!("  replicas regenerated : {}", fs.cluster.stats.counter("core/replicas/generated"));
+    println!("  token passes         : {}", fs.cluster.obs.count(Stat::TokenPasses));
+    println!("  replicas regenerated : {}", fs.cluster.obs.count(Stat::ReplicasGenerated));
     println!(
         "  stability rounds     : {} unstable / {} stable",
-        fs.cluster.stats.counter("core/stability/unstable_rounds"),
-        fs.cluster.stats.counter("core/stability/stable_rounds")
+        fs.cluster.obs.count(Stat::UnstableRounds),
+        fs.cluster.obs.count(Stat::StableRounds)
     );
     println!("  version conflicts    : {}", fs.cluster.conflicts.len());
 

@@ -53,10 +53,7 @@ fn figure2_any_server_reaches_any_file() {
         let (d, _) = agent.read_file(&mut srv, f.handle).unwrap();
         assert_eq!(&d[..], b"anywhere", "via server {client_server}");
     }
-    assert!(
-        srv.fs.cluster.stats.counter("core/reads/forwarded") >= 3,
-        "non-owner servers forwarded"
-    );
+    assert!(srv.fs.cluster.obs.count(Stat::ReadsForwarded) >= 3, "non-owner servers forwarded");
 }
 
 #[test]

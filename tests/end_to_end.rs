@@ -136,6 +136,6 @@ fn statistics_reflect_architecture() {
     let stats = srv.fs.cluster.net.stats();
     assert!(stats.tag_count("nfs-rpc") > 0, "client traffic accounted");
     assert!(stats.tag_count("update") > 0, "update broadcasts accounted");
-    assert!(srv.fs.cluster.stats.counter("core/creates") >= 5);
+    assert!(srv.fs.cluster.obs.count(Stat::Creates) >= 5);
     assert!(srv.fs.cluster.groups.len() >= 5, "one file group per live file");
 }

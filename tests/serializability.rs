@@ -88,11 +88,11 @@ fn stability_cost_is_per_stream_not_per_write() {
     // updates" — so a stream of writes pays one unstable round, not N.
     let (mut fs, x, _) = setup(true);
     fs.write(n(0), x, 0, b"w0").unwrap();
-    let rounds_after_first = fs.cluster.stats.counter("core/stability/unstable_rounds");
+    let rounds_after_first = fs.cluster.obs.count(Stat::UnstableRounds);
     for i in 1..10 {
         fs.write(n(0), x, 0, format!("w{i}").as_bytes()).unwrap();
     }
-    let rounds_after_stream = fs.cluster.stats.counter("core/stability/unstable_rounds");
+    let rounds_after_stream = fs.cluster.obs.count(Stat::UnstableRounds);
     assert_eq!(
         rounds_after_first, rounds_after_stream,
         "no additional unstable rounds within the stream"
@@ -101,5 +101,5 @@ fn stability_cost_is_per_stream_not_per_write() {
     // the round again.
     fs.cluster.run_until_quiet();
     fs.write(n(0), x, 0, b"new stream").unwrap();
-    assert_eq!(fs.cluster.stats.counter("core/stability/unstable_rounds"), rounds_after_stream + 1);
+    assert_eq!(fs.cluster.obs.count(Stat::UnstableRounds), rounds_after_stream + 1);
 }
