@@ -122,9 +122,11 @@ impl Pending {
     ///   around as fast as the pump can copy them instead of once per
     ///   window.
     ///
-    /// The match is exhaustive on purpose: adding a `Pending` variant
-    /// must not compile (nor pass `deceit-lint`'s due-gating rule)
-    /// until its gating is decided here explicitly.
+    /// The match is exhaustive on purpose, and clippy denies a `_ =>`
+    /// arm here, whether it covers several variants or one: adding a
+    /// `Pending` variant must not compile until its gating is decided
+    /// here explicitly.
+    #[deny(clippy::wildcard_enum_match_arm, clippy::match_wildcard_for_single_variants)]
     pub fn due_gated(&self) -> bool {
         match self {
             Pending::StabilizeCheck { .. }

@@ -44,9 +44,12 @@
 //! [`deceit_net::Network::reachable`] and [`crate::Cluster::now`] read
 //! plain fields and an atomic, and are the only outside calls such
 //! closures make. Debug builds assert that no thread takes a slot lock
-//! while holding one ([`deceit_sim::leaf::lock_slot`]); `deceit-lint`
-//! rejects `self` inside a closure handed to `visit`, `update` or
-//! `update_with`.
+//! while holding one ([`deceit_sim::leaf::lock_slot`]), as they assert
+//! the host's cell lock is not taken twice (the levels above the slots,
+//! cell then ascending rings, are carried by the types of the runtime's
+//! `shard::CellLock`). The leaf rule itself is lexical, so it is the
+//! one lock rule left to `deceit-lint`: its `lock-order` rule rejects
+//! `self` inside a closure handed to `visit`, `update` or `update_with`.
 //!
 //! Exclusion between two protocol executions touching the *same* file is
 //! not this module's job: the hosting layer serializes them on the shard

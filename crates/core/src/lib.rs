@@ -48,6 +48,18 @@
 //! assert_eq!(cluster.locate_replicas(s0, seg).unwrap().value.len(), 2);
 //! ```
 
+// No panics outside tests: a storm or a client request can reach any
+// of this code, and it must fail by returning an error (see clippy.toml).
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::allow_attributes_without_reason
+)]
+
 pub mod audit;
 pub mod cluster;
 pub mod config;

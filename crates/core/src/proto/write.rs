@@ -443,7 +443,10 @@ impl Cluster {
     /// the safety-path replicas and a deferred `ApplyUpdate` per
     /// write-behind replica. The §3.1 reply count is self + remote
     /// repliers holding replicas.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "one broadcast round's inputs, computed by the caller"
+    )]
     fn distribute_eager(
         &self,
         via: NodeId,

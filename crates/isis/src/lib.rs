@@ -18,6 +18,18 @@
 //! cluster (in `deceit-core`) drives these pieces, the same way the Deceit
 //! server process linked against the ISIS toolkit.
 
+// No panics outside tests: a storm or a client request can reach any
+// of this code, and it must fail by returning an error (see clippy.toml).
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::allow_attributes_without_reason
+)]
+
 pub mod abcast;
 pub mod bcast;
 pub mod cbcast;

@@ -1,27 +1,42 @@
-//! Planted violations for `lock-order`, linted as if this file were
-//! `crates/runtime/src/shard.rs` (the ring-order checks only apply
-//! there). Never compiled — read as text by `tests/fixtures.rs`.
+//! Planted violations for `lock-order`'s leaf half, linted as if this
+//! file were `crates/core/src/proto/fixture.rs` (any `core` file but
+//! `hot.rs`). Never compiled — read as text by `tests/fixtures.rs`. The
+//! negative cases double as lexer checks.
 
-impl Engine {
-    fn cell_inside_ring(&self) {
-        let batch = self.lock_slots(class);
-        let cell = self.cell.read(); // VIOLATION: cell after ring
-        drop((batch, cell));
+impl Cluster {
+    fn raw_leaf_lock(&self) -> usize {
+        self.inner.lock().len() // VIOLATION: a leaf lock outside the hot.rs seam
     }
 
-    fn raw_ring_indexing(&self) {
-        let guard = self.shards[3].lock(); // VIOLATION: only lock_slots proves ascending order
-        drop(guard);
+    fn visit_reaches_back(&self, via: NodeId, k: ReplicaKey) {
+        self.server(via).visit(k.0, |s| {
+            s.leases.remove(&k);
+            self.server(via).tokens.contains(&k) // VIOLATION: `self` under a slot lock
+        });
     }
 
-    fn lock_slots(&self, class: OpClass) -> Vec<Guard> {
-        // Allowed: this *is* the seam that proves ascending order.
-        class.slots().map(|s| self.shards[s].lock()).collect()
+    fn negative_cases(&self, via: NodeId, k: ReplicaKey) -> bool {
+        let s = "strings may say .lock() and self freely";
+        let raw = r#"raw string with "quotes" and .lock() inside"#;
+        let deep = r##"raw string with "# inside, still one token"##;
+        /* block comments too: .lock() /* nested .visit(|s| self) */ all comment */
+        // line comment: self.inner.lock()
+        let net = &self.net;
+        let _ = (s, raw, deep);
+        self.server(via).visit(k.0, |s| net.reachable(via, s.home))
     }
 
-    fn compliant(&self) {
-        let cell = self.cell.read(); // cell first is the documented order
-        let batch = self.lock_slots(class);
-        drop((cell, batch));
+    fn waived(&self) -> usize {
+        // lint: allow(lock-order): fixture waiver — proves suppression and waiver-usage accounting
+        self.inner.lock().len()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    #[test]
+    fn test_code_is_exempt() {
+        let m = std::sync::Mutex::new(0);
+        *m.lock().unwrap() += 1;
     }
 }

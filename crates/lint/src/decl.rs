@@ -11,9 +11,9 @@
 //! declaration cannot be pinned down is reported as such — unresolved
 //! is a finding, not a pass.
 
-use crate::callgraph::{chain_segments, local_types, resolve_chain, Seg};
-use crate::items::{Items, ATOMIC_TYPES};
+use crate::items::Items;
 use crate::lexer::TokKind;
+use crate::resolve::{chain_segments, local_types, resolve_chain, Seg};
 use crate::rules::SourceFile;
 use std::collections::BTreeMap;
 
@@ -267,7 +267,7 @@ fn resolve_decl(
     match segs.as_slice() {
         [prefix @ .., Seg::Field(name)] => {
             if let Some(id) = fn_id {
-                if let Some(ty) = resolve_chain(items, sf, id, &env.types, prefix) {
+                if let Some(ty) = resolve_chain(items, id, &env.types, prefix) {
                     if let Some(field) = items.field(&ty, name) {
                         if field.atomic.is_some() {
                             return decls.by_key.get(&format!("{ty}::{name}")).copied();
@@ -321,12 +321,6 @@ fn chain_desc(code: &[crate::lexer::Tok], end: usize) -> Option<String> {
         }
     }
     Some(s)
-}
-
-/// True when the declaring type of `ty` is an atomic primitive — used
-/// by the rule to phrase untraceable-parameter messages.
-pub fn is_atomic_ty(idents: &[String]) -> bool {
-    idents.iter().any(|s| ATOMIC_TYPES.contains(&s.as_str()))
 }
 
 #[cfg(test)]

@@ -2,8 +2,7 @@
 //! static / `use` extraction over the lexer's token stream.
 //!
 //! This is the facts layer's foundation. The token-stream rules of PR 9
-//! saw one flat stream per file; everything interprocedural — the call
-//! graph, the lock-set dataflow, declaration-tracked atomics — needs to
+//! saw one flat stream per file; declaration-tracked atomics need to
 //! know *which function* a token lives in, *which type* that function
 //! is implemented on, and *what fields* the workspace's structs
 //! declare. The parse here is deliberately shallow (no expressions, no
@@ -63,9 +62,6 @@ pub fn base_type(idents: &[String]) -> Option<&str> {
 pub struct Param {
     pub name: String,
     pub ty: Vec<String>,
-    /// The type mentions `Fn`/`FnMut`/`FnOnce`: a callable the function
-    /// may invoke (the lock-set analysis models "invoked while holding").
-    pub callable: bool,
 }
 
 /// One function with a body.
@@ -165,19 +161,6 @@ impl Items {
     /// Field lookup on a struct by base type name.
     pub fn field(&self, ty: &str, field: &str) -> Option<&FieldItem> {
         self.structs.get(ty)?.fields.get(field)
-    }
-
-    /// Nested function bodies strictly inside `outer` (same file) — the
-    /// event walks must skip them: a nested `fn` runs when called, not
-    /// inline.
-    pub fn nested_bodies(&self, outer: usize) -> Vec<(usize, usize)> {
-        let o = &self.fns[outer];
-        self.per_file_fns[o.file]
-            .iter()
-            .filter(|&&id| id != outer)
-            .map(|&id| self.fns[id].body)
-            .filter(|&(a, b)| o.body.0 <= a && b <= o.body.1)
-            .collect()
     }
 }
 
@@ -467,8 +450,7 @@ fn parse_param(code: &[crate::lexer::Tok], seg: &[usize]) -> Option<Param> {
         .filter(|t| t.kind == TokKind::Ident)
         .map(|t| t.text.clone())
         .collect();
-    let callable = ty.iter().any(|s| s == "Fn" || s == "FnMut" || s == "FnOnce");
-    Some(Param { name, ty, callable })
+    Some(Param { name, ty })
 }
 
 fn parse_struct(
@@ -743,24 +725,6 @@ mod tests {
         assert_eq!(items.aliases[0]["HotSet"], vec!["crate", "hot", "HotSet"]);
         assert_eq!(items.aliases[0]["Touches"], vec!["crate", "hot", "TouchBuffer"]);
         assert_eq!(items.aliases[0]["core_obs"], vec!["deceit_core", "obs"]);
-    }
-
-    #[test]
-    fn callable_params_are_marked() {
-        let items =
-            build("fn run<T>(&self, class: u32, f: impl FnOnce(&S) -> T) -> T { f(&self.cell) }\n");
-        let run = &items.fns[0];
-        assert_eq!(run.params.len(), 2);
-        assert!(!run.params[0].callable);
-        assert!(run.params[1].callable && run.params[1].name == "f");
-    }
-
-    #[test]
-    fn nested_fn_bodies_are_reported() {
-        let items = build("fn outer() {\n    fn inner() { x(); }\n    inner();\n}\n");
-        assert_eq!(items.fns.len(), 2);
-        let outer = items.fns.iter().position(|f| f.name == "outer").unwrap();
-        assert_eq!(items.nested_bodies(outer).len(), 1);
     }
 
     #[test]

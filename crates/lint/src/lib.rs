@@ -1,158 +1,48 @@
-//! `deceit-lint`: repo-specific static analysis for the Deceit
-//! concurrency discipline.
+//! `deceit-lint`: the repo-specific static analysis that neither rustc
+//! nor clippy can carry.
 //!
-//! The invariants this codebase rests on — the cell→ascending-ring
-//! lock order, revoke-before-invalidate for read leases, due-gating of
-//! every `Pending` variant, no bare panics on protocol paths, Relaxed
-//! atomics only for tallies — used to live in module docs and
-//! `debug_assert`s. This crate makes them machine-checked: a
-//! hand-rolled lexer (the vendored deps are API stubs, so no `syn`)
-//! feeds a token-stream rule engine with a hard-coded registry and
-//! in-source waivers. See README § "Static analysis" for the catalog.
+//! The Deceit concurrency discipline is checked in three places. The
+//! compiler carries the cell → ascending-ring lock order
+//! (`deceit_runtime::shard::CellLock`'s types, plus a debug assertion)
+//! and the exhaustiveness of `Pending::due_gated`; clippy's restriction
+//! lints carry the no-panic and one-clock rules (`clippy.toml` and the
+//! crate roots). What is left is here: a hand-rolled lexer (the vendored
+//! deps are API stubs, so no `syn`) feeds a token-stream rule engine
+//! with a hard-coded registry and in-source waivers — the slot leaf-lock
+//! rule, revoke-before-invalidate for read leases, and Relaxed atomics
+//! only on declared tallies. See README § "Static analysis".
 
-pub mod callgraph;
 pub mod decl;
 pub mod items;
 pub mod lexer;
-pub mod lockset;
 pub mod report;
+pub mod resolve;
 pub mod rules;
 pub mod waiver;
 
 use report::{Finding, LintReport};
 use rules::{SourceFile, RULES};
-use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
 /// Everything the semantic passes learned about the workspace: the
-/// item-level parse, the call graph, the lock-set dataflow results,
-/// and the atomic declaration registry. Built once per lint run; rules
-/// are invoked per file against it.
+/// item-level parse and the atomic declaration registry. Built once per
+/// lint run; rules are invoked per file against it.
 pub struct Facts {
     pub files: Vec<SourceFile>,
     pub items: items::Items,
-    pub graph: callgraph::CallGraph,
-    pub locks: lockset::LockSets,
     pub decls: decl::Decls,
-    pub lock_violations: Vec<lockset::Violation>,
-    pub path_index: BTreeMap<String, usize>,
 }
 
 impl Facts {
     pub fn build(files: Vec<SourceFile>) -> Facts {
         let items = items::Items::build(&files);
-        let graph = callgraph::CallGraph::build(&items, &files);
-        let locks = lockset::LockSets::build(&items, &files, &graph);
         let decls = decl::Decls::build(&items, &files);
-        let lock_violations = lockset::violations(&items, &files, &graph, &locks);
-        let path_index = files.iter().enumerate().map(|(i, f)| (f.path.clone(), i)).collect();
-        Facts { files, items, graph, locks, decls, lock_violations, path_index }
-    }
-
-    /// The call-graph + lock-set facts as JSON, for the CI artifact
-    /// next to `lint_report.json`. Edges are emitted only for resolved
-    /// calls; lock entries only for functions where the dataflow
-    /// concluded something nonempty.
-    pub fn to_json(&self) -> String {
-        fn esc(s: &str) -> String {
-            s.replace('\\', "\\\\").replace('"', "\\\"")
-        }
-        let classes = |mask: u8| -> String {
-            let mut v = Vec::new();
-            if mask & lockset::CELL != 0 {
-                v.push("\"cell\"");
-            }
-            if mask & lockset::RING != 0 {
-                v.push("\"ring\"");
-            }
-            format!("[{}]", v.join(","))
-        };
-        let fn_name = |id: usize| -> String {
-            let f = &self.items.fns[id];
-            match &f.impl_type {
-                Some(t) => format!("{}::{}", t, f.name),
-                None => f.name.clone(),
-            }
-        };
-        let mut s = String::with_capacity(4096);
-        s.push_str("{\"schema\":\"deceit-lint-facts/1\"");
-        s.push_str(&format!(",\"files\":{}", self.files.len()));
-        s.push_str(&format!(",\"functions\":{}", self.items.fns.len()));
-        s.push_str(&format!(
-            ",\"calls\":{{\"resolved\":{},\"unresolved\":{}}}",
-            self.graph.resolved, self.graph.unresolved
-        ));
-        s.push_str(",\"edges\":[");
-        let mut first = true;
-        for site in &self.graph.sites {
-            let Some(callee) = site.callee else { continue };
-            if !first {
-                s.push(',');
-            }
-            first = false;
-            s.push_str(&format!(
-                "{{\"caller\":\"{}\",\"callee\":\"{}\",\"file\":\"{}\",\"line\":{}}}",
-                esc(&fn_name(site.caller)),
-                esc(&fn_name(callee)),
-                esc(&self.files[self.items.fns[site.caller].file].path),
-                site.line
-            ));
-        }
-        s.push_str("],\"locksets\":[");
-        let mut first = true;
-        for (id, fl) in self.locks.fns.iter().enumerate() {
-            if fl.entry == 0 && fl.acquisitions.is_empty() && fl.closure_under == 0 {
-                continue;
-            }
-            if !first {
-                s.push(',');
-            }
-            first = false;
-            let acq: Vec<String> = fl
-                .acquisitions
-                .iter()
-                .map(|a| {
-                    format!(
-                        "{{\"class\":{},\"line\":{},\"via_call\":{}}}",
-                        classes(a.class),
-                        a.line,
-                        a.via_call
-                    )
-                })
-                .collect();
-            s.push_str(&format!(
-                "{{\"fn\":\"{}\",\"file\":\"{}\",\"entry\":{},\"closure_under\":{},\"acquires\":[{}]}}",
-                esc(&fn_name(id)),
-                esc(&self.files[self.items.fns[id].file].path),
-                classes(fl.entry),
-                classes(fl.closure_under),
-                acq.join(",")
-            ));
-        }
-        s.push_str("],\"atomics\":[");
-        let mut first = true;
-        for d in &self.decls.decls {
-            if !first {
-                s.push(',');
-            }
-            first = false;
-            s.push_str(&format!(
-                "{{\"decl\":\"{}\",\"type\":\"{}\",\"file\":\"{}\",\"line\":{}}}",
-                esc(&d.key),
-                esc(&d.ty),
-                esc(&d.file),
-                d.line
-            ));
-        }
-        s.push_str("]}");
-        s
+        Facts { files, items, decls }
     }
 }
 
-/// Lint a set of `(repo-relative path, content)` pairs and keep the
-/// facts. The binary uses the facts for `--facts`; the fixture tests
-/// use the report.
-pub fn analyze(files: &[(String, String)]) -> (Facts, LintReport) {
+/// Lint a set of `(repo-relative path, content)` pairs.
+pub fn lint_sources(files: &[(String, String)]) -> LintReport {
     let known = rules::rule_ids();
     let sfs: Vec<SourceFile> = files.iter().map(|(p, c)| SourceFile::new(p, c)).collect();
     let facts = Facts::build(sfs);
@@ -197,12 +87,7 @@ pub fn analyze(files: &[(String, String)]) -> (Facts, LintReport) {
         }
     }
     findings.sort();
-    (facts, LintReport { files_scanned: files.len(), waivers_honored, findings })
-}
-
-/// Lint without keeping the facts — the original entry point.
-pub fn lint_sources(files: &[(String, String)]) -> LintReport {
-    analyze(files).1
+    LintReport { files_scanned: files.len(), waivers_honored, findings }
 }
 
 /// Collect the lintable sources under `root`: `crates/*/src/**/*.rs`.

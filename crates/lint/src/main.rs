@@ -4,19 +4,16 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-const USAGE: &str =
-    "usage: deceit-lint [--deny] [--json <path>] [--facts <path>] [--root <dir>] [--list-rules]
+const USAGE: &str = "usage: deceit-lint [--deny] [--json <path>] [--root <dir>] [--list-rules]
 
   --deny         exit nonzero when any finding survives waivers
   --json <path>  write the machine-readable report (CI artifact)
-  --facts <path> write the call-graph + lock-set facts (CI artifact)
   --root <dir>   workspace root (default: walk up from the cwd)
   --list-rules   print the rule catalog and exit";
 
 fn main() -> ExitCode {
     let mut deny = false;
     let mut json: Option<PathBuf> = None;
-    let mut facts_path: Option<PathBuf> = None;
     let mut root: Option<PathBuf> = None;
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
@@ -25,10 +22,6 @@ fn main() -> ExitCode {
             "--json" => match args.next() {
                 Some(p) => json = Some(PathBuf::from(p)),
                 None => return usage_error("--json needs a path"),
-            },
-            "--facts" => match args.next() {
-                Some(p) => facts_path = Some(PathBuf::from(p)),
-                None => return usage_error("--facts needs a path"),
             },
             "--root" => match args.next() {
                 Some(p) => root = Some(PathBuf::from(p)),
@@ -68,7 +61,7 @@ fn main() -> ExitCode {
         }
     };
 
-    let (facts, report) = lint::analyze(&sources);
+    let report = lint::lint_sources(&sources);
 
     for f in &report.findings {
         println!("{f}");
@@ -85,12 +78,6 @@ fn main() -> ExitCode {
 
     if let Some(path) = json {
         if let Err(e) = std::fs::write(&path, report.to_json()) {
-            eprintln!("deceit-lint: failed to write {}: {e}", path.display());
-            return ExitCode::FAILURE;
-        }
-    }
-    if let Some(path) = facts_path {
-        if let Err(e) = std::fs::write(&path, facts.to_json()) {
             eprintln!("deceit-lint: failed to write {}: {e}", path.display());
             return ExitCode::FAILURE;
         }

@@ -1,23 +1,23 @@
-//! The workspace call graph, plus the receiver-type resolution the
-//! lock-set and atomic-declaration passes share.
+//! Receiver-type resolution for the atomic-declaration pass: a receiver
+//! chain (`self.obs.delivered`, `let e = &self.engine; e.hits`) is
+//! resolved link by link through parameter and `let` types, struct
+//! fields and method return types, to the workspace type it ends on.
 //!
-//! Resolution is deliberately conservative: an edge is recorded only
-//! when the callee can be pinned to one workspace function — via the
-//! receiver's resolved type, a `Type::method` path, a same-file bare
-//! call, or a workspace-unique name that no std type also uses. Calls
-//! that resolve to nothing are *recorded* as unresolved (the facts
-//! artifact counts them) but never guessed at: a missing edge can only
-//! make the interprocedural rules quieter, never wrong.
+//! Resolution is deliberately conservative: a link resolves only when
+//! it can be pinned to one workspace declaration — a field of a
+//! resolved type, a method of a resolved type, a `Type::method` path, a
+//! same-file bare call, or a workspace-unique name that no std type also
+//! uses. Anything else resolves to nothing rather than to a guess.
 
 use crate::items::{base_type, Items};
 use crate::lexer::{Tok, TokKind};
 use crate::rules::SourceFile;
 use std::collections::BTreeMap;
 
-/// Method names that std containers/primitives also use. A workspace
-/// function with one of these names is never matched by the
-/// unique-name fallback — `x.len()` on a `Vec` must not become an edge
-/// to some struct's `len` — it needs a resolved receiver type instead.
+/// Names std types and functions also use. A bare call with one of these
+/// names is never matched by the workspace-unique-name fallback — a
+/// `take(…)` or `replace(…)` from std must not take the return type of
+/// the one workspace function so named — it must resolve in its own file.
 const STD_METHODS: &[&str] = &[
     "load",
     "store",
@@ -168,38 +168,6 @@ const STD_METHODS: &[&str] = &[
     "push_str",
     "repeat",
 ];
-
-/// Keywords and control forms that look like `name(` but are not calls.
-const NOT_CALLS: &[&str] =
-    &["if", "while", "match", "for", "return", "in", "move", "loop", "fn", "struct", "let"];
-
-/// One call expression inside a function body.
-#[derive(Debug, Clone)]
-pub struct CallSite {
-    pub caller: usize,
-    /// Code-token index of the callee name in the caller's file.
-    pub idx: usize,
-    pub line: u32,
-    pub callee_name: String,
-    /// Resolved workspace callee, when resolution succeeded.
-    pub callee: Option<usize>,
-    /// The name is a callable (`Fn*`) parameter of the caller — the
-    /// call invokes a closure the caller's caller supplied.
-    pub param_invoke: bool,
-    /// Token spans of closure literals passed as arguments, exclusive
-    /// of the delimiting tokens: events inside run under whatever the
-    /// callee holds when it invokes its callable parameter.
-    pub closures: Vec<(usize, usize)>,
-}
-
-#[derive(Debug, Default)]
-pub struct CallGraph {
-    pub sites: Vec<CallSite>,
-    /// fn id → indices into `sites`.
-    pub by_caller: Vec<Vec<usize>>,
-    pub resolved: usize,
-    pub unresolved: usize,
-}
 
 /// A receiver chain decomposed into forward-order segments:
 /// `self.obs.slots[i].sharded` → `[SelfStart, Field(obs), Field(slots),
@@ -360,7 +328,7 @@ pub fn local_types(items: &Items, sf: &SourceFile, fn_id: usize) -> BTreeMap<Str
                     }
                     if k > j + 2 && k < f.body.1 {
                         if let Some(segs) = chain_segments(code, k - 1) {
-                            if let Some(ty) = resolve_chain(items, sf, fn_id, &env, &segs) {
+                            if let Some(ty) = resolve_chain(items, fn_id, &env, &segs) {
                                 env.insert(name, vec![ty]);
                             }
                         }
@@ -379,7 +347,6 @@ pub fn local_types(items: &Items, sf: &SourceFile, fn_id: usize) -> BTreeMap<Str
 /// facts. Returns `None` whenever any link is uncertain.
 pub fn resolve_chain(
     items: &Items,
-    sf: &SourceFile,
     fn_id: usize,
     env: &BTreeMap<String, Vec<String>>,
     segs: &[Seg],
@@ -398,7 +365,7 @@ pub fn resolve_chain(
                     None
                 }
             }
-            Seg::StartCall(name) => fn_ret_type(items, sf, file, name),
+            Seg::StartCall(name) => fn_ret_type(items, file, name),
             Seg::PathCall(owner, name) => {
                 let owner = resolve_type_name(items, file, owner, fn_id)?;
                 method_ret_type(items, &owner, name)
@@ -446,7 +413,7 @@ fn method_ret_type(items: &Items, ty: &str, name: &str) -> Option<String> {
     base_type(&items.fns[ids[0]].ret).map(str::to_string)
 }
 
-fn fn_ret_type(items: &Items, _sf: &SourceFile, file: usize, name: &str) -> Option<String> {
+fn fn_ret_type(items: &Items, file: usize, name: &str) -> Option<String> {
     let ids = items.by_name.get(name)?;
     let same_file: Vec<&usize> = ids.iter().filter(|&&id| items.fns[id].file == file).collect();
     let id = match same_file.as_slice() {
@@ -457,203 +424,21 @@ fn fn_ret_type(items: &Items, _sf: &SourceFile, file: usize, name: &str) -> Opti
     base_type(&items.fns[id].ret).map(str::to_string)
 }
 
-/// Resolve one call's target fn id. `recv_ty` is the resolved receiver
-/// type for method calls, `None` for bare/path calls.
-/// `x.name(…)`. A receiver type that resolved but declares no such
-/// method means a std/container method or an impl we cannot see —
-/// returning `None` there (no fallback) is what keeps `vec.len()` from
-/// ever matching some struct's `len`.
-fn resolve_method(items: &Items, name: &str, recv_ty: Option<&str>) -> Option<usize> {
-    if let Some(ty) = recv_ty {
-        let ids = items.by_type_method.get(&(ty.to_string(), name.to_string()))?;
-        return if ids.len() == 1 { Some(ids[0]) } else { None };
-    }
-    // Unresolved receiver: a workspace-unique method name that no std
-    // type shares is still safe to pin.
-    let ids = items.by_name.get(name)?;
-    if ids.len() == 1 && !STD_METHODS.contains(&name) && items.fns[ids[0]].impl_type.is_some() {
-        return Some(ids[0]);
-    }
-    None
-}
-
-/// `A::name(…)` or a bare `name(…)`.
-fn resolve_free(
-    items: &Items,
-    file: usize,
-    fn_id: usize,
-    name: &str,
-    path_owner: Option<&str>,
-) -> Option<usize> {
-    if let Some(owner) = path_owner {
-        let owner = resolve_type_name(items, file, owner, fn_id)?;
-        if let Some(ids) = items.by_type_method.get(&(owner, name.to_string())) {
-            if ids.len() == 1 {
-                return Some(ids[0]);
-            }
-        }
-    }
-    let ids = items.by_name.get(name)?;
-    let same_file: Vec<usize> =
-        ids.iter().copied().filter(|&id| items.fns[id].file == file).collect();
-    if same_file.len() == 1 {
-        return Some(same_file[0]);
-    }
-    if ids.len() == 1 && !STD_METHODS.contains(&name) {
-        return Some(ids[0]);
-    }
-    None
-}
-
-impl CallGraph {
-    pub fn build(items: &Items, files: &[SourceFile]) -> CallGraph {
-        let mut g =
-            CallGraph { by_caller: vec![Vec::new(); items.fns.len()], ..Default::default() };
-        for (fn_id, f) in items.fns.iter().enumerate() {
-            let sf = &files[f.file];
-            let env = local_types(items, sf, fn_id);
-            let callable: Vec<&str> =
-                f.params.iter().filter(|p| p.callable).map(|p| p.name.as_str()).collect();
-            let nested = items.nested_bodies(fn_id);
-            let code = &sf.code;
-            let mut i = f.body.0;
-            while i < f.body.1 {
-                if let Some(&(_, nb)) = nested.iter().find(|&&(na, _)| na == i) {
-                    i = nb; // skip nested fn bodies: they run when called
-                    continue;
-                }
-                let t = &code[i];
-                let is_call = t.kind == TokKind::Ident
-                    && code.get(i + 1).is_some_and(|n| n.is("("))
-                    && !NOT_CALLS.contains(&t.text.as_str())
-                    && !code.get(i.wrapping_sub(1)).is_some_and(|p| p.is("fn"));
-                if !is_call || t.test {
-                    i += 1;
-                    continue;
-                }
-                let name = t.text.clone();
-                let prev = i.checked_sub(1).map(|k| code[k].text.as_str());
-                let (callee, param_invoke) = if prev == Some(".") {
-                    // Method call: resolve the receiver chain type.
-                    let recv_ty = i
-                        .checked_sub(2)
-                        .and_then(|end| chain_segments(code, end))
-                        .and_then(|segs| resolve_chain(items, sf, fn_id, &env, &segs));
-                    (resolve_method(items, &name, recv_ty.as_deref()), false)
-                } else if prev == Some(":") && i >= 3 && code[i - 2].is(":") {
-                    let owner = code[i - 3].text.clone();
-                    (resolve_free(items, f.file, fn_id, &name, Some(&owner)), false)
-                } else if callable.contains(&name.as_str()) {
-                    (None, true)
-                } else {
-                    (resolve_free(items, f.file, fn_id, &name, None), false)
-                };
-                if callee.is_some() {
-                    g.resolved += 1;
-                } else if !param_invoke {
-                    g.unresolved += 1;
-                }
-                let closures = closure_spans(code, i + 1);
-                let site = CallSite {
-                    caller: fn_id,
-                    idx: i,
-                    line: t.line,
-                    callee_name: name,
-                    callee,
-                    param_invoke,
-                    closures,
-                };
-                g.by_caller[fn_id].push(g.sites.len());
-                g.sites.push(site);
-                i += 1;
-            }
-        }
-        g
-    }
-}
-
-/// Closure-literal argument spans of the call whose open paren is at
-/// `open`: token ranges of each closure *body* at argument depth 1.
-fn closure_spans(code: &[Tok], open: usize) -> Vec<(usize, usize)> {
-    let mut out = Vec::new();
-    let mut depth = 0i32;
-    let mut i = open;
-    while i < code.len() {
-        match code[i].text.as_str() {
-            "(" | "[" | "{" => depth += 1,
-            ")" | "]" | "}" => {
-                depth -= 1;
-                if depth == 0 {
-                    break;
-                }
-            }
-            "|" if depth == 1 => {
-                let starts_closure =
-                    i > 0 && matches!(code[i - 1].text.as_str(), "(" | "," | "move");
-                if starts_closure {
-                    // Find the closing `|` of the parameter list.
-                    let mut j = i + 1;
-                    while j < code.len() && !code[j].is("|") {
-                        j += 1;
-                    }
-                    let body_start = j + 1;
-                    let body_end = if code.get(body_start).is_some_and(|t| t.is("{")) {
-                        // Block body.
-                        let mut d = 0i32;
-                        let mut k = body_start;
-                        while k < code.len() {
-                            if code[k].is("{") {
-                                d += 1;
-                            } else if code[k].is("}") {
-                                d -= 1;
-                                if d == 0 {
-                                    break;
-                                }
-                            }
-                            k += 1;
-                        }
-                        k + 1
-                    } else {
-                        // Expression body: until `,` or `)` at depth 1.
-                        let mut d = depth;
-                        let mut k = body_start;
-                        while k < code.len() {
-                            match code[k].text.as_str() {
-                                "(" | "[" | "{" => d += 1,
-                                ")" | "]" | "}" => {
-                                    d -= 1;
-                                    if d == 0 {
-                                        break;
-                                    }
-                                }
-                                "," if d == 1 => break,
-                                _ => {}
-                            }
-                            k += 1;
-                        }
-                        k
-                    };
-                    out.push((body_start, body_end));
-                    i = body_end;
-                    continue;
-                }
-            }
-            _ => {}
-        }
-        i += 1;
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn setup(src: &str) -> (Items, Vec<SourceFile>, CallGraph) {
+    /// The type `resolve_chain` gives the receiver of the last call to
+    /// `method` in `src`.
+    fn receiver_type(src: &str, method: &str) -> Option<String> {
         let files = vec![SourceFile::new("crates/x/src/a.rs", src)];
         let items = Items::build(&files);
-        let g = CallGraph::build(&items, &files);
-        (items, files, g)
+        let sf = &files[0];
+        let at = sf.code.iter().rposition(|t| t.is(method))?;
+        let fn_id = items.fn_of_token(0, at)?;
+        let env = local_types(&items, sf, fn_id);
+        let segs = chain_segments(&sf.code, at - 2)?;
+        resolve_chain(&items, fn_id, &env, &segs)
     }
 
     #[test]
@@ -662,20 +447,7 @@ mod tests {
                    pub struct Holder { engine: Arc<Engine> }\n\
                    impl Engine {\n    fn tick(&self) {}\n}\n\
                    impl Holder {\n    fn go(&self) { self.engine.tick(); }\n}\n";
-        let (items, _f, g) = setup(src);
-        let tick = items.fns.iter().position(|f| f.name == "tick").unwrap();
-        let site = g.sites.iter().find(|s| s.callee_name == "tick").unwrap();
-        assert_eq!(site.callee, Some(tick));
-    }
-
-    #[test]
-    fn std_names_do_not_resolve_by_uniqueness() {
-        let src = "pub struct T { v: Vec<u32> }\nimpl T {\n    fn len(&self) -> usize { 0 }\n    fn go(&self) -> usize { self.v.len() }\n}\n";
-        let (_i, _f, g) = setup(src);
-        // `self.v.len()` is Vec::len: the receiver type (Vec) strips to
-        // nothing resolvable and `len` is denylisted for fallback.
-        let site = g.sites.iter().find(|s| s.callee_name == "len").unwrap();
-        assert_eq!(site.callee, None);
+        assert_eq!(receiver_type(src, "tick").as_deref(), Some("Engine"));
     }
 
     #[test]
@@ -684,33 +456,6 @@ mod tests {
                    pub struct Holder { engine: Box<Engine> }\n\
                    impl Engine {\n    fn tick(&self) {}\n}\n\
                    impl Holder {\n    fn go(&self) {\n        let e = &self.engine;\n        e.tick();\n    }\n}\n";
-        let (items, _f, g) = setup(src);
-        let tick = items.fns.iter().position(|f| f.name == "tick").unwrap();
-        let site = g.sites.iter().find(|s| s.callee_name == "tick").unwrap();
-        assert_eq!(site.callee, Some(tick));
-    }
-
-    #[test]
-    fn closure_arguments_are_spanned_and_param_invokes_marked() {
-        let src = "impl T {\n\
-                   fn with<R>(&self, f: impl FnOnce() -> R) -> R { f() }\n\
-                   fn go(&self) { self.with(|| self.step()); }\n\
-                   fn step(&self) {}\n}\n";
-        let (_i, _f, g) = setup(src);
-        let invoke = g.sites.iter().find(|s| s.param_invoke).unwrap();
-        assert_eq!(invoke.callee_name, "f");
-        let with_site = g.sites.iter().find(|s| s.callee_name == "with").unwrap();
-        assert_eq!(with_site.closures.len(), 1);
-        // The step() call site lies inside the recorded closure span.
-        let step = g.sites.iter().find(|s| s.callee_name == "step").unwrap();
-        let (a, b) = with_site.closures[0];
-        assert!(a <= step.idx && step.idx < b, "{a}..{b} vs {}", step.idx);
-    }
-
-    #[test]
-    fn unresolved_calls_are_counted_not_guessed() {
-        let (_i, _f, g) = setup("fn go(v: Vec<u32>) { v.push(1); helper(); }\n");
-        assert!(g.unresolved >= 2); // push (std) and helper (undefined)
-        assert!(g.sites.iter().all(|s| s.callee.is_none()));
+        assert_eq!(receiver_type(src, "tick").as_deref(), Some("Engine"));
     }
 }

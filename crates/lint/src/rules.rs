@@ -1,6 +1,5 @@
-//! The rule registry, rebuilt around the facts layer. Rules now see
-//! the whole workspace (`Facts`: items, call graph, lock sets, atomic
-//! declarations) and are invoked once per file; scoping stays by
+//! The rule registry. Rules see the whole workspace (`Facts`: items and
+//! atomic declarations) and are invoked once per file; scoping is by
 //! repo-relative path so fixture tests can exercise a rule by lexing
 //! synthetic content under the real path.
 
@@ -35,21 +34,9 @@ pub struct Rule {
 pub const RULES: &[Rule] = &[
     Rule {
         id: "lock-order",
-        summary: "cell lock before ring locks, anywhere in the transitive call tree; ring batches only via lock_slots; leaf locks stay behind the hot.rs/shard.rs seams, and closures run under one are leaves",
-        motivation: "PRs 2-3 sharded the engine; the module-doc lock order is the only thing between us and deadlock",
+        summary: "slot leaf locks stay behind the hot.rs seam: no raw .lock() in core outside hot.rs, and no `self` in a closure handed to visit/update/update_with (it runs under a slot's leaf lock)",
+        motivation: "PRs 2-3 sharded the engine; a closure under a slot lock that reaches the engine through `self` can take a second lock, or the same one again",
         check: rule_lock_order,
-    },
-    Rule {
-        id: "no-bare-panic",
-        summary: "no .unwrap()/.expect()/panic!/unreachable! in the engine, group communication, transport, NFS, storage, or the runtime's serving files (tests and fault-injection drivers exempt)",
-        motivation: "PR 4 converted recovery.rs panics to skip/fallthrough after storms kept finding new ones",
-        check: rule_no_bare_panic,
-    },
-    Rule {
-        id: "due-gating",
-        summary: "every Pending variant must appear in the due_gated decision table",
-        motivation: "PR 4 fixed the same silently-ungated-variant bug twice; a new variant must not bypass the pump",
-        check: rule_due_gating,
     },
     Rule {
         id: "lease-discipline",
@@ -58,17 +45,28 @@ pub const RULES: &[Rule] = &[
         check: rule_lease_discipline,
     },
     Rule {
-        id: "one-clock",
-        summary: "no Instant::now / SystemTime::now / .elapsed() in core, isis, net, nfs, runtime or storage outside tests: the wall clock is read through deceit_sim::wall, which counts",
-        motivation: "clock reads per request are pinned by test; a read outside the one clock is one the count cannot see",
-        check: rule_one_clock,
-    },
-    Rule {
         id: "ordering-audit",
         summary: "Ordering::Relaxed only on allowlisted atomic declarations; published flags need Acquire/Release or a waiver",
         motivation: "PR 5/PR 6 spread atomics through the hot path; Relaxed is correct for tallies, silent corruption for flags",
         check: rule_ordering_audit,
     },
+];
+
+/// Rules that moved to the compiler, and what a waiver naming one
+/// should be written as now.
+pub const MOVED: &[(&str, &str)] = &[
+    (
+        "no-bare-panic",
+        "is now clippy's `unwrap_used`/`expect_used`/`panic`/`unreachable`/`todo`/`unimplemented`: write `#[expect(clippy::…, reason = \"…\")]`",
+    ),
+    (
+        "one-clock",
+        "is now clippy's `disallowed_methods` (clippy.toml): read the clock through `deceit_sim::wall`, or write `#[expect(clippy::disallowed_methods, reason = \"…\")]`",
+    ),
+    (
+        "due-gating",
+        "is now rustc's exhaustiveness check on `Pending::due_gated`, under `#[deny(clippy::wildcard_enum_match_arm, clippy::match_wildcard_for_single_variants)]`: name the variant there",
+    ),
 ];
 
 pub fn rule_ids() -> Vec<&'static str> {
@@ -142,84 +140,46 @@ fn functions(code: &[Tok]) -> Vec<FnSpan> {
 }
 
 // ---------------------------------------------------------------------------
-// Rule 1: lock-order.
+// Rule 1: lock-order (the slot leaf locks).
 
-/// The discipline (module doc of `runtime::shard`): the cell RwLock is
-/// acquired first, then shard ring mutexes in strictly ascending slot
-/// order via `lock_slots`, then per-slot leaf locks inside `hot.rs`.
-///
-/// The ordering itself is checked interprocedurally by the lock-set
-/// dataflow (`lockset.rs`): any cell acquisition while something is
-/// held, or ring acquisition while a ring is held, anywhere in the
-/// transitive call tree, is a finding anchored at the acquisition site.
-/// Two lexical checks remain:
-///   (a) in `shard.rs`, no raw `shards[…].lock()` indexing outside
-///       `lock_slots` (ascending order is only proven there);
-///   (b) in `crates/core` outside `hot.rs`, no raw `.lock()` calls —
-///       leaf locks belong behind the hot.rs/shard.rs seams;
-///   (c) in `crates/core` outside `hot.rs`, a closure handed to a
-///       server's `visit` or a container's `update` / `update_with` runs
-///       under that slot's leaf lock and must be a leaf itself: it may
-///       not mention `self`, through which every other lock of the
-///       engine is reached.
+/// The cell and ring levels of the lock order are carried by
+/// `deceit_runtime::shard::CellLock`'s types; below them sit the engine's
+/// per-slot leaf locks, behind `crates/core/src/hot.rs`. Two lexical
+/// checks keep them leaves, in `crates/core` outside `hot.rs`:
+///   (a) no raw `.lock()` calls — leaf locks belong behind the seam;
+///   (b) a closure handed to a server's `visit` or a container's
+///       `update` / `update_with` runs under that slot's leaf lock and
+///       must be a leaf itself: it may not mention `self`, through which
+///       every other lock of the engine is reached.
 fn rule_lock_order(fi: usize, facts: &Facts, out: &mut Vec<Finding>) {
     let f = &facts.files[fi];
-    // Interprocedural cell/ring order violations anchored in this file.
-    for v in &facts.lock_violations {
-        if v.file == fi {
-            out.push(Finding::new("lock-order", &f.path, v.line, v.message.clone()));
-        }
+    if !f.path.starts_with("crates/core/src/") || f.path.ends_with("/hot.rs") {
+        return;
     }
     let code = &f.code;
-    if f.path == "crates/runtime/src/shard.rs" {
-        for i in 0..code.len() {
-            if code[i].test {
-                continue;
-            }
-            if code[i].is("shards") && seq(code, i + 1, &["["]) {
-                let fn_name = facts
-                    .items
-                    .fn_of_token(fi, i)
-                    .map(|id| facts.items.fns[id].name.clone())
-                    .unwrap_or_default();
-                if fn_name != "lock_slots" {
-                    out.push(Finding::new(
-                        "lock-order",
-                        &f.path,
-                        code[i].line,
-                        format!(
-                            "raw ring-lock indexing in `{fn_name}` — only `lock_slots` proves ascending acquisition order"
-                        ),
-                    ));
-                }
-            }
+    for i in 0..code.len() {
+        if code[i].test {
+            continue;
         }
-    }
-    if f.path.starts_with("crates/core/src/") && !f.path.ends_with("/hot.rs") {
-        for i in 0..code.len() {
-            if code[i].test {
-                continue;
-            }
-            if seq(code, i, &[".", "lock", "("]) {
+        if seq(code, i, &[".", "lock", "("]) {
+            out.push(Finding::new(
+                "lock-order",
+                &f.path,
+                code[i].line,
+                "raw leaf-lock acquisition outside the hot.rs seam",
+            ));
+        }
+        if ["visit", "update", "update_with"].iter().any(|m| seq(code, i, &[".", m, "("])) {
+            if let Some(line) = self_in_closure_arg(code, i + 2) {
                 out.push(Finding::new(
                     "lock-order",
                     &f.path,
-                    code[i].line,
-                    "raw leaf-lock acquisition outside the hot.rs/shard.rs seams",
+                    line,
+                    format!(
+                        "`self` inside the closure handed to `{}` — it runs under a slot's leaf lock and must take no other: compute before the call, act on the result after it",
+                        code[i + 1].text
+                    ),
                 ));
-            }
-            if ["visit", "update", "update_with"].iter().any(|m| seq(code, i, &[".", m, "("])) {
-                if let Some(line) = self_in_closure_arg(code, i + 2) {
-                    out.push(Finding::new(
-                        "lock-order",
-                        &f.path,
-                        line,
-                        format!(
-                            "`self` inside the closure handed to `{}` — it runs under a slot's leaf lock and must take no other: compute before the call, act on the result after it",
-                            code[i + 1].text
-                        ),
-                    ));
-                }
             }
         }
     }
@@ -248,150 +208,7 @@ fn self_in_closure_arg(code: &[Tok], open: usize) -> Option<u32> {
 }
 
 // ---------------------------------------------------------------------------
-// Rule 2: no-bare-panic.
-
-/// Where a client request or a storm can reach. The runtime's
-/// fault-injection drivers (`nemesis.rs`, `scenario.rs`) stay out: they
-/// are harnesses, and a broken precondition there should stop the run.
-const PANIC_SCOPES: &[&str] = &[
-    "crates/core/src/",
-    "crates/isis/src/",
-    "crates/net/src/",
-    "crates/nfs/src/",
-    "crates/runtime/src/client.rs",
-    "crates/runtime/src/config.rs",
-    "crates/runtime/src/error.rs",
-    "crates/runtime/src/history.rs",
-    "crates/runtime/src/obs.rs",
-    "crates/runtime/src/runtime.rs",
-    "crates/runtime/src/shard.rs",
-    "crates/sim/src/",
-    "crates/storage/src/",
-];
-
-fn rule_no_bare_panic(fi: usize, facts: &Facts, out: &mut Vec<Finding>) {
-    let f = &facts.files[fi];
-    if !PANIC_SCOPES.iter().any(|p| f.path.starts_with(p)) {
-        return;
-    }
-    let code = &f.code;
-    for i in 0..code.len() {
-        if code[i].test {
-            continue;
-        }
-        let msg = if seq(code, i, &[".", "unwrap", "(", ")"]) {
-            Some("bare `.unwrap()` on a protocol path — return an error or skip, or waive with a proof of infallibility")
-        } else if seq(code, i, &[".", "expect", "("]) {
-            Some("bare `.expect(…)` on a protocol path — return an error or skip, or waive with a proof of infallibility")
-        } else if code[i].kind == TokKind::Ident
-            && seq(code, i + 1, &["!"])
-            && matches!(code[i].text.as_str(), "panic" | "unreachable" | "todo" | "unimplemented")
-        {
-            Some("panicking macro on a protocol path — a storm can reach this; fail soft instead")
-        } else {
-            None
-        };
-        if let Some(msg) = msg {
-            // Anchor on the method/macro name, not the leading dot.
-            let line = if code[i].is(".") { code[i + 1].line } else { code[i].line };
-            out.push(Finding::new("no-bare-panic", &f.path, line, msg));
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Rule 3: due-gating.
-
-/// In `core/src/event.rs`, every `Pending` variant must be named in the
-/// body of `due_gated` — the pump's decision table. A variant that is
-/// not mentioned there was almost certainly added without deciding
-/// whether the pump may fire it early (the bug PR 4 fixed twice).
-fn rule_due_gating(fi: usize, facts: &Facts, out: &mut Vec<Finding>) {
-    let f = &facts.files[fi];
-    if f.path != "crates/core/src/event.rs" {
-        return;
-    }
-    let code = &f.code;
-    // Collect variants of `enum Pending { … }`.
-    let mut variants: Vec<(String, u32)> = Vec::new();
-    let mut i = 0usize;
-    while i < code.len() {
-        if code[i].is("enum") && seq(code, i + 1, &["Pending"]) {
-            let mut j = i + 2;
-            while j < code.len() && !code[j].is("{") {
-                j += 1;
-            }
-            let mut depth = 0i32;
-            while j < code.len() {
-                let t = &code[j];
-                if t.is("{") || t.is("(") {
-                    depth += 1;
-                } else if t.is("}") || t.is(")") {
-                    depth -= 1;
-                    if depth == 0 {
-                        break;
-                    }
-                } else if depth == 1 && t.kind == TokKind::Ident {
-                    // At variant level an ident starts a variant; skip
-                    // its field group, which the depth counter handles.
-                    variants.push((t.text.clone(), t.line));
-                    let mut d = 0i32;
-                    let mut k = j + 1;
-                    while k < code.len() {
-                        if code[k].is("{") || code[k].is("(") {
-                            d += 1;
-                        } else if code[k].is("}") || code[k].is(")") {
-                            d -= 1;
-                            if d < 0 {
-                                break; // enum's own closing brace
-                            }
-                        } else if d == 0 && code[k].is(",") {
-                            break;
-                        }
-                        k += 1;
-                    }
-                    j = k;
-                    if d < 0 {
-                        break;
-                    }
-                }
-                j += 1;
-            }
-            break;
-        }
-        i += 1;
-    }
-    if variants.is_empty() {
-        return;
-    }
-    let Some(gate) = functions(code).into_iter().find(|fun| fun.name == "due_gated") else {
-        out.push(Finding::new(
-            "due-gating",
-            &f.path,
-            1,
-            "`Pending` is defined but no `due_gated` decision table exists in this file",
-        ));
-        return;
-    };
-    let body: std::collections::BTreeSet<&str> = code[gate.body.0..gate.body.1]
-        .iter()
-        .filter(|t| t.kind == TokKind::Ident)
-        .map(|t| t.text.as_str())
-        .collect();
-    for (name, line) in &variants {
-        if !body.contains(name.as_str()) {
-            out.push(Finding::new(
-                "due-gating",
-                &f.path,
-                *line,
-                format!("`Pending::{name}` is missing from the `due_gated` decision table — decide whether the pump may fire it before its due time"),
-            ));
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Rule 4: lease-discipline.
+// Rule 2: lease-discipline.
 
 /// Registered invalidation functions (file, fn). In each, the first
 /// lease revoke (`leases.remove`/`leases.clear`) must lexically precede
@@ -474,40 +291,7 @@ fn rule_lease_discipline(fi: usize, facts: &Facts, out: &mut Vec<Finding>) {
 }
 
 // ---------------------------------------------------------------------------
-// Rule 5: one-clock.
-
-const CLOCK_SCOPES: &[&str] = &[
-    "crates/core/src/",
-    "crates/isis/src/",
-    "crates/net/src/",
-    "crates/nfs/src/",
-    "crates/runtime/src/",
-    "crates/storage/src/",
-];
-
-const CLOCK_READS: &[(&[&str], &str)] = &[
-    (&["Instant", ":", ":", "now"], "Instant::now"),
-    (&["SystemTime", ":", ":", "now"], "SystemTime::now"),
-    (&[".", "elapsed", "("], ".elapsed()"),
-];
-
-/// Product code reads the wall clock through `deceit_sim::wall`, which
-/// counts every read; a direct read is invisible to the count.
-fn rule_one_clock(fi: usize, facts: &Facts, out: &mut Vec<Finding>) {
-    let f = &facts.files[fi];
-    if !CLOCK_SCOPES.iter().any(|p| f.path.starts_with(p)) {
-        return;
-    }
-    for (i, t) in f.code.iter().enumerate().filter(|(_, t)| !t.test) {
-        if let Some((_, read)) = CLOCK_READS.iter().find(|(pat, _)| seq(&f.code, i, pat)) {
-            let msg = format!("`{read}` reads the wall clock uncounted — use `deceit_sim::wall`");
-            out.push(Finding::new("one-clock", &f.path, t.line, msg));
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Rule 6: ordering-audit (declaration-tracked).
+// Rule 3: ordering-audit (declaration-tracked).
 
 /// Files that are counter/histogram modules wholesale: every atomic
 /// *declared* in them is a monotone tally or epoch-decayed gauge, and

@@ -8,6 +8,7 @@
 
 use crate::lexer::{Tok, TokKind};
 use crate::report::Finding;
+use crate::rules::MOVED;
 
 #[derive(Debug, Clone)]
 pub struct Waiver {
@@ -62,7 +63,10 @@ pub fn parse_waivers(
             continue;
         }
         if !known_rules.contains(&rule.as_str()) {
-            err(format!("waiver names unknown rule `{rule}`"));
+            match MOVED.iter().find(|(moved, _)| *moved == rule) {
+                Some((_, now)) => err(format!("`{rule}` {now}")),
+                None => err(format!("waiver names unknown rule `{rule}`")),
+            }
             continue;
         }
         let target_line = waiver_target(toks, i);
@@ -88,23 +92,23 @@ mod tests {
     use super::*;
     use crate::lexer::lex;
 
-    const RULES: &[&str] = &["no-bare-panic", "lock-order"];
+    const RULES: &[&str] = &["lease-discipline", "lock-order"];
 
     #[test]
     fn own_line_waiver_covers_next_code_line() {
         let toks =
-            lex("// lint: allow(no-bare-panic): startup path, config is validated\nx.unwrap();");
+            lex("// lint: allow(lock-order): startup path, nothing else is locked yet\nx.lock();");
         let (ws, bad) = parse_waivers("f.rs", &toks, RULES);
         assert!(bad.is_empty());
         assert_eq!(ws.len(), 1);
-        assert_eq!(ws[0].rule, "no-bare-panic");
+        assert_eq!(ws[0].rule, "lock-order");
         assert_eq!(ws[0].target_line, Some(2));
         assert!(ws[0].reason.contains("startup"));
     }
 
     #[test]
     fn trailing_waiver_covers_its_own_line() {
-        let toks = lex("x.unwrap(); // lint: allow(no-bare-panic): proven non-empty above");
+        let toks = lex("x.lock(); // lint: allow(lock-order): nothing else is held here");
         let (ws, _) = parse_waivers("f.rs", &toks, RULES);
         assert_eq!(ws[0].target_line, Some(1));
     }
@@ -119,9 +123,9 @@ mod tests {
     #[test]
     fn missing_reason_is_bad_waiver() {
         for src in [
-            "// lint: allow(no-bare-panic)",
-            "// lint: allow(no-bare-panic):",
-            "// lint: allow(no-bare-panic):   ",
+            "// lint: allow(lease-discipline)",
+            "// lint: allow(lease-discipline):",
+            "// lint: allow(lease-discipline):   ",
         ] {
             let (ws, bad) = parse_waivers("f.rs", &lex(src), RULES);
             assert!(ws.is_empty(), "{src}");
@@ -140,7 +144,7 @@ mod tests {
 
     #[test]
     fn unrecognized_directive_is_bad_waiver() {
-        let (_, bad) = parse_waivers("f.rs", &lex("// lint: deny(no-bare-panic): nope"), RULES);
+        let (_, bad) = parse_waivers("f.rs", &lex("// lint: deny(lease-discipline): nope"), RULES);
         assert_eq!(bad.len(), 1);
     }
 

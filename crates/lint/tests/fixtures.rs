@@ -13,91 +13,33 @@ fn lint_fixture(as_path: &str, content: &str) -> lint::report::LintReport {
     lint_sources(&[(as_path.to_string(), content.to_string())])
 }
 
+/// A `core` module outside `hot.rs`: in scope for `lock-order`.
+const CORE: &str = "crates/core/src/proto/fixture.rs";
+
 fn rule_findings<'a>(r: &'a lint::report::LintReport, rule: &str) -> Vec<&'a Finding> {
     r.findings.iter().filter(|f| f.rule == rule).collect()
 }
 
 #[test]
-fn no_bare_panic_fixture_fails_the_lint() {
-    // A protocol module, and an NFS envelope module outside `ops_*`: the
-    // whole of `crates/nfs/src/` is in scope.
-    for path in ["crates/core/src/proto/fixture.rs", "crates/nfs/src/fixture.rs"] {
-        let report = lint_fixture(path, include_str!("../fixtures/no_bare_panic.rs"));
-        let hits = rule_findings(&report, "no-bare-panic");
-        // Exactly the four planted violations: unwrap, expect, panic!,
-        // unreachable!. Strings, raw strings, comments, unwrap_or*, test
-        // code, and the waived call must all stay silent.
-        assert_eq!(hits.len(), 4, "{path} findings: {:?}", report.findings);
-        let lines: Vec<u32> = hits.iter().map(|f| f.line).collect();
-        for (line, what) in [(6, "unwrap"), (10, "expect"), (16, "panic"), (23, "unreachable")] {
-            assert!(lines.contains(&line), "missing planted {what} at line {line}: {lines:?}");
-        }
-        // The fixture's waiver suppressed the waived unwrap and is counted.
-        assert_eq!(report.waivers_honored, 1);
-        assert!(rule_findings(&report, "unused-waiver").is_empty());
-    }
-}
-
-#[test]
-fn no_bare_panic_is_scoped_to_protocol_paths() {
-    // The same content outside the scoped paths produces nothing: the
-    // runtime's fault-injection drivers, and any runtime file not named.
-    for path in [
-        "crates/runtime/src/fixture.rs",
-        "crates/runtime/src/nemesis.rs",
-        "crates/runtime/src/scenario.rs",
-    ] {
-        let report = lint_fixture(path, include_str!("../fixtures/no_bare_panic.rs"));
-        assert!(rule_findings(&report, "no-bare-panic").is_empty(), "{path}");
-    }
-}
-
-#[test]
-fn one_clock_fixture_fails_the_lint() {
-    for path in ["crates/runtime/src/fixture.rs", "crates/net/src/fixture.rs"] {
-        let report = lint_fixture(path, include_str!("../fixtures/one_clock.rs"));
-        let hits = rule_findings(&report, "one-clock");
-        // The three planted reads; comments, strings, `wall`, test code
-        // and the waived read stay silent.
-        let lines: Vec<u32> = hits.iter().map(|f| f.line).collect();
-        assert_eq!(lines, [8, 12, 16], "{path} findings: {:?}", report.findings);
-        assert!(hits[1].message.contains("SystemTime::now"), "{}", hits[1].message);
-        assert_eq!(report.waivers_honored, 1);
-        assert!(rule_findings(&report, "unused-waiver").is_empty());
-    }
-    // The one clock itself lives outside the scoped crates.
-    let report = lint_fixture("crates/sim/src/wall.rs", include_str!("../fixtures/one_clock.rs"));
-    assert!(rule_findings(&report, "one-clock").is_empty());
-}
-
-#[test]
-fn no_bare_panic_covers_net_and_sim() {
-    for path in ["crates/net/src/fixture.rs", "crates/sim/src/fixture.rs"] {
-        let report = lint_fixture(path, include_str!("../fixtures/no_bare_panic.rs"));
-        assert_eq!(rule_findings(&report, "no-bare-panic").len(), 4, "{path}");
-    }
-}
-
-#[test]
-fn no_bare_panic_covers_core_and_the_runtimes_serving_files() {
-    for path in [
-        "crates/core/src/fixture.rs",
-        "crates/runtime/src/runtime.rs",
-        "crates/runtime/src/history.rs",
-    ] {
-        let report = lint_fixture(path, include_str!("../fixtures/no_bare_panic.rs"));
-        assert_eq!(rule_findings(&report, "no-bare-panic").len(), 4, "{path}");
-    }
-}
-
-#[test]
 fn lock_order_fixture_fails_the_lint() {
-    let report =
-        lint_fixture("crates/runtime/src/shard.rs", include_str!("../fixtures/lock_order.rs"));
+    let report = lint_fixture(CORE, include_str!("../fixtures/lock_order.rs"));
     let hits = rule_findings(&report, "lock-order");
-    assert_eq!(hits.len(), 2, "findings: {:?}", report.findings);
-    assert!(hits.iter().any(|f| f.line == 8 && f.message.contains("cell lock")));
-    assert!(hits.iter().any(|f| f.line == 13 && f.message.contains("raw ring-lock")));
+    // Exactly the two planted violations: the raw leaf lock and `self`
+    // under a visit. Strings, raw strings, nested comments, a closure
+    // that binds what it needs before the call, test code and the waived
+    // lock must all stay silent.
+    let lines: Vec<u32> = hits.iter().map(|f| f.line).collect();
+    assert_eq!(lines, [8, 14], "findings: {:?}", report.findings);
+    assert!(hits[0].message.contains("raw leaf-lock"), "{}", hits[0].message);
+    assert!(hits[1].message.contains("`visit`"), "{}", hits[1].message);
+    // The fixture's waiver suppressed the waived lock and is counted.
+    assert_eq!(report.waivers_honored, 1);
+    assert!(rule_findings(&report, "unused-waiver").is_empty());
+    // hot.rs owns the slot leaf locks, and the rule stops at `core`.
+    for path in ["crates/core/src/hot.rs", "crates/runtime/src/runtime.rs"] {
+        let report = lint_fixture(path, include_str!("../fixtures/lock_order.rs"));
+        assert!(rule_findings(&report, "lock-order").is_empty(), "{path}");
+    }
 }
 
 #[test]
@@ -139,22 +81,6 @@ fn lock_order_holds_a_visit_closure_to_the_leaf_rule() {
     let green = "impl C {\n    fn f(&self, via: N, k: K) {\n        let net = &self.net;\n        self.server(via).visit(k.0, |s| {\n            s.leases.remove(&k);\n            net.reachable(via, k.1)\n        });\n    }\n}\n";
     let report = lint_fixture("crates/core/src/proto/fixture.rs", green);
     assert!(rule_findings(&report, "lock-order").is_empty(), "findings: {:?}", report.findings);
-}
-
-#[test]
-fn due_gating_fixture_fails_the_lint() {
-    let report =
-        lint_fixture("crates/core/src/event.rs", include_str!("../fixtures/due_gating.rs"));
-    let hits = rule_findings(&report, "due-gating");
-    assert_eq!(hits.len(), 1, "findings: {:?}", report.findings);
-    assert!(hits[0].message.contains("Ungated"));
-}
-
-#[test]
-fn due_gating_accepts_a_complete_table() {
-    let src = "pub enum Pending {\n    A { x: u8 },\n    B(u8),\n}\nimpl Pending {\n    pub fn due_gated(&self) -> bool {\n        match self {\n            Pending::A { .. } => true,\n            Pending::B(_) => false,\n        }\n    }\n}\n";
-    let report = lint_fixture("crates/core/src/event.rs", src);
-    assert!(rule_findings(&report, "due-gating").is_empty());
 }
 
 #[test]
@@ -252,22 +178,6 @@ fn ordering_audit_accepts_counter_files_that_resolve() {
 }
 
 #[test]
-fn interprocedural_lock_order_fixture_fails_with_a_witness_chain() {
-    let report = lint_fixture(
-        "crates/runtime/src/shard.rs",
-        include_str!("../fixtures/lock_order_interproc.rs"),
-    );
-    let hits = rule_findings(&report, "lock-order");
-    assert_eq!(hits.len(), 1, "findings: {:?}", report.findings);
-    // Anchored at the acquisition inside `deep`, with the call chain
-    // that carried the ring class down from `top`.
-    assert_eq!(hits[0].line, 20);
-    assert!(hits[0].message.contains("cell lock"), "{}", hits[0].message);
-    assert!(hits[0].message.contains("reached via `top`"), "{}", hits[0].message);
-    assert!(hits[0].message.contains("`middle`"), "{}", hits[0].message);
-}
-
-#[test]
 fn ordering_audit_skips_counter_modules_and_tests() {
     let src = "fn f(flag: &AtomicBool) { flag.store(true, Ordering::Relaxed); }\n";
     // obs.rs is a counter module wholesale.
@@ -279,39 +189,41 @@ fn ordering_audit_skips_counter_modules_and_tests() {
     assert!(rule_findings(&report, "ordering-audit").is_empty());
 }
 
+/// A module under `gate` whose one function takes a raw leaf lock.
+fn gated(gate: &str) -> String {
+    format!("{gate}\nmod m {{\n    fn f(&self) -> usize {{ self.inner.lock().len() }}\n}}\n")
+}
+
 #[test]
 fn feature_and_cfg_attr_gated_test_modules_are_exempt() {
     // A module compiled only under a test-harness feature is test
     // scaffolding: the production rules must not fire inside it.
-    let feature_gated = "#[cfg(feature = \"sim-test\")]\nmod harness {\n    fn f(v: Option<u32>) -> u32 { v.unwrap() }\n}\n";
-    let report = lint_fixture("crates/core/src/proto/fixture.rs", feature_gated);
-    assert!(rule_findings(&report, "no-bare-panic").is_empty(), "{:?}", report.findings);
+    let report = lint_fixture(CORE, &gated("#[cfg(feature = \"sim-test\")]"));
+    assert!(rule_findings(&report, "lock-order").is_empty(), "{:?}", report.findings);
     // Same for `cfg_attr` whose *applied* attribute is a test gate.
-    let cfg_attr_gated = "#[cfg_attr(loom, cfg(test))]\nmod harness {\n    fn f(v: Option<u32>) -> u32 { v.unwrap() }\n}\n";
-    let report = lint_fixture("crates/core/src/proto/fixture.rs", cfg_attr_gated);
-    assert!(rule_findings(&report, "no-bare-panic").is_empty(), "{:?}", report.findings);
+    let report = lint_fixture(CORE, &gated("#[cfg_attr(loom, cfg(test))]"));
+    assert!(rule_findings(&report, "lock-order").is_empty(), "{:?}", report.findings);
 }
 
 #[test]
 fn bogus_gates_do_not_exempt() {
-    // A non-test feature gate is production code under a flag.
-    let feature_gated = "#[cfg(feature = \"fast-path\")]\nmod m {\n    fn f(v: Option<u32>) -> u32 { v.unwrap() }\n}\n";
-    let report = lint_fixture("crates/core/src/proto/fixture.rs", feature_gated);
-    assert_eq!(rule_findings(&report, "no-bare-panic").len(), 1, "{:?}", report.findings);
-    // `not(test)` is the *opposite* of a test gate.
-    let negated = "#[cfg(not(test))]\nmod m {\n    fn f(v: Option<u32>) -> u32 { v.unwrap() }\n}\n";
-    let report = lint_fixture("crates/core/src/proto/fixture.rs", negated);
-    assert_eq!(rule_findings(&report, "no-bare-panic").len(), 1, "{:?}", report.findings);
-    // A `cfg_attr` whose applied part is not a test gate exempts nothing.
-    let cfg_attr = "#[cfg_attr(docsrs, doc(hidden))]\nmod m {\n    fn f(v: Option<u32>) -> u32 { v.unwrap() }\n}\n";
-    let report = lint_fixture("crates/core/src/proto/fixture.rs", cfg_attr);
-    assert_eq!(rule_findings(&report, "no-bare-panic").len(), 1, "{:?}", report.findings);
+    for gate in [
+        // A non-test feature gate is production code under a flag.
+        "#[cfg(feature = \"fast-path\")]",
+        // `not(test)` is the *opposite* of a test gate.
+        "#[cfg(not(test))]",
+        // A `cfg_attr` whose applied part is not a test gate exempts nothing.
+        "#[cfg_attr(docsrs, doc(hidden))]",
+    ] {
+        let report = lint_fixture(CORE, &gated(gate));
+        assert_eq!(rule_findings(&report, "lock-order").len(), 1, "{gate}: {:?}", report.findings);
+    }
 }
 
 #[test]
 fn unused_waiver_is_a_finding() {
-    let src = "// lint: allow(no-bare-panic): nothing here actually violates the rule\nfn fine() -> u32 { 1 }\n";
-    let report = lint_fixture("crates/core/src/proto/fixture.rs", src);
+    let src = "// lint: allow(lock-order): nothing here actually violates the rule\nfn fine() -> u32 { 1 }\n";
+    let report = lint_fixture(CORE, src);
     let hits = rule_findings(&report, "unused-waiver");
     assert_eq!(hits.len(), 1, "findings: {:?}", report.findings);
     assert_eq!(report.waivers_honored, 0);
@@ -319,22 +231,34 @@ fn unused_waiver_is_a_finding() {
 
 #[test]
 fn malformed_waiver_is_a_finding() {
-    let src = "// lint: allow(no-bare-panic)\nfn f(v: Option<u32>) -> u32 { v.unwrap() }\n";
-    let report = lint_fixture("crates/core/src/proto/fixture.rs", src);
-    // The broken waiver is reported AND fails to suppress the unwrap.
+    let src = "// lint: allow(lock-order)\nfn f(&self) -> usize { self.inner.lock().len() }\n";
+    let report = lint_fixture(CORE, src);
+    // The broken waiver is reported AND fails to suppress the lock.
     assert_eq!(rule_findings(&report, "bad-waiver").len(), 1);
-    assert_eq!(rule_findings(&report, "no-bare-panic").len(), 1);
+    assert_eq!(rule_findings(&report, "lock-order").len(), 1);
+}
+
+#[test]
+fn a_waiver_for_a_moved_rule_names_its_replacement() {
+    for (rule, replacement) in [
+        ("no-bare-panic", "clippy's `unwrap_used`"),
+        ("one-clock", "clippy's `disallowed_methods`"),
+        ("due-gating", "rustc's exhaustiveness check"),
+    ] {
+        let src = format!("// lint: allow({rule}): an old excuse\nfn f() -> u32 {{ 1 }}\n");
+        let report = lint_fixture(CORE, &src);
+        let hits = rule_findings(&report, "bad-waiver");
+        assert_eq!(hits.len(), 1, "findings: {:?}", report.findings);
+        assert!(hits[0].message.contains(replacement), "{}", hits[0].message);
+    }
 }
 
 #[test]
 fn deny_semantics_fixtures_are_nonzero_findings() {
     // What `--deny` keys on: a planted violation leaves findings
     // non-empty, a clean file leaves them empty.
-    let dirty = lint_fixture(
-        "crates/core/src/proto/fixture.rs",
-        include_str!("../fixtures/no_bare_panic.rs"),
-    );
+    let dirty = lint_fixture(CORE, include_str!("../fixtures/lock_order.rs"));
     assert!(!dirty.findings.is_empty());
-    let clean = lint_fixture("crates/core/src/proto/fixture.rs", "fn ok() -> u32 { 1 }\n");
+    let clean = lint_fixture(CORE, "fn ok() -> u32 { 1 }\n");
     assert!(clean.findings.is_empty());
 }

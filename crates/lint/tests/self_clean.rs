@@ -1,8 +1,7 @@
-//! The repo lints itself clean. This is the enforcement half of the
-//! tentpole: `cargo test` fails the moment a protocol-path unwrap, an
-//! ungated `Pending` variant, a mutate-before-revoke, a stray Relaxed
-//! flag, or an unused waiver lands — without waiting for the CI lint
-//! job.
+//! The repo lints itself clean: `cargo test` fails the moment a raw leaf
+//! lock or a non-leaf slot closure in `core`, a mutate-before-revoke, a
+//! stray Relaxed flag, or an unused waiver lands — without waiting for
+//! the CI lint job.
 
 use std::path::Path;
 
@@ -23,5 +22,5 @@ fn repo_lints_clean() {
     // matching, the unused-waiver rule turns it into a finding above,
     // and this floor catches a waiver-parsing regression that silently
     // drops them all.
-    assert!(report.waivers_honored >= 10, "only {} waivers honored", report.waivers_honored);
+    assert!(report.waivers_honored >= 4, "only {} waivers honored", report.waivers_honored);
 }

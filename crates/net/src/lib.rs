@@ -16,6 +16,18 @@
 //! * [`rpc`] — request/reply correlation, pipelining, and timeouts over
 //!   the live transport; the live runtime's call layer.
 
+// No panics outside tests: a storm or a client request can reach any
+// of this code, and it must fail by returning an error (see clippy.toml).
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::allow_attributes_without_reason
+)]
+
 pub mod blast;
 pub mod latency;
 pub mod live;

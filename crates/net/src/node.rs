@@ -30,8 +30,11 @@ impl From<u32> for NodeId {
 }
 
 impl From<usize> for NodeId {
+    #[expect(
+        clippy::expect_used,
+        reason = "every caller converts an index into a cell's in-memory server list, and 2^32 servers (each a full engine state) cannot be built, so the index fits in u32"
+    )]
     fn from(v: usize) -> Self {
-        // lint: allow(no-bare-panic): every caller converts an index into a cell's in-memory server list, and 2^32 servers (each a full engine state) cannot be built, so the index fits in u32
         NodeId(u32::try_from(v).expect("node index exceeds u32"))
     }
 }

@@ -276,6 +276,7 @@ impl<Q: Send + 'static, P: Send + 'static> RpcEndpoint<Q, P> {
 }
 
 #[cfg(test)]
+#[expect(clippy::disallowed_methods, reason = "the timeout tests time themselves")]
 mod tests {
     use super::*;
     use std::thread;

@@ -600,6 +600,7 @@ fn close_reaches_a_receiver_inside_its_yield() {
 /// comes back at once, and a closed, empty mailbox never blocks again —
 /// though what is already queued is still handed over.
 #[test]
+#[expect(clippy::disallowed_methods, reason = "the test times how fast a closed mailbox returns")]
 fn close_wakes_parked_receivers_and_stops_blocking() {
     let bus: LiveBus<u64> = LiveBus::new();
     let tx = bus.register(n(0));

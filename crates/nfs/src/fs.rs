@@ -339,9 +339,12 @@ impl DeceitFs {
     /// root directory (via server 0).
     pub fn new(servers: usize, cluster_cfg: ClusterConfig, cfg: FsConfig) -> Self {
         let mut cluster = Cluster::new(servers, cluster_cfg);
-        let root = format_root(&mut cluster, &cfg)
-            // lint: allow(no-bare-panic): a fresh cell has every server up and nothing stored, so creating and formatting one empty directory cannot fail; `new` has no error channel
-            .expect("root creation cannot fail on a fresh cell");
+        #[expect(
+            clippy::expect_used,
+            reason = "a fresh cell has every server up and nothing stored, so creating and formatting one empty directory cannot fail; `new` has no error channel"
+        )]
+        let root =
+            format_root(&mut cluster, &cfg).expect("root creation cannot fail on a fresh cell");
         cluster.run_until_quiet();
         DeceitFs { cluster, cfg, root }
     }

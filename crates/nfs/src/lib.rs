@@ -35,6 +35,18 @@
 //!   (§2.1), giving divergent directories a system-assisted merge.
 //! * [`cell`] — cells and the global root directory (§2.2).
 
+// No panics outside tests: a storm or a client request can reach any
+// of this code, and it must fail by returning an error (see clippy.toml).
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::allow_attributes_without_reason
+)]
+
 pub mod auth;
 pub mod cell;
 pub mod dir;

@@ -131,7 +131,7 @@ impl DeceitFs {
         self.create_node(via, dir, name, 0o777, FileType::Symlink, target.into(), params)
     }
 
-    #[allow(clippy::too_many_arguments)] // mirrors the NFS CREATE surface
+    #[expect(clippy::too_many_arguments, reason = "mirrors the NFS CREATE surface")]
     fn create_node(
         &mut self,
         via: NodeId,

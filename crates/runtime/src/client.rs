@@ -55,7 +55,10 @@ pub struct RuntimeClient {
 }
 
 impl RuntimeClient {
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "a session is built once, by `ClusterRuntime`, from its parts"
+    )]
     pub(crate) fn new(
         rpc: RpcEndpoint<NfsRequest, NfsReply>,
         home: NodeId,

@@ -46,6 +46,18 @@
 //! rt.shutdown();
 //! ```
 
+// No panics outside tests: a storm or a client request can reach any
+// of this code, and it must fail by returning an error (see clippy.toml).
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::allow_attributes_without_reason
+)]
+
 pub mod client;
 pub mod config;
 pub mod error;

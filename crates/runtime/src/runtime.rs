@@ -299,14 +299,21 @@ impl<S: NfsService + ProtocolHost + Send + Sync + 'static> ClusterRuntime<S> {
         for &id in &server_ids {
             let ep: RpcEndpoint<NfsRequest, NfsReply> = RpcEndpoint::register(&bus, id);
             let shared = Arc::clone(&shared);
+            #[expect(
+                clippy::expect_used,
+                reason = "`spawn` fails only when the OS refuses a thread, at start-up before any request exists; `start` has no error channel, and a runtime short of a server thread could serve nothing sent to that server"
+            )]
             let handle = thread::Builder::new()
                 .name(format!("deceit-server-{}", id.0))
                 .spawn(move || serve_loop(&shared, ep))
-                // lint: allow(no-bare-panic): `spawn` fails only when the OS refuses a thread, at start-up before any request exists; `start` has no error channel, and a runtime short of a server thread could serve nothing sent to that server
                 .expect("spawn server thread");
             server_threads.push(handle);
         }
 
+        #[expect(
+            clippy::expect_used,
+            reason = "as for the server threads above — the OS refusing a thread at start-up, before any request exists, and `start` has no error channel"
+        )]
         let pump_thread = {
             let shared = Arc::clone(&shared);
             let interval = cfg.pump_interval;
@@ -315,7 +322,6 @@ impl<S: NfsService + ProtocolHost + Send + Sync + 'static> ClusterRuntime<S> {
                 thread::Builder::new()
                     .name("deceit-pump".into())
                     .spawn(move || pump_loop(&shared, interval, batch))
-                    // lint: allow(no-bare-panic): as for the server threads above — the OS refusing a thread at start-up, before any request exists, and `start` has no error channel
                     .expect("spawn pump thread"),
             )
         };
@@ -374,7 +380,10 @@ impl<S: NfsService + ProtocolHost + Send + Sync + 'static> ClusterRuntime<S> {
     }
 
     /// Runs `f` with exclusive access to the protocol engine — the
-    /// inspection hatch used by tests and the scenario runner.
+    /// inspection hatch used by tests and the scenario runner. `f` runs
+    /// under the cell lock, so it must not call back into a method of
+    /// this runtime that takes it (`observe`, `settle`, …): that would
+    /// deadlock, and debug builds panic instead.
     pub fn with_engine<T>(&self, f: impl FnOnce(&mut S) -> T) -> T {
         self.shared.engine.exclusive(f)
     }
@@ -510,9 +519,12 @@ impl<S: NfsService + ProtocolHost + Send + Sync + 'static> ClusterRuntime<S> {
         let report = self.report();
         let shared = Arc::clone(&self.shared);
         drop(self); // Drop sees joined threads and does nothing further.
+        #[expect(
+            clippy::unreachable,
+            reason = "the server and pump threads hold the only other clones of `shared`, `stop_and_join` has joined them all, and `self` was dropped above, so this is the last reference"
+        )]
         let shared = match Arc::try_unwrap(shared) {
             Ok(s) => s,
-            // lint: allow(no-bare-panic): the server and pump threads hold the only other clones of `shared`, `stop_and_join` has joined them all, and `self` was dropped above, so this is the last reference
             Err(_) => unreachable!("all thread handles joined, no engine refs can remain"),
         };
         let mut engine = shared.engine.into_inner();
@@ -794,6 +806,26 @@ mod tests {
         rt.heal();
         assert!(rt.with_engine(|e| e.fs.cluster.net.reachable(n(0), n(1))));
         assert!(rt.shared.bus.can_exchange(n(0), n(1)));
+        rt.shutdown();
+    }
+
+    /// A `with_engine` closure that calls back into a cell-locking method
+    /// of the runtime would wait forever on the exclusive lock it runs
+    /// under; debug builds refuse it instead.
+    #[cfg(debug_assertions)]
+    #[test]
+    fn with_engine_calling_back_into_the_runtime_panics() {
+        let rt = ClusterRuntime::start(crate::RuntimeConfig::new(3));
+        let reentrant = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            rt.with_engine(|_| rt.observe());
+        }));
+        let err = reentrant.expect_err("a reentrant cell lock must panic, not deadlock");
+        let msg = err.downcast_ref::<&str>().copied().unwrap_or_default();
+        assert!(msg.contains("lock order"), "{msg}");
+        // The refusal released the exclusive lock: the cell still serves.
+        let mut client = rt.client();
+        let root = client.root();
+        assert!(client.create(root, "after", 0o644).is_ok());
         rt.shutdown();
     }
 }

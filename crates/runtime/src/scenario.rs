@@ -10,6 +10,16 @@
 //! outcomes are identical, pinning the live transport, addressing, and
 //! crash mirroring to the simulator's semantics.
 
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    reason = "a fault-injection driver, not a serving path: a broken precondition should stop the run"
+)]
+
 use std::collections::{BTreeMap, BTreeSet};
 
 use deceit_core::FileParams;

@@ -41,17 +41,28 @@
 //! exclusive lock through `ShardedEngine::exclusive`.
 //!
 //! **Lock order invariant: cell lock first (shared or exclusive), then
-//! shard ring locks in ascending slot index.** Nothing acquires the cell
-//! lock while holding a ring lock, and ring locks are only ever taken as
-//! a strictly ascending batch by `lock_slots` (a `debug_assert` enforces
-//! it on every acquisition), so the hierarchy is acyclic and
-//! deadlock-free by construction. The engine's interior per-slot *data*
-//! locks sit below everything: they are leaf locks, held for single
-//! container operations, never across another lock acquisition.
+//! shard ring locks in ascending slot index.** Both levels live in one
+//! [`CellLock`], defined in the child module `cell_lock` so that its
+//! private fields are out of reach of this module's ladder too, and its
+//! types carry the order: a ring guard exists only
+//! by consuming a cell guard ([`CellGuard::ring`]), at most once, for a
+//! [`Slots`] value that is ascending and deduplicated by construction.
+//! So a ring lock without the cell lock, a ring lock under a ring lock,
+//! a ring mutex indexed by hand, an unsorted or duplicated batch — none
+//! of them compiles (the `compile_fail` examples on [`CellLock`]). The
+//! one rule types cannot carry — a thread taking the cell lock while it
+//! already holds it, directly or two calls below a ring guard — is
+//! asserted in debug builds, as `deceit_sim::leaf::lock_slot` asserts
+//! the slot rule. The engine's interior per-slot *data* locks sit below
+//! everything: they are leaf locks, held for single container
+//! operations, never across another lock acquisition.
+
+mod cell_lock;
+pub use cell_lock::{CellGuard, CellLock, RingGuard, Slots};
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
-use parking_lot::{Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use parking_lot::{RwLockReadGuard, RwLockWriteGuard};
 
 use deceit_core::{AtomicHistogram, OpClass, ProtocolHost};
 use deceit_net::NodeId;
@@ -121,8 +132,7 @@ impl EngineObs {
 /// A protocol engine under sharded concurrency control.
 #[derive(Debug)]
 pub(crate) struct ShardedEngine<S> {
-    cell: RwLock<S>,
-    shards: Box<[Mutex<()>]>,
+    locks: CellLock<S>,
     /// [`ProtocolHost::pending_work`] as of the last execution that could
     /// have scheduled or fired deferred work, so stats reads and the
     /// pump's idle check never take a lock. It can only go stale by the
@@ -137,10 +147,8 @@ impl<S> ShardedEngine<S> {
     /// match the engine's pending-work mask), `pending` units of deferred
     /// work already queued.
     fn with_shards(engine: S, shards: usize, pending: usize) -> Self {
-        let shards: Box<[Mutex<()>]> = (0..shards.clamp(1, 64)).map(|_| Mutex::new(())).collect();
         ShardedEngine {
-            cell: RwLock::new(engine),
-            shards,
+            locks: CellLock::new(engine, shards.min(64)),
             pending: AtomicUsize::new(pending),
             obs: EngineObs::new(),
         }
@@ -148,51 +156,31 @@ impl<S> ShardedEngine<S> {
 
     /// Number of ring slots.
     pub(crate) fn shard_count(&self) -> usize {
-        self.shards.len()
+        self.locks.slot_count()
     }
 
     /// Shared access to the engine, concurrent with other readers.
-    pub(crate) fn read_guard(&self) -> RwLockReadGuard<'_, S> {
-        let guard = self.obs.waited(self.cell.try_read(), || self.cell.read());
+    pub(crate) fn read_guard(&self) -> CellGuard<'_, RwLockReadGuard<'_, S>> {
+        let guard = self.obs.waited(self.locks.try_shared(), || self.locks.shared());
         self.obs.shared_acquisitions.fetch_add(1, Ordering::Relaxed);
         guard
     }
 
     /// Exclusive access to the engine.
-    fn write_guard(&self) -> RwLockWriteGuard<'_, S> {
-        let guard = self.obs.waited(self.cell.try_write(), || self.cell.write());
+    fn write_guard(&self) -> CellGuard<'_, RwLockWriteGuard<'_, S>> {
+        let guard = self.obs.waited(self.locks.try_exclusive(), || self.locks.exclusive());
         self.obs.exclusive_acquisitions.fetch_add(1, Ordering::Relaxed);
         guard
-    }
-
-    /// The ring locks of `slots`, acquired in order. A request declares
-    /// at most two slots; the debug assertion pins the strictly-ascending
-    /// invariant so a future `OpClass::slots` refactor that stopped
-    /// deduplicating same-slot keys would fail loudly here (a duplicate
-    /// slot would self-deadlock) instead of hanging.
-    fn lock_slots(
-        &self,
-        slots: &[usize],
-    ) -> (Option<MutexGuard<'_, ()>>, Option<MutexGuard<'_, ()>>) {
-        debug_assert!(slots.len() <= 2, "a request declares at most two shard slots");
-        debug_assert!(
-            slots.windows(2).all(|w| w[0] < w[1]),
-            "shard slots must be strictly ascending (got {slots:?})"
-        );
-        (
-            slots.first().map(|&s| self.shards[s].lock()),
-            slots.get(1).map(|&s| self.shards[s].lock()),
-        )
     }
 
     /// Runs `f` with *shared* cell access plus the ring locks of `slots`
     /// — the ring rung. `f` returns `None` when the engine cannot execute
     /// within that footprint.
-    fn ring<T>(&self, slots: &[usize], f: impl FnOnce(&S) -> Option<T>) -> Option<T> {
+    fn ring<T>(&self, slots: Slots, f: impl FnOnce(&S) -> Option<T>) -> Option<T> {
         let cell = self.read_guard();
         let held = wall::now();
-        let _ring = self.lock_slots(slots);
-        let out = f(&cell);
+        let ring = cell.ring(slots);
+        let out = f(&ring);
         self.obs.ring_hold.record_micros(wall::since(held));
         out
     }
@@ -201,18 +189,18 @@ impl<S> ShardedEngine<S> {
     /// — the last rung. (The ring locks are redundant under the exclusive
     /// cell lock but kept so the declared footprint is exercised on every
     /// rung.)
-    fn cell<T>(&self, slots: &[usize], f: impl FnOnce(&mut S) -> T) -> T {
-        let mut cell = self.write_guard();
+    fn cell<T>(&self, slots: Slots, f: impl FnOnce(&mut S) -> T) -> T {
+        let cell = self.write_guard();
         let held = wall::now();
-        let _ring = self.lock_slots(slots);
-        let out = f(&mut cell);
+        let mut ring = cell.ring(slots);
+        let out = f(&mut ring);
         self.obs.ring_hold.record_micros(wall::since(held));
         out
     }
 
     /// Consumes the wrapper, returning the engine.
     pub(crate) fn into_inner(self) -> S {
-        self.cell.into_inner()
+        self.locks.into_inner()
     }
 }
 
@@ -249,17 +237,11 @@ impl<S: ProtocolHost> ShardedEngine<S> {
     /// cannot pump a shard through `&self`, under the exclusive lock.
     /// Returns how many fired.
     pub(crate) fn pump_slot(&self, slot: usize, batch: usize) -> usize {
-        let fired = {
-            let cell = self.read_guard();
-            let held = wall::now();
-            // lint: allow(lock-order): one slot is a trivially ascending ring batch, taken under the cell lock held above; the exclusive fallback below goes through `lock_slots`
-            let _slot = self.shards[slot].lock();
-            let fired = cell.try_pump_shard(slot, batch).inspect(|_| self.note_pending(&cell));
-            self.obs.ring_hold.record_micros(wall::since(held));
-            fired
-        };
+        let fired = self.ring(Slots::one(slot), |e| {
+            e.try_pump_shard(slot, batch).inspect(|_| self.note_pending(e))
+        });
         fired.unwrap_or_else(|| {
-            self.cell(&[slot], |e| {
+            self.cell(Slots::one(slot), |e| {
                 let n = e.pump(batch);
                 self.note_pending(e);
                 n
@@ -280,24 +262,21 @@ impl<S: NfsService + ProtocolHost> ShardedEngine<S> {
                 return (rep, Rung::Shared);
             }
         }
-        let mut slots = [0; 2];
+        let shards = self.shard_count();
         let ringed = match class {
             OpClass::ReadOnly => req.shard_key().and_then(|key| {
-                let n = OpClass::Mutate(key).slots_into(self.shards.len(), &mut slots);
-                self.ring(&slots[..n], |e| e.serve_read_sharded(via, &req))
-            }),
-            _ => {
-                let n = class.slots_into(self.shards.len(), &mut slots);
-                self.ring(&slots[..n], |e| {
-                    e.serve_sharded(via, &req).inspect(|_| self.note_pending(e))
+                self.ring(Slots::of(OpClass::Mutate(key), shards), |e| {
+                    e.serve_read_sharded(via, &req)
                 })
-            }
+            }),
+            _ => self.ring(Slots::of(class, shards), |e| {
+                e.serve_sharded(via, &req).inspect(|_| self.note_pending(e))
+            }),
         };
         if let Some((rep, _latency)) = ringed {
             return (rep, Rung::Ring);
         }
-        let n = class.slots_into(self.shards.len(), &mut slots);
-        let (rep, _latency) = self.cell(&slots[..n], |e| {
+        let (rep, _latency) = self.cell(Slots::of(class, shards), |e| {
             let out = e.serve(via, req);
             self.note_pending(e);
             out
@@ -317,8 +296,8 @@ mod tests {
         Arc::new(ShardedEngine::with_shards(s, 4, 0))
     }
 
-    fn slots(class: OpClass) -> Vec<usize> {
-        class.slots(4).collect()
+    fn slots(class: OpClass) -> Slots {
+        Slots::of(class, 4)
     }
 
     #[test]
@@ -356,7 +335,7 @@ mod tests {
                 let engine = Arc::clone(&engine);
                 let barrier = Arc::clone(&barrier);
                 thread::spawn(move || {
-                    engine.ring(&slots(class), |_| {
+                    engine.ring(slots(class), |_| {
                         barrier.wait();
                         Some(())
                     })
@@ -382,7 +361,7 @@ mod tests {
                 let class = if i % 2 == 0 { OpClass::Mutate(1) } else { OpClass::Mutate(5) };
                 thread::spawn(move || {
                     for _ in 0..500 {
-                        engine.ring(&slots(class), |_| {
+                        engine.ring(slots(class), |_| {
                             let now = inside.fetch_add(1, Ordering::SeqCst) + 1;
                             max_inside.fetch_max(now, Ordering::SeqCst);
                             std::hint::spin_loop();
@@ -423,7 +402,7 @@ mod tests {
                 let class = classes[i % classes.len()];
                 thread::spawn(move || {
                     for _ in 0..200 {
-                        engine.cell(&slots(class), |n| {
+                        engine.cell(slots(class), |n| {
                             let now = inside.fetch_add(1, Ordering::SeqCst) + 1;
                             max_inside.fetch_max(now, Ordering::SeqCst);
                             *n += 1;
@@ -463,9 +442,9 @@ mod tests {
                         // executions on the slot; the cell lock excludes
                         // the exclusive ones.
                         if i % 2 == 0 {
-                            engine.cell(&slots(OpClass::Mutate(3)), |_| enter());
+                            engine.cell(slots(OpClass::Mutate(3)), |_| enter());
                         } else {
-                            engine.ring(&slots(OpClass::Mutate(3)), |_| {
+                            engine.ring(slots(OpClass::Mutate(3)), |_| {
                                 enter();
                                 Some(())
                             });
@@ -478,5 +457,39 @@ mod tests {
             t.join().expect("no deadlock between rungs");
         }
         assert_eq!(max_inside.load(Ordering::SeqCst), 1);
+    }
+
+    #[test]
+    fn slots_are_ascending_and_deduplicated_by_construction() {
+        assert_eq!(Slots::pair(3, 1), Slots::pair(1, 3));
+        assert_eq!(Slots::pair(2, 2), Slots::one(2));
+        assert_eq!(slots(OpClass::CrossShard(5, 1)), Slots::one(1), "same slot with 4 shards");
+        assert_eq!(slots(OpClass::CrossShard(6, 1)), Slots::pair(1, 2));
+        assert_eq!(slots(OpClass::CellWide), Slots::NONE);
+    }
+
+    /// The cell lock taken two calls below a held ring guard: a deadlock
+    /// in release builds whenever a writer queues between the two
+    /// acquisitions, refused outright in debug builds.
+    #[cfg(debug_assertions)]
+    #[test]
+    fn cell_lock_under_a_ring_guard_panics() {
+        fn top(locks: &CellLock<()>) {
+            let ring = locks.shared().ring(Slots::one(1));
+            middle(locks);
+            drop(ring);
+        }
+        fn middle(locks: &CellLock<()>) {
+            deep(locks);
+        }
+        fn deep(locks: &CellLock<()>) {
+            drop(locks.shared());
+        }
+        let locks = CellLock::new((), 4);
+        let err = std::panic::catch_unwind(|| top(&locks)).expect_err("refused");
+        let msg = err.downcast_ref::<&str>().copied().unwrap_or_default();
+        assert!(msg.contains("lock order"), "{msg}");
+        // The refusal left nothing held: the cell and the slot are free.
+        drop(locks.exclusive().ring(Slots::one(1)));
     }
 }

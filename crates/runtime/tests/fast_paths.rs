@@ -33,6 +33,7 @@ const SKEW_FILES: usize = 16;
 /// Joins every worker, failing with `workload`'s name if any is still
 /// running when the watchdog expires (a hung worker is left behind; the
 /// test binary exits without it).
+#[expect(clippy::disallowed_methods, reason = "the watchdog times the test, not the product")]
 fn join_within<T>(workload: &str, workers: Vec<JoinHandle<T>>) -> Vec<T> {
     let deadline = Instant::now() + WATCHDOG;
     workers

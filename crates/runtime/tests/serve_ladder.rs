@@ -45,6 +45,7 @@ impl Rungs {
     /// The counts once the request served after `before` has been
     /// counted: the ladder table checks where a request lands, not when
     /// its count becomes visible (the test below pins that).
+    #[expect(clippy::disallowed_methods, reason = "the wait bound times the test, not the product")]
     fn after(rt: &ClusterRuntime, before: Rungs) -> Rungs {
         let deadline = Instant::now() + Duration::from_secs(10);
         loop {

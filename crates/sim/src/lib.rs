@@ -16,6 +16,18 @@
 //! * [`leaf`] — the one counted, poison-tolerant leaf-lock acquisition.
 //! * [`InlineVec`] — a short list held in place, for per-request lists.
 
+// No panics outside tests: a storm or a client request can reach any
+// of this code, and it must fail by returning an error (see clippy.toml).
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::allow_attributes_without_reason
+)]
+
 pub mod events;
 pub mod inline;
 pub mod leaf;

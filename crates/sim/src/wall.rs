@@ -4,9 +4,9 @@
 //! live transport and runtime must, to stamp latencies and bound waits.
 //! Every such read goes through [`now`] (or [`since`], which is one
 //! [`now`]) and is counted against the reading thread, so a test can pin
-//! how many clock reads a request costs ([`reads`]). `deceit-lint`'s
-//! `one-clock` rule keeps product code from reading an `Instant` anywhere
-//! else.
+//! how many clock reads a request costs ([`reads`]). Clippy's
+//! `disallowed_methods` (the workspace `clippy.toml`) keeps code from
+//! reading an `Instant` anywhere else.
 
 use std::sync::atomic::AtomicU64;
 use std::time::{Duration, Instant};
@@ -20,6 +20,7 @@ thread_local! {
 }
 
 /// Reads the wall clock, counting the read against this thread.
+#[expect(clippy::disallowed_methods, reason = "the one clock: every read is counted above")]
 pub fn now() -> Instant {
     MINE.with(|mine| tally::bump(mine));
     Instant::now()

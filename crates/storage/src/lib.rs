@@ -24,6 +24,18 @@
 //! copying them — and stay isolated from each other, because a later
 //! mutation of either side builds its own list.
 
+// No panics outside tests: a storm or a client request can reach any
+// of this code, and it must fail by returning an error (see clippy.toml).
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::allow_attributes_without_reason
+)]
+
 pub mod disk;
 pub mod segdata;
 
