@@ -19,9 +19,11 @@
 //! `N..N+K`, stopping at the first failure. `--mutate` flips the
 //! `danger_skip_safety_currency` knob — the planted protocol bug the
 //! auditor must catch (expect a red exit). On failure the merged
-//! history is written to `--out` (default `audit_history.json`) for
-//! artifact upload. Any other argument, or a flag without a well-formed
-//! value, prints the usage and exits 2.
+//! history is written to `--out` (default `audit_history.json`), and the
+//! rendered failure — verdict, shrunk config, replay command and flight
+//! ring — to the same path with `.txt` appended, for artifact upload.
+//! Any other argument, or a flag without a well-formed value, prints the
+//! usage and exits 2.
 
 use std::process::ExitCode;
 use std::str::FromStr;
@@ -114,11 +116,14 @@ fn main() -> ExitCode {
                 );
             }
             Err(failure) => {
-                eprintln!("seed {s} ({mode}): RED\n{}", failure.render());
-                if let Err(e) = std::fs::write(&out, failure.history.to_json()) {
-                    eprintln!("audit_storm: could not write {out}: {e}");
-                } else {
-                    eprintln!("audit_storm: failing history written to {out}");
+                let rendered = failure.render();
+                eprintln!("seed {s} ({mode}): RED\n{rendered}");
+                let report = format!("{out}.txt");
+                for (path, body) in [(&out, failure.history.to_json()), (&report, rendered)] {
+                    match std::fs::write(path, body) {
+                        Ok(()) => eprintln!("audit_storm: failure written to {path}"),
+                        Err(e) => eprintln!("audit_storm: could not write {path}: {e}"),
+                    }
                 }
                 return ExitCode::FAILURE;
             }

@@ -22,11 +22,7 @@ pub struct SweepPoint {
 /// Measures a stream of small updates at a given (cell size, replica
 /// level) point.
 pub fn measure(cell: usize, replicas: usize, writes: usize) -> SweepPoint {
-    let mut fs = DeceitFs::new(
-        cell,
-        ClusterConfig::default().with_seed(44).without_trace(),
-        FsConfig::default(),
-    );
+    let mut fs = DeceitFs::new(cell, ClusterConfig::default().with_seed(44), FsConfig::default());
     let root = fs.root();
     let f = fs.create(NodeId(0), root, "target", 0o644).unwrap().value;
     fs.set_file_params(

@@ -23,11 +23,7 @@ pub struct ConfigResult {
 
 /// Runs the §2.3 op mix through one agent configuration.
 pub fn measure(label: &str, cfg: AgentConfig, ops: usize) -> ConfigResult {
-    let mut fs = DeceitFs::new(
-        3,
-        ClusterConfig::default().with_seed(88).without_trace(),
-        FsConfig::default(),
-    );
+    let mut fs = DeceitFs::new(3, ClusterConfig::default().with_seed(88), FsConfig::default());
     let mut rng = SimRng::new(88);
     let corpus = workload::build_corpus(&mut fs, &mut rng, 3, 12, FileParams::default());
     let mut srv = NfsServer::new(fs);

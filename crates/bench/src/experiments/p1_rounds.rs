@@ -18,8 +18,7 @@ pub struct Amortization {
 /// Counts protocol rounds for an update stream issued by a server that
 /// does not initially hold the token.
 pub fn measure(stream_len: usize) -> Amortization {
-    let mut fs =
-        DeceitFs::new(3, ClusterConfig::deterministic().without_trace(), FsConfig::default());
+    let mut fs = DeceitFs::new(3, ClusterConfig::deterministic(), FsConfig::default());
     let root = fs.root();
     let f = fs.create(NodeId(0), root, "f", 0o644).unwrap().value;
     fs.set_file_params(

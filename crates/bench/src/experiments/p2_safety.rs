@@ -58,11 +58,7 @@ pub fn measure(safety: usize, writes: usize, trials: usize) -> SafetyPoint {
 }
 
 fn fixture(safety: usize, seed: u64) -> DeceitFs {
-    let mut fs = DeceitFs::new(
-        3,
-        ClusterConfig::default().with_seed(seed).without_trace(),
-        FsConfig::default(),
-    );
+    let mut fs = DeceitFs::new(3, ClusterConfig::default().with_seed(seed), FsConfig::default());
     let root = fs.root();
     let f = fs.create(NodeId(0), root, "subject", 0o644).unwrap().value;
     fs.set_file_params(

@@ -23,11 +23,7 @@ pub struct ReplicaPoint {
 pub fn measure(replicas: usize, probes: usize) -> ReplicaPoint {
     let servers = 8;
     // Write cost.
-    let mut fs = DeceitFs::new(
-        servers,
-        ClusterConfig::default().with_seed(3).without_trace(),
-        FsConfig::default(),
-    );
+    let mut fs = DeceitFs::new(servers, ClusterConfig::default().with_seed(3), FsConfig::default());
     let root = fs.root();
     let f = fs.create(NodeId(0), root, "f", 0o644).unwrap().value;
     fs.set_file_params(

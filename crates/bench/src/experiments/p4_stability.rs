@@ -25,7 +25,7 @@ pub struct StabilityPoint {
 /// Runs streams of `stream_len` small writes via server 0 with a
 /// mid-stream read via server 1, for both stability settings.
 pub fn measure(stability: bool, stream_len: usize, streams: usize) -> StabilityPoint {
-    let mut cfg = ClusterConfig::default().with_seed(4).without_trace();
+    let mut cfg = ClusterConfig::default().with_seed(4);
     cfg.lazy_apply_delay = SimDuration::from_millis(120);
     let mut fs = DeceitFs::new(2, cfg, FsConfig::default());
     let root = fs.root();

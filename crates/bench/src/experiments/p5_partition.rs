@@ -24,8 +24,7 @@ pub struct PolicyOutcome {
 /// Partition a 5-server cell {holder, 1} | {2, 3, 4}, write W times on
 /// each side, heal, and report the policy's behavior.
 pub fn measure(policy: WriteAvailability, writes_per_side: usize) -> PolicyOutcome {
-    let mut fs =
-        DeceitFs::new(5, ClusterConfig::deterministic().without_trace(), FsConfig::default());
+    let mut fs = DeceitFs::new(5, ClusterConfig::deterministic(), FsConfig::default());
     let root = fs.root();
     let f = fs.create(NodeId(0), root, "contested", 0o644).unwrap().value;
     fs.set_file_params(

@@ -22,11 +22,7 @@ pub struct MigrationEpoch {
 /// A client works a fixed file set through one server; files start on
 /// other servers and migrate toward it epoch by epoch.
 pub fn run_with(migration: bool) -> Vec<MigrationEpoch> {
-    let mut fs = DeceitFs::new(
-        4,
-        ClusterConfig::default().with_seed(6).without_trace(),
-        FsConfig::default(),
-    );
+    let mut fs = DeceitFs::new(4, ClusterConfig::default().with_seed(6), FsConfig::default());
     let mut rng = SimRng::new(6);
     let params = FileParams { migration, ..FileParams::default() };
     // Corpus created round-robin across servers 0..3; the client uses

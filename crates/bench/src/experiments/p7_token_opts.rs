@@ -40,7 +40,7 @@ pub fn measure_cfg(
     pipeline: bool,
     writes: usize,
 ) -> OptResult {
-    let mut cfg = ClusterConfig::deterministic().without_trace();
+    let mut cfg = ClusterConfig::deterministic();
     cfg.opt_piggyback_acquire = piggyback;
     cfg.opt_forward_small = forward;
     cfg.opt_write_pipeline = pipeline;

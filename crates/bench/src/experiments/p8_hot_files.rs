@@ -28,8 +28,7 @@ pub struct HotPoint {
 /// writes once.
 pub fn measure(optimized: bool) -> HotPoint {
     let servers = 16;
-    let mut fs =
-        DeceitFs::new(servers, ClusterConfig::deterministic().without_trace(), FsConfig::default());
+    let mut fs = DeceitFs::new(servers, ClusterConfig::deterministic(), FsConfig::default());
     let root = fs.root();
     let f = fs.create(NodeId(0), root, "hot", 0o644).unwrap().value;
     let params = if optimized {

@@ -1,5 +1,5 @@
 //! Table 1: the typical sequence of events in an update, regenerated from
-//! the protocol trace.
+//! the flight recorder's protocol events.
 
 use deceit::core::ProtocolEvent;
 use deceit::prelude::*;
@@ -8,7 +8,7 @@ use crate::table::Table;
 
 /// Runs a "cold" update (token elsewhere, group stable, one replica
 /// unreachable so regeneration triggers) and extracts the Table 1 action
-/// sequence from the protocol trace.
+/// sequence from the events every server recorded during the update.
 pub fn run() -> (Table, Vec<&'static str>) {
     let mut fs = DeceitFs::new(4, ClusterConfig::deterministic(), FsConfig::default());
     let root = fs.root();
@@ -23,7 +23,7 @@ pub fn run() -> (Table, Vec<&'static str>) {
     let holders = fs.file_replicas(NodeId(0), f.handle).unwrap().value;
     let down = holders[2];
     fs.cluster.crash_server(down);
-    fs.cluster.trace.clear();
+    let mark = fs.cluster.obs.flight.mark();
 
     // The update, via a non-holder server.
     let writer = NodeId(1);
@@ -33,13 +33,15 @@ pub fn run() -> (Table, Vec<&'static str>) {
     fs.write(writer, f.handle, 0, b"the update").unwrap();
     fs.cluster.run_until_quiet();
 
-    // Project the trace onto Table 1's action vocabulary.
+    // Project the update's events, merged across servers in protocol
+    // time, onto Table 1's action vocabulary.
+    let events = fs.cluster.obs.flight.since(&mark).expect(
+        "a flight ring overwrote part of the Table 1 update; the event log would be partial",
+    );
     let seg = f.handle.segment();
-    let actions: Vec<&'static str> = fs
-        .cluster
-        .trace
-        .events()
+    let actions: Vec<&'static str> = events
         .iter()
+        .map(|(_, _, e)| e)
         .filter(|e| e.segment() == Some(seg))
         .filter_map(ProtocolEvent::table1_action)
         .collect();

@@ -34,7 +34,7 @@ use std::sync::Mutex;
 
 use deceit_isis::GroupTable;
 use deceit_net::{Network, NodeId};
-use deceit_sim::{leaf, SimDuration, SimTime, TraceLog};
+use deceit_sim::{leaf, SimDuration, SimTime};
 
 use crate::config::ClusterConfig;
 use crate::error::{DeceitError, DeceitResult};
@@ -117,13 +117,11 @@ pub struct Cluster {
     /// Protocol time, in microseconds. Monotone; advanced by operation
     /// latencies and event due times.
     clock: AtomicU64,
-    /// Protocol trace (Table 1 regeneration; internally synchronized).
-    pub trace: TraceLog<ProtocolEvent>,
-    /// Always-on observability: per-server flight recorder, the
-    /// protocol's event counters ([`crate::obs::Stat`]) and the core-side
-    /// histograms. Unlike `trace` this has no off switch — it is bounded
-    /// and lock-free (or nearly so) by construction, so live hosting
-    /// keeps it running.
+    /// Always-on observability: per-server flight recorder (the one
+    /// protocol event log; Table 1 reads it), the protocol's event
+    /// counters ([`crate::obs::Stat`]) and the core-side histograms. It
+    /// has no off switch — it is bounded and lock-free (or nearly so) by
+    /// construction, so live hosting keeps it running.
     pub obs: ObsCore,
     /// Per-segment history-tree branch records, sharded by segment.
     ///
@@ -156,14 +154,12 @@ impl Cluster {
         let net = Network::new(cfg.latency.clone(), cfg.seed);
         let servers =
             (0..n_servers).map(|i| ServerState::new(NodeId::from(i), cfg.disk, shards)).collect();
-        let trace = if cfg.trace { TraceLog::new() } else { TraceLog::disabled() };
         Cluster {
             net,
             servers,
             groups: GroupTable::new(),
             events: ShardedEvents::new(shards),
             clock: AtomicU64::new(0),
-            trace,
             obs: ObsCore::new(n_servers),
             branches: ShardedMap::new(shards),
             branched: (0..shards).map(|_| AtomicUsize::new(0)).collect(),
@@ -290,13 +286,9 @@ impl Cluster {
 
     /// Emits a protocol event attributed to the server that performed
     /// it: the flight recorder keeps it in `actor`'s ring (bounded,
-    /// always on) and the trace log records it when enabled.
+    /// always on).
     pub(crate) fn emit_from(&self, actor: NodeId, ev: ProtocolEvent) {
-        let now = self.now();
-        if self.trace.is_enabled() {
-            self.trace.emit(now, ev.clone());
-        }
-        self.obs.flight.record(actor, now, ev);
+        self.obs.flight.record(actor, self.now(), ev);
     }
 
     // ------------------------------------------------------------------

@@ -33,11 +33,6 @@ pub struct ClusterConfig {
     pub lru_keep: SimDuration,
     /// RNG seed for the run.
     pub seed: u64,
-    /// Whether to record protocol trace events (disable in benchmarks
-    /// and live hosting: the log is unbounded). The protocol's event
-    /// counters ([`crate::obs::Stat`]) have no switch: they are a fixed
-    /// table of atomics, always on.
-    pub trace: bool,
     /// §3.3 optimization 1: "broadcast an update in the same message with
     /// a token request; replica holders execute those updates upon
     /// receiving the corresponding token pass." When enabled, acquiring a
@@ -128,7 +123,6 @@ impl Default for ClusterConfig {
             local_read: SimDuration::from_millis(2),
             lru_keep: SimDuration::from_secs(300),
             seed: 0xDECE17,
-            trace: true,
             opt_piggyback_acquire: false,
             opt_forward_small: false,
             forward_small_threshold: 4096,
@@ -157,12 +151,6 @@ impl ClusterConfig {
     /// Sets the seed, builder-style.
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
-        self
-    }
-
-    /// Disables tracing, builder-style (for benchmarks).
-    pub fn without_trace(mut self) -> Self {
-        self.trace = false;
         self
     }
 
@@ -224,7 +212,6 @@ mod tests {
     fn defaults_are_sane() {
         let c = ClusterConfig::default();
         assert!(c.stability_timeout > c.lazy_apply_delay, "stabilize after apply");
-        assert!(c.trace);
     }
 
     #[test]
@@ -248,9 +235,8 @@ mod tests {
 
     #[test]
     fn builders() {
-        let c = ClusterConfig::deterministic().with_seed(9).without_trace();
+        let c = ClusterConfig::deterministic().with_seed(9);
         assert_eq!(c.seed, 9);
-        assert!(!c.trace);
         assert_eq!(c.latency, LatencyModel::Fixed(SimDuration::from_millis(2)));
     }
 }

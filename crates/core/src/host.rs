@@ -49,8 +49,8 @@ pub fn shard_slot(key: ShardKey, shards: usize) -> usize {
 /// seam a concurrent host dispatches on.
 ///
 /// The engine's state divides into *cold cell-wide* state (membership,
-/// groups, trace, the clock and event queues) and *hot per-file*
-/// state (replicas, tokens, streams, directory segments). A hosting
+/// groups, the clock and event queues) and *hot per-file* state
+/// (replicas, tokens, streams, directory segments). A hosting
 /// environment keeps the cell state under a read-mostly lock and the
 /// per-file state under shard locks; every operation declares up front
 /// which slice it touches so the host can take exactly the locks the

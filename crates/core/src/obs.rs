@@ -11,9 +11,10 @@
 //!   durations come from the caller's stamps, taken through the one
 //!   counted clock (`deceit_sim::wall`).
 //! * [`FlightRecorder`] — a bounded per-server ring of timestamped
-//!   [`ProtocolEvent`]s. Unlike the unbounded trace log it never grows,
-//!   so the live runtime keeps it on and dumps the last N protocol
-//!   events per server when a differential test or stress run fails.
+//!   [`ProtocolEvent`]s, the one protocol event log. It never grows, so
+//!   it stays on everywhere: Table 1 reads one update's events from it,
+//!   and a failing differential test or storm dumps the last N events
+//!   per server.
 //! * [`Stat`] — the protocol's event counters (§6–7 count messages,
 //!   token passes, forwarded reads and stabilize rounds): one fixed table
 //!   of relaxed atomics, one slot per variant, so a bump is one
@@ -257,15 +258,16 @@ impl std::fmt::Display for HistSummary {
 /// Events retained per server by the flight recorder.
 pub const FLIGHT_CAPACITY: usize = 256;
 
-/// A bounded per-server ring buffer of timestamped protocol events.
+/// A bounded per-server ring buffer of timestamped protocol events: the
+/// one protocol event log, in the simulator and live alike.
 ///
-/// Where the trace log records everything (and therefore stays off in
-/// live hosting), the flight recorder keeps only the last
-/// [`FLIGHT_CAPACITY`] events each server *acted in*, overwriting the
-/// oldest. Recording takes the acting server's ring lock for a few
-/// stores — short enough to stay on under full write load — and a
-/// snapshot never observes a torn event because the entry is replaced
-/// whole under that lock.
+/// The flight recorder keeps only the last [`FLIGHT_CAPACITY`] events
+/// each server *acted in*, overwriting the oldest, so it never grows and
+/// stays on under full write load. Recording takes the acting server's
+/// ring lock for a few stores, and a read never observes a torn event
+/// because the entry is replaced whole under that lock. Table 1 reads the
+/// events of one update across servers through [`FlightRecorder::mark`]
+/// and [`FlightRecorder::since`].
 #[derive(Debug)]
 pub struct FlightRecorder {
     rings: Vec<Mutex<EventRing>>,
@@ -280,22 +282,40 @@ struct EventRing {
     total: u64,
 }
 
+impl EventRing {
+    /// The retained events, oldest first. Until the ring fills, `next`
+    /// is its length, so the split leaves nothing older.
+    fn oldest_first(&self) -> impl Iterator<Item = &(SimTime, ProtocolEvent)> {
+        let (newer, older) = self.buf.split_at(self.next.min(self.buf.len()));
+        older.iter().chain(newer)
+    }
+
+    /// The events recorded after the ring's total was `mark`, or `None`
+    /// if one of them has been overwritten.
+    fn since(&self, mark: u64) -> Option<impl Iterator<Item = &(SimTime, ProtocolEvent)>> {
+        let after = usize::try_from(self.total.saturating_sub(mark)).ok()?;
+        let skip = self.buf.len().checked_sub(after)?;
+        Some(self.oldest_first().skip(skip))
+    }
+}
+
 impl FlightRecorder {
     /// A recorder with one ring per server.
     pub fn new(n_servers: usize) -> Self {
         FlightRecorder { rings: (0..n_servers).map(|_| Mutex::new(EventRing::default())).collect() }
     }
 
-    fn ring(&self, server: NodeId) -> std::sync::MutexGuard<'_, EventRing> {
-        deceit_sim::leaf::lock(&self.rings[server.index()])
+    /// The server's ring, or `None` for a server this recorder does not
+    /// track.
+    fn ring(&self, server: NodeId) -> Option<std::sync::MutexGuard<'_, EventRing>> {
+        self.rings.get(server.index()).map(deceit_sim::leaf::lock)
     }
 
     /// Records one event against the server that performed it.
     pub fn record(&self, server: NodeId, at: SimTime, ev: ProtocolEvent) {
-        if server.index() >= self.rings.len() {
+        let Some(mut ring) = self.ring(server) else {
             return;
-        }
-        let mut ring = self.ring(server);
+        };
         if ring.buf.len() < FLIGHT_CAPACITY {
             ring.buf.push((at, ev));
         } else {
@@ -306,22 +326,40 @@ impl FlightRecorder {
         ring.total += 1;
     }
 
-    /// Total events ever recorded for one server (including overwritten).
+    /// Total events ever recorded for one server (including overwritten);
+    /// 0 for a server this recorder does not track.
     pub fn total(&self, server: NodeId) -> u64 {
-        self.ring(server).total
+        self.ring(server).map_or(0, |ring| ring.total)
     }
 
-    /// The retained events for one server, oldest first.
+    /// The retained events for one server, oldest first; none for a
+    /// server this recorder does not track.
     pub fn events(&self, server: NodeId) -> Vec<(SimTime, ProtocolEvent)> {
-        let ring = self.ring(server);
-        if ring.buf.len() < FLIGHT_CAPACITY {
-            ring.buf.clone()
-        } else {
-            let mut out = Vec::with_capacity(FLIGHT_CAPACITY);
-            out.extend_from_slice(&ring.buf[ring.next..]);
-            out.extend_from_slice(&ring.buf[..ring.next]);
-            out
+        self.ring(server).map_or_else(Vec::new, |ring| ring.oldest_first().cloned().collect())
+    }
+
+    /// Every server's event total, in server order: the mark
+    /// [`FlightRecorder::since`] reads from.
+    pub fn mark(&self) -> Vec<u64> {
+        self.rings.iter().map(|ring| deceit_sim::leaf::lock(ring).total).collect()
+    }
+
+    /// The events every server recorded after `mark`, merged by protocol
+    /// time, ties in server order (and in recording order within one
+    /// server). `None` if any ring has overwritten one of them: a partial
+    /// log is never passed off as whole. Each ring's events and total are
+    /// read under one lock acquisition, so a concurrent `record` cannot
+    /// skew the count.
+    pub fn since(&self, mark: &[u64]) -> Option<Vec<(SimTime, NodeId, ProtocolEvent)>> {
+        let mut out = Vec::new();
+        for (i, ring) in self.rings.iter().enumerate() {
+            let ring = deceit_sim::leaf::lock(ring);
+            let server = NodeId(i as u32);
+            let from = mark.get(i).copied().unwrap_or(0);
+            out.extend(ring.since(from)?.map(|(at, ev)| (*at, server, ev.clone())));
         }
+        out.sort_by_key(|&(at, server, _)| (at, server));
+        Some(out)
     }
 
     /// Number of servers this recorder tracks.
@@ -335,17 +373,15 @@ impl FlightRecorder {
     pub fn dump(&self) -> String {
         use std::fmt::Write as _;
         let mut out = String::new();
-        for i in 0..self.rings.len() {
-            let id = NodeId(i as u32);
-            let events = self.events(id);
-            let total = self.total(id);
+        for (i, ring) in self.rings.iter().enumerate() {
+            let ring = deceit_sim::leaf::lock(ring);
             let _ = writeln!(
                 out,
                 "server {i}: {} protocol events recorded, last {} retained",
-                total,
-                events.len()
+                ring.total,
+                ring.buf.len()
             );
-            for (at, ev) in events {
+            for (at, ev) in ring.oldest_first() {
                 let _ = writeln!(out, "  [{:>10}us] {ev:?}", at.as_micros());
             }
         }
@@ -446,8 +482,7 @@ stats! {
     GcCorrected => "nfs/gc/corrected",
 }
 
-/// The cluster-owned observability bundle: always on, independent of
-/// the `trace` config switch.
+/// The cluster-owned observability bundle: always on, with no switch.
 #[derive(Debug)]
 pub struct ObsCore {
     /// Last-N protocol events per server.
@@ -721,6 +756,53 @@ mod tests {
         // The other server's ring is untouched.
         assert_eq!(fr.total(NodeId(1)), 0);
         assert!(fr.events(NodeId(1)).is_empty());
+    }
+
+    fn stable(seg: u64) -> ProtocolEvent {
+        ProtocolEvent::MarkedStable { seg: SegmentId(seg) }
+    }
+
+    #[test]
+    fn flight_recorder_reads_an_unknown_server_as_empty() {
+        let fr = FlightRecorder::new(2);
+        fr.record(NodeId(7), SimTime::from_micros(1), stable(1));
+        assert_eq!(fr.total(NodeId(7)), 0);
+        assert!(fr.events(NodeId(7)).is_empty());
+        assert_eq!(fr.mark(), vec![0, 0]);
+    }
+
+    #[test]
+    fn since_merges_servers_by_protocol_time() {
+        let fr = FlightRecorder::new(2);
+        fr.record(NodeId(0), SimTime::from_micros(1), stable(0));
+        let mark = fr.mark();
+        for (server, at, seg) in [(1, 5, 1), (0, 3, 2), (0, 5, 3), (1, 4, 4), (0, 6, 5)] {
+            fr.record(NodeId(server), SimTime::from_micros(at), stable(seg));
+        }
+        let got: Vec<(u64, u32, ProtocolEvent)> = fr
+            .since(&mark)
+            .expect("nothing overwritten")
+            .into_iter()
+            .map(|(at, server, ev)| (at.as_micros(), server.0, ev))
+            .collect();
+        // Time order across servers; the tie at 5us goes to server 0.
+        let want = [(3, 0, 2), (4, 1, 4), (5, 0, 3), (5, 1, 1), (6, 0, 5)];
+        assert_eq!(got, want.map(|(at, server, seg)| (at, server, stable(seg))));
+    }
+
+    #[test]
+    fn since_refuses_a_wrapped_ring_until_a_later_mark() {
+        let fr = FlightRecorder::new(2);
+        let mark = fr.mark();
+        for i in 0..=FLIGHT_CAPACITY as u64 {
+            fr.record(NodeId(1), SimTime::from_micros(i), stable(i));
+        }
+        assert_eq!(fr.since(&mark), None, "the first event after the mark was overwritten");
+        let later = fr.mark();
+        fr.record(NodeId(1), SimTime::from_micros(999), stable(999));
+        let got = fr.since(&later).expect("one event after the later mark");
+        assert_eq!(got, vec![(SimTime::from_micros(999), NodeId(1), stable(999))]);
+        assert_eq!(fr.since(&fr.mark()), Some(vec![]));
     }
 
     #[test]

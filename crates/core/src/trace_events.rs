@@ -11,8 +11,10 @@
 //! | insufficient replicas                | generate new replicas   |
 //! | period of no write activity          | mark replicas as stable |
 //!
-//! Every protocol path emits these events into the cluster's
-//! [`deceit_sim::TraceLog`]; the `table1` test and harness assert the
+//! Every protocol path emits these events into the acting server's ring
+//! of the cluster's [`crate::obs::FlightRecorder`]; the `table1` test and
+//! harness read one update's events back, merged across servers in
+//! protocol time ([`crate::obs::FlightRecorder::since`]), and assert the
 //! sequence.
 
 use deceit_net::NodeId;

@@ -36,7 +36,7 @@ proptest! {
         ops in proptest::collection::vec(op(3), 1..40),
         seed in 0u64..1000,
     ) {
-        let mut c = Cluster::new(3, ClusterConfig::default().with_seed(seed).without_trace());
+        let mut c = Cluster::new(3, ClusterConfig::default().with_seed(seed));
         let via0 = NodeId(0);
         let seg = c.create(via0).unwrap().value;
         c.set_params(via0, seg, FileParams { min_replicas: 3, ..FileParams::default() })
@@ -81,7 +81,7 @@ proptest! {
         ops in proptest::collection::vec(op(3), 1..30),
         seed in 0u64..1000,
     ) {
-        let mut c = Cluster::new(3, ClusterConfig::default().with_seed(seed).without_trace());
+        let mut c = Cluster::new(3, ClusterConfig::default().with_seed(seed));
         let via0 = NodeId(0);
         let seg = c.create(via0).unwrap().value;
         c.set_params(
@@ -123,7 +123,7 @@ proptest! {
         vias in proptest::collection::vec(0u8..4, 1..25),
         seed in 0u64..1000,
     ) {
-        let mut c = Cluster::new(4, ClusterConfig::default().with_seed(seed).without_trace());
+        let mut c = Cluster::new(4, ClusterConfig::default().with_seed(seed));
         let seg = c.create(NodeId(0)).unwrap().value;
         let mut last_sub = 0;
         for via in vias {
@@ -144,7 +144,7 @@ proptest! {
         script in proptest::collection::vec((0u8..2, proptest::collection::vec(any::<u8>(), 1..16)), 1..12),
         seed in 0u64..1000,
     ) {
-        let mut c = Cluster::new(3, ClusterConfig::default().with_seed(seed).without_trace());
+        let mut c = Cluster::new(3, ClusterConfig::default().with_seed(seed));
         let seg = c.create(NodeId(0)).unwrap().value;
         c.set_params(NodeId(0), seg, FileParams { min_replicas: 3, ..FileParams::default() })
             .unwrap();

@@ -169,10 +169,8 @@ fn partition_with_updates_on_both_sides_logs_conflict_and_keeps_both() {
     // §3.6: "both of the incomparable versions of the file are kept, and a
     // notification is logged into a well known file."
     assert_eq!(c.conflicts.len(), 1);
-    assert!(c.trace.events().iter().any(|e| matches!(e, ProtocolEvent::ConflictLogged { .. })));
     // The server that found it — side A's token holder, first of the
-    // pair at heal time — flight-records it too, so the per-server dump
-    // shows the conflict where the trace log is off (live hosting).
+    // pair at heal time — flight-records it.
     assert!(
         c.obs
             .flight

@@ -195,9 +195,11 @@ fn stability_marks_clear_after_quiet_period() {
     c.write(n(0), seg, WriteOp::replace(b"data"), None).unwrap();
     // While the stream is open the remote replica is unstable.
     assert!(!c.server(n(1)).replicas.get(&(seg, 0)).unwrap().is_stable());
+    let mark = c.obs.flight.mark();
     c.advance(SimDuration::from_secs(2));
     assert!(c.server(n(1)).replicas.get(&(seg, 0)).unwrap().is_stable());
-    assert!(c.trace.events().iter().any(|e| matches!(e, ProtocolEvent::MarkedStable { .. })));
+    let quiet = c.obs.flight.since(&mark).expect("no ring wrapped");
+    assert!(quiet.iter().any(|(_, _, e)| matches!(e, ProtocolEvent::MarkedStable { .. })));
     // A later read at the remote replica is served locally again.
     let r = c.read(n(1), seg, None, 0, 100).unwrap().value;
     assert_eq!(r.served_by, n(1));

@@ -26,7 +26,7 @@ fn fixture(cfg: ClusterConfig) -> (Cluster, SegmentId) {
 
 #[test]
 fn piggyback_acquisition_saves_request_round() {
-    let mut plain_cfg = ClusterConfig::deterministic().without_trace();
+    let mut plain_cfg = ClusterConfig::deterministic();
     let mut piggy_cfg = plain_cfg.clone();
     piggy_cfg.opt_piggyback_acquire = true;
     let mut msgs = Vec::new();
@@ -47,7 +47,7 @@ fn piggyback_acquisition_saves_request_round() {
 
 #[test]
 fn forward_small_keeps_token_parked() {
-    let mut cfg = ClusterConfig::deterministic().without_trace();
+    let mut cfg = ClusterConfig::deterministic();
     cfg.opt_forward_small = true;
     let (mut c, seg) = fixture(cfg);
     for i in 0..6 {
@@ -64,7 +64,7 @@ fn forward_small_keeps_token_parked() {
 
 #[test]
 fn forward_small_ignores_large_updates() {
-    let mut cfg = ClusterConfig::deterministic().without_trace();
+    let mut cfg = ClusterConfig::deterministic();
     cfg.opt_forward_small = true;
     cfg.forward_small_threshold = 64;
     let (mut c, seg) = fixture(cfg);
@@ -77,7 +77,7 @@ fn forward_small_ignores_large_updates() {
 
 #[test]
 fn forward_small_falls_back_when_holder_dead() {
-    let mut cfg = ClusterConfig::deterministic().without_trace();
+    let mut cfg = ClusterConfig::deterministic();
     cfg.opt_forward_small = true;
     let (mut c, seg) = fixture(cfg);
     c.crash_server(n(0));
@@ -90,7 +90,7 @@ fn forward_small_falls_back_when_holder_dead() {
 
 #[test]
 fn conditional_write_checked_at_forward_target() {
-    let mut cfg = ClusterConfig::deterministic().without_trace();
+    let mut cfg = ClusterConfig::deterministic();
     cfg.opt_forward_small = true;
     let (mut c, seg) = fixture(cfg);
     let v = c.read(n(1), seg, None, 0, 16).unwrap().value.version;
@@ -104,7 +104,7 @@ fn conditional_write_checked_at_forward_target() {
 fn optimizations_respect_availability_policy() {
     // Medium availability + partition: the forwarded write cannot bypass
     // the majority rule, because the check runs at the token holder.
-    let mut cfg = ClusterConfig::deterministic().without_trace();
+    let mut cfg = ClusterConfig::deterministic();
     cfg.opt_forward_small = true;
     let mut c = Cluster::new(3, cfg);
     let seg = c.create(n(0)).unwrap().value;
@@ -132,7 +132,7 @@ fn optimizations_respect_availability_policy() {
 fn token_survives_holder_crash_and_recovery() {
     // The token is non-volatile (§3.5): after crash + recovery with no
     // competing version, the original holder still holds it.
-    let (mut c, seg) = fixture(ClusterConfig::deterministic().without_trace());
+    let (mut c, seg) = fixture(ClusterConfig::deterministic());
     assert!(c.server(n(0)).holds_token((seg, 0)));
     c.crash_server(n(0));
     c.recover_server(n(0));

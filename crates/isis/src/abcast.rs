@@ -1,46 +1,15 @@
-//! ABCAST: totally ordered broadcast via a sequencer.
+//! ABCAST: totally ordered delivery of token-site-stamped updates.
 //!
 //! §3.3: "It is necessary for correctness that the updates arrive in
 //! identical order at all servers regardless of token movement." Deceit
 //! achieves this the way ISIS's token-site ABCAST does: whoever holds the
-//! token stamps each update with the group's next sequence number, and
-//! every member delivers strictly in sequence-number order, holding back
-//! gaps. Because the sequence counter travels with the token (it lives in
-//! the group, not the holder), the order is preserved across token passes.
+//! token stamps each update with the group's next sequence number (the
+//! cluster stamps [`SequencedMsg::seq`] from the new version's sub-number),
+//! and every member delivers strictly in sequence-number order, holding
+//! back gaps. Because the counter travels with the token, the order is
+//! preserved across token passes.
 
 use std::collections::BTreeMap;
-
-/// Sequencer state: the next sequence number to stamp.
-///
-/// In Deceit this travels with the write token.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct Sequencer {
-    next: u64,
-}
-
-impl Sequencer {
-    /// A sequencer starting at 0.
-    pub fn new() -> Self {
-        Sequencer::default()
-    }
-
-    /// Resumes from a known next value (token handed over / recovered).
-    pub fn resume_at(next: u64) -> Self {
-        Sequencer { next }
-    }
-
-    /// Stamps a payload with the next sequence number.
-    pub fn stamp<T>(&mut self, payload: T) -> SequencedMsg<T> {
-        let seq = self.next;
-        self.next += 1;
-        SequencedMsg { seq, payload }
-    }
-
-    /// The sequence number the next stamp will use.
-    pub fn next_seq(&self) -> u64 {
-        self.next
-    }
-}
 
 /// A payload stamped with its total-order position.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -120,19 +89,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn stamps_are_consecutive() {
-        let mut s = Sequencer::new();
-        assert_eq!(s.stamp("a").seq, 0);
-        assert_eq!(s.stamp("b").seq, 1);
-        assert_eq!(s.next_seq(), 2);
-    }
-
-    #[test]
     fn in_order_delivery() {
-        let mut s = Sequencer::new();
         let mut r = OrderedReceiver::new();
         for i in 0..5 {
-            let out = r.receive(s.stamp(i));
+            let out = r.receive(SequencedMsg { seq: i as u64, payload: i });
             assert_eq!(out, vec![(i as u64, i)]);
         }
         assert_eq!(r.delivered_count(), 5);
@@ -175,32 +135,6 @@ mod tests {
         assert_eq!(r.receive(SequencedMsg { seq: 0, payload: 1 }).len(), 1);
         assert!(r.receive(SequencedMsg { seq: 0, payload: 1 }).is_empty());
         assert_eq!(r.delivered_count(), 1);
-    }
-
-    #[test]
-    fn sequencer_survives_token_movement() {
-        // Token moves from holder A to holder B: B resumes the counter.
-        let mut a = Sequencer::new();
-        let m0 = a.stamp("from-a-0");
-        let m1 = a.stamp("from-a-1");
-        let mut b = Sequencer::resume_at(a.next_seq());
-        let m2 = b.stamp("from-b-2");
-
-        // Two receivers, different arrival orders, same delivery order.
-        fn deliver(msgs: Vec<SequencedMsg<&'static str>>) -> Vec<&'static str> {
-            let mut r = OrderedReceiver::new();
-            let mut seen = Vec::new();
-            for m in msgs {
-                for (_, p) in r.receive(m) {
-                    seen.push(p);
-                }
-            }
-            seen
-        }
-        let d1 = deliver(vec![m0.clone(), m1.clone(), m2.clone()]);
-        let d2 = deliver(vec![m2, m0, m1]);
-        assert_eq!(d1, d2);
-        assert_eq!(d1, vec!["from-a-0", "from-a-1", "from-b-2"]);
     }
 
     #[test]

@@ -1,15 +1,18 @@
 //! An ISIS-like distributed programming substrate.
 //!
 //! Deceit delegates "all communication and process group management" to the
-//! ISIS Distributed Programming Environment (§2.4). The features the paper
-//! enumerates — and which this crate reimplements — are:
+//! ISIS Distributed Programming Environment (§2.4). This crate keeps the
+//! pieces of it that Deceit calls:
 //!
-//! * **process groups** with atomic membership change ([`group`]),
-//! * **several group broadcast protocols** ([`bcast`] for communication
-//!   rounds with first-k reply collection, [`cbcast`] for causal order via
-//!   vector clocks, [`abcast`] for total order via a sequencer),
-//! * **mechanisms for locating group members by group name** ([`group`],
-//!   with the global-search cost charged by the caller per §3.2),
+//! * **process groups** with atomic membership change ([`group`]), and
+//!   **locating group members by group name** (with the global-search
+//!   cost charged by the caller per §3.2),
+//! * **communication rounds** with first-k reply collection ([`bcast`]),
+//! * **total-order delivery** ([`abcast::OrderedReceiver`]): §3.3's
+//!   "identical order at all servers regardless of token movement" is the
+//!   token-site sequence — whoever holds the token stamps each update with
+//!   the group's next number, and every member delivers in that order.
+//!   Deceit needs no causal order beyond it, so ISIS's CBCAST is absent,
 //! * **process state transfer** ([`xfer`]),
 //! * **failure detection coordinated with communication** ([`failure`]):
 //!   a machine is suspected exactly when a message to it goes unanswered.
@@ -32,17 +35,11 @@
 
 pub mod abcast;
 pub mod bcast;
-pub mod cbcast;
 pub mod failure;
 pub mod group;
-pub mod vclock;
-pub mod view_sync;
 pub mod xfer;
 
-pub use abcast::{OrderedReceiver, SequencedMsg, Sequencer};
+pub use abcast::{OrderedReceiver, SequencedMsg};
 pub use bcast::{broadcast_round, BcastOutcome};
-pub use cbcast::{CausalMsg, CausalReceiver, CausalSender};
 pub use failure::FailureDetector;
 pub use group::{GroupId, GroupTable, View};
-pub use vclock::VectorClock;
-pub use view_sync::{ViewSyncBuffer, ViewedMsg};

@@ -69,7 +69,7 @@ fn live_like_server() -> NfsServer {
 }
 
 fn live_like_config() -> ClusterConfig {
-    ClusterConfig::default().without_trace().with_write_pipeline().with_read_leases()
+    ClusterConfig::default().with_write_pipeline().with_read_leases()
 }
 
 /// Creates `name` with `params` and fills it with `len` bytes, settled.

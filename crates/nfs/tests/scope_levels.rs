@@ -44,7 +44,7 @@ fn ladder(srv: &mut NfsServer, via: NodeId, req: &NfsRequest) -> (NfsReply, Leve
 /// A cell configured like the live runtime's: write pipeline and read
 /// leases on, so a write stream leaves its file unstable until settled.
 fn live_like_server() -> NfsServer {
-    let cfg = ClusterConfig::default().without_trace().with_write_pipeline().with_read_leases();
+    let cfg = ClusterConfig::default().with_write_pipeline().with_read_leases();
     NfsServer::new(DeceitFs::new(3, cfg, FsConfig::default()))
 }
 

@@ -69,14 +69,12 @@ pub struct RuntimeConfig {
 
 impl RuntimeConfig {
     /// A deployment of `servers` servers with defaults tuned for live
-    /// hosting: protocol tracing off (the trace log grows without bound
-    /// under sustained traffic; the protocol's event counters stay on,
-    /// as everywhere — they are a fixed table of atomics), and the
-    /// asynchronous replicated-write pipeline on — a write acks at local durability (plus its safety-level
-    /// replies) and the pump ships batched propagation, instead of the
-    /// simulator's paper-faithful eager broadcast per update. The
-    /// differential suite runs both worlds with this same config, so sim
-    /// and live exercise the identical pipeline.
+    /// hosting: the asynchronous replicated-write pipeline on — a write
+    /// acks at local durability (plus its safety-level replies) and the
+    /// pump ships batched propagation, instead of the simulator's
+    /// paper-faithful eager broadcast per update. The differential suite
+    /// runs both worlds with this same config, so sim and live exercise
+    /// the identical pipeline.
     pub fn new(servers: usize) -> Self {
         // §3.4's "short period of no write activity" is measured on the
         // protocol clock, which a busy live cell advances by ~20ms of
@@ -97,7 +95,6 @@ impl RuntimeConfig {
         // paper-faithful simulator default, on here; the signal itself is
         // always-on obs atomics).
         let mut cluster = ClusterConfig::default()
-            .without_trace()
             .with_write_pipeline()
             .with_read_leases()
             .with_read_repair()
@@ -163,10 +160,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn defaults_disable_tracing() {
+    fn defaults_enable_the_live_fast_paths() {
         let cfg = RuntimeConfig::new(5);
         assert_eq!(cfg.servers, 5);
-        assert!(!cfg.cluster.trace, "live hosting must not accumulate trace events");
         assert!(cfg.cluster.opt_write_pipeline, "live hosting pipelines replicated writes");
         assert!(cfg.cluster.opt_read_leases, "live hosting serves holder-local read leases");
         assert!(cfg.cluster.opt_read_repair, "live hosting repairs lagging replicas on read");

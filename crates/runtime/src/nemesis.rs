@@ -146,8 +146,7 @@ impl StormConfig {
 }
 
 /// What one storm produced: the merged history plus the flight ring
-/// captured before shutdown (empty for sim runs — the simulator keeps
-/// its own trace).
+/// captured at its end.
 pub struct StormOutcome {
     pub history: History,
     pub flight: String,
@@ -162,7 +161,7 @@ pub struct StormFailure {
     pub report: AuditReport,
     /// The minimal run's history (what CI uploads as JSON).
     pub history: History,
-    /// Flight-recorder ring of the minimal run (live storms).
+    /// Flight-recorder ring of the minimal run.
     pub flight: String,
     /// Whether the failing run was live or simulated.
     pub live: bool,
@@ -250,9 +249,9 @@ struct SimWriter {
 }
 
 /// Runs one storm single-threaded through the deterministic simulator.
-/// Same config ⇒ same history, bit for bit: a failing seed here replays
-/// forever.
-pub fn run_sim_storm(cfg: &StormConfig, rcfg: &RuntimeConfig) -> History {
+/// Same config ⇒ same history and flight ring, bit for bit: a failing
+/// seed here replays forever.
+pub fn run_sim_storm(cfg: &StormConfig, rcfg: &RuntimeConfig) -> StormOutcome {
     let mut cluster_cfg = rcfg.cluster.clone();
     cluster_cfg.seed = cfg.seed;
     let mut fs = DeceitFs::new(cfg.servers, cluster_cfg, rcfg.fs.clone());
@@ -404,7 +403,7 @@ pub fn run_sim_storm(cfg: &StormConfig, rcfg: &RuntimeConfig) -> History {
         let replicas = fs.file_replicas(via, w.fh).expect("post-storm sim locate").value.len();
         nem.final_state(w.fh.seg.0, &data, (attr.version.major, attr.version.sub), replicas);
     }
-    recorder.merge()
+    StormOutcome { history: recorder.merge(), flight: fs.cluster.obs.flight.dump() }
 }
 
 // ---------------------------------------------------------------------
@@ -604,18 +603,18 @@ pub fn audit_sim_storm(
     cfg: &StormConfig,
     rcfg: &RuntimeConfig,
 ) -> Result<AuditReport, Box<StormFailure>> {
-    let history = run_sim_storm(cfg, rcfg);
-    let report = audit(&history, &cfg.contract());
+    let outcome = run_sim_storm(cfg, rcfg);
+    let report = audit(&outcome.history, &cfg.contract());
     if report.is_green() {
         return Ok(report);
     }
     let mut runner = |c: &StormConfig| {
-        let history = run_sim_storm(c, rcfg);
-        let report = audit(&history, &c.contract());
-        (!report.is_green()).then_some((history, report, String::new()))
+        let outcome = run_sim_storm(c, rcfg);
+        let report = audit(&outcome.history, &c.contract());
+        (!report.is_green()).then_some((outcome.history, report, outcome.flight))
     };
     let (config, (history, report, flight)) =
-        shrink(*cfg, (history, report, String::new()), &mut runner);
+        shrink(*cfg, (outcome.history, report, outcome.flight), &mut runner);
     let mutated = rcfg.cluster.danger_skip_safety_currency;
     Err(Box::new(StormFailure { config, report, history, flight, live: false, mutated }))
 }

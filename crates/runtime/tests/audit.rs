@@ -39,7 +39,8 @@ fn sim_storm_histories_are_deterministic_per_seed() {
     let cfg = StormConfig::quick(33);
     let a = run_sim_storm(&cfg, &rcfg);
     let b = run_sim_storm(&cfg, &rcfg);
-    assert_eq!(a.to_json(), b.to_json(), "same seed must replay the same history");
+    assert_eq!(a.history.to_json(), b.history.to_json(), "same seed must replay the same history");
+    assert_eq!(a.flight, b.flight, "same seed must replay the same protocol events");
 }
 
 proptest! {
@@ -112,10 +113,17 @@ fn auditor_detects_disabled_safety_currency_check() {
         "a failure found with the check disabled must replay with it disabled: {rendered}"
     );
     assert!(!failure.report.violations.is_empty());
+    // The report names the protocol events behind the failure: the sim
+    // storm's flight ring holds at least one retained event.
+    let (_, flight) = rendered.split_once("-- protocol flight recorder").expect("flight section");
+    assert!(
+        flight.lines().any(|l| l.starts_with("  [")),
+        "a red sim storm must carry its flight ring: {rendered}"
+    );
     // The shrunk config must still fail when replayed directly — that is
     // what makes the printed seed a genuine repro.
     let replayed = run_sim_storm(&failure.config, &rcfg);
-    let verdict = audit(&replayed, &failure.config.contract());
+    let verdict = audit(&replayed.history, &failure.config.contract());
     assert!(!verdict.is_green(), "shrunk config did not reproduce: {:?}", failure.config);
 }
 

@@ -10,8 +10,6 @@
 //! * [`SimRng`] — a seeded RNG with the distributions the workload models
 //!   need (Zipf, truncated log-normal, exponential).
 //! * [`StatsSnapshot`] — the owned copy of an engine's protocol counters.
-//! * [`trace`] — a structured protocol trace, used to regenerate Table 1 of
-//!   the paper (the "typical sequence of events in an update").
 //! * [`wall`] — the one counted wall clock the live runtime reads.
 //! * [`leaf`] — the one counted, poison-tolerant leaf-lock acquisition.
 //! * [`InlineVec`] — a short list held in place, for per-request lists.
@@ -35,7 +33,6 @@ pub mod rng;
 pub mod stats;
 mod tally;
 pub mod time;
-pub mod trace;
 pub mod wall;
 
 pub use events::EventQueue;
@@ -43,4 +40,3 @@ pub use inline::InlineVec;
 pub use rng::SimRng;
 pub use stats::StatsSnapshot;
 pub use time::{SimDuration, SimTime};
-pub use trace::{TraceEvent, TraceLog};

@@ -17,7 +17,7 @@ fn main() {
     let servers = 8;
     let mut fs = DeceitFs::new(
         servers,
-        ClusterConfig::default().with_seed(1989).without_trace(),
+        ClusterConfig::default().with_seed(1989),
         FsConfig {
             root_params: FileParams::important(3),
             dir_params: FileParams::important(2),

@@ -62,8 +62,10 @@ fn main() {
         agent.failovers
     );
 
-    // The protocol trace underneath (Table 1's vocabulary).
-    println!("\nprotocol events recorded: {}", srv.fs.cluster.trace.len());
+    // The protocol events underneath (Table 1's vocabulary), every
+    // server's flight-recorder total.
+    let events: u64 = srv.fs.cluster.obs.flight.mark().iter().sum();
+    println!("\nprotocol events recorded: {events}");
     println!("network messages: {}", srv.fs.cluster.net.stats().messages);
     println!("\nOK: every layer exercised.");
 }

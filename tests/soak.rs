@@ -14,7 +14,7 @@ fn soak(seed: u64) {
     let servers = 5;
     let mut fs = DeceitFs::new(
         servers,
-        ClusterConfig::default().with_seed(seed).without_trace(),
+        ClusterConfig::default().with_seed(seed),
         FsConfig {
             root_params: FileParams::important(3),
             dir_params: FileParams::important(3),
