@@ -29,11 +29,11 @@
 //! interleaving sound.
 
 use std::collections::BTreeSet;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 use deceit_isis::GroupTable;
 use deceit_net::{Network, NodeId};
+use deceit_sim::atomic::{PublishedU64, RelaxedU64};
 use deceit_sim::{leaf, SimDuration, SimTime};
 
 use crate::config::ClusterConfig;
@@ -115,8 +115,9 @@ pub struct Cluster {
     /// Deferred actions, partitioned by shard slot.
     pub(crate) events: ShardedEvents,
     /// Protocol time, in microseconds. Monotone; advanced by operation
-    /// latencies and event due times.
-    clock: AtomicU64,
+    /// latencies and event due times. Advisory, so relaxed: protocol
+    /// ordering comes from message delivery, not from reads of this value.
+    clock: RelaxedU64,
     /// Always-on observability: per-server flight recorder (the one
     /// protocol event log; Table 1 reads it), the protocol's event
     /// counters ([`crate::obs::Stat`]) and the core-side histograms. It
@@ -133,7 +134,7 @@ pub struct Cluster {
     pub(crate) branches: ShardedMap<SegmentId, BranchTable>,
     /// Per shard slot, how many segments' branch tables record a branch
     /// (see [`Cluster::single_major`]).
-    branched: Box<[AtomicUsize]>,
+    branched: Box<[PublishedU64]>,
     /// The "well known file" of version conflicts awaiting the user.
     /// Only written on the exclusive path (recovery, reconciliation,
     /// version deletion), so it needs no interior lock.
@@ -142,8 +143,9 @@ pub struct Cluster {
     /// garbage-collect any stale replicas of these. Behind a leaf lock:
     /// the sharded create path's rollback deletes its newborn segment.
     pub(crate) deleted: Mutex<BTreeSet<SegmentId>>,
-    next_segment: AtomicU64,
-    next_major: AtomicU64,
+    /// Id allocators: uniqueness needs only read-modify-write atomicity.
+    next_segment: RelaxedU64,
+    next_major: RelaxedU64,
 }
 
 impl Cluster {
@@ -159,14 +161,14 @@ impl Cluster {
             servers,
             groups: GroupTable::new(),
             events: ShardedEvents::new(shards),
-            clock: AtomicU64::new(0),
+            clock: RelaxedU64::new(0),
             obs: ObsCore::new(n_servers),
             branches: ShardedMap::new(shards),
-            branched: (0..shards).map(|_| AtomicUsize::new(0)).collect(),
+            branched: (0..shards).map(|_| PublishedU64::new(0)).collect(),
             conflicts: Vec::new(),
             deleted: Mutex::new(BTreeSet::new()),
-            next_segment: AtomicU64::new(0),
-            next_major: AtomicU64::new(0),
+            next_segment: RelaxedU64::new(0),
+            next_major: RelaxedU64::new(0),
             cfg,
         }
     }
@@ -180,17 +182,17 @@ impl Cluster {
 
     /// Current simulated time.
     pub fn now(&self) -> SimTime {
-        SimTime::from_micros(self.clock.load(Ordering::Relaxed))
+        SimTime::from_micros(self.clock.load())
     }
 
     /// Advances the clock to at least `at` (events jump time forward).
     pub(crate) fn clock_to(&self, at: SimTime) {
-        self.clock.fetch_max(at.as_micros(), Ordering::Relaxed);
+        self.clock.fetch_max(at.as_micros());
     }
 
     /// Adds an operation's latency to the clock.
     pub(crate) fn clock_add(&self, d: SimDuration) {
-        self.clock.fetch_add(d.as_micros(), Ordering::Relaxed);
+        self.clock.fetch_add(d.as_micros());
     }
 
     /// The number of shard slots the hot state is partitioned into.
@@ -231,14 +233,14 @@ impl Cluster {
 
     /// Allocates a fresh segment id.
     pub(crate) fn alloc_segment(&self) -> SegmentId {
-        SegmentId(self.next_segment.fetch_add(1, Ordering::Relaxed))
+        SegmentId(self.next_segment.fetch_add(1))
     }
 
     /// Allocates a globally unique major version number (§3.5: "Deceit
     /// selects major version numbers carefully to insure global
     /// uniqueness").
     pub(crate) fn alloc_major(&self) -> u64 {
-        self.next_major.fetch_add(1, Ordering::Relaxed)
+        self.next_major.fetch_add(1)
     }
 
     /// Runs `f` on the branch table of one segment (created empty on
@@ -251,8 +253,8 @@ impl Cluster {
             let before = t.branch_count() > 0;
             let out = f(t);
             match (before, t.branch_count() > 0) {
-                (false, true) => branched.fetch_add(1, Ordering::Release),
-                (true, false) => branched.fetch_sub(1, Ordering::Release),
+                (false, true) => branched.fetch_add(1),
+                (true, false) => branched.fetch_sub(1),
                 _ => 0,
             };
             out
@@ -274,7 +276,7 @@ impl Cluster {
     /// exactly where the locked read that finds no branch linearises —
     /// and a nonzero count falls back to that locked read, per segment.
     pub(crate) fn single_major(&self, seg: SegmentId) -> bool {
-        self.branched[self.slot_of(seg)].load(Ordering::Acquire) == 0
+        self.branched[self.slot_of(seg)].load() == 0
             || self.branches.with(&seg, |t| t.is_none_or(|t| t.branch_count() == 0))
     }
 
@@ -480,7 +482,7 @@ impl Cluster {
         self.apply_read_touches_scope(scope);
         self.fire_due(scope);
         self.check_up(via)?;
-        self.server(via).ops_served.fetch_add(1, Ordering::Relaxed);
+        self.server(via).ops_served.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
         let (value, latency) = body(self)?;
         self.clock_add(latency);
         self.fire_due(scope);

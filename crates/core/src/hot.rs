@@ -58,9 +58,9 @@
 //! executions sound.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
+use deceit_sim::atomic::{PublishedU64, RelaxedU64};
 use deceit_sim::leaf::{self, SlotGuard};
 use deceit_sim::{EventQueue, SimDuration, SimTime};
 use deceit_storage::{Disk, DiskConfig, Durability, StoredSize};
@@ -100,7 +100,9 @@ pub struct Slots<S> {
     /// Pending recorded read touches across all slots — lets the apply
     /// paths skip every slot lock when nothing is buffered, which is the
     /// common case on mutation entry (see [`ShardedDisk::note_read`]).
-    pending_touches: AtomicUsize,
+    /// A skip hint, so relaxed: the touches it counts are read under
+    /// their slot's lock, and a stale count costs one slot-lock probe.
+    pending_touches: RelaxedU64,
 }
 
 impl<S> Slots<S> {
@@ -108,7 +110,7 @@ impl<S> Slots<S> {
     pub fn new(shards: usize, mut mk: impl FnMut() -> S) -> Self {
         Slots {
             slots: (0..shards.max(1)).map(|_| Mutex::new(mk())).collect(),
-            pending_touches: AtomicUsize::new(0),
+            pending_touches: RelaxedU64::new(0),
         }
     }
 
@@ -138,8 +140,7 @@ impl<S> Slots<S> {
     /// under the slot lock the touches were buffered under.
     pub(crate) fn add_pending(&self, n: usize) {
         if n > 0 {
-            // lint: allow(ordering-audit): fast-flag increment published under the slot mutex the touch itself lives behind; readers tolerate a stale count by design
-            self.pending_touches.fetch_add(n, Ordering::Relaxed);
+            self.pending_touches.fetch_add(n as u64);
         }
     }
 
@@ -160,15 +161,13 @@ impl<S> Slots<S> {
         if n == 0 {
             return;
         }
-        let _ = self
-            .pending_touches
-            // lint: allow(ordering-audit): saturating fast flag — the RMW needs no ordering because the buffered touches it summarizes are read under the slot mutex, and staleness only costs one extra slot probe
-            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |v| Some(v.saturating_sub(n)));
+        self.pending_touches.saturating_sub(n as u64);
     }
 
     fn pending(&self) -> usize {
-        // lint: allow(ordering-audit): skip hint only — a stale zero is impossible (the flag saturates, never under-reports) and a stale nonzero costs one slot-lock probe
-        self.pending_touches.load(Ordering::Relaxed)
+        // A stale zero is impossible (the flag saturates, never
+        // under-reports); a stale nonzero costs one slot-lock probe.
+        self.pending_touches.load() as usize
     }
 }
 
@@ -583,8 +582,12 @@ impl<V: Clone + StoredSize, S> ShardedDisk<V, S> {
 #[derive(Debug)]
 pub(crate) struct ShardedEvents {
     slots: Box<[EventSlot]>,
-    seq: AtomicU64,
-    len: AtomicUsize,
+    /// Sequence allocator: uniqueness needs only read-modify-write
+    /// atomicity.
+    seq: RelaxedU64,
+    /// Advisory length: the queues behind the slot locks are the
+    /// authority, and a stale length costs one wasted probe.
+    len: RelaxedU64,
 }
 
 #[derive(Debug)]
@@ -594,12 +597,12 @@ struct EventSlot {
     /// is empty. Written only under the queue lock, after every change
     /// to the queue, so it is exact whenever the lock is free; a reader
     /// racing a push sees the queue as it was before the push.
-    earliest: AtomicU64,
+    earliest: PublishedU64,
 }
 
 impl EventSlot {
     fn new() -> Self {
-        EventSlot { queue: Mutex::new(EventQueue::new()), earliest: AtomicU64::new(u64::MAX) }
+        EventSlot { queue: Mutex::new(EventQueue::new()), earliest: PublishedU64::new(u64::MAX) }
     }
 
     /// Runs `f` on the locked queue and republishes the earliest due
@@ -609,14 +612,14 @@ impl EventSlot {
         let mut q = lock(&self.queue);
         let out = f(&mut q);
         let earliest = q.peek_time().map_or(u64::MAX, |t| t.as_micros());
-        self.earliest.store(earliest, Ordering::Release);
+        self.earliest.store(earliest);
         out
     }
 
     /// Whether the slot holds nothing due by `deadline` (nothing at all,
     /// for `None`) — lock-free.
     fn nothing_due(&self, deadline: Option<SimTime>) -> bool {
-        let earliest = self.earliest.load(Ordering::Acquire);
+        let earliest = self.earliest.load();
         deadline.map_or(earliest == u64::MAX, |d| earliest > d.as_micros())
     }
 }
@@ -628,8 +631,8 @@ impl ShardedEvents {
         let shards = shards.clamp(1, 64);
         ShardedEvents {
             slots: (0..shards).map(|_| EventSlot::new()).collect(),
-            seq: AtomicU64::new(0),
-            len: AtomicUsize::new(0),
+            seq: RelaxedU64::new(0),
+            len: RelaxedU64::new(0),
         }
     }
 
@@ -644,10 +647,10 @@ impl ShardedEvents {
 
     /// Schedules `ev` at `at` in its slot's queue.
     pub(crate) fn push(&self, at: SimTime, ev: Pending) {
-        let seq = self.seq.fetch_add(1, Ordering::Relaxed);
+        let seq = self.seq.fetch_add(1);
         let slot = self.slot_of(&ev);
         self.slots[slot].change(|q| q.push_with_seq(at, seq, ev));
-        self.len.fetch_add(1, Ordering::Relaxed);
+        self.len.fetch_add(1);
     }
 
     /// Pops the globally earliest event (any due time).
@@ -678,7 +681,7 @@ impl ShardedEvents {
     pub(crate) fn pop_slot_ready(&self, slot: usize, now: SimTime) -> Option<(SimTime, Pending)> {
         let out = self.slots[slot].change(|q| q.pop_ready(|at, ev| at <= now || !ev.due_gated()));
         if out.is_some() {
-            self.len.fetch_sub(1, Ordering::Relaxed);
+            self.len.fetch_sub(1);
         }
         out
     }
@@ -715,7 +718,7 @@ impl ShardedEvents {
             None => q.pop(),
         });
         if out.is_some() {
-            self.len.fetch_sub(1, Ordering::Relaxed);
+            self.len.fetch_sub(1);
         }
         out
     }
@@ -733,7 +736,7 @@ impl ShardedEvents {
 
     /// Total pending events. Lock-free.
     pub(crate) fn len(&self) -> usize {
-        self.len.load(Ordering::Relaxed)
+        self.len.load() as usize
     }
 
     /// Bitmask of slots with pending work — allocation-free, one lock
@@ -777,7 +780,7 @@ impl ShardedEvents {
                 before - q.len()
             });
         }
-        self.len.fetch_sub(removed, Ordering::Relaxed);
+        self.len.fetch_sub(removed as u64);
     }
 
     /// Removes and returns every event of `key`'s slot matching `pred`,
@@ -799,7 +802,7 @@ impl ShardedEvents {
                 }
             });
         });
-        self.len.fetch_sub(drained.len(), Ordering::Relaxed);
+        self.len.fetch_sub(drained.len() as u64);
         drained
     }
 }
@@ -924,7 +927,7 @@ mod tests {
     /// hides, which would permanently disable the pump's LRU feed).
     #[test]
     fn touch_accounting_survives_crash_and_apply_races() {
-        use std::sync::atomic::AtomicBool;
+        use deceit_sim::atomic::PublishedBool;
         use std::sync::Arc;
         use std::thread;
 
@@ -935,14 +938,14 @@ mod tests {
             }
         };
         seed(&d);
-        let stop = Arc::new(AtomicBool::new(false));
+        let stop = Arc::new(PublishedBool::new(false));
         let readers: Vec<_> = (0..3u64)
             .map(|t| {
                 let d = Arc::clone(&d);
                 let stop = Arc::clone(&stop);
                 thread::spawn(move || {
                     let mut i = 0u64;
-                    while !stop.load(Ordering::Relaxed) {
+                    while !stop.load() {
                         d.note_read((SegmentId((i + t) % 8), 0), SimTime::from_micros(i));
                         i += 1;
                     }
@@ -958,7 +961,7 @@ mod tests {
                 d.apply_touches_slot(slot, &|_v, _at| false);
             }
         }
-        stop.store(true, Ordering::Relaxed);
+        stop.store(true);
         for r in readers {
             r.join().unwrap();
         }
@@ -970,12 +973,12 @@ mod tests {
         // And the fast path must not be wedged: a fresh touch still
         // reaches the apply fold.
         d.note_read((SegmentId(0), 0), SimTime::from_micros(9_999));
-        let applied = AtomicBool::new(false);
+        let applied = PublishedBool::new(false);
         d.apply_touches_slot(0, &|_v, _at| {
-            applied.store(true, Ordering::Relaxed);
+            applied.store(true);
             false
         });
-        assert!(applied.load(Ordering::Relaxed), "fast flag hid a buffered touch");
+        assert!(applied.load(), "fast flag hid a buffered touch");
         assert_eq!(d.pending_touch_count(), 0);
     }
 

@@ -23,10 +23,10 @@
 //!   drain-batch distribution, the counter table, and the placement
 //!   access tables.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 use deceit_net::NodeId;
+use deceit_sim::atomic::RelaxedU64;
 use deceit_sim::{SimTime, StatsSnapshot};
 
 use crate::placement::{PlacementCore, PlacementSnapshot};
@@ -88,9 +88,9 @@ fn bucket_value(idx: usize) -> u64 {
 /// tolerates).
 #[derive(Debug)]
 pub struct AtomicHistogram {
-    buckets: Box<[AtomicU64]>,
-    sum: AtomicU64,
-    max: AtomicU64,
+    buckets: Box<[RelaxedU64]>,
+    sum: RelaxedU64,
+    max: RelaxedU64,
 }
 
 impl Default for AtomicHistogram {
@@ -103,21 +103,21 @@ impl AtomicHistogram {
     /// Creates an empty histogram (one fixed allocation).
     pub fn new() -> Self {
         AtomicHistogram {
-            buckets: (0..BUCKETS).map(|_| AtomicU64::new(0)).collect(),
-            sum: AtomicU64::new(0),
-            max: AtomicU64::new(0),
+            buckets: (0..BUCKETS).map(|_| RelaxedU64::new(0)).collect(),
+            sum: RelaxedU64::new(0),
+            max: RelaxedU64::new(0),
         }
     }
 
     /// Records one sample. Wait-free; callable from any thread.
     pub fn record(&self, v: u64) {
-        self.buckets[bucket_index(v)].fetch_add(1, Ordering::Relaxed);
+        self.buckets[bucket_index(v)].fetch_add(1);
         if v == 0 {
             return;
         }
-        self.sum.fetch_add(v, Ordering::Relaxed);
-        if v > self.max.load(Ordering::Relaxed) {
-            self.max.fetch_max(v, Ordering::Relaxed);
+        self.sum.fetch_add(v);
+        if v > self.max.load() {
+            self.max.fetch_max(v);
         }
     }
 
@@ -128,15 +128,15 @@ impl AtomicHistogram {
 
     /// Number of samples recorded so far: the buckets' total.
     pub fn count(&self) -> u64 {
-        self.buckets.iter().map(|b| b.load(Ordering::Relaxed)).sum()
+        self.buckets.iter().map(|b| b.load()).sum()
     }
 
     /// An owned copy of the current bucket counts.
     pub fn counts(&self) -> HistCounts {
         HistCounts {
-            buckets: self.buckets.iter().map(|b| b.load(Ordering::Relaxed)).collect(),
-            sum: self.sum.load(Ordering::Relaxed),
-            max_hint: self.max.load(Ordering::Relaxed),
+            buckets: self.buckets.iter().map(|b| b.load()).collect(),
+            sum: self.sum.load(),
+            max_hint: self.max.load(),
         }
     }
 
@@ -492,7 +492,7 @@ pub struct ObsCore {
     /// effectiveness in one distribution.
     pub drain_batch: AtomicHistogram,
     /// The counter table, one slot per [`Stat`], in [`Stat::ALL`] order.
-    stats: [AtomicU64; Stat::ALL.len()],
+    stats: [RelaxedU64; Stat::ALL.len()],
     /// The replica-placement signal: per-server forwarded-read access
     /// tables.
     pub placement: PlacementCore,
@@ -504,7 +504,7 @@ impl ObsCore {
         ObsCore {
             flight: FlightRecorder::new(n_servers),
             drain_batch: AtomicHistogram::new(),
-            stats: std::array::from_fn(|_| AtomicU64::new(0)),
+            stats: std::array::from_fn(|_| RelaxedU64::new(0)),
             placement: PlacementCore::new(n_servers),
         }
     }
@@ -516,12 +516,12 @@ impl ObsCore {
 
     /// Adds `n` to a counter.
     pub fn add(&self, stat: Stat, n: u64) {
-        self.stats[stat as usize].fetch_add(n, Ordering::Relaxed);
+        self.stats[stat as usize].fetch_add(n);
     }
 
     /// A counter's current value.
     pub fn count(&self, stat: Stat) -> u64 {
-        self.stats[stat as usize].load(Ordering::Relaxed)
+        self.stats[stat as usize].load()
     }
 
     /// Records one remote (forwarded) read of `seg` entering at
@@ -680,7 +680,7 @@ mod tests {
     #[test]
     fn snapshots_mid_storm_agree_with_themselves_and_totals_are_exact() {
         let h = std::sync::Arc::new(AtomicHistogram::new());
-        let done = std::sync::Arc::new(std::sync::atomic::AtomicUsize::new(0));
+        let done = std::sync::Arc::new(deceit_sim::atomic::PublishedU64::new(0));
         let writers: Vec<_> = (0..4u64)
             .map(|t| {
                 let (h, done) = (std::sync::Arc::clone(&h), std::sync::Arc::clone(&done));
@@ -688,12 +688,12 @@ mod tests {
                     for i in 0..20_000u64 {
                         h.record(if i % 3 == 0 { 0 } else { t * 100 + i % 97 });
                     }
-                    done.fetch_add(1, Ordering::Release);
+                    done.fetch_add(1);
                 })
             })
             .collect();
         // One snapshot holds one count, whatever is recording meanwhile.
-        while done.load(Ordering::Acquire) < 4 {
+        while done.load() < 4 {
             let c = h.counts();
             assert_eq!(c.count(), c.summary().count);
         }

@@ -51,9 +51,8 @@
 //! with the rest of the volatile state, and the pending event dies with
 //! its owner.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-
 use deceit_net::NodeId;
+use deceit_sim::atomic::RelaxedU64;
 
 use crate::cluster::Cluster;
 use crate::event::Pending;
@@ -79,44 +78,40 @@ fn hash_seg(seg: u64) -> usize {
 
 /// One open-addressed counter slot: the segment it tracks (`seg + 1`,
 /// 0 = empty), the epoch the count was last decayed to, and the decayed
-/// remote-read count itself.
+/// remote-read count itself. A heuristic signal, so every access is
+/// relaxed.
 #[derive(Debug)]
 struct AccessSlot {
-    key: AtomicU64,
-    epoch: AtomicU64,
-    count: AtomicU64,
+    key: RelaxedU64,
+    epoch: RelaxedU64,
+    count: RelaxedU64,
 }
 
 impl AccessSlot {
     fn new() -> Self {
-        AccessSlot { key: AtomicU64::new(0), epoch: AtomicU64::new(0), count: AtomicU64::new(0) }
+        AccessSlot { key: RelaxedU64::new(0), epoch: RelaxedU64::new(0), count: RelaxedU64::new(0) }
     }
 
     /// Decays the count to `epoch` (halving once per elapsed epoch),
     /// then adds one and returns the new count. Wait-free but
     /// approximate under races: two concurrent decayers can at worst
     /// halve once instead of twice, which a heuristic signal tolerates.
-    fn bump(&self, epoch: u64, decays: &AtomicU64) -> u64 {
-        let seen = self.epoch.load(Ordering::Relaxed);
-        if epoch > seen
-            && self
-                .epoch
-                .compare_exchange(seen, epoch, Ordering::Relaxed, Ordering::Relaxed)
-                .is_ok()
-        {
+    fn bump(&self, epoch: u64, decays: &RelaxedU64) -> u64 {
+        let seen = self.epoch.load();
+        if epoch > seen && self.epoch.compare_exchange(seen, epoch).is_ok() {
             let shift = (epoch - seen).min(63) as u32;
-            let old = self.count.swap(0, Ordering::Relaxed);
-            self.count.fetch_add(old >> shift, Ordering::Relaxed);
-            decays.fetch_add(1, Ordering::Relaxed);
+            let old = self.count.swap(0);
+            self.count.fetch_add(old >> shift);
+            decays.fetch_add(1);
         }
-        self.count.fetch_add(1, Ordering::Relaxed) + 1
+        self.count.fetch_add(1) + 1
     }
 
     /// The count as it would read in `epoch`, without recording.
     fn peek(&self, epoch: u64) -> u64 {
-        let seen = self.epoch.load(Ordering::Relaxed);
+        let seen = self.epoch.load();
         let shift = epoch.saturating_sub(seen).min(63) as u32;
-        self.count.load(Ordering::Relaxed) >> shift
+        self.count.load() >> shift
     }
 }
 
@@ -136,30 +131,30 @@ impl AccessTable {
         let h = hash_seg(seg);
         for p in 0..PROBE {
             let s = &self.slots[(h + p) & (TABLE_SLOTS - 1)];
-            if s.key.load(Ordering::Relaxed) == tag {
+            if s.key.load() == tag {
                 return Some(s);
             }
         }
         None
     }
 
-    fn record(&self, seg: u64, epoch: u64, decays: &AtomicU64) -> u64 {
+    fn record(&self, seg: u64, epoch: u64, decays: &RelaxedU64) -> u64 {
         let tag = seg.wrapping_add(1);
         let h = hash_seg(seg);
         for p in 0..PROBE {
             let s = &self.slots[(h + p) & (TABLE_SLOTS - 1)];
-            let k = s.key.load(Ordering::Relaxed);
+            let k = s.key.load();
             if k == tag {
                 return s.bump(epoch, decays);
             }
             if k == 0 {
-                if s.key.compare_exchange(0, tag, Ordering::Relaxed, Ordering::Relaxed).is_ok() {
-                    s.epoch.store(epoch, Ordering::Relaxed);
+                if s.key.compare_exchange(0, tag).is_ok() {
+                    s.epoch.store(epoch);
                     return s.bump(epoch, decays);
                 }
                 // Lost the claim race; the winner may be us by another
                 // thread's hand or a different segment — re-check.
-                if s.key.load(Ordering::Relaxed) == tag {
+                if s.key.load() == tag {
                     return s.bump(epoch, decays);
                 }
             }
@@ -213,7 +208,7 @@ impl PlacementCore {
         server: NodeId,
         seg: SegmentId,
         epoch: u64,
-        decays: &AtomicU64,
+        decays: &RelaxedU64,
     ) -> u64 {
         match self.tables.get(server.index()) {
             Some(t) => t.record(seg.0, epoch, decays),
@@ -330,7 +325,7 @@ mod tests {
     #[test]
     fn counters_decay_by_elapsed_epochs() {
         let p = PlacementCore::new(1);
-        let decays = AtomicU64::new(0);
+        let decays = RelaxedU64::new(0);
         let s0 = NodeId(0);
         let seg = SegmentId(7);
         for _ in 0..10 {
@@ -341,7 +336,7 @@ mod tests {
         assert_eq!(p.record_remote_read(s0, seg, 1, &decays), 6, "10 >> 1 = 5, plus this read");
         // Three more epochs shift the 6 away entirely.
         assert_eq!(p.record_remote_read(s0, seg, 4, &decays), 1, "6 >> 3 = 0, plus this read");
-        assert_eq!(decays.load(Ordering::Relaxed), 2, "two rollovers observed");
+        assert_eq!(decays.load(), 2, "two rollovers observed");
         // Peeking at a future epoch decays the view without recording.
         assert_eq!(p.remote_reads(s0, seg, 5), 0);
         assert_eq!(p.remote_reads(s0, seg, 4), 1);
@@ -350,7 +345,7 @@ mod tests {
     #[test]
     fn tables_are_per_server_and_bounds_checked() {
         let p = PlacementCore::new(2);
-        let decays = AtomicU64::new(0);
+        let decays = RelaxedU64::new(0);
         let seg = SegmentId(3);
         assert_eq!(p.record_remote_read(NodeId(0), seg, 0, &decays), 1);
         assert_eq!(p.remote_reads(NodeId(1), seg, 0), 0, "server 1's table is independent");
@@ -362,7 +357,7 @@ mod tests {
     #[test]
     fn saturated_probe_window_drops_signal_instead_of_blocking() {
         let t = AccessTable::new();
-        let decays = AtomicU64::new(0);
+        let decays = RelaxedU64::new(0);
         // Fill far more distinct segments than the table holds: every
         // record either lands in a slot or returns 0, never panics or
         // misattributes to another live key.
@@ -384,7 +379,7 @@ mod tests {
             .map(|_| {
                 let p = std::sync::Arc::clone(&p);
                 std::thread::spawn(move || {
-                    let decays = AtomicU64::new(0);
+                    let decays = RelaxedU64::new(0);
                     for _ in 0..1000 {
                         p.record_remote_read(NodeId(0), seg, 0, &decays);
                     }

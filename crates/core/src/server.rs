@@ -21,7 +21,6 @@
 
 use std::collections::BTreeMap;
 use std::fmt;
-use std::sync::atomic::AtomicU64;
 use std::sync::{Arc, Mutex};
 
 use deceit_isis::{BcastOutcome, FailureDetector, GroupId, OrderedReceiver, SequencedMsg};
@@ -191,8 +190,14 @@ pub struct ServerState {
     pub(crate) repairs: ShardedMap<ReplicaKey, (), ServerSlot>,
     /// See [`ServerSlot::migrations`].
     pub(crate) migrations: ShardedMap<ReplicaKey, (), ServerSlot>,
-    /// Count of client operations served by this server (load accounting).
-    pub ops_served: AtomicU64,
+    /// Count of client operations served by this server (load accounting):
+    /// a tally bumped on every served op and read as a placement hint, so
+    /// every access is `Relaxed`.
+    #[expect(
+        clippy::disallowed_types,
+        reason = "a raw std atomic, not `deceit_sim::atomic::RelaxedU64`, because the benchmark of record calls `.load(Ordering::Relaxed)` on it"
+    )]
+    pub ops_served: std::sync::atomic::AtomicU64,
 }
 
 impl ServerState {
@@ -213,7 +218,8 @@ impl ServerState {
             repairs: ShardedMap::view(slots.clone(), |s| &mut s.repairs),
             migrations: ShardedMap::view(slots.clone(), |s| &mut s.migrations),
             slots,
-            ops_served: AtomicU64::new(0),
+            #[expect(clippy::disallowed_types, reason = "see the `ops_served` field")]
+            ops_served: std::sync::atomic::AtomicU64::new(0),
         }
     }
 
@@ -339,14 +345,14 @@ mod tests {
     /// concurrent visit sees all of the change or none of it.
     #[test]
     fn a_visit_changes_several_maps_of_a_slot_atomically() {
-        use std::sync::atomic::{AtomicBool, Ordering};
+        use deceit_sim::atomic::PublishedBool;
         use std::thread;
 
         let s = Arc::new(server());
         let key = (SegmentId(3), 0);
         s.replicas.put_sync(key, replica(0));
         s.leases.insert(key, ReadLease { version: version(0) });
-        let stop = Arc::new(AtomicBool::new(false));
+        let stop = Arc::new(PublishedBool::new(false));
         let reader = {
             let (s, stop) = (Arc::clone(&s), Arc::clone(&stop));
             thread::spawn(move || {
@@ -359,7 +365,7 @@ mod tests {
                         assert_eq!(epoch, lease.sub, "the stream moved with the lease");
                     });
                     seen += 1;
-                    if stop.load(Ordering::Relaxed) {
+                    if stop.load() {
                         return seen;
                     }
                 }
@@ -373,7 +379,7 @@ mod tests {
                 slot.streams.entry(key).or_default().epoch = next.sub;
             });
         }
-        stop.store(true, Ordering::Relaxed);
+        stop.store(true);
         assert!(reader.join().unwrap() > 0);
         // The views read the slots the visits changed.
         assert_eq!(s.leases.get(&key), Some(ReadLease { version: version(2_000) }));
@@ -455,7 +461,7 @@ mod tests {
     /// and never hides a buffered touch from the apply fold.
     #[test]
     fn touch_flag_never_under_reports_across_visits_and_crashes() {
-        use std::sync::atomic::{AtomicBool, Ordering};
+        use deceit_sim::atomic::PublishedBool;
         use std::thread;
 
         let s = Arc::new(ServerState::new(NodeId(0), DiskConfig::workstation(), 4));
@@ -465,13 +471,13 @@ mod tests {
             }
         };
         seed(&s);
-        let stop = Arc::new(AtomicBool::new(false));
+        let stop = Arc::new(PublishedBool::new(false));
         let readers: Vec<_> = (0..3u64)
             .map(|t| {
                 let (s, stop) = (Arc::clone(&s), Arc::clone(&stop));
                 thread::spawn(move || {
                     let mut i = 0u64;
-                    while !stop.load(Ordering::Relaxed) {
+                    while !stop.load() {
                         let (key, at) = ((SegmentId((i + t) % 8), 0), SimTime::from_micros(i));
                         if i.is_multiple_of(2) {
                             s.replicas.note_read(key, at);
@@ -492,7 +498,7 @@ mod tests {
                 s.replicas.apply_touches_slot(slot, &|_r, _at| false);
             }
         }
-        stop.store(true, Ordering::Relaxed);
+        stop.store(true);
         for r in readers {
             r.join().unwrap();
         }
@@ -500,12 +506,12 @@ mod tests {
         assert_eq!(s.replicas.pending_touch_count(), 0, "flag settles to the truth");
         let key = (SegmentId(1), 0);
         s.visit(key.0, |slot| slot.replicas.record_touch(key, SimTime::from_micros(9_999)));
-        let applied = AtomicBool::new(false);
+        let applied = PublishedBool::new(false);
         s.replicas.apply_touches_slot(1, &|_r, _at| {
-            applied.store(true, Ordering::Relaxed);
+            applied.store(true);
             false
         });
-        assert!(applied.load(Ordering::Relaxed), "fast flag hid a buffered touch");
+        assert!(applied.load(), "fast flag hid a buffered touch");
     }
 
     #[test]

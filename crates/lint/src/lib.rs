@@ -3,20 +3,18 @@
 //!
 //! The Deceit concurrency discipline is checked in three places. The
 //! compiler carries the cell → ascending-ring lock order
-//! (`deceit_runtime::shard::CellLock`'s types, plus a debug assertion)
-//! and the exhaustiveness of `Pending::due_gated`; clippy's restriction
-//! lints carry the no-panic and one-clock rules (`clippy.toml` and the
-//! crate roots). What is left is here: a hand-rolled lexer (the vendored
-//! deps are API stubs, so no `syn`) feeds a token-stream rule engine
-//! with a hard-coded registry and in-source waivers — the slot leaf-lock
-//! rule, revoke-before-invalidate for read leases, and Relaxed atomics
-//! only on declared tallies. See README § "Static analysis".
+//! (`deceit_runtime::shard::CellLock`'s types, plus a debug assertion),
+//! the exhaustiveness of `Pending::due_gated` and the memory ordering of
+//! every atomic (`deceit_sim::atomic`'s types); clippy's restriction
+//! lints and `clippy.toml` carry the no-panic and one-clock rules and
+//! keep the std atomics out of every other module. What is left is here:
+//! a hand-rolled lexer (the vendored deps are API stubs, so no `syn`)
+//! feeds a token-stream rule engine with a hard-coded registry and
+//! in-source waivers — the slot leaf-lock rule and revoke-before-
+//! invalidate for read leases. See README § "Static analysis".
 
-pub mod decl;
-pub mod items;
 pub mod lexer;
 pub mod report;
-pub mod resolve;
 pub mod rules;
 pub mod waiver;
 
@@ -24,39 +22,20 @@ use report::{Finding, LintReport};
 use rules::{SourceFile, RULES};
 use std::path::{Path, PathBuf};
 
-/// Everything the semantic passes learned about the workspace: the
-/// item-level parse and the atomic declaration registry. Built once per
-/// lint run; rules are invoked per file against it.
-pub struct Facts {
-    pub files: Vec<SourceFile>,
-    pub items: items::Items,
-    pub decls: decl::Decls,
-}
-
-impl Facts {
-    pub fn build(files: Vec<SourceFile>) -> Facts {
-        let items = items::Items::build(&files);
-        let decls = decl::Decls::build(&items, &files);
-        Facts { files, items, decls }
-    }
-}
-
 /// Lint a set of `(repo-relative path, content)` pairs.
 pub fn lint_sources(files: &[(String, String)]) -> LintReport {
     let known = rules::rule_ids();
-    let sfs: Vec<SourceFile> = files.iter().map(|(p, c)| SourceFile::new(p, c)).collect();
-    let facts = Facts::build(sfs);
     let mut findings: Vec<Finding> = Vec::new();
     let mut waivers_honored = 0usize;
-    for fi in 0..facts.files.len() {
-        let path = facts.files[fi].path.clone();
+    for (path, content) in files {
+        let file = SourceFile::new(path, content);
         let mut raw: Vec<Finding> = Vec::new();
         for rule in RULES {
-            (rule.check)(fi, &facts, &mut raw);
+            (rule.check)(&file, &mut raw);
         }
         raw.sort();
         raw.dedup();
-        let (waivers, bad) = waiver::parse_waivers(&path, &facts.files[fi].toks, &known);
+        let (waivers, bad) = waiver::parse_waivers(path, &file.toks, &known);
         let mut used = vec![false; waivers.len()];
         raw.retain(|f| {
             let waived = waivers.iter().enumerate().any(|(wi, w)| {
@@ -76,7 +55,7 @@ pub fn lint_sources(files: &[(String, String)]) -> LintReport {
             } else {
                 findings.push(Finding::new(
                     "unused-waiver",
-                    &path,
+                    path,
                     w.line,
                     format!(
                         "waiver for `{}` suppresses nothing — the excused code moved or was fixed; delete the waiver",

@@ -1,11 +1,9 @@
-//! The rule registry. Rules see the whole workspace (`Facts`: items and
-//! atomic declarations) and are invoked once per file; scoping is by
+//! The rule registry. Rules are invoked once per file; scoping is by
 //! repo-relative path so fixture tests can exercise a rule by lexing
 //! synthetic content under the real path.
 
 use crate::lexer::{Tok, TokKind};
 use crate::report::Finding;
-use crate::Facts;
 
 /// One file, pre-lexed. `code` is the token stream with comments
 /// stripped (rules match on it); `toks` keeps comments for waivers.
@@ -28,7 +26,7 @@ pub struct Rule {
     pub summary: &'static str,
     /// Which PR's bug class motivated the rule (for `--list-rules`).
     pub motivation: &'static str,
-    pub check: fn(usize, &Facts, &mut Vec<Finding>),
+    pub check: fn(&SourceFile, &mut Vec<Finding>),
 }
 
 pub const RULES: &[Rule] = &[
@@ -43,12 +41,6 @@ pub const RULES: &[Rule] = &[
         summary: "in registered invalidation functions the lease revoke must lexically precede the state mutation",
         motivation: "PR 5's read leases are only safe because every invalidation revokes before it mutates",
         check: rule_lease_discipline,
-    },
-    Rule {
-        id: "ordering-audit",
-        summary: "Ordering::Relaxed only on allowlisted atomic declarations; published flags need Acquire/Release or a waiver",
-        motivation: "PR 5/PR 6 spread atomics through the hot path; Relaxed is correct for tallies, silent corruption for flags",
-        check: rule_ordering_audit,
     },
 ];
 
@@ -66,6 +58,10 @@ pub const MOVED: &[(&str, &str)] = &[
     (
         "due-gating",
         "is now rustc's exhaustiveness check on `Pending::due_gated`, under `#[deny(clippy::wildcard_enum_match_arm, clippy::match_wildcard_for_single_variants)]`: name the variant there",
+    ),
+    (
+        "ordering-audit",
+        "is now the type of the atomic: declare it as one of `deceit_sim::atomic`'s types (`RelaxedU64` for a tally, `PublishedU64`/`PublishedBool` for what a reader acts on), with the staleness argument on the declaration; clippy's `disallowed_types` (clippy.toml) refuses the std atomics",
     ),
 ];
 
@@ -151,8 +147,7 @@ fn functions(code: &[Tok]) -> Vec<FnSpan> {
 ///       `update` / `update_with` runs under that slot's leaf lock and
 ///       must be a leaf itself: it may not mention `self`, through which
 ///       every other lock of the engine is reached.
-fn rule_lock_order(fi: usize, facts: &Facts, out: &mut Vec<Finding>) {
-    let f = &facts.files[fi];
+fn rule_lock_order(f: &SourceFile, out: &mut Vec<Finding>) {
     if !f.path.starts_with("crates/core/src/") || f.path.ends_with("/hot.rs") {
         return;
     }
@@ -234,8 +229,7 @@ const MUTATION_METHODS: &[&str] = &[
     "insert",
 ];
 
-fn rule_lease_discipline(fi: usize, facts: &Facts, out: &mut Vec<Finding>) {
-    let f = &facts.files[fi];
+fn rule_lease_discipline(f: &SourceFile, out: &mut Vec<Finding>) {
     let targets: Vec<&str> =
         INVALIDATORS.iter().filter(|(p, _)| *p == f.path).map(|(_, name)| *name).collect();
     if targets.is_empty() {
@@ -286,141 +280,6 @@ fn rule_lease_discipline(fi: usize, facts: &Facts, out: &mut Vec<Finding>) {
                 ),
             )),
             _ => {}
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Rule 3: ordering-audit (declaration-tracked).
-
-/// Files that are counter/histogram modules wholesale: every atomic
-/// *declared* in them is a monotone tally or epoch-decayed gauge, and
-/// every *use* in them is reporting. Both directions are exempt.
-const COUNTER_FILES: &[&str] = &["obs.rs", "placement.rs"];
-
-/// Atomic declarations outside the counter files whose Relaxed use is
-/// correct by design: tallies, size gauges, and unique-id allocators.
-/// Readers tolerate staleness and never use the value to justify
-/// touching other shared state. Keyed by declaration (`Type::field` or
-/// static name) — renaming a receiver cannot dodge this list, and
-/// moving a declaration here requires editing the linter in review.
-const DECL_ALLOWLIST: &[&str] = &[
-    // Protocol-time machinery on `Cluster`: the advisory protocol
-    // clock (monotone via `fetch_max`/`fetch_add`; protocol ordering
-    // comes from message delivery, not from reads of this value) and
-    // two ID allocators (uniqueness needs only RMW atomicity).
-    "Cluster::clock",
-    "Cluster::next_segment",
-    "Cluster::next_major",
-    // Load-accounting tally bumped on every served op.
-    "ServerState::ops_served",
-    // Deferred-work queue internals: a sequence allocator and an
-    // advisory length gauge (the authoritative queue state is behind
-    // the slot mutexes; a stale `len` costs one wasted probe).
-    "ShardedEvents::seq",
-    "ShardedEvents::len",
-    // Consistency-auditor sequence allocator.
-    "HistoryRecorder::seq",
-    // Lock-level telemetry on the sharded engine: pure counters, read
-    // only by observability snapshots that tolerate staleness.
-    "EngineObs::shared_acquisitions",
-    "EngineObs::exclusive_acquisitions",
-    // Runtime tallies (per server, per serve rung) and the client-ID
-    // allocator.
-    "Tally::served",
-    "Tally::dropped_while_crashed",
-    "ClusterRuntime::next_client",
-    // Net bus delivery tallies and the RPC incarnation allocator.
-    "BusInner::delivered",
-    "BusInner::rejected",
-    "BusInner::dropped_stale",
-    "BusInner::wakes",
-    "BusInner::yields",
-    "NEXT_INCARNATION",
-];
-
-const ORDERING_SCOPES: &[&str] = &[
-    "crates/core/src/",
-    "crates/runtime/src/",
-    "crates/nfs/src/",
-    "crates/net/src/",
-    "crates/isis/src/",
-];
-
-/// The file `DECL_ALLOWLIST` and `COUNTER_FILES` are written in.
-const ALLOWLIST_FILE: &str = "crates/lint/src/rules.rs";
-
-fn rule_ordering_audit(fi: usize, facts: &Facts, out: &mut Vec<Finding>) {
-    let f = &facts.files[fi];
-    if f.path == ALLOWLIST_FILE {
-        stale_entries(f, "DECL_ALLOWLIST", out, |entry| facts.decls.by_key.contains_key(entry));
-        stale_entries(f, "COUNTER_FILES", out, |entry| {
-            facts.files.iter().any(|g| {
-                ORDERING_SCOPES.iter().any(|p| g.path.starts_with(p))
-                    && g.path.rsplit('/').next() == Some(entry)
-            })
-        });
-        return;
-    }
-    if !ORDERING_SCOPES.iter().any(|p| f.path.starts_with(p)) {
-        return;
-    }
-    let file_name = f.path.rsplit('/').next().unwrap_or(&f.path);
-    if COUNTER_FILES.contains(&file_name) {
-        return; // reporting module: reads everything, publishes nothing
-    }
-    for site in crate::decl::relaxed_sites(&facts.items, &facts.files, &facts.decls, fi) {
-        let (allowed, what) = match site.decl {
-            Some(d) => {
-                let decl = &facts.decls.decls[d];
-                let decl_file = decl.file.rsplit('/').next().unwrap_or(&decl.file);
-                let allowed = COUNTER_FILES.contains(&decl_file)
-                    || DECL_ALLOWLIST.contains(&decl.key.as_str());
-                (allowed, format!("`{}` (declared {}:{})", decl.key, decl.file, decl.line))
-            }
-            None => (
-                false,
-                format!("`{}`, which no declaration could be resolved for", site.receiver_desc),
-            ),
-        };
-        if allowed {
-            continue;
-        }
-        let method = site.method.as_deref().unwrap_or("?");
-        out.push(Finding::new(
-            "ordering-audit",
-            &f.path,
-            site.line,
-            format!(
-                "`Ordering::Relaxed` on `{}.{}` of {} — not an allowlisted counter declaration; use Acquire/Release for published flags or waive with the staleness argument",
-                site.receiver_desc, method, what
-            ),
-        ));
-    }
-}
-
-/// An exemption entry that matches nothing excuses nothing today, and
-/// would silently excuse whatever later takes its name: a
-/// `DECL_ALLOWLIST` entry naming no atomic declaration, or a
-/// `COUNTER_FILES` entry naming no file under `ORDERING_SCOPES`. The
-/// entries of list `list` are read from the linted source of the lists'
-/// own file, so each finding lands on the stale line.
-fn stale_entries(
-    f: &SourceFile,
-    list: &str,
-    out: &mut Vec<Finding>,
-    matches: impl Fn(&str) -> bool,
-) {
-    let code = &f.code;
-    let Some(start) = (0..code.len()).find(|&i| seq(code, i, &["const", list])) else {
-        return;
-    };
-    let entries = code[start..].iter().take_while(|t| !t.is(";"));
-    for t in entries.filter(|t| t.kind == TokKind::Str) {
-        let entry = t.text.trim_matches('"');
-        if !matches(entry) {
-            let msg = format!("`{list}` entry `{entry}` matches nothing in the tree — delete it");
-            out.push(Finding::new("ordering-audit", &f.path, t.line, msg));
         }
     }
 }

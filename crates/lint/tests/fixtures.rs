@@ -104,91 +104,6 @@ fn lease_discipline_flags_a_missing_revoke() {
     assert!(hits[0].message.contains("never revokes"));
 }
 
-#[test]
-fn ordering_audit_fixture_fails_the_lint() {
-    let report =
-        lint_fixture("crates/core/src/cluster.rs", include_str!("../fixtures/ordering_audit.rs"));
-    let hits = rule_findings(&report, "ordering-audit");
-    assert_eq!(hits.len(), 3, "findings: {:?}", report.findings);
-    // The direct store and load on the non-allowlisted flag…
-    let store = hits.iter().find(|f| f.line == 18).expect("store finding");
-    assert!(store.message.contains("ready.store"), "{}", store.message);
-    assert!(store.message.contains("Flags::ready"), "{}", store.message);
-    let load = hits.iter().find(|f| f.line == 23).expect("load finding");
-    assert!(load.message.contains("ready.load"), "{}", load.message);
-    // …and the renamed binding, which still resolves to the declaring
-    // field — a rename cannot dodge a declaration-keyed audit.
-    let renamed = hits.iter().find(|f| f.line == 28).expect("renamed finding");
-    assert!(renamed.message.contains("Flags::ready"), "{}", renamed.message);
-    // Allowlisted counter declaration and the waived flag stay silent.
-    assert_eq!(report.waivers_honored, 1);
-    assert!(rule_findings(&report, "unused-waiver").is_empty());
-}
-
-/// The allowlist's own file, with `entries`, beside a runtime file that
-/// declares `Tally::served` and the static `NEXT`.
-fn lint_allowlist(entries: &str) -> lint::report::LintReport {
-    let allowlist = format!("const DECL_ALLOWLIST: &[&str] = &[\n{entries}];\n");
-    let decls = "pub struct Tally {\n    served: AtomicU64,\n}\nstatic NEXT: AtomicU64 = AtomicU64::new(0);\n";
-    lint_sources(&[
-        ("crates/lint/src/rules.rs".to_string(), allowlist),
-        ("crates/runtime/src/runtime.rs".to_string(), decls.to_string()),
-    ])
-}
-
-#[test]
-fn ordering_audit_flags_a_stale_allowlist_entry() {
-    let report = lint_allowlist("    \"Tally::served\",\n    \"Tally::gone\",\n    \"NEXT\",\n");
-    let hits = rule_findings(&report, "ordering-audit");
-    assert_eq!(hits.len(), 1, "findings: {:?}", report.findings);
-    assert_eq!((hits[0].file.as_str(), hits[0].line), ("crates/lint/src/rules.rs", 3));
-    assert!(hits[0].message.contains("`Tally::gone`"), "{}", hits[0].message);
-}
-
-#[test]
-fn ordering_audit_accepts_an_allowlist_that_resolves() {
-    let report = lint_allowlist("    \"Tally::served\",\n    \"NEXT\",\n");
-    assert!(report.findings.is_empty(), "findings: {:?}", report.findings);
-}
-
-/// The lists' own file, with `COUNTER_FILES` holding `entries`, beside a
-/// core `obs.rs` and a sim `stats.rs` (outside the audited scopes).
-fn lint_counter_files(entries: &str) -> lint::report::LintReport {
-    let lists = format!("const COUNTER_FILES: &[&str] = &[\n{entries}];\n");
-    lint_sources(&[
-        ("crates/lint/src/rules.rs".to_string(), lists),
-        ("crates/core/src/obs.rs".to_string(), "pub fn f() {}\n".to_string()),
-        ("crates/sim/src/stats.rs".to_string(), "pub fn g() {}\n".to_string()),
-    ])
-}
-
-#[test]
-fn ordering_audit_flags_a_stale_counter_file() {
-    let report = lint_counter_files("    \"obs.rs\",\n    \"stats.rs\",\n");
-    let hits = rule_findings(&report, "ordering-audit");
-    assert_eq!(hits.len(), 1, "findings: {:?}", report.findings);
-    assert_eq!((hits[0].file.as_str(), hits[0].line), ("crates/lint/src/rules.rs", 3));
-    assert!(hits[0].message.contains("`COUNTER_FILES` entry `stats.rs`"), "{}", hits[0].message);
-}
-
-#[test]
-fn ordering_audit_accepts_counter_files_that_resolve() {
-    let report = lint_counter_files("    \"obs.rs\",\n");
-    assert!(report.findings.is_empty(), "findings: {:?}", report.findings);
-}
-
-#[test]
-fn ordering_audit_skips_counter_modules_and_tests() {
-    let src = "fn f(flag: &AtomicBool) { flag.store(true, Ordering::Relaxed); }\n";
-    // obs.rs is a counter module wholesale.
-    let report = lint_fixture("crates/core/src/obs.rs", src);
-    assert!(rule_findings(&report, "ordering-audit").is_empty());
-    // Test code is exempt wherever it lives.
-    let test_src = "#[cfg(test)]\nmod tests {\n    fn f(flag: &AtomicBool) { flag.store(true, Ordering::Relaxed); }\n}\n";
-    let report = lint_fixture("crates/core/src/cluster.rs", test_src);
-    assert!(rule_findings(&report, "ordering-audit").is_empty());
-}
-
 /// A module under `gate` whose one function takes a raw leaf lock.
 fn gated(gate: &str) -> String {
     format!("{gate}\nmod m {{\n    fn f(&self) -> usize {{ self.inner.lock().len() }}\n}}\n")
@@ -244,6 +159,7 @@ fn a_waiver_for_a_moved_rule_names_its_replacement() {
         ("no-bare-panic", "clippy's `unwrap_used`"),
         ("one-clock", "clippy's `disallowed_methods`"),
         ("due-gating", "rustc's exhaustiveness check"),
+        ("ordering-audit", "`deceit_sim::atomic`"),
     ] {
         let src = format!("// lint: allow({rule}): an old excuse\nfn f() -> u32 {{ 1 }}\n");
         let report = lint_fixture(CORE, &src);

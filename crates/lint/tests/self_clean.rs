@@ -1,7 +1,6 @@
 //! The repo lints itself clean: `cargo test` fails the moment a raw leaf
-//! lock or a non-leaf slot closure in `core`, a mutate-before-revoke, a
-//! stray Relaxed flag, or an unused waiver lands — without waiting for
-//! the CI lint job.
+//! lock or a non-leaf slot closure in `core`, a mutate-before-revoke, or
+//! an unused waiver lands — without waiting for the CI lint job.
 
 use std::path::Path;
 
@@ -22,5 +21,5 @@ fn repo_lints_clean() {
     // matching, the unused-waiver rule turns it into a finding above,
     // and this floor catches a waiver-parsing regression that silently
     // drops them all.
-    assert!(report.waivers_honored >= 4, "only {} waivers honored", report.waivers_honored);
+    assert!(report.waivers_honored >= 1, "only {} waivers honored", report.waivers_honored);
 }

@@ -52,11 +52,11 @@
 //!    dropped_stale` is the number of frames handed to receivers.
 
 use std::collections::{BTreeMap, VecDeque};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread;
 use std::time::{Duration, Instant};
 
+use deceit_sim::atomic::{PublishedBool, PublishedU64, RelaxedU64};
 use deceit_sim::wall;
 use parking_lot::RwLock;
 
@@ -99,8 +99,8 @@ struct Queue<M> {
 struct Mailbox<M> {
     queue: Mutex<Queue<M>>,
     ready: Condvar,
-    crashed: AtomicBool,
-    epoch: AtomicU64,
+    crashed: PublishedBool,
+    epoch: PublishedU64,
 }
 
 impl<M> Mailbox<M> {
@@ -124,11 +124,12 @@ struct Topology<M> {
 #[derive(Debug)]
 struct BusInner<M> {
     topology: RwLock<Topology<M>>,
-    delivered: AtomicU64,
-    rejected: AtomicU64,
-    dropped_stale: AtomicU64,
-    wakes: AtomicU64,
-    yields: AtomicU64,
+    /// Delivery tallies, read only by stats that tolerate staleness.
+    delivered: RelaxedU64,
+    rejected: RelaxedU64,
+    dropped_stale: RelaxedU64,
+    wakes: RelaxedU64,
+    yields: RelaxedU64,
 }
 
 /// A shared in-memory message bus connecting live endpoints.
@@ -163,11 +164,11 @@ impl<M: Send + 'static> LiveBus<M> {
                     partition: Partition::connected(),
                     faults: BTreeMap::new(),
                 }),
-                delivered: AtomicU64::new(0),
-                rejected: AtomicU64::new(0),
-                dropped_stale: AtomicU64::new(0),
-                wakes: AtomicU64::new(0),
-                yields: AtomicU64::new(0),
+                delivered: RelaxedU64::new(0),
+                rejected: RelaxedU64::new(0),
+                dropped_stale: RelaxedU64::new(0),
+                wakes: RelaxedU64::new(0),
+                yields: RelaxedU64::new(0),
             }),
         }
     }
@@ -185,13 +186,13 @@ impl<M: Send + 'static> LiveBus<M> {
         let mailbox = Arc::new(Mailbox {
             queue: Mutex::new(Queue { frames: VecDeque::new(), parked: 0, closed: false }),
             ready: Condvar::new(),
-            crashed: AtomicBool::new(crashed),
-            epoch: AtomicU64::new(epoch),
+            crashed: PublishedBool::new(crashed),
+            epoch: PublishedU64::new(epoch),
         });
         let prev = topo.mailboxes.insert(node, Arc::clone(&mailbox));
         assert!(prev.is_none(), "node {node} registered twice");
         drop(topo);
-        LiveEndpoint { node, mailbox, bus: self.clone(), owes_turn: AtomicBool::new(false) }
+        LiveEndpoint { node, mailbox, bus: self.clone(), owes_turn: PublishedBool::new(false) }
     }
 
     /// Imposes a partition on the bus.
@@ -220,8 +221,8 @@ impl<M: Send + 'static> LiveBus<M> {
         let epoch = fault.1;
         if let Some(mailbox) = topo.mailboxes.get(&node) {
             // Release: pairs with the owner's lock-free Acquire loads.
-            mailbox.crashed.store(true, Ordering::Release);
-            mailbox.epoch.store(epoch, Ordering::Release);
+            mailbox.crashed.store(true);
+            mailbox.epoch.store(epoch);
         }
     }
 
@@ -232,7 +233,7 @@ impl<M: Send + 'static> LiveBus<M> {
             fault.0 = false;
         }
         if let Some(mailbox) = topo.mailboxes.get(&node) {
-            mailbox.crashed.store(false, Ordering::Release);
+            mailbox.crashed.store(false);
         }
     }
 
@@ -275,30 +276,30 @@ impl<M: Send + 'static> LiveBus<M> {
     /// [`LiveBus::dropped_stale`] — subtract to get frames actually
     /// handed to receivers.
     pub fn delivered(&self) -> u64 {
-        self.inner.delivered.load(Ordering::Relaxed)
+        self.inner.delivered.load()
     }
 
     /// Send attempts rejected by crash/partition state.
     pub fn rejected(&self) -> u64 {
-        self.inner.rejected.load(Ordering::Relaxed)
+        self.inner.rejected.load()
     }
 
     /// Messages that were queued at a machine when it crashed and were
     /// therefore discarded on receive.
     pub fn dropped_stale(&self) -> u64 {
-        self.inner.dropped_stale.load(Ordering::Relaxed)
+        self.inner.dropped_stale.load()
     }
 
     /// Wake-ups issued: sends that found a receiver parked. A send to a
     /// receiver that is running costs no wake-up.
     pub fn wakes(&self) -> u64 {
-        self.inner.wakes.load(Ordering::Relaxed)
+        self.inner.wakes.load()
     }
 
     /// Turns given: receives that yielded once before parking. Never
     /// more than the accepted sends.
     pub fn yields(&self) -> u64 {
-        self.inner.yields.load(Ordering::Relaxed)
+        self.inner.yields.load()
     }
 
     fn send(&self, from: &LiveEndpoint<M>, to: NodeId, msg: M) -> bool {
@@ -308,30 +309,27 @@ impl<M: Send + 'static> LiveBus<M> {
         // the post-crash epoch and survive the reboot.
         let topo = self.inner.topology.read();
         let dest = topo.mailboxes.get(&to).filter(|dest| {
-            !from.mailbox.crashed.load(Ordering::Acquire)
-                && !dest.crashed.load(Ordering::Acquire)
+            !from.mailbox.crashed.load()
+                && !dest.crashed.load()
                 && topo.partition.can_reach(from.node, to)
         });
         let Some(dest) = dest else {
             drop(topo);
-            self.inner.rejected.fetch_add(1, Ordering::Relaxed);
+            self.inner.rejected.fetch_add(1);
             return false;
         };
-        let sealed = Sealed {
-            env: Envelope { from: from.node, msg },
-            epoch: dest.epoch.load(Ordering::Acquire),
-        };
+        let sealed = Sealed { env: Envelope { from: from.node, msg }, epoch: dest.epoch.load() };
         let mut queue = dest.lock();
         queue.frames.push_back(sealed);
         let wake = queue.parked > 0;
         drop(queue);
         if wake {
             dest.ready.notify_one();
-            self.inner.wakes.fetch_add(1, Ordering::Relaxed);
+            self.inner.wakes.fetch_add(1);
         }
         drop(topo);
-        self.inner.delivered.fetch_add(1, Ordering::Relaxed);
-        from.owes_turn.store(true, Ordering::Release);
+        self.inner.delivered.fetch_add(1);
+        from.owes_turn.store(true);
         true
     }
 }
@@ -351,7 +349,7 @@ pub struct LiveEndpoint<M> {
     /// Set by an accepted send (`Release`), read and cleared by the
     /// owner's next yield or park (`Acquire`): a peer has work this
     /// endpoint gave it and has not been let run.
-    owes_turn: AtomicBool,
+    owes_turn: PublishedBool,
 }
 
 impl<M> Drop for LiveEndpoint<M> {
@@ -374,7 +372,7 @@ impl<M: Send + 'static> LiveEndpoint<M> {
     /// server loop asks on every request whether what it just received
     /// was in a dead machine's buffers.
     pub fn is_crashed(&self) -> bool {
-        self.mailbox.crashed.load(Ordering::Acquire)
+        self.mailbox.crashed.load()
     }
 
     /// Sends a message; returns false if the peer is unreachable.
@@ -395,12 +393,12 @@ impl<M: Send + 'static> LiveEndpoint<M> {
     /// caller that receives in a loop computes its deadline once.
     pub fn recv_deadline(&self, deadline: Option<Instant>) -> Option<Envelope<M>> {
         let mut queue = self.mailbox.lock();
-        if queue.frames.is_empty() && !queue.closed && self.owes_turn.load(Ordering::Acquire) {
+        if queue.frames.is_empty() && !queue.closed && self.owes_turn.load() {
             // Give the turn: once, outside the lock, then look again.
             // Nothing below depends on what the scheduler made of it.
-            self.owes_turn.store(false, Ordering::Release);
+            self.owes_turn.store(false);
             drop(queue);
-            self.bus.inner.yields.fetch_add(1, Ordering::Relaxed);
+            self.bus.inner.yields.fetch_add(1);
             thread::yield_now();
             queue = self.mailbox.lock();
         }
@@ -413,7 +411,7 @@ impl<M: Send + 'static> LiveEndpoint<M> {
             }
             // Park; the sender sees the count and wakes us. A deadline
             // already past returns before the count goes up.
-            self.owes_turn.store(false, Ordering::Release);
+            self.owes_turn.store(false);
             let left = match deadline {
                 None => None,
                 Some(deadline) => match deadline.saturating_duration_since(wall::now()) {
@@ -443,10 +441,10 @@ impl<M: Send + 'static> LiveEndpoint<M> {
     /// this node, counting the ones that are.
     fn pop_live(&self, queue: &mut Queue<M>) -> Option<Envelope<M>> {
         while let Some(sealed) = queue.frames.pop_front() {
-            if sealed.epoch >= self.mailbox.epoch.load(Ordering::Acquire) {
+            if sealed.epoch >= self.mailbox.epoch.load() {
                 return Some(sealed.env);
             }
-            self.bus.inner.dropped_stale.fetch_add(1, Ordering::Relaxed);
+            self.bus.inner.dropped_stale.fetch_add(1);
         }
         None
     }

@@ -26,8 +26,9 @@
 
 use std::collections::VecDeque;
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
+
+use deceit_sim::atomic::RelaxedU64;
 
 use crate::live::{deadline_after, LiveBus, LiveEndpoint};
 use crate::node::NodeId;
@@ -116,8 +117,9 @@ pub struct RpcEndpoint<Q, P> {
 /// call-id space. Without it, an endpoint re-registered under a node id
 /// it used before would mint the same call ids again, and a straggler
 /// reply addressed to the *previous* incarnation could correlate against
-/// a fresh call.
-static NEXT_INCARNATION: AtomicU64 = AtomicU64::new(0);
+/// a fresh call. An id allocator: uniqueness needs only read-modify-write
+/// atomicity.
+static NEXT_INCARNATION: RelaxedU64 = RelaxedU64::new(0);
 
 impl<Q: Send + 'static, P: Send + 'static> RpcEndpoint<Q, P> {
     /// Registers `node` on the bus and wraps its endpoint. Call ids are
@@ -126,7 +128,7 @@ impl<Q: Send + 'static, P: Send + 'static> RpcEndpoint<Q, P> {
     pub fn register(bus: &LiveBus<Rpc<Q, P>>, node: NodeId) -> Self {
         RpcEndpoint {
             ep: bus.register(node),
-            next_call: NEXT_INCARNATION.fetch_add(1, Ordering::Relaxed) << 32,
+            next_call: NEXT_INCARNATION.fetch_add(1) << 32,
             in_flight: Vec::new(),
             inbox: VecDeque::new(),
         }
@@ -165,7 +167,7 @@ impl<Q: Send + 'static, P: Send + 'static> RpcEndpoint<Q, P> {
         // 2^32-call sub-space moves to a freshly allocated incarnation
         // block instead of bleeding into the next incarnation's ids.
         if self.next_call & 0xFFFF_FFFF == 0 {
-            self.next_call = NEXT_INCARNATION.fetch_add(1, Ordering::Relaxed) << 32;
+            self.next_call = NEXT_INCARNATION.fetch_add(1) << 32;
         }
         if !self.ep.send(to, Rpc::Request { call, req }) {
             return Err(RpcError::Unreachable(to));

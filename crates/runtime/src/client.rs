@@ -208,15 +208,11 @@ impl RuntimeClient {
                 loop {
                     for &server in &others {
                         if spent >= self.retry.budget {
-                            self.obs
-                                .failover_exhausted
-                                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                            self.obs.failover_exhausted.fetch_add(1);
                             return Err(err.into());
                         }
                         spent += 1;
-                        self.obs
-                            .failover_retries
-                            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                        self.obs.failover_retries.fetch_add(1);
                         if let Ok(rep) = self.rpc.call(server, req.clone(), self.timeout) {
                             self.failovers += 1;
                             self.set_home(server);

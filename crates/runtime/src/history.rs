@@ -13,12 +13,12 @@
 //! nemesis merges the journals with [`HistoryRecorder::merge`] and hands
 //! the artifact to [`deceit_core::audit::audit`].
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
 use bytes::Bytes;
 use deceit_core::{Event, EventBody, FaultEvent, History, OpCall, OpOutcome};
 use deceit_nfs::{NfsReply, NfsRequest};
+use deceit_sim::atomic::RelaxedU64;
 
 use crate::error::{RuntimeError, RuntimeResult};
 
@@ -43,7 +43,9 @@ struct Journal {
 /// Shared recorder: one per storm, cloned into every participant.
 #[derive(Default)]
 pub struct HistoryRecorder {
-    seq: AtomicU64,
+    /// Stamp allocator: the merged order needs only uniqueness and
+    /// monotonicity, and every push happens-before the merge (a join).
+    seq: RelaxedU64,
     journals: Mutex<Vec<Arc<Journal>>>,
 }
 
@@ -60,10 +62,7 @@ impl HistoryRecorder {
     }
 
     fn stamp(&self) -> u64 {
-        // The merged order only needs uniqueness + monotonicity;
-        // relaxed is enough because every push happens-before the merge
-        // (thread join).
-        self.seq.fetch_add(1, Ordering::Relaxed) + 1
+        self.seq.fetch_add(1) + 1
     }
 
     /// Merges every journal into one seq-ordered history. Call after the

@@ -35,7 +35,6 @@
 )]
 
 use std::collections::BTreeSet;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -44,6 +43,7 @@ use deceit_core::{
 };
 use deceit_net::NodeId;
 use deceit_nfs::{DeceitFs, FileHandle, NfsReply, NfsRequest};
+use deceit_sim::atomic::PublishedBool;
 use deceit_sim::SimRng;
 
 use crate::config::RuntimeConfig;
@@ -449,7 +449,7 @@ pub fn run_live_storm(cfg: &StormConfig, rcfg: &RuntimeConfig) -> StormOutcome {
         }
     }
 
-    let stop_readers = Arc::new(AtomicBool::new(false));
+    let stop_readers = Arc::new(PublishedBool::new(false));
 
     std::thread::scope(|s| {
         // Writers: append chunks until all acked, retrying through
@@ -502,7 +502,7 @@ pub fn run_live_storm(cfg: &StormConfig, rcfg: &RuntimeConfig) -> StormOutcome {
             let stop = Arc::clone(&stop_readers);
             s.spawn(move || {
                 let mut k = r;
-                while !stop.load(Ordering::Acquire) {
+                while !stop.load() {
                     let (_, fh) = files[k % files.len()];
                     k += 1;
                     let _ = client.read(fh, 0, 1 << 20);
@@ -555,7 +555,7 @@ pub fn run_live_storm(cfg: &StormConfig, rcfg: &RuntimeConfig) -> StormOutcome {
         for h in writer_handles {
             let _ = h.join();
         }
-        stop_readers.store(true, Ordering::Release);
+        stop_readers.store(true);
     });
 
     rt.settle();

@@ -18,9 +18,8 @@
 //! [`ObsReport`], which
 //! [`ObsReport::to_json`] serializes without any serializer dependency.
 
-use std::sync::atomic::AtomicU64;
-
 use deceit_core::{AtomicHistogram, HistCounts, HistSummary, OpClass};
+use deceit_sim::atomic::RelaxedU64;
 use deceit_sim::StatsSnapshot;
 
 use crate::runtime::RuntimeStats;
@@ -49,15 +48,15 @@ pub struct RuntimeObs {
     /// receipt, one histogram per op class — see [`OP_CLASS_NAMES`].
     pub op_latency: [AtomicHistogram; OP_CLASSES],
     /// Pump transitions into the idle loop (no deferred work pending).
-    pub pump_to_idle: AtomicU64,
+    pub pump_to_idle: RelaxedU64,
     /// Pump transitions back to draining (work appeared after idling).
-    pub pump_to_busy: AtomicU64,
+    pub pump_to_busy: RelaxedU64,
     /// Read-only failover attempts (every retried send after the home
     /// server failed, successful or not), summed over all sessions.
-    pub failover_retries: AtomicU64,
+    pub failover_retries: RelaxedU64,
     /// Requests that spent their whole retry budget without finding a
     /// live server and surfaced the transport error.
-    pub failover_exhausted: AtomicU64,
+    pub failover_exhausted: RelaxedU64,
 }
 
 impl Default for RuntimeObs {
@@ -71,10 +70,10 @@ impl RuntimeObs {
     pub fn new() -> Self {
         RuntimeObs {
             op_latency: std::array::from_fn(|_| AtomicHistogram::new()),
-            pump_to_idle: AtomicU64::new(0),
-            pump_to_busy: AtomicU64::new(0),
-            failover_retries: AtomicU64::new(0),
-            failover_exhausted: AtomicU64::new(0),
+            pump_to_idle: RelaxedU64::new(0),
+            pump_to_busy: RelaxedU64::new(0),
+            failover_retries: RelaxedU64::new(0),
+            failover_exhausted: RelaxedU64::new(0),
         }
     }
 

@@ -10,7 +10,6 @@
 //! hatches take the whole engine through `ShardedEngine::exclusive`.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::{self, JoinHandle};
 use std::time::Duration;
@@ -22,6 +21,7 @@ use deceit_net::live::LiveBus;
 use deceit_net::rpc::{Rpc, RpcEndpoint};
 use deceit_net::NodeId;
 use deceit_nfs::{DeceitFs, NfsReply, NfsRequest, NfsServer, NfsService};
+use deceit_sim::atomic::{PublishedBool, RelaxedU64};
 
 use crate::client::RuntimeClient;
 use crate::config::RuntimeConfig;
@@ -41,13 +41,13 @@ pub(crate) const CLIENT_BASE: u32 = 1_000;
 #[derive(Debug, Default)]
 struct Tally {
     /// Requests served, indexed by the `Rung` that answered them.
-    served: [AtomicU64; Rung::ALL.len()],
-    dropped_while_crashed: AtomicU64,
+    served: [RelaxedU64; Rung::ALL.len()],
+    dropped_while_crashed: RelaxedU64,
 }
 
 impl Tally {
     fn served(&self, rung: Rung) -> u64 {
-        self.served[rung as usize].load(Ordering::Relaxed)
+        self.served[rung as usize].load()
     }
 
     fn served_total(&self) -> u64 {
@@ -84,9 +84,8 @@ pub struct RuntimeStats {
     /// forward from a server with no replica. The rest took the
     /// exclusive cell lock.
     pub requests_served_sharded: u64,
-    /// Deferred protocol work pending, as of the last time a thread
-    /// holding the engine refreshed the cached count. Reading it takes
-    /// no lock.
+    /// Deferred protocol work pending: the engine's own count, read
+    /// under the shared cell lock.
     pub pending_work: usize,
 }
 
@@ -232,7 +231,7 @@ impl ClientDirectory {
 struct Shared<S> {
     bus: LiveBus<NfsFrame>,
     engine: ShardedEngine<S>,
-    stop: AtomicBool,
+    stop: PublishedBool,
     /// Per-server traffic counters, indexed by server id.
     tallies: Box<[Tally]>,
     /// Always-on runtime observability, shared with client sessions.
@@ -259,7 +258,9 @@ pub struct ClusterRuntime<S: NfsService + ProtocolHost + Send + Sync + 'static =
     server_ids: Vec<NodeId>,
     server_threads: Vec<JoinHandle<()>>,
     pump_thread: Option<JoinHandle<()>>,
-    next_client: AtomicU32,
+    /// Client-id allocator: uniqueness needs only read-modify-write
+    /// atomicity.
+    next_client: RelaxedU64,
 }
 
 impl ClusterRuntime<NfsServer> {
@@ -289,7 +290,7 @@ impl<S: NfsService + ProtocolHost + Send + Sync + 'static> ClusterRuntime<S> {
         let shared = Arc::new(Shared {
             bus: bus.clone(),
             engine: ShardedEngine::new(engine),
-            stop: AtomicBool::new(false),
+            stop: PublishedBool::new(false),
             tallies: (0..cfg.servers).map(|_| Tally::default()).collect(),
             obs: Arc::new(RuntimeObs::new()),
         });
@@ -333,7 +334,7 @@ impl<S: NfsService + ProtocolHost + Send + Sync + 'static> ClusterRuntime<S> {
             server_ids,
             server_threads,
             pump_thread,
-            next_client: AtomicU32::new(0),
+            next_client: RelaxedU64::new(0),
         }
     }
 
@@ -344,7 +345,7 @@ impl<S: NfsService + ProtocolHost + Send + Sync + 'static> ClusterRuntime<S> {
 
     /// Opens a client session homed on a server chosen round-robin.
     pub fn client(&self) -> RuntimeClient {
-        let seq = self.next_client.fetch_add(1, Ordering::Relaxed);
+        let seq = self.next_client.fetch_add(1) as u32;
         let home = self.server_ids[seq as usize % self.server_ids.len()];
         self.client_at(seq, home)
     }
@@ -352,7 +353,7 @@ impl<S: NfsService + ProtocolHost + Send + Sync + 'static> ClusterRuntime<S> {
     /// Opens a client session homed on a specific server.
     pub fn client_homed(&self, home: NodeId) -> RuntimeClient {
         assert!(self.server_ids.contains(&home), "no such server {home}");
-        let seq = self.next_client.fetch_add(1, Ordering::Relaxed);
+        let seq = self.next_client.fetch_add(1) as u32;
         self.client_at(seq, home)
     }
 
@@ -435,7 +436,8 @@ impl<S: NfsService + ProtocolHost + Send + Sync + 'static> ClusterRuntime<S> {
 
     /// Point-in-time traffic counters, read from atomics (the clock
     /// count behind a registry lock that only a thread's first clock
-    /// read also takes), so observing a busy cluster never slows it down.
+    /// read also takes) and, for the pending work, under the shared cell
+    /// lock, so observing a busy cluster never slows it down.
     pub fn stats(&self) -> RuntimeStats {
         RuntimeStats {
             bus_delivered: self.shared.bus.delivered(),
@@ -447,7 +449,7 @@ impl<S: NfsService + ProtocolHost + Send + Sync + 'static> ClusterRuntime<S> {
             requests_served: self.shared.tallies.iter().map(Tally::served_total).sum(),
             requests_served_shared: self.shared.served(Rung::Shared),
             requests_served_sharded: self.shared.served(Rung::Ring),
-            pending_work: self.shared.engine.pending_work(),
+            pending_work: self.shared.engine.read_guard().pending_work(),
         }
     }
 
@@ -466,8 +468,8 @@ impl<S: NfsService + ProtocolHost + Send + Sync + 'static> ClusterRuntime<S> {
     pub fn observe(&self) -> ObsReport {
         let eobs = &self.shared.engine.obs;
         let engine = EngineReport {
-            shared_acquisitions: eobs.shared_acquisitions.load(Ordering::Relaxed),
-            exclusive_acquisitions: eobs.exclusive_acquisitions.load(Ordering::Relaxed),
+            shared_acquisitions: eobs.shared_acquisitions.load(),
+            exclusive_acquisitions: eobs.exclusive_acquisitions.load(),
             cell_wait: eobs.cell_wait.summary(),
             ring_hold: eobs.ring_hold.summary(),
         };
@@ -490,10 +492,10 @@ impl<S: NfsService + ProtocolHost + Send + Sync + 'static> ClusterRuntime<S> {
                 .zip(&obs.op_latency)
                 .map(|(&name, h)| (name, h.summary()))
                 .collect(),
-            pump_to_idle: obs.pump_to_idle.load(Ordering::Relaxed),
-            pump_to_busy: obs.pump_to_busy.load(Ordering::Relaxed),
-            failover_retries: obs.failover_retries.load(Ordering::Relaxed),
-            failover_exhausted: obs.failover_exhausted.load(Ordering::Relaxed),
+            pump_to_idle: obs.pump_to_idle.load(),
+            pump_to_busy: obs.pump_to_busy.load(),
+            failover_retries: obs.failover_retries.load(),
+            failover_exhausted: obs.failover_exhausted.load(),
             engine,
             core,
             stats,
@@ -533,7 +535,7 @@ impl<S: NfsService + ProtocolHost + Send + Sync + 'static> ClusterRuntime<S> {
     }
 
     fn stop_and_join(&mut self) {
-        self.shared.stop.store(true, Ordering::Release);
+        self.shared.stop.store(true);
         // Server threads block on their mailboxes; closing the bus is
         // what wakes the idle ones to see `stop`.
         self.shared.bus.close();
@@ -557,7 +559,7 @@ impl<S: NfsService + ProtocolHost + Send + Sync + 'static> ClusterRuntime<S> {
                 .shared
                 .tallies
                 .iter()
-                .map(|t| t.dropped_while_crashed.load(Ordering::Relaxed))
+                .map(|t| t.dropped_while_crashed.load())
                 .sum(),
             bus_delivered: self.shared.bus.delivered(),
             bus_rejected: self.shared.bus.rejected(),
@@ -580,7 +582,7 @@ fn serve_loop<S: NfsService + ProtocolHost>(
 ) {
     let id = ep.node();
     let tally = &shared.tallies[id.index()];
-    while !shared.stop.load(Ordering::Acquire) {
+    while !shared.stop.load() {
         // No deadline: an idle server sleeps until a request arrives,
         // and only a closed bus (shutdown) hands back `None`.
         let Some(incoming) = ep.next_request(Duration::MAX) else { break };
@@ -588,14 +590,14 @@ fn serve_loop<S: NfsService + ProtocolHost>(
         // queued in its buffers; the thread itself cannot know — it just
         // finds the traffic gone.
         if ep.is_crashed() {
-            tally.dropped_while_crashed.fetch_add(1, Ordering::Relaxed);
+            tally.dropped_while_crashed.fetch_add(1);
             continue;
         }
         let (rep, rung) = shared.engine.serve(id, incoming.req);
         // Counted before the reply leaves, so a session that reads the
         // stats after its reply finds its request there. A reply the bus
         // refuses is counted in `bus_rejected` as well.
-        tally.served[rung as usize].fetch_add(1, Ordering::Relaxed);
+        tally.served[rung as usize].fetch_add(1);
         ep.reply(incoming.from, incoming.call, rep);
     }
 }
@@ -609,26 +611,30 @@ fn pump_loop<S: ProtocolHost>(shared: &Shared<S>, interval: Duration, batch: usi
     // Idle/busy transition accounting: a pump that flaps between the
     // two under load is a sign the batching window is mistuned.
     let mut idle = true;
-    while !shared.stop.load(Ordering::Acquire) {
-        // The cached count keeps an idle pump off the cell lock
-        // entirely — a read-only workload never sees the pump contend.
-        if shared.engine.pending_work() == 0 {
+    while !shared.stop.load() {
+        // One allocation-free probe under the shared cell lock asks the
+        // engine whether any deferred work is pending and, if so, which
+        // slots have work ready; each such slot then drains under the
+        // shared cell lock plus its own ring lock — concurrent with
+        // request service everywhere else. A shared acquisition blocks
+        // no reader, so an idle pump's probe costs a read-only workload
+        // nothing but the acquisition itself.
+        let mask = {
+            let engine = shared.engine.read_guard();
+            (engine.pending_work() > 0).then(|| engine.pending_shard_mask())
+        };
+        let Some(mask) = mask else {
             if !idle {
                 idle = true;
-                shared.obs.pump_to_idle.fetch_add(1, Ordering::Relaxed);
+                shared.obs.pump_to_idle.fetch_add(1);
             }
             thread::sleep(interval);
             continue;
-        }
+        };
         if idle {
             idle = false;
-            shared.obs.pump_to_busy.fetch_add(1, Ordering::Relaxed);
+            shared.obs.pump_to_busy.fetch_add(1);
         }
-        // One allocation-free mask probe under the shared lock tells us
-        // which slots have work; each hot slot then drains under the
-        // shared cell lock plus its own ring lock — concurrent with
-        // request service everywhere else.
-        let mask = shared.engine.read_guard().pending_shard_mask();
         let mut fired = 0;
         for slot in 0..shards {
             if mask & (1 << slot) == 0 {
@@ -697,14 +703,14 @@ mod tests {
         let dir = Arc::new(ClientDirectory::default());
         dir.set_home(n(1000), n(0), &bus);
 
-        let stop = Arc::new(AtomicBool::new(false));
+        let stop = Arc::new(PublishedBool::new(false));
         let stormers: Vec<_> = (0..3)
             .map(|_| {
                 let dir = Arc::clone(&dir);
                 let bus = bus.clone();
                 let stop = Arc::clone(&stop);
                 thread::spawn(move || {
-                    while !stop.load(Ordering::Acquire) {
+                    while !stop.load() {
                         dir.reapply(&bus);
                     }
                 })
@@ -722,7 +728,7 @@ mod tests {
                 "a concurrent reapply re-imposed a cleared split"
             );
         }
-        stop.store(true, Ordering::Release);
+        stop.store(true);
         for t in stormers {
             t.join().unwrap();
         }
@@ -735,7 +741,7 @@ mod tests {
     fn session_open_cannot_revive_a_healed_split() {
         let bus: LiveBus<NfsFrame> = LiveBus::new();
         let dir = Arc::new(ClientDirectory::default());
-        let stop = Arc::new(AtomicBool::new(false));
+        let stop = Arc::new(PublishedBool::new(false));
         let openers: Vec<_> = (0..3u32)
             .map(|t| {
                 let dir = Arc::clone(&dir);
@@ -743,7 +749,7 @@ mod tests {
                 let stop = Arc::clone(&stop);
                 thread::spawn(move || {
                     let mut i = 0u32;
-                    while !stop.load(Ordering::Acquire) {
+                    while !stop.load() {
                         // A churn of session opens homed on both sides.
                         dir.set_home(n(1000 + t * 100 + (i % 50)), n(i % 2), &bus);
                         i += 1;
@@ -757,7 +763,7 @@ mod tests {
             dir.set_split(None, &bus);
             assert!(bus.can_exchange(n(0), n(1)), "a racing session open revived a healed split");
         }
-        stop.store(true, Ordering::Release);
+        stop.store(true);
         for t in openers {
             t.join().unwrap();
         }

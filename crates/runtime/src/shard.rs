@@ -60,13 +60,12 @@
 mod cell_lock;
 pub use cell_lock::{CellGuard, CellLock, RingGuard, Slots};
 
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-
 use parking_lot::{RwLockReadGuard, RwLockWriteGuard};
 
 use deceit_core::{AtomicHistogram, OpClass, ProtocolHost};
 use deceit_net::NodeId;
 use deceit_nfs::{NfsReply, NfsRequest, NfsService};
+use deceit_sim::atomic::RelaxedU64;
 use deceit_sim::wall;
 
 /// The rung of the serve ladder that answered a request.
@@ -93,9 +92,9 @@ impl Rung {
 #[derive(Debug)]
 pub(crate) struct EngineObs {
     /// Shared (read) cell-lock acquisitions.
-    pub shared_acquisitions: AtomicU64,
+    pub shared_acquisitions: RelaxedU64,
     /// Exclusive (write) cell-lock acquisitions.
-    pub exclusive_acquisitions: AtomicU64,
+    pub exclusive_acquisitions: RelaxedU64,
     /// Cell-lock acquisition wait, microseconds — the "queue wait" of a
     /// request: how long it sat behind the lock before executing.
     pub cell_wait: AtomicHistogram,
@@ -107,8 +106,8 @@ pub(crate) struct EngineObs {
 impl EngineObs {
     fn new() -> Self {
         EngineObs {
-            shared_acquisitions: AtomicU64::new(0),
-            exclusive_acquisitions: AtomicU64::new(0),
+            shared_acquisitions: RelaxedU64::new(0),
+            exclusive_acquisitions: RelaxedU64::new(0),
             cell_wait: AtomicHistogram::new(),
             ring_hold: AtomicHistogram::new(),
         }
@@ -129,29 +128,22 @@ impl EngineObs {
     }
 }
 
-/// A protocol engine under sharded concurrency control.
+/// A protocol engine under sharded concurrency control. It caches
+/// nothing of the engine's state: the pump and the stats ask the engine
+/// for its pending work under the shared cell lock, so work scheduled on
+/// any rung — a read's lease forward or §2.1 forward included — is seen.
 #[derive(Debug)]
 pub(crate) struct ShardedEngine<S> {
     locks: CellLock<S>,
-    /// [`ProtocolHost::pending_work`] as of the last execution that could
-    /// have scheduled or fired deferred work, so stats reads and the
-    /// pump's idle check never take a lock. It can only go stale by the
-    /// width of one in-flight execution.
-    pending: AtomicUsize,
     /// Lock-level telemetry; recording is always on (relaxed atomics).
     pub(crate) obs: EngineObs,
 }
 
 impl<S> ShardedEngine<S> {
     /// Wraps `engine` with `shards` ring slots (clamped to 1..=64 to
-    /// match the engine's pending-work mask), `pending` units of deferred
-    /// work already queued.
-    fn with_shards(engine: S, shards: usize, pending: usize) -> Self {
-        ShardedEngine {
-            locks: CellLock::new(engine, shards.min(64)),
-            pending: AtomicUsize::new(pending),
-            obs: EngineObs::new(),
-        }
+    /// match the engine's pending-work mask).
+    fn with_shards(engine: S, shards: usize) -> Self {
+        ShardedEngine { locks: CellLock::new(engine, shards.min(64)), obs: EngineObs::new() }
     }
 
     /// Number of ring slots.
@@ -162,14 +154,14 @@ impl<S> ShardedEngine<S> {
     /// Shared access to the engine, concurrent with other readers.
     pub(crate) fn read_guard(&self) -> CellGuard<'_, RwLockReadGuard<'_, S>> {
         let guard = self.obs.waited(self.locks.try_shared(), || self.locks.shared());
-        self.obs.shared_acquisitions.fetch_add(1, Ordering::Relaxed);
+        self.obs.shared_acquisitions.fetch_add(1);
         guard
     }
 
     /// Exclusive access to the engine.
     fn write_guard(&self) -> CellGuard<'_, RwLockWriteGuard<'_, S>> {
         let guard = self.obs.waited(self.locks.try_exclusive(), || self.locks.exclusive());
-        self.obs.exclusive_acquisitions.fetch_add(1, Ordering::Relaxed);
+        self.obs.exclusive_acquisitions.fetch_add(1);
         guard
     }
 
@@ -208,27 +200,14 @@ impl<S: ProtocolHost> ShardedEngine<S> {
     /// Wraps `engine` with one ring lock per engine shard slot, so
     /// holding slot `s` covers exactly the engine's slot-`s` hot state.
     pub(crate) fn new(engine: S) -> Self {
-        let (shards, pending) = (engine.shard_count(), engine.pending_work());
-        ShardedEngine::with_shards(engine, shards, pending)
-    }
-
-    /// The cached count of pending deferred work; takes no lock.
-    pub(crate) fn pending_work(&self) -> usize {
-        self.pending.load(Ordering::Acquire)
-    }
-
-    fn note_pending(&self, engine: &S) {
-        self.pending.store(engine.pending_work(), Ordering::Release);
+        let shards = engine.shard_count();
+        ShardedEngine::with_shards(engine, shards)
     }
 
     /// Runs `f` with exclusive access and no shard locks (cell-wide
-    /// operations, inspection hatches), refreshing the pending-work
-    /// cache on the way out.
+    /// operations, inspection hatches).
     pub(crate) fn exclusive<T>(&self, f: impl FnOnce(&mut S) -> T) -> T {
-        let mut cell = self.write_guard();
-        let out = f(&mut cell);
-        self.note_pending(&cell);
-        out
+        f(&mut self.write_guard())
     }
 
     /// Fires up to `batch` units of `slot`'s deferred work under the
@@ -237,16 +216,8 @@ impl<S: ProtocolHost> ShardedEngine<S> {
     /// cannot pump a shard through `&self`, under the exclusive lock.
     /// Returns how many fired.
     pub(crate) fn pump_slot(&self, slot: usize, batch: usize) -> usize {
-        let fired = self.ring(Slots::one(slot), |e| {
-            e.try_pump_shard(slot, batch).inspect(|_| self.note_pending(e))
-        });
-        fired.unwrap_or_else(|| {
-            self.cell(Slots::one(slot), |e| {
-                let n = e.pump(batch);
-                self.note_pending(e);
-                n
-            })
-        })
+        let fired = self.ring(Slots::one(slot), |e| e.try_pump_shard(slot, batch));
+        fired.unwrap_or_else(|| self.cell(Slots::one(slot), |e| e.pump(batch)))
     }
 }
 
@@ -269,18 +240,12 @@ impl<S: NfsService + ProtocolHost> ShardedEngine<S> {
                     e.serve_read_sharded(via, &req)
                 })
             }),
-            _ => self.ring(Slots::of(class, shards), |e| {
-                e.serve_sharded(via, &req).inspect(|_| self.note_pending(e))
-            }),
+            _ => self.ring(Slots::of(class, shards), |e| e.serve_sharded(via, &req)),
         };
         if let Some((rep, _latency)) = ringed {
             return (rep, Rung::Ring);
         }
-        let (rep, _latency) = self.cell(Slots::of(class, shards), |e| {
-            let out = e.serve(via, req);
-            self.note_pending(e);
-            out
-        });
+        let (rep, _latency) = self.cell(Slots::of(class, shards), |e| e.serve(via, req));
         (rep, Rung::Cell)
     }
 }
@@ -288,12 +253,11 @@ impl<S: NfsService + ProtocolHost> ShardedEngine<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::{Arc, Barrier};
     use std::thread;
 
     fn sharded<S>(s: S) -> Arc<ShardedEngine<S>> {
-        Arc::new(ShardedEngine::with_shards(s, 4, 0))
+        Arc::new(ShardedEngine::with_shards(s, 4))
     }
 
     fn slots(class: OpClass) -> Slots {
@@ -350,8 +314,11 @@ mod tests {
     #[test]
     fn same_slot_sharded_mutations_are_mutually_exclusive() {
         let engine = sharded(());
-        let max_inside = Arc::new(AtomicUsize::new(0));
-        let inside = Arc::new(AtomicUsize::new(0));
+        // Read-modify-writes of one location are totally ordered whatever
+        // their memory ordering, so relaxed counters count exactly; the
+        // final reads follow the joins.
+        let max_inside = Arc::new(RelaxedU64::new(0));
+        let inside = Arc::new(RelaxedU64::new(0));
         // Same slot (keys 1 and 5 with 4 shards): never two inside.
         let threads: Vec<_> = (0..4)
             .map(|i| {
@@ -362,10 +329,10 @@ mod tests {
                 thread::spawn(move || {
                     for _ in 0..500 {
                         engine.ring(slots(class), |_| {
-                            let now = inside.fetch_add(1, Ordering::SeqCst) + 1;
-                            max_inside.fetch_max(now, Ordering::SeqCst);
+                            let now = inside.fetch_add(1) + 1;
+                            max_inside.fetch_max(now);
                             std::hint::spin_loop();
-                            inside.fetch_sub(1, Ordering::SeqCst);
+                            inside.fetch_sub(1);
                             Some(())
                         });
                     }
@@ -375,14 +342,14 @@ mod tests {
         for t in threads {
             t.join().expect("no deadlock on same-slot contention");
         }
-        assert_eq!(max_inside.load(Ordering::SeqCst), 1, "same-slot mutators must exclude");
+        assert_eq!(max_inside.load(), 1, "same-slot mutators must exclude");
     }
 
     #[test]
     fn class_locking_excludes_conflicts_without_deadlock() {
         let engine = sharded(0u64);
-        let max_inside = Arc::new(AtomicUsize::new(0));
-        let inside = Arc::new(AtomicUsize::new(0));
+        let max_inside = Arc::new(RelaxedU64::new(0));
+        let inside = Arc::new(RelaxedU64::new(0));
         // Hammer overlapping classes — same shard, crossing shards in
         // both orders, cell-wide — from many threads through the
         // *exclusive* rung. Exclusivity: at most one mutator inside at a
@@ -403,10 +370,10 @@ mod tests {
                 thread::spawn(move || {
                     for _ in 0..200 {
                         engine.cell(slots(class), |n| {
-                            let now = inside.fetch_add(1, Ordering::SeqCst) + 1;
-                            max_inside.fetch_max(now, Ordering::SeqCst);
+                            let now = inside.fetch_add(1) + 1;
+                            max_inside.fetch_max(now);
                             *n += 1;
-                            inside.fetch_sub(1, Ordering::SeqCst);
+                            inside.fetch_sub(1);
                         });
                     }
                 })
@@ -415,7 +382,7 @@ mod tests {
         for t in threads {
             t.join().expect("no deadlock under mixed classes");
         }
-        assert_eq!(max_inside.load(Ordering::SeqCst), 1, "mutators must be mutually exclusive");
+        assert_eq!(max_inside.load(), 1, "mutators must be mutually exclusive");
         assert_eq!(*engine.read_guard(), 8 * 200);
     }
 
@@ -424,8 +391,8 @@ mod tests {
     #[test]
     fn sharded_and_exclusive_paths_exclude() {
         let engine = sharded(0u64);
-        let inside = Arc::new(AtomicUsize::new(0));
-        let max_inside = Arc::new(AtomicUsize::new(0));
+        let inside = Arc::new(RelaxedU64::new(0));
+        let max_inside = Arc::new(RelaxedU64::new(0));
         let threads: Vec<_> = (0..6)
             .map(|i| {
                 let engine = Arc::clone(&engine);
@@ -433,9 +400,9 @@ mod tests {
                 let max_inside = Arc::clone(&max_inside);
                 thread::spawn(move || {
                     let enter = || {
-                        let now = inside.fetch_add(1, Ordering::SeqCst) + 1;
-                        max_inside.fetch_max(now, Ordering::SeqCst);
-                        inside.fetch_sub(1, Ordering::SeqCst);
+                        let now = inside.fetch_add(1) + 1;
+                        max_inside.fetch_max(now);
+                        inside.fetch_sub(1);
                     };
                     for _ in 0..300 {
                         // The ring lock excludes the other ring-rung
@@ -456,7 +423,7 @@ mod tests {
         for t in threads {
             t.join().expect("no deadlock between rungs");
         }
-        assert_eq!(max_inside.load(Ordering::SeqCst), 1);
+        assert_eq!(max_inside.load(), 1);
     }
 
     #[test]

@@ -193,10 +193,10 @@ fn forwarded_reads_stay_monotone_across_split_heal_flaps() {
 
         let mut reader = rt.client_homed(*ids.last().unwrap());
         reader.record_into(recorder.journal(2));
-        let stop = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(false));
+        let stop = std::sync::Arc::new(deceit_sim::atomic::PublishedBool::new(false));
         let reader_stop = std::sync::Arc::clone(&stop);
         s.spawn(move || {
-            while !reader_stop.load(std::sync::atomic::Ordering::Relaxed) {
+            while !reader_stop.load() {
                 let _ = reader.read(fh, 0, 1 << 20);
                 std::thread::sleep(std::time::Duration::from_micros(200));
             }
@@ -214,7 +214,7 @@ fn forwarded_reads_stay_monotone_across_split_heal_flaps() {
         }
 
         writer_handle.join().expect("writer thread");
-        stop.store(true, std::sync::atomic::Ordering::Relaxed);
+        stop.store(true);
     });
 
     rt.settle();

@@ -87,7 +87,7 @@ fn live_runs_are_repeatable() {
 /// concurrency.
 #[test]
 fn concurrent_disjoint_mutations_match_sim_in_completion_order() {
-    use std::sync::atomic::{AtomicU64, Ordering};
+    use deceit_sim::atomic::PublishedU64;
     use std::sync::{Arc, Mutex};
 
     const CLIENTS: usize = 6;
@@ -110,7 +110,7 @@ fn concurrent_disjoint_mutations_match_sim_in_completion_order() {
 
     // Stress (concurrent): each client appends its own chunks to its own
     // file; a global ticket stamps every completed write.
-    let ticket = Arc::new(AtomicU64::new(0));
+    let ticket = Arc::new(PublishedU64::new(0));
     let completions: Arc<Mutex<Vec<(u64, usize, usize)>>> = Arc::new(Mutex::new(Vec::new()));
     let workers: Vec<_> = (0..CLIENTS)
         .map(|c| {
@@ -124,7 +124,7 @@ fn concurrent_disjoint_mutations_match_sim_in_completion_order() {
                     let chunk = format!("[c{c}w{i}]");
                     client.write(fh, offset, chunk.as_bytes()).expect("stress write");
                     offset += chunk.len();
-                    let t = ticket.fetch_add(1, Ordering::SeqCst);
+                    let t = ticket.fetch_add(1);
                     completions.lock().unwrap().push((t, c, i));
                 }
             })
@@ -200,7 +200,7 @@ fn concurrent_disjoint_mutations_match_sim_in_completion_order() {
 /// fully applied or never happened, never torn.
 #[test]
 fn crash_of_token_holder_mid_write_matches_sim_replay() {
-    use std::sync::atomic::{AtomicU64, Ordering};
+    use deceit_sim::atomic::PublishedU64;
     use std::sync::{Arc, Mutex};
     use std::time::Duration;
 
@@ -229,7 +229,7 @@ fn crash_of_token_holder_mid_write_matches_sim_replay() {
     // Stress: sequential appends per writer, all via the token holder,
     // stopping at the first failed write (the crash). Acked writes are
     // ticket-stamped in completion order.
-    let ticket = Arc::new(AtomicU64::new(0));
+    let ticket = Arc::new(PublishedU64::new(0));
     let completions: Arc<Mutex<Vec<(u64, usize, usize)>>> = Arc::new(Mutex::new(Vec::new()));
     let workers: Vec<_> = (0..WRITERS)
         .map(|c| {
@@ -245,7 +245,7 @@ fn crash_of_token_holder_mid_write_matches_sim_replay() {
                         return; // the crash: the stream ends here
                     }
                     offset += chunk.len();
-                    let t = ticket.fetch_add(1, Ordering::SeqCst);
+                    let t = ticket.fetch_add(1);
                     completions.lock().unwrap().push((t, c, i));
                 }
             })
@@ -359,7 +359,7 @@ fn crash_of_token_holder_mid_write_matches_sim_replay() {
 /// contents, version, and replica count must match byte for byte.
 #[test]
 fn readers_vs_write_stream_matches_sim_replay() {
-    use std::sync::atomic::{AtomicBool, Ordering};
+    use deceit_sim::atomic::PublishedBool;
     use std::sync::Arc;
 
     const WRITES: usize = 60;
@@ -389,7 +389,7 @@ fn readers_vs_write_stream_matches_sim_replay() {
         valid_lens.push(expected.len());
     }
 
-    let done = Arc::new(AtomicBool::new(false));
+    let done = Arc::new(PublishedBool::new(false));
     let readers: Vec<_> = (0..READERS)
         .map(|r| {
             // Reader 2 sits on a non-holder: its reads forward around
@@ -402,7 +402,7 @@ fn readers_vs_write_stream_matches_sim_replay() {
             std::thread::spawn(move || {
                 let mut last_len = 0usize;
                 let mut reads = 0u64;
-                while !done.load(Ordering::Relaxed) {
+                while !done.load() {
                     let data = client.read(fh, 0, 1 << 16).expect("concurrent stream read");
                     assert!(
                         valid_lens.contains(&data.len()),
@@ -434,7 +434,7 @@ fn readers_vs_write_stream_matches_sim_replay() {
         writer.write(fh, offset, chunk.as_bytes()).expect("stream write");
         offset += chunk.len();
     }
-    done.store(true, Ordering::Relaxed);
+    done.store(true);
     let total_reads: u64 = readers.into_iter().map(|r| r.join().expect("reader")).sum();
     assert!(total_reads > 0, "the readers must have observed the stream");
     rt.settle();
@@ -501,7 +501,7 @@ fn readers_vs_write_stream_matches_sim_replay() {
 /// no reads, so it never migrates.)
 #[test]
 fn migration_storm_under_crash_keeps_floor_and_read_monotonicity() {
-    use std::sync::atomic::{AtomicBool, Ordering};
+    use deceit_sim::atomic::PublishedBool;
     use std::sync::Arc;
     use std::time::Duration;
 
@@ -553,7 +553,7 @@ fn migration_storm_under_crash_keeps_floor_and_read_monotonicity() {
 
     // Readers: monotone acked prefixes per file per session, throughout
     // the crash, the restart, and the migrations.
-    let done = Arc::new(AtomicBool::new(false));
+    let done = Arc::new(PublishedBool::new(false));
     let readers: Vec<_> = (0..READERS)
         .map(|r| {
             let mut client = rt.client_homed(reader_home);
@@ -564,7 +564,7 @@ fn migration_storm_under_crash_keeps_floor_and_read_monotonicity() {
             std::thread::spawn(move || {
                 let mut last_len = [0usize; FILES];
                 let mut reads = 0u64;
-                while !done.load(Ordering::Relaxed) {
+                while !done.load() {
                     for c in 0..FILES {
                         let data = client.read(handles[c], 0, 1 << 16).expect("storm read");
                         assert!(
@@ -623,7 +623,7 @@ fn migration_storm_under_crash_keeps_floor_and_read_monotonicity() {
     rt.restart_server(churn);
     writer.join().expect("storm writer");
     rt.settle(); // migrations (and their retire passes) execute here
-    done.store(true, Ordering::Relaxed);
+    done.store(true);
     let total_reads: u64 = readers.into_iter().map(|r| r.join().expect("reader")).sum();
     assert!(total_reads > 0, "the readers must have observed the storm");
     rt.settle();
@@ -706,7 +706,7 @@ fn migration_storm_under_crash_keeps_floor_and_read_monotonicity() {
 /// and the final subversion counts every write exactly once.
 #[test]
 fn same_file_mutations_never_interleave() {
-    use std::sync::atomic::{AtomicBool, Ordering};
+    use deceit_sim::atomic::PublishedBool;
     use std::sync::{Arc, Barrier};
 
     const WRITERS: usize = 4;
@@ -722,7 +722,7 @@ fn same_file_mutations_never_interleave() {
     rt.settle();
     let sub_before = opener.getattr(fh).expect("getattr").version.sub;
 
-    let stop = Arc::new(AtomicBool::new(false));
+    let stop = Arc::new(PublishedBool::new(false));
     // The writers start only once the reader has read once, so the
     // reader cannot see `stop` before its first read.
     let start = Arc::new(Barrier::new(WRITERS + 1));
@@ -743,7 +743,7 @@ fn same_file_mutations_never_interleave() {
                 if observed == 1 {
                     start.wait();
                 }
-                if stop.load(Ordering::Relaxed) {
+                if stop.load() {
                     break observed;
                 }
             }
@@ -766,7 +766,7 @@ fn same_file_mutations_never_interleave() {
     for t in writers {
         t.join().expect("writer");
     }
-    stop.store(true, Ordering::Relaxed);
+    stop.store(true);
     let reads = reader.join().expect("reader");
     assert!(reads > 0, "the concurrent reader must have observed the file");
 

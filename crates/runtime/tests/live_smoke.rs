@@ -7,6 +7,7 @@ use std::time::Duration;
 use deceit_core::{FileParams, ProtocolHost};
 use deceit_net::NodeId;
 use deceit_runtime::{ClusterRuntime, RuntimeConfig, RuntimeError};
+use deceit_sim::SimDuration;
 
 /// The acceptance scenario: 3 servers, 4 concurrent clients doing
 /// create/write/read at replication level 3; one server crashes; every
@@ -245,5 +246,57 @@ fn live_counters_are_on() {
     let count = |name: &str| stats.get(name).unwrap_or_else(|| panic!("no counter {name}"));
     assert!(count("core/pipeline/batches") >= 1, "{stats:?}");
     assert!(count("core/reads/forwarded") >= 1, "{stats:?}");
+    rt.shutdown();
+}
+
+/// Work that only reads schedule still runs: a read entering at a server
+/// with no replica forwards and, past the placement threshold, schedules
+/// a migration toward that server — without taking the exclusive lock or
+/// mutating anything. The stats must count that work, and the pump must
+/// run it, with no `settle` to push it along.
+#[test]
+fn work_scheduled_by_reads_alone_is_counted_and_runs() {
+    let migrations = |rt: &ClusterRuntime| {
+        let placement = rt.observe().core.expect("the standard engine keeps obs").placement;
+        (placement.migrations_proposed, placement.migrations_executed)
+    };
+    // Forwarded reads through server 2 until one schedules a migration,
+    // and no further: a later read could fire it once it is due.
+    let read_until_scheduled = |rt: &ClusterRuntime| {
+        let mut writer = rt.client_homed(NodeId(0));
+        let attr = writer.create(writer.root(), "read-only", 0o644).expect("create");
+        writer.write(attr.handle, 0, b"read, never written again").expect("write");
+        rt.settle();
+        let mut reader = rt.client_homed(NodeId(2));
+        for _ in 0..20 {
+            reader.read(attr.handle, 0, 64).expect("forwarded read");
+            if migrations(rt).0 > 0 {
+                break;
+            }
+        }
+        assert_eq!(migrations(rt), (1, 0), "the reads schedule one migration");
+    };
+
+    // The stats report the engine's own count of pending work.
+    let rt = ClusterRuntime::start(RuntimeConfig::new(3));
+    read_until_scheduled(&rt);
+    let stats_pending = rt.stats().pending_work;
+    let engine_pending = rt.with_engine(|e| e.pending_work());
+    assert!(engine_pending >= 1, "the migration is due 5 s of protocol time out");
+    assert_eq!(stats_pending, engine_pending, "stats must count the work reads schedule");
+    rt.shutdown();
+
+    // With a short delay, the pump runs the migration on its own: its
+    // idle tick carries the protocol clock to the due time.
+    let mut cfg = RuntimeConfig::new(3);
+    cfg.cluster.lazy_apply_delay = SimDuration::from_millis(20);
+    let rt = ClusterRuntime::start(cfg);
+    read_until_scheduled(&rt);
+    let mut polls = 0;
+    while migrations(&rt).1 == 0 {
+        polls += 1;
+        assert!(polls <= 1_000, "the pump never ran the migration reads scheduled (10 s)");
+        thread::sleep(Duration::from_millis(10));
+    }
     rt.shutdown();
 }

@@ -27,17 +27,17 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 use bytes::Bytes;
 use deceit_core::{FileParams, WriteAvailability};
 use deceit_nfs::FileHandle;
 use deceit_runtime::{ClusterRuntime, RuntimeClient, RuntimeConfig};
+use deceit_sim::atomic::RelaxedU64;
 use deceit_sim::{leaf, wall};
 
 /// Allocator calls (`alloc` + `realloc`) by every thread.
-static TOTAL: AtomicU64 = AtomicU64::new(0);
+static TOTAL: RelaxedU64 = RelaxedU64::new(0);
 
 thread_local! {
     /// Allocator calls by this thread: the session's, on the test thread.
@@ -51,7 +51,7 @@ struct Counting;
 // has no destructor and does not allocate.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        TOTAL.fetch_add(1, Ordering::Relaxed);
+        TOTAL.fetch_add(1);
         MINE.with(|c| c.set(c.get() + 1));
         System.alloc(layout)
     }
@@ -59,7 +59,7 @@ unsafe impl GlobalAlloc for Counting {
         System.dealloc(ptr, layout)
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        TOTAL.fetch_add(1, Ordering::Relaxed);
+        TOTAL.fetch_add(1);
         MINE.with(|c| c.set(c.get() + 1));
         System.realloc(ptr, layout, new_size)
     }
@@ -112,11 +112,11 @@ fn params(min_replicas: usize, write_safety: usize) -> FileParams {
 /// Runs `op` for the warm-up, then counts `TIMED` more.
 fn cost(rt: &ClusterRuntime, mut op: impl FnMut(usize)) -> Cost {
     (0..WARMUP).for_each(&mut op);
-    let (s0, mine0, total0) = (rt.stats(), MINE.with(Cell::get), TOTAL.load(Ordering::Relaxed));
+    let (s0, mine0, total0) = (rt.stats(), MINE.with(Cell::get), TOTAL.load());
     let (reads0, rounds0) = (wall::reads(), leaf::rounds());
     (WARMUP..WARMUP + TIMED).for_each(&mut op);
     let (reads1, rounds1) = (wall::reads(), leaf::rounds());
-    let (s1, mine1, total1) = (rt.stats(), MINE.with(Cell::get), TOTAL.load(Ordering::Relaxed));
+    let (s1, mine1, total1) = (rt.stats(), MINE.with(Cell::get), TOTAL.load());
     let per = |n: u64| n as f64 / TIMED as f64;
     let client = mine1 - mine0;
     Cost {

@@ -19,15 +19,14 @@
 //!   happens, not only where it happens to deadlock.
 
 use std::ops::{Deref, DerefMut};
-use std::sync::atomic::AtomicU64;
 use std::sync::{Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
-use crate::tally::{self, Tally};
+use crate::atomic::{RelaxedU64, Tally};
 
 static ROUNDS: Tally = Tally::new();
 
 thread_local! {
-    static MINE: &'static AtomicU64 = ROUNDS.register();
+    static MINE: &'static RelaxedU64 = ROUNDS.register();
 }
 
 #[cfg(debug_assertions)]
@@ -37,7 +36,7 @@ thread_local! {
 }
 
 fn count() {
-    MINE.with(|mine| tally::bump(mine));
+    MINE.with(|mine| mine.bump_own());
 }
 
 /// Locks a leaf mutex: one counted round.
@@ -105,7 +104,7 @@ pub fn rounds() -> u64 {
 /// Leaf-lock rounds so far by the calling thread alone: what a
 /// single-threaded engine loop costs, whatever runs beside it.
 pub fn rounds_here() -> u64 {
-    MINE.with(|mine| mine.load(std::sync::atomic::Ordering::Relaxed))
+    MINE.with(|mine| mine.load())
 }
 
 #[cfg(test)]

@@ -10,6 +10,8 @@
 //! * [`SimRng`] — a seeded RNG with the distributions the workload models
 //!   need (Zipf, truncated log-normal, exponential).
 //! * [`StatsSnapshot`] — the owned copy of an engine's protocol counters.
+//! * [`atomic`] — the one place std atomics are named, each type fixing
+//!   its memory ordering.
 //! * [`wall`] — the one counted wall clock the live runtime reads.
 //! * [`leaf`] — the one counted, poison-tolerant leaf-lock acquisition.
 //! * [`InlineVec`] — a short list held in place, for per-request lists.
@@ -26,12 +28,12 @@
     clippy::allow_attributes_without_reason
 )]
 
+pub mod atomic;
 pub mod events;
 pub mod inline;
 pub mod leaf;
 pub mod rng;
 pub mod stats;
-mod tally;
 pub mod time;
 pub mod wall;
 

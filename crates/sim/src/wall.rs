@@ -8,21 +8,20 @@
 //! `disallowed_methods` (the workspace `clippy.toml`) keeps code from
 //! reading an `Instant` anywhere else.
 
-use std::sync::atomic::AtomicU64;
 use std::time::{Duration, Instant};
 
-use crate::tally::{self, Tally};
+use crate::atomic::{RelaxedU64, Tally};
 
 static READS: Tally = Tally::new();
 
 thread_local! {
-    static MINE: &'static AtomicU64 = READS.register();
+    static MINE: &'static RelaxedU64 = READS.register();
 }
 
 /// Reads the wall clock, counting the read against this thread.
 #[expect(clippy::disallowed_methods, reason = "the one clock: every read is counted above")]
 pub fn now() -> Instant {
-    MINE.with(|mine| tally::bump(mine));
+    MINE.with(|mine| mine.bump_own());
     Instant::now()
 }
 
