@@ -28,7 +28,7 @@
 //! See [`crate::hot`] for the data-lock discipline that makes the
 //! interleaving sound.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Mutex;
 
 use deceit_isis::GroupTable;
@@ -39,7 +39,7 @@ use deceit_sim::{leaf, SimDuration, SimTime};
 use crate::config::ClusterConfig;
 use crate::error::{DeceitError, DeceitResult};
 use crate::host::shard_slot;
-use crate::hot::{ShardedEvents, ShardedMap};
+use crate::hot::{ShardedEvents, Slots};
 use crate::obs::{ObsCore, Stat};
 use crate::server::{SegmentId, ServerState};
 use crate::trace_events::ProtocolEvent;
@@ -131,7 +131,7 @@ pub struct Cluster {
     /// because version comparisons only ever happen between servers that
     /// can communicate — exactly when the paper's records would be
     /// exchangeable — and it makes reconciliation auditable in one place.
-    pub(crate) branches: ShardedMap<SegmentId, BranchTable>,
+    pub(crate) branches: Slots<BTreeMap<SegmentId, BranchTable>>,
     /// Per shard slot, how many segments' branch tables record a branch
     /// (see [`Cluster::single_major`]).
     branched: Box<[PublishedU64]>,
@@ -163,7 +163,7 @@ impl Cluster {
             events: ShardedEvents::new(shards),
             clock: RelaxedU64::new(0),
             obs: ObsCore::new(n_servers),
-            branches: ShardedMap::new(shards),
+            branches: Slots::new(shards, BTreeMap::new),
             branched: (0..shards).map(|_| PublishedU64::new(0)).collect(),
             conflicts: Vec::new(),
             deleted: Mutex::new(BTreeSet::new()),
@@ -249,16 +249,16 @@ impl Cluster {
     /// without the lock, in step with the table.
     pub fn with_branch_table<R>(&self, seg: SegmentId, f: impl FnOnce(&mut BranchTable) -> R) -> R {
         let branched = &self.branched[self.slot_of(seg)];
-        self.branches.with_or_insert(seg, BranchTable::default, |t| {
-            let before = t.branch_count() > 0;
-            let out = f(t);
-            match (before, t.branch_count() > 0) {
-                (false, true) => branched.fetch_add(1),
-                (true, false) => branched.fetch_sub(1),
-                _ => 0,
-            };
-            out
-        })
+        let mut tables = self.branches.lock_key(seg.0);
+        let t = tables.entry(seg).or_default();
+        let before = t.branch_count() > 0;
+        let out = f(t);
+        match (before, t.branch_count() > 0) {
+            (false, true) => branched.fetch_add(1),
+            (true, false) => branched.fetch_sub(1),
+            _ => 0,
+        };
+        out
     }
 
     /// Whether `seg` has only ever had one major version. A second major
@@ -277,13 +277,13 @@ impl Cluster {
     /// and a nonzero count falls back to that locked read, per segment.
     pub(crate) fn single_major(&self, seg: SegmentId) -> bool {
         self.branched[self.slot_of(seg)].load() == 0
-            || self.branches.with(&seg, |t| t.is_none_or(|t| t.branch_count() == 0))
+            || self.branches.lock_key(seg.0).get(&seg).is_none_or(|t| t.branch_count() == 0)
     }
 
     /// An owned snapshot of one segment's branch table (empty if never
     /// materialized).
     pub fn branch_table_snapshot(&self, seg: SegmentId) -> BranchTable {
-        self.branches.get(&seg).unwrap_or_default()
+        self.branches.lock_key(seg.0).get(&seg).cloned().unwrap_or_default()
     }
 
     /// Emits a protocol event attributed to the server that performed
@@ -442,18 +442,18 @@ impl Cluster {
     /// path to `last_access`, so concurrent reads feed LRU retention
     /// (§3.1) exactly as exclusive reads do — just deferred to the next
     /// engine entry covering the key's slot. The fold happens atomically
-    /// under each slot's data lock (see [`crate::hot::ShardedDisk`]), so
-    /// it can never clobber a concurrent mutation.
+    /// under each slot's data lock (see [`ServerState::apply_touches`]),
+    /// so it can never clobber a concurrent mutation.
     pub(crate) fn apply_read_touches(&self) {
-        for s in &self.servers {
-            s.replicas.apply_touches_all(&touch_last_access);
+        for slot in 0..self.shard_count() {
+            self.apply_read_touches_slot(slot);
         }
     }
 
     /// Slot-scoped form of [`Cluster::apply_read_touches`].
     pub(crate) fn apply_read_touches_slot(&self, slot: usize) {
         for s in &self.servers {
-            s.replicas.apply_touches_slot(slot, &touch_last_access);
+            s.apply_touches(slot);
         }
     }
 
@@ -522,14 +522,16 @@ impl Cluster {
     ) -> Vec<NodeId> {
         self.servers
             .iter()
-            .filter(|s| s.replicas.contains(&key) && self.net.reachable(from, s.id))
+            .filter(|s| s.visit(key.0, |s| s.replicas.disk.contains(&key)))
+            .filter(|s| self.net.reachable(from, s.id))
             .map(|s| s.id)
             .collect()
     }
 
     /// All servers (any reachability) currently storing a replica of `key`.
     pub(crate) fn all_replica_holders(&self, key: crate::server::ReplicaKey) -> Vec<NodeId> {
-        self.servers.iter().filter(|s| s.replicas.contains(&key)).map(|s| s.id).collect()
+        let holds = |s: &&ServerState| s.visit(key.0, |s| s.replicas.disk.contains(&key));
+        self.servers.iter().filter(holds).map(|s| s.id).collect()
     }
 
     /// The live members of the segment's file group, if any.
@@ -545,17 +547,6 @@ impl Cluster {
     /// Records `seg` as deleted (recovering servers GC stale replicas).
     pub(crate) fn mark_deleted(&self, seg: SegmentId) {
         leaf::lock(&self.deleted).insert(seg);
-    }
-}
-
-/// The LRU fold applied by read-touch application: advance `last_access`
-/// monotonically, reporting whether anything changed.
-fn touch_last_access(r: &mut crate::replica::Replica, at: SimTime) -> bool {
-    if r.last_access < at {
-        r.last_access = at;
-        true
-    } else {
-        false
     }
 }
 
@@ -615,17 +606,20 @@ mod tests {
         let seg = c.create(NodeId(0)).unwrap().value;
         c.write(NodeId(0), seg, crate::ops::WriteOp::replace(b"touch me"), None).unwrap();
         c.run_until_quiet();
-        let key = (seg, c.server(NodeId(0)).latest_major(seg).unwrap());
-        let before = c.server(NodeId(0)).replicas.get(&key).unwrap().last_access;
+        let last_access = |c: &Cluster| {
+            c.server(NodeId(0))
+                .visit(seg, |s| s.replicas.segment(seg).last().unwrap().1.last_access)
+        };
+        let before = last_access(&c);
 
         c.advance(SimDuration::from_millis(500));
         let read = c.try_read_local(NodeId(0), seg, None, 0, 16).expect("local stable replica");
         assert_eq!(&read.value.data()[..], b"touch me");
         // The shared path records the access without mutating the
         // replica; the next engine entry covering the slot applies it.
-        assert_eq!(c.server(NodeId(0)).replicas.get(&key).unwrap().last_access, before);
+        assert_eq!(last_access(&c), before);
         c.apply_read_touches();
-        let after = c.server(NodeId(0)).replicas.get(&key).unwrap().last_access;
+        let after = last_access(&c);
         assert!(after > before, "LRU input must advance: {before:?} -> {after:?}");
     }
 

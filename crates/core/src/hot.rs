@@ -11,45 +11,39 @@
 //! slot** ([`Slots`]). A server keeps its whole slice of a slot — replica
 //! and token stores, delivery buffers, location cache, stream, pipeline
 //! and lease state, single-flight flags ([`crate::server::ServerSlot`]) —
-//! behind one lock, so a protocol step that reads or changes several of
-//! them is one lock round ([`crate::server::ServerState::visit`]). The
-//! per-map containers ([`ShardedMap`], [`ShardedDisk`]) are views that
-//! project one part of every slot, for steps that need only that part;
-//! the cell-wide branch tables are a [`ShardedMap`] over slots of their
-//! own. So:
+//! behind one lock, and [`crate::server::ServerState::visit`] is the one
+//! way the engine reads or changes it: a protocol step that touches
+//! several of a file's records at one server is one lock round. The
+//! branch tables have slots of their own ([`crate::Cluster::with_branch_table`]);
+//! [`ShardedDisk`] only observes, for callers outside the engine. So:
 //!
 //! * all access works through `&self` — protocol code can mutate one
 //!   file's hot state while holding only the host's *shared* cell lock;
 //! * operations on files in different slots touch disjoint lock sets and
 //!   proceed concurrently;
-//! * the slot locks are *leaf* locks, held only across one visit or one
-//!   view operation, never while taking another lock — so they can never
-//!   participate in a deadlock cycle.
+//! * the slot locks are *leaf* locks, held only across one visit, never
+//!   while taking another lock — so they can never participate in a
+//!   deadlock cycle.
 //!
-//! **Closures under a slot lock are leaves.** A visit, and several view
-//! operations — [`ShardedDisk::update`], [`ShardedDisk::with_ref`],
-//! [`ShardedMap::with`] — run a closure with the slot locked, because
-//! the protocol's common step is "find this file's records and change
-//! a few fields of them", and doing that where the records lie is one
-//! lock round and no copy, where get → change → put is two rounds per
-//! record and a clone of it (a replica's extent list, a token's holder
-//! set) each way. The price is a rule the type system does not enforce:
-//! such a closure takes no lock of its own — not another visit, not
-//! another view of the same server (one lock guards all of a server's
-//! slot, so that deadlocks on itself), no network send, no event push, no
-//! group-table call. Whatever it needs from elsewhere (the clock,
-//! reachability, a majority) is computed before the call; whatever
+//! **Closures under a slot lock are leaves.** A visit runs a closure with
+//! the slot locked, because the protocol's common step is "find this
+//! file's records and change a few fields of them", and doing that where
+//! the records lie is one lock round and no copy. The price is a rule the
+//! type system does not enforce: such a closure takes no lock of its own
+//! — not another visit (one lock guards all of a server's slot, so a
+//! visit of the same server deadlocks on itself), no network send, no
+//! event push, no group-table call. What it needs from elsewhere (the
+//! clock, reachability, a majority) is computed before the call; what
 //! follows from the change (a flush to schedule, an event to emit) is
 //! returned from the closure and done after it.
 //! [`deceit_net::Network::reachable`] and [`crate::Cluster::now`] read
 //! plain fields and an atomic, and are the only outside calls such
 //! closures make. Debug builds assert that no thread takes a slot lock
-//! while holding one ([`deceit_sim::leaf::lock_slot`]), as they assert
-//! the host's cell lock is not taken twice (the levels above the slots,
-//! cell then ascending rings, are carried by the types of the runtime's
-//! `shard::CellLock`). The leaf rule itself is lexical, so it is the
-//! one lock rule left to `deceit-lint`: its `lock-order` rule rejects
-//! `self` inside a closure handed to `visit`, `update` or `update_with`.
+//! while holding one ([`deceit_sim::leaf::lock_slot`]); the levels above
+//! the slots, cell then ascending rings, are carried by the types of the
+//! runtime's `shard::CellLock`. The leaf rule itself is lexical, so it is
+//! the one lock rule left to `deceit-lint`: its `lock-order` rule rejects
+//! `self` inside a closure handed to `visit` or `visit_all`.
 //!
 //! Exclusion between two protocol executions touching the *same* file is
 //! not this module's job: the hosting layer serializes them on the shard
@@ -62,46 +56,27 @@ use std::sync::{Arc, Mutex};
 
 use deceit_sim::atomic::{PublishedU64, RelaxedU64};
 use deceit_sim::leaf::{self, SlotGuard};
-use deceit_sim::{EventQueue, SimDuration, SimTime};
-use deceit_storage::{Disk, DiskConfig, Durability, StoredSize};
+use deceit_sim::{EventQueue, SimTime};
+use deceit_storage::{Disk, DiskConfig, StoredSize};
 
 use crate::event::Pending;
 use crate::host::{shard_slot, ShardKey};
-use crate::server::{ReplicaKey, SegmentId};
-
-/// Keys that know which shard their hot state lives in.
-pub trait HotKey: Ord + Clone {
-    /// The shard key this key routes by.
-    fn shard_key(&self) -> ShardKey;
-}
-
-impl HotKey for ReplicaKey {
-    fn shard_key(&self) -> ShardKey {
-        self.0 .0
-    }
-}
-
-impl HotKey for SegmentId {
-    fn shard_key(&self) -> ShardKey {
-        self.0
-    }
-}
+use crate::server::{ReplicaKey, SegmentId, ServerSlot};
 
 fn lock<T>(m: &Mutex<T>) -> SlotGuard<'_, T> {
     leaf::lock_slot(m)
 }
 
-/// State partitioned by shard slot, one leaf lock per slot, shared by the
-/// views ([`ShardedMap`], [`ShardedDisk`]) that each project one part of
-/// a slot.
+/// State partitioned by shard slot, one leaf lock per slot.
 #[derive(Debug)]
 pub struct Slots<S> {
     slots: Box<[Mutex<S>]>,
-    /// Pending recorded read touches across all slots — lets the apply
-    /// paths skip every slot lock when nothing is buffered, which is the
-    /// common case on mutation entry (see [`ShardedDisk::note_read`]).
-    /// A skip hint, so relaxed: the touches it counts are read under
-    /// their slot's lock, and a stale count costs one slot-lock probe.
+    /// Pending recorded read touches across all slots — lets the touch
+    /// fold skip every slot lock when nothing is buffered, which is the
+    /// common case on mutation entry (see
+    /// [`crate::server::ServerState::apply_touches`]). A skip hint, so
+    /// relaxed: the touches it counts are read under their slot's lock,
+    /// and a stale count costs one slot-lock probe.
     pending_touches: RelaxedU64,
 }
 
@@ -114,13 +89,8 @@ impl<S> Slots<S> {
         }
     }
 
-    /// Number of shard slots.
-    pub fn count(&self) -> usize {
-        self.slots.len()
-    }
-
     /// Locks slot `i`: one leaf-lock round.
-    pub(crate) fn lock(&self, i: usize) -> SlotGuard<'_, S> {
+    pub(crate) fn lock_slot(&self, i: usize) -> SlotGuard<'_, S> {
         lock(&self.slots[i])
     }
 
@@ -133,7 +103,7 @@ impl<S> Slots<S> {
 
     /// Locks the slot `key` routes to.
     pub(crate) fn lock_key(&self, key: ShardKey) -> SlotGuard<'_, S> {
-        self.lock(shard_slot(key, self.slots.len()))
+        self.lock_slot(shard_slot(key, self.slots.len()))
     }
 
     /// Counts `n` newly buffered read touches into the fast flag. Called
@@ -164,116 +134,22 @@ impl<S> Slots<S> {
         self.pending_touches.saturating_sub(n as u64);
     }
 
-    fn pending(&self) -> usize {
-        // A stale zero is impossible (the flag saturates, never
-        // under-reports); a stale nonzero costs one slot-lock probe.
+    /// The pending-touch fast flag. A stale zero is impossible (the flag
+    /// saturates, never under-reports); a stale nonzero costs one
+    /// slot-lock probe.
+    pub(crate) fn pending(&self) -> usize {
         self.pending_touches.load() as usize
     }
 }
 
-fn own<T>(t: &mut T) -> &mut T {
-    t
-}
-
-/// A `BTreeMap` partitioned by shard slot: over slots of its own
-/// ([`ShardedMap::new`]), or a view of one map in every slot of shared
-/// [`Slots`] ([`ShardedMap::view`]).
-#[derive(Debug)]
-pub struct ShardedMap<K: HotKey, V, S = BTreeMap<K, V>> {
-    slots: Arc<Slots<S>>,
-    part: fn(&mut S) -> &mut BTreeMap<K, V>,
-}
-
-impl<K: HotKey, V> ShardedMap<K, V> {
-    /// An empty map over `shards` slots (at least one).
-    pub fn new(shards: usize) -> Self {
-        ShardedMap::view(Arc::new(Slots::new(shards, BTreeMap::new)), own)
-    }
-}
-
-impl<K: HotKey, V, S> ShardedMap<K, V, S> {
-    /// The map `part` projects out of every slot of `slots`.
-    pub fn view(slots: Arc<Slots<S>>, part: fn(&mut S) -> &mut BTreeMap<K, V>) -> Self {
-        ShardedMap { slots, part }
-    }
-
-    /// Runs `f` on `k`'s slot of the map, under the slot lock.
-    fn map<R>(&self, k: &K, f: impl FnOnce(&mut BTreeMap<K, V>) -> R) -> R {
-        f((self.part)(&mut self.slots.lock_key(k.shard_key())))
-    }
-
-    /// Runs `f` on every slot of the map in turn, one lock at a time.
-    fn each(&self, mut f: impl FnMut(&mut BTreeMap<K, V>)) {
-        self.slots.each(|s| f((self.part)(s)));
-    }
-
-    /// Inserts, returning the previous value.
-    pub fn insert(&self, k: K, v: V) -> Option<V> {
-        self.map(&k.clone(), |m| m.insert(k, v))
-    }
-
-    /// Removes, returning the previous value.
-    pub fn remove(&self, k: &K) -> Option<V> {
-        self.map(k, |m| m.remove(k))
-    }
-
-    /// Whether the key is present.
-    pub fn contains(&self, k: &K) -> bool {
-        self.map(k, |m| m.contains_key(k))
-    }
-
-    /// An owned copy of the value.
-    pub fn get(&self, k: &K) -> Option<V>
-    where
-        V: Clone,
-    {
-        self.map(k, |m| m.get(k).cloned())
-    }
-
-    /// Runs `f` on the value (present or not) under the slot lock — one
-    /// atomic read-modify-write.
-    pub fn with<R>(&self, k: &K, f: impl FnOnce(Option<&mut V>) -> R) -> R {
-        self.map(k, |m| f(m.get_mut(k)))
-    }
-
-    /// Runs `f` on the value, inserting `mk()` first if absent.
-    pub fn with_or_insert<R>(
-        &self,
-        k: K,
-        mk: impl FnOnce() -> V,
-        f: impl FnOnce(&mut V) -> R,
-    ) -> R {
-        self.map(&k.clone(), |m| f(m.entry(k).or_insert_with(mk)))
-    }
-
-    /// Every key, ascending within and across slots.
-    pub fn keys(&self) -> Vec<K> {
-        let mut out = Vec::new();
-        self.each(|m| out.extend(m.keys().cloned()));
-        out.sort();
-        out
-    }
-
-    /// Empties the map.
-    pub fn clear(&self) {
-        self.each(BTreeMap::clear);
-    }
-
-    /// Total entries.
-    pub fn len(&self) -> usize {
-        let mut n = 0;
-        self.each(|m| n += m.len());
-        n
-    }
-
-    /// Whether no entries exist.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
-/// One slot of a [`ShardedDisk`]: that slot's store, and the read touches
-/// recorded against it but not yet folded in.
+/// One server's store in one slot: the durable/volatile [`Disk`], and the
+/// read touches recorded against it but not yet folded in.
+///
+/// The touch buffer is how the lock-free read fast path feeds the LRU: a
+/// read records an access ([`DiskSlot::served`]) without mutating the
+/// value, and [`crate::server::ServerState::apply_touches`] folds the
+/// recorded accesses into the values *under the slot lock*, so a
+/// concurrent mutation can never be clobbered by a stale clone.
 #[derive(Debug)]
 pub struct DiskSlot<V: Clone + StoredSize> {
     pub(crate) disk: Disk<ReplicaKey, V>,
@@ -286,10 +162,31 @@ impl<V: Clone + StoredSize> DiskSlot<V> {
         DiskSlot { disk: Disk::new(cfg), touches: BTreeMap::new() }
     }
 
+    /// Every major of `seg` stored here with its value, ascending — a
+    /// range scan within the one slot the segment lives in.
+    pub(crate) fn segment(&self, seg: SegmentId) -> impl Iterator<Item = (u64, &V)> {
+        let d = &self.disk;
+        d.keys_in_range(&(seg, 0), &(seg, u64::MAX)).filter_map(|k| Some((k.1, d.get(k)?)))
+    }
+
     /// The key of the newest (highest-numbered) major of `seg` stored
     /// here.
     pub(crate) fn latest(&self, seg: SegmentId) -> Option<ReplicaKey> {
         self.disk.keys_in_range(&(seg, 0), &(seg, u64::MAX)).last().copied()
+    }
+
+    /// What `f` serves from the value of `k`, recording a read touch of
+    /// `k` at `at` when it serves — the read and its LRU input in one
+    /// lock round.
+    pub(crate) fn served<R>(
+        &mut self,
+        k: ReplicaKey,
+        at: SimTime,
+        f: impl FnOnce(&V) -> Option<R>,
+    ) -> Option<R> {
+        let out = f(self.disk.get(&k)?)?;
+        self.record_touch(k, at);
+        Some(out)
     }
 
     /// Buffers one read touch of `k` at `at`, deduplicated by key (so the
@@ -309,186 +206,69 @@ impl<V: Clone + StoredSize> DiskSlot<V> {
     }
 }
 
-/// A durable/volatile [`Disk`] partitioned by shard slot, with an
-/// integrated read-touch buffer: over slots of its own
-/// ([`ShardedDisk::new`]), or a view of one store in every slot of shared
-/// [`Slots`] ([`ShardedDisk::view`]).
+/// One store of a server — its replicas or its tokens — across every
+/// slot, read-only: owned copies and totals, one slot lock per call.
 ///
-/// The touch buffer is how the lock-free read fast path feeds the LRU:
-/// [`ShardedDisk::note_read`] records an access without mutating the
-/// value; [`ShardedDisk::apply_touches_slot`] folds the recorded accesses
-/// into the values *atomically under the slot lock*, so a concurrent
-/// mutation can never be clobbered by a stale clone.
+/// The engine reads and changes a store only inside a visit
+/// ([`crate::server::ServerState::visit`]); these observers are for
+/// callers outside it — tests, statfs, the benchmark's storage figures.
+/// Nothing can be written through them:
+///
+/// ```
+/// use deceit_core::{Cluster, ClusterConfig, SegmentId};
+/// use deceit_net::NodeId;
+///
+/// let c = Cluster::new(1, ClusterConfig::deterministic());
+/// let replicas = &c.server(NodeId(0)).replicas;
+/// assert!(replicas.get(&(SegmentId(0), 0)).is_none() && replicas.is_empty());
+/// ```
+///
+/// ```compile_fail
+/// # use deceit_core::{Cluster, ClusterConfig, SegmentId};
+/// # use deceit_net::NodeId;
+/// # let c = Cluster::new(1, ClusterConfig::deterministic());
+/// let replica = c.server(NodeId(0)).replicas.get(&(SegmentId(0), 0)).unwrap();
+/// c.server(NodeId(0)).replicas.put_sync((SegmentId(0), 0), replica);
+/// ```
+///
+/// ```compile_fail
+/// # use deceit_core::{Cluster, ClusterConfig, SegmentId};
+/// # use deceit_net::NodeId;
+/// # let c = Cluster::new(1, ClusterConfig::deterministic());
+/// c.server(NodeId(0)).tokens.update_with(&(SegmentId(0), 0), |t| ((), None));
+/// ```
 #[derive(Debug)]
-pub struct ShardedDisk<V: Clone + StoredSize, S = DiskSlot<V>> {
-    slots: Arc<Slots<S>>,
-    part: fn(&mut S) -> &mut DiskSlot<V>,
+pub struct ShardedDisk<V: Clone + StoredSize> {
+    pub(crate) slots: Arc<Slots<ServerSlot>>,
+    pub(crate) part: fn(&ServerSlot) -> &DiskSlot<V>,
 }
 
 impl<V: Clone + StoredSize> ShardedDisk<V> {
-    /// An empty store over `shards` slots with the given disk timing.
-    pub fn new(cfg: DiskConfig, shards: usize) -> Self {
-        ShardedDisk::view(Arc::new(Slots::new(shards, || DiskSlot::new(cfg))), own)
-    }
-}
-
-impl<V: Clone + StoredSize, S> ShardedDisk<V, S> {
-    /// The store `part` projects out of every slot of `slots`.
-    pub fn view(slots: Arc<Slots<S>>, part: fn(&mut S) -> &mut DiskSlot<V>) -> Self {
-        ShardedDisk { slots, part }
-    }
-
-    /// Runs `f` on the slot `key` routes to, under its lock, counting any
-    /// touch `f` buffers into the fast flag.
-    fn at<R>(&self, key: ShardKey, f: impl FnOnce(&mut DiskSlot<V>) -> R) -> R {
-        let mut guard = self.slots.lock_key(key);
-        let slot = (self.part)(&mut guard);
-        let before = slot.touches.len();
-        let out = f(slot);
-        self.slots.add_pending(slot.touches.len().saturating_sub(before));
-        out
-    }
-
-    /// Runs `f` on every slot of the store in turn, one lock at a time.
-    fn each(&self, mut f: impl FnMut(&mut DiskSlot<V>)) {
-        self.slots.each(|s| f((self.part)(s)));
+    /// `f` of the store's slot of `k`, under its lock.
+    fn at<R>(&self, k: &ReplicaKey, f: impl FnOnce(&Disk<ReplicaKey, V>) -> R) -> R {
+        f(&(self.part)(&self.slots.lock_key(k.0 .0)).disk)
     }
 
     /// Sums `f` over every slot, one lock at a time.
-    fn sum<T: std::ops::AddAssign + Default>(&self, f: impl Fn(&DiskSlot<V>) -> T) -> T {
+    fn sum<T: std::ops::AddAssign + Default>(&self, f: impl Fn(&Disk<ReplicaKey, V>) -> T) -> T {
         let mut total = T::default();
-        self.each(|d| total += f(d));
+        self.slots.each(|s| total += f(&(self.part)(s).disk));
         total
     }
 
     /// An owned copy of the newest value (volatile view).
     pub fn get(&self, k: &ReplicaKey) -> Option<V> {
-        self.at(k.shard_key(), |d| d.disk.get(k).cloned())
-    }
-
-    /// Runs `f` on a borrow of the newest value under the slot lock —
-    /// the clone-free read path.
-    pub fn with_ref<R>(&self, k: &ReplicaKey, f: impl FnOnce(Option<&V>) -> R) -> R {
-        self.at(k.shard_key(), |d| f(d.disk.get(k)))
-    }
-
-    /// Runs `f` on a borrow of the newest value and — when `f` serves
-    /// (returns `Some`) — records a read touch of `k` at `at` in the
-    /// *same* slot-lock acquisition: [`ShardedDisk::with_ref`] +
-    /// [`ShardedDisk::note_read`] fused into one lock round, for the
-    /// read paths hot enough that the second acquisition shows up.
-    pub fn with_ref_served<R>(
-        &self,
-        k: &ReplicaKey,
-        at: SimTime,
-        f: impl FnOnce(Option<&V>) -> Option<R>,
-    ) -> Option<R> {
-        self.at(k.shard_key(), |d| {
-            let out = f(d.disk.get(k))?;
-            d.record_touch(*k, at);
-            Some(out)
-        })
-    }
-
-    /// The newest major of `seg` stored here and what `f` serves from it,
-    /// recording a read touch when `f` serves — [`ShardedDisk::latest_major`]
-    /// and [`ShardedDisk::with_ref_served`] in one slot visit. `None` when
-    /// no major of `seg` is stored.
-    pub fn latest_served<R>(
-        &self,
-        seg: SegmentId,
-        at: SimTime,
-        f: impl FnOnce(&V) -> Option<R>,
-    ) -> Option<(ReplicaKey, Option<R>)> {
-        self.at(seg.0, |d| {
-            let key = d.latest(seg)?;
-            let out = d.disk.get(&key).and_then(f);
-            if out.is_some() {
-                d.record_touch(key, at);
-            }
-            Some((key, out))
-        })
+        self.at(k, |d| d.get(k).cloned())
     }
 
     /// Whether the key currently exists (volatile view).
     pub fn contains(&self, k: &ReplicaKey) -> bool {
-        self.at(k.shard_key(), |d| d.disk.contains(k))
+        self.at(k, |d| d.contains(k))
     }
 
-    /// Write-through; durable on return. Returns the disk time consumed.
-    pub fn put_sync(&self, k: ReplicaKey, v: V) -> SimDuration {
-        self.at(k.shard_key(), |d| d.disk.put_sync(k, v))
-    }
-
-    /// Write-behind; visible immediately, durable after a flush.
-    pub fn put_async(&self, k: ReplicaKey, v: V) {
-        self.at(k.shard_key(), |d| d.disk.put_async(k, v))
-    }
-
-    /// Durable removal. Returns the disk time consumed.
-    pub fn delete_sync(&self, k: &ReplicaKey) -> SimDuration {
-        self.at(k.shard_key(), |d| d.disk.delete_sync(k))
-    }
-
-    /// Read-modify-write in place: one slot lock, one lookup, `f` changes
-    /// the value where it lies, and the change is written through or
-    /// behind as `reach` says — observationally [`ShardedDisk::get`], the
-    /// change, and the `put_*` of that durability, without the two clones.
-    /// `None` (and nothing written) when the key is absent. `f` runs under
-    /// the slot lock: it is a leaf (see the [module](self) doc).
-    pub fn update<R>(
-        &self,
-        k: &ReplicaKey,
-        reach: Durability,
-        f: impl FnOnce(&mut V) -> R,
-    ) -> Option<R> {
-        self.update_with(k, |v| (f(v), Some(reach)))
-    }
-
-    /// [`ShardedDisk::update`] where `f` itself decides how far the change
-    /// reaches — or, with `None`, that it changed nothing, and nothing is
-    /// written or counted (see [`Disk::update_with`]).
-    pub fn update_with<R>(
-        &self,
-        k: &ReplicaKey,
-        f: impl FnOnce(&mut V) -> (R, Option<Durability>),
-    ) -> Option<R> {
-        self.at(k.shard_key(), |d| d.disk.update_with(k, f).map(|(out, _)| out))
-    }
-
-    /// Makes every pending write in every slot durable. Returns total
-    /// disk time.
-    pub fn flush_all(&self) -> SimDuration {
-        let mut total = SimDuration::ZERO;
-        self.each(|d| total += d.disk.flush_all());
-        total
-    }
-
-    /// Simulates a machine crash: every slot reverts to durable contents
-    /// and pending read touches are dropped.
-    pub fn crash(&self) {
-        self.each(|d| self.slots.sub_pending(d.crash()));
-    }
-
-    /// Every current key, ascending.
-    pub fn keys(&self) -> Vec<ReplicaKey> {
-        let mut out = Vec::new();
-        self.each(|d| out.extend(d.disk.keys().cloned()));
-        out.sort();
-        out
-    }
-
-    /// All major versions of `seg` stored here, ascending — a range scan
-    /// within the one slot the segment lives in.
-    pub fn majors_of(&self, seg: SegmentId) -> Vec<u64> {
-        self.at(seg.0, |d| {
-            d.disk.keys_in_range(&(seg, 0), &(seg, u64::MAX)).map(|(_, major)| *major).collect()
-        })
-    }
-
-    /// The highest-numbered (most recent) major of `seg` stored here.
-    pub fn latest_major(&self, seg: SegmentId) -> Option<u64> {
-        self.at(seg.0, |d| d.latest(seg)).map(|(_, major)| major)
+    /// Number of live entries (volatile view).
+    pub fn len(&self) -> usize {
+        self.sum(Disk::len)
     }
 
     /// Whether no entries exist (volatile view).
@@ -496,75 +276,24 @@ impl<V: Clone + StoredSize, S> ShardedDisk<V, S> {
         self.len() == 0
     }
 
-    /// Number of live entries (volatile view).
-    pub fn len(&self) -> usize {
-        self.sum(|d| d.disk.len())
-    }
-
     /// Total durable bytes (capacity accounting).
     pub fn durable_bytes(&self) -> usize {
-        self.sum(|d| d.disk.durable_bytes())
+        self.sum(Disk::durable_bytes)
     }
 
     /// Total synchronous writes performed.
     pub fn sync_writes(&self) -> u64 {
-        self.sum(|d| d.disk.sync_writes)
+        self.sum(|d| d.sync_writes)
     }
 
     /// Total asynchronous writes performed.
     pub fn async_writes(&self) -> u64 {
-        self.sum(|d| d.disk.async_writes)
+        self.sum(|d| d.async_writes)
     }
 
     /// Writes lost to crashes (unflushed at crash time).
     pub fn lost_writes(&self) -> u64 {
-        self.sum(|d| d.disk.lost_writes)
-    }
-
-    /// Records a read of `k` at `at` without touching the value; applied
-    /// by the next [`ShardedDisk::apply_touches_slot`] covering the key.
-    /// Deduplicated by key, so the buffer is bounded by the entry count.
-    pub fn note_read(&self, k: ReplicaKey, at: SimTime) {
-        self.at(k.shard_key(), |d| d.record_touch(k, at));
-    }
-
-    /// Folds the recorded read touches of one slot into the stored
-    /// values. `apply` mutates a value for one touch and reports whether
-    /// anything changed; changes are written back asynchronously (the
-    /// touch is metadata, not worth a durable write).
-    pub fn apply_touches_slot(&self, slot: usize, apply: &impl Fn(&mut V, SimTime) -> bool) {
-        if self.slots.pending() == 0 {
-            return;
-        }
-        let mut guard = self.slots.lock(slot);
-        let d = (self.part)(&mut guard);
-        if d.touches.is_empty() {
-            return;
-        }
-        let touches = std::mem::take(&mut d.touches);
-        self.slots.sub_pending(touches.len());
-        for (k, at) in touches {
-            // The touch is metadata: written behind, and only if it moved.
-            d.disk.update_with(&k, |v| ((), apply(v, at).then_some(Durability::Async)));
-        }
-    }
-
-    /// The pending-touch fast flag's current reading (diagnostics; may
-    /// transiently over-report under concurrency, never under-report).
-    pub fn pending_touch_count(&self) -> usize {
-        self.slots.pending()
-    }
-
-    /// Folds the recorded read touches of every slot.
-    pub fn apply_touches_all(&self, apply: &impl Fn(&mut V, SimTime) -> bool) {
-        // Same skip hint as `apply_touches_slot`: never a stale zero,
-        // worst case one wasted sweep.
-        if self.slots.pending() == 0 {
-            return;
-        }
-        for slot in 0..self.slots.count() {
-            self.apply_touches_slot(slot, apply);
-        }
+        self.sum(|d| d.lost_writes)
     }
 }
 
@@ -810,7 +539,11 @@ impl ShardedEvents {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::params::FileParams;
+    use crate::replica::Replica;
+    use crate::server::ServerState;
     use deceit_net::NodeId;
+    use deceit_storage::Durability;
 
     fn apply_ev(seg: u64, at_us: u64) -> (SimTime, Pending) {
         (
@@ -873,80 +606,95 @@ mod tests {
         assert_eq!((q.len(), q.ready_mask(at(1_000))), (0, 0));
     }
 
-    #[test]
-    fn sharded_disk_updates_in_place() {
-        let d: ShardedDisk<Vec<u8>> = ShardedDisk::new(DiskConfig::workstation(), 4);
-        let key = (SegmentId(2), 0u64);
-        assert_eq!(d.update(&key, Durability::Sync, |v| v.push(1)), None, "absent: no write");
-        assert_eq!((d.sync_writes(), d.async_writes()), (0, 0));
-        d.put_sync(key, vec![1]);
-        assert_eq!(d.update(&key, Durability::Sync, |v| (v.push(2), v.len()).1), Some(2));
-        assert_eq!(d.update(&key, Durability::Async, |v| v.push(3)), Some(()));
-        // "Changed nothing" writes nothing.
-        assert_eq!(d.update_with(&key, |v| (v.len(), None)), Some(3));
-        assert_eq!((d.sync_writes(), d.async_writes()), (2, 1));
-        d.crash();
-        assert_eq!(d.get(&key), Some(vec![1, 2]), "the write-behind change is the one lost");
+    fn server(shards: usize) -> ServerState {
+        ServerState::new(NodeId(0), DiskConfig::workstation(), shards)
     }
 
+    fn replica(major: u64) -> Replica {
+        Replica::new(major, FileParams::default(), SimTime::ZERO)
+    }
+
+    fn put(s: &ServerState, key: ReplicaKey) {
+        s.visit(key.0, |slot| slot.replicas.disk.put_sync(key, replica(key.1)));
+    }
+
+    /// A store is changed in place inside a visit, each change counted by
+    /// how far it reaches; the observers total what the visits wrote.
     #[test]
-    fn sharded_map_routes_and_mutates() {
-        let m: ShardedMap<SegmentId, u32> = ShardedMap::new(4);
-        assert!(m.insert(SegmentId(6), 1).is_none());
-        assert_eq!(m.get(&SegmentId(6)), Some(1));
-        m.with_or_insert(SegmentId(6), || 0, |v| *v += 10);
-        assert_eq!(m.get(&SegmentId(6)), Some(11));
-        assert!(m.contains(&SegmentId(6)));
-        assert_eq!(m.remove(&SegmentId(6)), Some(11));
-        assert!(m.is_empty());
+    fn sharded_disk_updates_in_place() {
+        let s = server(4);
+        let key = (SegmentId(2), 0u64);
+        let set = |sub: u64, reach: Option<Durability>| {
+            s.visit(key.0, |slot| {
+                let out = slot.replicas.disk.update_with(&key, |r| {
+                    r.version.sub = if reach.is_some() { sub } else { r.version.sub };
+                    (r.version.sub, reach)
+                });
+                out.map(|(sub, _)| sub)
+            })
+        };
+        assert_eq!(set(1, Some(Durability::Sync)), None, "absent: no write");
+        assert!(s.replicas.is_empty() && !s.replicas.contains(&key));
+        put(&s, key);
+        put(&s, (SegmentId(7), 1));
+        assert_eq!(set(1, Some(Durability::Sync)), Some(1));
+        assert_eq!(set(2, Some(Durability::Async)), Some(2));
+        // "Changed nothing" writes nothing.
+        assert_eq!(set(3, None), Some(2));
+        let r = &s.replicas;
+        assert_eq!((r.len(), r.sync_writes(), r.async_writes(), r.durable_bytes()), (2, 3, 1, 128));
+        s.crash();
+        let sub = s.replicas.get(&key).map(|r| r.version.sub);
+        assert_eq!(sub, Some(1), "the write-behind change is the one lost");
+        assert_eq!((s.replicas.lost_writes(), s.tokens.sync_writes()), (1, 0));
     }
 
     #[test]
     fn sharded_disk_touches_apply_atomically() {
-        let d: ShardedDisk<Vec<u8>> = ShardedDisk::new(DiskConfig::workstation(), 4);
+        let s = server(4);
         let key = (SegmentId(2), 0u64);
-        d.put_sync(key, vec![1]);
-        d.note_read(key, SimTime::from_micros(50));
-        d.note_read(key, SimTime::from_micros(90));
-        let mut applied = Vec::new();
-        d.apply_touches_slot(2, &|v: &mut Vec<u8>, at| {
-            v.push(at.as_micros() as u8);
-            true
+        let at = SimTime::from_micros;
+        s.visit(key.0, |slot| {
+            slot.replicas.disk.put_sync(key, replica(0));
+            slot.replicas.record_touch(key, at(90));
+            slot.replicas.record_touch(key, at(50));
         });
-        // Deduplicated to the latest touch.
-        applied.extend(d.get(&key).unwrap());
-        assert_eq!(applied, vec![1, 90]);
-        // Applying again is a no-op: the buffer was drained.
-        d.apply_touches_all(&|_v, _at| panic!("no touches left"));
+        s.apply_touches(2);
+        // Deduplicated to the latest touch, and written behind.
+        assert_eq!(s.replicas.get(&key).map(|r| r.last_access), Some(at(90)));
+        assert_eq!(s.replicas.async_writes(), 1);
+        // Applying again is a no-op: the buffer was drained. A touch
+        // that moves nothing writes nothing.
+        s.apply_touches(2);
+        s.visit(key.0, |slot| slot.replicas.record_touch(key, at(70)));
+        s.apply_touches(2);
+        assert_eq!(s.replicas.get(&key).map(|r| r.last_access), Some(at(90)));
+        assert_eq!((s.replicas.async_writes(), s.replicas.slots.pending()), (1, 0));
     }
 
-    /// The touch-accounting crash race (`crash` racing `note_read` /
-    /// `apply_touches_slot`): hammer all three from concurrent threads,
-    /// then verify the fast flag is neither wedged high (over-counting
-    /// that never drains) nor wedged low (a buffered touch the flag
-    /// hides, which would permanently disable the pump's LRU feed).
+    /// The touch-accounting crash race (`crash` racing visits that record
+    /// touches and the fold that applies them): hammer all three from
+    /// concurrent threads, then verify the fast flag is neither wedged
+    /// high (over-counting that never drains) nor wedged low (a buffered
+    /// touch the flag hides, which would permanently disable the pump's
+    /// LRU feed).
     #[test]
     fn touch_accounting_survives_crash_and_apply_races() {
         use deceit_sim::atomic::PublishedBool;
-        use std::sync::Arc;
         use std::thread;
 
-        let d: Arc<ShardedDisk<Vec<u8>>> = Arc::new(ShardedDisk::new(DiskConfig::workstation(), 4));
-        let seed = |d: &ShardedDisk<Vec<u8>>| {
-            for seg in 0..8u64 {
-                d.put_sync((SegmentId(seg), 0), vec![0]);
-            }
-        };
-        seed(&d);
+        let s = Arc::new(server(4));
+        let seed = |s: &ServerState| (0..8).for_each(|seg| put(s, (SegmentId(seg), 0)));
+        seed(&s);
         let stop = Arc::new(PublishedBool::new(false));
         let readers: Vec<_> = (0..3u64)
             .map(|t| {
-                let d = Arc::clone(&d);
-                let stop = Arc::clone(&stop);
+                let (s, stop) = (Arc::clone(&s), Arc::clone(&stop));
                 thread::spawn(move || {
                     let mut i = 0u64;
                     while !stop.load() {
-                        d.note_read((SegmentId((i + t) % 8), 0), SimTime::from_micros(i));
+                        let (key, at) = ((SegmentId((i + t) % 8), 0), SimTime::from_micros(i));
+                        s.visit(key.0, |slot| slot.replicas.record_touch(key, at));
                         i += 1;
                     }
                 })
@@ -954,12 +702,10 @@ mod tests {
             .collect();
         for round in 0..300 {
             if round % 3 == 0 {
-                d.crash();
-                seed(&d);
+                s.crash();
+                seed(&s);
             }
-            for slot in 0..4 {
-                d.apply_touches_slot(slot, &|_v, _at| false);
-            }
+            (0..4).for_each(|slot| s.apply_touches(slot));
         }
         stop.store(true);
         for r in readers {
@@ -967,30 +713,28 @@ mod tests {
         }
 
         // Quiesce: drain whatever the readers left behind.
-        d.apply_touches_all(&|_v, _at| false);
-        assert_eq!(d.pending_touch_count(), 0, "flag must settle to the truth at quiescence");
+        (0..4).for_each(|slot| s.apply_touches(slot));
+        assert_eq!(s.replicas.slots.pending(), 0, "flag must settle to the truth at quiescence");
 
         // And the fast path must not be wedged: a fresh touch still
-        // reaches the apply fold.
-        d.note_read((SegmentId(0), 0), SimTime::from_micros(9_999));
-        let applied = PublishedBool::new(false);
-        d.apply_touches_slot(0, &|_v, _at| {
-            applied.store(true);
-            false
-        });
-        assert!(applied.load(), "fast flag hid a buffered touch");
-        assert_eq!(d.pending_touch_count(), 0);
+        // reaches the fold.
+        let (key, late) = ((SegmentId(1), 0), SimTime::from_micros(1 << 40));
+        s.visit(key.0, |slot| slot.replicas.record_touch(key, late));
+        s.apply_touches(1);
+        let applied = s.replicas.get(&key).map(|r| r.last_access);
+        assert_eq!(applied, Some(late), "fast flag hid a buffered touch");
     }
 
     #[test]
     fn sharded_disk_majors_scan_one_slot() {
-        let d: ShardedDisk<Vec<u8>> = ShardedDisk::new(DiskConfig::workstation(), 4);
-        d.put_sync((SegmentId(5), 0), vec![0]);
-        d.put_sync((SegmentId(5), 3), vec![0]);
-        d.put_sync((SegmentId(9), 7), vec![0]); // same slot (5 % 4 == 9 % 4)
-        assert_eq!(d.majors_of(SegmentId(5)), vec![0, 3]);
-        assert_eq!(d.latest_major(SegmentId(5)), Some(3));
-        assert_eq!(d.latest_major(SegmentId(1)), None);
-        assert_eq!(d.len(), 3);
+        let s = server(4);
+        put(&s, (SegmentId(5), 0));
+        put(&s, (SegmentId(5), 3));
+        put(&s, (SegmentId(9), 7)); // same slot (5 % 4 == 9 % 4)
+        assert_eq!(s.majors_of(SegmentId(5)), vec![0, 3]);
+        let latest = |seg: SegmentId| s.visit(seg, |slot| slot.replicas.latest(seg));
+        assert_eq!(latest(SegmentId(5)), Some((SegmentId(5), 3)));
+        assert_eq!(latest(SegmentId(1)), None);
+        assert_eq!(s.replicas.len(), 3);
     }
 }

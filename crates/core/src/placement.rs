@@ -247,11 +247,13 @@ impl Cluster {
     /// window out, exactly like read-repair: a burst of forwarded reads
     /// arms one move, not one per read.
     pub(crate) fn schedule_migration(&self, reader: NodeId, key: ReplicaKey) {
-        if self.server(reader).replicas.contains(&key) {
-            return; // already placed (or raced with a fill)
-        }
-        if self.server(reader).migrations.insert(key, ()).is_some() {
-            return; // a migration for this placement is already in flight
+        // Already placed (or raced with a fill), or a migration for this
+        // placement already in flight: nothing to arm.
+        let armed = self.server(reader).visit(key.0, |s| {
+            !s.replicas.disk.contains(&key) && s.migrations.insert(key, ()).is_none()
+        });
+        if !armed {
+            return;
         }
         self.obs.bump(Stat::MigrationsProposed);
         self.events.push(
@@ -271,15 +273,20 @@ impl Cluster {
     /// the next damping window — a replica copied mid-stream would lag
     /// by the next buffered update and serve nothing.
     pub(crate) fn migrate_replica(&self, reader: NodeId, key: ReplicaKey) {
-        if !self.net.is_up(reader) || self.server(reader).replicas.contains(&key) {
-            self.server(reader).migrations.remove(&key);
+        let up = self.net.is_up(reader);
+        let placed = self.server(reader).visit(key.0, |s| {
+            let placed = !up || s.replicas.disk.contains(&key);
+            if placed {
+                s.migrations.remove(&key);
+            }
+            placed
+        });
+        if placed {
             return;
         }
         let holder = self.find_reachable_token_holder(reader, key);
         if let Some(h) = holder {
-            let streaming =
-                self.server(h).streams.get(&key).map(|s| s.group_unstable).unwrap_or(false);
-            if streaming {
+            if self.streaming(h, key) {
                 // Keep the claim: one parked move waits out the stream.
                 self.events.push(
                     self.now() + self.cfg.lazy_apply_delay,
@@ -288,23 +295,22 @@ impl Cluster {
                 return;
             }
         }
-        self.server(reader).migrations.remove(&key);
+        self.server(reader).visit(key.0, |s| s.migrations.remove(&key));
+        let stable = |h: NodeId| {
+            self.server(h)
+                .visit(key.0, |s| s.replicas.disk.get(&key).is_some_and(|r| r.is_stable()))
+        };
         let src = holder
-            .filter(|&h| h != reader && self.server(h).replicas.contains(&key))
+            .filter(|&h| h != reader && self.replica_version(h, key).is_some())
             .or_else(|| {
-                self.reachable_replica_holders(reader, key).into_iter().find(|&h| {
-                    h != reader
-                        && self
-                            .server(h)
-                            .replicas
-                            .with_ref(&key, |r| r.map(|r| r.is_stable()).unwrap_or(false))
-                })
+                let mut holders = self.reachable_replica_holders(reader, key).into_iter();
+                holders.find(|&h| h != reader && stable(h))
             });
         let Some(src) = src else {
             return; // no durable source in reach; a later read re-arms us
         };
         self.generate_replica_now(src, key, reader);
-        if !self.server(reader).replicas.contains(&key) {
+        if self.replica_version(reader, key).is_none() {
             return; // transfer failed (unreachable, vanished source)
         }
         self.obs.bump(Stat::MigrationsExecuted);

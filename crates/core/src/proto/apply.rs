@@ -19,7 +19,7 @@ impl Cluster {
                 if !self.net.is_up(server) {
                     return;
                 }
-                if !self.server(server).replicas.contains(&key) {
+                if self.replica_version(server, key).is_none() {
                     return; // replica deleted while the update was in flight
                 }
                 // Route through the ordered-delivery buffer so updates

@@ -63,9 +63,7 @@ impl Cluster {
         self.resolve_key(via, seg, None)
             .ok()
             .and_then(|(key, ..)| {
-                self.all_replica_holders(key)
-                    .first()
-                    .and_then(|&h| self.server(h).replicas.with_ref(&key, |r| r.map(|r| r.params)))
+                self.all_replica_holders(key).first().map(|&h| self.params_of(h, key))
             })
             .unwrap_or_default()
     }
@@ -113,9 +111,7 @@ impl Cluster {
         let (key, _, latency) = self.resolve_key(via, seg, None)?;
         let holders = self.reachable_replica_holders(via, key);
         let h = holders.first().copied().ok_or(DeceitError::Unavailable(seg))?;
-        let params =
-            self.server(h).replicas.with_ref(&key, |r| r.map(|r| r.params)).unwrap_or_default();
-        Ok((params, latency + self.cfg.local_read))
+        Ok((self.params_of(h, key), latency + self.cfg.local_read))
     }
 
     /// "Users may inquire about the current location of all replicas for a
@@ -164,9 +160,7 @@ impl Cluster {
                     let holders = c.all_replica_holders(key);
                     let version = holders
                         .first()
-                        .and_then(|&h| {
-                            c.server(h).replicas.with_ref(&key, |r| r.map(|r| r.version))
-                        })
+                        .and_then(|&h| c.replica_version(h, key))
                         .unwrap_or(VersionPair { major: m, sub: 0 });
                     let has_token = c.find_reachable_token_holder(via, key).is_some();
                     VersionInfo { major: m, version, holders, has_token }
@@ -190,11 +184,7 @@ impl Cluster {
             let h = holders.first().copied().ok_or(DeceitError::Unavailable(seg))?;
             // The holder list is advisory — the replica can vanish
             // between the probe and this read; report unavailable.
-            let v = c
-                .server(h)
-                .replicas
-                .with_ref(&key, |r| r.map(|r| r.version))
-                .ok_or(DeceitError::Unavailable(seg))?;
+            let v = c.replica_version(h, key).ok_or(DeceitError::Unavailable(seg))?;
             Ok((v, latency + c.cfg.local_read))
         })
     }
@@ -215,14 +205,14 @@ impl Cluster {
             let holder = c
                 .find_reachable_token_holder(via, key)
                 .ok_or(DeceitError::WriteUnavailable(seg))?;
-            if c.server(target).replicas.contains(&key) {
+            if c.replica_version(target, key).is_some() {
                 return Err(DeceitError::InvalidCommand(format!(
                     "{target} already holds a replica of {seg}"
                 )));
             }
             latency += c.round_trip(via, holder, 48, 16)?;
             c.generate_replica_now(holder, key, target);
-            if !c.server(target).replicas.contains(&key) {
+            if c.replica_version(target, key).is_none() {
                 return Err(DeceitError::Unavailable(seg));
             }
             Ok(((), latency))
@@ -239,7 +229,7 @@ impl Cluster {
     ) -> DeceitResult<OpResult<()>> {
         self.client_op_scoped(via, OpScope::Global, |c| {
             let (key, _, mut latency) = c.resolve_key(via, seg, None)?;
-            if !c.server(target).replicas.contains(&key) {
+            if c.replica_version(target, key).is_none() {
                 return Err(DeceitError::InvalidCommand(format!(
                     "{target} holds no replica of {seg}"
                 )));
@@ -313,7 +303,7 @@ impl Cluster {
             if self.net.reachable(via, h) {
                 self.destroy_replica(h, key);
             }
-            self.server(h).tokens.delete_sync(&key);
+            self.server(h).visit(seg, |s| s.tokens.disk.delete_sync(&key));
         }
         // Clear any logged conflicts this deletion resolves.
         self.conflicts

@@ -11,6 +11,7 @@ use crate::params::FileParams;
 use crate::replica::Replica;
 use crate::server::SegmentId;
 use crate::token::WriteToken;
+use crate::trace_events::ProtocolEvent;
 use crate::version::VersionPair;
 
 impl Cluster {
@@ -44,8 +45,10 @@ impl Cluster {
         // the handle map entry is implicit in the disk key.
         let mut latency = SimDuration::ZERO;
         latency += self.cfg.disk.write_cost(replica.data.len() + 64);
-        self.server(via).replicas.put_sync(key, replica);
-        self.server(via).tokens.put_sync(key, token);
+        self.server(via).visit(seg, |s| {
+            s.replicas.disk.put_sync(key, replica);
+            s.tokens.disk.put_sync(key, token);
+        });
         // A fresh segment id should make collision impossible, but the
         // group service is another process in spirit — if it refuses,
         // surface unavailability instead of tearing the server down.
@@ -53,7 +56,7 @@ impl Cluster {
             Ok(gid) => gid,
             Err(_) => self.groups.lookup(&group_name(seg)).ok_or(DeceitError::Unavailable(seg))?,
         };
-        self.server(via).group_cache.insert(seg, gid);
+        self.server(via).visit(seg, |s| s.group_cache.insert(seg, gid));
         self.with_branch_table(seg, |_| ()); // materialize an empty history tree
         self.obs.bump(Stat::Creates);
         // Replication beyond one replica happens when the user raises
@@ -104,36 +107,77 @@ impl Cluster {
     /// with all of the file's volatile per-key state (stream state,
     /// delivery buffers, outbound pipeline buffers, read leases, repair
     /// flags — segment ids are never reused, so anything left behind
-    /// would leak forever). The lease is removed *first*, before the
-    /// replica it covers disappears, matching the remove-before-the-fact
-    /// discipline every lease invalidation site follows.
+    /// would leak forever), in one visit. Each lease is removed *first*,
+    /// before the replica it covers disappears, matching the
+    /// remove-before-the-fact discipline every lease invalidation site
+    /// follows.
     pub(crate) fn destroy_segment_at(&self, server: NodeId, seg: SegmentId) {
-        let srv = self.server(server);
-        for major in srv.replicas.majors_of(seg) {
-            let k = (seg, major);
-            if srv.leases.remove(&k).is_some() {
-                self.emit_from(
-                    server,
-                    crate::trace_events::ProtocolEvent::LeaseRevoked { seg, on: server },
-                );
+        let revoked = self.server(server).visit(seg, |s| {
+            let mut revoked = 0;
+            while let Some(k) = s.replicas.latest(seg) {
+                revoked += usize::from(s.leases.remove(&k).is_some());
+                s.replicas.disk.delete_sync(&k);
+                s.tokens.disk.delete_sync(&k);
+                s.receivers.remove(&k);
+                s.streams.remove(&k);
+                s.outbound.remove(&k);
+                s.repairs.remove(&k);
             }
-            srv.replicas.delete_sync(&k);
-            srv.tokens.delete_sync(&k);
-            srv.drop_receiver(&k);
-            srv.streams.remove(&k);
-            srv.outbound.remove(&k);
-            srv.repairs.remove(&k);
+            // Tokens can exist for majors whose local replica is already
+            // gone; sweep those too.
+            while let Some(k) = s.tokens.latest(seg) {
+                s.leases.remove(&k);
+                s.tokens.disk.delete_sync(&k);
+                s.streams.remove(&k);
+                s.outbound.remove(&k);
+                s.repairs.remove(&k);
+            }
+            s.group_cache.remove(&seg);
+            revoked
+        });
+        for _ in 0..revoked {
+            self.emit_from(server, ProtocolEvent::LeaseRevoked { seg, on: server });
         }
-        // Tokens can exist for majors whose local replica is already
-        // gone; sweep those too.
-        for major in srv.tokens.majors_of(seg) {
-            let k = (seg, major);
-            srv.leases.remove(&k);
-            srv.tokens.delete_sync(&k);
-            srv.streams.remove(&k);
-            srv.outbound.remove(&k);
-            srv.repairs.remove(&k);
-        }
-        srv.group_cache.remove(&seg);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{ClusterConfig, WriteOp};
+    use deceit_sim::leaf;
+
+    /// The slot rounds `f` takes on this thread.
+    fn rounds(c: &Cluster, f: impl FnOnce(&Cluster)) -> u64 {
+        let before = leaf::rounds_here();
+        f(c);
+        leaf::rounds_here() - before
+    }
+
+    /// Teardown at one server is one visit — one slot round, however many
+    /// records of the file it removes (no lease is open, so no revoke is
+    /// recorded).
+    #[test]
+    fn teardown_is_one_slot_round() {
+        let mut c = Cluster::new(2, ClusterConfig::deterministic());
+        let (a, b) = (NodeId(0), NodeId(1));
+        let mut file = || {
+            let seg = c.create(a).unwrap().value;
+            c.set_params(a, seg, FileParams { min_replicas: 2, ..FileParams::default() }).unwrap();
+            c.write(a, seg, WriteOp::replace(b"bytes"), None).unwrap();
+            c.run_until_quiet();
+            seg
+        };
+        let (one, two) = (file(), file());
+        c.create_version(a, two).unwrap();
+        let key = (one, c.server(b).majors_of(one)[0]);
+
+        assert_eq!(rounds(&c, |c| c.destroy_replica(b, key)), 1);
+        assert!(c.replica_version(b, key).is_none());
+        assert_eq!(rounds(&c, |c| c.destroy_segment_at(a, one)), 1, "one major");
+        assert!(!c.server(a).has_segment(one) && !c.server(a).holds_token(key));
+        assert_eq!(c.server(a).majors_of(two).len(), 2);
+        assert_eq!(rounds(&c, |c| c.destroy_segment_at(a, two)), 1, "two majors");
+        assert!(c.server(a).majors_of(two).is_empty());
     }
 }

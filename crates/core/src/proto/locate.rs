@@ -28,17 +28,18 @@ impl Cluster {
         seg: SegmentId,
     ) -> (Option<GroupId>, SimDuration) {
         // Cache hit: verify the group still exists.
-        if let Some(gid) = self.servers[via.index()].group_cache.get(&seg) {
+        let srv = self.server(via);
+        if let Some(gid) = srv.visit(seg, |s| s.group_cache.get(&seg).copied()) {
             if self.groups.exists(gid) {
                 return (Some(gid), SimDuration::ZERO);
             }
-            self.servers[via.index()].group_cache.remove(&seg);
+            srv.visit(seg, |s| s.group_cache.remove(&seg));
         }
         // Local membership counts as knowledge.
         let gid = self.groups.lookup(&group_name(seg));
         if let Some(gid) = gid {
             if self.groups.is_member(gid, via) {
-                self.servers[via.index()].group_cache.insert(seg, gid);
+                srv.visit(seg, |s| s.group_cache.insert(seg, gid));
                 return (Some(gid), SimDuration::ZERO);
             }
         }
@@ -54,7 +55,7 @@ impl Cluster {
                 .unwrap_or(false)
         });
         if let Some(g) = found {
-            self.servers[via.index()].group_cache.insert(seg, g);
+            srv.visit(seg, |s| s.group_cache.insert(seg, g));
         }
         (found, latency)
     }
@@ -66,15 +67,16 @@ impl Cluster {
     /// located (or created) the group, so this never stands in for the
     /// §3.2 global search — `locate_group` remains the charged path.
     pub(crate) fn cached_group(&self, via: NodeId, seg: SegmentId) -> Option<GroupId> {
-        if let Some(gid) = self.servers[via.index()].group_cache.get(&seg) {
+        let srv = self.server(via);
+        if let Some(gid) = srv.visit(seg, |s| s.group_cache.get(&seg).copied()) {
             if self.groups.exists(gid) {
                 return Some(gid);
             }
-            self.servers[via.index()].group_cache.remove(&seg);
+            srv.visit(seg, |s| s.group_cache.remove(&seg));
         }
         let gid = self.groups.lookup(&group_name(seg));
         if let Some(g) = gid {
-            self.servers[via.index()].group_cache.insert(seg, g);
+            srv.visit(seg, |s| s.group_cache.insert(seg, g));
         }
         gid
     }
@@ -108,7 +110,7 @@ impl Cluster {
         let mut latency = SimDuration::ZERO;
         if let Some(m) = major {
             let key = (seg, m);
-            if self.servers[via.index()].replicas.contains(&key)
+            if self.replica_version(via, key).is_some()
                 || !self.reachable_replica_holders(via, key).is_empty()
             {
                 return Ok(((seg, m), None, latency));
@@ -116,7 +118,8 @@ impl Cluster {
             return Err(DeceitError::NoSuchVersion(seg, m));
         }
         // Prefer local knowledge; otherwise search the group.
-        let local = self.servers[via.index()].latest_major(seg);
+        let latest = |m: NodeId| self.server(m).visit(seg, |s| s.replicas.latest(seg)).map(|k| k.1);
+        let local = latest(via);
         let (gid, search_latency) = self.locate_group(via, seg);
         latency += search_latency;
         // With a local copy of the file's only major (see
@@ -132,7 +135,7 @@ impl Cluster {
                 if !self.net.reachable(via, m) {
                     continue;
                 }
-                if let Some(remote) = self.servers[m.index()].latest_major(seg) {
+                if let Some(remote) = latest(m) {
                     best = Some(best.map_or(remote, |b| b.max(remote)));
                 }
             }

@@ -107,16 +107,18 @@ impl Cluster {
         // extra-replica deletion) without a second lock round.
         let stable =
             |r: &crate::replica::Replica| r.is_stable().then(|| copy_out(r, via, offset, count));
+        let now = self.now();
         let (key, served) = match major {
             // A file that has only ever had one major: the newest one
             // stored here is current, and finding it is part of the
             // same slot visit.
-            None if self.single_major(seg) => {
-                srv.replicas.latest_served(seg, self.now(), stable)?
-            }
+            None if self.single_major(seg) => srv.visit(seg, |s| {
+                let key = s.replicas.latest(seg)?;
+                Some((key, s.replicas.served(key, now, stable)))
+            })?,
             major => {
                 let key = (seg, major.or_else(|| self.local_current_major(via, seg))?);
-                (key, srv.replicas.with_ref_served(&key, self.now(), |r| stable(r?)))
+                (key, srv.visit(seg, |s| s.replicas.served(key, now, stable)))
             }
         };
         if let Some(served) = served {
@@ -129,7 +131,7 @@ impl Cluster {
             return None;
         }
         self.try_read_leased(via, via, key, offset, count).or_else(|| {
-            if !srv.replicas.with_ref(&key, |r| r.is_some_and(|r| !r.is_stable())) {
+            if !srv.visit(seg, |s| s.replicas.disk.get(&key).is_some_and(|r| !r.is_stable())) {
                 return None; // no replica here: §2.1's forward, on the full path
             }
             let holder = self.find_reachable_token_holder(via, key).filter(|&h| h != via)?;
@@ -213,7 +215,7 @@ impl Cluster {
         server: NodeId,
         key: ReplicaKey,
     ) -> Option<crate::version::VersionPair> {
-        self.server(server).leases.get(&key).map(|l| l.version)
+        self.server(server).visit(key.0, |s| s.leases.get(&key).map(|l| l.version))
     }
 
     /// The newest major of `seg` stored at `via`, provided no reachable
@@ -224,7 +226,9 @@ impl Cluster {
     /// scans every reachable server.
     fn local_current_major(&self, via: NodeId, seg: SegmentId) -> Option<u64> {
         let srv = self.server(via);
-        let local = srv.latest_major(seg)?;
+        let (local, cached) =
+            srv.visit(seg, |s| (s.replicas.latest(seg), s.group_cache.get(&seg).copied()));
+        let local = local?.1;
         // Single-major fast path: the membership scan below (a handful
         // of lock rounds per read on the lock-free path) is provably
         // redundant.
@@ -234,12 +238,12 @@ impl Cluster {
         let newer_than_local = |s: NodeId| {
             s != via
                 && self.net.reachable(via, s)
-                && self.server(s).latest_major(seg).is_some_and(|m| m > local)
+                && self
+                    .server(s)
+                    .visit(seg, |s| s.replicas.latest(seg))
+                    .is_some_and(|k| k.1 > local)
         };
-        let gid = srv
-            .group_cache
-            .get(&seg)
-            .or_else(|| self.groups.lookup(&crate::cluster::group_name(seg)));
+        let gid = cached.or_else(|| self.groups.lookup(&crate::cluster::group_name(seg)));
         // Allocation-free membership scan: the predicate runs under the
         // group table's read lock and only touches leaf locks (network
         // reachability, replica slot locks), never the table itself.
@@ -343,7 +347,8 @@ impl Cluster {
         // (LRU extra-replica deletion, recovery destruction) between the
         // two lookups. A vanished replica simply falls through to the
         // no-local-replica forwarding below.
-        let local_state = self.server(via).replicas.with_ref(&key, |r| r.map(|r| r.state));
+        let local_state =
+            self.server(via).visit(seg, |s| s.replicas.disk.get(&key).map(|r| r.state));
         match local_state {
             Some(ReplicaState::Stable) => {
                 latency += self.cfg.local_read;
@@ -372,8 +377,7 @@ impl Cluster {
             .filter(|&h| h != via)
             .find(|&h| {
                 self.server(h)
-                    .replicas
-                    .with_ref(&key, |r| r.map(|r| r.is_stable()).unwrap_or(false))
+                    .visit(seg, |s| s.replicas.disk.get(&key).is_some_and(|r| r.is_stable()))
             })
             .or_else(|| holders.into_iter().find(|&h| h != via));
         let Some(target) = target else {
@@ -404,7 +408,7 @@ impl Cluster {
             if !params.read_optimized {
                 self.ensure_member(gid, via);
             }
-            self.server(via).group_cache.insert(seg, gid);
+            self.server(via).visit(seg, |s| s.group_cache.insert(seg, gid));
         }
 
         // If the target's copy is unstable the chain continues to the
@@ -412,8 +416,7 @@ impl Cluster {
         // for the same reason `via`'s own unstable replica is above.
         let target_unstable = self
             .server(target)
-            .replicas
-            .with_ref(&key, |r| r.map(|r| !r.is_stable()).unwrap_or(false));
+            .visit(seg, |s| s.replicas.disk.get(&key).is_some_and(|r| !r.is_stable()));
         if target_unstable {
             self.schedule_read_repair(target, key);
             return self.forward_to_token_holder(via, key, offset, count, latency);
@@ -485,20 +488,14 @@ impl Cluster {
         let outcome = broadcast_round(&self.net, via, members, 40, 24, "state-inquiry");
         latency += outcome.full_latency();
 
-        let mut available: Vec<(NodeId, crate::version::VersionPair, ReplicaState)> = Vec::new();
-        for (m, _) in outcome.replies.iter() {
-            if let Some((v, st)) =
-                self.server(*m).replicas.with_ref(&key, |r| r.map(|r| (r.version, r.state)))
-            {
-                available.push((*m, v, st));
-            }
-        }
+        let state_at = |m: NodeId| {
+            self.server(m)
+                .visit(key.0, |s| s.replicas.disk.get(&key).map(|r| (m, r.version, r.state)))
+        };
+        let mut available: Vec<(NodeId, crate::version::VersionPair, ReplicaState)> =
+            outcome.replies.iter().filter_map(|&(m, _)| state_at(m)).collect();
         if !outcome.heard_from(via) {
-            if let Some((v, st)) =
-                self.server(via).replicas.with_ref(&key, |r| r.map(|r| (r.version, r.state)))
-            {
-                available.push((via, v, st));
-            }
+            available.extend(state_at(via));
         }
         if available.is_empty() {
             return Err(DeceitError::Unavailable(key.0));
@@ -575,12 +572,13 @@ impl Cluster {
         if !self.cfg.opt_read_repair {
             return;
         }
-        // The holder's replica is the primary: nothing to repair it from.
-        if self.server(laggard).holds_token(key) {
+        // The holder's replica is the primary: nothing to repair it from;
+        // and a repair already in flight for this replica is enough.
+        let armed = self
+            .server(laggard)
+            .visit(key.0, |s| !s.tokens.disk.contains(&key) && s.repairs.insert(key, ()).is_none());
+        if !armed {
             return;
-        }
-        if self.server(laggard).repairs.insert(key, ()).is_some() {
-            return; // a repair for this replica is already in flight
         }
         // Due-gated like a pipeline drain: the due time is a damping
         // window, not a validity condition — fired instantly, an active
@@ -606,24 +604,27 @@ impl Cluster {
     /// the next buffered update, and marking the laggard stable would
     /// let it skip the next mark-unstable round and serve stale reads.
     pub(crate) fn read_repair(&self, laggard: NodeId, key: ReplicaKey) {
-        self.server(laggard).repairs.remove(&key);
-        if !self.net.is_up(laggard) || self.server(laggard).holds_token(key) {
-            return;
-        }
-        let lag = self.server(laggard).replicas.with_ref(&key, |r| r.map(|r| (r.version, r.state)));
+        let up = self.net.is_up(laggard);
+        let lag = self.server(laggard).visit(key.0, |s| {
+            s.repairs.remove(&key);
+            if !up || s.tokens.disk.contains(&key) {
+                return None;
+            }
+            s.replicas.disk.get(&key).map(|r| (r.version, r.state))
+        });
         let Some((lag_version, lag_state)) = lag else {
-            return; // destroyed while the repair was queued
+            return; // down, the holder, or destroyed while the repair was queued
         };
         let Some(holder) = self.find_reachable_token_holder(laggard, key) else {
             return;
         };
-        let streaming =
-            self.server(holder).streams.get(&key).map(|s| s.group_unstable).unwrap_or(false);
-        if streaming {
-            return;
-        }
-        let Some(token_version) = self.token_version(holder, key) else {
-            return; // token destroyed between the scan and the read
+        // The holder's token version, unless its stream is still active.
+        let token_version = self.server(holder).visit(key.0, |s| {
+            let streaming = s.streams.get(&key).is_some_and(|st| st.group_unstable);
+            s.tokens.disk.get(&key).filter(|_| !streaming).map(|t| t.version)
+        });
+        let Some(token_version) = token_version else {
+            return; // streaming, or the token destroyed between the scan and the read
         };
         if lag_version == token_version {
             // Data already current — only the stable marker is missing
@@ -640,7 +641,8 @@ impl Cluster {
         // stable. The primary must itself be settled at the token's
         // version — it always is outside a stream, but a token freshly
         // passed mid-recovery may not be; a later read re-arms us.
-        let Some(src) = self.server(holder).replicas.get(&key) else {
+        let Some(src) = self.server(holder).visit(key.0, |s| s.replicas.disk.get(&key).cloned())
+        else {
             return;
         };
         if src.version != token_version {
@@ -666,8 +668,10 @@ impl Cluster {
         let mut fresh = src;
         fresh.last_access = self.now();
         fresh.state = ReplicaState::Stable;
-        self.server(laggard).replicas.put_sync(key, fresh);
-        self.server(laggard).drop_receiver(&key);
+        self.server(laggard).visit(key.0, |s| {
+            s.replicas.disk.put_sync(key, fresh);
+            s.receivers.remove(&key);
+        });
         self.obs.bump(Stat::Repairs);
         self.emit_from(laggard, ProtocolEvent::ReadRepaired { seg: key.0, on: laggard });
     }
@@ -689,8 +693,8 @@ impl Cluster {
         // the side buffer (the same mechanism the lock-free fast path
         // uses) and folds in at the next engine entry covering this slot
         // — no value clone, no forced metadata write.
-        let srv = self.server(server);
-        srv.replicas.with_ref_served(&key, now, |r| Some(copy_out(r?, server, offset, count)))
+        let serve = |r: &crate::replica::Replica| Some(copy_out(r, server, offset, count));
+        self.server(server).visit(key.0, |s| s.replicas.served(key, now, serve))
     }
 
     /// One request/response exchange between two servers.
@@ -705,5 +709,109 @@ impl Cluster {
             .exchange(from, to, req_bytes, resp_bytes, "forward")
             .latency()
             .ok_or(DeceitError::PeerUnreachable(to))
+    }
+}
+
+/// Forced-stabilize replica selection (§3.6 regression coverage), on
+/// replicas planted where they lie.
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::params::FileParams;
+    use crate::replica::Replica;
+    use crate::version::VersionPair;
+    use crate::ClusterConfig;
+    use deceit_sim::SimTime;
+
+    fn n(v: u32) -> NodeId {
+        NodeId(v)
+    }
+
+    /// Plants a replica with a hand-built version at one server (the §3.6
+    /// "disastrous failure" states the forced-stabilize path must survive).
+    fn plant(c: &Cluster, at: NodeId, key: ReplicaKey, version: VersionPair, data: &[u8]) {
+        let mut r = Replica::new(version.major, FileParams::default(), SimTime::ZERO);
+        r.version = version;
+        r.state = ReplicaState::Unstable;
+        r.data.append(data);
+        c.server(at).visit(key.0, |s| s.replicas.disk.put_sync(key, r));
+    }
+
+    /// The state of the replica of `key` at `at`, if it holds one.
+    fn state(c: &Cluster, at: NodeId, key: ReplicaKey) -> Option<ReplicaState> {
+        c.server(at).visit(key.0, |s| s.replicas.disk.get(&key).map(|r| r.state))
+    }
+
+    /// The forced-stabilize winner is a history-tree judgment: an
+    /// old-major replica with many subversions must lose to a newer-major
+    /// *descendant* (which embeds every one of its updates), not win on
+    /// raw subversion count — and the ancestor is the copy destroyed as
+    /// obsolete.
+    #[test]
+    fn forced_stabilize_prefers_descendant_over_high_sub_ancestor() {
+        let mut c = Cluster::new(3, ClusterConfig::deterministic());
+        let seg = c.create(n(0)).unwrap().value;
+        c.set_params(n(0), seg, FileParams { min_replicas: 3, ..FileParams::default() }).unwrap();
+        c.run_until_quiet();
+        let key = (seg, 0u64);
+
+        // Server 1: the old-major history at subversion 9. Server 2: a
+        // descendant that branched off it (major 2, subversion 1). The
+        // branch table records the lineage, exactly as §3.5 requires.
+        plant(&c, n(1), key, VersionPair { major: 0, sub: 9 }, b"high-sub ancestor");
+        plant(&c, n(2), key, VersionPair { major: 2, sub: 1 }, b"descendant history");
+        c.with_branch_table(seg, |t| t.record_branch(2, VersionPair { major: 0, sub: 9 }));
+
+        // No reachable token holder: the read must force a stable replica.
+        c.crash_server(n(0));
+        let r = c.read(n(1), seg, Some(0), 0, 64).unwrap();
+        assert_eq!(
+            &r.value.data()[..],
+            b"descendant history",
+            "the descendant must win the forced stabilize, whatever the subversion counters say"
+        );
+        assert_eq!(c.obs.count(Stat::ReadsStableSearch), 1);
+        assert_eq!(state(&c, n(2), key), Some(ReplicaState::Stable), "the winner is forced stable");
+        assert!(
+            state(&c, n(1), key).is_none(),
+            "the obsolete ancestor must be destroyed, not crowned"
+        );
+        assert_eq!(c.obs.count(Stat::ReplicasDestroyedObsolete), 1);
+    }
+
+    /// Survivors whose version *equals* the winner's are marked stable
+    /// too: the next read must serve locally instead of re-entering the
+    /// forcing path (and paying its broadcast round) every time.
+    #[test]
+    fn forced_stabilize_marks_equal_version_survivors_stable() {
+        let mut c = Cluster::new(3, ClusterConfig::deterministic());
+        let seg = c.create(n(0)).unwrap().value;
+        c.set_params(n(0), seg, FileParams { min_replicas: 3, ..FileParams::default() }).unwrap();
+        c.write(n(0), seg, crate::ops::WriteOp::replace(b"settled"), None).unwrap();
+        c.run_until_quiet();
+        let key = (seg, 0u64);
+        let version = c.replica_version(n(1), key).unwrap();
+
+        // Both surviving replicas are current but unstable (a stream whose
+        // holder died before the stabilize round).
+        plant(&c, n(1), key, version, b"settled");
+        plant(&c, n(2), key, version, b"settled");
+        c.crash_server(n(0));
+
+        let r = c.read(n(1), seg, Some(0), 0, 64).unwrap();
+        assert_eq!(&r.value.data()[..], b"settled");
+        assert_eq!(c.obs.count(Stat::ReadsStableSearch), 1);
+        for s in [n(1), n(2)] {
+            assert_eq!(
+                state(&c, s, key),
+                Some(ReplicaState::Stable),
+                "every equal-version survivor must come out of the forcing path stable"
+            );
+        }
+
+        // The next read — via either survivor — is local, no second search.
+        let r = c.read(n(2), seg, Some(0), 0, 64).unwrap();
+        assert_eq!(&r.value.data()[..], b"settled");
+        assert_eq!(c.obs.count(Stat::ReadsStableSearch), 1, "one forcing round, not two");
     }
 }

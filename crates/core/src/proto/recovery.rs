@@ -27,20 +27,13 @@ impl Cluster {
         // Garbage-collect replicas of segments deleted while down (the
         // handle map records deletions; §2.1 file handles stay valid only
         // "as long as a replica of the file exists").
-        let stale: Vec<SegmentId> = self
-            .server(id)
-            .replicas
-            .keys()
-            .into_iter()
-            .map(|(s, _)| s)
-            .filter(|s| self.is_deleted(*s))
-            .collect();
+        let keys = self.replica_keys(id).into_iter();
+        let stale: Vec<SegmentId> = keys.map(|(s, _)| s).filter(|&s| self.is_deleted(s)).collect();
         for seg in stale {
             self.destroy_segment_at(id, seg);
         }
 
-        let keys: Vec<ReplicaKey> = self.server(id).replicas.keys();
-        for key in keys {
+        for key in self.replica_keys(id) {
             if self.server(id).holds_token(key) {
                 self.recover_held_token(id, key);
             } else {
@@ -52,8 +45,7 @@ impl Cluster {
 
     /// Recovery for a replica without a local token.
     fn recover_plain_replica(&mut self, id: NodeId, key: ReplicaKey) {
-        let Some(my_version) = self.server(id).replicas.with_ref(&key, |r| r.map(|r| r.version))
-        else {
+        let Some(my_version) = self.replica_version(id, key) else {
             return;
         };
         let (seg, _) = key;
@@ -133,7 +125,7 @@ impl Cluster {
                             self.destroy_replica(h, key);
                         }
                     }
-                    self.server(id).tokens.delete_sync(&key);
+                    self.server(id).visit(key.0, |s| s.tokens.disk.delete_sync(&key));
                     self.emit_from(
                         id,
                         ProtocolEvent::ObsoleteDestroyed { seg: key.0, on: id, major: key.1 },
@@ -173,9 +165,9 @@ impl Cluster {
     pub(crate) fn reconcile_all(&mut self) {
         let mut token_index: Vec<(SegmentId, u64, NodeId)> = Vec::new();
         for s in self.server_ids() {
-            for key in self.server(s).tokens.keys() {
-                token_index.push((key.0, key.1, s));
-            }
+            self.server(s).visit_all(|slot| {
+                token_index.extend(slot.tokens.disk.keys().map(|&(seg, major)| (seg, major, s)));
+            });
         }
         token_index.sort();
         for i in 0..token_index.len() {
@@ -216,14 +208,14 @@ impl Cluster {
             if !self.net.is_up(s) {
                 continue;
             }
-            for key in self.server(s).replicas.keys() {
-                if self.server(s).holds_token(key) {
-                    continue;
-                }
-                let Some(my_version) =
-                    self.server(s).replicas.with_ref(&key, |r| r.map(|r| r.version))
-                else {
-                    continue; // destroyed earlier in this reconciliation
+            for key in self.replica_keys(s) {
+                // The token holder's own replica is the primary: skipped.
+                let my_version = self.server(s).visit(key.0, |slot| {
+                    let held = slot.tokens.disk.contains(&key);
+                    slot.replicas.disk.get(&key).filter(|_| !held).map(|r| r.version)
+                });
+                let Some(my_version) = my_version else {
+                    continue; // token held here, or destroyed earlier in this reconciliation
                 };
                 // Both lookups are fallible: the holder scan and the token
                 // read are separated by destruction earlier in this pass,
@@ -251,9 +243,7 @@ impl Cluster {
         // Holders with lagging replicas and no active write stream run a
         // stabilize round now, catching the laggards up by state transfer.
         for (holder, key) in catchups {
-            let streaming =
-                self.server(holder).streams.get(&key).map(|st| st.group_unstable).unwrap_or(false);
-            if !streaming {
+            if !self.streaming(holder, key) {
                 self.mark_stable_round(holder, key);
             }
         }
@@ -266,31 +256,49 @@ impl Cluster {
                 self.destroy_replica(h, key);
             }
         }
-        self.server(token_holder).tokens.delete_sync(&key);
+        self.server(token_holder).visit(key.0, |s| s.tokens.disk.delete_sync(&key));
         self.emit_from(
             token_holder,
             ProtocolEvent::ObsoleteDestroyed { seg: key.0, on: token_holder, major: key.1 },
         );
     }
 
-    /// Removes one replica locally, along with any outbound update
-    /// buffer still queued against it (nothing left to propagate to),
-    /// any read lease published on it, and any pending repair flag (the
-    /// queued repair finds the replica gone and stands down).
+    /// Removes one replica locally, in one visit, along with any read
+    /// lease published on it (first), its delivery buffer, any outbound
+    /// update buffer still queued against it (nothing left to propagate
+    /// to), and any pending repair flag (the queued repair finds the
+    /// replica gone and stands down).
     pub(crate) fn destroy_replica(&self, server: NodeId, key: ReplicaKey) {
-        if self.server(server).leases.remove(&key).is_some() {
+        let revoked = self.server(server).visit(key.0, |s| {
+            let revoked = s.leases.remove(&key).is_some();
+            s.replicas.disk.delete_sync(&key);
+            s.receivers.remove(&key);
+            s.outbound.remove(&key);
+            s.repairs.remove(&key);
+            revoked
+        });
+        if revoked {
             self.emit_from(server, ProtocolEvent::LeaseRevoked { seg: key.0, on: server });
         }
-        self.server(server).replicas.delete_sync(&key);
-        self.server(server).drop_receiver(&key);
-        self.server(server).outbound.remove(&key);
-        self.server(server).repairs.remove(&key);
         self.obs.bump(Stat::RecoveryReplicasDestroyed);
     }
 
     /// The version pair of the token `server` stores for `key`, if any.
     pub(crate) fn token_version(&self, server: NodeId, key: ReplicaKey) -> Option<VersionPair> {
-        self.server(server).tokens.with_ref(&key, |t| t.map(|t| t.version))
+        self.server(server).visit(key.0, |s| s.tokens.disk.get(&key).map(|t| t.version))
+    }
+
+    /// The version pair of the replica `server` stores for `key`, if any.
+    pub(crate) fn replica_version(&self, server: NodeId, key: ReplicaKey) -> Option<VersionPair> {
+        self.server(server).visit(key.0, |s| s.replicas.disk.get(&key).map(|r| r.version))
+    }
+
+    /// Every replica key `server` stores, ascending.
+    fn replica_keys(&self, server: NodeId) -> Vec<ReplicaKey> {
+        let mut keys = Vec::new();
+        self.server(server).visit_all(|s| keys.extend(s.replicas.disk.keys()));
+        keys.sort();
+        keys
     }
 
     /// Finds a reachable server holding the token for exactly `key`: the
@@ -315,9 +323,9 @@ impl Cluster {
         seg: SegmentId,
         my_major: u64,
     ) -> Vec<(u64, VersionRelation)> {
-        let my_version = self.token_version(from, (seg, my_major)).or_else(|| {
-            self.server(from).replicas.with_ref(&(seg, my_major), |r| r.map(|r| r.version))
-        });
+        let mine = (seg, my_major);
+        let my_version =
+            self.token_version(from, mine).or_else(|| self.replica_version(from, mine));
         let Some(my_version) = my_version else {
             return Vec::new();
         };
@@ -327,16 +335,10 @@ impl Cluster {
             if !self.net.reachable(from, s) {
                 continue;
             }
-            for key in self.server(s).tokens.keys() {
-                if key.0 == seg && key.1 != my_major {
-                    // Fallible: the key list and the read are two lookups,
-                    // and recovery may destroy tokens between them.
-                    if let Some(v) = self.server(s).tokens.with_ref(&key, |t| t.map(|t| t.version))
-                    {
-                        out.push((key.1, table.relation(my_version, v)));
-                    }
-                }
-            }
+            self.server(s).visit(seg, |slot| {
+                let others = slot.tokens.segment(seg).filter(|&(major, _)| major != my_major);
+                out.extend(others.map(|(major, t)| (major, table.relation(my_version, t.version))));
+            });
         }
         out
     }

@@ -17,7 +17,6 @@
 
 use deceit_net::NodeId;
 use deceit_sim::SimDuration;
-use deceit_storage::Durability;
 use std::sync::atomic::Ordering;
 
 use crate::cluster::Cluster;
@@ -45,7 +44,7 @@ impl Cluster {
             .filter(|&s| {
                 s != holder
                     && self.net.reachable(holder, s)
-                    && !self.server(s).replicas.contains(&key)
+                    && self.replica_version(s, key).is_none()
             })
             .collect();
         candidates.sort_by_key(|&s| (self.server(s).ops_served.load(Ordering::Relaxed), s));
@@ -73,14 +72,14 @@ impl Cluster {
                 .filter(|&s| {
                     s != holder
                         && self.net.reachable(holder, s)
-                        && !self.server(s).replicas.contains(&key)
+                        && self.replica_version(s, key).is_none()
                 })
                 .min_by_key(|&s| (self.server(s).ops_served.load(Ordering::Relaxed), s));
             let Some(target) = candidate else {
                 return generated; // not enough servers available
             };
             self.generate_replica_now(holder, key, target);
-            if !self.server(target).replicas.contains(&key) {
+            if self.replica_version(target, key).is_none() {
                 return generated; // generation failed; stop trying
             }
             generated += 1;
@@ -99,10 +98,11 @@ impl Cluster {
         if !self.net.reachable(holder, target) {
             return;
         }
-        let Some(src) = self.server(holder).replicas.get(&key) else {
+        let Some(src) = self.server(holder).visit(key.0, |s| s.replicas.disk.get(&key).cloned())
+        else {
             return; // replica vanished (deleted or superseded)
         };
-        if self.server(target).replicas.contains(&key) {
+        if self.replica_version(target, key).is_some() {
             return; // raced with another fill
         }
         let blast = self.cfg.blast;
@@ -117,10 +117,11 @@ impl Cluster {
         .duration() else {
             return;
         };
-        let now = self.now();
-        let replica = Replica::cloned_from(&src, now);
-        self.server(target).replicas.put_sync(key, replica);
-        self.server(target).drop_receiver(&key);
+        let replica = Replica::cloned_from(&src, self.now());
+        self.server(target).visit(key.0, |s| {
+            s.replicas.disk.put_sync(key, replica);
+            s.receivers.remove(&key);
+        });
 
         // Register the new holder with the token holder's upper bound
         // (§3.1: "All replica generation must be accomplished through the
@@ -131,7 +132,7 @@ impl Cluster {
         }
         if let Some((gid, _)) = self.group_members(key.0) {
             self.ensure_member(gid, target);
-            self.server(target).group_cache.insert(key.0, gid);
+            self.server(target).visit(key.0, |s| s.group_cache.insert(key.0, gid));
         }
         self.obs.bump(Stat::ReplicasGenerated);
         self.emit_from(target, ProtocolEvent::ReplicaGenerated { seg: key.0, on: target });
@@ -147,9 +148,9 @@ impl Cluster {
         key: ReplicaKey,
         change: impl FnOnce(&mut std::collections::BTreeSet<NodeId>) -> bool,
     ) {
-        let stored = self.server(holder).tokens.update(&key, Durability::Async, |token| {
-            change(&mut token.holders);
-        });
+        let stored = self
+            .server(holder)
+            .visit(key.0, |s| s.tokens.disk.update_async(&key, |token| change(&mut token.holders)));
         if stored.is_some() {
             self.schedule_flush(holder, key.0);
         }
@@ -169,7 +170,9 @@ impl Cluster {
             .copied()
             .filter(|&h| h != holder)
             .filter_map(|h| {
-                let last = self.server(h).replicas.with_ref(&key, |r| r.map(|r| r.last_access))?;
+                let last = self
+                    .server(h)
+                    .visit(key.0, |s| s.replicas.disk.get(&key).map(|r| r.last_access))?;
                 let idle_for = now.since(last);
                 (idle_for >= cutoff).then_some((last, h))
             })
@@ -186,8 +189,10 @@ impl Cluster {
             return;
         }
         for (_, victim) in idle.into_iter().take(deletable) {
-            self.server(victim).replicas.delete_sync(&key);
-            self.server(victim).drop_receiver(&key);
+            self.server(victim).visit(key.0, |s| {
+                s.replicas.disk.delete_sync(&key);
+                s.receivers.remove(&key);
+            });
             self.update_holder_set(holder, key, |holders| holders.remove(&victim));
             self.obs.bump(Stat::ReplicasRetired);
             self.emit_from(victim, ProtocolEvent::ReplicaDeleted { seg: key.0, on: victim });

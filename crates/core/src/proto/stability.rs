@@ -18,7 +18,7 @@ use crate::cluster::Cluster;
 use crate::event::Pending;
 use crate::obs::Stat;
 use crate::replica::ReplicaState;
-use crate::server::ReplicaKey;
+use crate::server::{ReplicaKey, ServerSlot};
 use crate::trace_events::ProtocolEvent;
 
 impl Cluster {
@@ -38,10 +38,13 @@ impl Cluster {
                 acks += 1;
             }
         }
-        self.set_replica_state(holder, key, ReplicaState::Unstable);
-        self.server(holder).streams.with_or_insert(key, Default::default, |stream| {
-            stream.group_unstable = true;
+        let changed = self.server(holder).visit(key.0, |s| {
+            s.streams.entry(key).or_default().group_unstable = true;
+            set_state(s, &key, ReplicaState::Unstable)
         });
+        if changed == Some(true) {
+            self.schedule_flush(holder, key.0);
+        }
         self.obs.bump(Stat::UnstableRounds);
         self.emit_from(holder, ProtocolEvent::MarkedUnstable { seg: key.0, acks });
         outcome.full_latency()
@@ -53,37 +56,30 @@ impl Cluster {
     /// writes re-arms itself at the newest quiet horizon instead of
     /// relying on a trail of per-write checks.
     pub(crate) fn stabilize_check(&self, holder: NodeId, key: ReplicaKey, epoch: u64) {
-        let clear_scheduled = || {
-            self.server(holder).streams.with(&key, |s| {
-                if let Some(s) = s {
-                    s.check_scheduled = false;
-                }
-            });
-        };
         if !self.net.is_up(holder) {
             return; // stream state died with the crash; nothing to clear
         }
-        let Some(stream) = self.server(holder).streams.get(&key) else {
-            return;
-        };
-        if !stream.group_unstable {
-            clear_scheduled();
-            return;
+        // One visit reads the stream and the token: `Err` re-arms a
+        // check, `Ok` says whether the stream is over with the token here.
+        let step = self.server(holder).visit(key.0, |s| {
+            let stream = s.streams.get_mut(&key)?;
+            // Newer writes landed since this check was scheduled: keep
+            // the one pending check, moved out to the stream's new quiet
+            // horizon.
+            if stream.group_unstable && stream.epoch != epoch {
+                return Some(Err((stream.last_write, stream.epoch)));
+            }
+            stream.check_scheduled = false;
+            Some(Ok(stream.group_unstable && s.tokens.disk.contains(&key)))
+        });
+        match step {
+            Some(Err((last_write, epoch))) => self.events.push(
+                last_write + self.cfg.stability_timeout,
+                Pending::StabilizeCheck { server: holder, key, epoch },
+            ),
+            Some(Ok(true)) => self.mark_stable_round(holder, key),
+            Some(Ok(false)) | None => {}
         }
-        // Newer writes landed since this check was scheduled: keep the
-        // one pending check, moved out to the stream's new quiet horizon.
-        if stream.epoch != epoch {
-            self.events.push(
-                stream.last_write + self.cfg.stability_timeout,
-                Pending::StabilizeCheck { server: holder, key, epoch: stream.epoch },
-            );
-            return;
-        }
-        clear_scheduled();
-        if !self.server(holder).holds_token(key) {
-            return;
-        }
-        self.mark_stable_round(holder, key);
     }
 
     /// Marks every reachable, caught-up replica stable; laggards are
@@ -97,48 +93,60 @@ impl Cluster {
         let remote: Vec<NodeId> = members.into_iter().filter(|&m| m != holder).collect();
         let outcome = broadcast_round(&self.net, holder, remote, 40, 16, "mark-stable");
         for &(m, _) in outcome.replies.iter() {
-            let Some(replica_version) =
-                self.server(m).replicas.with_ref(&key, |r| r.map(|r| r.version))
-            else {
-                continue;
-            };
-            if replica_version == token_version {
-                self.set_replica_state(m, key, ReplicaState::Stable);
-            } else {
-                // Missed updates (e.g. unreachable during part of the
-                // stream): catch up from the primary, then stabilize.
-                let src = self.server(holder).replicas.get(&key);
-                if let Some(src) = src {
-                    let blast = self.cfg.blast;
-                    let _ = deceit_isis::xfer::transfer_state(
-                        &self.net,
-                        &blast,
-                        holder,
-                        m,
-                        src.data.len() as u64,
-                        "replica-xfer",
-                    );
-                    let now = self.now();
-                    let mut fresh = crate::replica::Replica::cloned_from(&src, now);
-                    fresh.state = ReplicaState::Stable;
-                    // lint: allow(lease-discipline): this writes a *peer's* (`m`'s) replica to catch it up; the holder's lease — the only one this round can invalidate — guards the holder's replica, which stays untouched until the stable marker below
-                    self.server(m).replicas.put_sync(key, fresh);
-                    self.server(m).drop_receiver(&key);
+            // One visit marks a caught-up member stable where it lies:
+            // `Some(moved)`; `None` for a laggard, caught up below.
+            let marked = self.server(m).visit(key.0, |s| {
+                let current = s.replicas.disk.get(&key)?.version == token_version;
+                Some(current.then(|| set_state(s, &key, ReplicaState::Stable) == Some(true)))
+            });
+            let Some(marked) = marked else { continue }; // no replica
+            if let Some(moved) = marked {
+                if moved {
+                    self.schedule_flush(m, key.0);
                 }
+                continue;
+            }
+            // Missed updates (e.g. unreachable during part of the stream):
+            // catch up from the primary, then stabilize.
+            let src = self.server(holder).visit(key.0, |s| s.replicas.disk.get(&key).cloned());
+            if let Some(src) = src {
+                let blast = self.cfg.blast;
+                let _ = deceit_isis::xfer::transfer_state(
+                    &self.net,
+                    &blast,
+                    holder,
+                    m,
+                    src.data.len() as u64,
+                    "replica-xfer",
+                );
+                let now = self.now();
+                let mut fresh = crate::replica::Replica::cloned_from(&src, now);
+                fresh.state = ReplicaState::Stable;
+                self.server(m).visit(key.0, |s| {
+                    // lint: allow(lease-discipline): this writes a *peer's* (`m`'s) replica to catch it up; the holder's lease — the only one this round can invalidate — guards the holder's replica, which stays untouched until the holder's visit below
+                    s.replicas.disk.put_sync(key, fresh);
+                    s.receivers.remove(&key);
+                });
             }
         }
-        self.set_replica_state(holder, key, ReplicaState::Stable);
-        // The stream is over: retire its read lease. The stable marker
-        // set above already routes the holder's reads through the
-        // ordinary fast path, so the lease has nothing left to assert.
-        if self.server(holder).leases.remove(&key).is_some() {
-            self.emit_from(holder, ProtocolEvent::LeaseRevoked { seg: key.0, on: holder });
-        }
-        self.server(holder).streams.with(&key, |stream| {
-            if let Some(stream) = stream {
+        // The holder's end, in one visit: the stream is over, so its read
+        // lease is retired — before the stable marker, which routes the
+        // holder's reads through the ordinary fast path and leaves the
+        // lease nothing to assert — and the stream marked stable.
+        let (revoked, changed) = self.server(holder).visit(key.0, |s| {
+            let revoked = s.leases.remove(&key).is_some();
+            let changed = set_state(s, &key, ReplicaState::Stable);
+            if let Some(stream) = s.streams.get_mut(&key) {
                 stream.group_unstable = false;
             }
+            (revoked, changed)
         });
+        if changed == Some(true) {
+            self.schedule_flush(holder, key.0);
+        }
+        if revoked {
+            self.emit_from(holder, ProtocolEvent::LeaseRevoked { seg: key.0, on: holder });
+        }
         self.obs.bump(Stat::StableRounds);
         self.emit_from(holder, ProtocolEvent::MarkedStable { seg: key.0 });
     }
@@ -153,14 +161,28 @@ impl Cluster {
         key: ReplicaKey,
         state: ReplicaState,
     ) -> bool {
-        let changed = self.server(server).replicas.update_with(&key, |replica| {
-            let changed = replica.state != state;
-            replica.state = state;
-            (changed, changed.then_some(Durability::Async))
-        });
+        let changed = self.server(server).visit(key.0, |s| set_state(s, &key, state));
         if changed == Some(true) {
             self.schedule_flush(server, key.0);
         }
         changed.is_some()
     }
+
+    /// Whether `holder` has an active write stream on `key`: the group is
+    /// marked unstable for it.
+    pub(crate) fn streaming(&self, holder: NodeId, key: ReplicaKey) -> bool {
+        self.server(holder).visit(key.0, |s| s.streams.get(&key).is_some_and(|s| s.group_unstable))
+    }
+}
+
+/// Sets the stability marker of `key`'s replica in `s`, in place: written
+/// behind, and only when it moves. `Some(moved)`, or `None` without a
+/// replica.
+fn set_state(s: &mut ServerSlot, key: &ReplicaKey, state: ReplicaState) -> Option<bool> {
+    let out = s.replicas.disk.update_with(key, |replica| {
+        let changed = replica.state != state;
+        replica.state = state;
+        (changed, changed.then_some(Durability::Async))
+    });
+    out.map(|(changed, _)| changed)
 }

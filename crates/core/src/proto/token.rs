@@ -147,64 +147,76 @@ impl Cluster {
         key: ReplicaKey,
     ) -> DeceitResult<SimDuration> {
         let mut latency = SimDuration::ZERO;
-        // Revoke the holder-local read lease *first*: the lease asserts
-        // "my replica is the stream's acked prefix", which stops being
-        // maintainable the moment the token starts moving. The lock-free
-        // read path re-checks the lease after its copy-out, so removing
-        // it before any token state changes guarantees no reader serves
-        // across the movement (see `Cluster::try_read_leased`).
-        if self.server(holder).leases.remove(&key).is_some() {
-            self.emit_from(holder, ProtocolEvent::LeaseRevoked { seg: key.0, on: holder });
-        }
-        let mut token =
-            self.server(holder).tokens.get(&key).ok_or(DeceitError::WriteUnavailable(key.0))?;
-
         // The new holder needs a *current* replica: the primary copy must
         // be local so unstable-period reads can be served (§3.4), and it
         // must embed every update through the token's version pair before
         // new updates are stamped on top. A lagging local copy (updates
         // still in flight) is replaced by state transfer from the old
         // primary.
-        let lagging = self
-            .server(to)
-            .replicas
-            .with_ref(&key, |r| r.is_some_and(|r| r.version != token.version));
-        if lagging {
-            self.server(to).replicas.delete_sync(&key);
-            self.server(to).drop_receiver(&key);
+        let to_version = self.replica_version(to, key);
+        // The holder's end, in one visit. Revoke the holder-local read
+        // lease *first*: the lease asserts "my replica is the stream's
+        // acked prefix", which stops being maintainable the moment the
+        // token starts moving. The lock-free read path reads the lease
+        // and the replica in one visit, so removing it before any token
+        // state changes guarantees no reader serves across the movement
+        // (see `Cluster::try_read_leased`). Then the token state leaves,
+        // with the replica to transfer if `to` needs one.
+        let unavailable = DeceitError::Unavailable(key.0);
+        let (revoked, taken) = self.server(holder).visit(key.0, |s| {
+            let revoked = s.leases.remove(&key).is_some();
+            let taken =
+                s.tokens.disk.get(&key).cloned().ok_or(DeceitError::WriteUnavailable(key.0));
+            let taken = taken.and_then(|token| {
+                let src = match to_version == Some(token.version) {
+                    true => None,
+                    false => Some(s.replicas.disk.get(&key).ok_or(unavailable)?.clone()),
+                };
+                s.tokens.disk.delete_sync(&key);
+                s.streams.remove(&key);
+                Ok((token, src))
+            });
+            (revoked, taken)
+        });
+        if revoked {
+            self.emit_from(holder, ProtocolEvent::LeaseRevoked { seg: key.0, on: holder });
         }
-        if !self.server(to).replicas.contains(&key) {
-            let src =
-                self.server(holder).replicas.get(&key).ok_or(DeceitError::Unavailable(key.0))?;
-            let bytes = src.data.len() as u64;
+        let (mut token, src) = taken?;
+        let replica = src.map(|src| {
             let blast = self.cfg.blast;
-            if let Some(d) = deceit_isis::xfer::transfer_state(
+            let bytes = src.data.len() as u64;
+            let xfer = deceit_isis::xfer::transfer_state(
                 &self.net,
                 &blast,
                 holder,
                 to,
                 bytes,
                 "replica-xfer",
-            )
-            .duration()
-            {
+            );
+            if let Some(d) = xfer.duration() {
                 latency += d;
             }
-            let now = self.now();
-            let replica = Replica::cloned_from(&src, now);
+            let replica = Replica::cloned_from(&src, self.now());
             latency += self.cfg.disk.write_cost(replica.data.len() + 64);
-            self.server(to).replicas.put_sync(key, replica);
             token.holders.insert(to);
             self.emit_from(to, ProtocolEvent::ReplicaGenerated { seg: key.0, on: to });
-        }
+            replica
+        });
 
-        // Transfer token state: durable at both ends (§3.5).
-        self.server(holder).tokens.delete_sync(&key);
-        self.server(holder).streams.remove(&key);
-        self.server(to).tokens.put_sync(key, token);
+        // The new holder's end, in one visit: the current replica if it
+        // lacked one, and the token state — durable at both ends (§3.5).
         // The new holder applies its own writes directly; any stale
         // reordering buffer must not hold back future received updates.
-        self.server(to).drop_receiver(&key);
+        self.server(to).visit(key.0, |s| {
+            if let Some(replica) = replica {
+                if to_version.is_some() {
+                    s.replicas.disk.delete_sync(&key);
+                }
+                s.replicas.disk.put_sync(key, replica);
+            }
+            s.tokens.disk.put_sync(key, token);
+            s.receivers.remove(&key);
+        });
         latency += self.cfg.disk.write_cost(64);
         if let Some((gid, _)) = self.group_members(key.0) {
             latency += self.ensure_member(gid, to);
@@ -248,14 +260,21 @@ impl Cluster {
             self.fill_min_replicas_now(via, key);
         }
         let reachable = self.reachable_replica_holders(via, key).len();
-        let (majority, enabled) = self
+        // The majority and the enabled flag, rewritten in place (behind)
+        // only if it moves.
+        let (ok, moved) = self
             .server(via)
-            .tokens
-            .with_ref(&key, |t| t.map(|t| (t.majority(params.min_replicas), t.enabled)))
-            .ok_or_else(unavailable)?;
-        let ok = reachable >= majority;
-        if ok != enabled {
-            self.server(via).tokens.update(&key, Durability::Async, |t| t.enabled = ok);
+            .visit(key.0, |s| {
+                s.tokens.disk.update_with(&key, |t| {
+                    let ok = reachable >= t.majority(params.min_replicas);
+                    let moved = ok != t.enabled;
+                    t.enabled = ok;
+                    ((ok, moved), moved.then_some(Durability::Async))
+                })
+            })
+            .ok_or_else(unavailable)?
+            .0;
+        if moved {
             self.schedule_flush(via, key.0);
         }
         if !ok {
@@ -276,35 +295,37 @@ impl Cluster {
 
         // Make sure the generating server has a base replica to branch
         // from ("File data is drawn from the existing available replica").
-        if !self.server(via).replicas.contains(&base_key) {
-            let holders = self.reachable_replica_holders(via, base_key);
-            let src_server =
-                holders.into_iter().find(|&h| h != via).ok_or(DeceitError::Unavailable(seg))?;
-            // The holder list said src_server has the replica, but a
-            // racing crash may have taken it since: treat as unavailable.
-            let src = self
-                .server(src_server)
-                .replicas
-                .get(&base_key)
-                .ok_or(DeceitError::Unavailable(seg))?;
-            let blast = self.cfg.blast;
-            if let Some(d) = deceit_isis::xfer::transfer_state(
-                &self.net,
-                &blast,
-                src_server,
-                via,
-                src.data.len() as u64,
-                "replica-xfer",
-            )
-            .duration()
-            {
-                latency += d;
+        let local = self.server(via).visit(seg, |s| s.replicas.disk.get(&base_key).cloned());
+        let base = match local {
+            Some(base) => base,
+            None => {
+                let holders = self.reachable_replica_holders(via, base_key);
+                let src_server =
+                    holders.into_iter().find(|&h| h != via).ok_or(DeceitError::Unavailable(seg))?;
+                // The holder list said src_server has the replica, but a
+                // racing crash may have taken it since: treat as unavailable.
+                let src = self
+                    .server(src_server)
+                    .visit(seg, |s| s.replicas.disk.get(&base_key).cloned())
+                    .ok_or(DeceitError::Unavailable(seg))?;
+                let blast = self.cfg.blast;
+                if let Some(d) = deceit_isis::xfer::transfer_state(
+                    &self.net,
+                    &blast,
+                    src_server,
+                    via,
+                    src.data.len() as u64,
+                    "replica-xfer",
+                )
+                .duration()
+                {
+                    latency += d;
+                }
+                let base = Replica::cloned_from(&src, self.now());
+                self.server(via).visit(seg, |s| s.replicas.disk.put_sync(base_key, base.clone()));
+                base
             }
-            let now = self.now();
-            self.server(via).replicas.put_sync(base_key, Replica::cloned_from(&src, now));
-        }
-
-        let base = self.server(via).replicas.get(&base_key).ok_or(DeceitError::Unavailable(seg))?;
+        };
         let params = base.params;
 
         // Policy gate (§3.5, §4).
@@ -338,8 +359,10 @@ impl Cluster {
         let mut replica = Replica::cloned_from(&base, now);
         replica.version = version;
         latency += self.cfg.disk.write_cost(replica.data.len() + 64);
-        self.server(via).replicas.put_sync(new_key, replica);
-        self.server(via).tokens.put_sync(new_key, WriteToken::new(version, via));
+        self.server(via).visit(seg, |s| {
+            s.replicas.disk.put_sync(new_key, replica);
+            s.tokens.disk.put_sync(new_key, WriteToken::new(version, via));
+        });
 
         // Group membership for the new version lives in the same file
         // group; make sure the generator is in it.
@@ -355,7 +378,7 @@ impl Cluster {
                     self.group_members(seg).map(|(g, _)| g).ok_or(DeceitError::Unavailable(seg))?
                 }
             };
-            self.server(via).group_cache.insert(seg, gid);
+            self.server(via).visit(seg, |s| s.group_cache.insert(seg, gid));
         }
 
         self.obs.bump(Stat::TokenGenerated);
@@ -381,23 +404,18 @@ impl Cluster {
             .unwrap_or_else(|| self.all_replica_holders(key));
         let outcome = broadcast_round(&self.net, via, members, 32, 24, "replica-inquiry");
         *latency += outcome.full_latency();
-        let mut count = 0;
-        for (m, _) in outcome.replies.iter() {
-            if self.server(*m).replicas.contains(&key) {
-                count += 1;
-            }
-        }
+        let holds = |m: NodeId| self.replica_version(m, key).is_some();
+        let count = outcome.replies.iter().filter(|&&(m, _)| holds(m)).count();
         // Self-delivery may not be in members if via never joined.
-        if self.server(via).replicas.contains(&key) && !outcome.heard_from(via) {
-            count += 1;
-        }
-        count
+        count + usize::from(holds(via) && !outcome.heard_from(via))
     }
 
     /// The parameters in force for a replica as seen by `server` (falling
     /// back to defaults if it holds no copy — callers only use this when a
     /// local replica exists).
     pub(crate) fn params_of(&self, server: NodeId, key: ReplicaKey) -> FileParams {
-        self.server(server).replicas.with_ref(&key, |r| r.map(|r| r.params).unwrap_or_default())
+        self.server(server)
+            .visit(key.0, |s| s.replicas.disk.get(&key).map(|r| r.params))
+            .unwrap_or_default()
     }
 }

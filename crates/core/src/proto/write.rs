@@ -472,7 +472,7 @@ impl Cluster {
             Distributed { safety_wait: SimDuration::ZERO, replies: 1, group_size, buffer: false };
         let mut correct = 0;
         for (m, rtt) in outcome.replies.iter() {
-            if !self.server(*m).replicas.contains(&key) {
+            if self.replica_version(*m, key).is_none() {
                 continue;
             }
             if correct < needed_remote {
@@ -537,7 +537,7 @@ impl Cluster {
         // then catches up on any still-buffered earlier updates, so the
         // identical-order guarantee holds on the safety path.
         let on_lane = |m: &NodeId| {
-            *m != via && self.net.reachable(via, *m) && self.server(*m).replicas.contains(&key)
+            *m != via && self.net.reachable(via, *m) && self.replica_version(*m, key).is_some()
         };
         let (group_size, round) = ctx
             .group
@@ -612,11 +612,7 @@ impl Cluster {
         // (neither visit above changed anything, then).
         self.catch_up_from_outbound(holder, target, key);
         self.apply_updates_ordered(target, key, update, true);
-        let stored = |c: &Self| {
-            c.server(target)
-                .replicas
-                .with_ref(&key, |r| r.is_some_and(|r| r.version == new_version))
-        };
+        let stored = |c: &Self| c.replica_version(target, key) == Some(new_version);
         if stored(self) {
             return true;
         }
@@ -625,7 +621,8 @@ impl Cluster {
         // holder's replica embeds everything *before* this update (it
         // applies `update` after distribution), so a fresh receiver on
         // the transferred state delivers `update` cleanly on top.
-        let Some(src) = self.server(holder).replicas.get(&key) else {
+        let Some(src) = self.server(holder).visit(key.0, |s| s.replicas.disk.get(&key).cloned())
+        else {
             return false;
         };
         let blast = self.cfg.blast;
@@ -642,9 +639,11 @@ impl Cluster {
         {
             return false;
         }
-        let now = self.now();
-        self.server(target).replicas.put_sync(key, crate::replica::Replica::cloned_from(&src, now));
-        self.server(target).drop_receiver(&key);
+        let fresh = crate::replica::Replica::cloned_from(&src, self.now());
+        self.server(target).visit(key.0, |s| {
+            s.replicas.disk.put_sync(key, fresh);
+            s.receivers.remove(&key);
+        });
         self.apply_updates_ordered(target, key, update, true);
         self.obs.bump(Stat::SafetyTransfers);
         stored(self)
@@ -653,13 +652,10 @@ impl Cluster {
     /// Delivers the still-buffered outbound updates `target` has not yet
     /// embedded, write-through — the safety lane's backlog catch-up.
     fn catch_up_from_outbound(&self, holder: NodeId, target: NodeId, key: ReplicaKey) {
-        let target_sub = self.server(target).replicas.with_ref(&key, |r| r.map(|r| r.version.sub));
-        let Some(target_sub) = target_sub else { return };
-        let backlog: Vec<UpdateRecord> = self.server(holder).outbound.with(&key, |s| match s {
-            Some(s) => {
-                s.updates.iter().filter(|u| u.new_version.sub > target_sub).cloned().collect()
-            }
-            None => Vec::new(),
+        let Some(target_sub) = self.replica_version(target, key).map(|v| v.sub) else { return };
+        let backlog: Vec<UpdateRecord> = self.server(holder).visit(key.0, |s| {
+            let updates = s.outbound.get(&key).map_or(&[][..], |st| &st.updates);
+            updates.iter().filter(|u| u.new_version.sub > target_sub).cloned().collect()
         });
         if !backlog.is_empty() {
             self.apply_updates_ordered(target, key, &backlog, true);
@@ -818,15 +814,17 @@ impl Cluster {
             return seen.landed;
         }
         let now = self.now();
-        let landed = srv.replicas.update(&key, reach(sync), |replica| {
-            for u in &deliverable {
-                u.op.apply(&mut replica.data, &mut replica.params);
-                replica.version = u.new_version;
-            }
-            replica.last_access = now;
-            deliverable.len()
+        let landed = srv.visit(key.0, |s| {
+            s.replicas.disk.update_with(&key, |replica| {
+                for u in &deliverable {
+                    u.op.apply(&mut replica.data, &mut replica.params);
+                    replica.version = u.new_version;
+                }
+                replica.last_access = now;
+                (deliverable.len(), Some(reach(sync)))
+            })
         });
-        seen.landed + landed.unwrap_or(0)
+        seen.landed + landed.map_or(0, |(n, _)| n)
     }
 
     /// Applies, synchronously and in order, every still-pending lazy

@@ -8,16 +8,17 @@
 //! All hot state (everything keyed by segment or replica key) is
 //! partitioned by shard slot, and a server keeps its whole slice of one
 //! slot — both stores and every volatile map ([`ServerSlot`]) — behind
-//! **one leaf lock**. A protocol step that reads or changes several of a
-//! file's records at one server is one lock round
-//! ([`ServerState::visit`]); the per-map fields (`replicas`, `tokens`,
-//! `leases`, …) are views over the same slots for the steps that need one
-//! map. A mutation holding its shard's ring lock rewrites exactly its
-//! file's slice of every server without exclusive access to the cell.
-//! A closure run under the slot lock is a leaf: it takes no lock, visits
-//! nothing else — not even another map of the same server through a view,
-//! which would deadlock on the lock it already holds — and returns what
-//! follows from it to be done after (see the module doc of [`crate::hot`]).
+//! **one leaf lock**. [`ServerState::visit`] is the one way the engine
+//! reads or changes it: a protocol step that reads or changes several of
+//! a file's records at one server is one lock round. A mutation holding
+//! its shard's ring lock rewrites exactly its file's slice of every
+//! server without exclusive access to the cell. A closure run under the
+//! slot lock is a leaf: it takes no lock and visits nothing else — not
+//! even the same server, whose lock it already holds — and returns what
+//! follows from it to be done after (see the module doc of
+//! [`crate::hot`]). The `replicas` and `tokens` fields are read-only
+//! observers of the same slots ([`ShardedDisk`]) for callers outside the
+//! engine.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -26,9 +27,9 @@ use std::sync::{Arc, Mutex};
 use deceit_isis::{BcastOutcome, FailureDetector, GroupId, OrderedReceiver, SequencedMsg};
 use deceit_net::NodeId;
 use deceit_sim::leaf;
-use deceit_storage::DiskConfig;
+use deceit_storage::{DiskConfig, Durability};
 
-use crate::hot::{DiskSlot, ShardedDisk, ShardedMap, Slots};
+use crate::hot::{DiskSlot, ShardedDisk, Slots};
 use crate::ops::UpdateRecord;
 use crate::replica::Replica;
 use crate::token::WriteToken;
@@ -160,36 +161,21 @@ impl ServerSlot {
 
 /// One Deceit server.
 ///
-/// Its hot state lives in [`ServerSlot`]s, one per shard slot; the
-/// per-map fields are views of the same slots (see the [module](self)
-/// doc), so a view operation and a visit of the same slot exclude each
-/// other on the one slot lock.
+/// Its hot state lives in [`ServerSlot`]s, one per shard slot, reached
+/// through [`ServerState::visit`]; `replicas` and `tokens` observe the
+/// same slots read-only (see the [module](self) doc).
 #[derive(Debug)]
 pub struct ServerState {
     /// This server's machine identity.
     pub id: NodeId,
     slots: Arc<Slots<ServerSlot>>,
-    /// Non-volatile replica storage, sharded by segment.
-    pub replicas: ShardedDisk<Replica, ServerSlot>,
-    /// Non-volatile token storage, sharded by segment.
-    pub tokens: ShardedDisk<WriteToken, ServerSlot>,
-    /// See [`ServerSlot::receivers`].
-    pub(crate) receivers: ShardedMap<ReplicaKey, OrderedReceiver<UpdateRecord>, ServerSlot>,
-    /// See [`ServerSlot::group_cache`].
-    pub(crate) group_cache: ShardedMap<SegmentId, GroupId, ServerSlot>,
+    /// Non-volatile replica storage, sharded by segment (read-only).
+    pub replicas: ShardedDisk<Replica>,
+    /// Non-volatile token storage, sharded by segment (read-only).
+    pub tokens: ShardedDisk<WriteToken>,
     /// Volatile: failure suspicion derived from communication outcomes.
     /// Per-server (not per-file), so it sits behind its own leaf lock.
     pub(crate) fd: Mutex<FailureDetector>,
-    /// See [`ServerSlot::streams`].
-    pub(crate) streams: ShardedMap<ReplicaKey, StreamState, ServerSlot>,
-    /// See [`ServerSlot::outbound`].
-    pub(crate) outbound: ShardedMap<ReplicaKey, OutboundStream, ServerSlot>,
-    /// See [`ServerSlot::leases`].
-    pub(crate) leases: ShardedMap<ReplicaKey, ReadLease, ServerSlot>,
-    /// See [`ServerSlot::repairs`].
-    pub(crate) repairs: ShardedMap<ReplicaKey, (), ServerSlot>,
-    /// See [`ServerSlot::migrations`].
-    pub(crate) migrations: ShardedMap<ReplicaKey, (), ServerSlot>,
     /// Count of client operations served by this server (load accounting):
     /// a tally bumped on every served op and read as a placement hint, so
     /// every access is `Relaxed`.
@@ -207,17 +193,10 @@ impl ServerState {
         let slots = Arc::new(Slots::new(shards, || ServerSlot::new(disk_cfg)));
         ServerState {
             id,
-            replicas: ShardedDisk::view(slots.clone(), |s| &mut s.replicas),
-            tokens: ShardedDisk::view(slots.clone(), |s| &mut s.tokens),
-            receivers: ShardedMap::view(slots.clone(), |s| &mut s.receivers),
-            group_cache: ShardedMap::view(slots.clone(), |s| &mut s.group_cache),
-            fd: Mutex::new(FailureDetector::new()),
-            streams: ShardedMap::view(slots.clone(), |s| &mut s.streams),
-            outbound: ShardedMap::view(slots.clone(), |s| &mut s.outbound),
-            leases: ShardedMap::view(slots.clone(), |s| &mut s.leases),
-            repairs: ShardedMap::view(slots.clone(), |s| &mut s.repairs),
-            migrations: ShardedMap::view(slots.clone(), |s| &mut s.migrations),
+            replicas: ShardedDisk { slots: slots.clone(), part: |s| &s.replicas },
+            tokens: ShardedDisk { slots: slots.clone(), part: |s| &s.tokens },
             slots,
+            fd: Mutex::new(FailureDetector::new()),
             #[expect(clippy::disallowed_types, reason = "see the `ops_served` field")]
             ops_served: std::sync::atomic::AtomicU64::new(0),
         }
@@ -232,6 +211,34 @@ impl ServerState {
         let out = f(&mut slot);
         self.slots.add_pending(slot.replicas.touches.len().saturating_sub(before));
         out
+    }
+
+    /// Runs `f` on each of this server's slots in turn, one lock round
+    /// each — the whole-server scans of recovery and reconciliation. `f`
+    /// is a leaf, as for [`ServerState::visit`], and records no touch.
+    pub(crate) fn visit_all(&self, f: impl FnMut(&mut ServerSlot)) {
+        self.slots.each(f);
+    }
+
+    /// Folds the read touches recorded in slot `slot` into `last_access`
+    /// of the replicas they touched, under the slot lock, so a concurrent
+    /// mutation is never clobbered. A touch is metadata: a replica it
+    /// moves is written behind, and one it does not move is not written.
+    /// Takes no lock while no touch is buffered in any slot.
+    pub(crate) fn apply_touches(&self, slot: usize) {
+        if self.slots.pending() == 0 {
+            return;
+        }
+        let mut s = self.slots.lock_slot(slot);
+        let touches = std::mem::take(&mut s.replicas.touches);
+        self.slots.sub_pending(touches.len());
+        for (k, at) in touches {
+            s.replicas.disk.update_with(&k, |r| {
+                let moved = r.last_access < at;
+                r.last_access = r.last_access.max(at);
+                ((), moved.then_some(Durability::Async))
+            });
+        }
     }
 
     /// Folds a communication round's outcome into the failure detector.
@@ -264,24 +271,19 @@ impl ServerState {
 
     /// Whether this server stores any replica of `seg` (any major).
     pub fn has_segment(&self, seg: SegmentId) -> bool {
-        self.replicas.latest_major(seg).is_some()
+        self.visit(seg, |s| s.replicas.latest(seg).is_some())
     }
 
     /// All major versions of `seg` stored here, ascending. A range scan
     /// within the segment's one shard slot, not a sweep of every replica
-    /// on the server — this sits on the concurrent read fast path.
+    /// on the server.
     pub fn majors_of(&self, seg: SegmentId) -> Vec<u64> {
-        self.replicas.majors_of(seg)
-    }
-
-    /// The highest-numbered (most recent) major of `seg` stored here.
-    pub fn latest_major(&self, seg: SegmentId) -> Option<u64> {
-        self.replicas.latest_major(seg)
+        self.visit(seg, |s| s.replicas.segment(seg).map(|(major, _)| major).collect())
     }
 
     /// Whether this server holds the write token for a replica.
     pub fn holds_token(&self, key: ReplicaKey) -> bool {
-        self.tokens.contains(&key)
+        self.visit(key.0, |s| s.tokens.disk.contains(&key))
     }
 
     /// Routes one sequenced update through the replica's ordered-delivery
@@ -301,13 +303,6 @@ impl ServerState {
                 .receive(msg)
         })
     }
-
-    /// Drops the ordered-delivery buffer of one replica (token movement,
-    /// replica destruction: the next receiver starts from the stored
-    /// subversion again).
-    pub(crate) fn drop_receiver(&self, key: &ReplicaKey) {
-        self.receivers.remove(key);
-    }
 }
 
 #[cfg(test)]
@@ -320,25 +315,29 @@ mod tests {
         ServerState::new(NodeId(0), DiskConfig::workstation(), 8)
     }
 
-    #[test]
-    fn segment_queries() {
-        let s = server();
-        let seg = SegmentId(7);
-        assert!(!s.has_segment(seg));
-        s.replicas.put_sync((seg, 0), Replica::new(0, FileParams::default(), SimTime::ZERO));
-        s.replicas.put_sync((seg, 3), Replica::new(3, FileParams::default(), SimTime::ZERO));
-        assert!(s.has_segment(seg));
-        assert_eq!(s.majors_of(seg), vec![0, 3]);
-        assert_eq!(s.latest_major(seg), Some(3));
-        assert_eq!(s.latest_major(SegmentId(9)), None);
-    }
-
     fn replica(major: u64) -> Replica {
         Replica::new(major, FileParams::default(), SimTime::ZERO)
     }
 
     fn version(sub: u64) -> crate::version::VersionPair {
         crate::version::VersionPair { major: 0, sub }
+    }
+
+    /// Stores `r` at `key`, durably.
+    fn put(s: &ServerState, key: ReplicaKey, r: Replica) {
+        s.visit(key.0, |slot| slot.replicas.disk.put_sync(key, r));
+    }
+
+    #[test]
+    fn segment_queries() {
+        let s = server();
+        let seg = SegmentId(7);
+        assert!(!s.has_segment(seg));
+        put(&s, (seg, 0), replica(0));
+        put(&s, (seg, 3), replica(3));
+        assert!(s.has_segment(seg));
+        assert_eq!(s.majors_of(seg), vec![0, 3]);
+        assert!(s.majors_of(SegmentId(9)).is_empty());
     }
 
     /// A visit changes several maps of one slot under one lock: a
@@ -350,8 +349,10 @@ mod tests {
 
         let s = Arc::new(server());
         let key = (SegmentId(3), 0);
-        s.replicas.put_sync(key, replica(0));
-        s.leases.insert(key, ReadLease { version: version(0) });
+        s.visit(key.0, |slot| {
+            slot.replicas.disk.put_sync(key, replica(0));
+            slot.leases.insert(key, ReadLease { version: version(0) });
+        });
         let stop = Arc::new(PublishedBool::new(false));
         let reader = {
             let (s, stop) = (Arc::clone(&s), Arc::clone(&stop));
@@ -381,44 +382,11 @@ mod tests {
         }
         stop.store(true);
         assert!(reader.join().unwrap() > 0);
-        // The views read the slots the visits changed.
-        assert_eq!(s.leases.get(&key), Some(ReadLease { version: version(2_000) }));
-        assert_eq!(s.streams.get(&key).map(|st| st.epoch), Some(2_000));
-        assert_eq!(s.replicas.sync_writes(), 2_001);
-    }
-
-    /// The per-view disk counters report what separate stores given the
-    /// same writes report.
-    #[test]
-    fn view_counters_equal_the_separate_disks() {
-        let s = server();
-        let replicas = ShardedDisk::new(DiskConfig::workstation(), 8);
-        let tokens = ShardedDisk::new(DiskConfig::workstation(), 8);
-        for seg in 0..20u64 {
-            let key = (SegmentId(seg), seg % 3);
-            s.replicas.put_sync(key, replica(key.1));
-            replicas.put_sync(key, replica(key.1));
-            if seg % 2 == 0 {
-                s.replicas.put_async(key, replica(key.1));
-                replicas.put_async(key, replica(key.1));
-            }
-            let token = WriteToken::new(version(0), NodeId(0));
-            s.tokens.put_sync(key, token.clone());
-            tokens.put_sync(key, token);
-            if seg % 5 == 0 {
-                s.tokens.update(&key, deceit_storage::Durability::Async, |t| t.enabled = false);
-                tokens.update(&key, deceit_storage::Durability::Async, |t| t.enabled = false);
-            }
-        }
-        assert_eq!(
-            (s.replicas.sync_writes(), s.replicas.async_writes(), s.replicas.durable_bytes()),
-            (replicas.sync_writes(), replicas.async_writes(), replicas.durable_bytes())
-        );
-        assert_eq!(
-            (s.tokens.sync_writes(), s.tokens.async_writes(), s.tokens.durable_bytes()),
-            (tokens.sync_writes(), tokens.async_writes(), tokens.durable_bytes())
-        );
-        assert_eq!((s.replicas.async_writes(), s.tokens.async_writes()), (10, 4));
+        let end = s.visit(key.0, |slot| {
+            let epoch = slot.streams.get(&key).map(|st| st.epoch);
+            (slot.leases.get(&key).copied(), epoch, slot.replicas.disk.sync_writes)
+        });
+        assert_eq!(end, (Some(ReadLease { version: version(2_000) }), Some(2_000), 2_001));
     }
 
     /// A crash reverts every map of a slot together, under its lock.
@@ -426,9 +394,11 @@ mod tests {
     fn crash_reverts_every_map_of_a_slot_together() {
         let s = server();
         let key = (SegmentId(5), 0);
-        s.replicas.put_sync(key, replica(0));
-        s.tokens.put_sync(key, WriteToken::new(version(0), NodeId(0)));
         let behind = Some(deceit_storage::Durability::Async);
+        s.visit(key.0, |slot| {
+            slot.replicas.disk.put_sync(key, replica(0));
+            slot.tokens.disk.put_sync(key, WriteToken::new(version(0), NodeId(0)));
+        });
         s.visit(key.0, |slot| {
             slot.replicas.disk.update_with(&key, |r| (r.version = version(9), behind));
             slot.tokens.disk.update_with(&key, |t| (t.version = version(9), behind));
@@ -441,7 +411,7 @@ mod tests {
             slot.migrations.insert(key, ());
             slot.replicas.record_touch(key, SimTime::from_micros(7));
         });
-        assert_eq!(s.replicas.pending_touch_count(), 1, "a visit's touch is counted");
+        assert_eq!(s.slots.pending(), 1, "a visit's touch is counted");
         s.crash();
         s.visit(key.0, |slot| {
             assert_eq!(slot.replicas.disk.get(&key).map(|r| r.version), Some(version(0)));
@@ -450,99 +420,40 @@ mod tests {
             assert!(slot.receivers.is_empty() && slot.group_cache.is_empty());
             assert!(slot.repairs.is_empty() && slot.migrations.is_empty());
             assert!(slot.replicas.touches.is_empty());
+            assert_eq!((slot.replicas.disk.lost_writes, slot.tokens.disk.lost_writes), (1, 1));
         });
-        assert_eq!(s.replicas.pending_touch_count(), 0, "dropped touches leave the flag");
-        assert_eq!((s.replicas.lost_writes(), s.tokens.lost_writes()), (1, 1));
-    }
-
-    /// The touch-accounting crash race on a server: view touches, visit
-    /// touches, crashes and applies from concurrent threads. The fast
-    /// flag may over-report while they run, but it settles to the truth
-    /// and never hides a buffered touch from the apply fold.
-    #[test]
-    fn touch_flag_never_under_reports_across_visits_and_crashes() {
-        use deceit_sim::atomic::PublishedBool;
-        use std::thread;
-
-        let s = Arc::new(ServerState::new(NodeId(0), DiskConfig::workstation(), 4));
-        let seed = |s: &ServerState| {
-            for seg in 0..8u64 {
-                s.replicas.put_sync((SegmentId(seg), 0), replica(0));
-            }
-        };
-        seed(&s);
-        let stop = Arc::new(PublishedBool::new(false));
-        let readers: Vec<_> = (0..3u64)
-            .map(|t| {
-                let (s, stop) = (Arc::clone(&s), Arc::clone(&stop));
-                thread::spawn(move || {
-                    let mut i = 0u64;
-                    while !stop.load() {
-                        let (key, at) = ((SegmentId((i + t) % 8), 0), SimTime::from_micros(i));
-                        if i.is_multiple_of(2) {
-                            s.replicas.note_read(key, at);
-                        } else {
-                            s.visit(key.0, |slot| slot.replicas.record_touch(key, at));
-                        }
-                        i += 1;
-                    }
-                })
-            })
-            .collect();
-        for round in 0..300 {
-            if round % 3 == 0 {
-                s.crash();
-                seed(&s);
-            }
-            for slot in 0..4 {
-                s.replicas.apply_touches_slot(slot, &|_r, _at| false);
-            }
-        }
-        stop.store(true);
-        for r in readers {
-            r.join().unwrap();
-        }
-        s.replicas.apply_touches_all(&|_r, _at| false);
-        assert_eq!(s.replicas.pending_touch_count(), 0, "flag settles to the truth");
-        let key = (SegmentId(1), 0);
-        s.visit(key.0, |slot| slot.replicas.record_touch(key, SimTime::from_micros(9_999)));
-        let applied = PublishedBool::new(false);
-        s.replicas.apply_touches_slot(1, &|_r, _at| {
-            applied.store(true);
-            false
-        });
-        assert!(applied.load(), "fast flag hid a buffered touch");
+        assert_eq!(s.slots.pending(), 0, "dropped touches leave the flag");
     }
 
     #[test]
     fn crash_preserves_durable_loses_volatile() {
         let s = server();
-        let seg = SegmentId(1);
-        s.replicas.put_sync((seg, 0), Replica::new(0, FileParams::default(), SimTime::ZERO));
-        s.group_cache.insert(seg, deceit_isis::GroupId(5));
-        s.streams.insert((seg, 0), StreamState::default());
-        s.leases.insert(
-            (seg, 0),
-            ReadLease { version: crate::version::VersionPair { major: 0, sub: 3 } },
-        );
-        s.repairs.insert((seg, 0), ());
-        s.migrations.insert((seg, 0), ());
+        let (seg, key) = (SegmentId(1), (SegmentId(1), 0));
+        s.visit(seg, |slot| {
+            slot.replicas.disk.put_sync(key, replica(0));
+            slot.group_cache.insert(seg, GroupId(5));
+            slot.streams.insert(key, StreamState::default());
+            slot.leases.insert(key, ReadLease { version: version(3) });
+            slot.repairs.insert(key, ());
+            slot.migrations.insert(key, ());
+        });
         s.crash();
         assert!(s.has_segment(seg), "durable replica survives");
-        assert!(s.group_cache.is_empty());
-        assert!(s.streams.is_empty());
-        assert!(s.leases.is_empty(), "read leases are volatile");
-        assert!(s.repairs.is_empty(), "repair single-flight flags are volatile");
-        assert!(s.migrations.is_empty(), "migration single-flight flags are volatile");
+        s.visit(seg, |slot| {
+            assert!(slot.group_cache.is_empty() && slot.streams.is_empty());
+            assert!(slot.leases.is_empty(), "read leases are volatile");
+            assert!(slot.repairs.is_empty(), "repair single-flight flags are volatile");
+            assert!(slot.migrations.is_empty(), "migration single-flight flags are volatile");
+        });
     }
 
     #[test]
     fn ordered_receiver_starts_after_current_sub() {
         let s = server();
         let seg = SegmentId(1);
-        let mut r = Replica::new(0, FileParams::default(), SimTime::ZERO);
+        let mut r = replica(0);
         r.version.sub = 4;
-        s.replicas.put_sync((seg, 0), r);
+        put(&s, (seg, 0), r);
         // An update matching the next expected subversion delivers; a
         // stale one does not.
         let upd = |sub: u64| UpdateRecord {

@@ -1,13 +1,10 @@
 //! Holder-local read leases (`ClusterConfig::opt_read_leases`) and
 //! targeted read-repair (`ClusterConfig::opt_read_repair`): the two
 //! mechanisms that recover the lock-free read path for files under
-//! active write streams — plus regression coverage for the
-//! forced-stabilize replica selection of §3.6.
+//! active write streams. (The forced-stabilize replica selection of §3.6
+//! is covered beside it, in `proto::read`'s unit tests.)
 
-use deceit_core::{
-    Cluster, ClusterConfig, FileParams, Replica, ReplicaState, SegmentId, Stat, VersionPair,
-    WriteOp,
-};
+use deceit_core::{Cluster, ClusterConfig, FileParams, ReplicaState, SegmentId, Stat, WriteOp};
 use deceit_net::NodeId;
 use deceit_sim::SimTime;
 
@@ -122,7 +119,7 @@ fn declined_forwards_charge_nothing() {
     c.write(n(0), pair, WriteOp::replace(b"settled"), None).unwrap();
     c.run_until_quiet();
     c.write(n(0), pair, WriteOp::replace(b"two copies"), None).unwrap();
-    let key = (pair, c.server(n(0)).latest_major(pair).unwrap());
+    let key = (pair, *c.server(n(0)).majors_of(pair).last().unwrap());
     assert!(c.read_lease_version(n(0), key).is_some());
     let bare = [n(1), n(2)].into_iter().find(|&s| c.server(s).replicas.get(&key).is_none());
     declines(&c, bare.expect("one server without a replica"), pair);
@@ -340,94 +337,4 @@ fn read_repair_defers_while_stream_active() {
     c.run_until_quiet();
     assert_eq!(c.obs.count(Stat::Repairs), 0);
     assert_eq!(c.server(n(1)).replicas.get(&key).unwrap().state, ReplicaState::Stable);
-}
-
-// ---------------------------------------------------------------------
-// Forced-stabilize replica selection (§3.6 regression coverage)
-// ---------------------------------------------------------------------
-
-/// Plants a replica with a hand-built version at one server (the §3.6
-/// "disastrous failure" states the forced-stabilize path must survive).
-fn plant(c: &Cluster, at: NodeId, key: (SegmentId, u64), version: VersionPair, data: &[u8]) {
-    let mut r = Replica::new(version.major, FileParams::default(), SimTime::ZERO);
-    r.version = version;
-    r.state = ReplicaState::Unstable;
-    r.data.append(data);
-    c.server(at).replicas.put_sync(key, r);
-}
-
-/// The forced-stabilize winner is a history-tree judgment: an old-major
-/// replica with many subversions must lose to a newer-major *descendant*
-/// (which embeds every one of its updates), not win on raw subversion
-/// count — and the ancestor is the copy destroyed as obsolete.
-#[test]
-fn forced_stabilize_prefers_descendant_over_high_sub_ancestor() {
-    let mut c = Cluster::new(3, ClusterConfig::deterministic());
-    let seg = c.create(n(0)).unwrap().value;
-    c.set_params(n(0), seg, FileParams { min_replicas: 3, ..FileParams::default() }).unwrap();
-    c.run_until_quiet();
-    let key = (seg, 0u64);
-
-    // Server 1: the old-major history at subversion 9. Server 2: a
-    // descendant that branched off it (major 2, subversion 1). The
-    // branch table records the lineage, exactly as §3.5 requires.
-    plant(&c, n(1), key, VersionPair { major: 0, sub: 9 }, b"high-sub ancestor");
-    plant(&c, n(2), key, VersionPair { major: 2, sub: 1 }, b"descendant history");
-    c.with_branch_table(seg, |t| t.record_branch(2, VersionPair { major: 0, sub: 9 }));
-
-    // No reachable token holder: the read must force a stable replica.
-    c.crash_server(n(0));
-    let r = c.read(n(1), seg, Some(0), 0, 64).unwrap();
-    assert_eq!(
-        &r.value.data()[..],
-        b"descendant history",
-        "the descendant must win the forced stabilize, whatever the subversion counters say"
-    );
-    assert_eq!(c.obs.count(Stat::ReadsStableSearch), 1);
-    assert_eq!(
-        c.server(n(2)).replicas.get(&key).unwrap().state,
-        ReplicaState::Stable,
-        "the winner is forced stable"
-    );
-    assert!(
-        c.server(n(1)).replicas.get(&key).is_none(),
-        "the obsolete ancestor must be destroyed, not crowned"
-    );
-    assert_eq!(c.obs.count(Stat::ReplicasDestroyedObsolete), 1);
-}
-
-/// Survivors whose version *equals* the winner's are marked stable too:
-/// the next read must serve locally instead of re-entering the forcing
-/// path (and paying its broadcast round) every time.
-#[test]
-fn forced_stabilize_marks_equal_version_survivors_stable() {
-    let mut c = Cluster::new(3, ClusterConfig::deterministic());
-    let seg = c.create(n(0)).unwrap().value;
-    c.set_params(n(0), seg, FileParams { min_replicas: 3, ..FileParams::default() }).unwrap();
-    c.write(n(0), seg, WriteOp::replace(b"settled"), None).unwrap();
-    c.run_until_quiet();
-    let key = (seg, 0u64);
-    let version = c.server(n(1)).replicas.get(&key).unwrap().version;
-
-    // Both surviving replicas are current but unstable (a stream whose
-    // holder died before the stabilize round).
-    plant(&c, n(1), key, version, b"settled");
-    plant(&c, n(2), key, version, b"settled");
-    c.crash_server(n(0));
-
-    let r = c.read(n(1), seg, Some(0), 0, 64).unwrap();
-    assert_eq!(&r.value.data()[..], b"settled");
-    assert_eq!(c.obs.count(Stat::ReadsStableSearch), 1);
-    for s in [n(1), n(2)] {
-        assert_eq!(
-            c.server(s).replicas.get(&key).unwrap().state,
-            ReplicaState::Stable,
-            "every equal-version survivor must come out of the forcing path stable"
-        );
-    }
-
-    // The next read — via either survivor — is local, no second search.
-    let r = c.read(n(2), seg, Some(0), 0, 64).unwrap();
-    assert_eq!(&r.value.data()[..], b"settled");
-    assert_eq!(c.obs.count(Stat::ReadsStableSearch), 1, "one forcing round, not two");
 }

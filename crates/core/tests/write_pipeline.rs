@@ -260,8 +260,12 @@ fn a_write_does_not_fold_its_own_load() {
         last = at;
     }
     assert_eq!(holder.async_writes(), puts_behind, "a write's own load caused a put");
-    assert_eq!(holder.pending_touch_count(), 0, "and left no touch for the next one to fold");
     assert_eq!(holder.get(&key).unwrap().data.len(), 4 * 1_001);
+    // Nor did it leave a touch for the next one to fold: with none
+    // buffered, the fold takes no lock.
+    let rounds = deceit_sim::leaf::rounds_here();
+    c.pump(0);
+    assert_eq!(deceit_sim::leaf::rounds_here(), rounds, "a write's own load left a touch");
 }
 
 // ---------------------------------------------------------------------

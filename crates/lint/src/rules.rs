@@ -32,13 +32,13 @@ pub struct Rule {
 pub const RULES: &[Rule] = &[
     Rule {
         id: "lock-order",
-        summary: "slot leaf locks stay behind the hot.rs seam: no raw .lock() in core outside hot.rs, and no `self` in a closure handed to visit/update/update_with (it runs under a slot's leaf lock)",
+        summary: "slot leaf locks stay behind the hot.rs seam: no raw .lock() in core outside hot.rs, and no `self` in a closure handed to a server's visit/visit_all (it runs under a slot's leaf lock; `Disk::update_with` and friends are reached only inside one)",
         motivation: "PRs 2-3 sharded the engine; a closure under a slot lock that reaches the engine through `self` can take a second lock, or the same one again",
         check: rule_lock_order,
     },
     Rule {
         id: "lease-discipline",
-        summary: "in registered invalidation functions the lease revoke must lexically precede the state mutation",
+        summary: "in registered invalidation functions the lease revoke must lexically precede the state mutation, whether made through a store or inside a visit (`tokens.disk.delete_sync`)",
         motivation: "PR 5's read leases are only safe because every invalidation revokes before it mutates",
         check: rule_lease_discipline,
     },
@@ -143,10 +143,11 @@ fn functions(code: &[Tok]) -> Vec<FnSpan> {
 /// per-slot leaf locks, behind `crates/core/src/hot.rs`. Two lexical
 /// checks keep them leaves, in `crates/core` outside `hot.rs`:
 ///   (a) no raw `.lock()` calls — leaf locks belong behind the seam;
-///   (b) a closure handed to a server's `visit` or a container's
-///       `update` / `update_with` runs under that slot's leaf lock and
-///       must be a leaf itself: it may not mention `self`, through which
-///       every other lock of the engine is reached.
+///   (b) a closure handed to a server's `visit` or `visit_all` runs under
+///       a slot's leaf lock and must be a leaf itself: it may not mention
+///       `self`, through which every other lock of the engine is reached
+///       — nor may a closure nested in it, such as one handed to the
+///       slot's `Disk::update_with`.
 fn rule_lock_order(f: &SourceFile, out: &mut Vec<Finding>) {
     if !f.path.starts_with("crates/core/src/") || f.path.ends_with("/hot.rs") {
         return;
@@ -164,7 +165,7 @@ fn rule_lock_order(f: &SourceFile, out: &mut Vec<Finding>) {
                 "raw leaf-lock acquisition outside the hot.rs seam",
             ));
         }
-        if ["visit", "update", "update_with"].iter().any(|m| seq(code, i, &[".", m, "("])) {
+        if ["visit", "visit_all"].iter().any(|m| seq(code, i, &[".", m, "("])) {
             if let Some(line) = self_in_closure_arg(code, i + 2) {
                 out.push(Finding::new(
                     "lock-order",
@@ -214,6 +215,7 @@ const INVALIDATORS: &[(&str, &str)] = &[
     ("crates/core/src/proto/stability.rs", "mark_stable_round"),
     ("crates/core/src/server.rs", "crash"),
     ("crates/core/src/proto/recovery.rs", "destroy_replica"),
+    ("crates/core/src/proto/lifecycle.rs", "destroy_segment_at"),
 ];
 
 const MUTATION_RECEIVERS: &[&str] = &["replicas", "tokens", "streams", "outbound", "receivers"];
@@ -221,13 +223,31 @@ const MUTATION_METHODS: &[&str] = &[
     "put_sync",
     "put_async",
     "delete_sync",
-    "update",
+    "delete_async",
     "update_with",
+    "update_sync",
+    "update_async",
     "crash",
     "clear",
     "remove",
     "insert",
+    "entry",
+    "get_mut",
 ];
+
+/// The mutation at `code[i..]`, if any: `<store>.<method>`, or
+/// `<store>.disk.<method>` — a store's `Disk` as a visit reaches it.
+fn mutation_at(code: &[Tok], i: usize) -> Option<String> {
+    if !MUTATION_RECEIVERS.contains(&code[i].text.as_str()) || !seq(code, i + 1, &["."]) {
+        return None;
+    }
+    let (via, m) = match seq(code, i + 2, &["disk", "."]) {
+        true => (".disk", i + 4),
+        false => ("", i + 2),
+    };
+    let method = code.get(m).filter(|t| MUTATION_METHODS.contains(&t.text.as_str()))?;
+    Some(format!("{}{via}.{}", code[i].text, method.text))
+}
 
 fn rule_lease_discipline(f: &SourceFile, out: &mut Vec<Finding>) {
     let targets: Vec<&str> =
@@ -252,12 +272,8 @@ fn rule_lease_discipline(f: &SourceFile, out: &mut Vec<Finding>) {
             {
                 revoke_at.get_or_insert(i);
             }
-            if MUTATION_RECEIVERS.contains(&code[i].text.as_str())
-                && seq(code, i + 1, &["."])
-                && code.get(i + 2).is_some_and(|t| MUTATION_METHODS.contains(&t.text.as_str()))
-                && mutation.is_none()
-            {
-                mutation = Some((i, format!("{}.{}", code[i].text, code[i + 2].text)));
+            if mutation.is_none() {
+                mutation = mutation_at(code, i).map(|what| (i, what));
             }
         }
         match (revoke_at, &mutation) {

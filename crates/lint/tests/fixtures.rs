@@ -54,15 +54,17 @@ fn lock_order_flags_leaf_locks_outside_the_seam() {
 
 #[test]
 fn lock_order_flags_a_closure_that_is_not_a_leaf() {
-    let src = "impl C {\n    fn f(&self, k: K) {\n        let now = self.now();\n        self.server(k.0).replicas.update(&k, reach(self.sync), |r| {\n            r.at = now;\n            self.schedule_flush(k);\n        });\n        self.tokens.update_with(&k, |t| (t.bump(), None));\n    }\n}\n";
+    let src = "impl C {\n    fn f(&self, k: K) {\n        let now = self.now();\n        self.server(k.0).visit(k.0, |s| {\n            s.replicas.disk.update_with(&k, |r| {\n                r.at = now;\n                self.schedule_flush(k);\n                ((), None)\n            })\n        });\n        self.server(k.0).visit_all(|s| s.tokens.disk.keys().count() + self.n);\n    }\n}\n";
     let report = lint_fixture("crates/core/src/proto/fixture.rs", src);
     let hits = rule_findings(&report, "lock-order");
     // `self` before the closure (the receiver, a plain argument) is fine;
-    // inside it, it is the way to every other lock.
-    assert_eq!(hits.len(), 1, "findings: {:?}", report.findings);
-    assert_eq!(hits[0].line, 6);
+    // inside it — nested in a `Disk` update too — it is the way to every
+    // other lock.
+    let lines: Vec<u32> = hits.iter().map(|f| f.line).collect();
+    assert_eq!(lines, [7, 11], "findings: {:?}", report.findings);
     assert!(hits[0].message.contains("leaf lock"));
-    // hot.rs implements `update` over its own slots.
+    assert!(hits[1].message.contains("`visit_all`"), "{}", hits[1].message);
+    // hot.rs implements the slots.
     let report = lint_fixture("crates/core/src/hot.rs", src);
     assert!(rule_findings(&report, "lock-order").is_empty());
 }
@@ -90,9 +92,29 @@ fn lease_discipline_fixture_fails_the_lint() {
         include_str!("../fixtures/lease_discipline.rs"),
     );
     let hits = rule_findings(&report, "lease-discipline");
+    // The plain form and the form inside a visit, where every mutation of
+    // a server's stores is made.
+    let lines: Vec<u32> = hits.iter().map(|f| f.line).collect();
+    assert_eq!(lines, [10, 24], "findings: {:?}", report.findings);
+    assert!(hits.iter().all(|f| f.message.contains("pass_token")));
+    assert!(hits[0].message.contains("`tokens.delete_sync`"), "{}", hits[0].message);
+    assert!(hits[1].message.contains("`tokens.disk.delete_sync`"), "{}", hits[1].message);
+}
+
+#[test]
+fn lease_discipline_checks_segment_teardown() {
+    // `destroy_segment_at` revokes the leases of every major it tears
+    // down, so it is an invalidator like the rest.
+    let red = "impl C {\n    pub(crate) fn destroy_segment_at(&self, server: N, seg: S) {\n        let srv = self.server(server);\n        for major in srv.majors_of(seg) {\n            let k = (seg, major);\n            srv.replicas.delete_sync(&k);\n            srv.leases.remove(&k);\n        }\n    }\n}\n";
+    let report = lint_fixture("crates/core/src/proto/lifecycle.rs", red);
+    let hits = rule_findings(&report, "lease-discipline");
     assert_eq!(hits.len(), 1, "findings: {:?}", report.findings);
-    assert!(hits[0].message.contains("pass_token"));
-    assert!(hits[0].message.contains("tokens.delete_sync"));
+    assert_eq!(hits[0].line, 6);
+    assert!(hits[0].message.contains("destroy_segment_at"), "{}", hits[0].message);
+    // Revoke first, in one visit: green.
+    let green = "impl C {\n    pub(crate) fn destroy_segment_at(&self, server: N, seg: S) {\n        self.server(server).visit(seg, |s| {\n            while let Some(k) = s.replicas.latest(seg) {\n                s.leases.remove(&k);\n                s.replicas.disk.delete_sync(&k);\n            }\n        });\n    }\n}\n";
+    let report = lint_fixture("crates/core/src/proto/lifecycle.rs", green);
+    assert!(rule_findings(&report, "lease-discipline").is_empty(), "{:?}", report.findings);
 }
 
 #[test]
