@@ -389,6 +389,71 @@ mod tests {
         assert_eq!(end, (Some(ReadLease { version: version(2_000) }), Some(2_000), 2_001));
     }
 
+    /// The touch-accounting crash race on a server, with visits that
+    /// record one touch, several touches, or a repeat of a key already
+    /// buffered (which adds nothing to the flag), racing crashes and
+    /// applies. The fast flag may over-report while they run, but it
+    /// settles to the truth and never hides a buffered touch from the
+    /// apply fold.
+    #[test]
+    fn touch_flag_never_under_reports_across_visits_and_crashes() {
+        use deceit_sim::atomic::PublishedBool;
+        use std::thread;
+
+        let s = Arc::new(ServerState::new(NodeId(0), DiskConfig::workstation(), 4));
+        let seed = |s: &ServerState| {
+            for seg in 0..8u64 {
+                put(s, (SegmentId(seg), 0), replica(0));
+            }
+        };
+        seed(&s);
+        let stop = Arc::new(PublishedBool::new(false));
+        let readers: Vec<_> = (0..3u64)
+            .map(|t| {
+                let (s, stop) = (Arc::clone(&s), Arc::clone(&stop));
+                thread::spawn(move || {
+                    let mut i = 0u64;
+                    while !stop.load() {
+                        let seg = (i + t) % 8;
+                        let (key, at) = ((SegmentId(seg), 0), SimTime::from_micros(i));
+                        // Segments `seg` and `seg ^ 4` share a slot.
+                        let twin = (SegmentId(seg ^ 4), 0);
+                        s.visit(key.0, |slot| match i % 3 {
+                            0 => slot.replicas.record_touch(key, at),
+                            1 => {
+                                slot.replicas.record_touch(key, at);
+                                slot.replicas.record_touch(twin, at);
+                            }
+                            _ => {
+                                slot.replicas.record_touch(key, at);
+                                slot.replicas.record_touch(key, at);
+                            }
+                        });
+                        i += 1;
+                    }
+                })
+            })
+            .collect();
+        for round in 0..300 {
+            if round % 3 == 0 {
+                s.crash();
+                seed(&s);
+            }
+            (0..4).for_each(|slot| s.apply_touches(slot));
+        }
+        stop.store(true);
+        for r in readers {
+            r.join().unwrap();
+        }
+        (0..4).for_each(|slot| s.apply_touches(slot));
+        assert_eq!(s.slots.pending(), 0, "flag settles to the truth");
+        let (key, late) = ((SegmentId(1), 0), SimTime::from_micros(1 << 40));
+        s.visit(key.0, |slot| slot.replicas.record_touch(key, late));
+        s.apply_touches(1);
+        let applied = s.visit(key.0, |slot| slot.replicas.disk.get(&key).map(|r| r.last_access));
+        assert_eq!(applied, Some(late), "fast flag hid a buffered touch");
+    }
+
     /// A crash reverts every map of a slot together, under its lock.
     #[test]
     fn crash_reverts_every_map_of_a_slot_together() {
