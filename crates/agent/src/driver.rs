@@ -4,9 +4,7 @@ use bytes::Bytes;
 
 use deceit_core::DeceitError;
 use deceit_net::NodeId;
-use deceit_nfs::{
-    DeceitFs, DirEntry, FileAttr, FileHandle, NfsError, NfsReply, NfsRequest, NfsServer,
-};
+use deceit_nfs::{DirEntry, FileAttr, FileHandle, NfsError, NfsReply, NfsRequest, NfsServer};
 use deceit_sim::SimDuration;
 
 use crate::cache::{AttrCache, DataCache};
@@ -404,10 +402,5 @@ impl Agent {
             NfsReply::Error(e) => Err(e),
             other => panic!("protocol violation: {other:?}"),
         }
-    }
-
-    /// Direct access to the underlying file service for test assertions.
-    pub fn fs_mut<'a>(&self, srv: &'a mut NfsServer) -> &'a mut DeceitFs {
-        &mut srv.fs
     }
 }

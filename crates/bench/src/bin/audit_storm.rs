@@ -3,8 +3,8 @@
 //!
 //! This is the repro binary named by every storm failure report — the
 //! printed replay line is a literal invocation of this tool. It is also
-//! the CI entry point: a seeded loop (`--seed N`) in each world keeps
-//! randomized storms in every build.
+//! the CI entry point: one invocation audits a run of seeds
+//! (`--seed 1 --count 25`), so randomized storms run in every build.
 //!
 //! ```text
 //! audit_storm [--seed N] [--count K] [--mode sim|live]
@@ -28,7 +28,7 @@
 use std::process::ExitCode;
 use std::str::FromStr;
 
-use deceit::runtime::nemesis::{audit_live_storm, audit_sim_storm};
+use deceit::runtime::nemesis::audit_storm;
 use deceit::runtime::{RuntimeConfig, StormConfig};
 
 const USAGE: &str = "usage: audit_storm [--seed N] [--count K] [--mode sim|live] [--servers N] \
@@ -106,9 +106,7 @@ fn main() -> ExitCode {
     for s in first..first.saturating_add(count) {
         cfg.seed = s;
         let mode = if live { "live" } else { "sim" };
-        let result =
-            if live { audit_live_storm(&cfg, &rcfg) } else { audit_sim_storm(&cfg, &rcfg) };
-        match result {
+        match audit_storm(&cfg, &rcfg, live) {
             Ok(report) => {
                 println!(
                     "seed {s} ({mode}): GREEN — {} acked writes, {} checked reads, {} faults",

@@ -102,7 +102,7 @@ pub enum OpOutcome {
 
 /// A nemesis action, recorded in the same total order as the ops it
 /// interferes with.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum FaultEvent {
     Crash { server: u32 },
     Restart { server: u32 },

@@ -189,14 +189,6 @@ impl ClusterConfig {
         self
     }
 
-    /// Disables the safety-lane currency verification, builder-style —
-    /// auditor mutation tests only (see
-    /// [`ClusterConfig::danger_skip_safety_currency`]).
-    pub fn with_danger_skip_safety_currency(mut self) -> Self {
-        self.danger_skip_safety_currency = true;
-        self
-    }
-
     /// Sets the hot-state shard count, builder-style (clamped to 1..=64).
     pub fn with_shards(mut self, shards: usize) -> Self {
         self.shards = shards.clamp(1, 64);

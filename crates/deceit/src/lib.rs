@@ -42,8 +42,11 @@
 //!
 //! The same stack also runs **live**: [`runtime`] hosts every server on
 //! its own OS thread over the threaded bus, with concurrent client
-//! sessions, crash/partition injection, and differential tests pinning
-//! the live behavior to the simulator's.
+//! sessions. Both worlds sit behind one `World` trait — a request from
+//! a session to a server, a `FaultEvent` (crash, restart, split, heal,
+//! settle) for the cell — so one `Scenario` script runs in `SimWorld`
+//! and `LiveWorld` alike, and differential tests pin the live behavior
+//! to the simulator's.
 //!
 //! ```
 //! use deceit::prelude::*;
@@ -70,8 +73,8 @@ pub use deceit_storage as storage;
 pub mod prelude {
     pub use deceit_agent::{Agent, AgentConfig, AgentPlacement};
     pub use deceit_core::{
-        Cluster, ClusterConfig, DeceitError, FileParams, OpResult, ProtocolHost, SegmentId, Stat,
-        VersionPair, WriteAvailability, WriteOp,
+        Cluster, ClusterConfig, DeceitError, FaultEvent, FileParams, OpResult, ProtocolHost,
+        SegmentId, Stat, VersionPair, WriteAvailability, WriteOp,
     };
     pub use deceit_net::{LatencyModel, NodeId};
     pub use deceit_nfs::{
@@ -79,8 +82,8 @@ pub mod prelude {
         NfsRequest, NfsServer, NfsService,
     };
     pub use deceit_runtime::{
-        ClusterRuntime, RuntimeClient, RuntimeConfig, RuntimeError, Scenario, ScenarioStep,
-        WriteBatch,
+        ClusterRuntime, LiveWorld, RuntimeClient, RuntimeConfig, RuntimeError, Scenario,
+        ScenarioStep, SimWorld, World, WriteBatch,
     };
     pub use deceit_sim::{SimDuration, SimTime};
 }

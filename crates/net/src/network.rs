@@ -134,11 +134,6 @@ impl Network {
         self.cells.get(&node).copied().unwrap_or(0)
     }
 
-    /// Replaces the WAN latency model used for inter-cell messages.
-    pub fn set_wan(&mut self, wan: LatencyModel) {
-        self.wan = wan;
-    }
-
     /// Marks a machine as crashed; it can neither send nor receive.
     pub fn crash(&mut self, node: NodeId) {
         self.crashed.insert(node);

@@ -241,21 +241,6 @@ impl<Q: Send + 'static, P: Send + 'static> RpcEndpoint<Q, P> {
         }
     }
 
-    /// Returns an already-arrived request without blocking — the
-    /// batching primitive: a server holding a shared resource can drain
-    /// its queue without paying a wait when the queue is empty.
-    pub fn poll_request(&mut self) -> Option<IncomingRequest<Q>> {
-        loop {
-            if let Some(r) = self.inbox.pop_front() {
-                return Some(r);
-            }
-            match self.ep.try_recv() {
-                Some(env) => self.sort_incoming(env.from, env.msg),
-                None => return None,
-            }
-        }
-    }
-
     /// Answers an incoming request; returns false if the asker became
     /// unreachable.
     pub fn reply(&mut self, to: NodeId, call: CallId, rep: P) -> bool {

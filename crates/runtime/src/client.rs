@@ -445,7 +445,7 @@ impl WriteBatch {
 }
 
 /// Extracts attributes or surfaces the server-side error.
-fn expect_attr(rep: NfsReply) -> RuntimeResult<FileAttr> {
+pub(crate) fn expect_attr(rep: NfsReply) -> RuntimeResult<FileAttr> {
     match rep {
         NfsReply::Attr(attr) => Ok(attr),
         rep => Err(unexpected(rep, "Attr")),
@@ -454,7 +454,7 @@ fn expect_attr(rep: NfsReply) -> RuntimeResult<FileAttr> {
 
 /// Maps an error reply to [`RuntimeError::Nfs`], anything else to a
 /// protocol error naming the wanted variant.
-fn unexpected(rep: NfsReply, wanted: &'static str) -> RuntimeError {
+pub(crate) fn unexpected(rep: NfsReply, wanted: &'static str) -> RuntimeError {
     match rep {
         NfsReply::Error(e) => RuntimeError::Nfs(e),
         _ => RuntimeError::UnexpectedReply(wanted),

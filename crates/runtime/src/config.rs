@@ -118,18 +118,6 @@ impl RuntimeConfig {
         }
     }
 
-    /// Replaces the cluster configuration, builder-style.
-    pub fn with_cluster(mut self, cluster: ClusterConfig) -> Self {
-        self.cluster = cluster;
-        self
-    }
-
-    /// Replaces the envelope configuration, builder-style.
-    pub fn with_fs(mut self, fs: FsConfig) -> Self {
-        self.fs = fs;
-        self
-    }
-
     /// Sets the client request timeout, builder-style.
     pub fn with_request_timeout(mut self, timeout: Duration) -> Self {
         self.request_timeout = timeout;

@@ -25,11 +25,13 @@
 //!   (`lookup`/`create`/`read`/`write`/`set_file_params`/…) with request
 //!   pipelining and write batching over correlated RPC
 //!   ([`deceit_net::rpc`]);
-//! * failure injection (crash, restart, partition, heal) mirrors the
-//!   simulator's API, applied to the bus and protocol state together, so
-//!   **the same scenario scripts run in both worlds** — [`Scenario`]
-//!   executes a script under the simulator or the live runtime and
-//!   returns comparable outcomes for differential testing.
+//! * **one harness for both worlds** ([`world`]): a [`World`] sends a
+//!   request from a numbered session to a named server and applies a
+//!   [`deceit_core::FaultEvent`] (crash, restart, split, heal, settle) to
+//!   the cell. [`SimWorld`] serves through the simulator's request table,
+//!   [`LiveWorld`] through these threads; a [`Scenario`] script, a
+//!   [`nemesis`] storm or a differential replay is written once and runs
+//!   in either, so outcomes compare directly.
 //!
 //! # Quick start
 //!
@@ -67,6 +69,7 @@ pub mod obs;
 pub mod runtime;
 pub mod scenario;
 pub mod shard;
+pub mod world;
 
 pub use client::{RuntimeClient, WriteBatch};
 pub use config::{RetryPolicy, RuntimeConfig};
@@ -76,3 +79,4 @@ pub use nemesis::{StormConfig, StormFailure, StormOutcome};
 pub use obs::{CoreReport, EngineReport, ObsReport, RuntimeObs, OP_CLASSES, OP_CLASS_NAMES};
 pub use runtime::{ClusterRuntime, RuntimeReport, RuntimeStats};
 pub use scenario::{Scenario, ScenarioOutcome, ScenarioStep};
+pub use world::{read_back, FileState, LiveWorld, SimWorld, World};

@@ -6,23 +6,28 @@
 //! cell — capped at `write_safety − 1` servers down at once, so the
 //! paper's durability contract stays applicable and every surviving
 //! violation is a real bug. Every operation and every fault lands in one
-//! [`History`], and [`deceit_core::audit`] judges it offline.
+//! [`History`], and [`deceit_core::audit()`] judges it offline.
 //!
-//! Two drivers share the schedule generator:
+//! A storm runs once against either [`World`]: setup, fault
+//! application, recovery and the final-state readback are shared, and
+//! only the workload loop is per world:
 //!
-//! * [`run_sim_storm`] interleaves the same workload single-threaded
-//!   through the deterministic simulator — bit-identical per seed, so a
-//!   failing seed is a *minimizable* repro;
-//! * [`run_live_storm`] runs real client threads against
-//!   [`ClusterRuntime`] with the nemesis injecting faults from the main
-//!   thread — schedules here are wall-clock racy, which is the point.
+//! * [`run_sim_storm`] interleaves writers, readers and faults
+//!   single-threaded through the deterministic simulator, all drawn from
+//!   one seeded RNG — bit-identical per seed, so a failing seed is a
+//!   *minimizable* repro;
+//! * [`run_live_storm`] runs real client threads against the live
+//!   runtime with the nemesis injecting the same seeded schedule from
+//!   the main thread — schedules here are wall-clock racy, which is the
+//!   point.
 //!
-//! On a violation the driver shrinks the failing configuration (fewer
-//! writes, fewer faults, fewer files/readers — re-running each candidate
-//! and keeping it only if it still fails; the vendored `proptest` stub
-//! cannot shrink, so the nemesis carries its own minimizer) and renders a
-//! [`StormFailure`]: the auditor's verdict, the minimal config, a
-//! one-line replay command, and the protocol flight-recorder ring.
+//! On a violation [`audit_storm`] shrinks the failing configuration
+//! (fewer writes, fewer faults, fewer files/readers — re-running each
+//! candidate and keeping it only if it still fails; the vendored
+//! `proptest` stub cannot shrink, so the nemesis carries its own
+//! minimizer) and renders a [`StormFailure`]: the auditor's verdict, the
+//! minimal config, a one-line replay command, and the protocol
+//! flight-recorder ring.
 
 #![allow(
     clippy::unwrap_used,
@@ -35,22 +40,21 @@
 )]
 
 use std::collections::BTreeSet;
-use std::sync::Arc;
 use std::time::Duration;
 
 use deceit_core::{
     audit, AuditReport, Contract, FaultEvent, FileParams, History, WriteAvailability,
 };
 use deceit_net::NodeId;
-use deceit_nfs::{DeceitFs, FileHandle, NfsReply, NfsRequest};
+use deceit_nfs::{FileHandle, NfsReply, NfsRequest};
 use deceit_sim::atomic::PublishedBool;
 use deceit_sim::SimRng;
 
+use crate::client::expect_attr;
 use crate::config::RuntimeConfig;
-use crate::error::RuntimeResult;
 use crate::history::{HistoryRecorder, JournalHandle, NEMESIS_CLIENT};
-use crate::runtime::ClusterRuntime;
-use crate::scenario::failure_report;
+use crate::scenario::{failure_report, first_up};
+use crate::world::{read_back, LiveWorld, SimWorld, World};
 
 /// Shape of one storm. Everything that matters for replay is in here —
 /// a `(StormConfig, mode)` pair reproduces a sim run exactly and a live
@@ -236,179 +240,164 @@ fn next_fault(
 }
 
 // ---------------------------------------------------------------------
-// Deterministic sim storm
+// Storms
 // ---------------------------------------------------------------------
 
-struct SimWriter {
-    file: usize,
-    fh: FileHandle,
+/// The nemesis's side of a storm: the topology its faults have made so
+/// far, and the journal each fault lands in once applied.
+struct Nemesis {
+    down: BTreeSet<u32>,
+    split: bool,
     journal: JournalHandle,
-    home: u32,
-    offset: usize,
-    next: usize,
 }
 
-/// Runs one storm single-threaded through the deterministic simulator.
-/// Same config ⇒ same history and flight ring, bit for bit: a failing
-/// seed here replays forever.
-pub fn run_sim_storm(cfg: &StormConfig, rcfg: &RuntimeConfig) -> StormOutcome {
-    let mut cluster_cfg = rcfg.cluster.clone();
-    cluster_cfg.seed = cfg.seed;
-    let mut fs = DeceitFs::new(cfg.servers, cluster_cfg, rcfg.fs.clone());
-    let root = fs.root();
+impl Nemesis {
+    /// Applies `fault` to `world`, then journals it.
+    fn inject(&mut self, world: &mut impl World, fault: FaultEvent) {
+        match &fault {
+            FaultEvent::Crash { server } => {
+                self.down.insert(*server);
+            }
+            FaultEvent::Restart { server } => {
+                self.down.remove(server);
+            }
+            FaultEvent::Split { .. } => self.split = true,
+            FaultEvent::Heal => self.split = false,
+            FaultEvent::Settle => {}
+        }
+        world.fault(&fault);
+        self.journal.fault(fault);
+    }
+
+    /// Draws the schedule's next fault and applies it.
+    fn strike(&mut self, world: &mut impl World, rng: &mut SimRng, cfg: &StormConfig) {
+        let fault = next_fault(rng, &self.down, self.split, cfg.servers, cfg.max_down());
+        self.inject(world, fault);
+    }
+
+    /// Recovery: every server back up, any partition healed.
+    fn recover(&mut self, world: &mut impl World) {
+        for server in self.down.clone() {
+            self.inject(world, FaultEvent::Restart { server });
+        }
+        if self.split {
+            self.inject(world, FaultEvent::Heal);
+        }
+    }
+}
+
+/// Runs one storm in `world`, whose sessions are laid out as: writer `f`
+/// is session `f`, reader `r` is session `files + r`, and the last
+/// session reads the final state back unrecorded. Setup, recovery's
+/// settle and the readback are shared; `workload` runs the writers, the
+/// readers and the fault schedule, and ends with the nemesis's recovery.
+fn run_storm<W: World>(
+    cfg: &StormConfig,
+    mut world: W,
+    workload: impl FnOnce(&mut W, &[FileHandle], &mut Nemesis),
+) -> StormOutcome {
     let recorder = HistoryRecorder::new();
-    let nem = recorder.journal(NEMESIS_CLIENT);
-    let mut rng = SimRng::new(cfg.seed);
+    let mut nemesis =
+        Nemesis { down: BTreeSet::new(), split: false, journal: recorder.journal(NEMESIS_CLIENT) };
+    let root = world.root();
 
     // Setup: each file created (and parameterized) via its writer's home
     // server, which becomes the token holder.
-    let mut writers: Vec<SimWriter> = Vec::with_capacity(cfg.files);
+    let mut files = Vec::with_capacity(cfg.files);
     for f in 0..cfg.files {
-        let home = (f % cfg.servers) as u32;
-        let via = NodeId(home);
-        let journal = recorder.journal(100 + f as u32);
-        let name = StormConfig::file_name(f);
-        let op = journal.invoke(&NfsRequest::Create { dir: root, name: name.clone(), mode: 0o644 });
-        let attr = fs.create(via, root, &name, 0o644).expect("sim storm create").value;
-        let fh = attr.handle;
-        journal.ack(op, &Ok(NfsReply::Attr(attr)));
-        let op = journal.invoke(&NfsRequest::DeceitSetParams { fh, params: cfg.params() });
-        fs.set_file_params(via, fh, cfg.params()).expect("sim storm set_params");
-        journal.ack(op, &Ok(NfsReply::Void));
-        writers.push(SimWriter { file: f, fh, journal, home, offset: 0, next: 0 });
-    }
-    let readers: Vec<JournalHandle> =
-        (0..cfg.readers).map(|r| recorder.journal(200 + r as u32)).collect();
-
-    let mut down: BTreeSet<u32> = BTreeSet::new();
-    let mut split_active = false;
-    let mut faults_left = cfg.faults;
-    let mut reader_cursor = 0usize;
-
-    loop {
-        let unfinished: Vec<usize> = writers
-            .iter()
-            .enumerate()
-            .filter(|(_, w)| w.next < cfg.writes_per_file)
-            .map(|(i, _)| i)
-            .collect();
-        if unfinished.is_empty() && faults_left == 0 {
-            break;
+        world.record_into(f, recorder.journal(100 + f as u32));
+        let via = NodeId((f % cfg.servers) as u32);
+        let create = NfsRequest::Create { dir: root, name: StormConfig::file_name(f), mode: 0o644 };
+        let fh = world.call(f, via, create).and_then(expect_attr).expect("storm create").handle;
+        let params = NfsRequest::DeceitSetParams { fh, params: cfg.params() };
+        match world.call(f, via, params) {
+            Ok(NfsReply::Void) => files.push(fh),
+            rep => panic!("storm set_params: {rep:?}"),
         }
+    }
+    for r in 0..cfg.readers {
+        world.record_into(cfg.files + r, recorder.journal(200 + r as u32));
+    }
 
-        let roll = rng.unit();
-        if faults_left > 0 && (roll < 0.22 || unfinished.is_empty()) {
-            faults_left -= 1;
-            let fault = next_fault(&mut rng, &down, split_active, cfg.servers, cfg.max_down());
-            match &fault {
-                FaultEvent::Crash { server } => {
-                    down.insert(*server);
-                    fs.cluster.crash_server(NodeId(*server));
-                }
-                FaultEvent::Restart { server } => {
-                    down.remove(server);
-                    fs.cluster.recover_server(NodeId(*server));
-                }
-                FaultEvent::Split { groups } => {
-                    split_active = true;
-                    let owned: Vec<Vec<NodeId>> =
-                        groups.iter().map(|g| g.iter().map(|&s| NodeId(s)).collect()).collect();
-                    let borrowed: Vec<&[NodeId]> = owned.iter().map(|g| g.as_slice()).collect();
-                    fs.cluster.split(&borrowed);
-                }
-                FaultEvent::Heal => {
-                    split_active = false;
-                    fs.cluster.heal();
-                }
-                FaultEvent::Settle => fs.cluster.run_until_quiet(),
+    workload(&mut world, &files, &mut nemesis);
+    nemesis.inject(&mut world, FaultEvent::Settle);
+
+    // Ground truth per file.
+    let observer = cfg.files + cfg.readers;
+    for &fh in &files {
+        let state = read_back(&mut world, observer, NodeId(0), fh).expect("post-storm read back");
+        let version = (state.attr.version.major, state.attr.version.sub);
+        nemesis.journal.final_state(fh.seg.0, &state.data, version, state.replicas);
+    }
+    StormOutcome { history: recorder.merge(), flight: world.flight() }
+}
+
+/// Runs one storm single-threaded through the deterministic simulator,
+/// writers, readers and faults interleaved by one seeded RNG. Same
+/// config ⇒ same history and flight ring, bit for bit: a failing seed
+/// here replays forever.
+pub fn run_sim_storm(cfg: &StormConfig, rcfg: &RuntimeConfig) -> StormOutcome {
+    let mut rcfg = RuntimeConfig { servers: cfg.servers, ..rcfg.clone() };
+    rcfg.cluster.seed = cfg.seed;
+    let world = SimWorld::new(&rcfg, cfg.files + cfg.readers + 1);
+    run_storm(cfg, world, |world, files, nemesis| {
+        let servers = cfg.servers as u32;
+        let mut rng = SimRng::new(cfg.seed);
+        // Per writer: its current home, the next offset and chunk.
+        let mut writers: Vec<(u32, usize, usize)> =
+            (0..files.len()).map(|f| (f as u32 % servers, 0, 0)).collect();
+        let mut faults_left = cfg.faults;
+        let mut reader_cursor = 0usize;
+        loop {
+            let unfinished: Vec<usize> =
+                (0..writers.len()).filter(|&f| writers[f].2 < cfg.writes_per_file).collect();
+            if unfinished.is_empty() && faults_left == 0 {
+                break;
             }
-            nem.fault(fault);
-        } else if !unfinished.is_empty() {
-            let w = &mut writers[unfinished[rng.index(unfinished.len())]];
-            let data = StormConfig::chunk(w.file, w.next);
-            let req = NfsRequest::Write {
-                fh: w.fh,
-                offset: w.offset,
-                data: bytes::Bytes::from(data.clone()),
-            };
-            let op = w.journal.invoke(&req);
-            if down.contains(&w.home) {
-                // The transport would reject the send: record the
-                // ambiguity and fail the writer over to the next server,
-                // exactly like the live writer's rotation — this is what
-                // forces token regeneration from the survivors.
-                w.journal.ack(
-                    op,
-                    &Err(crate::error::RuntimeError::Rpc(deceit_net::rpc::RpcError::Unreachable(
-                        NodeId(w.home),
-                    ))),
-                );
-                w.home = (w.home + 1) % cfg.servers as u32;
-            } else {
-                match fs.write(NodeId(w.home), w.fh, w.offset, &data) {
-                    Ok(out) => {
-                        w.journal.ack(op, &Ok(NfsReply::Attr(out.value)));
-                        w.offset += data.len();
-                        w.next += 1;
-                    }
-                    Err(e) => {
-                        w.journal.ack(op, &Ok(NfsReply::Error(e)));
+
+            let roll = rng.unit();
+            if faults_left > 0 && (roll < 0.22 || unfinished.is_empty()) {
+                faults_left -= 1;
+                nemesis.strike(world, &mut rng, cfg);
+            } else if !unfinished.is_empty() {
+                let f = unfinished[rng.index(unfinished.len())];
+                let (home, offset, next) = &mut writers[f];
+                let data = StormConfig::chunk(f, *next);
+                let len = data.len();
+                let req = NfsRequest::Write { fh: files[f], offset: *offset, data: data.into() };
+                match world.call(f, NodeId(*home), req) {
+                    Ok(NfsReply::Error(_)) => {
                         // Refused (no majority, partitioned holder, …):
                         // sometimes try another server next round.
                         if rng.chance(0.5) {
-                            w.home = (w.home + 1) % cfg.servers as u32;
+                            *home = (*home + 1) % servers;
                         }
                     }
+                    Ok(_) => {
+                        *offset += len;
+                        *next += 1;
+                    }
+                    // The home is down: fail over to the next server,
+                    // exactly like the live writer's rotation — this is
+                    // what forces token regeneration from the survivors.
+                    Err(_) => *home = (*home + 1) % servers,
+                }
+            }
+
+            // Sprinkle reads between steps, round-robin over the readers.
+            if cfg.readers > 0 && rng.chance(0.6) {
+                let r = reader_cursor % cfg.readers;
+                reader_cursor += 1;
+                let fh = files[rng.index(files.len())];
+                if let Some(via) = first_up(r as u32, servers, &nemesis.down) {
+                    let req = NfsRequest::Read { fh, offset: 0, count: 1 << 20 };
+                    let _ = world.call(cfg.files + r, via, req);
                 }
             }
         }
-
-        // Sprinkle reads between steps, round-robin over the readers.
-        if !readers.is_empty() && rng.chance(0.6) {
-            let r = reader_cursor % readers.len();
-            reader_cursor += 1;
-            let w = &writers[rng.index(writers.len())];
-            let preferred = (r % cfg.servers) as u32;
-            let via = (0..cfg.servers as u32)
-                .map(|step| (preferred + step) % cfg.servers as u32)
-                .find(|s| !down.contains(s));
-            if let Some(via) = via {
-                let req = NfsRequest::Read { fh: w.fh, offset: 0, count: 1 << 20 };
-                let op = readers[r].invoke(&req);
-                match fs.read(NodeId(via), w.fh, 0, 1 << 20) {
-                    Ok(out) => readers[r].ack(op, &Ok(NfsReply::Data(out.value))),
-                    Err(e) => readers[r].ack(op, &Ok(NfsReply::Error(e))),
-                }
-            }
-        }
-    }
-
-    // Recovery: everyone back, partitions healed, deferred work drained.
-    for server in std::mem::take(&mut down) {
-        fs.cluster.recover_server(NodeId(server));
-        nem.fault(FaultEvent::Restart { server });
-    }
-    if split_active {
-        fs.cluster.heal();
-        nem.fault(FaultEvent::Heal);
-    }
-    fs.cluster.run_until_quiet();
-    nem.fault(FaultEvent::Settle);
-
-    // Ground truth per file.
-    let via = NodeId(0);
-    for w in &writers {
-        let data = fs.read(via, w.fh, 0, 1 << 20).expect("post-storm sim read").value;
-        let attr = fs.getattr(via, w.fh).expect("post-storm sim getattr").value;
-        let replicas = fs.file_replicas(via, w.fh).expect("post-storm sim locate").value.len();
-        nem.final_state(w.fh.seg.0, &data, (attr.version.major, attr.version.sub), replicas);
-    }
-    StormOutcome { history: recorder.merge(), flight: fs.cluster.obs.flight.dump() }
+        nemesis.recover(world);
+    })
 }
-
-// ---------------------------------------------------------------------
-// Live storm
-// ---------------------------------------------------------------------
 
 /// Runs one storm against a real threaded cluster: one writer thread per
 /// file, reader threads cycling over every file, the nemesis injecting
@@ -416,235 +405,111 @@ pub fn run_sim_storm(cfg: &StormConfig, rcfg: &RuntimeConfig) -> StormOutcome {
 /// race faults on the wall clock; the recorder's global stamps keep the
 /// merged history honestly ordered.
 pub fn run_live_storm(cfg: &StormConfig, rcfg: &RuntimeConfig) -> StormOutcome {
-    let mut rcfg = rcfg.clone();
-    rcfg.servers = cfg.servers;
-    let rt = ClusterRuntime::start(rcfg);
-    let ids: Vec<NodeId> = rt.server_ids().to_vec();
-    let recorder = HistoryRecorder::new();
-    let nem = recorder.journal(NEMESIS_CLIENT);
-
-    // Setup through a recorded session: create + parameterize each file
-    // via its writer's home server (the token holder to be).
-    let mut files: Vec<(usize, FileHandle)> = Vec::with_capacity(cfg.files);
-    {
-        let mut setup = rt.client();
-        setup.record_into(recorder.journal(99));
-        let root = setup.root();
-        for f in 0..cfg.files {
-            let via = ids[f % ids.len()];
-            let rep = setup
-                .call_via(
-                    via,
-                    NfsRequest::Create { dir: root, name: StormConfig::file_name(f), mode: 0o644 },
-                )
-                .expect("storm create");
-            let NfsReply::Attr(attr) = rep else { panic!("storm create reply: {rep:?}") };
-            setup
-                .call_via(
-                    via,
-                    NfsRequest::DeceitSetParams { fh: attr.handle, params: cfg.params() },
-                )
-                .expect("storm set_params");
-            files.push((f, attr.handle));
-        }
-    }
-
-    let stop_readers = Arc::new(PublishedBool::new(false));
-
-    std::thread::scope(|s| {
-        // Writers: append chunks until all acked, retrying through
-        // faults and rotating home when the current server stays dark —
-        // the rotation is what hands the surviving majority a chance to
-        // regenerate the write token (§3.5) while the holder is down.
-        let mut writer_handles = Vec::with_capacity(cfg.files);
-        for &(f, fh) in &files {
-            let mut client = rt.client_homed(ids[f % ids.len()]);
-            client.record_into(recorder.journal(100 + f as u32));
-            let ids = ids.clone();
-            let writes = cfg.writes_per_file;
-            writer_handles.push(s.spawn(move || {
-                let mut offset = 0usize;
-                for i in 0..writes {
-                    let chunk = StormConfig::chunk(f, i);
-                    let mut attempts = 0u32;
-                    loop {
-                        match client.write(fh, offset, &chunk) {
-                            Ok(_) => {
-                                offset += chunk.len();
-                                break;
+    let rcfg = RuntimeConfig { servers: cfg.servers, ..rcfg.clone() };
+    let world = LiveWorld::start(rcfg, cfg.files + cfg.readers + 1);
+    run_storm(cfg, world, |world, files, nemesis| {
+        let ids = &world.rt.server_ids().to_vec();
+        let mut sessions = std::mem::take(&mut world.sessions);
+        let (writers, readers) = sessions.split_at_mut(cfg.files);
+        let stop_readers = PublishedBool::new(false);
+        std::thread::scope(|s| {
+            // Writers: append chunks until all acked, retrying through
+            // faults and rotating home when the current server stays
+            // dark — the rotation is what hands the surviving majority a
+            // chance to regenerate the write token (§3.5) while the
+            // holder is down.
+            let mut writer_handles = Vec::with_capacity(cfg.files);
+            for (f, (client, &fh)) in writers.iter_mut().zip(files).enumerate() {
+                writer_handles.push(s.spawn(move || {
+                    let mut offset = 0usize;
+                    for i in 0..cfg.writes_per_file {
+                        let chunk = StormConfig::chunk(f, i);
+                        let mut attempts = 0u32;
+                        while client.write(fh, offset, &chunk).is_err() {
+                            attempts += 1;
+                            if attempts > 1500 {
+                                // Wedged long past the storm: give up;
+                                // the audit still judges every acked
+                                // prefix.
+                                return;
                             }
-                            Err(_) => {
-                                attempts += 1;
-                                if attempts > 1500 {
-                                    // Wedged long past the storm: give
-                                    // up; the audit still judges every
-                                    // acked prefix.
-                                    return;
-                                }
-                                if attempts.is_multiple_of(3) {
-                                    let cur = client.home();
-                                    let at = ids.iter().position(|&n| n == cur).unwrap_or(0);
-                                    client.set_home(ids[(at + 1) % ids.len()]);
-                                }
-                                std::thread::sleep(Duration::from_millis(2));
+                            if attempts.is_multiple_of(3) {
+                                let at = ids.iter().position(|&n| n == client.home()).unwrap_or(0);
+                                client.set_home(ids[(at + 1) % ids.len()]);
                             }
+                            std::thread::sleep(Duration::from_millis(2));
                         }
+                        offset += chunk.len();
                     }
-                }
-            }));
-        }
-
-        // Readers: cycle over every file until the writers are done.
-        for r in 0..cfg.readers {
-            let mut client = rt.client_homed(ids[r % ids.len()]);
-            client.record_into(recorder.journal(200 + r as u32));
-            let files = files.clone();
-            let stop = Arc::clone(&stop_readers);
-            s.spawn(move || {
-                let mut k = r;
-                while !stop.load() {
-                    let (_, fh) = files[k % files.len()];
-                    k += 1;
-                    let _ = client.read(fh, 0, 1 << 20);
-                    std::thread::sleep(Duration::from_micros(400));
-                }
-            });
-        }
-
-        // The nemesis proper: the seeded schedule, paced in wall time.
-        let mut rng = SimRng::new(cfg.seed);
-        let mut down: BTreeSet<u32> = BTreeSet::new();
-        let mut split_active = false;
-        for _ in 0..cfg.faults {
-            std::thread::sleep(Duration::from_millis(rng.uniform(3, 14)));
-            let fault = next_fault(&mut rng, &down, split_active, cfg.servers, cfg.max_down());
-            match &fault {
-                FaultEvent::Crash { server } => {
-                    down.insert(*server);
-                    rt.crash_server(NodeId(*server));
-                }
-                FaultEvent::Restart { server } => {
-                    down.remove(server);
-                    rt.restart_server(NodeId(*server));
-                }
-                FaultEvent::Split { groups } => {
-                    split_active = true;
-                    let owned: Vec<Vec<NodeId>> =
-                        groups.iter().map(|g| g.iter().map(|&n| NodeId(n)).collect()).collect();
-                    let borrowed: Vec<&[NodeId]> = owned.iter().map(|g| g.as_slice()).collect();
-                    rt.split(&borrowed);
-                }
-                FaultEvent::Heal => {
-                    split_active = false;
-                    rt.heal();
-                }
-                FaultEvent::Settle => rt.settle(),
+                }));
             }
-            nem.fault(fault);
-        }
 
-        // Recovery, then let the writers drain before stopping readers.
-        for server in std::mem::take(&mut down) {
-            rt.restart_server(NodeId(server));
-            nem.fault(FaultEvent::Restart { server });
-        }
-        if split_active {
-            rt.heal();
-            nem.fault(FaultEvent::Heal);
-        }
-        for h in writer_handles {
-            let _ = h.join();
-        }
-        stop_readers.store(true);
-    });
+            // Readers: cycle over every file until the writers are done.
+            for (r, client) in readers[..cfg.readers].iter_mut().enumerate() {
+                client.set_home(ids[r % ids.len()]);
+                let stop = &stop_readers;
+                s.spawn(move || {
+                    let mut k = r;
+                    while !stop.load() {
+                        let _ = client.read(files[k % files.len()], 0, 1 << 20);
+                        k += 1;
+                        std::thread::sleep(Duration::from_micros(400));
+                    }
+                });
+            }
 
-    rt.settle();
-    nem.fault(FaultEvent::Settle);
+            // The nemesis proper: the seeded schedule, paced in wall time.
+            let mut rng = SimRng::new(cfg.seed);
+            for _ in 0..cfg.faults {
+                std::thread::sleep(Duration::from_millis(rng.uniform(3, 14)));
+                nemesis.strike(world, &mut rng, cfg);
+            }
 
-    // Ground truth per file, through an unrecorded session.
-    let mut obs = rt.client_homed(ids[0]);
-    for &(_, fh) in &files {
-        let data = read_eventually(&mut obs, fh).expect("post-storm read");
-        let attr = obs.getattr(fh).expect("post-storm getattr");
-        let replicas = obs.locate_replicas(fh).map(|r| r.len()).unwrap_or(0);
-        nem.final_state(fh.seg.0, &data, (attr.version.major, attr.version.sub), replicas);
-    }
-    let flight = rt.dump_flight_recorder();
-    rt.shutdown();
-    StormOutcome { history: recorder.merge(), flight }
-}
-
-/// Post-storm reads happen with every server back up, but the first ones
-/// can still land mid-recovery; retry briefly before declaring the
-/// cluster unreadable.
-fn read_eventually(
-    client: &mut crate::client::RuntimeClient,
-    fh: FileHandle,
-) -> RuntimeResult<bytes::Bytes> {
-    let mut last = client.read(fh, 0, 1 << 20);
-    for _ in 0..50 {
-        if last.is_ok() {
-            return last;
-        }
-        std::thread::sleep(Duration::from_millis(10));
-        last = client.read(fh, 0, 1 << 20);
-    }
-    last
+            // Recovery, then let the writers drain before stopping readers.
+            nemesis.recover(world);
+            for h in writer_handles {
+                let _ = h.join();
+            }
+            stop_readers.store(true);
+        });
+        world.sessions = sessions;
+    })
 }
 
 // ---------------------------------------------------------------------
 // Audit + shrink
 // ---------------------------------------------------------------------
 
-/// Runs a sim storm and audits it; on violation, shrinks the config to
-/// the smallest still-failing shape (deterministic: one run per
-/// candidate suffices) and returns the rendered failure.
-pub fn audit_sim_storm(
+/// Runs a storm — live if `live`, else in the simulator — and audits it;
+/// on violation, shrinks the config to the smallest still-failing shape
+/// and returns the rendered failure. A candidate counts as smaller only
+/// if it reproduces the failure: in one run in the simulator, where a
+/// seed replays exactly, and in up to two live, where schedules race.
+pub fn audit_storm(
     cfg: &StormConfig,
     rcfg: &RuntimeConfig,
+    live: bool,
 ) -> Result<AuditReport, Box<StormFailure>> {
-    let outcome = run_sim_storm(cfg, rcfg);
-    let report = audit(&outcome.history, &cfg.contract());
-    if report.is_green() {
-        return Ok(report);
-    }
-    let mut runner = |c: &StormConfig| {
-        let outcome = run_sim_storm(c, rcfg);
+    let audited = |c: &StormConfig| {
+        let outcome = if live { run_live_storm(c, rcfg) } else { run_sim_storm(c, rcfg) };
         let report = audit(&outcome.history, &c.contract());
-        (!report.is_green()).then_some((outcome.history, report, outcome.flight))
+        (outcome, report)
     };
-    let (config, (history, report, flight)) =
-        shrink(*cfg, (outcome.history, report, outcome.flight), &mut runner);
-    let mutated = rcfg.cluster.danger_skip_safety_currency;
-    Err(Box::new(StormFailure { config, report, history, flight, live: false, mutated }))
-}
-
-/// Runs a live storm and audits it; on violation, shrinks with up to two
-/// attempts per candidate (live schedules are racy — a candidate only
-/// counts as smaller if it *reproduces* the failure).
-pub fn audit_live_storm(
-    cfg: &StormConfig,
-    rcfg: &RuntimeConfig,
-) -> Result<AuditReport, Box<StormFailure>> {
-    let outcome = run_live_storm(cfg, rcfg);
-    let report = audit(&outcome.history, &cfg.contract());
+    let (outcome, report) = audited(cfg);
     if report.is_green() {
         return Ok(report);
     }
+    let tries = if live { 2 } else { 1 };
     let mut runner = |c: &StormConfig| {
-        for _ in 0..2 {
-            let outcome = run_live_storm(c, rcfg);
-            let report = audit(&outcome.history, &c.contract());
-            if !report.is_green() {
-                return Some((outcome.history, report, outcome.flight));
-            }
-        }
-        None
+        (0..tries).find_map(|_| {
+            let (outcome, report) = audited(c);
+            (!report.is_green()).then_some((outcome.history, report, outcome.flight))
+        })
     };
     let (config, (history, report, flight)) =
         shrink(*cfg, (outcome.history, report, outcome.flight), &mut runner);
     let mutated = rcfg.cluster.danger_skip_safety_currency;
-    Err(Box::new(StormFailure { config, report, history, flight, live: true, mutated }))
+    Err(Box::new(StormFailure { config, report, history, flight, live, mutated }))
 }
 
 /// Greedy minimizer: repeatedly tries the candidate reductions and keeps

@@ -1,14 +1,13 @@
-//! Scripted scenarios that run identically under the simulator and the
-//! live runtime.
+//! Scripted scenarios that run identically in either [`World`].
 //!
 //! The deterministic simulator is this reproduction's ground truth: every
 //! §3 protocol property is verified there. The live runtime must not be a
 //! second, subtly different implementation — so a [`Scenario`] describes
-//! client work and failure injection abstractly, executes under either
-//! world, and returns a comparable [`ScenarioOutcome`] (final file
-//! contents and replica counts). Differential tests assert the two
-//! outcomes are identical, pinning the live transport, addressing, and
-//! crash mirroring to the simulator's semantics.
+//! client work and faults abstractly, runs once against any [`World`],
+//! and returns a comparable [`ScenarioOutcome`] (final file contents and
+//! replica counts). Differential tests assert the two outcomes are
+//! identical, pinning the live transport, addressing, and fault mirroring
+//! to the simulator's semantics.
 
 #![allow(
     clippy::unwrap_used,
@@ -22,13 +21,14 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use deceit_core::FileParams;
+use deceit_core::{FaultEvent, FileParams};
 use deceit_net::NodeId;
-use deceit_nfs::{DeceitFs, NfsReply, NfsRequest};
+use deceit_nfs::{NfsReply, NfsRequest};
 
+use crate::client::expect_attr;
 use crate::config::RuntimeConfig;
-use crate::error::RuntimeResult;
-use crate::runtime::ClusterRuntime;
+use crate::error::{RuntimeError, RuntimeResult};
+use crate::world::{read_back, LiveWorld, SimWorld, World};
 
 /// One step of a scripted scenario.
 ///
@@ -44,12 +44,9 @@ pub enum ScenarioStep {
     Write { client: usize, name: String, offset: usize, data: Vec<u8> },
     /// Client reads the file (result discarded; exercises the read path).
     Read { client: usize, name: String },
-    /// Crash a server without notification.
-    Crash { server: u32 },
-    /// Restart a crashed server.
-    Restart { server: u32 },
-    /// Let all deferred protocol work finish.
-    Settle,
+    /// A fault applied to the whole cell: crash, restart, split, heal,
+    /// or settle (let all deferred protocol work finish).
+    Fault(FaultEvent),
 }
 
 /// A scripted run: cell size, client count, steps.
@@ -73,188 +70,94 @@ pub struct ScenarioOutcome {
 }
 
 impl Scenario {
-    /// Every file name the script creates, in first-appearance order.
-    fn names(&self) -> Vec<String> {
-        let mut seen = BTreeSet::new();
-        let mut out = Vec::new();
-        for step in &self.steps {
-            if let ScenarioStep::Create { name, .. } = step {
-                if seen.insert(name.clone()) {
-                    out.push(name.clone());
-                }
-            }
-        }
-        out
+    /// Routes an operation of client `k` to server `k % servers`, or the
+    /// next one up (see [`first_up`]).
+    fn route(&self, client: usize, down: &BTreeSet<u32>) -> NodeId {
+        first_up(client as u32, self.servers as u32, down).expect("scenario crashed every server")
     }
 
-    /// Routes an operation of client `k` to a live server: its preferred
-    /// server (`k % servers`) or, if that one is down, the next id up —
-    /// the same deterministic rule in both worlds.
-    fn route(&self, client: usize, down: &BTreeSet<u32>) -> NodeId {
-        let n = self.servers as u32;
-        let preferred = (client as u32) % n;
-        (0..n)
-            .map(|step| NodeId((preferred + step) % n))
-            .find(|id| !down.contains(&id.0))
-            .expect("scenario crashed every server")
+    /// Runs the script against `world`, settles, and reads every
+    /// scripted file back through client 0. A server-side error fails
+    /// the run (for example, two creates of one name).
+    pub fn run(&self, world: &mut impl World) -> RuntimeResult<ScenarioOutcome> {
+        let root = world.root();
+        let mut down: BTreeSet<u32> = BTreeSet::new();
+        for step in &self.steps {
+            let (client, name) = match step {
+                ScenarioStep::Fault(fault) => {
+                    match fault {
+                        FaultEvent::Crash { server } => down.insert(*server),
+                        FaultEvent::Restart { server } => down.remove(server),
+                        _ => false,
+                    };
+                    world.fault(fault);
+                    continue;
+                }
+                ScenarioStep::Create { client, name }
+                | ScenarioStep::SetReplicas { client, name, .. }
+                | ScenarioStep::Write { client, name, .. }
+                | ScenarioStep::Read { client, name } => (*client, name.clone()),
+            };
+            let via = self.route(client, &down);
+            let req = if let ScenarioStep::Create { .. } = step {
+                NfsRequest::Create { dir: root, name, mode: 0o644 }
+            } else {
+                let lookup = NfsRequest::Lookup { dir: root, name };
+                let fh = expect_attr(world.call(client, via, lookup)?)?.handle;
+                match step {
+                    ScenarioStep::SetReplicas { replicas, .. } => {
+                        NfsRequest::DeceitSetParams { fh, params: FileParams::important(*replicas) }
+                    }
+                    ScenarioStep::Write { offset, data, .. } => {
+                        NfsRequest::Write { fh, offset: *offset, data: data.clone().into() }
+                    }
+                    _ => NfsRequest::Read { fh, offset: 0, count: 1 << 20 },
+                }
+            };
+            if let NfsReply::Error(e) = world.call(client, via, req)? {
+                return Err(RuntimeError::Nfs(e));
+            }
+        }
+        world.fault(&FaultEvent::Settle);
+
+        let mut outcome = ScenarioOutcome::default();
+        let via = self.route(0, &down);
+        // Each name was created once: a second create fails the run.
+        for step in &self.steps {
+            let ScenarioStep::Create { name, .. } = step else { continue };
+            let lookup = NfsRequest::Lookup { dir: root, name: name.clone() };
+            let NfsReply::Attr(attr) = world.call(0, via, lookup)? else { continue };
+            let state = read_back(world, 0, via, attr.handle)?;
+            outcome.contents.insert(name.clone(), state.data.to_vec());
+            outcome.replicas.insert(name.clone(), state.replicas);
+        }
+        Ok(outcome)
     }
 
     /// Runs the script under the deterministic simulator.
     pub fn run_sim(&self, cfg: &RuntimeConfig) -> ScenarioOutcome {
-        let mut fs = DeceitFs::new(self.servers, cfg.cluster.clone(), cfg.fs.clone());
-        let root = fs.root();
-        let mut down: BTreeSet<u32> = BTreeSet::new();
-
-        for step in &self.steps {
-            match step {
-                ScenarioStep::Create { client, name } => {
-                    let via = self.route(*client, &down);
-                    fs.create(via, root, name, 0o644).expect("sim create");
-                }
-                ScenarioStep::SetReplicas { client, name, replicas } => {
-                    let via = self.route(*client, &down);
-                    let fh = fs.lookup(via, root, name).expect("sim lookup").value.handle;
-                    fs.set_file_params(via, fh, FileParams::important(*replicas))
-                        .expect("sim set_params");
-                }
-                ScenarioStep::Write { client, name, offset, data } => {
-                    let via = self.route(*client, &down);
-                    let fh = fs.lookup(via, root, name).expect("sim lookup").value.handle;
-                    fs.write(via, fh, *offset, data).expect("sim write");
-                }
-                ScenarioStep::Read { client, name } => {
-                    let via = self.route(*client, &down);
-                    let fh = fs.lookup(via, root, name).expect("sim lookup").value.handle;
-                    let _ = fs.read(via, fh, 0, 1 << 20).expect("sim read");
-                }
-                ScenarioStep::Crash { server } => {
-                    down.insert(*server);
-                    fs.cluster.crash_server(NodeId(*server));
-                }
-                ScenarioStep::Restart { server } => {
-                    down.remove(server);
-                    fs.cluster.recover_server(NodeId(*server));
-                }
-                ScenarioStep::Settle => fs.cluster.run_until_quiet(),
-            }
-        }
-        fs.cluster.run_until_quiet();
-
-        let mut outcome = ScenarioOutcome::default();
-        let via = self.route(0, &down);
-        for name in self.names() {
-            let Ok(attr) = fs.lookup(via, root, &name) else { continue };
-            let fh = attr.value.handle;
-            let data = fs.read(via, fh, 0, 1 << 20).expect("sim readback").value;
-            let holders = fs.file_replicas(via, fh).expect("sim locate").value;
-            outcome.contents.insert(name.clone(), data.to_vec());
-            outcome.replicas.insert(name, holders.len());
-        }
-        outcome
+        let cfg = RuntimeConfig { servers: self.servers, ..cfg.clone() };
+        self.run(&mut SimWorld::new(&cfg, self.clients.max(1))).expect("sim run")
     }
 
-    /// Runs the script against a live cluster on real threads.
-    pub fn run_live(&self, cfg: &RuntimeConfig) -> RuntimeResult<ScenarioOutcome> {
-        self.run_live_observed(cfg).map(|(outcome, _)| outcome)
+    /// Runs the script against a live cluster on real threads, and
+    /// returns the outcome with the cluster's flight-recorder dump —
+    /// what a differential test prints when the live outcome disagrees
+    /// with the simulator's, so the mismatch arrives with the last
+    /// protocol events each server acted in instead of a bare assert.
+    pub fn run_live(&self, cfg: &RuntimeConfig) -> RuntimeResult<(ScenarioOutcome, String)> {
+        let cfg = RuntimeConfig { servers: self.servers, ..cfg.clone() };
+        let mut world = LiveWorld::start(cfg, self.clients.max(1));
+        let outcome = self.run(&mut world)?;
+        Ok((outcome, world.flight()))
     }
+}
 
-    /// [`Scenario::run_live`] plus the cluster's flight-recorder dump,
-    /// captured just before shutdown — what a differential test prints
-    /// when the live outcome disagrees with the simulator's, so the
-    /// mismatch arrives with the last protocol events each server acted
-    /// in instead of a bare assert.
-    pub fn run_live_observed(
-        &self,
-        cfg: &RuntimeConfig,
-    ) -> RuntimeResult<(ScenarioOutcome, String)> {
-        let mut cfg = cfg.clone();
-        cfg.servers = self.servers;
-        let rt = ClusterRuntime::start(cfg);
-        let mut sessions: Vec<_> = (0..self.clients.max(1)).map(|_| rt.client()).collect();
-        let root = sessions[0].root();
-        let mut down: BTreeSet<u32> = BTreeSet::new();
-
-        for step in &self.steps {
-            match step {
-                ScenarioStep::Create { client, name } => {
-                    let via = self.route(*client, &down);
-                    let rep = sessions[*client].call_via(
-                        via,
-                        NfsRequest::Create { dir: root, name: name.clone(), mode: 0o644 },
-                    )?;
-                    ensure_ok(rep)?;
-                }
-                ScenarioStep::SetReplicas { client, name, replicas } => {
-                    let via = self.route(*client, &down);
-                    let session = &mut sessions[*client];
-                    let fh = live_lookup(session, via, root, name)?;
-                    let rep = session.call_via(
-                        via,
-                        NfsRequest::DeceitSetParams {
-                            fh,
-                            params: FileParams::important(*replicas),
-                        },
-                    )?;
-                    ensure_ok(rep)?;
-                }
-                ScenarioStep::Write { client, name, offset, data } => {
-                    let via = self.route(*client, &down);
-                    let session = &mut sessions[*client];
-                    let fh = live_lookup(session, via, root, name)?;
-                    let rep = session.call_via(
-                        via,
-                        NfsRequest::Write { fh, offset: *offset, data: data.clone().into() },
-                    )?;
-                    ensure_ok(rep)?;
-                }
-                ScenarioStep::Read { client, name } => {
-                    let via = self.route(*client, &down);
-                    let session = &mut sessions[*client];
-                    let fh = live_lookup(session, via, root, name)?;
-                    let rep = session
-                        .call_via(via, NfsRequest::Read { fh, offset: 0, count: 1 << 20 })?;
-                    ensure_ok(rep)?;
-                }
-                ScenarioStep::Crash { server } => {
-                    down.insert(*server);
-                    rt.crash_server(NodeId(*server));
-                }
-                ScenarioStep::Restart { server } => {
-                    down.remove(server);
-                    rt.restart_server(NodeId(*server));
-                }
-                ScenarioStep::Settle => rt.settle(),
-            }
-        }
-        rt.settle();
-
-        let mut outcome = ScenarioOutcome::default();
-        let via = self.route(0, &down);
-        let session = &mut sessions[0];
-        for name in self.names() {
-            let rep =
-                session.call_via(via, NfsRequest::Lookup { dir: root, name: name.clone() })?;
-            let NfsReply::Attr(attr) = rep else { continue };
-            let data = match session
-                .call_via(via, NfsRequest::Read { fh: attr.handle, offset: 0, count: 1 << 20 })?
-            {
-                NfsReply::Data(d) => d.to_vec(),
-                rep => return Err(reply_error(rep, "Data")),
-            };
-            let holders = match session
-                .call_via(via, NfsRequest::DeceitLocateReplicas { fh: attr.handle })?
-            {
-                NfsReply::Replicas(rs) => rs.len(),
-                rep => return Err(reply_error(rep, "Replicas")),
-            };
-            outcome.contents.insert(name.clone(), data);
-            outcome.replicas.insert(name, holders);
-        }
-        drop(sessions);
-        let flight = rt.dump_flight_recorder();
-        rt.shutdown();
-        Ok((outcome, flight))
-    }
+/// Server `preferred % servers` or, if that one is down, the next id up
+/// that is not: the same deterministic rule in both worlds. `None` when
+/// every server is down.
+pub(crate) fn first_up(preferred: u32, servers: u32, down: &BTreeSet<u32>) -> Option<NodeId> {
+    (0..servers).map(|step| (preferred + step) % servers).find(|s| !down.contains(s)).map(NodeId)
 }
 
 /// Formats a failure uniformly for every checker that owns a live
@@ -276,7 +179,7 @@ impl Scenario {
     /// differential test.
     pub fn assert_worlds_match(&self, cfg: &RuntimeConfig) {
         let sim = self.run_sim(cfg);
-        let (live, flight) = self.run_live_observed(cfg).expect("live run failed");
+        let (live, flight) = self.run_live(cfg).expect("live run failed");
         if live != sim {
             panic!(
                 "{}",
@@ -287,36 +190,6 @@ impl Scenario {
                 )
             );
         }
-    }
-}
-
-/// Lookup helper for the live path.
-fn live_lookup(
-    session: &mut crate::client::RuntimeClient,
-    via: NodeId,
-    root: deceit_nfs::FileHandle,
-    name: &str,
-) -> RuntimeResult<deceit_nfs::FileHandle> {
-    match session.call_via(via, NfsRequest::Lookup { dir: root, name: name.to_string() })? {
-        NfsReply::Attr(attr) => Ok(attr.handle),
-        rep => Err(reply_error(rep, "Attr")),
-    }
-}
-
-/// Surfaces a server-side error reply as `Err`, so a faulty script (for
-/// example, two creates of one name) fails the run instead of panicking.
-fn ensure_ok(rep: NfsReply) -> RuntimeResult<NfsReply> {
-    match rep {
-        NfsReply::Error(e) => Err(crate::error::RuntimeError::Nfs(e)),
-        rep => Ok(rep),
-    }
-}
-
-/// Maps an unwanted reply variant to the matching [`RuntimeError`].
-fn reply_error(rep: NfsReply, wanted: &'static str) -> crate::error::RuntimeError {
-    match rep {
-        NfsReply::Error(e) => crate::error::RuntimeError::Nfs(e),
-        _ => crate::error::RuntimeError::UnexpectedReply(wanted),
     }
 }
 
@@ -340,8 +213,8 @@ impl Scenario {
                 data: format!("v1 payload of client {c}").into_bytes(),
             });
         }
-        steps.push(ScenarioStep::Settle);
-        steps.push(ScenarioStep::Crash { server: 0 });
+        steps.push(ScenarioStep::Fault(FaultEvent::Settle));
+        steps.push(ScenarioStep::Fault(FaultEvent::Crash { server: 0 }));
         for c in 0..clients {
             let name = format!("f{c}");
             steps.push(ScenarioStep::Read { client: c, name: name.clone() });
@@ -352,9 +225,9 @@ impl Scenario {
                 data: format!("v2 payload of client {c}").into_bytes(),
             });
         }
-        steps.push(ScenarioStep::Settle);
-        steps.push(ScenarioStep::Restart { server: 0 });
-        steps.push(ScenarioStep::Settle);
+        steps.push(ScenarioStep::Fault(FaultEvent::Settle));
+        steps.push(ScenarioStep::Fault(FaultEvent::Restart { server: 0 }));
+        steps.push(ScenarioStep::Fault(FaultEvent::Settle));
         for c in 0..clients {
             let name = format!("f{c}");
             steps.push(ScenarioStep::Write {
@@ -364,7 +237,7 @@ impl Scenario {
                 data: format!("v3 payload of client {c}").into_bytes(),
             });
         }
-        steps.push(ScenarioStep::Settle);
+        steps.push(ScenarioStep::Fault(FaultEvent::Settle));
         Scenario { servers, clients, steps }
     }
 }

@@ -15,7 +15,7 @@ use proptest::prelude::*;
 
 use deceit_core::{audit, Contract, FileParams, WriteAvailability};
 use deceit_net::NodeId;
-use deceit_runtime::nemesis::{audit_live_storm, audit_sim_storm, run_sim_storm};
+use deceit_runtime::nemesis::{audit_storm, run_sim_storm};
 use deceit_runtime::{ClusterRuntime, HistoryRecorder, RuntimeConfig, StormConfig};
 
 #[test]
@@ -23,7 +23,7 @@ fn sim_storms_are_green_across_seeds() {
     let rcfg = RuntimeConfig::new(3);
     for seed in 0..12u64 {
         let cfg = StormConfig::quick(seed);
-        match audit_sim_storm(&cfg, &rcfg) {
+        match audit_storm(&cfg, &rcfg, false) {
             Ok(report) => {
                 assert!(report.writes_acked > 0, "seed {seed}: no writes acked");
                 assert!(report.faults_seen > 0, "seed {seed}: no faults injected");
@@ -52,7 +52,7 @@ proptest! {
     fn sim_storm_audit_green_for_any_seed(seed in 0u64..10_000) {
         let rcfg = RuntimeConfig::new(3);
         let cfg = StormConfig::quick(seed);
-        if let Err(failure) = audit_sim_storm(&cfg, &rcfg) {
+        if let Err(failure) = audit_storm(&cfg, &rcfg, false) {
             panic!("{}", failure.render());
         }
     }
@@ -63,7 +63,7 @@ fn live_storms_are_green() {
     let rcfg = RuntimeConfig::new(3);
     for seed in [1u64, 7, 21] {
         let cfg = StormConfig::quick(seed);
-        match audit_live_storm(&cfg, &rcfg) {
+        match audit_storm(&cfg, &rcfg, true) {
             Ok(report) => {
                 assert!(report.writes_acked > 0, "seed {seed}: no writes acked");
             }
@@ -92,7 +92,7 @@ fn auditor_detects_disabled_safety_currency_check() {
             readers: 1,
             ..StormConfig::quick(seed)
         };
-        if let Err(failure) = audit_sim_storm(&cfg, &rcfg) {
+        if let Err(failure) = audit_storm(&cfg, &rcfg, false) {
             detected = Some(failure);
             break;
         }
@@ -141,7 +141,7 @@ fn mutation_seeds_are_green_without_the_mutation() {
             readers: 1,
             ..StormConfig::quick(seed)
         };
-        if let Err(failure) = audit_sim_storm(&cfg, &rcfg) {
+        if let Err(failure) = audit_storm(&cfg, &rcfg, false) {
             panic!("seed {seed} red with the mutation off:\n{}", failure.render());
         }
     }

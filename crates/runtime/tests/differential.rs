@@ -3,10 +3,69 @@
 //! and the live threaded runtime.
 //!
 //! The simulator is the verified ground truth for the §3 protocols; these
-//! tests pin the live runtime's transport, request addressing, crash
-//! mirroring, and deferred-work pumping to it.
+//! tests pin the live runtime's transport, request addressing, fault
+//! mirroring, and deferred-work pumping to it. Scripts run once against
+//! either `World`; the stress tests race real threads live, then replay
+//! the observed history in a `SimWorld` through the same setup and
+//! readback calls.
 
-use deceit_runtime::{RuntimeConfig, Scenario, ScenarioStep};
+use deceit_core::{FaultEvent, FileParams};
+use deceit_net::NodeId;
+use deceit_nfs::{FileHandle, NfsReply, NfsRequest};
+use deceit_runtime::{
+    read_back, FileState, LiveWorld, RuntimeConfig, Scenario, ScenarioStep, SimWorld, World,
+};
+
+/// Sends `req` from session 0 to `via`; any failure stops the test.
+fn call(world: &mut impl World, via: NodeId, req: NfsRequest) -> NfsReply {
+    match world.call(0, via, req) {
+        Ok(NfsReply::Error(e)) => panic!("server refused: {e}"),
+        Ok(rep) => rep,
+        Err(e) => panic!("call failed: {e}"),
+    }
+}
+
+/// Writes `data` at `offset` of `fh` via `via`.
+fn write(world: &mut impl World, via: NodeId, fh: FileHandle, offset: usize, data: &[u8]) {
+    call(world, via, NfsRequest::Write { fh, offset, data: data.to_vec().into() });
+}
+
+/// Creates `name` in the root via `via`, with `params` if given, and
+/// writes `seed` at offset 0 if it is not empty.
+fn create(
+    world: &mut impl World,
+    via: NodeId,
+    name: &str,
+    params: Option<FileParams>,
+    seed: &[u8],
+) -> FileHandle {
+    let dir = world.root();
+    let NfsReply::Attr(attr) =
+        call(world, via, NfsRequest::Create { dir, name: name.into(), mode: 0o644 })
+    else {
+        panic!("create {name}: not an attr reply");
+    };
+    if let Some(params) = params {
+        call(world, via, NfsRequest::DeceitSetParams { fh: attr.handle, params });
+    }
+    if !seed.is_empty() {
+        write(world, via, attr.handle, 0, seed);
+    }
+    attr.handle
+}
+
+/// The end state of every file, read back through `via(file index)`.
+fn read_all(
+    world: &mut impl World,
+    via: impl Fn(usize) -> NodeId,
+    handles: &[FileHandle],
+) -> Vec<FileState> {
+    handles
+        .iter()
+        .enumerate()
+        .map(|(c, &fh)| read_back(world, 0, via(c), fh).expect("read back"))
+        .collect()
+}
 
 #[test]
 fn crash_scenario_matches_across_worlds() {
@@ -14,7 +73,7 @@ fn crash_scenario_matches_across_worlds() {
     let cfg = RuntimeConfig::new(3);
 
     let sim = scenario.run_sim(&cfg);
-    let (live, flight) = scenario.run_live_observed(&cfg).expect("live run");
+    let (live, flight) = scenario.run_live(&cfg).expect("live run");
 
     assert_eq!(
         sim.contents, live.contents,
@@ -48,10 +107,10 @@ fn append_scenario_matches_across_worlds() {
         steps.push(ScenarioStep::Write { client, name: "log".into(), offset, data: chunk.clone() });
         offset += chunk.len();
         if round == 3 {
-            steps.push(ScenarioStep::Settle);
+            steps.push(ScenarioStep::Fault(FaultEvent::Settle));
         }
     }
-    steps.push(ScenarioStep::Settle);
+    steps.push(ScenarioStep::Fault(FaultEvent::Settle));
     let scenario = Scenario { servers: 3, clients: 3, steps };
     let cfg = RuntimeConfig::new(3);
 
@@ -72,9 +131,62 @@ fn append_scenario_matches_across_worlds() {
 fn live_runs_are_repeatable() {
     let scenario = Scenario::crash_and_recover(3, 2);
     let cfg = RuntimeConfig::new(3);
-    let a = scenario.run_live(&cfg).expect("first live run");
-    let b = scenario.run_live(&cfg).expect("second live run");
+    let (a, _) = scenario.run_live(&cfg).expect("first live run");
+    let (b, _) = scenario.run_live(&cfg).expect("second live run");
     assert_eq!(a, b);
+}
+
+/// One concurrent read's contract: `data` is an acked prefix of
+/// `expected` (its length is one of `valid_lens`, never torn), and no
+/// shorter than the session's previous read of the file.
+fn check_acked_prefix(
+    data: &[u8],
+    expected: &[u8],
+    valid_lens: &[usize],
+    last_len: &mut usize,
+    who: &str,
+) {
+    assert!(valid_lens.contains(&data.len()), "{who} observed a torn length {}", data.len());
+    assert_eq!(data, &expected[..data.len()], "{who} observed bytes that are not the acked prefix");
+    assert!(data.len() >= *last_len, "{who} went back in time: {} after {last_len}", data.len());
+    *last_len = data.len();
+}
+
+/// Partitions are part of the one fault vocabulary: the cell splits and
+/// heals between two write rounds, clients act only while it is whole,
+/// and both worlds must end with the same contents and replica counts.
+#[test]
+fn split_and_heal_between_write_rounds_matches_across_worlds() {
+    let mut steps = Vec::new();
+    for c in 0..3 {
+        let name = format!("f{c}");
+        steps.push(ScenarioStep::Create { client: c, name: name.clone() });
+        steps.push(ScenarioStep::SetReplicas { client: c, name: name.clone(), replicas: 3 });
+        let data = format!("v1 payload of client {c}").into_bytes();
+        steps.push(ScenarioStep::Write { client: c, name, offset: 0, data });
+    }
+    steps.push(ScenarioStep::Fault(FaultEvent::Settle));
+    steps.push(ScenarioStep::Fault(FaultEvent::Split { groups: vec![vec![0], vec![1, 2]] }));
+    steps.push(ScenarioStep::Fault(FaultEvent::Settle));
+    steps.push(ScenarioStep::Fault(FaultEvent::Heal));
+    steps.push(ScenarioStep::Fault(FaultEvent::Settle));
+    for c in 0..3 {
+        let name = format!("f{c}");
+        steps.push(ScenarioStep::Read { client: c, name: name.clone() });
+        let data = format!("v2 payload of client {c}").into_bytes();
+        steps.push(ScenarioStep::Write { client: c, name, offset: 0, data });
+    }
+    steps.push(ScenarioStep::Fault(FaultEvent::Settle));
+    let scenario = Scenario { servers: 3, clients: 3, steps };
+    let cfg = RuntimeConfig::new(3);
+
+    scenario.assert_worlds_match(&cfg);
+
+    let sim = scenario.run_sim(&cfg);
+    for (name, contents) in &sim.contents {
+        assert_eq!(contents, format!("v2 payload of client {}", &name[1..]).as_bytes());
+    }
+    assert!(sim.replicas.values().all(|&n| n == 3), "replicas: {:?}", sim.replicas);
 }
 
 /// The sharded-mutation stress differential: many client threads mutate
@@ -92,21 +204,21 @@ fn concurrent_disjoint_mutations_match_sim_in_completion_order() {
 
     const CLIENTS: usize = 6;
     const WRITES_PER_CLIENT: usize = 12;
+    fn home(c: usize) -> NodeId {
+        NodeId((c % 3) as u32)
+    }
+    /// Setup (sequential, run identically in both worlds): one file per
+    /// client, created via the client's home server.
+    fn setup(world: &mut impl World) -> Vec<FileHandle> {
+        let handles = (0..CLIENTS).map(|c| create(world, home(c), &format!("f{c}"), None, b""));
+        let handles = handles.collect();
+        world.fault(&FaultEvent::Settle);
+        handles
+    }
 
     let cfg = RuntimeConfig::new(3);
-    let rt = deceit_runtime::ClusterRuntime::start(cfg.clone());
-    let servers = rt.server_ids().to_vec();
-    let root = rt.client().root();
-
-    // Setup (sequential, mirrored exactly in the sim below): one file
-    // per client, created via the client's home server.
-    let mut handles = Vec::new();
-    for c in 0..CLIENTS {
-        let mut client = rt.client_homed(servers[c % servers.len()]);
-        let attr = client.create(root, &format!("f{c}"), 0o644).expect("create");
-        handles.push(attr.handle);
-    }
-    rt.settle();
+    let mut live = LiveWorld::start(cfg.clone(), 1);
+    let handles = setup(&mut live);
 
     // Stress (concurrent): each client appends its own chunks to its own
     // file; a global ticket stamps every completed write.
@@ -114,7 +226,7 @@ fn concurrent_disjoint_mutations_match_sim_in_completion_order() {
     let completions: Arc<Mutex<Vec<(u64, usize, usize)>>> = Arc::new(Mutex::new(Vec::new()));
     let workers: Vec<_> = (0..CLIENTS)
         .map(|c| {
-            let mut client = rt.client_homed(servers[c % servers.len()]);
+            let mut client = live.rt.client_homed(home(c));
             let fh = handles[c];
             let ticket = Arc::clone(&ticket);
             let completions = Arc::clone(&completions);
@@ -133,51 +245,34 @@ fn concurrent_disjoint_mutations_match_sim_in_completion_order() {
     for w in workers {
         w.join().expect("stress client");
     }
-    rt.settle();
-
-    // Live outcome.
-    let mut reader = rt.client();
-    let live_contents: Vec<Vec<u8>> =
-        handles.iter().map(|&fh| reader.read(fh, 0, 4096).expect("read back").to_vec()).collect();
-    let live_versions: Vec<u64> =
-        handles.iter().map(|&fh| reader.getattr(fh).expect("getattr").version.sub).collect();
-    let flight = rt.dump_flight_recorder();
-    rt.shutdown();
+    live.fault(&FaultEvent::Settle);
+    let live_end = read_all(&mut live, home, &handles);
+    let flight = live.flight();
+    drop(live);
 
     // Simulator replay, in the observed global completion order.
     let mut order = completions.lock().unwrap().clone();
     order.sort();
     assert_eq!(order.len(), CLIENTS * WRITES_PER_CLIENT, "every write completed exactly once");
-    let mut fs = deceit_nfs::DeceitFs::new(3, cfg.cluster.clone(), cfg.fs.clone());
-    let sim_root = fs.root();
-    let mut sim_handles = Vec::new();
-    for c in 0..CLIENTS {
-        let via = deceit_net::NodeId((c % servers.len()) as u32);
-        let attr = fs.create(via, sim_root, &format!("f{c}"), 0o644).expect("sim create");
-        sim_handles.push(attr.value.handle);
-    }
-    fs.cluster.run_until_quiet();
+    let mut sim = SimWorld::new(&cfg, 1);
+    let sim_handles = setup(&mut sim);
     let mut offsets = [0usize; CLIENTS];
     for &(_, c, i) in &order {
-        let via = deceit_net::NodeId((c % servers.len()) as u32);
         let chunk = format!("[c{c}w{i}]");
-        fs.write(via, sim_handles[c], offsets[c], chunk.as_bytes()).expect("sim write");
+        write(&mut sim, home(c), sim_handles[c], offsets[c], chunk.as_bytes());
         offsets[c] += chunk.len();
     }
-    fs.cluster.run_until_quiet();
+    sim.fault(&FaultEvent::Settle);
+    let sim_end = read_all(&mut sim, home, &sim_handles);
 
     for c in 0..CLIENTS {
-        let via = deceit_net::NodeId((c % servers.len()) as u32);
-        let sim_data = fs.read(via, sim_handles[c], 0, 4096).expect("sim read").value;
         assert_eq!(
-            live_contents[c],
-            sim_data.to_vec(),
+            live_end[c].data, sim_end[c].data,
             "file f{c} diverged between live (sharded) and sim (serial) execution; \
              live flight recorder:\n{flight}"
         );
-        let sim_sub = fs.getattr(via, sim_handles[c]).expect("sim getattr").value.version.sub;
         assert_eq!(
-            live_versions[c], sim_sub,
+            live_end[c].attr.version.sub, sim_end[c].attr.version.sub,
             "file f{c} applied a different number of updates; live flight recorder:\n{flight}"
         );
     }
@@ -206,25 +301,22 @@ fn crash_of_token_holder_mid_write_matches_sim_replay() {
 
     const WRITERS: usize = 4;
     const MAX_WRITES: usize = 2000; // cap; the crash ends the stream early
+    const HOME: NodeId = NodeId(1); // token holder of every stressed file
+    let home = HOME;
+    let reader_home = NodeId(2);
+    /// Setup (run identically in both worlds): per-writer files created,
+    /// replicated 3x, via the holder-to-be.
+    fn setup(world: &mut impl World) -> Vec<FileHandle> {
+        let params = Some(FileParams::important(3));
+        let handles = (0..WRITERS).map(|c| create(world, HOME, &format!("f{c}"), params, b""));
+        let handles = handles.collect();
+        world.fault(&FaultEvent::Settle);
+        handles
+    }
 
     let cfg = RuntimeConfig::new(3).with_request_timeout(Duration::from_millis(300));
-    let rt = deceit_runtime::ClusterRuntime::start(cfg.clone());
-    let home = rt.server_ids()[1]; // token holder of every stressed file
-    let reader_home = rt.server_ids()[2];
-    let root = rt.client().root();
-
-    // Setup (mirrored exactly in the replay): per-writer files created,
-    // replicated 3x, and warmed via the holder-to-be.
-    let mut handles = Vec::new();
-    for c in 0..WRITERS {
-        let mut client = rt.client_homed(home);
-        let attr = client.create(root, &format!("f{c}"), 0o644).expect("create");
-        client
-            .set_file_params(attr.handle, deceit_core::FileParams::important(3))
-            .expect("set replicas");
-        handles.push(attr.handle);
-    }
-    rt.settle();
+    let mut live = LiveWorld::start(cfg.clone(), 1);
+    let handles = setup(&mut live);
 
     // Stress: sequential appends per writer, all via the token holder,
     // stopping at the first failed write (the crash). Acked writes are
@@ -233,7 +325,7 @@ fn crash_of_token_holder_mid_write_matches_sim_replay() {
     let completions: Arc<Mutex<Vec<(u64, usize, usize)>>> = Arc::new(Mutex::new(Vec::new()));
     let workers: Vec<_> = (0..WRITERS)
         .map(|c| {
-            let mut client = rt.client_homed(home);
+            let mut client = live.rt.client_homed(home);
             let fh = handles[c];
             let ticket = Arc::clone(&ticket);
             let completions = Arc::clone(&completions);
@@ -254,25 +346,17 @@ fn crash_of_token_holder_mid_write_matches_sim_replay() {
 
     // Crash the holder mid-stream, then bring it back.
     std::thread::sleep(Duration::from_millis(5));
-    rt.crash_server(home);
+    live.fault(&FaultEvent::Crash { server: home.0 });
     for w in workers {
         w.join().expect("stress writer");
     }
-    rt.restart_server(home);
-    rt.settle();
+    live.fault(&FaultEvent::Restart { server: home.0 });
+    live.fault(&FaultEvent::Settle);
 
     // Live outcome, read via a survivor (forwarding resolves laggards).
-    let mut reader = rt.client_homed(reader_home);
-    let live_contents: Vec<Vec<u8>> = handles
-        .iter()
-        .map(|&fh| reader.read(fh, 0, 1 << 20).expect("read back").to_vec())
-        .collect();
-    let live_versions: Vec<u64> =
-        handles.iter().map(|&fh| reader.getattr(fh).expect("getattr").version.sub).collect();
-    let live_replicas: Vec<usize> =
-        handles.iter().map(|&fh| reader.locate_replicas(fh).expect("locate").len()).collect();
-    let flight = rt.dump_flight_recorder();
-    rt.shutdown();
+    let live_end = read_all(&mut live, |_| reader_home, &handles);
+    let flight = live.flight();
+    drop(live);
 
     // Observed history: acked writes per file, in completion order.
     let mut order = completions.lock().unwrap().clone();
@@ -286,7 +370,7 @@ fn crash_of_token_holder_mid_write_matches_sim_replay() {
     let mut kept_inflight = [false; WRITERS];
     for c in 0..WRITERS {
         let acked_len: usize = (0..acked[c]).map(|i| format!("[c{c}w{i}]").len()).sum();
-        match live_contents[c].len() {
+        match live_end[c].data.len() {
             l if l == acked_len => {}
             l if l == acked_len + format!("[c{c}w{}]", acked[c]).len() => kept_inflight[c] = true,
             l => panic!(
@@ -297,51 +381,37 @@ fn crash_of_token_holder_mid_write_matches_sim_replay() {
     }
 
     // Simulator replay of exactly that history.
-    let via = deceit_net::NodeId(home.0);
-    let mut fs = deceit_nfs::DeceitFs::new(3, cfg.cluster.clone(), cfg.fs.clone());
-    let sim_root = fs.root();
-    let mut sim_handles = Vec::new();
-    for c in 0..WRITERS {
-        let attr = fs.create(via, sim_root, &format!("f{c}"), 0o644).expect("sim create");
-        fs.set_file_params(via, attr.value.handle, deceit_core::FileParams::important(3))
-            .expect("sim set replicas");
-        sim_handles.push(attr.value.handle);
-    }
-    fs.cluster.run_until_quiet();
+    let mut sim = SimWorld::new(&cfg, 1);
+    let sim_handles = setup(&mut sim);
     let mut offsets = [0usize; WRITERS];
     for &(_, c, i) in &order {
         let chunk = format!("[c{c}w{i}]");
-        fs.write(via, sim_handles[c], offsets[c], chunk.as_bytes()).expect("sim write");
+        write(&mut sim, home, sim_handles[c], offsets[c], chunk.as_bytes());
         offsets[c] += chunk.len();
     }
     for c in 0..WRITERS {
         if kept_inflight[c] {
             let chunk = format!("[c{c}w{}]", acked[c]);
-            fs.write(via, sim_handles[c], offsets[c], chunk.as_bytes()).expect("sim write");
+            write(&mut sim, home, sim_handles[c], offsets[c], chunk.as_bytes());
         }
     }
-    fs.cluster.crash_server(via);
-    fs.cluster.recover_server(via);
-    fs.cluster.run_until_quiet();
+    sim.fault(&FaultEvent::Crash { server: home.0 });
+    sim.fault(&FaultEvent::Restart { server: home.0 });
+    sim.fault(&FaultEvent::Settle);
+    let sim_end = read_all(&mut sim, |_| reader_home, &sim_handles);
 
-    let read_via = deceit_net::NodeId(reader_home.0);
     for c in 0..WRITERS {
-        let sim_data = fs.read(read_via, sim_handles[c], 0, 1 << 20).expect("sim read").value;
         assert_eq!(
-            live_contents[c],
-            sim_data.to_vec(),
+            live_end[c].data, sim_end[c].data,
             "file f{c} diverged between the crashed live run and the sim replay; \
              live flight recorder:\n{flight}"
         );
-        let sim_sub = fs.getattr(read_via, sim_handles[c]).expect("sim getattr").value.version.sub;
         assert_eq!(
-            live_versions[c], sim_sub,
+            live_end[c].attr.version.sub, sim_end[c].attr.version.sub,
             "file f{c} applied a different number of updates; live flight recorder:\n{flight}"
         );
-        let sim_replicas = fs.file_replicas(read_via, sim_handles[c]).expect("sim locate").value;
         assert_eq!(
-            live_replicas[c],
-            sim_replicas.len(),
+            live_end[c].replicas, sim_end[c].replicas,
             "file f{c} recovered to a different replica level; live flight recorder:\n{flight}"
         );
     }
@@ -359,26 +429,21 @@ fn crash_of_token_holder_mid_write_matches_sim_replay() {
 /// contents, version, and replica count must match byte for byte.
 #[test]
 fn readers_vs_write_stream_matches_sim_replay() {
-    use deceit_sim::atomic::PublishedBool;
+    use deceit_sim::atomic::{PublishedBool, PublishedU64};
     use std::sync::Arc;
 
     const WRITES: usize = 60;
     const READERS: usize = 3; // 2 on the holder (lease path), 1 remote
-
-    let cfg = RuntimeConfig::new(3);
-    let rt = deceit_runtime::ClusterRuntime::start(cfg.clone());
-    let home = rt.server_ids()[0];
-    let remote_home = rt.server_ids()[1];
-    let root = rt.client().root();
+    let home = NodeId(0);
+    let remote_home = NodeId(1);
+    let params = Some(FileParams::important(3));
 
     // Setup (mirrored in the replay): the streamed file, replicated 3x,
     // warmed via the holder-to-be, settled stable.
-    let mut opener = rt.client_homed(home);
-    let attr = opener.create(root, "stream", 0o644).expect("create");
-    let fh = attr.handle;
-    opener.set_file_params(fh, deceit_core::FileParams::important(3)).expect("set replicas");
-    opener.write(fh, 0, b"warmup:").expect("warmup");
-    rt.settle();
+    let cfg = RuntimeConfig::new(3);
+    let mut live = LiveWorld::start(cfg.clone(), 1);
+    let fh = create(&mut live, home, "stream", params, b"warmup:");
+    live.fault(&FaultEvent::Settle);
 
     // The full expected byte sequence and the set of valid acked-prefix
     // lengths a read may observe.
@@ -390,13 +455,15 @@ fn readers_vs_write_stream_matches_sim_replay() {
     }
 
     let done = Arc::new(PublishedBool::new(false));
+    let started = Arc::new(PublishedU64::new(0));
     let readers: Vec<_> = (0..READERS)
         .map(|r| {
             // Reader 2 sits on a non-holder: its reads forward around
             // the unstable replica (and arm read-repair) instead of
             // riding the lease.
-            let mut client = rt.client_homed(if r == READERS - 1 { remote_home } else { home });
-            let done = Arc::clone(&done);
+            let mut client =
+                live.rt.client_homed(if r == READERS - 1 { remote_home } else { home });
+            let (done, started) = (Arc::clone(&done), Arc::clone(&started));
             let expected = expected.clone();
             let valid_lens = valid_lens.clone();
             std::thread::spawn(move || {
@@ -404,30 +471,26 @@ fn readers_vs_write_stream_matches_sim_replay() {
                 let mut reads = 0u64;
                 while !done.load() {
                     let data = client.read(fh, 0, 1 << 16).expect("concurrent stream read");
-                    assert!(
-                        valid_lens.contains(&data.len()),
-                        "reader {r} observed a torn length {} (not an acked prefix)",
-                        data.len()
-                    );
-                    assert_eq!(
-                        &data[..],
-                        &expected[..data.len()],
-                        "reader {r} observed bytes that are not the acked prefix"
-                    );
-                    assert!(
-                        data.len() >= last_len,
-                        "reader {r} went back in time: {} after {last_len}",
-                        data.len()
-                    );
-                    last_len = data.len();
+                    let who = format!("reader {r}");
+                    check_acked_prefix(&data, &expected, &valid_lens, &mut last_len, &who);
                     reads += 1;
+                    if reads == 1 {
+                        started.fetch_add(1);
+                    }
                 }
                 reads
             })
         })
         .collect();
 
-    let mut writer = rt.client_homed(home);
+    // The stream starts once every reader has read once, so no reader
+    // can find `done` set before its first read, however the threads
+    // are scheduled.
+    while started.load() < READERS as u64 {
+        assert!(!readers.iter().any(|r| r.is_finished()), "a reader stopped before its first read");
+        std::thread::yield_now();
+    }
+    let mut writer = live.rt.client_homed(home);
     let mut offset = b"warmup:".len();
     for i in 0..WRITES {
         let chunk = format!("[w{i}]");
@@ -437,51 +500,39 @@ fn readers_vs_write_stream_matches_sim_replay() {
     done.store(true);
     let total_reads: u64 = readers.into_iter().map(|r| r.join().expect("reader")).sum();
     assert!(total_reads > 0, "the readers must have observed the stream");
-    rt.settle();
+    live.fault(&FaultEvent::Settle);
 
-    let mut verifier = rt.client_homed(remote_home);
-    let live_final = verifier.read(fh, 0, 1 << 16).expect("final read").to_vec();
-    let live_sub = verifier.getattr(fh).expect("getattr").version.sub;
-    let live_replicas = verifier.locate_replicas(fh).expect("locate").len();
-    let flight = rt.dump_flight_recorder();
-    rt.shutdown();
+    let live_end = read_all(&mut live, |_| remote_home, &[fh]).remove(0);
+    let flight = live.flight();
+    drop(live);
     assert_eq!(
-        live_final, expected,
+        live_end.data, expected,
         "the live stream lost or reordered an acked write; live flight recorder:\n{flight}"
     );
 
     // Simulator replay of the same history through the same config.
-    let via = deceit_net::NodeId(home.0);
-    let mut fs = deceit_nfs::DeceitFs::new(3, cfg.cluster.clone(), cfg.fs.clone());
-    let sim_root = fs.root();
-    let sim_fh = fs.create(via, sim_root, "stream", 0o644).expect("sim create").value.handle;
-    fs.set_file_params(via, sim_fh, deceit_core::FileParams::important(3))
-        .expect("sim set replicas");
-    fs.write(via, sim_fh, 0, b"warmup:").expect("sim warmup");
-    fs.cluster.run_until_quiet();
+    let mut sim = SimWorld::new(&cfg, 1);
+    let sim_fh = create(&mut sim, home, "stream", params, b"warmup:");
+    sim.fault(&FaultEvent::Settle);
     let mut offset = b"warmup:".len();
     for i in 0..WRITES {
         let chunk = format!("[w{i}]");
-        fs.write(via, sim_fh, offset, chunk.as_bytes()).expect("sim write");
+        write(&mut sim, home, sim_fh, offset, chunk.as_bytes());
         offset += chunk.len();
     }
-    fs.cluster.run_until_quiet();
+    sim.fault(&FaultEvent::Settle);
+    let sim_end = read_all(&mut sim, |_| remote_home, &[sim_fh]).remove(0);
 
-    let read_via = deceit_net::NodeId(remote_home.0);
-    let sim_final = fs.read(read_via, sim_fh, 0, 1 << 16).expect("sim read").value;
     assert_eq!(
-        live_final,
-        sim_final.to_vec(),
+        live_end.data, sim_end.data,
         "stream contents diverged between worlds; live flight recorder:\n{flight}"
     );
-    let sim_sub = fs.getattr(read_via, sim_fh).expect("sim getattr").value.version.sub;
     assert_eq!(
-        live_sub, sim_sub,
+        live_end.attr.version.sub, sim_end.attr.version.sub,
         "the stream applied a different number of updates; live flight recorder:\n{flight}"
     );
-    let sim_replicas = fs.file_replicas(read_via, sim_fh).expect("sim locate").value.len();
     assert_eq!(
-        live_replicas, sim_replicas,
+        live_end.replicas, sim_end.replicas,
         "replica levels diverged between worlds; live flight recorder:\n{flight}"
     );
 }
@@ -510,32 +561,29 @@ fn migration_storm_under_crash_keeps_floor_and_read_monotonicity() {
     const WARMUP_READS: usize = 12; // past the placement threshold (8)
     const WRITES: usize = 48; // round-robin across FILES
     const READERS: usize = 2;
+    const HOME: NodeId = NodeId(0); // token holder of every file
+    let home = HOME;
+    let churn = NodeId(1); // fill's second copy — crashed mid-storm
+    let reader_home = NodeId(2); // migration target
+    /// Setup (run identically in both worlds): FILES files homed on
+    /// `HOME`, replication floor FLOOR, seeded and settled stable.
+    fn setup(world: &mut impl World) -> Vec<FileHandle> {
+        let params = Some(FileParams::important(FLOOR));
+        let handles = (0..FILES)
+            .map(|c| create(world, HOME, &format!("f{c}"), params, format!("seed{c}:").as_bytes()));
+        let handles = handles.collect();
+        world.fault(&FaultEvent::Settle);
+        handles
+    }
 
     let cfg = RuntimeConfig::new(3).with_request_timeout(Duration::from_millis(300));
-    let rt = deceit_runtime::ClusterRuntime::start(cfg.clone());
-    let home = rt.server_ids()[0]; // token holder of every file
-    let churn = rt.server_ids()[1]; // fill's second copy — crashed mid-storm
-    let reader_home = rt.server_ids()[2]; // migration target
-    let root = rt.client().root();
-
-    // Setup (mirrored in the replay): FILES files homed on `home`,
-    // replication floor FLOOR, seeded and settled stable.
-    let mut opener = rt.client_homed(home);
-    let mut handles = Vec::new();
-    for c in 0..FILES {
-        let attr = opener.create(root, &format!("f{c}"), 0o644).expect("create");
-        opener
-            .set_file_params(attr.handle, deceit_core::FileParams::important(FLOOR))
-            .expect("set replicas");
-        opener.write(attr.handle, 0, format!("seed{c}:").as_bytes()).expect("seed");
-        handles.push(attr.handle);
-    }
-    rt.settle();
+    let mut live = LiveWorld::start(cfg.clone(), 1);
+    let handles = setup(&mut live);
 
     // Warm-up: cross-homed reads past the threshold arm one deferred
     // migration per file (due-gated — they fire at a later settle, i.e.
     // *after* the crash lands: migrations in flight during the storm).
-    let mut warm = rt.client_homed(reader_home);
+    let mut warm = live.rt.client_homed(reader_home);
     for &fh in &handles {
         for _ in 0..WARMUP_READS {
             warm.read(fh, 0, 1 << 16).expect("warm-up read");
@@ -556,7 +604,7 @@ fn migration_storm_under_crash_keeps_floor_and_read_monotonicity() {
     let done = Arc::new(PublishedBool::new(false));
     let readers: Vec<_> = (0..READERS)
         .map(|r| {
-            let mut client = rt.client_homed(reader_home);
+            let mut client = live.rt.client_homed(reader_home);
             let handles = handles.clone();
             let expected = expected.clone();
             let valid_lens = valid_lens.clone();
@@ -567,23 +615,8 @@ fn migration_storm_under_crash_keeps_floor_and_read_monotonicity() {
                 while !done.load() {
                     for c in 0..FILES {
                         let data = client.read(handles[c], 0, 1 << 16).expect("storm read");
-                        assert!(
-                            valid_lens[c].contains(&data.len()),
-                            "reader {r} observed a torn length {} on f{c}",
-                            data.len()
-                        );
-                        assert_eq!(
-                            &data[..],
-                            &expected[c][..data.len()],
-                            "reader {r} observed non-prefix bytes on f{c}"
-                        );
-                        assert!(
-                            data.len() >= last_len[c],
-                            "reader {r} went back in time on f{c}: {} after {}",
-                            data.len(),
-                            last_len[c]
-                        );
-                        last_len[c] = data.len();
+                        let (lens, who) = (&valid_lens[c], format!("reader {r} on f{c}"));
+                        check_acked_prefix(&data, &expected[c], lens, &mut last_len[c], &who);
                         reads += 1;
                     }
                 }
@@ -597,7 +630,7 @@ fn migration_storm_under_crash_keeps_floor_and_read_monotonicity() {
     // availability refuses writes — retry until the restart restores
     // the majority. A refused write is never partially applied.
     let writer = {
-        let mut client = rt.client_homed(home);
+        let mut client = live.rt.client_homed(home);
         let handles = handles.clone();
         std::thread::spawn(move || {
             let mut offsets: Vec<usize> = (0..FILES).map(|c| format!("seed{c}:").len()).collect();
@@ -618,82 +651,63 @@ fn migration_storm_under_crash_keeps_floor_and_read_monotonicity() {
     // The storm: crash the second replica holder mid-stream with the
     // armed migrations still pending, then bring it back.
     std::thread::sleep(Duration::from_millis(5));
-    rt.crash_server(churn);
+    live.fault(&FaultEvent::Crash { server: churn.0 });
     std::thread::sleep(Duration::from_millis(20));
-    rt.restart_server(churn);
+    live.fault(&FaultEvent::Restart { server: churn.0 });
     writer.join().expect("storm writer");
-    rt.settle(); // migrations (and their retire passes) execute here
+    live.fault(&FaultEvent::Settle); // migrations (and their retire passes) execute here
     done.store(true);
     let total_reads: u64 = readers.into_iter().map(|r| r.join().expect("reader")).sum();
     assert!(total_reads > 0, "the readers must have observed the storm");
-    rt.settle();
+    live.fault(&FaultEvent::Settle);
 
     // Live outcome: full contents, the replication floor held through
     // migration + retirement + crash, and the migrations really ran.
-    let mut verifier = rt.client_homed(reader_home);
-    let live_contents: Vec<Vec<u8>> = handles
-        .iter()
-        .map(|&fh| verifier.read(fh, 0, 1 << 16).expect("final read").to_vec())
-        .collect();
-    let live_versions: Vec<u64> =
-        handles.iter().map(|&fh| verifier.getattr(fh).expect("getattr").version.sub).collect();
-    for (c, &fh) in handles.iter().enumerate() {
-        let replicas = verifier.locate_replicas(fh).expect("locate").len();
+    let live_end = read_all(&mut live, |_| reader_home, &handles);
+    for (c, end) in live_end.iter().enumerate() {
         assert!(
-            replicas >= FLOOR,
-            "f{c} ended with {replicas} replicas, below its floor of {FLOOR}"
+            end.replicas >= FLOOR,
+            "f{c} ended with {} replicas, below its floor of {FLOOR}",
+            end.replicas
         );
     }
-    let placement = rt.observe().core.expect("core report").placement;
+    let placement = live.rt.observe().core.expect("core report").placement;
     assert!(
         placement.migrations_executed >= 1,
         "the storm ran without any migration executing: {placement:?}"
     );
-    let flight = rt.dump_flight_recorder();
-    rt.shutdown();
+    let flight = live.flight();
+    drop(live);
     for c in 0..FILES {
         assert_eq!(
-            live_contents[c], expected[c],
+            live_end[c].data, expected[c],
             "f{c} lost or reordered an acked write; live flight recorder:\n{flight}"
         );
     }
 
     // Simulator replay: same files, same acked writes in order, same
     // crash/restart of the second replica holder.
-    let via = deceit_net::NodeId(home.0);
-    let mut fs = deceit_nfs::DeceitFs::new(3, cfg.cluster.clone(), cfg.fs.clone());
-    let sim_root = fs.root();
-    let mut sim_handles = Vec::new();
-    for c in 0..FILES {
-        let attr = fs.create(via, sim_root, &format!("f{c}"), 0o644).expect("sim create");
-        fs.set_file_params(via, attr.value.handle, deceit_core::FileParams::important(FLOOR))
-            .expect("sim set replicas");
-        fs.write(via, attr.value.handle, 0, format!("seed{c}:").as_bytes()).expect("sim seed");
-        sim_handles.push(attr.value.handle);
-    }
-    fs.cluster.run_until_quiet();
+    let mut sim = SimWorld::new(&cfg, 1);
+    let sim_handles = setup(&mut sim);
     let mut offsets: Vec<usize> = (0..FILES).map(|c| format!("seed{c}:").len()).collect();
     for i in 0..WRITES {
         let c = i % FILES;
         let chunk = format!("[w{i}]");
-        fs.write(via, sim_handles[c], offsets[c], chunk.as_bytes()).expect("sim write");
+        write(&mut sim, home, sim_handles[c], offsets[c], chunk.as_bytes());
         offsets[c] += chunk.len();
     }
-    fs.cluster.crash_server(deceit_net::NodeId(churn.0));
-    fs.cluster.recover_server(deceit_net::NodeId(churn.0));
-    fs.cluster.run_until_quiet();
+    sim.fault(&FaultEvent::Crash { server: churn.0 });
+    sim.fault(&FaultEvent::Restart { server: churn.0 });
+    sim.fault(&FaultEvent::Settle);
+    let sim_end = read_all(&mut sim, |_| reader_home, &sim_handles);
 
-    let read_via = deceit_net::NodeId(reader_home.0);
     for c in 0..FILES {
-        let sim_data = fs.read(read_via, sim_handles[c], 0, 1 << 16).expect("sim read").value;
         assert_eq!(
-            live_contents[c],
-            sim_data.to_vec(),
+            live_end[c].data, sim_end[c].data,
             "f{c} diverged between the storm and the sim replay; live flight recorder:\n{flight}"
         );
-        let sim_sub = fs.getattr(read_via, sim_handles[c]).expect("sim getattr").value.version.sub;
         assert_eq!(
-            live_versions[c], sim_sub,
+            live_end[c].attr.version.sub, sim_end[c].attr.version.sub,
             "f{c} applied a different number of updates; live flight recorder:\n{flight}"
         );
     }
