@@ -54,7 +54,7 @@ use crate::client::expect_attr;
 use crate::config::RuntimeConfig;
 use crate::history::{HistoryRecorder, JournalHandle, NEMESIS_CLIENT};
 use crate::scenario::{failure_report, first_up};
-use crate::world::{read_back, LiveWorld, SimWorld, World};
+use crate::world::{read_data, replica_count, FileState, LiveWorld, SimWorld, World};
 
 /// Shape of one storm. Everything that matters for replay is in here —
 /// a `(StormConfig, mode)` pair reproduces a sim run exactly and a live
@@ -243,10 +243,10 @@ fn next_fault(
 // Storms
 // ---------------------------------------------------------------------
 
-/// The nemesis's side of a storm: the topology its faults have made so
-/// far, and the journal each fault lands in once applied.
+/// The nemesis's side of a storm: whether its faults left a partition
+/// open, and the journal each fault lands in once applied. The down set
+/// is the world's own ([`World::down`]).
 struct Nemesis {
-    down: BTreeSet<u32>,
     split: bool,
     journal: JournalHandle,
 }
@@ -255,15 +255,9 @@ impl Nemesis {
     /// Applies `fault` to `world`, then journals it.
     fn inject(&mut self, world: &mut impl World, fault: FaultEvent) {
         match &fault {
-            FaultEvent::Crash { server } => {
-                self.down.insert(*server);
-            }
-            FaultEvent::Restart { server } => {
-                self.down.remove(server);
-            }
             FaultEvent::Split { .. } => self.split = true,
             FaultEvent::Heal => self.split = false,
-            FaultEvent::Settle => {}
+            _ => {}
         }
         world.fault(&fault);
         self.journal.fault(fault);
@@ -271,13 +265,13 @@ impl Nemesis {
 
     /// Draws the schedule's next fault and applies it.
     fn strike(&mut self, world: &mut impl World, rng: &mut SimRng, cfg: &StormConfig) {
-        let fault = next_fault(rng, &self.down, self.split, cfg.servers, cfg.max_down());
+        let fault = next_fault(rng, &world.down(), self.split, cfg.servers, cfg.max_down());
         self.inject(world, fault);
     }
 
     /// Recovery: every server back up, any partition healed.
     fn recover(&mut self, world: &mut impl World) {
-        for server in self.down.clone() {
+        for server in world.down() {
             self.inject(world, FaultEvent::Restart { server });
         }
         if self.split {
@@ -291,14 +285,15 @@ impl Nemesis {
 /// session reads the final state back unrecorded. Setup, recovery's
 /// settle and the readback are shared; `workload` runs the writers, the
 /// readers and the fault schedule, and ends with the nemesis's recovery.
+/// `live` makes the readback patient (see [`final_state`]).
 fn run_storm<W: World>(
     cfg: &StormConfig,
     mut world: W,
+    live: bool,
     workload: impl FnOnce(&mut W, &[FileHandle], &mut Nemesis),
 ) -> StormOutcome {
     let recorder = HistoryRecorder::new();
-    let mut nemesis =
-        Nemesis { down: BTreeSet::new(), split: false, journal: recorder.journal(NEMESIS_CLIENT) };
+    let mut nemesis = Nemesis { split: false, journal: recorder.journal(NEMESIS_CLIENT) };
     let root = world.root();
 
     // Setup: each file created (and parameterized) via its writer's home
@@ -325,11 +320,35 @@ fn run_storm<W: World>(
     // Ground truth per file.
     let observer = cfg.files + cfg.readers;
     for &fh in &files {
-        let state = read_back(&mut world, observer, NodeId(0), fh).expect("post-storm read back");
+        let state = final_state(&mut world, observer, fh, live);
         let version = (state.attr.version.major, state.attr.version.sub);
         nemesis.journal.final_state(fh.seg.0, &state.data, version, state.replicas);
     }
     StormOutcome { history: recorder.merge(), flight: world.flight() }
+}
+
+/// Reads `fh`'s end state through server 0 for the auditor. The
+/// simulator has settled deterministically, so any failure stops the
+/// run. Live, the first reads after recovery can still land
+/// mid-recovery, so a failed read is retried briefly; and a failed
+/// replica lookup counts as no replicas, so the auditor reports the
+/// floor breach and the storm still renders its report.
+fn final_state(world: &mut impl World, session: usize, fh: FileHandle, live: bool) -> FileState {
+    let via = NodeId(0);
+    let mut data = read_data(world, session, via, fh);
+    for _ in 0..if live { 50 } else { 0 } {
+        if data.is_ok() {
+            break;
+        }
+        std::thread::sleep(Duration::from_millis(10));
+        data = read_data(world, session, via, fh);
+    }
+    let data = data.expect("post-storm read");
+    let getattr = NfsRequest::Getattr { fh };
+    let attr = world.call(session, via, getattr).and_then(expect_attr).expect("post-storm getattr");
+    let replicas = replica_count(world, session, via, fh);
+    let replicas = if live { replicas.unwrap_or(0) } else { replicas.expect("post-storm locate") };
+    FileState { data, attr, replicas }
 }
 
 /// Runs one storm single-threaded through the deterministic simulator,
@@ -340,7 +359,7 @@ pub fn run_sim_storm(cfg: &StormConfig, rcfg: &RuntimeConfig) -> StormOutcome {
     let mut rcfg = RuntimeConfig { servers: cfg.servers, ..rcfg.clone() };
     rcfg.cluster.seed = cfg.seed;
     let world = SimWorld::new(&rcfg, cfg.files + cfg.readers + 1);
-    run_storm(cfg, world, |world, files, nemesis| {
+    run_storm(cfg, world, false, |world, files, nemesis| {
         let servers = cfg.servers as u32;
         let mut rng = SimRng::new(cfg.seed);
         // Per writer: its current home, the next offset and chunk.
@@ -389,7 +408,7 @@ pub fn run_sim_storm(cfg: &StormConfig, rcfg: &RuntimeConfig) -> StormOutcome {
                 let r = reader_cursor % cfg.readers;
                 reader_cursor += 1;
                 let fh = files[rng.index(files.len())];
-                if let Some(via) = first_up(r as u32, servers, &nemesis.down) {
+                if let Some(via) = first_up(r as u32, servers, &world.down()) {
                     let req = NfsRequest::Read { fh, offset: 0, count: 1 << 20 };
                     let _ = world.call(cfg.files + r, via, req);
                 }
@@ -407,7 +426,7 @@ pub fn run_sim_storm(cfg: &StormConfig, rcfg: &RuntimeConfig) -> StormOutcome {
 pub fn run_live_storm(cfg: &StormConfig, rcfg: &RuntimeConfig) -> StormOutcome {
     let rcfg = RuntimeConfig { servers: cfg.servers, ..rcfg.clone() };
     let world = LiveWorld::start(rcfg, cfg.files + cfg.readers + 1);
-    run_storm(cfg, world, |world, files, nemesis| {
+    run_storm(cfg, world, true, |world, files, nemesis| {
         let ids = &world.rt.server_ids().to_vec();
         let mut sessions = std::mem::take(&mut world.sessions);
         let (writers, readers) = sessions.split_at_mut(cfg.files);

@@ -413,6 +413,11 @@ impl<S: NfsService + ProtocolHost + Send + Sync + 'static> ClusterRuntime<S> {
         self.shared.bus.recover(id);
     }
 
+    /// Whether `id` is crashed and not yet restarted.
+    pub(crate) fn is_crashed(&self, id: NodeId) -> bool {
+        self.shared.bus.is_crashed(id)
+    }
+
     /// Imposes a partition between the given groups of *servers*,
     /// mirroring [`deceit_core::Cluster::split`]. Each client session is
     /// placed on its home server's side of the split. The engine, the

@@ -81,15 +81,9 @@ impl Scenario {
     /// the run (for example, two creates of one name).
     pub fn run(&self, world: &mut impl World) -> RuntimeResult<ScenarioOutcome> {
         let root = world.root();
-        let mut down: BTreeSet<u32> = BTreeSet::new();
         for step in &self.steps {
             let (client, name) = match step {
                 ScenarioStep::Fault(fault) => {
-                    match fault {
-                        FaultEvent::Crash { server } => down.insert(*server),
-                        FaultEvent::Restart { server } => down.remove(server),
-                        _ => false,
-                    };
                     world.fault(fault);
                     continue;
                 }
@@ -98,7 +92,7 @@ impl Scenario {
                 | ScenarioStep::Write { client, name, .. }
                 | ScenarioStep::Read { client, name } => (*client, name.clone()),
             };
-            let via = self.route(client, &down);
+            let via = self.route(client, &world.down());
             let req = if let ScenarioStep::Create { .. } = step {
                 NfsRequest::Create { dir: root, name, mode: 0o644 }
             } else {
@@ -121,7 +115,7 @@ impl Scenario {
         world.fault(&FaultEvent::Settle);
 
         let mut outcome = ScenarioOutcome::default();
-        let via = self.route(0, &down);
+        let via = self.route(0, &world.down());
         // Each name was created once: a second create fails the run.
         for step in &self.steps {
             let ScenarioStep::Create { name, .. } = step else { continue };

@@ -47,6 +47,9 @@ pub trait World {
     /// The protocol flight recorder: the last events each server acted in.
     fn flight(&self) -> String;
 
+    /// The servers crashed and not yet restarted.
+    fn down(&self) -> BTreeSet<u32>;
+
     /// The root directory handle.
     fn root(&self) -> FileHandle;
 
@@ -58,7 +61,6 @@ pub trait World {
 pub struct SimWorld {
     /// The cell, behind the request table.
     pub(crate) server: NfsServer,
-    down: BTreeSet<NodeId>,
     journals: Vec<Option<JournalHandle>>,
 }
 
@@ -69,11 +71,7 @@ impl SimWorld {
     pub fn new(cfg: &RuntimeConfig, sessions: usize) -> Self {
         let cluster = cfg.cluster.clone().with_shards(cfg.shards);
         let fs = DeceitFs::new(cfg.servers, cluster, cfg.fs.clone());
-        SimWorld {
-            server: NfsServer::new(fs),
-            down: BTreeSet::new(),
-            journals: (0..sessions).map(|_| None).collect(),
-        }
+        SimWorld { server: NfsServer::new(fs), journals: (0..sessions).map(|_| None).collect() }
     }
 }
 
@@ -81,7 +79,7 @@ impl World for SimWorld {
     fn call(&mut self, session: usize, via: NodeId, req: NfsRequest) -> RuntimeResult<NfsReply> {
         let journal = self.journals[session].as_ref();
         let op = journal.map(|j| j.invoke(&req));
-        let result = if self.down.contains(&via) {
+        let result = if !self.server.fs.cluster.net.is_up(via) {
             Err(RpcError::Unreachable(via).into())
         } else {
             Ok(self.server.handle(via, req).0)
@@ -95,14 +93,8 @@ impl World for SimWorld {
     fn fault(&mut self, fault: &FaultEvent) {
         let cluster = &mut self.server.fs.cluster;
         match fault {
-            FaultEvent::Crash { server } => {
-                self.down.insert(NodeId(*server));
-                cluster.crash_server(NodeId(*server));
-            }
-            FaultEvent::Restart { server } => {
-                self.down.remove(&NodeId(*server));
-                cluster.recover_server(NodeId(*server));
-            }
+            FaultEvent::Crash { server } => cluster.crash_server(NodeId(*server)),
+            FaultEvent::Restart { server } => cluster.recover_server(NodeId(*server)),
             FaultEvent::Split { groups } => {
                 let groups = node_groups(groups);
                 cluster.split(&groups.iter().map(Vec::as_slice).collect::<Vec<_>>());
@@ -114,6 +106,11 @@ impl World for SimWorld {
 
     fn flight(&self) -> String {
         self.server.fs.cluster.obs.flight.dump()
+    }
+
+    fn down(&self) -> BTreeSet<u32> {
+        let cluster = &self.server.fs.cluster;
+        cluster.server_ids().into_iter().filter(|&s| !cluster.net.is_up(s)).map(|s| s.0).collect()
     }
 
     fn root(&self) -> FileHandle {
@@ -164,6 +161,10 @@ impl World for LiveWorld {
         self.rt.dump_flight_recorder()
     }
 
+    fn down(&self) -> BTreeSet<u32> {
+        self.rt.server_ids().iter().filter(|&&s| self.rt.is_crashed(s)).map(|s| s.0).collect()
+    }
+
     fn root(&self) -> FileHandle {
         self.sessions[0].root()
     }
@@ -189,34 +190,43 @@ pub struct FileState {
 }
 
 /// Reads `fh` back through `via`: contents, attributes, replica count.
-/// The first read after a live recovery can still land mid-recovery, so
-/// a failed read is retried briefly before it counts.
+/// The first failure, transport or server-side, is the result.
 pub fn read_back(
     world: &mut impl World,
     session: usize,
     via: NodeId,
     fh: FileHandle,
 ) -> RuntimeResult<FileState> {
-    let mut read =
-        || match world.call(session, via, NfsRequest::Read { fh, offset: 0, count: 1 << 20 })? {
-            NfsReply::Data(data) => Ok(data),
-            rep => Err(unexpected(rep, "Data")),
-        };
-    let mut data = read();
-    for _ in 0..50 {
-        if data.is_ok() {
-            break;
-        }
-        std::thread::sleep(std::time::Duration::from_millis(10));
-        data = read();
-    }
-    let data = data?;
+    let data = read_data(world, session, via, fh)?;
     let attr = expect_attr(world.call(session, via, NfsRequest::Getattr { fh })?)?;
-    let replicas = match world.call(session, via, NfsRequest::DeceitLocateReplicas { fh })? {
-        NfsReply::Replicas(rs) => rs.len(),
-        rep => return Err(unexpected(rep, "Replicas")),
-    };
+    let replicas = replica_count(world, session, via, fh)?;
     Ok(FileState { data, attr, replicas })
+}
+
+/// Reads the whole of `fh` through `via`.
+pub(crate) fn read_data(
+    world: &mut impl World,
+    session: usize,
+    via: NodeId,
+    fh: FileHandle,
+) -> RuntimeResult<Bytes> {
+    match world.call(session, via, NfsRequest::Read { fh, offset: 0, count: 1 << 20 })? {
+        NfsReply::Data(data) => Ok(data),
+        rep => Err(unexpected(rep, "Data")),
+    }
+}
+
+/// How many replicas of `fh` the cell reports through `via`.
+pub(crate) fn replica_count(
+    world: &mut impl World,
+    session: usize,
+    via: NodeId,
+    fh: FileHandle,
+) -> RuntimeResult<usize> {
+    match world.call(session, via, NfsRequest::DeceitLocateReplicas { fh })? {
+        NfsReply::Replicas(rs) => Ok(rs.len()),
+        rep => Err(unexpected(rep, "Replicas")),
+    }
 }
 
 #[cfg(test)]
@@ -233,6 +243,7 @@ mod tests {
         world: &mut impl World,
         root: FileHandle,
     ) -> RuntimeResult<NfsReply> {
+        assert_eq!(world.down(), BTreeSet::from([1]));
         let recorder = HistoryRecorder::new();
         world.record_into(0, recorder.journal(1));
         let req = NfsRequest::Create { dir: root, name: "f".into(), mode: 0o644 };

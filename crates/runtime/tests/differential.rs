@@ -152,6 +152,87 @@ fn check_acked_prefix(
     *last_len = data.len();
 }
 
+/// Asserts that every file ended alike in both worlds: contents, update
+/// count (`version.sub`) and, if `replicas`, replica count. A mismatch
+/// names the file and carries the live flight recorder.
+fn assert_ends_match(live: &[FileState], sim: &[FileState], replicas: bool, flight: &str) {
+    assert_eq!(live.len(), sim.len(), "worlds read back different file counts");
+    for (c, (live, sim)) in live.iter().zip(sim).enumerate() {
+        let at = format!("file #{c}; live flight recorder:\n{flight}");
+        assert_eq!(live.data, sim.data, "contents diverged between worlds at {at}");
+        assert_eq!(live.attr.version.sub, sim.attr.version.sub, "update counts diverged at {at}");
+        if replicas {
+            assert_eq!(live.replicas, sim.replicas, "replica levels diverged at {at}");
+        }
+    }
+}
+
+/// Writer `c`'s `i`-th append chunk in the ticketed stress tests.
+fn chunk(c: usize, i: usize) -> String {
+    format!("[c{c}w{i}]")
+}
+
+/// Runs one live writer thread per file: writer `c` appends up to
+/// `writes` chunks to `handles[c]` through `home(c)`, stops at its first
+/// failed write unless `must_ack`, in which case that failure fails the
+/// test. Returns every acked write as `(writer, chunk)` in global
+/// completion order, stamped by one shared ticket. `meanwhile` runs on
+/// this thread while the writers stream.
+fn ticketed_writers(
+    live: &mut LiveWorld,
+    handles: &[FileHandle],
+    home: impl Fn(usize) -> NodeId,
+    writes: usize,
+    must_ack: bool,
+    meanwhile: impl FnOnce(&mut LiveWorld),
+) -> Vec<(usize, usize)> {
+    use deceit_sim::atomic::PublishedU64;
+    use std::sync::Mutex;
+
+    let ticket = PublishedU64::new(0);
+    let completions = Mutex::new(Vec::new());
+    std::thread::scope(|s| {
+        for (c, &fh) in handles.iter().enumerate() {
+            let mut client = live.rt.client_homed(home(c));
+            let (ticket, completions) = (&ticket, &completions);
+            s.spawn(move || {
+                let mut offset = 0;
+                for i in 0..writes {
+                    let chunk = chunk(c, i);
+                    if let Err(e) = client.write(fh, offset, chunk.as_bytes()) {
+                        assert!(!must_ack, "stress write {chunk} failed: {e}");
+                        return;
+                    }
+                    offset += chunk.len();
+                    let t = ticket.fetch_add(1);
+                    completions.lock().unwrap().push((t, c, i));
+                }
+            });
+        }
+        meanwhile(live);
+    });
+    let mut order = completions.into_inner().unwrap();
+    order.sort();
+    order.into_iter().map(|(_, c, i)| (c, i)).collect()
+}
+
+/// Replays acked chunk writes, in order, through `home(c)`; returns each
+/// file's end offset.
+fn replay(
+    sim: &mut SimWorld,
+    handles: &[FileHandle],
+    home: impl Fn(usize) -> NodeId,
+    order: &[(usize, usize)],
+) -> Vec<usize> {
+    let mut offsets = vec![0; handles.len()];
+    for &(c, i) in order {
+        let chunk = chunk(c, i);
+        write(sim, home(c), handles[c], offsets[c], chunk.as_bytes());
+        offsets[c] += chunk.len();
+    }
+    offsets
+}
+
 /// Partitions are part of the one fault vocabulary: the cell splits and
 /// heals between two write rounds, clients act only while it is whole,
 /// and both worlds must end with the same contents and replica counts.
@@ -199,9 +280,6 @@ fn split_and_heal_between_write_rounds_matches_across_worlds() {
 /// concurrency.
 #[test]
 fn concurrent_disjoint_mutations_match_sim_in_completion_order() {
-    use deceit_sim::atomic::PublishedU64;
-    use std::sync::{Arc, Mutex};
-
     const CLIENTS: usize = 6;
     const WRITES_PER_CLIENT: usize = 12;
     fn home(c: usize) -> NodeId {
@@ -222,60 +300,22 @@ fn concurrent_disjoint_mutations_match_sim_in_completion_order() {
 
     // Stress (concurrent): each client appends its own chunks to its own
     // file; a global ticket stamps every completed write.
-    let ticket = Arc::new(PublishedU64::new(0));
-    let completions: Arc<Mutex<Vec<(u64, usize, usize)>>> = Arc::new(Mutex::new(Vec::new()));
-    let workers: Vec<_> = (0..CLIENTS)
-        .map(|c| {
-            let mut client = live.rt.client_homed(home(c));
-            let fh = handles[c];
-            let ticket = Arc::clone(&ticket);
-            let completions = Arc::clone(&completions);
-            std::thread::spawn(move || {
-                let mut offset = 0;
-                for i in 0..WRITES_PER_CLIENT {
-                    let chunk = format!("[c{c}w{i}]");
-                    client.write(fh, offset, chunk.as_bytes()).expect("stress write");
-                    offset += chunk.len();
-                    let t = ticket.fetch_add(1);
-                    completions.lock().unwrap().push((t, c, i));
-                }
-            })
-        })
-        .collect();
-    for w in workers {
-        w.join().expect("stress client");
-    }
+    let order = ticketed_writers(&mut live, &handles, home, WRITES_PER_CLIENT, true, |_| {});
     live.fault(&FaultEvent::Settle);
     let live_end = read_all(&mut live, home, &handles);
     let flight = live.flight();
     drop(live);
 
     // Simulator replay, in the observed global completion order.
-    let mut order = completions.lock().unwrap().clone();
-    order.sort();
     assert_eq!(order.len(), CLIENTS * WRITES_PER_CLIENT, "every write completed exactly once");
     let mut sim = SimWorld::new(&cfg, 1);
     let sim_handles = setup(&mut sim);
-    let mut offsets = [0usize; CLIENTS];
-    for &(_, c, i) in &order {
-        let chunk = format!("[c{c}w{i}]");
-        write(&mut sim, home(c), sim_handles[c], offsets[c], chunk.as_bytes());
-        offsets[c] += chunk.len();
-    }
+    replay(&mut sim, &sim_handles, home, &order);
     sim.fault(&FaultEvent::Settle);
     let sim_end = read_all(&mut sim, home, &sim_handles);
 
-    for c in 0..CLIENTS {
-        assert_eq!(
-            live_end[c].data, sim_end[c].data,
-            "file f{c} diverged between live (sharded) and sim (serial) execution; \
-             live flight recorder:\n{flight}"
-        );
-        assert_eq!(
-            live_end[c].attr.version.sub, sim_end[c].attr.version.sub,
-            "file f{c} applied a different number of updates; live flight recorder:\n{flight}"
-        );
-    }
+    // Per-file append order survived cross-file concurrency.
+    assert_ends_match(&live_end, &sim_end, false, &flight);
 }
 
 /// The crash-mid-sharded-write stress differential: writer threads
@@ -295,8 +335,6 @@ fn concurrent_disjoint_mutations_match_sim_in_completion_order() {
 /// fully applied or never happened, never torn.
 #[test]
 fn crash_of_token_holder_mid_write_matches_sim_replay() {
-    use deceit_sim::atomic::PublishedU64;
-    use std::sync::{Arc, Mutex};
     use std::time::Duration;
 
     const WRITERS: usize = 4;
@@ -320,36 +358,19 @@ fn crash_of_token_holder_mid_write_matches_sim_replay() {
 
     // Stress: sequential appends per writer, all via the token holder,
     // stopping at the first failed write (the crash). Acked writes are
-    // ticket-stamped in completion order.
-    let ticket = Arc::new(PublishedU64::new(0));
-    let completions: Arc<Mutex<Vec<(u64, usize, usize)>>> = Arc::new(Mutex::new(Vec::new()));
-    let workers: Vec<_> = (0..WRITERS)
-        .map(|c| {
-            let mut client = live.rt.client_homed(home);
-            let fh = handles[c];
-            let ticket = Arc::clone(&ticket);
-            let completions = Arc::clone(&completions);
-            std::thread::spawn(move || {
-                let mut offset = 0;
-                for i in 0..MAX_WRITES {
-                    let chunk = format!("[c{c}w{i}]");
-                    if client.write(fh, offset, chunk.as_bytes()).is_err() {
-                        return; // the crash: the stream ends here
-                    }
-                    offset += chunk.len();
-                    let t = ticket.fetch_add(1);
-                    completions.lock().unwrap().push((t, c, i));
-                }
-            })
-        })
-        .collect();
-
-    // Crash the holder mid-stream, then bring it back.
-    std::thread::sleep(Duration::from_millis(5));
-    live.fault(&FaultEvent::Crash { server: home.0 });
-    for w in workers {
-        w.join().expect("stress writer");
-    }
+    // ticket-stamped in completion order. Mid-stream the holder crashes;
+    // once the writers stop, it comes back.
+    let order = ticketed_writers(
+        &mut live,
+        &handles,
+        |_| home,
+        MAX_WRITES,
+        false,
+        |live| {
+            std::thread::sleep(Duration::from_millis(5));
+            live.fault(&FaultEvent::Crash { server: home.0 });
+        },
+    );
     live.fault(&FaultEvent::Restart { server: home.0 });
     live.fault(&FaultEvent::Settle);
 
@@ -359,20 +380,18 @@ fn crash_of_token_holder_mid_write_matches_sim_replay() {
     drop(live);
 
     // Observed history: acked writes per file, in completion order.
-    let mut order = completions.lock().unwrap().clone();
-    order.sort();
     let mut acked = [0usize; WRITERS];
-    for &(_, c, _) in &order {
+    for &(c, _) in &order {
         acked[c] += 1;
     }
     // Resolve each writer's ambiguous in-flight write: the live bytes
     // decide whether it applied before the crash.
     let mut kept_inflight = [false; WRITERS];
     for c in 0..WRITERS {
-        let acked_len: usize = (0..acked[c]).map(|i| format!("[c{c}w{i}]").len()).sum();
+        let acked_len: usize = (0..acked[c]).map(|i| chunk(c, i).len()).sum();
         match live_end[c].data.len() {
             l if l == acked_len => {}
-            l if l == acked_len + format!("[c{c}w{}]", acked[c]).len() => kept_inflight[c] = true,
+            l if l == acked_len + chunk(c, acked[c]).len() => kept_inflight[c] = true,
             l => panic!(
                 "file f{c}: live length {l} matches neither {acked_len} acked bytes \
                  nor one extra in-flight write — a write tore or vanished"
@@ -383,16 +402,10 @@ fn crash_of_token_holder_mid_write_matches_sim_replay() {
     // Simulator replay of exactly that history.
     let mut sim = SimWorld::new(&cfg, 1);
     let sim_handles = setup(&mut sim);
-    let mut offsets = [0usize; WRITERS];
-    for &(_, c, i) in &order {
-        let chunk = format!("[c{c}w{i}]");
-        write(&mut sim, home, sim_handles[c], offsets[c], chunk.as_bytes());
-        offsets[c] += chunk.len();
-    }
+    let offsets = replay(&mut sim, &sim_handles, |_| home, &order);
     for c in 0..WRITERS {
         if kept_inflight[c] {
-            let chunk = format!("[c{c}w{}]", acked[c]);
-            write(&mut sim, home, sim_handles[c], offsets[c], chunk.as_bytes());
+            write(&mut sim, home, sim_handles[c], offsets[c], chunk(c, acked[c]).as_bytes());
         }
     }
     sim.fault(&FaultEvent::Crash { server: home.0 });
@@ -400,21 +413,8 @@ fn crash_of_token_holder_mid_write_matches_sim_replay() {
     sim.fault(&FaultEvent::Settle);
     let sim_end = read_all(&mut sim, |_| reader_home, &sim_handles);
 
-    for c in 0..WRITERS {
-        assert_eq!(
-            live_end[c].data, sim_end[c].data,
-            "file f{c} diverged between the crashed live run and the sim replay; \
-             live flight recorder:\n{flight}"
-        );
-        assert_eq!(
-            live_end[c].attr.version.sub, sim_end[c].attr.version.sub,
-            "file f{c} applied a different number of updates; live flight recorder:\n{flight}"
-        );
-        assert_eq!(
-            live_end[c].replicas, sim_end[c].replicas,
-            "file f{c} recovered to a different replica level; live flight recorder:\n{flight}"
-        );
-    }
+    // Contents, update counts and recovered replica levels match.
+    assert_ends_match(&live_end, &sim_end, true, &flight);
 }
 
 /// The readers-vs-write-stream stress differential: one writer streams
@@ -502,11 +502,11 @@ fn readers_vs_write_stream_matches_sim_replay() {
     assert!(total_reads > 0, "the readers must have observed the stream");
     live.fault(&FaultEvent::Settle);
 
-    let live_end = read_all(&mut live, |_| remote_home, &[fh]).remove(0);
+    let live_end = read_all(&mut live, |_| remote_home, &[fh]);
     let flight = live.flight();
     drop(live);
     assert_eq!(
-        live_end.data, expected,
+        live_end[0].data, expected,
         "the live stream lost or reordered an acked write; live flight recorder:\n{flight}"
     );
 
@@ -521,20 +521,8 @@ fn readers_vs_write_stream_matches_sim_replay() {
         offset += chunk.len();
     }
     sim.fault(&FaultEvent::Settle);
-    let sim_end = read_all(&mut sim, |_| remote_home, &[sim_fh]).remove(0);
-
-    assert_eq!(
-        live_end.data, sim_end.data,
-        "stream contents diverged between worlds; live flight recorder:\n{flight}"
-    );
-    assert_eq!(
-        live_end.attr.version.sub, sim_end.attr.version.sub,
-        "the stream applied a different number of updates; live flight recorder:\n{flight}"
-    );
-    assert_eq!(
-        live_end.replicas, sim_end.replicas,
-        "replica levels diverged between worlds; live flight recorder:\n{flight}"
-    );
+    let sim_end = read_all(&mut sim, |_| remote_home, &[sim_fh]);
+    assert_ends_match(&live_end, &sim_end, true, &flight);
 }
 
 /// The placement-migration storm differential: cross-homed readers push
@@ -700,17 +688,7 @@ fn migration_storm_under_crash_keeps_floor_and_read_monotonicity() {
     sim.fault(&FaultEvent::Restart { server: churn.0 });
     sim.fault(&FaultEvent::Settle);
     let sim_end = read_all(&mut sim, |_| reader_home, &sim_handles);
-
-    for c in 0..FILES {
-        assert_eq!(
-            live_end[c].data, sim_end[c].data,
-            "f{c} diverged between the storm and the sim replay; live flight recorder:\n{flight}"
-        );
-        assert_eq!(
-            live_end[c].attr.version.sub, sim_end[c].attr.version.sub,
-            "f{c} applied a different number of updates; live flight recorder:\n{flight}"
-        );
-    }
+    assert_ends_match(&live_end, &sim_end, false, &flight);
 }
 
 /// Shard-lock exclusion: two mutations of the *same* file never
