@@ -1,5 +1,5 @@
 //! Structured observability export: run a short live workload, print
-//! the cluster's unified [`ObsReport`] as JSON.
+//! the cluster's unified [`deceit::runtime::ObsReport`] as JSON.
 //!
 //! Where `benchmark/` measures *how fast*, this reports *where
 //! the time went*: per-op-class latency histograms, the engine's

@@ -245,7 +245,7 @@ impl Cluster {
 
     /// Runs `f` on the branch table of one segment (created empty on
     /// first use), under its shard's data lock — keeping the slot's count
-    /// of branched segments, which [`Cluster::single_major`] reads
+    /// of branched segments, which `Cluster::single_major` reads
     /// without the lock, in step with the table.
     pub fn with_branch_table<R>(&self, seg: SegmentId, f: impl FnOnce(&mut BranchTable) -> R) -> R {
         let branched = &self.branched[self.slot_of(seg)];
@@ -392,7 +392,7 @@ impl Cluster {
     /// host's pump runs it under the shared cell lock plus the slot's
     /// ring lock.
     ///
-    /// "Ready" means due, or not time-gated ([`Pending::due_gated`]):
+    /// "Ready" means due, or not time-gated (`Pending::due_gated`):
     /// ordinary deferred work fires as soon as the pump has capacity,
     /// but a stability check is left until the protocol clock genuinely
     /// reaches its quiet horizon — firing it early would both declare a

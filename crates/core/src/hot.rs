@@ -11,7 +11,7 @@
 //! slot** ([`Slots`]). A server keeps its whole slice of a slot — replica
 //! and token stores, delivery buffers, location cache, stream, pipeline
 //! and lease state, single-flight flags ([`crate::server::ServerSlot`]) —
-//! behind one lock, and [`crate::server::ServerState::visit`] is the one
+//! behind one lock, and `ServerState::visit` is the one
 //! way the engine reads or changes it: a protocol step that touches
 //! several of a file's records at one server is one lock round. The
 //! branch tables have slots of their own ([`crate::Cluster::with_branch_table`]);
@@ -146,8 +146,8 @@ impl<S> Slots<S> {
 /// read touches recorded against it but not yet folded in.
 ///
 /// The touch buffer is how the lock-free read fast path feeds the LRU: a
-/// read records an access ([`DiskSlot::served`]) without mutating the
-/// value, and [`crate::server::ServerState::apply_touches`] folds the
+/// read records an access (`DiskSlot::served`) without mutating the
+/// value, and `ServerState::apply_touches` folds the
 /// recorded accesses into the values *under the slot lock*, so a
 /// concurrent mutation can never be clobbered by a stale clone.
 #[derive(Debug)]
@@ -210,7 +210,7 @@ impl<V: Clone + StoredSize> DiskSlot<V> {
 /// slot, read-only: owned copies and totals, one slot lock per call.
 ///
 /// The engine reads and changes a store only inside a visit
-/// ([`crate::server::ServerState::visit`]); these observers are for
+/// (`ServerState::visit`); these observers are for
 /// callers outside it — tests, statfs, the benchmark's storage figures.
 /// Nothing can be written through them:
 ///

@@ -11,7 +11,7 @@
 //! `opt_placement` is on, the cluster schedules one deferred migration
 //! that (a) *creates* a replica on the forwarding server from a durable
 //! stable copy (the existing §3.1 regeneration path,
-//! [`Cluster::generate_replica_now`]), then (b) *retires* idle replicas
+//! `Cluster::generate_replica_now`), then (b) *retires* idle replicas
 //! nobody reads via the §3.1 LRU extra-replica deletion — never dropping
 //! below the per-file [`FileParams::min_replicas`](crate::FileParams)
 //! floor. A retirement proposal the floor blocks is counted as
@@ -37,7 +37,7 @@
 //! # Floor invariant
 //!
 //! The placement subsystem can only ever *add* replicas directly; every
-//! deletion goes through [`Cluster::delete_extra_replicas`], which
+//! deletion goes through `Cluster::delete_extra_replicas`, which
 //! deletes at most `holders - min_replicas` idle copies. The replication
 //! floor therefore cannot be violated by any migration/retirement
 //! interleaving, including under crash or partition — a crash can make

@@ -18,9 +18,9 @@
 //! That one-round case — a stream of updates to a file whose token the
 //! server already holds — is what the path is shaped around, and each of
 //! its steps at one server is one visit to that server's slot
-//! ([`crate::server::ServerState::visit`]), one lock round. A write
+//! (`ServerState::visit`), one lock round. A write
 //! looks at the records it owns at `via` — the token, the primary
-//! replica, the stream state — *once*, in one visit ([`WriteCtx`], read
+//! replica, the stream state — *once*, in one visit (`WriteCtx`, read
 //! by `Cluster::ensure_token_for_write`), and every decision before the
 //! distribution — enabled, the §5.1 version check, the append cap, the
 //! extra-replica test, the reply count — is taken from that reading.

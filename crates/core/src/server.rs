@@ -8,7 +8,7 @@
 //! All hot state (everything keyed by segment or replica key) is
 //! partitioned by shard slot, and a server keeps its whole slice of one
 //! slot — both stores and every volatile map ([`ServerSlot`]) — behind
-//! **one leaf lock**. [`ServerState::visit`] is the one way the engine
+//! **one leaf lock**. `ServerState::visit` is the one way the engine
 //! reads or changes it: a protocol step that reads or changes several of
 //! a file's records at one server is one lock round. A mutation holding
 //! its shard's ring lock rewrites exactly its file's slice of every
@@ -109,7 +109,7 @@ pub struct StreamState {
 }
 
 /// One server's slice of one shard slot: every piece of its hot state for
-/// the files in the slot, behind one lock ([`ServerState::visit`]).
+/// the files in the slot, behind one lock (`ServerState::visit`).
 #[derive(Debug)]
 pub struct ServerSlot {
     /// Non-volatile replica storage, and the read touches recorded
@@ -162,7 +162,7 @@ impl ServerSlot {
 /// One Deceit server.
 ///
 /// Its hot state lives in [`ServerSlot`]s, one per shard slot, reached
-/// through [`ServerState::visit`]; `replicas` and `tokens` observe the
+/// through `ServerState::visit`; `replicas` and `tokens` observe the
 /// same slots read-only (see the [module](self) doc).
 #[derive(Debug)]
 pub struct ServerState {

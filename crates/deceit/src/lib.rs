@@ -55,7 +55,12 @@
 //! let mut client = rt.client();
 //! let root = client.root();
 //! let file = client.create(root, "notes.txt", 0o644).unwrap();
+//! client.set_file_params(file.handle, FileParams::important(3)).unwrap();
 //! client.write(file.handle, 0, b"served by a real thread").unwrap();
+//! rt.settle();
+//!
+//! // One entry for every fault: crash, restart, split, heal, settle.
+//! rt.fault(&FaultEvent::Crash { server: 0 });
 //! assert_eq!(&client.read(file.handle, 0, 64).unwrap()[..], b"served by a real thread");
 //! rt.shutdown();
 //! ```

@@ -40,6 +40,15 @@
 //! and the park run under the mailbox lock as without it — and the turn
 //! is a flag outside any loop: [`LiveBus::yields`] ≤ accepted sends.
 //!
+//! # Partitions
+//!
+//! A partition holds groups of the nodes that have a network identity
+//! of their own — a cell's servers. A client session has none: its
+//! endpoint is attached to its home ([`LiveEndpoint::attach`]) and sits
+//! on the home's side of any split, so a split never names it and a
+//! re-homed session moves with its home. A send looks at the homes only
+//! while a split is in force.
+//!
 //! # Delivery invariants
 //!
 //! 1. A frame accepted before [`LiveBus::crash`]`(n)` returns is never
@@ -119,6 +128,24 @@ struct Topology<M> {
     /// `(crashed, crash count)` of every node that ever crashed. Kept
     /// apart from the mailboxes because it outlives them.
     faults: BTreeMap<NodeId, (bool, u64)>,
+    /// The home of every endpoint attached to one
+    /// ([`LiveEndpoint::attach`]); an entry leaves with its endpoint.
+    homes: BTreeMap<NodeId, NodeId>,
+}
+
+impl<M> Topology<M> {
+    /// The node whose side of a partition `node` sits on: its home if
+    /// it is attached to one, else itself.
+    fn site(&self, node: NodeId) -> NodeId {
+        self.homes.get(&node).copied().unwrap_or(node)
+    }
+
+    /// Whether the partition lets `a` and `b` exchange frames, each on
+    /// its home's side. The homes are read only while a split is in
+    /// force.
+    fn reaches(&self, a: NodeId, b: NodeId) -> bool {
+        self.partition.is_connected() || self.partition.can_reach(self.site(a), self.site(b))
+    }
 }
 
 #[derive(Debug)]
@@ -163,6 +190,7 @@ impl<M: Send + 'static> LiveBus<M> {
                     mailboxes: BTreeMap::new(),
                     partition: Partition::connected(),
                     faults: BTreeMap::new(),
+                    homes: BTreeMap::new(),
                 }),
                 delivered: RelaxedU64::new(0),
                 rejected: RelaxedU64::new(0),
@@ -195,7 +223,9 @@ impl<M: Send + 'static> LiveBus<M> {
         LiveEndpoint { node, mailbox, bus: self.clone(), owes_turn: PublishedBool::new(false) }
     }
 
-    /// Imposes a partition on the bus.
+    /// Imposes a partition on the bus. An endpoint attached to a home
+    /// ([`LiveEndpoint::attach`]) sits on its home's side; any other
+    /// node not named in `groups` sits in the implicit rest group.
     pub fn split(&self, groups: &[&[NodeId]]) {
         self.inner.topology.write().partition = Partition::split(groups);
     }
@@ -250,13 +280,13 @@ impl<M: Send + 'static> LiveBus<M> {
     }
 
     /// Whether `a` and `b` can currently exchange messages (crash and
-    /// partition state combined) — the same rule [`LiveBus::send`]
-    /// enforces, exposed for differential testing against the simulator's
-    /// topology rules.
+    /// partition state combined, each endpoint on its home's side) — the
+    /// same rule a send enforces, exposed for differential testing
+    /// against the simulator's topology rules.
     pub fn can_exchange(&self, a: NodeId, b: NodeId) -> bool {
         let topo = self.inner.topology.read();
         let crashed = |n| topo.faults.get(&n).is_some_and(|f| f.0);
-        !crashed(a) && !crashed(b) && topo.partition.can_reach(a, b)
+        !crashed(a) && !crashed(b) && topo.reaches(a, b)
     }
 
     /// Closes every registered mailbox: its receiver, parked now or
@@ -309,9 +339,7 @@ impl<M: Send + 'static> LiveBus<M> {
         // the post-crash epoch and survive the reboot.
         let topo = self.inner.topology.read();
         let dest = topo.mailboxes.get(&to).filter(|dest| {
-            !from.mailbox.crashed.load()
-                && !dest.crashed.load()
-                && topo.partition.can_reach(from.node, to)
+            !from.mailbox.crashed.load() && !dest.crashed.load() && topo.reaches(from.node, to)
         });
         let Some(dest) = dest else {
             drop(topo);
@@ -353,12 +381,15 @@ pub struct LiveEndpoint<M> {
 }
 
 impl<M> Drop for LiveEndpoint<M> {
-    /// Unplugs the machine: its mailbox leaves the bus, so sends to it
-    /// fail fast instead of queueing where nobody will drain. Without
-    /// this, every short-lived endpoint (client sessions, most of all)
-    /// would leak a table entry for the bus's lifetime.
+    /// Unplugs the machine: its mailbox and its attachment leave the
+    /// bus, so sends to it fail fast instead of queueing where nobody
+    /// will drain. Without this, every short-lived endpoint (client
+    /// sessions, most of all) would leak table entries for the bus's
+    /// lifetime.
     fn drop(&mut self) {
-        self.bus.inner.topology.write().mailboxes.remove(&self.node);
+        let mut topo = self.bus.inner.topology.write();
+        topo.mailboxes.remove(&self.node);
+        topo.homes.remove(&self.node);
     }
 }
 
@@ -373,6 +404,14 @@ impl<M: Send + 'static> LiveEndpoint<M> {
     /// was in a dead machine's buffers.
     pub fn is_crashed(&self) -> bool {
         self.mailbox.crashed.load()
+    }
+
+    /// Attaches this endpoint to `home`: under a partition its frames
+    /// travel on `home`'s side, in both directions. An endpoint that
+    /// never attached sits on its own id's side, and the attachment
+    /// leaves the bus with the endpoint.
+    pub fn attach(&self, home: NodeId) {
+        self.bus.inner.topology.write().homes.insert(self.node, home);
     }
 
     /// Sends a message; returns false if the peer is unreachable.

@@ -139,6 +139,12 @@ impl<Q: Send + 'static, P: Send + 'static> RpcEndpoint<Q, P> {
         self.ep.node()
     }
 
+    /// Attaches this endpoint to `home`'s side of any partition
+    /// ([`LiveEndpoint::attach`]).
+    pub fn attach(&self, home: NodeId) {
+        self.ep.attach(home);
+    }
+
     /// Calls in flight: submitted and not yet claimed by a `wait`, timed
     /// out or forgotten. A reply that has arrived but was not waited for
     /// yet still counts.

@@ -33,21 +33,32 @@ fn grouping(seed: u64, nodes: u32, groups: usize) -> Vec<Vec<NodeId>> {
 
 /// The live bus must accept/reject exactly where the simulator's
 /// partition rules say two nodes can/cannot reach each other, across
-/// random groupings and crash sets.
+/// random groupings and crash sets. Session endpoints, attached to a
+/// home before or during the split, sit wherever their home sits.
 #[test]
 fn connectivity_matches_topology_partition_rules() {
     const NODES: u32 = 8;
+    const SESSIONS: u32 = 4;
+    const SESSION_BASE: u32 = 100;
     for seed in 0..24u64 {
         let bus: LiveBus<u32> = LiveBus::new();
-        let mut endpoints = Vec::new();
-        for v in 0..NODES {
-            endpoints.push(bus.register(n(v)));
-        }
+        let ids: Vec<NodeId> =
+            (0..NODES).chain(SESSION_BASE..SESSION_BASE + SESSIONS).map(n).collect();
+        let endpoints: Vec<_> = ids.iter().map(|&id| bus.register(id)).collect();
+        let home = |s: u32| n((seed as u32 + 3 * s) % NODES);
+        let site = |id: NodeId| if id.0 >= SESSION_BASE { home(id.0 - SESSION_BASE) } else { id };
+        let attach = |sessions: std::ops::Range<u32>| {
+            for s in sessions {
+                endpoints[(NODES + s) as usize].attach(home(s));
+            }
+        };
 
+        attach(0..SESSIONS / 2);
         let groups = grouping(seed, NODES, 1 + (seed % 3) as usize);
         let refs: Vec<&[NodeId]> = groups.iter().map(Vec::as_slice).collect();
         bus.split(&refs);
         let reference = Partition::split(&refs);
+        attach(SESSIONS / 2..SESSIONS);
 
         // A deterministic crash set on top of the partition.
         let crashed: Vec<NodeId> =
@@ -56,30 +67,31 @@ fn connectivity_matches_topology_partition_rules() {
             bus.crash(c);
         }
 
-        for a in 0..NODES {
-            for b in 0..NODES {
+        for (i, &a) in ids.iter().enumerate() {
+            for (j, &b) in ids.iter().enumerate() {
                 if a == b {
                     continue;
                 }
-                let expect = reference.can_reach(n(a), n(b))
-                    && !crashed.contains(&n(a))
-                    && !crashed.contains(&n(b));
+                let expect = reference.can_reach(site(a), site(b))
+                    && !crashed.contains(&a)
+                    && !crashed.contains(&b);
                 // The query surface and an actual send must both agree
                 // with the reference rules.
                 assert_eq!(
-                    bus.can_exchange(n(a), n(b)),
+                    bus.can_exchange(a, b),
                     expect,
                     "seed {seed}: can_exchange({a},{b}) disagrees with Partition::can_reach"
                 );
-                let sent = endpoints[a as usize].send(n(b), a * 100 + b);
+                let msg = (i * 100 + j) as u32;
+                let sent = endpoints[i].send(b, msg);
                 assert_eq!(
                     sent, expect,
                     "seed {seed}: send({a}->{b}) disagrees with Partition::can_reach"
                 );
                 if sent {
-                    let env = endpoints[b as usize].try_recv().expect("delivered message");
-                    assert_eq!(env.from, n(a));
-                    assert_eq!(env.msg, a * 100 + b);
+                    let env = endpoints[j].try_recv().expect("delivered message");
+                    assert_eq!(env.from, a);
+                    assert_eq!(env.msg, msg);
                 }
             }
         }
@@ -89,9 +101,9 @@ fn connectivity_matches_topology_partition_rules() {
         for &c in &crashed {
             bus.recover(c);
         }
-        for a in 0..NODES {
-            for b in 0..NODES {
-                assert!(bus.can_exchange(n(a), n(b)), "healed bus must be fully connected");
+        for &a in &ids {
+            for &b in &ids {
+                assert!(bus.can_exchange(a, b), "healed bus must be fully connected");
             }
         }
     }

@@ -13,7 +13,7 @@
 //! list. The plumbing here never flattens it. A load takes the image by
 //! reference and decodes the inode from its first extent; `READ` answers
 //! with a view of the extent its range lies in; and a mutation builds its
-//! successor ([`segment_image`]) as one fresh header extent plus the old
+//! successor (`segment_image`) as one fresh header extent plus the old
 //! payload's extents, sharing every one the edit does not touch and
 //! adopting a `WRITE`'s buffer as the one it does. One whole-image
 //! `Replace` per mutation still goes to the segment server — the same

@@ -19,32 +19,29 @@ use std::time::Duration;
 
 use bytes::Bytes;
 use deceit_core::FileParams;
-use deceit_net::live::LiveBus;
 use deceit_net::rpc::{CallId, RpcEndpoint};
 use deceit_net::NodeId;
 use deceit_nfs::{DirEntry, FileAttr, FileHandle, NfsReply, NfsRequest};
 use deceit_sim::wall;
 
-use crate::config::RetryPolicy;
 use crate::error::{RuntimeError, RuntimeResult};
 use crate::history::JournalHandle;
 use crate::obs::RuntimeObs;
-use crate::runtime::{ClientDirectory, NfsFrame};
+
+/// How long a read-only failover sleeps after its first fruitless sweep
+/// over the other servers (jittered); it doubles after the second.
+const FAILOVER_BACKOFF: Duration = Duration::from_micros(500);
 
 /// One live client session.
 pub struct RuntimeClient {
     rpc: RpcEndpoint<NfsRequest, NfsReply>,
     home: NodeId,
     servers: Vec<NodeId>,
-    dir: Arc<ClientDirectory>,
-    bus: LiveBus<NfsFrame>,
     timeout: Duration,
     root: FileHandle,
     /// Shared runtime observability: completed calls record their
     /// end-to-end latency here, bucketed by op class.
     obs: Arc<RuntimeObs>,
-    /// Failover shaping: budget + jittered exponential backoff.
-    retry: RetryPolicy,
     /// xorshift64 state for backoff jitter, seeded per session.
     jitter: u64,
     /// Consistency-audit journal: when attached, every `call`/`call_via`
@@ -55,32 +52,24 @@ pub struct RuntimeClient {
 }
 
 impl RuntimeClient {
-    #[expect(
-        clippy::too_many_arguments,
-        reason = "a session is built once, by `ClusterRuntime`, from its parts"
-    )]
+    /// A session on `rpc`, attached to `home`'s side of any partition.
     pub(crate) fn new(
         rpc: RpcEndpoint<NfsRequest, NfsReply>,
         home: NodeId,
         servers: Vec<NodeId>,
-        dir: Arc<ClientDirectory>,
-        bus: LiveBus<NfsFrame>,
         timeout: Duration,
         root: FileHandle,
         obs: Arc<RuntimeObs>,
-        retry: RetryPolicy,
     ) -> Self {
+        rpc.attach(home);
         let jitter = 0x9E37_79B9_7F4A_7C15 ^ (u64::from(rpc.node().0) << 17) | 1;
         RuntimeClient {
             rpc,
             home,
             servers,
-            dir,
-            bus,
             timeout,
             root,
             obs,
-            retry,
             jitter,
             journal: None,
             failovers: 0,
@@ -103,13 +92,12 @@ impl RuntimeClient {
         self.home
     }
 
-    /// Re-homes the session onto another server. Under an active
-    /// partition this also moves the session to its new home's side of
-    /// the split.
+    /// Re-homes the session onto another server. Under a partition
+    /// this also moves the session to its new home's side.
     pub fn set_home(&mut self, server: NodeId) {
         assert!(self.servers.contains(&server), "no such server {server}");
         self.home = server;
-        self.dir.set_home(self.node(), server, &self.bus);
+        self.rpc.attach(server);
     }
 
     /// The root directory handle (what the mount protocol returned).
@@ -160,11 +148,10 @@ impl RuntimeClient {
     ///
     /// If the transport fails (home crashed, partitioned away, or
     /// silent) and the request is read-only — always safe to retry —
-    /// the call fails over, sweeping the other servers under jittered
-    /// exponential backoff until the session's retry budget runs out,
-    /// and re-homing on the first server that answers. Mutating requests
-    /// surface the transport error: blind retransmission could
-    /// double-apply them.
+    /// the call fails over, sweeping the other servers twice under
+    /// jittered exponential backoff, and re-homes on the first server
+    /// that answers. Mutating requests surface the transport error:
+    /// blind retransmission could double-apply them.
     pub fn call(&mut self, req: NfsRequest) -> RuntimeResult<NfsReply> {
         let op = self.journal.as_ref().map(|j| j.invoke(&req));
         let result = self.call_failover(req);
@@ -203,15 +190,12 @@ impl RuntimeClient {
                 if others.is_empty() {
                     return Err(err.into());
                 }
-                let mut backoff = self.retry.base;
-                let mut spent: u32 = 0;
-                loop {
+                // Two sweeps over the rest of the cell. After each, sleep
+                // a jittered slice of the backoff so failed-over sessions
+                // spread out, then double it.
+                let mut backoff = FAILOVER_BACKOFF;
+                for _sweep in 0..2 {
                     for &server in &others {
-                        if spent >= self.retry.budget {
-                            self.obs.failover_exhausted.fetch_add(1);
-                            return Err(err.into());
-                        }
-                        spent += 1;
                         self.obs.failover_retries.fetch_add(1);
                         if let Ok(rep) = self.rpc.call(server, req.clone(), self.timeout) {
                             self.failovers += 1;
@@ -220,12 +204,11 @@ impl RuntimeClient {
                             return Ok(rep);
                         }
                     }
-                    // A whole sweep found nobody: sleep a jittered slice
-                    // of the current backoff so failed-over sessions
-                    // spread out, then double it toward the ceiling.
                     std::thread::sleep(self.jittered(backoff));
-                    backoff = (backoff * 2).min(self.retry.max);
+                    backoff *= 2;
                 }
+                self.obs.failover_exhausted.fetch_add(1);
+                Err(err.into())
             }
         }
     }
@@ -341,12 +324,6 @@ impl RuntimeClient {
     /// Starts a coalescing write batch against `fh`.
     pub fn batch(&self, fh: FileHandle) -> WriteBatch {
         WriteBatch::new(fh)
-    }
-}
-
-impl Drop for RuntimeClient {
-    fn drop(&mut self) {
-        self.dir.forget(self.node());
     }
 }
 

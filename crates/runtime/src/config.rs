@@ -5,43 +5,6 @@ use std::time::Duration;
 use deceit_core::ClusterConfig;
 use deceit_nfs::FsConfig;
 
-/// Read-only failover retry shaping: how hard a client session tries to
-/// find a live server before surfacing a transport error.
-///
-/// The first attempt always goes to the session's home server; on a
-/// transport failure the session sweeps the other servers, sleeping a
-/// jittered exponentially growing backoff between sweeps (jitter keeps a
-/// thundering herd of failed-over clients from re-converging on one
-/// server in lockstep), until `budget` failover attempts have been
-/// spent. Exhaustion surfaces the original error and is counted in
-/// [`crate::ObsReport`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RetryPolicy {
-    /// Failover attempts (beyond the home attempt) before giving up.
-    pub budget: u32,
-    /// Backoff before the second sweep; doubles per sweep.
-    pub base: Duration,
-    /// Backoff ceiling.
-    pub max: Duration,
-}
-
-impl RetryPolicy {
-    /// Two sweeps over the rest of a `servers`-wide cell.
-    pub fn for_cell(servers: usize) -> Self {
-        RetryPolicy {
-            budget: (2 * servers.saturating_sub(1)).max(2) as u32,
-            base: Duration::from_micros(500),
-            max: Duration::from_millis(10),
-        }
-    }
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy::for_cell(3)
-    }
-}
-
 /// Tunables of one live Deceit deployment.
 #[derive(Debug, Clone)]
 pub struct RuntimeConfig {
@@ -54,12 +17,6 @@ pub struct RuntimeConfig {
     /// How long a client waits for a reply before reporting a timeout
     /// (the live analogue of an NFS retransmission giving up).
     pub request_timeout: Duration,
-    /// Read-only failover shaping (see [`RetryPolicy`]).
-    pub retry: RetryPolicy,
-    /// Pump-thread sleep when no deferred work is pending.
-    pub pump_interval: Duration,
-    /// Deferred-work events advanced per pump slice.
-    pub pump_batch: usize,
     /// Shard slots in the concurrent execution layer: mutations of the
     /// same file serialize on its slot, and the pump drains deferred
     /// work slot by slot. More slots than servers keeps unrelated files
@@ -111,9 +68,6 @@ impl RuntimeConfig {
             cluster,
             fs: FsConfig::default(),
             request_timeout: Duration::from_secs(3),
-            retry: RetryPolicy::for_cell(servers),
-            pump_interval: Duration::from_millis(1),
-            pump_batch: 128,
             shards: 16,
         }
     }
@@ -121,12 +75,6 @@ impl RuntimeConfig {
     /// Sets the client request timeout, builder-style.
     pub fn with_request_timeout(mut self, timeout: Duration) -> Self {
         self.request_timeout = timeout;
-        self
-    }
-
-    /// Sets the failover retry shaping, builder-style.
-    pub fn with_retry(mut self, retry: RetryPolicy) -> Self {
-        self.retry = retry;
         self
     }
 
@@ -145,7 +93,11 @@ impl Default for RuntimeConfig {
 
 #[cfg(test)]
 mod tests {
+    use deceit_core::FaultEvent;
+    use deceit_net::NodeId;
+
     use super::*;
+    use crate::ClusterRuntime;
 
     #[test]
     fn defaults_enable_the_live_fast_paths() {
@@ -157,13 +109,26 @@ mod tests {
         assert!(cfg.cluster.opt_placement, "live hosting migrates replicas toward readers");
     }
 
+    /// The failover budget follows the cell a session is in: a read
+    /// whose every server is down sweeps the rest of the cell twice,
+    /// then gives up — also in a cell sized by struct update from a
+    /// config built for another size.
     #[test]
     fn retry_budget_scales_with_cell_size() {
-        assert_eq!(RuntimeConfig::new(3).retry.budget, 4, "two sweeps over the other two");
-        assert_eq!(RuntimeConfig::new(1).retry.budget, 2, "floor even with nowhere to go");
-        let cfg =
-            RuntimeConfig::new(3).with_retry(RetryPolicy { budget: 9, ..RetryPolicy::default() });
-        assert_eq!(cfg.retry.budget, 9);
-        assert!(cfg.retry.base < cfg.retry.max, "backoff must have room to grow");
+        let resized = RuntimeConfig { servers: 5, ..RuntimeConfig::new(3) };
+        for cfg in [RuntimeConfig::new(1), RuntimeConfig::new(3), resized] {
+            let servers = cfg.servers as u32;
+            let rt = ClusterRuntime::start(cfg);
+            let mut client = rt.client_homed(NodeId(0));
+            let root = client.root();
+            for server in 0..servers {
+                rt.fault(&FaultEvent::Crash { server });
+            }
+            assert!(client.getattr(root).is_err(), "no server is up");
+            let obs = rt.observe();
+            assert_eq!(obs.failover_retries, u64::from(2 * (servers - 1)), "{servers} servers");
+            assert_eq!(obs.failover_exhausted, u64::from(servers > 1), "{servers} servers");
+            rt.shutdown();
+        }
     }
 }

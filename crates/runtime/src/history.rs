@@ -7,7 +7,7 @@
 //! order. Invokes are stamped *before* the request leaves the client and
 //! acks *after* the reply is in hand, so the recorded interval
 //! conservatively covers the operation's true effect time — the property
-//! [`deceit_core::audit`] leans on for its causality check.
+//! [`deceit_core::audit::audit`] leans on for its causality check.
 //!
 //! The recorder is deliberately dumb: no filtering, no aggregation. The
 //! nemesis merges the journals with [`HistoryRecorder::merge`] and hands

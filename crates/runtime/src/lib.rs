@@ -72,7 +72,7 @@ pub mod shard;
 pub mod world;
 
 pub use client::{RuntimeClient, WriteBatch};
-pub use config::{RetryPolicy, RuntimeConfig};
+pub use config::RuntimeConfig;
 pub use error::{RuntimeError, RuntimeResult};
 pub use history::{HistoryRecorder, JournalHandle, NEMESIS_CLIENT};
 pub use nemesis::{StormConfig, StormFailure, StormOutcome};

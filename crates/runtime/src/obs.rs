@@ -54,8 +54,8 @@ pub struct RuntimeObs {
     /// Read-only failover attempts (every retried send after the home
     /// server failed, successful or not), summed over all sessions.
     pub failover_retries: RelaxedU64,
-    /// Requests that spent their whole retry budget without finding a
-    /// live server and surfaced the transport error.
+    /// Requests whose two failover sweeps found no live server and
+    /// surfaced the transport error.
     pub failover_exhausted: RelaxedU64,
 }
 
@@ -130,7 +130,7 @@ pub struct ObsReport {
     pub pump_to_busy: u64,
     /// Read-only failover attempts across all sessions.
     pub failover_retries: u64,
-    /// Requests whose failover retry budget ran out.
+    /// Requests whose two failover sweeps found no live server.
     pub failover_exhausted: u64,
     /// Sharded-engine lock telemetry.
     pub engine: EngineReport,

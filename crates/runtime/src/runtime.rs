@@ -8,15 +8,19 @@
 //! drains the engine's per-shard deferred work one slot at a time through
 //! `ShardedEngine::pump_slot`, and failure injection and the inspection
 //! hatches take the whole engine through `ShardedEngine::exclusive`.
+//!
+//! The cell's topology has one owner per layer: the engine's network for
+//! the protocol, the bus for the threads. [`ClusterRuntime::fault`] is
+//! the one way to change it and changes both. A partition holds servers
+//! only; a client session has no network identity of its own, so its
+//! endpoint is attached to its home server and follows it — across a
+//! split, and to a new home when the session re-homes.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 use std::thread::{self, JoinHandle};
 use std::time::Duration;
 
-use parking_lot::Mutex;
-
-use deceit_core::{ProtocolHost, Stat};
+use deceit_core::{FaultEvent, ProtocolHost, Stat};
 use deceit_net::live::LiveBus;
 use deceit_net::rpc::{Rpc, RpcEndpoint};
 use deceit_net::NodeId;
@@ -27,6 +31,7 @@ use crate::client::RuntimeClient;
 use crate::config::RuntimeConfig;
 use crate::obs::{CoreReport, EngineReport, ObsReport, RuntimeObs, OP_CLASS_NAMES};
 use crate::shard::{Rung, ShardedEngine};
+use crate::world::node_groups;
 
 /// The wire frame between clients and servers: the NFS envelope carried
 /// over correlated RPC.
@@ -34,6 +39,12 @@ pub(crate) type NfsFrame = Rpc<NfsRequest, NfsReply>;
 
 /// First node id handed to client sessions; servers occupy `0..n`.
 pub(crate) const CLIENT_BASE: u32 = 1_000;
+
+/// How long the pump thread sleeps when no deferred work is ready.
+const PUMP_INTERVAL: Duration = Duration::from_millis(1);
+
+/// Deferred-work events the pump fires per slot per pass.
+const PUMP_BATCH: usize = 128;
 
 /// One server's traffic counters, updated lock-free by its message loop
 /// so [`ClusterRuntime::stats`] and the final report never contend with
@@ -107,126 +118,6 @@ pub struct RuntimeReport {
     pub bus_rejected: u64,
 }
 
-/// The recorded partition plus its epoch. The epoch advances on every
-/// split/heal transition, so any code path that captured partition state
-/// before blocking can detect that the topology moved underneath it.
-#[derive(Debug, Default)]
-struct SplitState {
-    groups: Option<Vec<Vec<NodeId>>>,
-    epoch: u64,
-}
-
-/// Client-home registry: which server each client session currently
-/// treats as its home, plus the currently imposed server partition.
-/// Partition injection consults the homes so a split of the *server*
-/// set also places every client on its home's side — mirroring the
-/// simulator, where clients have no network identity at all. The
-/// remembered split lets sessions opened *during* a partition join
-/// their home's side instead of landing in the implicit rest group.
-///
-/// Every transition is epoch-stamped and every compound operation
-/// (record a home *and* re-impose the split; change the split *and*
-/// mutate the engine) runs under the one `active_split` lock, so a heal
-/// that lands concurrently with a session open can never leave the bus
-/// with a stale split imposed — and a session opened mid-heal can never
-/// re-impose the partition it raced with.
-#[derive(Debug, Default)]
-pub(crate) struct ClientDirectory {
-    homes: Mutex<HashMap<NodeId, NodeId>>,
-    active_split: Mutex<SplitState>,
-}
-
-impl ClientDirectory {
-    /// Records (or moves) a session's home and, if a partition is in
-    /// force, re-imposes it so the session sits on its home's side.
-    /// One critical section: the home insert and the re-imposition
-    /// happen under the split lock, so a concurrent heal either sees
-    /// the new home (and imposes nothing) or completes first (and this
-    /// call finds no split to re-impose) — there is no window where a
-    /// healed bus gets the old split back.
-    pub(crate) fn set_home(&self, client: NodeId, home: NodeId, bus: &LiveBus<NfsFrame>) {
-        let split = self.active_split.lock();
-        self.homes.lock().insert(client, home);
-        if let Some(groups) = split.groups.as_ref() {
-            self.impose(groups, bus);
-        }
-    }
-
-    pub(crate) fn forget(&self, client: NodeId) {
-        self.homes.lock().remove(&client);
-    }
-
-    /// Replaces the recorded partition (`None` = healed), bumps the
-    /// partition epoch, and mirrors the change onto the bus — with
-    /// `mutate_engine` run inside the same critical section, so the
-    /// engine's topology and the bus's can never be observed moving in
-    /// opposite directions by a concurrent split/heal.
-    pub(crate) fn set_split_with(
-        &self,
-        groups: Option<Vec<Vec<NodeId>>>,
-        bus: &LiveBus<NfsFrame>,
-        mutate_engine: impl FnOnce(),
-    ) {
-        let mut split = self.active_split.lock();
-        split.groups = groups;
-        split.epoch += 1;
-        match split.groups.as_ref() {
-            Some(groups) => {
-                mutate_engine();
-                self.impose(groups, bus);
-            }
-            None => {
-                bus.heal();
-                mutate_engine();
-            }
-        }
-    }
-
-    /// [`ClientDirectory::set_split_with`] without an engine mutation.
-    #[cfg(test)]
-    pub(crate) fn set_split(&self, groups: Option<Vec<Vec<NodeId>>>, bus: &LiveBus<NfsFrame>) {
-        self.set_split_with(groups, bus, || {});
-    }
-
-    /// The current partition epoch (advances on every split or heal).
-    #[cfg(test)]
-    pub(crate) fn split_epoch(&self) -> u64 {
-        self.active_split.lock().epoch
-    }
-
-    /// Re-imposes the active server partition (if any) on the bus, with
-    /// every client attached to its current home's group. Production
-    /// paths now run re-imposition inside [`ClientDirectory::set_home`]'s
-    /// critical section; this standalone form remains for the race tests
-    /// that hammer re-imposition against heal.
-    #[cfg(test)]
-    pub(crate) fn reapply(&self, bus: &LiveBus<NfsFrame>) {
-        let split = self.active_split.lock();
-        if let Some(groups) = split.groups.as_ref() {
-            self.impose(groups, bus);
-        }
-    }
-
-    /// Applies `groups` + homed clients to the bus. Callers hold the
-    /// `active_split` lock, making directory state and bus state change
-    /// together; `homes` is taken inside it (lock order: split → homes).
-    fn impose(&self, groups: &[Vec<NodeId>], bus: &LiveBus<NfsFrame>) {
-        let homes = self.homes.lock();
-        let with_clients: Vec<Vec<NodeId>> = groups
-            .iter()
-            .map(|g| {
-                let mut out = g.clone();
-                out.extend(
-                    homes.iter().filter(|(_, home)| g.contains(home)).map(|(client, _)| *client),
-                );
-                out
-            })
-            .collect();
-        let refs: Vec<&[NodeId]> = with_clients.iter().map(Vec::as_slice).collect();
-        bus.split(&refs);
-    }
-}
-
 /// State shared by the runtime handle and every hosting thread.
 struct Shared<S> {
     bus: LiveBus<NfsFrame>,
@@ -253,7 +144,6 @@ impl<S> Shared<S> {
 /// from several server threads at once.
 pub struct ClusterRuntime<S: NfsService + ProtocolHost + Send + Sync + 'static = NfsServer> {
     shared: Arc<Shared<S>>,
-    dir: Arc<ClientDirectory>,
     cfg: RuntimeConfig,
     server_ids: Vec<NodeId>,
     server_threads: Vec<JoinHandle<()>>,
@@ -317,19 +207,16 @@ impl<S: NfsService + ProtocolHost + Send + Sync + 'static> ClusterRuntime<S> {
         )]
         let pump_thread = {
             let shared = Arc::clone(&shared);
-            let interval = cfg.pump_interval;
-            let batch = cfg.pump_batch;
             Some(
                 thread::Builder::new()
                     .name("deceit-pump".into())
-                    .spawn(move || pump_loop(&shared, interval, batch))
+                    .spawn(move || pump_loop(&shared))
                     .expect("spawn pump thread"),
             )
         };
 
         ClusterRuntime {
             shared,
-            dir: Arc::new(ClientDirectory::default()),
             cfg,
             server_ids,
             server_threads,
@@ -358,25 +245,17 @@ impl<S: NfsService + ProtocolHost + Send + Sync + 'static> ClusterRuntime<S> {
     }
 
     fn client_at(&self, seq: u32, home: NodeId) -> RuntimeClient {
-        let id = NodeId(CLIENT_BASE + seq);
-        let ep = RpcEndpoint::register(&self.shared.bus, id);
+        let ep = RpcEndpoint::register(&self.shared.bus, NodeId(CLIENT_BASE + seq));
         // mount_root is `&self`: the shared lock suffices, so opening a
         // session never stalls concurrent readers.
         let root = self.shared.engine.read_guard().mount_root();
-        // set_home re-imposes any active partition, so a session opened
-        // mid-split joins its home server's side rather than the
-        // implicit rest group.
-        self.dir.set_home(id, home, &self.shared.bus);
         RuntimeClient::new(
             ep,
             home,
             self.server_ids.clone(),
-            Arc::clone(&self.dir),
-            self.shared.bus.clone(),
             self.cfg.request_timeout,
             root,
             Arc::clone(&self.shared.obs),
-            self.cfg.retry,
         )
     }
 
@@ -398,45 +277,52 @@ impl<S: NfsService + ProtocolHost + Send + Sync + 'static> ClusterRuntime<S> {
         self.shared.engine.exclusive(|e| e.settle());
     }
 
-    /// Crashes a server "without notification": the bus rejects its
-    /// traffic and the protocol engine loses its volatile state. The
-    /// server *thread* keeps running — a crashed machine and its message
-    /// loop are indistinguishable to the rest of the cell.
-    pub fn crash_server(&self, id: NodeId) {
-        self.shared.bus.crash(id);
-        self.shared.engine.exclusive(|e| e.crash_node(id));
-    }
-
-    /// Restarts a crashed server and runs its recovery protocol.
-    pub fn restart_server(&self, id: NodeId) {
-        self.shared.engine.exclusive(|e| e.restart_node(id));
-        self.shared.bus.recover(id);
+    /// Applies one fault to the cell, in both of its topologies: the
+    /// bus's and the engine's.
+    ///
+    /// * `Crash` — "without notification": the bus rejects the server's
+    ///   traffic and the engine loses its volatile state. The server
+    ///   *thread* keeps running; a crashed machine and its message loop
+    ///   are indistinguishable to the rest of the cell.
+    /// * `Restart` — the engine runs the server's recovery protocol,
+    ///   then the bus carries its traffic again.
+    /// * `Split` / `Heal` — a partition between groups of *servers*
+    ///   (mirroring [`deceit_core::Cluster::split`]), or its end with the
+    ///   protocol's reconciliation. Each client session sits on its
+    ///   home's side. The engine and the bus change inside one exclusive
+    ///   engine section, so racing splits and heals always leave the two
+    ///   topologies agreeing.
+    /// * `Settle` — [`ClusterRuntime::settle`].
+    pub fn fault(&self, fault: &FaultEvent) {
+        let (bus, engine) = (&self.shared.bus, &self.shared.engine);
+        match fault {
+            FaultEvent::Crash { server } => {
+                bus.crash(NodeId(*server));
+                engine.exclusive(|e| e.crash_node(NodeId(*server)));
+            }
+            FaultEvent::Restart { server } => {
+                engine.exclusive(|e| e.restart_node(NodeId(*server)));
+                bus.recover(NodeId(*server));
+            }
+            FaultEvent::Split { groups } => {
+                let groups = node_groups(groups);
+                let groups: Vec<&[NodeId]> = groups.iter().map(Vec::as_slice).collect();
+                engine.exclusive(|e| {
+                    e.split_nodes(&groups);
+                    bus.split(&groups);
+                });
+            }
+            FaultEvent::Heal => engine.exclusive(|e| {
+                bus.heal();
+                e.heal_nodes();
+            }),
+            FaultEvent::Settle => self.settle(),
+        }
     }
 
     /// Whether `id` is crashed and not yet restarted.
     pub(crate) fn is_crashed(&self, id: NodeId) -> bool {
         self.shared.bus.is_crashed(id)
-    }
-
-    /// Imposes a partition between the given groups of *servers*,
-    /// mirroring [`deceit_core::Cluster::split`]. Each client session is
-    /// placed on its home server's side of the split. The engine, the
-    /// bus, and the directory change inside one epoch-stamped critical
-    /// section, so a concurrent [`ClusterRuntime::heal`] can never leave
-    /// the two topologies pointing in opposite directions.
-    pub fn split(&self, groups: &[&[NodeId]]) {
-        let owned: Vec<Vec<NodeId>> = groups.iter().map(|g| g.to_vec()).collect();
-        self.dir.set_split_with(Some(owned), &self.shared.bus, || {
-            self.shared.engine.exclusive(|e| e.split_nodes(groups));
-        });
-    }
-
-    /// Heals any partition (protocol reconciliation included), atomically
-    /// with the directory/bus state — see [`ClusterRuntime::split`].
-    pub fn heal(&self) {
-        self.dir.set_split_with(None, &self.shared.bus, || {
-            self.shared.engine.exclusive(|e| e.heal_nodes());
-        });
     }
 
     /// Point-in-time traffic counters, read from atomics (the clock
@@ -456,13 +342,6 @@ impl<S: NfsService + ProtocolHost + Send + Sync + 'static> ClusterRuntime<S> {
             requests_served_sharded: self.shared.served(Rung::Ring),
             pending_work: self.shared.engine.read_guard().pending_work(),
         }
-    }
-
-    /// The runtime's always-on observability bundle (per-op-class
-    /// latency histograms, pump transitions). Cheap to clone; client
-    /// sessions already share it.
-    pub fn obs(&self) -> Arc<RuntimeObs> {
-        Arc::clone(&self.shared.obs)
     }
 
     /// One structured snapshot of every observability layer: op-class
@@ -611,7 +490,7 @@ fn serve_loop<S: NfsService + ProtocolHost>(
 /// client operations, done here from a real thread — per shard, in
 /// bounded slices, so server threads interleave fairly on the cell lock
 /// and no single file's backlog monopolizes a pump pass.
-fn pump_loop<S: ProtocolHost>(shared: &Shared<S>, interval: Duration, batch: usize) {
+fn pump_loop<S: ProtocolHost>(shared: &Shared<S>) {
     let shards = shared.engine.shard_count();
     // Idle/busy transition accounting: a pump that flaps between the
     // two under load is a sign the batching window is mistuned.
@@ -633,7 +512,7 @@ fn pump_loop<S: ProtocolHost>(shared: &Shared<S>, interval: Duration, batch: usi
                 idle = true;
                 shared.obs.pump_to_idle.fetch_add(1);
             }
-            thread::sleep(interval);
+            thread::sleep(PUMP_INTERVAL);
             continue;
         };
         if idle {
@@ -645,7 +524,7 @@ fn pump_loop<S: ProtocolHost>(shared: &Shared<S>, interval: Duration, batch: usi
             if mask & (1 << slot) == 0 {
                 continue;
             }
-            fired += shared.engine.pump_slot(slot, batch);
+            fired += shared.engine.pump_slot(slot, PUMP_BATCH);
         }
         if fired == 0 {
             // Work is pending but none of it is ready: it is parked
@@ -656,10 +535,10 @@ fn pump_loop<S: ProtocolHost>(shared: &Shared<S>, interval: Duration, batch: usi
             // time; once they do, the next pass fires them and the
             // queue drains to a true zero.
             let tick = deceit_sim::SimDuration::from_micros(
-                interval.as_micros().min(u64::MAX as u128) as u64,
+                PUMP_INTERVAL.as_micros().min(u64::MAX as u128) as u64,
             );
             shared.engine.read_guard().advance_idle_clock(tick);
-            thread::sleep(interval);
+            thread::sleep(PUMP_INTERVAL);
         }
     }
 }
@@ -672,113 +551,120 @@ mod tests {
         NodeId(v)
     }
 
-    /// A session opened *while* a server partition is in force must land
-    /// on its home server's side of the split, not in the implicit rest
+    fn split(groups: &[&[u32]]) -> FaultEvent {
+        FaultEvent::Split { groups: groups.iter().map(|g| g.to_vec()).collect() }
+    }
+
+    /// A session opened *while* a server partition is in force lands on
+    /// its home server's side of the split, not in the implicit rest
     /// group.
     #[test]
     fn session_opened_during_split_joins_its_homes_side() {
-        let bus: LiveBus<NfsFrame> = LiveBus::new();
-        let dir = ClientDirectory::default();
-        // Servers 0,1 vs 2; an existing client homed on 0.
-        dir.set_home(n(1000), n(0), &bus);
-        dir.set_split(Some(vec![vec![n(0), n(1)], vec![n(2)]]), &bus);
-        assert!(bus.can_exchange(n(1000), n(0)));
-        assert!(!bus.can_exchange(n(1000), n(2)));
+        let rt = ClusterRuntime::start(crate::RuntimeConfig::new(3));
+        let bus = &rt.shared.bus;
+        // An existing session homed on 0, then servers 0,1 vs 2.
+        let existing = rt.client_homed(n(0));
+        rt.fault(&split(&[&[0, 1], &[2]]));
+        assert!(bus.can_exchange(existing.node(), n(0)));
+        assert!(!bus.can_exchange(existing.node(), n(2)));
 
         // Mid-split arrivals: one homed on each side.
-        dir.set_home(n(1001), n(1), &bus);
-        dir.set_home(n(1002), n(2), &bus);
-        assert!(bus.can_exchange(n(1001), n(0)), "new session must sit with its home's group");
-        assert!(bus.can_exchange(n(1001), n(1)));
-        assert!(!bus.can_exchange(n(1001), n(2)));
-        assert!(bus.can_exchange(n(1002), n(2)));
-        assert!(!bus.can_exchange(n(1002), n(0)));
+        let sessions = [rt.client_homed(n(1)), rt.client_homed(n(2))];
+        let [a, b] = sessions.each_ref().map(RuntimeClient::node);
+        assert!(bus.can_exchange(a, n(0)), "new session must sit with its home's group");
+        assert!(bus.can_exchange(a, n(1)));
+        assert!(!bus.can_exchange(a, n(2)));
+        assert!(bus.can_exchange(b, n(2)));
+        assert!(!bus.can_exchange(b, n(0)));
         // The two arrivals are on opposite sides of the split.
-        assert!(!bus.can_exchange(n(1001), n(1002)));
+        assert!(!bus.can_exchange(a, b));
+        rt.shutdown();
     }
 
-    /// `set_split(None)` must not be overwritten by a concurrent
-    /// `reapply`: once a heal lands, no stale re-imposition of the old
-    /// split may follow. The directory guarantees this by holding the
-    /// split lock across the bus mutation; this test hammers the pair
-    /// from racing threads and checks the invariant after every heal.
+    /// Re-homing a session during a split moves it to its new home's
+    /// side, and the move outlives the heal.
     #[test]
-    fn heal_cannot_be_overwritten_by_concurrent_reapply() {
-        let bus: LiveBus<NfsFrame> = LiveBus::new();
-        let dir = Arc::new(ClientDirectory::default());
-        dir.set_home(n(1000), n(0), &bus);
+    fn set_home_mid_split_moves_the_sessions_side() {
+        let rt = ClusterRuntime::start(crate::RuntimeConfig::new(3));
+        let bus = &rt.shared.bus;
+        let mut session = rt.client_homed(n(0));
+        rt.fault(&split(&[&[0], &[1, 2]]));
+        assert!(bus.can_exchange(session.node(), n(0)));
+        assert!(!bus.can_exchange(session.node(), n(1)));
 
-        let stop = Arc::new(PublishedBool::new(false));
-        let stormers: Vec<_> = (0..3)
-            .map(|_| {
-                let dir = Arc::clone(&dir);
-                let bus = bus.clone();
-                let stop = Arc::clone(&stop);
-                thread::spawn(move || {
-                    while !stop.load() {
-                        dir.reapply(&bus);
-                    }
-                })
-            })
-            .collect();
+        session.set_home(n(2));
+        assert!(!bus.can_exchange(session.node(), n(0)), "the session left 0's side");
+        assert!(bus.can_exchange(session.node(), n(1)));
+        assert!(bus.can_exchange(session.node(), n(2)));
+        session.null().expect("the new home answers");
 
-        for _ in 0..200 {
-            dir.set_split(Some(vec![vec![n(0)], vec![n(1)]]), &bus);
-            dir.set_split(None, &bus);
-            // Healed means healed, no matter how the reapply storm
-            // interleaved: reapply sees the cleared split and must not
-            // touch the bus.
-            assert!(
-                bus.can_exchange(n(0), n(1)),
-                "a concurrent reapply re-imposed a cleared split"
-            );
-        }
-        stop.store(true);
-        for t in stormers {
-            t.join().unwrap();
-        }
+        rt.fault(&FaultEvent::Heal);
+        assert!(bus.can_exchange(session.node(), n(0)));
+        drop(session);
+        rt.shutdown();
     }
 
-    /// A session opened concurrently with a heal must not re-impose the
-    /// split it raced with: `set_home`'s home-insert and re-imposition
-    /// are one critical section against `set_split`.
+    /// A session dropped during a split takes its attachment with it: its
+    /// node id, registered again, starts unattached — in the implicit
+    /// rest group, on no server's side.
+    #[test]
+    fn a_session_dropped_mid_split_leaves_no_attachment_behind() {
+        let rt = ClusterRuntime::start(crate::RuntimeConfig::new(3));
+        let bus = &rt.shared.bus;
+        rt.fault(&split(&[&[0], &[1, 2]]));
+        let session = rt.client_homed(n(0));
+        let id = session.node();
+        assert!(bus.can_exchange(id, n(0)));
+        drop(session);
+        assert!(!bus.nodes().contains(&id), "the dropped session is still on the bus");
+
+        let again: RpcEndpoint<NfsRequest, NfsReply> = RpcEndpoint::register(bus, id);
+        assert!(!bus.can_exchange(id, n(0)), "the dropped session's home outlived it");
+        assert!(!bus.can_exchange(id, n(1)));
+        drop(again);
+        rt.shutdown();
+    }
+
+    /// A storm of session opens and re-homes racing split/heal flaps
+    /// never leaves servers 0 and 1 cut after a heal, on the bus or in
+    /// the engine.
     #[test]
     fn session_open_cannot_revive_a_healed_split() {
-        let bus: LiveBus<NfsFrame> = LiveBus::new();
-        let dir = Arc::new(ClientDirectory::default());
+        let rt = Arc::new(ClusterRuntime::start(crate::RuntimeConfig::new(3)));
         let stop = Arc::new(PublishedBool::new(false));
         let openers: Vec<_> = (0..3u32)
             .map(|t| {
-                let dir = Arc::clone(&dir);
-                let bus = bus.clone();
+                let rt = Arc::clone(&rt);
                 let stop = Arc::clone(&stop);
                 thread::spawn(move || {
-                    let mut i = 0u32;
+                    let mut i = t;
                     while !stop.load() {
-                        // A churn of session opens homed on both sides.
-                        dir.set_home(n(1000 + t * 100 + (i % 50)), n(i % 2), &bus);
+                        // A churn of sessions homed on both sides.
+                        let mut session = rt.client_homed(n(i % 2));
+                        session.set_home(n((i + 1) % 2));
                         i += 1;
                     }
                 })
             })
             .collect();
-        let epoch_start = dir.split_epoch();
         for _ in 0..200 {
-            dir.set_split(Some(vec![vec![n(0)], vec![n(1)]]), &bus);
-            dir.set_split(None, &bus);
-            assert!(bus.can_exchange(n(0), n(1)), "a racing session open revived a healed split");
+            rt.fault(&split(&[&[0], &[1]]));
+            rt.fault(&FaultEvent::Heal);
+            assert!(rt.shared.bus.can_exchange(n(0), n(1)), "a session open revived a split");
+            assert!(rt.with_engine(|e| e.fs.cluster.net.reachable(n(0), n(1))));
         }
         stop.store(true);
         for t in openers {
             t.join().unwrap();
         }
-        assert_eq!(dir.split_epoch(), epoch_start + 400, "every transition bumps the epoch");
+        let rt = Arc::try_unwrap(rt).unwrap_or_else(|_| panic!("all openers joined"));
+        rt.shutdown();
     }
 
-    /// Concurrent split/heal on a live cluster: the engine topology and
-    /// the bus topology change inside one critical section, so whichever
-    /// call wins, the two always agree afterwards — a healed engine never
-    /// sits behind a split bus or vice versa.
+    /// Concurrent split/heal faults on a live cluster: the engine
+    /// topology and the bus topology change inside one exclusive engine
+    /// section, so whichever fault wins, the two always agree afterwards
+    /// — a healed engine never sits behind a split bus or vice versa.
     #[test]
     fn engine_and_bus_topology_never_diverge_under_split_heal_races() {
         let rt = Arc::new(ClusterRuntime::start(crate::RuntimeConfig::new(3)));
@@ -788,9 +674,9 @@ mod tests {
                 thread::spawn(move || {
                     for _ in 0..25 {
                         if t % 2 == 0 {
-                            rt.split(&[&[n(0)], &[n(1), n(2)]]);
+                            rt.fault(&split(&[&[0], &[1, 2]]));
                         } else {
-                            rt.heal();
+                            rt.fault(&FaultEvent::Heal);
                         }
                     }
                 })
@@ -814,7 +700,7 @@ mod tests {
             );
         }
         // And a final heal restores full service in both worlds.
-        rt.heal();
+        rt.fault(&FaultEvent::Heal);
         assert!(rt.with_engine(|e| e.fs.cluster.net.reachable(n(0), n(1))));
         assert!(rt.shared.bus.can_exchange(n(0), n(1)));
         rt.shutdown();

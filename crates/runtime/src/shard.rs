@@ -2,11 +2,11 @@
 //!
 //! The first live runtime hosted the whole protocol engine behind one
 //! `Mutex`, so `n` server threads executed one request at a time and
-//! throughput *fell* as clients were added. [`ShardedEngine`] replaces
+//! throughput *fell* as clients were added. `ShardedEngine` replaces
 //! that global lock with the locking structure the engine's state
 //! actually calls for:
 //!
-//! * the cold cell-wide state lives under a read-mostly [`RwLock`]:
+//! * the cold cell-wide state lives under a read-mostly [`parking_lot::RwLock`]:
 //!   read-only requests run under the shared lock, concurrently with
 //!   each other *and* with mutations;
 //! * `K` shard ring mutexes serialize executions per file

@@ -145,16 +145,7 @@ impl World for LiveWorld {
     }
 
     fn fault(&mut self, fault: &FaultEvent) {
-        match fault {
-            FaultEvent::Crash { server } => self.rt.crash_server(NodeId(*server)),
-            FaultEvent::Restart { server } => self.rt.restart_server(NodeId(*server)),
-            FaultEvent::Split { groups } => {
-                let groups = node_groups(groups);
-                self.rt.split(&groups.iter().map(Vec::as_slice).collect::<Vec<_>>());
-            }
-            FaultEvent::Heal => self.rt.heal(),
-            FaultEvent::Settle => self.rt.settle(),
-        }
+        self.rt.fault(fault);
     }
 
     fn flight(&self) -> String {
@@ -174,7 +165,7 @@ impl World for LiveWorld {
     }
 }
 
-fn node_groups(groups: &[Vec<u32>]) -> Vec<Vec<NodeId>> {
+pub(crate) fn node_groups(groups: &[Vec<u32>]) -> Vec<Vec<NodeId>> {
     groups.iter().map(|g| g.iter().map(|&s| NodeId(s)).collect()).collect()
 }
 

@@ -13,7 +13,7 @@
 
 use proptest::prelude::*;
 
-use deceit_core::{audit, Contract, FileParams, WriteAvailability};
+use deceit_core::{audit, Contract, FaultEvent, FileParams, WriteAvailability};
 use deceit_net::NodeId;
 use deceit_runtime::nemesis::{audit_storm, run_sim_storm};
 use deceit_runtime::{ClusterRuntime, HistoryRecorder, RuntimeConfig, StormConfig};
@@ -148,9 +148,9 @@ fn mutation_seeds_are_green_without_the_mutation() {
 }
 
 /// Regression: a reader whose session forwards reads across the cell
-/// must never observe a shrinking acked prefix while `split`/`heal`
-/// flap the partition epoch around in-flight requests
-/// (`ClientDirectory::set_split_with` racing a forwarded read).
+/// must never observe a shrinking acked prefix while split and heal
+/// faults flap the partition around in-flight requests (a
+/// `ClusterRuntime::fault` racing a forwarded read).
 #[test]
 fn forwarded_reads_stay_monotone_across_split_heal_flaps() {
     let rcfg = RuntimeConfig::new(3);
@@ -202,14 +202,14 @@ fn forwarded_reads_stay_monotone_across_split_heal_flaps() {
             }
         });
 
-        // Flap the partition epoch under the traffic: server 2 (the
+        // Flap the partition under the traffic: server 2 (the
         // reader's home) repeatedly isolated and healed.
-        let minority = [*ids.last().unwrap()];
-        let majority: Vec<NodeId> = ids[..ids.len() - 1].to_vec();
+        let minority = ids.last().unwrap().0;
+        let split = FaultEvent::Split { groups: vec![(0..minority).collect(), vec![minority]] };
         for _ in 0..30 {
-            rt.split(&[&majority, &minority]);
+            rt.fault(&split);
             std::thread::sleep(std::time::Duration::from_millis(2));
-            rt.heal();
+            rt.fault(&FaultEvent::Heal);
             std::thread::sleep(std::time::Duration::from_millis(2));
         }
 

@@ -4,7 +4,7 @@
 use std::thread;
 use std::time::Duration;
 
-use deceit_core::{FileParams, ProtocolHost};
+use deceit_core::{FaultEvent, FileParams, ProtocolHost};
 use deceit_net::NodeId;
 use deceit_runtime::{ClusterRuntime, RuntimeConfig, RuntimeError};
 use deceit_sim::SimDuration;
@@ -60,7 +60,7 @@ fn concurrent_clients_survive_a_crash() {
     // Let replication finish, then kill a server without notification.
     rt.settle();
     let victim = NodeId(0);
-    rt.crash_server(victim);
+    rt.fault(&FaultEvent::Crash { server: victim.0 });
 
     // A client homed on the victim times out on mutating requests...
     let mut stuck = rt.client_homed(victim);
@@ -116,11 +116,11 @@ fn crashed_server_rejoins_after_restart() {
     client.write(attr.handle, 0, b"before the crash").expect("write");
     rt.settle();
 
-    rt.crash_server(NodeId(0));
+    rt.fault(&FaultEvent::Crash { server: 0 });
     client.write(attr.handle, 0, b"during the outage").expect("write survives");
     rt.settle();
 
-    rt.restart_server(NodeId(0));
+    rt.fault(&FaultEvent::Restart { server: 0 });
     rt.settle();
     // §3.1: the regenerated third replica appears with the next update.
     client.write(attr.handle, 0, b"after the recovery").expect("post-recovery write");
@@ -150,7 +150,7 @@ fn partition_blocks_minority_and_heals() {
     majority.write(attr.handle, 0, b"agreed before split").expect("write");
     rt.settle();
 
-    rt.split(&[&[NodeId(0)], &[NodeId(1), NodeId(2)]]);
+    rt.fault(&FaultEvent::Split { groups: vec![vec![0], vec![1, 2]] });
 
     // The majority side keeps serving.
     let data = majority.read(attr.handle, 0, 64).expect("majority read");
@@ -172,7 +172,7 @@ fn partition_blocks_minority_and_heals() {
     let late_cross = late_minority.call_via(NodeId(2), deceit_nfs::NfsRequest::Null);
     assert!(late_cross.is_err(), "mid-split session must still respect the partition");
 
-    rt.heal();
+    rt.fault(&FaultEvent::Heal);
     minority.set_home(NodeId(1));
     minority.null().expect("healed network serves everyone");
     rt.shutdown();

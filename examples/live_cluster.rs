@@ -61,7 +61,7 @@ fn main() {
     // Phase 2: crash a server without notification.
     let victim = NodeId(0);
     println!("\ncrashing {victim} without notification ...");
-    rt.crash_server(victim);
+    rt.fault(&FaultEvent::Crash { server: victim.0 });
 
     // A client homed on the victim transparently fails over for reads.
     let mut survivor_client = rt.client_homed(victim);
@@ -85,7 +85,7 @@ fn main() {
 
     // Phase 3: restart; the next update round restores replication 3.
     println!("\nrestarting {victim} and rewriting to regenerate replicas ...");
-    rt.restart_server(victim);
+    rt.fault(&FaultEvent::Restart { server: victim.0 });
     rt.settle();
     for (name, body) in &files {
         let attr = reader.lookup(root, name).expect("lookup");
