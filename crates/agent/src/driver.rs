@@ -220,8 +220,7 @@ impl Agent {
                 self.attrs.put(attr.clone(), now, self.cfg.attr_ttl);
                 Ok((attr, lat))
             }
-            NfsReply::Error(e) => Err(e),
-            other => panic!("protocol violation: {other:?}"),
+            other => Err(unexpected(other)),
         }
     }
 
@@ -243,8 +242,7 @@ impl Agent {
                 self.attrs.put(attr.clone(), now, self.cfg.attr_ttl);
                 Ok((attr, lat))
             }
-            NfsReply::Error(e) => Err(e),
-            other => panic!("protocol violation: {other:?}"),
+            other => Err(unexpected(other)),
         }
     }
 
@@ -273,8 +271,7 @@ impl Agent {
                 }
                 Ok((data, total))
             }
-            NfsReply::Error(e) => Err(e),
-            other => panic!("protocol violation: {other:?}"),
+            other => Err(unexpected(other)),
         }
     }
 
@@ -295,8 +292,7 @@ impl Agent {
                 self.data.invalidate(fh);
                 Ok((attr, lat))
             }
-            NfsReply::Error(e) => Err(e),
-            other => panic!("protocol violation: {other:?}"),
+            other => Err(unexpected(other)),
         }
     }
 
@@ -317,8 +313,7 @@ impl Agent {
                 self.lookups.insert((dir, name.to_string()), attr.handle);
                 Ok((attr, lat))
             }
-            NfsReply::Error(e) => Err(e),
-            other => panic!("protocol violation: {other:?}"),
+            other => Err(unexpected(other)),
         }
     }
 
@@ -331,8 +326,7 @@ impl Agent {
         let (reply, lat) = self.rpc(srv, NfsRequest::Readdir { dir });
         match reply {
             NfsReply::Entries(es) => Ok((es, lat)),
-            NfsReply::Error(e) => Err(e),
-            other => panic!("protocol violation: {other:?}"),
+            other => Err(unexpected(other)),
         }
     }
 
@@ -351,8 +345,7 @@ impl Agent {
                 self.lookups.insert((dir, name.to_string()), attr.handle);
                 Ok((attr, lat))
             }
-            NfsReply::Error(e) => Err(e),
-            other => panic!("protocol violation: {other:?}"),
+            other => Err(unexpected(other)),
         }
     }
 
@@ -375,8 +368,7 @@ impl Agent {
                 }
                 Ok(lat)
             }
-            NfsReply::Error(e) => Err(e),
-            other => panic!("protocol violation: {other:?}"),
+            other => Err(unexpected(other)),
         }
     }
 
@@ -399,8 +391,20 @@ impl Agent {
                 }
                 Ok((attr, lat))
             }
-            NfsReply::Error(e) => Err(e),
-            other => panic!("protocol violation: {other:?}"),
+            other => Err(unexpected(other)),
+        }
+    }
+}
+
+/// What a reply that does not answer its request fails with: the
+/// server's error as sent, or — for a reply of the wrong kind, a
+/// protocol violation — an error naming it, reported rather than
+/// panicked on.
+fn unexpected(reply: NfsReply) -> NfsError {
+    match reply {
+        NfsReply::Error(e) => e,
+        other => {
+            NfsError::Io(DeceitError::InvalidCommand(format!("protocol violation: {other:?}")))
         }
     }
 }

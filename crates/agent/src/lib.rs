@@ -13,6 +13,16 @@
 //! auxiliary user process) are modeled as per-call overhead profiles in
 //! [`AgentPlacement`]; the `fig8` experiment sweeps them.
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::allow_attributes_without_reason
+)]
+
 pub mod cache;
 pub mod config;
 pub mod driver;

@@ -107,13 +107,17 @@ fn main() -> ExitCode {
         cfg.seed = s;
         let mode = if live { "live" } else { "sim" };
         match audit_storm(&cfg, &rcfg, live) {
-            Ok(report) => {
+            Err(e) => {
+                eprintln!("seed {s} ({mode}): the storm could not run: {e}");
+                return ExitCode::FAILURE;
+            }
+            Ok(Ok(report)) => {
                 println!(
                     "seed {s} ({mode}): GREEN — {} acked writes, {} checked reads, {} faults",
                     report.writes_acked, report.reads_checked, report.faults_seen
                 );
             }
-            Err(failure) => {
+            Ok(Err(failure)) => {
                 let rendered = failure.render();
                 eprintln!("seed {s} ({mode}): RED\n{rendered}");
                 let report = format!("{out}.txt");

@@ -293,6 +293,14 @@ impl Cluster {
         self.obs.flight.record(actor, self.now(), ev);
     }
 
+    /// Emits `LeaseRevoked` if `server` revoked its lease on `seg`
+    /// ([`crate::hot::Unleased::revoked`]).
+    pub(crate) fn lease_revoked(&self, server: NodeId, seg: SegmentId, revoked: bool) {
+        if revoked {
+            self.emit_from(server, ProtocolEvent::LeaseRevoked { seg, on: server });
+        }
+    }
+
     // ------------------------------------------------------------------
     // Event engine
     // ------------------------------------------------------------------
@@ -522,7 +530,7 @@ impl Cluster {
     ) -> Vec<NodeId> {
         self.servers
             .iter()
-            .filter(|s| s.visit(key.0, |s| s.replicas.disk.contains(&key)))
+            .filter(|s| s.visit(key.0, |s| s.replicas.disk().contains(&key)))
             .filter(|s| self.net.reachable(from, s.id))
             .map(|s| s.id)
             .collect()
@@ -530,7 +538,7 @@ impl Cluster {
 
     /// All servers (any reachability) currently storing a replica of `key`.
     pub(crate) fn all_replica_holders(&self, key: crate::server::ReplicaKey) -> Vec<NodeId> {
-        let holds = |s: &&ServerState| s.visit(key.0, |s| s.replicas.disk.contains(&key));
+        let holds = |s: &&ServerState| s.visit(key.0, |s| s.replicas.disk().contains(&key));
         self.servers.iter().filter(holds).map(|s| s.id).collect()
     }
 

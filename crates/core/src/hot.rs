@@ -41,9 +41,17 @@
 //! closures make. Debug builds assert that no thread takes a slot lock
 //! while holding one ([`deceit_sim::leaf::lock_slot`]); the levels above
 //! the slots, cell then ascending rings, are carried by the types of the
-//! runtime's `shard::CellLock`. The leaf rule itself is lexical, so it is
-//! the one lock rule left to `deceit-lint`: its `lock-order` rule rejects
-//! `self` inside a closure handed to `visit` or `visit_all`.
+//! runtime's `shard::CellLock`, and clippy's `disallowed_methods` keeps
+//! raw std lock calls inside the lock funnels (`deceit_sim::leaf` here).
+//! The leaf rule itself is lexical, so it is the one rule left to
+//! `deceit-lint`: its `lock-order` rule rejects `self` inside a closure
+//! handed to `visit` or `visit_all`.
+//!
+//! **What ends a read lease goes through `Unleased`.** The stores'
+//! deletes, the replica put (a state transfer) and the crash revert are
+//! not methods of [`DiskSlot`]: the first three are methods of the
+//! handle `ServerSlot::unlease` returns after removing the key's lease,
+//! and `ServerSlot::crash` clears every lease before it reverts.
 //!
 //! Exclusion between two protocol executions touching the *same* file is
 //! not this module's job: the hosting layer serializes them on the shard
@@ -56,12 +64,14 @@ use std::sync::{Arc, Mutex};
 
 use deceit_sim::atomic::{PublishedU64, RelaxedU64};
 use deceit_sim::leaf::{self, SlotGuard};
-use deceit_sim::{EventQueue, SimTime};
-use deceit_storage::{Disk, DiskConfig, StoredSize};
+use deceit_sim::{EventQueue, SimDuration, SimTime};
+use deceit_storage::{Disk, DiskConfig, Durability, StoredSize};
 
 use crate::event::Pending;
 use crate::host::{shard_slot, ShardKey};
+use crate::replica::Replica;
 use crate::server::{ReplicaKey, SegmentId, ServerSlot};
+use crate::token::WriteToken;
 
 fn lock<T>(m: &Mutex<T>) -> SlotGuard<'_, T> {
     leaf::lock_slot(m)
@@ -145,6 +155,12 @@ impl<S> Slots<S> {
 /// One server's store in one slot: the durable/volatile [`Disk`], and the
 /// read touches recorded against it but not yet folded in.
 ///
+/// The engine reads a store through `DiskSlot::disk` and changes a
+/// value in place through `DiskSlot::update_with`. What can end the
+/// claim a read lease makes — deleting a replica or a token, putting a
+/// replica over one, a crash — is not here: it is reached only through
+/// `Unleased`, which removes the lease first.
+///
 /// The touch buffer is how the lock-free read fast path feeds the LRU: a
 /// read records an access (`DiskSlot::served`) without mutating the
 /// value, and `ServerState::apply_touches` folds the
@@ -152,7 +168,7 @@ impl<S> Slots<S> {
 /// concurrent mutation can never be clobbered by a stale clone.
 #[derive(Debug)]
 pub struct DiskSlot<V: Clone + StoredSize> {
-    pub(crate) disk: Disk<ReplicaKey, V>,
+    disk: Disk<ReplicaKey, V>,
     pub(crate) touches: BTreeMap<ReplicaKey, SimTime>,
 }
 
@@ -160,6 +176,27 @@ impl<V: Clone + StoredSize> DiskSlot<V> {
     /// An empty slot with the given disk timing.
     pub fn new(cfg: DiskConfig) -> Self {
         DiskSlot { disk: Disk::new(cfg), touches: BTreeMap::new() }
+    }
+
+    /// The store, to read.
+    pub(crate) fn disk(&self) -> &Disk<ReplicaKey, V> {
+        &self.disk
+    }
+
+    /// Changes the value of `k` where it lies ([`Disk::update_with`]).
+    /// An in-place change keeps the key's lease: the holder's own write
+    /// advances its lease in the same visit.
+    pub(crate) fn update_with<R>(
+        &mut self,
+        k: &ReplicaKey,
+        f: impl FnOnce(&mut V) -> (R, Option<Durability>),
+    ) -> Option<(R, SimDuration)> {
+        self.disk.update_with(k, f)
+    }
+
+    /// Makes every pending write durable.
+    pub(crate) fn flush_all(&mut self) {
+        self.disk.flush_all();
     }
 
     /// Every major of `seg` stored here with its value, ascending — a
@@ -200,9 +237,80 @@ impl<V: Clone + StoredSize> DiskSlot<V> {
 
     /// Reverts the store to its durable contents and drops the buffered
     /// touches, returning how many were dropped.
-    pub(crate) fn crash(&mut self) -> usize {
+    fn crash(&mut self) -> usize {
         self.disk.crash();
         std::mem::take(&mut self.touches).len()
+    }
+}
+
+impl DiskSlot<WriteToken> {
+    /// Stores `token` at `k`, durably. A token arriving ends no lease's
+    /// claim; one leaving does, so deleting takes [`Unleased`].
+    pub(crate) fn put(&mut self, k: ReplicaKey, token: WriteToken) {
+        self.disk.put_sync(k, token);
+    }
+}
+
+/// A server's slot with the read lease on one key removed: the one way
+/// to the store operations that can end the claim a lease makes
+/// ([`crate::server::ReadLease`]) — deleting the key's replica or
+/// token, and putting a replica over it (a state transfer, or a fresh
+/// copy: a put cannot tell). [`ServerSlot::unlease`] is the one way to
+/// make one, and the crash path ([`ServerSlot::crash`]) clears every
+/// lease first, so no such operation runs while a lease on its key is
+/// published. The handle borrows the slot, so nothing can grant the
+/// lease again until it is done.
+pub(crate) struct Unleased<'a> {
+    slot: &'a mut ServerSlot,
+    key: ReplicaKey,
+    revoked: bool,
+}
+
+impl Unleased<'_> {
+    /// Whether a published lease was removed.
+    pub(crate) fn revoked(&self) -> bool {
+        self.revoked
+    }
+
+    /// Deletes the key's replica, durably.
+    pub(crate) fn delete_replica(&mut self) {
+        self.slot.replicas.disk.delete_sync(&self.key);
+    }
+
+    /// Deletes the key's token, durably.
+    pub(crate) fn delete_token(&mut self) {
+        self.slot.tokens.disk.delete_sync(&self.key);
+    }
+
+    /// Stores `replica` at the key, durably, over whatever was there.
+    pub(crate) fn put_replica(&mut self, replica: Replica) {
+        self.slot.replicas.disk.put_sync(self.key, replica);
+    }
+}
+
+impl ServerSlot {
+    /// Removes the read lease on `key`, if one is published, and opens
+    /// the store operations that would invalidate it.
+    pub(crate) fn unlease(&mut self, key: ReplicaKey) -> Unleased<'_> {
+        let revoked = self.leases.remove(&key).is_some();
+        Unleased { slot: self, key, revoked }
+    }
+
+    /// A crash of this slot: every lease is cleared first, then the
+    /// stores revert to their durable contents and the rest of the
+    /// volatile state is lost. Returns how many buffered read touches
+    /// were dropped.
+    pub(crate) fn crash(&mut self) -> usize {
+        self.leases.clear();
+        let dropped = self.replicas.crash();
+        self.tokens.crash();
+        self.receivers.clear();
+        self.group_cache.clear();
+        self.streams.clear();
+        self.outbound.clear();
+        self.repairs.clear();
+        self.migrations.clear();
+        dropped
     }
 }
 
@@ -615,7 +723,7 @@ mod tests {
     }
 
     fn put(s: &ServerState, key: ReplicaKey) {
-        s.visit(key.0, |slot| slot.replicas.disk.put_sync(key, replica(key.1)));
+        s.visit(key.0, |slot| slot.unlease(key).put_replica(replica(key.1)));
     }
 
     /// A store is changed in place inside a visit, each change counted by
@@ -626,7 +734,7 @@ mod tests {
         let key = (SegmentId(2), 0u64);
         let set = |sub: u64, reach: Option<Durability>| {
             s.visit(key.0, |slot| {
-                let out = slot.replicas.disk.update_with(&key, |r| {
+                let out = slot.replicas.update_with(&key, |r| {
                     r.version.sub = if reach.is_some() { sub } else { r.version.sub };
                     (r.version.sub, reach)
                 });
@@ -655,7 +763,7 @@ mod tests {
         let key = (SegmentId(2), 0u64);
         let at = SimTime::from_micros;
         s.visit(key.0, |slot| {
-            slot.replicas.disk.put_sync(key, replica(0));
+            slot.unlease(key).put_replica(replica(0));
             slot.replicas.record_touch(key, at(90));
             slot.replicas.record_touch(key, at(50));
         });

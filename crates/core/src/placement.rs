@@ -250,7 +250,7 @@ impl Cluster {
         // Already placed (or raced with a fill), or a migration for this
         // placement already in flight: nothing to arm.
         let armed = self.server(reader).visit(key.0, |s| {
-            !s.replicas.disk.contains(&key) && s.migrations.insert(key, ()).is_none()
+            !s.replicas.disk().contains(&key) && s.migrations.insert(key, ()).is_none()
         });
         if !armed {
             return;
@@ -275,7 +275,7 @@ impl Cluster {
     pub(crate) fn migrate_replica(&self, reader: NodeId, key: ReplicaKey) {
         let up = self.net.is_up(reader);
         let placed = self.server(reader).visit(key.0, |s| {
-            let placed = !up || s.replicas.disk.contains(&key);
+            let placed = !up || s.replicas.disk().contains(&key);
             if placed {
                 s.migrations.remove(&key);
             }
@@ -298,7 +298,7 @@ impl Cluster {
         self.server(reader).visit(key.0, |s| s.migrations.remove(&key));
         let stable = |h: NodeId| {
             self.server(h)
-                .visit(key.0, |s| s.replicas.disk.get(&key).is_some_and(|r| r.is_stable()))
+                .visit(key.0, |s| s.replicas.disk().get(&key).is_some_and(|r| r.is_stable()))
         };
         let src = holder
             .filter(|&h| h != reader && self.replica_version(h, key).is_some())

@@ -32,8 +32,8 @@ impl Cluster {
                     return;
                 }
                 self.server(server).visit(seg, |s| {
-                    s.replicas.disk.flush_all();
-                    s.tokens.disk.flush_all();
+                    s.replicas.flush_all();
+                    s.tokens.flush_all();
                 });
             }
             Pending::PropagateStream { holder, key } => {

@@ -303,7 +303,7 @@ impl Cluster {
             if self.net.reachable(via, h) {
                 self.destroy_replica(h, key);
             }
-            self.server(h).visit(seg, |s| s.tokens.disk.delete_sync(&key));
+            self.delete_token(h, key);
         }
         // Clear any logged conflicts this deletion resolves.
         self.conflicts

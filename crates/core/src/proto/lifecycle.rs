@@ -46,8 +46,8 @@ impl Cluster {
         let mut latency = SimDuration::ZERO;
         latency += self.cfg.disk.write_cost(replica.data.len() + 64);
         self.server(via).visit(seg, |s| {
-            s.replicas.disk.put_sync(key, replica);
-            s.tokens.disk.put_sync(key, token);
+            s.unlease(key).put_replica(replica);
+            s.tokens.put(key, token);
         });
         // A fresh segment id should make collision impossible, but the
         // group service is another process in spirit — if it refuses,
@@ -107,17 +107,16 @@ impl Cluster {
     /// with all of the file's volatile per-key state (stream state,
     /// delivery buffers, outbound pipeline buffers, read leases, repair
     /// flags — segment ids are never reused, so anything left behind
-    /// would leak forever), in one visit. Each lease is removed *first*,
-    /// before the replica it covers disappears, matching the
-    /// remove-before-the-fact discipline every lease invalidation site
-    /// follows.
+    /// would leak forever), in one visit. Each key is deleted through
+    /// [`crate::hot::Unleased`], which removes its read lease first.
     pub(crate) fn destroy_segment_at(&self, server: NodeId, seg: SegmentId) {
         let revoked = self.server(server).visit(seg, |s| {
             let mut revoked = 0;
             while let Some(k) = s.replicas.latest(seg) {
-                revoked += usize::from(s.leases.remove(&k).is_some());
-                s.replicas.disk.delete_sync(&k);
-                s.tokens.disk.delete_sync(&k);
+                let mut unleased = s.unlease(k);
+                unleased.delete_replica();
+                unleased.delete_token();
+                revoked += usize::from(unleased.revoked());
                 s.receivers.remove(&k);
                 s.streams.remove(&k);
                 s.outbound.remove(&k);
@@ -126,8 +125,7 @@ impl Cluster {
             // Tokens can exist for majors whose local replica is already
             // gone; sweep those too.
             while let Some(k) = s.tokens.latest(seg) {
-                s.leases.remove(&k);
-                s.tokens.disk.delete_sync(&k);
+                s.unlease(k).delete_token();
                 s.streams.remove(&k);
                 s.outbound.remove(&k);
                 s.repairs.remove(&k);

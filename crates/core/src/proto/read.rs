@@ -131,7 +131,7 @@ impl Cluster {
             return None;
         }
         self.try_read_leased(via, via, key, offset, count).or_else(|| {
-            if !srv.visit(seg, |s| s.replicas.disk.get(&key).is_some_and(|r| !r.is_stable())) {
+            if !srv.visit(seg, |s| s.replicas.disk().get(&key).is_some_and(|r| !r.is_stable())) {
                 return None; // no replica here: §2.1's forward, on the full path
             }
             let holder = self.find_reachable_token_holder(via, key).filter(|&h| h != via)?;
@@ -181,7 +181,7 @@ impl Cluster {
         let now = self.now();
         let served = self.server(holder).visit(key.0, |s| {
             let lease = s.leases.get(&key)?;
-            let r = s.replicas.disk.get(&key)?;
+            let r = s.replicas.disk().get(&key)?;
             // A stale lease the replica has moved past (a write advances
             // both in one visit, so nothing else): decline.
             if r.version != lease.version {
@@ -320,10 +320,10 @@ impl Cluster {
                 Some(m) => (seg, m),
                 None => s.replicas.latest(seg)?,
             };
-            if !s.tokens.disk.contains(&key) {
+            if !s.tokens.disk().contains(&key) {
                 return None;
             }
-            let served = copy_out(s.replicas.disk.get(&key)?, via, offset, count);
+            let served = copy_out(s.replicas.disk().get(&key)?, via, offset, count);
             if touch {
                 s.replicas.record_touch(key, now);
             }
@@ -348,7 +348,7 @@ impl Cluster {
         // two lookups. A vanished replica simply falls through to the
         // no-local-replica forwarding below.
         let local_state =
-            self.server(via).visit(seg, |s| s.replicas.disk.get(&key).map(|r| r.state));
+            self.server(via).visit(seg, |s| s.replicas.disk().get(&key).map(|r| r.state));
         match local_state {
             Some(ReplicaState::Stable) => {
                 latency += self.cfg.local_read;
@@ -377,7 +377,7 @@ impl Cluster {
             .filter(|&h| h != via)
             .find(|&h| {
                 self.server(h)
-                    .visit(seg, |s| s.replicas.disk.get(&key).is_some_and(|r| r.is_stable()))
+                    .visit(seg, |s| s.replicas.disk().get(&key).is_some_and(|r| r.is_stable()))
             })
             .or_else(|| holders.into_iter().find(|&h| h != via));
         let Some(target) = target else {
@@ -416,7 +416,7 @@ impl Cluster {
         // for the same reason `via`'s own unstable replica is above.
         let target_unstable = self
             .server(target)
-            .visit(seg, |s| s.replicas.disk.get(&key).is_some_and(|r| !r.is_stable()));
+            .visit(seg, |s| s.replicas.disk().get(&key).is_some_and(|r| !r.is_stable()));
         if target_unstable {
             self.schedule_read_repair(target, key);
             return self.forward_to_token_holder(via, key, offset, count, latency);
@@ -490,7 +490,7 @@ impl Cluster {
 
         let state_at = |m: NodeId| {
             self.server(m)
-                .visit(key.0, |s| s.replicas.disk.get(&key).map(|r| (m, r.version, r.state)))
+                .visit(key.0, |s| s.replicas.disk().get(&key).map(|r| (m, r.version, r.state)))
         };
         let mut available: Vec<(NodeId, crate::version::VersionPair, ReplicaState)> =
             outcome.replies.iter().filter_map(|&(m, _)| state_at(m)).collect();
@@ -574,9 +574,9 @@ impl Cluster {
         }
         // The holder's replica is the primary: nothing to repair it from;
         // and a repair already in flight for this replica is enough.
-        let armed = self
-            .server(laggard)
-            .visit(key.0, |s| !s.tokens.disk.contains(&key) && s.repairs.insert(key, ()).is_none());
+        let armed = self.server(laggard).visit(key.0, |s| {
+            !s.tokens.disk().contains(&key) && s.repairs.insert(key, ()).is_none()
+        });
         if !armed {
             return;
         }
@@ -607,10 +607,10 @@ impl Cluster {
         let up = self.net.is_up(laggard);
         let lag = self.server(laggard).visit(key.0, |s| {
             s.repairs.remove(&key);
-            if !up || s.tokens.disk.contains(&key) {
+            if !up || s.tokens.disk().contains(&key) {
                 return None;
             }
-            s.replicas.disk.get(&key).map(|r| (r.version, r.state))
+            s.replicas.disk().get(&key).map(|r| (r.version, r.state))
         });
         let Some((lag_version, lag_state)) = lag else {
             return; // down, the holder, or destroyed while the repair was queued
@@ -621,7 +621,7 @@ impl Cluster {
         // The holder's token version, unless its stream is still active.
         let token_version = self.server(holder).visit(key.0, |s| {
             let streaming = s.streams.get(&key).is_some_and(|st| st.group_unstable);
-            s.tokens.disk.get(&key).filter(|_| !streaming).map(|t| t.version)
+            s.tokens.disk().get(&key).filter(|_| !streaming).map(|t| t.version)
         });
         let Some(token_version) = token_version else {
             return; // streaming, or the token destroyed between the scan and the read
@@ -641,7 +641,7 @@ impl Cluster {
         // stable. The primary must itself be settled at the token's
         // version — it always is outside a stream, but a token freshly
         // passed mid-recovery may not be; a later read re-arms us.
-        let Some(src) = self.server(holder).visit(key.0, |s| s.replicas.disk.get(&key).cloned())
+        let Some(src) = self.server(holder).visit(key.0, |s| s.replicas.disk().get(&key).cloned())
         else {
             return;
         };
@@ -668,10 +668,7 @@ impl Cluster {
         let mut fresh = src;
         fresh.last_access = self.now();
         fresh.state = ReplicaState::Stable;
-        self.server(laggard).visit(key.0, |s| {
-            s.replicas.disk.put_sync(key, fresh);
-            s.receivers.remove(&key);
-        });
+        self.install_replica(laggard, key, fresh);
         self.obs.bump(Stat::Repairs);
         self.emit_from(laggard, ProtocolEvent::ReadRepaired { seg: key.0, on: laggard });
     }
@@ -734,12 +731,12 @@ mod tests {
         r.version = version;
         r.state = ReplicaState::Unstable;
         r.data.append(data);
-        c.server(at).visit(key.0, |s| s.replicas.disk.put_sync(key, r));
+        c.server(at).visit(key.0, |s| s.unlease(key).put_replica(r));
     }
 
     /// The state of the replica of `key` at `at`, if it holds one.
     fn state(c: &Cluster, at: NodeId, key: ReplicaKey) -> Option<ReplicaState> {
-        c.server(at).visit(key.0, |s| s.replicas.disk.get(&key).map(|r| r.state))
+        c.server(at).visit(key.0, |s| s.replicas.disk().get(&key).map(|r| r.state))
     }
 
     /// The forced-stabilize winner is a history-tree judgment: an

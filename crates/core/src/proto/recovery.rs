@@ -125,7 +125,7 @@ impl Cluster {
                             self.destroy_replica(h, key);
                         }
                     }
-                    self.server(id).visit(key.0, |s| s.tokens.disk.delete_sync(&key));
+                    self.delete_token(id, key);
                     self.emit_from(
                         id,
                         ProtocolEvent::ObsoleteDestroyed { seg: key.0, on: id, major: key.1 },
@@ -166,7 +166,7 @@ impl Cluster {
         let mut token_index: Vec<(SegmentId, u64, NodeId)> = Vec::new();
         for s in self.server_ids() {
             self.server(s).visit_all(|slot| {
-                token_index.extend(slot.tokens.disk.keys().map(|&(seg, major)| (seg, major, s)));
+                token_index.extend(slot.tokens.disk().keys().map(|&(seg, major)| (seg, major, s)));
             });
         }
         token_index.sort();
@@ -211,8 +211,8 @@ impl Cluster {
             for key in self.replica_keys(s) {
                 // The token holder's own replica is the primary: skipped.
                 let my_version = self.server(s).visit(key.0, |slot| {
-                    let held = slot.tokens.disk.contains(&key);
-                    slot.replicas.disk.get(&key).filter(|_| !held).map(|r| r.version)
+                    let held = slot.tokens.disk().contains(&key);
+                    slot.replicas.disk().get(&key).filter(|_| !held).map(|r| r.version)
                 });
                 let Some(my_version) = my_version else {
                     continue; // token held here, or destroyed earlier in this reconciliation
@@ -256,7 +256,7 @@ impl Cluster {
                 self.destroy_replica(h, key);
             }
         }
-        self.server(token_holder).visit(key.0, |s| s.tokens.disk.delete_sync(&key));
+        self.delete_token(token_holder, key);
         self.emit_from(
             token_holder,
             ProtocolEvent::ObsoleteDestroyed { seg: key.0, on: token_holder, major: key.1 },
@@ -270,33 +270,43 @@ impl Cluster {
     /// replica gone and stands down).
     pub(crate) fn destroy_replica(&self, server: NodeId, key: ReplicaKey) {
         let revoked = self.server(server).visit(key.0, |s| {
-            let revoked = s.leases.remove(&key).is_some();
-            s.replicas.disk.delete_sync(&key);
+            let mut unleased = s.unlease(key);
+            unleased.delete_replica();
+            let revoked = unleased.revoked();
             s.receivers.remove(&key);
             s.outbound.remove(&key);
             s.repairs.remove(&key);
             revoked
         });
-        if revoked {
-            self.emit_from(server, ProtocolEvent::LeaseRevoked { seg: key.0, on: server });
-        }
+        self.lease_revoked(server, key.0, revoked);
         self.obs.bump(Stat::RecoveryReplicasDestroyed);
+    }
+
+    /// Deletes the token `server` stores for `key`, and the read lease
+    /// published on it, in one visit.
+    pub(crate) fn delete_token(&self, server: NodeId, key: ReplicaKey) {
+        let revoked = self.server(server).visit(key.0, |s| {
+            let mut unleased = s.unlease(key);
+            unleased.delete_token();
+            unleased.revoked()
+        });
+        self.lease_revoked(server, key.0, revoked);
     }
 
     /// The version pair of the token `server` stores for `key`, if any.
     pub(crate) fn token_version(&self, server: NodeId, key: ReplicaKey) -> Option<VersionPair> {
-        self.server(server).visit(key.0, |s| s.tokens.disk.get(&key).map(|t| t.version))
+        self.server(server).visit(key.0, |s| s.tokens.disk().get(&key).map(|t| t.version))
     }
 
     /// The version pair of the replica `server` stores for `key`, if any.
     pub(crate) fn replica_version(&self, server: NodeId, key: ReplicaKey) -> Option<VersionPair> {
-        self.server(server).visit(key.0, |s| s.replicas.disk.get(&key).map(|r| r.version))
+        self.server(server).visit(key.0, |s| s.replicas.disk().get(&key).map(|r| r.version))
     }
 
     /// Every replica key `server` stores, ascending.
     fn replica_keys(&self, server: NodeId) -> Vec<ReplicaKey> {
         let mut keys = Vec::new();
-        self.server(server).visit_all(|s| keys.extend(s.replicas.disk.keys()));
+        self.server(server).visit_all(|s| keys.extend(s.replicas.disk().keys()));
         keys.sort();
         keys
     }

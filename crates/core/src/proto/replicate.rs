@@ -17,6 +17,7 @@
 
 use deceit_net::NodeId;
 use deceit_sim::SimDuration;
+use deceit_storage::Durability;
 use std::sync::atomic::Ordering;
 
 use crate::cluster::Cluster;
@@ -98,7 +99,7 @@ impl Cluster {
         if !self.net.reachable(holder, target) {
             return;
         }
-        let Some(src) = self.server(holder).visit(key.0, |s| s.replicas.disk.get(&key).cloned())
+        let Some(src) = self.server(holder).visit(key.0, |s| s.replicas.disk().get(&key).cloned())
         else {
             return; // replica vanished (deleted or superseded)
         };
@@ -118,10 +119,7 @@ impl Cluster {
             return;
         };
         let replica = Replica::cloned_from(&src, self.now());
-        self.server(target).visit(key.0, |s| {
-            s.replicas.disk.put_sync(key, replica);
-            s.receivers.remove(&key);
-        });
+        self.install_replica(target, key, replica);
 
         // Register the new holder with the token holder's upper bound
         // (§3.1: "All replica generation must be accomplished through the
@@ -138,6 +136,20 @@ impl Cluster {
         self.emit_from(target, ProtocolEvent::ReplicaGenerated { seg: key.0, on: target });
     }
 
+    /// Puts `replica` at `server` by state transfer, in one visit: the
+    /// read lease on `key` is removed first, and the delivery buffer
+    /// holding updates for the replaced copy is dropped.
+    pub(crate) fn install_replica(&self, server: NodeId, key: ReplicaKey, replica: Replica) {
+        let revoked = self.server(server).visit(key.0, |s| {
+            let mut unleased = s.unlease(key);
+            unleased.put_replica(replica);
+            let revoked = unleased.revoked();
+            s.receivers.remove(&key);
+            revoked
+        });
+        self.lease_revoked(server, key.0, revoked);
+    }
+
     /// Rewrites the holder set of the token `holder` stores for `key` —
     /// the §3.1 upper bound on the replica count — in place and
     /// write-behind (it is an upper bound: a crash that loses the rewrite
@@ -148,9 +160,10 @@ impl Cluster {
         key: ReplicaKey,
         change: impl FnOnce(&mut std::collections::BTreeSet<NodeId>) -> bool,
     ) {
-        let stored = self
-            .server(holder)
-            .visit(key.0, |s| s.tokens.disk.update_async(&key, |token| change(&mut token.holders)));
+        let stored = self.server(holder).visit(key.0, |s| {
+            s.tokens
+                .update_with(&key, |token| (change(&mut token.holders), Some(Durability::Async)))
+        });
         if stored.is_some() {
             self.schedule_flush(holder, key.0);
         }
@@ -172,7 +185,7 @@ impl Cluster {
             .filter_map(|h| {
                 let last = self
                     .server(h)
-                    .visit(key.0, |s| s.replicas.disk.get(&key).map(|r| r.last_access))?;
+                    .visit(key.0, |s| s.replicas.disk().get(&key).map(|r| r.last_access))?;
                 let idle_for = now.since(last);
                 (idle_for >= cutoff).then_some((last, h))
             })
@@ -189,10 +202,14 @@ impl Cluster {
             return;
         }
         for (_, victim) in idle.into_iter().take(deletable) {
-            self.server(victim).visit(key.0, |s| {
-                s.replicas.disk.delete_sync(&key);
+            let revoked = self.server(victim).visit(key.0, |s| {
+                let mut unleased = s.unlease(key);
+                unleased.delete_replica();
+                let revoked = unleased.revoked();
                 s.receivers.remove(&key);
+                revoked
             });
+            self.lease_revoked(victim, key.0, revoked);
             self.update_holder_set(holder, key, |holders| holders.remove(&victim));
             self.obs.bump(Stat::ReplicasRetired);
             self.emit_from(victim, ProtocolEvent::ReplicaDeleted { seg: key.0, on: victim });

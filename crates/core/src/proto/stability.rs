@@ -70,7 +70,7 @@ impl Cluster {
                 return Some(Err((stream.last_write, stream.epoch)));
             }
             stream.check_scheduled = false;
-            Some(Ok(stream.group_unstable && s.tokens.disk.contains(&key)))
+            Some(Ok(stream.group_unstable && s.tokens.disk().contains(&key)))
         });
         match step {
             Some(Err((last_write, epoch))) => self.events.push(
@@ -96,7 +96,7 @@ impl Cluster {
             // One visit marks a caught-up member stable where it lies:
             // `Some(moved)`; `None` for a laggard, caught up below.
             let marked = self.server(m).visit(key.0, |s| {
-                let current = s.replicas.disk.get(&key)?.version == token_version;
+                let current = s.replicas.disk().get(&key)?.version == token_version;
                 Some(current.then(|| set_state(s, &key, ReplicaState::Stable) == Some(true)))
             });
             let Some(marked) = marked else { continue }; // no replica
@@ -108,7 +108,7 @@ impl Cluster {
             }
             // Missed updates (e.g. unreachable during part of the stream):
             // catch up from the primary, then stabilize.
-            let src = self.server(holder).visit(key.0, |s| s.replicas.disk.get(&key).cloned());
+            let src = self.server(holder).visit(key.0, |s| s.replicas.disk().get(&key).cloned());
             if let Some(src) = src {
                 let blast = self.cfg.blast;
                 let _ = deceit_isis::xfer::transfer_state(
@@ -122,11 +122,7 @@ impl Cluster {
                 let now = self.now();
                 let mut fresh = crate::replica::Replica::cloned_from(&src, now);
                 fresh.state = ReplicaState::Stable;
-                self.server(m).visit(key.0, |s| {
-                    // lint: allow(lease-discipline): this writes a *peer's* (`m`'s) replica to catch it up; the holder's lease — the only one this round can invalidate — guards the holder's replica, which stays untouched until the holder's visit below
-                    s.replicas.disk.put_sync(key, fresh);
-                    s.receivers.remove(&key);
-                });
+                self.install_replica(m, key, fresh);
             }
         }
         // The holder's end, in one visit: the stream is over, so its read
@@ -134,7 +130,7 @@ impl Cluster {
         // holder's reads through the ordinary fast path and leaves the
         // lease nothing to assert — and the stream marked stable.
         let (revoked, changed) = self.server(holder).visit(key.0, |s| {
-            let revoked = s.leases.remove(&key).is_some();
+            let revoked = s.unlease(key).revoked();
             let changed = set_state(s, &key, ReplicaState::Stable);
             if let Some(stream) = s.streams.get_mut(&key) {
                 stream.group_unstable = false;
@@ -144,9 +140,7 @@ impl Cluster {
         if changed == Some(true) {
             self.schedule_flush(holder, key.0);
         }
-        if revoked {
-            self.emit_from(holder, ProtocolEvent::LeaseRevoked { seg: key.0, on: holder });
-        }
+        self.lease_revoked(holder, key.0, revoked);
         self.obs.bump(Stat::StableRounds);
         self.emit_from(holder, ProtocolEvent::MarkedStable { seg: key.0 });
     }
@@ -179,7 +173,7 @@ impl Cluster {
 /// behind, and only when it moves. `Some(moved)`, or `None` without a
 /// replica.
 fn set_state(s: &mut ServerSlot, key: &ReplicaKey, state: ReplicaState) -> Option<bool> {
-    let out = s.replicas.disk.update_with(key, |replica| {
+    let out = s.replicas.update_with(key, |replica| {
         let changed = replica.state != state;
         replica.state = state;
         (changed, changed.then_some(Durability::Async))

@@ -154,33 +154,34 @@ impl Cluster {
         // still in flight) is replaced by state transfer from the old
         // primary.
         let to_version = self.replica_version(to, key);
-        // The holder's end, in one visit. Revoke the holder-local read
-        // lease *first*: the lease asserts "my replica is the stream's
-        // acked prefix", which stops being maintainable the moment the
-        // token starts moving. The lock-free read path reads the lease
-        // and the replica in one visit, so removing it before any token
-        // state changes guarantees no reader serves across the movement
-        // (see `Cluster::try_read_leased`). Then the token state leaves,
-        // with the replica to transfer if `to` needs one.
+        // The holder's end, in one visit: the token state leaves, with
+        // the replica to transfer if `to` needs one. The holder-local
+        // read lease goes with it: it asserts "my replica is the
+        // stream's acked prefix", which stops being maintainable the
+        // moment the token starts moving. The lock-free read path reads
+        // the lease and the replica in one visit, so removing it in the
+        // visit that deletes the token guarantees no reader serves across
+        // the movement (see `Cluster::try_read_leased`).
         let unavailable = DeceitError::Unavailable(key.0);
         let (revoked, taken) = self.server(holder).visit(key.0, |s| {
-            let revoked = s.leases.remove(&key).is_some();
             let taken =
-                s.tokens.disk.get(&key).cloned().ok_or(DeceitError::WriteUnavailable(key.0));
+                s.tokens.disk().get(&key).cloned().ok_or(DeceitError::WriteUnavailable(key.0));
             let taken = taken.and_then(|token| {
                 let src = match to_version == Some(token.version) {
                     true => None,
-                    false => Some(s.replicas.disk.get(&key).ok_or(unavailable)?.clone()),
+                    false => Some(s.replicas.disk().get(&key).ok_or(unavailable)?.clone()),
                 };
-                s.tokens.disk.delete_sync(&key);
-                s.streams.remove(&key);
                 Ok((token, src))
             });
+            let mut unleased = s.unlease(key);
+            let revoked = unleased.revoked();
+            if taken.is_ok() {
+                unleased.delete_token();
+                s.streams.remove(&key);
+            }
             (revoked, taken)
         });
-        if revoked {
-            self.emit_from(holder, ProtocolEvent::LeaseRevoked { seg: key.0, on: holder });
-        }
+        self.lease_revoked(holder, key.0, revoked);
         let (mut token, src) = taken?;
         let replica = src.map(|src| {
             let blast = self.cfg.blast;
@@ -207,16 +208,20 @@ impl Cluster {
         // lacked one, and the token state — durable at both ends (§3.5).
         // The new holder applies its own writes directly; any stale
         // reordering buffer must not hold back future received updates.
-        self.server(to).visit(key.0, |s| {
+        let revoked = self.server(to).visit(key.0, |s| {
+            let mut unleased = s.unlease(key);
+            let revoked = unleased.revoked();
             if let Some(replica) = replica {
                 if to_version.is_some() {
-                    s.replicas.disk.delete_sync(&key);
+                    unleased.delete_replica();
                 }
-                s.replicas.disk.put_sync(key, replica);
+                unleased.put_replica(replica);
             }
-            s.tokens.disk.put_sync(key, token);
+            s.tokens.put(key, token);
             s.receivers.remove(&key);
+            revoked
         });
+        self.lease_revoked(to, key.0, revoked);
         latency += self.cfg.disk.write_cost(64);
         if let Some((gid, _)) = self.group_members(key.0) {
             latency += self.ensure_member(gid, to);
@@ -265,7 +270,7 @@ impl Cluster {
         let (ok, moved) = self
             .server(via)
             .visit(key.0, |s| {
-                s.tokens.disk.update_with(&key, |t| {
+                s.tokens.update_with(&key, |t| {
                     let ok = reachable >= t.majority(params.min_replicas);
                     let moved = ok != t.enabled;
                     t.enabled = ok;
@@ -295,7 +300,7 @@ impl Cluster {
 
         // Make sure the generating server has a base replica to branch
         // from ("File data is drawn from the existing available replica").
-        let local = self.server(via).visit(seg, |s| s.replicas.disk.get(&base_key).cloned());
+        let local = self.server(via).visit(seg, |s| s.replicas.disk().get(&base_key).cloned());
         let base = match local {
             Some(base) => base,
             None => {
@@ -306,7 +311,7 @@ impl Cluster {
                 // racing crash may have taken it since: treat as unavailable.
                 let src = self
                     .server(src_server)
-                    .visit(seg, |s| s.replicas.disk.get(&base_key).cloned())
+                    .visit(seg, |s| s.replicas.disk().get(&base_key).cloned())
                     .ok_or(DeceitError::Unavailable(seg))?;
                 let blast = self.cfg.blast;
                 if let Some(d) = deceit_isis::xfer::transfer_state(
@@ -322,7 +327,7 @@ impl Cluster {
                     latency += d;
                 }
                 let base = Replica::cloned_from(&src, self.now());
-                self.server(via).visit(seg, |s| s.replicas.disk.put_sync(base_key, base.clone()));
+                self.server(via).visit(seg, |s| s.unlease(base_key).put_replica(base.clone()));
                 base
             }
         };
@@ -360,8 +365,8 @@ impl Cluster {
         replica.version = version;
         latency += self.cfg.disk.write_cost(replica.data.len() + 64);
         self.server(via).visit(seg, |s| {
-            s.replicas.disk.put_sync(new_key, replica);
-            s.tokens.disk.put_sync(new_key, WriteToken::new(version, via));
+            s.unlease(new_key).put_replica(replica);
+            s.tokens.put(new_key, WriteToken::new(version, via));
         });
 
         // Group membership for the new version lives in the same file
@@ -415,7 +420,7 @@ impl Cluster {
     /// local replica exists).
     pub(crate) fn params_of(&self, server: NodeId, key: ReplicaKey) -> FileParams {
         self.server(server)
-            .visit(key.0, |s| s.replicas.disk.get(&key).map(|r| r.params))
+            .visit(key.0, |s| s.replicas.disk().get(&key).map(|r| r.params))
             .unwrap_or_default()
     }
 }

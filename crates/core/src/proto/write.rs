@@ -95,7 +95,7 @@ impl WriteCtx {
         key: ReplicaKey,
         group: Option<GroupId>,
     ) -> Option<Self> {
-        let t = s.tokens.disk.get(&key)?;
+        let t = s.tokens.disk().get(&key)?;
         let mut ctx = WriteCtx {
             key,
             group,
@@ -113,7 +113,7 @@ impl WriteCtx {
             ctx.all_reachable &= reachable;
             ctx.remote_reachable += usize::from(reachable && h != via);
         }
-        if let Some(r) = s.replicas.disk.get(&key) {
+        if let Some(r) = s.replicas.disk().get(&key) {
             (ctx.params, ctx.len) = (r.params, r.data.len());
         }
         Some(ctx)
@@ -323,7 +323,7 @@ impl Cluster {
                 !std::mem::replace(&mut stream.scheduled, true)
             };
             // Apply locally at the token holder (the primary replica).
-            s.replicas.disk.update_with(&key, |replica| {
+            s.replicas.update_with(&key, |replica| {
                 update.op.apply(&mut replica.data, &mut replica.params);
                 replica.version = new_version;
                 replica.last_access = now;
@@ -350,7 +350,6 @@ impl Cluster {
             // middle of a stream of updates").
             let has_token = s
                 .tokens
-                .disk
                 .update_with(&key, |t| {
                     t.version = new_version;
                     let lost =
@@ -621,7 +620,7 @@ impl Cluster {
         // holder's replica embeds everything *before* this update (it
         // applies `update` after distribution), so a fresh receiver on
         // the transferred state delivers `update` cleanly on top.
-        let Some(src) = self.server(holder).visit(key.0, |s| s.replicas.disk.get(&key).cloned())
+        let Some(src) = self.server(holder).visit(key.0, |s| s.replicas.disk().get(&key).cloned())
         else {
             return false;
         };
@@ -640,10 +639,7 @@ impl Cluster {
             return false;
         }
         let fresh = crate::replica::Replica::cloned_from(&src, self.now());
-        self.server(target).visit(key.0, |s| {
-            s.replicas.disk.put_sync(key, fresh);
-            s.receivers.remove(&key);
-        });
+        self.install_replica(target, key, fresh);
         self.apply_updates_ordered(target, key, update, true);
         self.obs.bump(Stat::SafetyTransfers);
         stored(self)
@@ -746,10 +742,10 @@ impl Cluster {
             let expecting = match s.receivers.get(&key).map(|r| (r.held_count(), r.next_expected()))
             {
                 Some((0, next)) => Some(next),
-                Some(_) => return s.replicas.disk.contains(&key).then(InSequence::default),
+                Some(_) => return s.replicas.disk().contains(&key).then(InSequence::default),
                 None => None,
             };
-            let ((seen, start), _) = s.replicas.disk.update_with(&key, |replica| {
+            let ((seen, start), _) = s.replicas.update_with(&key, |replica| {
                 let start = replica.version.sub + 1;
                 let mut next = expecting.unwrap_or(start);
                 let mut seen = InSequence::default();
@@ -815,7 +811,7 @@ impl Cluster {
         }
         let now = self.now();
         let landed = srv.visit(key.0, |s| {
-            s.replicas.disk.update_with(&key, |replica| {
+            s.replicas.update_with(&key, |replica| {
                 for u in &deliverable {
                     u.op.apply(&mut replica.data, &mut replica.params);
                     replica.version = u.new_version;

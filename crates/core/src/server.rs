@@ -78,11 +78,15 @@ pub(crate) struct OutboundStream {
 /// exactly the acked durable prefix of the stream, so the lock-free read
 /// fast path ([`crate::Cluster::try_read_local`]) can serve it without
 /// ring locks. The fast path reads the lease and copies the replica out
-/// in one visit to the holder's slot, so the invalidation discipline is
-/// simply *remove before the fact it asserts stops holding*, under the
-/// slot lock: [token movement](crate::Cluster) removes the lease before
-/// the token leaves, stabilize removes it when the stream ends, and a
-/// crash clears it with the rest of the slot's volatile state.
+/// in one visit to the holder's slot, so the invalidation rule is
+/// *remove before the fact it asserts stops holding*, under the slot
+/// lock — and it is a type: deleting the key's replica or token, or
+/// putting a replica over it, takes the `Unleased` handle that only
+/// `ServerSlot::unlease` makes, after removing the lease; a crash clears
+/// every lease before it reverts the stores (`ServerSlot::crash`).
+/// Stabilize unleases when the stream ends. The holder's own write
+/// changes its replica in place and advances the lease in the same
+/// visit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ReadLease {
     /// The version pair of the stream's acked durable prefix: the fast
@@ -233,7 +237,7 @@ impl ServerState {
         let touches = std::mem::take(&mut s.replicas.touches);
         self.slots.sub_pending(touches.len());
         for (k, at) in touches {
-            s.replicas.disk.update_with(&k, |r| {
+            s.replicas.update_with(&k, |r| {
                 let moved = r.last_access < at;
                 r.last_access = r.last_access.max(at);
                 ((), moved.then_some(Durability::Async))
@@ -249,23 +253,12 @@ impl ServerState {
     /// Simulates a crash: non-volatile state reverts to its durable
     /// contents; volatile state is lost.
     ///
-    /// Each slot is reverted whole under its lock, leases first: a read
-    /// lease is a promise that the holder's replica state is stable, and
-    /// a leased read sees the slot either before the crash or after it,
-    /// never a lease beside reverted contents.
+    /// Each slot is reverted whole under its lock, leases first
+    /// (`ServerSlot::crash`): a leased read sees the slot either
+    /// before the crash or after it, never a lease beside reverted
+    /// contents.
     pub fn crash(&self) {
-        self.slots.each(|slot| {
-            slot.leases.clear();
-            let dropped = slot.replicas.crash();
-            self.slots.sub_pending(dropped);
-            slot.tokens.crash();
-            slot.receivers.clear();
-            slot.group_cache.clear();
-            slot.streams.clear();
-            slot.outbound.clear();
-            slot.repairs.clear();
-            slot.migrations.clear();
-        });
+        self.slots.each(|slot| self.slots.sub_pending(slot.crash()));
         *leaf::lock(&self.fd) = FailureDetector::new();
     }
 
@@ -283,7 +276,7 @@ impl ServerState {
 
     /// Whether this server holds the write token for a replica.
     pub fn holds_token(&self, key: ReplicaKey) -> bool {
-        self.visit(key.0, |s| s.tokens.disk.contains(&key))
+        self.visit(key.0, |s| s.tokens.disk().contains(&key))
     }
 
     /// Routes one sequenced update through the replica's ordered-delivery
@@ -296,7 +289,7 @@ impl ServerState {
         msg: SequencedMsg<UpdateRecord>,
     ) -> Vec<(u64, UpdateRecord)> {
         self.visit(key.0, |s| {
-            let start = s.replicas.disk.get(&key).map_or(1, |r| r.version.sub + 1);
+            let start = s.replicas.disk().get(&key).map_or(1, |r| r.version.sub + 1);
             s.receivers
                 .entry(key)
                 .or_insert_with(|| OrderedReceiver::starting_at(start))
@@ -325,7 +318,7 @@ mod tests {
 
     /// Stores `r` at `key`, durably.
     fn put(s: &ServerState, key: ReplicaKey, r: Replica) {
-        s.visit(key.0, |slot| slot.replicas.disk.put_sync(key, r));
+        s.visit(key.0, |slot| slot.unlease(key).put_replica(r));
     }
 
     #[test]
@@ -350,7 +343,7 @@ mod tests {
         let s = Arc::new(server());
         let key = (SegmentId(3), 0);
         s.visit(key.0, |slot| {
-            slot.replicas.disk.put_sync(key, replica(0));
+            slot.unlease(key).put_replica(replica(0));
             slot.leases.insert(key, ReadLease { version: version(0) });
         });
         let stop = Arc::new(PublishedBool::new(false));
@@ -362,7 +355,7 @@ mod tests {
                     s.visit(key.0, |slot| {
                         let lease = slot.leases[&key].version;
                         let epoch = slot.streams.get(&key).map_or(0, |st| st.epoch);
-                        assert_eq!(Some(lease), slot.replicas.disk.get(&key).map(|r| r.version));
+                        assert_eq!(Some(lease), slot.replicas.disk().get(&key).map(|r| r.version));
                         assert_eq!(epoch, lease.sub, "the stream moved with the lease");
                     });
                     seen += 1;
@@ -375,7 +368,7 @@ mod tests {
         for _ in 0..2_000 {
             s.visit(key.0, |slot| {
                 let next = slot.leases[&key].version.bump();
-                slot.replicas.disk.update_sync(&key, |r| r.version = next);
+                slot.replicas.update_with(&key, |r| (r.version = next, Some(Durability::Sync)));
                 slot.leases.insert(key, ReadLease { version: next });
                 slot.streams.entry(key).or_default().epoch = next.sub;
             });
@@ -384,7 +377,7 @@ mod tests {
         assert!(reader.join().unwrap() > 0);
         let end = s.visit(key.0, |slot| {
             let epoch = slot.streams.get(&key).map(|st| st.epoch);
-            (slot.leases.get(&key).copied(), epoch, slot.replicas.disk.sync_writes)
+            (slot.leases.get(&key).copied(), epoch, slot.replicas.disk().sync_writes)
         });
         assert_eq!(end, (Some(ReadLease { version: version(2_000) }), Some(2_000), 2_001));
     }
@@ -450,7 +443,7 @@ mod tests {
         let (key, late) = ((SegmentId(1), 0), SimTime::from_micros(1 << 40));
         s.visit(key.0, |slot| slot.replicas.record_touch(key, late));
         s.apply_touches(1);
-        let applied = s.visit(key.0, |slot| slot.replicas.disk.get(&key).map(|r| r.last_access));
+        let applied = s.visit(key.0, |slot| slot.replicas.disk().get(&key).map(|r| r.last_access));
         assert_eq!(applied, Some(late), "fast flag hid a buffered touch");
     }
 
@@ -461,12 +454,12 @@ mod tests {
         let key = (SegmentId(5), 0);
         let behind = Some(deceit_storage::Durability::Async);
         s.visit(key.0, |slot| {
-            slot.replicas.disk.put_sync(key, replica(0));
-            slot.tokens.disk.put_sync(key, WriteToken::new(version(0), NodeId(0)));
+            slot.unlease(key).put_replica(replica(0));
+            slot.tokens.put(key, WriteToken::new(version(0), NodeId(0)));
         });
         s.visit(key.0, |slot| {
-            slot.replicas.disk.update_with(&key, |r| (r.version = version(9), behind));
-            slot.tokens.disk.update_with(&key, |t| (t.version = version(9), behind));
+            slot.replicas.update_with(&key, |r| (r.version = version(9), behind));
+            slot.tokens.update_with(&key, |t| (t.version = version(9), behind));
             slot.leases.insert(key, ReadLease { version: version(9) });
             slot.streams.insert(key, StreamState { group_unstable: true, ..Default::default() });
             slot.outbound.insert(key, OutboundStream::default());
@@ -479,13 +472,13 @@ mod tests {
         assert_eq!(s.slots.pending(), 1, "a visit's touch is counted");
         s.crash();
         s.visit(key.0, |slot| {
-            assert_eq!(slot.replicas.disk.get(&key).map(|r| r.version), Some(version(0)));
-            assert_eq!(slot.tokens.disk.get(&key).map(|t| t.version), Some(version(0)));
+            assert_eq!(slot.replicas.disk().get(&key).map(|r| r.version), Some(version(0)));
+            assert_eq!(slot.tokens.disk().get(&key).map(|t| t.version), Some(version(0)));
             assert!(slot.leases.is_empty() && slot.streams.is_empty() && slot.outbound.is_empty());
             assert!(slot.receivers.is_empty() && slot.group_cache.is_empty());
             assert!(slot.repairs.is_empty() && slot.migrations.is_empty());
             assert!(slot.replicas.touches.is_empty());
-            assert_eq!((slot.replicas.disk.lost_writes, slot.tokens.disk.lost_writes), (1, 1));
+            assert_eq!((slot.replicas.disk().lost_writes, slot.tokens.disk().lost_writes), (1, 1));
         });
         assert_eq!(s.slots.pending(), 0, "dropped touches leave the flag");
     }
@@ -495,7 +488,7 @@ mod tests {
         let s = server();
         let (seg, key) = (SegmentId(1), (SegmentId(1), 0));
         s.visit(seg, |slot| {
-            slot.replicas.disk.put_sync(key, replica(0));
+            slot.unlease(key).put_replica(replica(0));
             slot.group_cache.insert(seg, GroupId(5));
             slot.streams.insert(key, StreamState::default());
             slot.leases.insert(key, ReadLease { version: version(3) });

@@ -220,6 +220,86 @@ fn lease_dies_with_the_holder() {
     assert_eq!(&read.value.data()[..], b"acked then crashed");
 }
 
+/// Every teardown path leaves no server publishing a lease on a key of
+/// `keys` whose token it does not hold: a lease outliving its token would
+/// serve reads for a file the server no longer writes.
+fn assert_leases_follow_tokens(c: &Cluster, keys: &[(SegmentId, u64)]) {
+    for s in [n(0), n(1), n(2)] {
+        for &key in keys {
+            let orphan = c.read_lease_version(s, key).is_some() && !c.server(s).holds_token(key);
+            assert!(!orphan, "{s:?} publishes a lease on {key:?} without its token");
+        }
+    }
+}
+
+/// Segment delete tears the file down at every member it reaches, leases
+/// included.
+#[test]
+fn lease_dies_with_its_segment() {
+    let (mut c, seg) = leased_cell();
+    c.write(n(0), seg, WriteOp::replace(b"doomed"), None).unwrap();
+    assert!(c.read_lease_version(n(0), (seg, 0)).is_some());
+    c.delete(n(1), seg).unwrap();
+    assert_eq!(c.read_lease_version(n(0), (seg, 0)), None);
+    assert_leases_follow_tokens(&c, &[(seg, 0)]);
+}
+
+/// Deleting a version deletes its token at every holder, reachable from
+/// `via` or not — and with it the lease of a holder `via` cannot reach.
+#[test]
+fn lease_dies_with_its_version_beyond_a_partition() {
+    let (mut c, seg) = leased_cell();
+    let key = (seg, 0u64);
+    c.write(n(0), seg, WriteOp::replace(b"holder split away"), None).unwrap();
+    assert!(c.read_lease_version(n(0), key).is_some());
+    c.split(&[&[n(0)], &[n(1), n(2)]]);
+    c.delete_version(n(1), seg, 0).unwrap();
+    assert!(!c.server(n(0)).holds_token(key), "the version's token is gone everywhere");
+    assert_leases_follow_tokens(&c, &[key]);
+}
+
+/// LRU retirement deletes idle extras, never the holder's copy, and
+/// leaves the holder's lease standing beside its token.
+#[test]
+fn lease_survives_lru_retirement_of_the_extras() {
+    let mut cfg = ClusterConfig::deterministic().with_read_leases();
+    cfg.lru_keep = deceit_sim::SimDuration::from_secs(1);
+    let mut c = Cluster::new(3, cfg);
+    let seg = c.create(n(0)).unwrap().value;
+    let params = FileParams { min_replicas: 1, migration: true, ..FileParams::default() };
+    c.set_params(n(0), seg, params).unwrap();
+    c.write(n(0), seg, WriteOp::replace(b"popular"), None).unwrap();
+    c.read(n(1), seg, None, 0, 100).unwrap();
+    c.read(n(2), seg, None, 0, 100).unwrap();
+    c.run_until_quiet();
+    assert_eq!(c.locate_replicas(n(0), seg).unwrap().value.len(), 3);
+    c.advance(deceit_sim::SimDuration::from_secs(10));
+    let retired = c.obs.count(Stat::ReplicasRetired);
+    c.write(n(0), seg, WriteOp::replace(b"update"), None).unwrap();
+    assert!(c.obs.count(Stat::ReplicasRetired) > retired, "the update retired the extras");
+    assert!(c.read_lease_version(n(0), (seg, 0)).is_some());
+    assert_leases_follow_tokens(&c, &[(seg, 0)]);
+}
+
+/// Reconciliation at heal destroys a version a newer one descends from —
+/// at its holder too, whose stream was still leased when the partition
+/// cut it off.
+#[test]
+fn lease_dies_with_an_obsolete_version_at_heal() {
+    let (mut c, seg) = leased_cell();
+    c.write(n(0), seg, WriteOp::replace(b"before the split"), None).unwrap();
+    // The stream reaches every replica, but stays unstable and leased.
+    c.advance(deceit_sim::SimDuration::from_millis(100));
+    c.split(&[&[n(0)], &[n(1), n(2)]]);
+    c.write(n(1), seg, WriteOp::replace(b"the majority's"), None).unwrap();
+    let newer = *c.server(n(1)).majors_of(seg).last().unwrap();
+    assert_ne!(newer, 0, "the majority side generated a new version");
+    assert!(c.read_lease_version(n(0), (seg, 0)).is_some(), "the old holder's stream is leased");
+    c.heal();
+    assert!(!c.server(n(0)).holds_token((seg, 0)), "the obsolete version is destroyed");
+    assert_leases_follow_tokens(&c, &[(seg, 0), (seg, newer)]);
+}
+
 // ---------------------------------------------------------------------
 // Read-repair
 // ---------------------------------------------------------------------

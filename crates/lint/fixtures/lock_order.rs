@@ -1,13 +1,9 @@
-//! Planted violations for `lock-order`'s leaf half, linted as if this
-//! file were `crates/core/src/proto/fixture.rs` (any `core` file but
-//! `hot.rs`). Never compiled — read as text by `tests/fixtures.rs`. The
-//! negative cases double as lexer checks.
+//! Planted violations for `lock-order`, linted as if this file were
+//! `crates/core/src/proto/fixture.rs` (any `core` file but `hot.rs`).
+//! Never compiled — read as text by `tests/fixtures.rs`. The negative
+//! cases double as lexer checks.
 
 impl Cluster {
-    fn raw_leaf_lock(&self) -> usize {
-        self.inner.lock().len() // VIOLATION: a leaf lock outside the hot.rs seam
-    }
-
     fn visit_reaches_back(&self, via: NodeId, k: ReplicaKey) {
         self.server(via).visit(k.0, |s| {
             s.leases.remove(&k);
@@ -16,19 +12,14 @@ impl Cluster {
     }
 
     fn negative_cases(&self, via: NodeId, k: ReplicaKey) -> bool {
-        let s = "strings may say .lock() and self freely";
-        let raw = r#"raw string with "quotes" and .lock() inside"#;
+        let s = "strings may say .visit(|s| self) freely";
+        let raw = r#"raw string with "quotes" and .visit(|s| self) inside"#;
         let deep = r##"raw string with "# inside, still one token"##;
-        /* block comments too: .lock() /* nested .visit(|s| self) */ all comment */
-        // line comment: self.inner.lock()
+        /* block comments too: /* nested .visit(|s| self) */ all comment */
+        // line comment: self.server(via).visit(k.0, |s| self.n)
         let net = &self.net;
         let _ = (s, raw, deep);
         self.server(via).visit(k.0, |s| net.reachable(via, s.home))
-    }
-
-    fn waived(&self) -> usize {
-        // lint: allow(lock-order): fixture waiver — proves suppression and waiver-usage accounting
-        self.inner.lock().len()
     }
 }
 
@@ -36,7 +27,7 @@ impl Cluster {
 mod tests {
     #[test]
     fn test_code_is_exempt() {
-        let m = std::sync::Mutex::new(0);
-        *m.lock().unwrap() += 1;
+        let c = cell();
+        c.server(via).visit(k.0, |s| c.n + self.n);
     }
 }

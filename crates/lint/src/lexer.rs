@@ -12,7 +12,8 @@
 //! * raw identifiers (`r#match`) are identifiers, not raw strings;
 //! * block comments nest (`/* outer /* inner */ still comment */`);
 //! * `'a` is a lifetime, `'a'` (and `'\n'`) are char literals;
-//! * comments are kept as tokens so the waiver parser can see them.
+//! * comments are kept as `Comment` tokens, so a check can read them
+//!   and a rule can drop them.
 //!
 //! A second pass marks tokens that live under test-only items so rules
 //! can exclude test code. Recognized gates: `#[test]`, `#[cfg(test)]`
@@ -25,8 +26,8 @@
 //! test gate (`#[cfg_attr(test, allow(dead_code))]`) exempts nothing —
 //! production code cannot hide behind a bogus gate.
 
-/// Token classes. Rules match mostly on `Ident` and `Punct` text;
-/// `Comment` exists for the waiver parser.
+/// Token classes. Rules match mostly on `Ident` and `Punct` text, with
+/// `Comment` tokens dropped.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TokKind {
     Ident,
@@ -324,7 +325,7 @@ fn raw_lex(src: &str) -> Vec<Tok> {
 /// items (`mod tests;`).
 fn mark_test_scopes(toks: &mut [Tok]) {
     // Work over non-comment token indices; comments inside a marked
-    // span are marked too (harmless, and keeps waiver scoping simple).
+    // span are marked too (harmless).
     let code: Vec<usize> = (0..toks.len()).filter(|&i| toks[i].kind != TokKind::Comment).collect();
     let mut ci = 0usize;
     while ci + 1 < code.len() {

@@ -4,19 +4,21 @@
 //! The Deceit concurrency discipline is checked in three places. The
 //! compiler carries the cell → ascending-ring lock order
 //! (`deceit_runtime::shard::CellLock`'s types, plus a debug assertion),
-//! the exhaustiveness of `Pending::due_gated` and the memory ordering of
-//! every atomic (`deceit_sim::atomic`'s types); clippy's restriction
-//! lints and `clippy.toml` carry the no-panic and one-clock rules and
-//! keep the std atomics out of every other module. What is left is here:
-//! a hand-rolled lexer (the vendored deps are API stubs, so no `syn`)
-//! feeds a token-stream rule engine with a hard-coded registry and
-//! in-source waivers — the slot leaf-lock rule and revoke-before-
-//! invalidate for read leases. See README § "Static analysis".
+//! the exhaustiveness of `Pending::due_gated`, the memory ordering of
+//! every atomic (`deceit_sim::atomic`'s types) and read-lease revocation
+//! (`deceit_core`'s `Unleased` handle is the only way to the store
+//! operations that end a lease's claim); clippy's restriction lints and
+//! `clippy.toml` carry the no-panic and one-clock rules, keep the std
+//! atomics out of every other module and raw std lock calls inside the
+//! lock funnels. What is left is one lexical rule: a closure handed to a
+//! server's `visit` runs under a slot's leaf lock and may not mention
+//! `self`. A hand-rolled lexer (the vendored deps are API stubs, so no
+//! `syn`) feeds it. There are no waivers: `#[expect]` is the workspace's
+//! exception mechanism. See README § "Static analysis".
 
 pub mod lexer;
 pub mod report;
 pub mod rules;
-pub mod waiver;
 
 use report::{Finding, LintReport};
 use rules::{SourceFile, RULES};
@@ -24,49 +26,16 @@ use std::path::{Path, PathBuf};
 
 /// Lint a set of `(repo-relative path, content)` pairs.
 pub fn lint_sources(files: &[(String, String)]) -> LintReport {
-    let known = rules::rule_ids();
     let mut findings: Vec<Finding> = Vec::new();
-    let mut waivers_honored = 0usize;
     for (path, content) in files {
         let file = SourceFile::new(path, content);
-        let mut raw: Vec<Finding> = Vec::new();
         for rule in RULES {
-            (rule.check)(&file, &mut raw);
-        }
-        raw.sort();
-        raw.dedup();
-        let (waivers, bad) = waiver::parse_waivers(path, &file.toks, &known);
-        let mut used = vec![false; waivers.len()];
-        raw.retain(|f| {
-            let waived = waivers.iter().enumerate().any(|(wi, w)| {
-                let hit = w.rule == f.rule && w.target_line == Some(f.line);
-                if hit {
-                    used[wi] = true;
-                }
-                hit
-            });
-            !waived
-        });
-        findings.extend(raw);
-        findings.extend(bad);
-        for (wi, w) in waivers.iter().enumerate() {
-            if used[wi] {
-                waivers_honored += 1;
-            } else {
-                findings.push(Finding::new(
-                    "unused-waiver",
-                    path,
-                    w.line,
-                    format!(
-                        "waiver for `{}` suppresses nothing — the excused code moved or was fixed; delete the waiver",
-                        w.rule
-                    ),
-                ));
-            }
+            (rule.check)(&file, &mut findings);
         }
     }
     findings.sort();
-    LintReport { files_scanned: files.len(), waivers_honored, findings }
+    findings.dedup();
+    LintReport { files_scanned: files.len(), findings }
 }
 
 /// Collect the lintable sources under `root`: `crates/*/src/**/*.rs`.

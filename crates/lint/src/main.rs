@@ -6,7 +6,7 @@ use std::process::ExitCode;
 
 const USAGE: &str = "usage: deceit-lint [--deny] [--json <path>] [--root <dir>] [--list-rules]
 
-  --deny         exit nonzero when any finding survives waivers
+  --deny         exit nonzero on any finding
   --json <path>  write the machine-readable report (CI artifact)
   --root <dir>   workspace root (default: walk up from the cwd)
   --list-rules   print the rule catalog and exit";
@@ -32,8 +32,6 @@ fn main() -> ExitCode {
                     println!("{:<16} {}", r.id, r.summary);
                     println!("{:<16}   motivation: {}", "", r.motivation);
                 }
-                println!("{:<16} engine: malformed `// lint: allow(...)` directive", "bad-waiver");
-                println!("{:<16} engine: waiver that suppresses nothing", "unused-waiver");
                 return ExitCode::SUCCESS;
             }
             "--help" | "-h" => {
@@ -66,15 +64,9 @@ fn main() -> ExitCode {
     for f in &report.findings {
         println!("{f}");
     }
-    println!(
-        "deceit-lint: {} finding{} across {} files ({} rules, {} waiver{} honored)",
-        report.findings.len(),
-        if report.findings.len() == 1 { "" } else { "s" },
-        report.files_scanned,
-        lint::rules::RULES.len(),
-        report.waivers_honored,
-        if report.waivers_honored == 1 { "" } else { "s" },
-    );
+    let n = report.findings.len();
+    let plural = if n == 1 { "" } else { "s" };
+    println!("deceit-lint: {n} finding{plural} across {} files", report.files_scanned);
 
     if let Some(path) = json {
         if let Err(e) = std::fs::write(&path, report.to_json()) {

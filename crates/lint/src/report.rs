@@ -25,16 +25,14 @@ impl std::fmt::Display for Finding {
 #[derive(Debug)]
 pub struct LintReport {
     pub files_scanned: usize,
-    pub waivers_honored: usize,
     pub findings: Vec<Finding>,
 }
 
 impl LintReport {
     pub fn to_json(&self) -> String {
         let mut s = String::with_capacity(256 + self.findings.len() * 128);
-        s.push_str("{\"schema\":\"deceit-lint/1\"");
+        s.push_str("{\"schema\":\"deceit-lint/2\"");
         s.push_str(&format!(",\"files_scanned\":{}", self.files_scanned));
-        s.push_str(&format!(",\"waivers_honored\":{}", self.waivers_honored));
         s.push_str(&format!(",\"findings_total\":{}", self.findings.len()));
         s.push_str(",\"findings\":[");
         for (i, f) in self.findings.iter().enumerate() {
@@ -77,7 +75,6 @@ mod tests {
     fn json_escapes_quotes_and_backslashes() {
         let r = LintReport {
             files_scanned: 1,
-            waivers_honored: 0,
             findings: vec![Finding::new("x", "a\\b.rs", 3, "bad \"call\"\nhere")],
         };
         let j = r.to_json();

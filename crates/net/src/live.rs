@@ -115,6 +115,7 @@ struct Mailbox<M> {
 impl<M> Mailbox<M> {
     /// The queue guard. Every update under it (push, pop, the parked
     /// count) leaves the queue valid, so a poisoned lock is recovered.
+    #[expect(clippy::disallowed_methods, reason = "the mailbox's one lock funnel, uncounted")]
     fn lock(&self) -> MutexGuard<'_, Queue<M>> {
         self.queue.lock().unwrap_or_else(PoisonError::into_inner)
     }

@@ -27,6 +27,7 @@ use crate::error::{RuntimeError, RuntimeResult};
 /// or a read, so a session that panicked mid-request left the vector
 /// whole, and the history of the sessions that did not is still worth
 /// auditing.
+#[expect(clippy::disallowed_methods, reason = "the journals' one lock funnel, uncounted")]
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|e| e.into_inner())
 }

@@ -29,16 +29,6 @@
 //! minimal config, a one-line replay command, and the protocol
 //! flight-recorder ring.
 
-#![allow(
-    clippy::unwrap_used,
-    clippy::expect_used,
-    clippy::panic,
-    clippy::unreachable,
-    clippy::todo,
-    clippy::unimplemented,
-    reason = "a fault-injection driver, not a serving path: a broken precondition should stop the run"
-)]
-
 use std::collections::BTreeSet;
 use std::time::Duration;
 
@@ -50,8 +40,9 @@ use deceit_nfs::{FileHandle, NfsReply, NfsRequest};
 use deceit_sim::atomic::PublishedBool;
 use deceit_sim::SimRng;
 
-use crate::client::expect_attr;
+use crate::client::{expect_attr, unexpected};
 use crate::config::RuntimeConfig;
+use crate::error::RuntimeResult;
 use crate::history::{HistoryRecorder, JournalHandle, NEMESIS_CLIENT};
 use crate::scenario::{failure_report, first_up};
 use crate::world::{read_data, replica_count, FileState, LiveWorld, SimWorld, World};
@@ -285,13 +276,14 @@ impl Nemesis {
 /// session reads the final state back unrecorded. Setup, recovery's
 /// settle and the readback are shared; `workload` runs the writers, the
 /// readers and the fault schedule, and ends with the nemesis's recovery.
-/// `live` makes the readback patient (see [`final_state`]).
+/// `live` makes the readback patient (see [`final_state`]). A failed
+/// setup or readback ends the storm with its error.
 fn run_storm<W: World>(
     cfg: &StormConfig,
     mut world: W,
     live: bool,
     workload: impl FnOnce(&mut W, &[FileHandle], &mut Nemesis),
-) -> StormOutcome {
+) -> RuntimeResult<StormOutcome> {
     let recorder = HistoryRecorder::new();
     let mut nemesis = Nemesis { split: false, journal: recorder.journal(NEMESIS_CLIENT) };
     let root = world.root();
@@ -303,11 +295,11 @@ fn run_storm<W: World>(
         world.record_into(f, recorder.journal(100 + f as u32));
         let via = NodeId((f % cfg.servers) as u32);
         let create = NfsRequest::Create { dir: root, name: StormConfig::file_name(f), mode: 0o644 };
-        let fh = world.call(f, via, create).and_then(expect_attr).expect("storm create").handle;
+        let fh = expect_attr(world.call(f, via, create)?)?.handle;
         let params = NfsRequest::DeceitSetParams { fh, params: cfg.params() };
-        match world.call(f, via, params) {
-            Ok(NfsReply::Void) => files.push(fh),
-            rep => panic!("storm set_params: {rep:?}"),
+        match world.call(f, via, params)? {
+            NfsReply::Void => files.push(fh),
+            rep => return Err(unexpected(rep, "Void")),
         }
     }
     for r in 0..cfg.readers {
@@ -320,20 +312,25 @@ fn run_storm<W: World>(
     // Ground truth per file.
     let observer = cfg.files + cfg.readers;
     for &fh in &files {
-        let state = final_state(&mut world, observer, fh, live);
+        let state = final_state(&mut world, observer, fh, live)?;
         let version = (state.attr.version.major, state.attr.version.sub);
         nemesis.journal.final_state(fh.seg.0, &state.data, version, state.replicas);
     }
-    StormOutcome { history: recorder.merge(), flight: world.flight() }
+    Ok(StormOutcome { history: recorder.merge(), flight: world.flight() })
 }
 
 /// Reads `fh`'s end state through server 0 for the auditor. The
-/// simulator has settled deterministically, so any failure stops the
+/// simulator has settled deterministically, so any failure ends the
 /// run. Live, the first reads after recovery can still land
 /// mid-recovery, so a failed read is retried briefly; and a failed
 /// replica lookup counts as no replicas, so the auditor reports the
 /// floor breach and the storm still renders its report.
-fn final_state(world: &mut impl World, session: usize, fh: FileHandle, live: bool) -> FileState {
+fn final_state(
+    world: &mut impl World,
+    session: usize,
+    fh: FileHandle,
+    live: bool,
+) -> RuntimeResult<FileState> {
     let via = NodeId(0);
     let mut data = read_data(world, session, via, fh);
     for _ in 0..if live { 50 } else { 0 } {
@@ -343,19 +340,18 @@ fn final_state(world: &mut impl World, session: usize, fh: FileHandle, live: boo
         std::thread::sleep(Duration::from_millis(10));
         data = read_data(world, session, via, fh);
     }
-    let data = data.expect("post-storm read");
-    let getattr = NfsRequest::Getattr { fh };
-    let attr = world.call(session, via, getattr).and_then(expect_attr).expect("post-storm getattr");
+    let data = data?;
+    let attr = expect_attr(world.call(session, via, NfsRequest::Getattr { fh })?)?;
     let replicas = replica_count(world, session, via, fh);
-    let replicas = if live { replicas.unwrap_or(0) } else { replicas.expect("post-storm locate") };
-    FileState { data, attr, replicas }
+    let replicas = if live { replicas.unwrap_or(0) } else { replicas? };
+    Ok(FileState { data, attr, replicas })
 }
 
 /// Runs one storm single-threaded through the deterministic simulator,
 /// writers, readers and faults interleaved by one seeded RNG. Same
 /// config ⇒ same history and flight ring, bit for bit: a failing seed
 /// here replays forever.
-pub fn run_sim_storm(cfg: &StormConfig, rcfg: &RuntimeConfig) -> StormOutcome {
+pub fn run_sim_storm(cfg: &StormConfig, rcfg: &RuntimeConfig) -> RuntimeResult<StormOutcome> {
     let mut rcfg = RuntimeConfig { servers: cfg.servers, ..rcfg.clone() };
     rcfg.cluster.seed = cfg.seed;
     let world = SimWorld::new(&rcfg, cfg.files + cfg.readers + 1);
@@ -423,7 +419,7 @@ pub fn run_sim_storm(cfg: &StormConfig, rcfg: &RuntimeConfig) -> StormOutcome {
 /// the seeded fault schedule from the orchestrating thread. Operations
 /// race faults on the wall clock; the recorder's global stamps keep the
 /// merged history honestly ordered.
-pub fn run_live_storm(cfg: &StormConfig, rcfg: &RuntimeConfig) -> StormOutcome {
+pub fn run_live_storm(cfg: &StormConfig, rcfg: &RuntimeConfig) -> RuntimeResult<StormOutcome> {
     let rcfg = RuntimeConfig { servers: cfg.servers, ..rcfg.clone() };
     let world = LiveWorld::start(rcfg, cfg.files + cfg.readers + 1);
     run_storm(cfg, world, true, |world, files, nemesis| {
@@ -504,31 +500,33 @@ pub fn run_live_storm(cfg: &StormConfig, rcfg: &RuntimeConfig) -> StormOutcome {
 /// and returns the rendered failure. A candidate counts as smaller only
 /// if it reproduces the failure: in one run in the simulator, where a
 /// seed replays exactly, and in up to two live, where schedules race.
+/// The outer error is a storm that could not run (its setup or readback
+/// failed); a shrink candidate that cannot run does not reproduce.
 pub fn audit_storm(
     cfg: &StormConfig,
     rcfg: &RuntimeConfig,
     live: bool,
-) -> Result<AuditReport, Box<StormFailure>> {
+) -> RuntimeResult<Result<AuditReport, Box<StormFailure>>> {
     let audited = |c: &StormConfig| {
-        let outcome = if live { run_live_storm(c, rcfg) } else { run_sim_storm(c, rcfg) };
+        let outcome = if live { run_live_storm(c, rcfg) } else { run_sim_storm(c, rcfg) }?;
         let report = audit(&outcome.history, &c.contract());
-        (outcome, report)
+        RuntimeResult::Ok((outcome, report))
     };
-    let (outcome, report) = audited(cfg);
+    let (outcome, report) = audited(cfg)?;
     if report.is_green() {
-        return Ok(report);
+        return Ok(Ok(report));
     }
     let tries = if live { 2 } else { 1 };
     let mut runner = |c: &StormConfig| {
         (0..tries).find_map(|_| {
-            let (outcome, report) = audited(c);
+            let (outcome, report) = audited(c).ok()?;
             (!report.is_green()).then_some((outcome.history, report, outcome.flight))
         })
     };
     let (config, (history, report, flight)) =
         shrink(*cfg, (outcome.history, report, outcome.flight), &mut runner);
     let mutated = rcfg.cluster.danger_skip_safety_currency;
-    Err(Box::new(StormFailure { config, report, history, flight, live, mutated }))
+    Ok(Err(Box::new(StormFailure { config, report, history, flight, live, mutated })))
 }
 
 /// Greedy minimizer: repeatedly tries the candidate reductions and keeps

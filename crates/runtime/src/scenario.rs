@@ -9,19 +9,10 @@
 //! identical, pinning the live transport, addressing, and fault mirroring
 //! to the simulator's semantics.
 
-#![allow(
-    clippy::unwrap_used,
-    clippy::expect_used,
-    clippy::panic,
-    clippy::unreachable,
-    clippy::todo,
-    clippy::unimplemented,
-    reason = "a fault-injection driver, not a serving path: a broken precondition should stop the run"
-)]
-
 use std::collections::{BTreeMap, BTreeSet};
 
 use deceit_core::{FaultEvent, FileParams};
+use deceit_net::rpc::RpcError;
 use deceit_net::NodeId;
 use deceit_nfs::{NfsReply, NfsRequest};
 
@@ -71,9 +62,12 @@ pub struct ScenarioOutcome {
 
 impl Scenario {
     /// Routes an operation of client `k` to server `k % servers`, or the
-    /// next one up (see [`first_up`]).
-    fn route(&self, client: usize, down: &BTreeSet<u32>) -> NodeId {
-        first_up(client as u32, self.servers as u32, down).expect("scenario crashed every server")
+    /// next one up (see [`first_up`]); unreachable when the script has
+    /// crashed every server.
+    fn route(&self, client: usize, down: &BTreeSet<u32>) -> RuntimeResult<NodeId> {
+        let servers = self.servers as u32;
+        let home = NodeId(client as u32 % servers.max(1));
+        first_up(client as u32, servers, down).ok_or(RuntimeError::Rpc(RpcError::Unreachable(home)))
     }
 
     /// Runs the script against `world`, settles, and reads every
@@ -92,7 +86,7 @@ impl Scenario {
                 | ScenarioStep::Write { client, name, .. }
                 | ScenarioStep::Read { client, name } => (*client, name.clone()),
             };
-            let via = self.route(client, &world.down());
+            let via = self.route(client, &world.down())?;
             let req = if let ScenarioStep::Create { .. } = step {
                 NfsRequest::Create { dir: root, name, mode: 0o644 }
             } else {
@@ -115,7 +109,7 @@ impl Scenario {
         world.fault(&FaultEvent::Settle);
 
         let mut outcome = ScenarioOutcome::default();
-        let via = self.route(0, &world.down());
+        let via = self.route(0, &world.down())?;
         // Each name was created once: a second create fails the run.
         for step in &self.steps {
             let ScenarioStep::Create { name, .. } = step else { continue };
@@ -129,9 +123,9 @@ impl Scenario {
     }
 
     /// Runs the script under the deterministic simulator.
-    pub fn run_sim(&self, cfg: &RuntimeConfig) -> ScenarioOutcome {
+    pub fn run_sim(&self, cfg: &RuntimeConfig) -> RuntimeResult<ScenarioOutcome> {
         let cfg = RuntimeConfig { servers: self.servers, ..cfg.clone() };
-        self.run(&mut SimWorld::new(&cfg, self.clients.max(1))).expect("sim run")
+        self.run(&mut SimWorld::new(&cfg, self.clients.max(1)))
     }
 
     /// Runs the script against a live cluster on real threads, and
@@ -171,8 +165,13 @@ impl Scenario {
     /// [`failure_report`] — flight-recorder ring included — if the live
     /// outcome diverges from the simulator's. The one-call form of a
     /// differential test.
+    #[expect(
+        clippy::expect_used,
+        clippy::panic,
+        reason = "an assertion for tests: a failed run or a mismatch fails the test"
+    )]
     pub fn assert_worlds_match(&self, cfg: &RuntimeConfig) {
-        let sim = self.run_sim(cfg);
+        let sim = self.run_sim(cfg).expect("sim run failed");
         let (live, flight) = self.run_live(cfg).expect("live run failed");
         if live != sim {
             panic!(
@@ -244,8 +243,8 @@ mod tests {
     fn sim_outcome_is_deterministic() {
         let scenario = Scenario::crash_and_recover(3, 4);
         let cfg = RuntimeConfig::new(3);
-        let a = scenario.run_sim(&cfg);
-        let b = scenario.run_sim(&cfg);
+        let a = scenario.run_sim(&cfg).unwrap();
+        let b = scenario.run_sim(&cfg).unwrap();
         assert_eq!(a, b);
         assert_eq!(a.contents.len(), 4);
         for (name, contents) in &a.contents {

@@ -23,7 +23,7 @@ fn sim_storms_are_green_across_seeds() {
     let rcfg = RuntimeConfig::new(3);
     for seed in 0..12u64 {
         let cfg = StormConfig::quick(seed);
-        match audit_storm(&cfg, &rcfg, false) {
+        match audit_storm(&cfg, &rcfg, false).expect("the storm runs") {
             Ok(report) => {
                 assert!(report.writes_acked > 0, "seed {seed}: no writes acked");
                 assert!(report.faults_seen > 0, "seed {seed}: no faults injected");
@@ -37,8 +37,8 @@ fn sim_storms_are_green_across_seeds() {
 fn sim_storm_histories_are_deterministic_per_seed() {
     let rcfg = RuntimeConfig::new(3);
     let cfg = StormConfig::quick(33);
-    let a = run_sim_storm(&cfg, &rcfg);
-    let b = run_sim_storm(&cfg, &rcfg);
+    let a = run_sim_storm(&cfg, &rcfg).expect("the storm runs");
+    let b = run_sim_storm(&cfg, &rcfg).expect("the storm runs");
     assert_eq!(a.history.to_json(), b.history.to_json(), "same seed must replay the same history");
     assert_eq!(a.flight, b.flight, "same seed must replay the same protocol events");
 }
@@ -52,7 +52,7 @@ proptest! {
     fn sim_storm_audit_green_for_any_seed(seed in 0u64..10_000) {
         let rcfg = RuntimeConfig::new(3);
         let cfg = StormConfig::quick(seed);
-        if let Err(failure) = audit_storm(&cfg, &rcfg, false) {
+        if let Err(failure) = audit_storm(&cfg, &rcfg, false).expect("the storm runs") {
             panic!("{}", failure.render());
         }
     }
@@ -63,7 +63,7 @@ fn live_storms_are_green() {
     let rcfg = RuntimeConfig::new(3);
     for seed in [1u64, 7, 21] {
         let cfg = StormConfig::quick(seed);
-        match audit_storm(&cfg, &rcfg, true) {
+        match audit_storm(&cfg, &rcfg, true).expect("the storm runs") {
             Ok(report) => {
                 assert!(report.writes_acked > 0, "seed {seed}: no writes acked");
             }
@@ -92,7 +92,7 @@ fn auditor_detects_disabled_safety_currency_check() {
             readers: 1,
             ..StormConfig::quick(seed)
         };
-        if let Err(failure) = audit_storm(&cfg, &rcfg, false) {
+        if let Err(failure) = audit_storm(&cfg, &rcfg, false).expect("the storm runs") {
             detected = Some(failure);
             break;
         }
@@ -122,7 +122,7 @@ fn auditor_detects_disabled_safety_currency_check() {
     );
     // The shrunk config must still fail when replayed directly — that is
     // what makes the printed seed a genuine repro.
-    let replayed = run_sim_storm(&failure.config, &rcfg);
+    let replayed = run_sim_storm(&failure.config, &rcfg).expect("the storm runs");
     let verdict = audit(&replayed.history, &failure.config.contract());
     assert!(!verdict.is_green(), "shrunk config did not reproduce: {:?}", failure.config);
 }
@@ -141,7 +141,7 @@ fn mutation_seeds_are_green_without_the_mutation() {
             readers: 1,
             ..StormConfig::quick(seed)
         };
-        if let Err(failure) = audit_storm(&cfg, &rcfg, false) {
+        if let Err(failure) = audit_storm(&cfg, &rcfg, false).expect("the storm runs") {
             panic!("seed {seed} red with the mutation off:\n{}", failure.render());
         }
     }

@@ -72,7 +72,7 @@ fn crash_scenario_matches_across_worlds() {
     let scenario = Scenario::crash_and_recover(3, 4);
     let cfg = RuntimeConfig::new(3);
 
-    let sim = scenario.run_sim(&cfg);
+    let sim = scenario.run_sim(&cfg).expect("sim run");
     let (live, flight) = scenario.run_live(&cfg).expect("live run");
 
     assert_eq!(
@@ -116,7 +116,7 @@ fn append_scenario_matches_across_worlds() {
 
     scenario.assert_worlds_match(&cfg);
 
-    let sim = scenario.run_sim(&cfg);
+    let sim = scenario.run_sim(&cfg).expect("sim run");
     let log = &sim.contents["log"];
     let expected: Vec<u8> = (0..6)
         .flat_map(|round| format!("[entry {round} from {}]", round % 3).into_bytes())
@@ -187,7 +187,7 @@ fn ticketed_writers(
     meanwhile: impl FnOnce(&mut LiveWorld),
 ) -> Vec<(usize, usize)> {
     use deceit_sim::atomic::PublishedU64;
-    use std::sync::Mutex;
+    use parking_lot::Mutex;
 
     let ticket = PublishedU64::new(0);
     let completions = Mutex::new(Vec::new());
@@ -205,13 +205,13 @@ fn ticketed_writers(
                     }
                     offset += chunk.len();
                     let t = ticket.fetch_add(1);
-                    completions.lock().unwrap().push((t, c, i));
+                    completions.lock().push((t, c, i));
                 }
             });
         }
         meanwhile(live);
     });
-    let mut order = completions.into_inner().unwrap();
+    let mut order = completions.into_inner();
     order.sort();
     order.into_iter().map(|(_, c, i)| (c, i)).collect()
 }
@@ -263,7 +263,7 @@ fn split_and_heal_between_write_rounds_matches_across_worlds() {
 
     scenario.assert_worlds_match(&cfg);
 
-    let sim = scenario.run_sim(&cfg);
+    let sim = scenario.run_sim(&cfg).expect("sim run");
     for (name, contents) in &sim.contents {
         assert_eq!(contents, format!("v2 payload of client {}", &name[1..]).as_bytes());
     }

@@ -27,7 +27,6 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::sync::Mutex;
 
 use bytes::Bytes;
 use deceit_core::{FileParams, WriteAvailability};
@@ -35,6 +34,7 @@ use deceit_nfs::FileHandle;
 use deceit_runtime::{ClusterRuntime, RuntimeClient, RuntimeConfig};
 use deceit_sim::atomic::RelaxedU64;
 use deceit_sim::{leaf, wall};
+use parking_lot::Mutex;
 
 /// Allocator calls (`alloc` + `realloc`) by every thread.
 static TOTAL: RelaxedU64 = RelaxedU64::new(0);
@@ -131,7 +131,7 @@ fn cost(rt: &ClusterRuntime, mut op: impl FnMut(usize)) -> Cost {
 
 #[test]
 fn a_local_read_costs_two_stamps_and_no_allocation() {
-    let _turn = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let _turn = SERIAL.lock();
     let (rt, mut c, fh) = cell(params(3, 1));
     let got = cost(&rt, |i| {
         let data = c.read(fh, (i % 2) * IO, IO).expect("read");
@@ -147,7 +147,7 @@ fn a_local_read_costs_two_stamps_and_no_allocation() {
 
 #[test]
 fn a_replicated_write_stays_within_its_budget() {
-    let _turn = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let _turn = SERIAL.lock();
     let (rt, mut c, fh) = cell(params(3, 2));
     let payload = Bytes::from(vec![9u8; IO]);
     let got = cost(&rt, |i| {
