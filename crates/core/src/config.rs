@@ -77,24 +77,6 @@ pub struct ClusterConfig {
     /// leaves laggards to the §3.4 stabilize horizon. The live runtime
     /// turns it on.
     pub opt_read_repair: bool,
-    /// Access-driven replica placement (§3.1 method 4, measured instead
-    /// of eager): forwarded reads feed always-on per-(server, file)
-    /// access counters, and a server that keeps serving remote reads for
-    /// a file past `placement_threshold` gets a replica migrated to it
-    /// (deferred, due-gated, single-flighted — see
-    /// [`placement`](crate::placement)), after which idle extras are
-    /// retired down to the `FileParams::min_replicas` floor. Off by
-    /// default: the paper's prototype migrates only files explicitly
-    /// marked `migration` in their parameters. The live runtime turns it
-    /// on.
-    pub opt_placement: bool,
-    /// Forwarded reads (decayed, see `placement_epoch`) a server must
-    /// accumulate for one file before a migration toward it is proposed.
-    pub placement_threshold: u64,
-    /// Placement access counters halve once per this much protocol time,
-    /// so the migration signal tracks current traffic instead of
-    /// all-time popularity.
-    pub placement_epoch: SimDuration,
     /// Fault-injection knob for the consistency auditor's mutation test:
     /// when set, the write pipeline's safety lane counts a remote reply
     /// as durable WITHOUT verifying the replica is current through the
@@ -129,9 +111,6 @@ impl Default for ClusterConfig {
             opt_write_pipeline: false,
             opt_read_leases: false,
             opt_read_repair: false,
-            opt_placement: false,
-            placement_threshold: 8,
-            placement_epoch: SimDuration::from_secs(30),
             danger_skip_safety_currency: false,
             shards: 16,
         }
@@ -182,13 +161,6 @@ impl ClusterConfig {
         self
     }
 
-    /// Enables access-driven replica placement, builder-style (see
-    /// [`ClusterConfig::opt_placement`]).
-    pub fn with_placement(mut self) -> Self {
-        self.opt_placement = true;
-        self
-    }
-
     /// Sets the hot-state shard count, builder-style (clamped to 1..=64).
     pub fn with_shards(mut self, shards: usize) -> Self {
         self.shards = shards.clamp(1, 64);
@@ -215,14 +187,12 @@ mod tests {
         assert!(!c.opt_write_pipeline, "the paper's prototype distributes updates eagerly");
         assert!(!c.opt_read_leases, "the paper's prototype has no lock-free read path");
         assert!(!c.opt_read_repair, "the paper's prototype waits for the stabilize horizon");
-        assert!(!c.opt_placement, "the paper's prototype migrates only param-marked files");
         assert!(!c.danger_skip_safety_currency, "the mutation knob must never default on");
         let on = ClusterConfig::default().with_token_optimizations();
         assert!(on.opt_piggyback_acquire && on.opt_forward_small);
         assert!(ClusterConfig::default().with_write_pipeline().opt_write_pipeline);
         assert!(ClusterConfig::default().with_read_leases().opt_read_leases);
         assert!(ClusterConfig::default().with_read_repair().opt_read_repair);
-        assert!(ClusterConfig::default().with_placement().opt_placement);
     }
 
     #[test]

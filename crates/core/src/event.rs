@@ -62,20 +62,6 @@ pub enum Pending {
         /// Replica (segment, major) to repair.
         key: ReplicaKey,
     },
-    /// Access-driven replica migration (`ClusterConfig::opt_placement`):
-    /// create a replica at a server that kept serving forwarded reads
-    /// for the file, from a durable stable copy via the §3.1
-    /// regeneration path, then retire idle extras elsewhere down to the
-    /// `FileParams::min_replicas` floor. Scheduled by the placement
-    /// policy when a server's access counter crosses the threshold;
-    /// single-flighted per (server, file).
-    MigrateReplica {
-        /// Destination server — the reader the replica moves toward
-        /// (the migration dies with it).
-        server: NodeId,
-        /// Replica (segment, major) to migrate.
-        key: ReplicaKey,
-    },
     /// Background replica generation via blast transfer (§3.1).
     GenerateReplica {
         /// Token holder driving the generation.
@@ -84,6 +70,10 @@ pub enum Pending {
         key: ReplicaKey,
         /// Destination server.
         target: NodeId,
+        /// Set when a forwarded read of a `migration`-marked file
+        /// scheduled it (§3.1 method 4): an install that lands counts as
+        /// a migration executed.
+        migration: bool,
     },
 }
 
@@ -94,8 +84,7 @@ impl Pending {
             Pending::ApplyUpdate { server, .. }
             | Pending::FlushServer { server, .. }
             | Pending::StabilizeCheck { server, .. }
-            | Pending::ReadRepair { server, .. }
-            | Pending::MigrateReplica { server, .. } => *server,
+            | Pending::ReadRepair { server, .. } => *server,
             Pending::PropagateStream { holder, .. } | Pending::GenerateReplica { holder, .. } => {
                 *holder
             }
@@ -103,9 +92,10 @@ impl Pending {
     }
 
     /// Whether the live pump must wait for this action's due time.
-    /// Ordinary deferred work (write-back, replica generation, eager
-    /// lazy applies) is valid at any later point, so a live pump may
-    /// fire it the moment it has capacity. Two kinds wait:
+    /// Ordinary deferred work (write-back, replica generation — a §3.1
+    /// migration toward a reader included — and eager lazy applies) is
+    /// valid at any later point, so a live pump may fire it the moment
+    /// it has capacity. Three kinds wait:
     ///
     /// * a stability check asserts a *time condition* — "a short period
     ///   of no write activity" (§3.4) — and fired early it would declare
@@ -116,11 +106,7 @@ impl Pending {
     /// * a read-repair's due time is its damping window: fired the
     ///   instant a forwarded read queues it, a still-active stream makes
     ///   it a no-op and the next read re-queues it — a schedule/fire spin
-    ///   in place of the single deferred catch-up it is meant to be;
-    /// * a replica migration's due time is likewise its damping window —
-    ///   fired eagerly, a burst of forwarded reads would move replicas
-    ///   around as fast as the pump can copy them instead of once per
-    ///   window.
+    ///   in place of the single deferred catch-up it is meant to be.
     ///
     /// The match is exhaustive on purpose, and clippy denies a `_ =>`
     /// arm here, whether it covers several variants or one: adding a
@@ -131,8 +117,7 @@ impl Pending {
         match self {
             Pending::StabilizeCheck { .. }
             | Pending::PropagateStream { .. }
-            | Pending::ReadRepair { .. }
-            | Pending::MigrateReplica { .. } => true,
+            | Pending::ReadRepair { .. } => true,
             Pending::ApplyUpdate { .. }
             | Pending::FlushServer { .. }
             | Pending::GenerateReplica { .. } => false,
@@ -150,7 +135,6 @@ impl Pending {
             | Pending::StabilizeCheck { key, .. }
             | Pending::PropagateStream { key, .. }
             | Pending::ReadRepair { key, .. }
-            | Pending::MigrateReplica { key, .. }
             | Pending::GenerateReplica { key, .. } => key.0 .0,
             Pending::FlushServer { seg, .. } => seg.0,
         }
@@ -179,13 +163,10 @@ mod tests {
         let flush = Pending::FlushServer { server: NodeId(1), seg: SegmentId(4) };
         assert_eq!(flush.owner(), NodeId(1));
         assert_eq!(flush.shard_hint(), 4, "flushes shard by the segment that dirtied them");
-        assert_eq!(
-            Pending::GenerateReplica { holder: NodeId(2), key, target: NodeId(4) }.owner(),
-            NodeId(2)
-        );
-        let migrate = Pending::MigrateReplica { server: NodeId(2), key };
-        assert_eq!(migrate.owner(), NodeId(2), "a migration dies with its destination");
-        assert!(migrate.due_gated(), "migrations wait out their damping window");
+        let migrate =
+            Pending::GenerateReplica { holder: NodeId(2), key, target: NodeId(4), migration: true };
+        assert_eq!(migrate.owner(), NodeId(2), "a generation dies with its source");
+        assert!(!migrate.due_gated(), "a migration is ordinary deferred work");
         assert_eq!(migrate.shard_hint(), 1);
     }
 }

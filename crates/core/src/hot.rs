@@ -309,7 +309,6 @@ impl ServerSlot {
         self.streams.clear();
         self.outbound.clear();
         self.repairs.clear();
-        self.migrations.clear();
         dropped
     }
 }

@@ -70,7 +70,6 @@ pub mod hot;
 pub mod obs;
 pub mod ops;
 pub mod params;
-pub mod placement;
 pub mod proto;
 pub mod replica;
 pub mod server;
@@ -87,10 +86,11 @@ pub use config::ClusterConfig;
 pub use deceit_storage::{SegmentData, MAX_SEGMENT};
 pub use error::{DeceitError, DeceitResult};
 pub use host::{shard_slot, OpClass, ProtocolHost, ShardKey};
-pub use obs::{AtomicHistogram, FlightRecorder, HistCounts, HistSummary, ObsCore, Stat};
+pub use obs::{
+    AtomicHistogram, FlightRecorder, HistCounts, HistSummary, ObsCore, PlacementSnapshot, Stat,
+};
 pub use ops::{ReadData, WriteOp};
 pub use params::{FileParams, WriteAvailability};
-pub use placement::{PlacementCore, PlacementSnapshot};
 pub use proto::commands::VersionInfo;
 pub use replica::{Replica, ReplicaState};
 pub use server::{ReadLease, SegmentId};

@@ -20,8 +20,7 @@
 //!   of relaxed atomics, one slot per variant, so a bump is one
 //!   uncontended `fetch_add` and a misspelt counter fails to compile.
 //! * [`ObsCore`] — the cluster-owned bundle: flight recorder, pipeline
-//!   drain-batch distribution, the counter table, and the placement
-//!   access tables.
+//!   drain-batch distribution and the counter table.
 
 use std::sync::Mutex;
 
@@ -29,8 +28,6 @@ use deceit_net::NodeId;
 use deceit_sim::atomic::RelaxedU64;
 use deceit_sim::{SimTime, StatsSnapshot};
 
-use crate::placement::{PlacementCore, PlacementSnapshot};
-use crate::server::SegmentId;
 use crate::trace_events::ProtocolEvent;
 
 /// Sub-bucket resolution: each power-of-two range splits into
@@ -462,19 +459,15 @@ stats! {
     Creates => "core/creates",
     /// Server crashes injected.
     Crashes => "cluster/crashes",
-    /// Migrations scheduled: a remote-read counter crossed the
-    /// threshold and claimed the single-flight slot.
-    MigrationsProposed => "core/placement/migrations_scheduled",
-    /// Migrations that executed: a replica was created at the reader.
-    MigrationsExecuted => "core/placement/migrations_executed",
-    /// Retirement proposals the replication floor blocked: idle replicas
-    /// existed beyond the LRU window, but deleting any would drop the
-    /// file below its `min_replicas`.
-    MigrationsVetoedFloor => "core/placement/migrations_vetoed_floor",
+    /// Migrations that executed (§3.1 method 4): a forwarded read of a
+    /// `migration`-marked file installed a replica at the reader.
+    MigrationsExecuted => "core/replicas/migrated",
+    /// Retirements the replication floor blocked: idle replicas existed
+    /// beyond the LRU window, but deleting any would drop the file below
+    /// its `min_replicas`.
+    MigrationsVetoedFloor => "core/replicas/lru_vetoed_floor",
     /// Idle replicas retired by the §3.1 LRU extra-replica deletion.
     ReplicasRetired => "core/replicas/lru_deleted",
-    /// Placement access-counter decays applied (epoch rollovers seen).
-    DecayEpochs => "core/placement/decay_epochs",
     /// Files the NFS envelope deallocated: no uplinked directory still
     /// links them (§5.2).
     GcDeallocated => "nfs/gc/deallocated",
@@ -493,9 +486,6 @@ pub struct ObsCore {
     pub drain_batch: AtomicHistogram,
     /// The counter table, one slot per [`Stat`], in [`Stat::ALL`] order.
     stats: [RelaxedU64; Stat::ALL.len()],
-    /// The replica-placement signal: per-server forwarded-read access
-    /// tables.
-    pub placement: PlacementCore,
 }
 
 impl ObsCore {
@@ -505,7 +495,6 @@ impl ObsCore {
             flight: FlightRecorder::new(n_servers),
             drain_batch: AtomicHistogram::new(),
             stats: std::array::from_fn(|_| RelaxedU64::new(0)),
-            placement: PlacementCore::new(n_servers),
         }
     }
 
@@ -524,33 +513,38 @@ impl ObsCore {
         self.stats[stat as usize].load()
     }
 
-    /// Records one remote (forwarded) read of `seg` entering at
-    /// `server`, decayed to `epoch`, and returns the new count. Wait-free.
-    pub fn record_remote_read(&self, server: NodeId, seg: SegmentId, epoch: u64) -> u64 {
-        let decays = &self.stats[Stat::DecayEpochs as usize];
-        self.placement.record_remote_read(server, seg, epoch, decays)
-    }
-
     /// Every counter's name and value, in table order.
     pub fn stats(&self) -> StatsSnapshot {
         StatsSnapshot { counters: Stat::ALL.iter().map(|&s| (s.name(), self.count(s))).collect() }
     }
 
-    /// The placement activity counters, as one record.
+    /// The replica-placement counters, as one record.
     pub fn placement_snapshot(&self) -> PlacementSnapshot {
         PlacementSnapshot {
-            migrations_proposed: self.count(Stat::MigrationsProposed),
             migrations_executed: self.count(Stat::MigrationsExecuted),
             migrations_vetoed_floor: self.count(Stat::MigrationsVetoedFloor),
             replicas_retired: self.count(Stat::ReplicasRetired),
-            decay_epochs: self.count(Stat::DecayEpochs),
         }
     }
+}
+
+/// An owned snapshot of the replica-placement counters, for export
+/// (`ObsReport` / `obs_report.json`) and assertions: §3.1's migration
+/// (method 4) and its LRU extra-replica deletion.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct PlacementSnapshot {
+    /// Migrations that executed: a replica was installed at a reader.
+    pub migrations_executed: u64,
+    /// Retirements the replication floor blocked.
+    pub migrations_vetoed_floor: u64,
+    /// Idle replicas retired by the LRU extra-replica deletion.
+    pub replicas_retired: u64,
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::server::SegmentId;
 
     #[test]
     fn stat_table_is_indexed_by_variant_and_names_are_unique() {

@@ -9,6 +9,7 @@ use deceit_sim::SimTime;
 
 use crate::cluster::Cluster;
 use crate::event::Pending;
+use crate::obs::Stat;
 
 impl Cluster {
     /// Dispatches one due event. `at` is the event's scheduled time; the
@@ -45,14 +46,13 @@ impl Cluster {
             Pending::ReadRepair { server, key } => {
                 self.read_repair(server, key);
             }
-            Pending::MigrateReplica { server, key } => {
-                self.migrate_replica(server, key);
-            }
-            Pending::GenerateReplica { holder, key, target } => {
+            Pending::GenerateReplica { holder, key, target, migration } => {
                 if !self.net.is_up(holder) {
                     return;
                 }
-                self.generate_replica_now(holder, key, target);
+                if self.generate_replica_now(holder, key, target) && migration {
+                    self.obs.bump(Stat::MigrationsExecuted);
+                }
             }
         }
     }

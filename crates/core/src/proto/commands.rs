@@ -211,8 +211,7 @@ impl Cluster {
                 )));
             }
             latency += c.round_trip(via, holder, 48, 16)?;
-            c.generate_replica_now(holder, key, target);
-            if c.replica_version(target, key).is_none() {
+            if !c.generate_replica_now(holder, key, target) {
                 return Err(DeceitError::Unavailable(seg));
             }
             Ok(((), latency))

@@ -169,7 +169,7 @@ impl Cluster {
     /// full path's ([`Cluster::forward_to_token_holder`]) but for the
     /// deferred work that path fires on entry and exit: one `forward`
     /// exchange, the read repair, the `ReadForwarded` event, the served
-    /// count placement reads, and the clock advance.
+    /// count, and the clock advance.
     fn try_read_leased(
         &self,
         reader: NodeId,
@@ -384,19 +384,14 @@ impl Cluster {
             return Err(DeceitError::Unavailable(seg));
         };
 
-        // §3.1 method 4: migration — grow a local replica in the
-        // background to speed future reads, whichever path serves this
-        // request. Files param-marked `migration` migrate eagerly on the
-        // first forwarded read; everything else feeds the always-on
-        // access counters, and `opt_placement` grows the replica once
-        // this server has demonstrably kept serving remote reads for the
-        // file (due-gated, single-flighted — see `placement`).
+        // §3.1 method 4: migration — a file param-marked `migration`
+        // (§4: off by default) grows a local replica in the background on
+        // its first forwarded read, to speed future reads.
         let params = self.params_of(target, key);
         if params.migration {
             let at = self.now() + SimDuration::from_millis(1);
-            self.events.push(at, Pending::GenerateReplica { holder: target, key, target: via });
-        } else {
-            self.observe_remote_read(via, key);
+            let ev = Pending::GenerateReplica { holder: target, key, target: via, migration: true };
+            self.events.push(at, ev);
         }
 
         // Forwarding servers join the file group and cache location

@@ -51,7 +51,10 @@ impl Cluster {
         candidates.sort_by_key(|&s| (self.server(s).ops_served.load(Ordering::Relaxed), s));
         let at = self.now() + SimDuration::from_millis(1);
         for target in candidates.into_iter().take(deficit) {
-            self.events.push(at, Pending::GenerateReplica { holder, key, target });
+            self.events.push(
+                at,
+                Pending::GenerateReplica { holder, key, target, migration: false },
+            );
         }
     }
 
@@ -79,8 +82,7 @@ impl Cluster {
             let Some(target) = candidate else {
                 return generated; // not enough servers available
             };
-            self.generate_replica_now(holder, key, target);
-            if self.replica_version(target, key).is_none() {
+            if !self.generate_replica_now(holder, key, target) {
                 return generated; // generation failed; stop trying
             }
             generated += 1;
@@ -94,17 +96,23 @@ impl Cluster {
     /// "The token holder delays updates during replica generation to
     /// prevent inconsistency" — generation executes under the file's
     /// shard locks (the pump holds them when firing this handler), which
-    /// realizes the same exclusion against that file's updates.
-    pub(crate) fn generate_replica_now(&self, holder: NodeId, key: ReplicaKey, target: NodeId) {
+    /// realizes the same exclusion against that file's updates. Returns
+    /// whether the replica was installed at `target`.
+    pub(crate) fn generate_replica_now(
+        &self,
+        holder: NodeId,
+        key: ReplicaKey,
+        target: NodeId,
+    ) -> bool {
         if !self.net.reachable(holder, target) {
-            return;
+            return false;
         }
         let Some(src) = self.server(holder).visit(key.0, |s| s.replicas.disk().get(&key).cloned())
         else {
-            return; // replica vanished (deleted or superseded)
+            return false; // replica vanished (deleted or superseded)
         };
         if self.replica_version(target, key).is_some() {
-            return; // raced with another fill
+            return false; // raced with another fill
         }
         let blast = self.cfg.blast;
         let Some(_xfer) = deceit_isis::xfer::transfer_state(
@@ -116,7 +124,7 @@ impl Cluster {
             "replica-xfer",
         )
         .duration() else {
-            return;
+            return false;
         };
         let replica = Replica::cloned_from(&src, self.now());
         self.install_replica(target, key, replica);
@@ -134,6 +142,7 @@ impl Cluster {
         }
         self.obs.bump(Stat::ReplicasGenerated);
         self.emit_from(target, ProtocolEvent::ReplicaGenerated { seg: key.0, on: target });
+        true
     }
 
     /// Puts `replica` at `server` by state transfer, in one visit: the

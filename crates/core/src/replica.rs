@@ -38,7 +38,7 @@ pub struct Replica {
     /// answer `getparam` locally).
     pub params: FileParams,
     /// Last client access through this server — drives least-recently-used
-    /// deletion of extra replicas (§3.1) and migration decisions.
+    /// deletion of extra replicas (§3.1).
     pub last_access: SimTime,
 }
 

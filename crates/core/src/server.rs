@@ -141,10 +141,6 @@ pub struct ServerSlot {
     /// for this server, so a burst of reads against one laggard schedules
     /// one repair, not one per read (`opt_read_repair` single-flighting).
     pub(crate) repairs: BTreeMap<ReplicaKey, ()>,
-    /// Volatile: replica keys with a placement migration toward this
-    /// server already queued, so a burst of forwarded reads schedules one
-    /// move, not one per read (`opt_placement` single-flighting).
-    pub(crate) migrations: BTreeMap<ReplicaKey, ()>,
 }
 
 impl ServerSlot {
@@ -158,7 +154,6 @@ impl ServerSlot {
             outbound: BTreeMap::new(),
             leases: BTreeMap::new(),
             repairs: BTreeMap::new(),
-            migrations: BTreeMap::new(),
         }
     }
 }
@@ -181,8 +176,8 @@ pub struct ServerState {
     /// Per-server (not per-file), so it sits behind its own leaf lock.
     pub(crate) fd: Mutex<FailureDetector>,
     /// Count of client operations served by this server (load accounting):
-    /// a tally bumped on every served op and read as a placement hint, so
-    /// every access is `Relaxed`.
+    /// a tally bumped on every served op and read as the §3.1 fill's
+    /// least-loaded hint, so every access is `Relaxed`.
     #[expect(
         clippy::disallowed_types,
         reason = "a raw std atomic, not `deceit_sim::atomic::RelaxedU64`, because the benchmark of record calls `.load(Ordering::Relaxed)` on it"
@@ -466,7 +461,6 @@ mod tests {
             slot.receivers.insert(key, OrderedReceiver::starting_at(10));
             slot.group_cache.insert(key.0, GroupId(1));
             slot.repairs.insert(key, ());
-            slot.migrations.insert(key, ());
             slot.replicas.record_touch(key, SimTime::from_micros(7));
         });
         assert_eq!(s.slots.pending(), 1, "a visit's touch is counted");
@@ -476,7 +470,7 @@ mod tests {
             assert_eq!(slot.tokens.disk().get(&key).map(|t| t.version), Some(version(0)));
             assert!(slot.leases.is_empty() && slot.streams.is_empty() && slot.outbound.is_empty());
             assert!(slot.receivers.is_empty() && slot.group_cache.is_empty());
-            assert!(slot.repairs.is_empty() && slot.migrations.is_empty());
+            assert!(slot.repairs.is_empty());
             assert!(slot.replicas.touches.is_empty());
             assert_eq!((slot.replicas.disk().lost_writes, slot.tokens.disk().lost_writes), (1, 1));
         });
@@ -493,7 +487,6 @@ mod tests {
             slot.streams.insert(key, StreamState::default());
             slot.leases.insert(key, ReadLease { version: version(3) });
             slot.repairs.insert(key, ());
-            slot.migrations.insert(key, ());
         });
         s.crash();
         assert!(s.has_segment(seg), "durable replica survives");
@@ -501,7 +494,6 @@ mod tests {
             assert!(slot.group_cache.is_empty() && slot.streams.is_empty());
             assert!(slot.leases.is_empty(), "read leases are volatile");
             assert!(slot.repairs.is_empty(), "repair single-flight flags are volatile");
-            assert!(slot.migrations.is_empty(), "migration single-flight flags are volatile");
         });
     }
 

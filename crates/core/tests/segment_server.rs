@@ -67,6 +67,7 @@ fn migration_grows_local_replica() {
     c.run_until_quiet();
     // §3.1 method 4: a local replica was generated in the background.
     assert!(c.server(n(2)).replicas.contains(&(seg, 0)));
+    assert_eq!(c.obs.count(Stat::MigrationsExecuted), 1, "the install counts as a migration");
     let again = c.read(n(2), seg, None, 0, 100).unwrap();
     assert_eq!(again.value.served_by, n(2), "now served locally");
 }
@@ -82,6 +83,7 @@ fn no_migration_by_default() {
         !c.server(n(2)).replicas.contains(&(seg, 0)),
         "§4: default is that file migration not be used"
     );
+    assert_eq!(c.obs.count(Stat::MigrationsExecuted), 0);
 }
 
 #[test]
@@ -238,6 +240,7 @@ fn lru_deletes_extra_replicas_on_update() {
     c.read(n(2), seg, None, 0, 100).unwrap();
     c.run_until_quiet();
     assert_eq!(c.locate_replicas(n(0), seg).unwrap().value.len(), 3);
+    assert_eq!(c.obs.count(Stat::MigrationsExecuted), 2);
     // After a long idle period, an update deletes the idle extras in LRU
     // order (§3.1).
     c.advance(SimDuration::from_secs(10));
@@ -270,6 +273,47 @@ fn recently_read_replicas_survive_update() {
         2,
         "a replica inside the LRU window is updated, not deleted"
     );
+}
+
+/// The floor invariant under a crash: when a crash thins the reachable
+/// holders to the floor, an idle survivor is vetoed, not retired — the
+/// replication floor always wins over the LRU window.
+#[test]
+fn floor_vetoes_retirement_when_a_crash_thins_the_holders() {
+    let mut cfg = ClusterConfig::deterministic();
+    // Wide enough that nothing is idle while the third copy grows (the
+    // stabilize horizon alone jumps the clock ~500ms); the idleness
+    // develops only after the crash below.
+    cfg.lru_keep = SimDuration::from_secs(1);
+    let mut c = Cluster::new(3, cfg);
+    let seg = c.create(n(0)).unwrap().value;
+    let params = FileParams { migration: true, min_replicas: 2, ..FileParams::default() };
+    c.set_params(n(0), seg, params).unwrap();
+    c.run_until_quiet();
+    c.write(n(0), seg, WriteOp::replace(b"floor seed"), None).unwrap();
+    c.run_until_quiet();
+    let key = (seg, 0u64);
+
+    // Grow the third copy by migration, then lose it to a crash.
+    c.read(n(2), seg, None, 0, 64).unwrap();
+    c.run_until_quiet();
+    assert!(c.server(n(2)).replicas.contains(&key));
+    assert!(c.server(n(1)).replicas.contains(&key), "nothing idle yet: no retirement");
+    c.crash_server(n(2));
+    c.advance(SimDuration::from_millis(1500)); // server 1's copy is now idle
+
+    // The update-time LRU sweep sees an idle candidate (server 1) but
+    // only the floor's worth of reachable holders: veto, not delete.
+    let vetoes_before = c.obs.placement_snapshot().migrations_vetoed_floor;
+    c.write(n(0), seg, WriteOp::append(b" after crash"), None).unwrap();
+    c.run_until_quiet();
+    assert!(c.server(n(1)).replicas.contains(&key), "the idle copy survives at the floor");
+    assert!(
+        c.obs.placement_snapshot().migrations_vetoed_floor > vetoes_before,
+        "the blocked retirement is accounted as a floor veto"
+    );
+    let holders = [n(0), n(1)].iter().filter(|&&s| c.server(s).replicas.contains(&key)).count();
+    assert_eq!(holders, 2, "never below min_replicas among reachable servers");
 }
 
 #[test]

@@ -220,7 +220,7 @@ fn setattr_shares_the_payload() {
 /// simulator's would declare each of 64 interleaved streams quiet between
 /// two of its writes.
 fn runtime_like_server() -> NfsServer {
-    let mut cfg = live_like_config().with_read_repair().with_placement();
+    let mut cfg = live_like_config().with_read_repair();
     cfg.stability_timeout = deceit_sim::SimDuration::from_secs(30);
     cfg.lazy_apply_delay = deceit_sim::SimDuration::from_secs(5);
     NfsServer::new(DeceitFs::new(3, cfg, FsConfig::default()))

@@ -31,7 +31,10 @@ impl RuntimeConfig {
     /// pump ships batched propagation, instead of the simulator's
     /// paper-faithful eager broadcast per update. The differential suite
     /// runs both worlds with this same config, so sim and live exercise
-    /// the identical pipeline.
+    /// the identical pipeline. Replicas move toward their readers only as
+    /// the paper moves them: §3.1's migration is the per-file `migration`
+    /// parameter, off by default (§4), in live hosting as in the
+    /// simulator.
     pub fn new(servers: usize) -> Self {
         // §3.4's "short period of no write activity" is measured on the
         // protocol clock, which a busy live cell advances by ~20ms of
@@ -47,15 +50,10 @@ impl RuntimeConfig {
         // forever. Both off in the paper-faithful simulator default, on
         // here — the differential suite runs both worlds with this same
         // config, so sim and live exercise identical semantics.
-        // Access-driven replica placement moves replicas toward the
-        // servers that keep serving forwarded reads for them (off in the
-        // paper-faithful simulator default, on here; the signal itself is
-        // always-on obs atomics).
         let mut cluster = ClusterConfig::default()
             .with_write_pipeline()
             .with_read_leases()
-            .with_read_repair()
-            .with_placement();
+            .with_read_repair();
         cluster.stability_timeout = deceit_sim::SimDuration::from_secs(30);
         // The lazy-apply delay doubles as the pipeline's batching window
         // (a drain fires when the protocol clock reaches it); at ~20ms
@@ -106,7 +104,11 @@ mod tests {
         assert!(cfg.cluster.opt_write_pipeline, "live hosting pipelines replicated writes");
         assert!(cfg.cluster.opt_read_leases, "live hosting serves holder-local read leases");
         assert!(cfg.cluster.opt_read_repair, "live hosting repairs lagging replicas on read");
-        assert!(cfg.cluster.opt_placement, "live hosting migrates replicas toward readers");
+        let fs = &cfg.fs;
+        assert!(
+            ![fs.root_params, fs.dir_params, fs.file_params].iter().any(|p| p.migration),
+            "§4: live hosting migrates only files marked `migration`, and none is by default"
+        );
     }
 
     /// The failover budget follows the cell a session is in: a read

@@ -112,9 +112,8 @@ pub struct CoreReport {
     pub lease_validation_failures: u64,
     /// Protocol events ever flight-recorded, per server.
     pub flight_events: Vec<u64>,
-    /// Replica-placement activity: migrations proposed / executed /
-    /// vetoed by the replication floor, replicas retired, counter decay
-    /// rollovers.
+    /// Replica-placement activity: migrations executed, retirements
+    /// vetoed by the replication floor, replicas retired.
     pub placement: deceit_core::PlacementSnapshot,
 }
 
@@ -179,15 +178,13 @@ impl ObsReport {
                 let p = &c.placement;
                 let _ = write!(
                     out,
-                    "  \"core\": {{\n    \"drain_batch\": {},\n    \"lease_validation_failures\": {},\n    \"flight_events\": {:?},\n    \"placement\": {{\"migrations_proposed\": {}, \"migrations_executed\": {}, \"migrations_vetoed_floor\": {}, \"replicas_retired\": {}, \"decay_epochs\": {}}}\n  }},\n",
+                    "  \"core\": {{\n    \"drain_batch\": {},\n    \"lease_validation_failures\": {},\n    \"flight_events\": {:?},\n    \"placement\": {{\"migrations_executed\": {}, \"migrations_vetoed_floor\": {}, \"replicas_retired\": {}}}\n  }},\n",
                     summary_json(&c.drain_batch),
                     c.lease_validation_failures,
                     c.flight_events,
-                    p.migrations_proposed,
                     p.migrations_executed,
                     p.migrations_vetoed_floor,
                     p.replicas_retired,
-                    p.decay_epochs,
                 );
             }
             None => out.push_str("  \"core\": null,\n"),
@@ -279,11 +276,9 @@ mod tests {
                 lease_validation_failures: 1,
                 flight_events: vec![12, 0, 5],
                 placement: deceit_core::PlacementSnapshot {
-                    migrations_proposed: 4,
                     migrations_executed: 3,
                     migrations_vetoed_floor: 1,
                     replicas_retired: 2,
-                    decay_epochs: 6,
                 },
             }),
             stats: Some(stats),
@@ -317,7 +312,7 @@ mod tests {
             "\"shared_acquisitions\": 7",
             "\"lease_validation_failures\": 1",
             "\"flight_events\": [12, 0, 5]",
-            "\"placement\": {\"migrations_proposed\": 4, \"migrations_executed\": 3, \"migrations_vetoed_floor\": 1, \"replicas_retired\": 2, \"decay_epochs\": 6}",
+            "\"placement\": {\"migrations_executed\": 3, \"migrations_vetoed_floor\": 1, \"replicas_retired\": 2}",
             "\"core/token/passes\": 1",
             "\"requests_served\": 50",
             "\"bus_wakes\": 3, \"bus_yields\": 97, \"clock_reads\": 200",

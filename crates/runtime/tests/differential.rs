@@ -93,6 +93,32 @@ fn crash_scenario_matches_across_worlds() {
     assert!(sim.replicas.values().all(|&n| n == 3), "replicas: {:?}", sim.replicas);
 }
 
+/// §4: migration is a per-file parameter, off by default, in the live
+/// profile as in the paper. A file with default parameters, read ten
+/// times through a server with no replica and then settled, gains no
+/// replica there — in both worlds, under the runtime's own config.
+#[test]
+fn unmarked_files_do_not_migrate_in_the_live_profile() {
+    fn reads_stay_forwarded(world: &mut impl World) {
+        let (home, reader) = (NodeId(0), NodeId(2));
+        let fh = create(world, home, "cold", None, b"read remotely");
+        world.fault(&FaultEvent::Settle);
+        for _ in 0..10 {
+            let read = NfsRequest::Read { fh, offset: 0, count: 64 };
+            assert_eq!(call(world, reader, read), NfsReply::Data(b"read remotely"[..].into()));
+        }
+        world.fault(&FaultEvent::Settle);
+        let NfsReply::Replicas(holders) = call(world, home, NfsRequest::DeceitLocateReplicas { fh })
+        else {
+            panic!("locate: not a replica list");
+        };
+        assert_eq!(holders, vec![home], "an unmarked file migrated toward its reader");
+    }
+    let cfg = RuntimeConfig::new(3);
+    reads_stay_forwarded(&mut SimWorld::new(&cfg, 1));
+    reads_stay_forwarded(&mut LiveWorld::start(cfg, 1));
+}
+
 /// A crash-free scenario with interleaved appends: pins ordering and
 /// write semantics (offset writes, no truncation) across worlds.
 #[test]
@@ -525,19 +551,18 @@ fn readers_vs_write_stream_matches_sim_replay() {
     assert_ends_match(&live_end, &sim_end, true, &flight);
 }
 
-/// The placement-migration storm differential: cross-homed readers push
-/// several files past the access threshold (arming deferred
-/// migrations), then a replica server is crashed and restarted while a
-/// writer streams appends through the token holder and the readers keep
-/// hammering — migrations execute into that churn at the settle. Two
-/// invariants must hold through the storm: every observed read is a
-/// monotone acked prefix of its file (never torn, never shrinking
-/// within a session), and no file's replica count ends below its
-/// `min_replicas` floor even though the retire pass runs right after
-/// each migration. The simulator then replays the acked writes plus the
-/// crash/restart, and contents and update counts must match byte for
-/// byte. (Replica *placement* is not compared: the sim replay performs
-/// no reads, so it never migrates.)
+/// The migration storm differential: cross-homed readers of files marked
+/// `migration` (§3.1 method 4) forward their first reads, each of which
+/// schedules a replica generation toward them, while a writer streams
+/// appends through the token holder and a replica server is crashed and
+/// restarted — the migrations execute into that churn. Two invariants
+/// must hold through the storm: every observed read is a monotone acked
+/// prefix of its file (never torn, never shrinking within a session),
+/// and no file's replica count ends below its `min_replicas` floor. The
+/// simulator then replays the acked writes plus the crash/restart, and
+/// contents and update counts must match byte for byte. (Replica
+/// *placement* is not compared: the sim replay reads only at the end,
+/// so it migrates later than the live cell.)
 #[test]
 fn migration_storm_under_crash_keeps_floor_and_read_monotonicity() {
     use deceit_sim::atomic::PublishedBool;
@@ -546,7 +571,6 @@ fn migration_storm_under_crash_keeps_floor_and_read_monotonicity() {
 
     const FILES: usize = 4;
     const FLOOR: usize = 2;
-    const WARMUP_READS: usize = 12; // past the placement threshold (8)
     const WRITES: usize = 48; // round-robin across FILES
     const READERS: usize = 2;
     const HOME: NodeId = NodeId(0); // token holder of every file
@@ -554,9 +578,10 @@ fn migration_storm_under_crash_keeps_floor_and_read_monotonicity() {
     let churn = NodeId(1); // fill's second copy — crashed mid-storm
     let reader_home = NodeId(2); // migration target
     /// Setup (run identically in both worlds): FILES files homed on
-    /// `HOME`, replication floor FLOOR, seeded and settled stable.
+    /// `HOME`, marked `migration`, replication floor FLOOR, seeded and
+    /// settled stable.
     fn setup(world: &mut impl World) -> Vec<FileHandle> {
-        let params = Some(FileParams::important(FLOOR));
+        let params = Some(FileParams { migration: true, ..FileParams::important(FLOOR) });
         let handles = (0..FILES)
             .map(|c| create(world, HOME, &format!("f{c}"), params, format!("seed{c}:").as_bytes()));
         let handles = handles.collect();
@@ -568,16 +593,6 @@ fn migration_storm_under_crash_keeps_floor_and_read_monotonicity() {
     let mut live = LiveWorld::start(cfg.clone(), 1);
     let handles = setup(&mut live);
 
-    // Warm-up: cross-homed reads past the threshold arm one deferred
-    // migration per file (due-gated — they fire at a later settle, i.e.
-    // *after* the crash lands: migrations in flight during the storm).
-    let mut warm = live.rt.client_homed(reader_home);
-    for &fh in &handles {
-        for _ in 0..WARMUP_READS {
-            warm.read(fh, 0, 1 << 16).expect("warm-up read");
-        }
-    }
-
     // Expected byte sequence and valid acked-prefix lengths per file.
     let mut expected: Vec<Vec<u8>> = (0..FILES).map(|c| format!("seed{c}:").into_bytes()).collect();
     let mut valid_lens: Vec<Vec<usize>> = expected.iter().map(|e| vec![e.len()]).collect();
@@ -588,7 +603,8 @@ fn migration_storm_under_crash_keeps_floor_and_read_monotonicity() {
     }
 
     // Readers: monotone acked prefixes per file per session, throughout
-    // the crash, the restart, and the migrations.
+    // the crash, the restart, and the migrations their first reads
+    // schedule.
     let done = Arc::new(PublishedBool::new(false));
     let readers: Vec<_> = (0..READERS)
         .map(|r| {
@@ -636,21 +652,21 @@ fn migration_storm_under_crash_keeps_floor_and_read_monotonicity() {
         })
     };
 
-    // The storm: crash the second replica holder mid-stream with the
-    // armed migrations still pending, then bring it back.
+    // The storm: crash the second replica holder mid-stream, with the
+    // readers' migrations landing around it, then bring it back.
     std::thread::sleep(Duration::from_millis(5));
     live.fault(&FaultEvent::Crash { server: churn.0 });
     std::thread::sleep(Duration::from_millis(20));
     live.fault(&FaultEvent::Restart { server: churn.0 });
     writer.join().expect("storm writer");
-    live.fault(&FaultEvent::Settle); // migrations (and their retire passes) execute here
+    live.fault(&FaultEvent::Settle);
     done.store(true);
     let total_reads: u64 = readers.into_iter().map(|r| r.join().expect("reader")).sum();
     assert!(total_reads > 0, "the readers must have observed the storm");
     live.fault(&FaultEvent::Settle);
 
     // Live outcome: full contents, the replication floor held through
-    // migration + retirement + crash, and the migrations really ran.
+    // migration + crash, and the migrations really ran.
     let live_end = read_all(&mut live, |_| reader_home, &handles);
     for (c, end) in live_end.iter().enumerate() {
         assert!(

@@ -8,9 +8,9 @@
 //!   the same with the readers on another server, whose reads forward
 //!   to the holder and are answered from its lease.
 //! * **skew** — sixteen cross-homed sessions read sixteen round-robin-
-//!   homed files under Zipf(1) popularity: access-driven placement must
-//!   migrate the hot files toward their readers during warm-up, so the
-//!   timed reads are served locally.
+//!   homed files marked `migration` (§3.1 method 4) under Zipf(1)
+//!   popularity: the warm-up's forwarded reads must migrate the files
+//!   toward their readers, so the timed reads are served locally.
 //!
 //! Workers are joined under [`WATCHDOG`], so a lock-order bug fails the
 //! test with the workload's name instead of hanging the suite.
@@ -117,6 +117,9 @@ fn remote_stream_readers_ride_the_holders_lease() {
     stream_readers_ride_the_lease("remote stream", 1);
 }
 
+/// Migration is the files' own parameter (§4: off by default), so the
+/// warm-up moves only what the files ask for; unmarked, the same reads
+/// stay well under the bound.
 #[test]
 fn skew_reads_go_local_after_placement_warmup() {
     const CLIENTS: usize = 16;
@@ -129,15 +132,16 @@ fn skew_reads_go_local_after_placement_warmup() {
         .map(|f| {
             let mut client = rt.client_homed(servers[f % servers.len()]);
             let attr = client.create(client.root(), &format!("skew{f}"), 0o644).expect("create");
-            client.set_file_params(attr.handle, FileParams::important(1)).expect("set replicas");
-            client.write(attr.handle, 0, b"placement warmup payload").expect("warmup write");
+            let params = FileParams { migration: true, ..FileParams::important(1) };
+            client.set_file_params(attr.handle, params).expect("set params");
+            client.write(attr.handle, 0, b"migration warmup payload").expect("warmup write");
             attr.handle
         })
         .collect();
 
-    // Cross-homed reads under the timed section's access pattern, so
-    // placement arms migrations of the hot files toward their readers;
-    // `settle` then executes them before anything is counted.
+    // Cross-homed reads under the timed section's access pattern: each
+    // file's first forwarded read from a server schedules its migration
+    // there; `settle` then executes them before anything is counted.
     let files = &files;
     let reads = |from: usize, to: usize| {
         move |(c, mut client): (usize, RuntimeClient)| {
@@ -164,7 +168,7 @@ fn skew_reads_go_local_after_placement_warmup() {
     let share = shared as f64 / served.max(1) as f64;
     assert!(
         share >= 0.6,
-        "skew: only {:.0}% of reads were served on the shared path after placement warm-up (needs >= 60%) — replica placement has regressed",
+        "skew: only {:.0}% of reads were served on the shared path after migration warm-up (needs >= 60%) — §3.1 migration has regressed",
         share * 100.0
     );
 }

@@ -250,31 +250,46 @@ fn live_counters_are_on() {
 }
 
 /// Work that only reads schedule still runs: a read entering at a server
-/// with no replica forwards and, past the placement threshold, schedules
-/// a migration toward that server — without taking the exclusive lock or
+/// whose replica a stabilize round missed forwards and schedules a read
+/// repair of that replica — without taking the exclusive lock or
 /// mutating anything. The stats must count that work, and the pump must
-/// run it, with no `settle` to push it along.
+/// run it, with no `settle` to push it along. (A repair waits out its
+/// damping window, `lazy_apply_delay`, so nothing fires it before the
+/// stats are compared.)
 #[test]
 fn work_scheduled_by_reads_alone_is_counted_and_runs() {
-    let migrations = |rt: &ClusterRuntime| {
-        let placement = rt.observe().core.expect("the standard engine keeps obs").placement;
-        (placement.migrations_proposed, placement.migrations_executed)
+    let repairs = |rt: &ClusterRuntime| {
+        let stats = rt.observe().stats.expect("the engine exports its counters");
+        let count = |name: &str| stats.get(name).unwrap_or_else(|| panic!("no counter {name}"));
+        (count("core/reads/repairs_scheduled"), count("core/reads/repairs"))
     };
-    // Forwarded reads through server 2 until one schedules a migration,
-    // and no further: a later read could fire it once it is due.
+    // Server 2's replica is marked unstable, then cut off through the
+    // stream's drain and its stabilize round; the transport heals
+    // without the §3.6 reconciliation, so nothing is pending. Then
+    // forwarded reads through server 2 until one schedules a repair, and
+    // no further: a later read could fire it once it is due.
     let read_until_scheduled = |rt: &ClusterRuntime| {
         let mut writer = rt.client_homed(NodeId(0));
         let attr = writer.create(writer.root(), "read-only", 0o644).expect("create");
-        writer.write(attr.handle, 0, b"read, never written again").expect("write");
+        let params = FileParams { min_replicas: 3, ..FileParams::default() };
+        writer.set_file_params(attr.handle, params).expect("set replication");
+        writer.write(attr.handle, 0, b"stream v1").expect("write");
         rt.settle();
+        writer.write(attr.handle, 0, b"stream v2").expect("write");
+        rt.fault(&FaultEvent::Split { groups: vec![vec![0, 1], vec![2]] });
+        writer.write(attr.handle, 0, b"stream v3").expect("write");
+        rt.settle();
+        rt.with_engine(|e| e.fs.cluster.net.heal());
+        assert_eq!(rt.with_engine(|e| e.pending_work()), 0, "nothing pending before the reads");
         let mut reader = rt.client_homed(NodeId(2));
         for _ in 0..20 {
-            reader.read(attr.handle, 0, 64).expect("forwarded read");
-            if migrations(rt).0 > 0 {
+            let data = reader.read(attr.handle, 0, 64).expect("forwarded read");
+            assert_eq!(&data[..], b"stream v3");
+            if repairs(rt).0 > 0 {
                 break;
             }
         }
-        assert_eq!(migrations(rt), (1, 0), "the reads schedule one migration");
+        assert_eq!(repairs(rt), (1, 0), "the reads schedule one repair");
     };
 
     // The stats report the engine's own count of pending work.
@@ -282,20 +297,20 @@ fn work_scheduled_by_reads_alone_is_counted_and_runs() {
     read_until_scheduled(&rt);
     let stats_pending = rt.stats().pending_work;
     let engine_pending = rt.with_engine(|e| e.pending_work());
-    assert!(engine_pending >= 1, "the migration is due 5 s of protocol time out");
+    assert!(engine_pending >= 1, "the repair is due 5 s of protocol time out");
     assert_eq!(stats_pending, engine_pending, "stats must count the work reads schedule");
     rt.shutdown();
 
-    // With a short delay, the pump runs the migration on its own: its
-    // idle tick carries the protocol clock to the due time.
+    // With a short delay, the pump runs the repair on its own: its idle
+    // tick carries the protocol clock to the due time.
     let mut cfg = RuntimeConfig::new(3);
     cfg.cluster.lazy_apply_delay = SimDuration::from_millis(20);
     let rt = ClusterRuntime::start(cfg);
     read_until_scheduled(&rt);
     let mut polls = 0;
-    while migrations(&rt).1 == 0 {
+    while repairs(&rt).1 == 0 {
         polls += 1;
-        assert!(polls <= 1_000, "the pump never ran the migration reads scheduled (10 s)");
+        assert!(polls <= 1_000, "the pump never ran the repair reads scheduled (10 s)");
         thread::sleep(Duration::from_millis(10));
     }
     rt.shutdown();
