@@ -401,7 +401,7 @@ impl Cluster {
     /// ring lock.
     ///
     /// "Ready" means due, or not time-gated (`Pending::due_gated`):
-    /// ordinary deferred work fires as soon as the pump has capacity,
+    /// ordinary deferred work fires whenever the pump reaches its slot,
     /// but a stability check is left until the protocol clock genuinely
     /// reaches its quiet horizon — firing it early would both declare a
     /// busy stream quiet and drag the shared clock forward, thrashing
@@ -650,6 +650,21 @@ mod tests {
         assert_eq!(rounds(&|| c.single_major(branched)), (false, 1));
         assert_eq!(rounds(&|| c.single_major(neighbour)), (true, 1), "same slot: locked read");
         assert_eq!(rounds(&|| c.single_major(elsewhere)), (true, 0));
+    }
+
+    /// §3.5: a write at `write_safety` 0 leaves exactly one write-back
+    /// of the holder pending — the write's only deferred work when the
+    /// file has one replica and no stability checks.
+    #[test]
+    fn unsafe_write_schedules_one_write_back() {
+        let mut c = Cluster::new(1, ClusterConfig::deterministic());
+        let seg = c.create(NodeId(0)).unwrap().value;
+        let params =
+            crate::params::FileParams { write_safety: 0, stability: false, ..Default::default() };
+        c.set_params(NodeId(0), seg, params).unwrap();
+        c.run_until_quiet();
+        c.write(NodeId(0), seg, crate::ops::WriteOp::replace(b"later"), None).unwrap();
+        assert_eq!(c.pending_events(), 1, "one FlushServer, scheduled once");
     }
 
     #[test]

@@ -383,6 +383,9 @@ impl Cluster {
                 group_size: sent.group_size,
             },
         );
+        // §3.5's asynchronous write-back, scheduled once and before the
+        // token check below: a refused write may already have rewritten
+        // the holder's replica.
         if !sync_local {
             self.schedule_flush(via, key.0);
         }
@@ -396,9 +399,6 @@ impl Cluster {
         // ring lock) refuses the write rather than killing the server.
         if !end.has_token {
             return Err(DeceitError::WriteUnavailable(seg));
-        }
-        if !sync_local {
-            self.schedule_flush(via, key.0);
         }
 
         // Table 1 row 4: count update replies; §3.1 method 1 — if the

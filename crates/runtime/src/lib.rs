@@ -18,9 +18,13 @@
 //!   [`deceit_core::OpClass`]), read-only requests run concurrently
 //!   under a shared cell lock, and mutations take per-file shard locks
 //!   in a fixed order;
-//! * a **pump thread** advances deferred protocol work (asynchronous
-//!   propagation, write-back, stability timeouts, background replica
-//!   generation) that the simulator would drive from its event queue;
+//! * deferred protocol work (asynchronous propagation, write-back,
+//!   stability timeouts, background replica generation), which the
+//!   simulator drives from its event queue, fires here in two places: a
+//!   request fires what is due in the slots it holds, inline, and a
+//!   **pump thread** drains one ready slot per tick, round-robin, so
+//!   background work trickles rather than bursts past the requests in
+//!   flight;
 //! * clients are [`RuntimeClient`] sessions speaking the NFS envelope
 //!   (`lookup`/`create`/`read`/`write`/`set_file_params`/…) with request
 //!   pipelining and write batching over correlated RPC

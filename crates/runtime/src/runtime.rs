@@ -4,10 +4,12 @@
 //! arrival order: it hands the request to `ShardedEngine::serve`, which
 //! picks the locks (see [`crate::shard`]) and returns the reply with the
 //! rung that answered; the thread counts that rung and replies. Nothing
-//! here names a lock level or an [`NfsService`] entry. The pump thread
-//! drains the engine's per-shard deferred work one slot at a time through
-//! `ShardedEngine::pump_slot`, and failure injection and the inspection
-//! hatches take the whole engine through `ShardedEngine::exclusive`.
+//! here names a lock level or an [`NfsService`] entry. Deferred protocol
+//! work has two firers: a request fires what is due in the slots it
+//! holds, inline, and the pump thread drains one ready slot per tick,
+//! round-robin, through `ShardedEngine::pump_slot`. Failure injection
+//! and the inspection hatches take the whole engine through
+//! `ShardedEngine::exclusive`.
 //!
 //! The cell's topology has one owner per layer: the engine's network for
 //! the protocol, the bus for the threads. [`ClusterRuntime::fault`] is
@@ -40,10 +42,14 @@ pub(crate) type NfsFrame = Rpc<NfsRequest, NfsReply>;
 /// First node id handed to client sessions; servers occupy `0..n`.
 pub(crate) const CLIENT_BASE: u32 = 1_000;
 
-/// How long the pump thread sleeps when no deferred work is ready.
+/// The pump's tick: it sleeps this long after each [`pump_step`] — after
+/// draining one ready slot as much as after finding none — and advances
+/// the protocol clock by as much on a tick that finds work pending but
+/// none ready.
 const PUMP_INTERVAL: Duration = Duration::from_millis(1);
 
-/// Deferred-work events the pump fires per slot per pass.
+/// Deferred-work events the pump fires from the one slot it drains in a
+/// tick.
 const PUMP_BATCH: usize = 128;
 
 /// One server's traffic counters, updated lock-free by its message loop
@@ -487,65 +493,85 @@ fn serve_loop<S: NfsService + ProtocolHost>(
 }
 
 /// The deferred-work pump: what the simulator's event loop does between
-/// client operations, done here from a real thread — per shard, in
-/// bounded slices, so server threads interleave fairly on the cell lock
-/// and no single file's backlog monopolizes a pump pass.
+/// client operations, done here from a real thread. Requests fire the
+/// work that is due in the slots they hold inline
+/// (`Cluster::client_op_scoped`); the pump takes the rest at a steady
+/// trickle — one [`pump_step`] per [`PUMP_INTERVAL`], so background work
+/// never arrives as a burst in front of the requests in flight, and each
+/// ready slot is still visited within `shard_count()` ticks.
 fn pump_loop<S: ProtocolHost>(shared: &Shared<S>) {
-    let shards = shared.engine.shard_count();
     // Idle/busy transition accounting: a pump that flaps between the
     // two under load is a sign the batching window is mistuned.
     let mut idle = true;
+    let mut cursor = 0;
     while !shared.stop.load() {
-        // One allocation-free probe under the shared cell lock asks the
-        // engine whether any deferred work is pending and, if so, which
-        // slots have work ready; each such slot then drains under the
-        // shared cell lock plus its own ring lock — concurrent with
-        // request service everywhere else. A shared acquisition blocks
-        // no reader, so an idle pump's probe costs a read-only workload
-        // nothing but the acquisition itself.
-        let mask = {
-            let engine = shared.engine.read_guard();
-            (engine.pending_work() > 0).then(|| engine.pending_shard_mask())
-        };
-        let Some(mask) = mask else {
-            if !idle {
-                idle = true;
-                shared.obs.pump_to_idle.fetch_add(1);
-            }
-            thread::sleep(PUMP_INTERVAL);
-            continue;
-        };
-        if idle {
-            idle = false;
-            shared.obs.pump_to_busy.fetch_add(1);
+        let now_idle = pump_step(&shared.engine, &mut cursor) == Tick::Idle;
+        if now_idle != idle {
+            idle = now_idle;
+            let edge = if idle { &shared.obs.pump_to_idle } else { &shared.obs.pump_to_busy };
+            edge.fetch_add(1);
         }
-        let mut fired = 0;
-        for slot in 0..shards {
-            if mask & (1 << slot) == 0 {
-                continue;
-            }
-            fired += shared.engine.pump_slot(slot, PUMP_BATCH);
+        thread::sleep(PUMP_INTERVAL);
+    }
+}
+
+/// What one [`pump_step`] did.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Tick {
+    /// No deferred work was pending.
+    Idle,
+    /// Work was pending but none of it ready: the protocol clock
+    /// advanced by one [`PUMP_INTERVAL`].
+    Waited,
+    /// `slot`, the next ready slot after the cursor, drained `fired`
+    /// units of its work.
+    Pumped { slot: usize, fired: usize },
+}
+
+/// One pump tick, without the sleep: drains the first slot at or after
+/// `*cursor` (round-robin over the engine's slots) that has deferred
+/// work ready, up to [`PUMP_BATCH`] units, and moves the cursor past it.
+fn pump_step<S: ProtocolHost>(engine: &ShardedEngine<S>, cursor: &mut usize) -> Tick {
+    // One allocation-free probe under the shared cell lock asks the
+    // engine whether any deferred work is pending and, if so, which
+    // slots have work ready. A shared acquisition blocks no reader, so
+    // an idle pump's probe costs a read-only workload nothing but the
+    // acquisition itself.
+    let mask = {
+        let engine = engine.read_guard();
+        if engine.pending_work() == 0 {
+            return Tick::Idle;
         }
-        if fired == 0 {
+        let mask = engine.pending_shard_mask();
+        if mask == 0 {
             // Work is pending but none of it is ready: it is parked
             // behind a protocol-clock horizon (a stability quiet period,
             // a drain's batching window) and a quiet cell advances that
             // clock through nothing else. Map the idle wall interval
             // onto the protocol clock so the horizons elapse in real
-            // time; once they do, the next pass fires them and the
-            // queue drains to a true zero.
-            let tick = deceit_sim::SimDuration::from_micros(
+            // time; once they do, a later tick fires them and the queue
+            // drains to a true zero.
+            engine.advance_idle_clock(deceit_sim::SimDuration::from_micros(
                 PUMP_INTERVAL.as_micros().min(u64::MAX as u128) as u64,
-            );
-            shared.engine.read_guard().advance_idle_clock(tick);
-            thread::sleep(PUMP_INTERVAL);
+            ));
+            return Tick::Waited;
         }
-    }
+        mask
+    };
+    // The mask has no bits at or above the slot count, so rotating the
+    // cursor's bit down to bit 0 puts the next ready slot, wrapping
+    // round, at the lowest set bit.
+    let slot = (*cursor + mask.rotate_right(*cursor as u32).trailing_zeros() as usize) % 64;
+    *cursor = (slot + 1) % engine.shard_count();
+    // The slot drains under the shared cell lock plus its own ring lock
+    // — concurrent with request service on every other slot.
+    Tick::Pumped { slot, fired: engine.pump_slot(slot, PUMP_BATCH) }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bytes::Bytes;
 
     fn n(v: u32) -> NodeId {
         NodeId(v)
@@ -553,6 +579,87 @@ mod tests {
 
     fn split(groups: &[&[u32]]) -> FaultEvent {
         FaultEvent::Split { groups: groups.iter().map(|g| g.to_vec()).collect() }
+    }
+
+    /// A real engine, as `ClusterRuntime::start` builds it, whose files
+    /// write back asynchronously (`write_safety` 0): each write leaves
+    /// its `FlushServer` ready in the file's slot, and its §3.4 stability
+    /// check parked 30 s out on the protocol clock.
+    fn write_behind_engine() -> ShardedEngine<NfsServer> {
+        let cfg = crate::RuntimeConfig::new(3);
+        let mut fs = cfg.fs.clone();
+        fs.file_params.write_safety = 0;
+        let cluster = cfg.cluster.clone().with_shards(cfg.shards);
+        ShardedEngine::new(NfsServer::new(DeceitFs::new(cfg.servers, cluster, fs)))
+    }
+
+    /// Pending work, ready-slot mask and protocol clock, read together.
+    fn probe(engine: &ShardedEngine<NfsServer>) -> (usize, u64, deceit_sim::SimTime) {
+        let e = engine.read_guard();
+        (e.pending_work(), e.pending_shard_mask(), e.fs.cluster.now())
+    }
+
+    /// The pump's tick, stepped by hand: each step drains one ready slot
+    /// and leaves every other slot's work in place; `shard_count()` steps
+    /// visit every slot that was ready, in round-robin order from the
+    /// cursor — a slot refilled after its turn waits for the rest of the
+    /// round; and with work pending but none ready, a step fires nothing
+    /// and advances the protocol clock by one tick.
+    #[test]
+    fn pump_step_drains_one_ready_slot_per_tick_round_robin() {
+        let engine = write_behind_engine();
+        let shards = engine.shard_count();
+        let root = engine.read_guard().fs.root();
+        // Create every file first: a creation holds the whole cell and
+        // fires whatever is due anywhere, an earlier write-back included.
+        let writes: Vec<NfsRequest> = (0..4)
+            .map(|i| {
+                let create = NfsRequest::Create { dir: root, name: format!("f{i}"), mode: 0o644 };
+                let (NfsReply::Attr(attr), _) = engine.serve(n(0), create) else {
+                    panic!("create f{i} failed");
+                };
+                NfsRequest::Write { fh: attr.handle, offset: 0, data: Bytes::from_static(b"x") }
+            })
+            .collect();
+        let write = |req: &NfsRequest| {
+            let (reply, _) = engine.serve(n(0), req.clone());
+            assert!(reply.as_error().is_none(), "{req:?}: {reply:?}");
+        };
+        writes.iter().for_each(write);
+        let (_, ready, _) = probe(&engine);
+        let ready_slots: Vec<usize> = (0..shards).filter(|s| ready & (1 << s) != 0).collect();
+        assert!(ready_slots.len() >= 3, "write-backs ready in too few slots: {ready:#b}");
+
+        // Start the cursor just past the first ready slot, so the round
+        // wraps and comes back to that slot last; refill the first slot
+        // drained, so it comes round once more after that.
+        let mut cursor = ready_slots[0] + 1;
+        let mut visited = Vec::new();
+        for _ in 0..shards {
+            let (_, before, _) = probe(&engine);
+            if let Tick::Pumped { slot, fired } = pump_step(&engine, &mut cursor) {
+                let (_, after, _) = probe(&engine);
+                assert!(fired > 0, "slot {slot} was ready but fired nothing");
+                assert_eq!(after, before & !(1 << slot), "a step touched a second slot");
+                if visited.is_empty() {
+                    let slot_of = |req: &&NfsRequest| {
+                        req.shard_key().map(|key| deceit_core::shard_slot(key, shards))
+                    };
+                    writes.iter().filter(|req| slot_of(req) == Some(slot)).for_each(write);
+                }
+                visited.push(slot);
+            }
+        }
+        let mut round = ready_slots[1..].to_vec();
+        round.extend([ready_slots[0], ready_slots[1]]);
+        assert_eq!(visited, round, "ready slots out of round-robin order");
+
+        let (pending, ready, clock) = probe(&engine);
+        assert!(pending > 0, "the stability checks should still be parked");
+        assert_eq!(ready, 0);
+        assert_eq!(pump_step(&engine, &mut cursor), Tick::Waited);
+        let tick = deceit_sim::SimDuration::from_micros(PUMP_INTERVAL.as_micros() as u64);
+        assert_eq!(probe(&engine), (pending, 0, clock + tick), "a waiting tick fired work");
     }
 
     /// A session opened *while* a server partition is in force lands on
