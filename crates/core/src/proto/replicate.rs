@@ -51,10 +51,8 @@ impl Cluster {
         candidates.sort_by_key(|&s| (self.server(s).ops_served.load(Ordering::Relaxed), s));
         let at = self.now() + SimDuration::from_millis(1);
         for target in candidates.into_iter().take(deficit) {
-            self.events.push(
-                at,
-                Pending::GenerateReplica { holder, key, target, migration: false },
-            );
+            self.events
+                .push(at, Pending::GenerateReplica { holder, key, target, migration: false });
         }
     }
 

@@ -50,10 +50,8 @@ impl RuntimeConfig {
         // forever. Both off in the paper-faithful simulator default, on
         // here — the differential suite runs both worlds with this same
         // config, so sim and live exercise identical semantics.
-        let mut cluster = ClusterConfig::default()
-            .with_write_pipeline()
-            .with_read_leases()
-            .with_read_repair();
+        let mut cluster =
+            ClusterConfig::default().with_write_pipeline().with_read_leases().with_read_repair();
         cluster.stability_timeout = deceit_sim::SimDuration::from_secs(30);
         // The lazy-apply delay doubles as the pipeline's batching window
         // (a drain fires when the protocol clock reaches it); at ~20ms

@@ -22,9 +22,12 @@
 //!   stability timeouts, background replica generation), which the
 //!   simulator drives from its event queue, fires here in two places: a
 //!   request fires what is due in the slots it holds, inline, and a
-//!   **pump thread** drains one ready slot per tick, round-robin, so
+//!   **pump thread** drains one ready slot per wake, round-robin, so
 //!   background work trickles rather than bursts past the requests in
-//!   flight;
+//!   flight; it naps 1 ms in a quiet cell (a ready slot waits ≤ 16 ms)
+//!   and 16 ms while requests flow (a slot no request reaches waits
+//!   ≤ 256 ms), so its timer does not preempt requests every
+//!   millisecond;
 //! * clients are [`RuntimeClient`] sessions speaking the NFS envelope
 //!   (`lookup`/`create`/`read`/`write`/`set_file_params`/…) with request
 //!   pipelining and write batching over correlated RPC

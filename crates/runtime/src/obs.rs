@@ -5,11 +5,11 @@
 //! the live runtime measures wall-clock ones. [`RuntimeObs`] holds the
 //! request-boundary histograms — recorded by [`crate::RuntimeClient`] at
 //! the request/reply boundary, classified by the request's
-//! [`OpClass`] — plus the pump's idle/busy transition counters and the
-//! sessions' failover counters. Everything is lock-free atomics
-//! ([`AtomicHistogram`] buckets and relaxed counters), always on, and
-//! shared by `Arc` between the runtime handle, every server thread, and
-//! every client session.
+//! [`OpClass`] — plus the pump's step, long-nap and idle/busy
+//! transition counters and the sessions' failover counters. Everything
+//! is lock-free atomics ([`AtomicHistogram`] buckets and relaxed
+//! counters), always on, and shared by `Arc` between the runtime handle,
+//! every server thread, and every client session.
 //!
 //! [`ClusterRuntime::observe`](crate::ClusterRuntime::observe) folds
 //! these together with the engine's lock-level telemetry
@@ -47,6 +47,12 @@ pub struct RuntimeObs {
     /// End-to-end request latency (microseconds), client submit to reply
     /// receipt, one histogram per op class — see [`OP_CLASS_NAMES`].
     pub op_latency: [AtomicHistogram; OP_CLASSES],
+    /// Pump steps taken: one per wake of the pump thread.
+    pub pump_steps: RelaxedU64,
+    /// Of the naps after those steps, the long ones: taken because
+    /// requests were served since the step before, `shard_count()`
+    /// ticks instead of one.
+    pub pump_long_naps: RelaxedU64,
     /// Pump transitions into the idle loop (no deferred work pending).
     pub pump_to_idle: RelaxedU64,
     /// Pump transitions back to draining (work appeared after idling).
@@ -70,6 +76,8 @@ impl RuntimeObs {
     pub fn new() -> Self {
         RuntimeObs {
             op_latency: std::array::from_fn(|_| AtomicHistogram::new()),
+            pump_steps: RelaxedU64::new(0),
+            pump_long_naps: RelaxedU64::new(0),
             pump_to_idle: RelaxedU64::new(0),
             pump_to_busy: RelaxedU64::new(0),
             failover_retries: RelaxedU64::new(0),
@@ -123,6 +131,10 @@ pub struct ObsReport {
     /// Request latency summaries, one per op class, named per
     /// [`OP_CLASS_NAMES`].
     pub op_latency: Vec<(&'static str, HistSummary)>,
+    /// Pump steps, one per wake.
+    pub pump_steps: u64,
+    /// Pump naps taken long because requests were flowing.
+    pub pump_long_naps: u64,
     /// Pump busy→idle transitions.
     pub pump_to_idle: u64,
     /// Pump idle→busy transitions.
@@ -156,8 +168,8 @@ impl ObsReport {
         out.push_str("\n  },\n");
         let _ = writeln!(
             out,
-            "  \"pump\": {{\"to_idle\": {}, \"to_busy\": {}}},",
-            self.pump_to_idle, self.pump_to_busy
+            "  \"pump\": {{\"steps\": {}, \"long_naps\": {}, \"to_idle\": {}, \"to_busy\": {}}},",
+            self.pump_steps, self.pump_long_naps, self.pump_to_idle, self.pump_to_busy
         );
         let _ = writeln!(
             out,
@@ -261,6 +273,8 @@ mod tests {
     fn report_with(stats: StatsSnapshot) -> ObsReport {
         ObsReport {
             op_latency: vec![("read_only", summary_of(&[10, 20, 30]))],
+            pump_steps: 40,
+            pump_long_naps: 9,
             pump_to_idle: 2,
             pump_to_busy: 1,
             failover_retries: 5,
@@ -308,6 +322,7 @@ mod tests {
             "\"p50_us\"",
             "\"p90_us\"",
             "\"p99_us\"",
+            "\"pump\": {\"steps\": 40, \"long_naps\": 9, \"to_idle\": 2, \"to_busy\": 1}",
             "\"failover\": {\"retries\": 5, \"exhausted\": 1}",
             "\"shared_acquisitions\": 7",
             "\"lease_validation_failures\": 1",

@@ -6,10 +6,12 @@
 //! rung that answered; the thread counts that rung and replies. Nothing
 //! here names a lock level or an [`NfsService`] entry. Deferred protocol
 //! work has two firers: a request fires what is due in the slots it
-//! holds, inline, and the pump thread drains one ready slot per tick,
-//! round-robin, through `ShardedEngine::pump_slot`. Failure injection
-//! and the inspection hatches take the whole engine through
-//! `ShardedEngine::exclusive`.
+//! holds, inline, and the pump thread drains one ready slot per wake,
+//! round-robin, through `ShardedEngine::pump_slot`. The pump naps
+//! `PUMP_INTERVAL` (1 ms) in a quiet cell and `shard_count()` times as
+//! long while requests flow, so under load its timer does not preempt
+//! them every millisecond. Failure injection and the inspection hatches
+//! take the whole engine through `ShardedEngine::exclusive`.
 //!
 //! The cell's topology has one owner per layer: the engine's network for
 //! the protocol, the bus for the threads. [`ClusterRuntime::fault`] is
@@ -42,14 +44,17 @@ pub(crate) type NfsFrame = Rpc<NfsRequest, NfsReply>;
 /// First node id handed to client sessions; servers occupy `0..n`.
 pub(crate) const CLIENT_BASE: u32 = 1_000;
 
-/// The pump's tick: it sleeps this long after each [`pump_step`] — after
-/// draining one ready slot as much as after finding none — and advances
-/// the protocol clock by as much on a tick that finds work pending but
-/// none ready.
+/// The pump's tick: in a quiet cell it naps this long after each
+/// [`pump_step`] — after draining one ready slot as much as after finding
+/// none — so a ready slot waits at most `shard_count()` ticks (16 ms).
+/// While requests flow it naps `shard_count()` ticks instead
+/// ([`pump_nap`]), and a slot no request reaches then waits at most
+/// `shard_count()²` ticks (256 ms). A step that finds work pending but
+/// none ready advances the protocol clock by the nap it follows.
 const PUMP_INTERVAL: Duration = Duration::from_millis(1);
 
 /// Deferred-work events the pump fires from the one slot it drains in a
-/// tick.
+/// wake.
 const PUMP_BATCH: usize = 128;
 
 /// One server's traffic counters, updated lock-free by its message loop
@@ -139,6 +144,11 @@ impl<S> Shared<S> {
     /// Requests served by every server on `rung`.
     fn served(&self, rung: Rung) -> u64 {
         self.tallies.iter().map(|t| t.served(rung)).sum()
+    }
+
+    /// Requests served by every server on every rung.
+    fn served_total(&self) -> u64 {
+        self.tallies.iter().map(Tally::served_total).sum()
     }
 }
 
@@ -343,7 +353,7 @@ impl<S: NfsService + ProtocolHost + Send + Sync + 'static> ClusterRuntime<S> {
             bus_wakes: self.shared.bus.wakes(),
             bus_yields: self.shared.bus.yields(),
             clock_reads: deceit_sim::wall::reads(),
-            requests_served: self.shared.tallies.iter().map(Tally::served_total).sum(),
+            requests_served: self.shared.served_total(),
             requests_served_shared: self.shared.served(Rung::Shared),
             requests_served_sharded: self.shared.served(Rung::Ring),
             pending_work: self.shared.engine.read_guard().pending_work(),
@@ -382,6 +392,8 @@ impl<S: NfsService + ProtocolHost + Send + Sync + 'static> ClusterRuntime<S> {
                 .zip(&obs.op_latency)
                 .map(|(&name, h)| (name, h.summary()))
                 .collect(),
+            pump_steps: obs.pump_steps.load(),
+            pump_long_naps: obs.pump_long_naps.load(),
             pump_to_idle: obs.pump_to_idle.load(),
             pump_to_busy: obs.pump_to_busy.load(),
             failover_retries: obs.failover_retries.load(),
@@ -433,6 +445,8 @@ impl<S: NfsService + ProtocolHost + Send + Sync + 'static> ClusterRuntime<S> {
             let _ = h.join();
         }
         if let Some(h) = self.pump_thread.take() {
+            // Cut the pump's nap short rather than wait it out.
+            h.thread().unpark();
             let _ = h.join();
         }
     }
@@ -496,22 +510,46 @@ fn serve_loop<S: NfsService + ProtocolHost>(
 /// client operations, done here from a real thread. Requests fire the
 /// work that is due in the slots they hold inline
 /// (`Cluster::client_op_scoped`); the pump takes the rest at a steady
-/// trickle — one [`pump_step`] per [`PUMP_INTERVAL`], so background work
-/// never arrives as a burst in front of the requests in flight, and each
-/// ready slot is still visited within `shard_count()` ticks.
+/// trickle — one [`pump_step`] per wake, so background work never
+/// arrives as a burst in front of the requests in flight. Each nap is
+/// picked by [`pump_nap`] from what the previous one saw: requests served
+/// meanwhile mean they are firing due work and moving the protocol clock
+/// themselves, and the pump stays out of their way for `shard_count()`
+/// ticks; otherwise it naps one [`PUMP_INTERVAL`]. The nap is a
+/// `park_timeout`, which shutdown cuts short with an unpark.
 fn pump_loop<S: ProtocolHost>(shared: &Shared<S>) {
+    let obs = &shared.obs;
     // Idle/busy transition accounting: a pump that flaps between the
     // two under load is a sign the batching window is mistuned.
     let mut idle = true;
     let mut cursor = 0;
+    let mut nap = PUMP_INTERVAL;
+    let mut served = shared.served_total();
     while !shared.stop.load() {
-        let now_idle = pump_step(&shared.engine, &mut cursor) == Tick::Idle;
+        let now_idle = pump_step(&shared.engine, &mut cursor, nap) == Tick::Idle;
+        obs.pump_steps.fetch_add(1);
         if now_idle != idle {
             idle = now_idle;
-            let edge = if idle { &shared.obs.pump_to_idle } else { &shared.obs.pump_to_busy };
+            let edge = if idle { &obs.pump_to_idle } else { &obs.pump_to_busy };
             edge.fetch_add(1);
         }
-        thread::sleep(PUMP_INTERVAL);
+        let now_served = shared.served_total();
+        nap = pump_nap(now_served != served, shared.engine.shard_count());
+        served = now_served;
+        if nap > PUMP_INTERVAL {
+            obs.pump_long_naps.fetch_add(1);
+        }
+        thread::park_timeout(nap);
+    }
+}
+
+/// The pump's nap after a step: one [`PUMP_INTERVAL`] in a quiet cell,
+/// `shards` of them when requests were served since the step before.
+fn pump_nap(requests_served: bool, shards: usize) -> Duration {
+    if requests_served {
+        PUMP_INTERVAL.saturating_mul(u32::try_from(shards).unwrap_or(u32::MAX))
+    } else {
+        PUMP_INTERVAL
     }
 }
 
@@ -521,17 +559,24 @@ enum Tick {
     /// No deferred work was pending.
     Idle,
     /// Work was pending but none of it ready: the protocol clock
-    /// advanced by one [`PUMP_INTERVAL`].
+    /// advanced by the nap the step followed.
     Waited,
     /// `slot`, the next ready slot after the cursor, drained `fired`
     /// units of its work.
     Pumped { slot: usize, fired: usize },
 }
 
-/// One pump tick, without the sleep: drains the first slot at or after
+/// One pump wake, without the nap: drains the first slot at or after
 /// `*cursor` (round-robin over the engine's slots) that has deferred
 /// work ready, up to [`PUMP_BATCH`] units, and moves the cursor past it.
-fn pump_step<S: ProtocolHost>(engine: &ShardedEngine<S>, cursor: &mut usize) -> Tick {
+/// With work pending but none ready, it advances the protocol clock by
+/// `napped`, the nap this step follows, so idle wall time maps 1:1 onto
+/// protocol time whatever the nap's length.
+fn pump_step<S: ProtocolHost>(
+    engine: &ShardedEngine<S>,
+    cursor: &mut usize,
+    napped: Duration,
+) -> Tick {
     // One allocation-free probe under the shared cell lock asks the
     // engine whether any deferred work is pending and, if so, which
     // slots have work ready. A shared acquisition blocks no reader, so
@@ -552,7 +597,7 @@ fn pump_step<S: ProtocolHost>(engine: &ShardedEngine<S>, cursor: &mut usize) -> 
             // time; once they do, a later tick fires them and the queue
             // drains to a true zero.
             engine.advance_idle_clock(deceit_sim::SimDuration::from_micros(
-                PUMP_INTERVAL.as_micros().min(u64::MAX as u128) as u64,
+                napped.as_micros().min(u64::MAX as u128) as u64,
             ));
             return Tick::Waited;
         }
@@ -604,7 +649,9 @@ mod tests {
     /// visit every slot that was ready, in round-robin order from the
     /// cursor — a slot refilled after its turn waits for the rest of the
     /// round; and with work pending but none ready, a step fires nothing
-    /// and advances the protocol clock by one tick.
+    /// and advances the protocol clock by exactly the nap it follows. The
+    /// nap is one tick in a quiet cell and `shard_count()` ticks after a
+    /// step with requests served.
     #[test]
     fn pump_step_drains_one_ready_slot_per_tick_round_robin() {
         let engine = write_behind_engine();
@@ -637,7 +684,7 @@ mod tests {
         let mut visited = Vec::new();
         for _ in 0..shards {
             let (_, before, _) = probe(&engine);
-            if let Tick::Pumped { slot, fired } = pump_step(&engine, &mut cursor) {
+            if let Tick::Pumped { slot, fired } = pump_step(&engine, &mut cursor, PUMP_INTERVAL) {
                 let (_, after, _) = probe(&engine);
                 assert!(fired > 0, "slot {slot} was ready but fired nothing");
                 assert_eq!(after, before & !(1 << slot), "a step touched a second slot");
@@ -657,9 +704,89 @@ mod tests {
         let (pending, ready, clock) = probe(&engine);
         assert!(pending > 0, "the stability checks should still be parked");
         assert_eq!(ready, 0);
-        assert_eq!(pump_step(&engine, &mut cursor), Tick::Waited);
-        let tick = deceit_sim::SimDuration::from_micros(PUMP_INTERVAL.as_micros() as u64);
-        assert_eq!(probe(&engine), (pending, 0, clock + tick), "a waiting tick fired work");
+        let quiet = pump_nap(false, shards);
+        let busy = pump_nap(true, shards);
+        assert_eq!(quiet, PUMP_INTERVAL);
+        assert_eq!(busy, PUMP_INTERVAL * shards as u32);
+        let mut expected = clock;
+        for nap in [quiet, busy, quiet] {
+            assert_eq!(pump_step(&engine, &mut cursor, nap), Tick::Waited);
+            expected += deceit_sim::SimDuration::from_micros(nap.as_micros() as u64);
+            assert_eq!(probe(&engine), (pending, 0, expected), "a waiting step after {nap:?}");
+        }
+    }
+
+    /// Under sustained load the pump naps long, yet still reaches a slot
+    /// that no request holds: a session streams reads of files in other
+    /// slots for 1 s, and a write-behind write's ready work in slot `a`
+    /// must be fired within twice the `shard_count()²`-tick bound. A cell
+    /// with no requests never naps long.
+    #[test]
+    fn pump_reaches_a_slot_no_request_holds_while_requests_flow() {
+        let mut cfg = crate::RuntimeConfig::new(3);
+        cfg.fs.file_params.write_safety = 0;
+        let rt = ClusterRuntime::start(cfg);
+        let engine = &rt.shared.engine;
+        let shards = engine.shard_count();
+        let woke = deceit_sim::wall::now();
+        while rt.observe().pump_steps < 3 {
+            assert!(deceit_sim::wall::since(woke) < Duration::from_secs(10), "the pump never woke");
+            thread::sleep(PUMP_INTERVAL);
+        }
+        assert_eq!(rt.observe().pump_long_naps, 0, "a cell with no requests napped long");
+        let slot_of = |fh| {
+            let read = NfsRequest::Read { fh, offset: 0, count: 64 };
+            read.shard_key().map(|key| deceit_core::shard_slot(key, shards))
+        };
+        let mut writer = rt.client_homed(n(0));
+        let root = writer.root();
+        let files: Vec<_> = (0..8)
+            .map(|i| writer.create(root, &format!("f{i}"), 0o644).expect("create").handle)
+            .collect();
+        for &fh in &files {
+            writer.write(fh, 0, b"streamed").expect("write");
+        }
+        rt.settle();
+        let target = files[0];
+        let a = slot_of(target).expect("a file has a slot");
+        let others: Vec<_> = files.iter().copied().filter(|&fh| slot_of(fh) != Some(a)).collect();
+        assert!(!others.is_empty(), "every file landed in slot {a}");
+
+        let stream = Duration::from_secs(1);
+        let bound = PUMP_INTERVAL * (2 * shards * shards) as u32;
+        let long_naps_before = rt.observe().pump_long_naps;
+        thread::scope(|scope| {
+            let mut reader = rt.client_homed(n(1));
+            let others = &others;
+            let (under_way, wait_under_way) = std::sync::mpsc::channel();
+            let streamer = scope.spawn(move || {
+                let start = deceit_sim::wall::now();
+                let mut reads = 0u64;
+                while deceit_sim::wall::since(start) < stream {
+                    let fh = others[reads as usize % others.len()];
+                    reader.read(fh, 0, 64).expect("streamed read");
+                    reads += 1;
+                    if reads == 1_000 {
+                        let _ = under_way.send(());
+                    }
+                }
+                reads
+            });
+            // The write lands once the stream is under way.
+            wait_under_way.recv().expect("the stream got under way");
+            writer.write(target, 0, b"behind").expect("write-behind write");
+            let written = deceit_sim::wall::now();
+            while engine.read_guard().pending_shard_mask() & (1 << a) != 0 {
+                assert!(
+                    deceit_sim::wall::since(written) <= bound,
+                    "slot {a}'s ready work waited past {bound:?} while requests flowed"
+                );
+                thread::sleep(PUMP_INTERVAL);
+            }
+            assert!(streamer.join().expect("streamer") > 0);
+        });
+        assert!(rt.observe().pump_long_naps > long_naps_before, "the pump never saw the load");
+        rt.shutdown();
     }
 
     /// A session opened *while* a server partition is in force lands on

@@ -108,7 +108,8 @@ fn unmarked_files_do_not_migrate_in_the_live_profile() {
             assert_eq!(call(world, reader, read), NfsReply::Data(b"read remotely"[..].into()));
         }
         world.fault(&FaultEvent::Settle);
-        let NfsReply::Replicas(holders) = call(world, home, NfsRequest::DeceitLocateReplicas { fh })
+        let NfsReply::Replicas(holders) =
+            call(world, home, NfsRequest::DeceitLocateReplicas { fh })
         else {
             panic!("locate: not a replica list");
         };
