@@ -5,34 +5,35 @@
 //! server information."
 
 use std::collections::HashMap;
+use std::hash::Hash;
 
-use bytes::Bytes;
-use deceit_core::VersionPair;
-use deceit_nfs::{FileAttr, FileHandle};
-use deceit_sim::{SimDuration, SimTime};
-
-/// A TTL-bounded attribute cache (the classic NFS attribute cache).
-#[derive(Debug, Default)]
-pub struct AttrCache {
-    entries: HashMap<FileHandle, (FileAttr, SimTime)>,
+/// A cache whose entries each carry a stamp, and are served only while
+/// the stamp passes the reader's check: an expiry for TTL-bounded
+/// attributes and name bindings (the classic NFS attribute cache), a
+/// version pair for whole-file data (the version pair doubles as NFS's
+/// change attribute).
+#[derive(Debug)]
+pub struct Cache<K, V, S> {
+    entries: HashMap<K, (V, S)>,
     /// Lookups satisfied from the cache.
     pub hits: u64,
     /// Lookups that had to go to the server.
     pub misses: u64,
 }
 
-impl AttrCache {
-    /// An empty cache.
-    pub fn new() -> Self {
-        AttrCache::default()
+impl<K, V, S> Default for Cache<K, V, S> {
+    fn default() -> Self {
+        Cache { entries: HashMap::new(), hits: 0, misses: 0 }
     }
+}
 
-    /// Fetches an unexpired attribute.
-    pub fn get(&mut self, fh: FileHandle, now: SimTime) -> Option<FileAttr> {
-        match self.entries.get(&fh) {
-            Some((attr, expiry)) if *expiry > now => {
+impl<K: Eq + Hash, V: Clone, S> Cache<K, V, S> {
+    /// The entry for `key`, if its stamp passes `valid`.
+    pub fn get(&mut self, key: &K, valid: impl FnOnce(&S) -> bool) -> Option<V> {
+        match self.entries.get(key) {
+            Some((value, stamp)) if valid(stamp) => {
                 self.hits += 1;
-                Some(attr.clone())
+                Some(value.clone())
             }
             _ => {
                 self.misses += 1;
@@ -41,75 +42,17 @@ impl AttrCache {
         }
     }
 
-    /// Stores attributes with a TTL.
-    pub fn put(&mut self, attr: FileAttr, now: SimTime, ttl: SimDuration) {
-        self.entries.insert(attr.handle, (attr, now + ttl));
+    /// Stores `value` under `key`, stamped.
+    pub fn put(&mut self, key: K, value: V, stamp: S) {
+        self.entries.insert(key, (value, stamp));
     }
 
-    /// Drops one handle (after a write or remove).
-    pub fn invalidate(&mut self, fh: FileHandle) {
-        self.entries.remove(&fh);
+    /// Drops one entry (after a write or remove), returning its value.
+    pub fn invalidate(&mut self, key: &K) -> Option<V> {
+        self.entries.remove(key).map(|(value, _)| value)
     }
 
     /// Drops everything (after failover, when server state is suspect).
-    pub fn clear(&mut self) {
-        self.entries.clear();
-    }
-
-    /// Number of live entries (expired ones included until touched).
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether the cache is empty.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-}
-
-/// A whole-file data cache validated by version pair: a cached copy is
-/// served only while its version matches the server's current attributes
-/// (the version pair doubles as NFS's change attribute).
-#[derive(Debug, Default)]
-pub struct DataCache {
-    entries: HashMap<FileHandle, (VersionPair, Bytes)>,
-    /// Reads served from cache.
-    pub hits: u64,
-    /// Reads that went to the server.
-    pub misses: u64,
-}
-
-impl DataCache {
-    /// An empty cache.
-    pub fn new() -> Self {
-        DataCache::default()
-    }
-
-    /// Fetches the cached contents if they are still the given version.
-    pub fn get(&mut self, fh: FileHandle, current: VersionPair) -> Option<Bytes> {
-        match self.entries.get(&fh) {
-            Some((v, data)) if *v == current => {
-                self.hits += 1;
-                Some(data.clone())
-            }
-            _ => {
-                self.misses += 1;
-                None
-            }
-        }
-    }
-
-    /// Stores file contents at a version.
-    pub fn put(&mut self, fh: FileHandle, version: VersionPair, data: Bytes) {
-        self.entries.insert(fh, (version, data));
-    }
-
-    /// Drops one handle.
-    pub fn invalidate(&mut self, fh: FileHandle) {
-        self.entries.remove(&fh);
-    }
-
-    /// Drops everything.
     pub fn clear(&mut self) {
         self.entries.clear();
     }
@@ -118,56 +61,40 @@ impl DataCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use deceit_core::SegmentId;
-    use deceit_nfs::FileType;
+    use deceit_core::VersionPair;
+    use deceit_sim::{SimDuration, SimTime};
 
-    fn attr(seg: u64, sub: u64) -> FileAttr {
-        FileAttr {
-            handle: FileHandle::new(SegmentId(seg)),
-            ftype: FileType::Regular,
-            mode: 0o644,
-            nlink: 1,
-            uid: 0,
-            gid: 0,
-            size: 0,
-            version: VersionPair { major: 0, sub },
-            mtime: 0,
-            ctime: 0,
-        }
+    /// A reader's check of an expiry stamp at `now`.
+    fn at(now: SimTime) -> impl FnOnce(&SimTime) -> bool {
+        move |expiry| *expiry > now
     }
 
     #[test]
     fn attr_cache_ttl() {
-        let mut c = AttrCache::new();
-        let a = attr(1, 1);
+        let mut c = Cache::default();
         let t0 = SimTime::ZERO;
-        c.put(a.clone(), t0, SimDuration::from_secs(1));
-        assert_eq!(c.get(a.handle, t0 + SimDuration::from_millis(500)), Some(a.clone()));
-        assert_eq!(c.get(a.handle, t0 + SimDuration::from_secs(2)), None, "expired");
-        assert_eq!(c.hits, 1);
-        assert_eq!(c.misses, 1);
+        c.put(1, "attr", t0 + SimDuration::from_secs(1));
+        assert_eq!(c.get(&1, at(t0 + SimDuration::from_millis(500))), Some("attr"));
+        assert_eq!(c.get(&1, at(t0 + SimDuration::from_secs(2))), None, "expired");
+        assert_eq!((c.hits, c.misses), (1, 1));
     }
 
     #[test]
     fn attr_cache_invalidate() {
-        let mut c = AttrCache::new();
-        let a = attr(1, 1);
-        c.put(a.clone(), SimTime::ZERO, SimDuration::from_secs(10));
-        c.invalidate(a.handle);
-        assert_eq!(c.get(a.handle, SimTime::ZERO), None);
-        assert!(c.is_empty());
+        let mut c = Cache::default();
+        c.put(1, "attr", SimTime::ZERO + SimDuration::from_secs(10));
+        assert_eq!(c.invalidate(&1), Some("attr"));
+        assert_eq!(c.get(&1, at(SimTime::ZERO)), None);
     }
 
     #[test]
     fn data_cache_version_validation() {
-        let mut c = DataCache::new();
-        let fh = FileHandle::new(SegmentId(2));
+        let mut c = Cache::default();
         let v1 = VersionPair { major: 0, sub: 1 };
         let v2 = VersionPair { major: 0, sub: 2 };
-        c.put(fh, v1, Bytes::from_static(b"old"));
-        assert_eq!(c.get(fh, v1), Some(Bytes::from_static(b"old")));
-        assert_eq!(c.get(fh, v2), None, "stale data never served");
-        assert_eq!(c.hits, 1);
-        assert_eq!(c.misses, 1);
+        c.put(2, "old", v1);
+        assert_eq!(c.get(&2, |v| *v == v1), Some("old"));
+        assert_eq!(c.get(&2, |v| *v == v2), None, "stale data never served");
+        assert_eq!((c.hits, c.misses), (1, 1));
     }
 }

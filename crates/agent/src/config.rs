@@ -76,6 +76,14 @@ impl AgentConfig {
         AgentConfig { failover: false, shortcut: false, ..AgentConfig::default() }
     }
 
+    /// A user-library agent that caches nothing — attributes and name
+    /// bindings expire as they arrive — but fails over: what every live
+    /// session runs until live §5.3 caching is measured.
+    pub fn uncached() -> Self {
+        let full = AgentConfig::user_library_full();
+        AgentConfig { attr_ttl: SimDuration::ZERO, data_cache: false, shortcut: false, ..full }
+    }
+
     /// The planned full-function user-library agent (§5.3).
     pub fn user_library_full() -> Self {
         AgentConfig {

@@ -9,6 +9,13 @@
 //! select another to continue operation. … A third optional agent function
 //! is using an access shortcut."
 //!
+//! This crate holds the reproduction's one client. An [`Agent`] sends its
+//! requests over an [`AgentLink`]: the simulator's `NfsServer` (the
+//! experiments and simulator tests) or the live runtime's client session
+//! (`deceit_runtime::RuntimeClient`), so both worlds run the same caching,
+//! failover and shortcut code. Live callers turn the caches off with
+//! [`AgentConfig::uncached`].
+//!
 //! Figure 8's configurations (kernel agent, user-loadable library,
 //! auxiliary user process) are modeled as per-call overhead profiles in
 //! [`AgentPlacement`]; the `fig8` experiment sweeps them.
@@ -26,7 +33,9 @@
 pub mod cache;
 pub mod config;
 pub mod driver;
+pub mod link;
 
-pub use cache::{AttrCache, DataCache};
+pub use cache::Cache;
 pub use config::{AgentConfig, AgentPlacement};
 pub use driver::Agent;
+pub use link::{AgentLink, Failover, Leg, Timed, Undelivered};

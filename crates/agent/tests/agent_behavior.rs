@@ -30,8 +30,7 @@ fn attr_cache_absorbs_repeat_getattrs() {
     let (_, first) = agent.getattr(&mut srv, fh).unwrap();
     let (_, second) = agent.getattr(&mut srv, fh).unwrap();
     assert!(second < first / 2, "cached getattr ({second}) ≪ rpc ({first})");
-    let (hits, misses) = agent.attr_cache_stats();
-    assert_eq!((hits, misses), (1, 1));
+    assert_eq!(agent.attr_cache_stats(), (1, 1));
     assert_eq!(agent.rpcs_sent, 1);
 }
 
@@ -43,8 +42,7 @@ fn data_cache_serves_unchanged_file() {
     let (d2, l2) = agent.read_file(&mut srv, fh).unwrap();
     assert_eq!(&d2[..], b"contents");
     assert!(l2 < l1 / 2, "cached read ({l2}) ≪ remote read ({l1})");
-    let (hits, _) = agent.data_cache_stats();
-    assert!(hits >= 1);
+    assert!(agent.data_cache_stats().0 >= 1);
 }
 
 #[test]
@@ -83,7 +81,7 @@ fn stock_sun_client_has_no_failover() {
 #[test]
 fn lookup_cache_short_circuits() {
     let (mut srv, mut agent, _) = fixture(AgentConfig::default());
-    let root = agent.mount(&srv);
+    let root = srv.mount();
     let (a1, _) = agent.lookup(&mut srv, root, "file").unwrap();
     let sent_before = agent.rpcs_sent;
     let (a2, _) = agent.lookup(&mut srv, root, "file").unwrap();
@@ -107,15 +105,16 @@ fn shortcut_routes_to_replica_holder() {
 
     // Without priming, requests go to server 2 and get forwarded.
     let before = srv.fs.cluster.obs.count(Stat::ReadsForwarded);
-    let (reply, _) = agent.rpc(&mut srv, NfsRequest::Read { fh: f.handle, offset: 0, count: 10 });
+    let read = NfsRequest::Read { fh: f.handle, offset: 0, count: 10 };
+    let (reply, _) = agent.rpc(&mut srv, read.clone()).unwrap();
     assert!(matches!(reply, NfsReply::Data(_)));
     let after = srv.fs.cluster.obs.count(Stat::ReadsForwarded);
     assert!(after > before, "unshortcut read was forwarded server-side");
 
     // After priming, the agent talks straight to a replica holder.
-    agent.prime_shortcut(&mut srv, f.handle);
+    agent.prime_shortcut(&mut srv, f.handle).unwrap();
     let fwd_before = srv.fs.cluster.obs.count(Stat::ReadsForwarded);
-    let (reply, _) = agent.rpc(&mut srv, NfsRequest::Read { fh: f.handle, offset: 0, count: 10 });
+    let (reply, _) = agent.rpc(&mut srv, read).unwrap();
     assert!(matches!(reply, NfsReply::Data(_)));
     let fwd_after = srv.fs.cluster.obs.count(Stat::ReadsForwarded);
     assert_eq!(fwd_after, fwd_before, "shortcut read needed no forwarding");
@@ -140,7 +139,7 @@ fn placement_overheads_rank_correctly() {
 #[test]
 fn create_and_readdir_through_agent() {
     let (mut srv, mut agent, _) = fixture(AgentConfig::default());
-    let root = agent.mount(&srv);
+    let root = srv.mount();
     agent.create(&mut srv, root, "fresh.txt", 0o644).unwrap();
     let (entries, _) = agent.readdir(&mut srv, root).unwrap();
     let names: Vec<&str> = entries.iter().map(|e| e.name.as_str()).collect();
@@ -153,7 +152,7 @@ fn create_and_readdir_through_agent() {
 #[test]
 fn mkdir_remove_setattr_through_agent() {
     let (mut srv, mut agent, _) = fixture(AgentConfig::default());
-    let root = agent.mount(&srv);
+    let root = srv.mount();
     let (d, _) = agent.mkdir(&mut srv, root, "workdir", 0o755).unwrap();
     let (f, _) = agent.create(&mut srv, d.handle, "note", 0o600).unwrap();
     agent.write(&mut srv, f.handle, 0, b"0123456789").unwrap();

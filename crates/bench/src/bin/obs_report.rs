@@ -37,16 +37,20 @@ fn main() {
     let mut sessions: Vec<_> = (0..CLIENTS)
         .map(|c| {
             let mut client = rt.client();
-            let attr = client.create(root, &format!("obs_{c}"), 0o644).expect("create");
-            client.write(attr.handle, 0, b"warmup").expect("warmup");
-            (client, attr.handle)
+            let mut agent = live_agent(&client);
+            let (attr, _) =
+                agent.create(&mut client, root, &format!("obs_{c}"), 0o644).expect("create");
+            agent.write(&mut client, attr.handle, 0, b"warmup").expect("warmup");
+            (client, agent, attr.handle)
         })
         .collect();
     let hot = {
         let mut client = rt.client();
-        let attr = client.create(root, "obs_hot", 0o644).expect("create hot");
-        client.set_file_params(attr.handle, FileParams::important(3)).expect("params");
-        client.write(attr.handle, 0, b"warmup").expect("warmup hot");
+        let mut agent = live_agent(&client);
+        let (attr, _) = agent.create(&mut client, root, "obs_hot", 0o644).expect("create hot");
+        let params = FileParams::important(3);
+        agent.set_file_params(&mut client, attr.handle, params).expect("params");
+        agent.write(&mut client, attr.handle, 0, b"warmup").expect("warmup hot");
         attr.handle
     };
     rt.settle();
@@ -54,14 +58,15 @@ fn main() {
     let workers: Vec<_> = sessions
         .drain(..)
         .enumerate()
-        .map(|(c, (mut client, fh))| {
+        .map(|(c, (mut client, mut agent, fh))| {
             thread::spawn(move || {
                 let payload = format!("obs_report client {c}: 48 bytes of traffic .....");
+                let client = &mut client;
                 for i in 0..OPS_PER_CLIENT {
                     match i % 4 {
-                        0 => drop(client.write(fh, 0, payload.as_bytes()).expect("write")),
-                        1 | 2 => drop(client.read(fh, 0, 128).expect("read")),
-                        _ => drop(client.read(hot, 0, 128).expect("hot read")),
+                        0 => drop(agent.write(client, fh, 0, payload.as_bytes()).expect("write")),
+                        1 | 2 => drop(agent.read_file(client, fh).expect("read")),
+                        _ => drop(agent.read_file(client, hot).expect("hot read")),
                     }
                 }
             })

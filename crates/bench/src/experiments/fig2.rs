@@ -53,7 +53,7 @@ pub fn run() -> (Table, Fig2Result) {
         },
     );
     for fh in &handles {
-        nfs_client.prime_shortcut(&mut srv, *fh);
+        nfs_client.prime_shortcut(&mut srv, *fh).unwrap();
     }
     let mut nfs_servers_used = std::collections::BTreeSet::new();
     for fh in &handles {

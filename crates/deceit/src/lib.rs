@@ -8,7 +8,7 @@
 //! | Layer | Crate | Paper section |
 //! |---|---|---|
 //! | live concurrent cluster runtime | [`runtime`] | §6 (the SunOS deployment) |
-//! | client agents | [`agent`] | §5.3 |
+//! | client agent (caching, failover, shortcut), one for both worlds | [`agent`] | §5.3 |
 //! | NFS file-service envelope, cells | [`nfs`] | §2, §5.2 |
 //! | segment server (replication, tokens, stability, versions) | [`core`] | §3, §4, §5.1 |
 //! | ISIS substrate (groups, broadcasts, failure detection) | [`isis`] | §2.4 |
@@ -46,22 +46,27 @@
 //! a session to a server, a `FaultEvent` (crash, restart, split, heal,
 //! settle) for the cell — so one `Scenario` script runs in `SimWorld`
 //! and `LiveWorld` alike, and differential tests pin the live behavior
-//! to the simulator's.
+//! to the simulator's. A live session is driven by the same §5.3
+//! [`Agent`](agent::Agent) the simulator's clients use, failover and all.
 //!
 //! ```
 //! use deceit::prelude::*;
 //!
 //! let rt = ClusterRuntime::start(RuntimeConfig::new(3));
-//! let mut client = rt.client();
-//! let root = client.root();
-//! let file = client.create(root, "notes.txt", 0o644).unwrap();
-//! client.set_file_params(file.handle, FileParams::important(3)).unwrap();
-//! client.write(file.handle, 0, b"served by a real thread").unwrap();
+//! let mut session = rt.client_homed(NodeId(0));
+//! let mut agent = live_agent(&session);
+//! let root = session.root();
+//! let (file, _) = agent.create(&mut session, root, "notes.txt", 0o644).unwrap();
+//! agent.set_file_params(&mut session, file.handle, FileParams::important(3)).unwrap();
+//! agent.write(&mut session, file.handle, 0, b"served by a real thread").unwrap();
 //! rt.settle();
 //!
 //! // One entry for every fault: crash, restart, split, heal, settle.
+//! // The agent fails over from the crashed server to server 1.
 //! rt.fault(&FaultEvent::Crash { server: 0 });
-//! assert_eq!(&client.read(file.handle, 0, 64).unwrap()[..], b"served by a real thread");
+//! let (data, _) = agent.read_file(&mut session, file.handle).unwrap();
+//! assert_eq!(&data[..], b"served by a real thread");
+//! assert_eq!(session.home(), NodeId(1));
 //! rt.shutdown();
 //! ```
 
@@ -76,7 +81,7 @@ pub use deceit_storage as storage;
 
 /// The names most programs need.
 pub mod prelude {
-    pub use deceit_agent::{Agent, AgentConfig, AgentPlacement};
+    pub use deceit_agent::{Agent, AgentConfig, AgentLink, AgentPlacement};
     pub use deceit_core::{
         Cluster, ClusterConfig, DeceitError, FaultEvent, FileParams, OpResult, ProtocolHost,
         SegmentId, Stat, VersionPair, WriteAvailability, WriteOp,
@@ -87,8 +92,8 @@ pub mod prelude {
         NfsRequest, NfsServer, NfsService,
     };
     pub use deceit_runtime::{
-        ClusterRuntime, LiveWorld, RuntimeClient, RuntimeConfig, RuntimeError, Scenario,
-        ScenarioStep, SimWorld, World, WriteBatch,
+        live_agent, ClusterRuntime, LiveWorld, RuntimeClient, RuntimeConfig, RuntimeError,
+        Scenario, ScenarioStep, SimWorld, World,
     };
     pub use deceit_sim::{SimDuration, SimTime};
 }

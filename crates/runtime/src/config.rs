@@ -89,11 +89,7 @@ impl Default for RuntimeConfig {
 
 #[cfg(test)]
 mod tests {
-    use deceit_core::FaultEvent;
-    use deceit_net::NodeId;
-
     use super::*;
-    use crate::ClusterRuntime;
 
     #[test]
     fn defaults_enable_the_live_fast_paths() {
@@ -107,28 +103,5 @@ mod tests {
             ![fs.root_params, fs.dir_params, fs.file_params].iter().any(|p| p.migration),
             "§4: live hosting migrates only files marked `migration`, and none is by default"
         );
-    }
-
-    /// The failover budget follows the cell a session is in: a read
-    /// whose every server is down sweeps the rest of the cell twice,
-    /// then gives up — also in a cell sized by struct update from a
-    /// config built for another size.
-    #[test]
-    fn retry_budget_scales_with_cell_size() {
-        let resized = RuntimeConfig { servers: 5, ..RuntimeConfig::new(3) };
-        for cfg in [RuntimeConfig::new(1), RuntimeConfig::new(3), resized] {
-            let servers = cfg.servers as u32;
-            let rt = ClusterRuntime::start(cfg);
-            let mut client = rt.client_homed(NodeId(0));
-            let root = client.root();
-            for server in 0..servers {
-                rt.fault(&FaultEvent::Crash { server });
-            }
-            assert!(client.getattr(root).is_err(), "no server is up");
-            let obs = rt.observe();
-            assert_eq!(obs.failover_retries, u64::from(2 * (servers - 1)), "{servers} servers");
-            assert_eq!(obs.failover_exhausted, u64::from(servers > 1), "{servers} servers");
-            rt.shutdown();
-        }
     }
 }

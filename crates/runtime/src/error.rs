@@ -3,7 +3,7 @@
 use std::fmt;
 
 use deceit_net::rpc::RpcError;
-use deceit_nfs::NfsError;
+use deceit_nfs::{FileAttr, NfsError, NfsReply};
 
 /// Why a live client operation failed.
 #[derive(Debug, Clone, PartialEq)]
@@ -45,3 +45,20 @@ impl From<NfsError> for RuntimeError {
 
 /// Result alias for live client operations.
 pub type RuntimeResult<T> = Result<T, RuntimeError>;
+
+/// Extracts attributes or surfaces the server-side error.
+pub(crate) fn expect_attr(rep: NfsReply) -> RuntimeResult<FileAttr> {
+    match rep {
+        NfsReply::Attr(attr) => Ok(attr),
+        rep => Err(unexpected(rep, "Attr")),
+    }
+}
+
+/// Maps an error reply to [`RuntimeError::Nfs`], anything else to a
+/// protocol error naming the wanted variant.
+pub(crate) fn unexpected(rep: NfsReply, wanted: &'static str) -> RuntimeError {
+    match rep {
+        NfsReply::Error(e) => RuntimeError::Nfs(e),
+        _ => RuntimeError::UnexpectedReply(wanted),
+    }
+}

@@ -28,10 +28,11 @@
 //!   and 16 ms while requests flow (a slot no request reaches waits
 //!   ≤ 256 ms), so its timer does not preempt requests every
 //!   millisecond;
-//! * clients are [`RuntimeClient`] sessions speaking the NFS envelope
-//!   (`lookup`/`create`/`read`/`write`/`set_file_params`/…) with request
-//!   pipelining and write batching over correlated RPC
-//!   ([`deceit_net::rpc`]);
+//! * clients are [`RuntimeClient`] sessions carrying the NFS envelope
+//!   over correlated RPC ([`deceit_net::rpc`]), with request pipelining;
+//!   the §5.3 agent ([`deceit_agent::Agent`]) drives a session exactly
+//!   as it drives the simulator's `NfsServer`, so the live cell runs the
+//!   paper's client and its failover;
 //! * **one harness for both worlds** ([`world`]): a [`World`] sends a
 //!   request from a numbered session to a named server and applies a
 //!   [`deceit_core::FaultEvent`] (crash, restart, split, heal, settle) to
@@ -43,14 +44,15 @@
 //! # Quick start
 //!
 //! ```
-//! use deceit_runtime::{ClusterRuntime, RuntimeConfig};
+//! use deceit_runtime::{live_agent, ClusterRuntime, RuntimeConfig};
 //!
 //! let rt = ClusterRuntime::start(RuntimeConfig::new(3));
-//! let mut client = rt.client();
-//! let root = client.root();
-//! let f = client.create(root, "hello.txt", 0o644).unwrap();
-//! client.write(f.handle, 0, b"from a real thread").unwrap();
-//! let data = client.read(f.handle, 0, 64).unwrap();
+//! let mut session = rt.client();
+//! let mut agent = live_agent(&session);
+//! let root = session.root();
+//! let (f, _) = agent.create(&mut session, root, "hello.txt", 0o644).unwrap();
+//! agent.write(&mut session, f.handle, 0, b"from a real thread").unwrap();
+//! let (data, _) = agent.read_file(&mut session, f.handle).unwrap();
 //! assert_eq!(&data[..], b"from a real thread");
 //! rt.shutdown();
 //! ```
@@ -78,7 +80,7 @@ pub mod scenario;
 pub mod shard;
 pub mod world;
 
-pub use client::{RuntimeClient, WriteBatch};
+pub use client::{live_agent, RuntimeClient};
 pub use config::RuntimeConfig;
 pub use error::{RuntimeError, RuntimeResult};
 pub use history::{HistoryRecorder, JournalHandle, NEMESIS_CLIENT};

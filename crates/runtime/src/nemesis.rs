@@ -32,6 +32,7 @@
 use std::collections::BTreeSet;
 use std::time::Duration;
 
+use bytes::Bytes;
 use deceit_core::{
     audit, AuditReport, Contract, FaultEvent, FileParams, History, WriteAvailability,
 };
@@ -40,9 +41,9 @@ use deceit_nfs::{FileHandle, NfsReply, NfsRequest};
 use deceit_sim::atomic::PublishedBool;
 use deceit_sim::SimRng;
 
-use crate::client::{expect_attr, unexpected};
+use crate::client::live_agent;
 use crate::config::RuntimeConfig;
-use crate::error::RuntimeResult;
+use crate::error::{expect_attr, unexpected, RuntimeResult};
 use crate::history::{HistoryRecorder, JournalHandle, NEMESIS_CLIENT};
 use crate::scenario::{failure_report, first_up};
 use crate::world::{read_data, replica_count, FileState, LiveWorld, SimWorld, World};
@@ -438,9 +439,10 @@ pub fn run_live_storm(cfg: &StormConfig, rcfg: &RuntimeConfig) -> RuntimeResult<
                 writer_handles.push(s.spawn(move || {
                     let mut offset = 0usize;
                     for i in 0..cfg.writes_per_file {
-                        let chunk = StormConfig::chunk(f, i);
+                        let data = Bytes::from(StormConfig::chunk(f, i));
+                        let write = || NfsRequest::Write { fh, offset, data: data.clone() };
                         let mut attempts = 0u32;
-                        while client.write(fh, offset, &chunk).is_err() {
+                        while client.call(write()).and_then(expect_attr).is_err() {
                             attempts += 1;
                             if attempts > 1500 {
                                 // Wedged long past the storm: give up;
@@ -450,23 +452,25 @@ pub fn run_live_storm(cfg: &StormConfig, rcfg: &RuntimeConfig) -> RuntimeResult<
                             }
                             if attempts.is_multiple_of(3) {
                                 let at = ids.iter().position(|&n| n == client.home()).unwrap_or(0);
-                                client.set_home(ids[(at + 1) % ids.len()]);
+                                let _ = client.set_home(ids[(at + 1) % ids.len()]);
                             }
                             std::thread::sleep(Duration::from_millis(2));
                         }
-                        offset += chunk.len();
+                        offset += data.len();
                     }
                 }));
             }
 
-            // Readers: cycle over every file until the writers are done.
+            // Readers: cycle over every file until the writers are done,
+            // each through an agent that fails over when its home is dark.
             for (r, client) in readers[..cfg.readers].iter_mut().enumerate() {
-                client.set_home(ids[r % ids.len()]);
+                let _ = client.set_home(ids[r % ids.len()]);
+                let mut agent = live_agent(client);
                 let stop = &stop_readers;
                 s.spawn(move || {
                     let mut k = r;
                     while !stop.load() {
-                        let _ = client.read(files[k % files.len()], 0, 1 << 20);
+                        let _ = agent.read_file(client, files[k % files.len()]);
                         k += 1;
                         std::thread::sleep(Duration::from_micros(400));
                     }

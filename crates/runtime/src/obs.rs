@@ -6,7 +6,7 @@
 //! request-boundary histograms — recorded by [`crate::RuntimeClient`] at
 //! the request/reply boundary, classified by the request's
 //! [`OpClass`] — plus the pump's step, long-nap and idle/busy
-//! transition counters and the sessions' failover counters. Everything
+//! transition counters and the agents' live failover counters. Everything
 //! is lock-free atomics ([`AtomicHistogram`] buckets and relaxed
 //! counters), always on, and shared by `Arc` between the runtime handle,
 //! every server thread, and every client session.
@@ -57,11 +57,11 @@ pub struct RuntimeObs {
     pub pump_to_idle: RelaxedU64,
     /// Pump transitions back to draining (work appeared after idling).
     pub pump_to_busy: RelaxedU64,
-    /// Read-only failover attempts (every retried send after the home
-    /// server failed, successful or not), summed over all sessions.
+    /// Agent failover attempts over live sessions (every send to another
+    /// server after the first failed, successful or not).
     pub failover_retries: RelaxedU64,
     /// Requests whose two failover sweeps found no live server and
-    /// surfaced the transport error.
+    /// surfaced the first error.
     pub failover_exhausted: RelaxedU64,
 }
 
@@ -139,7 +139,7 @@ pub struct ObsReport {
     pub pump_to_idle: u64,
     /// Pump idle→busy transitions.
     pub pump_to_busy: u64,
-    /// Read-only failover attempts across all sessions.
+    /// Agent failover attempts across all live sessions.
     pub failover_retries: u64,
     /// Requests whose two failover sweeps found no live server.
     pub failover_exhausted: u64,

@@ -739,12 +739,14 @@ mod tests {
             read.shard_key().map(|key| deceit_core::shard_slot(key, shards))
         };
         let mut writer = rt.client_homed(n(0));
+        let mut agent = crate::live_agent(&writer);
         let root = writer.root();
         let files: Vec<_> = (0..8)
-            .map(|i| writer.create(root, &format!("f{i}"), 0o644).expect("create").handle)
+            .map(|i| agent.create(&mut writer, root, &format!("f{i}"), 0o644).expect("create"))
+            .map(|(attr, _)| attr.handle)
             .collect();
         for &fh in &files {
-            writer.write(fh, 0, b"streamed").expect("write");
+            agent.write(&mut writer, fh, 0, b"streamed").expect("write");
         }
         rt.settle();
         let target = files[0];
@@ -757,6 +759,7 @@ mod tests {
         let long_naps_before = rt.observe().pump_long_naps;
         thread::scope(|scope| {
             let mut reader = rt.client_homed(n(1));
+            let mut reading = crate::live_agent(&reader);
             let others = &others;
             let (under_way, wait_under_way) = std::sync::mpsc::channel();
             let streamer = scope.spawn(move || {
@@ -764,7 +767,7 @@ mod tests {
                 let mut reads = 0u64;
                 while deceit_sim::wall::since(start) < stream {
                     let fh = others[reads as usize % others.len()];
-                    reader.read(fh, 0, 64).expect("streamed read");
+                    reading.read_file(&mut reader, fh).expect("streamed read");
                     reads += 1;
                     if reads == 1_000 {
                         let _ = under_way.send(());
@@ -774,7 +777,7 @@ mod tests {
             });
             // The write lands once the stream is under way.
             wait_under_way.recv().expect("the stream got under way");
-            writer.write(target, 0, b"behind").expect("write-behind write");
+            agent.write(&mut writer, target, 0, b"behind").expect("write-behind write");
             let written = deceit_sim::wall::now();
             while engine.read_guard().pending_shard_mask() & (1 << a) != 0 {
                 assert!(
@@ -826,7 +829,7 @@ mod tests {
         assert!(bus.can_exchange(session.node(), n(0)));
         assert!(!bus.can_exchange(session.node(), n(1)));
 
-        session.set_home(n(2));
+        session.set_home(n(2)).expect("server 2 is in the cell");
         assert!(!bus.can_exchange(session.node(), n(0)), "the session left 0's side");
         assert!(bus.can_exchange(session.node(), n(1)));
         assert!(bus.can_exchange(session.node(), n(2)));
@@ -875,7 +878,7 @@ mod tests {
                     while !stop.load() {
                         // A churn of sessions homed on both sides.
                         let mut session = rt.client_homed(n(i % 2));
-                        session.set_home(n((i + 1) % 2));
+                        session.set_home(n((i + 1) % 2)).expect("in the cell");
                         i += 1;
                     }
                 })
@@ -956,7 +959,7 @@ mod tests {
         // The refusal released the exclusive lock: the cell still serves.
         let mut client = rt.client();
         let root = client.root();
-        assert!(client.create(root, "after", 0o644).is_ok());
+        assert!(crate::live_agent(&client).create(&mut client, root, "after", 0o644).is_ok());
         rt.shutdown();
     }
 }

@@ -16,9 +16,8 @@ use deceit_net::rpc::RpcError;
 use deceit_net::NodeId;
 use deceit_nfs::{NfsReply, NfsRequest};
 
-use crate::client::expect_attr;
 use crate::config::RuntimeConfig;
-use crate::error::{RuntimeError, RuntimeResult};
+use crate::error::{expect_attr, RuntimeError, RuntimeResult};
 use crate::world::{read_back, LiveWorld, SimWorld, World};
 
 /// One step of a scripted scenario.

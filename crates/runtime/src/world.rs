@@ -17,18 +17,21 @@
 //! the request is served, ack after), and both answer a call to a
 //! crashed server with [`RpcError::Unreachable`]: the bus refuses the
 //! send live, and the simulator refuses it without touching the cell.
+//! An agent drives a session's [`World::link`], so agent tests too are
+//! written once.
 
 use std::collections::BTreeSet;
 
 use bytes::Bytes;
+use deceit_agent::AgentLink;
 use deceit_core::FaultEvent;
 use deceit_net::rpc::RpcError;
 use deceit_net::NodeId;
 use deceit_nfs::{DeceitFs, FileAttr, FileHandle, NfsReply, NfsRequest, NfsServer};
 
-use crate::client::{expect_attr, unexpected, RuntimeClient};
+use crate::client::RuntimeClient;
 use crate::config::RuntimeConfig;
-use crate::error::RuntimeResult;
+use crate::error::{expect_attr, unexpected, RuntimeResult};
 use crate::history::JournalHandle;
 use crate::runtime::ClusterRuntime;
 
@@ -55,6 +58,11 @@ pub trait World {
 
     /// From here on, journals every call `session` makes into `journal`.
     fn record_into(&mut self, session: usize, journal: JournalHandle);
+
+    /// The transport an agent on `session` sends over: the live session,
+    /// or the simulated cell's `NfsServer` (shared; charges the network).
+    type Link: AgentLink<Error: std::fmt::Debug>;
+    fn link(&mut self, session: usize) -> &mut Self::Link;
 }
 
 /// The simulated cell: one [`NfsServer`] serving each call in order.
@@ -120,6 +128,11 @@ impl World for SimWorld {
     fn record_into(&mut self, session: usize, journal: JournalHandle) {
         self.journals[session] = Some(journal);
     }
+
+    type Link = NfsServer;
+    fn link(&mut self, _session: usize) -> &mut NfsServer {
+        &mut self.server
+    }
 }
 
 /// The live cell: server threads over the bus, and the sessions that
@@ -162,6 +175,11 @@ impl World for LiveWorld {
 
     fn record_into(&mut self, session: usize, journal: JournalHandle) {
         self.sessions[session].record_into(journal);
+    }
+
+    type Link = RuntimeClient;
+    fn link(&mut self, session: usize) -> &mut RuntimeClient {
+        &mut self.sessions[session]
     }
 }
 

@@ -16,7 +16,7 @@ use proptest::prelude::*;
 use deceit_core::{audit, Contract, FaultEvent, FileParams, WriteAvailability};
 use deceit_net::NodeId;
 use deceit_runtime::nemesis::{audit_storm, run_sim_storm};
-use deceit_runtime::{ClusterRuntime, HistoryRecorder, RuntimeConfig, StormConfig};
+use deceit_runtime::{live_agent, ClusterRuntime, HistoryRecorder, RuntimeConfig, StormConfig};
 
 #[test]
 fn sim_storms_are_green_across_seeds() {
@@ -162,8 +162,8 @@ fn forwarded_reads_stay_monotone_across_split_heal_flaps() {
     // last server, which is the likeliest to hold no replica — its
     // reads forward across exactly the link the splits keep cutting.
     let mut setup = rt.client_homed(ids[0]);
-    let root = setup.root();
-    let attr = setup.create(root, "epoch-race", 0o644).expect("create");
+    let (mut agent, root) = (live_agent(&setup), setup.root());
+    let (attr, _) = agent.create(&mut setup, root, "epoch-race", 0o644).expect("create");
     let fh = attr.handle;
     let params = FileParams {
         min_replicas: 2,
@@ -171,18 +171,19 @@ fn forwarded_reads_stay_monotone_across_split_heal_flaps() {
         availability: WriteAvailability::Medium,
         ..FileParams::default()
     };
-    setup.set_file_params(fh, params).expect("set params");
+    agent.set_file_params(&mut setup, fh, params).expect("set params");
     rt.settle();
 
     std::thread::scope(|s| {
         let mut writer = rt.client_homed(ids[0]);
         writer.record_into(recorder.journal(1));
+        let mut agent = live_agent(&writer);
         let writer_handle = s.spawn(move || {
             let mut offset = 0usize;
             for i in 0..60usize {
                 let chunk = format!("[w{i:03}]").into_bytes();
                 let mut tries = 0;
-                while writer.write(fh, offset, &chunk).is_err() {
+                while agent.write(&mut writer, fh, offset, &chunk).is_err() {
                     tries += 1;
                     assert!(tries < 4000, "writer wedged at chunk {i}");
                     std::thread::sleep(std::time::Duration::from_millis(1));
@@ -193,11 +194,12 @@ fn forwarded_reads_stay_monotone_across_split_heal_flaps() {
 
         let mut reader = rt.client_homed(*ids.last().unwrap());
         reader.record_into(recorder.journal(2));
+        let mut agent = live_agent(&reader);
         let stop = std::sync::Arc::new(deceit_sim::atomic::PublishedBool::new(false));
         let reader_stop = std::sync::Arc::clone(&stop);
         s.spawn(move || {
             while !reader_stop.load() {
-                let _ = reader.read(fh, 0, 1 << 20);
+                let _ = agent.read_file(&mut reader, fh);
                 std::thread::sleep(std::time::Duration::from_micros(200));
             }
         });

@@ -9,12 +9,20 @@
 //! the observed history in a `SimWorld` through the same setup and
 //! readback calls.
 
+use deceit_agent::{Agent, AgentConfig};
 use deceit_core::{FaultEvent, FileParams};
 use deceit_net::NodeId;
 use deceit_nfs::{FileHandle, NfsReply, NfsRequest};
 use deceit_runtime::{
-    read_back, FileState, LiveWorld, RuntimeConfig, Scenario, ScenarioStep, SimWorld, World,
+    live_agent, read_back, FileState, LiveWorld, RuntimeClient, RuntimeConfig, Scenario,
+    ScenarioStep, SimWorld, World,
 };
+
+/// An agent whose requests land on the session's home or fail, so the
+/// simulator can replay each acked write through the server that took it.
+fn pinned(s: &RuntimeClient) -> Agent {
+    Agent::new(s.node(), s.home(), AgentConfig { failover: false, ..AgentConfig::uncached() })
+}
 
 /// Sends `req` from session 0 to `via`; any failure stops the test.
 fn call(world: &mut impl World, via: NodeId, req: NfsRequest) -> NfsReply {
@@ -221,12 +229,13 @@ fn ticketed_writers(
     std::thread::scope(|s| {
         for (c, &fh) in handles.iter().enumerate() {
             let mut client = live.rt.client_homed(home(c));
+            let mut agent = pinned(&client);
             let (ticket, completions) = (&ticket, &completions);
             s.spawn(move || {
                 let mut offset = 0;
                 for i in 0..writes {
                     let chunk = chunk(c, i);
-                    if let Err(e) = client.write(fh, offset, chunk.as_bytes()) {
+                    if let Err(e) = agent.write(&mut client, fh, offset, chunk.as_bytes()) {
                         assert!(!must_ack, "stress write {chunk} failed: {e}");
                         return;
                     }
@@ -493,11 +502,13 @@ fn readers_vs_write_stream_matches_sim_replay() {
             let (done, started) = (Arc::clone(&done), Arc::clone(&started));
             let expected = expected.clone();
             let valid_lens = valid_lens.clone();
+            let mut agent = live_agent(&client);
             std::thread::spawn(move || {
                 let mut last_len = 0usize;
                 let mut reads = 0u64;
                 while !done.load() {
-                    let data = client.read(fh, 0, 1 << 16).expect("concurrent stream read");
+                    let read = agent.read_file(&mut client, fh);
+                    let (data, _) = read.expect("concurrent stream read");
                     let who = format!("reader {r}");
                     check_acked_prefix(&data, &expected, &valid_lens, &mut last_len, &who);
                     reads += 1;
@@ -518,10 +529,11 @@ fn readers_vs_write_stream_matches_sim_replay() {
         std::thread::yield_now();
     }
     let mut writer = live.rt.client_homed(home);
+    let mut agent = pinned(&writer);
     let mut offset = b"warmup:".len();
     for i in 0..WRITES {
         let chunk = format!("[w{i}]");
-        writer.write(fh, offset, chunk.as_bytes()).expect("stream write");
+        agent.write(&mut writer, fh, offset, chunk.as_bytes()).expect("stream write");
         offset += chunk.len();
     }
     done.store(true);
@@ -610,6 +622,7 @@ fn migration_storm_under_crash_keeps_floor_and_read_monotonicity() {
     let readers: Vec<_> = (0..READERS)
         .map(|r| {
             let mut client = live.rt.client_homed(reader_home);
+            let mut agent = live_agent(&client);
             let handles = handles.clone();
             let expected = expected.clone();
             let valid_lens = valid_lens.clone();
@@ -619,7 +632,8 @@ fn migration_storm_under_crash_keeps_floor_and_read_monotonicity() {
                 let mut reads = 0u64;
                 while !done.load() {
                     for c in 0..FILES {
-                        let data = client.read(handles[c], 0, 1 << 16).expect("storm read");
+                        let read = agent.read_file(&mut client, handles[c]);
+                        let (data, _) = read.expect("storm read");
                         let (lens, who) = (&valid_lens[c], format!("reader {r} on f{c}"));
                         check_acked_prefix(&data, &expected[c], lens, &mut last_len[c], &who);
                         reads += 1;
@@ -636,6 +650,7 @@ fn migration_storm_under_crash_keeps_floor_and_read_monotonicity() {
     // the majority. A refused write is never partially applied.
     let writer = {
         let mut client = live.rt.client_homed(home);
+        let mut agent = pinned(&client);
         let handles = handles.clone();
         std::thread::spawn(move || {
             let mut offsets: Vec<usize> = (0..FILES).map(|c| format!("seed{c}:").len()).collect();
@@ -643,7 +658,7 @@ fn migration_storm_under_crash_keeps_floor_and_read_monotonicity() {
                 let c = i % FILES;
                 let chunk = format!("[w{i}]");
                 let mut attempts = 0;
-                while client.write(handles[c], offsets[c], chunk.as_bytes()).is_err() {
+                while agent.write(&mut client, handles[c], offsets[c], chunk.as_bytes()).is_err() {
                     attempts += 1;
                     assert!(attempts < 2000, "write w{i} never recovered after the restart");
                     std::thread::sleep(Duration::from_millis(2));
@@ -725,11 +740,12 @@ fn same_file_mutations_never_interleave() {
     let rt = deceit_runtime::ClusterRuntime::start(RuntimeConfig::new(3));
     let root = rt.client().root();
     let mut opener = rt.client();
-    let attr = opener.create(root, "contested", 0o644).expect("create");
+    let mut agent = live_agent(&opener);
+    let (attr, _) = agent.create(&mut opener, root, "contested", 0o644).expect("create");
     let fh = attr.handle;
-    opener.write(fh, 0, &[b'@'; LEN]).expect("warmup");
+    agent.write(&mut opener, fh, 0, &[b'@'; LEN]).expect("warmup");
     rt.settle();
-    let sub_before = opener.getattr(fh).expect("getattr").version.sub;
+    let sub_before = agent.getattr(&mut opener, fh).expect("getattr").0.version.sub;
 
     let stop = Arc::new(PublishedBool::new(false));
     // The writers start only once the reader has read once, so the
@@ -738,10 +754,11 @@ fn same_file_mutations_never_interleave() {
     let reader = {
         let (stop, start) = (Arc::clone(&stop), Arc::clone(&start));
         let mut client = rt.client();
+        let mut agent = live_agent(&client);
         std::thread::spawn(move || {
             let mut observed = 0u64;
             loop {
-                let data = client.read(fh, 0, LEN).expect("concurrent read");
+                let (data, _) = agent.read_file(&mut client, fh).expect("concurrent read");
                 assert!(!data.is_empty());
                 assert!(
                     data.iter().all(|&b| b == data[0]),
@@ -763,11 +780,12 @@ fn same_file_mutations_never_interleave() {
         .map(|w| {
             let start = Arc::clone(&start);
             let mut client = rt.client();
+            let mut agent = live_agent(&client);
             std::thread::spawn(move || {
                 let pattern = [b'A' + w as u8; LEN];
                 start.wait();
                 for _ in 0..WRITES_PER_CLIENT {
-                    client.write(fh, 0, &pattern).expect("contested write");
+                    agent.write(&mut client, fh, 0, &pattern).expect("contested write");
                 }
             })
         })
@@ -780,7 +798,7 @@ fn same_file_mutations_never_interleave() {
     assert!(reads > 0, "the concurrent reader must have observed the file");
 
     rt.settle();
-    let final_data = opener.read(fh, 0, LEN).expect("final read");
+    let (final_data, _) = agent.read_file(&mut opener, fh).expect("final read");
     assert_eq!(final_data.len(), LEN);
     assert!(
         final_data.iter().all(|&b| b == final_data[0]),
@@ -790,7 +808,7 @@ fn same_file_mutations_never_interleave() {
     assert!((b'A'..b'A' + WRITERS as u8).contains(&final_data[0]), "one writer's pattern wins");
     // Every write applied exactly once, serialized: the subversion
     // advanced by exactly the number of writes.
-    let sub_after = opener.getattr(fh).expect("getattr").version.sub;
+    let sub_after = agent.getattr(&mut opener, fh).expect("getattr").0.version.sub;
     assert_eq!(
         sub_after - sub_before,
         (WRITERS * WRITES_PER_CLIENT) as u64,

@@ -21,7 +21,7 @@ use std::time::{Duration, Instant};
 
 use deceit_core::FileParams;
 use deceit_nfs::FileHandle;
-use deceit_runtime::{ClusterRuntime, RuntimeClient, RuntimeConfig};
+use deceit_runtime::{live_agent, ClusterRuntime, RuntimeClient, RuntimeConfig};
 
 /// How long a workload's workers may run before the test calls it a
 /// deadlock.
@@ -62,10 +62,11 @@ fn stream_readers_ride_the_lease(workload: &str, reader_home: usize) {
     // The file is created via this server, so it holds the token.
     let holder = rt.server_ids()[0];
     let mut writer = rt.client_homed(holder);
-    let attr = writer.create(writer.root(), "stream", 0o644).expect("create");
+    let (mut agent, root) = (live_agent(&writer), writer.root());
+    let (attr, _) = agent.create(&mut writer, root, "stream", 0o644).expect("create");
     let fh = attr.handle;
-    writer.set_file_params(fh, FileParams::important(3)).expect("set replicas");
-    writer.write(fh, 0, b"warmup payload").expect("warmup write");
+    agent.set_file_params(&mut writer, fh, FileParams::important(3)).expect("set replicas");
+    agent.write(&mut writer, fh, 0, b"warmup payload").expect("warmup write");
     let home = rt.server_ids()[reader_home];
     let readers: Vec<RuntimeClient> = (0..READERS).map(|_| rt.client_homed(home)).collect();
 
@@ -76,15 +77,17 @@ fn stream_readers_ride_the_lease(workload: &str, reader_home: usize) {
     let mut workers = vec![thread::spawn(move || {
         go.wait();
         for i in 0..OPS {
-            writer.write(fh, 0, format!("stream write {i:04}").as_bytes()).expect("stream write");
+            let chunk = format!("stream write {i:04}");
+            agent.write(&mut writer, fh, 0, chunk.as_bytes()).expect("stream write");
         }
     })];
     workers.extend(readers.into_iter().map(|mut reader| {
         let go = Arc::clone(&start);
         thread::spawn(move || {
+            let mut agent = live_agent(&reader);
             go.wait();
             for _ in 0..OPS {
-                reader.read(fh, 0, 128).expect("stream read");
+                agent.read_file(&mut reader, fh).expect("stream read");
             }
         })
     }));
@@ -131,10 +134,12 @@ fn skew_reads_go_local_after_placement_warmup() {
     let files: Vec<FileHandle> = (0..SKEW_FILES)
         .map(|f| {
             let mut client = rt.client_homed(servers[f % servers.len()]);
-            let attr = client.create(client.root(), &format!("skew{f}"), 0o644).expect("create");
+            let (mut agent, root) = (live_agent(&client), client.root());
+            let (attr, _) =
+                agent.create(&mut client, root, &format!("skew{f}"), 0o644).expect("create");
             let params = FileParams { migration: true, ..FileParams::important(1) };
-            client.set_file_params(attr.handle, params).expect("set params");
-            client.write(attr.handle, 0, b"migration warmup payload").expect("warmup write");
+            agent.set_file_params(&mut client, attr.handle, params).expect("set params");
+            agent.write(&mut client, attr.handle, 0, b"migration warmup payload").expect("warmup");
             attr.handle
         })
         .collect();
@@ -147,8 +152,9 @@ fn skew_reads_go_local_after_placement_warmup() {
         move |(c, mut client): (usize, RuntimeClient)| {
             let files = files.clone();
             thread::spawn(move || {
+                let mut agent = live_agent(&client);
                 for i in from..to {
-                    client.read(files[zipf16(c, i)], 0, 128).expect("skew read");
+                    agent.read_file(&mut client, files[zipf16(c, i)]).expect("skew read");
                 }
                 (c, client)
             })

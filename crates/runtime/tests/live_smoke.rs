@@ -6,7 +6,8 @@ use std::time::Duration;
 
 use deceit_core::{FaultEvent, FileParams, ProtocolHost};
 use deceit_net::NodeId;
-use deceit_runtime::{ClusterRuntime, RuntimeConfig, RuntimeError};
+use deceit_nfs::{NfsReply, NfsRequest};
+use deceit_runtime::{live_agent, ClusterRuntime, RuntimeConfig, RuntimeError};
 use deceit_sim::SimDuration;
 
 /// The acceptance scenario: 3 servers, 4 concurrent clients doing
@@ -21,28 +22,23 @@ fn concurrent_clients_survive_a_crash() {
     let root = rt.client().root();
 
     // Phase 1: concurrent load. Each client thread creates its own
-    // files, sets replication 3, writes via a coalescing batch, and
-    // reads its own data back.
+    // files, sets replication 3, writes them, and reads its own data
+    // back.
     let workers: Vec<_> = (0..CLIENTS)
         .map(|c| {
             let mut client = rt.client();
+            let mut agent = live_agent(&client);
             thread::spawn(move || {
                 let mut made = Vec::new();
                 for i in 0..FILES_PER_CLIENT {
                     let name = format!("c{c}_f{i}");
-                    let attr = client.create(root, &name, 0o644).expect("create");
-                    client
-                        .set_file_params(attr.handle, FileParams::important(3))
+                    let (attr, _) = agent.create(&mut client, root, &name, 0o644).expect("create");
+                    agent
+                        .set_file_params(&mut client, attr.handle, FileParams::important(3))
                         .expect("set replication");
                     let body = format!("body of {name}");
-                    let mut batch = client.batch(attr.handle);
-                    // Contiguous pushes coalesce into one wire request.
-                    for (j, chunk) in body.as_bytes().chunks(4).enumerate() {
-                        batch.push(j * 4, chunk);
-                    }
-                    assert_eq!(batch.len(), 1, "contiguous writes must coalesce");
-                    batch.flush(&mut client).expect("flush").expect("attr");
-                    let back = client.read(attr.handle, 0, 1 << 16).expect("read own file");
+                    agent.write(&mut client, attr.handle, 0, body.as_bytes()).expect("write");
+                    let (back, _) = agent.read_file(&mut client, attr.handle).expect("read back");
                     assert_eq!(&back[..], body.as_bytes(), "{name} read-your-writes");
                     made.push((name, body));
                 }
@@ -62,28 +58,32 @@ fn concurrent_clients_survive_a_crash() {
     let victim = NodeId(0);
     rt.fault(&FaultEvent::Crash { server: victim.0 });
 
-    // A client homed on the victim times out on mutating requests...
+    // A session homed on the victim fails a mutating request on its own:
+    // the raw session never retries...
     let mut stuck = rt.client_homed(victim);
-    let probe = stuck.write(stuck.root(), 0, b"never lands");
+    let write = NfsRequest::Write { fh: root, offset: 0, data: b"never lands"[..].into() };
+    let probe = stuck.call(write);
     assert!(
         matches!(probe, Err(RuntimeError::Rpc(_))),
         "mutating request to a crashed server must fail, got {probe:?}"
     );
 
-    // ...but its reads fail over to a survivor automatically.
-    let survivor_read = stuck.lookup(root, &files[0].0);
-    assert!(survivor_read.is_ok(), "read-only failover failed: {survivor_read:?}");
-    assert!(stuck.failovers > 0);
+    // ...but through an agent its reads fail over to a survivor.
+    let mut agent = live_agent(&stuck);
+    let survivor_read = agent.lookup(&mut stuck, root, &files[0].0);
+    assert!(survivor_read.is_ok(), "failover failed: {survivor_read:?}");
+    assert!(agent.failovers > 0);
     assert_ne!(stuck.home(), victim, "session must re-home onto the survivor");
 
     // Phase 2: every file, written by any client, is fully readable
     // through an explicitly chosen survivor.
     let mut reader = rt.client_homed(NodeId(1));
+    let mut agent = live_agent(&reader);
     for (name, body) in &files {
-        let attr = reader.lookup(root, name).expect("lookup via survivor");
-        let data = reader.read(attr.handle, 0, 1 << 16).expect("read via survivor");
+        let (attr, _) = agent.lookup(&mut reader, root, name).expect("lookup via survivor");
+        let (data, _) = agent.read_file(&mut reader, attr.handle).expect("read via survivor");
         assert_eq!(&data[..], body.as_bytes(), "{name} must survive the crash");
-        let holders = reader.locate_replicas(attr.handle).expect("locate");
+        let (holders, _) = agent.locate_replicas(&mut reader, attr.handle).expect("locate");
         assert!(
             holders.len() >= 2,
             "{name}: at least the two survivors must hold replicas, got {holders:?}"
@@ -109,28 +109,30 @@ fn concurrent_clients_survive_a_crash() {
 fn crashed_server_rejoins_after_restart() {
     let rt = ClusterRuntime::start(RuntimeConfig::new(3));
     let mut client = rt.client_homed(NodeId(1));
-    let root = client.root();
+    let (mut agent, root) = (live_agent(&client), client.root());
+    let c = &mut client;
 
-    let attr = client.create(root, "phoenix", 0o644).expect("create");
-    client.set_file_params(attr.handle, FileParams::important(3)).expect("params");
-    client.write(attr.handle, 0, b"before the crash").expect("write");
+    let (attr, _) = agent.create(c, root, "phoenix", 0o644).expect("create");
+    agent.set_file_params(c, attr.handle, FileParams::important(3)).expect("params");
+    agent.write(c, attr.handle, 0, b"before the crash").expect("write");
     rt.settle();
 
     rt.fault(&FaultEvent::Crash { server: 0 });
-    client.write(attr.handle, 0, b"during the outage").expect("write survives");
+    agent.write(c, attr.handle, 0, b"during the outage").expect("write survives");
     rt.settle();
 
     rt.fault(&FaultEvent::Restart { server: 0 });
     rt.settle();
     // §3.1: the regenerated third replica appears with the next update.
-    client.write(attr.handle, 0, b"after the recovery").expect("post-recovery write");
+    agent.write(c, attr.handle, 0, b"after the recovery").expect("post-recovery write");
     rt.settle();
 
-    let holders = client.locate_replicas(attr.handle).expect("locate");
+    let (holders, _) = agent.locate_replicas(c, attr.handle).expect("locate");
     assert_eq!(holders.len(), 3, "replication level must be restored, got {holders:?}");
 
     let mut direct = rt.client_homed(NodeId(0));
-    let data = direct.read(attr.handle, 0, 64).expect("read via recovered server");
+    let read = live_agent(&direct).read_file(&mut direct, attr.handle);
+    let (data, _) = read.expect("read via recovered server");
     assert_eq!(&data[..], b"after the recovery");
     rt.shutdown();
 }
@@ -144,16 +146,16 @@ fn partition_blocks_minority_and_heals() {
     );
     let mut majority = rt.client_homed(NodeId(1));
     let mut minority = rt.client_homed(NodeId(0));
-    let root = majority.root();
+    let (mut agent, root) = (live_agent(&majority), majority.root());
 
-    let attr = majority.create(root, "split-brain", 0o644).expect("create");
-    majority.write(attr.handle, 0, b"agreed before split").expect("write");
+    let (attr, _) = agent.create(&mut majority, root, "split-brain", 0o644).expect("create");
+    agent.write(&mut majority, attr.handle, 0, b"agreed before split").expect("write");
     rt.settle();
 
     rt.fault(&FaultEvent::Split { groups: vec![vec![0], vec![1, 2]] });
 
     // The majority side keeps serving.
-    let data = majority.read(attr.handle, 0, 64).expect("majority read");
+    let (data, _) = agent.read_file(&mut majority, attr.handle).expect("majority read");
     assert_eq!(&data[..], b"agreed before split");
 
     // The minority-side client is sealed off from the majority servers:
@@ -173,7 +175,7 @@ fn partition_blocks_minority_and_heals() {
     assert!(late_cross.is_err(), "mid-split session must still respect the partition");
 
     rt.fault(&FaultEvent::Heal);
-    minority.set_home(NodeId(1));
+    minority.set_home(NodeId(1)).expect("server 1 is in the cell");
     minority.null().expect("healed network serves everyone");
     rt.shutdown();
 }
@@ -186,7 +188,8 @@ fn never_give_up_request_timeout_serves_calls() {
     let rt = ClusterRuntime::start(RuntimeConfig::new(3).with_request_timeout(Duration::MAX));
     let mut client = rt.client();
     let root = client.root();
-    let attr = client.getattr(root).expect("getattr under an unbounded timeout");
+    let attr = client.call(NfsRequest::Getattr { fh: root });
+    let Ok(NfsReply::Attr(attr)) = attr else { panic!("getattr under an unbounded timeout") };
     assert_eq!(attr.handle, root);
     rt.shutdown();
 }
@@ -230,16 +233,19 @@ fn idle_cell_shuts_down_promptly_with_an_exact_report() {
 fn live_counters_are_on() {
     let rt = ClusterRuntime::start(RuntimeConfig::new(3));
     let mut writer = rt.client_homed(NodeId(0));
-    let attr = writer.create(writer.root(), "counted", 0o644).expect("create");
-    writer.set_file_params(attr.handle, FileParams::important(2)).expect("params");
+    let (mut agent, root) = (live_agent(&writer), writer.root());
+    let (attr, _) = agent.create(&mut writer, root, "counted", 0o644).expect("create");
+    agent.set_file_params(&mut writer, attr.handle, FileParams::important(2)).expect("params");
     for i in 0..16u8 {
-        writer.write(attr.handle, 0, &[i; 64]).expect("write");
+        agent.write(&mut writer, attr.handle, 0, &[i; 64]).expect("write");
     }
     rt.settle();
 
-    let holders = writer.locate_replicas(attr.handle).expect("locate");
+    let (holders, _) = agent.locate_replicas(&mut writer, attr.handle).expect("locate");
     let bare = (0..3).map(NodeId).find(|s| !holders.contains(s)).expect("a server with no replica");
-    let data = rt.client_homed(bare).read(attr.handle, 0, 64).expect("forwarded read");
+    let mut reader = rt.client_homed(bare);
+    let (data, _) =
+        live_agent(&reader).read_file(&mut reader, attr.handle).expect("forwarded read");
     assert_eq!(&data[..], &[15u8; 64][..]);
 
     let stats = rt.observe().stats.expect("the engine exports its counters");
@@ -270,20 +276,23 @@ fn work_scheduled_by_reads_alone_is_counted_and_runs() {
     // no further: a later read could fire it once it is due.
     let read_until_scheduled = |rt: &ClusterRuntime| {
         let mut writer = rt.client_homed(NodeId(0));
-        let attr = writer.create(writer.root(), "read-only", 0o644).expect("create");
+        let (mut agent, root) = (live_agent(&writer), writer.root());
+        let w = &mut writer;
+        let (attr, _) = agent.create(w, root, "read-only", 0o644).expect("create");
         let params = FileParams { min_replicas: 3, ..FileParams::default() };
-        writer.set_file_params(attr.handle, params).expect("set replication");
-        writer.write(attr.handle, 0, b"stream v1").expect("write");
+        agent.set_file_params(w, attr.handle, params).expect("set replication");
+        agent.write(w, attr.handle, 0, b"stream v1").expect("write");
         rt.settle();
-        writer.write(attr.handle, 0, b"stream v2").expect("write");
+        agent.write(w, attr.handle, 0, b"stream v2").expect("write");
         rt.fault(&FaultEvent::Split { groups: vec![vec![0, 1], vec![2]] });
-        writer.write(attr.handle, 0, b"stream v3").expect("write");
+        agent.write(w, attr.handle, 0, b"stream v3").expect("write");
         rt.settle();
         rt.with_engine(|e| e.fs.cluster.net.heal());
         assert_eq!(rt.with_engine(|e| e.pending_work()), 0, "nothing pending before the reads");
         let mut reader = rt.client_homed(NodeId(2));
+        let mut agent = live_agent(&reader);
         for _ in 0..20 {
-            let data = reader.read(attr.handle, 0, 64).expect("forwarded read");
+            let (data, _) = agent.read_file(&mut reader, attr.handle).expect("forwarded read");
             assert_eq!(&data[..], b"stream v3");
             if repairs(rt).0 > 0 {
                 break;

@@ -2,7 +2,8 @@
 //! timed: wall-clock reads ([`deceit_sim::wall::reads`]), leaf-lock
 //! rounds ([`deceit_sim::leaf::rounds`]) and allocator calls (the
 //! counting allocator below), per request, on a live 3-server cell with
-//! one session homed on server 0.
+//! one session homed on server 0. The timed requests go through the
+//! session's bare `call`, as the benchmark's closed loop sends them.
 //!
 //! * **read** — 512 B reads of a stable 1 KiB file replicated on every
 //!   server (`min_replicas` 3): the paper's cheapest operation (§2.1,
@@ -30,8 +31,8 @@ use std::cell::Cell;
 
 use bytes::Bytes;
 use deceit_core::{FileParams, WriteAvailability};
-use deceit_nfs::FileHandle;
-use deceit_runtime::{ClusterRuntime, RuntimeClient, RuntimeConfig};
+use deceit_nfs::{FileHandle, NfsReply, NfsRequest};
+use deceit_runtime::{live_agent, ClusterRuntime, RuntimeClient, RuntimeConfig};
 use deceit_sim::atomic::RelaxedU64;
 use deceit_sim::{leaf, wall};
 use parking_lot::Mutex;
@@ -91,9 +92,10 @@ struct Cost {
 fn cell(params: FileParams) -> (ClusterRuntime, RuntimeClient, FileHandle) {
     let rt = ClusterRuntime::start(RuntimeConfig::new(3));
     let mut c = rt.client_homed(rt.server_ids()[0]);
-    let fh = c.create(c.root(), "f", 0o644).expect("create").handle;
-    c.set_file_params(fh, params).expect("params");
-    c.write(fh, 0, &[7u8; 2 * IO]).expect("fill");
+    let (mut agent, root) = (live_agent(&c), c.root());
+    let fh = agent.create(&mut c, root, "f", 0o644).expect("create").0.handle;
+    agent.set_file_params(&mut c, fh, params).expect("params");
+    agent.write(&mut c, fh, 0, &[7u8; 2 * IO]).expect("fill");
     rt.settle();
     (rt, c, fh)
 }
@@ -134,7 +136,8 @@ fn a_local_read_costs_two_stamps_and_no_allocation() {
     let _turn = SERIAL.lock();
     let (rt, mut c, fh) = cell(params(3, 1));
     let got = cost(&rt, |i| {
-        let data = c.read(fh, (i % 2) * IO, IO).expect("read");
+        let read = NfsRequest::Read { fh, offset: (i % 2) * IO, count: IO };
+        let Ok(NfsReply::Data(data)) = c.call(read) else { panic!("read {i}") };
         assert_eq!(data.len(), IO);
     });
     println!("read: {got:?}");
@@ -151,7 +154,8 @@ fn a_replicated_write_stays_within_its_budget() {
     let (rt, mut c, fh) = cell(params(3, 2));
     let payload = Bytes::from(vec![9u8; IO]);
     let got = cost(&rt, |i| {
-        c.write_bytes(fh, (i % 2) * IO, payload.clone()).expect("write");
+        let write = NfsRequest::Write { fh, offset: (i % 2) * IO, data: payload.clone() };
+        assert!(matches!(c.call(write), Ok(NfsReply::Attr(_))), "write {i}");
     });
     println!("write: {got:?}");
     assert!(got.clock_reads <= 4.5 + got.wakes, "clock reads per write: {got:?}");

@@ -19,7 +19,7 @@ use std::time::{Duration, Instant};
 
 use deceit_core::FileParams;
 use deceit_nfs::{NfsReply, NfsRequest};
-use deceit_runtime::{ClusterRuntime, RuntimeConfig};
+use deceit_runtime::{live_agent, ClusterRuntime, RuntimeConfig};
 
 /// Served-request counts per rung, and exclusive cell-lock acquisitions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -76,15 +76,15 @@ fn each_request_kind_lands_on_one_rung() {
     let rt = ClusterRuntime::start(RuntimeConfig::new(3));
     let home = rt.server_ids()[0];
     let mut c = rt.client_homed(home);
-    let root = c.root();
+    let (mut agent, root) = (live_agent(&c), c.root());
     // `stable` is replicated on every server; `solo` keeps one replica.
-    let stable = c.create(root, "stable", 0o644).expect("create stable").handle;
-    c.set_file_params(stable, FileParams::important(3)).expect("replicate stable");
-    c.write(stable, 0, b"stable bytes").expect("write stable");
-    let solo = c.create(root, "solo", 0o644).expect("create solo").handle;
-    c.write(solo, 0, b"solo bytes").expect("write solo");
+    let stable = agent.create(&mut c, root, "stable", 0o644).expect("create stable").0.handle;
+    agent.set_file_params(&mut c, stable, FileParams::important(3)).expect("replicate stable");
+    agent.write(&mut c, stable, 0, b"stable bytes").expect("write stable");
+    let solo = agent.create(&mut c, root, "solo", 0o644).expect("create solo").0.handle;
+    agent.write(&mut c, solo, 0, b"solo bytes").expect("write solo");
     rt.settle();
-    let holders = c.locate_replicas(solo).expect("locate solo");
+    let (holders, _) = agent.locate_replicas(&mut c, solo).expect("locate solo");
     let away = *rt
         .server_ids()
         .iter()
@@ -118,13 +118,14 @@ fn a_request_is_counted_before_its_reply() {
     const OPS: usize = 1_000;
     let rt = ClusterRuntime::start(RuntimeConfig::new(3));
     let mut c = rt.client_homed(rt.server_ids()[0]);
-    let fh = c.create(c.root(), "f", 0o644).expect("create").handle;
+    let (mut agent, root) = (live_agent(&c), c.root());
+    let fh = agent.create(&mut c, root, "f", 0o644).expect("create").0.handle;
     for i in 0..OPS {
         let before = rt.stats().requests_served;
         if i % 2 == 0 {
-            c.write(fh, 0, b"counted").expect("write");
+            agent.write(&mut c, fh, 0, b"counted").expect("write");
         } else {
-            c.read(fh, 0, 7).expect("read");
+            agent.read_file(&mut c, fh).expect("read");
         }
         assert_eq!(rt.stats().requests_served, before + 1, "request {i} not counted yet");
     }
@@ -136,7 +137,8 @@ fn pipelined_mixed_traffic_keeps_arrival_order() {
     const PAIRS: usize = 64;
     let rt = ClusterRuntime::start(RuntimeConfig::new(3));
     let mut c = rt.client_homed(rt.server_ids()[0]);
-    let fh = c.create(c.root(), "f", 0o644).expect("create").handle;
+    let root = c.root();
+    let fh = live_agent(&c).create(&mut c, root, "f", 0o644).expect("create").0.handle;
     let payload = |k: usize| format!("write {k:03}").into_bytes();
     let len = payload(0).len();
     let calls: Vec<_> = (0..PAIRS)

@@ -6,7 +6,8 @@
 //! three server threads host the segment-server protocols (replication,
 //! tokens, stability, recovery) behind the NFS envelope, while four
 //! client threads hammer them with concurrent create/write/read traffic
-//! over the in-memory [`deceit::net::live::LiveBus`] transport. Mid-run,
+//! over the in-memory [`deceit::net::live::LiveBus`] transport, each
+//! through the same §5.3 agent the simulator's clients use. Mid-run,
 //! one server is crashed without notification; the survivors keep
 //! serving every replicated byte, and after a restart the cell heals to
 //! full replication.
@@ -23,25 +24,22 @@ fn main() {
     let root = rt.client().root();
 
     // Phase 1: concurrent load. Each client owns a set of files at
-    // replication level 3, written through coalescing write batches.
+    // replication level 3.
     let workers: Vec<_> = (0..4)
         .map(|c| {
             let mut client = rt.client();
+            let mut agent = live_agent(&client);
             thread::spawn(move || {
                 let mut names = Vec::new();
                 for i in 0..5 {
                     let name = format!("client{c}/file{i}").replace('/', "_");
-                    let attr = client.create(root, &name, 0o644).expect("create");
-                    client
-                        .set_file_params(attr.handle, FileParams::important(3))
+                    let (attr, _) = agent.create(&mut client, root, &name, 0o644).expect("create");
+                    agent
+                        .set_file_params(&mut client, attr.handle, FileParams::important(3))
                         .expect("replicate");
                     let body = format!("{name}: written live by client thread {c}");
-                    let mut batch = client.batch(attr.handle);
-                    for (j, chunk) in body.as_bytes().chunks(8).enumerate() {
-                        batch.push(j * 8, chunk);
-                    }
-                    batch.flush(&mut client).expect("batched write");
-                    let back = client.read(attr.handle, 0, 1 << 16).expect("read back");
+                    agent.write(&mut client, attr.handle, 0, body.as_bytes()).expect("write");
+                    let (back, _) = agent.read_file(&mut client, attr.handle).expect("read back");
                     assert_eq!(&back[..], body.as_bytes());
                     names.push((name, body));
                 }
@@ -63,11 +61,12 @@ fn main() {
     println!("\ncrashing {victim} without notification ...");
     rt.fault(&FaultEvent::Crash { server: victim.0 });
 
-    // A client homed on the victim transparently fails over for reads.
+    // A client homed on the victim transparently fails over.
     let mut survivor_client = rt.client_homed(victim);
+    let mut agent = live_agent(&survivor_client);
     let (name, body) = &files[0];
-    let attr = survivor_client.lookup(root, name).expect("failover lookup");
-    let data = survivor_client.read(attr.handle, 0, 1 << 16).expect("failover read");
+    let (attr, _) = agent.lookup(&mut survivor_client, root, name).expect("failover lookup");
+    let (data, _) = agent.read_file(&mut survivor_client, attr.handle).expect("failover read");
     assert_eq!(&data[..], body.as_bytes());
     println!(
         "client homed on {victim} failed over to {} and read {name} intact",
@@ -76,9 +75,10 @@ fn main() {
 
     // Every replicated file survives, served by the remaining threads.
     let mut reader = rt.client_homed(NodeId(1));
+    let mut agent = live_agent(&reader);
     for (name, body) in &files {
-        let attr = reader.lookup(root, name).expect("lookup via survivor");
-        let data = reader.read(attr.handle, 0, 1 << 16).expect("read via survivor");
+        let (attr, _) = agent.lookup(&mut reader, root, name).expect("lookup via survivor");
+        let (data, _) = agent.read_file(&mut reader, attr.handle).expect("read via survivor");
         assert_eq!(&data[..], body.as_bytes(), "{name} lost data in the crash");
     }
     println!("all {} files read back intact through the survivors", files.len());
@@ -88,13 +88,13 @@ fn main() {
     rt.fault(&FaultEvent::Restart { server: victim.0 });
     rt.settle();
     for (name, body) in &files {
-        let attr = reader.lookup(root, name).expect("lookup");
-        reader.write(attr.handle, 0, body.as_bytes()).expect("regenerating write");
+        let (attr, _) = agent.lookup(&mut reader, root, name).expect("lookup");
+        agent.write(&mut reader, attr.handle, 0, body.as_bytes()).expect("regenerating write");
     }
     rt.settle();
     for (name, _) in &files {
-        let attr = reader.lookup(root, name).expect("lookup");
-        let holders = reader.locate_replicas(attr.handle).expect("locate");
+        let (attr, _) = agent.lookup(&mut reader, root, name).expect("lookup");
+        let (holders, _) = agent.locate_replicas(&mut reader, attr.handle).expect("locate");
         assert_eq!(holders.len(), 3, "{name} must be back at replication 3");
     }
     println!("every file is back at replication level 3");

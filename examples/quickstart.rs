@@ -21,7 +21,7 @@ fn main() {
     // A client agent on machine 100, mounted on server 0 (Figure 6's
     // "NFS client/server protocol" arrow).
     let mut agent = Agent::new(NodeId(100), NodeId(0), AgentConfig::default());
-    let mounted_root = agent.mount(&srv);
+    let mounted_root = srv.mount();
     assert_eq!(mounted_root, root);
     println!("mounted root {root} from server n0");
 
@@ -34,7 +34,7 @@ fn main() {
         fh: file.handle,
         params: FileParams { min_replicas: 3, ..FileParams::default() },
     };
-    let (reply, lat) = agent.rpc(&mut srv, req);
+    let (reply, lat) = agent.rpc(&mut srv, req).unwrap();
     assert!(reply.as_error().is_none());
     println!("set min_replicas=3    -> ok ({lat})");
 

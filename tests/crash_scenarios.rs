@@ -123,16 +123,7 @@ fn agent_failover_during_crash_storm() {
     let mut srv = NfsServer::new(fs);
     let mut agent = Agent::new(n(100), n(0), AgentConfig::default());
     let (f, _) = agent.create(&mut srv, root, "storm", 0o644).unwrap();
-    if let Some(e) = agent
-        .rpc(
-            &mut srv,
-            NfsRequest::DeceitSetParams { fh: f.handle, params: FileParams::important(3) },
-        )
-        .0
-        .as_error()
-    {
-        panic!("setparams failed: {e}")
-    }
+    agent.set_file_params(&mut srv, f.handle, FileParams::important(3)).expect("setparams");
     agent.write(&mut srv, f.handle, 0, b"v0").unwrap();
     srv.fs.cluster.run_until_quiet();
 
