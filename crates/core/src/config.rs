@@ -43,9 +43,17 @@ pub struct ClusterConfig {
     /// §3.3 optimization 2: "pass an update to the current token holder
     /// instead of requesting the token if it is likely that there will be
     /// only one update; for example, a small file that is overwritten in a
-    /// single update." Off by default, as in the paper.
+    /// single update." Only a server that already holds a replica of the
+    /// file forwards; one without a replica takes the token, and with it
+    /// a replica, as without the option. Off by default, as in the paper;
+    /// the live runtime turns it on.
     pub opt_forward_small: bool,
-    /// Size bound below which optimization 2 applies.
+    /// Size bound at or below which optimization 2 applies, compared
+    /// with the update's wire size. Until replica updates carry the
+    /// written range (ROADMAP item 11), every NFS write reaches the
+    /// cluster as the whole segment image, so the bound compares the
+    /// image: a small write to a file larger than the bound is not small
+    /// here.
     pub forward_small_threshold: usize,
     /// The asynchronous replicated-write pipeline (§3.3's "only the first
     /// s correct replies" taken to its logical end, §1's asynchronous

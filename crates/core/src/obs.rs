@@ -807,9 +807,15 @@ mod tests {
             SimTime::from_micros(42),
             ProtocolEvent::MarkedStable { seg: SegmentId(7) },
         );
+        let forwarded =
+            ProtocolEvent::UpdateForwarded { seg: SegmentId(7), from: NodeId(1), to: NodeId(0) };
+        fr.record(NodeId(1), SimTime::from_micros(43), forwarded);
         let dump = fr.dump();
         assert!(dump.contains("server 0: 0 protocol events"));
-        assert!(dump.contains("server 1: 1 protocol events"));
+        assert!(dump.contains("server 1: 2 protocol events"));
         assert!(dump.contains("MarkedStable"));
+        // A forwarded write names the server it entered at.
+        let entered = "UpdateForwarded { seg: SegmentId(7), from: NodeId(1), to: NodeId(0) }";
+        assert!(dump.contains(entered), "{dump}");
     }
 }

@@ -32,19 +32,6 @@ use crate::trace_events::ProtocolEvent;
 use crate::version::VersionPair;
 
 impl Cluster {
-    /// Ensures `via` holds an enabled write token for the most recent
-    /// available version of `seg`, acquiring or generating one as needed.
-    ///
-    /// Returns the replica key the token governs (possibly a *new* major
-    /// if a token had to be generated) and the time spent.
-    pub fn ensure_token(
-        &mut self,
-        via: NodeId,
-        seg: SegmentId,
-    ) -> DeceitResult<(ReplicaKey, SimDuration)> {
-        self.ensure_token_for_write(via, seg, false).map(|(ctx, latency)| (ctx.key, latency))
-    }
-
     /// What a write via `via` finds of the file `key` in the located
     /// `group` ([`WriteCtx::read`]), in one visit to `via`'s slot: `None`
     /// if `via` holds no token for it.
@@ -58,40 +45,48 @@ impl Cluster {
         self.server(via).visit(key.0, |s| WriteCtx::read(s, net, via, key, group))
     }
 
-    /// [`Cluster::ensure_token`] with the §3.3 piggyback option: when
-    /// `piggyback` is set and this acquisition precedes an update, the
-    /// token request rides in the same message as the update broadcast,
-    /// so the request round costs nothing extra here.
+    /// The held-token visit: what a write via `via` finds of `seg` when
+    /// `via` already holds its token — the stream-of-updates case the
+    /// protocol is optimized for — read in one visit to `via`'s slot, for
+    /// [`Cluster::check_token_enabled`] and the write that follows alike.
     ///
-    /// Returns what the write then finds of the file (see [`WriteCtx`]):
-    /// read once, here, for the held-token fast path and the write that
-    /// follows it alike.
-    pub(crate) fn ensure_token_for_write(
+    /// For a file that has only ever had one major, with its group in
+    /// `via`'s location cache, what `resolve_key` would find — the newest
+    /// local major, the cached group — and what `write_context` reads are
+    /// that one visit, and the cached group's existence is one
+    /// group-table read. `None` on anything else: the caller resolves the
+    /// key and takes [`Cluster::acquire_token_for_write`], which reads it
+    /// all again — the visit changed nothing.
+    pub(crate) fn held_token(&self, via: NodeId, seg: SegmentId) -> Option<WriteCtx> {
+        if !self.single_major(seg) {
+            return None;
+        }
+        let net = &self.net;
+        let held = self.server(via).visit(seg, |s| {
+            let key = s.replicas.latest(seg)?;
+            let group = s.group_cache.get(&seg).copied()?;
+            WriteCtx::read(s, net, via, key, Some(group))
+        });
+        held.filter(|ctx| ctx.group.is_some_and(|g| self.groups.exists(g)))
+    }
+
+    /// The acquisition path, for a write the held-token visit missed:
+    /// `resolved` is what `resolve_key` found of `seg` from `via` — the
+    /// key, the group and the search time, which is charged here. A
+    /// token `via` holds after all (a branched file, a cold location
+    /// cache) is used as it is; otherwise it is acquired, with the §3.3
+    /// piggyback option: when `piggyback` is set the token request rides
+    /// in the same message as the update broadcast, so the request round
+    /// costs nothing extra here.
+    ///
+    /// Returns what the write then finds of the file (see [`WriteCtx`]).
+    pub(crate) fn acquire_token_for_write(
         &self,
         via: NodeId,
         seg: SegmentId,
+        (key, group, mut latency): (ReplicaKey, Option<GroupId>, SimDuration),
         piggyback: bool,
     ) -> DeceitResult<(WriteCtx, SimDuration)> {
-        // Fast path: token already held (the stream-of-updates case the
-        // protocol is optimized for). For a file that has only ever had
-        // one major, with its group in `via`'s location cache, what
-        // `resolve_key` finds — the newest local major, the cached group —
-        // and what `write_context` reads are one visit to `via`'s slot,
-        // and the cached group's existence is one group-table read.
-        // Anything else takes the general path below, which reads it all
-        // again: the visit changed nothing.
-        if self.single_major(seg) {
-            let net = &self.net;
-            let held = self.server(via).visit(seg, |s| {
-                let key = s.replicas.latest(seg)?;
-                let group = s.group_cache.get(&seg).copied()?;
-                WriteCtx::read(s, net, via, key, Some(group))
-            });
-            if let Some(ctx) = held.filter(|ctx| ctx.group.is_some_and(|g| self.groups.exists(g))) {
-                return self.check_token_enabled(via, ctx);
-            }
-        }
-        let (key, group, mut latency) = self.resolve_key(via, seg, None)?;
         if let Some(ctx) = self.write_context(via, key, group) {
             let (ctx, checked) = self.check_token_enabled(via, ctx)?;
             return Ok((ctx, latency + checked));

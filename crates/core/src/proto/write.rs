@@ -21,7 +21,7 @@
 //! (`ServerState::visit`), one lock round. A write
 //! looks at the records it owns at `via` — the token, the primary
 //! replica, the stream state — *once*, in one visit (`WriteCtx`, read
-//! by `Cluster::ensure_token_for_write`), and every decision before the
+//! by `Cluster::held_token`), and every decision before the
 //! distribution — enabled, the §5.1 version check, the append cap, the
 //! extra-replica test, the reply count — is taken from that reading.
 //! Every record it then changes is changed where it lies: each safety
@@ -229,28 +229,33 @@ impl Cluster {
             return Err(DeceitError::SegmentTooBig(seg));
         }
 
-        // §3.3 optimization 2: for a small one-shot update, pass the
-        // update to the current token holder instead of moving the token.
-        if self.cfg.opt_forward_small && op.wire_size() <= self.cfg.forward_small_threshold {
-            if let Ok((key, ..)) = self.resolve_key(via, seg, None) {
-                if !self.server(via).holds_token(key) {
-                    if let Some(holder) = self.find_reachable_token_holder(via, key) {
-                        if holder != via {
-                            let rtt = self.round_trip(via, holder, op.wire_size(), 24)?;
-                            self.obs.bump(Stat::UpdatesForwarded);
-                            let (v, inner) = self.do_write(holder, seg, op, expected)?;
-                            return Ok((v, rtt + inner));
-                        }
-                    }
-                }
-            }
-        }
-
         // Table 1 row 1: precondition "token is not held" → acquire token.
-        // What comes back is the one reading of the token and the primary
-        // replica everything below decides from.
-        let piggyback = self.cfg.opt_piggyback_acquire;
-        let (mut ctx, mut latency) = self.ensure_token_for_write(via, seg, piggyback)?;
+        // The held-token visit comes first: a stream of writes at the
+        // holder pays nothing for what a miss does. What comes back is the
+        // one reading of the token and the primary replica everything
+        // below decides from.
+        let (mut ctx, mut latency) = match self.held_token(via, seg) {
+            Some(held) => self.check_token_enabled(via, held)?,
+            None => {
+                let resolved = self.resolve_key(via, seg, None)?;
+                // §3.3 optimization 2: pass a small update to the current
+                // token holder instead of moving the token, from a server
+                // that already holds a replica. The search time spent
+                // resolving the key is the write's either way.
+                if let Some(holder) = self.forward_target(via, resolved.0, &op) {
+                    let rtt = self.round_trip(via, holder, op.wire_size(), 24)?;
+                    self.obs.bump(Stat::UpdatesForwarded);
+                    self.emit_from(
+                        via,
+                        ProtocolEvent::UpdateForwarded { seg, from: via, to: holder },
+                    );
+                    let (v, inner) = self.do_write(holder, seg, op, expected)?;
+                    return Ok((v, resolved.2 + rtt + inner));
+                }
+                let piggyback = self.cfg.opt_piggyback_acquire;
+                self.acquire_token_for_write(via, seg, resolved, piggyback)?
+            }
+        };
         let (key, params) = (ctx.key, ctx.params);
 
         // Conditional write check against the authoritative (token)
@@ -435,6 +440,25 @@ impl Cluster {
         }
 
         Ok((new_version, latency))
+    }
+
+    /// Where §3.3 optimization 2 sends a write via `via` to the file
+    /// `key` (`ClusterConfig::opt_forward_small`): the reachable token
+    /// holder, when the update is small and `via` holds a replica of the
+    /// file but not its token. A server without a replica gets `None`
+    /// and takes the token, and with it a replica, so its reads can be
+    /// served where its client is.
+    fn forward_target(&self, via: NodeId, key: ReplicaKey, op: &WriteOp) -> Option<NodeId> {
+        if !self.cfg.opt_forward_small || op.wire_size() > self.cfg.forward_small_threshold {
+            return None;
+        }
+        let replica_only = self
+            .server(via)
+            .visit(key.0, |s| s.replicas.disk().contains(&key) && !s.tokens.disk().contains(&key));
+        if !replica_only {
+            return None;
+        }
+        self.find_reachable_token_holder(via, key)
     }
 
     /// The paper prototype's eager distribution: one broadcast round to

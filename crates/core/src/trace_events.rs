@@ -97,6 +97,16 @@ pub enum ProtocolEvent {
         /// Server that satisfied it.
         to: NodeId,
     },
+    /// A small update was passed to the token holder instead of moving
+    /// the token (§3.3 optimization 2, `ClusterConfig::opt_forward_small`).
+    UpdateForwarded {
+        /// Segment involved.
+        seg: SegmentId,
+        /// Server that received the client request.
+        from: NodeId,
+        /// The token holder that distributed it.
+        to: NodeId,
+    },
     /// Two incomparable versions were detected (§3.6 "The hard case"); the
     /// conflict is logged for the user to resolve.
     ConflictLogged {
@@ -176,6 +186,7 @@ impl ProtocolEvent {
             | ProtocolEvent::ReplicaDeleted { seg, .. }
             | ProtocolEvent::MarkedStable { seg }
             | ProtocolEvent::ReadForwarded { seg, .. }
+            | ProtocolEvent::UpdateForwarded { seg, .. }
             | ProtocolEvent::ConflictLogged { seg, .. }
             | ProtocolEvent::ReadRepaired { seg, .. }
             | ProtocolEvent::ObsoleteDestroyed { seg, .. }
@@ -215,6 +226,9 @@ mod tests {
         assert_eq!(ev.segment(), Some(seg));
         let fwd = ProtocolEvent::ReadForwarded { seg, from: NodeId(0), to: NodeId(1) };
         assert_eq!(fwd.table1_action(), None);
+        let upd = ProtocolEvent::UpdateForwarded { seg, from: NodeId(1), to: NodeId(0) };
+        assert_eq!(upd.segment(), Some(seg));
+        assert_eq!(upd.table1_action(), None, "a forward is not a Table 1 row");
         let rec = ProtocolEvent::RecoveryStarted { server: NodeId(0) };
         assert_eq!(rec.segment(), None, "recovery events are server-scoped");
         assert_eq!(rec.table1_action(), None);

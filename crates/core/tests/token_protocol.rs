@@ -141,3 +141,91 @@ fn token_survives_holder_crash_and_recovery() {
     c.write(n(0), seg, WriteOp::replace(b"after"), None).unwrap();
     assert_eq!(c.obs.count(Stat::TokenGenerated), 0);
 }
+
+/// A file written once via server 0, which holds its token, kept at
+/// `min_replicas`, with §3.3 optimization 2 on at the default threshold.
+fn forwarding_fixture(min_replicas: usize) -> (Cluster, SegmentId) {
+    let mut cfg = ClusterConfig::deterministic();
+    cfg.opt_forward_small = true;
+    let mut c = Cluster::new(3, cfg);
+    let seg = c.create(n(0)).unwrap().value;
+    c.set_params(n(0), seg, FileParams { min_replicas, stability: false, ..FileParams::default() })
+        .unwrap();
+    c.write(n(0), seg, WriteOp::replace(b"base"), None).unwrap();
+    c.run_until_quiet();
+    (c, seg)
+}
+
+#[test]
+fn forward_gate_a_replica_holder_forwards() {
+    let (mut c, seg) = forwarding_fixture(2);
+    let (with, without) = match c.server(n(1)).has_segment(seg) {
+        true => (n(1), n(2)),
+        false => (n(2), n(1)),
+    };
+    assert!(!c.server(without).has_segment(seg), "two replicas: {with:?} and the holder");
+    let passes = c.obs.count(Stat::TokenPasses);
+    let forwarded = c.obs.count(Stat::UpdatesForwarded);
+    c.write(with, seg, WriteOp::replace(b"from a replica holder"), None).unwrap();
+    assert_eq!(c.obs.count(Stat::TokenPasses), passes, "the token stayed parked");
+    assert_eq!(c.obs.count(Stat::UpdatesForwarded), forwarded + 1);
+    assert!(c.server(n(0)).holds_token((seg, 0)));
+    c.run_until_quiet();
+    assert!(c.server(n(0)).has_segment(seg) && c.server(with).has_segment(seg), "both stay");
+    assert!(!c.server(without).has_segment(seg));
+    let r = c.read(with, seg, None, 0, 64).unwrap().value;
+    assert_eq!(&r.data()[..], b"from a replica holder");
+}
+
+#[test]
+fn forward_gate_a_server_without_a_replica_takes_the_token() {
+    let (mut c, seg) = forwarding_fixture(1);
+    assert!(!c.server(n(1)).has_segment(seg));
+    let passes = c.obs.count(Stat::TokenPasses);
+    c.write(n(1), seg, WriteOp::replace(b"moved"), None).unwrap();
+    assert_eq!(c.obs.count(Stat::TokenPasses), passes + 1);
+    assert_eq!(c.obs.count(Stat::UpdatesForwarded), 0);
+    assert!(c.server(n(1)).holds_token((seg, 0)) && c.server(n(1)).has_segment(seg));
+    // From here on, the old holder is a replica holder: its next small
+    // write is forwarded, and the token stays where it went.
+    c.write(n(0), seg, WriteOp::replace(b"back"), None).unwrap();
+    assert_eq!(c.obs.count(Stat::TokenPasses), passes + 1);
+    assert_eq!(c.obs.count(Stat::UpdatesForwarded), 1);
+}
+
+#[test]
+fn forward_gate_a_write_above_the_threshold_takes_the_token() {
+    let (mut c, seg) = forwarding_fixture(3);
+    let threshold = ClusterConfig::default().forward_small_threshold;
+    let big = WriteOp::Replace(vec![7u8; threshold + 1].into());
+    assert!(big.wire_size() > threshold);
+    c.write(n(1), seg, big, None).unwrap();
+    assert!(c.server(n(1)).holds_token((seg, 0)), "a large update moved the token");
+    assert_eq!(c.obs.count(Stat::TokenPasses), 1);
+    assert_eq!(c.obs.count(Stat::UpdatesForwarded), 0);
+}
+
+/// A forwarded write charges the §3.2 search its server made to find the
+/// file group: a replica holder that is out of the group's view and
+/// whose volatile location cache a crash emptied must search the cell
+/// before it knows where the token holder is.
+#[test]
+fn a_cold_cache_forward_charges_the_search_round() {
+    let (mut c, seg) = forwarding_fixture(3);
+    c.crash_server(n(1));
+    c.recover_server(n(1));
+    c.run_until_quiet();
+    let gid = c.groups.lookup(&format!("file:{}", seg.0)).expect("file group");
+    c.groups.leave(gid, n(1)).expect("leave the view");
+
+    let searches = c.net.stats().tag_count("locate");
+    let cold = c.write(n(1), seg, WriteOp::replace(b"cold"), None).unwrap().latency;
+    assert!(c.net.stats().tag_count("locate") > searches, "the cold cache searched the cell");
+    let searches = c.net.stats().tag_count("locate");
+    let warm = c.write(n(1), seg, WriteOp::replace(b"warm"), None).unwrap().latency;
+    assert_eq!(c.net.stats().tag_count("locate"), searches, "the search filled the cache");
+    assert_eq!(c.obs.count(Stat::UpdatesForwarded), 2);
+    // Fixed 2 ms links: the search round is at least one 4 ms round trip.
+    let round = deceit_sim::SimDuration::from_millis(4);
+    assert!(cold >= warm + round, "cold {cold:?} vs warm {warm:?}: the search time was dropped");
+}

@@ -34,7 +34,11 @@ impl RuntimeConfig {
     /// the identical pipeline. Replicas move toward their readers only as
     /// the paper moves them: §3.1's migration is the per-file `migration`
     /// parameter, off by default (§4), in live hosting as in the
-    /// simulator.
+    /// simulator. §3.3's second token optimization is on: a small write
+    /// at a server that holds a replica but not the token is passed to
+    /// the holder, so competing writers leave the token parked instead of
+    /// passing it back and forth; a server without a replica still takes
+    /// the token, and with it the replica its reads are then served from.
     pub fn new(servers: usize) -> Self {
         // §3.4's "short period of no write activity" is measured on the
         // protocol clock, which a busy live cell advances by ~20ms of
@@ -59,6 +63,9 @@ impl RuntimeConfig {
         // writes of buffering headroom per stream. Lagging replicas are
         // unstable, so reads forward to the holder meanwhile.
         cluster.lazy_apply_delay = deceit_sim::SimDuration::from_secs(5);
+        // A write from a replica holder reaches the token holder in one
+        // forward; `forward_small_threshold` keeps the core default.
+        cluster.opt_forward_small = true;
         RuntimeConfig {
             servers,
             cluster,
@@ -98,6 +105,12 @@ mod tests {
         assert!(cfg.cluster.opt_write_pipeline, "live hosting pipelines replicated writes");
         assert!(cfg.cluster.opt_read_leases, "live hosting serves holder-local read leases");
         assert!(cfg.cluster.opt_read_repair, "live hosting repairs lagging replicas on read");
+        assert!(cfg.cluster.opt_forward_small, "live hosting forwards small writes to the holder");
+        assert!(!cfg.cluster.opt_piggyback_acquire, "§3.3 optimization 1 stays off");
+        assert_eq!(
+            cfg.cluster.forward_small_threshold,
+            deceit_core::ClusterConfig::default().forward_small_threshold
+        );
         let fs = &cfg.fs;
         assert!(
             ![fs.root_params, fs.dir_params, fs.file_params].iter().any(|p| p.migration),

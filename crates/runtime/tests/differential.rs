@@ -10,7 +10,7 @@
 //! readback calls.
 
 use deceit_agent::{Agent, AgentConfig};
-use deceit_core::{FaultEvent, FileParams};
+use deceit_core::{FaultEvent, FileParams, WriteAvailability};
 use deceit_net::NodeId;
 use deceit_nfs::{FileHandle, NfsReply, NfsRequest};
 use deceit_runtime::{
@@ -126,6 +126,56 @@ fn unmarked_files_do_not_migrate_in_the_live_profile() {
     let cfg = RuntimeConfig::new(3);
     reads_stay_forwarded(&mut SimWorld::new(&cfg, 1));
     reads_stay_forwarded(&mut LiveWorld::start(cfg, 1));
+}
+
+/// §3.3 optimization 2 across a holder crash: homes 0 and 1 take turns
+/// writing one file replicated on both, so home 1's writes are forwarded
+/// to the token parked at server 0; server 0 then crashes mid-stream,
+/// with updates still buffered for the pipeline. Home 1's next write
+/// finds no holder to forward to and falls back to acquiring or
+/// generating the token; the stream goes on there, server 0 restarts,
+/// and both worlds must end byte for byte alike. At `write_safety` 2
+/// every acked write reached a second replica before its ack, so none
+/// is lost to the crash; availability "high" lets home 1 generate a
+/// token however many replicas the crash left it (§3.5).
+#[test]
+fn holder_crash_mid_forwarded_stream_matches_across_worlds() {
+    fn stream(world: &mut impl World) -> (FileState, String) {
+        let (holder, other) = (NodeId(0), NodeId(1));
+        let params = FileParams {
+            write_safety: 2,
+            availability: WriteAvailability::High,
+            ..FileParams::important(3)
+        };
+        let fh = create(world, holder, "shared", Some(params), b"seed");
+        world.fault(&FaultEvent::Settle);
+        for i in 0..6 {
+            write(world, holder, fh, 0, format!("[h{i}]").as_bytes());
+            write(world, other, fh, 8, format!("[o{i}]").as_bytes());
+        }
+        world.fault(&FaultEvent::Crash { server: 0 });
+        for i in 6..9 {
+            write(world, other, fh, 8, format!("[o{i}]").as_bytes());
+        }
+        world.fault(&FaultEvent::Restart { server: 0 });
+        world.fault(&FaultEvent::Settle);
+        write(world, other, fh, 16, b"[after restart]");
+        world.fault(&FaultEvent::Settle);
+        let state = read_back(world, 0, other, fh).expect("read back");
+        (state, world.flight())
+    }
+    let cfg = RuntimeConfig::new(3);
+    let (sim, sim_flight) = stream(&mut SimWorld::new(&cfg, 1));
+    let (live, flight) = stream(&mut LiveWorld::start(cfg, 1));
+    assert_ends_match(&[live], std::slice::from_ref(&sim), true, &flight);
+    // The run took the paths it is about: forwards before the crash, and
+    // a token taken at home 1 after it.
+    for dump in [&sim_flight, &flight] {
+        assert!(dump.contains("UpdateForwarded"), "no forwarded write:\n{dump}");
+        let taken = dump.contains("TokenGenerated") || dump.contains("TokenAcquired");
+        assert!(taken, "home 1 never took the token:\n{dump}");
+    }
+    assert_eq!(&sim.data[..], b"[h5]\0\0\0\0[o8]\0\0\0\0[after restart]");
 }
 
 /// A crash-free scenario with interleaved appends: pins ordering and

@@ -7,6 +7,11 @@
 //!   time), recovered by holder-local read leases. **remote stream** is
 //!   the same with the readers on another server, whose reads forward
 //!   to the holder and are answered from its lease.
+//! * **cross-homed writers** — sessions homed on two servers take turns
+//!   writing and reading one shared file: after the first acquisition
+//!   the token stays parked (§3.3 optimization 2 forwards the other
+//!   home's small writes to it), and both homes' reads stay on the
+//!   shared path.
 //! * **skew** — sixteen cross-homed sessions read sixteen round-robin-
 //!   homed files marked `migration` (§3.1 method 4) under Zipf(1)
 //!   popularity: the warm-up's forwarded reads must migrate the files
@@ -20,7 +25,7 @@ use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
 use deceit_core::FileParams;
-use deceit_nfs::FileHandle;
+use deceit_nfs::{FileHandle, NfsReply, NfsRequest};
 use deceit_runtime::{live_agent, ClusterRuntime, RuntimeClient, RuntimeConfig};
 
 /// How long a workload's workers may run before the test calls it a
@@ -118,6 +123,80 @@ fn stream_readers_stay_on_the_lease_path() {
 #[test]
 fn remote_stream_readers_ride_the_holders_lease() {
     stream_readers_ride_the_lease("remote stream", 1);
+}
+
+/// Sessions homed on servers 0 and 1 take turns writing and reading one
+/// (2,1) file created via server 2, so one home holds a replica and the
+/// other does not. The one without takes the token with its first
+/// write, and a replica with it (§3.3 optimization 2 forwards only from
+/// a replica holder); from then on every write from the other home is
+/// forwarded to the parked token, so `core/token/passes` stops growing,
+/// and each home's reads stay on the shared path (≥ 90 % each): the
+/// holder's from its lease, the other's forwarded to that lease.
+#[test]
+fn cross_homed_writers_leave_the_token_parked() {
+    const ROUNDS: usize = 200;
+
+    let rt = Arc::new(ClusterRuntime::start(RuntimeConfig::new(3)));
+    let ids = rt.server_ids().to_vec();
+    let mut creator = rt.client_homed(ids[2]);
+    let (mut agent, root) = (live_agent(&creator), creator.root());
+    let (attr, _) = agent.create(&mut creator, root, "shared", 0o644).expect("create");
+    let fh = attr.handle;
+    let params = FileParams { write_safety: 1, ..FileParams::important(2) };
+    agent.set_file_params(&mut creator, fh, params).expect("set params");
+    rt.settle();
+    let (holders, _) = agent.locate_replicas(&mut creator, fh).expect("locate replicas");
+    let homes = [ids[0], ids[1]];
+    let with_replica = homes.iter().filter(|h| holders.contains(h)).count();
+    assert_eq!(with_replica, 1, "one home without a replica: {holders:?}");
+    let mut sessions = homes.map(|home| rt.client_homed(home));
+
+    let cell = Arc::clone(&rt);
+    let worker = thread::spawn(move || {
+        let passes = || {
+            let stats = cell.observe().stats.expect("the engine exports its counters");
+            stats.get("core/token/passes").expect("a token-pass counter")
+        };
+        let shared = || cell.stats().requests_served_shared;
+        let write = |s: &mut RuntimeClient, data: String| {
+            let write = NfsRequest::Write { fh, offset: 0, data: data.into_bytes().into() };
+            assert!(matches!(s.call(write), Ok(NfsReply::Attr(_))), "write refused");
+        };
+        // The first acquisition: the home without a replica takes the
+        // token; the other's first write is already forwarded.
+        for (h, s) in sessions.iter_mut().enumerate() {
+            write(s, format!("first write from home {h}"));
+        }
+        let parked = passes();
+        let mut served_shared = [0u64; 2];
+        for round in 0..ROUNDS {
+            for (h, s) in sessions.iter_mut().enumerate() {
+                write(s, format!("round {round:04} from home {h}"));
+                let before = shared();
+                let read = NfsRequest::Read { fh, offset: 0, count: 64 };
+                let Ok(NfsReply::Data(data)) = s.call(read) else { panic!("read refused") };
+                let wrote = format!("round {round:04} from home {h}");
+                assert!(data.starts_with(wrote.as_bytes()), "home {h} read {data:?}");
+                served_shared[h] += shared() - before;
+            }
+        }
+        (passes() - parked, served_shared)
+    });
+    let (moved, served_shared) = join_within("cross-homed writers", vec![worker]).remove(0);
+    if let Ok(rt) = Arc::try_unwrap(rt) {
+        rt.shutdown();
+    }
+
+    assert_eq!(moved, 0, "the token moved after the first acquisition: {moved} passes");
+    for (h, shared) in served_shared.iter().enumerate() {
+        let share = *shared as f64 / ROUNDS as f64;
+        assert!(
+            share >= 0.9,
+            "cross-homed writers: only {:.0}% of home {h}'s reads were served on the shared path (needs >= 90%)",
+            share * 100.0
+        );
+    }
 }
 
 /// Migration is the files' own parameter (§4: off by default), so the

@@ -20,6 +20,16 @@
 //!   probe, exchange, failure-detector fold and delivery visit, the
 //!   holder's end visit, and two flight-recorder entries — 11, and
 //!   the pump's share of a drain.
+//! * **forwarded write** — the same overwrites from a session homed on
+//!   server 1, which holds a replica of the file but not its token
+//!   (§3.3 optimization 2, on in the live profile). The envelope's read
+//!   of the current image forwards to the holder's lease (server 1's
+//!   replica is unstable under the stream, §3.4) and the write follows
+//!   it there: at server 1 the held-token visit that misses, the key's
+//!   resolution, the replica-and-token probe, the holder search, the
+//!   `forward` exchange and the `UpdateForwarded` entry, then the
+//!   holder's own write. 28.2 rounds, 3.05 allocations, the same clock
+//!   reads; the token never moves.
 //!
 //! Only a park with a deadline reads the clock beyond those stamps, and
 //! every park a request pays ends in a wake-up the bus counts, so the
@@ -162,4 +172,27 @@ fn a_replicated_write_stays_within_its_budget() {
     assert!(got.lock_rounds <= 12.0, "leaf-lock rounds per write: {got:?}");
     let allocs = got.allocs_client + got.allocs_elsewhere;
     assert!(allocs <= 2.1, "allocations per write: {got:?}");
+}
+
+#[test]
+fn a_forwarded_write_stays_within_its_budget() {
+    let _turn = SERIAL.lock();
+    let (rt, _holder, fh) = cell(params(3, 2));
+    let mut c = rt.client_homed(rt.server_ids()[1]);
+    let payload = Bytes::from(vec![9u8; IO]);
+    let counters = || rt.observe().stats.expect("the engine exports its counters");
+    let before = counters();
+    let got = cost(&rt, |i| {
+        let write = NfsRequest::Write { fh, offset: (i % 2) * IO, data: payload.clone() };
+        assert!(matches!(c.call(write), Ok(NfsReply::Attr(_))), "write {i}");
+    });
+    let after = counters();
+    println!("forwarded write: {got:?}");
+    let delta = |name: &str| after.get(name).unwrap_or(0) - before.get(name).unwrap_or(0);
+    assert_eq!(delta("core/token/passes"), 0, "the token stayed on server 0");
+    assert_eq!(delta("core/token/updates_forwarded"), (WARMUP + TIMED) as u64);
+    assert!(got.clock_reads <= 4.5 + got.wakes, "clock reads per write: {got:?}");
+    assert!(got.lock_rounds <= 29.0, "leaf-lock rounds per write: {got:?}");
+    let allocs = got.allocs_client + got.allocs_elsewhere;
+    assert!(allocs <= 3.1, "allocations per write: {got:?}");
 }
