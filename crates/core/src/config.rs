@@ -50,7 +50,7 @@ pub struct ClusterConfig {
     pub opt_forward_small: bool,
     /// Size bound at or below which optimization 2 applies, compared
     /// with the update's wire size. Until replica updates carry the
-    /// written range (ROADMAP item 11), every NFS write reaches the
+    /// written range (ROADMAP item 7), every NFS write reaches the
     /// cluster as the whole segment image, so the bound compares the
     /// image: a small write to a file larger than the bound is not small
     /// here.

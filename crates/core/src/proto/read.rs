@@ -467,6 +467,13 @@ impl Cluster {
     /// replica at server s', the operation is forwarded to s'. If no
     /// replica is marked as stable, s forces the most up to date replica
     /// to be stable, and all obsolete replicas are destroyed."
+    ///
+    /// Forcing is the stabilize step with the winner as the source: every
+    /// reply on the winner's major — the winner, equal-version survivors
+    /// and same-major ancestors, which the winner's history embeds — goes
+    /// through [`Self::stabilize_member`], so a laggard is caught up and
+    /// kept. Only the replies on another major (an ancestor across a
+    /// branch, or an incomparable history) are obsolete and destroyed.
     fn stable_replica_search(
         &self,
         via: NodeId,
@@ -523,15 +530,19 @@ impl Cluster {
                 })
                 .ok_or(DeceitError::Unavailable(key.0))?;
             for (m, v, _) in &available {
-                if *v == best_version {
-                    // The winner — and every survivor already at the
-                    // winning version. Marking only the winner would
-                    // leave equal-version replicas unstable, sending the
-                    // very next read through this forcing path again.
-                    self.set_replica_state(*m, key, ReplicaState::Stable);
+                if v.major == best_version.major {
+                    // The winner, every survivor already at its version,
+                    // and every same-major ancestor: brought current and
+                    // marked stable. Marking only the winner would send
+                    // the next read through this forcing path again, and
+                    // destroying a laggard the winner embeds would cost
+                    // the file a replica (and at "medium", its majority).
+                    self.stabilize_member(best, *m, key, best_version);
                 } else {
-                    // The canonical destruction path: lease removed
-                    // *before* the replica it covers disappears, plus the
+                    // Another major's history — an ancestor across a
+                    // branch, or an incomparable one — is obsolete: the
+                    // canonical destruction path removes the lease
+                    // *before* the replica it covers, with the
                     // outbound/repair cleanup a hand-rolled delete would
                     // miss.
                     self.destroy_replica(*m, key);
@@ -586,9 +597,11 @@ impl Cluster {
         self.obs.bump(Stat::RepairsScheduled);
     }
 
-    /// The deferred read-repair handler: state-transfers `laggard` from
-    /// the durable primary and marks it stable — one member's worth of
-    /// the §3.4 stabilize round, on demand.
+    /// The deferred read-repair handler: one member's worth of the §3.4
+    /// stabilize round, on demand — [`Self::stabilize_member`] brings
+    /// `laggard` to the token's version from the primary (a state
+    /// transfer, unless only the stable marker is missing) and marks it
+    /// stable. A repair is counted only when that changed something.
     ///
     /// The repair stands down (without rescheduling itself; the next
     /// forwarded read re-arms it) whenever the world moved on while it
@@ -598,18 +611,18 @@ impl Cluster {
     /// group is *deliberately* unstable, a catch-up would lag again by
     /// the next buffered update, and marking the laggard stable would
     /// let it skip the next mark-unstable round and serve stale reads.
+    /// The primary must itself be settled at the token's version — it
+    /// always is outside a stream, but a token freshly passed
+    /// mid-recovery may not be; a later read re-arms the repair.
     pub(crate) fn read_repair(&self, laggard: NodeId, key: ReplicaKey) {
         let up = self.net.is_up(laggard);
-        let lag = self.server(laggard).visit(key.0, |s| {
+        let lagging = self.server(laggard).visit(key.0, |s| {
             s.repairs.remove(&key);
-            if !up || s.tokens.disk().contains(&key) {
-                return None;
-            }
-            s.replicas.disk().get(&key).map(|r| (r.version, r.state))
+            up && !s.tokens.disk().contains(&key) && s.replicas.disk().contains(&key)
         });
-        let Some((lag_version, lag_state)) = lag else {
+        if !lagging {
             return; // down, the holder, or destroyed while the repair was queued
-        };
+        }
         let Some(holder) = self.find_reachable_token_holder(laggard, key) else {
             return;
         };
@@ -621,51 +634,10 @@ impl Cluster {
         let Some(token_version) = token_version else {
             return; // streaming, or the token destroyed between the scan and the read
         };
-        if lag_version == token_version {
-            // Data already current — only the stable marker is missing
-            // (a stabilize broadcast that never reached this member).
-            if lag_state != ReplicaState::Stable {
-                self.set_replica_state(laggard, key, ReplicaState::Stable);
-                self.obs.bump(Stat::Repairs);
-                self.emit_from(laggard, ProtocolEvent::ReadRepaired { seg: key.0, on: laggard });
-            }
-            return;
+        if self.stabilize_member(holder, laggard, key, token_version) == Some(true) {
+            self.obs.bump(Stat::Repairs);
+            self.emit_from(laggard, ProtocolEvent::ReadRepaired { seg: key.0, on: laggard });
         }
-        // Catch up from the primary, exactly as the stabilize round
-        // catches up a lagging member (§3.4): whole-state transfer, then
-        // stable. The primary must itself be settled at the token's
-        // version — it always is outside a stream, but a token freshly
-        // passed mid-recovery may not be; a later read re-arms us.
-        let Some(src) = self.server(holder).visit(key.0, |s| s.replicas.disk().get(&key).cloned())
-        else {
-            return;
-        };
-        if src.version != token_version {
-            return;
-        }
-        let blast = self.cfg.blast;
-        if deceit_isis::xfer::transfer_state(
-            &self.net,
-            &blast,
-            holder,
-            laggard,
-            src.data.len() as u64,
-            "replica-xfer",
-        )
-        .duration()
-        .is_none()
-        {
-            return; // unreachable after all; nothing changed
-        }
-        // `get` above already returned an owned copy of the primary's
-        // replica: refresh its metadata in place rather than cloning the
-        // whole segment a second time.
-        let mut fresh = src;
-        fresh.last_access = self.now();
-        fresh.state = ReplicaState::Stable;
-        self.install_replica(laggard, key, fresh);
-        self.obs.bump(Stat::Repairs);
-        self.emit_from(laggard, ProtocolEvent::ReadRepaired { seg: key.0, on: laggard });
     }
 
     /// Serves a read from a server's local replica, updating its access
@@ -805,5 +777,31 @@ mod tests {
         let r = c.read(n(2), seg, Some(0), 0, 64).unwrap();
         assert_eq!(&r.value.data()[..], b"settled");
         assert_eq!(c.obs.count(Stat::ReadsStableSearch), 1, "one forcing round, not two");
+    }
+
+    /// A survivor that lags the winner on the same major is a prefix of
+    /// the winner's history: the forcing path catches it up and marks it
+    /// stable rather than destroying it, so the file keeps its replicas.
+    #[test]
+    fn forced_stabilize_catches_up_a_same_major_laggard() {
+        let mut c = Cluster::new(3, ClusterConfig::deterministic());
+        let seg = c.create(n(0)).unwrap().value;
+        c.set_params(n(0), seg, FileParams { min_replicas: 3, ..FileParams::default() }).unwrap();
+        c.run_until_quiet();
+        let key = (seg, 0u64);
+        plant(&c, n(1), key, VersionPair { major: 0, sub: 7 }, b"newest");
+        plant(&c, n(2), key, VersionPair { major: 0, sub: 4 }, b"lagging");
+        c.crash_server(n(0));
+
+        let r = c.read(n(2), seg, Some(0), 0, 64).unwrap();
+        assert_eq!(&r.value.data()[..], b"newest");
+        assert_eq!(c.obs.count(Stat::ReplicasDestroyedObsolete), 0, "no replica destroyed");
+        for s in [n(1), n(2)] {
+            assert_eq!(state(&c, s, key), Some(ReplicaState::Stable));
+            assert_eq!(c.replica_version(s, key), Some(VersionPair { major: 0, sub: 7 }));
+        }
+        let r = c.read(n(2), seg, Some(0), 0, 64).unwrap();
+        assert_eq!(&r.value.data()[..], b"newest", "the laggard now serves the winner's bytes");
+        assert_eq!(c.obs.count(Stat::ReadsStableSearch), 1, "and serves them locally");
     }
 }

@@ -15,6 +15,7 @@
 //! instead of updating them. They are deleted in least-recently-used
 //! order."
 
+use deceit_isis::xfer::transfer_state;
 use deceit_net::NodeId;
 use deceit_sim::SimDuration;
 use deceit_storage::Durability;
@@ -102,9 +103,6 @@ impl Cluster {
         key: ReplicaKey,
         target: NodeId,
     ) -> bool {
-        if !self.net.reachable(holder, target) {
-            return false;
-        }
         let Some(src) = self.server(holder).visit(key.0, |s| s.replicas.disk().get(&key).cloned())
         else {
             return false; // replica vanished (deleted or superseded)
@@ -112,19 +110,9 @@ impl Cluster {
         if self.replica_version(target, key).is_some() {
             return false; // raced with another fill
         }
-        let blast = self.cfg.blast;
-        let Some(_xfer) = deceit_isis::xfer::transfer_state(
-            &self.net,
-            &blast,
-            holder,
-            target,
-            src.data.len() as u64,
-            "replica-xfer",
-        )
-        .duration() else {
+        let Some((replica, _)) = self.ship_replica(holder, target, src) else {
             return false;
         };
-        let replica = Replica::cloned_from(&src, self.now());
         self.install_replica(target, key, replica);
 
         // Register the new holder with the token holder's upper bound
@@ -141,6 +129,25 @@ impl Cluster {
         self.obs.bump(Stat::ReplicasGenerated);
         self.emit_from(target, ProtocolEvent::ReplicaGenerated { seg: key.0, on: target });
         true
+    }
+
+    /// The one replica state transfer (§3.1: "Replicas are generated with
+    /// a file transfer protocol from an existing replica"): prices the
+    /// blast of `src` — an owned copy of `from`'s replica — to `to`, and
+    /// returns it stamped as accessed now, with the transfer time. `None`
+    /// when `to` cannot be reached: nothing was sent, and a copy that did
+    /// not arrive must not be installed.
+    pub(crate) fn ship_replica(
+        &self,
+        from: NodeId,
+        to: NodeId,
+        mut src: Replica,
+    ) -> Option<(Replica, SimDuration)> {
+        let bytes = src.data.len() as u64;
+        let xfer = transfer_state(&self.net, &self.cfg.blast, from, to, bytes, "replica-xfer");
+        let took = xfer.duration()?;
+        src.last_access = self.now();
+        Some((src, took))
     }
 
     /// Puts `replica` at `server` by state transfer, in one visit: the
@@ -221,5 +228,53 @@ impl Cluster {
             self.obs.bump(Stat::ReplicasRetired);
             self.emit_from(victim, ProtocolEvent::ReplicaDeleted { seg: key.0, on: victim });
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{ClusterConfig, FileParams, WriteOp};
+
+    /// A cluster of `n` servers with one file written at server 0 and
+    /// settled, replicated only there; returns the file's key and the
+    /// primary's copy.
+    fn one_copy(n: usize) -> (Cluster, ReplicaKey, Replica) {
+        let mut c = Cluster::new(n, ClusterConfig::deterministic());
+        let seg = c.create(NodeId(0)).unwrap().value;
+        let params = FileParams { min_replicas: 1, ..FileParams::default() };
+        c.set_params(NodeId(0), seg, params).unwrap();
+        c.write(NodeId(0), seg, WriteOp::replace(b"shipped bytes"), None).unwrap();
+        c.run_until_quiet();
+        let key = (seg, 0);
+        let src = c.server(NodeId(0)).visit(seg, |s| s.replicas.disk().get(&key).cloned());
+        (c, key, src.unwrap())
+    }
+
+    #[test]
+    fn ship_to_an_unreachable_target_sends_and_installs_nothing() {
+        let (mut c, key, src) = one_copy(2);
+        c.crash_server(NodeId(1));
+        let before = c.net.stats();
+        assert!(c.ship_replica(NodeId(0), NodeId(1), src).is_none());
+        let after = c.net.stats();
+        assert_eq!(after.messages, before.messages, "no message charged");
+        assert_eq!(after.tag_count("replica-xfer"), before.tag_count("replica-xfer"));
+        assert!(!c.generate_replica_now(NodeId(0), key, NodeId(1)));
+        assert_eq!(c.net.stats().messages, before.messages, "generation sent nothing either");
+        assert!(c.replica_version(NodeId(1), key).is_none(), "nothing installed");
+    }
+
+    #[test]
+    fn ship_to_a_reachable_target_delivers_the_copy_stamped_now() {
+        let (mut c, _, src) = one_copy(2);
+        c.advance(SimDuration::from_secs(5));
+        assert!(src.last_access < c.now());
+        let before = c.net.stats().tag_count("replica-xfer");
+        let (copy, took) = c.ship_replica(NodeId(0), NodeId(1), src.clone()).unwrap();
+        assert_eq!(c.net.stats().tag_count("replica-xfer"), before + 1, "one transfer");
+        assert!(took > SimDuration::ZERO);
+        assert_eq!((copy.data.clone(), copy.version), (src.data.clone(), src.version));
+        assert_eq!(copy.last_access, c.now(), "stamped as accessed now");
     }
 }

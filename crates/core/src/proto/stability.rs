@@ -20,6 +20,7 @@ use crate::obs::Stat;
 use crate::replica::ReplicaState;
 use crate::server::{ReplicaKey, ServerSlot};
 use crate::trace_events::ProtocolEvent;
+use crate::version::VersionPair;
 
 impl Cluster {
     /// Marks the file group unstable before a write stream begins.
@@ -82,8 +83,10 @@ impl Cluster {
         }
     }
 
-    /// Marks every reachable, caught-up replica stable; laggards are
-    /// caught up with a state transfer first.
+    /// The §3.4 stabilize round: every member that replies is brought to
+    /// the token's version and marked stable by [`Self::stabilize_member`]
+    /// (a laggard is caught up from the holder's replica), then the holder
+    /// closes its stream.
     pub(crate) fn mark_stable_round(&self, holder: NodeId, key: ReplicaKey) {
         let Some(token_version) = self.token_version(holder, key) else {
             return;
@@ -93,37 +96,7 @@ impl Cluster {
         let remote: Vec<NodeId> = members.into_iter().filter(|&m| m != holder).collect();
         let outcome = broadcast_round(&self.net, holder, remote, 40, 16, "mark-stable");
         for &(m, _) in outcome.replies.iter() {
-            // One visit marks a caught-up member stable where it lies:
-            // `Some(moved)`; `None` for a laggard, caught up below.
-            let marked = self.server(m).visit(key.0, |s| {
-                let current = s.replicas.disk().get(&key)?.version == token_version;
-                Some(current.then(|| set_state(s, &key, ReplicaState::Stable) == Some(true)))
-            });
-            let Some(marked) = marked else { continue }; // no replica
-            if let Some(moved) = marked {
-                if moved {
-                    self.schedule_flush(m, key.0);
-                }
-                continue;
-            }
-            // Missed updates (e.g. unreachable during part of the stream):
-            // catch up from the primary, then stabilize.
-            let src = self.server(holder).visit(key.0, |s| s.replicas.disk().get(&key).cloned());
-            if let Some(src) = src {
-                let blast = self.cfg.blast;
-                let _ = deceit_isis::xfer::transfer_state(
-                    &self.net,
-                    &blast,
-                    holder,
-                    m,
-                    src.data.len() as u64,
-                    "replica-xfer",
-                );
-                let now = self.now();
-                let mut fresh = crate::replica::Replica::cloned_from(&src, now);
-                fresh.state = ReplicaState::Stable;
-                self.install_replica(m, key, fresh);
-            }
+            self.stabilize_member(holder, m, key, token_version);
         }
         // The holder's end, in one visit: the stream is over, so its read
         // lease is retired — before the stable marker, which routes the
@@ -143,6 +116,39 @@ impl Cluster {
         self.lease_revoked(holder, key.0, revoked);
         self.obs.bump(Stat::StableRounds);
         self.emit_from(holder, ProtocolEvent::MarkedStable { seg: key.0 });
+    }
+
+    /// One member's share of the §3.4 stabilize step: brings `m`'s replica
+    /// of `key` to `version` and marks it stable. A member already at
+    /// `version` is marked where it lies (`Some(moved)`, flushed only if
+    /// the marker moved); a laggard is caught up by a state transfer of
+    /// `source`'s copy, which must itself be at `version`, and installed
+    /// stable (`Some(true)`). `None`: `m` holds no replica, or the
+    /// catch-up could not be made — nothing changed.
+    pub(crate) fn stabilize_member(
+        &self,
+        source: NodeId,
+        m: NodeId,
+        key: ReplicaKey,
+        version: VersionPair,
+    ) -> Option<bool> {
+        let marked = self.server(m).visit(key.0, |s| {
+            let current = s.replicas.disk().get(&key)?.version == version;
+            Some(current.then(|| set_state(s, &key, ReplicaState::Stable) == Some(true)))
+        })?;
+        if let Some(moved) = marked {
+            if moved {
+                self.schedule_flush(m, key.0);
+            }
+            return Some(moved);
+        }
+        let src = self.server(source).visit(key.0, |s| {
+            s.replicas.disk().get(&key).filter(|r| r.version == version).cloned()
+        })?;
+        let (mut fresh, _) = self.ship_replica(source, m, src)?;
+        fresh.state = ReplicaState::Stable;
+        self.install_replica(m, key, fresh);
+        Some(true)
     }
 
     /// Sets a replica's stability marker (asynchronously durable — the

@@ -149,6 +149,12 @@ impl Cluster {
         // still in flight) is replaced by state transfer from the old
         // primary.
         let to_version = self.replica_version(to, key);
+        // A pass the new holder cannot receive is refused before the
+        // token leaves: the token and its lease stay where they were.
+        let unavailable = DeceitError::Unavailable(key.0);
+        if !self.net.reachable(holder, to) {
+            return Err(unavailable);
+        }
         // The holder's end, in one visit: the token state leaves, with
         // the replica to transfer if `to` needs one. The holder-local
         // read lease goes with it: it asserts "my replica is the
@@ -157,7 +163,6 @@ impl Cluster {
         // the lease and the replica in one visit, so removing it in the
         // visit that deletes the token guarantees no reader serves across
         // the movement (see `Cluster::try_read_leased`).
-        let unavailable = DeceitError::Unavailable(key.0);
         let (revoked, taken) = self.server(holder).visit(key.0, |s| {
             let taken =
                 s.tokens.disk().get(&key).cloned().ok_or(DeceitError::WriteUnavailable(key.0));
@@ -178,22 +183,11 @@ impl Cluster {
         });
         self.lease_revoked(holder, key.0, revoked);
         let (mut token, src) = taken?;
-        let replica = src.map(|src| {
-            let blast = self.cfg.blast;
-            let bytes = src.data.len() as u64;
-            let xfer = deceit_isis::xfer::transfer_state(
-                &self.net,
-                &blast,
-                holder,
-                to,
-                bytes,
-                "replica-xfer",
-            );
-            if let Some(d) = xfer.duration() {
-                latency += d;
-            }
-            let replica = Replica::cloned_from(&src, self.now());
-            latency += self.cfg.disk.write_cost(replica.data.len() + 64);
+        // `to` was reachable above, and the network cannot change under
+        // `&self`: the transfer arrives.
+        let shipped = src.and_then(|src| self.ship_replica(holder, to, src));
+        let replica = shipped.map(|(replica, took)| {
+            latency += took + self.cfg.disk.write_cost(replica.data.len() + 64);
             token.holders.insert(to);
             self.emit_from(to, ProtocolEvent::ReplicaGenerated { seg: key.0, on: to });
             replica
@@ -308,20 +302,9 @@ impl Cluster {
                     .server(src_server)
                     .visit(seg, |s| s.replicas.disk().get(&base_key).cloned())
                     .ok_or(DeceitError::Unavailable(seg))?;
-                let blast = self.cfg.blast;
-                if let Some(d) = deceit_isis::xfer::transfer_state(
-                    &self.net,
-                    &blast,
-                    src_server,
-                    via,
-                    src.data.len() as u64,
-                    "replica-xfer",
-                )
-                .duration()
-                {
-                    latency += d;
-                }
-                let base = Replica::cloned_from(&src, self.now());
+                let (base, took) =
+                    self.ship_replica(src_server, via, src).ok_or(DeceitError::Unavailable(seg))?;
+                latency += took;
                 self.server(via).visit(seg, |s| s.unlease(base_key).put_replica(base.clone()));
                 base
             }
@@ -417,5 +400,35 @@ impl Cluster {
         self.server(server)
             .visit(key.0, |s| s.replicas.disk().get(&key).map(|r| r.params))
             .unwrap_or_default()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::{Cluster, ClusterConfig, DeceitError, FileParams, WriteOp};
+    use deceit_net::NodeId;
+
+    /// A pass to a server the holder cannot reach is refused before the
+    /// token leaves: token and read lease stay at the holder, and the
+    /// unreachable server gains neither token nor replica.
+    #[test]
+    fn a_pass_the_target_cannot_receive_leaves_the_token_in_place() {
+        let (a, b, far) = (NodeId(0), NodeId(1), NodeId(2));
+        let mut c = Cluster::new(3, ClusterConfig::deterministic().with_read_leases());
+        let seg = c.create(a).unwrap().value;
+        c.set_params(a, seg, FileParams { min_replicas: 2, ..FileParams::default() }).unwrap();
+        c.run_until_quiet();
+        // A stream in progress: the holder publishes its read lease.
+        c.write(a, seg, WriteOp::replace(b"streaming"), None).unwrap();
+        let key = (seg, 0);
+        let lease = c.read_lease_version(a, key);
+        assert!(lease.is_some(), "the stream holds a lease");
+        c.split(&[&[a, b], &[far]]);
+
+        assert_eq!(c.pass_token(a, far, key), Err(DeceitError::Unavailable(seg)));
+        assert!(c.server(a).holds_token(key), "the token stays at the holder");
+        assert_eq!(c.read_lease_version(a, key), lease, "and so does its lease");
+        assert!(!c.server(far).holds_token(key));
+        assert!(c.replica_version(far, key).is_none(), "no copy installed at the target");
     }
 }

@@ -644,25 +644,10 @@ impl Cluster {
         // holder's replica embeds everything *before* this update (it
         // applies `update` after distribution), so a fresh receiver on
         // the transferred state delivers `update` cleanly on top.
-        let Some(src) = self.server(holder).visit(key.0, |s| s.replicas.disk().get(&key).cloned())
-        else {
+        let src = self.server(holder).visit(key.0, |s| s.replicas.disk().get(&key).cloned());
+        let Some((fresh, _)) = src.and_then(|src| self.ship_replica(holder, target, src)) else {
             return false;
         };
-        let blast = self.cfg.blast;
-        if deceit_isis::xfer::transfer_state(
-            &self.net,
-            &blast,
-            holder,
-            target,
-            src.data.len() as u64,
-            "replica-xfer",
-        )
-        .duration()
-        .is_none()
-        {
-            return false;
-        }
-        let fresh = crate::replica::Replica::cloned_from(&src, self.now());
         self.install_replica(target, key, fresh);
         self.apply_updates_ordered(target, key, update, true);
         self.obs.bump(Stat::SafetyTransfers);

@@ -224,15 +224,18 @@ fn stable_replica_search_after_holder_failure() {
     c.crash_server(n(0));
     c.heal();
     // A read at server 2 finds its replica unstable and the holder
-    // unreachable: it broadcasts a state inquiry, forces the most
-    // up-to-date replica stable, and destroys obsolete ones (§3.6).
+    // unreachable: it broadcasts a state inquiry and forces the most
+    // up-to-date replica stable (§3.6). Server 2's copy is a same-major
+    // prefix of it, so it is caught up rather than destroyed: no obsolete
+    // bytes survive, and the file keeps its replica there.
     c.advance(SimDuration::from_millis(200));
     let r = c.read(n(2), seg, None, 0, 100).unwrap().value;
     assert_eq!(&r.data()[..], b"newer", "read served from the most up-to-date replica");
     assert!(c.obs.count(Stat::ReadsStableSearch) >= 1);
+    let kept = c.server(n(2)).replicas.get(&(seg, 0));
     assert!(
-        !c.server(n(2)).replicas.contains(&(seg, 0)),
-        "the stale missed-update replica was destroyed"
+        kept.is_some_and(|r| &r.data.read(0, 100)[..] == b"newer" && r.is_stable()),
+        "the missed-update replica was caught up and marked stable"
     );
 }
 

@@ -136,17 +136,16 @@ fn unmarked_files_do_not_migrate_in_the_live_profile() {
 /// generating the token; the stream goes on there, server 0 restarts,
 /// and both worlds must end byte for byte alike. At `write_safety` 2
 /// every acked write reached a second replica before its ack, so none
-/// is lost to the crash; availability "high" lets home 1 generate a
-/// token however many replicas the crash left it (§3.5).
+/// is lost to the crash. It runs at availability "high", which lets
+/// home 1 generate a token however many replicas the crash left it, and
+/// at "medium" (§4), which needs a majority of the three: the §3.6
+/// forced stabilize must catch server 2's lagging replica up, not
+/// destroy it, or home 1's writes are refused.
 #[test]
 fn holder_crash_mid_forwarded_stream_matches_across_worlds() {
-    fn stream(world: &mut impl World) -> (FileState, String) {
+    fn stream(world: &mut impl World, availability: WriteAvailability) -> (FileState, String) {
         let (holder, other) = (NodeId(0), NodeId(1));
-        let params = FileParams {
-            write_safety: 2,
-            availability: WriteAvailability::High,
-            ..FileParams::important(3)
-        };
+        let params = FileParams { write_safety: 2, availability, ..FileParams::important(3) };
         let fh = create(world, holder, "shared", Some(params), b"seed");
         world.fault(&FaultEvent::Settle);
         for i in 0..6 {
@@ -164,18 +163,20 @@ fn holder_crash_mid_forwarded_stream_matches_across_worlds() {
         let state = read_back(world, 0, other, fh).expect("read back");
         (state, world.flight())
     }
-    let cfg = RuntimeConfig::new(3);
-    let (sim, sim_flight) = stream(&mut SimWorld::new(&cfg, 1));
-    let (live, flight) = stream(&mut LiveWorld::start(cfg, 1));
-    assert_ends_match(&[live], std::slice::from_ref(&sim), true, &flight);
-    // The run took the paths it is about: forwards before the crash, and
-    // a token taken at home 1 after it.
-    for dump in [&sim_flight, &flight] {
-        assert!(dump.contains("UpdateForwarded"), "no forwarded write:\n{dump}");
-        let taken = dump.contains("TokenGenerated") || dump.contains("TokenAcquired");
-        assert!(taken, "home 1 never took the token:\n{dump}");
+    for availability in [WriteAvailability::High, WriteAvailability::Medium] {
+        let cfg = RuntimeConfig::new(3);
+        let (sim, sim_flight) = stream(&mut SimWorld::new(&cfg, 1), availability);
+        let (live, flight) = stream(&mut LiveWorld::start(cfg, 1), availability);
+        assert_ends_match(&[live], std::slice::from_ref(&sim), true, &flight);
+        // The run took the paths it is about: forwards before the crash,
+        // and a token taken at home 1 after it.
+        for dump in [&sim_flight, &flight] {
+            assert!(dump.contains("UpdateForwarded"), "no forwarded write:\n{dump}");
+            let taken = dump.contains("TokenGenerated") || dump.contains("TokenAcquired");
+            assert!(taken, "home 1 never took the token:\n{dump}");
+        }
+        assert_eq!(&sim.data[..], b"[h5]\0\0\0\0[o8]\0\0\0\0[after restart]");
     }
-    assert_eq!(&sim.data[..], b"[h5]\0\0\0\0[o8]\0\0\0\0[after restart]");
 }
 
 /// A crash-free scenario with interleaved appends: pins ordering and
