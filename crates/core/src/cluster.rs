@@ -39,7 +39,7 @@ use deceit_sim::{leaf, SimDuration, SimTime};
 use crate::config::ClusterConfig;
 use crate::error::{DeceitError, DeceitResult};
 use crate::host::shard_slot;
-use crate::hot::{ShardedEvents, Slots};
+use crate::hot::{self, ShardedEvents, Slots};
 use crate::obs::{ObsCore, Stat};
 use crate::server::{SegmentId, ServerState};
 use crate::trace_events::ProtocolEvent;
@@ -247,13 +247,20 @@ impl Cluster {
     /// first use), under its shard's data lock — keeping the slot's count
     /// of branched segments, which `Cluster::single_major` reads
     /// without the lock, in step with the table.
-    pub fn with_branch_table<R>(&self, seg: SegmentId, f: impl FnOnce(&mut BranchTable) -> R) -> R {
+    pub fn with_branch_table<R>(
+        &self,
+        seg: SegmentId,
+        f: impl FnOnce(&mut BranchTable) -> R + 'static,
+    ) -> R {
         let branched = &self.branched[self.slot_of(seg)];
         let mut tables = self.branches.lock_key(seg.0);
-        let t = tables.entry(seg).or_default();
-        let before = t.branch_count() > 0;
-        let out = f(t);
-        match (before, t.branch_count() > 0) {
+        let (out, before, after) = hot::visit(&mut tables, (), move |tables, ()| {
+            let t = tables.entry(seg).or_default();
+            let before = t.branch_count() > 0;
+            let out = f(t);
+            (out, before, t.branch_count() > 0)
+        });
+        match (before, after) {
             (false, true) => branched.fetch_add(1),
             (true, false) => branched.fetch_sub(1),
             _ => 0,
@@ -277,7 +284,9 @@ impl Cluster {
     /// and a nonzero count falls back to that locked read, per segment.
     pub(crate) fn single_major(&self, seg: SegmentId) -> bool {
         self.branched[self.slot_of(seg)].load() == 0
-            || self.branches.lock_key(seg.0).get(&seg).is_none_or(|t| t.branch_count() == 0)
+            || hot::visit(&mut self.branches.lock_key(seg.0), (), move |tables, ()| {
+                tables.get(&seg).is_none_or(|t| t.branch_count() == 0)
+            })
     }
 
     /// An owned snapshot of one segment's branch table (empty if never
@@ -507,7 +516,7 @@ impl Cluster {
     pub fn crash_server(&mut self, id: NodeId) {
         self.net.crash(id);
         self.servers[id.index()].crash();
-        self.events.retain(|e| e.owner() != id);
+        self.events.retain(move |e| e.owner() != id);
         self.obs.bump(Stat::Crashes);
     }
 
@@ -530,7 +539,7 @@ impl Cluster {
     ) -> Vec<NodeId> {
         self.servers
             .iter()
-            .filter(|s| s.visit(key.0, |s| s.replicas.disk().contains(&key)))
+            .filter(|s| s.visit(key.0, move |s| s.replicas.disk().contains(&key)))
             .filter(|s| self.net.reachable(from, s.id))
             .map(|s| s.id)
             .collect()
@@ -538,7 +547,7 @@ impl Cluster {
 
     /// All servers (any reachability) currently storing a replica of `key`.
     pub(crate) fn all_replica_holders(&self, key: crate::server::ReplicaKey) -> Vec<NodeId> {
-        let holds = |s: &&ServerState| s.visit(key.0, |s| s.replicas.disk().contains(&key));
+        let holds = |s: &&ServerState| s.visit(key.0, move |s| s.replicas.disk().contains(&key));
         self.servers.iter().filter(holds).map(|s| s.id).collect()
     }
 
@@ -616,7 +625,7 @@ mod tests {
         c.run_until_quiet();
         let last_access = |c: &Cluster| {
             c.server(NodeId(0))
-                .visit(seg, |s| s.replicas.segment(seg).last().unwrap().1.last_access)
+                .visit(seg, move |s| s.replicas.segment(seg).last().unwrap().1.last_access)
         };
         let before = last_access(&c);
 

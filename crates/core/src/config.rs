@@ -23,8 +23,6 @@ pub struct ClusterConfig {
     /// can be visible to all clients before it has been delivered to all
     /// file replicas.").
     pub lazy_apply_delay: SimDuration,
-    /// Delay before a server flushes asynchronously written local state.
-    pub flush_delay: SimDuration,
     /// Cost of serving a read from a local stable replica (buffer-cache
     /// hit path).
     pub local_read: SimDuration,
@@ -109,7 +107,6 @@ impl Default for ClusterConfig {
             blast: BlastConfig::ethernet_10mb(),
             stability_timeout: SimDuration::from_millis(500),
             lazy_apply_delay: SimDuration::from_millis(50),
-            flush_delay: SimDuration::from_millis(30),
             local_read: SimDuration::from_millis(2),
             lru_keep: SimDuration::from_secs(300),
             seed: 0xDECE17,

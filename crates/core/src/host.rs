@@ -115,36 +115,21 @@ pub trait ProtocolHost {
     /// (and hot state) into. Hosts size their ring locks to match, so
     /// holding slot `s`'s ring lock covers exactly the engine's slot-`s`
     /// state. At most 64 (the pending-work scan is a `u64` mask).
-    fn shard_count(&self) -> usize {
-        1
-    }
+    fn shard_count(&self) -> usize;
 
     /// Fires up to `max_events` units of deferred work belonging to one
-    /// shard slot with *shared* engine access, returning how many fired
-    /// — or `None` if this engine cannot pump a shard without exclusive
-    /// access (the host then falls back to an exclusive [`pump`]).
+    /// shard slot with *shared* engine access, returning how many fired.
+    /// Every engine here pumps a shard through `&self`, so it answers
+    /// `Some`.
     ///
     /// The caller must hold the ring lock of `slot`: relative order
     /// *within* a slot is preserved, and the ring lock is what keeps a
     /// concurrent mutation of the same files out while the slot drains.
-    ///
-    /// [`pump`]: ProtocolHost::pump
-    fn try_pump_shard(&self, slot: usize, max_events: usize) -> Option<usize> {
-        let _ = (slot, max_events);
-        None
-    }
+    fn try_pump_shard(&self, slot: usize, max_events: usize) -> Option<usize>;
 
     /// Bitmask of shard slots that currently have deferred work —
     /// allocation-free, so an idle host can poll it without garbage.
-    /// Engines that cannot attribute work to shards report slot 0
-    /// whenever anything is pending.
-    fn pending_shard_mask(&self) -> u64 {
-        if self.pending_work() > 0 {
-            1
-        } else {
-            0
-        }
-    }
+    fn pending_shard_mask(&self) -> u64;
 
     /// Advances the protocol clock by `d` without running any work —
     /// the live pump's idle tick. On a quiet cell nothing else moves
@@ -152,10 +137,8 @@ pub trait ProtocolHost {
     /// check's "period of no write activity", a pipeline drain's
     /// batching window) are protocol-clock durations; mapping idle wall
     /// time onto the clock lets them elapse instead of waiting for
-    /// traffic that may never come. Default: no-op.
-    fn advance_idle_clock(&self, d: deceit_sim::SimDuration) {
-        let _ = d;
-    }
+    /// traffic that may never come.
+    fn advance_idle_clock(&self, d: deceit_sim::SimDuration);
 
     /// Drives deferred work to quiescence.
     fn settle(&mut self);
@@ -191,9 +174,7 @@ pub trait ProtocolHost {
     /// core-side histograms), if it keeps one. Hosts use it to stamp
     /// serve-path phases and to dump the flight recorder on failure;
     /// `None` means the engine carries no observability state.
-    fn obs_core(&self) -> Option<&crate::obs::ObsCore> {
-        None
-    }
+    fn obs_core(&self) -> Option<&crate::obs::ObsCore>;
 
     /// A point-in-time copy of the engine's protocol counters, if it
     /// keeps them: by default, the counter table of its

@@ -28,24 +28,23 @@
 //! **Closures under a slot lock are leaves.** A visit runs a closure with
 //! the slot locked, because the protocol's common step is "find this
 //! file's records and change a few fields of them", and doing that where
-//! the records lie is one lock round and no copy. The price is a rule the
-//! type system does not enforce: such a closure takes no lock of its own
-//! — not another visit (one lock guards all of a server's slot, so a
-//! visit of the same server deadlocks on itself), no network send, no
-//! event push, no group-table call. What it needs from elsewhere (the
-//! clock, reachability, a majority) is computed before the call; what
-//! follows from the change (a flush to schedule, an event to emit) is
-//! returned from the closure and done after it.
-//! [`deceit_net::Network::reachable`] and [`crate::Cluster::now`] read
-//! plain fields and an atomic, and are the only outside calls such
-//! closures make. Debug builds assert that no thread takes a slot lock
-//! while holding one ([`deceit_sim::leaf::lock_slot`]); the levels above
-//! the slots, cell then ascending rings, are carried by the types of the
-//! runtime's `shard::CellLock`, and clippy's `disallowed_methods` keeps
-//! raw std lock calls inside the lock funnels (`deceit_sim::leaf` here).
-//! The leaf rule itself is lexical, so it is the one rule left to
-//! `deceit-lint`: its `lock-order` rule rejects `self` inside a closure
-//! handed to `visit` or `visit_all`.
+//! the records lie is one lock round and no copy. Such a closure takes no
+//! lock of its own — not another visit (one lock guards all of a server's
+//! slot, so a visit of the same server deadlocks on itself), no network
+//! send, no event push, no group-table call — and the type system says
+//! so: every closure run under a slot lock goes through [`visit`], whose
+//! closure is `'static`. It borrows nothing, so it cannot reach the
+//! engine, through `self`, an alias of it, or another server's handle.
+//! What it needs from elsewhere is copied in before the call, or passed
+//! as the one borrowed argument a [`SlotInput`] allows (a batch of
+//! updates, or the network's [`Reach`] view, which reads reachability and
+//! cannot send); what follows from the change (a flush to schedule, an
+//! event to emit) is returned from the closure and done after it. Debug
+//! builds also assert that no thread takes a slot lock while holding one
+//! ([`deceit_sim::leaf::lock_slot`]); the levels above the slots, cell
+//! then ascending rings, are carried by the types of the runtime's
+//! `shard::CellLock`, and clippy's `disallowed_methods` keeps raw std
+//! lock calls inside the lock funnels (`deceit_sim::leaf` here).
 //!
 //! **What ends a read lease goes through `Unleased`.** The stores'
 //! deletes, the replica put (a state transfer) and the crash revert are
@@ -62,6 +61,7 @@
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 
+use deceit_net::{Network, NodeId};
 use deceit_sim::atomic::{PublishedU64, RelaxedU64};
 use deceit_sim::leaf::{self, SlotGuard};
 use deceit_sim::{EventQueue, SimDuration, SimTime};
@@ -69,12 +69,167 @@ use deceit_storage::{Disk, DiskConfig, Durability, StoredSize};
 
 use crate::event::Pending;
 use crate::host::{shard_slot, ShardKey};
+use crate::ops::UpdateRecord;
 use crate::replica::Replica;
 use crate::server::{ReplicaKey, SegmentId, ServerSlot};
 use crate::token::WriteToken;
 
 fn lock<T>(m: &Mutex<T>) -> SlotGuard<'_, T> {
     leaf::lock_slot(m)
+}
+
+/// Runs `f` on the slot `held` locks, with `input` — the one way a
+/// closure runs under a slot lock.
+///
+/// `f` is `'static`: it owns what it captures, so it cannot reach the
+/// engine's other locks through a borrow. The one borrowed thing it may
+/// read is `input`, a [`SlotInput`]. A closure that copies what it needs
+/// compiles:
+///
+/// ```
+/// use deceit_core::hot::{self, Reach};
+/// use deceit_core::ops::{UpdateRecord, WriteOp};
+/// use deceit_core::VersionPair;
+/// use deceit_net::{LatencyModel, Network, NodeId};
+/// use deceit_sim::leaf;
+/// use std::sync::Mutex;
+///
+/// let slot = Mutex::new(0usize);
+/// let version = VersionPair { major: 0, sub: 1 };
+/// let updates = [UpdateRecord { new_version: version, op: WriteOp::Truncate(0) }];
+/// let k = 2;
+/// let n = hot::visit(&mut leaf::lock_slot(&slot), &updates[..], move |s, ups| {
+///     *s += ups.len() * k;
+///     *s
+/// });
+/// assert_eq!(n, 2);
+/// let net = Network::new(LatencyModel::lan(), 0);
+/// let reach = Reach::of(&net);
+/// let up = hot::visit(&mut leaf::lock_slot(&slot), reach, |_, net| net.is_up(NodeId(0)));
+/// assert!(up);
+/// ```
+///
+/// A closure that names `self` does not:
+///
+/// ```compile_fail,E0521
+/// use deceit_core::hot;
+/// use deceit_sim::leaf;
+/// use std::sync::Mutex;
+///
+/// struct Engine {
+///     slot: Mutex<u64>,
+///     n: u64,
+/// }
+///
+/// impl Engine {
+///     fn step(&self) {
+///         hot::visit(&mut leaf::lock_slot(&self.slot), (), move |s, ()| *s += self.n);
+///     }
+/// }
+/// ```
+///
+/// Nor does one that reaches it through an alias:
+///
+/// ```compile_fail,E0521
+/// use deceit_core::hot;
+/// use deceit_sim::leaf;
+/// use std::sync::Mutex;
+///
+/// struct Engine {
+///     slot: Mutex<u64>,
+///     n: u64,
+/// }
+///
+/// impl Engine {
+///     fn step(&self) {
+///         let c = self;
+///         hot::visit(&mut leaf::lock_slot(&self.slot), (), move |s, ()| *s += c.n);
+///     }
+/// }
+/// ```
+///
+/// Nor one that borrows another server's handle:
+///
+/// ```compile_fail,E0597
+/// use deceit_core::{hot, Cluster, ClusterConfig, SegmentId};
+/// use deceit_net::NodeId;
+/// use deceit_sim::leaf;
+/// use std::sync::Mutex;
+///
+/// let c = Cluster::new(2, ClusterConfig::deterministic());
+/// let other = c.server(NodeId(1));
+/// let slot = Mutex::new(false);
+/// hot::visit(&mut leaf::lock_slot(&slot), (), move |s, ()| *s = other.has_segment(SegmentId(0)));
+/// ```
+///
+/// And the network comes in only as its [`Reach`] view, which cannot
+/// send:
+///
+/// ```compile_fail,E0599
+/// use deceit_core::hot::{self, Reach};
+/// use deceit_net::{LatencyModel, Network, NodeId};
+/// use deceit_sim::leaf;
+/// use std::sync::Mutex;
+///
+/// let net = Network::new(LatencyModel::lan(), 0);
+/// let slot = Mutex::new(());
+/// hot::visit(&mut leaf::lock_slot(&slot), Reach::of(&net), |_, net| {
+///     net.send(NodeId(0), NodeId(1), 8, "update");
+/// });
+/// ```
+pub fn visit<S, I: SlotInput, R>(
+    held: &mut SlotGuard<'_, S>,
+    input: I,
+    f: impl FnOnce(&mut S, I) -> R + 'static,
+) -> R {
+    f(held, input)
+}
+
+/// What a closure under a slot lock ([`visit`]) may borrow, handed to it
+/// as an argument. Sealed: each type here is plain data or reads plain
+/// fields, and takes no lock.
+pub trait SlotInput: sealed::Sealed {}
+
+mod sealed {
+    pub trait Sealed {}
+    impl Sealed for () {}
+    impl Sealed for &[super::UpdateRecord] {}
+    impl Sealed for super::Reach<'_> {}
+}
+
+/// Nothing: the closure needs only what it owns. Takes no lock.
+impl SlotInput for () {}
+
+/// A batch of updates to apply in sequence (`Cluster::apply_in_sequence`):
+/// borrowed data, takes no lock.
+impl SlotInput for &[UpdateRecord] {}
+
+/// Who can reach whom ([`Reach`]): reads the network's crash set and
+/// partition, takes no lock.
+impl SlotInput for Reach<'_> {}
+
+/// The network's reachability, read-only: [`Network::reachable`] and
+/// [`Network::is_up`], and nothing that sends or changes the network —
+/// [`Network::send`] takes the accounting lock, so a closure under a slot
+/// lock gets this view, never the network itself.
+#[derive(Clone, Copy, Debug)]
+pub struct Reach<'a>(&'a Network);
+
+impl<'a> Reach<'a> {
+    /// The view of `net`.
+    pub fn of(net: &'a Network) -> Self {
+        Reach(net)
+    }
+
+    /// [`Network::reachable`].
+    pub fn reachable(&self, a: NodeId, b: NodeId) -> bool {
+        self.0.reachable(a, b)
+    }
+
+    /// [`Network::is_up`].
+    pub fn is_up(&self, node: NodeId) -> bool {
+        self.0.is_up(node)
+    }
 }
 
 /// State partitioned by shard slot, one leaf lock per slot.
@@ -104,11 +259,9 @@ impl<S> Slots<S> {
         lock(&self.slots[i])
     }
 
-    /// Runs `f` on every slot in turn, one lock at a time.
-    pub(crate) fn each(&self, mut f: impl FnMut(&mut S)) {
-        for slot in self.slots.iter() {
-            f(&mut lock(slot));
-        }
+    /// Number of slots.
+    pub(crate) fn len(&self) -> usize {
+        self.slots.len()
     }
 
     /// Locks the slot `key` routes to.
@@ -350,27 +503,31 @@ pub struct ShardedDisk<V: Clone + StoredSize> {
     pub(crate) part: fn(&ServerSlot) -> &DiskSlot<V>,
 }
 
-impl<V: Clone + StoredSize> ShardedDisk<V> {
+impl<V: Clone + StoredSize + 'static> ShardedDisk<V> {
     /// `f` of the store's slot of `k`, under its lock.
-    fn at<R>(&self, k: &ReplicaKey, f: impl FnOnce(&Disk<ReplicaKey, V>) -> R) -> R {
-        f(&(self.part)(&self.slots.lock_key(k.0 .0)).disk)
+    fn at<R>(&self, k: ReplicaKey, f: impl FnOnce(&Disk<ReplicaKey, V>) -> R + 'static) -> R {
+        let part = self.part;
+        visit(&mut self.slots.lock_key(k.0 .0), (), move |s, ()| f(&part(s).disk))
     }
 
     /// Sums `f` over every slot, one lock at a time.
-    fn sum<T: std::ops::AddAssign + Default>(&self, f: impl Fn(&Disk<ReplicaKey, V>) -> T) -> T {
-        let mut total = T::default();
-        self.slots.each(|s| total += f(&(self.part)(s).disk));
-        total
+    fn sum<T: std::iter::Sum + 'static>(&self, f: fn(&Disk<ReplicaKey, V>) -> T) -> T {
+        let part = self.part;
+        (0..self.slots.len())
+            .map(|i| visit(&mut self.slots.lock_slot(i), (), move |s, ()| f(&part(s).disk)))
+            .sum()
     }
 
     /// An owned copy of the newest value (volatile view).
     pub fn get(&self, k: &ReplicaKey) -> Option<V> {
-        self.at(k, |d| d.get(k).cloned())
+        let k = *k;
+        self.at(k, move |d| d.get(&k).cloned())
     }
 
     /// Whether the key currently exists (volatile view).
     pub fn contains(&self, k: &ReplicaKey) -> bool {
-        self.at(k, |d| d.contains(k))
+        let k = *k;
+        self.at(k, move |d| d.contains(&k))
     }
 
     /// Number of live entries (volatile view).
@@ -444,9 +601,9 @@ impl EventSlot {
     /// Runs `f` on the locked queue and republishes the earliest due
     /// time before the lock is released — the only way the queue is
     /// ever changed.
-    fn change<R>(&self, f: impl FnOnce(&mut EventQueue<Pending>) -> R) -> R {
+    fn change<R>(&self, f: impl FnOnce(&mut EventQueue<Pending>) -> R + 'static) -> R {
         let mut q = lock(&self.queue);
-        let out = f(&mut q);
+        let out = visit(&mut q, (), move |q, ()| f(q));
         let earliest = q.peek_time().map_or(u64::MAX, |t| t.as_micros());
         self.earliest.store(earliest);
         out
@@ -485,7 +642,7 @@ impl ShardedEvents {
     pub(crate) fn push(&self, at: SimTime, ev: Pending) {
         let seq = self.seq.fetch_add(1);
         let slot = self.slot_of(&ev);
-        self.slots[slot].change(|q| q.push_with_seq(at, seq, ev));
+        self.slots[slot].change(move |q| q.push_with_seq(at, seq, ev));
         self.len.fetch_add(1);
     }
 
@@ -515,7 +672,8 @@ impl ShardedEvents {
     /// advances deferred work eagerly without declaring time conditions
     /// satisfied early.
     pub(crate) fn pop_slot_ready(&self, slot: usize, now: SimTime) -> Option<(SimTime, Pending)> {
-        let out = self.slots[slot].change(|q| q.pop_ready(|at, ev| at <= now || !ev.due_gated()));
+        let out =
+            self.slots[slot].change(move |q| q.pop_ready(|at, ev| at <= now || !ev.due_gated()));
         if out.is_some() {
             self.len.fetch_sub(1);
         }
@@ -549,7 +707,7 @@ impl ShardedEvents {
             None => (0..self.slots.len()).filter_map(candidate).min(),
         };
         let (_, slot) = best?;
-        let out = self.slots[slot].change(|q| match deadline {
+        let out = self.slots[slot].change(move |q| match deadline {
             Some(d) => q.pop_due(d),
             None => q.pop(),
         });
@@ -567,7 +725,8 @@ impl ShardedEvents {
     /// Pending events that are time-gated (diagnostics and tests).
     #[cfg(test)]
     pub(crate) fn gated_len(&self) -> usize {
-        self.slots.iter().map(|s| lock(&s.queue).iter().filter(|e| e.due_gated()).count()).sum()
+        let gated = |q: &mut EventQueue<Pending>, ()| q.iter().filter(|e| e.due_gated()).count();
+        self.slots.iter().map(|s| visit(&mut lock(&s.queue), (), gated)).sum()
     }
 
     /// Total pending events. Lock-free.
@@ -599,7 +758,10 @@ impl ShardedEvents {
             if slot.nothing_due(None) {
                 continue;
             }
-            if lock(&slot.queue).any_entry(|at, ev| at <= now || !ev.due_gated()) {
+            let ready = move |q: &mut EventQueue<Pending>, ()| {
+                q.any_entry(|at, ev| at <= now || !ev.due_gated())
+            };
+            if visit(&mut lock(&slot.queue), (), ready) {
                 mask |= 1 << i;
             }
         }
@@ -607,12 +769,12 @@ impl ShardedEvents {
     }
 
     /// Drops every pending event for which `pred` returns false.
-    pub(crate) fn retain(&self, mut pred: impl FnMut(&Pending) -> bool) {
+    pub(crate) fn retain(&self, pred: impl Fn(&Pending) -> bool + Copy + 'static) {
         let mut removed = 0usize;
         for slot in self.slots.iter() {
-            removed += slot.change(|q| {
+            removed += slot.change(move |q| {
                 let before = q.len();
-                q.retain(&mut pred);
+                q.retain(pred);
                 before - q.len()
             });
         }
@@ -625,10 +787,10 @@ impl ShardedEvents {
     pub(crate) fn drain_matching(
         &self,
         key_slot: usize,
-        mut pred: impl FnMut(&Pending) -> bool,
+        pred: impl Fn(&Pending) -> bool + 'static,
     ) -> Vec<Pending> {
-        let mut drained = Vec::new();
-        self.slots[key_slot].change(|q| {
+        let drained = self.slots[key_slot].change(move |q| {
+            let mut drained = Vec::new();
             q.retain(|ev| {
                 if pred(ev) {
                     drained.push(ev.clone());
@@ -637,6 +799,7 @@ impl ShardedEvents {
                     true
                 }
             });
+            drained
         });
         self.len.fetch_sub(drained.len() as u64);
         drained
@@ -722,7 +885,7 @@ mod tests {
     }
 
     fn put(s: &ServerState, key: ReplicaKey) {
-        s.visit(key.0, |slot| slot.unlease(key).put_replica(replica(key.1)));
+        s.visit(key.0, move |slot| slot.unlease(key).put_replica(replica(key.1)));
     }
 
     /// A store is changed in place inside a visit, each change counted by
@@ -732,7 +895,7 @@ mod tests {
         let s = server(4);
         let key = (SegmentId(2), 0u64);
         let set = |sub: u64, reach: Option<Durability>| {
-            s.visit(key.0, |slot| {
+            s.visit(key.0, move |slot| {
                 let out = slot.replicas.update_with(&key, |r| {
                     r.version.sub = if reach.is_some() { sub } else { r.version.sub };
                     (r.version.sub, reach)
@@ -761,7 +924,7 @@ mod tests {
         let s = server(4);
         let key = (SegmentId(2), 0u64);
         let at = SimTime::from_micros;
-        s.visit(key.0, |slot| {
+        s.visit(key.0, move |slot| {
             slot.unlease(key).put_replica(replica(0));
             slot.replicas.record_touch(key, at(90));
             slot.replicas.record_touch(key, at(50));
@@ -773,7 +936,7 @@ mod tests {
         // Applying again is a no-op: the buffer was drained. A touch
         // that moves nothing writes nothing.
         s.apply_touches(2);
-        s.visit(key.0, |slot| slot.replicas.record_touch(key, at(70)));
+        s.visit(key.0, move |slot| slot.replicas.record_touch(key, at(70)));
         s.apply_touches(2);
         assert_eq!(s.replicas.get(&key).map(|r| r.last_access), Some(at(90)));
         assert_eq!((s.replicas.async_writes(), s.replicas.slots.pending()), (1, 0));
@@ -801,7 +964,7 @@ mod tests {
                     let mut i = 0u64;
                     while !stop.load() {
                         let (key, at) = ((SegmentId((i + t) % 8), 0), SimTime::from_micros(i));
-                        s.visit(key.0, |slot| slot.replicas.record_touch(key, at));
+                        s.visit(key.0, move |slot| slot.replicas.record_touch(key, at));
                         i += 1;
                     }
                 })
@@ -826,7 +989,7 @@ mod tests {
         // And the fast path must not be wedged: a fresh touch still
         // reaches the fold.
         let (key, late) = ((SegmentId(1), 0), SimTime::from_micros(1 << 40));
-        s.visit(key.0, |slot| slot.replicas.record_touch(key, late));
+        s.visit(key.0, move |slot| slot.replicas.record_touch(key, late));
         s.apply_touches(1);
         let applied = s.replicas.get(&key).map(|r| r.last_access);
         assert_eq!(applied, Some(late), "fast flag hid a buffered touch");
@@ -839,7 +1002,7 @@ mod tests {
         put(&s, (SegmentId(5), 3));
         put(&s, (SegmentId(9), 7)); // same slot (5 % 4 == 9 % 4)
         assert_eq!(s.majors_of(SegmentId(5)), vec![0, 3]);
-        let latest = |seg: SegmentId| s.visit(seg, |slot| slot.replicas.latest(seg));
+        let latest = |seg: SegmentId| s.visit(seg, move |slot| slot.replicas.latest(seg));
         assert_eq!(latest(SegmentId(5)), Some((SegmentId(5), 3)));
         assert_eq!(latest(SegmentId(1)), None);
         assert_eq!(s.replicas.len(), 3);

@@ -32,7 +32,7 @@ impl Cluster {
                 if !self.net.is_up(server) {
                     return;
                 }
-                self.server(server).visit(seg, |s| {
+                self.server(server).visit(seg, move |s| {
                     s.replicas.flush_all();
                     s.tokens.flush_all();
                 });

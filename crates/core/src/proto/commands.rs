@@ -258,7 +258,7 @@ impl Cluster {
             }
             let token_holder = c.find_reachable_token_holder(via, key).unwrap_or(holder);
             c.destroy_replica(target, key);
-            c.update_holder_set(token_holder, key, |holders| holders.remove(&target));
+            c.update_holder_set(token_holder, key, move |holders| holders.remove(&target));
             Ok(((), latency))
         })
     }

@@ -45,7 +45,7 @@ impl Cluster {
         // the handle map entry is implicit in the disk key.
         let mut latency = SimDuration::ZERO;
         latency += self.cfg.disk.write_cost(replica.data.len() + 64);
-        self.server(via).visit(seg, |s| {
+        self.server(via).visit(seg, move |s| {
             s.unlease(key).put_replica(replica);
             s.tokens.put(key, token);
         });
@@ -56,7 +56,7 @@ impl Cluster {
             Ok(gid) => gid,
             Err(_) => self.groups.lookup(&group_name(seg)).ok_or(DeceitError::Unavailable(seg))?,
         };
-        self.server(via).visit(seg, |s| s.group_cache.insert(seg, gid));
+        self.server(via).visit(seg, move |s| s.group_cache.insert(seg, gid));
         self.with_branch_table(seg, |_| ()); // materialize an empty history tree
         self.obs.bump(Stat::Creates);
         // Replication beyond one replica happens when the user raises
@@ -110,7 +110,7 @@ impl Cluster {
     /// would leak forever), in one visit. Each key is deleted through
     /// [`crate::hot::Unleased`], which removes its read lease first.
     pub(crate) fn destroy_segment_at(&self, server: NodeId, seg: SegmentId) {
-        let revoked = self.server(server).visit(seg, |s| {
+        let revoked = self.server(server).visit(seg, move |s| {
             let mut revoked = 0;
             while let Some(k) = s.replicas.latest(seg) {
                 let mut unleased = s.unlease(k);

@@ -29,17 +29,17 @@ impl Cluster {
     ) -> (Option<GroupId>, SimDuration) {
         // Cache hit: verify the group still exists.
         let srv = self.server(via);
-        if let Some(gid) = srv.visit(seg, |s| s.group_cache.get(&seg).copied()) {
+        if let Some(gid) = srv.visit(seg, move |s| s.group_cache.get(&seg).copied()) {
             if self.groups.exists(gid) {
                 return (Some(gid), SimDuration::ZERO);
             }
-            srv.visit(seg, |s| s.group_cache.remove(&seg));
+            srv.visit(seg, move |s| s.group_cache.remove(&seg));
         }
         // Local membership counts as knowledge.
         let gid = self.groups.lookup(&group_name(seg));
         if let Some(gid) = gid {
             if self.groups.is_member(gid, via) {
-                srv.visit(seg, |s| s.group_cache.insert(seg, gid));
+                srv.visit(seg, move |s| s.group_cache.insert(seg, gid));
                 return (Some(gid), SimDuration::ZERO);
             }
         }
@@ -55,7 +55,7 @@ impl Cluster {
                 .unwrap_or(false)
         });
         if let Some(g) = found {
-            srv.visit(seg, |s| s.group_cache.insert(seg, g));
+            srv.visit(seg, move |s| s.group_cache.insert(seg, g));
         }
         (found, latency)
     }
@@ -68,15 +68,15 @@ impl Cluster {
     /// §3.2 global search — `locate_group` remains the charged path.
     pub(crate) fn cached_group(&self, via: NodeId, seg: SegmentId) -> Option<GroupId> {
         let srv = self.server(via);
-        if let Some(gid) = srv.visit(seg, |s| s.group_cache.get(&seg).copied()) {
+        if let Some(gid) = srv.visit(seg, move |s| s.group_cache.get(&seg).copied()) {
             if self.groups.exists(gid) {
                 return Some(gid);
             }
-            srv.visit(seg, |s| s.group_cache.remove(&seg));
+            srv.visit(seg, move |s| s.group_cache.remove(&seg));
         }
         let gid = self.groups.lookup(&group_name(seg));
         if let Some(g) = gid {
-            srv.visit(seg, |s| s.group_cache.insert(seg, g));
+            srv.visit(seg, move |s| s.group_cache.insert(seg, g));
         }
         gid
     }
@@ -118,7 +118,8 @@ impl Cluster {
             return Err(DeceitError::NoSuchVersion(seg, m));
         }
         // Prefer local knowledge; otherwise search the group.
-        let latest = |m: NodeId| self.server(m).visit(seg, |s| s.replicas.latest(seg)).map(|k| k.1);
+        let latest =
+            |m: NodeId| self.server(m).visit(seg, move |s| s.replicas.latest(seg)).map(|k| k.1);
         let local = latest(via);
         let (gid, search_latency) = self.locate_group(via, seg);
         latency += search_latency;

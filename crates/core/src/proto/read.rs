@@ -105,20 +105,21 @@ impl Cluster {
         // `last_access` at the next engine entry covering this slot, so
         // a hot, concurrently-read replica does not look idle to §3.1
         // extra-replica deletion) without a second lock round.
-        let stable =
-            |r: &crate::replica::Replica| r.is_stable().then(|| copy_out(r, via, offset, count));
+        let stable = move |r: &crate::replica::Replica| {
+            r.is_stable().then(|| copy_out(r, via, offset, count))
+        };
         let now = self.now();
         let (key, served) = match major {
             // A file that has only ever had one major: the newest one
             // stored here is current, and finding it is part of the
             // same slot visit.
-            None if self.single_major(seg) => srv.visit(seg, |s| {
+            None if self.single_major(seg) => srv.visit(seg, move |s| {
                 let key = s.replicas.latest(seg)?;
                 Some((key, s.replicas.served(key, now, stable)))
             })?,
             major => {
                 let key = (seg, major.or_else(|| self.local_current_major(via, seg))?);
-                (key, srv.visit(seg, |s| s.replicas.served(key, now, stable)))
+                (key, srv.visit(seg, move |s| s.replicas.served(key, now, stable)))
             }
         };
         if let Some(served) = served {
@@ -131,7 +132,8 @@ impl Cluster {
             return None;
         }
         self.try_read_leased(via, via, key, offset, count).or_else(|| {
-            if !srv.visit(seg, |s| s.replicas.disk().get(&key).is_some_and(|r| !r.is_stable())) {
+            if !srv.visit(seg, move |s| s.replicas.disk().get(&key).is_some_and(|r| !r.is_stable()))
+            {
                 return None; // no replica here: §2.1's forward, on the full path
             }
             let holder = self.find_reachable_token_holder(via, key).filter(|&h| h != via)?;
@@ -179,7 +181,7 @@ impl Cluster {
         count: usize,
     ) -> Option<OpResult<ReadData>> {
         let now = self.now();
-        let served = self.server(holder).visit(key.0, |s| {
+        let served = self.server(holder).visit(key.0, move |s| {
             let lease = s.leases.get(&key)?;
             let r = s.replicas.disk().get(&key)?;
             // A stale lease the replica has moved past (a write advances
@@ -215,7 +217,7 @@ impl Cluster {
         server: NodeId,
         key: ReplicaKey,
     ) -> Option<crate::version::VersionPair> {
-        self.server(server).visit(key.0, |s| s.leases.get(&key).map(|l| l.version))
+        self.server(server).visit(key.0, move |s| s.leases.get(&key).map(|l| l.version))
     }
 
     /// The newest major of `seg` stored at `via`, provided no reachable
@@ -227,7 +229,7 @@ impl Cluster {
     fn local_current_major(&self, via: NodeId, seg: SegmentId) -> Option<u64> {
         let srv = self.server(via);
         let (local, cached) =
-            srv.visit(seg, |s| (s.replicas.latest(seg), s.group_cache.get(&seg).copied()));
+            srv.visit(seg, move |s| (s.replicas.latest(seg), s.group_cache.get(&seg).copied()));
         let local = local?.1;
         // Single-major fast path: the membership scan below (a handful
         // of lock rounds per read on the lock-free path) is provably
@@ -240,7 +242,7 @@ impl Cluster {
                 && self.net.reachable(via, s)
                 && self
                     .server(s)
-                    .visit(seg, |s| s.replicas.latest(seg))
+                    .visit(seg, move |s| s.replicas.latest(seg))
                     .is_some_and(|k| k.1 > local)
         };
         let gid = cached.or_else(|| self.groups.lookup(&crate::cluster::group_name(seg)));
@@ -315,7 +317,7 @@ impl Cluster {
         };
         // The major, the token and the copy-out: one visit.
         let now = self.now();
-        let served = self.server(via).visit(seg, |s| {
+        let served = self.server(via).visit(seg, move |s| {
             let key = match major {
                 Some(m) => (seg, m),
                 None => s.replicas.latest(seg)?,
@@ -348,7 +350,7 @@ impl Cluster {
         // two lookups. A vanished replica simply falls through to the
         // no-local-replica forwarding below.
         let local_state =
-            self.server(via).visit(seg, |s| s.replicas.disk().get(&key).map(|r| r.state));
+            self.server(via).visit(seg, move |s| s.replicas.disk().get(&key).map(|r| r.state));
         match local_state {
             Some(ReplicaState::Stable) => {
                 latency += self.cfg.local_read;
@@ -377,7 +379,7 @@ impl Cluster {
             .filter(|&h| h != via)
             .find(|&h| {
                 self.server(h)
-                    .visit(seg, |s| s.replicas.disk().get(&key).is_some_and(|r| r.is_stable()))
+                    .visit(seg, move |s| s.replicas.disk().get(&key).is_some_and(|r| r.is_stable()))
             })
             .or_else(|| holders.into_iter().find(|&h| h != via));
         let Some(target) = target else {
@@ -403,7 +405,7 @@ impl Cluster {
             if !params.read_optimized {
                 self.ensure_member(gid, via);
             }
-            self.server(via).visit(seg, |s| s.group_cache.insert(seg, gid));
+            self.server(via).visit(seg, move |s| s.group_cache.insert(seg, gid));
         }
 
         // If the target's copy is unstable the chain continues to the
@@ -411,7 +413,7 @@ impl Cluster {
         // for the same reason `via`'s own unstable replica is above.
         let target_unstable = self
             .server(target)
-            .visit(seg, |s| s.replicas.disk().get(&key).is_some_and(|r| !r.is_stable()));
+            .visit(seg, move |s| s.replicas.disk().get(&key).is_some_and(|r| !r.is_stable()));
         if target_unstable {
             self.schedule_read_repair(target, key);
             return self.forward_to_token_holder(via, key, offset, count, latency);
@@ -492,7 +494,7 @@ impl Cluster {
 
         let state_at = |m: NodeId| {
             self.server(m)
-                .visit(key.0, |s| s.replicas.disk().get(&key).map(|r| (m, r.version, r.state)))
+                .visit(key.0, move |s| s.replicas.disk().get(&key).map(|r| (m, r.version, r.state)))
         };
         let mut available: Vec<(NodeId, crate::version::VersionPair, ReplicaState)> =
             outcome.replies.iter().filter_map(|&(m, _)| state_at(m)).collect();
@@ -580,7 +582,7 @@ impl Cluster {
         }
         // The holder's replica is the primary: nothing to repair it from;
         // and a repair already in flight for this replica is enough.
-        let armed = self.server(laggard).visit(key.0, |s| {
+        let armed = self.server(laggard).visit(key.0, move |s| {
             !s.tokens.disk().contains(&key) && s.repairs.insert(key, ()).is_none()
         });
         if !armed {
@@ -616,7 +618,7 @@ impl Cluster {
     /// mid-recovery may not be; a later read re-arms the repair.
     pub(crate) fn read_repair(&self, laggard: NodeId, key: ReplicaKey) {
         let up = self.net.is_up(laggard);
-        let lagging = self.server(laggard).visit(key.0, |s| {
+        let lagging = self.server(laggard).visit(key.0, move |s| {
             s.repairs.remove(&key);
             up && !s.tokens.disk().contains(&key) && s.replicas.disk().contains(&key)
         });
@@ -627,7 +629,7 @@ impl Cluster {
             return;
         };
         // The holder's token version, unless its stream is still active.
-        let token_version = self.server(holder).visit(key.0, |s| {
+        let token_version = self.server(holder).visit(key.0, move |s| {
             let streaming = s.streams.get(&key).is_some_and(|st| st.group_unstable);
             s.tokens.disk().get(&key).filter(|_| !streaming).map(|t| t.version)
         });
@@ -657,8 +659,8 @@ impl Cluster {
         // the side buffer (the same mechanism the lock-free fast path
         // uses) and folds in at the next engine entry covering this slot
         // — no value clone, no forced metadata write.
-        let serve = |r: &crate::replica::Replica| Some(copy_out(r, server, offset, count));
-        self.server(server).visit(key.0, |s| s.replicas.served(key, now, serve))
+        let serve = move |r: &crate::replica::Replica| Some(copy_out(r, server, offset, count));
+        self.server(server).visit(key.0, move |s| s.replicas.served(key, now, serve))
     }
 
     /// One request/response exchange between two servers.
@@ -698,12 +700,12 @@ mod tests {
         r.version = version;
         r.state = ReplicaState::Unstable;
         r.data.append(data);
-        c.server(at).visit(key.0, |s| s.unlease(key).put_replica(r));
+        c.server(at).visit(key.0, move |s| s.unlease(key).put_replica(r));
     }
 
     /// The state of the replica of `key` at `at`, if it holds one.
     fn state(c: &Cluster, at: NodeId, key: ReplicaKey) -> Option<ReplicaState> {
-        c.server(at).visit(key.0, |s| s.replicas.disk().get(&key).map(|r| r.state))
+        c.server(at).visit(key.0, move |s| s.replicas.disk().get(&key).map(|r| r.state))
     }
 
     /// The forced-stabilize winner is a history-tree judgment: an

@@ -70,7 +70,7 @@ impl Cluster {
                         // Obsolete: destroy; "no update will be lost" since
                         // our history is a prefix of the token's.
                         self.destroy_replica(id, key);
-                        self.update_holder_set(holder, key, |holders| holders.remove(&id));
+                        self.update_holder_set(holder, key, move |holders| holders.remove(&id));
                         // The holder may now be under-replicated.
                         self.schedule_min_replica_fill(holder, key);
                     }
@@ -165,9 +165,9 @@ impl Cluster {
     pub(crate) fn reconcile_all(&mut self) {
         let mut token_index: Vec<(SegmentId, u64, NodeId)> = Vec::new();
         for s in self.server_ids() {
-            self.server(s).visit_all(|slot| {
-                token_index.extend(slot.tokens.disk().keys().map(|&(seg, major)| (seg, major, s)));
-            });
+            let keys =
+                self.server(s).visit_all(|slot| slot.tokens.disk().keys().copied().collect());
+            token_index.extend(keys.flat_map(Vec::into_iter).map(|(seg, major)| (seg, major, s)));
         }
         token_index.sort();
         for i in 0..token_index.len() {
@@ -210,7 +210,7 @@ impl Cluster {
             }
             for key in self.replica_keys(s) {
                 // The token holder's own replica is the primary: skipped.
-                let my_version = self.server(s).visit(key.0, |slot| {
+                let my_version = self.server(s).visit(key.0, move |slot| {
                     let held = slot.tokens.disk().contains(&key);
                     slot.replicas.disk().get(&key).filter(|_| !held).map(|r| r.version)
                 });
@@ -269,7 +269,7 @@ impl Cluster {
     /// to), and any pending repair flag (the queued repair finds the
     /// replica gone and stands down).
     pub(crate) fn destroy_replica(&self, server: NodeId, key: ReplicaKey) {
-        let revoked = self.server(server).visit(key.0, |s| {
+        let revoked = self.server(server).visit(key.0, move |s| {
             let mut unleased = s.unlease(key);
             unleased.delete_replica();
             let revoked = unleased.revoked();
@@ -285,7 +285,7 @@ impl Cluster {
     /// Deletes the token `server` stores for `key`, and the read lease
     /// published on it, in one visit.
     pub(crate) fn delete_token(&self, server: NodeId, key: ReplicaKey) {
-        let revoked = self.server(server).visit(key.0, |s| {
+        let revoked = self.server(server).visit(key.0, move |s| {
             let mut unleased = s.unlease(key);
             unleased.delete_token();
             unleased.revoked()
@@ -295,18 +295,18 @@ impl Cluster {
 
     /// The version pair of the token `server` stores for `key`, if any.
     pub(crate) fn token_version(&self, server: NodeId, key: ReplicaKey) -> Option<VersionPair> {
-        self.server(server).visit(key.0, |s| s.tokens.disk().get(&key).map(|t| t.version))
+        self.server(server).visit(key.0, move |s| s.tokens.disk().get(&key).map(|t| t.version))
     }
 
     /// The version pair of the replica `server` stores for `key`, if any.
     pub(crate) fn replica_version(&self, server: NodeId, key: ReplicaKey) -> Option<VersionPair> {
-        self.server(server).visit(key.0, |s| s.replicas.disk().get(&key).map(|r| r.version))
+        self.server(server).visit(key.0, move |s| s.replicas.disk().get(&key).map(|r| r.version))
     }
 
     /// Every replica key `server` stores, ascending.
     fn replica_keys(&self, server: NodeId) -> Vec<ReplicaKey> {
-        let mut keys = Vec::new();
-        self.server(server).visit_all(|s| keys.extend(s.replicas.disk().keys()));
+        let slots = self.server(server).visit_all(|s| s.replicas.disk().keys().copied().collect());
+        let mut keys: Vec<ReplicaKey> = slots.flat_map(Vec::into_iter).collect();
         keys.sort();
         keys
     }
@@ -345,10 +345,11 @@ impl Cluster {
             if !self.net.reachable(from, s) {
                 continue;
             }
-            self.server(s).visit(seg, |slot| {
+            let others: Vec<(u64, VersionPair)> = self.server(s).visit(seg, move |slot| {
                 let others = slot.tokens.segment(seg).filter(|&(major, _)| major != my_major);
-                out.extend(others.map(|(major, t)| (major, table.relation(my_version, t.version))));
+                others.map(|(major, t)| (major, t.version)).collect()
             });
+            out.extend(others.into_iter().map(|(major, v)| (major, table.relation(my_version, v))));
         }
         out
     }

@@ -103,7 +103,8 @@ impl Cluster {
         key: ReplicaKey,
         target: NodeId,
     ) -> bool {
-        let Some(src) = self.server(holder).visit(key.0, |s| s.replicas.disk().get(&key).cloned())
+        let Some(src) =
+            self.server(holder).visit(key.0, move |s| s.replicas.disk().get(&key).cloned())
         else {
             return false; // replica vanished (deleted or superseded)
         };
@@ -120,11 +121,11 @@ impl Cluster {
         // token holder, so that the token holder always has an upper bound
         // on the total number of replicas").
         if let Some(th) = self.find_reachable_token_holder(holder, key) {
-            self.update_holder_set(th, key, |holders| holders.insert(target));
+            self.update_holder_set(th, key, move |holders| holders.insert(target));
         }
         if let Some((gid, _)) = self.group_members(key.0) {
             self.ensure_member(gid, target);
-            self.server(target).visit(key.0, |s| s.group_cache.insert(key.0, gid));
+            self.server(target).visit(key.0, move |s| s.group_cache.insert(key.0, gid));
         }
         self.obs.bump(Stat::ReplicasGenerated);
         self.emit_from(target, ProtocolEvent::ReplicaGenerated { seg: key.0, on: target });
@@ -154,7 +155,7 @@ impl Cluster {
     /// read lease on `key` is removed first, and the delivery buffer
     /// holding updates for the replaced copy is dropped.
     pub(crate) fn install_replica(&self, server: NodeId, key: ReplicaKey, replica: Replica) {
-        let revoked = self.server(server).visit(key.0, |s| {
+        let revoked = self.server(server).visit(key.0, move |s| {
             let mut unleased = s.unlease(key);
             unleased.put_replica(replica);
             let revoked = unleased.revoked();
@@ -172,9 +173,9 @@ impl Cluster {
         &self,
         holder: NodeId,
         key: ReplicaKey,
-        change: impl FnOnce(&mut std::collections::BTreeSet<NodeId>) -> bool,
+        change: impl FnOnce(&mut std::collections::BTreeSet<NodeId>) -> bool + 'static,
     ) {
-        let stored = self.server(holder).visit(key.0, |s| {
+        let stored = self.server(holder).visit(key.0, move |s| {
             s.tokens
                 .update_with(&key, |token| (change(&mut token.holders), Some(Durability::Async)))
         });
@@ -199,7 +200,7 @@ impl Cluster {
             .filter_map(|h| {
                 let last = self
                     .server(h)
-                    .visit(key.0, |s| s.replicas.disk().get(&key).map(|r| r.last_access))?;
+                    .visit(key.0, move |s| s.replicas.disk().get(&key).map(|r| r.last_access))?;
                 let idle_for = now.since(last);
                 (idle_for >= cutoff).then_some((last, h))
             })
@@ -216,7 +217,7 @@ impl Cluster {
             return;
         }
         for (_, victim) in idle.into_iter().take(deletable) {
-            let revoked = self.server(victim).visit(key.0, |s| {
+            let revoked = self.server(victim).visit(key.0, move |s| {
                 let mut unleased = s.unlease(key);
                 unleased.delete_replica();
                 let revoked = unleased.revoked();
@@ -224,7 +225,7 @@ impl Cluster {
                 revoked
             });
             self.lease_revoked(victim, key.0, revoked);
-            self.update_holder_set(holder, key, |holders| holders.remove(&victim));
+            self.update_holder_set(holder, key, move |holders| holders.remove(&victim));
             self.obs.bump(Stat::ReplicasRetired);
             self.emit_from(victim, ProtocolEvent::ReplicaDeleted { seg: key.0, on: victim });
         }
@@ -247,7 +248,7 @@ mod tests {
         c.write(NodeId(0), seg, WriteOp::replace(b"shipped bytes"), None).unwrap();
         c.run_until_quiet();
         let key = (seg, 0);
-        let src = c.server(NodeId(0)).visit(seg, |s| s.replicas.disk().get(&key).cloned());
+        let src = c.server(NodeId(0)).visit(seg, move |s| s.replicas.disk().get(&key).cloned());
         (c, key, src.unwrap())
     }
 

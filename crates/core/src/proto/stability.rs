@@ -39,7 +39,7 @@ impl Cluster {
                 acks += 1;
             }
         }
-        let changed = self.server(holder).visit(key.0, |s| {
+        let changed = self.server(holder).visit(key.0, move |s| {
             s.streams.entry(key).or_default().group_unstable = true;
             set_state(s, &key, ReplicaState::Unstable)
         });
@@ -62,7 +62,7 @@ impl Cluster {
         }
         // One visit reads the stream and the token: `Err` re-arms a
         // check, `Ok` says whether the stream is over with the token here.
-        let step = self.server(holder).visit(key.0, |s| {
+        let step = self.server(holder).visit(key.0, move |s| {
             let stream = s.streams.get_mut(&key)?;
             // Newer writes landed since this check was scheduled: keep
             // the one pending check, moved out to the stream's new quiet
@@ -102,7 +102,7 @@ impl Cluster {
         // lease is retired — before the stable marker, which routes the
         // holder's reads through the ordinary fast path and leaves the
         // lease nothing to assert — and the stream marked stable.
-        let (revoked, changed) = self.server(holder).visit(key.0, |s| {
+        let (revoked, changed) = self.server(holder).visit(key.0, move |s| {
             let revoked = s.unlease(key).revoked();
             let changed = set_state(s, &key, ReplicaState::Stable);
             if let Some(stream) = s.streams.get_mut(&key) {
@@ -132,7 +132,7 @@ impl Cluster {
         key: ReplicaKey,
         version: VersionPair,
     ) -> Option<bool> {
-        let marked = self.server(m).visit(key.0, |s| {
+        let marked = self.server(m).visit(key.0, move |s| {
             let current = s.replicas.disk().get(&key)?.version == version;
             Some(current.then(|| set_state(s, &key, ReplicaState::Stable) == Some(true)))
         })?;
@@ -142,7 +142,7 @@ impl Cluster {
             }
             return Some(moved);
         }
-        let src = self.server(source).visit(key.0, |s| {
+        let src = self.server(source).visit(key.0, move |s| {
             s.replicas.disk().get(&key).filter(|r| r.version == version).cloned()
         })?;
         let (mut fresh, _) = self.ship_replica(source, m, src)?;
@@ -161,7 +161,7 @@ impl Cluster {
         key: ReplicaKey,
         state: ReplicaState,
     ) -> bool {
-        let changed = self.server(server).visit(key.0, |s| set_state(s, &key, state));
+        let changed = self.server(server).visit(key.0, move |s| set_state(s, &key, state));
         if changed == Some(true) {
             self.schedule_flush(server, key.0);
         }
@@ -171,7 +171,8 @@ impl Cluster {
     /// Whether `holder` has an active write stream on `key`: the group is
     /// marked unstable for it.
     pub(crate) fn streaming(&self, holder: NodeId, key: ReplicaKey) -> bool {
-        self.server(holder).visit(key.0, |s| s.streams.get(&key).is_some_and(|s| s.group_unstable))
+        self.server(holder)
+            .visit(key.0, move |s| s.streams.get(&key).is_some_and(|s| s.group_unstable))
     }
 }
 

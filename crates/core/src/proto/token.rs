@@ -22,6 +22,7 @@ use deceit_storage::Durability;
 
 use crate::cluster::Cluster;
 use crate::error::{DeceitError, DeceitResult};
+use crate::hot::Reach;
 use crate::obs::Stat;
 use crate::params::{FileParams, WriteAvailability};
 use crate::proto::write::WriteCtx;
@@ -41,8 +42,9 @@ impl Cluster {
         key: ReplicaKey,
         group: Option<GroupId>,
     ) -> Option<WriteCtx> {
-        let net = &self.net;
-        self.server(via).visit(key.0, |s| WriteCtx::read(s, net, via, key, group))
+        let reach = Reach::of(&self.net);
+        self.server(via)
+            .visit_with(key.0, reach, move |s, net| WriteCtx::read(s, net, via, key, group))
     }
 
     /// The held-token visit: what a write via `via` finds of `seg` when
@@ -61,8 +63,7 @@ impl Cluster {
         if !self.single_major(seg) {
             return None;
         }
-        let net = &self.net;
-        let held = self.server(via).visit(seg, |s| {
+        let held = self.server(via).visit_with(seg, Reach::of(&self.net), move |s, net| {
             let key = s.replicas.latest(seg)?;
             let group = s.group_cache.get(&seg).copied()?;
             WriteCtx::read(s, net, via, key, Some(group))
@@ -163,7 +164,7 @@ impl Cluster {
         // the lease and the replica in one visit, so removing it in the
         // visit that deletes the token guarantees no reader serves across
         // the movement (see `Cluster::try_read_leased`).
-        let (revoked, taken) = self.server(holder).visit(key.0, |s| {
+        let (revoked, taken) = self.server(holder).visit(key.0, move |s| {
             let taken =
                 s.tokens.disk().get(&key).cloned().ok_or(DeceitError::WriteUnavailable(key.0));
             let taken = taken.and_then(|token| {
@@ -197,7 +198,7 @@ impl Cluster {
         // lacked one, and the token state — durable at both ends (§3.5).
         // The new holder applies its own writes directly; any stale
         // reordering buffer must not hold back future received updates.
-        let revoked = self.server(to).visit(key.0, |s| {
+        let revoked = self.server(to).visit(key.0, move |s| {
             let mut unleased = s.unlease(key);
             let revoked = unleased.revoked();
             if let Some(replica) = replica {
@@ -258,7 +259,7 @@ impl Cluster {
         // only if it moves.
         let (ok, moved) = self
             .server(via)
-            .visit(key.0, |s| {
+            .visit(key.0, move |s| {
                 s.tokens.update_with(&key, |t| {
                     let ok = reachable >= t.majority(params.min_replicas);
                     let moved = ok != t.enabled;
@@ -289,7 +290,7 @@ impl Cluster {
 
         // Make sure the generating server has a base replica to branch
         // from ("File data is drawn from the existing available replica").
-        let local = self.server(via).visit(seg, |s| s.replicas.disk().get(&base_key).cloned());
+        let local = self.server(via).visit(seg, move |s| s.replicas.disk().get(&base_key).cloned());
         let base = match local {
             Some(base) => base,
             None => {
@@ -300,12 +301,13 @@ impl Cluster {
                 // racing crash may have taken it since: treat as unavailable.
                 let src = self
                     .server(src_server)
-                    .visit(seg, |s| s.replicas.disk().get(&base_key).cloned())
+                    .visit(seg, move |s| s.replicas.disk().get(&base_key).cloned())
                     .ok_or(DeceitError::Unavailable(seg))?;
                 let (base, took) =
                     self.ship_replica(src_server, via, src).ok_or(DeceitError::Unavailable(seg))?;
                 latency += took;
-                self.server(via).visit(seg, |s| s.unlease(base_key).put_replica(base.clone()));
+                let stored = base.clone();
+                self.server(via).visit(seg, move |s| s.unlease(base_key).put_replica(stored));
                 base
             }
         };
@@ -335,14 +337,14 @@ impl Cluster {
         let new_major = self.alloc_major();
         let new_key = (seg, new_major);
         let branch_parent = base.version;
-        self.with_branch_table(seg, |t| t.record_branch(new_major, branch_parent));
+        self.with_branch_table(seg, move |t| t.record_branch(new_major, branch_parent));
         let version = VersionPair { major: new_major, sub: base.version.sub };
 
         let now = self.now();
         let mut replica = Replica::cloned_from(&base, now);
         replica.version = version;
         latency += self.cfg.disk.write_cost(replica.data.len() + 64);
-        self.server(via).visit(seg, |s| {
+        self.server(via).visit(seg, move |s| {
             s.unlease(new_key).put_replica(replica);
             s.tokens.put(new_key, WriteToken::new(version, via));
         });
@@ -361,7 +363,7 @@ impl Cluster {
                     self.group_members(seg).map(|(g, _)| g).ok_or(DeceitError::Unavailable(seg))?
                 }
             };
-            self.server(via).visit(seg, |s| s.group_cache.insert(seg, gid));
+            self.server(via).visit(seg, move |s| s.group_cache.insert(seg, gid));
         }
 
         self.obs.bump(Stat::TokenGenerated);
@@ -398,7 +400,7 @@ impl Cluster {
     /// local replica exists).
     pub(crate) fn params_of(&self, server: NodeId, key: ReplicaKey) -> FileParams {
         self.server(server)
-            .visit(key.0, |s| s.replicas.disk().get(&key).map(|r| r.params))
+            .visit(key.0, move |s| s.replicas.disk().get(&key).map(|r| r.params))
             .unwrap_or_default()
     }
 }

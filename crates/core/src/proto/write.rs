@@ -39,19 +39,23 @@
 //! were when each step cloned the record out and put it back.
 
 use deceit_isis::{broadcast_round, GroupId};
-use deceit_net::{Network, NodeId};
+use deceit_net::NodeId;
 use deceit_sim::SimDuration;
 use deceit_storage::Durability;
 
 use crate::cluster::{Cluster, Held, OpResult, OpScope};
 use crate::error::{DeceitError, DeceitResult};
 use crate::event::Pending;
+use crate::hot::Reach;
 use crate::obs::Stat;
 use crate::ops::{UpdateRecord, WriteOp};
 use crate::params::FileParams;
 use crate::server::{ReadLease, ReplicaKey, SegmentId, ServerSlot};
 use crate::trace_events::ProtocolEvent;
 use crate::version::VersionPair;
+
+/// Delay before a server flushes asynchronously written local state.
+const FLUSH_DELAY: SimDuration = SimDuration::from_millis(30);
 
 /// What a write needs to know about the file it is about to update: the
 /// token record, the primary replica and the stream state at the writing
@@ -87,10 +91,11 @@ impl WriteCtx {
     /// `via` holds — `None` if it holds none — its primary replica (the
     /// defaults stand if it holds no copy; callers only get here when a
     /// local replica exists) and its stream state. Reachability is read
-    /// here, under the slot lock: [`Network::reachable`] takes none.
+    /// here, under the slot lock, through the network's [`Reach`] view,
+    /// which takes no lock.
     pub(crate) fn read(
         s: &ServerSlot,
-        net: &Network,
+        net: Reach<'_>,
         via: NodeId,
         key: ReplicaKey,
         group: Option<GroupId>,
@@ -321,7 +326,7 @@ impl Cluster {
         let sync_local = params.write_safety >= 1;
         let lease = self.cfg.opt_read_leases && params.stability;
         let medium = params.availability == crate::params::WriteAvailability::Medium;
-        let end = self.server(via).visit(seg, |s| {
+        let end = self.server(via).visit(seg, move |s| {
             let propagate = sent.buffer && {
                 let stream = s.outbound.entry(key).or_default();
                 stream.updates.push(update.clone());
@@ -452,9 +457,9 @@ impl Cluster {
         if !self.cfg.opt_forward_small || op.wire_size() > self.cfg.forward_small_threshold {
             return None;
         }
-        let replica_only = self
-            .server(via)
-            .visit(key.0, |s| s.replicas.disk().contains(&key) && !s.tokens.disk().contains(&key));
+        let replica_only = self.server(via).visit(key.0, move |s| {
+            s.replicas.disk().contains(&key) && !s.tokens.disk().contains(&key)
+        });
         if !replica_only {
             return None;
         }
@@ -644,7 +649,7 @@ impl Cluster {
         // holder's replica embeds everything *before* this update (it
         // applies `update` after distribution), so a fresh receiver on
         // the transferred state delivers `update` cleanly on top.
-        let src = self.server(holder).visit(key.0, |s| s.replicas.disk().get(&key).cloned());
+        let src = self.server(holder).visit(key.0, move |s| s.replicas.disk().get(&key).cloned());
         let Some((fresh, _)) = src.and_then(|src| self.ship_replica(holder, target, src)) else {
             return false;
         };
@@ -658,7 +663,7 @@ impl Cluster {
     /// embedded, write-through — the safety lane's backlog catch-up.
     fn catch_up_from_outbound(&self, holder: NodeId, target: NodeId, key: ReplicaKey) {
         let Some(target_sub) = self.replica_version(target, key).map(|v| v.sub) else { return };
-        let backlog: Vec<UpdateRecord> = self.server(holder).visit(key.0, |s| {
+        let backlog: Vec<UpdateRecord> = self.server(holder).visit(key.0, move |s| {
             let updates = s.outbound.get(&key).map_or(&[][..], |st| &st.updates);
             updates.iter().filter(|u| u.new_version.sub > target_sub).cloned().collect()
         });
@@ -680,7 +685,7 @@ impl Cluster {
         }
         // The holder's side is one visit: take the batch, and read the
         // cached file group it goes to.
-        let (batch, cached) = self.server(holder).visit(key.0, |s| {
+        let (batch, cached) = self.server(holder).visit(key.0, move |s| {
             let batch = s.outbound.get_mut(&key).map_or_else(Vec::new, |st| {
                 st.scheduled = false;
                 std::mem::take(&mut st.updates)
@@ -746,7 +751,7 @@ impl Cluster {
         sync: bool,
     ) -> Option<InSequence> {
         let now = self.now();
-        self.server(server).visit(key.0, |s| {
+        self.server(server).visit_with(key.0, updates, move |s, updates| {
             // `Some(next)`: a receiver expecting `next`; `None`: none yet.
             let expecting = match s.receivers.get(&key).map(|r| (r.held_count(), r.next_expected()))
             {
@@ -819,7 +824,7 @@ impl Cluster {
             return seen.landed;
         }
         let now = self.now();
-        let landed = srv.visit(key.0, |s| {
+        let landed = srv.visit(key.0, move |s| {
             s.replicas.update_with(&key, |replica| {
                 for u in &deliverable {
                     u.op.apply(&mut replica.data, &mut replica.params);
@@ -838,7 +843,7 @@ impl Cluster {
     pub(crate) fn drain_pending_applies(&self, server: NodeId, key: ReplicaKey) {
         let slot = self.slot_of(key.0);
         let mut drained: Vec<UpdateRecord> = Vec::new();
-        for ev in self.events.drain_matching(slot, |e| {
+        for ev in self.events.drain_matching(slot, move |e| {
             matches!(e, Pending::ApplyUpdate { server: s, key: k, .. } if *s == server && *k == key)
         }) {
             if let Pending::ApplyUpdate { update, .. } = ev {
@@ -853,7 +858,7 @@ impl Cluster {
     /// `seg` attributes the flush to the shard whose mutation caused it,
     /// so the deferred work drains under that file's locks.
     pub(crate) fn schedule_flush(&self, server: NodeId, seg: SegmentId) {
-        let at = self.now() + self.cfg.flush_delay;
+        let at = self.now() + FLUSH_DELAY;
         self.events.push(at, Pending::FlushServer { server, seg });
     }
 }

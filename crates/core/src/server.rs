@@ -15,10 +15,11 @@
 //! server without exclusive access to the cell. A closure run under the
 //! slot lock is a leaf: it takes no lock and visits nothing else — not
 //! even the same server, whose lock it already holds — and returns what
-//! follows from it to be done after (see the module doc of
-//! [`crate::hot`]). The `replicas` and `tokens` fields are read-only
-//! observers of the same slots ([`ShardedDisk`]) for callers outside the
-//! engine.
+//! follows from it to be done after. The type says so: the visits go
+//! through [`crate::hot::visit`], whose closure is `'static` (see the
+//! module doc of [`crate::hot`]). The `replicas` and `tokens` fields
+//! are read-only observers of the same slots ([`ShardedDisk`]) for
+//! callers outside the engine.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -29,7 +30,7 @@ use deceit_net::NodeId;
 use deceit_sim::leaf;
 use deceit_storage::{DiskConfig, Durability};
 
-use crate::hot::{DiskSlot, ShardedDisk, Slots};
+use crate::hot::{self, DiskSlot, ShardedDisk, SlotInput, Slots};
 use crate::ops::UpdateRecord;
 use crate::replica::Replica;
 use crate::token::WriteToken;
@@ -203,20 +204,41 @@ impl ServerState {
 
     /// Runs `f` on this server's slot of `seg` — every map of it — under
     /// one lock round, counting any read touch `f` records into the
-    /// pending-touch flag. `f` is a leaf (see the [module](self) doc).
-    pub(crate) fn visit<R>(&self, seg: SegmentId, f: impl FnOnce(&mut ServerSlot) -> R) -> R {
+    /// pending-touch flag. `f` is a leaf: it goes through
+    /// [`crate::hot::visit`], so it owns what it captures and can reach
+    /// no other lock (see the [module](self) doc).
+    pub(crate) fn visit<R>(
+        &self,
+        seg: SegmentId,
+        f: impl FnOnce(&mut ServerSlot) -> R + 'static,
+    ) -> R {
+        self.visit_with(seg, (), move |s, ()| f(s))
+    }
+
+    /// [`ServerState::visit`], with `input` handed to `f`: the one
+    /// borrowed thing a slot closure may read ([`SlotInput`]).
+    pub(crate) fn visit_with<I: SlotInput, R>(
+        &self,
+        seg: SegmentId,
+        input: I,
+        f: impl FnOnce(&mut ServerSlot, I) -> R + 'static,
+    ) -> R {
         let mut slot = self.slots.lock_key(seg.0);
         let before = slot.replicas.touches.len();
-        let out = f(&mut slot);
+        let out = hot::visit(&mut slot, input, f);
         self.slots.add_pending(slot.replicas.touches.len().saturating_sub(before));
         out
     }
 
-    /// Runs `f` on each of this server's slots in turn, one lock round
-    /// each — the whole-server scans of recovery and reconciliation. `f`
-    /// is a leaf, as for [`ServerState::visit`], and records no touch.
-    pub(crate) fn visit_all(&self, f: impl FnMut(&mut ServerSlot)) {
-        self.slots.each(f);
+    /// `f` of each of this server's slots in turn, one lock round each —
+    /// the whole-server scans of recovery and reconciliation. `f` is a
+    /// leaf, as for [`ServerState::visit`], and records no touch.
+    pub(crate) fn visit_all<R>(
+        &self,
+        f: impl FnOnce(&mut ServerSlot) -> R + Copy + 'static,
+    ) -> impl Iterator<Item = R> + '_ {
+        (0..self.slots.len())
+            .map(move |i| hot::visit(&mut self.slots.lock_slot(i), (), move |s, ()| f(s)))
     }
 
     /// Folds the read touches recorded in slot `slot` into `last_access`
@@ -229,15 +251,19 @@ impl ServerState {
             return;
         }
         let mut s = self.slots.lock_slot(slot);
-        let touches = std::mem::take(&mut s.replicas.touches);
-        self.slots.sub_pending(touches.len());
-        for (k, at) in touches {
-            s.replicas.update_with(&k, |r| {
-                let moved = r.last_access < at;
-                r.last_access = r.last_access.max(at);
-                ((), moved.then_some(Durability::Async))
-            });
-        }
+        let folded = hot::visit(&mut s, (), |s, ()| {
+            let touches = std::mem::take(&mut s.replicas.touches);
+            let n = touches.len();
+            for (k, at) in touches {
+                s.replicas.update_with(&k, |r| {
+                    let moved = r.last_access < at;
+                    r.last_access = r.last_access.max(at);
+                    ((), moved.then_some(Durability::Async))
+                });
+            }
+            n
+        });
+        self.slots.sub_pending(folded);
     }
 
     /// Folds a communication round's outcome into the failure detector.
@@ -253,25 +279,28 @@ impl ServerState {
     /// before the crash or after it, never a lease beside reverted
     /// contents.
     pub fn crash(&self) {
-        self.slots.each(|slot| self.slots.sub_pending(slot.crash()));
+        for i in 0..self.slots.len() {
+            let mut slot = self.slots.lock_slot(i);
+            self.slots.sub_pending(slot.crash());
+        }
         *leaf::lock(&self.fd) = FailureDetector::new();
     }
 
     /// Whether this server stores any replica of `seg` (any major).
     pub fn has_segment(&self, seg: SegmentId) -> bool {
-        self.visit(seg, |s| s.replicas.latest(seg).is_some())
+        self.visit(seg, move |s| s.replicas.latest(seg).is_some())
     }
 
     /// All major versions of `seg` stored here, ascending. A range scan
     /// within the segment's one shard slot, not a sweep of every replica
     /// on the server.
     pub fn majors_of(&self, seg: SegmentId) -> Vec<u64> {
-        self.visit(seg, |s| s.replicas.segment(seg).map(|(major, _)| major).collect())
+        self.visit(seg, move |s| s.replicas.segment(seg).map(|(major, _)| major).collect())
     }
 
     /// Whether this server holds the write token for a replica.
     pub fn holds_token(&self, key: ReplicaKey) -> bool {
-        self.visit(key.0, |s| s.tokens.disk().contains(&key))
+        self.visit(key.0, move |s| s.tokens.disk().contains(&key))
     }
 
     /// Routes one sequenced update through the replica's ordered-delivery
@@ -283,7 +312,7 @@ impl ServerState {
         key: ReplicaKey,
         msg: SequencedMsg<UpdateRecord>,
     ) -> Vec<(u64, UpdateRecord)> {
-        self.visit(key.0, |s| {
+        self.visit(key.0, move |s| {
             let start = s.replicas.disk().get(&key).map_or(1, |r| r.version.sub + 1);
             s.receivers
                 .entry(key)
@@ -313,7 +342,7 @@ mod tests {
 
     /// Stores `r` at `key`, durably.
     fn put(s: &ServerState, key: ReplicaKey, r: Replica) {
-        s.visit(key.0, |slot| slot.unlease(key).put_replica(r));
+        s.visit(key.0, move |slot| slot.unlease(key).put_replica(r));
     }
 
     #[test]
@@ -337,7 +366,7 @@ mod tests {
 
         let s = Arc::new(server());
         let key = (SegmentId(3), 0);
-        s.visit(key.0, |slot| {
+        s.visit(key.0, move |slot| {
             slot.unlease(key).put_replica(replica(0));
             slot.leases.insert(key, ReadLease { version: version(0) });
         });
@@ -347,7 +376,7 @@ mod tests {
             thread::spawn(move || {
                 let mut seen = 0u64;
                 loop {
-                    s.visit(key.0, |slot| {
+                    s.visit(key.0, move |slot| {
                         let lease = slot.leases[&key].version;
                         let epoch = slot.streams.get(&key).map_or(0, |st| st.epoch);
                         assert_eq!(Some(lease), slot.replicas.disk().get(&key).map(|r| r.version));
@@ -361,7 +390,7 @@ mod tests {
             })
         };
         for _ in 0..2_000 {
-            s.visit(key.0, |slot| {
+            s.visit(key.0, move |slot| {
                 let next = slot.leases[&key].version.bump();
                 slot.replicas.update_with(&key, |r| (r.version = next, Some(Durability::Sync)));
                 slot.leases.insert(key, ReadLease { version: next });
@@ -370,7 +399,7 @@ mod tests {
         }
         stop.store(true);
         assert!(reader.join().unwrap() > 0);
-        let end = s.visit(key.0, |slot| {
+        let end = s.visit(key.0, move |slot| {
             let epoch = slot.streams.get(&key).map(|st| st.epoch);
             (slot.leases.get(&key).copied(), epoch, slot.replicas.disk().sync_writes)
         });
@@ -406,7 +435,7 @@ mod tests {
                         let (key, at) = ((SegmentId(seg), 0), SimTime::from_micros(i));
                         // Segments `seg` and `seg ^ 4` share a slot.
                         let twin = (SegmentId(seg ^ 4), 0);
-                        s.visit(key.0, |slot| match i % 3 {
+                        s.visit(key.0, move |slot| match i % 3 {
                             0 => slot.replicas.record_touch(key, at),
                             1 => {
                                 slot.replicas.record_touch(key, at);
@@ -436,9 +465,10 @@ mod tests {
         (0..4).for_each(|slot| s.apply_touches(slot));
         assert_eq!(s.slots.pending(), 0, "flag settles to the truth");
         let (key, late) = ((SegmentId(1), 0), SimTime::from_micros(1 << 40));
-        s.visit(key.0, |slot| slot.replicas.record_touch(key, late));
+        s.visit(key.0, move |slot| slot.replicas.record_touch(key, late));
         s.apply_touches(1);
-        let applied = s.visit(key.0, |slot| slot.replicas.disk().get(&key).map(|r| r.last_access));
+        let applied =
+            s.visit(key.0, move |slot| slot.replicas.disk().get(&key).map(|r| r.last_access));
         assert_eq!(applied, Some(late), "fast flag hid a buffered touch");
     }
 
@@ -448,11 +478,11 @@ mod tests {
         let s = server();
         let key = (SegmentId(5), 0);
         let behind = Some(deceit_storage::Durability::Async);
-        s.visit(key.0, |slot| {
+        s.visit(key.0, move |slot| {
             slot.unlease(key).put_replica(replica(0));
             slot.tokens.put(key, WriteToken::new(version(0), NodeId(0)));
         });
-        s.visit(key.0, |slot| {
+        s.visit(key.0, move |slot| {
             slot.replicas.update_with(&key, |r| (r.version = version(9), behind));
             slot.tokens.update_with(&key, |t| (t.version = version(9), behind));
             slot.leases.insert(key, ReadLease { version: version(9) });
@@ -465,7 +495,7 @@ mod tests {
         });
         assert_eq!(s.slots.pending(), 1, "a visit's touch is counted");
         s.crash();
-        s.visit(key.0, |slot| {
+        s.visit(key.0, move |slot| {
             assert_eq!(slot.replicas.disk().get(&key).map(|r| r.version), Some(version(0)));
             assert_eq!(slot.tokens.disk().get(&key).map(|t| t.version), Some(version(0)));
             assert!(slot.leases.is_empty() && slot.streams.is_empty() && slot.outbound.is_empty());
@@ -481,7 +511,7 @@ mod tests {
     fn crash_preserves_durable_loses_volatile() {
         let s = server();
         let (seg, key) = (SegmentId(1), (SegmentId(1), 0));
-        s.visit(seg, |slot| {
+        s.visit(seg, move |slot| {
             slot.unlease(key).put_replica(replica(0));
             slot.group_cache.insert(seg, GroupId(5));
             slot.streams.insert(key, StreamState::default());
@@ -490,7 +520,7 @@ mod tests {
         });
         s.crash();
         assert!(s.has_segment(seg), "durable replica survives");
-        s.visit(seg, |slot| {
+        s.visit(seg, move |slot| {
             assert!(slot.group_cache.is_empty() && slot.streams.is_empty());
             assert!(slot.leases.is_empty(), "read leases are volatile");
             assert!(slot.repairs.is_empty(), "repair single-flight flags are volatile");

@@ -1,46 +1,45 @@
-//! `deceit-lint`: the repo-specific static analysis that neither rustc
-//! nor clippy can carry.
+//! `deceit-lint`: the repo-specific checks neither rustc nor clippy
+//! carries.
 //!
 //! The Deceit concurrency discipline is checked in three places. The
 //! compiler carries the cell → ascending-ring lock order
 //! (`deceit_runtime::shard::CellLock`'s types, plus a debug assertion),
-//! the exhaustiveness of `Pending::due_gated`, the memory ordering of
-//! every atomic (`deceit_sim::atomic`'s types) and read-lease revocation
+//! the slot-leaf rule (`deceit_core::hot::visit` takes only `'static`
+//! closures, so one run under a slot lock cannot borrow the engine), the
+//! exhaustiveness of `Pending::due_gated`, the memory ordering of every
+//! atomic (`deceit_sim::atomic`'s types) and read-lease revocation
 //! (`deceit_core`'s `Unleased` handle is the only way to the store
 //! operations that end a lease's claim); clippy's restriction lints and
 //! `clippy.toml` carry the no-panic and one-clock rules, keep the std
 //! atomics out of every other module and raw std lock calls inside the
-//! lock funnels. What is left is one lexical rule: a closure handed to a
-//! server's `visit` runs under a slot's leaf lock and may not mention
-//! `self`. A hand-rolled lexer (the vendored deps are API stubs, so no
-//! `syn`) feeds it. There are no waivers: `#[expect]` is the workspace's
-//! exception mechanism. See README § "Static analysis".
+//! lock funnels. What is left are two text rules, judged a line at a
+//! time ([`rules::RULES`]): no per-lock operation twin, and no hot-state
+//! observer read inside the engine. There are no waivers: `#[expect]` is
+//! the workspace's exception mechanism. See README § "Static analysis".
 
-pub mod lexer;
 pub mod report;
 pub mod rules;
 
 use report::{Finding, LintReport};
-use rules::{SourceFile, RULES};
+use rules::RULES;
 use std::path::{Path, PathBuf};
 
 /// Lint a set of `(repo-relative path, content)` pairs.
 pub fn lint_sources(files: &[(String, String)]) -> LintReport {
     let mut findings: Vec<Finding> = Vec::new();
     for (path, content) in files {
-        let file = SourceFile::new(path, content);
-        for rule in RULES {
-            (rule.check)(&file, &mut findings);
+        for (i, line) in content.lines().enumerate() {
+            for rule in RULES.iter().filter(|r| (r.check)(path, line)) {
+                findings.push(Finding::new(rule.id, path, i as u32 + 1, line.trim()));
+            }
         }
     }
-    findings.sort();
-    findings.dedup();
     LintReport { files_scanned: files.len(), findings }
 }
 
 /// Collect the lintable sources under `root`: `crates/*/src/**/*.rs`.
-/// Vendored stand-ins, build output, and lint fixtures are not part of
-/// the checked surface.
+/// Vendored stand-ins, build output and tests are not part of the
+/// checked surface.
 pub fn collect_sources(root: &Path) -> std::io::Result<Vec<(String, String)>> {
     let mut out = Vec::new();
     let crates_dir = root.join("crates");

@@ -1,102 +1,136 @@
-//! The rule registry. Rules are invoked once per file; scoping is by
-//! repo-relative path so fixture tests can exercise a rule by lexing
-//! synthetic content under the real path.
-
-use crate::lexer::{Tok, TokKind};
-use crate::report::Finding;
-
-/// One file, pre-lexed. `code` is the token stream with comments
-/// stripped: rules match on it.
-pub struct SourceFile {
-    pub path: String,
-    pub code: Vec<Tok>,
-}
-
-impl SourceFile {
-    pub fn new(path: &str, src: &str) -> Self {
-        let code = crate::lexer::lex(src).into_iter().filter(|t| t.kind != TokKind::Comment);
-        SourceFile { path: path.to_string(), code: code.collect() }
-    }
-}
+//! The rule registry. A rule judges one line of one file at a time, by
+//! plain text, and scopes itself by the file's repo-relative path, so a
+//! test can plant a line under any path.
 
 pub struct Rule {
     pub id: &'static str,
     pub summary: &'static str,
-    /// Which PR's bug class motivated the rule (for `--list-rules`).
+    /// The bug class that motivated the rule (for `--list-rules`).
     pub motivation: &'static str,
-    pub check: fn(&SourceFile, &mut Vec<Finding>),
+    /// Whether `line` of the file at `path` breaks the rule.
+    pub check: fn(path: &str, line: &str) -> bool,
 }
 
-pub const RULES: &[Rule] = &[Rule {
-    id: "lock-order",
-    summary: "a closure handed to a server's visit/visit_all runs under a slot's leaf lock: no `self` inside it, nor in a closure nested in it (a store's `update_with` is reached only inside one)",
-    motivation: "PRs 2-3 sharded the engine; a closure under a slot lock that reaches the engine through `self` can take a second lock, or the same one again",
-    check: rule_lock_order,
-}];
+pub const RULES: &[Rule] = &[
+    Rule {
+        id: "no-twin",
+        summary: "no per-lock operation twin (`fn *_shared`, `*_sharded`, `*_ring`) in crates/{nfs,core,runtime}/src: what the caller holds is a `Scope` argument or a `Rung`, not a name suffix",
+        motivation: "every operation once existed up to three times (`*_shared` / `*_sharded` / exclusive), and the copies drifted apart; a suffixed twin is how they would grow back",
+        check: twin,
+    },
+    Rule {
+        id: "hot-state-view",
+        summary: "crates/core/src reads a server's stores only inside a visit (`s.replicas.disk().get`), never through the read-only `replicas` / `tokens` observers, which are for code outside the engine",
+        motivation: "the visit is the one API for hot state; an observer read inside the engine is a second lock round, outside the visit it sits beside, and can see the slot between two of its steps",
+        check: observer_read,
+    },
+];
 
-// ---------------------------------------------------------------------------
-// Token-stream helpers.
-
-fn seq(code: &[Tok], i: usize, pat: &[&str]) -> bool {
-    pat.iter().enumerate().all(|(k, p)| code.get(i + k).is_some_and(|t| t.text == *p))
+/// The word (`[A-Za-z0-9_]*`) at the start of `s`.
+fn word(s: &str) -> &str {
+    &s[..s.find(|c: char| !c.is_alphanumeric() && c != '_').unwrap_or(s.len())]
 }
 
-// ---------------------------------------------------------------------------
-// Rule: lock-order (the slot leaf locks).
+/// Whether `line` declares `fn [a-z_0-9]+_(shared|sharded|ring)` (the
+/// name ending there).
+pub fn declares_twin(line: &str) -> bool {
+    line.match_indices("fn ").any(|(i, _)| {
+        let name = word(&line[i + 3..]);
+        let lower = name.chars().all(|c| c.is_ascii_lowercase() || c.is_ascii_digit() || c == '_');
+        lower
+            && ["_shared", "_sharded", "_ring"]
+                .iter()
+                .any(|s| name.len() > s.len() && name.ends_with(s))
+    })
+}
 
-/// The cell and ring levels of the lock order are carried by
-/// `deceit_runtime::shard::CellLock`'s types, and clippy's
-/// `disallowed_methods` keeps raw std lock calls inside the lock
-/// funnels; below them sit the engine's per-slot leaf locks, behind
-/// `crates/core/src/hot.rs`. A closure handed to a server's `visit` or
-/// `visit_all` runs under a slot's leaf lock and must be a leaf itself:
-/// it may not mention `self`, through which every other lock of the
-/// engine is reached — nor may a closure nested in it, such as one
-/// handed to the slot's `Disk::update_with`. Checked in `crates/core`
-/// outside `hot.rs`.
-fn rule_lock_order(f: &SourceFile, out: &mut Vec<Finding>) {
-    if !f.path.starts_with("crates/core/src/") || f.path.ends_with("/hot.rs") {
-        return;
+/// Whether `line` calls a read-only hot-state observer:
+/// `.(replicas|tokens).(get|contains|len|…)` — not the in-visit form
+/// `s.replicas.disk().get`.
+pub fn reads_observer(line: &str) -> bool {
+    const READS: &[&str] = &[
+        "get",
+        "contains",
+        "len",
+        "is_empty",
+        "durable_bytes",
+        "sync_writes",
+        "async_writes",
+        "lost_writes",
+    ];
+    [".replicas.", ".tokens."].iter().any(|store| {
+        line.match_indices(store).any(|(i, _)| READS.contains(&word(&line[i + store.len()..])))
+    })
+}
+
+/// `no-twin`: the only suffixed functions `crates/{nfs,core,runtime}/src`
+/// may declare are `host.rs`'s three `NfsService` trait methods and
+/// their impls, `Cluster::write_sharded`, which the benchmark's probe
+/// calls, and `CellLock::try_shared`, a try-lock of the cell lock's
+/// shared level rather than an operation twin.
+fn twin(path: &str, line: &str) -> bool {
+    let scoped = ["crates/nfs/src/", "crates/core/src/", "crates/runtime/src/"];
+    if !scoped.iter().any(|d| path.starts_with(d)) || !declares_twin(line) {
+        return false;
     }
-    let code = &f.code;
-    for i in 0..code.len() {
-        if code[i].test {
-            continue;
-        }
-        if ["visit", "visit_all"].iter().any(|m| seq(code, i, &[".", m, "("])) {
-            if let Some(line) = self_in_closure_arg(code, i + 2) {
-                out.push(Finding::new(
-                    "lock-order",
-                    &f.path,
-                    line,
-                    format!(
-                        "`self` inside the closure handed to `{}` — it runs under a slot's leaf lock and must take no other: compute before the call, act on the result after it",
-                        code[i + 1].text
-                    ),
-                ));
+    let decl = line.trim_start();
+    let indented = decl.len() < line.len();
+    let allowed = indented
+        && match path {
+            "crates/nfs/src/host.rs" => {
+                ["fn serve_shared(", "fn serve_sharded(", "fn serve_read_sharded("]
+                    .iter()
+                    .any(|f| decl.starts_with(f))
             }
-        }
-    }
+            "crates/core/src/proto/write.rs" => decl.starts_with("pub fn write_sharded("),
+            "crates/runtime/src/shard/cell_lock.rs" => decl.starts_with("pub fn try_shared("),
+            _ => false,
+        };
+    !allowed
 }
 
-/// The line of the first `self` inside a closure literal among the
-/// arguments of the call whose `(` is at `open`.
-fn self_in_closure_arg(code: &[Tok], open: usize) -> Option<u32> {
-    let mut depth = 0i32;
-    let mut in_closure = false;
-    for t in &code[open..] {
-        match t.text.as_str() {
-            "(" | "[" | "{" => depth += 1,
-            ")" | "]" | "}" => {
-                depth -= 1;
-                if depth == 0 {
-                    return None;
-                }
-            }
-            "|" | "||" if depth == 1 => in_closure = true,
-            "self" if in_closure => return Some(t.line),
-            _ => {}
-        }
+/// `hot-state-view`: an observer read in `crates/core/src` outside
+/// `hot.rs`, which defines the observers.
+fn observer_read(path: &str, line: &str) -> bool {
+    path.starts_with("crates/core/src/") && path != "crates/core/src/hot.rs" && reads_observer(line)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn declares_twin_matches_a_suffixed_name_only() {
+        assert!(declares_twin("    pub fn read_ring(&self) {"));
+        assert!(!declares_twin("fn ring_read()") && !declares_twin("fn _ring()"));
+        assert!(!declares_twin("    fn Read_shared()"), "lower-case names only");
     }
-    None
+
+    #[test]
+    fn twin_fires_on_a_planted_line_in_scope() {
+        let planted = "    pub(crate) fn lookup_sharded(&self, seg: SegmentId) -> bool {";
+        assert!(twin("crates/core/src/proto/locate.rs", planted));
+        assert!(twin("crates/runtime/src/runtime.rs", planted));
+        assert!(!twin("crates/agent/src/driver.rs", planted), "out of scope");
+        // The allowed declarations, and only where they live.
+        assert!(!twin("crates/nfs/src/host.rs", "    fn serve_shared(&self, via: NodeId) {"));
+        assert!(!twin("crates/core/src/proto/write.rs", "    pub fn write_sharded("));
+        assert!(twin("crates/core/src/proto/read.rs", "    pub fn write_sharded("));
+        assert!(twin("crates/nfs/src/host.rs", "fn serve_shared() {}"), "a top-level fn");
+    }
+
+    #[test]
+    fn reads_observer_matches_the_observers_not_the_visit_form() {
+        assert!(reads_observer("c.server(n).replicas.get(&k)"));
+        assert!(reads_observer("let n = srv.tokens.len();"));
+        assert!(!reads_observer("s.replicas.disk().get(&k)") && !reads_observer("s.tokens.getter"));
+    }
+
+    #[test]
+    fn observer_read_fires_on_a_planted_line_in_core_outside_hot() {
+        let planted = "        let held = self.server(via).tokens.contains(&key);";
+        assert!(observer_read("crates/core/src/proto/token.rs", planted));
+        assert!(!observer_read("crates/core/src/hot.rs", planted), "hot.rs defines them");
+        assert!(!observer_read("crates/nfs/src/fs.rs", planted), "outside the engine");
+    }
 }

@@ -179,7 +179,7 @@ impl From<CodecError> for NfsError {
 pub type NfsResult<T> = Result<OpResult<T>, NfsError>;
 
 /// Envelope configuration.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct FsConfig {
     /// Parameters applied to the root directory (administrators replicate
     /// "all important system directories", §6.1).
@@ -189,19 +189,6 @@ pub struct FsConfig {
     /// Parameters applied to newly created files (§1: "The default
     /// behavior is equivalent to NFS").
     pub file_params: FileParams,
-    /// Restart budget for conflicting directory updates (§5.1).
-    pub occ_retries: u32,
-}
-
-impl Default for FsConfig {
-    fn default() -> Self {
-        FsConfig {
-            root_params: FileParams::default(),
-            dir_params: FileParams::default(),
-            file_params: FileParams::default(),
-            occ_retries: 8,
-        }
-    }
 }
 
 /// One Deceit cell's file service.

@@ -27,6 +27,9 @@ use crate::fs::{
 use crate::handle::FileHandle;
 use crate::inode::Inode;
 
+/// Restart budget for conflicting directory updates (§5.1).
+const OCC_RETRIES: u32 = 8;
+
 /// What the caller of an envelope operation holds.
 ///
 /// `Cell` carries the `&mut`: the whole cell cannot be claimed from a
@@ -206,7 +209,7 @@ impl Scope<'_> {
         // Nothing to load for a caller who could not store.
         self.held(fh.seg)?;
         let mut latency = SimDuration::ZERO;
-        for attempt in 0..self.fs().config().occ_retries.max(1) {
+        for attempt in 0..OCC_RETRIES {
             let (mut inode, payload, version, l1) = self.fetch(via, fh, true)?;
             latency += l1;
             let Some(edit) = mutate(&mut inode, &payload)? else {

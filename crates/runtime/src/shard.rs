@@ -212,12 +212,9 @@ impl<S: ProtocolHost> ShardedEngine<S> {
 
     /// Fires up to `batch` units of `slot`'s deferred work under the
     /// shared cell lock and that slot's ring lock — concurrent with
-    /// request service on every other slot — or, for an engine that
-    /// cannot pump a shard through `&self`, under the exclusive lock.
-    /// Returns how many fired.
+    /// request service on every other slot. Returns how many fired.
     pub(crate) fn pump_slot(&self, slot: usize, batch: usize) -> usize {
-        let fired = self.ring(Slots::one(slot), |e| e.try_pump_shard(slot, batch));
-        fired.unwrap_or_else(|| self.cell(Slots::one(slot), |e| e.pump(batch)))
+        self.ring(Slots::one(slot), |e| e.try_pump_shard(slot, batch)).unwrap_or(0)
     }
 }
 
