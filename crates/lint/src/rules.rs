@@ -33,7 +33,7 @@ fn word(s: &str) -> &str {
 
 /// Whether `line` declares `fn [a-z_0-9]+_(shared|sharded|ring)` (the
 /// name ending there).
-pub fn declares_twin(line: &str) -> bool {
+fn declares_twin(line: &str) -> bool {
     line.match_indices("fn ").any(|(i, _)| {
         let name = word(&line[i + 3..]);
         let lower = name.chars().all(|c| c.is_ascii_lowercase() || c.is_ascii_digit() || c == '_');
@@ -47,7 +47,7 @@ pub fn declares_twin(line: &str) -> bool {
 /// Whether `line` calls a read-only hot-state observer:
 /// `.(replicas|tokens).(get|contains|len|…)` — not the in-visit form
 /// `s.replicas.disk().get`.
-pub fn reads_observer(line: &str) -> bool {
+fn reads_observer(line: &str) -> bool {
     const READS: &[&str] = &[
         "get",
         "contains",
