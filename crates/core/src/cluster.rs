@@ -292,7 +292,9 @@ impl Cluster {
     /// An owned snapshot of one segment's branch table (empty if never
     /// materialized).
     pub fn branch_table_snapshot(&self, seg: SegmentId) -> BranchTable {
-        self.branches.lock_key(seg.0).get(&seg).cloned().unwrap_or_default()
+        hot::visit(&mut self.branches.lock_key(seg.0), (), move |tables, ()| {
+            tables.get(&seg).cloned().unwrap_or_default()
+        })
     }
 
     /// Emits a protocol event attributed to the server that performed

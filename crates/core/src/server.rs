@@ -250,8 +250,7 @@ impl ServerState {
         if self.slots.pending() == 0 {
             return;
         }
-        let mut s = self.slots.lock_slot(slot);
-        let folded = hot::visit(&mut s, (), |s, ()| {
+        self.slots.sub_pending(hot::visit(&mut self.slots.lock_slot(slot), (), |s, ()| {
             let touches = std::mem::take(&mut s.replicas.touches);
             let n = touches.len();
             for (k, at) in touches {
@@ -262,8 +261,7 @@ impl ServerState {
                 });
             }
             n
-        });
-        self.slots.sub_pending(folded);
+        }));
     }
 
     /// Folds a communication round's outcome into the failure detector.
@@ -280,8 +278,7 @@ impl ServerState {
     /// contents.
     pub fn crash(&self) {
         for i in 0..self.slots.len() {
-            let mut slot = self.slots.lock_slot(i);
-            self.slots.sub_pending(slot.crash());
+            self.slots.sub_pending(hot::visit(&mut self.slots.lock_slot(i), (), |s, ()| s.crash()));
         }
         *leaf::lock(&self.fd) = FailureDetector::new();
     }

@@ -12,9 +12,11 @@
 //! operations that end a lease's claim); clippy's restriction lints and
 //! `clippy.toml` carry the no-panic and one-clock rules, keep the std
 //! atomics out of every other module and raw std lock calls inside the
-//! lock funnels. What is left are two text rules, judged a line at a
-//! time ([`rules::RULES`]): no per-lock operation twin, and no hot-state
-//! observer read inside the engine. There are no waivers: `#[expect]` is
+//! lock funnels. What is left are three text rules, judged a line at a
+//! time ([`rules::RULES`]): no per-lock operation twin, no hot-state
+//! observer read inside the engine, and no slot guard in the engine
+//! that does not go straight into a visit (without which the `'static`
+//! bound holds nothing). There are no waivers: `#[expect]` is
 //! the workspace's exception mechanism. See README § "Static analysis".
 
 pub mod report;

@@ -24,6 +24,12 @@ pub const RULES: &[Rule] = &[
         motivation: "the visit is the one API for hot state; an observer read inside the engine is a second lock round, outside the visit it sits beside, and can see the slot between two of its steps",
         check: observer_read,
     },
+    Rule {
+        id: "slot-guard",
+        summary: "crates/core/src outside hot.rs takes a slot lock (`.lock_slot(` / `.lock_key(`) only as the guard of a visit, `visit(&mut <receiver>.lock_key(..), ..)`, on one line, so nothing but the visit's `'static` closure runs under it; `ServerState::visit_with` and `Cluster::with_branch_table`, which count around their visit, hold theirs by name",
+        motivation: "the `'static` bound makes a visit closure a leaf only if the guard goes straight into the visit; a guard held in a `let` or used through `Deref` runs any code under the slot lock, `self` included, which is the bug class the old lexical lock-order rule caught",
+        check: unvisited_guard,
+    },
 ];
 
 /// The word (`[A-Za-z0-9_]*`) at the start of `s`.
@@ -95,6 +101,41 @@ fn observer_read(path: &str, line: &str) -> bool {
     path.starts_with("crates/core/src/") && path != "crates/core/src/hot.rs" && reads_observer(line)
 }
 
+/// Whether `line` takes a slot lock (`.lock_slot(` / `.lock_key(`)
+/// other than as the guard of a visit: the text before the receiver
+/// (a path of words, dots and call parentheses) is not `visit(&mut `.
+/// A comment line takes no lock.
+fn takes_unvisited_guard(line: &str) -> bool {
+    if line.trim_start().starts_with("//") {
+        return false;
+    }
+    [".lock_slot(", ".lock_key("].iter().any(|call| {
+        line.match_indices(call).any(|(i, _)| {
+            let before =
+                line[..i].trim_end_matches(|c: char| c.is_alphanumeric() || "_.()".contains(c));
+            !before.ends_with("visit(&mut ")
+        })
+    })
+}
+
+/// `slot-guard`: an unvisited slot guard in `crates/core/src` outside
+/// `hot.rs`, which defines the slots and the funnel. The two funnels
+/// that count around their visit under the same lock round keep their
+/// guard in a `let`, each on one line of its own file.
+fn unvisited_guard(path: &str, line: &str) -> bool {
+    if !path.starts_with("crates/core/src/") || path == "crates/core/src/hot.rs" {
+        return false;
+    }
+    let allowed = match path {
+        "crates/core/src/server.rs" => line.trim() == "let mut slot = self.slots.lock_key(seg.0);",
+        "crates/core/src/cluster.rs" => {
+            line.trim() == "let mut tables = self.branches.lock_key(seg.0);"
+        }
+        _ => false,
+    };
+    !allowed && takes_unvisited_guard(line)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -132,5 +173,27 @@ mod tests {
         assert!(observer_read("crates/core/src/proto/token.rs", planted));
         assert!(!observer_read("crates/core/src/hot.rs", planted), "hot.rs defines them");
         assert!(!observer_read("crates/nfs/src/fs.rs", planted), "outside the engine");
+    }
+
+    #[test]
+    fn takes_unvisited_guard_matches_a_guard_outside_a_visit_only() {
+        assert!(takes_unvisited_guard("        let mut g = self.slots.lock_slot(i);"));
+        assert!(takes_unvisited_guard("self.branches.lock_key(seg.0).get(&seg).cloned()"));
+        assert!(!takes_unvisited_guard(
+            "hot::visit(&mut self.server(via).slots.lock_key(seg.0), (), move |s, ()| s.n)"
+        ));
+        assert!(!takes_unvisited_guard("    /// `let g = self.slots.lock_slot(i)` is refused"));
+    }
+
+    #[test]
+    fn unvisited_guard_fires_on_a_planted_line_in_core_outside_hot() {
+        let planted = "        let mut slot = self.slots.lock_slot(i);";
+        assert!(unvisited_guard("crates/core/src/server.rs", planted));
+        assert!(!unvisited_guard("crates/core/src/hot.rs", planted), "hot.rs defines the slots");
+        assert!(!unvisited_guard("crates/runtime/src/shard.rs", planted), "outside the engine");
+        // The two counting funnels, and only where they live.
+        let funnel = "        let mut slot = self.slots.lock_key(seg.0);";
+        assert!(!unvisited_guard("crates/core/src/server.rs", funnel));
+        assert!(unvisited_guard("crates/core/src/proto/read.rs", funnel));
     }
 }

@@ -1,7 +1,7 @@
 //! The repo lints itself clean: `cargo test` fails the moment a
-//! `// lint:` directive, a per-lock operation twin or a hot-state
-//! observer read inside the engine lands — without waiting for the CI
-//! lint job.
+//! `// lint:` directive, a per-lock operation twin, a hot-state
+//! observer read inside the engine or a slot guard held outside a visit
+//! lands — without waiting for the CI lint job.
 
 use lint::report::LintReport;
 use std::path::Path;
