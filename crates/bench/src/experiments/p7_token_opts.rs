@@ -111,11 +111,14 @@ mod tests {
         assert!(piggy.msgs_per_write < base.msgs_per_write - 1.0, "{piggy:?} vs {base:?}");
         assert!(piggy.latency_us <= base.latency_us);
         // Forwarding small updates keeps the token parked: no passes at
-        // all, and fewer messages than token ping-pong. The write itself
-        // pays a forwarding round trip — the trade §3.3 describes for
-        // "likely … only one update" files.
+        // all, and fewer messages than token ping-pong. The write pays a
+        // forwarding round trip — the trade §3.3 describes for "likely …
+        // only one update" files — and is made at the holder, from its
+        // primary copy, so it never restarts on a stale write-behind
+        // replica: it beats the token's round trips.
         assert!(fwd.token_passes == 0, "{fwd:?}");
         assert!(fwd.msgs_per_write < base.msgs_per_write);
+        assert!(fwd.latency_us < base.latency_us, "{fwd:?} vs {base:?}");
         // The asynchronous write pipeline never broadcasts per update on
         // the client's clock: latency drops and the per-write traffic
         // shrinks (drains amortize the group round).

@@ -483,7 +483,7 @@ impl ServerSlot {
 /// assert!(replicas.get(&(SegmentId(0), 0)).is_none() && replicas.is_empty());
 /// ```
 ///
-/// ```compile_fail
+/// ```compile_fail,E0599
 /// # use deceit_core::{Cluster, ClusterConfig, SegmentId};
 /// # use deceit_net::NodeId;
 /// # let c = Cluster::new(1, ClusterConfig::deterministic());
@@ -491,7 +491,7 @@ impl ServerSlot {
 /// c.server(NodeId(0)).replicas.put_sync((SegmentId(0), 0), replica);
 /// ```
 ///
-/// ```compile_fail
+/// ```compile_fail,E0599
 /// # use deceit_core::{Cluster, ClusterConfig, SegmentId};
 /// # use deceit_net::NodeId;
 /// # let c = Cluster::new(1, ClusterConfig::deterministic());

@@ -11,7 +11,7 @@ use std::sync::atomic;
 
 use deceit_isis::broadcast_round;
 use deceit_net::NodeId;
-use deceit_sim::SimDuration;
+use deceit_sim::{SimDuration, SimTime};
 
 use crate::cluster::{Cluster, Held, OpResult, OpScope};
 use crate::error::{DeceitError, DeceitResult};
@@ -19,9 +19,9 @@ use crate::event::Pending;
 use crate::obs::Stat;
 use crate::ops::ReadData;
 use crate::replica::ReplicaState;
-use crate::server::{ReplicaKey, SegmentId};
+use crate::server::{ReplicaKey, SegmentId, ServerSlot};
 use crate::trace_events::ProtocolEvent;
-use crate::version::VersionRelation;
+use crate::version::{VersionPair, VersionRelation};
 
 /// Materializes one served read from a replica borrow — the single
 /// hand-out every local read path shares, so the shape of a served read
@@ -34,6 +34,67 @@ fn copy_out(
     count: usize,
 ) -> ReadData {
     ReadData { image: r.data.clone(), offset, count, version: r.version, served_by }
+}
+
+/// What one visit to a server's slot decides of a lock-free read there
+/// ([`Cluster::try_read_local`]).
+enum Local {
+    /// Served, and its LRU touch recorded: a stable replica, or the
+    /// replica at the version of the token holder's read lease.
+    Served(ReadData),
+    /// An unstable replica, and no token here: §3.4 forwards the read to
+    /// the token holder.
+    Forward,
+    /// A read lease the replica has moved past: the locked path serves.
+    StaleLease,
+    /// Nothing the lock-free path answers: no replica (§2.1's forward
+    /// joins the file group, on the full path), or the token holder with
+    /// no lease.
+    Decline,
+}
+
+/// The rest of [`Cluster::try_read_local`]'s visit to `via`'s slot, for a
+/// replica the stable path did not serve: `via`'s own lease answers, or
+/// the read forwards to the token holder's.
+fn unstable_here(
+    s: &mut ServerSlot,
+    key: ReplicaKey,
+    via: NodeId,
+    offset: usize,
+    count: usize,
+    now: SimTime,
+) -> Local {
+    if let Some(lease) = s.leases.get(&key) {
+        return leased(s, key, lease.version, via, offset, count, now);
+    }
+    let replica_only = s.replicas.disk().contains(&key) && !s.tokens.disk().contains(&key);
+    if replica_only {
+        Local::Forward
+    } else {
+        Local::Decline
+    }
+}
+
+/// The replica of `key` at `leased`, the version of the holder's read
+/// lease, served from the holder's slot with its touch recorded. A stale
+/// lease the replica has moved past (a write advances both in one visit,
+/// so nothing else) is refused.
+fn leased(
+    s: &mut ServerSlot,
+    key: ReplicaKey,
+    leased: VersionPair,
+    holder: NodeId,
+    offset: usize,
+    count: usize,
+    now: SimTime,
+) -> Local {
+    let Some(r) = s.replicas.disk().get(&key) else { return Local::Decline };
+    if r.version != leased {
+        return Local::StaleLease;
+    }
+    let served = copy_out(r, holder, offset, count);
+    s.replicas.record_touch(key, now);
+    Local::Served(served)
 }
 
 impl Cluster {
@@ -78,14 +139,17 @@ impl Cluster {
     /// things answers: the replica itself, stable; `via`'s own read lease
     /// as the token holder mid-stream; or — `via`'s replica unstable, so
     /// §3.4 forwards the read to the token holder — the first reachable
-    /// holder's read lease. A local answer skips the full path's
+    /// holder's read lease. One visit to `via`'s slot tells the three
+    /// apart, and a forward is one visit to the holder's (see
+    /// `try_read_leased`). A local answer skips the full path's
     /// bookkeeping (clock advance, stats), none of which affects the
     /// served bytes; the forward is charged as the full path charges it,
-    /// bar the deferred work that path fires (see `try_read_leased`).
-    /// Every other case — the §2.1 forward from a server with no replica,
-    /// which joins the file group, and the §3.6 stable-replica search —
-    /// returns `None`, having charged nothing, so the caller falls back
-    /// to the canonical [`Cluster::read`].
+    /// bar the deferred work that path fires. Every other case — the
+    /// §2.1 forward from a server with no replica, which joins the file
+    /// group, a holder without a lease at its replica's version, and the
+    /// §3.6 stable-replica search — returns `None`, having charged
+    /// nothing (a stale lease is counted), so the caller falls back to
+    /// the canonical [`Cluster::read`].
     pub fn try_read_local(
         &self,
         via: NodeId,
@@ -104,51 +168,49 @@ impl Cluster {
         // and the access lands in the touch buffer (folded into
         // `last_access` at the next engine entry covering this slot, so
         // a hot, concurrently-read replica does not look idle to §3.1
-        // extra-replica deletion) without a second lock round.
+        // extra-replica deletion) without a second lock round. A replica
+        // that is not stable is judged in the same visit.
         let stable = move |r: &crate::replica::Replica| {
             r.is_stable().then(|| copy_out(r, via, offset, count))
         };
         let now = self.now();
-        let (key, served) = match major {
+        let leases = self.cfg.opt_read_leases;
+        let local = move |s: &mut ServerSlot, key| match s.replicas.served(key, now, stable) {
+            Some(served) => Local::Served(served),
+            None if leases => unstable_here(s, key, via, offset, count, now),
+            None => Local::Decline,
+        };
+        let (key, local) = match major {
             // A file that has only ever had one major: the newest one
             // stored here is current, and finding it is part of the
             // same slot visit.
             None if self.single_major(seg) => srv.visit(seg, move |s| {
                 let key = s.replicas.latest(seg)?;
-                Some((key, s.replicas.served(key, now, stable)))
+                Some((key, local(s, key)))
             })?,
             major => {
                 let key = (seg, major.or_else(|| self.local_current_major(via, seg))?);
-                (key, srv.visit(seg, move |s| s.replicas.served(key, now, stable)))
+                (key, srv.visit(seg, move |s| local(s, key)))
             }
         };
-        if let Some(served) = served {
-            return Some(OpResult { value: served, latency: self.cfg.local_read });
-        }
-        // Unstable (or no) local replica: §3.4 forwards the read to the
-        // token holder, whose read lease may answer — `via`'s own when it
-        // is the holder, else the one its unstable replica forwards to.
-        if !self.cfg.opt_read_leases {
-            return None;
-        }
-        self.try_read_leased(via, via, key, offset, count).or_else(|| {
-            if !srv.visit(seg, move |s| s.replicas.disk().get(&key).is_some_and(|r| !r.is_stable()))
-            {
-                return None; // no replica here: §2.1's forward, on the full path
+        match local {
+            Local::Served(served) => Some(OpResult { value: served, latency: self.cfg.local_read }),
+            Local::Forward => self.try_read_leased(via, key, offset, count),
+            Local::StaleLease => {
+                self.obs.bump(Stat::LeaseValidationFailures);
+                None
             }
-            let holder = self.find_reachable_token_holder(via, key).filter(|&h| h != via)?;
-            self.try_read_leased(via, holder, key, offset, count)
-        })
+            Local::Decline => None,
+        }
     }
 
-    /// The lease half of the lock-free fast path
+    /// The forwarded half of the lock-free fast path
     /// (`ClusterConfig::opt_read_leases`): answers `reader`'s read from
-    /// the token `holder`'s *unstable* replica mid-stream, at exactly the
+    /// the token holder's *unstable* replica mid-stream, at exactly the
     /// acked durable prefix named by the published [`crate::ReadLease`].
     /// §3.4 forwards every server's reads to the token holder while a
     /// file is unstable, and the holder answers directly — this is that
-    /// answer, without ring locks: the holder's own read, or a forwarded
-    /// one.
+    /// answer, without ring locks.
     ///
     /// Correctness rests on one visit to the holder's slot: the lease
     /// and the replica are read under the same slot lock, the replica
@@ -161,51 +223,49 @@ impl Cluster {
     /// replica at its version means the token had not begun moving when
     /// the bytes were copied — the copy is the primary's acked prefix.
     /// Otherwise the caller falls back to the locked path. Nothing in
-    /// the argument is the reader's own: it holds for another server's
-    /// lease just as for `reader`'s, and the holder `reader` chose stays
-    /// reachable throughout, since partitions and crashes take the
-    /// exclusive cell lock a shared-lock caller excludes.
+    /// the argument is the reader's own: it holds for the holder's own
+    /// lease (read in `try_read_local`'s visit) just as for another
+    /// server's, and the holder `reader` chose stays reachable
+    /// throughout, since partitions and crashes take the exclusive cell
+    /// lock a shared-lock caller excludes.
     ///
     /// A forwarded read is charged only once it is served, so a decline
     /// leaves nothing for the fallback to charge twice. The charge is the
     /// full path's ([`Cluster::forward_to_token_holder`]) but for the
-    /// deferred work that path fires on entry and exit: one `forward`
-    /// exchange, the read repair, the `ReadForwarded` event, the served
-    /// count, and the clock advance.
+    /// deferred work that path fires on entry and exit, and for its read
+    /// repair: one `forward` exchange, the `ReadForwarded` event, the
+    /// served count, and the clock advance. A lease exists only while
+    /// the stream is active, where a repair always stands down
+    /// (`Cluster::read_repair`) and the §3.4 stabilize round owns
+    /// catch-up; a laggard that round misses is armed by its first
+    /// full-path forward once the lease is gone.
     fn try_read_leased(
         &self,
         reader: NodeId,
-        holder: NodeId,
         key: ReplicaKey,
         offset: usize,
         count: usize,
     ) -> Option<OpResult<ReadData>> {
+        let holder = self.find_reachable_token_holder(reader, key).filter(|&h| h != reader)?;
         let now = self.now();
-        let served = self.server(holder).visit(key.0, move |s| {
-            let lease = s.leases.get(&key)?;
-            let r = s.replicas.disk().get(&key)?;
-            // A stale lease the replica has moved past (a write advances
-            // both in one visit, so nothing else): decline.
-            if r.version != lease.version {
-                return Some(None);
+        let served = self.server(holder).visit(key.0, move |s| match s.leases.get(&key) {
+            Some(lease) => leased(s, key, lease.version, holder, offset, count, now),
+            None => Local::Decline,
+        });
+        let served = match served {
+            Local::Served(served) => served,
+            Local::StaleLease => {
+                self.obs.bump(Stat::LeaseValidationFailures);
+                return None;
             }
-            let served = copy_out(r, holder, offset, count);
-            s.replicas.record_touch(key, now);
-            Some(Some(served))
-        })?;
-        let Some(served) = served else {
-            self.obs.bump(Stat::LeaseValidationFailures);
-            return None;
+            Local::Forward | Local::Decline => return None,
         };
-        let mut latency = self.cfg.local_read;
-        if reader != holder {
-            latency += self.round_trip(reader, holder, 32, count.min(8 * 1024)).ok()?;
-            self.schedule_read_repair(reader, key);
-            let ev = ProtocolEvent::ReadForwarded { seg: key.0, from: reader, to: holder };
-            self.emit_from(reader, ev);
-            self.server(reader).ops_served.fetch_add(1, atomic::Ordering::Relaxed);
-            self.clock_add(latency);
-        }
+        let latency =
+            self.cfg.local_read + self.round_trip(reader, holder, 32, count.min(8 * 1024)).ok()?;
+        let ev = ProtocolEvent::ReadForwarded { seg: key.0, from: reader, to: holder };
+        self.emit_from(reader, ev);
+        self.server(reader).ops_served.fetch_add(1, atomic::Ordering::Relaxed);
+        self.clock_add(latency);
         Some(OpResult { value: served, latency })
     }
 

@@ -167,6 +167,16 @@ pub(crate) struct InSequence {
     version: Option<VersionPair>,
 }
 
+/// Where [`Cluster::route_update`] applies an update.
+pub(crate) enum Route {
+    /// Forwarded to this token holder, at this cost: the search time
+    /// spent resolving the file and the `forward` exchange.
+    Holder(NodeId, SimDuration),
+    /// At the server it arrived at — with what `resolve_key` found of the
+    /// file on the way, if the gate got that far.
+    Here(Option<(ReplicaKey, Option<GroupId>, SimDuration)>),
+}
+
 fn reach(sync: bool) -> Durability {
     if sync {
         Durability::Sync
@@ -242,21 +252,17 @@ impl Cluster {
         let (mut ctx, mut latency) = match self.held_token(via, seg) {
             Some(held) => self.check_token_enabled(via, held)?,
             None => {
-                let resolved = self.resolve_key(via, seg, None)?;
-                // §3.3 optimization 2: pass a small update to the current
-                // token holder instead of moving the token, from a server
-                // that already holds a replica. The search time spent
-                // resolving the key is the write's either way.
-                if let Some(holder) = self.forward_target(via, resolved.0, &op) {
-                    let rtt = self.round_trip(via, holder, op.wire_size(), 24)?;
-                    self.obs.bump(Stat::UpdatesForwarded);
-                    self.emit_from(
-                        via,
-                        ProtocolEvent::UpdateForwarded { seg, from: via, to: holder },
-                    );
-                    let (v, inner) = self.do_write(holder, seg, op, expected)?;
-                    return Ok((v, resolved.2 + rtt + inner));
-                }
+                // §3.3 optimization 2, decided where every write path
+                // decides it. The search time spent resolving the key is
+                // the write's either way.
+                let resolved = match self.route_update(via, seg, op.wire_size())? {
+                    Route::Holder(holder, forward) => {
+                        let (v, inner) = self.do_write(holder, seg, op, expected)?;
+                        return Ok((v, forward + inner));
+                    }
+                    Route::Here(Some(resolved)) => resolved,
+                    Route::Here(None) => self.resolve_key(via, seg, None)?,
+                };
                 let piggyback = self.cfg.opt_piggyback_acquire;
                 self.acquire_token_for_write(via, seg, resolved, piggyback)?
             }
@@ -447,23 +453,72 @@ impl Cluster {
         Ok((new_version, latency))
     }
 
-    /// Where §3.3 optimization 2 sends a write via `via` to the file
-    /// `key` (`ClusterConfig::opt_forward_small`): the reachable token
-    /// holder, when the update is small and `via` holds a replica of the
-    /// file but not its token. A server without a replica gets `None`
-    /// and takes the token, and with it a replica, so its reads can be
-    /// served where its client is.
-    fn forward_target(&self, via: NodeId, key: ReplicaKey, op: &WriteOp) -> Option<NodeId> {
-        if !self.cfg.opt_forward_small || op.wire_size() > self.cfg.forward_small_threshold {
-            return None;
+    /// §3.3 optimization 2 (`ClusterConfig::opt_forward_small`): where an
+    /// update of `size` bytes via `via` to `seg` applies. The gate:
+    /// forwarding on, the update no larger than
+    /// `ClusterConfig::forward_small_threshold`, `via` up and holding a
+    /// replica of the file but not its token, and a reachable token
+    /// holder. Through it, the update is forwarded to that holder instead
+    /// of moving the token: charged the search time spent resolving the
+    /// file and one `forward` exchange carrying the update, and counted
+    /// (`Stat::UpdatesForwarded`, `ProtocolEvent::UpdateForwarded`).
+    /// Otherwise nothing is charged, and the update applies at `via`. A
+    /// server without a replica takes the token, and with it a replica,
+    /// so its reads can be served where its client is.
+    ///
+    /// `size` is what the forward carries: a core write's wire size, or
+    /// for the NFS envelope, which decides before its read-modify-write
+    /// loads anything ([`Cluster::forward_update`]), the edit it makes.
+    pub(crate) fn route_update(
+        &self,
+        via: NodeId,
+        seg: SegmentId,
+        size: usize,
+    ) -> DeceitResult<Route> {
+        let gate = self.cfg.opt_forward_small && size <= self.cfg.forward_small_threshold;
+        if !gate || via.index() >= self.servers.len() || !self.net.is_up(via) {
+            return Ok(Route::Here(None));
         }
-        let replica_only = self.server(via).visit(key.0, move |s| {
-            s.replicas.disk().contains(&key) && !s.tokens.disk().contains(&key)
+        let local = self.server(via).visit(seg, move |s| {
+            let key = s.replicas.latest(seg)?;
+            (!s.tokens.disk().contains(&key)).then_some(key)
         });
-        if !replica_only {
-            return None;
-        }
-        self.find_reachable_token_holder(via, key)
+        let Some(local) = local else {
+            return Ok(Route::Here(None));
+        };
+        let resolved = self.resolve_key(via, seg, None)?;
+        // A newer major found elsewhere is one `via` holds no replica of.
+        let holder =
+            (resolved.0 == local).then(|| self.find_reachable_token_holder(via, local)).flatten();
+        let Some(holder) = holder else {
+            return Ok(Route::Here(Some(resolved)));
+        };
+        let rtt = self.round_trip(via, holder, size, 24)?;
+        self.obs.bump(Stat::UpdatesForwarded);
+        self.emit_from(via, ProtocolEvent::UpdateForwarded { seg, from: via, to: holder });
+        Ok(Route::Holder(holder, resolved.2 + rtt))
+    }
+
+    /// [`Cluster::route_update`] for a mutation that has loaded nothing
+    /// yet, within what the caller holds, which must cover `seg`'s slot:
+    /// the token holder, when the update of `size` bytes via `via` is
+    /// forwarded there — the forward charged to the clock — and the
+    /// mutation then loads the holder's primary copy and writes via the
+    /// holder, where the write takes the held-token path. `None` charges
+    /// nothing: the mutation runs at `via`.
+    pub fn forward_update(
+        &self,
+        held: Held<'_>,
+        via: NodeId,
+        seg: SegmentId,
+        size: usize,
+    ) -> DeceitResult<Option<OpResult<NodeId>>> {
+        debug_assert!(held.covers(self.slot_of(seg)), "ring locks must cover the written file");
+        let Route::Holder(holder, latency) = self.route_update(via, seg, size)? else {
+            return Ok(None);
+        };
+        self.clock_add(latency);
+        Ok(Some(OpResult { value: holder, latency }))
     }
 
     /// The paper prototype's eager distribution: one broadcast round to

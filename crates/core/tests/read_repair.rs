@@ -63,8 +63,10 @@ fn lease_serves_holders_unstable_file_lock_free() {
     assert_eq!(fast.value.version, holder.version);
 
     // Non-holders' replicas are unstable and they have no lease: each
-    // read forwards to the holder's lease — one charged exchange, one
-    // armed repair, the clock advanced by what the read reports.
+    // read forwards to the holder's lease — one charged exchange, the
+    // clock advanced by what the read reports, and no repair armed: a
+    // lease exists only mid-stream, where a repair stands down and the
+    // §3.4 stabilize round owns catch-up.
     for s in [n(1), n(2)] {
         assert_eq!(c.server(s).replicas.get(&key).unwrap().state, ReplicaState::Unstable);
         let (msgs, repairs, clock, served) = charges(&c, s);
@@ -73,7 +75,7 @@ fn lease_serves_holders_unstable_file_lock_free() {
         assert_eq!(fwd.value.version, holder.version);
         assert_eq!(fwd.value.served_by, n(0));
         assert!(fwd.latency > c.cfg.local_read, "a forward costs a round trip");
-        assert_eq!(charges(&c, s), (msgs + 2, repairs + 1, clock + fwd.latency, served + 1));
+        assert_eq!(charges(&c, s), (msgs + 2, repairs, clock + fwd.latency, served + 1));
     }
 
     // The full (exclusive) path agrees byte for byte.
@@ -85,8 +87,10 @@ fn lease_serves_holders_unstable_file_lock_free() {
 
 /// A forward the lease cannot answer declines having charged nothing, so
 /// the full path that follows charges it exactly once: the holder split
-/// away from the reader, leases off, and the §2.1 forward from a server
-/// with no replica (a group join, which stays on the full path).
+/// away from the reader, leases off, the §2.1 forward from a server with
+/// no replica (a group join, which stays on the full path), and a holder
+/// whose own lease its replica has moved past (counted as a lease
+/// validation failure).
 #[test]
 fn declined_forwards_charge_nothing() {
     let declines = |c: &Cluster, via: NodeId, seg: SegmentId| {
@@ -123,6 +127,21 @@ fn declined_forwards_charge_nothing() {
     assert!(c.read_lease_version(n(0), key).is_some());
     let bare = [n(1), n(2)].into_iter().find(|&s| c.server(s).replicas.get(&key).is_none());
     declines(&c, bare.expect("one server without a replica"), pair);
+
+    // The holder's own lease stale: with stability turned off mid-stream,
+    // the next write advances the still-unstable replica but no lease.
+    let (mut c, seg) = leased_cell();
+    c.write(n(0), seg, WriteOp::replace(b"leased"), None).unwrap();
+    let unstable = FileParams { min_replicas: 3, stability: false, ..FileParams::default() };
+    c.set_params(n(0), seg, unstable).unwrap();
+    c.write(n(0), seg, WriteOp::replace(b"past the lease"), None).unwrap();
+    let key = (seg, 0u64);
+    let replica = c.server(n(0)).replicas.get(&key).unwrap();
+    assert_eq!(replica.state, ReplicaState::Unstable);
+    assert_ne!(c.read_lease_version(n(0), key), Some(replica.version), "the lease is stale");
+    let failures = c.obs.count(Stat::LeaseValidationFailures);
+    declines(&c, n(0), seg);
+    assert_eq!(c.obs.count(Stat::LeaseValidationFailures), failures + 1);
 }
 
 /// The lease is strictly opt-in: with the paper-faithful default, the

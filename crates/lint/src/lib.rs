@@ -19,6 +19,7 @@
 //! bound holds nothing). There are no waivers: `#[expect]` is
 //! the workspace's exception mechanism. See README § "Static analysis".
 
+pub mod compile_fail;
 pub mod report;
 pub mod rules;
 

@@ -25,6 +25,14 @@ pub struct DirEntry {
     pub ftype: u8,
 }
 
+impl DirEntry {
+    /// The entry's size in the directory's encoding — what a directory
+    /// update that inserts or removes it carries.
+    pub fn wire_size(&self) -> usize {
+        2 + self.name.len() + 8 + 1
+    }
+}
+
 /// An in-memory directory: a sorted entry table.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Directory {

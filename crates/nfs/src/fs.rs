@@ -363,7 +363,7 @@ impl DeceitFs {
         f: impl FnOnce(&mut Inode),
     ) -> Result<SimDuration, NfsError> {
         let mut f = Some(f);
-        self.update_segment(via, fh, |inode, _| {
+        self.update_segment(via, fh, crate::scope::ATTR_ARGS, |inode, _| {
             if let Some(f) = f.take() {
                 f(inode);
             }

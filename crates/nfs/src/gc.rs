@@ -14,7 +14,7 @@ use deceit_sim::SimDuration;
 
 use crate::fs::{DeceitFs, Edit, NfsError};
 use crate::handle::FileHandle;
-use crate::scope::{at_cell, Scope};
+use crate::scope::{at_cell, Scope, ATTR_ARGS};
 
 /// Runs the zero-link-count check on `target`: deallocate if truly
 /// unlinked, otherwise correct the hint. Returns the time spent.
@@ -58,7 +58,7 @@ pub fn collect_if_unlinked(
     } else {
         // The hint was wrong: correct it (§5.2 "the link count is
         // corrected").
-        latency += fs.update_segment(via, target, |inode, _| {
+        latency += fs.update_segment(via, target, ATTR_ARGS, |inode, _| {
             inode.nlink = true_links;
             Ok(Some(Edit::Keep))
         })?;

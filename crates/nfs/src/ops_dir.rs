@@ -26,7 +26,7 @@ use crate::gc;
 use crate::handle::FileHandle;
 use crate::inode::Inode;
 use crate::name::{NameError, QualifiedName};
-use crate::scope::{at_cell, Scope, Scoped};
+use crate::scope::{at_cell, Scope, Scoped, ATTR_ARGS};
 
 impl Scope<'_> {
     /// The body of [`DeceitFs::link`].
@@ -54,7 +54,7 @@ impl Scope<'_> {
         // over-approximate, the direction the uplink check tolerates.
         let dir_seg = dir.seg;
         let mut new_uplink = false;
-        let bumped = self.update_segment(via, target, |inode, _| {
+        let bumped = self.update_segment(via, target, ATTR_ARGS, |inode, _| {
             inode.nlink += 1;
             new_uplink = inode.add_uplink(dir_seg);
             inode.ctime = now;
@@ -63,7 +63,7 @@ impl Scope<'_> {
         latency += bumped.latency;
         let entry =
             DirEntry { name: q.base.clone(), handle: target.unpinned(), ftype: tnode.ftype };
-        let inserted = self.update_segment(via, dir, |dnode, dpayload| {
+        let inserted = self.update_segment(via, dir, entry.wire_size(), |dnode, dpayload| {
             if dnode.ftype != FileType::Directory.to_byte() {
                 return Err(NfsError::NotDir);
             }
@@ -80,7 +80,7 @@ impl Scope<'_> {
                 // The directory took no entry: take the count back, so a
                 // later `REMOVE` still reaches zero (as `create` rolls
                 // back its orphan segment).
-                let _ = self.update_segment(via, target, |inode, _| {
+                let _ = self.update_segment(via, target, ATTR_ARGS, |inode, _| {
                     inode.nlink = inode.nlink.saturating_sub(1);
                     if new_uplink {
                         inode.remove_uplink(dir_seg);
@@ -170,7 +170,7 @@ impl DeceitFs {
 
         // Add the directory entry under the §5.1 restart loop.
         let entry = DirEntry { name: q.base.clone(), handle: fh, ftype: ftype.to_byte() };
-        let insert_res = self.update_segment(via, dir, |dnode, dpayload| {
+        let insert_res = self.update_segment(via, dir, entry.wire_size(), |dnode, dpayload| {
             if dnode.ftype != FileType::Directory.to_byte() {
                 return Err(NfsError::NotDir);
             }
@@ -235,7 +235,7 @@ impl DeceitFs {
         }
 
         // Drop the directory entry (restart loop).
-        latency += self.update_segment(via, dir, |dnode, dpayload| {
+        latency += self.update_segment(via, dir, entry.wire_size(), |dnode, dpayload| {
             let mut t = Directory::decode(&dpayload.bytes())?;
             if t.remove(&q.base).is_none() {
                 return Err(NfsError::NotFound);
@@ -248,7 +248,7 @@ impl DeceitFs {
         let target = entry.handle;
         let dir_seg = dir.seg;
         let mut went_zero = false;
-        latency += self.update_segment(via, target, |inode, _| {
+        latency += self.update_segment(via, target, ATTR_ARGS, |inode, _| {
             inode.nlink = inode.nlink.saturating_sub(1);
             inode.ctime = now;
             // The uplink stays if other links from this directory remain;
@@ -282,7 +282,7 @@ impl DeceitFs {
             return Err(NfsError::NotEmpty);
         }
         let now = self.cluster.now().as_micros();
-        latency += self.update_segment(via, dir, |dnode, dpayload| {
+        latency += self.update_segment(via, dir, entry.wire_size(), |dnode, dpayload| {
             let mut t = Directory::decode(&dpayload.bytes())?;
             if t.remove(&q.base).is_none() {
                 return Err(NfsError::NotFound);
@@ -322,7 +322,7 @@ impl DeceitFs {
 
         // 1. Uplink to the destination directory.
         let to_seg = to_dir.seg;
-        latency += self.update_segment(via, target, |inode, _| {
+        latency += self.update_segment(via, target, ATTR_ARGS, |inode, _| {
             inode.add_uplink(to_seg);
             inode.ctime = now;
             Ok(Some(Edit::Keep))
@@ -331,7 +331,7 @@ impl DeceitFs {
         // 2. Entry in the destination (replacing any existing target
         // entry, per POSIX rename).
         let new_entry = DirEntry { name: qt.base.clone(), handle: target, ftype: entry.ftype };
-        latency += self.update_segment(via, to_dir, |dnode, dpayload| {
+        latency += self.update_segment(via, to_dir, new_entry.wire_size(), |dnode, dpayload| {
             if dnode.ftype != FileType::Directory.to_byte() {
                 return Err(NfsError::NotDir);
             }
@@ -343,7 +343,7 @@ impl DeceitFs {
         })?;
 
         // 3. Remove the source entry.
-        latency += self.update_segment(via, from_dir, |dnode, dpayload| {
+        latency += self.update_segment(via, from_dir, entry.wire_size(), |dnode, dpayload| {
             let mut t = Directory::decode(&dpayload.bytes())?;
             if t.remove(&qf.base).is_none() {
                 return Err(NfsError::NotFound);
@@ -355,7 +355,7 @@ impl DeceitFs {
         // 4. Drop the stale uplink (unless it was a same-directory rename).
         if from_dir.seg != to_dir.seg {
             let from_seg = from_dir.seg;
-            latency += self.update_segment(via, target, |inode, _| {
+            latency += self.update_segment(via, target, ATTR_ARGS, |inode, _| {
                 inode.remove_uplink(from_seg);
                 Ok(Some(Edit::Keep))
             })?;

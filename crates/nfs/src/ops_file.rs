@@ -22,7 +22,7 @@ use deceit_net::NodeId;
 
 use crate::fs::{DeceitFs, Edit, FileAttr, FileType, NfsError, NfsResult};
 use crate::handle::FileHandle;
-use crate::scope::{at_cell, Scope, Scoped};
+use crate::scope::{at_cell, Scope, Scoped, ATTR_ARGS};
 
 /// The bodies; each is documented on its `DeceitFs` method below.
 impl Scope<'_> {
@@ -36,7 +36,7 @@ impl Scope<'_> {
         size: Option<usize>,
     ) -> Scoped<FileAttr> {
         let now = self.fs().cluster.now().as_micros();
-        let done = self.update_segment(via, fh, |inode, _| {
+        let done = self.update_segment(via, fh, ATTR_ARGS, |inode, _| {
             if size.is_some() && inode.ftype == FileType::Directory.to_byte() {
                 return Err(NfsError::IsDir);
             }
@@ -66,7 +66,7 @@ impl Scope<'_> {
         data: &Bytes,
     ) -> Scoped<FileAttr> {
         let now = self.fs().cluster.now().as_micros();
-        let done = self.update_segment(via, fh, |inode, _| {
+        let done = self.update_segment(via, fh, data.len(), |inode, _| {
             if inode.ftype == FileType::Directory.to_byte() {
                 return Err(NfsError::IsDir);
             }

@@ -14,7 +14,7 @@
 //! holding more.
 
 use deceit_core::{
-    Cluster, DeceitError, Held, OpResult, SegmentData, SegmentId, VersionPair, WriteOp,
+    Cluster, DeceitError, Held, OpResult, ReadData, SegmentData, SegmentId, VersionPair, WriteOp,
 };
 use deceit_net::NodeId;
 use deceit_sim::SimDuration;
@@ -29,6 +29,15 @@ use crate::inode::Inode;
 
 /// Restart budget for conflicting directory updates (§5.1).
 const OCC_RETRIES: u32 = 8;
+
+/// An update's fixed part on the wire, as core's `WriteOp::wire_size`
+/// counts it.
+const UPDATE_HEADER: usize = 16;
+
+/// What an attribute update carries: `SETATTR`'s arguments (mode, uid
+/// and gid, 4 bytes each, and a size, 8), which also bound a link count
+/// or uplink change.
+pub(crate) const ATTR_ARGS: usize = 20;
 
 /// What the caller of an envelope operation holds.
 ///
@@ -92,6 +101,12 @@ pub(crate) fn at_cell<T>(res: Result<T, Stop>) -> Result<T, NfsError> {
 
 /// A loaded segment: (inode, payload, version, latency).
 pub(crate) type Loaded = (Inode, Payload, VersionPair, SimDuration);
+
+/// Splits a read of a whole segment into what [`Loaded`] names.
+fn split_read(read: OpResult<ReadData>) -> Result<Loaded, Stop> {
+    let (inode, payload) = split_image(read.value.image)?;
+    Ok((inode, payload, read.value.version, read.latency))
+}
 
 /// A segment as [`Scope::update_segment`] left it: the inode and payload
 /// length just written (or just loaded, when the mutation declined), the
@@ -179,8 +194,7 @@ impl Scope<'_> {
                 cluster.read_scoped(held, via, seg, major, 0, WHOLE_SEGMENT)?
             }
         };
-        let (inode, payload) = split_image(read.value.image)?;
-        Ok((inode, payload, read.value.version, read.latency))
+        split_read(read)
     }
 
     /// Writes a whole segment image (see [`segment_image`]) conditionally
@@ -200,24 +214,59 @@ impl Scope<'_> {
     /// Runs a read-modify-write on a segment with the §5.1 restart loop.
     /// `mutate` returns `Ok(Some(edit))` to write the inode and the
     /// payload so edited, `Ok(None)` to leave the segment untouched.
+    /// `carries` is the size of what the update changes — a `WRITE`'s
+    /// data, a `SETATTR`'s arguments ([`ATTR_ARGS`]), a directory entry —
+    /// which, behind the update header, §3.3's forward compares with
+    /// `ClusterConfig::forward_small_threshold`.
+    ///
+    /// Where the mutation applies is decided before anything is loaded.
+    /// On the ring rung the token holder's own load comes first, so a
+    /// stream of writes at the holder pays nothing for the decision.
+    /// Otherwise core decides ([`Cluster::forward_update`]): a small
+    /// update from a replica holder without the token is forwarded, and
+    /// the mutation loads the holder's primary copy and stores via the
+    /// holder — never a read-modify-write of `via`'s own replica, which
+    /// may lag the primary (write-behind, or unstable mid-stream).
     pub(crate) fn update_segment(
         &mut self,
         via: NodeId,
         fh: FileHandle,
+        carries: usize,
         mut mutate: impl FnMut(&mut Inode, &Payload) -> Result<Option<Edit>, NfsError>,
     ) -> Result<Updated, Stop> {
         // Nothing to load for a caller who could not store.
         self.held(fh.seg)?;
+        let primary = match self {
+            Scope::Ring(fs, _) => fs.cluster.load_primary(via, fh.seg, fh.version),
+            // Holding the whole cell, the full protocol loads.
+            Scope::Snapshot(_) | Scope::Cell(_) => None,
+        };
         let mut latency = SimDuration::ZERO;
+        let (at, mut first) = match primary {
+            Some(read) => (via, Some(split_read(read)?)),
+            None => {
+                let (cluster, held) = self.held(fh.seg)?;
+                match cluster.forward_update(held, via, fh.seg, UPDATE_HEADER + carries)? {
+                    Some(forward) => {
+                        latency += forward.latency;
+                        (forward.value, None)
+                    }
+                    None => (via, Some(self.load(via, fh)?)),
+                }
+            }
+        };
         for attempt in 0..OCC_RETRIES {
-            let (mut inode, payload, version, l1) = self.fetch(via, fh, true)?;
+            let (mut inode, payload, version, l1) = match first.take() {
+                Some(loaded) => loaded,
+                None => self.fetch(at, fh, true)?,
+            };
             latency += l1;
             let Some(edit) = mutate(&mut inode, &payload)? else {
                 return Ok(Updated { inode, len: payload.len(), version, latency });
             };
             let image = segment_image(&inode, &payload, edit)?;
             let len = image.len() - inode.encoded_len();
-            match self.store(via, fh, image, Some(version)) {
+            match self.store(at, fh, image, Some(version)) {
                 Ok((version, l2)) => {
                     return Ok(Updated { inode, len, version, latency: latency + l2 })
                 }
@@ -286,9 +335,10 @@ impl DeceitFs {
         &mut self,
         via: NodeId,
         fh: FileHandle,
+        carries: usize,
         mutate: impl FnMut(&mut Inode, &Payload) -> Result<Option<Edit>, NfsError>,
     ) -> Result<SimDuration, NfsError> {
-        at_cell(Scope::Cell(self).update_segment(via, fh, mutate)).map(|done| done.latency)
+        at_cell(Scope::Cell(self).update_segment(via, fh, carries, mutate)).map(|done| done.latency)
     }
 
     /// [`Scope::load_dir`].

@@ -132,7 +132,9 @@ fn remote_stream_readers_ride_the_holders_lease() {
 /// a replica holder); from then on every write from the other home is
 /// forwarded to the parked token, so `core/token/passes` stops growing,
 /// and each home's reads stay on the shared path (≥ 90 % each): the
-/// holder's from its lease, the other's forwarded to that lease.
+/// holder's from its lease, the other's forwarded to that lease. A
+/// forwarded write is made at the holder, so it meets no version
+/// conflict, and a lease-served read arms no read repair.
 #[test]
 fn cross_homed_writers_leave_the_token_parked() {
     const ROUNDS: usize = 200;
@@ -154,9 +156,13 @@ fn cross_homed_writers_leave_the_token_parked() {
 
     let cell = Arc::clone(&rt);
     let worker = thread::spawn(move || {
-        let passes = || {
+        let count = |name: &str| {
             let stats = cell.observe().stats.expect("the engine exports its counters");
-            stats.get("core/token/passes").expect("a token-pass counter")
+            stats.get(name).expect("an exported counter")
+        };
+        let counts = || {
+            let names = ["core/token/passes", "core/occ/conflicts", "core/reads/repairs_scheduled"];
+            names.map(count)
         };
         let shared = || cell.stats().requests_served_shared;
         let write = |s: &mut RuntimeClient, data: String| {
@@ -168,7 +174,7 @@ fn cross_homed_writers_leave_the_token_parked() {
         for (h, s) in sessions.iter_mut().enumerate() {
             write(s, format!("first write from home {h}"));
         }
-        let parked = passes();
+        let parked = counts();
         let mut served_shared = [0u64; 2];
         for round in 0..ROUNDS {
             for (h, s) in sessions.iter_mut().enumerate() {
@@ -181,14 +187,21 @@ fn cross_homed_writers_leave_the_token_parked() {
                 served_shared[h] += shared() - before;
             }
         }
-        (passes() - parked, served_shared)
+        let after = counts();
+        (std::array::from_fn(|i| after[i] - parked[i]), served_shared)
     });
-    let (moved, served_shared) = join_within("cross-homed writers", vec![worker]).remove(0);
+    let (counted, served_shared) = join_within("cross-homed writers", vec![worker]).remove(0);
+    let [moved, conflicts, repairs] = counted;
     if let Ok(rt) = Arc::try_unwrap(rt) {
         rt.shutdown();
     }
 
     assert_eq!(moved, 0, "the token moved after the first acquisition: {moved} passes");
+    // A forwarded write loads and stores at the holder, so no restart;
+    // a forwarded read is served by the holder's lease, which arms no
+    // repair.
+    assert_eq!(conflicts, 0, "forwarded writes met {conflicts} version conflicts");
+    assert_eq!(repairs, 0, "the reads armed {repairs} read repairs");
     for (h, shared) in served_shared.iter().enumerate() {
         let share = *shared as f64 / ROUNDS as f64;
         assert!(
