@@ -47,11 +47,14 @@ pub struct ClusterConfig {
     /// the live runtime turns it on.
     pub opt_forward_small: bool,
     /// Size bound at or below which optimization 2 applies, compared
-    /// with the update's wire size. Until replica updates carry the
-    /// written range (ROADMAP item 7), every NFS write reaches the
-    /// cluster as the whole segment image, so the bound compares the
-    /// image: a small write to a file larger than the bound is not small
-    /// here.
+    /// with what the forward carries: a core write's wire size, or for a
+    /// mutation through the NFS envelope, which decides the forward
+    /// before it loads anything, the update itself — a `WRITE`'s data
+    /// behind its 16-byte header, a `SETATTR`'s arguments, a directory
+    /// entry. So a small write to a large file is small here; the
+    /// forwarded mutation then reads and writes the holder's primary
+    /// copy, and the update is still distributed as the whole segment
+    /// image (ROADMAP item 7).
     pub forward_small_threshold: usize,
     /// The asynchronous replicated-write pipeline (§3.3's "only the first
     /// s correct replies" taken to its logical end, §1's asynchronous
@@ -79,9 +82,13 @@ pub struct ClusterConfig {
     /// catch-up (due-gated, single-flighted) that state-transfers the
     /// laggard from the durable primary and marks it stable — instead
     /// of forwarding every subsequent read until the next stabilize
-    /// round happens to cover it. Off by default: the paper's prototype
-    /// leaves laggards to the §3.4 stabilize horizon. The live runtime
-    /// turns it on.
+    /// round happens to cover it. Only the full read path's forward arms
+    /// one: a forward the holder's read lease answers happens
+    /// mid-stream, where a repair stands down and the §3.4 stabilize
+    /// round owns catch-up, so a laggard that round misses is armed by
+    /// its first full-path forward once the lease is gone. Off by
+    /// default: the paper's prototype leaves laggards to the §3.4
+    /// stabilize horizon. The live runtime turns it on.
     pub opt_read_repair: bool,
     /// Fault-injection knob for the consistency auditor's mutation test:
     /// when set, the write pipeline's safety lane counts a remote reply

@@ -499,13 +499,15 @@ impl Cluster {
         Ok(Route::Holder(holder, resolved.2 + rtt))
     }
 
-    /// [`Cluster::route_update`] for a mutation that has loaded nothing
-    /// yet, within what the caller holds, which must cover `seg`'s slot:
-    /// the token holder, when the update of `size` bytes via `via` is
-    /// forwarded there — the forward charged to the clock — and the
-    /// mutation then loads the holder's primary copy and writes via the
-    /// holder, where the write takes the held-token path. `None` charges
-    /// nothing: the mutation runs at `via`.
+    /// §3.3 optimization 2 — the forward decision a write makes after
+    /// missing the held-token visit, with the same gate, charge and
+    /// counters — for a mutation that has loaded nothing yet, within what
+    /// the caller holds, which must cover `seg`'s slot. Returns the token
+    /// holder when the update of `size` bytes via `via` is forwarded
+    /// there, the forward charged to the clock; the mutation then loads
+    /// the holder's primary copy and writes via the holder, where the
+    /// write takes the held-token path. `None` charges nothing: the
+    /// mutation runs at `via`.
     pub fn forward_update(
         &self,
         held: Held<'_>,

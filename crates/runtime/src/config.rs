@@ -49,9 +49,10 @@ impl RuntimeConfig {
         // horizon accordingly; `settle` still stabilizes everything.
         // Read leases + read-repair recover the lock-free read path under
         // write streams: the token holder serves its own unstable files
-        // at the acked durable prefix, and a read that meets a lagging
-        // replica queues one targeted catch-up instead of forwarding
-        // forever. Both off in the paper-faithful simulator default, on
+        // at the acked durable prefix, and other replica holders' reads
+        // forward to that lease in one visit each side; once the stream
+        // is quiet, a read that meets a lagging replica queues one
+        // targeted catch-up instead of forwarding forever. Both off in the paper-faithful simulator default, on
         // here — the differential suite runs both worlds with this same
         // config, so sim and live exercise identical semantics.
         let mut cluster =
@@ -63,8 +64,10 @@ impl RuntimeConfig {
         // writes of buffering headroom per stream. Lagging replicas are
         // unstable, so reads forward to the holder meanwhile.
         cluster.lazy_apply_delay = deceit_sim::SimDuration::from_secs(5);
-        // A write from a replica holder reaches the token holder in one
-        // forward; `forward_small_threshold` keeps the core default.
+        // A small write from a replica holder reaches the token holder in
+        // one forward, decided before anything is loaded, and is read and
+        // written there; `forward_small_threshold` keeps the core default
+        // and compares the update, not the file.
         cluster.opt_forward_small = true;
         RuntimeConfig {
             servers,
